@@ -466,9 +466,8 @@ class TwoStageExecutor:
 
         if self.estimate:
             breakpoint_info.estimate = estimate_informativeness(
-                self.db,
+                self.statistics(),
                 breakpoint_info.files_of_interest,
-                self._repository_file_count(decomposition),
                 self.cache.cached_uris(),
                 self.cost_model,
                 interval=self._query_interval(decomposition),
@@ -666,13 +665,12 @@ class TwoStageExecutor:
             if lo == -INF and hi == INF:
                 result[info.alias] = files
                 continue
-            spans = self._file_time_spans()
-            kept = [
-                uri
-                for uri in files
-                if uri not in spans
-                or (spans[uri][0] <= hi and spans[uri][1] >= lo)
-            ]
+            file_span = self.statistics().file_span
+            kept = []
+            for uri in files:
+                span = file_span(uri)
+                if span is None or (span[0] <= hi and span[1] >= lo):
+                    kept.append(uri)
             pruned_total += len(files) - len(kept)
             result[info.alias] = kept
         return result, pruned_total
@@ -696,13 +694,6 @@ class TwoStageExecutor:
             if interval != (-INF, INF):
                 return interval
         return None
-
-    def _file_time_spans(self) -> dict[str, tuple[int, int]]:
-        """uri → (start_time, end_time) from the loaded ``F`` metadata."""
-        return {
-            uri: stats.span
-            for uri, stats in self.statistics().files.items()
-        }
 
     def _record_map(
         self, uri: str, table_name: str
@@ -749,17 +740,6 @@ class TwoStageExecutor:
             }
             self._record_spans_source = batch
         return self._record_spans.get(uri)
-
-    def _repository_file_count(self, decomposition: Decomposition) -> int:
-        tables = {info.table_name.lower() for info in decomposition.actual_scans}
-        total = 0
-        seen = set()
-        for table in tables:
-            binding = self.bindings.for_table(table)
-            if binding is not None and id(binding) not in seen:
-                seen.add(id(binding))
-                total += len(binding.repository)
-        return total
 
     def _files_of_interest(self, decomposition: Decomposition, ctx) -> dict[str, list[str]]:
         files_by_alias: dict[str, list[str]] = {}

@@ -519,6 +519,14 @@ class CircuitBreaker:
         with self._lock:
             self._circuits.pop(uri, None)
 
+    def abandon_probe(self, uri: str) -> None:
+        """The admitted half-open probe ended without a verdict (its query
+        was cancelled mid-mount): free the slot so the next caller probes."""
+        with self._lock:
+            circuit = self._circuits.get(uri)
+            if circuit is not None and circuit.state == CIRCUIT_HALF_OPEN:
+                circuit.probing = False
+
     def likely_blocked(self, uri: str) -> bool:
         """Non-mutating peek: would :meth:`allow` refuse this URI right now?
 

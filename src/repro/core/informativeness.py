@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..db.buffer import DiskModel
-from ..db.database import Database
-from ..ingest.schema import FILE_TABLE
+from ..db.stats import FileStatistics, StatisticsCatalog
 
 
 @dataclass
@@ -44,7 +43,7 @@ class InformativenessReport:
     """What the system can tell the explorer at the breakpoint."""
 
     files: int
-    repository_files: int
+    repository_files: int  # rows of F: the repository as the engine sees it
     cached_files: int
     est_tuples: int
     est_bytes: int
@@ -67,50 +66,35 @@ class InformativenessReport:
         return text
 
 
-def _file_stats(db: Database) -> dict[str, tuple[int, int, int, int]]:
-    """uri → (nsamples, size_bytes, start_time, end_time) from ``F``."""
-    table = db.catalog.table(FILE_TABLE)
-    batch = table.batch
-    uris = batch.column("uri").to_pylist()
-    nsamples = batch.column("nsamples").to_pylist()
-    sizes = batch.column("size_bytes").to_pylist()
-    starts = batch.column("start_time").to_pylist()
-    ends = batch.column("end_time").to_pylist()
-    return {
-        u: (int(n), int(s), int(b), int(e))
-        for u, n, s, b, e in zip(uris, nsamples, sizes, starts, ends)
-    }
-
-
 def _window_rows(
-    stats: dict[str, tuple[int, int, int, int]],
-    files: Sequence[str],
-    interval: tuple[int, int],
+    known: Sequence[FileStatistics], interval: tuple[int, int]
 ) -> int:
     """Estimated tuples inside the requested time window, by assuming each
     file's samples are uniform over its metadata span (§5's "anticipate the
     query's informativeness" — here, the expected answer size)."""
     lo, hi = interval
     total = 0.0
-    for uri in files:
-        if uri not in stats:
-            continue
-        nsamples, _, start, end = stats[uri]
+    for stats in known:
+        start, end = stats.span
         span = max(end - start, 1)
         overlap = max(0, min(end, hi) - max(start, lo))
-        total += nsamples * min(overlap / span, 1.0)
+        total += stats.nsamples * min(overlap / span, 1.0)
     return int(round(total))
 
 
 def estimate_informativeness(
-    db: Database,
+    stats: StatisticsCatalog,
     files_of_interest: Sequence[str],
-    repository_files: int,
     cached_uris: set[str],
     cost_model: Optional[CostModel] = None,
     interval: Optional[tuple[int, int]] = None,
 ) -> InformativenessReport:
     """Estimate stage-2 cost and informativeness from metadata alone.
+
+    ``stats`` is the per-file statistics snapshot of ``F``; only the files of
+    interest are looked up in it, so the estimate costs O(files of interest).
+    The repository, for this purpose, is the files ``F`` describes: a file
+    absent from ``F`` can never be a file of interest.
 
     The score is a documented heuristic: a query is informative when it
     narrows the data space (low selectivity) and is cheap to run —
@@ -121,11 +105,13 @@ def estimate_informativeness(
     over each file's metadata time span.
     """
     cost_model = cost_model or CostModel()
-    stats = _file_stats(db)
-    to_mount = [u for u in files_of_interest if u not in cached_uris]
-    est_tuples = sum(stats.get(u, (0, 0, 0, 0))[0] for u in files_of_interest)
-    est_bytes = sum(stats.get(u, (0, 0, 0, 0))[1] for u in to_mount)
-    mount_tuples = sum(stats.get(u, (0, 0, 0, 0))[0] for u in to_mount)
+    repository_files = len(stats.files)
+    known = [stats.files[u] for u in files_of_interest if u in stats.files]
+    to_mount = [f for f in known if f.uri not in cached_uris]
+    cached = sum(1 for u in files_of_interest if u in cached_uris)
+    est_tuples = sum(f.nsamples for f in known)
+    est_bytes = sum(f.size_bytes for f in to_mount)
+    mount_tuples = sum(f.nsamples for f in to_mount)
     est_mount = cost_model.mount_seconds(est_bytes, mount_tuples)
     est_stage2 = cost_model.stage2_seconds(est_bytes, est_tuples)
     selectivity = (
@@ -137,11 +123,11 @@ def estimate_informativeness(
         score = max(0.0, (1.0 - selectivity) / (1.0 + est_stage2))
     est_result_rows = None
     if interval is not None:
-        est_result_rows = _window_rows(stats, files_of_interest, interval)
+        est_result_rows = _window_rows(known, interval)
     return InformativenessReport(
         files=len(files_of_interest),
         repository_files=repository_files,
-        cached_files=len(files_of_interest) - len(to_mount),
+        cached_files=cached,
         est_tuples=est_tuples,
         est_bytes=est_bytes,
         est_mount_seconds=est_mount,

@@ -335,6 +335,7 @@ class MetadataStore:
                     start_time=state.file_row.start_time,
                     end_time=state.file_row.end_time,
                     nrecords=state.file_row.nrecords,
+                    nsamples=state.file_row.nsamples,
                     size_bytes=state.file_row.size_bytes,
                 )
                 for uri, state in self._files.items()

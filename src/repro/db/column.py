@@ -22,13 +22,21 @@ from .types import DataType, format_timestamp, parse_timestamp
 
 
 class StringDictionary:
-    """An append-only mapping between strings and dense int32 codes."""
+    """An append-only mapping between strings and dense int32 codes.
 
-    __slots__ = ("_values", "_codes")
+    Because entries are only ever appended, everything derived from them
+    (the byte total, the decode table, the sort ranks) is kept incrementally
+    or cached by the length it was computed at.
+    """
+
+    __slots__ = ("_values", "_codes", "_nbytes", "_table", "_ranks")
 
     def __init__(self, values: Iterable[str] = ()) -> None:
         self._values: list[str] = []
         self._codes: dict[str, int] = {}
+        self._nbytes = 0
+        self._table = np.empty(0, dtype=object)
+        self._ranks = np.empty(0, dtype=np.int64)
         for value in values:
             self.encode_one(value)
 
@@ -42,6 +50,7 @@ class StringDictionary:
             code = len(self._values)
             self._values.append(value)
             self._codes[value] = code
+            self._nbytes += len(value) + 8
         return code
 
     def encode(self, values: Iterable[str]) -> np.ndarray:
@@ -58,14 +67,55 @@ class StringDictionary:
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """Decode a code vector into a numpy object array of strings."""
-        table = np.asarray(self._values, dtype=object)
-        if len(table) == 0:
+        if len(self._table) != len(self._values):
+            self._table = np.asarray(self._values, dtype=object)
+        if len(self._table) == 0:
             return np.empty(len(codes), dtype=object)
-        return table[codes]
+        return self._table[codes]
 
     @property
     def values(self) -> list[str]:
+        """A copy of the entries in code order."""
         return list(self._values)
+
+    @property
+    def entries(self) -> Sequence[str]:
+        """The entries in code order, without copying (do not mutate)."""
+        return self._values
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate footprint: each entry's length plus 8 bytes."""
+        return self._nbytes
+
+    def sort_ranks(self) -> np.ndarray:
+        """``ranks[code]`` = position of that entry in sorted string order.
+
+        Entries are distinct, so the ranks are a permutation of
+        ``0..len-1``: gathering them through a code vector turns string
+        comparison into integer comparison without decoding a row.
+        """
+        n = len(self._values)
+        if len(self._ranks) != n:
+            order = sorted(range(n), key=self._values.__getitem__)
+            ranks = np.empty(n, dtype=np.int64)
+            ranks[order] = np.arange(n, dtype=np.int64)
+            self._ranks = ranks
+        return self._ranks
+
+    def translate_to(self, other: "StringDictionary") -> np.ndarray:
+        """``table[code]`` = ``other``'s code for the same string.
+
+        Strings ``other`` lacks all map to ``len(other)`` — one code past its
+        range, so they compare unequal to every code ``other`` assigns.
+        """
+        miss = len(other)
+        lookup = other._codes.get
+        return np.fromiter(
+            (lookup(value, miss) for value in self._values),
+            dtype=np.int64,
+            count=len(self._values),
+        )
 
 
 class Column:
@@ -148,14 +198,6 @@ class Column:
             return self.dictionary.decode(self.values)
         return self.values
 
-    def key_values(self) -> np.ndarray:
-        """Values suitable for grouping/joining across columns.
-
-        Dictionary codes are column-local, so cross-column operations use the
-        decoded strings; other types use the physical vector directly.
-        """
-        return self.decoded()
-
     def to_pylist(self) -> list[Any]:
         """The column as plain Python values (timestamps stay integers)."""
         if self.dtype is DataType.STRING:
@@ -176,7 +218,7 @@ class Column:
         """Approximate storage footprint of this column in bytes."""
         total = int(self.values.nbytes)
         if self.dictionary is not None:
-            total += sum(len(s) + 8 for s in self.dictionary.values)
+            total += self.dictionary.nbytes
         return total
 
 
@@ -200,7 +242,7 @@ def concat_columns(columns: Sequence[Column]) -> Column:
         for col in columns:
             assert col.dictionary is not None
             remap = np.asarray(
-                [dictionary.encode_one(s) for s in col.dictionary.values],
+                [dictionary.encode_one(s) for s in col.dictionary.entries],
                 dtype=np.int32,
             )
             if len(remap):

@@ -1,8 +1,10 @@
 """Shared columnar kernels: factorization, grouping, stable distinct.
 
-These helpers reduce heterogeneous key columns (including dictionary-encoded
-strings) to dense int64 codes whose sort order matches the value order, which
-lets group-by, sort, and distinct all run on plain numpy integer arrays.
+These helpers reduce heterogeneous key columns to int64 codes whose sort
+order matches the value order, which lets group-by, sort, and distinct all
+run on plain numpy integer arrays. Dictionary-encoded strings are never
+decoded per row: their codes are derived from the (small) dictionary and
+gathered through the physical code vector.
 """
 
 from __future__ import annotations
@@ -12,16 +14,22 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..column import Column
+from ..errors import TypeError_
 
 
 def factorize(column: Column) -> tuple[np.ndarray, int]:
-    """Map a column to dense int64 codes preserving value order.
+    """Map a column to int64 codes preserving value order.
 
-    Returns ``(codes, cardinality)``; equal values share a code and
-    ``value_a < value_b`` implies ``code_a < code_b``.
+    Returns ``(codes, cardinality)`` with every code in ``[0, cardinality)``;
+    equal values share a code and ``value_a < value_b`` implies
+    ``code_a < code_b``. String codes are the dictionary's sort ranks, so
+    their cardinality is the dictionary size — an upper bound when the column
+    (after a filter or take) no longer uses every entry.
     """
-    values = column.key_values()
-    uniques, inverse = np.unique(values, return_inverse=True)
+    if column.dictionary is not None:
+        ranks = column.dictionary.sort_ranks()
+        return ranks[column.values], len(ranks)
+    uniques, inverse = np.unique(column.values, return_inverse=True)
     return inverse.astype(np.int64), len(uniques)
 
 
@@ -65,12 +73,15 @@ def first_occurrence_indices(codes: np.ndarray) -> np.ndarray:
 def join_codes(
     left_columns: Sequence[Column], right_columns: Sequence[Column]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly factorize both sides of an equi-join.
+    """Codes under which the two sides of an equi-join are comparable.
 
     Per-column factorization is local to a column, so codes from two columns
-    are not comparable; this factorizes each key position over the
-    concatenation of both sides, then combines positions. Equal key tuples on
-    the two sides receive equal combined codes.
+    are not comparable; this puts each key position of both sides into one
+    shared code space, then combines positions. Equal key tuples on the two
+    sides receive equal combined codes; codes carry no order. A FLOAT64 NaN
+    (the engine's stand-in for NULL) equals nothing, itself included, so it
+    never joins and never satisfies ``IN`` — unlike :func:`factorize`, which
+    gives all NaNs one code so they group and sort together.
     """
     if len(left_columns) != len(right_columns):
         raise ValueError("join key arity mismatch")
@@ -79,13 +90,56 @@ def join_codes(
     n_right = len(right_columns[0]) if right_columns else 0
     right_codes = np.zeros(n_right, dtype=np.int64)
     for left_col, right_col in zip(left_columns, right_columns):
-        both = np.concatenate([left_col.key_values(), right_col.key_values()])
-        uniques, inverse = np.unique(both, return_inverse=True)
-        card = max(len(uniques), 1)
-        inverse = inverse.astype(np.int64)
-        left_codes = left_codes * card + inverse[:n_left]
-        right_codes = right_codes * card + inverse[n_left:]
+        left_part, right_part, card = _shared_codes(left_col, right_col)
+        left_codes = left_codes * card + left_part
+        right_codes = right_codes * card + right_part
     return left_codes, right_codes
+
+
+def _shared_codes(
+    left: Column, right: Column
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One key position of :func:`join_codes`: ``(left, right, cardinality)``.
+
+    Only the side with fewer distinct candidates is ever enumerated: the
+    smaller dictionary for strings, the shorter column otherwise. A value the
+    enumerated side lacks gets the one extra *no-match* code.
+    """
+    left_dict, right_dict = left.dictionary, right.dictionary
+    if (left_dict is None) != (right_dict is None):
+        raise TypeError_(
+            f"cannot join {left.dtype.value} with {right.dtype.value} keys"
+        )
+    if left_dict is not None and right_dict is not None:
+        if left_dict is right_dict:
+            return left.values, right.values, len(left_dict)
+        if len(right_dict) <= len(left_dict):
+            table = right_dict.translate_to(left_dict)
+            return left.values, table[right.values], len(left_dict) + 1
+        table = left_dict.translate_to(right_dict)
+        return table[left.values], right.values, len(right_dict) + 1
+    if len(right) <= len(left):
+        right_part, left_part, card = _build_and_probe(right.values, left.values)
+        return left_part, right_part, card
+    return _build_and_probe(left.values, right.values)
+
+
+def _build_and_probe(
+    build: np.ndarray, probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Factorize ``build``; look ``probe`` up in its sorted distinct values.
+
+    The lookup confirms each hit with ``==``, which is what keeps NaN from
+    matching NaN.
+    """
+    uniques, build_codes = np.unique(build, return_inverse=True)
+    miss = len(uniques)
+    if miss == 0:
+        return build_codes, np.zeros(len(probe), dtype=np.int64), 1
+    position = np.searchsorted(uniques, probe)
+    position[position == miss] = 0
+    probe_codes = np.where(uniques[position] == probe, position, miss)
+    return build_codes, probe_codes, miss + 1
 
 
 def sort_indices(

@@ -27,6 +27,7 @@ from ..table import ColumnBatch, concat_batches
 from ..types import DataType
 from .kernels import (
     combined_codes,
+    factorize,
     first_occurrence_indices,
     group_by_codes,
     join_codes,
@@ -328,7 +329,12 @@ class PHashJoin(PhysicalOp):
 def _match_codes(
     left_codes: np.ndarray, right_codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All (left, right) index pairs with equal codes (inner-join core)."""
+    """All (left, right) index pairs with equal codes (inner-join core).
+
+    Pairs come out in left row order, and within one left row in right row
+    order — an order that depends on which codes are equal, never on their
+    values.
+    """
     order = np.argsort(right_codes, kind="stable")
     sorted_codes = right_codes[order]
     starts = np.searchsorted(sorted_codes, left_codes, side="left")
@@ -398,7 +404,7 @@ class PIndexJoin(PhysicalOp):
             self.index.nbytes(),
         )
         key_arrays = [
-            probe_batch.column(k).key_values() for k in self.probe_keys
+            probe_batch.column(k).decoded() for k in self.probe_keys
         ]
         if len(key_arrays) == 1:
             probe_key_list: list[object] = list(key_arrays[0])
@@ -455,9 +461,10 @@ class PSemiJoin(PhysicalOp):
                 "IN subquery must produce exactly one column, got "
                 f"{sub_batch.num_columns}"
             )
-        member_values = np.unique(sub_batch.columns[0].key_values())
-        probe = self.operand.evaluate(batch).key_values()
-        mask = np.isin(probe, member_values)
+        probe_codes, member_codes = join_codes(
+            [self.operand.evaluate(batch)], [sub_batch.columns[0]]
+        )
+        mask = np.isin(probe_codes, member_codes)
         if self.negated:
             mask = ~mask
         return batch.filter(mask)
@@ -503,7 +510,7 @@ def _aggregate(
 
     arg_col = spec.arg.evaluate(batch)
     if spec.distinct and len(arg_col):
-        value_codes, card = _codes_of(arg_col)
+        value_codes, card = factorize(arg_col)
         pair_codes = group_ids * np.int64(max(card, 1)) + value_codes
         keep = first_occurrence_indices(pair_codes)
         group_ids = group_ids[keep]
@@ -528,20 +535,19 @@ def _aggregate(
     raise ExecutionError(f"unknown aggregate {spec.func!r}")
 
 
-def _codes_of(column: Column) -> tuple[np.ndarray, int]:
-    values = column.key_values()
-    uniques, inverse = np.unique(values, return_inverse=True)
-    return inverse.astype(np.int64), len(uniques)
-
-
 def _min_max(
     spec: AggSpec, arg_col: Column, group_ids: np.ndarray, ngroups: int
 ) -> Column:
     if arg_col.dtype is DataType.STRING:
-        codes, _ = _codes_of(arg_col)
-        uniques = np.unique(arg_col.key_values())
-        best = _extreme_per_group(codes, group_ids, ngroups, spec.func)
-        values = [str(uniques[int(c)]) if c >= 0 else "" for c in best]
+        assert arg_col.dictionary is not None
+        ranks, _ = factorize(arg_col)
+        best = _extreme_per_group(ranks, group_ids, ngroups, spec.func)
+        # Invert the rank permutation: the dictionary code holding each rank.
+        code_of_rank = np.argsort(arg_col.dictionary.sort_ranks())
+        values = [
+            arg_col.dictionary.decode_one(int(code_of_rank[r])) if r >= 0 else ""
+            for r in best
+        ]
         return Column.from_pylist(DataType.STRING, values)
     values = arg_col.values
     if spec.func == "min":

@@ -6,12 +6,13 @@ Two kinds of statistics feed the optimizer:
 * **per-table row counts**, read straight off the catalog's loaded batches —
   these drive :func:`~repro.db.plan.rewrite.cost_based_join_order`'s choice
   of hash-join build side via :meth:`StatisticsCatalog.estimate_rows`;
-* **per-file statistics** (time hull, record count, byte size), sourced from
-  the already-ingested ``F`` metadata table — these drive Top-N early
-  termination (a union branch whose time hull cannot beat the current
-  heap threshold is never mounted) and the mount-vs-seek access-path choice
-  (a request interval covering the whole file's span makes the seek ladder
-  pure overhead).
+* **per-file statistics** (time hull, record, sample and byte counts),
+  sourced from the already-ingested ``F`` metadata table — these drive
+  Top-N early termination (a union branch whose time hull cannot beat the
+  current heap threshold is never mounted), the mount-vs-seek access-path
+  choice (a request interval covering the whole file's span makes the seek
+  ladder pure overhead), and the breakpoint's time pruning and
+  informativeness estimate.
 
 Cardinality estimation uses the classic System R selectivity constants: no
 histograms are kept, and the point is not precision — only that the relative
@@ -60,6 +61,7 @@ class FileStatistics:
     start_time: int
     end_time: int
     nrecords: int
+    nsamples: int
     size_bytes: int
 
     @property
@@ -161,7 +163,8 @@ def collect_statistics(
 
     ``file_table`` names the metadata table holding one row per repository
     file with ``uri`` / ``start_time`` / ``end_time`` columns (the ingest
-    pipeline's ``F``); ``nrecords`` and ``size_bytes`` are read when present.
+    pipeline's ``F``); ``nrecords``, ``nsamples`` and ``size_bytes`` are read
+    when present.
     Missing tables or columns degrade to empty statistics, never errors —
     the optimizer must work on a catalog that has not ingested anything yet.
     """
@@ -177,22 +180,19 @@ def collect_statistics(
     uris = batch.column("uri").to_pylist()
     starts = batch.column("start_time").to_pylist()
     ends = batch.column("end_time").to_pylist()
-    nrecords = (
-        batch.column("nrecords").to_pylist()
-        if "nrecords" in batch.names
+    counts = [
+        batch.column(name).to_pylist()
+        if name in batch.names
         else [0] * len(uris)
-    )
-    sizes = (
-        batch.column("size_bytes").to_pylist()
-        if "size_bytes" in batch.names
-        else [0] * len(uris)
-    )
-    for uri, start, end, nrec, size in zip(uris, starts, ends, nrecords, sizes):
+        for name in ("nrecords", "nsamples", "size_bytes")
+    ]
+    for uri, start, end, nrec, nsamp, size in zip(uris, starts, ends, *counts):
         stats.files[uri] = FileStatistics(
             uri=uri,
             start_time=int(start),
             end_time=int(end),
             nrecords=int(nrec),
+            nsamples=int(nsamp),
             size_bytes=int(size),
         )
     return stats

@@ -47,7 +47,7 @@ def save_catalog(catalog: Catalog, directory: str | Path) -> int:
             total += data_path.stat().st_size
             if column.dictionary is not None:
                 dict_path = root / f"{stem}.dict.json"
-                dict_path.write_text(json.dumps(column.dictionary.values))
+                dict_path.write_text(json.dumps(column.dictionary.entries))
                 total += dict_path.stat().st_size
     for (table_name, columns) in catalog.indexes():
         manifest["indexes"].append({"table": table_name, "columns": list(columns)})

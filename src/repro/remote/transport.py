@@ -6,7 +6,8 @@ wraps each request in four layers of protection, outside-in:
 1. **Per-endpoint circuit breaker** — the PR 5 :class:`CircuitBreaker`
    keyed by *endpoint* instead of URI: an endpoint that keeps failing is
    refused outright (``CircuitOpenError`` carrying the endpoint name) until
-   a half-open probe succeeds. One dead endpoint costs one failure streak,
+   a half-open probe succeeds; requests arriving while that probe is in
+   flight wait for its verdict. One dead endpoint costs one failure streak,
    not a retry ladder per file behind it.
 2. **Per-query retry budget** — retries and hedges spend from one
    :class:`~repro.core.governor.RetryBudget` shared by all of a query's
@@ -38,7 +39,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from .. import _sync
-from ..core.governor import CancellationToken, CircuitBreaker, RetryBudget
+from ..core.governor import (
+    CIRCUIT_HALF_OPEN,
+    CIRCUIT_OPEN,
+    CancellationToken,
+    CircuitBreaker,
+    RetryBudget,
+)
 from ..db.errors import (
     RemoteObjectMissingError,
     RemoteTransportError,
@@ -51,6 +58,9 @@ T = TypeVar("T")
 # Caller-side wait slice while attempts run on the pool: bounds how stale a
 # token/timeout/hedge check can be.
 _POLL_SECONDS = 0.005
+# How long a request waits on another request's half-open probe when the
+# policy sets no request timeout.
+_PROBE_WAIT_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -267,10 +277,7 @@ class ResilientTransport:
     ) -> T:
         endpoint = self.store.endpoint
         policy = self.policy
-        if not self.breaker.allow(endpoint):
-            with self._lock:
-                self.stats.breaker_refusals += 1
-            raise self.breaker.refusal(uri or op, endpoint=endpoint)
+        probe = self._admit(endpoint, uri or op)
         with self._lock:
             self.stats.requests += 1
         attempt = 0
@@ -297,6 +304,12 @@ class ResilientTransport:
                     endpoint=endpoint,
                     cause=exc,
                 )
+            except BaseException:
+                # No verdict on the endpoint (the query was cancelled
+                # mid-request): a probe frees its slot for the next request.
+                if probe:
+                    self.breaker.abandon_probe(endpoint)
+                raise
             else:
                 self.breaker.record_success(endpoint)
                 return result
@@ -316,6 +329,7 @@ class ResilientTransport:
                 with self._lock:
                     self.stats.breaker_refusals += 1
                 raise self.breaker.refusal(uri or op, endpoint=endpoint)
+            probe = self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN
             backoff = policy.backoff_seconds * (
                 policy.backoff_multiplier ** (attempt - 1)
             )
@@ -328,6 +342,41 @@ class ResilientTransport:
                 if interruptible_wait(backoff, token=self._token) == "token":
                     assert self._token is not None
                     raise self._token.interruption() from failure
+
+    def _admit(self, endpoint: str, subject: str) -> bool:
+        """Pass the breaker, or raise its refusal.
+
+        Returns whether this request is the half-open probe. A query's mount
+        workers reach a recovering endpoint together, and the half-open
+        circuit admits one probe. A request that finds that probe in flight
+        waits for its verdict — success closes the circuit and admits it,
+        failure re-opens the circuit and refuses it, an abandoned probe
+        hands it the slot — rather than failing for being second. An open
+        circuit refuses at once, and the wait is bounded by what one request
+        may take (the request timeout, else ``_PROBE_WAIT_SECONDS``) and by
+        the cooldown a refusal would have imposed.
+        """
+        timeout = self.policy.request_timeout_seconds
+        deadline = self._clock() + min(
+            self.breaker.cooldown_seconds,
+            _PROBE_WAIT_SECONDS if timeout is None else timeout,
+        )
+        while not self.breaker.allow(endpoint):
+            state = self.breaker.state_of(endpoint)
+            if state == CIRCUIT_OPEN or self._clock() >= deadline:
+                with self._lock:
+                    self.stats.breaker_refusals += 1
+                raise self.breaker.refusal(subject, endpoint=endpoint)
+            # Closed means the probe succeeded since allow() ran: ask again.
+            if (
+                state == CIRCUIT_HALF_OPEN
+                and interruptible_wait(_POLL_SECONDS, token=self._token)
+                == "token"
+            ):
+                assert self._token is not None
+                raise self._token.interruption()
+        # A half-open circuit says yes to its one probe only.
+        return self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN
 
     def _attempt(
         self,

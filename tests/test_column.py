@@ -31,6 +31,34 @@ class TestStringDictionary:
         d = StringDictionary()
         assert len(d.decode(np.empty(0, dtype=np.int32))) == 0
 
+    @given(
+        st.lists(st.text(max_size=4), max_size=12),
+        st.lists(st.text(max_size=4), max_size=12),
+    )
+    def test_derived_state_follows_appends(self, first, later):
+        # Byte total, decode table and sort ranks are cached; each must be
+        # right both before and after the dictionary grows.
+        d = StringDictionary()
+        for batch in (first, later):
+            codes = d.encode(batch)
+            assert list(d.decode(codes)) == batch
+            assert d.nbytes == sum(len(s) + 8 for s in d.values)
+            ranks = d.sort_ranks()
+            assert sorted(d.values) == [
+                d.values[code] for code in np.argsort(ranks)
+            ]
+
+    def test_entries_is_not_a_copy(self):
+        d = StringDictionary(["a", "b"])
+        assert d.entries is d.entries
+        assert list(d.entries) == d.values == ["a", "b"]
+
+    def test_translate_to(self):
+        ours = StringDictionary(["a", "b", "c"])
+        theirs = StringDictionary(["c", "x", "a"])
+        assert ours.translate_to(theirs).tolist() == [2, 3, 0]
+        assert StringDictionary().translate_to(theirs).tolist() == []
+
 
 class TestColumnConstruction:
     def test_from_pylist_int(self):

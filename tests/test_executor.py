@@ -15,8 +15,11 @@ from repro.core import (
     PER_FILE,
     TwoStageExecutor,
 )
+from repro.db import Database
 from repro.db.errors import QueryAbortedError
-from repro.ingest import RepositoryBinding
+from repro.ingest import FILE_TABLE, RepositoryBinding, lazy_ingest_metadata
+from repro.mseed import FileRepository
+from repro.remote import RemoteRepository, SimulatedObjectStore
 
 # A family of queries spanning the supported SQL surface, all answerable by
 # both engines. Each must yield identical results under Ei and ALi.
@@ -172,6 +175,67 @@ class TestBreakpoint:
         outcome = executor.execute("SELECT COUNT(*) FROM F")
         assert outcome.result.stats.files_mounted == 0
         assert outcome.breakpoint.files_by_alias == {}
+
+
+class _CountingRepository(FileRepository):
+    """Counts listings (``len()`` lists too, through ``uris``)."""
+
+    listings = 0
+
+    def uris(self):
+        self.listings += 1
+        return super().uris()
+
+
+class TestListingOffTheQueryPath:
+    """A linked query never lists the repository: the informativeness
+    denominator is the ``F`` row count, not a directory walk or a LIST."""
+
+    STATIONS = ("ISK", "ANK")
+
+    def _linked_queries(self):
+        return [
+            "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+            f"WHERE F.station = '{self.STATIONS[i % 2]}' "
+            f"AND D.sample_value > {i}.0"
+            for i in range(10)
+        ]
+
+    def test_local_repository_is_not_listed(self, tiny_repo):
+        repo = _CountingRepository(tiny_repo.root)
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        executor = TwoStageExecutor(db, RepositoryBinding(repo))
+        repo.listings = 0
+        for sql in self._linked_queries():
+            estimate = executor.execute(sql).breakpoint.estimate
+            assert estimate.repository_files == db.catalog.table(
+                FILE_TABLE
+            ).batch.num_rows
+        assert repo.listings == 0
+
+    def test_remote_repository_sends_no_list(self, tiny_repo, tmp_path):
+        store = SimulatedObjectStore("seis-eu", tiny_repo.root)
+        repo = RemoteRepository(store, tmp_path / "staging")
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        executor = TwoStageExecutor(db, RepositoryBinding(repo))
+        lists_after_ingest = store.stats.lists
+        for sql in self._linked_queries():
+            estimate = executor.execute(sql).breakpoint.estimate
+            assert estimate.repository_files == len(tiny_repo)
+        assert store.stats.lists == lists_after_ingest
+
+    def test_unlinked_query_still_lists(self, tiny_repo):
+        # With no metadata constraint the listing *is* the answer.
+        repo = _CountingRepository(tiny_repo.root)
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        executor = TwoStageExecutor(db, RepositoryBinding(repo))
+        repo.listings = 0
+        outcome = executor.execute("SELECT COUNT(*) FROM D")
+        assert repo.listings == 1
+        assert outcome.breakpoint.n_files == len(tiny_repo)
 
 
 class TestCacheIntegration:

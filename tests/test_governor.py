@@ -552,6 +552,21 @@ class TestHalfOpenProbeHammer:
         assert breaker.state_of("seis-eu") == CIRCUIT_CLOSED
         assert breaker.allow("seis-eu")
 
+    def test_abandoned_probe_frees_the_slot(self):
+        clock = _FakeClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, cooldown_seconds=30.0, clock=clock
+        )
+        breaker.record_failure("seis-eu", OSError("down"))
+        clock.now = 31.0
+        assert breaker.allow("seis-eu")  # the probe
+        assert not breaker.allow("seis-eu")
+        breaker.abandon_probe("seis-eu")  # no verdict: still half-open
+        assert breaker.state_of("seis-eu") == CIRCUIT_HALF_OPEN
+        assert breaker.allow("seis-eu")  # the next caller probes
+        assert not breaker.allow("seis-eu")
+        breaker.abandon_probe("unknown")  # no circuit: a no-op
+
 
 class TestRetryBudget:
     def test_validation(self):

@@ -12,7 +12,15 @@ from repro.core import (
     ProceedAlways,
     estimate_informativeness,
 )
+from repro.db import collect_statistics
 from repro.db.buffer import DiskModel
+from repro.ingest import FILE_TABLE
+
+
+@pytest.fixture(scope="module")
+def file_stats(ali_db):
+    """The per-file statistics snapshot the executor hands the estimator."""
+    return collect_statistics(ali_db.catalog, FILE_TABLE)
 
 
 class TestCostModel:
@@ -31,87 +39,79 @@ class TestCostModel:
 
 
 class TestEstimate:
-    def test_uses_file_metadata(self, ali_db, tiny_repo):
+    def test_uses_file_metadata(self, file_stats, tiny_repo):
         uris = tiny_repo.uris()[:2]
-        report = estimate_informativeness(
-            ali_db, uris, len(tiny_repo), cached_uris=set()
-        )
+        report = estimate_informativeness(file_stats, uris, cached_uris=set())
         assert report.files == 2
         assert report.est_tuples > 0
         assert report.est_bytes > 0
         assert report.selectivity == pytest.approx(2 / len(tiny_repo))
 
-    def test_cached_files_reduce_bytes(self, ali_db, tiny_repo):
+    def test_cached_files_reduce_bytes(self, file_stats, tiny_repo):
         uris = tiny_repo.uris()[:2]
-        cold = estimate_informativeness(ali_db, uris, len(tiny_repo), set())
-        warm = estimate_informativeness(
-            ali_db, uris, len(tiny_repo), set(uris)
-        )
+        cold = estimate_informativeness(file_stats, uris, set())
+        warm = estimate_informativeness(file_stats, uris, set(uris))
         assert warm.est_bytes == 0
         assert warm.cached_files == 2
         assert warm.est_stage2_seconds < cold.est_stage2_seconds
 
-    def test_empty_files_scores_one(self, ali_db, tiny_repo):
-        report = estimate_informativeness(ali_db, [], len(tiny_repo), set())
+    def test_empty_files_scores_one(self, file_stats):
+        report = estimate_informativeness(file_stats, [], set())
         assert report.score == 1.0
         assert report.est_tuples == 0
 
-    def test_whole_repository_scores_low(self, ali_db, tiny_repo):
+    def test_whole_repository_scores_low(self, file_stats, tiny_repo):
         narrow = estimate_informativeness(
-            ali_db, tiny_repo.uris()[:1], len(tiny_repo), set()
+            file_stats, tiny_repo.uris()[:1], set()
         )
-        broad = estimate_informativeness(
-            ali_db, tiny_repo.uris(), len(tiny_repo), set()
-        )
+        broad = estimate_informativeness(file_stats, tiny_repo.uris(), set())
         assert broad.score < narrow.score
         assert broad.selectivity == 1.0
 
 
 class TestPolicies:
-    def report(self, ali_db, tiny_repo, n):
-        return estimate_informativeness(
-            ali_db, tiny_repo.uris()[:n], len(tiny_repo), set()
-        )
+    def report(self, file_stats, tiny_repo, n):
+        return estimate_informativeness(file_stats, tiny_repo.uris()[:n], set())
 
-    def test_proceed_always(self, ali_db, tiny_repo):
-        decision = ProceedAlways().decide(self.report(ali_db, tiny_repo, 4))
+    def test_proceed_always(self, file_stats, tiny_repo):
+        decision = ProceedAlways().decide(self.report(file_stats, tiny_repo, 4))
         assert decision.action is DestinyAction.PROCEED
 
-    def test_abort_on_files(self, ali_db, tiny_repo):
+    def test_abort_on_files(self, file_stats, tiny_repo):
         policy = AbortAboveCost(max_files=1)
-        decision = policy.decide(self.report(ali_db, tiny_repo, 3))
+        decision = policy.decide(self.report(file_stats, tiny_repo, 3))
         assert decision.action is DestinyAction.ABORT
         assert "files of interest" in decision.reason
 
-    def test_abort_on_seconds(self, ali_db, tiny_repo):
+    def test_abort_on_seconds(self, file_stats, tiny_repo):
         policy = AbortAboveCost(max_seconds=0.0)
-        decision = policy.decide(self.report(ali_db, tiny_repo, 1))
+        decision = policy.decide(self.report(file_stats, tiny_repo, 1))
         assert decision.action is DestinyAction.ABORT
 
-    def test_abort_on_tuples(self, ali_db, tiny_repo):
+    def test_abort_on_tuples(self, file_stats, tiny_repo):
         policy = AbortAboveCost(max_tuples=1)
-        decision = policy.decide(self.report(ali_db, tiny_repo, 1))
+        decision = policy.decide(self.report(file_stats, tiny_repo, 1))
         assert decision.action is DestinyAction.ABORT
 
-    def test_abort_passes_small(self, ali_db, tiny_repo):
+    def test_abort_passes_small(self, file_stats, tiny_repo):
         policy = AbortAboveCost(max_files=10, max_tuples=10**12)
-        decision = policy.decide(self.report(ali_db, tiny_repo, 1))
+        decision = policy.decide(self.report(file_stats, tiny_repo, 1))
         assert decision.action is DestinyAction.PROCEED
 
-    def test_limit_policy(self, ali_db, tiny_repo):
+    def test_limit_policy(self, file_stats, tiny_repo):
         policy = LimitFilesAboveCost(max_files=1, keep_files=1)
-        decision = policy.decide(self.report(ali_db, tiny_repo, 3))
+        decision = policy.decide(self.report(file_stats, tiny_repo, 3))
         assert decision.action is DestinyAction.LIMIT
         assert decision.max_files == 1
 
-    def test_callback_policy(self, ali_db, tiny_repo):
+    def test_callback_policy(self, file_stats, tiny_repo):
         seen = []
 
         def decide(report):
             seen.append(report.files)
             return DestinyDecision(DestinyAction.PROCEED, reason="explorer said go")
 
-        decision = CallbackPolicy(decide).decide(self.report(ali_db, tiny_repo, 2))
+        decision = CallbackPolicy(decide).decide(self.report(file_stats, tiny_repo, 2))
         assert seen == [2]
         assert decision.reason == "explorer said go"
 
@@ -140,15 +140,14 @@ class TestResultRowEstimate:
         )
         assert outcome.breakpoint.estimate.est_result_rows is None
 
-    def test_window_rows_direct(self, ali_db, tiny_repo):
-        from repro.core import estimate_informativeness
+    def test_window_rows_direct(self, file_stats, tiny_repo):
         from repro.db import parse_timestamp
 
         uris = [u for u in tiny_repo.uris() if "ISK" in u][:1]
         lo = parse_timestamp("2010-01-10T00:00:00")
         hi = parse_timestamp("2010-01-10T12:00:00")
         report = estimate_informativeness(
-            ali_db, uris, len(tiny_repo), set(), interval=(lo, hi)
+            file_stats, uris, set(), interval=(lo, hi)
         )
         # Half the day-file's samples fall into the half-day window.
         day_total = 4320

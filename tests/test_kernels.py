@@ -1,10 +1,15 @@
-"""Property tests for the shared columnar kernels."""
+"""Property tests for the shared columnar kernels.
+
+The kernels work on dictionary codes and sorted distinct values; the
+references here work on the decoded Python values, row by row.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.db import Column, DataType
+from repro.db import Column, DataType, StringDictionary
+from repro.db.errors import TypeError_
 from repro.db.plan.kernels import (
     combined_codes,
     factorize,
@@ -12,7 +17,9 @@ from repro.db.plan.kernels import (
     group_by_codes,
     join_codes,
     sort_indices,
+    top_n_indices,
 )
+from repro.db.plan.physical import _match_codes
 
 
 def int_col(values):
@@ -122,3 +129,182 @@ class TestSortIndices:
     def test_requires_keys(self):
         with pytest.raises(ValueError):
             sort_indices([], [])
+
+
+# -- decoded-value references --------------------------------------------------
+
+KEY_VALUES = {
+    DataType.STRING: st.sampled_from(["", "a", "b", "ab", "ba", "B", "é"]),
+    DataType.INT64: st.integers(-3, 3),
+    DataType.TIMESTAMP: st.integers(0, 4).map(
+        lambda step: 1_263_081_600_000_000 + step * 50_000
+    ),
+    DataType.FLOAT64: st.sampled_from([-1.5, -0.0, 0.0, 2.25, 1e300]),
+}
+# NaN, the engine's stand-in for NULL, equals nothing in a join. Only the join
+# properties draw it: the sort and group references have no place for it.
+JOIN_KEY_VALUES = {
+    **KEY_VALUES,
+    DataType.FLOAT64: st.sampled_from([-1.5, -0.0, 0.0, 2.25, float("nan")]),
+}
+
+
+def padded_column(dtype, values, padding):
+    """``values`` as a column whose dictionary also holds ``padding`` —
+    entries no row uses, as a filter or take leaves behind."""
+    column = Column.from_pylist(dtype, list(padding) + list(values))
+    return column.slice(len(padding), len(column))
+
+
+@st.composite
+def keyed_rows(draw, sides=1, values=KEY_VALUES, max_keys=3, max_rows=25):
+    """Key dtypes, ``sides`` row lists of key tuples, and per-side padding."""
+    dtypes = draw(
+        st.lists(st.sampled_from(list(values)), min_size=1, max_size=max_keys)
+    )
+    row = st.tuples(*[values[dtype] for dtype in dtypes])
+    rows = [draw(st.lists(row, max_size=max_rows)) for _ in range(sides)]
+    padding = [draw(st.lists(row, max_size=4)) for _ in range(sides)]
+    return dtypes, rows, padding
+
+
+def key_columns(dtypes, rows, padding):
+    return [
+        padded_column(dtype, [r[k] for r in rows], [r[k] for r in padding])
+        for k, dtype in enumerate(dtypes)
+    ]
+
+
+def nested_loop_pairs(left_rows, right_rows):
+    # Field by field: tuple equality would let one NaN object equal itself.
+    def equal(left, right):
+        if not isinstance(left, tuple):
+            return left == right
+        return all(a == b for a, b in zip(left, right))
+
+    return [
+        (i, j)
+        for i, left in enumerate(left_rows)
+        for j, right in enumerate(right_rows)
+        if equal(left, right)
+    ]
+
+
+def joined_pairs(left_columns, right_columns):
+    left_idx, right_idx = _match_codes(*join_codes(left_columns, right_columns))
+    return list(zip(left_idx.tolist(), right_idx.tolist()))
+
+
+def stable_order(rows, ascending):
+    """Multi-key stable sort by successive single-key stable sorts."""
+    order = list(range(len(rows)))
+    for k in reversed(range(len(ascending))):
+        order.sort(key=lambda i: rows[i][k], reverse=not ascending[k])
+    return order
+
+
+class TestJoinAgainstNestedLoop:
+    @given(keyed_rows(sides=2, values=JOIN_KEY_VALUES))
+    def test_pairs_and_their_order(self, drawn):
+        dtypes, (left, right), (left_pad, right_pad) = drawn
+        got = joined_pairs(
+            key_columns(dtypes, left, left_pad),
+            key_columns(dtypes, right, right_pad),
+        )
+        assert got == nested_loop_pairs(left, right)
+
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=20),
+        st.lists(st.sampled_from("xyz"), max_size=20),
+    )
+    def test_disjoint_dictionaries_match_nothing(self, left, right):
+        assert joined_pairs([str_col(left)], [str_col(right)]) == []
+
+    @given(st.lists(st.sampled_from("abcd"), min_size=2, max_size=30))
+    def test_shared_dictionary(self, values):
+        column = str_col(values)
+        half = len(values) // 2
+        left, right = column.slice(0, half), column.slice(half, len(values))
+        assert left.dictionary is right.dictionary
+        assert joined_pairs([left], [right]) == nested_loop_pairs(
+            values[:half], values[half:]
+        )
+
+    def test_int_probes_float_build(self):
+        left = int_col([1, 2, 3])
+        right = Column.from_pylist(DataType.FLOAT64, [2.0, 2.5, 1.0])
+        assert joined_pairs([left], [right]) == [(0, 2), (1, 0)]
+
+    def test_nan_never_joins(self):
+        nan = float("nan")
+        left = Column.from_pylist(DataType.FLOAT64, [1.0, nan, 2.0])
+        right = Column.from_pylist(DataType.FLOAT64, [nan, 2.0, nan, nan])
+        assert joined_pairs([left], [right]) == [(2, 1)]
+        assert joined_pairs([right], [left]) == [(1, 2)]
+        probe_codes, member_codes = join_codes([left], [right])
+        assert np.isin(probe_codes, member_codes).tolist() == [False, False, True]
+
+    def test_string_never_joins_non_string(self):
+        with pytest.raises(TypeError_):
+            join_codes([str_col(["1"])], [int_col([1])])
+
+    def test_large_side_is_never_decoded(self, monkeypatch):
+        decoded_lengths = []
+        original = StringDictionary.decode
+
+        def counting_decode(self, codes):
+            decoded_lengths.append(len(codes))
+            return original(self, codes)
+
+        monkeypatch.setattr(StringDictionary, "decode", counting_decode)
+        names = [f"file-{i:02d}" for i in range(40)]
+        rng = np.random.default_rng(0)
+        large_codes = rng.integers(0, len(names), 200_000).astype(np.int32)
+        large = Column(DataType.STRING, large_codes, StringDictionary(names))
+        small = str_col(names[5:15])
+        left_idx, right_idx = _match_codes(*join_codes([large], [small]))
+        assert decoded_lengths == []
+        expected = np.flatnonzero((large_codes >= 5) & (large_codes < 15))
+        assert left_idx.tolist() == expected.tolist()
+        assert right_idx.tolist() == (large_codes[expected] - 5).tolist()
+
+
+class TestStringKernelsAgainstDecodedValues:
+    @given(
+        st.lists(KEY_VALUES[DataType.STRING], max_size=30),
+        st.lists(KEY_VALUES[DataType.STRING], max_size=4),
+    )
+    def test_factorize_preserves_order_and_equality(self, values, padding):
+        codes, card = factorize(padded_column(DataType.STRING, values, padding))
+        assert all(0 <= code < card for code in codes)
+        for i, a in enumerate(values):
+            for j, b in enumerate(values):
+                assert (codes[i] < codes[j]) == (a < b)
+                assert (codes[i] == codes[j]) == (a == b)
+
+    @given(keyed_rows(), st.data())
+    def test_sort_and_top_n(self, drawn, data):
+        dtypes, (rows,), (padding,) = drawn
+        ascending = [data.draw(st.booleans()) for _ in dtypes]
+        columns = key_columns(dtypes, rows, padding)
+        expected = stable_order(rows, ascending)
+        assert sort_indices(columns, ascending).tolist() == expected
+        count = data.draw(st.integers(0, len(rows) + 2))
+        got = top_n_indices(columns, ascending, count, chunk_rows=7)
+        assert got.tolist() == expected[:count]
+
+    @given(keyed_rows())
+    def test_distinct_and_group_by(self, drawn):
+        dtypes, (rows,), (padding,) = drawn
+        codes = combined_codes(key_columns(dtypes, rows, padding))
+        first_seen = {}
+        for i, row in enumerate(rows):
+            first_seen.setdefault(row, i)
+        assert first_occurrence_indices(codes).tolist() == list(
+            first_seen.values()
+        )
+        group_ids, representatives, ngroups = group_by_codes(codes)
+        in_key_order = sorted(first_seen)
+        assert ngroups == len(in_key_order)
+        assert representatives.tolist() == [first_seen[k] for k in in_key_order]
+        assert group_ids.tolist() == [in_key_order.index(row) for row in rows]

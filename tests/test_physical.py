@@ -74,6 +74,19 @@ class TestHashJoin:
         ).rows()
         assert rows == [(2.0, 21), (3.0, 21), (4.0, 30)]
 
+    def test_nan_keys_join_and_match_nothing(self, db):
+        # NaN is the engine's stand-in for NULL: equal to nothing.
+        nan = float("nan")
+        db.create_table(TableSchema("N", [ColumnDef("v", DataType.FLOAT64)]))
+        db.insert_rows("N", [(nan,), (2.0,), (nan,)])
+        db.insert_rows("L", [(5, "e", nan)])
+        assert db.execute(
+            "SELECT L.k FROM L JOIN N ON L.v = N.v"
+        ).rows() == [(2,)]
+        assert db.execute(
+            "SELECT k FROM L WHERE v IN (SELECT v FROM N)"
+        ).rows() == [(2,)]
+
 
 class TestNestedLoopJoin:
     def test_cross_product(self, db):

@@ -24,10 +24,12 @@ from repro.db.errors import (
     CircuitOpenError,
     FileIngestError,
     IngestError,
+    QueryCancelledError,
     RemoteObjectMissingError,
     RemoteTransportError,
 )
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.remote import transport as transport_module
 from repro.remote import (
     FederatedRepository,
     NetworkModel,
@@ -267,6 +269,126 @@ class _ScriptedStore:
 
     def list_keys(self, cancel=None, token=None):
         raise NotImplementedError
+
+
+class _GatedStore(_ScriptedStore):
+    """``get("probe")`` parks until released, then answers or fails."""
+
+    def __init__(self):
+        super().__init__(fail_times=1)  # the failure that opens the circuit
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.probe_fails = False
+        self.probe_cancelled = False
+
+    def get(self, key, start=0, length=None, cancel=None, token=None):
+        if key == "probe":
+            self.entered.set()
+            assert self.release.wait(5.0)
+            if self.probe_fails:
+                raise ConnectionResetError("probe failed")
+            if self.probe_cancelled:
+                # What a store raises when the query's token fires mid-read.
+                raise QueryCancelledError("probe's query cancelled")
+        return super().get(key, start, length, cancel, token)
+
+
+class TestHalfOpenProbeInFlight:
+    """Mount workers reach a recovering endpoint together: the request
+    that is second waits for the probe's verdict."""
+
+    def _second_request_during_probe(self, cooldown=5.0):
+        now = [0.0]
+        store = _GatedStore()
+        transport = ResilientTransport(
+            store,
+            TransportPolicy(max_attempts=1, backoff_seconds=0.0),
+            breaker=CircuitBreaker(
+                failure_threshold=1,
+                cooldown_seconds=cooldown,
+                clock=lambda: now[0],
+            ),
+        )
+        with pytest.raises(RemoteTransportError):
+            transport.get("k")
+        now[0] = cooldown + 1.0  # past the cooldown: next request probes
+        results = {}
+
+        def call(name, key):
+            try:
+                results[name] = transport.get(key)
+            except (
+                CircuitOpenError,
+                RemoteTransportError,
+                QueryCancelledError,
+            ) as exc:
+                results[name] = exc
+
+        probe = threading.Thread(target=call, args=("probe", "probe"))
+        probe.start()
+        assert store.entered.wait(5.0)
+        waiter = threading.Thread(target=call, args=("waiter", "k"))
+        waiter.start()
+        return store, transport, probe, waiter, results
+
+    def _finish(self, store, *threads):
+        store.release.set()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+
+    def test_probe_success_admits_the_waiter(self):
+        store, transport, probe, waiter, results = (
+            self._second_request_during_probe()
+        )
+        waiter.join(0.05)
+        assert waiter.is_alive() and "waiter" not in results
+        self._finish(store, probe, waiter)
+        assert results == {"probe": b"payload", "waiter": b"payload"}
+        assert transport.stats.breaker_refusals == 0
+        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+
+    def test_probe_failure_refuses_the_waiter(self):
+        store, transport, probe, waiter, results = (
+            self._second_request_during_probe()
+        )
+        store.probe_fails = True
+        self._finish(store, probe, waiter)
+        assert isinstance(results["probe"], RemoteTransportError)
+        assert isinstance(results["waiter"], CircuitOpenError)
+        assert transport.stats.breaker_refusals == 1
+        assert store.calls == 1  # only the request that opened the circuit
+
+    def test_cancelled_probe_hands_its_slot_to_the_waiter(self):
+        store, transport, probe, waiter, results = (
+            self._second_request_during_probe()
+        )
+        store.probe_cancelled = True
+        self._finish(store, probe, waiter)
+        assert isinstance(results["probe"], QueryCancelledError)
+        assert results["waiter"] == b"payload"  # it probed in turn
+        assert transport.stats.breaker_refusals == 0
+        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+
+    def test_wait_is_bounded_without_a_request_timeout(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "_PROBE_WAIT_SECONDS", 0.05)
+        store, transport, probe, waiter, results = (
+            self._second_request_during_probe(cooldown=30.0)
+        )
+        waiter.join(5.0)  # the probe is still parked in the store
+        assert not waiter.is_alive()
+        assert isinstance(results["waiter"], CircuitOpenError)
+        self._finish(store, probe)
+
+    def test_wait_is_bounded_by_the_cooldown(self):
+        store, transport, probe, waiter, results = (
+            self._second_request_during_probe(cooldown=0.05)
+        )
+        waiter.join(5.0)  # the probe is still parked in the store
+        assert not waiter.is_alive()
+        assert isinstance(results["waiter"], CircuitOpenError)
+        assert transport.stats.breaker_refusals == 1
+        self._finish(store, probe)
 
 
 class TestResilientTransport:
