@@ -68,6 +68,12 @@ def record_rows_batch(rows: Sequence[RecordMetaRow]) -> ColumnBatch:
     )
 
 
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-file arrays as one column; a lone file's array is wrapped, not
+    copied — an extractor builds it for the mount and nobody else holds it."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def mounted_files_batch(mounted: Sequence[MountedFile]) -> ColumnBatch:
     """Stack mounted files into one D-layout batch (Ei's bulk load path)."""
     dictionary = StringDictionary()
@@ -76,10 +82,10 @@ def mounted_files_batch(mounted: Sequence[MountedFile]) -> ColumnBatch:
         code = dictionary.encode_one(part.uri)
         code_parts.append(np.full(part.num_rows, code, dtype=np.int32))
     if mounted:
-        codes = np.concatenate(code_parts)
-        record_id = np.concatenate([p.record_id for p in mounted])
-        sample_time = np.concatenate([p.sample_time for p in mounted])
-        sample_value = np.concatenate([p.sample_value for p in mounted])
+        codes = _stack(code_parts)
+        record_id = _stack([p.record_id for p in mounted])
+        sample_time = _stack([p.sample_time for p in mounted])
+        sample_value = _stack([p.sample_value for p in mounted])
     else:
         codes = np.empty(0, dtype=np.int32)
         record_id = np.empty(0, dtype=np.int64)

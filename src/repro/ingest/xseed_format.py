@@ -6,8 +6,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..mseed.record import HEADER_SIZE
-from ..mseed.volume import iter_records, read_file_metadata, read_selected_records
+from ..mseed.record import HEADER_SIZE, sample_time_offsets
+from ..mseed.volume import (
+    SelectiveRead,
+    decode_volume,
+    read_file_metadata,
+    read_selected_records,
+)
 from .formats import (
     ExtractedMetadata,
     FileMetaRow,
@@ -66,25 +71,8 @@ class XSeedExtractor:
         return ExtractedMetadata(file_row, record_rows)
 
     def mount(self, path: Path, uri: str) -> MountedFile:
-        record_ids: list[np.ndarray] = []
-        sample_times: list[np.ndarray] = []
-        sample_values: list[np.ndarray] = []
         with extraction_guard(uri, path):
-            for i, record in enumerate(iter_records(path, uri=uri)):
-                n = record.header.nsamples
-                record_ids.append(np.full(n, i, dtype=np.int64))
-                sample_times.append(record.sample_times())
-                sample_values.append(record.samples.astype(np.float64))
-        if not record_ids:
-            empty = np.empty(0, dtype=np.int64)
-            return MountedFile(uri, empty, empty.copy(),
-                               np.empty(0, dtype=np.float64))
-        return MountedFile(
-            uri=uri,
-            record_id=np.concatenate(record_ids),
-            sample_time=np.concatenate(sample_times),
-            sample_value=np.concatenate(sample_values),
-        )
+            return _mounted(uri, decode_volume(path, uri=uri))
 
     def mount_selective(
         self, path: Path, uri: str, request: MountRequest
@@ -98,28 +86,38 @@ class XSeedExtractor:
             selected = read_selected_records(
                 path, request.interval, uri=uri, spans=spans
             )
-        record_ids: list[np.ndarray] = []
-        sample_times: list[np.ndarray] = []
-        sample_values: list[np.ndarray] = []
-        for record_id, record in selected.records:
-            n = record.header.nsamples
-            record_ids.append(np.full(n, record_id, dtype=np.int64))
-            sample_times.append(record.sample_times())
-            sample_values.append(record.samples.astype(np.float64))
-        if record_ids:
-            mounted = MountedFile(
-                uri=uri,
-                record_id=np.concatenate(record_ids),
-                sample_time=np.concatenate(sample_times),
-                sample_value=np.concatenate(sample_values),
-            )
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            mounted = MountedFile(uri, empty, empty.copy(),
-                                  np.empty(0, dtype=np.float64))
         return MountOutcome(
-            mounted=mounted,
+            mounted=_mounted(uri, selected),
             bytes_read=selected.bytes_read,
             records_decoded=selected.records_decoded,
             records_skipped=selected.records_skipped,
         )
+
+
+def _mounted(uri: str, read: SelectiveRead) -> MountedFile:
+    """The ``D``-layout columns of the records one read decoded.
+
+    Each column is allocated once for the file. Sample times are a record's
+    ``start_time`` plus :func:`sample_time_offsets` — still the single
+    source of timing — computed once per distinct record shape.
+    """
+    counts = np.fromiter(
+        (h.nsamples for h in read.headers), np.int64, len(read.headers)
+    )
+    sample_time = np.empty(len(read.samples), dtype=np.int64)
+    offsets_of: dict[tuple[int, float], np.ndarray] = {}
+    position = 0
+    for header in read.headers:
+        shape = (header.nsamples, header.sample_rate)
+        offsets = offsets_of.get(shape)
+        if offsets is None:
+            offsets = offsets_of[shape] = sample_time_offsets(*shape)
+        end = position + header.nsamples
+        np.add(offsets, header.start_time, out=sample_time[position:end])
+        position = end
+    return MountedFile(
+        uri=uri,
+        record_id=np.repeat(np.asarray(read.record_ids, dtype=np.int64), counts),
+        sample_time=sample_time,
+        sample_value=read.samples.astype(np.float64),
+    )

@@ -9,6 +9,7 @@ header; the payload is only touched when a file is mounted.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -120,6 +121,10 @@ class RecordHeader:
         if magic != MAGIC:
             raise CorruptFileError(
                 f"bad magic {magic!r}", uri=uri, offset=offset
+            )
+        if not 0 < sample_rate < math.inf:  # also false for NaN
+            raise CorruptFileError(
+                f"unusable sample rate {sample_rate!r}", uri=uri, offset=offset
             )
         try:
             identifiers = [

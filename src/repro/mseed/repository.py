@@ -44,6 +44,9 @@ class FileRepository:
         self.suffixes = (suffix,) if isinstance(suffix, str) else tuple(suffix)
         if not self.root.exists():
             raise IngestError(f"repository root {self.root} does not exist")
+        # Containment is checked against this on every URI resolution; the
+        # root itself does not move, so its realpath walk happens once.
+        self._resolved_root = self.root.resolve()
 
     @property
     def suffix(self) -> str:
@@ -69,8 +72,7 @@ class FileRepository:
 
     def path_of(self, uri: str) -> Path:
         path = (self.root / uri).resolve()
-        root = self.root.resolve()
-        if not path.is_relative_to(root):
+        if not path.is_relative_to(self._resolved_root):
             raise IngestError(f"URI {uri!r} escapes the repository root")
         if not path.exists():
             raise FileIngestError(
@@ -100,7 +102,7 @@ class FileRepository:
         file vanishes *between* resolution and the post-extract re-check.
         """
         path = (self.root / uri).resolve()
-        if not path.is_relative_to(self.root.resolve()):
+        if not path.is_relative_to(self._resolved_root):
             raise IngestError(f"URI {uri!r} escapes the repository root")
         st = path.stat()
         return (st.st_mtime_ns, st.st_size)

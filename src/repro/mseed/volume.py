@@ -3,8 +3,10 @@
 The key asymmetry the paper exploits is implemented here:
 :func:`scan_headers` reads only the 64-byte headers and *seeks over* every
 payload, so metadata extraction costs a tiny fraction of a full parse, while
-:func:`read_records` decodes everything (what eager ingestion and mounting
-do).
+:func:`decode_volume` decodes everything (what eager ingestion and mounting
+do) and :func:`read_selected_records` the records a time window touches —
+both file-at-a-time: one Steim kernel call per file, not per record.
+:func:`read_records` is the record-at-a-time API for tools and tests.
 
 Every parse failure raises a :class:`~repro.db.errors.FileIngestError`
 subclass carrying the offending URI (the path, unless the caller passes the
@@ -18,10 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from ..db.errors import CorruptFileError, StaleFileError, TruncatedFileError
 from ..db.interval import Interval, overlaps
 from .iohooks import open_volume
-from .record import HEADER_SIZE, RecordHeader, XSeedRecord
+from .record import ENCODING_STEIM1, HEADER_SIZE, RecordHeader, XSeedRecord
+from .steim import SteimError, steim_decode
 
 
 def write_volume(path: str | Path, records: Sequence[XSeedRecord]) -> int:
@@ -74,12 +79,88 @@ def read_volume(path: str | Path) -> list[XSeedRecord]:
 
 @dataclass(frozen=True)
 class SelectiveRead:
-    """What a record-granular read of one volume produced and cost."""
+    """The records one read of a volume selected, decoded, and its cost.
 
-    records: list[tuple[int, XSeedRecord]]  # (record_id, decoded record)
+    File-at-a-time, not record-at-a-time: ``record_ids`` and ``headers``
+    are parallel per-record lists and ``samples`` holds the selected
+    records' samples back to back (``headers[i].nsamples`` each), decoded
+    by one :func:`steim_decode` call.
+    """
+
+    record_ids: list[int]
+    headers: list[RecordHeader]
+    samples: np.ndarray  # int32
     bytes_read: int  # headers + payloads actually pulled off disk
-    records_decoded: int
     records_skipped: int
+
+    @property
+    def records_decoded(self) -> int:
+        return len(self.headers)
+
+
+class _Selection:
+    """Accumulates the (header, payload) pairs a read loop selects."""
+
+    def __init__(self, uri: str) -> None:
+        self.uri = uri
+        self.record_ids: list[int] = []
+        self.offsets: list[int] = []
+        self.headers: list[RecordHeader] = []
+        self.payloads: list[bytes] = []
+        self.bytes_read = 0
+        self.skipped = 0
+
+    def add(
+        self, record_id: int, offset: int, header: RecordHeader, payload: bytes
+    ) -> None:
+        if len(payload) != header.payload_len:
+            raise TruncatedFileError(
+                f"record payload truncated: {len(payload)} of "
+                f"{header.payload_len} bytes",
+                uri=self.uri,
+                offset=offset + HEADER_SIZE,
+            )
+        if header.encoding != ENCODING_STEIM1:
+            raise CorruptFileError(
+                f"unknown encoding {header.encoding}",
+                uri=self.uri,
+                offset=offset,
+            )
+        self.record_ids.append(record_id)
+        self.offsets.append(offset)
+        self.headers.append(header)
+        self.payloads.append(payload)
+
+    def decode(self) -> SelectiveRead:
+        """Decode every selected payload in one kernel call.
+
+        The kernel reports a defect by record index within the batch; the
+        record's file offset turns that into the byte offset of its payload.
+        """
+        try:
+            samples = steim_decode(
+                self.payloads, [h.nsamples for h in self.headers]
+            )
+        except SteimError as exc:
+            raise SteimError(
+                exc.message,
+                uri=self.uri,
+                offset=self.offsets[exc.record] + HEADER_SIZE,
+                cause=exc,
+            ) from exc
+        return SelectiveRead(
+            self.record_ids, self.headers, samples, self.bytes_read, self.skipped
+        )
+
+
+def decode_volume(path: str | Path, uri: str | None = None) -> SelectiveRead:
+    """Every record of a volume, decoded file-at-a-time (a whole-file mount).
+
+    The same bytes, read by the same calls, as :func:`read_records`, without
+    a record object or a kernel call per record.
+    """
+    uri = uri if uri is not None else str(path)
+    return _read_by_header_walk(Path(path), None, uri)
 
 
 def read_selected_records(
@@ -114,13 +195,11 @@ def _read_by_byte_map(
     path: Path, interval: Interval, uri: str, spans: Sequence
 ) -> SelectiveRead:
     size = path.stat().st_size
-    records: list[tuple[int, XSeedRecord]] = []
-    bytes_read = 0
-    skipped = 0
+    selection = _Selection(uri)
     with open_volume(path, uri) as handle:
         for span in spans:
             if not overlaps(interval, span.start_time, span.end_time):
-                skipped += 1
+                selection.skipped += 1
                 continue
             if span.byte_offset + span.byte_length > size:
                 raise TruncatedFileError(
@@ -132,7 +211,7 @@ def _read_by_byte_map(
                 )
             handle.seek(span.byte_offset)
             raw = handle.read(span.byte_length)
-            bytes_read += len(raw)
+            selection.bytes_read += len(raw)
             header = RecordHeader.unpack(raw, uri=uri, offset=span.byte_offset)
             if (
                 header.start_time != span.start_time
@@ -145,22 +224,18 @@ def _read_by_byte_map(
                     uri=uri,
                     offset=span.byte_offset,
                 )
-            records.append(
-                (
-                    span.record_id,
-                    XSeedRecord.unpack(raw, uri=uri, offset=span.byte_offset),
-                )
+            selection.add(
+                span.record_id, span.byte_offset, header, raw[HEADER_SIZE:]
             )
-    return SelectiveRead(records, bytes_read, len(records), skipped)
+    return selection.decode()
 
 
 def _read_by_header_walk(
-    path: Path, interval: Interval, uri: str
+    path: Path, interval: Optional[Interval], uri: str
 ) -> SelectiveRead:
+    """Stream the volume; ``interval=None`` selects every record."""
     size = path.stat().st_size
-    records: list[tuple[int, XSeedRecord]] = []
-    bytes_read = 0
-    skipped = 0
+    selection = _Selection(uri)
     offset = 0
     record_id = 0
     with open_volume(path, uri) as handle:
@@ -168,10 +243,16 @@ def _read_by_header_walk(
             header_raw = handle.read(HEADER_SIZE)
             if not header_raw:
                 break
-            bytes_read += len(header_raw)
+            selection.bytes_read += len(header_raw)
             header = RecordHeader.unpack(header_raw, uri=uri, offset=offset)
             record_end = offset + HEADER_SIZE + header.payload_len
-            if not overlaps(interval, header.start_time, header.end_time):
+            if interval is None or overlaps(
+                interval, header.start_time, header.end_time
+            ):
+                payload = handle.read(header.payload_len)
+                selection.bytes_read += len(payload)
+                selection.add(record_id, offset, header, payload)
+            else:
                 # Truncation inside a skipped payload is still detected
                 # against the file size (the scan_headers guarantee), but
                 # the payload's *content* is never read — damage inside a
@@ -184,28 +265,10 @@ def _read_by_header_walk(
                         offset=offset + HEADER_SIZE,
                     )
                 handle.seek(header.payload_len, 1)
-                skipped += 1
-            else:
-                payload = handle.read(header.payload_len)
-                bytes_read += len(payload)
-                if len(payload) != header.payload_len:
-                    raise TruncatedFileError(
-                        f"record payload truncated: {len(payload)} of "
-                        f"{header.payload_len} bytes",
-                        uri=uri,
-                        offset=offset + HEADER_SIZE,
-                    )
-                records.append(
-                    (
-                        record_id,
-                        XSeedRecord.unpack(
-                            header_raw + payload, uri=uri, offset=offset
-                        ),
-                    )
-                )
+                selection.skipped += 1
             offset = record_end
             record_id += 1
-    return SelectiveRead(records, bytes_read, len(records), skipped)
+    return selection.decode()
 
 
 def scan_headers(

@@ -42,6 +42,9 @@ SPEC = RepositorySpec(
     samples_per_record=400,
 )
 
+# Where the big-endian float64 sample rate sits in a record header.
+SAMPLE_RATE_FIELD = slice(28, 36)
+
 SQL = (
     "SELECT COUNT(*), SUM(D.sample_value) "
     "FROM F JOIN D ON F.uri = D.uri"
@@ -196,19 +199,30 @@ class TestStructuralDamage:
         """k corrupt files of N: the answer is exact over the N-k intact
         files and the report lists all k, whatever the worker count."""
         uris = repo.uris()
-        truncated, oversized = uris[0], uris[2]
+        truncated, rateless, oversized = uris[0], uris[1], uris[2]
         executor = make_executor(repo, workers, "skip")
         path = repo.path_of(truncated)
         path.write_bytes(path.read_bytes()[:-16])
         self.oversize_payload_len(repo.path_of(oversized))
+        # A zeroed sample rate used to escape as a ZeroDivisionError, which
+        # skip mode cannot absorb; it is header corruption like any other.
+        path = repo.path_of(rateless)
+        raw = bytearray(path.read_bytes())
+        raw[SAMPLE_RATE_FIELD] = bytes(8)
+        path.write_bytes(bytes(raw))
 
-        intact = [u for u in uris if u not in (truncated, oversized)]
+        victims = (truncated, rateless, oversized)
+        intact = [u for u in uris if u not in victims]
         outcome = executor.execute(SQL)
         count, total = outcome.rows[0]
         assert count == expected_over(repo, intact)
         report = outcome.timings.mount_failures
-        assert sorted(report.uris()) == sorted([truncated, oversized])
-        assert all(f.error == "TruncatedFileError" for f in report.failures)
+        assert sorted(report.uris()) == sorted(victims)
+        assert {f.uri: f.error for f in report.failures} == {
+            truncated: "TruncatedFileError",
+            rateless: "CorruptFileError",
+            oversized: "TruncatedFileError",
+        }
 
 
 # A window inside the first record only: with SPEC above each record spans

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.errors import CorruptFileError, IngestError, TruncatedFileError
+from repro.db.interval import WHOLE_FILE
+from repro.ingest.formats import MountRequest, spans_from_record_rows
+from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import (
     HEADER_SIZE,
     RecordHeader,
@@ -15,7 +18,8 @@ from repro.mseed import (
     write_volume,
 )
 from repro.mseed.record import last_sample_offset, sample_time_offsets
-from repro.mseed.steim import SteimError
+from repro.mseed.steim import SteimError, steim_decode
+from repro.mseed import volume as volume_module
 from repro.mseed.volume import iter_records
 
 
@@ -60,6 +64,18 @@ class TestHeader:
         assert excinfo.value.uri == "a/b.xseed"
         assert excinfo.value.offset == 128
         assert isinstance(excinfo.value, IngestError)
+
+    @pytest.mark.parametrize("rate", [0.0, float("nan"), -1.0, float("inf")])
+    def test_unusable_sample_rate_is_corrupt(self, rate):
+        """A rate no timestamp can be derived from is rejected at the header
+        — not as a ZeroDivisionError (0.0), int64-min times (NaN, inf) or
+        times running backwards (negative) when the file is mounted."""
+        header = make_record().header
+        raw = RecordHeader(**{**header.__dict__, "sample_rate": rate}).pack()
+        with pytest.raises(CorruptFileError) as excinfo:
+            RecordHeader.unpack(raw, uri="a/b.xseed", offset=192)
+        assert excinfo.value.uri == "a/b.xseed"
+        assert excinfo.value.offset == 192
 
     def test_end_time(self):
         header = make_record(start=1_000_000, n=21, rate=20.0).header
@@ -229,3 +245,117 @@ class TestVolume:
         path = tmp_path / "v.xseed"
         written = write_volume(path, [make_record()])
         assert written == path.stat().st_size
+
+
+def _flip_payload_bit(raw, offset):
+    raw[offset + HEADER_SIZE + 20] ^= 0x10
+
+
+def _unknown_encoding(raw, offset):
+    raw[offset + 40:offset + 42] = (9).to_bytes(2, "big")
+
+
+def _bad_magic(raw, offset):
+    raw[offset] = ord("Z")
+
+
+def _zeroed_sample_rate(raw, offset):
+    raw[offset + 28:offset + 36] = bytes(8)
+
+
+def _cut_mid_payload(raw, offset):
+    del raw[offset + HEADER_SIZE + 30:]
+
+
+class TestFileAtATimeMount:
+    """Mounting decodes a file in one kernel call and fills whole columns;
+    the record-at-a-time API (``read_records``) is the oracle for both the
+    columns and the error a defective record raises."""
+
+    URI = "KO/ISK/vol.xseed"
+
+    def volume(self, tmp_path, shapes):
+        records, start = [], 1_000_000
+        for seq, (n, rate) in enumerate(shapes):
+            records.append(make_record(seq=seq, start=start, n=n, rate=rate))
+            start += 60_000_000
+        path = tmp_path / "vol.xseed"
+        write_volume(path, records)
+        return path
+
+    def mounts(self, path):
+        """The three extraction paths, each selecting every record (the
+        byte map is taken now, so later damage to the file is not in it)."""
+        extractor = XSeedExtractor()
+        rows = extractor.extract_metadata(path, self.URI).record_rows
+        byte_map = spans_from_record_rows(rows)
+
+        def selective(records):
+            request = MountRequest(interval=WHOLE_FILE, records=records)
+            return extractor.mount_selective(path, self.URI, request).mounted
+
+        return {
+            "mount": lambda: extractor.mount(path, self.URI),
+            "byte map": lambda: selective(byte_map),
+            "header walk": lambda: selective(None),
+        }
+
+    def test_columns_equal_record_api(self, tmp_path):
+        # Repeated and distinct (nsamples, rate) shapes, lengths that leave
+        # pad deltas, and a record with no samples at all.
+        shapes = [(100, 20.0), (37, 20.0), (100, 20.0), (0, 20.0), (5, 7.3)]
+        path = self.volume(tmp_path, shapes)
+        records = read_records(path)
+        for name, mount in self.mounts(path).items():
+            mounted = mount()
+            assert mounted.record_id.tolist() == [
+                i for i, r in enumerate(records) for _ in r.samples
+            ], name
+            assert mounted.sample_time.tolist() == [
+                t for r in records for t in r.sample_times().tolist()
+            ], name
+            assert mounted.sample_value.tolist() == [
+                float(v) for r in records for v in r.samples
+            ], name
+            assert mounted.record_id.dtype == np.int64
+            assert mounted.sample_time.dtype == np.int64
+            assert mounted.sample_value.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_flip_payload_bit, _unknown_encoding, _bad_magic,
+         _zeroed_sample_rate, _cut_mid_payload],
+    )
+    def test_one_defect_raises_what_the_record_api_raises(
+        self, tmp_path, damage
+    ):
+        path = self.volume(tmp_path, [(100, 20.0)] * 5)
+        mounts = self.mounts(path)
+        rows = XSeedExtractor().extract_metadata(path, self.URI).record_rows
+        raw = bytearray(path.read_bytes())
+        damage(raw, rows[3].byte_offset)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IngestError) as expected:
+            read_records(path, self.URI)
+        for name, mount in mounts.items():
+            if name == "byte map" and damage is _cut_mid_payload:
+                continue  # checked against the file size before any read
+            with pytest.raises(IngestError) as excinfo:
+                mount()
+            assert type(excinfo.value) is type(expected.value), name
+            assert excinfo.value.uri == expected.value.uri == self.URI
+            assert excinfo.value.offset == expected.value.offset, name
+
+    def test_whole_file_is_one_kernel_call(self, tmp_path, monkeypatch):
+        path = self.volume(tmp_path, [(100, 20.0)] * 24)
+        calls = []
+
+        def counting(payloads, counts):
+            calls.append(len(payloads))
+            return steim_decode(payloads, counts)
+
+        monkeypatch.setattr(volume_module, "steim_decode", counting)
+        for name, mount in self.mounts(path).items():
+            del calls[:]
+            assert mount().num_rows == 2400
+            assert calls == [24], name

@@ -172,9 +172,8 @@ class TestAccounting:
         interval = (spans[0].start_time, spans[0].end_time)
         walked = read_selected_records(path, interval, uri=uri)
         mapped = read_selected_records(path, interval, uri=uri, spans=spans)
-        assert [rid for rid, _ in walked.records] == [
-            rid for rid, _ in mapped.records
-        ]
+        assert walked.record_ids == mapped.record_ids
+        assert walked.samples.tolist() == mapped.samples.tolist()
         # The walk pays 64 bytes per header on top of the selected payloads,
         # but far less than the whole file.
         assert walked.bytes_read > mapped.bytes_read

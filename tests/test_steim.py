@@ -1,10 +1,55 @@
 """Unit and property tests for the Steim1-style codec."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mseed import SteimError, steim_decode, steim_encode
+
+
+def reference_decode(payload: bytes, nsamples: int) -> list[int]:
+    """Word-at-a-time Steim decode in plain Python integers — the loop the
+    batch kernel replaces, kept as its oracle. Raises ``ValueError`` where
+    the kernel must raise :class:`SteimError`."""
+    if nsamples == 0:
+        if payload:
+            raise ValueError("non-empty payload for zero samples")
+        return []
+    if len(payload) % 64 or not payload:
+        raise ValueError("not whole frames")
+    words = struct.unpack(f">{len(payload) // 4}I", payload)
+    slots = []  # (code, word) of every non-control word, in order
+    for frame in range(0, len(words), 16):
+        control = words[frame]
+        for slot in range(15):
+            code = (control >> (2 * (14 - slot))) & 3
+            slots.append((code, words[frame + 1 + slot]))
+
+    def signed(value: int, bits: int) -> int:
+        return value - (1 << bits) if value >> (bits - 1) else value
+
+    x0, xn = signed(slots[0][1], 32), signed(slots[1][1], 32)
+    deltas = []
+    for code, word in slots[2:]:
+        if code == 1:
+            deltas += [signed((word >> s) & 0xFF, 8) for s in (24, 16, 8, 0)]
+        elif code == 2:
+            deltas += [signed((word >> s) & 0xFFFF, 16) for s in (16, 0)]
+        elif code == 3:
+            deltas.append(signed(word, 32))
+    if len(deltas) < nsamples:
+        raise ValueError("too few deltas")
+    samples, value = [], x0
+    for delta in deltas[:nsamples]:
+        value += delta
+        samples.append(value)
+    if samples[-1] != xn:
+        raise ValueError("reverse integration constant mismatch")
+    if min(samples) < -(2**31) or max(samples) > 2**31 - 1:
+        raise ValueError("samples leave int32")
+    return samples
 
 
 class TestRoundtrip:
@@ -98,6 +143,123 @@ class TestErrors:
         payload = steim_encode(np.arange(4, dtype=np.int32))
         with pytest.raises(SteimError):
             steim_decode(payload, 0)
+
+
+    def test_samples_leaving_int32_rejected(self):
+        """x0 = xn = 2**31-6 with full-width deltas 0, +10, -10, 0: the
+        running sum leaves int32 in the middle and comes back, so the reverse
+        integration constant matches. That is corruption (the encoder refuses
+        such input), not data to wrap into [..., -2147483644, ...]."""
+        start = 2**31 - 6
+        control = 0b11_11_11_11 << 18  # slots 2-5 hold one 32-bit delta each
+        frame = struct.pack(
+            ">I15i", control, start, start, 0, 10, -10, 0, *([0] * 9)
+        )
+        with pytest.raises(SteimError, match="int32"):
+            steim_decode(frame, 4)
+        with pytest.raises(ValueError):
+            reference_decode(frame, 4)
+
+
+def synthetic_record(nsamples: int, seed: int) -> np.ndarray:
+    """Samples whose deltas come in runs of one width class (8-, 16- or
+    32-bit words), with run boundaries unaligned to the encoder's groups of
+    four — so one record holds every class and groups that mix them."""
+    rng = np.random.default_rng(seed)
+    run = int(rng.integers(1, 24))
+    bits = np.repeat(rng.choice([7, 15, 20], nsamples // run + 1), run)
+    deltas = rng.integers(-(2 ** bits[:nsamples]) + 1, 2 ** bits[:nsamples])
+    return np.cumsum(deltas).astype(np.int32)  # < 800 * 2**20: no wrap
+
+
+# Lengths are free, so most are not a multiple of four and the payload ends
+# in pad deltas the kernel must trim per record; zero-sample records have
+# empty payloads and no frames at all.
+record_shapes = st.lists(
+    st.tuples(st.integers(0, 800), st.integers(0, 2**32 - 1)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(record_shapes, st.data())
+def test_batch_equals_per_record_decodes(shapes, data):
+    records = [synthetic_record(n, seed) for n, seed in shapes]
+    payloads = [steim_encode(r) for r in records]
+    counts = [len(r) for r in records]
+    decoded = steim_decode(payloads, counts)
+    assert decoded.dtype == np.int32
+    assert decoded.tolist() == [int(v) for r in records for v in r]
+    singles = [steim_decode(p, n) for p, n in zip(payloads, counts)]
+    assert decoded.tolist() == np.concatenate(singles).tolist()
+    for payload, count in zip(payloads, counts):
+        assert reference_decode(payload, count) == steim_decode(
+            payload, count
+        ).tolist()
+
+    # Any single flipped bit: the kernel and the reference loop agree on
+    # whether that record is still decodable and, if so, on every sample.
+    victims = [k for k, p in enumerate(payloads) if p]
+    if not victims:
+        return
+    k = data.draw(st.sampled_from(victims))
+    damaged = bytearray(payloads[k])
+    bit = data.draw(st.integers(0, 8 * len(damaged) - 1))
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    payloads[k] = bytes(damaged)
+    try:
+        records[k] = reference_decode(payloads[k], counts[k])
+    except ValueError:
+        with pytest.raises(SteimError) as excinfo:
+            steim_decode(payloads, counts)
+        assert excinfo.value.record == k
+    else:
+        assert steim_decode(payloads, counts).tolist() == [
+            int(v) for r in records for v in r
+        ]
+
+
+def _flip_bit(payload):
+    damaged = bytearray(payload)
+    damaged[20] ^= 0x10  # inside the first data word
+    return bytes(damaged), None
+
+
+DEFECTS = {
+    "bit flip": _flip_bit,
+    "short payload": lambda payload: (payload[:-10], None),
+    "wrong nsamples": lambda payload: (payload, 10_000),
+    "payload for zero samples": lambda payload: (payload, 0),
+}
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_defect_in_record_k_names_k(defect, k):
+    rng = np.random.default_rng(5)
+    records = [
+        np.cumsum(rng.integers(-40, 40, n)).astype(np.int32)
+        for n in (50, 0, 7, 64, 1, 0, 33)
+    ]
+    records[k] = np.arange(30, dtype=np.int32)
+    payloads = [steim_encode(r) for r in records]
+    counts = [len(r) for r in records]
+    payloads[k], nsamples = DEFECTS[defect](payloads[k])
+    if nsamples is not None:
+        counts[k] = nsamples
+    with pytest.raises(SteimError) as batch_error:
+        steim_decode(payloads, counts)
+    assert batch_error.value.record == k
+    with pytest.raises(SteimError) as single_error:
+        steim_decode(payloads[k], counts[k])
+    assert single_error.value.record == 0
+    assert single_error.value.message == batch_error.value.message
+    # A later defect of any kind does not mask this one.
+    payloads[-1] = payloads[-1][:-3]
+    with pytest.raises(SteimError) as first_error:
+        steim_decode(payloads, counts)
+    assert first_error.value.record == k
 
 
 @settings(deadline=None, max_examples=60)

@@ -110,8 +110,29 @@ class TestRepository:
             repo.path_of("2010/XX.YY/nothing.xseed")
 
     def test_escaping_uri_rejected(self, repo):
-        with pytest.raises(IngestError):
-            repo.path_of("../outside.xseed")
+        """Containment is checked per URI against the root resolved once at
+        construction: neither ``..`` nor a symlink inside the root reaches a
+        file outside it, through either resolving method."""
+        outside = repo.root.parent / "outside.xseed"
+        outside.write_bytes(b"not yours")
+        link = repo.root / "2010" / "link.xseed"
+        link.symlink_to(outside)
+        try:
+            for uri in ("../outside.xseed", "2010/link.xseed"):
+                for resolve in (repo.path_of, repo.signature_of):
+                    with pytest.raises(IngestError, match="escapes"):
+                        resolve(uri)
+        finally:
+            link.unlink()
+            outside.unlink()
+
+    def test_symlinked_root_still_contains_its_files(self, repo, tmp_path):
+        alias = tmp_path / "alias"
+        alias.symlink_to(repo.root, target_is_directory=True)
+        aliased = FileRepository(alias)
+        uri = aliased.uris()[0]
+        assert aliased.path_of(uri) == repo.path_of(uri)
+        assert aliased.signature_of(uri) == repo.signature_of(uri)
 
     def test_total_bytes(self, repo):
         total = repo.total_bytes()
