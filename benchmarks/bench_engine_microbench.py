@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ingest import default_registry
-from repro.mseed import scan_headers, steim_decode, steim_encode
+from repro.mseed import read_file_metadata, scan_headers, steim_decode, steim_encode
 from repro.mseed.volume import read_records
 
 
@@ -38,6 +38,15 @@ def test_header_scan_vs_full_parse(env, benchmark):
     uri = env.repository.uris()[0]
     path = env.repository.path_of(uri)
     benchmark(scan_headers, path)
+
+
+def test_file_metadata_columnar(env, benchmark):
+    """The metadata pass proper: the same walk as ``scan_headers`` with one
+    vectorised parse instead of a scalar ``RecordHeader`` per record — the
+    ratio of the two cases is the vector/scalar ratio."""
+    uri = env.repository.uris()[0]
+    path = env.repository.path_of(uri)
+    benchmark(read_file_metadata, path)
 
 
 def test_full_parse(env, benchmark):

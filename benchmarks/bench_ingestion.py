@@ -52,7 +52,7 @@ def test_metadata_scan_scales_with_records_not_samples(env, benchmark):
         for uri in env.repository.uris():
             path = env.repository.path_of(uri)
             extracted = registry.for_path(path).extract_metadata(path, uri)
-            total += len(extracted.record_rows)
+            total += len(extracted.records)
         return total
 
     records = benchmark.pedantic(scan_all, rounds=3, iterations=1)

@@ -36,8 +36,7 @@ from ..db.plan.logical import (
 )
 from .. import _sync
 from ..db.stats import StatisticsCatalog, collect_statistics
-from ..ingest.formats import RecordSpan
-from ..ingest.schema import FILE_TABLE, RECORD_TABLE, BindingSet, RepositoryBinding
+from ..ingest.schema import FILE_TABLE, BindingSet, RepositoryBinding
 from .breakpoint import BreakpointInfo
 from .cache import INF, IngestionCache
 from .decompose import Decomposition, decompose, _replace_subtree
@@ -66,6 +65,7 @@ from .mounting import (
 )
 from .mountpool import MountPool, MountPoolTimings
 from .partial import PartialMerger, is_decomposable
+from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
 from .verify import verify_ali_rewrite, verify_decomposition
@@ -219,9 +219,7 @@ class TwoStageExecutor:
         # Selective mounts seek by the record byte map the metadata pass
         # recorded in R; the provider serves it per file, rebuilt only when
         # the R table's batch object changes (metadata loads replace it).
-        self.mounts.record_map_provider = self._record_map
-        self._record_spans: dict[str, tuple[RecordSpan, ...]] = {}
-        self._record_spans_source: Optional[object] = None
+        self.mounts.record_map_provider = RecordMapIndex(db)
         # Top-N/LIMIT pushdown: fuse Sort+Limit into TopN at compile time and
         # early-terminate provably non-contributing union branches at run
         # time. Off reproduces the exhaustive sort-then-slice pipeline (the
@@ -694,52 +692,6 @@ class TwoStageExecutor:
             if interval != (-INF, INF):
                 return interval
         return None
-
-    def _record_map(
-        self, uri: str, table_name: str
-    ) -> Optional[tuple[RecordSpan, ...]]:
-        """One file's record byte map, served from the ``R`` metadata table.
-
-        Returns None when R is absent, lacks the byte columns, or has no
-        rows for the file — selective extraction then falls back to its own
-        header walk. The map is rebuilt only when R's batch object changes
-        (appends replace it), so repeated mounts in one query are O(1).
-        """
-        if not self.db.catalog.has_table(RECORD_TABLE):
-            return None
-        batch = self.db.catalog.table(RECORD_TABLE).batch
-        if self._record_spans_source is not batch:
-            required = (
-                "uri", "record_id", "start_time", "end_time",
-                "byte_offset", "byte_length",
-            )
-            if any(name not in batch.names for name in required):
-                return None
-            uris = batch.column("uri").to_pylist()
-            record_ids = batch.column("record_id").to_pylist()
-            starts = batch.column("start_time").to_pylist()
-            ends = batch.column("end_time").to_pylist()
-            offsets = batch.column("byte_offset").to_pylist()
-            lengths = batch.column("byte_length").to_pylist()
-            by_uri: dict[str, list[RecordSpan]] = {}
-            for u, rid, st, et, off, ln in zip(
-                uris, record_ids, starts, ends, offsets, lengths
-            ):
-                by_uri.setdefault(u, []).append(
-                    RecordSpan(
-                        record_id=int(rid),
-                        byte_offset=int(off),
-                        byte_length=int(ln),
-                        start_time=int(st),
-                        end_time=int(et),
-                    )
-                )
-            self._record_spans = {
-                u: tuple(sorted(spans, key=lambda s: s.record_id))
-                for u, spans in by_uri.items()
-            }
-            self._record_spans_source = batch
-        return self._record_spans.get(uri)
 
     def _files_of_interest(self, decomposition: Decomposition, ctx) -> dict[str, list[str]]:
         files_by_alias: dict[str, list[str]] = {}

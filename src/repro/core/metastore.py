@@ -42,9 +42,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .. import _sync
 from ..db.stats import FileStatistics, StatisticsCatalog
-from ..ingest.formats import FileMetaRow, RecordMetaRow
+from ..ingest.formats import FileMetaRow, RecordColumns
 from ..mseed.iohooks import open_volume
 
 __all__ = [
@@ -82,7 +84,15 @@ class StoredFileState:
 
     signature: tuple[int, int]  # (st_mtime_ns, st_size) at extraction time
     file_row: FileMetaRow
-    record_rows: tuple[RecordMetaRow, ...]
+    records: RecordColumns
+
+
+# Sidecar record row: record_id, then the RecordColumns fields in this order.
+_RECORD_FIELDS = (
+    ("start_time", np.int64), ("end_time", np.int64),
+    ("sample_rate", np.float64), ("nsamples", np.int64),
+    ("byte_offset", np.int64), ("byte_length", np.int64),
+)
 
 
 def _encode_file(state: StoredFileState) -> dict[str, object]:
@@ -103,18 +113,13 @@ def _encode_file(state: StoredFileState) -> dict[str, object]:
             f.nsamples,
             f.size_bytes,
         ],
-        "records": [
-            [
-                r.record_id,
-                r.start_time,
-                r.end_time,
-                r.sample_rate,
-                r.nsamples,
-                r.byte_offset,
-                r.byte_length,
-            ]
-            for r in state.record_rows
-        ],
+        "records": list(
+            zip(
+                range(len(state.records)),
+                *(getattr(state.records, name).tolist()
+                  for name, _ in _RECORD_FIELDS),
+            )
+        ),
     }
 
 
@@ -140,26 +145,22 @@ def _decode_file(uri: str, payload: dict[str, object]) -> StoredFileState:
         size_bytes=int(f[8]),
     )
     records_raw = payload["records"]
-    if not isinstance(records_raw, list):
-        raise ValueError(f"bad record list for {uri}")
-    record_rows = []
-    for r in records_raw:
-        if not isinstance(r, list) or len(r) != 7:
-            raise ValueError(f"bad record row for {uri}")
-        record_rows.append(
-            RecordMetaRow(
-                uri=uri,
-                record_id=int(r[0]),
-                start_time=int(r[1]),
-                end_time=int(r[2]),
-                sample_rate=float(r[3]),
-                nsamples=int(r[4]),
-                byte_offset=int(r[5]),
-                byte_length=int(r[6]),
-            )
+    if not isinstance(records_raw, list) or not all(
+        isinstance(r, list) and len(r) == 7 for r in records_raw
+    ):
+        raise ValueError(f"bad record rows for {uri}")
+    n = len(records_raw)
+    record_id, *fields = zip(*records_raw) if n else [()] * 7
+    if record_id != tuple(range(n)):
+        raise ValueError(f"record ids of {uri} are not 0..{n - 1}")
+    records = RecordColumns(
+        *(
+            np.fromiter(values, dtype, n)
+            for values, (_, dtype) in zip(fields, _RECORD_FIELDS)
         )
+    )
     return StoredFileState(
-        signature=signature, file_row=file_row, record_rows=tuple(record_rows)
+        signature=signature, file_row=file_row, records=records
     )
 
 
@@ -229,7 +230,7 @@ class MetadataStore:
                 if not isinstance(rows_raw, dict):
                     raise ValueError("table_rows section is not an object")
                 table_rows = {str(k): int(v) for k, v in rows_raw.items()}
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, OverflowError):
             with self._lock:
                 self._files = {}
                 self._table_rows = {}
@@ -304,13 +305,11 @@ class MetadataStore:
         uri: str,
         signature: tuple[int, int],
         file_row: FileMetaRow,
-        record_rows: list[RecordMetaRow],
+        records: RecordColumns,
     ) -> None:
         """Remember one freshly-extracted file's metadata, signed."""
         state = StoredFileState(
-            signature=signature,
-            file_row=file_row,
-            record_rows=tuple(record_rows),
+            signature=signature, file_row=file_row, records=records
         )
         with self._lock:
             self._files[uri] = state

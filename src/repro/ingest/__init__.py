@@ -22,7 +22,7 @@ from .formats import (
     FormatExtractor,
     FormatRegistry,
     MountedFile,
-    RecordMetaRow,
+    RecordColumns,
     default_registry,
 )
 from .lazy import LazyLoadReport, lazy_ingest_metadata
@@ -44,7 +44,7 @@ __all__ = [
     "FormatExtractor",
     "FormatRegistry",
     "FileMetaRow",
-    "RecordMetaRow",
+    "RecordColumns",
     "ExtractedMetadata",
     "MountedFile",
     "default_registry",

@@ -9,7 +9,7 @@ import numpy as np
 from ..db.column import Column, StringDictionary
 from ..db.table import ColumnBatch
 from ..db.types import DataType
-from .formats import FileMetaRow, MountedFile, RecordMetaRow
+from .formats import FileMetaRow, MountedFile, RecordColumns
 
 
 def _string_column(values: Sequence[str]) -> Column:
@@ -44,26 +44,33 @@ def file_rows_batch(rows: Sequence[FileMetaRow]) -> ColumnBatch:
     )
 
 
-def record_rows_batch(rows: Sequence[RecordMetaRow]) -> ColumnBatch:
+def record_rows_batch(
+    uris: Sequence[str], parts: Sequence[RecordColumns]
+) -> ColumnBatch:
+    """``R`` from per-file column sets, ``parts[i]`` describing ``uris[i]``:
+    one dictionary code per file, repeated over its records, and a
+    ``record_id`` counting from zero within each file."""
+    counts = np.fromiter(map(len, parts), np.int64, len(parts))
+    dictionary = StringDictionary()
+    codes = np.repeat(dictionary.encode(uris), counts)
+    first_row = np.repeat(np.cumsum(counts) - counts, counts)
+
+    def stacked(name: str, dtype: type) -> np.ndarray:
+        arrays = [getattr(part, name) for part in parts]
+        return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
     return ColumnBatch(
         ["uri", "record_id", "start_time", "end_time", "sample_rate",
          "nsamples", "byte_offset", "byte_length"],
         [
-            _string_column([r.uri for r in rows]),
-            Column(DataType.INT64,
-                   np.asarray([r.record_id for r in rows], dtype=np.int64)),
-            Column(DataType.TIMESTAMP,
-                   np.asarray([r.start_time for r in rows], dtype=np.int64)),
-            Column(DataType.TIMESTAMP,
-                   np.asarray([r.end_time for r in rows], dtype=np.int64)),
-            Column(DataType.FLOAT64,
-                   np.asarray([r.sample_rate for r in rows], dtype=np.float64)),
-            Column(DataType.INT64,
-                   np.asarray([r.nsamples for r in rows], dtype=np.int64)),
-            Column(DataType.INT64,
-                   np.asarray([r.byte_offset for r in rows], dtype=np.int64)),
-            Column(DataType.INT64,
-                   np.asarray([r.byte_length for r in rows], dtype=np.int64)),
+            Column(DataType.STRING, codes, dictionary),
+            Column(DataType.INT64, np.arange(len(codes)) - first_row),
+            Column(DataType.TIMESTAMP, stacked("start_time", np.int64)),
+            Column(DataType.TIMESTAMP, stacked("end_time", np.int64)),
+            Column(DataType.FLOAT64, stacked("sample_rate", np.float64)),
+            Column(DataType.INT64, stacked("nsamples", np.int64)),
+            Column(DataType.INT64, stacked("byte_offset", np.int64)),
+            Column(DataType.INT64, stacked("byte_length", np.int64)),
         ],
     )
 

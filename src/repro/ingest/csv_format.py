@@ -29,7 +29,7 @@ from .formats import (
     MountedFile,
     MountOutcome,
     MountRequest,
-    RecordMetaRow,
+    RecordColumns,
     extraction_guard,
 )
 
@@ -107,17 +107,15 @@ class CsvExtractor:
             nsamples=nsamples,
             size_bytes=path.stat().st_size,
         )
-        record_row = RecordMetaRow(
-            uri=uri,
-            record_id=0,
-            start_time=start_time,
-            end_time=end_time,
-            sample_rate=sample_rate,
-            nsamples=nsamples,
-            byte_offset=0,
-            byte_length=file_row.size_bytes,
+        records = RecordColumns(
+            start_time=np.array([start_time], dtype=np.int64),
+            end_time=np.array([end_time], dtype=np.int64),
+            sample_rate=np.array([sample_rate], dtype=np.float64),
+            nsamples=np.array([nsamples], dtype=np.int64),
+            byte_offset=np.zeros(1, dtype=np.int64),
+            byte_length=np.array([file_row.size_bytes], dtype=np.int64),
         )
-        return ExtractedMetadata(file_row, [record_row])
+        return ExtractedMetadata(file_row, records)
 
     def mount(self, path: Path, uri: str) -> MountedFile:
         with extraction_guard(uri, path):

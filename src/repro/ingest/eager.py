@@ -54,7 +54,7 @@ def eager_ingest(
 
     extractor_for = getattr(repository, "extractor_for", None)
     file_rows = []
-    record_rows = []
+    record_parts = []
     mounted = []
     for uri in repository.uris():
         path = repository.path_of(uri)
@@ -64,11 +64,12 @@ def eager_ingest(
             extractor = registry.for_path(path)
         extracted = extractor.extract_metadata(path, uri)
         file_rows.append(extracted.file_row)
-        record_rows.extend(extracted.record_rows)
+        record_parts.append(extracted.records)
         mounted.append(extractor.mount(path, uri))
 
     db.catalog.table(FILE_TABLE).append(file_rows_batch(file_rows))
-    db.catalog.table(RECORD_TABLE).append(record_rows_batch(record_rows))
+    records = record_rows_batch([row.uri for row in file_rows], record_parts)
+    db.catalog.table(RECORD_TABLE).append(records)
     db.catalog.table(ACTUAL_TABLE).append(mounted_files_batch(mounted))
     load_seconds = time.perf_counter() - started
 
@@ -79,7 +80,7 @@ def eager_ingest(
 
     return EagerLoadReport(
         files=len(file_rows),
-        records=len(record_rows),
+        records=records.num_rows,
         samples=sum(m.num_rows for m in mounted),
         load_seconds=load_seconds,
         index_seconds=index_seconds,

@@ -30,7 +30,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class FileMetaRow:
 
 
 @dataclass(frozen=True)
-class RecordMetaRow:
-    """One row of the record-level metadata table ``R``.
+class RecordColumns:
+    """One file's rows of the record-level metadata table ``R``, as parallel
+    arrays in file order; a record's ``record_id`` is its position.
 
     ``byte_offset``/``byte_length`` locate the record inside its file — the
     header-only pass walks record boundaries anyway, so recording them is
@@ -98,14 +99,22 @@ class RecordMetaRow:
     cannot address records by byte range.
     """
 
-    uri: str
-    record_id: int
-    start_time: int
-    end_time: int
-    sample_rate: float
-    nsamples: int
-    byte_offset: int = -1
-    byte_length: int = -1
+    start_time: np.ndarray  # int64 µs
+    end_time: np.ndarray  # int64 µs
+    sample_rate: np.ndarray  # float64
+    nsamples: np.ndarray  # int64
+    byte_offset: np.ndarray  # int64
+    byte_length: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.start_time)
+
+    def spans(self) -> tuple["RecordSpan", ...]:
+        """The record byte map these rows imply."""
+        return record_spans(
+            np.arange(len(self)), self.byte_offset, self.byte_length,
+            self.start_time, self.end_time,
+        )
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ class ExtractedMetadata:
     """Everything a header-only pass learns about one file."""
 
     file_row: FileMetaRow
-    record_rows: list[RecordMetaRow]
+    records: RecordColumns
 
 
 @dataclass(frozen=True)
@@ -150,18 +159,10 @@ class RecordSpan:
         return self.byte_offset >= 0 and self.byte_length > 0
 
 
-def spans_from_record_rows(rows: Sequence[RecordMetaRow]) -> tuple[RecordSpan, ...]:
-    """The record byte map implied by one file's ``R`` rows."""
-    return tuple(
-        RecordSpan(
-            record_id=row.record_id,
-            byte_offset=row.byte_offset,
-            byte_length=row.byte_length,
-            start_time=row.start_time,
-            end_time=row.end_time,
-        )
-        for row in rows
-    )
+def record_spans(*columns: np.ndarray) -> tuple[RecordSpan, ...]:
+    """A record byte map from parallel arrays in :class:`RecordSpan`'s
+    field order, one span per entry, in the order given."""
+    return tuple(map(RecordSpan, *(column.tolist() for column in columns)))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def lazy_ingest_metadata(
     signature_of = getattr(repository, "signature_of", None)
     extractor_for = getattr(repository, "extractor_for", None)
     file_rows = []
-    record_rows = []
+    record_parts = []
     files_reused = 0
     for uri in repository.uris():
         path = repository.path_of(uri)
@@ -68,7 +68,7 @@ def lazy_ingest_metadata(
             stored = metastore.lookup(uri, signature)
             if stored is not None:
                 file_rows.append(stored.file_row)
-                record_rows.extend(stored.record_rows)
+                record_parts.append(stored.records)
                 files_reused += 1
                 continue
         if extractor_for is not None:
@@ -77,21 +77,22 @@ def lazy_ingest_metadata(
             extractor = registry.for_path(path)
         extracted = extractor.extract_metadata(path, uri)
         file_rows.append(extracted.file_row)
-        record_rows.extend(extracted.record_rows)
+        record_parts.append(extracted.records)
         if metastore is not None:
             metastore.record(
-                uri, signature, extracted.file_row, extracted.record_rows
+                uri, signature, extracted.file_row, extracted.records
             )
 
     db.catalog.table(FILE_TABLE).append(file_rows_batch(file_rows))
-    db.catalog.table(RECORD_TABLE).append(record_rows_batch(record_rows))
+    records = record_rows_batch([row.uri for row in file_rows], record_parts)
+    db.catalog.table(RECORD_TABLE).append(records)
     load_seconds = time.perf_counter() - started
 
     if metastore is not None:
         metastore.record_table_rows(
             {
                 FILE_TABLE.lower(): len(file_rows),
-                RECORD_TABLE.lower(): len(record_rows),
+                RECORD_TABLE.lower(): records.num_rows,
             }
         )
         metastore.save()
@@ -102,7 +103,7 @@ def lazy_ingest_metadata(
     )
     return LazyLoadReport(
         files=len(file_rows),
-        records=len(record_rows),
+        records=records.num_rows,
         samples=sum(r.nsamples for r in file_rows),
         load_seconds=load_seconds,
         metadata_bytes=metadata_bytes,

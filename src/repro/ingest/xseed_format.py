@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..mseed.record import HEADER_SIZE, sample_time_offsets
+from ..mseed.record import sample_time_offsets
 from ..mseed.volume import (
     SelectiveRead,
     decode_volume,
@@ -19,7 +19,7 @@ from .formats import (
     MountedFile,
     MountOutcome,
     MountRequest,
-    RecordMetaRow,
+    RecordColumns,
     extraction_guard,
 )
 
@@ -38,37 +38,9 @@ class XSeedExtractor:
 
     def extract_metadata(self, path: Path, uri: str) -> ExtractedMetadata:
         with extraction_guard(uri, path):
-            meta, headers = read_file_metadata(path, uri=uri)
-        file_row = FileMetaRow(
-            uri=uri,
-            network=meta.network,
-            station=meta.station,
-            location=meta.location,
-            channel=meta.channel,
-            start_time=meta.start_time,
-            end_time=meta.end_time,
-            nrecords=meta.nrecords,
-            nsamples=meta.nsamples,
-            size_bytes=meta.size_bytes,
-        )
-        record_rows = []
-        offset = 0
-        for i, h in enumerate(headers):
-            length = HEADER_SIZE + h.payload_len
-            record_rows.append(
-                RecordMetaRow(
-                    uri=uri,
-                    record_id=i,
-                    start_time=h.start_time,
-                    end_time=h.end_time,
-                    sample_rate=h.sample_rate,
-                    nsamples=h.nsamples,
-                    byte_offset=offset,
-                    byte_length=length,
-                )
-            )
-            offset += length
-        return ExtractedMetadata(file_row, record_rows)
+            meta, columns = read_file_metadata(path, uri=uri)
+        file_row = FileMetaRow(uri=uri, **vars(meta))  # same fields
+        return ExtractedMetadata(file_row, RecordColumns(**columns))
 
     def mount(self, path: Path, uri: str) -> MountedFile:
         with extraction_guard(uri, path):

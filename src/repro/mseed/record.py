@@ -20,6 +20,7 @@ from .steim import SteimError, steim_decode, steim_encode
 
 MAGIC = b"XSD1"
 ENCODING_STEIM1 = 1
+INT64_MAX = 2**63 - 1
 
 # magic, sequence, network, station, location, channel, start_time (µs),
 # sample_rate (Hz), nsamples, encoding, payload_len
@@ -28,6 +29,19 @@ _PAD = 64 - _HEADER_STRUCT.size
 HEADER_SIZE = 64
 
 assert _PAD >= 0, "header layout exceeds 64 bytes"
+
+# The same layout as a structured dtype: a file's headers, joined, parse with
+# one ``np.frombuffer``. The four identifiers are one block of raw bytes — an
+# ``S`` field would drop the trailing NULs the scalar parser keeps.
+HEADER_DTYPE = np.dtype(
+    [
+        ("magic", "S4"), ("sequence", ">u4"), ("identifiers", "u1", (12,)),
+        ("start_time", ">i8"), ("sample_rate", ">f8"), ("nsamples", ">u4"),
+        ("encoding", ">u2"), ("payload_len", ">u4"), ("pad", "V", _PAD),
+    ]
+)
+
+assert HEADER_DTYPE.itemsize == HEADER_SIZE, "header dtype is not 64 bytes"
 
 
 def sample_time_offsets(nsamples: int, sample_rate: float) -> np.ndarray:
@@ -125,6 +139,18 @@ class RecordHeader:
         if not 0 < sample_rate < math.inf:  # also false for NaN
             raise CorruptFileError(
                 f"unusable sample rate {sample_rate!r}", uri=uri, offset=offset
+            )
+        # Timestamps are int64 µs everywhere downstream: the last sample must
+        # lie below the maximum. (The bound is rounded to a float so that the
+        # columnar parse compares identically.)
+        reach = (
+            (nsamples - 1) * (1_000_000 / sample_rate) if nsamples > 1 else 0.0
+        )
+        if not reach < float(INT64_MAX - max(start_time, 0)):
+            raise CorruptFileError(
+                "last sample lies beyond the timestamp range",
+                uri=uri,
+                offset=offset,
             )
         try:
             identifiers = [

@@ -19,6 +19,7 @@ is source-agnostic.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -46,7 +47,8 @@ class FileRepository:
             raise IngestError(f"repository root {self.root} does not exist")
         # Containment is checked against this on every URI resolution; the
         # root itself does not move, so its realpath walk happens once.
-        self._resolved_root = self.root.resolve()
+        self._resolved_root = os.path.realpath(self.root)
+        self._inside_root = os.path.join(self._resolved_root, "")
 
     @property
     def suffix(self) -> str:
@@ -70,15 +72,20 @@ class FileRepository:
     def __iter__(self) -> Iterator[str]:
         return iter(self.uris())
 
-    def path_of(self, uri: str) -> Path:
-        path = (self.root / uri).resolve()
-        if not path.is_relative_to(self._resolved_root):
+    def _resolve(self, uri: str) -> str:
+        """The real path of ``uri``, which must lie inside the root."""
+        resolved = os.path.realpath(os.path.join(self._resolved_root, uri))
+        if not (resolved + os.sep).startswith(self._inside_root):
             raise IngestError(f"URI {uri!r} escapes the repository root")
-        if not path.exists():
+        return resolved
+
+    def path_of(self, uri: str) -> Path:
+        resolved = self._resolve(uri)
+        if not os.path.exists(resolved):
             raise FileIngestError(
                 f"no file for URI {uri!r} in {self.root}", uri=uri
             )
-        return path
+        return Path(resolved)
 
     def size_of(self, uri: str) -> int:
         return self.path_of(uri).stat().st_size
@@ -101,10 +108,7 @@ class FileRepository:
         deleted-during-extraction staleness, which must keep working when a
         file vanishes *between* resolution and the post-extract re-check.
         """
-        path = (self.root / uri).resolve()
-        if not path.is_relative_to(self._resolved_root):
-            raise IngestError(f"URI {uri!r} escapes the repository root")
-        st = path.stat()
+        st = os.stat(self._resolve(uri))
         return (st.st_mtime_ns, st.st_size)
 
     def extractor_for(

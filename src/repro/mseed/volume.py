@@ -16,6 +16,8 @@ file surfaces with enough context to quarantine it.
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -25,7 +27,15 @@ import numpy as np
 from ..db.errors import CorruptFileError, StaleFileError, TruncatedFileError
 from ..db.interval import Interval, overlaps
 from .iohooks import open_volume
-from .record import ENCODING_STEIM1, HEADER_SIZE, RecordHeader, XSeedRecord
+from .record import (
+    ENCODING_STEIM1,
+    HEADER_DTYPE,
+    HEADER_SIZE,
+    INT64_MAX,
+    MAGIC,
+    RecordHeader,
+    XSeedRecord,
+)
 from .steim import SteimError, steim_decode
 
 
@@ -271,38 +281,92 @@ def _read_by_header_walk(
     return selection.decode()
 
 
+_PAYLOAD_LEN = struct.Struct(">I")
+_PAYLOAD_LEN_AT = HEADER_DTYPE.fields["payload_len"][1]
+
+
+def _walk_headers(path: str | Path, uri: str) -> tuple[list[bytes], int, bool]:
+    """Read 64 bytes per record, seek over payloads: the raw headers, the
+    file size, and whether the walk reached the end of the file. Looks only
+    at ``magic`` and ``payload_len``: it gives up after a header that is short,
+    has no magic or overruns the size, and :func:`_unpack_headers` names why."""
+    size = os.stat(path).st_size
+    raws: list[bytes] = []
+    offset = 0
+    with open_volume(path, uri) as handle:
+        while raw := handle.read(HEADER_SIZE):
+            raws.append(raw)
+            if len(raw) < HEADER_SIZE or not raw.startswith(MAGIC):
+                return raws, size, False
+            (payload_len,) = _PAYLOAD_LEN.unpack_from(raw, _PAYLOAD_LEN_AT)
+            offset += HEADER_SIZE + payload_len
+            if offset > size:
+                return raws, size, False
+            handle.seek(payload_len, 1)
+    return raws, size, True
+
+
+def _unpack_headers(
+    raws: Sequence[bytes], uri: str, size: int
+) -> list[RecordHeader]:
+    """Scalar-parse walked headers in file order, against the file size (the
+    metadata never promises samples a payload cannot hold). The metadata
+    pass's error oracle: the first record this rejects decides the error."""
+    headers: list[RecordHeader] = []
+    offset = 0
+    for raw in raws:
+        header = RecordHeader.unpack(raw, uri=uri, offset=offset)
+        record_end = offset + HEADER_SIZE + header.payload_len
+        if record_end > size:
+            raise TruncatedFileError(
+                f"record payload truncated: file ends at byte {size}, "
+                f"record needs {record_end}",
+                uri=uri,
+                offset=offset + HEADER_SIZE,
+            )
+        headers.append(header)
+        offset = record_end
+    return headers
+
+
 def scan_headers(
     path: str | Path, uri: str | None = None
 ) -> list[RecordHeader]:
-    """Header-only scan: read 64 bytes per record, seek over payloads.
-
-    This is what metadata-only (ALi) ingestion uses; the cost is proportional
-    to the number of records, not the number of samples. Truncation inside a
-    seeked-over payload is still detected (against the file size), so the
-    metadata never promises samples the payload cannot hold.
-    """
+    """Header-only scan, record by record: the cost is proportional to the
+    number of records, not the number of samples."""
     uri = uri if uri is not None else str(path)
-    path = Path(path)
-    size = path.stat().st_size
-    headers: list[RecordHeader] = []
-    offset = 0
-    with open_volume(path, uri) as handle:
-        while True:
-            header_raw = handle.read(HEADER_SIZE)
-            if not header_raw:
-                return headers
-            header = RecordHeader.unpack(header_raw, uri=uri, offset=offset)
-            record_end = offset + HEADER_SIZE + header.payload_len
-            if record_end > size:
-                raise TruncatedFileError(
-                    f"record payload truncated: file ends at byte {size}, "
-                    f"record needs {record_end}",
-                    uri=uri,
-                    offset=offset + HEADER_SIZE,
-                )
-            headers.append(header)
-            handle.seek(header.payload_len, 1)
-            offset = record_end
+    raws, size, _ = _walk_headers(path, uri)
+    return _unpack_headers(raws, uri, size)
+
+
+def _header_columns(raws: Sequence[bytes]) -> Optional[dict[str, np.ndarray]]:
+    """One vectorised parse of the headers of a complete walk: the record
+    level as columns, one entry per record in file order — or None when a
+    header fails one of :meth:`RecordHeader.unpack`'s checks (a usable rate,
+    the last sample inside the timestamp range, ASCII identifiers)."""
+    parsed = np.frombuffer(b"".join(raws), dtype=HEADER_DTYPE)
+    start_time = parsed["start_time"].astype(np.int64)
+    sample_rate = parsed["sample_rate"].astype(np.float64)
+    nsamples = parsed["nsamples"].astype(np.int64)
+    byte_length = parsed["payload_len"].astype(np.int64) + HEADER_SIZE
+    # last_sample_offset, vectorised: (n-1) * step in that association,
+    # rounded half to even.
+    last = np.maximum(nsamples - 1, 0)
+    with np.errstate(all="ignore"):
+        reach = np.where(last > 0, last * (1_000_000 / sample_rate), 0.0)
+        sound = (
+            (sample_rate > 0)
+            & (sample_rate < np.inf)
+            & (reach < INT64_MAX - np.maximum(start_time, 0))
+        )
+    if not (sound.all() and parsed["identifiers"].max() < 128):
+        return None
+    return dict(
+        start_time=start_time, sample_rate=sample_rate, nsamples=nsamples,
+        end_time=start_time + np.rint(reach).astype(np.int64),
+        byte_offset=np.cumsum(byte_length) - byte_length,
+        byte_length=byte_length,
+    )
 
 
 @dataclass(frozen=True)
@@ -322,26 +386,25 @@ class FileMetadata:
 
 def read_file_metadata(
     path: str | Path, uri: str | None = None
-) -> tuple[FileMetadata, list[RecordHeader]]:
-    """Header-only extraction of both file-level and record-level metadata."""
-    path = Path(path)
-    headers = scan_headers(path, uri)
-    if not headers:
-        raise CorruptFileError(
-            "empty volume",
-            uri=uri if uri is not None else str(path),
-            offset=0,
-        )
-    first = headers[0]
+) -> tuple[FileMetadata, dict[str, np.ndarray]]:
+    """What ALi's metadata pass runs per file: file-level metadata and the
+    record-level columns. ``size_bytes`` is the size the truncation check
+    used."""
+    uri = uri if uri is not None else str(path)
+    raws, size, complete = _walk_headers(path, uri)
+    if not raws:
+        raise CorruptFileError("empty volume", uri=uri, offset=0)
+    columns = _header_columns(raws) if complete else None
+    if columns is None:
+        _unpack_headers(raws, uri, size)  # raises at the first defect
+        raise AssertionError("vector and scalar header checks disagree")
+    first = RecordHeader.unpack(raws[0], uri=uri)
     meta = FileMetadata(
-        network=first.network,
-        station=first.station,
-        location=first.location,
-        channel=first.channel,
-        start_time=min(h.start_time for h in headers),
-        end_time=max(h.end_time for h in headers),
-        nrecords=len(headers),
-        nsamples=sum(h.nsamples for h in headers),
-        size_bytes=path.stat().st_size,
+        first.network, first.station, first.location, first.channel,
+        start_time=int(columns["start_time"].min()),
+        end_time=int(columns["end_time"].max()),
+        nrecords=len(raws),
+        nsamples=int(columns["nsamples"].sum()),
+        size_bytes=size,
     )
-    return meta, headers
+    return meta, columns

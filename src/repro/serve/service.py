@@ -58,12 +58,13 @@ from ..core.mounting import (
     ExtractResult,
     MountService,
 )
+from ..core.recordmap import RecordMapIndex
 from ..db.interval import overlaps
 from ..db.database import Database
 from ..db.errors import QueryShedError
-from ..ingest.formats import MountRequest, RecordSpan
+from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
-from ..ingest.schema import FILE_TABLE, RECORD_TABLE, BindingSet, RepositoryBinding
+from ..ingest.schema import FILE_TABLE, BindingSet, RepositoryBinding
 from ..mseed.repository import FileRepository
 from .scheduler import MountKey, MountScheduler, SchedulerPolicy, SchedulerStats
 
@@ -241,7 +242,9 @@ class QueryService:
             buffers=db.buffers,
             selective=selective_mounts,
         )
-        self._shared_mounts.record_map_provider = self._record_map
+        # One byte-map index for every query and the shared extraction path.
+        self._record_index = RecordMapIndex(db)
+        self._shared_mounts.record_map_provider = self._record_index
         # Predictive prefetch: after each completed query, the tenant's
         # predictor extrapolates the next window and the overlapping files
         # are registered as scheduler *hints* — waiter-less tasks run only
@@ -260,11 +263,9 @@ class QueryService:
         self._inline_bytes = 0  # guarded-by: _lock
         self._completed = 0  # guarded-by: _lock
         self._failed = 0  # guarded-by: _lock
-        self._record_spans: dict[str, tuple[RecordSpan, ...]] = {}  # guarded-by: _record_lock
-        self._record_spans_source: Optional[object] = None  # guarded-by: _record_lock
-        self._file_span_map: dict[str, tuple[int, int]] = {}  # guarded-by: _record_lock
-        self._file_span_source: Optional[object] = None  # guarded-by: _record_lock
-        self._record_lock = _sync.create_lock("QueryService._record_lock")
+        self._file_span_map: dict[str, tuple[int, int]] = {}  # guarded-by: _file_span_lock
+        self._file_span_source: Optional[object] = None  # guarded-by: _file_span_lock
+        self._file_span_lock = _sync.create_lock("QueryService._file_span_lock")
         self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
@@ -437,7 +438,7 @@ class QueryService:
             selective_mounts=self.selective_mounts,
             verify_plans=self.verify_plans,
         )
-        executor.mounts.record_map_provider = self._record_map
+        executor.mounts.record_map_provider = self._record_index
 
         def charge(bytes_read: int, records_decoded: int) -> None:
             with self._lock:
@@ -477,7 +478,7 @@ class QueryService:
             if self.cache.contains(uri, predicted.interval):
                 continue
             records = (
-                self._record_map(uri, table) if self.selective_mounts else None
+                self._record_index(uri, table) if self.selective_mounts else None
             )
             request = (
                 MountRequest(interval=predicted.interval, records=records)
@@ -495,7 +496,7 @@ class QueryService:
         if not self.db.catalog.has_table(FILE_TABLE):
             return {}
         batch = self.db.catalog.table(FILE_TABLE).batch
-        with self._record_lock:
+        with self._file_span_lock:
             if self._file_span_source is not batch:
                 required = ("uri", "start_time", "end_time")
                 if any(name not in batch.names for name in required):
@@ -560,55 +561,6 @@ class QueryService:
                 batch=cached, io_seconds=0.0, coverage=interval
             )
         return self._shared_mounts._extract(uri, table_name, request)
-
-    # -- shared record maps --------------------------------------------------
-
-    def _record_map(
-        self, uri: str, table_name: str
-    ) -> Optional[tuple[RecordSpan, ...]]:
-        """Service-wide memo of the ``R`` byte maps selective mounts seek by.
-
-        The per-query executor builds this from the R table on first use;
-        at N queries that is N identical rebuilds, so the service interposes
-        one locked, batch-keyed copy shared by every query *and* by the
-        shared extraction path. Rebuilt only if R's batch object changes
-        (metadata loads replace it; the catalog is otherwise read-only).
-        """
-        if not self.db.catalog.has_table(RECORD_TABLE):
-            return None
-        batch = self.db.catalog.table(RECORD_TABLE).batch
-        with self._record_lock:
-            if self._record_spans_source is not batch:
-                required = (
-                    "uri", "record_id", "start_time", "end_time",
-                    "byte_offset", "byte_length",
-                )
-                if any(name not in batch.names for name in required):
-                    return None
-                by_uri: dict[str, list[RecordSpan]] = {}
-                for u, rid, st, et, off, ln in zip(
-                    batch.column("uri").to_pylist(),
-                    batch.column("record_id").to_pylist(),
-                    batch.column("start_time").to_pylist(),
-                    batch.column("end_time").to_pylist(),
-                    batch.column("byte_offset").to_pylist(),
-                    batch.column("byte_length").to_pylist(),
-                ):
-                    by_uri.setdefault(u, []).append(
-                        RecordSpan(
-                            record_id=int(rid),
-                            byte_offset=int(off),
-                            byte_length=int(ln),
-                            start_time=int(st),
-                            end_time=int(et),
-                        )
-                    )
-                self._record_spans = {
-                    u: tuple(sorted(spans, key=lambda s: s.record_id))
-                    for u, spans in by_uri.items()
-                }
-                self._record_spans_source = batch
-            return self._record_spans.get(uri)
 
     # -- introspection -------------------------------------------------------
 

@@ -14,8 +14,16 @@ from repro.ingest import (
     lazy_ingest_metadata,
     write_csv_timeseries,
 )
+from repro.db.column import StringDictionary
 from repro.ingest.schema import ACTUAL_TABLE, FILE_TABLE, RECORD_TABLE, ensure_schema
-from repro.mseed import read_records
+from repro.mseed import (
+    HEADER_SIZE,
+    FileRepository,
+    RepositorySpec,
+    generate_repository,
+    read_records,
+    scan_headers,
+)
 
 
 class TestRegistry:
@@ -58,7 +66,7 @@ class TestXSeedExtractor:
         mounted = extractor.mount(path, uri)
         assert extracted.file_row.nsamples == mounted.num_rows
         assert extracted.file_row.uri == uri
-        assert len(extracted.record_rows) == extracted.file_row.nrecords
+        assert len(extracted.records) == extracted.file_row.nrecords
 
     def test_mount_matches_direct_decode(self, tiny_repo):
         extractor = XSeedExtractor()
@@ -94,8 +102,8 @@ class TestCsvExtractor:
         extracted = CsvExtractor().extract_metadata(path, "w.tscsv")
         assert extracted.file_row.station == "AMS"
         assert extracted.file_row.nsamples == len(values)
-        assert len(extracted.record_rows) == 1
-        assert extracted.record_rows[0].sample_rate == 0.5
+        assert len(extracted.records) == 1
+        assert extracted.records.sample_rate.tolist() == [0.5]
 
     def test_mount_roundtrip(self, tmp_path):
         path, values = self.write(tmp_path)
@@ -189,3 +197,112 @@ class TestLazyIngest:
         ensure_schema(db)
         lazy_ingest_metadata(db, tiny_repo)
         assert db.catalog.table(FILE_TABLE).num_rows == len(tiny_repo)
+
+
+def _row_wise_tables(repo):
+    """``F`` and ``R`` assembled a row per record from ``scan_headers`` and
+    per-row Python lists — how the metadata pass built them before it went
+    columnar. ``{table: {column: (values, dictionary entries or None)}}``."""
+    f_rows, r_rows = [], []
+    for uri in repo.uris():
+        path = repo.path_of(uri)
+        if uri.endswith(".tscsv"):
+            meta = dict(
+                token.split("=")
+                for line in path.read_text().splitlines()[:2]
+                for token in line[1:].split()
+            )
+            start, n = int(meta["start_time"]), int(meta["nsamples"])
+            rate = float(meta["sample_rate"])
+            end = start + int(round((n - 1) * (1_000_000 / rate)))
+            size = path.stat().st_size
+            f_rows.append((uri, meta["network"], meta["station"],
+                           meta.get("location", ""), meta["channel"],
+                           start, end, 1, n, size))
+            r_rows.append((uri, 0, start, end, rate, n, 0, size))
+            continue
+        headers = scan_headers(path)
+        first = headers[0]
+        f_rows.append((
+            uri, first.network, first.station, first.location, first.channel,
+            min(h.start_time for h in headers),
+            max(h.end_time for h in headers),
+            len(headers), sum(h.nsamples for h in headers),
+            path.stat().st_size,
+        ))
+        offset = 0
+        for i, h in enumerate(headers):
+            length = HEADER_SIZE + h.payload_len
+            r_rows.append((uri, i, h.start_time, h.end_time, h.sample_rate,
+                           h.nsamples, offset, length))
+            offset += length
+
+    def columns(rows, names, strings, floats=()):
+        table = {}
+        for position, name in enumerate(names):
+            values = [row[position] for row in rows]
+            if name in strings:
+                dictionary = StringDictionary()
+                codes = dictionary.encode(values)
+                table[name] = (codes, list(dictionary.entries))
+            else:
+                dtype = np.float64 if name in floats else np.int64
+                table[name] = (np.asarray(values, dtype=dtype), None)
+        return table
+
+    return {
+        FILE_TABLE: columns(
+            f_rows,
+            ["uri", "network", "station", "location", "channel", "start_time",
+             "end_time", "nrecords", "nsamples", "size_bytes"],
+            strings={"uri", "network", "station", "location", "channel"},
+        ),
+        RECORD_TABLE: columns(
+            r_rows,
+            ["uri", "record_id", "start_time", "end_time", "sample_rate",
+             "nsamples", "byte_offset", "byte_length"],
+            strings={"uri"},
+            floats={"sample_rate"},
+        ),
+    }
+
+
+class TestMetadataTablesEqualRowWiseAssembly:
+    """The columnar metadata pass changes how ``F`` and ``R`` are built,
+    never what they hold: dtype, values and dictionary order."""
+
+    @pytest.fixture(scope="class")
+    def mixed_repo(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mixed_repo")
+        generate_repository(
+            root,
+            RepositorySpec(
+                stations=("ISK", "ANK", "KDZ"), channels=("BHE", "BHZ"),
+                days=2, sample_rate=0.05, samples_per_record=700,
+            ),
+        )
+        write_csv_timeseries(
+            root / "2010" / "wx.tscsv", "WX", "AMS", "", "TMP", 0.5,
+            1_263_254_400_000_000, np.linspace(0.0, 1.0, 9),
+        )
+        return FileRepository(root, suffix=(".xseed", ".tscsv"))
+
+    @pytest.mark.parametrize("ingest", [lazy_ingest_metadata, eager_ingest])
+    def test_column_for_column(self, mixed_repo, ingest):
+        db = Database()
+        ingest(db, mixed_repo)
+        for table, expected in _row_wise_tables(mixed_repo).items():
+            batch = db.catalog.table(table).batch
+            assert batch.names == list(expected)
+            for name, (values, entries) in expected.items():
+                column = batch.column(name)
+                assert column.values.dtype == values.dtype, (table, name)
+                assert column.values.tolist() == values.tolist(), (table, name)
+                if entries is not None:
+                    assert list(column.dictionary.entries) == entries
+
+    def test_empty_repository(self, tmp_path):
+        db = Database()
+        report = lazy_ingest_metadata(db, FileRepository(tmp_path))
+        assert report.records == 0
+        assert db.catalog.table(RECORD_TABLE).num_rows == 0

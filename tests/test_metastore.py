@@ -18,7 +18,13 @@ from repro.core import MetadataStore, TwoStageExecutor
 from repro.core.metastore import METASTORE_VERSION
 from repro.db import Database
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
-from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.mseed import (
+    HEADER_SIZE,
+    FileRepository,
+    RepositorySpec,
+    generate_repository,
+    scan_headers,
+)
 from repro.testing.faults import SHORT_READ, FaultPlan, FaultSpec
 
 SPEC = RepositorySpec(
@@ -88,8 +94,65 @@ class TestRoundTrip:
             st = os.stat(repo.path_of(uri))
             state = warm.lookup(uri, (st.st_mtime_ns, st.st_size))
             assert state is not None
-            assert all(r.byte_offset >= 0 for r in state.record_rows)
-            assert all(r.byte_length > 0 for r in state.record_rows)
+            assert len(state.records) == state.file_row.nrecords
+            assert (state.records.byte_offset >= 0).all()
+            assert (state.records.byte_length > 0).all()
+
+    def test_sidecar_layout_unchanged_by_columnar_records(self, repo):
+        """A sidecar written before record metadata went columnar — one
+        positional row per record, assembled here from ``scan_headers`` the
+        way the old store did — is what this store writes, byte for byte,
+        and loads to the ``R`` a live header walk builds."""
+        files = {}
+        for uri in repo.uris():
+            path = repo.path_of(uri)
+            headers = scan_headers(path)
+            st = os.stat(path)
+            records, offset = [], 0
+            for i, h in enumerate(headers):
+                length = HEADER_SIZE + h.payload_len
+                records.append([i, h.start_time, h.end_time, h.sample_rate,
+                                h.nsamples, offset, length])
+                offset += length
+            first = headers[0]
+            files[uri] = {
+                "signature": [st.st_mtime_ns, st.st_size],
+                "file": [first.network, first.station, first.location,
+                         first.channel, min(r[1] for r in records),
+                         max(r[2] for r in records), len(records),
+                         sum(h.nsamples for h in headers), st.st_size],
+                "records": records,
+            }
+        legacy = json.dumps(
+            {
+                "version": METASTORE_VERSION,
+                "files": files,
+                "table_rows": {"f": len(files), "r": sum(
+                    len(f["records"]) for f in files.values()
+                )},
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
+
+        store = MetadataStore.for_repository(repo.root)
+        live_db, _ = _ingest(repo, store)
+        assert store.path.read_bytes() == legacy
+
+        store.path.write_bytes(legacy)
+        warm = MetadataStore.for_repository(repo.root)
+        assert warm.load() == SPEC.file_count
+        warm_db, report = _ingest(repo, warm)
+        assert report.files_reused == SPEC.file_count
+        live, loaded = (
+            db.catalog.table("R").batch for db in (live_db, warm_db)
+        )
+        for name in live.names:
+            assert loaded.column(name).values.dtype == live.column(name).values.dtype
+            assert loaded.column(name).values.tolist() == live.column(name).values.tolist()
+        assert (
+            loaded.column("uri").dictionary.entries
+            == live.column("uri").dictionary.entries
+        )
 
     def test_save_leaves_no_tmp_file(self, repo):
         store = MetadataStore.for_repository(repo.root)
@@ -212,6 +275,29 @@ class TestSidecarFailureModes:
         assert warm.load() == 0
         assert warm.stats.version_mismatches == 1
         assert warm.stats.corrupt_loads == 0
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0, 1, 2, 0.5, "many", 0, 64],  # a field of the wrong type
+            [0, 1, 2, 0.5, 2**70, 0, 64],  # beyond int64
+            [5, 1, 2, 0.5, 10, 0, 64],  # record ids must count from zero
+            "0123456",  # seven of something, but not a row
+        ],
+    )
+    def test_unusable_record_row_is_corrupt_not_fatal(self, repo, row):
+        store = MetadataStore.for_repository(repo.root)
+        _ingest(repo, store)
+        payload = json.loads(store.path.read_text())
+        uri = next(iter(payload["files"]))
+        payload["files"][uri]["records"][0] = row
+        store.path.write_text(json.dumps(payload))
+
+        warm = MetadataStore.for_repository(repo.root)
+        assert warm.load() == 0
+        assert warm.stats.corrupt_loads == 1
+        db, report = _ingest(repo, warm)
+        assert report.files_reused == 0
 
     def test_malformed_record_row_is_corrupt_not_fatal(self, repo):
         store = MetadataStore.for_repository(repo.root)

@@ -6,15 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.db.errors import CorruptFileError, IngestError, TruncatedFileError
 from repro.db.interval import WHOLE_FILE
-from repro.ingest.formats import MountRequest, spans_from_record_rows
+from repro.ingest.formats import MountRequest
 from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import (
     HEADER_SIZE,
     RecordHeader,
     XSeedRecord,
+    open_volume,
     read_file_metadata,
     read_records,
     scan_headers,
+    set_volume_io_hook,
     write_volume,
 )
 from repro.mseed.record import last_sample_offset, sample_time_offsets
@@ -287,8 +289,7 @@ class TestFileAtATimeMount:
         """The three extraction paths, each selecting every record (the
         byte map is taken now, so later damage to the file is not in it)."""
         extractor = XSeedExtractor()
-        rows = extractor.extract_metadata(path, self.URI).record_rows
-        byte_map = spans_from_record_rows(rows)
+        byte_map = extractor.extract_metadata(path, self.URI).records.spans()
 
         def selective(records):
             request = MountRequest(interval=WHOLE_FILE, records=records)
@@ -331,9 +332,9 @@ class TestFileAtATimeMount:
     ):
         path = self.volume(tmp_path, [(100, 20.0)] * 5)
         mounts = self.mounts(path)
-        rows = XSeedExtractor().extract_metadata(path, self.URI).record_rows
+        records = XSeedExtractor().extract_metadata(path, self.URI).records
         raw = bytearray(path.read_bytes())
-        damage(raw, rows[3].byte_offset)
+        damage(raw, int(records.byte_offset[3]))
         path.write_bytes(bytes(raw))
         with pytest.raises(IngestError) as expected:
             read_records(path, self.URI)
@@ -359,3 +360,266 @@ class TestFileAtATimeMount:
             del calls[:]
             assert mount().num_rows == 2400
             assert calls == [24], name
+
+
+def _non_ascii_identifier(raw, offset):
+    raw[offset + 11] = 0xE9  # inside the station field
+
+
+def _overflowing_rate(raw, offset):
+    # 1e-13 Hz: a usable rate whose second sample is already past int64 µs.
+    raw[offset + 28:offset + 36] = np.float64(1e-13).tobytes()[::-1]
+
+
+def _short_final_header(raw, offset):
+    del raw[offset + 20:]
+
+
+def reference_scan(path, uri):
+    """The record-at-a-time header walk the metadata pass used to be — one
+    scalar ``RecordHeader.unpack`` per record as it is read. The oracle for
+    what the walk reads and for what a defective file raises."""
+    size = path.stat().st_size
+    headers, offset = [], 0
+    with open_volume(path, uri) as handle:
+        while True:
+            raw = handle.read(HEADER_SIZE)
+            if not raw:
+                return headers
+            header = RecordHeader.unpack(raw, uri=uri, offset=offset)
+            record_end = offset + HEADER_SIZE + header.payload_len
+            if record_end > size:
+                raise TruncatedFileError(
+                    f"record payload truncated: file ends at byte {size}, "
+                    f"record needs {record_end}",
+                    uri=uri,
+                    offset=offset + HEADER_SIZE,
+                )
+            headers.append(header)
+            handle.seek(header.payload_len, 1)
+            offset = record_end
+
+
+_IDENTIFIER_BYTES = st.binary(min_size=12, max_size=12).map(
+    lambda raw: bytes(b % 128 for b in raw)
+) | st.lists(
+    st.sampled_from(b"AZ09 \x00"), min_size=12, max_size=12
+).map(bytes)
+
+_RATES = st.sampled_from(
+    # 2e6 and 4e6 Hz put (n-1) * step on .5 and .25 µs: half-to-even cases.
+    [20.0, 0.02, 7.3, 2e6, 4e6, 1e6 / 1.5, 1e6 / 2.5]
+) | st.floats(min_value=1e-3, max_value=1e7)
+
+_HEADER_FIELDS = st.tuples(
+    _IDENTIFIER_BYTES,
+    st.integers(-(2**40), 2**40),  # start_time
+    _RATES,
+    st.sampled_from([0, 1]) | st.integers(0, 5000),  # nsamples
+    st.integers(0, 200),  # payload_len
+)
+
+
+class TestColumnarMetadataPass:
+    """``read_file_metadata`` parses a file's headers in one vectorised pass;
+    the scalar parser is its oracle, for values and for errors."""
+
+    URI = "KO/ISK/vol.xseed"
+
+    @settings(max_examples=120, deadline=None)
+    @given(fields=st.lists(_HEADER_FIELDS, min_size=1, max_size=12))
+    def test_columns_equal_scalar_unpack(self, tmp_path_factory, fields):
+        raw = bytearray()
+        for seq, (identifiers, start, rate, n, payload_len) in enumerate(fields):
+            header = bytearray(
+                RecordHeader(
+                    seq, "", "", "", "", start, rate, n, 1, payload_len
+                ).pack()
+            )
+            header[8:20] = identifiers
+            raw += header + bytes(payload_len)
+        path = tmp_path_factory.mktemp("columnar") / "vol.xseed"
+        path.write_bytes(bytes(raw))
+
+        headers = reference_scan(path, self.URI)
+        meta, columns = read_file_metadata(path, self.URI)
+        assert scan_headers(path, self.URI) == headers
+        assert columns["start_time"].tolist() == [h.start_time for h in headers]
+        assert columns["end_time"].tolist() == [h.end_time for h in headers]
+        assert columns["sample_rate"].tolist() == [h.sample_rate for h in headers]
+        assert columns["nsamples"].tolist() == [h.nsamples for h in headers]
+        lengths = [HEADER_SIZE + h.payload_len for h in headers]
+        assert columns["byte_length"].tolist() == lengths
+        assert columns["byte_offset"].tolist() == [
+            sum(lengths[:i]) for i in range(len(lengths))
+        ]
+        assert {name: c.dtype for name, c in columns.items()} == {
+            "start_time": np.int64, "end_time": np.int64,
+            "sample_rate": np.float64, "nsamples": np.int64,
+            "byte_offset": np.int64, "byte_length": np.int64,
+        }
+        first = headers[0]
+        assert (meta.network, meta.station, meta.location, meta.channel) == (
+            first.network, first.station, first.location, first.channel
+        )
+        assert meta.start_time == min(h.start_time for h in headers)
+        assert meta.end_time == max(h.end_time for h in headers)
+        assert meta.nrecords == len(headers)
+        assert meta.nsamples == sum(h.nsamples for h in headers)
+        assert meta.size_bytes == len(raw)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        defects=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [_bad_magic, _zeroed_sample_rate, _non_ascii_identifier,
+                     _overflowing_rate, _cut_mid_payload, _short_final_header]
+                ),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    def test_first_defect_raises_what_the_scalar_walk_raises(
+        self, tmp_path_factory, defects
+    ):
+        path = tmp_path_factory.mktemp("defects") / "vol.xseed"
+        write_volume(
+            path,
+            [make_record(seq=i, start=i * 60_000_000) for i in range(6)],
+        )
+        offsets = [0]
+        for header in scan_headers(path)[:-1]:
+            offsets.append(offsets[-1] + HEADER_SIZE + header.payload_len)
+        raw = bytearray(path.read_bytes())
+        # Overwrites first, then cuts from the far end of the file inwards,
+        # so every defect lands on bytes that are still there.
+        cuts = (_cut_mid_payload, _short_final_header)
+        for damage, k in sorted(
+            defects, key=lambda d: (d[0] in cuts, -d[1])
+        ):
+            if offsets[k] < len(raw):
+                damage(raw, offsets[k])
+        path.write_bytes(bytes(raw))
+
+        with pytest.raises(IngestError) as expected:
+            reference_scan(path, self.URI)
+        for scan in (read_file_metadata, scan_headers):
+            with pytest.raises(IngestError) as excinfo:
+                scan(path, self.URI)
+            assert type(excinfo.value) is type(expected.value)
+            assert str(excinfo.value) == str(expected.value)
+            assert excinfo.value.offset == expected.value.offset
+            assert excinfo.value.uri == self.URI
+
+    @pytest.mark.parametrize(
+        "start, n, rate, sound",
+        [
+            (0, 2, 1e-13, False),  # step 1e19 µs
+            (0, 1, 1e-13, True),  # ...but a lone sample has no reach
+            (0, 1, 5e-324, True),  # step overflows to inf; still no reach
+            (0, 2, 5e-324, False),
+            (2**63 - 2 - 3_000_000, 4, 1.0, True),
+            (2**63 - 1 - 3_000_000, 4, 1.0, False),  # lands on int64 max
+            (-(2**63), 2, 1e-12, True),  # the room is not start-relative
+        ],
+    )
+    def test_last_sample_must_fit_the_timestamp_range(
+        self, tmp_path, start, n, rate, sound
+    ):
+        """A rate can be usable and still put the last sample past int64 µs
+        (this used to escape as a raw OverflowError while building ``R``);
+        the scalar parser owns the rule and the columnar parse agrees on
+        both sides of the boundary."""
+        raw = RecordHeader(0, "KO", "ISK", "", "BHE", start, rate, n, 1, 0).pack()
+        path = tmp_path / "vol.xseed"
+        path.write_bytes(make_record().pack() + raw)
+        offset = len(make_record().pack())
+        if sound:
+            header = RecordHeader.unpack(raw)
+            _, columns = read_file_metadata(path, self.URI)
+            assert columns["end_time"][1] == header.end_time
+            return
+        for scan in (read_file_metadata, scan_headers):
+            with pytest.raises(CorruptFileError) as excinfo:
+                scan(path, self.URI)
+            assert excinfo.value.offset == offset
+            assert "timestamp range" in str(excinfo.value)
+
+    def test_same_reads_and_seeks_as_the_scalar_walk(self, tmp_path):
+        """Seeded fault plans address a file's reads by index, so the
+        metadata pass must issue exactly the calls it always did."""
+        path = tmp_path / "vol.xseed"
+        write_volume(
+            path,
+            [make_record(seq=i, start=i * 60_000_000, n=50 + 30 * i)
+             for i in range(7)],
+        )
+
+        class Recorder:
+            def wrap(self, path, uri, handle):
+                calls.append(("open", uri))
+                return _RecordingHandle(handle, calls)
+
+        logs = []
+        previous = set_volume_io_hook(Recorder())
+        try:
+            for scan in (reference_scan, scan_headers, read_file_metadata):
+                calls = []
+                scan(path, self.URI)
+                logs.append(calls)
+        finally:
+            set_volume_io_hook(previous)
+        assert logs[0] == logs[1] == logs[2]
+        reads = [call[2] for call in logs[0] if call[0] == "read"]
+        assert sum(reads) == 7 * HEADER_SIZE
+        assert len(reads) == 8  # the last one finds end-of-file
+
+    def test_size_recorded_is_the_size_the_walk_checked(self, tmp_path):
+        """One stat per file: a file that grows right after the walk must
+        not get a ``size_bytes`` its recorded records do not add up to."""
+        path = tmp_path / "vol.xseed"
+        write_volume(path, [make_record(seq=i) for i in range(3)])
+        size = path.stat().st_size
+
+        class GrowsOnClose:
+            def wrap(self, path, uri, handle):
+                return _RecordingHandle(
+                    handle, [], on_close=lambda: path.write_bytes(
+                        path.read_bytes() + make_record(seq=9).pack()
+                    )
+                )
+
+        previous = set_volume_io_hook(GrowsOnClose())
+        try:
+            meta, columns = read_file_metadata(path, self.URI)
+        finally:
+            set_volume_io_hook(previous)
+        assert path.stat().st_size > size
+        assert meta.size_bytes == size == int(columns["byte_length"].sum())
+
+
+class _RecordingHandle:
+    """A volume handle that logs every read and seek made through it."""
+
+    def __init__(self, handle, calls, on_close=None):
+        self.handle, self.calls, self.on_close = handle, calls, on_close
+
+    def read(self, n=-1):
+        data = self.handle.read(n)
+        self.calls.append(("read", n, len(data)))
+        return data
+
+    def seek(self, offset, whence=0):
+        self.calls.append(("seek", offset, whence))
+        return self.handle.seek(offset, whence)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+        if self.on_close is not None:
+            self.on_close()

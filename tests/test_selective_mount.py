@@ -12,7 +12,10 @@ or not.
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -22,12 +25,13 @@ from repro.core import (
     MountService,
     TwoStageExecutor,
 )
+from repro.core.recordmap import RecordMapIndex
 from repro.db import Database
 from repro.db.errors import StaleFileError, TruncatedFileError
 from repro.db.interval import INF, WHOLE_FILE
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
-from repro.ingest.formats import MountRequest, RecordSpan, spans_from_record_rows
-from repro.ingest.schema import BindingSet
+from repro.ingest.formats import MountRequest, RecordSpan
+from repro.ingest.schema import RECORD_TABLE, BindingSet, ensure_schema
 from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import (
     FileRepository,
@@ -151,7 +155,7 @@ class TestAccounting:
         path = dense_repo.path_of(uri)
         extractor = XSeedExtractor()
         meta = extractor.extract_metadata(path, uri)
-        spans = spans_from_record_rows(meta.record_rows)
+        spans = meta.records.spans()
         overlapping = [
             s for s in spans
             if s.start_time <= spans[2].end_time  # first three records
@@ -168,7 +172,7 @@ class TestAccounting:
         path = dense_repo.path_of(uri)
         extractor = XSeedExtractor()
         meta = extractor.extract_metadata(path, uri)
-        spans = spans_from_record_rows(meta.record_rows)
+        spans = meta.records.spans()
         interval = (spans[0].start_time, spans[0].end_time)
         walked = read_selected_records(path, interval, uri=uri)
         mapped = read_selected_records(path, interval, uri=uri, spans=spans)
@@ -184,7 +188,7 @@ class TestStaleByteMap:
     def _spans(self, repo, uri):
         extractor = XSeedExtractor()
         meta = extractor.extract_metadata(repo.path_of(uri), uri)
-        return spans_from_record_rows(meta.record_rows)
+        return meta.records.spans()
 
     def test_drifted_start_time_raises_stale(self, dense_repo):
         uri = dense_repo.uris()[0]
@@ -323,3 +327,91 @@ class TestTupleGranularityStillWorks:
         second = executor.execute(NARROW_SQL).rows
         assert first == second
         assert executor.mounts.stats.cache_scans > 0
+
+
+class TestRecordMapIndex:
+    """The byte map is a per-URI slice of ``R``'s columns, not a dictionary
+    of every record built before the first mount."""
+
+    def expected(self, repo):
+        extractor = XSeedExtractor()
+        return {
+            uri: extractor.extract_metadata(repo.path_of(uri), uri).records.spans()
+            for uri in repo.uris()
+        }
+
+    def test_serves_each_files_spans_in_record_order(self, dense_repo):
+        db = Database()
+        lazy_ingest_metadata(db, dense_repo)
+        index = RecordMapIndex(db)
+        expected = self.expected(dense_repo)
+        for uri, spans in expected.items():
+            assert index(uri, "D") == spans
+            assert all(type(v) is int for v in vars(index(uri, "D")[0]).values())
+        assert index(uri, "D") is index(uri, "D")  # memoised per URI
+        assert index("2010/nowhere.xseed", "D") is None
+
+    def test_row_order_of_r_does_not_matter(self, dense_repo):
+        source = Database()
+        lazy_ingest_metadata(source, dense_repo)
+        batch = source.catalog.table(RECORD_TABLE).batch
+        shuffled = Database()
+        ensure_schema(shuffled)
+        order = np.random.default_rng(5).permutation(batch.num_rows)
+        shuffled.catalog.table(RECORD_TABLE).append(batch.take(order))
+        index = RecordMapIndex(shuffled)
+        for uri, spans in self.expected(dense_repo).items():
+            assert index(uri, "D") == spans
+
+    def test_without_r_or_its_byte_columns_there_is_no_map(self, dense_repo):
+        uri = dense_repo.uris()[0]
+        assert RecordMapIndex(Database())(uri, "D") is None
+        db = Database()
+        ensure_schema(db)
+        assert RecordMapIndex(db)(uri, "D") is None  # R is empty
+
+    def test_rebuilt_when_a_metadata_load_replaces_r(self, dense_repo):
+        source = Database()
+        lazy_ingest_metadata(source, dense_repo)
+        batch = source.catalog.table(RECORD_TABLE).batch
+        first, second = dense_repo.uris()
+        code = batch.column("uri").dictionary.lookup(first)
+        is_first = batch.column("uri").values == code
+        db = Database()
+        ensure_schema(db)
+        db.catalog.table(RECORD_TABLE).append(batch.filter(is_first))
+        index = RecordMapIndex(db)
+        expected = self.expected(dense_repo)
+        assert index(first, "D") == expected[first]
+        assert index(second, "D") is None
+        db.catalog.table(RECORD_TABLE).append(batch.filter(~is_first))
+        assert index(second, "D") == expected[second]
+        assert index(first, "D") == expected[first]
+
+    def test_one_index_shared_by_racing_threads(self, dense_repo):
+        db = Database()
+        lazy_ingest_metadata(db, dense_repo)
+        index = RecordMapIndex(db)
+        expected = self.expected(dense_repo)
+        uris = dense_repo.uris()
+        wrong = []
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                uri = uris[int(rng.integers(len(uris)))]
+                if index(uri, "D") != expected[uri]:
+                    wrong.append(uri)
+
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
