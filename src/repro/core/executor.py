@@ -35,8 +35,8 @@ from ..db.plan.logical import (
     UnionAll,
 )
 from .. import _sync
-from ..db.stats import StatisticsCatalog, collect_statistics
-from ..ingest.schema import FILE_TABLE, BindingSet, RepositoryBinding
+from ..db.stats import StatisticsCatalog
+from ..ingest.schema import BindingSet, RepositoryBinding
 from .breakpoint import BreakpointInfo
 from .cache import INF, IngestionCache
 from .decompose import Decomposition, decompose, _replace_subtree
@@ -67,6 +67,7 @@ from .mountpool import MountPool, MountPoolTimings
 from .partial import PartialMerger, is_decomposable
 from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
+from .statsindex import StatisticsIndex
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
 from .verify import verify_ali_rewrite, verify_decomposition
 
@@ -227,9 +228,10 @@ class TwoStageExecutor:
         self.top_n_pushdown = top_n_pushdown
         # Statistics catalog (cost-based join orientation, branch hulls, the
         # mount access-path choice), rebuilt when the F batch it was
-        # collected from is replaced by a metadata load.
-        self._statistics: Optional[StatisticsCatalog] = None
-        self._statistics_source: Optional[object] = None
+        # collected from is replaced by a metadata load. A seam like
+        # `pool_factory` below: the query service swaps in the one index its
+        # per-query executors share.
+        self.statistics_index = StatisticsIndex(db)
         self.mounts.file_span_provider = (
             lambda uri: self.statistics().file_span(uri)
         )
@@ -292,22 +294,8 @@ class TwoStageExecutor:
         return binding.uri_column if binding is not None else "uri"
 
     def statistics(self) -> StatisticsCatalog:
-        """The current statistics snapshot, rebuilt on metadata loads.
-
-        Invalidation is keyed on the ``F`` table's batch object: lazy
-        metadata ingestion replaces it (together with the other metadata
-        batches), so identity tracks "has the metadata changed" without a
-        version counter.
-        """
-        batch = (
-            self.db.catalog.table(FILE_TABLE).batch
-            if self.db.catalog.has_table(FILE_TABLE)
-            else None
-        )
-        if self._statistics is None or self._statistics_source is not batch:
-            self._statistics = collect_statistics(self.db.catalog, FILE_TABLE)
-            self._statistics_source = batch
-        return self._statistics
+        """The current statistics snapshot, rebuilt on metadata loads."""
+        return self.statistics_index()
 
     def prepare(self, sql: str) -> Decomposition:
         """Steps 1: parse, bind, optimize metadata-first, decompose."""

@@ -673,11 +673,17 @@ class MountService:
         uri: str,
         table_name: str,
         request: Optional[MountRequest] = None,
+        observed: Optional[FileSignature] = None,
     ) -> "ExtractResult":
         """Extract one file into a batch; thread-safe (mount-pool workers
         call this concurrently). Returns the batch plus the simulated disk
         seconds the buffer manager charged and the extraction's coverage /
         read accounting.
+
+        ``observed`` is a signature of the file the caller fetched just now
+        (the shared extraction path's cache lookup): the first attempt takes
+        it as its pre-read observation instead of asking again — the
+        staleness sandwich only widens — and a retry observes afresh.
 
         Transient failures (I/O errors, files caught mid-rewrite) retry up
         to ``max_retries`` times with linear backoff, but never past
@@ -698,7 +704,12 @@ class MountService:
         while True:
             try:
                 return self._extract_once(
-                    uri, path, extractor, request, repository
+                    uri,
+                    path,
+                    extractor,
+                    request,
+                    repository,
+                    before=observed if attempt == 0 else None,
                 )
             except FileIngestError as exc:
                 exc.ingest_retries = attempt  # type: ignore[attr-defined]
@@ -731,15 +742,22 @@ class MountService:
         extractor: FormatExtractor,
         request: Optional[MountRequest] = None,
         repository: object = None,
+        before: Optional[FileSignature] = None,
     ) -> "ExtractResult":
-        try:
-            before = self._signature(repository, uri, path)
-        except FileNotFoundError as exc:
-            raise FileIngestError(
-                f"file disappeared before extraction: {path}",
-                uri=uri,
-                cause=exc,
-            ) from exc
+        if before is None:
+            try:
+                before = self._signature(repository, uri, path)
+            except FileNotFoundError as exc:
+                raise FileIngestError(
+                    f"file disappeared before extraction: {path}",
+                    uri=uri,
+                    cause=exc,
+                ) from exc
+        # An extractor whose own reads start by observing the file (a remote
+        # one: a HEAD before its GETs) takes this observation instead.
+        observing = getattr(extractor, "observing", None)
+        if observing is not None:
+            extractor = observing(before)
         selective = request is not None and isinstance(
             extractor, SelectiveFormatExtractor
         )

@@ -37,6 +37,7 @@ metadata resolution outright.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,6 +144,10 @@ class RemoteRepository:
         self.transport = ResilientTransport(store, policy, breaker=breaker)
         self.staging_root = Path(staging_dir)
         self.staging_root.mkdir(parents=True, exist_ok=True)
+        # Containment is checked against this on every URI resolution; the
+        # root itself does not move, so its realpath walk happens once.
+        self._resolved_root = os.path.realpath(self.staging_root)
+        self._inside_root = os.path.join(self._resolved_root, "")
         self.suffixes = (suffix,) if isinstance(suffix, str) else tuple(suffix)
         if coalesce_gap_bytes is None:
             profile = store.model.profile
@@ -218,11 +223,15 @@ class RemoteRepository:
 
     def path_of(self, uri: str) -> Path:
         """The URI's staging path (created lazily; may not exist yet)."""
-        path = (self.staging_root / self._key(uri)).resolve()
-        if not path.is_relative_to(self.staging_root.resolve()):
+        resolved = os.path.realpath(
+            os.path.join(self._resolved_root, self._key(uri))
+        )
+        if not (resolved + os.sep).startswith(self._inside_root):
             raise IngestError(f"URI {uri!r} escapes the staging root")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+        parent = os.path.dirname(resolved)
+        if not os.path.isdir(parent):
+            os.makedirs(parent, exist_ok=True)
+        return Path(resolved)
 
     def signature_of(self, uri: str) -> tuple[int, int]:
         return self.transport.head(self._key(uri), uri=uri).signature
@@ -254,17 +263,24 @@ class RemoteRepository:
                 self._key_locks[key] = lock
             return lock
 
-    def ensure_whole(self, uri: str) -> int:
-        """Stage the whole object; returns remote bytes moved (0 on reuse)."""
+    def ensure_whole(
+        self, uri: str, signature: Optional[tuple[int, int]] = None
+    ) -> int:
+        """Stage the whole object; returns remote bytes moved (0 on reuse).
+
+        ``signature`` is the caller's own fresh observation of the object
+        (see :meth:`fetch_spans`); without one a HEAD is issued here.
+        """
         key = self._key(uri)
-        stat = self.transport.head(key, uri=uri)
+        if signature is None:
+            signature = self.transport.head(key, uri=uri).signature
         with self._lock_for(key):
             with self._lock:
                 entry = self._staged.get(key)
                 if (
                     entry is not None
                     and entry.whole
-                    and entry.signature == stat.signature
+                    and entry.signature == signature
                 ):
                     self.stats.staged_reuses += 1
                     return 0
@@ -273,7 +289,7 @@ class RemoteRepository:
             path.write_bytes(data)
             with self._lock:
                 self._staged[key] = _StagedFile(
-                    signature=stat.signature,
+                    signature=signature,
                     ranges=[(0, len(data))],
                     whole=True,
                 )
@@ -282,7 +298,10 @@ class RemoteRepository:
             return len(data)
 
     def fetch_spans(
-        self, uri: str, spans: Sequence[tuple[int, int]]
+        self,
+        uri: str,
+        spans: Sequence[tuple[int, int]],
+        signature: Optional[tuple[int, int]] = None,
     ) -> int:
         """Stage the ``(byte_offset, byte_length)`` spans; returns remote
         bytes moved (0 when staging already covers them).
@@ -291,25 +310,34 @@ class RemoteRepository:
         as ranged GETs into a size-exact sparse staging file, so the inner
         extractor's seeks and its truncation checks see the real object
         size while untouched regions cost nothing.
+
+        ``signature`` is the ``(mtime_ns, size)`` the caller has just
+        observed — the mount layer's pre-read staleness observation — and
+        stands in for the HEAD issued here without one. Bytes staged under
+        it are checked by the caller's post-read observation; if the object
+        changed in between, the next call's fresh signature invalidates
+        them.
         """
         key = self._key(uri)
-        stat = self.transport.head(key, uri=uri)
+        if signature is None:
+            signature = self.transport.head(key, uri=uri).signature
+        size = signature[1]
         wanted = coalesce_spans(
             [
-                (offset, min(offset + length, stat.size))
+                (offset, min(offset + length, size))
                 for offset, length in spans
-                if offset < stat.size and length > 0
+                if offset < size and length > 0
             ],
             gap_bytes=0,
         )
         with self._lock_for(key):
             with self._lock:
                 entry = self._staged.get(key)
-                if entry is not None and entry.signature != stat.signature:
+                if entry is not None and entry.signature != signature:
                     self.stats.invalidations += 1
                     entry = None
                 if entry is None:
-                    entry = _StagedFile(signature=stat.signature)
+                    entry = _StagedFile(signature=signature)
                     self._staged[key] = entry
                 if entry.whole:
                     self.stats.staged_reuses += 1
@@ -319,9 +347,9 @@ class RemoteRepository:
             # when nothing (or nothing *new*) needs fetching: byte-map
             # readers stat it to validate span bounds before seeking.
             path = self.path_of(uri)
-            if not path.exists() or path.stat().st_size != stat.size:
+            if not path.exists() or path.stat().st_size != size:
                 with open(path, "wb") as handle:
-                    handle.truncate(stat.size)
+                    handle.truncate(size)
             missing = _subtract_ranges(wanted, covered)
             if not missing:
                 with self._lock:
@@ -339,7 +367,7 @@ class RemoteRepository:
                 entry.ranges = coalesce_spans(
                     covered + fetchable, gap_bytes=0
                 )
-                if entry.ranges == [(0, stat.size)]:
+                if entry.ranges == [(0, size)]:
                     entry.whole = True
                 self.stats.span_fetches += 1
                 self.stats.ranged_gets += len(fetchable)
@@ -356,9 +384,23 @@ class RemoteExtractor:
     served from the staging file reports 0, exactly like a page-cache hit.
     """
 
-    def __init__(self, repository: RemoteRepository, inner: FormatExtractor) -> None:
+    def __init__(
+        self,
+        repository: RemoteRepository,
+        inner: FormatExtractor,
+        signature: Optional[tuple[int, int]] = None,
+    ) -> None:
         self.repository = repository
         self.inner = inner
+        # The mount layer's pre-read observation of the object, when this
+        # extractor serves one extraction attempt (see `observing`).
+        self.signature = signature
+
+    def observing(self, signature: tuple[int, int]) -> "RemoteExtractor":
+        """This extractor for one extraction attempt whose caller has just
+        observed ``signature``: staging trusts it instead of a HEAD of its
+        own, and the caller's post-read observation checks the bytes."""
+        return RemoteExtractor(self.repository, self.inner, signature)
 
     @property
     def format_name(self) -> str:
@@ -373,7 +415,7 @@ class RemoteExtractor:
         return self.inner.extract_metadata(path, uri)
 
     def mount(self, path: Path, uri: str):
-        self.repository.ensure_whole(uri)
+        self.repository.ensure_whole(uri, self.signature)
         return self.inner.mount(path, uri)
 
     def mount_selective(
@@ -391,7 +433,7 @@ class RemoteExtractor:
             # No trustworthy byte map (or the request wants everything):
             # stage the whole object — a header walk over a partially
             # staged sparse file would parse zeros as corruption.
-            fetched = self.repository.ensure_whole(uri)
+            fetched = self.repository.ensure_whole(uri, self.signature)
             if selective_inner:
                 outcome = inner.mount_selective(path, uri, request)
                 return MountOutcome(
@@ -412,7 +454,7 @@ class RemoteExtractor:
             for span in spans
             if request.wants(span.start_time, span.end_time)
         ]
-        fetched = self.repository.fetch_spans(uri, wanted)
+        fetched = self.repository.fetch_spans(uri, wanted, self.signature)
         outcome = inner.mount_selective(path, uri, request)
         return MountOutcome(
             mounted=outcome.mounted,

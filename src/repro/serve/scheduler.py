@@ -48,7 +48,10 @@ during extraction, then *done* (result published) or *failed* (exception
 published). Completed tasks are retained only until their last registered
 waiter consumes them; failed tasks are likewise drained and dropped, so the
 next query registering the same file gets a fresh attempt (mirroring the
-per-query quarantine's "fresh chance next query" semantics). Every waiter
+per-query quarantine's "fresh chance next query" semantics). A query that
+arrives while the file's task is running or done under a request too narrow
+for it likewise opens a fresh *successor* task, which later arrivals merge
+into, instead of re-extracting on its own thread. Every waiter
 of a failed task receives the same typed exception and applies its own
 session policy — skip/fail, retry ladders, and per-tenant circuit breakers
 all stay query-side.
@@ -64,7 +67,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .. import _sync
 from ..core.governor import CancellationToken
@@ -76,6 +79,7 @@ from ..core.mountpool import (
     MountTaskTiming,
     merge_requests,
 )
+from ..db.interval import covers
 from ..ingest.formats import MountRequest
 from ..remote.uris import endpoint_of
 
@@ -86,6 +90,17 @@ TASK_DONE = "done"
 TASK_FAILED = "failed"
 
 _WAIT_POLL_SECONDS = 0.05  # waiter wake-up interval for cancellation checks
+_IDLE_WAIT_SECONDS = 0.1  # an idle worker's sleep when no batch window is open
+
+
+def _request_covers(
+    have: Optional[MountRequest], want: Optional[MountRequest]
+) -> bool:
+    """Whether an extraction under ``have`` serves a query asking ``want``
+    (``None`` is the whole file)."""
+    if have is None:
+        return True
+    return want is not None and covers(have.interval, want.interval)
 
 
 @dataclass(frozen=True)
@@ -99,15 +114,17 @@ class SchedulerPolicy:
     only classifies grants for the ops counters: a grant whose waiter
     waited longer counts as *starved* in :class:`SchedulerStats`.
 
-    ``batch_window_seconds`` is LifeRaft's batching delay: a pending task
-    is not eligible to run (by a worker *or* a stealing consumer) until it
-    has aged past the window, so queries arriving within a few
-    milliseconds of each other hull-merge into one extraction instead of
-    the first arriver racing off with its own narrow interval. It buys
-    aggregate bytes with per-query latency — every cold file costs the
-    window — and is measured against the real clock (an injected test
-    clock drives priorities, not the batching wait), so tests using a fake
-    clock should set it to 0.
+    ``batch_window_seconds`` is LifeRaft's batching delay, as an upper
+    bound: a pending task is not eligible to run (by a worker *or* a
+    stealing consumer) until every query that could still join it has —
+    the scheduler's *crowd*, see :meth:`MountScheduler.query_started` — or,
+    failing that, until it has aged past the window. Queries arriving
+    within a few milliseconds of each other so hull-merge into one
+    extraction instead of the first arriver racing off with its own narrow
+    interval, while a query that is alone does not wait for anybody. A
+    scheduler nobody reports queries to has no crowd to count, and every
+    cold file then costs the full window. The window is measured on the
+    scheduler's injected clock, like the priorities.
     """
 
     throughput_bias: float = 0.7
@@ -188,8 +205,7 @@ class _FileTask:
     key: MountKey
     request: Optional[MountRequest]
     seq: int  # arrival order, the deterministic tie-break
-    enqueued_at: float  # injected-clock time, drives priority aging
-    born_at: float = 0.0  # real (monotonic) time, drives the batch window
+    enqueued_at: float  # injected-clock time: priority aging, batch window
     state: str = TASK_PENDING
     waiters: dict[int, float] = field(default_factory=dict)  # client → t
     # Speculative prefetch task: no waiters of its own, runs only when no
@@ -251,6 +267,12 @@ class MountScheduler:
         self._threads: list[threading.Thread] = []  # guarded-by: _lock
         self._stop = False  # guarded-by: _lock
         self.stats = SchedulerStats()  # guarded-by: _lock
+        # The crowd (see query_started): queries in flight per tenant, when
+        # each tenant with none in flight last finished one, and when the
+        # first query was reported — None for a scheduler nobody reports to.
+        self._running: dict[str, int] = {}  # guarded-by: _lock
+        self._departed: dict[str, float] = {}  # guarded-by: _lock
+        self._watching_since: Optional[float] = None  # guarded-by: _lock
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -311,6 +333,63 @@ class MountScheduler:
             self, next(self._client_ids), token=token, governor=governor
         )
 
+    # -- the crowd (service-facing) ------------------------------------------
+
+    def query_started(self, tenant: str) -> None:
+        """One of ``tenant``'s queries began executing.
+
+        The *crowd* is everyone who could still join a pending task: the
+        queries now running, plus the tenants with none running whose last
+        query finished less than ``batch_window_seconds`` ago (a closed-loop
+        tenant is about to be back). A task whose waiters have reached the
+        crowd has nobody left to wait for and closes its window at once.
+        Pair with :meth:`query_finished` in a ``finally``.
+        """
+        now = self._clock()
+        with self._lock:
+            if self._watching_since is None:
+                self._watching_since = now
+            self._running[tenant] = self._running.get(tenant, 0) + 1
+            self._departed.pop(tenant, None)
+
+    def query_finished(self, tenant: str) -> None:
+        now = self._clock()
+        window = self.policy.batch_window_seconds
+        with self._wakeup:
+            remaining = self._running[tenant] - 1
+            if remaining:
+                self._running[tenant] = remaining
+                # The crowd just shrank, maybe to a parked task's waiters.
+                self._wakeup.notify_all()
+            else:
+                # From running to recently departed: the crowd is unchanged.
+                del self._running[tenant]
+                self._departed = {
+                    name: at
+                    for name, at in self._departed.items()
+                    if now - at < window
+                }
+                self._departed[tenant] = now
+
+    def _crowd_locked(self, now: float) -> Optional[int]:
+        """How many queries could still join a pending task; None while that
+        is unknown — no query was ever reported, or the first one less than
+        a window ago (a cold burst has not finished arriving)."""
+        window = self.policy.batch_window_seconds
+        if self._watching_since is None or now - self._watching_since < window:
+            return None
+        return sum(self._running.values()) + sum(
+            1 for at in self._departed.values() if now - at < window
+        )
+
+    def _window_left_locked(
+        self, task: _FileTask, now: float, crowd: Optional[int]
+    ) -> float:
+        """Seconds until ``task`` may run; <= 0 once its window has closed."""
+        if crowd is not None and len(task.waiters) >= crowd:
+            return 0.0
+        return task.enqueued_at + self.policy.batch_window_seconds - now
+
     # -- registration / consumption (client-facing) --------------------------
 
     def register(
@@ -318,10 +397,15 @@ class MountScheduler:
     ) -> dict[MountKey, _FileTask]:
         """Register one query's mount branches; returns key → task.
 
-        Joins an existing pending/running/done task when one is live for
-        the key (widening a *pending* task's request by hull-merge);
-        creates a fresh task otherwise — including when the live task
-        already *failed*, so a new query never inherits a stale failure.
+        Joins the live task for the key when it can still serve this query:
+        a *pending* one (widening its request by hull-merge), or a running
+        or finished one whose request covers this query's. Otherwise a
+        fresh task replaces it in the table — after a *failed* one, so a new
+        query never inherits a stale failure, and after one too narrow to
+        widen any more, so every late arrival merges into one successor
+        extraction instead of each re-extracting inline on its own thread.
+        (A displaced task stays reachable through its waiters only, so the
+        per-endpoint cap no longer counts it.)
         """
         joined: dict[MountKey, _FileTask] = {}
         now = self._clock()
@@ -333,20 +417,21 @@ class MountScheduler:
                 if key in joined:
                     continue  # one waiter entry per (query, key)
                 task = self._tasks.get(key)
-                if task is None or task.state == TASK_FAILED:
+                if task is not None and task.state == TASK_PENDING:
+                    task.request = merge_requests(task.request, request)
+                elif (
+                    task is None
+                    or task.state == TASK_FAILED
+                    or not _request_covers(task.request, request)
+                ):
                     task = _FileTask(
                         key=key,
                         request=request,
                         seq=next(self._seq),
                         enqueued_at=now,
-                        born_at=time.monotonic(),
                     )
                     self._tasks[key] = task
                     self.stats.tasks_created += 1
-                elif task.state == TASK_PENDING:
-                    task.request = merge_requests(task.request, request)
-                # running/done: the request cannot widen any more; the
-                # client's coverage check falls back inline if too narrow.
                 task.waiters[client_id] = now
                 joined[key] = task
             self._wakeup.notify_all()
@@ -379,7 +464,6 @@ class MountScheduler:
                     request=request,
                     seq=next(self._seq),
                     enqueued_at=now,
-                    born_at=time.monotonic(),
                     hint=True,
                 )
                 self.stats.tasks_created += 1
@@ -417,36 +501,44 @@ class MountScheduler:
         """
         claimed = False
         while True:
-            with self._lock:
+            with self._wakeup:
                 if task.state != TASK_PENDING:
                     break
-                window_left = (
-                    task.born_at
-                    + self.policy.batch_window_seconds
-                    - time.monotonic()
+                now = self._clock()
+                window_left = self._window_left_locked(
+                    task, now, self._crowd_locked(now)
                 )
                 if window_left <= 0:
                     task.state = TASK_RUNNING
                     claimed = True
                     self.stats.inline_steals += 1
                     break
-            # Inside the batch window: give co-arriving queries their few
-            # milliseconds to hull-merge before anyone extracts.
-            if token is not None and token.fired:
-                self.withdraw(client_id, [task])
-                interruption = token.interruption()
-                assert interruption is not None
-                raise interruption
-            task.event.wait(min(_WAIT_POLL_SECONDS, max(window_left, 0.001)))
+                # Inside the batch window: park until the join that
+                # completes the crowd (register notifies), a worker's claim,
+                # or the window's end — whichever comes first.
+                if token is None or not token.fired:
+                    self._wakeup.wait(
+                        min(_WAIT_POLL_SECONDS, max(window_left, 0.001))
+                    )
+                    continue
+            assert token is not None
+            self._withdraw_interrupted(client_id, task, token)
         if claimed:
             self._run_task(task)
         while not task.event.wait(_WAIT_POLL_SECONDS):
             if token is not None and token.fired:
-                self.withdraw(client_id, [task])
-                interruption = token.interruption()
-                assert interruption is not None
-                raise interruption
+                self._withdraw_interrupted(client_id, task, token)
         return self._grant(client_id, task)
+
+    def _withdraw_interrupted(
+        self, client_id: int, task: _FileTask, token: CancellationToken
+    ) -> NoReturn:
+        """A fired token: leave ``task`` to its other waiters and raise the
+        token's typed interruption."""
+        self.withdraw(client_id, [task])
+        interruption = token.interruption()
+        assert interruption is not None
+        raise interruption
 
     def extract_now(
         self, uri: str, table_name: str, request: Optional[MountRequest]
@@ -484,13 +576,15 @@ class MountScheduler:
         clock — highest priority wins, earliest arrival breaks ties.
         """
         with self._lock:
-            task = self._pick_locked()
+            task, _ = self._pick_locked()
             return task.key if task is not None else None
 
-    def _pick_locked(self) -> Optional[_FileTask]:
+    def _pick_locked(self) -> tuple[Optional[_FileTask], float]:
+        """The task to run next, if any, and how long an idle worker may
+        sleep before a pending task's batch window ends unannounced."""
         now = self._clock()
-        window = self.policy.batch_window_seconds
-        mature_before = time.monotonic() - window
+        crowd = self._crowd_locked(now)
+        idle_wait = _IDLE_WAIT_SECONDS
         cap = self.policy.max_inflight_per_endpoint
         running_per_endpoint: dict[str, int] = {}
         if cap is not None:
@@ -529,22 +623,24 @@ class MountScheduler:
                 ):
                     best_hint = task
                 continue
-            if window > 0 and task.born_at > mature_before:
+            window_left = self._window_left_locked(task, now, crowd)
+            if window_left > 0:
+                idle_wait = min(idle_wait, max(window_left, 0.001))
                 continue  # still inside its batch window
             rank = (self._priority(task, now), -task.seq)
             if best is None or rank > best_rank:
                 best, best_rank = task, rank
-        return best if best is not None else best_hint
+        return (best if best is not None else best_hint), idle_wait
 
     def _worker_loop(self) -> None:
         while True:
             with self._wakeup:
                 task = None
                 while not self._stop:
-                    task = self._pick_locked()
+                    task, idle_wait = self._pick_locked()
                     if task is not None:
                         break
-                    self._wakeup.wait(0.1)
+                    self._wakeup.wait(idle_wait)
                 if self._stop:
                     return
                 assert task is not None

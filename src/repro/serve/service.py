@@ -59,12 +59,13 @@ from ..core.mounting import (
     MountService,
 )
 from ..core.recordmap import RecordMapIndex
+from ..core.statsindex import StatisticsIndex
 from ..db.interval import overlaps
 from ..db.database import Database
 from ..db.errors import QueryShedError
 from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
-from ..ingest.schema import FILE_TABLE, BindingSet, RepositoryBinding
+from ..ingest.schema import BindingSet, RepositoryBinding
 from ..mseed.repository import FileRepository
 from .scheduler import MountKey, MountScheduler, SchedulerPolicy, SchedulerStats
 
@@ -242,9 +243,12 @@ class QueryService:
             buffers=db.buffers,
             selective=selective_mounts,
         )
-        # One byte-map index for every query and the shared extraction path.
+        # One byte-map index for every query and the shared extraction path,
+        # and one statistics memo: a query's executor is new, the metadata
+        # both are built from is not.
         self._record_index = RecordMapIndex(db)
         self._shared_mounts.record_map_provider = self._record_index
+        self._statistics_index = StatisticsIndex(db)
         # Predictive prefetch: after each completed query, the tenant's
         # predictor extrapolates the next window and the overlapping files
         # are registered as scheduler *hints* — waiter-less tasks run only
@@ -263,9 +267,6 @@ class QueryService:
         self._inline_bytes = 0  # guarded-by: _lock
         self._completed = 0  # guarded-by: _lock
         self._failed = 0  # guarded-by: _lock
-        self._file_span_map: dict[str, tuple[int, int]] = {}  # guarded-by: _file_span_lock
-        self._file_span_source: Optional[object] = None  # guarded-by: _file_span_lock
-        self._file_span_lock = _sync.create_lock("QueryService._file_span_lock")
         self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
@@ -388,6 +389,8 @@ class QueryService:
         cancellation: Optional[CancellationToken],
     ) -> TwoStageResult:
         executor: Optional[TwoStageExecutor] = None
+        # The scheduler sizes its batch window by who is here to join it.
+        self.scheduler.query_started(state.name)
         try:
             executor = self._make_executor(state)
             result = executor.execute(
@@ -416,16 +419,17 @@ class QueryService:
                 # total_mount_bytes stays the true service-wide disk story.
                 if executor is not None:
                     self._inline_bytes += executor.mounts.stats.bytes_read
+            self.scheduler.query_finished(state.name)
 
     def _make_executor(self, state: TenantState) -> TwoStageExecutor:
         """One query's executor: private pipeline, shared backends.
 
         The executor is per-execution throwaway state; everything expensive
-        or shared — database, cache, record maps, scheduler — is plugged in
-        from the service. The ``pool_factory`` closure reads the executor's
-        governor at stage-2 time (it is armed by then), so consumed shared
-        results charge this query's budget exactly as standalone extraction
-        would.
+        or shared — database, cache, record maps, statistics, scheduler — is
+        plugged in from the service. The ``pool_factory`` closure reads the
+        executor's governor at stage-2 time (it is armed by then), so
+        consumed shared results charge this query's budget exactly as
+        standalone extraction would.
         """
         executor = TwoStageExecutor(
             self.db,
@@ -439,6 +443,7 @@ class QueryService:
             verify_plans=self.verify_plans,
         )
         executor.mounts.record_map_provider = self._record_index
+        executor.statistics_index = self._statistics_index
 
         def charge(bytes_read: int, records_decoded: int) -> None:
             with self._lock:
@@ -470,8 +475,8 @@ class QueryService:
             return 0
         table = self._binding.actual_table
         hints: list[tuple[str, str, Optional[MountRequest]]] = []
-        for uri, span in self._file_spans().items():
-            if not overlaps(predicted.interval, span[0], span[1]):
+        for uri, file in self._statistics_index().files.items():
+            if not overlaps(predicted.interval, *file.span):
                 continue
             if state.breaker.likely_blocked(uri):
                 continue
@@ -489,28 +494,6 @@ class QueryService:
         if not hints:
             return 0
         return self.scheduler.hint(hints)
-
-    def _file_spans(self) -> dict[str, tuple[int, int]]:
-        """Service-wide memo of uri → (start, end) from the ``F`` table,
-        batch-keyed like the record-map memo (rebuilt on metadata loads)."""
-        if not self.db.catalog.has_table(FILE_TABLE):
-            return {}
-        batch = self.db.catalog.table(FILE_TABLE).batch
-        with self._file_span_lock:
-            if self._file_span_source is not batch:
-                required = ("uri", "start_time", "end_time")
-                if any(name not in batch.names for name in required):
-                    return {}
-                self._file_span_map = {
-                    u: (int(s), int(e))
-                    for u, s, e in zip(
-                        batch.column("uri").to_pylist(),
-                        batch.column("start_time").to_pylist(),
-                        batch.column("end_time").to_pylist(),
-                    )
-                }
-                self._file_span_source = batch
-            return self._file_span_map
 
     def _store_hint(
         self,
@@ -560,7 +543,11 @@ class QueryService:
             return ExtractResult(
                 batch=cached, io_seconds=0.0, coverage=interval
             )
-        return self._shared_mounts._extract(uri, table_name, request)
+        # The lookup's observation of the file doubles as the extraction's
+        # `before`: one HEAD per remote mount saved, the sandwich only wider.
+        return self._shared_mounts._extract(
+            uri, table_name, request, observed=signature
+        )
 
     # -- introspection -------------------------------------------------------
 

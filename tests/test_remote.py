@@ -10,9 +10,11 @@ federated dispatcher. End-to-end fault grids live in
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.governor import (
@@ -20,6 +22,9 @@ from repro.core.governor import (
     CIRCUIT_OPEN,
     CircuitBreaker,
 )
+from repro.core.mounting import MountService
+from repro.core.recordmap import RecordMapIndex
+from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
     FileIngestError,
@@ -27,8 +32,21 @@ from repro.db.errors import (
     QueryCancelledError,
     RemoteObjectMissingError,
     RemoteTransportError,
+    StaleFileError,
 )
-from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
+from repro.db.types import DataType
+from repro.ingest import RepositoryBinding, lazy_ingest_metadata
+from repro.ingest.formats import MountRequest
+from repro.ingest.schema import BindingSet
+from repro.mseed import (
+    FileRepository,
+    RepositorySpec,
+    XSeedRecord,
+    generate_repository,
+    read_records,
+    write_volume,
+)
 from repro.remote import transport as transport_module
 from repro.remote import (
     FederatedRepository,
@@ -698,3 +716,206 @@ class TestFederatedRepository:
     def test_empty_federation_rejected(self):
         with pytest.raises(IngestError):
             FederatedRepository([])
+
+
+# -- one observation of the remote version per extraction ---------------------
+
+
+class _ColdMount:
+    """A :class:`MountService` over a cold-staged remote copy of one
+    rewritable object; ``R`` was harvested by an earlier session's
+    repository, so selective mounts have a byte map and move ranged GETs."""
+
+    FIRST, LAST = 3, 5  # the records a selective mount here asks for
+
+    def __init__(self, tmp_path, **service_kwargs):
+        self.objects = tmp_path / "objects"
+        generate_repository(self.objects, SPEC)
+        db = Database()
+        lazy_ingest_metadata(
+            db,
+            RemoteRepository(
+                SimulatedObjectStore("seis-eu", self.objects),
+                tmp_path / "harvest",
+            ),
+        )
+        self.store = SimulatedObjectStore("seis-eu", self.objects)
+        self.repo = RemoteRepository(self.store, tmp_path / "staging")
+        self.mounts = MountService(
+            BindingSet.single(RepositoryBinding(self.repo)),
+            retry_backoff_seconds=0.0,
+            **service_kwargs,
+        )
+        self.mounts.record_map_provider = RecordMapIndex(db)
+        [self.uri] = self.repo.uris()
+        self.path = self.objects / parse_remote_uri(self.uri)[1]
+        self.spans = self.mounts.record_map_provider(self.uri, "D")
+        self.interval = (
+            self.spans[self.FIRST].start_time,
+            self.spans[self.LAST].end_time,
+        )
+
+    def request(self):
+        return MountRequest(interval=self.interval, records=self.spans)
+
+    def predicate(self):
+        time_ref = ColumnRef("d.sample_time", DataType.TIMESTAMP)
+        lo, hi = (Literal(t, DataType.TIMESTAMP) for t in self.interval)
+        return BoolOp(
+            "and",
+            [Comparison(">=", time_ref, lo), Comparison("<=", time_ref, hi)],
+        )
+
+    def wanted_bytes(self):
+        return sum(
+            span.byte_length
+            for span in self.spans[self.FIRST : self.LAST + 1]
+        )
+
+    def rewrite(self):
+        """Replace the object: every sample one count higher, the record
+        layout (and so the harvested byte map) unchanged, mtime later."""
+        records = read_records(self.path)
+        bumped = [
+            XSeedRecord.create(
+                sequence=r.header.sequence,
+                network=r.header.network,
+                station=r.header.station,
+                location=r.header.location,
+                channel=r.header.channel,
+                start_time=r.header.start_time,
+                sample_rate=r.header.sample_rate,
+                samples=r.samples + 1,
+            )
+            for r in records
+        ]
+        assert [len(r.pack()) for r in bumped] == [len(r.pack()) for r in records]
+        before = self.path.stat()
+        write_volume(self.path, bumped)
+        os.utime(self.path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+
+    def samples(self, selective=True):
+        """What is in the object now (every record, or the wanted ones)."""
+        records = read_records(self.path)
+        if selective:
+            records = records[self.FIRST : self.LAST + 1]
+        return np.concatenate([r.samples for r in records]).astype(float)
+
+
+def _values(result):
+    return result.batch.column("sample_value").values
+
+
+class TestObservationHandDown:
+    def test_selective_mount_is_two_heads_and_the_wanted_ranges(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        batch = cold.mounts.mount_file(cold.uri, "D", "d", cold.predicate())
+        assert batch.num_rows > 0
+        stats = cold.store.stats
+        # before + after; the ranged fetch trusts `before` instead of a HEAD
+        # of its own. The three wanted records are adjacent: one GET.
+        assert (stats.heads, stats.gets, stats.ranged_gets) == (2, 1, 1)
+        assert stats.bytes_served == cold.wanted_bytes()
+        assert cold.repo.stats.remote_bytes == cold.wanted_bytes()
+
+    def test_whole_file_mount_is_two_heads_and_one_get(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        batch = cold.mounts.mount_file(cold.uri, "D", "d", None)
+        assert np.array_equal(
+            batch.column("d.sample_value").values, cold.samples(selective=False)
+        )
+        stats = cold.store.stats
+        assert (stats.heads, stats.gets, stats.ranged_gets) == (2, 1, 0)
+        assert stats.bytes_served == cold.path.stat().st_size
+
+    def test_handed_down_observation_replaces_the_before_head(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        observed = cold.repo.signature_of(cold.uri)
+        result = cold.mounts._extract(
+            cold.uri, "D", cold.request(), observed=observed
+        )
+        assert np.array_equal(_values(result), cold.samples())
+        assert result.signature == observed
+        assert cold.store.stats.heads == 2  # ours above + the `after`
+        assert cold.mounts.stats.retries == 0
+
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_rewrite_after_the_hand_down_is_retried_to_the_new_content(
+        self, tmp_path, selective
+    ):
+        cold = _ColdMount(tmp_path)
+        observed = cold.repo.signature_of(cold.uri)
+        cold.rewrite()
+        result = cold.mounts._extract(
+            cold.uri,
+            "D",
+            cold.request() if selective else None,
+            observed=observed,
+        )
+        # Attempt 0 read under the stale observation and failed its
+        # post-read check (a transient StaleFileError); the retry observed
+        # afresh and staged the new version.
+        assert cold.mounts.stats.retries == 1
+        assert result.signature == cold.repo.signature_of(cold.uri) != observed
+        assert np.array_equal(_values(result), cold.samples(selective))
+
+    def test_rewrite_after_the_hand_down_surfaces_as_stale(self, tmp_path):
+        cold = _ColdMount(tmp_path, max_retries=0)
+        observed = cold.repo.signature_of(cold.uri)
+        cold.rewrite()
+        with pytest.raises(StaleFileError) as excinfo:
+            cold.mounts._extract(
+                cold.uri, "D", cold.request(), observed=observed
+            )
+        assert excinfo.value.transient
+
+    @pytest.mark.parametrize("hand_down", [True, False])
+    def test_rewrite_mid_extract_is_still_detected(
+        self, tmp_path, monkeypatch, hand_down
+    ):
+        cold = _ColdMount(tmp_path, max_retries=0)
+        fetch_spans = cold.repo.fetch_spans
+
+        def fetch_then_rewrite(*args, **kwargs):
+            moved = fetch_spans(*args, **kwargs)
+            cold.rewrite()  # after the GETs, before the post-read HEAD
+            return moved
+
+        monkeypatch.setattr(cold.repo, "fetch_spans", fetch_then_rewrite)
+        observed = cold.repo.signature_of(cold.uri) if hand_down else None
+        with pytest.raises(StaleFileError):
+            cold.mounts._extract(
+                cold.uri, "D", cold.request(), observed=observed
+            )
+
+    def test_staged_ranges_of_the_old_version_are_not_reused(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        old = _values(cold.mounts._extract(cold.uri, "D", cold.request()))
+        cold.rewrite()
+        new = _values(cold.mounts._extract(cold.uri, "D", cold.request()))
+        assert np.array_equal(new, old + 1)
+        assert np.array_equal(new, cold.samples())
+        assert cold.repo.stats.invalidations == 1
+        assert cold.repo.stats.staged_reuses == 0
+        assert cold.store.stats.ranged_gets == 2  # fetched again, not reused
+        assert cold.repo.stats.remote_bytes == 2 * cold.wanted_bytes()
+
+
+class TestStagingPaths:
+    def test_path_of_creates_the_parent_and_rejects_escapes(
+        self, objects_dir, tmp_path
+    ):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "real", target_is_directory=True)
+        (tmp_path / "real").mkdir()
+        repo = RemoteRepository(_store(objects_dir), link / "staging")
+        path = repo.path_of(remote_uri("seis-eu", "2010/a/b.xseed"))
+        # A Path under the *resolved* root, parent ready for the first write.
+        assert path == (tmp_path / "real/staging/2010/a/b.xseed").resolve()
+        assert path.parent.is_dir() and not path.exists()
+        for key in ("../outside.xseed", "2010/../../outside.xseed"):
+            with pytest.raises(IngestError):
+                repo.path_of(f"remote://seis-eu/{key}")
+        os.symlink(tmp_path, path.parent / "out")
+        with pytest.raises(IngestError):
+            repo.path_of(remote_uri("seis-eu", "2010/a/out/x.xseed"))

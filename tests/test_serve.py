@@ -15,6 +15,9 @@ Four obligations, each with its own cell:
   tenant byte ledger.
 * **Ownership** — the shared cache's first-store-wins story holds under a
   thread hammer: one entry, exact byte accounting, every loser counted.
+* **The batch window waits for the crowd, not for the clock** — a task runs
+  once every query that could still join it has; the window is only the
+  longest that can take.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ import pytest
 
 from repro.core import IngestionCache, TwoStageExecutor
 from repro.core.cache import CachePolicy
+from repro.core.governor import CancellationToken
 from repro.core.mounting import ExtractResult
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
     DatabaseError,
     FileIngestError,
+    QueryCancelledError,
     QueryShedError,
 )
 from repro.db.column import Column
@@ -237,6 +242,221 @@ class TestSchedulerUnit:
         assert sched.pending_tasks() == 0
 
 
+class TestBatchWindowCrowd:
+    """The window closes once everyone who could still join has: driven from
+    the injected clock, no workers, and no thread except where a consumer
+    has to park."""
+
+    WINDOW = 5.0
+    KEY = ("d", "f.xseed")
+
+    def _scheduler(self, extract=None, clock=None):
+        return MountScheduler(
+            extract or (lambda *a: _result()),
+            policy=SchedulerPolicy(batch_window_seconds=self.WINDOW),
+            workers=0,
+            clock=clock or FakeClock(),
+        )
+
+    def _watched(self, *tenants):
+        """A scheduler that has watched one window with ``tenants`` each
+        running a query since time 0; the clock stands at 6."""
+        clock = FakeClock()
+        sched = self._scheduler(clock=clock)
+        for tenant in tenants:
+            sched.query_started(tenant)
+        clock.now = 6.0
+        return sched, clock
+
+    @staticmethod
+    def _take_in_thread(sched, client, task, token=None):
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = sched.take(client, task, token=token)
+            except BaseException as exc:  # noqa: BLE001 - handed to the test
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    def test_window_stays_open_until_every_running_query_joined(self):
+        sched, _ = self._watched("a", "b")
+        sched.register(1, [self.KEY])
+        assert sched.peek_next() is None  # b could still join
+        sched.register(2, [self.KEY])
+        assert sched.peek_next() == self.KEY  # nobody left to wait for
+
+    def test_finishing_one_of_a_tenants_queries_shrinks_the_crowd(self):
+        sched, _ = self._watched("a", "a")
+        sched.register(1, [self.KEY])
+        assert sched.peek_next() is None  # a's other query could still join
+        sched.query_finished("a")  # it did not, and a is still here
+        assert sched.peek_next() == self.KEY
+
+    def test_departed_tenant_counts_for_one_window(self):
+        sched, clock = self._watched("a", "b")
+        sched.query_finished("b")  # at 6: a closed-loop b is about to be back
+        clock.now = 7.0
+        sched.register(1, [self.KEY])
+        assert sched.peek_next() is None
+        clock.now = 10.9
+        assert sched.peek_next() is None
+        clock.now = 11.0  # b has been gone a window; the task's own ends at 12
+        assert sched.peek_next() == self.KEY
+
+    def test_returning_tenant_is_counted_once(self):
+        sched, clock = self._watched("a", "b")
+        sched.query_finished("b")
+        sched.query_started("b")
+        sched.register(1, [self.KEY])
+        sched.register(2, [self.KEY])
+        assert sched.peek_next() == self.KEY
+
+    def test_nothing_closes_early_before_one_window_was_watched(self):
+        clock = FakeClock()
+        sched = self._scheduler(clock=clock)
+        sched.query_started("a")  # the first reported query, at 0
+        clock.now = 3.0
+        sched.register(1, [self.KEY])  # alone, but maybe a burst's first
+        assert sched.peek_next() is None
+        clock.now = 4.9
+        assert sched.peek_next() is None
+        clock.now = 5.0  # one window watched; the task's own ends at 8
+        assert sched.peek_next() == self.KEY
+
+    def test_unreported_scheduler_keeps_the_fixed_window(self):
+        clock = FakeClock()
+        sched = self._scheduler(clock=clock)
+        clock.now = 100.0
+        sched.register(1, [self.KEY])
+        sched.register(2, [self.KEY])
+        clock.now = 104.9
+        assert sched.peek_next() is None
+        clock.now = 105.0
+        assert sched.peek_next() == self.KEY
+
+    def test_lone_tenant_take_does_not_sit_out_the_window(self):
+        sched, _ = self._watched("a")
+        task = sched.register(1, [self.KEY])[self.KEY]
+        # The clock never reaches the window's end: only the crowd rule can
+        # let this take return.
+        thread, outcome = self._take_in_thread(sched, 1, task)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert outcome["result"][0].bytes_read == 100
+        assert sched.stats.inline_steals == 1
+
+    def test_cancellation_inside_the_window_interrupts_and_withdraws(self):
+        sched, _ = self._watched("a", "b")
+        task = sched.register(1, [self.KEY])[self.KEY]
+        token = CancellationToken()
+        token.cancel("changed my mind")
+        thread, outcome = self._take_in_thread(sched, 1, task, token)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome["error"], QueryCancelledError)
+        assert sched.stats.withdrawn == 1
+        assert sched.stats.tasks_extracted == 0
+        assert sched.pending_tasks() == 0
+
+    def test_completing_register_wakes_the_parked_consumer(self):
+        parking = threading.Event()
+
+        class ParkingClock(FakeClock):
+            def __call__(self):
+                # take() reads the clock under the scheduler's lock and
+                # keeps it until it parks: once this fires, the register
+                # below cannot get in before the consumer waits.
+                if threading.current_thread() is not threading.main_thread():
+                    parking.set()
+                return self.now
+
+        calls = []
+
+        def extract(uri, table, request):
+            calls.append(uri)
+            return _result()
+
+        clock = ParkingClock()
+        sched = self._scheduler(extract, clock=clock)
+        sched.query_started("a")
+        sched.query_started("b")
+        clock.now = 6.0
+        task = sched.register(1, [self.KEY])[self.KEY]
+        thread, outcome = self._take_in_thread(sched, 1, task)
+        assert parking.wait(5.0)
+        joined = sched.register(2, [self.KEY])  # completes the crowd
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert "result" in outcome
+        sched.take(2, joined[self.KEY])
+        assert calls == ["f.xseed"]
+        assert sched.stats.shared_grants == 1
+
+
+class TestSuccessorTask:
+    def _scheduler(self, extract):
+        return MountScheduler(
+            extract,
+            policy=SchedulerPolicy(batch_window_seconds=0.0),
+            workers=0,
+            clock=FakeClock(),
+        )
+
+    def test_late_wider_arrivals_share_one_successor(self):
+        """A running task too narrow for a newcomer gets one successor that
+        later arrivals merge into: two extractions, not one per stranger."""
+        key = ("d", "f.xseed")
+        seen: list[MountRequest] = []
+        late: dict[int, object] = {}
+
+        def extract(uri, table, request):
+            seen.append(request)
+            if len(seen) == 1:  # the first task is running right now
+                for client, interval in ((2, (120, 180)), (3, (50, 400)), (4, (300, 500))):
+                    late[client] = sched.register(
+                        client, [(*key, MountRequest(interval=interval))]
+                    )[key]
+            return ExtractResult(
+                batch=_batch("x", [0]),
+                io_seconds=0.0,
+                coverage=request.interval,
+                bytes_read=100,
+            )
+
+        sched = self._scheduler(extract)
+        first = sched.register(1, [(*key, MountRequest(interval=(100, 200)))])[key]
+        narrow, _ = sched.take(1, first)
+        assert late[2] is first  # covered: joins the running task
+        assert late[3] is not first and late[4] is late[3]
+        assert sched.take(2, late[2])[0] is narrow
+        wide, _ = sched.take(3, late[3])
+        assert sched.take(4, late[4])[0] is wide
+        assert [r.interval for r in seen] == [(100, 200), (50, 500)]
+        assert sched.stats.tasks_created == 2
+        assert sched.stats.tasks_extracted == 2
+        assert sched.stats.shared_grants == 2
+        assert sched.pending_tasks() == 0
+
+    def test_whole_file_task_covers_every_late_arrival(self):
+        key = ("d", "f.xseed")
+        sched = self._scheduler(lambda *a: _result())
+        first = sched.register(1, [key])[key]
+        sched.register(2, [key])  # keeps the finished task alive
+        sched.take(1, first)
+        bounded = sched.register(3, [(*key, MountRequest(interval=(1, 2)))])
+        assert bounded[key] is first
+        # ...while a finished bounded task does not cover a whole-file ask.
+        other = ("d", "g.xseed")
+        narrow = sched.register(1, [(*other, MountRequest(interval=(1, 2)))])[other]
+        sched.register(2, [(*other, MountRequest(interval=(1, 2)))])
+        sched.take(1, narrow)
+        assert sched.register(3, [other])[other] is not narrow
+
+
 class TestSchedulerLifecycle:
     def test_concurrent_start_spawns_workers_once(self):
         """Regression: start() used to check ``self._threads`` outside the
@@ -323,6 +543,30 @@ class TestServiceEquivalence:
             stats.scheduler.shared_grants + stats.cache.hits
         ) > 0, stats.describe()
 
+    def test_two_tenants_together_share_one_extraction_without_the_window(
+        self, repo, metadata_db
+    ):
+        window = 0.5
+        service = QueryService(
+            repo,
+            db=metadata_db,
+            scheduler_policy=SchedulerPolicy(batch_window_seconds=window),
+        )
+        [[sql]] = build_workload(SPEC, clients=1, queries_per_client=1)
+        count_files = "SELECT COUNT(*) FROM F"
+        with service:
+            service.execute(count_files, tenant="a")  # first reported query
+            threading.Event().wait(window)  # ...and one window watched
+            for tenant in ("a", "b"):  # both closed-loop, both just back
+                service.execute(count_files, tenant=tenant)
+            futures = [service.submit(sql, tenant=t) for t in ("a", "b")]
+            rows = [future.result(timeout=30).rows for future in futures]
+            stats = service.stats().scheduler
+        assert rows[0] and rows[0] == rows[1]
+        assert stats.tasks_extracted == 1
+        assert stats.shared_grants == 1
+        assert stats.max_wait_seconds < window / 2
+
     def test_session_runs_unchanged_over_tenant_client(self, repo):
         from repro.explore import ExplorationSession
 
@@ -335,6 +579,62 @@ class TestServiceEquivalence:
             )
         )
         assert value == standalone.quick_look("ISK", "BHE", SPEC.start_day)
+
+
+class TestSharedStatistics:
+    """A served query's executor is new; the statistics it plans with are
+    the service's, collected once per metadata load."""
+
+    @pytest.fixture()
+    def collections(self, monkeypatch):
+        from repro.core import statsindex
+
+        calls = []
+        collect = statsindex.collect_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(statsindex, "collect_statistics", counting)
+        return calls
+
+    def test_served_queries_collect_statistics_once(
+        self, repo, metadata_db, collections
+    ):
+        [[sql]] = build_workload(SPEC, clients=1, queries_per_client=1)
+        with _service(repo, db=metadata_db) as service:
+            for tenant in ("a", "b", "a"):
+                service.execute(sql, tenant=tenant)
+        assert len(collections) == 1
+
+    def test_racing_first_calls_collect_once(self, metadata_db, collections):
+        import sys
+
+        from repro.core.statsindex import StatisticsIndex
+
+        index = StatisticsIndex(metadata_db)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def ask():
+            barrier.wait(5.0)
+            seen.append(index())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(catalog is seen[0] for catalog in seen)
+        assert len(collections) == 1
+        assert len(seen[0].files) == SPEC.file_count
 
 
 def _fresh_db(repo):
