@@ -246,8 +246,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window-ms", type=float, default=20.0, metavar="MS",
-        help="batching delay before a cold file is extracted, letting "
-        "co-arriving queries merge into one extraction (0 disables)",
+        help="upper bound on the batching delay before a cold file is "
+        "extracted, letting co-arriving queries merge into one extraction; "
+        "the wait ends as soon as every query that could still join has, "
+        "so a query that is alone does not wait (0 disables batching)",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=None, metavar="D",
