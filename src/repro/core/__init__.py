@@ -57,6 +57,7 @@ from .mounting import (
     FAIL_FAST,
     SKIP_AND_REPORT,
     ExtractResult,
+    MountContext,
     MountFailure,
     MountFailureReport,
     MountService,
@@ -124,6 +125,7 @@ __all__ = [
     "QueryBudget",
     "QueryGovernor",
     "TruncationReport",
+    "MountContext",
     "MountService",
     "MountStats",
     "MountFailure",

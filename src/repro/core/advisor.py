@@ -39,6 +39,7 @@ from ..db.interval import Interval, is_empty, overlaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mounting → cache)
     from ..db.stats import StatisticsCatalog
+    from .governor import CircuitBreaker
     from .mounting import MountService
 
 __all__ = [
@@ -251,9 +252,9 @@ class PrefetchStats:
     files_prefetched: int = 0  # speculative extractions stored in the cache
     bytes_prefetched: int = 0  # bytes those extractions read off disk
     skipped_covered: int = 0  # already satisfied by a cache entry
-    skipped_blocked: int = 0  # refused by the breaker / governor / policy
+    skipped_blocked: int = 0  # refused by the breaker / cache policy
     skipped_budget: int = 0  # dropped by the per-round byte budget
-    errors: int = 0  # speculative extractions that failed (absorbed)
+    errors: int = 0  # failed extractions and failed rounds (absorbed)
 
 
 @_sync.guarded
@@ -265,6 +266,11 @@ class SessionPrefetcher:
     ``statistics`` a callable returning the current
     :class:`~repro.db.stats.StatisticsCatalog` — file time spans map a
     predicted window to the files overlapping it.
+
+    Each round extracts under a :class:`~repro.core.mounting.MountContext`
+    of its own — the session's ``breaker``, no governor, no pool — so
+    speculative bytes land on no query's ledger and a query's cancellation
+    or deadline neither reaches a round nor is caused by one.
 
     By default one daemon worker drains a round queue so prefetching never
     blocks the explorer's next query; ``synchronous=True`` runs each round
@@ -280,10 +286,12 @@ class SessionPrefetcher:
         predictor: Optional[WorkloadPredictor] = None,
         max_bytes_per_round: int = 32 * 1024 * 1024,
         synchronous: bool = False,
+        breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
         if max_bytes_per_round < 1:
             raise ValueError("max_bytes_per_round must be >= 1")
         self.mounts = mounts
+        self.breaker = breaker
         self.statistics = statistics
         self.table_name = table_name
         self.predictor = predictor or WorkloadPredictor()
@@ -369,6 +377,11 @@ class SessionPrefetcher:
                 self._active_rounds += 1
             try:
                 self._run_round(predicted)
+            except Exception:  # noqa: BLE001 - speculative: absorbed, counted
+                # A failed round must not take the worker with it: `_thread`
+                # would stay set and every later round queue up unrun.
+                with self._lock:
+                    self.stats.errors += 1
             finally:
                 with self._lock:
                     self._active_rounds -= 1
@@ -380,9 +393,12 @@ class SessionPrefetcher:
         :meth:`~repro.core.mounting.MountService.prefetch_into_cache` — a
         speculative miss must never surface as a session error.
         """
+        from .mounting import MountContext  # deferred: mounting → cache → here
+
         with self._lock:
             self.stats.rounds += 1
         spent = 0
+        context = MountContext(breaker=self.breaker)
         catalog = self.statistics()
         for uri in sorted(catalog.files):
             span = catalog.files[uri].span
@@ -397,7 +413,7 @@ class SessionPrefetcher:
                     self.stats.skipped_budget += 1
                 continue
             outcome, nbytes = self.mounts.prefetch_into_cache(
-                uri, self.table_name, predicted.interval
+                uri, self.table_name, predicted.interval, context
             )
             spent += nbytes
             with self._lock:
@@ -408,5 +424,5 @@ class SessionPrefetcher:
                     self.stats.skipped_covered += 1
                 elif outcome == "error":
                     self.stats.errors += 1
-                else:  # "blocked" / "budget" / "disabled"
+                else:  # "blocked" / "disabled"
                     self.stats.skipped_blocked += 1

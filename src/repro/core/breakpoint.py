@@ -27,6 +27,9 @@ class BreakpointInfo:
     decision: Optional[DestinyDecision] = None
     rewrite: Optional[RewriteReport] = None
     answered_from_derived: bool = False
+    # The query's fused actual-data time interval (None when unbounded or
+    # metadata-only): sizes the estimate, feeds the workload predictor.
+    query_interval: Optional[tuple[int, int]] = None
 
     @property
     def files_of_interest(self) -> list[str]:

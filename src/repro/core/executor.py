@@ -20,8 +20,10 @@ metadata fast path of §5.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Any, Iterator, Optional
 
 from ..db.buffer import IoStats
 from ..db.database import Database, QueryResult
@@ -35,7 +37,6 @@ from ..db.plan.logical import (
     UnionAll,
 )
 from .. import _sync
-from ..db.stats import StatisticsCatalog
 from ..ingest.schema import BindingSet, RepositoryBinding
 from .breakpoint import BreakpointInfo
 from .cache import INF, IngestionCache
@@ -57,10 +58,10 @@ from .informativeness import (
 )
 from .mounting import (
     FAIL_FAST,
-    ON_ERROR_POLICIES,
-    SKIP_AND_REPORT,
+    MountContext,
     MountFailureReport,
     MountService,
+    check_on_error,
     interval_from_predicate,
 )
 from .mountpool import MountPool, MountPoolTimings
@@ -173,8 +174,15 @@ def _merge_io(parts: list[IoStats]) -> IoStats:
     return merged
 
 
+@_sync.guarded
 class TwoStageExecutor:
-    """Runs SQL with two-stage execution and automated lazy ingestion."""
+    """Runs SQL with two-stage execution and automated lazy ingestion.
+
+    The executor holds session settings and shared machinery only; what
+    belongs to one query lives in the
+    :class:`~repro.core.mounting.MountContext` its :meth:`execute` runs
+    under, so one executor may run several queries at once.
+    """
 
     def __init__(
         self,
@@ -201,11 +209,6 @@ class TwoStageExecutor:
             raise ValueError(f"unknown strategy {strategy!r}")
         if mount_workers < 1:
             raise ValueError("mount_workers must be >= 1")
-        if on_mount_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_mount_error must be one of {ON_ERROR_POLICIES}, "
-                f"got {on_mount_error!r}"
-            )
         self.db = db
         self.bindings = bindings
         # `cache or ...` would discard an *empty* cache (len() == 0 is falsy).
@@ -214,13 +217,14 @@ class TwoStageExecutor:
             bindings,
             self.cache,
             buffers=db.buffers,
-            on_error=on_mount_error,
             selective=selective_mounts,
+            # Selective mounts seek by the record byte map the metadata pass
+            # recorded in R; the provider serves it per file, rebuilt only
+            # when the R table's batch object changes (metadata loads
+            # replace it).
+            record_map_provider=RecordMapIndex(db),
+            file_span_provider=lambda uri: self.statistics().file_span(uri),
         )
-        # Selective mounts seek by the record byte map the metadata pass
-        # recorded in R; the provider serves it per file, rebuilt only when
-        # the R table's batch object changes (metadata loads replace it).
-        self.mounts.record_map_provider = RecordMapIndex(db)
         # Top-N/LIMIT pushdown: fuse Sort+Limit into TopN at compile time and
         # early-terminate provably non-contributing union branches at run
         # time. Off reproduces the exhaustive sort-then-slice pipeline (the
@@ -228,13 +232,9 @@ class TwoStageExecutor:
         self.top_n_pushdown = top_n_pushdown
         # Statistics catalog (cost-based join orientation, branch hulls, the
         # mount access-path choice), rebuilt when the F batch it was
-        # collected from is replaced by a metadata load. A seam like
-        # `pool_factory` below: the query service swaps in the one index its
-        # per-query executors share.
-        self.statistics_index = StatisticsIndex(db)
-        self.mounts.file_span_provider = (
-            lambda uri: self.statistics().file_span(uri)
-        )
+        # collected from is replaced by a metadata load; `statistics()` is
+        # the current snapshot.
+        self.statistics = StatisticsIndex(db)
         self.destiny = destiny or ProceedAlways()
         self.cost_model = cost_model or CostModel()
         self.strategy = strategy
@@ -247,55 +247,23 @@ class TwoStageExecutor:
         self.verify_plans = (
             db.verify_plans if verify_plans is None else verify_plans
         )
-        # Session defaults for governance: `budget` applies to every
-        # execute() unless that call passes its own; the breaker is shared
-        # by every query this executor runs (that is its whole point).
+        # Session defaults every execute() opens its context from: `budget`
+        # and the degradation policy apply unless that call brings its own;
+        # the breaker is shared by every query this executor runs (that is
+        # its whole point).
         self.budget = budget
+        self.on_mount_error = check_on_error(on_mount_error)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.mounts.breaker = self.breaker
-        self._governor: Optional[QueryGovernor] = None
-        # Service-layer seams. `pool_factory` replaces the per-query
-        # MountPool with anything speaking its interface (prefetch / take /
-        # close / timings / cancel_outstanding) — the query service plugs a
-        # cross-query scheduler client in here, which is how single-flight
-        # generalizes beyond one query without the executor knowing.
-        # `charge_hook(bytes, records)` is handed to each execution's
-        # governor as its on_charge callback (per-tenant accounting).
-        self.pool_factory: Optional[
-            Callable[[Optional[CancellationToken]], MountPool]
-        ] = None
-        self.charge_hook: Optional[Callable[[int, int], None]] = None
-        # The last executed query's fused actual-data time interval (None
-        # when unbounded or metadata-only) — the workload predictor's input.
-        # unguarded-ok: written by the single executing thread between
-        # queries; readers (session prefetch hooks) run on that same thread.
-        self.last_query_interval: Optional[tuple[int, int]] = None
+        self._lock = _sync.create_lock("TwoStageExecutor._lock")
+        self._in_flight: list[MountContext] = []  # guarded-by: _lock
         if derived is not None:
             self.mounts.add_mount_callback(derived.on_mount)
-
-    @property
-    def on_mount_error(self) -> str:
-        """The active degradation policy (``"fail"`` or ``"skip"``)."""
-        return self.mounts.on_error
-
-    @on_mount_error.setter
-    def on_mount_error(self, policy: str) -> None:
-        if policy not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_mount_error must be one of {ON_ERROR_POLICIES}, "
-                f"got {policy!r}"
-            )
-        self.mounts.on_error = policy
 
     # -- compile-time ------------------------------------------------------------
 
     def _uri_column_of(self, table_name: str) -> str:
         binding = self.bindings.for_table(table_name)
         return binding.uri_column if binding is not None else "uri"
-
-    def statistics(self) -> StatisticsCatalog:
-        """The current statistics snapshot, rebuilt on metadata loads."""
-        return self.statistics_index()
 
     def prepare(self, sql: str) -> Decomposition:
         """Steps 1: parse, bind, optimize metadata-first, decompose."""
@@ -321,69 +289,68 @@ class TwoStageExecutor:
 
     # -- execution ------------------------------------------------------------------
 
-    def make_mount_pool(
-        self, token: Optional[CancellationToken] = None
-    ) -> MountPool:
-        """A fresh per-query mount pool over this executor's mount service.
-
-        :class:`~repro.core.multistage.MultiStageExecutor` reuses this so
-        every stage of a multi-stage run shares one pool configuration.
-        When a ``pool_factory`` is installed (the query service does this),
-        it supplies the pool instead — same interface, shared-work backend.
-        """
-        if self.pool_factory is not None:
-            return self.pool_factory(token)
-        return MountPool(
-            self.mounts._extract,
-            max_workers=self.mount_workers,
-            max_inflight=self.mount_inflight,
-            fail_fast=self.mounts.on_error != SKIP_AND_REPORT,
-            token=token,
-        )
-
-    def begin_governed(
+    def open_context(
         self,
-        budget: Optional[QueryBudget],
-        cancellation: Optional[CancellationToken],
-    ) -> QueryGovernor:
-        """Arm a governor for one execution and wire it into the mount path.
+        budget: Optional[QueryBudget] = None,
+        cancellation: Optional[CancellationToken] = None,
+        on_mount_error: Optional[str] = None,
+    ) -> MountContext:
+        """One execution's context, from this executor's session defaults
+        (each overridable for this one execution): an armed governor, the
+        degradation policy, the breaker and a fresh mount pool.
 
-        Shared by :meth:`execute` and the multi-stage executor; pair with
-        :meth:`end_governed` in a ``finally``.
+        Shared by :meth:`execute` and the multi-stage executor; run the
+        execution inside :meth:`running`.
         """
         governor = QueryGovernor(
-            budget if budget is not None else self.budget,
-            token=cancellation,
-            on_charge=self.charge_hook,
+            budget if budget is not None else self.budget, token=cancellation
         )
-        self._governor = governor
-        self.mounts.governor = governor
-        self.mounts.cancellation = governor.token
-        return governor
+        context = MountContext(
+            governor=governor,
+            on_error=on_mount_error or self.on_mount_error,
+            breaker=self.breaker,
+        )
+        context.pool = MountPool(
+            partial(self.mounts._extract, context=context),
+            max_workers=self.mount_workers,
+            max_inflight=self.mount_inflight,
+            fail_fast=not context.skips,
+            token=governor.token,
+        )
+        return context
 
-    def end_governed(self, governor: QueryGovernor) -> None:
-        governor.close()
-        self.mounts.governor = None
-        self.mounts.cancellation = CancellationToken()
-        self._governor = None
+    @contextmanager
+    def running(self, context: MountContext) -> Iterator[None]:
+        """One execution's span: :meth:`cancel` reaches ``context`` while
+        it lasts, and its governor's deadline timer is disarmed after."""
+        assert context.governor is not None
+        with self._lock:
+            self._in_flight.append(context)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._in_flight.remove(context)
+            context.governor.close()
 
     def cancel(self, reason: str = "query cancelled by caller") -> bool:
-        """Cancel the in-flight execution, if any; True when one was live.
+        """Cancel every in-flight execution; True when any was live.
 
         Thread-safe: meant to be called from another thread (a UI, a
         watchdog) while :meth:`execute` runs.
         """
-        governor = self._governor
-        if governor is None:
-            return False
-        governor.token.cancel(reason)
-        return True
+        with self._lock:
+            running = list(self._in_flight)
+        for context in running:
+            context.token.cancel(reason)
+        return bool(running)
 
     def execute(
         self,
         sql: str,
         budget: Optional[QueryBudget] = None,
         cancellation: Optional[CancellationToken] = None,
+        context: Optional[MountContext] = None,
     ) -> TwoStageResult:
         """Run one query under the governor.
 
@@ -391,33 +358,34 @@ class TwoStageExecutor:
         ``cancellation`` lets the caller hold the token (to cancel from
         another thread). Exceeding the budget raises
         :class:`~repro.db.errors.QueryBudgetExceeded`, or truncates with a
-        report under ``on_budget="partial"``.
+        report under ``on_budget="partial"``. A caller with its own idea of
+        what a query is (the query service: tenant policy, tenant breaker,
+        shared scheduler) hands in the whole ``context`` instead — governor
+        and pool included.
         """
-        governor = self.begin_governed(budget, cancellation)
+        if context is None:
+            context = self.open_context(budget, cancellation)
         lock_before = _sync.lock_snapshot()
-        try:
-            outcome = self._execute_governed(sql, governor)
-            outcome.timings.lock_stats = _sync.lock_snapshot_delta(lock_before)
-            return outcome
-        finally:
-            self.end_governed(governor)
+        with self.running(context):
+            outcome = self._execute(sql, context)
+        outcome.timings.lock_stats = _sync.lock_snapshot_delta(lock_before)
+        return outcome
 
-    def _execute_governed(
-        self, sql: str, governor: QueryGovernor
-    ) -> TwoStageResult:
+    def _execute(self, sql: str, context: MountContext) -> TwoStageResult:
+        governor, pool, breaker = context.governor, context.pool, context.breaker
+        assert governor is not None and pool is not None
+        assert breaker is not None
         timings = StageTimings()
-        self.mounts.reset_failures()  # quarantine is per query
         started = time.perf_counter()
         decomposition = self.prepare(sql)
         timings.compile_seconds = time.perf_counter() - started
-        self.last_query_interval = (
-            self._query_interval(decomposition)
-            if decomposition.qs is not None
-            else None
-        )
 
-        ctx = self.db.make_context(mounter=self.mounts, governor=governor)
-        breakpoint_info = BreakpointInfo()
+        ctx = self.db.make_context(
+            mounter=self.mounts, governor=governor, mount_context=context
+        )
+        breakpoint_info = BreakpointInfo(
+            query_interval=self._query_interval(decomposition)
+        )
         io_parts: list[IoStats] = []
 
         # A metadata-only query is answered entirely by stage 1 — "the first
@@ -456,7 +424,7 @@ class TwoStageExecutor:
                 breakpoint_info.files_of_interest,
                 self.cache.cached_uris(),
                 self.cost_model,
-                interval=self._query_interval(decomposition),
+                interval=breakpoint_info.query_interval,
             )
             decision = self.destiny.decide(breakpoint_info.estimate)
             breakpoint_info.decision = decision
@@ -509,8 +477,6 @@ class TwoStageExecutor:
         # Stage 2: mounts happen here, inside the plan. Both strategies
         # dispatch their mount branches through a MountPool — serial when
         # mount_workers == 1, fanned out to a thread pool otherwise.
-        pool = self.make_mount_pool(token=governor.token)
-        self.mounts.pool = pool
         termination = None
         if self.top_n_pushdown and self.strategy == BULK:
             termination = self._top_n_termination(rewritten, pool)
@@ -536,7 +502,7 @@ class TwoStageExecutor:
                     for node in prefetch_mounts
                     # Don't spend workers on files the breaker will refuse
                     # at mount time anyway (mount_file stays authoritative).
-                    if not self.breaker.likely_blocked(node.uri)
+                    if not breaker.likely_blocked(node.uri)
                 ]
             )
             if self.strategy == PER_FILE:
@@ -552,10 +518,9 @@ class TwoStageExecutor:
                     stage2 = self.db.execute_plan(rewritten, ctx)
         finally:
             ctx.branch_monitor = None
-            self.mounts.pool = None
             pool.close()
             timings.record_mounts(self.mount_workers, pool.timings)
-            timings.mount_failures = self.mounts.failure_report
+            timings.mount_failures = context.failure_report
         timings.stage2_seconds = stage2.elapsed_cpu
         io_parts.append(stage2.io)
 
@@ -593,11 +558,10 @@ class TwoStageExecutor:
 
         def on_skip(index: int) -> None:
             branch = branches[index]
-            self.mounts.stats.early_terminated_branches += 1
-            if isinstance(branch, Mount) and pool.release(
-                branch.table_name, branch.uri
-            ):
-                self.mounts.stats.early_cancelled_mounts += 1
+            self.mounts.note_early_termination(
+                isinstance(branch, Mount)
+                and pool.release(branch.table_name, branch.uri)
+            )
 
         monitor = TopNBranchMonitor(
             count=target.topn.count,
@@ -665,8 +629,9 @@ class TwoStageExecutor:
         self, decomposition: Decomposition
     ) -> Optional[tuple[int, int]]:
         """The sample-time interval the query's actual-data predicate
-        implies (None when unbounded) — used to estimate the answer size."""
-        assert decomposition.qs is not None
+        implies (None when unbounded, or when no actual data is read)."""
+        if decomposition.qs is None:
+            return None
         predicates = _actual_scan_predicates(decomposition.qs)
         for info in decomposition.actual_scans:
             binding = self.bindings.for_table(info.table_name)

@@ -606,8 +606,10 @@ class RetryBudget:
     get exactly one attempt and failures surface immediately — degrading the
     query instead of stretching it.
 
-    Shared by every mount worker of one query, hence the lock. The remote
-    repository resets it in ``begin_query``.
+    Shared by every mount worker of one query, hence the lock. There is one
+    per (query, endpoint): the query's
+    :class:`~repro.core.mounting.MountContext` creates it, full, for the
+    first request it sends that endpoint.
     """
 
     def __init__(self, attempts: int = 64) -> None:

@@ -17,7 +17,8 @@ Repositories hold files the database does not control, so extraction can
 fail mid-query: truncated volumes, corrupt Steim frames, files rewritten or
 deleted between stage 1 and stage 2. Every such failure surfaces as a typed
 :class:`~repro.db.errors.FileIngestError` naming the URI and byte offset,
-and the service applies a per-query *degradation policy*:
+and the service applies the query's *degradation policy* (a field of its
+:class:`MountContext`):
 
 * ``FAIL_FAST`` (default) — the first failure aborts the query, exactly the
   historical behaviour.
@@ -72,9 +73,15 @@ from .cache import (
     Interval,
     WHOLE_FILE,
 )
-from .governor import CancellationToken, CircuitBreaker, QueryGovernor
+from .governor import (
+    CancellationToken,
+    CircuitBreaker,
+    QueryGovernor,
+    RetryBudget,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool uses batches)
+    from ..mseed.repository import FileRepository
     from .mountpool import MountPool
 
 OnMountCallback = Callable[[str, ColumnBatch], None]
@@ -84,6 +91,16 @@ FAIL_FAST = "fail"  # first failure aborts the query (default)
 SKIP_AND_REPORT = "skip"  # quarantine the file, answer from the intact rest
 
 ON_ERROR_POLICIES = (FAIL_FAST, SKIP_AND_REPORT)
+
+
+def check_on_error(policy: str) -> str:
+    """``policy``, if it names a degradation policy; ``ValueError`` if not."""
+    if policy not in ON_ERROR_POLICIES:
+        raise ValueError(
+            f"the mount-error policy must be one of {ON_ERROR_POLICIES}, "
+            f"got {policy!r}"
+        )
+    return policy
 
 
 @dataclass(frozen=True)
@@ -154,11 +171,13 @@ __all__ = [
     "ExtractResult",
     "FAIL_FAST",
     "MountFailure",
+    "MountContext",
     "MountFailureReport",
     "MountService",
     "MountStats",
     "ON_ERROR_POLICIES",
     "SKIP_AND_REPORT",
+    "check_on_error",
     "interval_from_predicate",
 ]
 
@@ -173,9 +192,88 @@ def _interval_mask_batch(
     return batch.filter(mask)
 
 
-def _file_signature(path: Path) -> FileSignature:
-    stat = path.stat()
-    return (stat.st_mtime_ns, stat.st_size)
+class MountContext:
+    """Everything about mounting that belongs to one query.
+
+    Created where an execution starts and dropped when it ends; handed to
+    :class:`MountService` with every call, so the service itself remembers
+    no "current query" and any number of queries may mount through it at
+    once. A call without a context runs under a fresh default one: no
+    governor, fail-fast, no breaker, extraction inline.
+
+    ``governor`` enforces the budget and carries the cancellation token and
+    the ``on_charge`` ledger hook; ``on_error`` is the degradation policy
+    (:data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); ``breaker`` is the
+    circuit breaker to consult — it outlives the context, which is its
+    point; ``pool`` is stage 2's dispatch handle (a
+    :class:`~repro.core.mountpool.MountPool`, or the query service's
+    :class:`~repro.serve.scheduler.SharedPoolClient`) — with one,
+    :meth:`MountService.mount_file` consumes pre-extracted batches from it
+    instead of extracting inline. The quarantine and its
+    :class:`MountFailureReport` live here, so a file that failed once is
+    skipped for the rest of *this* query and gets a fresh chance in the
+    next one.
+
+    The context is also the scope a remote repository's requests run under:
+    ``token`` interrupts their waits, and :meth:`retry_budget` is the one
+    :class:`~repro.core.governor.RetryBudget` per endpoint all of the
+    query's requests to it spend from.
+    """
+
+    def __init__(
+        self,
+        governor: Optional[QueryGovernor] = None,
+        on_error: str = FAIL_FAST,
+        breaker: Optional[CircuitBreaker] = None,
+        pool: Optional["MountPool"] = None,
+    ) -> None:
+        self.governor = governor
+        self.on_error = check_on_error(on_error)
+        self.breaker = breaker
+        self.pool = pool
+        # Backoff sleeps and request waits block on this token's event;
+        # without a governor it is a token nobody holds, so it never fires.
+        self.token = (
+            governor.token if governor is not None else CancellationToken()
+        )
+        self._lock = _sync.create_lock("MountContext._lock")
+        self.failure_report = MountFailureReport()  # guarded-by: _lock
+        self._quarantined: set[str] = set()  # guarded-by: _lock
+        self._retry_budgets: dict[str, RetryBudget] = {}  # guarded-by: _lock
+
+    @property
+    def skips(self) -> bool:
+        """True under :data:`SKIP_AND_REPORT`: failures quarantine, not raise."""
+        return self.on_error == SKIP_AND_REPORT
+
+    def is_quarantined(self, uri: str) -> bool:
+        with self._lock:
+            return uri in self._quarantined
+
+    def quarantine(self, uri: str, exc: BaseException) -> None:
+        """Skip ``uri`` for the rest of this query; report it once."""
+        with self._lock:
+            if uri in self._quarantined:
+                return
+            self._quarantined.add(uri)
+            self.failure_report.failures.append(
+                MountFailure(
+                    uri=uri,
+                    error=type(exc).__name__,
+                    message=getattr(exc, "message", None) or str(exc),
+                    offset=getattr(exc, "offset", None),
+                    retries=getattr(exc, "ingest_retries", 0),
+                    endpoint=getattr(exc, "endpoint", None),
+                )
+            )
+
+    def retry_budget(self, endpoint: str, attempts: int) -> RetryBudget:
+        """This query's retry budget against ``endpoint``, created full (at
+        the transport's ``attempts``) by the first request that asks."""
+        with self._lock:
+            if endpoint not in self._retry_budgets:
+                self._retry_budgets[endpoint] = RetryBudget(attempts)
+            return self._retry_budgets[endpoint]
 
 
 @dataclass
@@ -239,19 +337,19 @@ class MountService:
     are free — modeling the OS page cache that makes the paper's "hot" ALi
     runs cheap even though they re-mount every query.
 
-    The service is *reentrant*: :meth:`_extract` may run concurrently on the
-    workers of a :class:`~repro.core.mountpool.MountPool` (the buffer manager
-    and the ingestion cache lock themselves; the service's own lock guards
-    only its counters). When ``pool`` is attached — the two-stage executor
-    does so for the duration of stage 2 — :meth:`mount_file` consumes
-    pre-extracted batches from it instead of extracting inline; everything
-    stateful (cache stores, callbacks, delivery) still happens on the calling
-    thread, in plan order.
+    The service holds only what is true for every query; what belongs to
+    one — governor, token, error policy, breaker, stage-2 pool, quarantine,
+    retry budgets — arrives with each call as a :class:`MountContext`. So it
+    is *reentrant* twice over: any number of queries may mount through it at
+    once, and :meth:`_extract` may run concurrently on the workers of each
+    one's :class:`~repro.core.mountpool.MountPool` (the buffer manager and
+    the ingestion cache lock themselves; the service's own lock guards only
+    its counters). Within one query everything stateful (cache stores,
+    callbacks, delivery) still happens on the calling thread, in plan order.
 
-    ``on_error`` selects the degradation policy (module constants
-    :data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); transient failures retry
-    ``max_retries`` times with linear backoff first. ``validate_staleness``
-    enables the ``(mtime_ns, size)`` signature checks on cache scans and the
+    Transient failures retry ``max_retries`` times with linear backoff
+    before the context's policy applies. ``validate_staleness`` enables the
+    ``(mtime_ns, size)`` signature checks on cache scans and the
     post-extraction re-stat.
     """
 
@@ -260,8 +358,6 @@ class MountService:
     buffers: Optional[BufferManager] = None
     time_column: str = "sample_time"
     stats: MountStats = field(default_factory=MountStats)  # guarded-by: _lock
-    pool: Optional["MountPool"] = field(default=None, repr=False)
-    on_error: str = FAIL_FAST
     max_retries: int = 2
     retry_backoff_seconds: float = 0.01
     # Multiplicative backoff jitter: each retry's wait is scaled by a
@@ -289,24 +385,6 @@ class MountService:
     file_span_provider: Optional[Callable[[str], Optional[Interval]]] = field(
         default=None, repr=False
     )
-    failure_report: MountFailureReport = field(  # guarded-by: _lock
-        default_factory=MountFailureReport
-    )
-    # Cooperative cancellation: backoff sleeps and worker waits block on
-    # this token's event, so a cancelled/deadline-expired query stops
-    # retrying immediately. The executor swaps in the query's token for
-    # the duration of each execute(); the default is a never-fired one.
-    cancellation: CancellationToken = field(
-        default_factory=CancellationToken, repr=False
-    )
-    # Budget enforcement (attached per query by the executor, like `pool`).
-    governor: Optional[QueryGovernor] = field(default=None, repr=False)
-    # Session-scoped circuit breaker: survives reset_failures(), so a URI
-    # failing across queries stops costing every query a retry ladder.
-    breaker: Optional[CircuitBreaker] = field(default=None, repr=False)
-    _quarantined: dict[str, MountFailure] = field(  # guarded-by: _lock
-        default_factory=dict, repr=False
-    )
     # unguarded-ok: callbacks are registered at wiring time, before any
     # concurrent mounting starts; workers only iterate the list.
     _callbacks: list[OnMountCallback] = field(default_factory=list)
@@ -315,54 +393,11 @@ class MountService:
         repr=False,
     )
 
-    def __post_init__(self) -> None:
-        if self.on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_error must be one of {ON_ERROR_POLICIES}, "
-                f"got {self.on_error!r}"
-            )
-
     def add_mount_callback(self, callback: OnMountCallback) -> None:
         """Register a side-effect of mounting (e.g. derived metadata, §5)."""
         self._callbacks.append(callback)
 
     # -- failure bookkeeping ---------------------------------------------------
-
-    def reset_failures(self) -> None:
-        """Start a fresh query: clear the quarantine and the failure report.
-
-        Quarantine is *per query* — a file that failed once is skipped for
-        the rest of that query (self-joins do not re-extract it) but gets a
-        fresh chance next query (it may have been repaired in between).
-
-        This is also the per-query repository hook: each bound repository's
-        ``begin_query`` runs here with the query's live cancellation token
-        (the executor attaches the token before calling this), so a remote
-        backend can reset its transport retry budget and make its waits
-        interruptible by *this* query.
-        """
-        with self._lock:
-            self._quarantined.clear()
-            self.failure_report = MountFailureReport()
-        for binding in self.bindings.bindings.values():
-            begin_query = getattr(binding.repository, "begin_query", None)
-            if begin_query is not None:
-                begin_query(self.cancellation)
-
-    def _quarantine(self, uri: str, exc: BaseException) -> None:
-        failure = MountFailure(
-            uri=uri,
-            error=type(exc).__name__,
-            message=getattr(exc, "message", None) or str(exc),
-            offset=getattr(exc, "offset", None),
-            retries=getattr(exc, "ingest_retries", 0),
-            endpoint=getattr(exc, "endpoint", None),
-        )
-        with self._lock:
-            if uri not in self._quarantined:
-                self._quarantined[uri] = failure
-                self.failure_report.failures.append(failure)
-            self.stats.skipped_mounts += 1
 
     def _empty_branch(
         self, alias: str, predicate: Optional[Expr]
@@ -371,14 +406,21 @@ class MountService:
         return self._deliver(mounted_files_batch([]), alias, predicate)
 
     def _truncated_branch(
-        self, alias: str, predicate: Optional[Expr]
+        self, alias: str, predicate: Optional[Expr], governor: QueryGovernor
     ) -> ColumnBatch:
         """One branch dropped by a tripped partial-mode budget."""
-        assert self.governor is not None
-        self.governor.note_truncated_mount()
+        governor.note_truncated_mount()
         with self._lock:
             self.stats.budget_truncated_mounts += 1
         return self._empty_branch(alias, predicate)
+
+    def note_early_termination(self, cancelled: bool) -> None:
+        """Count one union branch the executor's Top-N monitor skipped, and
+        whether releasing it spared its pending mount the extraction."""
+        with self._lock:
+            self.stats.early_terminated_branches += 1
+            if cancelled:
+                self.stats.early_cancelled_mounts += 1
 
     # -- Mounter protocol -----------------------------------------------------
 
@@ -432,28 +474,30 @@ class MountService:
         table_name: str,
         alias: str,
         predicate: Optional[Expr],
+        context: Optional[MountContext] = None,
     ) -> ColumnBatch:
-        if self.governor is not None:
+        if context is None:
+            context = MountContext()
+        governor, breaker = context.governor, context.breaker
+        if governor is not None:
             # Budget checkpoint at branch entry: cancellation and raise-mode
             # exhaustion abort here; a tripped partial budget answers the
             # rest of the union empty (same shape as a dropped branch).
-            self.governor.checkpoint()
-            if self.governor.should_truncate:
-                return self._truncated_branch(alias, predicate)
-        if self.on_error == SKIP_AND_REPORT:
+            governor.checkpoint()
+            if governor.should_truncate:
+                return self._truncated_branch(alias, predicate, governor)
+        if context.skips and context.is_quarantined(uri):
             with self._lock:
-                quarantined = uri in self._quarantined
-            if quarantined:
-                with self._lock:
-                    self.stats.skipped_mounts += 1
-                return self._empty_branch(alias, predicate)
-        if self.breaker is not None and not self.breaker.allow(uri):
-            refusal = self.breaker.refusal(uri)
-            if self.on_error != SKIP_AND_REPORT:
+                self.stats.skipped_mounts += 1
+            return self._empty_branch(alias, predicate)
+        if breaker is not None and not breaker.allow(uri):
+            refusal = breaker.refusal(uri)
+            if not context.skips:
                 raise refusal
+            context.quarantine(uri, refusal)
             with self._lock:
                 self.stats.breaker_skips += 1
-            self._quarantine(uri, refusal)
+                self.stats.skipped_mounts += 1
             return self._empty_branch(alias, predicate)
         request = self.request_for(uri, table_name, alias, predicate)
         if request is not None and request.selects_nothing:
@@ -463,23 +507,25 @@ class MountService:
                 self.stats.empty_interval_skips += 1
             return self._empty_branch(alias, predicate)
         try:
-            result = self._obtain(uri, table_name, request)
+            result = self._obtain(uri, table_name, request, context)
         except QueryBudgetExceeded:
             # The budget tripped mid-extraction. Partial policy: this and
             # every later branch answer empty; raise policy: propagate
             # (never quarantined — the file did nothing wrong).
-            if self.governor is None or not self.governor.partial:
+            if governor is None or not governor.partial:
                 raise
-            return self._truncated_branch(alias, predicate)
+            return self._truncated_branch(alias, predicate, governor)
         except IngestError as exc:
-            if self.breaker is not None and isinstance(exc, FileIngestError):
-                self.breaker.record_failure(uri, exc)
-            if self.on_error != SKIP_AND_REPORT:
+            if breaker is not None and isinstance(exc, FileIngestError):
+                breaker.record_failure(uri, exc)
+            if not context.skips:
                 raise
-            self._quarantine(uri, exc)
+            context.quarantine(uri, exc)
+            with self._lock:
+                self.stats.skipped_mounts += 1
             return self._empty_branch(alias, predicate)
-        if self.breaker is not None:
-            self.breaker.record_success(uri)
+        if breaker is not None:
+            breaker.record_success(uri)
         batch = result.batch
         with self._lock:
             self.stats.mounts += 1
@@ -509,25 +555,29 @@ class MountService:
         return self._deliver(batch, alias, predicate)
 
     def prefetch_into_cache(
-        self, uri: str, table_name: str, interval: Interval
+        self,
+        uri: str,
+        table_name: str,
+        interval: Interval,
+        context: MountContext,
     ) -> tuple[str, int]:
         """Speculatively extract ``interval`` of one file into the cache.
 
         The predictive-prefetch entry point: called off the query path (the
-        :class:`~repro.core.advisor.SessionPrefetcher`'s worker thread), it
-        must never make an answer wrong or a budget lie — so it stores
-        exactly what a real mount of the same interval would store, and
-        declines whenever retention is off, the breaker distrusts the file,
-        or the governor's budget is already tight. Returns an outcome label
-        (``stored`` / ``covered`` / ``blocked`` / ``budget`` / ``disabled``
-        / ``error``) plus the bytes read, for the prefetcher's accounting.
+        :class:`~repro.core.advisor.SessionPrefetcher`'s worker thread)
+        under the prefetcher's own ``context`` — speculative work is no
+        query's bill and no query's cancellation reaches it. It must never
+        make an answer wrong, so it stores exactly what a real mount of the
+        same interval would store, and declines whenever retention is off
+        or the context's breaker distrusts the file. Returns an outcome
+        label (``stored`` / ``covered`` / ``blocked`` / ``disabled`` /
+        ``error``) plus the bytes read, for the prefetcher's accounting.
         """
+        breaker = context.breaker
         if self.cache.policy is CachePolicy.DISCARD:
             return ("disabled", 0)  # nothing stored would survive the call
-        if self.breaker is not None and self.breaker.likely_blocked(uri):
+        if breaker is not None and breaker.likely_blocked(uri):
             return ("blocked", 0)
-        if self.governor is not None and self.governor.should_truncate:
-            return ("budget", 0)
         if self.cache.contains(uri, interval):
             return ("covered", 0)
         request: Optional[MountRequest] = None
@@ -543,13 +593,13 @@ class MountService:
             if request.selects_nothing:
                 return ("covered", 0)
         try:
-            result = self._extract(uri, table_name, request)
+            result = self._extract(uri, table_name, request, context=context)
         except IngestError as exc:
-            if self.breaker is not None and isinstance(exc, FileIngestError):
-                self.breaker.record_failure(uri, exc)
+            if breaker is not None and isinstance(exc, FileIngestError):
+                breaker.record_failure(uri, exc)
             return ("error", 0)
-        if self.breaker is not None:
-            self.breaker.record_success(uri)
+        if breaker is not None:
+            breaker.record_success(uri)
         signature = result.signature
         coverage = WHOLE_FILE if request is None else interval
         if (
@@ -570,9 +620,13 @@ class MountService:
         return ("stored", result.bytes_read)
 
     def _obtain(
-        self, uri: str, table_name: str, request: Optional[MountRequest]
+        self,
+        uri: str,
+        table_name: str,
+        request: Optional[MountRequest],
+        context: MountContext,
     ) -> "ExtractResult":
-        """One branch's extraction, via the pool when one is attached.
+        """One branch's extraction, via the context's pool when it has one.
 
         The pool may have prefetched the file under a different (hull-merged)
         request; any coverage that satisfies this branch is accepted, and a
@@ -580,12 +634,12 @@ class MountService:
         disagree, which the executor prevents — falls back to an inline
         re-extraction rather than returning incomplete rows.
         """
-        if self.pool is None:
-            return self._extract(uri, table_name, request)
-        result = self.pool.take(uri, table_name, request)
+        if context.pool is None:
+            return self._extract(uri, table_name, request, context=context)
+        result = context.pool.take(uri, table_name, request)
         needed = WHOLE_FILE if request is None else request.interval
         if not covers(result.coverage, needed):
-            return self._extract(uri, table_name, request)
+            return self._extract(uri, table_name, request, context=context)
         return result
 
     def cache_scan(
@@ -594,17 +648,19 @@ class MountService:
         table_name: str,
         alias: str,
         predicate: Optional[Expr],
+        context: Optional[MountContext] = None,
     ) -> ColumnBatch:
         interval = interval_from_predicate(
             predicate, f"{alias}.{self.time_column}"
         )
         signature = (
-            self._current_signature(uri, table_name)
+            self._current_signature(uri, table_name, context)
             if self.validate_staleness
             else None
         )
-        # cache_scan runs on the consuming thread only, so reading the
-        # invalidation counter around the lookup is race-free.
+        # Another query's invalidation landing between the two reads is
+        # counted as this one's: `stale_remounts` is a counter, no decision
+        # hangs on it.
         invalidations_before = self.cache.stats.invalidations
         cached = self.cache.lookup(uri, interval, signature=signature)
         if cached is None:
@@ -617,7 +673,7 @@ class MountService:
                 self.stats.fallback_mounts += 1
                 if stale:
                     self.stats.stale_remounts += 1
-            return self.mount_file(uri, table_name, alias, predicate)
+            return self.mount_file(uri, table_name, alias, predicate, context)
         with self._lock:
             self.stats.cache_scans += 1
         return self._deliver(cached, alias, predicate)
@@ -625,16 +681,15 @@ class MountService:
     # -- internals ---------------------------------------------------------------
 
     def _resolve(
-        self, uri: str, table_name: str
-    ) -> tuple[Path, FormatExtractor, object]:
+        self, uri: str, table_name: str, context: Optional[MountContext]
+    ) -> tuple[Path, FormatExtractor, "FileRepository"]:
         """URI → (readable path, format extractor, owning repository).
 
         Everything source-specific goes through the repository protocol
         hooks (:class:`~repro.mseed.repository.FileRepository` docs): a
         remote repository resolves ``path_of`` to a local staging file and
-        wraps the registry's extractor in its ranged-GET adapter. The
-        ``getattr`` fallbacks keep duck-typed test repositories (which
-        predate the hooks) working unchanged.
+        wraps the registry's extractor in its ranged-GET adapter, whose
+        requests run under ``context`` (token, retry budget).
         """
         binding = self.bindings.for_table(table_name)
         if binding is None:
@@ -644,27 +699,22 @@ class MountService:
         repository = binding.repository
         path = repository.path_of(uri)
         assert binding.registry is not None
-        extractor_for = getattr(repository, "extractor_for", None)
-        if extractor_for is not None:
-            return path, extractor_for(path, uri, binding.registry), repository
-        return path, binding.registry.for_path(path), repository
-
-    def _signature(self, repository: object, uri: str, path: Path) -> FileSignature:
-        """The file's current staleness signature, via the owning repository
-        (a remote backend answers from a HEAD, not the staging file's stat)."""
-        signature_of = getattr(repository, "signature_of", None)
-        if signature_of is not None:
-            return signature_of(uri)
-        return _file_signature(path)
+        extractor = repository.extractor_for(
+            path, uri, binding.registry, context
+        )
+        return path, extractor, repository
 
     def _current_signature(
-        self, uri: str, table_name: str
+        self,
+        uri: str,
+        table_name: str,
+        context: Optional[MountContext] = None,
     ) -> Optional[FileSignature]:
         """The file's current signature, or None when it cannot be stated —
         the mount fallback will surface the real error."""
         try:
-            path, _, repository = self._resolve(uri, table_name)
-            return self._signature(repository, uri, path)
+            _, _, repository = self._resolve(uri, table_name, context)
+            return repository.signature_of(uri, context)
         except (OSError, IngestError):
             return None
 
@@ -674,11 +724,13 @@ class MountService:
         table_name: str,
         request: Optional[MountRequest] = None,
         observed: Optional[FileSignature] = None,
+        context: Optional[MountContext] = None,
     ) -> "ExtractResult":
         """Extract one file into a batch; thread-safe (mount-pool workers
         call this concurrently). Returns the batch plus the simulated disk
         seconds the buffer manager charged and the extraction's coverage /
-        read accounting.
+        read accounting. Without a ``context`` the extraction is a scope of
+        its own: ungoverned, uncancellable, a fresh retry budget.
 
         ``observed`` is a signature of the file the caller fetched just now
         (the shared extraction path's cache lookup): the first attempt takes
@@ -689,12 +741,15 @@ class MountService:
         to ``max_retries`` times with linear backoff, but never past
         ``retry_deadline_seconds`` of wall clock; the final exception
         carries the retry count as ``exc.ingest_retries``. Backoff waits on
-        the cancellation token's event — not ``time.sleep`` — so a
+        the context's cancellation token — not ``time.sleep`` — so a
         cancelled or deadline-expired query stops retrying immediately
         instead of sleeping out the rest of its ladder.
         """
-        self.cancellation.raise_if_interrupted()
-        path, extractor, repository = self._resolve(uri, table_name)
+        if context is None:
+            context = MountContext()
+        token = context.token
+        token.raise_if_interrupted()
+        path, extractor, repository = self._resolve(uri, table_name, context)
         attempt = 0
         deadline = (
             None
@@ -709,7 +764,8 @@ class MountService:
                     extractor,
                     request,
                     repository,
-                    before=observed if attempt == 0 else None,
+                    observed if attempt == 0 else None,
+                    context,
                 )
             except FileIngestError as exc:
                 exc.ingest_retries = attempt  # type: ignore[attr-defined]
@@ -732,21 +788,22 @@ class MountService:
                 attempt += 1
                 with self._lock:
                     self.stats.retries += 1
-                if backoff > 0 and self.cancellation.wait(backoff):
-                    raise self.cancellation.interruption() from exc
+                if backoff > 0 and token.wait(backoff):
+                    raise token.interruption() from exc
 
     def _extract_once(
         self,
         uri: str,
         path: Path,
         extractor: FormatExtractor,
-        request: Optional[MountRequest] = None,
-        repository: object = None,
-        before: Optional[FileSignature] = None,
+        request: Optional[MountRequest],
+        repository: "FileRepository",
+        before: Optional[FileSignature],
+        context: MountContext,
     ) -> "ExtractResult":
         if before is None:
             try:
-                before = self._signature(repository, uri, path)
+                before = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
                 raise FileIngestError(
                     f"file disappeared before extraction: {path}",
@@ -803,7 +860,7 @@ class MountService:
         after: Optional[FileSignature] = None
         if self.validate_staleness:
             try:
-                after = self._signature(repository, uri, path)
+                after = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
                 raise StaleFileError(
                     "file deleted during extraction",
@@ -816,11 +873,11 @@ class MountService:
                     f"(mtime/size {before} -> {after})",
                     uri=uri,
                 )
-        if self.governor is not None:
+        if context.governor is not None:
             # Charge the ledger once per successful extraction (retries and
             # failures never count). Raise-mode exhaustion aborts here —
             # possibly on a pool worker, whence it propagates to the taker.
-            self.governor.charge_mount(nbytes, records_decoded)
+            context.governor.charge_mount(nbytes, records_decoded)
         return ExtractResult(
             batch=mounted_file_batch(mounted),
             io_seconds=io_seconds,

@@ -26,7 +26,7 @@ from .decompose import _replace_subtree
 from .executor import TwoStageExecutor, _actual_scan_predicates
 from .executor_util import batch_from_rows
 from .governor import CancellationToken, QueryBudget, TruncationReport
-from .mounting import MountFailureReport
+from .mounting import MountContext, MountFailureReport
 from .partial import PartialMerger, is_decomposable
 from .rules import apply_ali_rewrite
 from .verify import verify_ali_rewrite
@@ -103,17 +103,20 @@ class MultiStageExecutor:
         budget: Optional[QueryBudget] = None,
         cancellation: Optional[CancellationToken] = None,
     ) -> MultiStageResult:
-        governor = self.executor.begin_governed(budget, cancellation)
-        try:
-            return self._execute_governed(sql, governor)
-        finally:
-            self.executor.end_governed(governor)
+        context = self.executor.open_context(budget, cancellation)
+        with self.executor.running(context):
+            return self._execute(sql, context)
 
-    def _execute_governed(self, sql: str, governor) -> MultiStageResult:
+    def _execute(self, sql: str, context: MountContext) -> MultiStageResult:
         db = self.executor.db
-        self.executor.mounts.reset_failures()  # quarantine is per execution
+        governor, pool = context.governor, context.pool
+        assert governor is not None and pool is not None
         decomposition = self.executor.prepare(sql)
-        ctx = db.make_context(mounter=self.executor.mounts, governor=governor)
+        ctx = db.make_context(
+            mounter=self.executor.mounts,
+            governor=governor,
+            mount_context=context,
+        )
 
         if decomposition.metadata_only:
             result = db.execute_plan(decomposition.plan, ctx)
@@ -156,8 +159,6 @@ class MultiStageExecutor:
         # stage's per-file plans consume them in file order.
         table_name = info.table_name
         cache = self.executor.cache
-        pool = self.executor.make_mount_pool(token=governor.token)
-        self.executor.mounts.pool = pool
         # The per-file rewrites below fuse this alias's predicate into every
         # branch, so prefetch under the same mount request (same interval,
         # per-file byte map) the branch will ask for.
@@ -211,7 +212,6 @@ class MultiStageExecutor:
                     stopped = processed < len(files)
                     break
         finally:
-            self.executor.mounts.pool = None
             pool.close()
 
         final_batch = batch_from_rows(aggregate.output, merger.finalized_rows())
@@ -229,7 +229,7 @@ class MultiStageExecutor:
             total_files=len(files),
             snapshots=snapshots,
             converged=not stopped,
-            mount_failures=self.executor.mounts.failure_report,
+            mount_failures=context.failure_report,
             truncation=governor.truncation_report(),
         )
 

@@ -172,12 +172,14 @@ class Database:
         self,
         mounter: Optional[Mounter] = None,
         governor: Optional[GovernorHook] = None,
+        mount_context: object = None,
     ) -> ExecutionContext:
         return ExecutionContext(
             catalog=self.catalog,
             buffers=self.buffers,
             mounter=mounter,
             governor=governor,
+            mount_context=mount_context,
         )
 
     def execute_plan(

@@ -50,7 +50,13 @@ class GovernorHook(Protocol):
 
 
 class Mounter(Protocol):
-    """The two-stage layer's hook for ALi access paths."""
+    """The two-stage layer's hook for ALi access paths.
+
+    ``context`` is the executing query's
+    :attr:`ExecutionContext.mount_context`, opaque to the engine: the
+    mounter is shared by every query, so what belongs to one arrives with
+    the call.
+    """
 
     def mount_file(
         self,
@@ -58,6 +64,7 @@ class Mounter(Protocol):
         table_name: str,
         alias: str,
         predicate: Optional[Expr],
+        context: object = None,
     ) -> ColumnBatch:
         """Extract/transform/ingest one file; return its (filtered) tuples."""
         ...
@@ -68,6 +75,7 @@ class Mounter(Protocol):
         table_name: str,
         alias: str,
         predicate: Optional[Expr],
+        context: object = None,
     ) -> ColumnBatch:
         """Serve one file's (filtered) tuples from the ingestion cache."""
         ...
@@ -139,6 +147,7 @@ class ExecutionContext:
     buffers: Optional[BufferManager] = None
     mounter: Optional[Mounter] = None
     governor: Optional[GovernorHook] = None
+    mount_context: object = None  # handed to every mounter call, see Mounter
     results: dict[str, ColumnBatch] = field(default_factory=dict)
     stats: ExecStats = field(default_factory=ExecStats)
     profiling: bool = False
@@ -732,7 +741,8 @@ class PMount(PhysicalOp):
                 f"plan contains Mount({self.uri}) but no mounter is configured"
             )
         batch = ctx.mounter.mount_file(
-            self.uri, self.table_name, self.alias, self.predicate
+            self.uri, self.table_name, self.alias, self.predicate,
+            ctx.mount_context,
         )
         ctx.stats.files_mounted += 1
         return batch.select(self.output_names)
@@ -754,7 +764,8 @@ class PCacheScan(PhysicalOp):
                 f"plan contains CacheScan({self.uri}) but no mounter is configured"
             )
         batch = ctx.mounter.cache_scan(
-            self.uri, self.table_name, self.alias, self.predicate
+            self.uri, self.table_name, self.alias, self.predicate,
+            ctx.mount_context,
         )
         ctx.stats.cache_scans += 1
         return batch.select(self.output_names)

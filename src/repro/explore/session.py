@@ -17,7 +17,7 @@ from ..db.types import format_timestamp, parse_timestamp
 from ..core.advisor import SessionPrefetcher
 from ..core.executor import TwoStageExecutor, TwoStageResult
 from ..core.governor import ON_BUDGET_RAISE, QueryBudget
-from ..core.mounting import ON_ERROR_POLICIES
+from ..core.mounting import check_on_error
 from .workload import make_query1, make_query2
 
 
@@ -112,12 +112,7 @@ class ExplorationSession:
                 raise ValueError(
                     "on_mount_error applies only to a TwoStageExecutor engine"
                 )
-            if self.on_mount_error not in ON_ERROR_POLICIES:
-                raise ValueError(
-                    f"on_mount_error must be one of {ON_ERROR_POLICIES}, "
-                    f"got {self.on_mount_error!r}"
-                )
-            self.engine.on_mount_error = self.on_mount_error
+            self.engine.on_mount_error = check_on_error(self.on_mount_error)
         if self.verify_plans is not None:
             self.engine.verify_plans = self.verify_plans
             if isinstance(self.engine, TwoStageExecutor):
@@ -144,7 +139,9 @@ class ExplorationSession:
                 )
             if self.prefetcher is None:
                 self.prefetcher = SessionPrefetcher(
-                    self.engine.mounts, self.engine.statistics
+                    self.engine.mounts,
+                    self.engine.statistics,
+                    breaker=self.engine.breaker,
                 )
 
     def close(self) -> None:
@@ -160,8 +157,7 @@ class ExplorationSession:
             # Feed the predictor this query's fused time window; a confident
             # extrapolation warms the cache while the explorer reads the
             # answer. Runs after the query, so answers are never affected.
-            assert isinstance(self.engine, TwoStageExecutor)
-            self.prefetcher.observe(self.engine.last_query_interval)
+            self.prefetcher.observe(outcome.breakpoint.query_interval)
         if isinstance(outcome, TwoStageResult):
             result = outcome.result
             mounted = result.stats.files_mounted

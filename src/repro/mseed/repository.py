@@ -7,11 +7,14 @@ only, and the mount access path resolves one URI at a time.
 
 :class:`FileRepository` is also the *repository protocol* other backends
 implement by duck type: ingestion and mounting resolve everything source-
-specific through four overridable hooks — :meth:`~FileRepository.path_of`
+specific through three overridable hooks — :meth:`~FileRepository.path_of`
 (URI → readable local path), :meth:`~FileRepository.signature_of` (URI →
-staleness signature), :meth:`~FileRepository.extractor_for` (path → format
-extractor, possibly wrapped), and :meth:`~FileRepository.begin_query`
-(per-query setup such as resetting a transport retry budget). The remote
+staleness signature) and :meth:`~FileRepository.extractor_for` (path →
+format extractor, possibly wrapped). The last two also receive the calling
+query's ``scope`` (its :class:`~repro.core.mounting.MountContext`, or None
+outside a query): a backend whose reads can wait or retry runs them under
+that query's cancellation token and retry budget; a local directory has no
+use for it. The remote
 backend (:mod:`repro.remote.repository`) and the federated dispatcher
 (:mod:`repro.remote.federation`) override them; everything above the hooks
 is source-agnostic.
@@ -21,12 +24,11 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from ..db.errors import FileIngestError, IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycles)
-    from ..core.governor import CancellationToken
     from ..ingest.formats import FormatExtractor, FormatRegistry
 
 
@@ -100,7 +102,7 @@ class FileRepository:
     # replaces. Callers (lazy/eager ingestion, the mount service) must go
     # through these instead of stat()/registry.for_path directly.
 
-    def signature_of(self, uri: str) -> tuple[int, int]:
+    def signature_of(self, uri: str, scope: object = None) -> tuple[int, int]:
         """The ``(mtime_ns, size)`` staleness signature of a URI.
 
         Raises ``FileNotFoundError`` (not :meth:`path_of`'s typed error) on
@@ -112,7 +114,11 @@ class FileRepository:
         return (st.st_mtime_ns, st.st_size)
 
     def extractor_for(
-        self, path: Path, uri: str, registry: "FormatRegistry"
+        self,
+        path: Path,
+        uri: str,
+        registry: "FormatRegistry",
+        scope: object = None,
     ) -> "FormatExtractor":
         """The format extractor to use for ``uri`` resolved at ``path``.
 
@@ -120,13 +126,6 @@ class FileRepository:
         locally the registry's per-suffix dispatch is the whole story.
         """
         return registry.for_path(path)
-
-    def begin_query(self, token: Optional["CancellationToken"] = None) -> None:
-        """Per-query setup hook (no-op locally).
-
-        The remote backend resets its per-query transport retry budget and
-        adopts the query's cancellation token here.
-        """
 
     def owns_uri(self, uri: str) -> bool:
         """Does this repository serve ``uri``? (Federation dispatch.)"""

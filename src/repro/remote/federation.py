@@ -7,7 +7,8 @@ protocol hook dispatches on URI ownership (``owns_uri``) to the member that
 serves it.
 
 Failure isolation is the point: each remote member carries its own
-transport (retry budget, circuit breaker, hedging), so a dead endpoint
+transport (circuit breaker, hedging) and a query keeps one retry budget per
+endpoint, so a dead endpoint
 fails *its* files' mounts with errors naming the endpoint while the other
 members keep answering. Combined with ``on_mount_error="skip"`` the query
 degrades to the surviving sources and the
@@ -23,8 +24,9 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 from ..db.errors import IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.governor import CancellationToken
+    from ..core.mounting import MountContext
     from ..ingest.formats import FormatExtractor, FormatRegistry
+    from ..mseed.repository import FileRepository
 
 
 class FederatedRepository:
@@ -36,7 +38,7 @@ class FederatedRepository:
     otherwise irrelevant because remote members claim disjoint endpoints).
     """
 
-    def __init__(self, members: Sequence[object]) -> None:
+    def __init__(self, members: Sequence["FileRepository"]) -> None:
         if not members:
             raise IngestError("a federation needs at least one member repository")
         self.members = tuple(members)
@@ -51,10 +53,9 @@ class FederatedRepository:
     def suffix(self) -> str:
         return self.suffixes[0]
 
-    def _member_for(self, uri: str) -> object:
+    def _member_for(self, uri: str) -> "FileRepository":
         for member in self.members:
-            owns = getattr(member, "owns_uri", None)
-            if owns is not None and owns(uri):
+            if member.owns_uri(uri):
                 return member
         raise IngestError(f"no federation member serves URI {uri!r}")
 
@@ -73,46 +74,30 @@ class FederatedRepository:
         return iter(self.uris())
 
     def owns_uri(self, uri: str) -> bool:
-        return any(
-            getattr(member, "owns_uri", lambda _uri: False)(uri)
-            for member in self.members
-        )
+        return any(member.owns_uri(uri) for member in self.members)
 
     def path_of(self, uri: str) -> Path:
         return self._member_for(uri).path_of(uri)
 
-    def signature_of(self, uri: str) -> tuple[int, int]:
-        member = self._member_for(uri)
-        signature_of = getattr(member, "signature_of", None)
-        if signature_of is not None:
-            return signature_of(uri)
-        st = member.path_of(uri).stat()
-        return (st.st_mtime_ns, st.st_size)
+    def signature_of(
+        self, uri: str, scope: Optional["MountContext"] = None
+    ) -> tuple[int, int]:
+        return self._member_for(uri).signature_of(uri, scope)
 
     def size_of(self, uri: str) -> int:
-        member = self._member_for(uri)
-        size_of = getattr(member, "size_of", None)
-        if size_of is not None:
-            return size_of(uri)
-        return member.path_of(uri).stat().st_size
+        return self._member_for(uri).size_of(uri)
 
     def total_bytes(self) -> int:
         return sum(member.total_bytes() for member in self.members)
 
     def extractor_for(
-        self, path: Path, uri: str, registry: "FormatRegistry"
+        self,
+        path: Path,
+        uri: str,
+        registry: "FormatRegistry",
+        scope: Optional["MountContext"] = None,
     ) -> "FormatExtractor":
-        member = self._member_for(uri)
-        extractor_for = getattr(member, "extractor_for", None)
-        if extractor_for is not None:
-            return extractor_for(path, uri, registry)
-        return registry.for_path(path)
-
-    def begin_query(self, token: Optional["CancellationToken"] = None) -> None:
-        for member in self.members:
-            begin_query = getattr(member, "begin_query", None)
-            if begin_query is not None:
-                begin_query(token)
+        return self._member_for(uri).extractor_for(path, uri, registry, scope)
 
     def close(self) -> None:
         for member in self.members:

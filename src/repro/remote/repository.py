@@ -22,13 +22,15 @@ The translation happens through the repository protocol hooks:
     file exactly as it would a local volume. Whole-file paths (metadata
     extraction, non-addressable byte maps) stage the whole object once and
     reuse it until the remote signature changes.
-``begin_query``
-    Resets the transport's per-query retry budget and adopts the query's
-    cancellation token.
 
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (timeouts, retry budget, hedging, per-endpoint circuit breaker), so every
-failure surfaces as a typed error naming the endpoint. ``uris()`` keeps the
+failure surfaces as a typed error naming the endpoint. ``signature_of`` and
+``extractor_for`` take the calling query's ``scope`` (its
+:class:`~repro.core.mounting.MountContext`) and hand it down to every
+request they cause, so the query's token interrupts them and they spend
+from the query's retry budget for this endpoint; the repository keeps no
+"current query". ``uris()`` keeps the
 last successful listing: an endpoint that dies *between* queries still
 resolves its file set, and the failures then surface per-file at mount
 time — where skip-and-report can degrade gracefully — instead of killing
@@ -44,7 +46,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .. import _sync
-from ..core.governor import CancellationToken, CircuitBreaker
+from ..core.governor import CircuitBreaker
+from ..core.mounting import MountContext
 from ..db.errors import FileIngestError, IngestError
 from ..ingest.formats import (
     FormatExtractor,
@@ -233,8 +236,12 @@ class RemoteRepository:
             os.makedirs(parent, exist_ok=True)
         return Path(resolved)
 
-    def signature_of(self, uri: str) -> tuple[int, int]:
-        return self.transport.head(self._key(uri), uri=uri).signature
+    def signature_of(
+        self, uri: str, scope: Optional[MountContext] = None
+    ) -> tuple[int, int]:
+        return self.transport.head(
+            self._key(uri), uri=uri, scope=scope
+        ).signature
 
     def size_of(self, uri: str) -> int:
         return self.transport.head(self._key(uri), uri=uri).size
@@ -243,12 +250,13 @@ class RemoteRepository:
         return sum(self.size_of(uri) for uri in self.uris())
 
     def extractor_for(
-        self, path: Path, uri: str, registry: FormatRegistry
+        self,
+        path: Path,
+        uri: str,
+        registry: FormatRegistry,
+        scope: Optional[MountContext] = None,
     ) -> FormatExtractor:
-        return RemoteExtractor(self, registry.for_path(path))
-
-    def begin_query(self, token: Optional[CancellationToken] = None) -> None:
-        self.transport.begin_query(token)
+        return RemoteExtractor(self, registry.for_path(path), scope=scope)
 
     def close(self) -> None:
         self.transport.close()
@@ -264,7 +272,10 @@ class RemoteRepository:
             return lock
 
     def ensure_whole(
-        self, uri: str, signature: Optional[tuple[int, int]] = None
+        self,
+        uri: str,
+        signature: Optional[tuple[int, int]] = None,
+        scope: Optional[MountContext] = None,
     ) -> int:
         """Stage the whole object; returns remote bytes moved (0 on reuse).
 
@@ -273,7 +284,7 @@ class RemoteRepository:
         """
         key = self._key(uri)
         if signature is None:
-            signature = self.transport.head(key, uri=uri).signature
+            signature = self.transport.head(key, uri=uri, scope=scope).signature
         with self._lock_for(key):
             with self._lock:
                 entry = self._staged.get(key)
@@ -284,7 +295,7 @@ class RemoteRepository:
                 ):
                     self.stats.staged_reuses += 1
                     return 0
-            data = self.transport.get(key, 0, None, uri=uri)
+            data = self.transport.get(key, 0, None, uri=uri, scope=scope)
             path = self.path_of(uri)
             path.write_bytes(data)
             with self._lock:
@@ -302,6 +313,7 @@ class RemoteRepository:
         uri: str,
         spans: Sequence[tuple[int, int]],
         signature: Optional[tuple[int, int]] = None,
+        scope: Optional[MountContext] = None,
     ) -> int:
         """Stage the ``(byte_offset, byte_length)`` spans; returns remote
         bytes moved (0 when staging already covers them).
@@ -316,11 +328,11 @@ class RemoteRepository:
         stands in for the HEAD issued here without one. Bytes staged under
         it are checked by the caller's post-read observation; if the object
         changed in between, the next call's fresh signature invalidates
-        them.
+        them. Every request issued here runs under ``scope``.
         """
         key = self._key(uri)
         if signature is None:
-            signature = self.transport.head(key, uri=uri).signature
+            signature = self.transport.head(key, uri=uri, scope=scope).signature
         size = signature[1]
         wanted = coalesce_spans(
             [
@@ -359,7 +371,9 @@ class RemoteRepository:
             total = 0
             with open(path, "r+b") as handle:
                 for start, end in fetchable:
-                    data = self.transport.get(key, start, end - start, uri=uri)
+                    data = self.transport.get(
+                        key, start, end - start, uri=uri, scope=scope
+                    )
                     handle.seek(start)
                     handle.write(data)
                     total += len(data)
@@ -389,18 +403,23 @@ class RemoteExtractor:
         repository: RemoteRepository,
         inner: FormatExtractor,
         signature: Optional[tuple[int, int]] = None,
+        scope: Optional[MountContext] = None,
     ) -> None:
         self.repository = repository
         self.inner = inner
         # The mount layer's pre-read observation of the object, when this
         # extractor serves one extraction attempt (see `observing`).
         self.signature = signature
+        # The query whose mount this is; every request runs under it.
+        self.scope = scope
 
     def observing(self, signature: tuple[int, int]) -> "RemoteExtractor":
         """This extractor for one extraction attempt whose caller has just
         observed ``signature``: staging trusts it instead of a HEAD of its
         own, and the caller's post-read observation checks the bytes."""
-        return RemoteExtractor(self.repository, self.inner, signature)
+        return RemoteExtractor(
+            self.repository, self.inner, signature, self.scope
+        )
 
     @property
     def format_name(self) -> str:
@@ -411,11 +430,11 @@ class RemoteExtractor:
         return self.inner.suffix
 
     def extract_metadata(self, path: Path, uri: str):
-        self.repository.ensure_whole(uri)
+        self.repository.ensure_whole(uri, scope=self.scope)
         return self.inner.extract_metadata(path, uri)
 
     def mount(self, path: Path, uri: str):
-        self.repository.ensure_whole(uri, self.signature)
+        self.repository.ensure_whole(uri, self.signature, self.scope)
         return self.inner.mount(path, uri)
 
     def mount_selective(
@@ -433,7 +452,9 @@ class RemoteExtractor:
             # No trustworthy byte map (or the request wants everything):
             # stage the whole object — a header walk over a partially
             # staged sparse file would parse zeros as corruption.
-            fetched = self.repository.ensure_whole(uri, self.signature)
+            fetched = self.repository.ensure_whole(
+                uri, self.signature, self.scope
+            )
             if selective_inner:
                 outcome = inner.mount_selective(path, uri, request)
                 return MountOutcome(
@@ -454,7 +475,9 @@ class RemoteExtractor:
             for span in spans
             if request.wants(span.start_time, span.end_time)
         ]
-        fetched = self.repository.fetch_spans(uri, wanted, self.signature)
+        fetched = self.repository.fetch_spans(
+            uri, wanted, self.signature, self.scope
+        )
         outcome = inner.mount_selective(path, uri, request)
         return MountOutcome(
             mounted=outcome.mounted,

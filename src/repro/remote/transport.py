@@ -23,6 +23,13 @@ wraps each request in four layers of protection, outside-in:
    cancelled (tail latency without duplicate side effects: requests are
    read-only).
 
+The transport itself belongs to no query: the token and the budget arrive
+*with each request*, as its ``scope`` — the query's
+:class:`~repro.core.mounting.MountContext`, handed down through the
+repository hooks. A request without a scope (metadata ingestion, the query
+service's shared extraction) is a scope of its own: a token nobody can fire,
+a budget of ``retry_budget_attempts`` for that one request.
+
 Raw store errors are wrapped into the typed taxonomy here:
 ``FileNotFoundError`` → :class:`RemoteObjectMissingError` (non-transient);
 everything else OS-shaped → :class:`RemoteTransportError` (transient).
@@ -36,6 +43,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, TypeVar
 
 from .. import _sync
@@ -46,6 +54,7 @@ from ..core.governor import (
     CircuitBreaker,
     RetryBudget,
 )
+from ..core.mounting import MountContext
 from ..db.errors import (
     RemoteObjectMissingError,
     RemoteTransportError,
@@ -203,23 +212,14 @@ class ResilientTransport:
             if breaker is not None
             else CircuitBreaker(failure_threshold=3, cooldown_seconds=0.25)
         )
-        self.retry_budget = RetryBudget(policy.retry_budget_attempts)
         self.latencies = LatencyTracker()
         self.stats = TransportStats()  # guarded-by: _lock
         self._clock = clock
         self._lock = _sync.create_lock("ResilientTransport._lock")
         self._rng = random.Random(policy.jitter_seed)  # guarded-by: _lock
-        # unguarded-ok: written once per query by begin_query before mount
-        # workers start, read-only while they run.
-        self._token: Optional[CancellationToken] = None
         self._executor: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
 
     # -- lifecycle -----------------------------------------------------------
-
-    def begin_query(self, token: Optional[CancellationToken] = None) -> None:
-        """Adopt the query's token and refill the per-query retry budget."""
-        self._token = token
-        self.retry_budget.reset()
 
     def close(self) -> None:
         with self._lock:
@@ -238,18 +238,17 @@ class ResilientTransport:
 
     # -- public request API --------------------------------------------------
 
-    def list_keys(self) -> list[str]:
-        return self._call(
-            "LIST",
-            None,
-            lambda cancel: self.store.list_keys(cancel=cancel, token=self._token),
-        )
+    def list_keys(self, scope: Optional[MountContext] = None) -> list[str]:
+        return self._call("LIST", None, scope, self.store.list_keys)
 
-    def head(self, key: str, uri: Optional[str] = None) -> ObjectStat:
+    def head(
+        self,
+        key: str,
+        uri: Optional[str] = None,
+        scope: Optional[MountContext] = None,
+    ) -> ObjectStat:
         return self._call(
-            f"HEAD:{key}",
-            uri,
-            lambda cancel: self.store.head(key, cancel=cancel, token=self._token),
+            f"HEAD:{key}", uri, scope, partial(self.store.head, key)
         )
 
     def get(
@@ -258,13 +257,13 @@ class ResilientTransport:
         start: int = 0,
         length: Optional[int] = None,
         uri: Optional[str] = None,
+        scope: Optional[MountContext] = None,
     ) -> bytes:
         return self._call(
             f"GET:{key}",
             uri,
-            lambda cancel: self.store.get(
-                key, start, length, cancel=cancel, token=self._token
-            ),
+            scope,
+            partial(self.store.get, key, start, length),
         )
 
     # -- internals -----------------------------------------------------------
@@ -273,17 +272,31 @@ class ResilientTransport:
         self,
         op: str,
         uri: Optional[str],
-        fn: Callable[[Optional[threading.Event]], T],
+        scope: Optional[MountContext],
+        fn: Callable[..., T],
     ) -> T:
+        """Run the store request ``fn(cancel=..., token=...)`` under the
+        resilience layers."""
         endpoint = self.store.endpoint
         policy = self.policy
-        probe = self._admit(endpoint, uri or op)
+        # The scope is read here, once, on the calling thread; everything
+        # below — attempts on the race pool included — gets these two.
+        if scope is None:
+            scope = MountContext()
+        token = scope.token
+        budget = scope.retry_budget(endpoint, policy.retry_budget_attempts)
+        probe = self._admit(endpoint, uri or op, token)
         with self._lock:
             self.stats.requests += 1
         attempt = 0
         while True:
             try:
-                result = self._attempt(op, uri, fn)
+                if policy.inline:
+                    started = self._clock()
+                    result = fn(cancel=None, token=token)
+                    self.latencies.record(self._clock() - started)
+                else:
+                    result = self._race(op, uri, fn, token, budget)
             except FileNotFoundError as exc:
                 # The endpoint *answered* — this is a repository fact, not
                 # a transport failure; it neither trips the breaker nor
@@ -319,7 +332,7 @@ class ResilientTransport:
             attempt += 1
             if not failure.transient or attempt >= policy.max_attempts:
                 raise failure
-            if not self.retry_budget.try_spend():
+            if not budget.try_spend():
                 with self._lock:
                     self.stats.retries_denied += 1
                 raise failure
@@ -339,11 +352,12 @@ class ResilientTransport:
             with self._lock:
                 self.stats.retries += 1
             if backoff > 0:
-                if interruptible_wait(backoff, token=self._token) == "token":
-                    assert self._token is not None
-                    raise self._token.interruption() from failure
+                if interruptible_wait(backoff, token=token) == "token":
+                    raise token.interruption() from failure
 
-    def _admit(self, endpoint: str, subject: str) -> bool:
+    def _admit(
+        self, endpoint: str, subject: str, token: CancellationToken
+    ) -> bool:
         """Pass the breaker, or raise its refusal.
 
         Returns whether this request is the half-open probe. A query's mount
@@ -370,35 +384,23 @@ class ResilientTransport:
             # Closed means the probe succeeded since allow() ran: ask again.
             if (
                 state == CIRCUIT_HALF_OPEN
-                and interruptible_wait(_POLL_SECONDS, token=self._token)
+                and interruptible_wait(_POLL_SECONDS, token=token)
                 == "token"
             ):
-                assert self._token is not None
-                raise self._token.interruption()
+                raise token.interruption()
         # A half-open circuit says yes to its one probe only.
         return self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN
-
-    def _attempt(
-        self,
-        op: str,
-        uri: Optional[str],
-        fn: Callable[[Optional[threading.Event]], T],
-    ) -> T:
-        """One logical attempt: inline, or raced with timeout/hedging."""
-        policy = self.policy
-        if policy.inline:
-            started = self._clock()
-            result = fn(None)
-            self.latencies.record(self._clock() - started)
-            return result
-        return self._race(op, uri, fn)
 
     def _race(
         self,
         op: str,
         uri: Optional[str],
-        fn: Callable[[Optional[threading.Event]], T],
+        fn: Callable[..., T],
+        token: CancellationToken,
+        budget: RetryBudget,
     ) -> T:
+        """One attempt off the calling thread: raced with a timeout and,
+        once the latency tracker is warm, a hedged backup."""
         policy = self.policy
         endpoint = self.store.endpoint
         race = _Race()
@@ -413,7 +415,7 @@ class ResilientTransport:
 
             def run() -> None:
                 try:
-                    race.offer(fn(cancel), is_hedge)
+                    race.offer(fn(cancel=cancel, token=token), is_hedge)
                 except BaseException as exc:  # noqa: BLE001 — forwarded to caller
                     race.offer_error(exc)
 
@@ -436,8 +438,7 @@ class ResilientTransport:
         hedged = False
         try:
             while not race.event.wait(_POLL_SECONDS):
-                token = self._token
-                if token is not None and token.fired:
+                if token.fired:
                     raise token.interruption()  # type: ignore[misc]
                 now = self._clock()
                 if timeout_at is not None and now >= timeout_at:
@@ -451,7 +452,7 @@ class ResilientTransport:
                     )
                 if hedge_at is not None and not hedged and now >= hedge_at:
                     hedged = True
-                    if self.retry_budget.try_spend():
+                    if budget.try_spend():
                         with self._lock:
                             self.stats.hedges += 1
                         launch(is_hedge=True)

@@ -21,8 +21,8 @@ Two classes implement it:
 * :class:`SharedPoolClient` — the per-query facade. It speaks the MountPool
   interface (``prefetch`` / ``take`` / ``close`` / ``timings`` /
   ``cancel_outstanding``), so a :class:`~repro.core.executor.TwoStageExecutor`
-  with a ``pool_factory`` drives the shared scheduler without changing a
-  line of its stage-2 logic.
+  handed a :class:`~repro.core.mounting.MountContext` whose ``pool`` is one
+  drives the shared scheduler without changing a line of its stage-2 logic.
 
 Scheduling policy
 -----------------
@@ -737,9 +737,10 @@ class MountScheduler:
 class SharedPoolClient:
     """One query's MountPool-compatible view of the shared scheduler.
 
-    Created per execution by the query service's ``pool_factory``; the
-    executor and :class:`~repro.core.mounting.MountService` drive it exactly
-    like a :class:`~repro.core.mountpool.MountPool`:
+    Created per execution by the query service, as the ``pool`` of the
+    query's :class:`~repro.core.mounting.MountContext`; the executor and
+    :class:`~repro.core.mounting.MountService` drive it exactly like a
+    :class:`~repro.core.mountpool.MountPool`:
 
     * :meth:`prefetch` registers the query's mount branches with the
       scheduler (this is the query "entering the scheduler" at the

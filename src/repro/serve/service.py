@@ -3,12 +3,12 @@
 The paper frames ALi for the single scientist at a console; a facility
 serves *many* scientists against one archive. :class:`QueryService` is that
 deployment shape: one shared :class:`~repro.db.database.Database` (metadata
-loaded once), one shared :class:`~repro.core.cache.IngestionCache`, and one
-:class:`~repro.serve.scheduler.MountScheduler` — while every query still
-runs the full two-stage pipeline with its own
-:class:`~repro.core.executor.TwoStageExecutor` (the executor carries
-per-query mutable state, so the service creates one per execution and plugs
-the shared machinery in through the executor's service seams).
+loaded once), one shared :class:`~repro.core.cache.IngestionCache`, one
+:class:`~repro.serve.scheduler.MountScheduler` and one
+:class:`~repro.core.executor.TwoStageExecutor` — every query still runs the
+full two-stage pipeline through it, under a
+:class:`~repro.core.mounting.MountContext` of its own that the service
+builds from the tenant.
 
 A query's life in the service:
 
@@ -17,10 +17,10 @@ A query's life in the service:
    byte-ledger shedding (the tenant already consumed its total mount-byte
    allowance) both raise :class:`~repro.db.errors.QueryShedError`
    synchronously, on the submitting thread.
-2. **Stage 1** — the query's own executor runs the metadata stage and
+2. **Stage 1** — the executor runs the query's metadata stage and
    reaches the stage-1/stage-2 breakpoint with its files of interest.
 3. **Scheduling** — instead of a private :class:`~repro.core.mountpool.MountPool`,
-   the executor's ``pool_factory`` hands stage 2 a
+   the query's context carries a
    :class:`~repro.serve.scheduler.SharedPoolClient`: the query's mount
    branches are registered with the shared scheduler (hull-merged with
    every other waiting query touching the same files) and the query parks
@@ -51,21 +51,24 @@ from .. import _sync
 from ..core.advisor import WorkloadPredictor
 from ..core.cache import WHOLE_FILE, CachePolicy, CacheStats, IngestionCache
 from ..core.executor import TwoStageExecutor, TwoStageResult
-from ..core.governor import CancellationToken, CircuitBreaker, QueryBudget
+from ..core.governor import (
+    CancellationToken,
+    CircuitBreaker,
+    QueryBudget,
+    QueryGovernor,
+)
 from ..core.mounting import (
     FAIL_FAST,
-    ON_ERROR_POLICIES,
     ExtractResult,
-    MountService,
+    MountContext,
+    check_on_error,
 )
-from ..core.recordmap import RecordMapIndex
-from ..core.statsindex import StatisticsIndex
 from ..db.interval import overlaps
 from ..db.database import Database
 from ..db.errors import QueryShedError
 from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
-from ..ingest.schema import BindingSet, RepositoryBinding
+from ..ingest.schema import RepositoryBinding
 from ..mseed.repository import FileRepository
 from .scheduler import MountKey, MountScheduler, SchedulerPolicy, SchedulerStats
 
@@ -99,11 +102,7 @@ class TenantPolicy:
             and self.max_total_mount_bytes < 0
         ):
             raise ValueError("max_total_mount_bytes must be >= 0")
-        if self.on_mount_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_mount_error must be one of {ON_ERROR_POLICIES}, "
-                f"got {self.on_mount_error!r}"
-            )
+        check_on_error(self.on_mount_error)
 
 
 @dataclass
@@ -196,8 +195,8 @@ class QueryService:
     *in flight* together).
 
     ``mount_workers`` sizes the shared scheduler's extraction pool —
-    service-wide, not per query (per-query executors run their plan on the
-    submitting thread and consume from the shared scheduler).
+    service-wide, not per query (a query's plan runs on the submitting
+    thread and consumes from the shared scheduler).
     """
 
     def __init__(
@@ -226,29 +225,19 @@ class QueryService:
             else IngestionCache(policy=CachePolicy.UNBOUNDED)
         )
         self._binding = RepositoryBinding(repository)
-        self.bindings = BindingSet.single(self._binding)
         self.default_policy = default_policy or TenantPolicy()
-        self.selective_mounts = selective_mounts
-        self.verify_plans = verify_plans
         self.max_concurrent_queries = max_concurrent_queries
-        # The shared extraction path: a MountService with NO governor and NO
-        # breaker. Scheduled extractions are charged to each consuming
-        # query's governor by its SharedPoolClient (once per file it uses),
-        # and failures are judged by each waiter's own tenant breaker — the
-        # shared service only extracts, retries transients, and counts
-        # service-wide bytes.
-        self._shared_mounts = MountService(
-            self.bindings,
-            self.cache,
-            buffers=db.buffers,
-            selective=selective_mounts,
+        # The one pipeline every query runs through — and with it one mount
+        # service, one byte-map index, one statistics memo. What differs
+        # per query (tenant policy, budget, breaker, ledger, the scheduler
+        # client) is the context _run_admitted hands its execute().
+        self._executor = TwoStageExecutor(
+            db,
+            self._binding,
+            cache=self.cache,
+            selective_mounts=selective_mounts,
+            verify_plans=verify_plans,
         )
-        # One byte-map index for every query and the shared extraction path,
-        # and one statistics memo: a query's executor is new, the metadata
-        # both are built from is not.
-        self._record_index = RecordMapIndex(db)
-        self._shared_mounts.record_map_provider = self._record_index
-        self._statistics_index = StatisticsIndex(db)
         # Predictive prefetch: after each completed query, the tenant's
         # predictor extrapolates the next window and the overlapping files
         # are registered as scheduler *hints* — waiter-less tasks run only
@@ -263,8 +252,6 @@ class QueryService:
         )
         self._lock = _sync.create_lock("QueryService._lock")
         self._tenants: dict[str, TenantState] = {}  # guarded-by: _lock
-        # Coverage-fallback extractions, query-side.
-        self._inline_bytes = 0  # guarded-by: _lock
         self._completed = 0  # guarded-by: _lock
         self._failed = 0  # guarded-by: _lock
         self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
@@ -388,13 +375,11 @@ class QueryService:
         budget: Optional[QueryBudget],
         cancellation: Optional[CancellationToken],
     ) -> TwoStageResult:
-        executor: Optional[TwoStageExecutor] = None
         # The scheduler sizes its batch window by who is here to join it.
         self.scheduler.query_started(state.name)
         try:
-            executor = self._make_executor(state)
-            result = executor.execute(
-                sql, budget=budget, cancellation=cancellation
+            result = self._executor.execute(
+                sql, context=self._open_context(state, budget, cancellation)
             )
         except BaseException:
             with self._lock:
@@ -409,58 +394,46 @@ class QueryService:
                 # After the answer is already delivered-able: feed the
                 # tenant's predictor and register hints. Purely additive —
                 # a wrong prediction costs idle-worker bytes, never answers.
-                self._prefetch_for(state, executor)
+                self._prefetch_for(state, result)
             return result
         finally:
             with self._lock:
                 state.in_flight -= 1
-                # Coverage fallbacks extracted on the query's own thread are
-                # real disk work the shared stats never saw; fold them in so
-                # total_mount_bytes stays the true service-wide disk story.
-                if executor is not None:
-                    self._inline_bytes += executor.mounts.stats.bytes_read
             self.scheduler.query_finished(state.name)
 
-    def _make_executor(self, state: TenantState) -> TwoStageExecutor:
-        """One query's executor: private pipeline, shared backends.
-
-        The executor is per-execution throwaway state; everything expensive
-        or shared — database, cache, record maps, statistics, scheduler — is
-        plugged in from the service. The ``pool_factory`` closure reads the
-        executor's governor at stage-2 time (it is armed by then), so
-        consumed shared results charge this query's budget exactly as
-        standalone extraction would.
+    def _open_context(
+        self,
+        state: TenantState,
+        budget: Optional[QueryBudget],
+        cancellation: Optional[CancellationToken],
+    ) -> MountContext:
+        """One admitted query's context, from its tenant: the policy's
+        degradation mode and budget (unless the call brought one), the
+        tenant's breaker, a governor whose charges feed the tenant ledger,
+        and a scheduler client as stage 2's pool — consumed shared results
+        charge this query's budget exactly as standalone extraction would.
         """
-        executor = TwoStageExecutor(
-            self.db,
-            self.bindings,
-            cache=self.cache,
-            mount_workers=1,
-            on_mount_error=state.policy.on_mount_error,
-            budget=state.policy.query_budget,
-            breaker=state.breaker,
-            selective_mounts=self.selective_mounts,
-            verify_plans=self.verify_plans,
-        )
-        executor.mounts.record_map_provider = self._record_index
-        executor.statistics_index = self._statistics_index
 
         def charge(bytes_read: int, records_decoded: int) -> None:
             with self._lock:
                 state.bytes_charged += bytes_read
                 state.records_charged += records_decoded
 
-        executor.charge_hook = charge
-        executor.pool_factory = lambda token: self.scheduler.client(
-            token=token, governor=executor._governor
+        governor = QueryGovernor(
+            budget if budget is not None else state.policy.query_budget,
+            token=cancellation,
+            on_charge=charge,
         )
-        return executor
+        return MountContext(
+            governor=governor,
+            on_error=state.policy.on_mount_error,
+            breaker=state.breaker,
+            pool=self.scheduler.client(token=governor.token, governor=governor),
+        )
 
     # -- predictive prefetch ---------------------------------------------------
 
-    def _prefetch_for(
-        self, state: TenantState, executor: TwoStageExecutor
-    ) -> int:
+    def _prefetch_for(self, state: TenantState, result: TwoStageResult) -> int:
         """Extrapolate the tenant's next window; hint the overlapping files.
 
         Skips files the tenant's breaker distrusts and intervals the shared
@@ -469,25 +442,26 @@ class QueryService:
         number of hints accepted (for tests and ops).
         """
         predicted = state.predictor.observe_and_predict(
-            executor.last_query_interval
+            result.breakpoint.query_interval
         )
         if predicted is None:
             return 0
         table = self._binding.actual_table
         hints: list[tuple[str, str, Optional[MountRequest]]] = []
-        for uri, file in self._statistics_index().files.items():
+        selective = self._executor.mounts.selective
+        record_map = self._executor.mounts.record_map_provider
+        for uri, file in self._executor.statistics().files.items():
             if not overlaps(predicted.interval, *file.span):
                 continue
             if state.breaker.likely_blocked(uri):
                 continue
             if self.cache.contains(uri, predicted.interval):
                 continue
-            records = (
-                self._record_index(uri, table) if self.selective_mounts else None
-            )
             request = (
-                MountRequest(interval=predicted.interval, records=records)
-                if self.selective_mounts
+                MountRequest(
+                    interval=predicted.interval, records=record_map(uri, table)
+                )
+                if selective
                 else None
             )
             hints.append((table, uri, request))
@@ -531,11 +505,19 @@ class QueryService:
         within one extraction's window. A cache-served result reports
         ``bytes_read=0``: no disk work happened, so neither the service
         total nor any consuming query's budget is charged for it.
+
+        The task serves every query waiting on the file, so it runs under no
+        one's context: no governor (each consumer's SharedPoolClient charges
+        its own, once per file it uses), no breaker (each waiter's tenant
+        breaker judges the failure), and no waiter's token or retry budget —
+        the mount service only extracts, retries transients, and counts
+        service-wide bytes.
         """
+        mounts = self._executor.mounts
         interval = WHOLE_FILE if request is None else request.interval
         signature = (
-            self._shared_mounts._current_signature(uri, table_name)
-            if self._shared_mounts.validate_staleness
+            mounts._current_signature(uri, table_name)
+            if mounts.validate_staleness
             else None
         )
         cached = self.cache.lookup(uri, interval, signature=signature)
@@ -545,9 +527,7 @@ class QueryService:
             )
         # The lookup's observation of the file doubles as the extraction's
         # `before`: one HEAD per remote mount saved, the sandwich only wider.
-        return self._shared_mounts._extract(
-            uri, table_name, request, observed=signature
-        )
+        return mounts._extract(uri, table_name, request, observed=signature)
 
     # -- introspection -------------------------------------------------------
 
@@ -556,8 +536,7 @@ class QueryService:
         """Bytes actually pulled off disk, service-wide: every scheduled and
         unscheduled shared extraction plus every query-side coverage
         fallback. The N-independent-sessions comparison number."""
-        with self._lock:
-            return self._shared_mounts.stats.bytes_read + self._inline_bytes
+        return self._executor.mounts.stats.bytes_read
 
     def stats(self) -> ServiceStats:
         with self._lock:
@@ -575,15 +554,12 @@ class QueryService:
                 for t in self._tenants.values()
             )
             shed = sum(t.shed for t in tenants)
-            total_bytes = (
-                self._shared_mounts.stats.bytes_read + self._inline_bytes
-            )
             completed, failed = self._completed, self._failed
         return ServiceStats(
             scheduler=replace(self.scheduler.stats),
             cache=replace(self.cache.stats),
             tenants=tenants,
-            total_mount_bytes=total_bytes,
+            total_mount_bytes=self.total_mount_bytes,
             queries_completed=completed,
             queries_failed=failed,
             queries_shed=shed,
@@ -594,7 +570,7 @@ class QueryService:
 class TenantClient:
     """One tenant's handle on the service — duck-compatible with the
     engines :class:`~repro.explore.session.ExplorationSession` accepts
-    (``execute(sql) -> TwoStageResult`` plus a ``cancel`` passthrough)."""
+    (``execute(sql) -> TwoStageResult``)."""
 
     service: QueryService
     tenant: str

@@ -11,15 +11,20 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    ON_BUDGET_PARTIAL,
     CacheAdvisor,
     CacheGranularity,
     CachePolicy,
+    CancellationToken,
     IngestionCache,
+    QueryBudget,
     SessionPrefetcher,
     TwoStageExecutor,
     WorkloadPredictor,
 )
+from repro.core.advisor import PredictedWindow
 from repro.db import Database
+from repro.db.errors import QueryCancelledError
 from repro.db.types import format_timestamp, parse_timestamp
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 
@@ -312,3 +317,96 @@ class TestSessionPrefetcher:
         # At most one file fits under a 1-byte budget; the rest are counted.
         assert stats.files_prefetched <= stats.rounds
         assert stats.skipped_budget > 0
+
+
+class TestPrefetchIsNobodysBill:
+    """A prefetch round extracts under a context of its own: what it reads
+    lands on no query's ledger, and no query's token reaches it."""
+
+    @pytest.fixture()
+    def overlapping(self, tiny_repo):
+        """(executor, prefetcher, sql, foreground file): the query mounts
+        one whole file, and while it does — from a mount callback, so the
+        overlap is exact — the prefetcher runs one round that extracts
+        exactly one file's window (the round's byte bound is 1)."""
+        db = Database()
+        lazy_ingest_metadata(db, tiny_repo)
+        executor = TwoStageExecutor(
+            db,
+            RepositoryBinding(tiny_repo),
+            cache=IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
+        )
+        prefetcher = SessionPrefetcher(
+            executor.mounts,
+            executor.statistics,
+            synchronous=True,
+            max_bytes_per_round=1,
+        )
+        uri = tiny_repo.uris()[0]
+        lo, hi = executor.statistics().file_span(uri)
+        window = PredictedWindow(interval=(lo, (lo + hi) // 2), kind="slide")
+        self.during_mount = lambda: None
+
+        def on_mount(_uri, _batch):
+            self.during_mount()
+            prefetcher._run_round(window)
+
+        executor.mounts.add_mount_callback(on_mount)
+        sql = (
+            "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+            f"WHERE F.uri = '{uri}'"
+        )
+        return executor, prefetcher, sql, uri
+
+    def test_overlapping_round_is_not_charged_to_the_query(
+        self, overlapping, tiny_repo
+    ):
+        executor, prefetcher, sql, uri = overlapping
+        # A byte budget of exactly the query's own file: one speculative
+        # byte on its ledger would trip it.
+        budget = QueryBudget(
+            max_mount_bytes=tiny_repo.size_of(uri), on_budget=ON_BUDGET_PARTIAL
+        )
+        outcome = executor.execute(sql, budget=budget)
+        assert prefetcher.stats.files_prefetched == 1
+        assert prefetcher.stats.bytes_prefetched > 0
+        assert outcome.truncation is None
+        assert outcome.rows[0][0] > 0
+
+    def test_cancelled_query_does_not_take_the_round_with_it(self, overlapping):
+        executor, prefetcher, sql, _uri = overlapping
+        token = CancellationToken()
+        self.during_mount = lambda: token.cancel("ctrl-c")
+        with pytest.raises(QueryCancelledError):
+            executor.execute(sql, cancellation=token)
+        assert prefetcher.stats.files_prefetched == 1
+        assert prefetcher.stats.errors == 0
+
+    def test_worker_survives_a_round_that_raises(self, tiny_repo):
+        class FailsOnce:
+            calls = 0
+
+            def prefetch_into_cache(self, *_args):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("the first round breaks")
+                return ("stored", 10)
+
+        class AlwaysPredicts:
+            def observe_and_predict(self, interval):
+                return PredictedWindow(interval=interval, kind="slide")
+
+        db = Database()
+        lazy_ingest_metadata(db, tiny_repo)
+        statistics = TwoStageExecutor(db, RepositoryBinding(tiny_repo)).statistics
+        span = statistics().file_span(tiny_repo.uris()[0])
+        with SessionPrefetcher(
+            FailsOnce(), statistics, predictor=AlwaysPredicts()
+        ) as prefetcher:
+            prefetcher.observe(span)
+            assert prefetcher.flush(timeout=10.0)
+            assert prefetcher.stats.errors == 1
+            prefetcher.observe(span)  # the worker is still there to run it
+            assert prefetcher.flush(timeout=10.0)
+            assert prefetcher.stats.rounds == 2
+            assert prefetcher.stats.files_prefetched > 0

@@ -8,6 +8,7 @@ grammar over the seismic schema.
 """
 
 import math
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -167,4 +168,7 @@ def test_no_dangling_state_after_queries(sql, data, ali_db, tiny_repo):
     executor.execute(sql)
     assert ali_db.catalog.table("D").num_rows == 0
     assert len(executor.cache) == 0
-    assert executor.mounts.pool is None  # the pool never outlives stage 2
+    # The pool never outlives stage 2.
+    assert not [
+        t for t in threading.enumerate() if t.name.startswith("mountpool")
+    ]

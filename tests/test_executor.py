@@ -3,23 +3,30 @@ reproduction: for every supported query, two-stage ALi execution returns the
 same answer as conventional execution over an eagerly loaded database."""
 
 import math
+import sys
+import threading
 
 import pytest
 
 from repro.core import (
+    ON_BUDGET_PARTIAL,
     AbortAboveCost,
     CachePolicy,
     CacheGranularity,
+    CancellationToken,
+    CircuitBreaker,
     IngestionCache,
     LimitFilesAboveCost,
     PER_FILE,
+    QueryBudget,
     TwoStageExecutor,
 )
 from repro.db import Database
-from repro.db.errors import QueryAbortedError
+from repro.db.errors import QueryAbortedError, QueryCancelledError
 from repro.ingest import FILE_TABLE, RepositoryBinding, lazy_ingest_metadata
-from repro.mseed import FileRepository
+from repro.mseed import FileRepository, generate_repository
 from repro.remote import RemoteRepository, SimulatedObjectStore
+from repro.testing import READ_LATENCY, FaultPlan, FaultSpec
 
 # A family of queries spanning the supported SQL surface, all answerable by
 # both engines. Each must yield identical results under Ei and ALi.
@@ -357,3 +364,194 @@ class TestMultipleActualScans:
             "AND d1.sample_value < d2.sample_value"
         )
         assert executor.execute(sql).rows == ei_db.execute(sql).rows()
+
+
+class TestReentrancy:
+    """One executor, six queries at once, each under a context of its own:
+    three degrade around corrupted files, one is truncated by its byte
+    budget, one is cancelled mid-mount, one terminates its Top-N early.
+    Nothing one query owns — policy, quarantine, failure report, ledger,
+    token — shows up in another's result."""
+
+    ROUNDS = 4
+
+    @staticmethod
+    def _count(where):
+        return (
+            "SELECT COUNT(*), AVG(D.sample_value) "
+            f"FROM F JOIN D ON F.uri = D.uri WHERE {where}"
+        )
+
+    @pytest.fixture()
+    def damaged_repo(self, tmp_path, tiny_spec):
+        """The tiny repository with two files corrupted (one Steim frame
+        each); returns (repository, the two URIs)."""
+        generate_repository(tmp_path, tiny_spec)
+        repo = FileRepository(tmp_path)
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        by_series = {
+            (station, channel): uri
+            for uri, station, channel in db.execute(
+                "SELECT uri, station, channel FROM F ORDER BY uri DESC"
+            ).rows()
+        }  # the first day's file of each series
+        corrupted = [by_series["ISK", "BHE"], by_series["ANK", "BHZ"]]
+        for uri in corrupted:
+            path = repo.path_of(uri)
+            raw = bytearray(path.read_bytes())
+            raw[100] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        return repo, corrupted, by_series
+
+    def _executor(self, repo, workers):
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        return TwoStageExecutor(
+            db,
+            RepositoryBinding(repo),
+            mount_workers=workers,
+            # Out of the picture: this is about contexts, and a breaker
+            # (shared on purpose) would reword the repeat failures.
+            breaker=CircuitBreaker(failure_threshold=10**6),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_six_queries_at_once_equal_the_same_queries_alone(
+        self, damaged_repo, workers
+    ):
+        repo, (bad_isk, bad_ank), by_series = damaged_repo
+        lone_file = by_series["ISK", "BHZ"]
+        stalled = by_series["ANK", "BHE"]
+        token = CancellationToken()
+        # name -> (sql, open_context kwargs); each touches its own files.
+        cases = {
+            "skip-isk-bhe": (
+                self._count("F.station = 'ISK' AND F.channel = 'BHE'"),
+                {"on_mount_error": "skip"},
+            ),
+            "skip-ank-bhz": (
+                self._count("F.station = 'ANK' AND F.channel = 'BHZ'"),
+                {"on_mount_error": "skip"},
+            ),
+            "skip-isk": (
+                self._count("F.station = 'ISK'"),
+                {"on_mount_error": "skip"},
+            ),
+            "budget": (
+                self._count(f"F.uri = '{lone_file}'"),
+                {
+                    "budget": QueryBudget(
+                        max_mount_bytes=repo.size_of(lone_file) - 1,
+                        on_budget=ON_BUDGET_PARTIAL,
+                    )
+                },
+            ),
+            "top-n": (
+                "SELECT D.sample_time, D.sample_value "
+                "FROM F JOIN D ON F.uri = D.uri "
+                "WHERE F.station = 'ISK' AND F.channel = 'BHZ' "
+                "ORDER BY D.sample_time LIMIT 5",
+                {},
+            ),
+        }
+        cancelled_sql = self._count("F.station = 'ANK' AND F.channel = 'BHE'")
+
+        def run(executor, name):
+            sql, kwargs = cases[name]
+            return executor.execute(sql, context=executor.open_context(**kwargs))
+
+        alone = {}
+        expected_stats = {"skipped_mounts": 0, "early_terminated_branches": 0}
+        for name in cases:
+            reference = self._executor(repo, workers)
+            alone[name] = run(reference, name)
+            for counter in expected_stats:
+                expected_stats[counter] += self.ROUNDS * getattr(
+                    reference.mounts.stats, counter
+                )
+        assert alone["skip-isk-bhe"].timings.mount_failures.uris() == [bad_isk]
+        assert alone["skip-ank-bhz"].timings.mount_failures.uris() == [bad_ank]
+        assert alone["budget"].truncation.bytes_mounted == repo.size_of(lone_file)
+        assert expected_stats["early_terminated_branches"] > 0
+
+        shared = self._executor(repo, workers)
+        results = {name: [] for name in cases}
+        errors = {}
+        barrier = threading.Barrier(len(cases) + 1)
+
+        def worker(name):
+            try:
+                barrier.wait(10.0)
+                for _ in range(self.ROUNDS):
+                    results[name].append(run(shared, name))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors[name] = exc
+
+        def cancelled_worker():
+            try:
+                barrier.wait(10.0)
+                shared.execute(cancelled_sql, cancellation=token)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors["cancelled"] = exc
+
+        threads = [
+            threading.Thread(target=worker, args=(name,)) for name in cases
+        ] + [threading.Thread(target=cancelled_worker)]
+        # The cancelled query's file stalls until its token fires; nobody
+        # else reads that file.
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    uri_suffix=stalled,
+                    kind=READ_LATENCY,
+                    times=-1,
+                    delay_seconds=30.0,
+                )
+            ],
+            interrupt=token,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with plan.install():
+                for thread in threads:
+                    thread.start()
+                threading.Timer(0.1, token.cancel, args=("ctrl-c",)).start()
+                for thread in threads:
+                    thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert isinstance(errors.pop("cancelled"), QueryCancelledError)
+        assert not errors, errors
+        for name, outcomes in results.items():
+            assert len(outcomes) == self.ROUNDS
+            for outcome in outcomes:
+                assert outcome.rows == alone[name].rows, name
+                assert (
+                    outcome.timings.mount_failures.uris()
+                    == alone[name].timings.mount_failures.uris()
+                ), name
+                lone, served = alone[name].truncation, outcome.truncation
+                assert (lone is None) == (served is None), name
+                if lone is not None:
+                    assert (
+                        served.bytes_mounted,
+                        served.records_decoded,
+                        served.mounts_completed,
+                        served.mounts_truncated,
+                    ) == (
+                        lone.bytes_mounted,
+                        lone.records_decoded,
+                        lone.mounts_completed,
+                        lone.mounts_truncated,
+                    )
+        # Counters only these five queries touch: a lost update shows.
+        stats = shared.mounts.stats
+        for counter, expected in expected_stats.items():
+            assert getattr(stats, counter) == expected, counter
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("mountpool")
+        ]

@@ -189,7 +189,6 @@ class TestDeadline:
         elapsed = time.perf_counter() - started
         assert elapsed < 0.2, f"deadline overran: {elapsed:.3f}s"
         _assert_workers_joined()
-        assert executor.mounts.pool is None
 
     def test_deadline_partial_mode_returns_truncation_report(self, repo):
         executor = _executor(repo, workers=4)

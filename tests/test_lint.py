@@ -14,19 +14,17 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from tools.lint import DEFAULT_RULES, run_lint  # noqa: E402
 from tools.lint.framework import iter_python_files, parse_file  # noqa: E402
-from tools.lint.rules import BlockingCallInLockRule  # noqa: E402
 
 
 def _lint_source(
     tmp_path: Path,
     source: str,
     relpath: str = "repro/core/mod.py",
-    rules=None,
 ) -> list:
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return run_lint([str(tmp_path)], DEFAULT_RULES if rules is None else rules)
+    return run_lint([str(tmp_path)], DEFAULT_RULES)
 
 
 def _rules_fired(violations: list) -> set[str]:
@@ -81,67 +79,6 @@ def test_extraction_error_wrap_silent_outside_extraction_paths(tmp_path):
         relpath="other/module.py",
     )
     assert "extraction-error-wrap" not in _rules_fired(violations)
-
-
-# The lexical blocking-call rule left DEFAULT_RULES (the whole-program
-# analyzer in tools/lint/concurrency.py supersedes it with call-graph
-# depth) but stays importable; these tests drive it explicitly.
-
-
-def test_blocking_call_in_lock_fires(tmp_path):
-    violations = _lint_source(
-        tmp_path,
-        """
-        import time
-
-        class Service:
-            def _work(self) -> None:
-                with self._lock:
-                    time.sleep(0.1)
-        """,
-        relpath="anywhere.py",
-        rules=[BlockingCallInLockRule()],
-    )
-    assert _rules_fired(violations) == {"blocking-call-in-lock"}
-
-
-def test_blocking_call_outside_lock_is_fine(tmp_path):
-    violations = _lint_source(
-        tmp_path,
-        """
-        import time
-
-        class Service:
-            def _work(self) -> None:
-                with self._lock:
-                    value = self._state
-                time.sleep(0.1)
-        """,
-        relpath="anywhere.py",
-        rules=[BlockingCallInLockRule()],
-    )
-    assert violations == []
-
-
-def test_blocking_call_in_nested_function_not_flagged(tmp_path):
-    # The nested function runs later, when the lock is not (necessarily)
-    # held — the rule must stop at function boundaries.
-    violations = _lint_source(
-        tmp_path,
-        """
-        import time
-
-        class Service:
-            def _work(self) -> None:
-                with self._lock:
-                    def backoff() -> None:
-                        time.sleep(0.1)
-                    self._callback = backoff
-        """,
-        relpath="anywhere.py",
-        rules=[BlockingCallInLockRule()],
-    )
-    assert violations == []
 
 
 def test_mutable_default_arg_fires(tmp_path):

@@ -12,7 +12,9 @@ from repro.core import (
     CachePolicy,
     CancellationToken,
     IngestionCache,
+    MountContext,
     MountService,
+    QueryGovernor,
     interval_from_predicate,
 )
 from repro.core.cache import INF
@@ -458,11 +460,13 @@ class TestRetryJitter:
             extractor,
             max_retries=fails,
             retry_jitter=jitter,
-            cancellation=token,
         )
         service.retry_backoff_seconds = 0.01
         service._retry_rng = random.Random(seed)
-        batch = service.mount_file(tiny_repo.uris()[0], "D", "d", None)
+        context = MountContext(governor=QueryGovernor(token=token))
+        batch = service.mount_file(
+            tiny_repo.uris()[0], "D", "d", None, context
+        )
         assert batch.num_rows > 0
         return token.waits
 
@@ -504,84 +508,78 @@ class TestSkipAndReport:
         raw[100] ^= 0xFF
         path.write_bytes(bytes(raw))
 
-    def test_fail_fast_raises(self, scratch_repo):
-        service = MountService(
-            BindingSet.single(RepositoryBinding(scratch_repo)),
+    def _service(self, repo):
+        return MountService(
+            BindingSet.single(RepositoryBinding(repo)),
             IngestionCache(CachePolicy.DISCARD),
         )
+
+    def test_fail_fast_raises(self, scratch_repo):
+        service = self._service(scratch_repo)
         uri = scratch_repo.uris()[0]
         self.corrupt(scratch_repo, uri)
-        assert service.on_error == FAIL_FAST
+        assert MountContext().on_error == FAIL_FAST
         with pytest.raises(IngestError):
             service.mount_file(uri, "D", "d", None)
 
     def test_skip_returns_empty_batch_and_reports(self, scratch_repo):
-        service = MountService(
-            BindingSet.single(RepositoryBinding(scratch_repo)),
-            IngestionCache(CachePolicy.DISCARD),
-            on_error=SKIP_AND_REPORT,
-        )
+        service = self._service(scratch_repo)
+        context = MountContext(on_error=SKIP_AND_REPORT)
         uri = scratch_repo.uris()[0]
         self.corrupt(scratch_repo, uri)
-        batch = service.mount_file(uri, "D", "d", None)
+        batch = service.mount_file(uri, "D", "d", None, context)
         assert batch.num_rows == 0
         assert batch.names == [
             "d.uri", "d.record_id", "d.sample_time", "d.sample_value",
         ]
-        assert len(service.failure_report) == 1
-        failure = service.failure_report.failures[0]
+        assert len(context.failure_report) == 1
+        failure = context.failure_report.failures[0]
         assert failure.uri == uri
         assert failure.error in ("SteimError", "CorruptFileError")
-        assert uri in service.failure_report.describe()
+        assert uri in context.failure_report.describe()
         assert service.stats.skipped_mounts == 1
 
     def test_quarantine_skips_repeat_mounts(self, scratch_repo):
         """A self-join takes the same file twice; the second take must not
         re-extract or double-report it."""
-        service = MountService(
-            BindingSet.single(RepositoryBinding(scratch_repo)),
-            IngestionCache(CachePolicy.DISCARD),
-            on_error=SKIP_AND_REPORT,
-        )
+        service = self._service(scratch_repo)
+        context = MountContext(on_error=SKIP_AND_REPORT)
         uri = scratch_repo.uris()[0]
         self.corrupt(scratch_repo, uri)
-        service.mount_file(uri, "D", "d", None)
-        service.mount_file(uri, "D", "d2", None)
-        assert len(service.failure_report) == 1
+        service.mount_file(uri, "D", "d", None, context)
+        service.mount_file(uri, "D", "d2", None, context)
+        assert len(context.failure_report) == 1
         assert service.stats.skipped_mounts == 2
 
-    def test_reset_failures_clears_quarantine(self, scratch_repo):
-        service = MountService(
-            BindingSet.single(RepositoryBinding(scratch_repo)),
-            IngestionCache(CachePolicy.DISCARD),
-            on_error=SKIP_AND_REPORT,
-        )
+    def test_fresh_context_clears_quarantine(self, scratch_repo):
+        """Quarantine is per query: the next query's context starts empty,
+        so the file gets a fresh chance (and fails again here)."""
+        service = self._service(scratch_repo)
         uri = scratch_repo.uris()[0]
         self.corrupt(scratch_repo, uri)
-        service.mount_file(uri, "D", "d", None)
-        assert service.failure_report
-        service.reset_failures()
-        assert not service.failure_report
-        assert service.stats.skipped_mounts == 1  # stats are cumulative
+        first = MountContext(on_error=SKIP_AND_REPORT)
+        service.mount_file(uri, "D", "d", None, first)
+        assert first.failure_report
+        second = MountContext(on_error=SKIP_AND_REPORT)
+        assert not second.failure_report
+        assert not second.is_quarantined(uri)
+        service.mount_file(uri, "D", "d", None, second)
+        assert second.failure_report.uris() == [uri]
+        assert len(first.failure_report) == 1  # the old report is untouched
+        assert service.stats.skipped_mounts == 2  # stats are cumulative
 
     def test_intact_files_unaffected(self, scratch_repo):
-        service = MountService(
-            BindingSet.single(RepositoryBinding(scratch_repo)),
-            IngestionCache(CachePolicy.DISCARD),
-            on_error=SKIP_AND_REPORT,
-        )
+        service = self._service(scratch_repo)
+        context = MountContext(on_error=SKIP_AND_REPORT)
         bad, good = scratch_repo.uris()[0], scratch_repo.uris()[1]
         self.corrupt(scratch_repo, bad)
-        assert service.mount_file(bad, "D", "d", None).num_rows == 0
-        assert service.mount_file(good, "D", "d", None).num_rows > 0
-        assert service.failure_report.uris() == [bad]
+        assert service.mount_file(bad, "D", "d", None, context).num_rows == 0
+        assert service.mount_file(good, "D", "d", None, context).num_rows > 0
+        assert context.failure_report.uris() == [bad]
 
-    def test_invalid_policy_rejected(self, scratch_repo):
+    def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
-            MountService(
-                BindingSet.single(RepositoryBinding(scratch_repo)),
-                on_error="explode",
-            )
+            MountContext(on_error="explode")
 
 
 class TestStaleDetection:

@@ -17,12 +17,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.cache import CachePolicy, IngestionCache
 from repro.core.governor import (
     CIRCUIT_CLOSED,
     CIRCUIT_OPEN,
     CircuitBreaker,
+    QueryGovernor,
 )
-from repro.core.mounting import MountService
+from repro.core.mounting import MountContext, MountService
 from repro.core.recordmap import RecordMapIndex
 from repro.db import Database
 from repro.db.errors import (
@@ -37,7 +39,7 @@ from repro.db.errors import (
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
-from repro.ingest.formats import MountRequest
+from repro.ingest.formats import MountRequest, default_registry
 from repro.ingest.schema import BindingSet
 from repro.mseed import (
     FileRepository,
@@ -471,15 +473,16 @@ class TestResilientTransport:
             ),
             breaker=CircuitBreaker(failure_threshold=100),
         )
+        scope = MountContext()  # one query: both requests spend from it
         with pytest.raises(RemoteTransportError):
-            transport.get("a")  # spends the whole budget on its retry
+            transport.get("a", scope=scope)  # spends the whole budget on its retry
         with pytest.raises(RemoteTransportError):
-            transport.get("b")  # gets zero retries
+            transport.get("b", scope=scope)  # gets zero retries
         assert transport.stats.retries == 1
         assert transport.stats.retries_denied == 2  # "a"'s 2nd retry + "b"'s
         assert store.calls == 3  # 2 attempts for "a", 1 for "b"
 
-    def test_begin_query_refills_the_budget(self):
+    def test_new_query_scope_starts_with_a_full_budget(self):
         store = _ScriptedStore(fail_times=10**6)
         transport = ResilientTransport(
             store,
@@ -488,11 +491,18 @@ class TestResilientTransport:
             ),
             breaker=CircuitBreaker(failure_threshold=100),
         )
+        first = MountContext()
         with pytest.raises(RemoteTransportError):
-            transport.get("a")
-        assert transport.retry_budget.remaining() == 0
-        transport.begin_query(None)
-        assert transport.retry_budget.remaining() == 1
+            transport.get("a", scope=first)
+        assert first.retry_budget(store.endpoint, 1).remaining() == 0
+        # The next query brings its own scope; nothing is refilled, and the
+        # first query's budget stays spent.
+        second = MountContext()
+        with pytest.raises(RemoteTransportError):
+            transport.get("a", scope=second)
+        assert transport.stats.retries == 2
+        assert transport.stats.retries_denied == 0
+        assert first.retry_budget(store.endpoint, 1).remaining() == 0
 
     def test_request_timeout_fires_and_counts(self):
         store = _ScriptedStore()
@@ -899,6 +909,89 @@ class TestObservationHandDown:
         assert cold.repo.stats.staged_reuses == 0
         assert cold.store.stats.ranged_gets == 2  # fetched again, not reused
         assert cold.repo.stats.remote_bytes == 2 * cold.wanted_bytes()
+
+
+def _record_tokens(store):
+    """Wrap ``store``'s HEAD and GET; returns the (op, token) log."""
+    seen = []
+    for op in ("head", "get"):
+
+        def recording(*args, _op=op, _request=getattr(store, op), **kwargs):
+            seen.append((_op, kwargs["token"]))
+            return _request(*args, **kwargs)
+
+        setattr(store, op, recording)
+    return seen
+
+
+class TestScopeHandDown:
+    """The query's token and retry budget travel with each request — down
+    ``signature_of`` / ``extractor_for`` → ``RemoteExtractor`` → staging →
+    transport — instead of being left on the transport for whoever asks
+    next."""
+
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_every_request_of_a_mount_carries_the_mounts_context(
+        self, tmp_path, selective
+    ):
+        cold = _ColdMount(
+            tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED)
+        )
+        seen = _record_tokens(cold.store)
+        context = MountContext(governor=QueryGovernor())
+        predicate = cold.predicate() if selective else None
+        cold.mounts.mount_file(cold.uri, "D", "d", predicate, context)
+        assert [op for op, _ in seen] == ["head", "get", "head"]
+        assert all(token is context.token for _, token in seen)
+        # The cache scan's staleness HEAD too.
+        del seen[:]
+        cold.mounts.cache_scan(cold.uri, "D", "d", predicate, context)
+        assert seen == [("head", context.token)]
+        assert cold.mounts.stats.cache_scans == 1
+
+    def test_a_fired_token_stops_its_own_mount_and_no_other(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        cancelled = MountContext(governor=QueryGovernor())
+        cancelled.token.cancel("this query only")
+        with pytest.raises(QueryCancelledError, match="this query only"):
+            cold.mounts._extract(
+                cold.uri, "D", cold.request(), context=cancelled
+            )
+        assert (cold.store.stats.heads, cold.store.stats.gets) == (0, 0)
+        other = MountContext(governor=QueryGovernor())
+        for context in (other, None):
+            result = cold.mounts._extract(
+                cold.uri, "D", cold.request(), context=context
+            )
+            assert np.array_equal(_values(result), cold.samples())
+
+    def test_one_retry_budget_per_query_and_endpoint(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        attempts = cold.repo.transport.policy.retry_budget_attempts
+        context = MountContext()
+        cold.mounts._extract(cold.uri, "D", cold.request(), context=context)
+        budget = context.retry_budget("seis-eu", attempts)
+        assert budget.attempts == attempts and budget.spent() == 0
+        assert context.retry_budget("seis-eu", attempts) is budget
+        # Sized by whichever transport asks first, per endpoint.
+        assert context.retry_budget("seis-us", 3).attempts == 3
+        assert MountContext().retry_budget("seis-eu", attempts) is not budget
+
+    def test_federation_passes_the_scope_to_the_owning_member(self, tmp_path):
+        cold = _ColdMount(tmp_path)
+        seen = _record_tokens(cold.store)
+        fed = FederatedRepository([cold.repo])
+        context = MountContext()
+        assert fed.signature_of(cold.uri, context) == cold.repo.signature_of(
+            cold.uri
+        )
+        scoped, unscoped = (token for _, token in seen)
+        assert scoped is context.token and unscoped is not context.token
+        extractor = fed.extractor_for(
+            cold.repo.path_of(cold.uri), cold.uri, default_registry(), context
+        )
+        assert extractor.scope is context
+        assert extractor.observing((0, 0)).scope is context
 
 
 class TestStagingPaths:

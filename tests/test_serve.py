@@ -18,6 +18,9 @@ Four obligations, each with its own cell:
 * **The batch window waits for the crowd, not for the clock** — a task runs
   once every query that could still join it has; the window is only the
   longest that can take.
+* **One query, one context** — the service runs every query through one
+  executor; a tenant's cancellation, deadline and retry budget reach that
+  tenant's query only, never the extraction another tenant is waiting on.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ import pytest
 
 from repro.core import IngestionCache, TwoStageExecutor
 from repro.core.cache import CachePolicy
-from repro.core.governor import CancellationToken
+from repro.core.governor import CancellationToken, CircuitBreaker, QueryBudget
 from repro.core.mounting import ExtractResult
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
     DatabaseError,
     FileIngestError,
+    QueryBudgetExceeded,
     QueryCancelledError,
     QueryShedError,
 )
@@ -44,6 +48,12 @@ from repro.db.types import DataType
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.remote import (
+    NetworkProfile,
+    RemoteRepository,
+    SimulatedObjectStore,
+    TransportPolicy,
+)
 from repro.serve import (
     MountScheduler,
     QueryService,
@@ -582,8 +592,8 @@ class TestServiceEquivalence:
 
 
 class TestSharedStatistics:
-    """A served query's executor is new; the statistics it plans with are
-    the service's, collected once per metadata load."""
+    """Every served query plans with the service's one statistics memo,
+    collected once per metadata load."""
 
     @pytest.fixture()
     def collections(self, monkeypatch):
@@ -700,9 +710,12 @@ class TestServeChaos:
                 for _ in range(3):
                     with pytest.raises(FileIngestError):
                         service.execute(sql_a, tenant="noisy")
-                # ...after which A is refused outright, without extraction.
+                # ...after which A is refused outright, without extraction:
+                # its own breaker keeps the file off the scheduler, too.
+                created = service.stats().scheduler.tasks_created
                 with pytest.raises(CircuitOpenError):
                     service.execute(sql_a, tenant="noisy")
+                assert service.stats().scheduler.tasks_created == created
                 # Tenant B is untouched: same faults installed, different
                 # file, own breaker — byte-identical to standalone.
                 served = service.execute(sql_b, tenant="quiet").rows
@@ -717,6 +730,155 @@ class TestServeChaos:
         snapshot = {t.name: t for t in service.stats().tenants}
         assert snapshot["noisy"].failed == 4
         assert snapshot["quiet"].failed == 0
+
+
+# -- one query, one context ---------------------------------------------------
+
+
+class _ScriptedHeadStore(SimulatedObjectStore):
+    """HEADs fail while ``failing``; ``before_head[n]`` runs ahead of the
+    n-th failing one, on the thread that issued it."""
+
+    failing = False
+    failed_heads = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.before_head = {}
+
+    def head(self, key, cancel=None, token=None):
+        if not self.failing:
+            return super().head(key, cancel=cancel, token=token)
+        self.failed_heads += 1
+        self.before_head.pop(self.failed_heads, lambda: None)()
+        raise ConnectionResetError(f"scripted reset (HEAD:{key})")
+
+
+class TestCrossTenantIsolation:
+    """Two tenants, one service, one remote repository. What belongs to
+    tenant b's query — its token, its deadline, its retry budget — used to
+    be written onto the shared transport by b's start, where the extraction
+    tenant a was waiting on picked it up."""
+
+    # Two files (one station/channel, both days), no time bound.
+    SQL = (
+        "SELECT COUNT(*), AVG(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
+        "WHERE F.station = 'ISK' AND F.channel = 'BHE'"
+    )
+
+    @pytest.fixture()
+    def remote_db(self, tiny_repo, tmp_path):
+        """Metadata of the remote objects, walked over a free link."""
+        db = Database()
+        lazy_ingest_metadata(
+            db,
+            RemoteRepository(
+                SimulatedObjectStore("seis-eu", tiny_repo.root),
+                tmp_path / "ingest",
+            ),
+        )
+        return db
+
+    def _slow_service(self, tiny_repo, remote_db, tmp_path):
+        store = SimulatedObjectStore(
+            "seis-eu", tiny_repo.root, NetworkProfile(latency_seconds=0.15)
+        )
+        return _service(
+            RemoteRepository(store, tmp_path / "staging"), db=remote_db
+        )
+
+    def _assert_only_b_failed(self, service, future_a, ei_db):
+        assert future_a.result(timeout=30).rows == ei_db.execute(self.SQL).rows()
+        tenants = {t.name: t for t in service.stats().tenants}
+        assert (tenants["a"].completed, tenants["a"].failed) == (1, 0)
+        assert (tenants["b"].completed, tenants["b"].failed) == (0, 1)
+
+    def test_cancelling_one_tenant_leaves_the_others_extraction_alone(
+        self, tiny_repo, remote_db, ei_db, tmp_path
+    ):
+        token = CancellationToken()
+        with self._slow_service(tiny_repo, remote_db, tmp_path) as service:
+            future_a = service.submit(self.SQL, tenant="a")
+            threading.Event().wait(0.05)  # a's cold extraction is in flight
+            future_b = service.submit(self.SQL, tenant="b", cancellation=token)
+            threading.Event().wait(0.2)
+            token.cancel("tenant b's user pressed ctrl-c")
+            with pytest.raises(QueryCancelledError, match="tenant b's user"):
+                future_b.result(timeout=30)
+            self._assert_only_b_failed(service, future_a, ei_db)
+
+    def test_one_tenants_deadline_leaves_the_others_extraction_alone(
+        self, tiny_repo, remote_db, ei_db, tmp_path
+    ):
+        with self._slow_service(tiny_repo, remote_db, tmp_path) as service:
+            future_a = service.submit(self.SQL, tenant="a")
+            threading.Event().wait(0.05)
+            future_b = service.submit(
+                self.SQL, tenant="b", budget=QueryBudget(deadline_seconds=0.25)
+            )
+            with pytest.raises(QueryBudgetExceeded, match="deadline"):
+                future_b.result(timeout=30)
+            self._assert_only_b_failed(service, future_a, ei_db)
+
+    def test_a_query_starting_does_not_refill_anothers_retry_budget(
+        self, tiny_repo, remote_db, tmp_path
+    ):
+        """Tenant a's query makes two staleness HEADs (one per cached file)
+        against an endpoint that resets every HEAD, on a budget of one
+        retry: the first HEAD spends it, the second gets none — even though
+        tenant b's query starts (and ends) in between."""
+        store = _ScriptedHeadStore("seis-eu", tiny_repo.root)
+        repository = RemoteRepository(
+            store,
+            tmp_path / "staging",
+            policy=TransportPolicy(
+                max_attempts=3, backoff_seconds=0.0, retry_budget_attempts=1
+            ),
+            breaker=CircuitBreaker(failure_threshold=10**6),
+        )
+        with _service(repository, db=remote_db) as service:
+            warm = service.execute(self.SQL, tenant="a").rows
+            store.failing = True
+            # Ahead of a's second HEAD (failing HEADs 1 and 2 are the first
+            # one's two attempts), on a's own thread.
+            store.before_head[3] = lambda: service.execute(
+                "SELECT COUNT(*) FROM F", tenant="b"
+            )
+            served = service.execute(self.SQL, tenant="a")
+        assert served.rows == warm
+        assert served.result.stats.cache_scans == 2
+        assert store.failed_heads == 3 and not store.before_head
+        stats = repository.transport.stats
+        assert (stats.retries, stats.retries_denied) == (1, 2)
+
+
+class TestOneExecutor:
+    def test_service_constructs_one_executor_for_its_lifetime(
+        self, repo, metadata_db, monkeypatch
+    ):
+        from repro.serve import service as service_module
+
+        built = []
+
+        class Counting(TwoStageExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "TwoStageExecutor", Counting)
+        workload = build_workload(SPEC, clients=3, queries_per_client=7)
+        standalone = TwoStageExecutor(_fresh_db(repo), RepositoryBinding(repo))
+        with _service(repo, db=metadata_db) as service:
+            served = 0
+            for tenant, queries in enumerate(workload):
+                for sql in queries[: 7 if tenant < 2 else 6]:
+                    rows = service.execute(sql, tenant=f"t{tenant}").rows
+                    assert rows == standalone.execute(sql).rows
+                    served += 1
+            stats = service.stats()
+        assert served == 20 and stats.queries_completed == 20
+        assert len(stats.tenants) == 3
+        assert len(built) == 1
 
 
 # -- admission control --------------------------------------------------------

@@ -56,10 +56,6 @@ class FileContext:
             yield current
             current = self.parents.get(current)
 
-    def segment(self, node: ast.AST) -> str:
-        """The exact source text of a node ('' when unavailable)."""
-        return ast.get_source_segment(self.source, node) or ""
-
     def relative_to(self, root: Path) -> str:
         try:
             return str(self.path.relative_to(root))

@@ -7,12 +7,6 @@ to learn.
   the resilient-mounting layer can attribute, retry, and quarantine per file.
 * ``bare-except`` — no ``except:`` anywhere; it swallows KeyboardInterrupt
   and hides the taxonomy the previous rule builds.
-* ``blocking-call-in-lock`` — no ``time.sleep``/subprocess/system calls
-  lexically inside a ``with ...lock...:`` body (the MountService/
-  BufferManager critical sections must stay short; backoff sleeps belong
-  outside the lock). Superseded by the call-graph-deep
-  ``blocking-under-lock`` check in :mod:`tools.lint.concurrency`; kept
-  importable but no longer in :data:`DEFAULT_RULES`.
 * ``mutable-default-arg`` — no ``def f(x=[])``-style defaults; shared
   mutable state across calls.
 * ``missing-annotations`` — public functions in ``repro/core`` and
@@ -46,20 +40,6 @@ RAW_EXTRACTION_EXCEPTIONS = {
     "EOFError",
     "RuntimeError",
     "struct.error",
-}
-
-# Call targets that block (or can block unboundedly) and therefore must not
-# run while a lock is held.
-BLOCKING_CALLS = {
-    "time.sleep",
-    "sleep",
-    "os.system",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "subprocess.Popen",
-    "urllib.request.urlopen",
 }
 
 # Packages whose public functions must be fully annotated.
@@ -129,48 +109,6 @@ class ExtractionErrorWrapRule(Rule):
                     "TruncatedFileError/StaleFileError) so the mount layer "
                     "can attribute and quarantine the file",
                 )
-
-
-class BlockingCallInLockRule(Rule):
-    """No sleeps/subprocesses while lexically holding a lock."""
-
-    name = "blocking-call-in-lock"
-
-    def check(self, ctx: FileContext) -> Iterable[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _dotted_name(node.func)
-            if name not in BLOCKING_CALLS:
-                continue
-            lock_with = self._enclosing_lock_with(ctx, node)
-            if lock_with is not None:
-                held = ", ".join(
-                    ctx.segment(item.context_expr) for item in lock_with.items
-                )
-                yield self.violation(
-                    ctx, node,
-                    f"{name}() while holding {held}: blocking inside a "
-                    "critical section stalls every other worker; move the "
-                    "wait outside the 'with' block",
-                )
-
-    @staticmethod
-    def _enclosing_lock_with(
-        ctx: FileContext, node: ast.AST
-    ) -> ast.With | None:
-        """The nearest lock-holding ``with`` in the same function, if any."""
-        for ancestor in ctx.parent_chain(node):
-            if isinstance(
-                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                return None  # different execution time; lock not held there
-            if isinstance(ancestor, (ast.With, ast.AsyncWith)):
-                for item in ancestor.items:
-                    source = ctx.segment(item.context_expr).lower()
-                    if "lock" in source:
-                        return ancestor
-        return None
 
 
 class MutableDefaultArgRule(Rule):
@@ -281,11 +219,6 @@ class UninterruptibleSleepRule(Rule):
             )
 
 
-# BlockingCallInLockRule is not in the default set anymore: the
-# whole-program analyzer (tools/lint/concurrency.py, `--concurrency`)
-# supersedes its lexical check with call-graph depth — it sees a blocking
-# call N frames below the `with` block, not just inside it. The class stays
-# importable for targeted use and its own tests.
 DEFAULT_RULES: list[Rule] = [
     BareExceptRule(),
     ExtractionErrorWrapRule(),
