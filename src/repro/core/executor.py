@@ -361,10 +361,20 @@ class TwoStageExecutor:
         report under ``on_budget="partial"``. A caller with its own idea of
         what a query is (the query service: tenant policy, tenant breaker,
         shared scheduler) hands in the whole ``context`` instead — governor
-        and pool included.
+        and pool included, the breaker optional — and with it nothing else.
         """
         if context is None:
             context = self.open_context(budget, cancellation)
+        elif budget is not None or cancellation is not None:
+            raise ValueError(
+                "a context brings its own budget and token: pass either "
+                "`context` or `budget` / `cancellation`, not both"
+            )
+        elif context.governor is None or context.pool is None:
+            raise ValueError(
+                "an execution's context needs a governor and a pool "
+                "(see open_context)"
+            )
         lock_before = _sync.lock_snapshot()
         with self.running(context):
             outcome = self._execute(sql, context)
@@ -374,7 +384,6 @@ class TwoStageExecutor:
     def _execute(self, sql: str, context: MountContext) -> TwoStageResult:
         governor, pool, breaker = context.governor, context.pool, context.breaker
         assert governor is not None and pool is not None
-        assert breaker is not None
         timings = StageTimings()
         started = time.perf_counter()
         decomposition = self.prepare(sql)
@@ -502,7 +511,7 @@ class TwoStageExecutor:
                     for node in prefetch_mounts
                     # Don't spend workers on files the breaker will refuse
                     # at mount time anyway (mount_file stays authoritative).
-                    if not breaker.likely_blocked(node.uri)
+                    if breaker is None or not breaker.likely_blocked(node.uri)
                 ]
             )
             if self.strategy == PER_FILE:
@@ -655,10 +664,12 @@ class TwoStageExecutor:
                 files_by_alias[info.alias] = list(dict.fromkeys(values))
             else:
                 # No metadata constraint: every file is of interest (§4's
-                # worst case).
+                # worst case). A remote listing is a request of this query.
                 binding = self.bindings.for_table(info.table_name)
                 files_by_alias[info.alias] = (
-                    binding.repository.uris() if binding is not None else []
+                    binding.repository.uris(ctx.mount_context)
+                    if binding is not None
+                    else []
                 )
         return files_by_alias
 

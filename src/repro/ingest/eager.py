@@ -52,12 +52,16 @@ def eager_ingest(
     ensure_schema(db)
     started = time.perf_counter()
 
+    extractor_for = getattr(repository, "extractor_for", None)
     file_rows = []
     record_parts = []
     mounted = []
     for uri in repository.uris():
         path = repository.path_of(uri)
-        extractor = repository.extractor_for(path, uri, registry)
+        if extractor_for is not None:
+            extractor = extractor_for(path, uri, registry)
+        else:
+            extractor = registry.for_path(path)
         extracted = extractor.extract_metadata(path, uri)
         file_rows.append(extracted.file_row)
         record_parts.append(extracted.records)

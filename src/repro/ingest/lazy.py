@@ -17,6 +17,7 @@ either way.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -51,20 +52,29 @@ def lazy_ingest_metadata(
     ensure_schema(db)
     started = time.perf_counter()
 
+    signature_of = getattr(repository, "signature_of", None)
+    extractor_for = getattr(repository, "extractor_for", None)
     file_rows = []
     record_parts = []
     files_reused = 0
     for uri in repository.uris():
         path = repository.path_of(uri)
         if metastore is not None:
-            signature = repository.signature_of(uri)
+            if signature_of is not None:
+                signature = signature_of(uri)
+            else:
+                st = os.stat(path)
+                signature = (st.st_mtime_ns, st.st_size)
             stored = metastore.lookup(uri, signature)
             if stored is not None:
                 file_rows.append(stored.file_row)
                 record_parts.append(stored.records)
                 files_reused += 1
                 continue
-        extractor = repository.extractor_for(path, uri, registry)
+        if extractor_for is not None:
+            extractor = extractor_for(path, uri, registry)
+        else:
+            extractor = registry.for_path(path)
         extracted = extractor.extract_metadata(path, uri)
         file_rows.append(extracted.file_row)
         record_parts.append(extracted.records)

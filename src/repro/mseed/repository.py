@@ -10,12 +10,12 @@ implement by duck type: ingestion and mounting resolve everything source-
 specific through three overridable hooks — :meth:`~FileRepository.path_of`
 (URI → readable local path), :meth:`~FileRepository.signature_of` (URI →
 staleness signature) and :meth:`~FileRepository.extractor_for` (path →
-format extractor, possibly wrapped). The last two also receive the calling
-query's ``scope`` (its :class:`~repro.core.mounting.MountContext`, or None
-outside a query): a backend whose reads can wait or retry runs them under
-that query's cancellation token and retry budget; a local directory has no
-use for it. The remote
-backend (:mod:`repro.remote.repository`) and the federated dispatcher
+format extractor, possibly wrapped). The last two, and :meth:`uris`, also
+receive the calling query's ``scope`` (its
+:class:`~repro.core.mounting.MountContext`, or None outside a query): a
+backend whose reads can wait or retry runs them under that query's
+cancellation token and retry budget; a local directory has no use for it.
+The remote backend (:mod:`repro.remote.repository`) and the federated dispatcher
 (:mod:`repro.remote.federation`) override them; everything above the hooks
 is source-agnostic.
 """
@@ -57,7 +57,7 @@ class FileRepository:
         """The first suffix (kept for single-format callers)."""
         return self.suffixes[0]
 
-    def uris(self) -> list[str]:
+    def uris(self, scope: object = None) -> list[str]:
         """All file URIs, sorted for deterministic iteration order."""
         found: set[str] = set()
         for suffix in self.suffixes:

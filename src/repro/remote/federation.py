@@ -24,9 +24,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 from ..db.errors import IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.mounting import MountContext
     from ..ingest.formats import FormatExtractor, FormatRegistry
-    from ..mseed.repository import FileRepository
+    from .transport import RequestScope
 
 
 class FederatedRepository:
@@ -38,7 +37,7 @@ class FederatedRepository:
     otherwise irrelevant because remote members claim disjoint endpoints).
     """
 
-    def __init__(self, members: Sequence["FileRepository"]) -> None:
+    def __init__(self, members: Sequence[object]) -> None:
         if not members:
             raise IngestError("a federation needs at least one member repository")
         self.members = tuple(members)
@@ -53,18 +52,19 @@ class FederatedRepository:
     def suffix(self) -> str:
         return self.suffixes[0]
 
-    def _member_for(self, uri: str) -> "FileRepository":
+    def _member_for(self, uri: str) -> object:
         for member in self.members:
-            if member.owns_uri(uri):
+            owns = getattr(member, "owns_uri", None)
+            if owns is not None and owns(uri):
                 return member
         raise IngestError(f"no federation member serves URI {uri!r}")
 
     # -- repository protocol -------------------------------------------------
 
-    def uris(self) -> list[str]:
+    def uris(self, scope: Optional["RequestScope"] = None) -> list[str]:
         out: list[str] = []
         for member in self.members:
-            out.extend(member.uris())
+            out.extend(member.uris(scope))
         return out
 
     def __len__(self) -> int:
@@ -74,18 +74,30 @@ class FederatedRepository:
         return iter(self.uris())
 
     def owns_uri(self, uri: str) -> bool:
-        return any(member.owns_uri(uri) for member in self.members)
+        return any(
+            getattr(member, "owns_uri", lambda _uri: False)(uri)
+            for member in self.members
+        )
 
     def path_of(self, uri: str) -> Path:
         return self._member_for(uri).path_of(uri)
 
     def signature_of(
-        self, uri: str, scope: Optional["MountContext"] = None
+        self, uri: str, scope: Optional["RequestScope"] = None
     ) -> tuple[int, int]:
-        return self._member_for(uri).signature_of(uri, scope)
+        member = self._member_for(uri)
+        signature_of = getattr(member, "signature_of", None)
+        if signature_of is not None:
+            return signature_of(uri, scope)
+        st = member.path_of(uri).stat()
+        return (st.st_mtime_ns, st.st_size)
 
     def size_of(self, uri: str) -> int:
-        return self._member_for(uri).size_of(uri)
+        member = self._member_for(uri)
+        size_of = getattr(member, "size_of", None)
+        if size_of is not None:
+            return size_of(uri)
+        return member.path_of(uri).stat().st_size
 
     def total_bytes(self) -> int:
         return sum(member.total_bytes() for member in self.members)
@@ -95,9 +107,13 @@ class FederatedRepository:
         path: Path,
         uri: str,
         registry: "FormatRegistry",
-        scope: Optional["MountContext"] = None,
+        scope: Optional["RequestScope"] = None,
     ) -> "FormatExtractor":
-        return self._member_for(uri).extractor_for(path, uri, registry, scope)
+        member = self._member_for(uri)
+        extractor_for = getattr(member, "extractor_for", None)
+        if extractor_for is not None:
+            return extractor_for(path, uri, registry, scope)
+        return registry.for_path(path)
 
     def close(self) -> None:
         for member in self.members:

@@ -25,9 +25,9 @@ The translation happens through the repository protocol hooks:
 
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (timeouts, retry budget, hedging, per-endpoint circuit breaker), so every
-failure surfaces as a typed error naming the endpoint. ``signature_of`` and
-``extractor_for`` take the calling query's ``scope`` (its
-:class:`~repro.core.mounting.MountContext`) and hand it down to every
+failure surfaces as a typed error naming the endpoint. ``uris``,
+``signature_of`` and ``extractor_for`` take the calling query's ``scope``
+(its :class:`~repro.core.mounting.MountContext`) and hand it down to every
 request they cause, so the query's token interrupts them and they spend
 from the query's retry budget for this endpoint; the repository keeps no
 "current query". ``uris()`` keeps the
@@ -47,7 +47,6 @@ from typing import Iterator, Optional, Sequence
 
 from .. import _sync
 from ..core.governor import CircuitBreaker
-from ..core.mounting import MountContext
 from ..db.errors import FileIngestError, IngestError
 from ..ingest.formats import (
     FormatExtractor,
@@ -57,7 +56,7 @@ from ..ingest.formats import (
     SelectiveFormatExtractor,
 )
 from .simstore import SimulatedObjectStore
-from .transport import ResilientTransport, TransportPolicy
+from .transport import RequestScope, ResilientTransport, TransportPolicy
 from .uris import endpoint_of, parse_remote_uri, remote_uri
 
 # Fallback coalescing gap when the profile gives no latency×bandwidth
@@ -179,9 +178,9 @@ class RemoteRepository:
 
     # -- repository protocol -------------------------------------------------
 
-    def uris(self) -> list[str]:
+    def uris(self, scope: Optional[RequestScope] = None) -> list[str]:
         try:
-            keys = self.transport.list_keys()
+            keys = self.transport.list_keys(scope)
         except FileIngestError:
             with self._lock:
                 cached = self._last_listing
@@ -237,7 +236,7 @@ class RemoteRepository:
         return Path(resolved)
 
     def signature_of(
-        self, uri: str, scope: Optional[MountContext] = None
+        self, uri: str, scope: Optional[RequestScope] = None
     ) -> tuple[int, int]:
         return self.transport.head(
             self._key(uri), uri=uri, scope=scope
@@ -254,7 +253,7 @@ class RemoteRepository:
         path: Path,
         uri: str,
         registry: FormatRegistry,
-        scope: Optional[MountContext] = None,
+        scope: Optional[RequestScope] = None,
     ) -> FormatExtractor:
         return RemoteExtractor(self, registry.for_path(path), scope=scope)
 
@@ -275,7 +274,7 @@ class RemoteRepository:
         self,
         uri: str,
         signature: Optional[tuple[int, int]] = None,
-        scope: Optional[MountContext] = None,
+        scope: Optional[RequestScope] = None,
     ) -> int:
         """Stage the whole object; returns remote bytes moved (0 on reuse).
 
@@ -313,7 +312,7 @@ class RemoteRepository:
         uri: str,
         spans: Sequence[tuple[int, int]],
         signature: Optional[tuple[int, int]] = None,
-        scope: Optional[MountContext] = None,
+        scope: Optional[RequestScope] = None,
     ) -> int:
         """Stage the ``(byte_offset, byte_length)`` spans; returns remote
         bytes moved (0 when staging already covers them).
@@ -403,7 +402,7 @@ class RemoteExtractor:
         repository: RemoteRepository,
         inner: FormatExtractor,
         signature: Optional[tuple[int, int]] = None,
-        scope: Optional[MountContext] = None,
+        scope: Optional[RequestScope] = None,
     ) -> None:
         self.repository = repository
         self.inner = inner

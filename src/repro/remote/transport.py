@@ -24,9 +24,9 @@ wraps each request in four layers of protection, outside-in:
    read-only).
 
 The transport itself belongs to no query: the token and the budget arrive
-*with each request*, as its ``scope`` — the query's
+*with each request*, as its ``scope`` (a :class:`RequestScope` — the query's
 :class:`~repro.core.mounting.MountContext`, handed down through the
-repository hooks. A request without a scope (metadata ingestion, the query
+repository hooks). A request without a scope (metadata ingestion, the query
 service's shared extraction) is a scope of its own: a token nobody can fire,
 a budget of ``retry_budget_attempts`` for that one request.
 
@@ -44,7 +44,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, Protocol, TypeVar
 
 from .. import _sync
 from ..core.governor import (
@@ -54,7 +54,6 @@ from ..core.governor import (
     CircuitBreaker,
     RetryBudget,
 )
-from ..core.mounting import MountContext
 from ..db.errors import (
     RemoteObjectMissingError,
     RemoteTransportError,
@@ -70,6 +69,16 @@ _POLL_SECONDS = 0.005
 # How long a request waits on another request's half-open probe when the
 # policy sets no request timeout.
 _PROBE_WAIT_SECONDS = 1.0
+
+
+class RequestScope(Protocol):
+    """What a request needs of the query it runs for: the token that
+    interrupts its waits, and that query's one retry budget per endpoint
+    (created full, at ``attempts``, by the first request that asks)."""
+
+    token: CancellationToken
+
+    def retry_budget(self, endpoint: str, attempts: int) -> RetryBudget: ...
 
 
 @dataclass(frozen=True)
@@ -238,14 +247,14 @@ class ResilientTransport:
 
     # -- public request API --------------------------------------------------
 
-    def list_keys(self, scope: Optional[MountContext] = None) -> list[str]:
+    def list_keys(self, scope: Optional[RequestScope] = None) -> list[str]:
         return self._call("LIST", None, scope, self.store.list_keys)
 
     def head(
         self,
         key: str,
         uri: Optional[str] = None,
-        scope: Optional[MountContext] = None,
+        scope: Optional[RequestScope] = None,
     ) -> ObjectStat:
         return self._call(
             f"HEAD:{key}", uri, scope, partial(self.store.head, key)
@@ -257,7 +266,7 @@ class ResilientTransport:
         start: int = 0,
         length: Optional[int] = None,
         uri: Optional[str] = None,
-        scope: Optional[MountContext] = None,
+        scope: Optional[RequestScope] = None,
     ) -> bytes:
         return self._call(
             f"GET:{key}",
@@ -272,7 +281,7 @@ class ResilientTransport:
         self,
         op: str,
         uri: Optional[str],
-        scope: Optional[MountContext],
+        scope: Optional[RequestScope],
         fn: Callable[..., T],
     ) -> T:
         """Run the store request ``fn(cancel=..., token=...)`` under the
@@ -282,9 +291,11 @@ class ResilientTransport:
         # The scope is read here, once, on the calling thread; everything
         # below — attempts on the race pool included — gets these two.
         if scope is None:
-            scope = MountContext()
-        token = scope.token
-        budget = scope.retry_budget(endpoint, policy.retry_budget_attempts)
+            token = CancellationToken()
+            budget = RetryBudget(policy.retry_budget_attempts)
+        else:
+            token = scope.token
+            budget = scope.retry_budget(endpoint, policy.retry_budget_attempts)
         probe = self._admit(endpoint, uri or op, token)
         with self._lock:
             self.stats.requests += 1
@@ -482,6 +493,7 @@ class ResilientTransport:
 
 __all__ = [
     "LatencyTracker",
+    "RequestScope",
     "ResilientTransport",
     "TransportPolicy",
     "TransportStats",

@@ -17,6 +17,7 @@ from repro.core import (
     CircuitBreaker,
     IngestionCache,
     LimitFilesAboveCost,
+    MountContext,
     PER_FILE,
     QueryBudget,
     TwoStageExecutor,
@@ -189,9 +190,9 @@ class _CountingRepository(FileRepository):
 
     listings = 0
 
-    def uris(self):
+    def uris(self, scope=None):
         self.listings += 1
-        return super().uris()
+        return super().uris(scope)
 
 
 class TestListingOffTheQueryPath:
@@ -555,3 +556,29 @@ class TestReentrancy:
         assert not [
             t for t in threading.enumerate() if t.name.startswith("mountpool")
         ]
+
+
+class TestHandedInContext:
+    """``execute(context=...)`` takes the whole query from the context: it
+    refuses one that cannot run a query, or a second budget / token beside
+    it, with a typed error instead of ignoring either."""
+
+    def test_context_excludes_budget_and_cancellation(self, executor, query1):
+        context = executor.open_context()
+        for extra in (
+            {"budget": QueryBudget(max_mount_bytes=1)},
+            {"cancellation": CancellationToken()},
+        ):
+            with pytest.raises(ValueError, match="not both"):
+                executor.execute(query1, context=context, **extra)
+        assert executor.execute(query1, context=context).rows
+
+    def test_context_needs_a_governor_and_a_pool(self, executor, query1):
+        with pytest.raises(ValueError, match="governor and a pool"):
+            executor.execute(query1, context=MountContext())
+
+    def test_context_without_a_breaker_runs_unbroken(self, executor, query1):
+        context = executor.open_context()
+        context.breaker = None
+        alone = executor.execute(query1).rows
+        assert executor.execute(query1, context=context).rows == alone

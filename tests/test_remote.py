@@ -17,11 +17,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import TwoStageExecutor
 from repro.core.cache import CachePolicy, IngestionCache
 from repro.core.governor import (
     CIRCUIT_CLOSED,
     CIRCUIT_OPEN,
     CircuitBreaker,
+    QueryBudget,
     QueryGovernor,
 )
 from repro.core.mounting import MountContext, MountService
@@ -31,6 +33,7 @@ from repro.db.errors import (
     CircuitOpenError,
     FileIngestError,
     IngestError,
+    QueryBudgetExceeded,
     QueryCancelledError,
     RemoteObjectMissingError,
     RemoteTransportError,
@@ -912,9 +915,9 @@ class TestObservationHandDown:
 
 
 def _record_tokens(store):
-    """Wrap ``store``'s HEAD and GET; returns the (op, token) log."""
+    """Wrap ``store``'s LIST, HEAD and GET; returns the (op, token) log."""
     seen = []
-    for op in ("head", "get"):
+    for op in ("list_keys", "head", "get"):
 
         def recording(*args, _op=op, _request=getattr(store, op), **kwargs):
             seen.append((_op, kwargs["token"]))
@@ -924,11 +927,97 @@ def _record_tokens(store):
     return seen
 
 
+class _UnlinkedRemoteQuery:
+    """An executor over a warm-metadata remote repository, and the query
+    with no metadata constraint — the one that LISTs on the query path."""
+
+    SQL = "SELECT COUNT(*) FROM D"
+
+    def __init__(self, tmp_path, objects_dir, policy=TransportPolicy()):
+        self.store = _store(objects_dir)
+        self.repo = _repository(tmp_path, self.store, policy=policy)
+        db = Database()
+        lazy_ingest_metadata(db, self.repo)
+        self.executor = TwoStageExecutor(db, RepositoryBinding(self.repo))
+        self.lists_before = self.store.stats.lists
+
+    def stall(self, seconds=5.0):
+        """Every request from here on waits ``seconds`` on the link."""
+        self.store.model = NetworkModel(NetworkProfile(latency_seconds=seconds))
+        self.requests_before = self.store.stats.requests
+
+    def assert_stopped_inside_the_list(self, started):
+        # One request was begun and none completed: the interruption landed
+        # in the LIST's own wait, not at a checkpoint around it.
+        assert time.monotonic() - started < 2.0
+        assert self.store.stats.requests == self.requests_before + 1
+        assert self.store.stats.lists == self.lists_before
+
+
 class TestScopeHandDown:
     """The query's token and retry budget travel with each request — down
-    ``signature_of`` / ``extractor_for`` → ``RemoteExtractor`` → staging →
-    transport — instead of being left on the transport for whoever asks
-    next."""
+    ``uris`` / ``signature_of`` / ``extractor_for`` → ``RemoteExtractor`` →
+    staging → transport — instead of being left on the transport for
+    whoever asks next."""
+
+    def test_a_stalled_list_is_stopped_by_its_querys_token(
+        self, tmp_path, objects_dir
+    ):
+        query = _UnlinkedRemoteQuery(tmp_path, objects_dir)
+        query.stall()
+        context = query.executor.open_context()
+
+        def cancel_once_listing():
+            while query.store.stats.requests == query.requests_before:
+                time.sleep(0.001)
+            context.token.cancel("ctrl-c during LIST")
+
+        watcher = threading.Thread(target=cancel_once_listing, daemon=True)
+        watcher.start()
+        started = time.monotonic()
+        with pytest.raises(QueryCancelledError, match="ctrl-c during LIST"):
+            query.executor.execute(query.SQL, context=context)
+        watcher.join(5.0)
+        query.assert_stopped_inside_the_list(started)
+
+    def test_a_stalled_list_is_stopped_by_its_querys_deadline(
+        self, tmp_path, objects_dir
+    ):
+        query = _UnlinkedRemoteQuery(tmp_path, objects_dir)
+        query.stall()
+        started = time.monotonic()
+        with pytest.raises(QueryBudgetExceeded):
+            query.executor.execute(
+                query.SQL, budget=QueryBudget(deadline_seconds=0.3)
+            )
+        query.assert_stopped_inside_the_list(started)
+
+    def test_a_failing_list_spends_its_querys_retry_budget(
+        self, tmp_path, objects_dir
+    ):
+        query = _UnlinkedRemoteQuery(
+            tmp_path,
+            objects_dir,
+            TransportPolicy(backoff_seconds=0.0, retry_budget_attempts=4),
+        )
+        eager = query.executor.execute(query.SQL).rows
+        resets = [ConnectionResetError("scripted reset")] * 2
+        list_keys = query.store.list_keys
+
+        def flaky(**kwargs):
+            if resets:
+                raise resets.pop()
+            return list_keys(**kwargs)
+
+        query.store.list_keys = flaky
+        context = query.executor.open_context()
+        assert query.executor.execute(query.SQL, context=context).rows == eager
+        assert context.retry_budget("seis-eu", 4).spent() == 2
+        assert query.repo.transport.stats.retries == 2
+        assert query.repo.stats.listing_fallbacks == 0
+        # The next query's budget is its own: full, whatever this one spent.
+        later = query.executor.open_context()
+        assert later.retry_budget("seis-eu", 4).spent() == 0
 
     @pytest.mark.parametrize("selective", [True, False])
     def test_every_request_of_a_mount_carries_the_mounts_context(
@@ -982,6 +1071,8 @@ class TestScopeHandDown:
         seen = _record_tokens(cold.store)
         fed = FederatedRepository([cold.repo])
         context = MountContext()
+        assert fed.uris(context) == [cold.uri]
+        assert seen.pop() == ("list_keys", context.token)
         assert fed.signature_of(cold.uri, context) == cold.repo.signature_of(
             cold.uri
         )
