@@ -222,7 +222,7 @@ def run_hedge_duel(
     objects_dir: Path, requests: int
 ) -> tuple[HedgeRun, HedgeRun]:
     """The same deterministic weather, with and without backup requests."""
-    key = SimulatedObjectStore("seis-eu", objects_dir).list_keys()[0]
+    key = SimulatedObjectStore("seis-eu", objects_dir).list_keys().entries[0].key
     runs = []
     for mode in ("plain", "hedged"):
         store = SimulatedObjectStore(

@@ -19,7 +19,8 @@ plus the table row-counts that seed the cost-based planner's
 :class:`~repro.db.stats.StatisticsCatalog`.
 
 Correctness is signature-gated: :meth:`MetadataStore.lookup` returns stored
-rows only when the caller's freshly-stat'ed signature matches the one
+rows only when the caller's freshly-observed signature (a ``stat``, or the
+file's entry in a listing the caller just made) matches the one
 recorded at extraction time; any drift (or a corrupt, truncated or
 version-skewed sidecar) degrades to live ingest — the store can make a cold
 open cheaper, never wronger.
@@ -40,7 +41,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -170,9 +171,11 @@ class MetadataStore:
 
     Lifecycle: :meth:`load` at open (tolerant of every failure mode),
     :meth:`lookup` during the metadata pass (signature-gated),
-    :meth:`record` for every freshly-extracted file, :meth:`save` once the
-    pass completes. :meth:`statistics` rebuilds the planner's catalog from
-    stored state alone, so a warm session costs one stat() per file.
+    :meth:`record` for every freshly-extracted file, :meth:`retain` with
+    the URIs the pass listed, and :meth:`save` once the pass completes if
+    any of that left the store :attr:`dirty`. :meth:`statistics` rebuilds
+    the planner's catalog from stored state alone, so a warm session costs
+    one listing of the repository's signatures.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -180,6 +183,9 @@ class MetadataStore:
         self.stats = MetastoreStats()  # guarded-by: _lock
         self._files: dict[str, StoredFileState] = {}  # guarded-by: _lock
         self._table_rows: dict[str, int] = {}  # guarded-by: _lock
+        # Does the in-memory image differ from what load() read or save()
+        # last wrote?
+        self._dirty = False  # guarded-by: _lock
         self._lock = _sync.create_rlock("MetadataStore._lock")
 
     @classmethod
@@ -204,11 +210,7 @@ class MetadataStore:
             with open_volume(self.path, f"metastore:{self.path.name}") as handle:
                 raw = handle.read()
         except FileNotFoundError:
-            with self._lock:
-                self._files = {}
-                self._table_rows = {}
-                self.stats.loaded_files = 0
-            return 0
+            return self._install({}, {})
         files: dict[str, StoredFileState] = {}
         table_rows: dict[str, int] = {}
         version_skew = False
@@ -232,22 +234,32 @@ class MetadataStore:
                 table_rows = {str(k): int(v) for k, v in rows_raw.items()}
         except (OSError, ValueError, KeyError, TypeError, OverflowError):
             with self._lock:
-                self._files = {}
-                self._table_rows = {}
                 self.stats.corrupt_loads += 1
-                self.stats.loaded_files = 0
-            return 0
-        with self._lock:
-            if version_skew:
-                self._files = {}
-                self._table_rows = {}
+            return self._install({}, {})
+        if version_skew:
+            with self._lock:
                 self.stats.version_mismatches += 1
-                self.stats.loaded_files = 0
-                return 0
+            return self._install({}, {})
+        return self._install(files, table_rows)
+
+    def _install(
+        self, files: dict[str, StoredFileState], table_rows: dict[str, int]
+    ) -> int:
+        """Make a load's outcome the in-memory image."""
+        with self._lock:
             self._files = files
             self._table_rows = table_rows
+            self._dirty = False
             self.stats.loaded_files = len(files)
-            return len(files)
+        return len(files)
+
+    @property
+    def dirty(self) -> bool:
+        """Has anything been recorded, dropped or re-counted since the
+        last :meth:`load` or :meth:`save`? A pass that reused every file
+        leaves nothing to write."""
+        with self._lock:
+            return self._dirty
 
     def save(self) -> int:
         """Write the sidecar atomically; returns the byte count written.
@@ -266,6 +278,7 @@ class MetadataStore:
                 "table_rows": dict(self._table_rows),
             }
             saved_files = len(self._files)
+            self._dirty = False
         # Encode + write outside the lock: the snapshot above is immutable.
         encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         tmp = self.path.with_name(self.path.name + ".tmp")
@@ -313,15 +326,28 @@ class MetadataStore:
         )
         with self._lock:
             self._files[uri] = state
+            self._dirty = True
 
     def record_table_rows(self, table_rows: dict[str, int]) -> None:
         """Remember table cardinalities for the planner's statistics."""
         with self._lock:
-            self._table_rows.update(table_rows)
+            if any(self._table_rows.get(k) != v for k, v in table_rows.items()):
+                self._table_rows.update(table_rows)
+                self._dirty = True
 
-    def forget(self, uri: str) -> None:
+    def retain(self, uris: Iterable[str]) -> int:
+        """Drop every URI not in ``uris`` — the repository as a *complete*
+        listing just showed it — and return how many went. A file that has
+        left the repository must stop being persisted and counted by
+        :meth:`statistics`."""
+        listed = set(uris)
         with self._lock:
-            self._files.pop(uri, None)
+            gone = self._files.keys() - listed
+            for uri in gone:
+                del self._files[uri]
+            if gone:
+                self._dirty = True
+            return len(gone)
 
     # -- derived state ---------------------------------------------------------
 

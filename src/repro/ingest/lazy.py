@@ -6,13 +6,16 @@ is the *up-front* half: a header-only pass filling ``F`` and ``R``. The
 per-query half (mounting) lives in :mod:`repro.core.mounting`.
 
 With a :class:`~repro.core.metastore.MetadataStore` attached, the pass
-becomes incremental across sessions: a file whose ``(mtime_ns, size)``
-signature matches the stored one reuses its persisted ``F``/``R`` rows —
-including the record byte map selective mounting needs — at the cost of one
-``stat()``; only changed or new files pay the header walk, and the store is
-re-saved afterwards so the next session inherits this one's work. Signature
-drift always falls back to live extraction, so the rows loaded are identical
-either way.
+becomes incremental across sessions: the repository is observed once, in
+bulk (:meth:`~repro.mseed.repository.FileRepository.signatures` — a ``stat``
+per local file, one LIST for a whole remote endpoint), and a file whose
+``(mtime_ns, size)`` signature matches the stored one reuses its persisted
+``F``/``R`` rows — including the record byte map selective mounting needs —
+without being touched again; only changed or new files pay the header walk,
+files that have left the repository are dropped from the store, and the store
+is re-saved if any of that changed it, so the next session inherits this
+one's work. Signature drift always falls back to live extraction, so the rows
+loaded are identical either way.
 """
 
 from __future__ import annotations
@@ -41,6 +44,23 @@ class LazyLoadReport:
     files_reused: int = 0  # files served from the metastore (no header walk)
 
 
+def _observe(repository: FileRepository) -> dict[str, tuple[int, int]]:
+    """Every URI's ``(mtime_ns, size)`` signature, in listing order."""
+    signatures = getattr(repository, "signatures", None)
+    if signatures is not None:
+        return signatures()
+    # A duck-typed repository without the bulk hook is asked file by file.
+    signature_of = getattr(repository, "signature_of", None)
+    observed = {}
+    for uri in repository.uris():
+        if signature_of is not None:
+            observed[uri] = signature_of(uri)
+        else:
+            st = os.stat(repository.path_of(uri))
+            observed[uri] = (st.st_mtime_ns, st.st_size)
+    return observed
+
+
 def lazy_ingest_metadata(
     db: Database,
     repository: FileRepository,
@@ -52,29 +72,42 @@ def lazy_ingest_metadata(
     ensure_schema(db)
     started = time.perf_counter()
 
-    signature_of = getattr(repository, "signature_of", None)
     extractor_for = getattr(repository, "extractor_for", None)
+    if metastore is not None:
+        # The store's reuse is gated on every file's signature as observed
+        # now, in one go.
+        observed = _observe(repository)
+        uris = list(observed)
+    else:
+        uris = repository.uris()
     file_rows = []
     record_parts = []
     files_reused = 0
-    for uri in repository.uris():
-        path = repository.path_of(uri)
+    for uri in uris:
         if metastore is not None:
-            if signature_of is not None:
-                signature = signature_of(uri)
-            else:
-                st = os.stat(path)
-                signature = (st.st_mtime_ns, st.st_size)
+            signature = observed[uri]
             stored = metastore.lookup(uri, signature)
             if stored is not None:
                 file_rows.append(stored.file_row)
                 record_parts.append(stored.records)
                 files_reused += 1
                 continue
+        # Only a file about to be read needs its path (for a remote one,
+        # its staging directory).
+        path = repository.path_of(uri)
         if extractor_for is not None:
             extractor = extractor_for(path, uri, registry)
         else:
             extractor = registry.for_path(path)
+        if metastore is not None:
+            # An extractor whose reads start by observing the file (a remote
+            # one: a HEAD before its GET) takes our observation instead.
+            # Should the file change before the read, the store signs the
+            # newer bytes' rows with the older signature, which the next
+            # session finds stale and extracts again.
+            observing = getattr(extractor, "observing", None)
+            if observing is not None:
+                extractor = observing(signature)
         extracted = extractor.extract_metadata(path, uri)
         file_rows.append(extracted.file_row)
         record_parts.append(extracted.records)
@@ -95,7 +128,9 @@ def lazy_ingest_metadata(
                 RECORD_TABLE.lower(): records.num_rows,
             }
         )
-        metastore.save()
+        metastore.retain(uris)
+        if metastore.dirty:
+            metastore.save()
 
     metadata_bytes = (
         db.catalog.table(FILE_TABLE).nbytes()

@@ -7,10 +7,11 @@ only, and the mount access path resolves one URI at a time.
 
 :class:`FileRepository` is also the *repository protocol* other backends
 implement by duck type: ingestion and mounting resolve everything source-
-specific through three overridable hooks — :meth:`~FileRepository.path_of`
+specific through four overridable hooks — :meth:`~FileRepository.path_of`
 (URI → readable local path), :meth:`~FileRepository.signature_of` (URI →
-staleness signature) and :meth:`~FileRepository.extractor_for` (path →
-format extractor, possibly wrapped). The last two, and :meth:`uris`, also
+staleness signature), :meth:`~FileRepository.signatures` (every URI and its
+signature, observed in bulk) and :meth:`~FileRepository.extractor_for` (path →
+format extractor, possibly wrapped). The last three, and :meth:`uris`, also
 receive the calling query's ``scope`` (its
 :class:`~repro.core.mounting.MountContext`, or None outside a query): a
 backend whose reads can wait or retry runs them under that query's
@@ -112,6 +113,19 @@ class FileRepository:
         """
         st = os.stat(self._resolve(uri))
         return (st.st_mtime_ns, st.st_size)
+
+    def signatures(self, scope: object = None) -> dict[str, tuple[int, int]]:
+        """Every URI and its signature, in listing order: the repository
+        observed in bulk. Here it is :meth:`uris` plus one ``stat`` per
+        file; a backend whose listing already carries size and mtime
+        answers it without a request per file."""
+        observed: dict[str, tuple[int, int]] = {}
+        for uri in self.uris(scope):
+            try:
+                observed[uri] = self.signature_of(uri, scope)
+            except FileNotFoundError:
+                pass  # deleted since the listing
+        return observed
 
     def extractor_for(
         self,

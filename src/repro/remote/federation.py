@@ -67,6 +67,21 @@ class FederatedRepository:
             out.extend(member.uris(scope))
         return out
 
+    def signatures(
+        self, scope: Optional["RequestScope"] = None
+    ) -> dict[str, tuple[int, int]]:
+        """The members' bulk observations, concatenated in member order; a
+        member without the hook is listed and asked file by file."""
+        out: dict[str, tuple[int, int]] = {}
+        for member in self.members:
+            signatures = getattr(member, "signatures", None)
+            if signatures is not None:
+                out.update(signatures(scope))
+            else:
+                for uri in member.uris(scope):
+                    out[uri] = self.signature_of(uri, scope)
+        return out
+
     def __len__(self) -> int:
         return len(self.uris())
 
@@ -91,13 +106,6 @@ class FederatedRepository:
             return signature_of(uri, scope)
         st = member.path_of(uri).stat()
         return (st.st_mtime_ns, st.st_size)
-
-    def size_of(self, uri: str) -> int:
-        member = self._member_for(uri)
-        size_of = getattr(member, "size_of", None)
-        if size_of is not None:
-            return size_of(uri)
-        return member.path_of(uri).stat().st_size
 
     def total_bytes(self) -> int:
         return sum(member.total_bytes() for member in self.members)

@@ -13,6 +13,11 @@ The translation happens through the repository protocol hooks:
     Answered by a HEAD: ``(mtime_ns, size)`` of the remote object, so the
     mount layer's staleness checks observe the *remote* file, not the
     staging copy.
+``signatures``
+    Answered by one LIST (a request per page of 1 000 objects): every
+    object's URI and the signature a HEAD of it would have answered. The
+    metadata pass gates sidecar reuse on it, so a session over N objects
+    starts in ⌈N/1000⌉ requests, not N + 1.
 ``extractor_for``
     Wraps the registry's per-suffix choice in :class:`RemoteExtractor`,
     which maps the selective-mount byte map onto **ranged GETs**: wanted
@@ -26,15 +31,17 @@ The translation happens through the repository protocol hooks:
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (timeouts, retry budget, hedging, per-endpoint circuit breaker), so every
 failure surfaces as a typed error naming the endpoint. ``uris``,
-``signature_of`` and ``extractor_for`` take the calling query's ``scope``
-(its :class:`~repro.core.mounting.MountContext`) and hand it down to every
-request they cause, so the query's token interrupts them and they spend
-from the query's retry budget for this endpoint; the repository keeps no
-"current query". ``uris()`` keeps the
+``signatures``, ``signature_of`` and ``extractor_for`` take the calling
+query's ``scope`` (its :class:`~repro.core.mounting.MountContext`) and hand
+it down to every request they cause, so the query's token interrupts them
+and they spend from the query's retry budget for this endpoint; the
+repository keeps no "current query". ``uris()`` keeps the
 last successful listing: an endpoint that dies *between* queries still
 resolves its file set, and the failures then surface per-file at mount
 time — where skip-and-report can degrade gracefully — instead of killing
-metadata resolution outright.
+metadata resolution outright. The remembered listing is names only: a
+signature is always an observation the call itself made, so
+``signatures()`` raises where ``uris()`` falls back.
 """
 
 from __future__ import annotations
@@ -178,9 +185,23 @@ class RemoteRepository:
 
     # -- repository protocol -------------------------------------------------
 
+    def signatures(
+        self, scope: Optional[RequestScope] = None
+    ) -> dict[str, tuple[int, int]]:
+        """Every object's URI and ``(mtime_ns, size)`` signature, in key
+        order, as one listing just observed them."""
+        listed = {
+            remote_uri(self.endpoint, stat.key): stat.signature
+            for stat in self.transport.list_keys(scope)
+            if stat.key.endswith(self.suffixes)
+        }
+        with self._lock:
+            self._last_listing = list(listed)
+        return listed
+
     def uris(self, scope: Optional[RequestScope] = None) -> list[str]:
         try:
-            keys = self.transport.list_keys(scope)
+            return list(self.signatures(scope))
         except FileIngestError:
             with self._lock:
                 cached = self._last_listing
@@ -191,16 +212,7 @@ class RemoteRepository:
                 # per the query's on_mount_error policy instead of the
                 # whole federation losing metadata resolution.
                 self.stats.listing_fallbacks += 1
-                keys = list(cached)
-        else:
-            keys = [
-                key
-                for key in keys
-                if any(key.endswith(suffix) for suffix in self.suffixes)
-            ]
-            with self._lock:
-                self._last_listing = list(keys)
-        return [remote_uri(self.endpoint, key) for key in keys]
+                return list(cached)
 
     def __len__(self) -> int:
         return len(self.uris())
@@ -242,11 +254,8 @@ class RemoteRepository:
             self._key(uri), uri=uri, scope=scope
         ).signature
 
-    def size_of(self, uri: str) -> int:
-        return self.transport.head(self._key(uri), uri=uri).size
-
     def total_bytes(self) -> int:
-        return sum(self.size_of(uri) for uri in self.uris())
+        return sum(size for _, size in self.signatures().values())
 
     def extractor_for(
         self,
@@ -406,7 +415,7 @@ class RemoteExtractor:
     ) -> None:
         self.repository = repository
         self.inner = inner
-        # The mount layer's pre-read observation of the object, when this
+        # The caller's pre-read observation of the object, when this
         # extractor serves one extraction attempt (see `observing`).
         self.signature = signature
         # The query whose mount this is; every request runs under it.
@@ -414,8 +423,11 @@ class RemoteExtractor:
 
     def observing(self, signature: tuple[int, int]) -> "RemoteExtractor":
         """This extractor for one extraction attempt whose caller has just
-        observed ``signature``: staging trusts it instead of a HEAD of its
-        own, and the caller's post-read observation checks the bytes."""
+        observed ``signature`` (the mount layer's ``before`` HEAD, or the
+        metadata pass's listing): staging trusts it instead of a HEAD of
+        its own. A mount's post-read observation checks the bytes; the
+        metadata pass stores its rows under ``signature``, which a later
+        listing finds stale if the object moved on in between."""
         return RemoteExtractor(
             self.repository, self.inner, signature, self.scope
         )
@@ -429,7 +441,7 @@ class RemoteExtractor:
         return self.inner.suffix
 
     def extract_metadata(self, path: Path, uri: str):
-        self.repository.ensure_whole(uri, scope=self.scope)
+        self.repository.ensure_whole(uri, self.signature, self.scope)
         return self.inner.extract_metadata(path, uri)
 
     def mount(self, path: Path, uri: str):

@@ -2,8 +2,8 @@
 
 One :class:`SimulatedObjectStore` plays the role of a remote endpoint: it
 serves the files under a local directory through an object-store-shaped API
-(``list_keys`` / ``head`` / ``get`` with byte ranges) while charging every
-request against a seeded :class:`~repro.remote.netmodel.NetworkModel` —
+(``list_keys`` in pages / ``head`` / ``get`` with byte ranges) while charging
+every request against a seeded :class:`~repro.remote.netmodel.NetworkModel` —
 per-request latency (with jitter and an optional heavy tail), per-byte
 bandwidth, and seeded request loss.
 
@@ -24,7 +24,10 @@ owns wrapping them into the typed taxonomy.
 
 from __future__ import annotations
 
+import os
+import stat
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -43,10 +46,18 @@ from .uris import remote_uri
 # counters both advance per chunk.
 CHUNK_BYTES = 64 * 1024
 
+# One LIST response holds at most this many entries (S3's page size); a
+# longer listing is continued with one more request per page.
+LIST_PAGE_ENTRIES = 1000
+# What one entry of a LIST response weighs on a link with a bandwidth: key,
+# size, last-modified and their markup.
+LIST_ENTRY_BYTES = 256
+
 
 @dataclass(frozen=True)
 class ObjectStat:
-    """What a HEAD answers: identity plus the staleness signature parts."""
+    """What a HEAD answers, and what a LIST answers per object: identity
+    plus the staleness signature parts."""
 
     key: str
     size: int
@@ -58,10 +69,19 @@ class ObjectStat:
         return (self.mtime_ns, self.size)
 
 
+@dataclass(frozen=True)
+class ListPage:
+    """One LIST response: up to :data:`LIST_PAGE_ENTRIES` objects in key
+    order and, when keys remain beyond them, the key to continue after."""
+
+    entries: tuple[ObjectStat, ...]
+    next_after: Optional[str] = None  # None: the listing is complete
+
+
 @dataclass
 class SimStoreStats:
     requests: int = 0
-    lists: int = 0
+    lists: int = 0  # LIST requests answered: one per page
     heads: int = 0
     gets: int = 0
     ranged_gets: int = 0  # gets that asked for a proper sub-range
@@ -90,6 +110,10 @@ class SimulatedObjectStore:
         self.root = Path(root)
         if not self.root.exists():
             raise FileNotFoundError(f"object store root {self.root} does not exist")
+        # Containment is checked against this on every key resolution; the
+        # root itself does not move, so its realpath walk happens once.
+        self._resolved_root = os.path.realpath(self.root)
+        self._inside_root = os.path.join(self._resolved_root, "")
         self.model = NetworkModel(profile, seed=seed)
         self.stats = SimStoreStats()  # guarded-by: _lock
         self._lock = _sync.create_lock("SimulatedObjectStore._lock")
@@ -108,11 +132,28 @@ class SimulatedObjectStore:
 
     # -- request plumbing ----------------------------------------------------
 
-    def _path_of(self, key: str) -> Path:
-        path = (self.root / key).resolve()
-        if not path.is_relative_to(self.root.resolve()):
+    def _path_of(self, key: str) -> str:
+        path = os.path.realpath(os.path.join(self._resolved_root, key))
+        if not (path + os.sep).startswith(self._inside_root):
             raise FileNotFoundError(f"key {key!r} escapes the store root")
         return path
+
+    def _wait(
+        self,
+        seconds: float,
+        op_key: str,
+        cancel: Optional[threading.Event],
+        token: Optional[object],
+    ) -> None:
+        """Wait out modeled link time, unless the attempt or the query is
+        told to stop first."""
+        if seconds <= 0:
+            return
+        interrupted = interruptible_wait(seconds, cancel=cancel, token=token)
+        if interrupted == "cancel":
+            raise RequestAbandoned(op_key)
+        if interrupted == "token":
+            raise token.interruption()  # type: ignore[union-attr]
 
     def _request(
         self,
@@ -131,14 +172,7 @@ class SimulatedObjectStore:
             self.stats.requests += 1
             down = self._down
         draw = self.model.draw(op_key)
-        if draw.latency_seconds > 0:
-            interrupted = interruptible_wait(
-                draw.latency_seconds, cancel=cancel, token=token
-            )
-            if interrupted == "cancel":
-                raise RequestAbandoned(op_key)
-            if interrupted == "token":
-                raise token.interruption()  # type: ignore[union-attr]
+        self._wait(draw.latency_seconds, op_key, cancel, token)
         if down:
             with self._lock:
                 self.stats.refused += 1
@@ -156,17 +190,46 @@ class SimulatedObjectStore:
 
     def list_keys(
         self,
+        after: Optional[str] = None,
         cancel: Optional[threading.Event] = None,
         token: Optional[object] = None,
-    ) -> list[str]:
-        """Every object key, sorted (one LIST request)."""
+    ) -> ListPage:
+        """One page of the listing (one LIST request): the objects whose
+        keys sort after ``after`` (None: from the first), in key order.
+
+        Each entry is what a HEAD of that object would answer now, so one
+        listing observes every signature. The response body is charged to
+        a link with a bandwidth at :data:`LIST_ENTRY_BYTES` per entry.
+        """
         self._request("LIST", cancel, token)
         with self._lock:
             self.stats.lists += 1
-        return sorted(
-            p.relative_to(self.root).as_posix()
-            for p in self.root.rglob("*")
-            if p.is_file()
+        keys: list[str] = []
+        for directory, _, names in os.walk(self._resolved_root):
+            prefix = directory[len(self._inside_root) :].replace(os.sep, "/")
+            keys.extend(f"{prefix}/{name}" if prefix else name for name in names)
+        keys.sort()
+        first = 0 if after is None else bisect_right(keys, after)
+        page = keys[first : first + LIST_PAGE_ENTRIES]
+        entries = []
+        for key in page:
+            try:
+                st = os.stat(os.path.join(self._resolved_root, key))
+            except FileNotFoundError:
+                continue  # deleted since the walk, or a dangling link
+            if stat.S_ISREG(st.st_mode):
+                entries.append(
+                    ObjectStat(key=key, size=st.st_size, mtime_ns=st.st_mtime_ns)
+                )
+        self._wait(
+            self.model.transfer_seconds(len(entries) * LIST_ENTRY_BYTES),
+            "LIST",
+            cancel,
+            token,
+        )
+        return ListPage(
+            entries=tuple(entries),
+            next_after=page[-1] if first + len(page) < len(keys) else None,
         )
 
     def head(
@@ -179,7 +242,7 @@ class SimulatedObjectStore:
         self._request(f"HEAD:{key}", cancel, token)
         with self._lock:
             self.stats.heads += 1
-        st = self._path_of(key).stat()  # FileNotFoundError when absent
+        st = os.stat(self._path_of(key))  # FileNotFoundError when absent
         return ObjectStat(key=key, size=st.st_size, mtime_ns=st.st_mtime_ns)
 
     def get(
@@ -201,7 +264,7 @@ class SimulatedObjectStore:
             raise ValueError("start/length must be non-negative")
         self._request(f"GET:{key}", cancel, token)
         path = self._path_of(key)
-        size = path.stat().st_size  # FileNotFoundError when absent
+        size = os.stat(path).st_size  # FileNotFoundError when absent
         ranged = start > 0 or (length is not None and start + length < size)
         with self._lock:
             self.stats.gets += 1
@@ -220,15 +283,12 @@ class SimulatedObjectStore:
                     break
                 chunks.append(chunk)
                 remaining -= len(chunk)
-                transfer = self.model.transfer_seconds(len(chunk))
-                if transfer > 0:
-                    interrupted = interruptible_wait(
-                        transfer, cancel=cancel, token=token
-                    )
-                    if interrupted == "cancel":
-                        raise RequestAbandoned(f"GET:{key}")
-                    if interrupted == "token":
-                        raise token.interruption()  # type: ignore[union-attr]
+                self._wait(
+                    self.model.transfer_seconds(len(chunk)),
+                    f"GET:{key}",
+                    cancel,
+                    token,
+                )
         data = b"".join(chunks)
         with self._lock:
             self.stats.bytes_served += len(data)
@@ -237,6 +297,9 @@ class SimulatedObjectStore:
 
 __all__ = [
     "CHUNK_BYTES",
+    "LIST_ENTRY_BYTES",
+    "LIST_PAGE_ENTRIES",
+    "ListPage",
     "ObjectStat",
     "SimStoreStats",
     "SimulatedObjectStore",

@@ -247,8 +247,23 @@ class ResilientTransport:
 
     # -- public request API --------------------------------------------------
 
-    def list_keys(self, scope: Optional[RequestScope] = None) -> list[str]:
-        return self._call("LIST", None, scope, self.store.list_keys)
+    def list_keys(
+        self, scope: Optional[RequestScope] = None
+    ) -> list[ObjectStat]:
+        """Every object's stat, in key order: one request per page of the
+        store's listing, each under the resilience layers on its own — a
+        page that fails is retried alone, and a listing that cannot be
+        completed raises with nothing of it returned."""
+        listed: list[ObjectStat] = []
+        after: Optional[str] = None
+        while True:
+            page = self._call(
+                "LIST", None, scope, partial(self.store.list_keys, after)
+            )
+            listed.extend(page.entries)
+            after = page.next_after
+            if after is None:
+                return listed
 
     def head(
         self,

@@ -56,6 +56,11 @@ def _ingest(repo, metastore=None):
     return db, report
 
 
+def _signature(repo, uri):
+    st = os.stat(repo.path_of(uri))
+    return (st.st_mtime_ns, st.st_size)
+
+
 def _table_rows(db, name):
     return db.catalog.table(name).batch.rows()
 
@@ -209,6 +214,69 @@ class TestStaleness:
         assert report3.files_reused == SPEC.file_count
 
 
+class TestRepositoryDrift:
+    """The store follows the repository: what left it is dropped, and a
+    pass that changed nothing writes nothing."""
+
+    def test_deleted_file_is_dropped_from_store_and_statistics(self, repo):
+        store = MetadataStore.for_repository(repo.root)
+        _ingest(repo, store)
+        gone, *kept = repo.uris()
+        repo.path_of(gone).unlink()
+
+        warm = MetadataStore.for_repository(repo.root)
+        warm.load()
+        db, report = _ingest(repo, warm)
+        assert report.files == report.files_reused == len(kept)
+        assert len(warm) == len(kept)
+        assert sorted(warm.statistics().files) == kept
+        assert warm.statistics().table_rows["f"] == len(kept)
+        # Dropping is a change: the sidecar was re-saved without the file.
+        assert warm.stats.saved_files == len(kept)
+        assert sorted(json.loads(store.path.read_text())["files"]) == kept
+        assert gone not in {row[0] for row in _table_rows(db, "F")}
+
+    def test_all_reused_pass_does_not_rewrite_the_sidecar(self, repo):
+        store = MetadataStore.for_repository(repo.root)
+        _ingest(repo, store)
+        written = store.path.stat()
+
+        warm = MetadataStore.for_repository(repo.root)
+        warm.load()
+        _, report = _ingest(repo, warm)
+        assert report.files_reused == SPEC.file_count
+        assert not warm.dirty
+        assert (warm.stats.saved_files, warm.stats.saved_bytes) == (0, 0)
+        after = store.path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            written.st_ino,
+            written.st_mtime_ns,
+        )
+        # The same store reused for a second pass in one process, too.
+        _ingest(repo, store)
+        assert store.path.stat().st_ino == written.st_ino
+
+    def test_dirty_is_what_a_save_would_change(self, repo):
+        store = MetadataStore.for_repository(repo.root)
+        assert not store.dirty
+        _, report = _ingest(repo, store)  # recorded, re-counted — and saved
+        assert not store.dirty
+        store.record_table_rows({"f": report.files})
+        assert store.retain(repo.uris()) == 0
+        assert not store.dirty  # the same counts, nothing dropped
+        store.record_table_rows({"f": report.files + 1})
+        assert store.dirty
+        store.save()
+        assert not store.dirty
+        state = store.lookup(repo.uris()[0], _signature(repo, repo.uris()[0]))
+        store.record(
+            repo.uris()[0], state.signature, state.file_row, state.records
+        )
+        assert store.dirty
+        store.load()
+        assert not store.dirty
+
+
 class TestSidecarFailureModes:
     def test_missing_sidecar_is_clean_cold_start(self, tmp_path):
         store = MetadataStore(tmp_path / "absent.json")
@@ -313,11 +381,12 @@ class TestSidecarFailureModes:
 
 
 class TestApi:
-    def test_forget_drops_one_uri(self, repo):
+    def test_retain_drops_the_unlisted(self, repo):
         store = MetadataStore.for_repository(repo.root)
         _ingest(repo, store)
-        uri = repo.uris()[0]
-        store.forget(uri)
+        uri, *kept = repo.uris()
+        assert store.retain(kept) == 1 and store.dirty
         assert len(store) == SPEC.file_count - 1
         st = os.stat(repo.path_of(uri))
         assert store.lookup(uri, (st.st_mtime_ns, st.st_size)) is None
+        assert store.retain(kept) == 0

@@ -10,7 +10,9 @@ federated dispatcher. End-to-end fault grids live in
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import threading
 import time
 
@@ -26,6 +28,7 @@ from repro.core.governor import (
     QueryBudget,
     QueryGovernor,
 )
+from repro.core.metastore import MetadataStore
 from repro.core.mounting import MountContext, MountService
 from repro.core.recordmap import RecordMapIndex
 from repro.db import Database
@@ -52,6 +55,7 @@ from repro.mseed import (
     read_records,
     write_volume,
 )
+from repro.remote import simstore as simstore_module
 from repro.remote import transport as transport_module
 from repro.remote import (
     FederatedRepository,
@@ -196,14 +200,16 @@ class TestNetworkModel:
 class TestSimulatedObjectStore:
     def test_list_head_get_mirror_the_directory(self, objects_dir):
         store = _store(objects_dir)
-        keys = store.list_keys()
-        assert keys == sorted(
+        page = store.list_keys()
+        assert page.next_after is None
+        assert [entry.key for entry in page.entries] == sorted(
             p.relative_to(objects_dir).as_posix()
             for p in objects_dir.rglob("*")
             if p.is_file()
         )
-        key = keys[0]
+        key = page.entries[0].key
         stat = store.head(key)
+        assert stat == page.entries[0]  # a LIST entry is what a HEAD answers
         raw = (objects_dir / key).read_bytes()
         assert stat.size == len(raw)
         assert store.get(key) == raw
@@ -213,7 +219,7 @@ class TestSimulatedObjectStore:
 
     def test_ranged_get_returns_the_exact_slice(self, objects_dir):
         store = _store(objects_dir)
-        key = store.list_keys()[0]
+        key = store.list_keys().entries[0].key
         raw = (objects_dir / key).read_bytes()
         assert store.get(key, 10, 50) == raw[10:60]
         assert store.stats.ranged_gets == 1
@@ -222,7 +228,7 @@ class TestSimulatedObjectStore:
 
     def test_down_endpoint_refuses_every_request(self, objects_dir):
         store = _store(objects_dir)
-        key = store.list_keys()[0]
+        key = store.list_keys().entries[0].key
         store.set_down()
         with pytest.raises(ConnectionRefusedError):
             store.get(key)
@@ -238,6 +244,54 @@ class TestSimulatedObjectStore:
             store.head("no/such.xseed")
         with pytest.raises(FileNotFoundError):
             store.get("no/such.xseed")
+
+    def test_listing_pages_in_key_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 2)
+        for key in ("b/2.xseed", "a.xseed", "b/1.xseed", "c.xseed", "a/0.xseed"):
+            (tmp_path / key).parent.mkdir(exist_ok=True)
+            (tmp_path / key).write_bytes(key.encode())
+        store = SimulatedObjectStore("seis-eu", tmp_path)
+        pages, after = [], None
+        while True:
+            page = store.list_keys(after)
+            pages.append([entry.key for entry in page.entries])
+            after = page.next_after
+            if after is None:
+                break
+        assert pages == [
+            ["a.xseed", "a/0.xseed"],
+            ["b/1.xseed", "b/2.xseed"],
+            ["c.xseed"],
+        ]
+        assert (store.stats.requests, store.stats.lists) == (3, 3)
+        # The continuation is a position in key order, not an object: it
+        # need not exist (any more) for the listing to go on from there.
+        assert [e.key for e in store.list_keys("b/1").entries] == [
+            "b/1.xseed",
+            "b/2.xseed",
+        ]
+        for entry in store.list_keys("b/2.xseed").entries:
+            assert entry == store.head(entry.key)
+
+    def test_list_body_is_charged_to_a_link_with_a_bandwidth(self, objects_dir):
+        entries = len(_store(objects_dir).list_keys().entries)
+        body = entries * simstore_module.LIST_ENTRY_BYTES
+        store = _store(objects_dir, bandwidth_bytes_per_second=body / 0.05)
+        started = time.monotonic()
+        store.list_keys()
+        assert time.monotonic() - started >= 0.05
+
+    def test_a_key_escaping_the_root_is_not_found(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        (tmp_path / "outside.xseed").write_bytes(b"secret")
+        os.symlink(tmp_path, root / "up")
+        store = SimulatedObjectStore("seis-eu", root)
+        for key in ("../outside.xseed", "up/outside.xseed"):
+            with pytest.raises(FileNotFoundError):
+                store.head(key)
+            with pytest.raises(FileNotFoundError):
+                store.get(key)
 
     def test_modeled_loss_resets_the_connection(self, objects_dir):
         store = SimulatedObjectStore(
@@ -290,7 +344,7 @@ class _ScriptedStore:
     def head(self, key, cancel=None, token=None):
         raise NotImplementedError
 
-    def list_keys(self, cancel=None, token=None):
+    def list_keys(self, after=None, cancel=None, token=None):
         raise NotImplementedError
 
 
@@ -662,7 +716,15 @@ class TestRemoteRepository:
         key = parse_remote_uri(uri)[1]
         st = (objects_dir / key).stat()
         assert repo.signature_of(uri) == (st.st_mtime_ns, st.st_size)
-        assert repo.size_of(uri) == st.st_size
+        assert repo.signatures() == {uri: repo.signature_of(uri)}
+
+    def test_total_bytes_is_one_listing(self, objects_dir, tmp_path):
+        store = _store(objects_dir)
+        repo = _repository(tmp_path, store)
+        assert repo.total_bytes() == sum(
+            p.stat().st_size for p in objects_dir.rglob("*.xseed")
+        )
+        assert (store.stats.requests, store.stats.lists) == (1, 1)
 
     def test_listing_fallback_when_the_endpoint_drops(
         self, objects_dir, tmp_path
@@ -674,6 +736,18 @@ class TestRemoteRepository:
         assert repo.uris() == live  # stale-but-available beats an error
         assert repo.stats.listing_fallbacks >= 1
 
+    def test_a_remembered_listing_never_supplies_a_signature(
+        self, objects_dir, tmp_path
+    ):
+        store = _store(objects_dir)
+        repo = _repository(tmp_path, store)
+        live = repo.uris()
+        store.set_down()
+        assert repo.uris() == live  # names may be remembered…
+        with pytest.raises(FileIngestError) as excinfo:
+            repo.signatures()  # …a signature is observed, or there is none
+        assert excinfo.value.endpoint == "seis-eu"
+
     def test_cold_listing_with_endpoint_down_still_fails(
         self, objects_dir, tmp_path
     ):
@@ -682,6 +756,20 @@ class TestRemoteRepository:
         repo = _repository(tmp_path, store)
         with pytest.raises(FileIngestError):
             repo.uris()  # no last-known listing to fall back on
+
+
+class _Without:
+    """A repository seen by duck type, minus the named hooks: what a
+    backend written before the hook existed looks like to its callers."""
+
+    def __init__(self, inner, *hidden):
+        self._inner = inner
+        self._hidden = hidden
+
+    def __getattr__(self, name):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return getattr(self._inner, name)
 
 
 class TestFederatedRepository:
@@ -715,6 +803,25 @@ class TestFederatedRepository:
         with pytest.raises(IngestError):
             fed.path_of("remote://unknown-endpoint/x.xseed")
 
+    def test_signatures_concatenate_and_a_hookless_member_falls_back(
+        self, members
+    ):
+        local, remote = members
+        fed = FederatedRepository([local, remote])
+        assert fed.signatures() == {**local.signatures(), **remote.signatures()}
+        assert list(fed.signatures()) == fed.uris()
+        heads = remote.transport.store.stats.heads
+        # No bulk hook: asked file by file (a HEAD each); no per-file hook
+        # either: the resolved path is stat'ed.
+        hookless = FederatedRepository(
+            [
+                _Without(local, "signatures", "signature_of"),
+                _Without(remote, "signatures"),
+            ]
+        )
+        assert hookless.signatures() == fed.signatures()
+        assert remote.transport.store.stats.heads == heads + len(remote.uris())
+
     def test_total_bytes_sums_members(self, members):
         local, remote = members
         fed = FederatedRepository([local, remote])
@@ -729,6 +836,346 @@ class TestFederatedRepository:
     def test_empty_federation_rejected(self):
         with pytest.raises(IngestError):
             FederatedRepository([])
+
+
+# -- the listing is the metadata pass's one observation of the repository ------
+
+LISTED_SPEC = RepositorySpec(
+    stations=("ISK", "ANK"),
+    channels=("BHE", "BHZ"),
+    days=1,
+    sample_rate=0.02,
+    samples_per_record=100,
+)
+
+
+def _change_add_delete(objects):
+    """Rewrite the first object (half its records, a later mtime), add a
+    new one, delete the last; returns their keys."""
+    paths = sorted(objects.rglob("*.xseed"))
+    changed, deleted = paths[0], paths[-1]
+    before = changed.stat()
+    records = read_records(changed)
+    write_volume(changed, records[: len(records) // 2])
+    os.utime(changed, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    added = paths[1].with_name("added.xseed")
+    shutil.copyfile(paths[1], added)
+    deleted.unlink()
+    return tuple(
+        p.relative_to(objects).as_posix() for p in (changed, added, deleted)
+    )
+
+
+def _metadata(db):
+    return {name: db.catalog.table(name).batch.rows() for name in ("F", "R")}
+
+
+class _MetadataSession:
+    """One session's metadata pass over ``repository``, from the sidecar
+    at ``sidecar`` (loaded when it exists, re-saved by the pass)."""
+
+    def __init__(self, repository, sidecar):
+        self.metastore = MetadataStore(sidecar)
+        self.metastore.load()
+        self.db = Database()
+        self.report = lazy_ingest_metadata(
+            self.db, repository, metastore=self.metastore
+        )
+        self.metadata = _metadata(self.db)
+
+
+class _Endpoint:
+    """``objects`` served as a fresh endpoint — request counters at zero —
+    through a repository with cold staging."""
+
+    def __init__(self, objects, staging, policy=TransportPolicy()):
+        self.store = SimulatedObjectStore("seis-eu", objects)
+        self.staging = staging
+        self.repo = RemoteRepository(self.store, staging, policy=policy)
+
+    def requests(self):
+        stats = self.store.stats
+        assert stats.requests == stats.lists + stats.heads + stats.gets
+        return {"LIST": stats.lists, "HEAD": stats.heads, "GET": stats.gets}
+
+
+class TestListingCarriesSignatures:
+    """With a metastore, the pass asks the repository for every signature
+    at once — one LIST per 1 000 remote objects — and touches only the
+    files whose signature the sidecar does not already hold."""
+
+    FILES = LISTED_SPEC.file_count
+
+    @pytest.fixture()
+    def objects(self, tmp_path):
+        generate_repository(tmp_path / "objects", LISTED_SPEC)
+        return tmp_path / "objects"
+
+    def test_a_warm_pass_is_one_request(self, objects, tmp_path):
+        sidecar = tmp_path / "sidecar.json"
+        harvest = _Endpoint(objects, tmp_path / "harvest")
+        cold = _MetadataSession(harvest.repo, sidecar)
+        # Cold: the listing's signature stages each object, no HEAD.
+        assert harvest.requests() == {"LIST": 1, "HEAD": 0, "GET": self.FILES}
+        assert cold.metastore.stats.saved_files == self.FILES
+        written = sidecar.stat()
+
+        endpoint = _Endpoint(objects, tmp_path / "staging")
+        warm = _MetadataSession(endpoint.repo, sidecar)
+        assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": 0}
+        assert warm.report.files_reused == warm.report.files == self.FILES
+        assert warm.metadata == cold.metadata
+        # Nothing recorded, dropped or re-counted: the sidecar another
+        # session may be loading is not replaced by an identical one.
+        assert not warm.metastore.dirty
+        assert warm.metastore.stats.saved_files == 0
+        after = sidecar.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            written.st_ino,
+            written.st_mtime_ns,
+        )
+
+    def test_a_reused_files_staging_directory_is_made_by_its_first_mount(
+        self, objects, tmp_path
+    ):
+        sidecar = tmp_path / "sidecar.json"
+        harvest = _Endpoint(objects, tmp_path / "harvest")
+        cold = _MetadataSession(harvest.repo, sidecar)
+        endpoint = _Endpoint(objects, tmp_path / "staging")
+        warm = _MetadataSession(endpoint.repo, sidecar)
+        # No path was resolved for a file nobody read.
+        assert list(endpoint.staging.iterdir()) == []
+        sql = (
+            "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D "
+            "ON F.uri = D.uri WHERE F.station = 'ISK'"
+        )
+        answers = [
+            TwoStageExecutor(session.db, RepositoryBinding(ep.repo))
+            .execute(sql)
+            .rows
+            for session, ep in ((warm, endpoint), (cold, harvest))
+        ]
+        assert answers[0] == answers[1] and answers[0][0][0] > 0
+        staged = list(endpoint.staging.rglob("*.xseed"))
+        assert len(staged) == len(LISTED_SPEC.channels)  # ISK's files only
+
+    def test_changed_added_and_deleted_objects(self, objects, tmp_path):
+        sidecar = tmp_path / "sidecar.json"
+        _MetadataSession(_Endpoint(objects, tmp_path / "harvest").repo, sidecar)
+        per_file_sidecar = tmp_path / "sidecar-per-file.json"
+        shutil.copyfile(sidecar, per_file_sidecar)
+        changed, added, deleted = (
+            remote_uri("seis-eu", key) for key in _change_add_delete(objects)
+        )
+
+        endpoint = _Endpoint(objects, tmp_path / "staging")
+        warm = _MetadataSession(endpoint.repo, sidecar)
+        assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": 2}
+        assert warm.report.files == self.FILES
+        assert warm.report.files_reused == self.FILES - 2
+        stats = warm.metastore.stats
+        assert (stats.hits, stats.stale, stats.misses) == (self.FILES - 2, 1, 1)
+
+        # The deleted object is gone from F, R, the re-saved sidecar and
+        # the statistics rebuilt from it.
+        for table in ("F", "R"):
+            uris = {row[0] for row in warm.metadata[table]}
+            assert {changed, added} <= uris and deleted not in uris
+        saved = json.loads(sidecar.read_text())
+        assert sorted(saved["files"]) == endpoint.repo.uris()
+        reloaded = MetadataStore(sidecar)
+        assert reloaded.load() == self.FILES
+        assert deleted not in reloaded.statistics().files
+
+        # Same rows as a cold harvest of the tree as it is now…
+        cold = _MetadataSession(
+            _Endpoint(objects, tmp_path / "cold").repo, tmp_path / "cold.json"
+        )
+        assert cold.report.files_reused == 0
+        assert warm.metadata == cold.metadata
+        # …and as the pass that asks file by file, which also leaves the
+        # same sidecar behind, at a HEAD per object.
+        asked = _Endpoint(objects, tmp_path / "per-file")
+        per_file = _MetadataSession(
+            _Without(asked.repo, "signatures"), per_file_sidecar
+        )
+        assert asked.requests() == {"LIST": 1, "HEAD": self.FILES, "GET": 2}
+        assert per_file.metadata == warm.metadata
+        assert per_file_sidecar.read_bytes() == sidecar.read_bytes()
+        assert saved == json.loads((tmp_path / "cold.json").read_text())
+
+    @pytest.mark.parametrize("shape", ["local", "federated"])
+    def test_listing_gated_pass_matches_the_per_file_pass(
+        self, objects, tmp_path, shape
+    ):
+        def repository(staging):
+            local = FileRepository(objects)
+            if shape == "local":
+                return local
+            return FederatedRepository(
+                [local, _Endpoint(tmp_path / "remote", tmp_path / staging).repo]
+            )
+
+        generate_repository(
+            tmp_path / "remote",
+            RepositorySpec(
+                stations=("IZM",),
+                channels=("BHE", "BHN", "BHZ"),
+                days=1,
+                sample_rate=0.02,
+                samples_per_record=100,
+            ),
+        )
+        sidecar = tmp_path / "sidecar.json"
+        _MetadataSession(repository("harvest"), sidecar)
+        per_file_sidecar = tmp_path / "sidecar-per-file.json"
+        shutil.copyfile(sidecar, per_file_sidecar)
+        gone = [_change_add_delete(objects)[2]]
+        if shape == "federated":
+            gone.append(
+                remote_uri("seis-eu", _change_add_delete(tmp_path / "remote")[2])
+            )
+
+        warm = _MetadataSession(repository("staging"), sidecar)
+        changes = 1 if shape == "local" else 2
+        assert warm.report.files_reused == warm.report.files - 2 * changes
+        assert not {row[0] for row in warm.metadata["F"]} & set(gone)
+        cold = _MetadataSession(repository("cold"), tmp_path / "cold.json")
+        per_file = _MetadataSession(
+            _Without(repository("per-file"), "signatures"), per_file_sidecar
+        )
+        assert warm.metadata == cold.metadata == per_file.metadata
+        assert sidecar.read_bytes() == per_file_sidecar.read_bytes()
+        assert json.loads(sidecar.read_text()) == json.loads(
+            (tmp_path / "cold.json").read_text()
+        )
+
+    def test_object_rewritten_between_the_list_and_its_get(
+        self, objects, tmp_path
+    ):
+        sidecar = tmp_path / "sidecar.json"
+        endpoint = _Endpoint(objects, tmp_path / "staging")
+        victim = sorted(objects.rglob("*.xseed"))[0]
+        key = victim.relative_to(objects).as_posix()
+        get = endpoint.store.get
+
+        def rewritten_just_before(requested, *args, **kwargs):
+            if requested == key and victim.stat().st_size == listed_size:
+                records = read_records(victim)
+                write_volume(victim, records[: len(records) // 2])
+            return get(requested, *args, **kwargs)
+
+        listed_size = victim.stat().st_size
+        endpoint.store.get = rewritten_just_before
+        first = _MetadataSession(endpoint.repo, sidecar)
+        assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": self.FILES}
+        # The rows are the newer bytes', signed with the listed signature…
+        now = _MetadataSession(
+            _Endpoint(objects, tmp_path / "cold").repo, tmp_path / "cold.json"
+        )
+        assert first.metadata == now.metadata
+        stored = json.loads(sidecar.read_text())["files"]
+        assert stored[remote_uri("seis-eu", key)]["signature"][1] == listed_size
+        # …which the next session's listing contradicts: extracted again,
+        # and only then reusable.
+        again = _Endpoint(objects, tmp_path / "staging-2")
+        second = _MetadataSession(again.repo, sidecar)
+        assert again.requests() == {"LIST": 1, "HEAD": 0, "GET": 1}
+        assert second.metastore.stats.stale == 1
+        assert second.metadata == now.metadata
+        assert json.loads(sidecar.read_text()) == json.loads(
+            (tmp_path / "cold.json").read_text()
+        )
+        third = _Endpoint(objects, tmp_path / "staging-3")
+        assert _MetadataSession(third.repo, sidecar).report.files_reused == self.FILES
+        assert third.requests() == {"LIST": 1, "HEAD": 0, "GET": 0}
+
+    def _paged(self, monkeypatch, objects, tmp_path, policy=TransportPolicy()):
+        """The endpoint listing two objects a page, and the log of
+        continuation keys its LIST requests carried."""
+        monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 2)
+        endpoint = _Endpoint(objects, tmp_path / "staging", policy)
+        asked = []
+        list_keys = endpoint.store.list_keys
+
+        def logged(after=None, **kwargs):
+            asked.append(after)
+            return list_keys(after, **kwargs)
+
+        endpoint.store.list_keys = logged
+        return endpoint, asked
+
+    def test_a_long_listing_is_one_request_per_page(
+        self, monkeypatch, objects, tmp_path
+    ):
+        (objects / "readme.txt").write_text("not a data file")  # 5 keys
+        endpoint, asked = self._paged(monkeypatch, objects, tmp_path)
+        keys = sorted(
+            p.relative_to(objects).as_posix() for p in objects.rglob("*.xseed")
+        )
+        signatures = endpoint.repo.signatures()
+        assert endpoint.requests() == {"LIST": 3, "HEAD": 0, "GET": 0}
+        assert asked[0] is None and asked[1:] == sorted(asked[1:])
+        # Key order, nothing lost or doubled across the page boundaries,
+        # each signature what a HEAD of the object answers.
+        assert list(signatures) == [remote_uri("seis-eu", k) for k in keys]
+        for uri, signature in signatures.items():
+            assert signature == endpoint.repo.signature_of(uri)
+        # The metadata pass over the paged listing: still no HEAD.
+        heads = endpoint.store.stats.heads
+        _MetadataSession(endpoint.repo, tmp_path / "sidecar.json")
+        assert endpoint.store.stats.heads == heads
+
+    def test_a_page_that_resets_is_retried_alone(
+        self, monkeypatch, objects, tmp_path
+    ):
+        policy = TransportPolicy(backoff_seconds=0.0, retry_budget_attempts=4)
+        endpoint, asked = self._paged(monkeypatch, objects, tmp_path, policy)
+        whole = endpoint.repo.signatures()
+        second_page = asked[1]
+        del asked[:]
+        paged = endpoint.store.list_keys
+        resets = [ConnectionResetError("scripted reset")]
+
+        def second_page_resets_once(after=None, **kwargs):
+            if after == second_page and resets:
+                asked.append(after)
+                raise resets.pop()
+            return paged(after, **kwargs)
+
+        endpoint.store.list_keys = second_page_resets_once
+        context = MountContext()
+        assert endpoint.repo.signatures(context) == whole
+        # The first page was not asked for again; the retry was the
+        # query's to spend.
+        assert asked == [None, second_page, second_page]
+        assert context.retry_budget("seis-eu", 4).spent() == 1
+        assert endpoint.repo.transport.stats.retries == 1
+
+    def test_an_exhausted_budget_fails_the_whole_listing(
+        self, monkeypatch, objects, tmp_path
+    ):
+        policy = TransportPolicy(backoff_seconds=0.0, retry_budget_attempts=0)
+        endpoint, asked = self._paged(monkeypatch, objects, tmp_path, policy)
+        paged = endpoint.store.list_keys
+
+        def later_pages_reset(after=None, **kwargs):
+            if after is not None:
+                raise ConnectionResetError("scripted reset")
+            return paged(after, **kwargs)
+
+        endpoint.store.list_keys = later_pages_reset
+        for listing in (endpoint.repo.signatures, endpoint.repo.uris):
+            with pytest.raises(RemoteTransportError) as excinfo:
+                listing(MountContext())
+            assert excinfo.value.endpoint == "seis-eu"
+        assert endpoint.repo.transport.stats.retries_denied == 2
+        # The page that did arrive was neither returned nor remembered:
+        # there is no listing to fall back on.
+        assert endpoint.repo.stats.listing_fallbacks == 0
+        with pytest.raises(RemoteTransportError):
+            _MetadataSession(endpoint.repo, tmp_path / "sidecar.json")
+        assert not (tmp_path / "sidecar.json").exists()
 
 
 # -- one observation of the remote version per extraction ---------------------
@@ -1004,10 +1451,10 @@ class TestScopeHandDown:
         resets = [ConnectionResetError("scripted reset")] * 2
         list_keys = query.store.list_keys
 
-        def flaky(**kwargs):
+        def flaky(*args, **kwargs):
             if resets:
                 raise resets.pop()
-            return list_keys(**kwargs)
+            return list_keys(*args, **kwargs)
 
         query.store.list_keys = flaky
         context = query.executor.open_context()
@@ -1018,6 +1465,58 @@ class TestScopeHandDown:
         # The next query's budget is its own: full, whatever this one spent.
         later = query.executor.open_context()
         assert later.retry_budget("seis-eu", 4).spent() == 0
+
+    def test_every_page_of_a_listing_carries_the_contexts_token(
+        self, tmp_path, monkeypatch
+    ):
+        generate_repository(tmp_path / "objects", LISTED_SPEC)
+        monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 1)
+        endpoint = _Endpoint(tmp_path / "objects", tmp_path / "staging")
+        seen = _record_tokens(endpoint.store)
+        context = MountContext()
+        assert len(endpoint.repo.signatures(context)) == LISTED_SPEC.file_count
+        assert seen == [("list_keys", context.token)] * LISTED_SPEC.file_count
+
+    def test_a_fired_token_stops_the_listing_inside_the_page_in_flight(
+        self, tmp_path, monkeypatch
+    ):
+        generate_repository(tmp_path / "objects", LISTED_SPEC)
+        monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 1)
+        endpoint = _Endpoint(tmp_path / "objects", tmp_path / "staging")
+        store = endpoint.store
+        list_keys = store.list_keys
+
+        def stall_after_the_first_page(*args, **kwargs):
+            page = list_keys(*args, **kwargs)
+            store.model = NetworkModel(NetworkProfile(latency_seconds=5.0))
+            return page
+
+        store.list_keys = stall_after_the_first_page
+        context = MountContext()
+
+        def cancel_inside_the_second_page():
+            while store.stats.requests < 2:
+                time.sleep(0.001)
+            context.token.cancel("ctrl-c during page 2")
+
+        watcher = threading.Thread(
+            target=cancel_inside_the_second_page, daemon=True
+        )
+        watcher.start()
+        started = time.monotonic()
+        with pytest.raises(QueryCancelledError, match="ctrl-c during page 2"):
+            endpoint.repo.signatures(context)
+        watcher.join(5.0)
+        assert not watcher.is_alive()
+        # Begun and not completed: the interruption landed in the second
+        # page's own wait, and no third page was asked for.
+        assert time.monotonic() - started < 2.0
+        assert (store.stats.requests, store.stats.lists) == (2, 1)
+        # The page that did arrive is no listing to fall back on.
+        store.set_down()
+        with pytest.raises(FileIngestError):
+            endpoint.repo.uris()
+        assert endpoint.repo.stats.listing_fallbacks == 0
 
     @pytest.mark.parametrize("selective", [True, False])
     def test_every_request_of_a_mount_carries_the_mounts_context(
