@@ -635,10 +635,6 @@ class RetryBudget:
         with self._lock:
             return max(0, self.attempts - self._spent)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._spent = 0
-
 
 __all__ = [
     "CIRCUIT_CLOSED",

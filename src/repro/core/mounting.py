@@ -31,9 +31,14 @@ Transient failures (I/O errors, files caught mid-rewrite) are retried with
 backoff up to ``max_retries`` times before the policy applies. Staleness is
 detected twice: the ingestion cache compares the ``(mtime_ns, size)``
 signature recorded at store time on every cache-scan (a changed file is
-invalidated and re-mounted), and :meth:`_extract` re-stats the file after
-extraction so a file rewritten *during* the read raises
-:class:`~repro.db.errors.StaleFileError` rather than yielding torn rows.
+invalidated and re-mounted, a deleted one invalidated and its error
+surfaced), and :meth:`_extract` re-stats the file after extraction so a
+file rewritten *during* the read raises
+:class:`~repro.db.errors.StaleFileError` rather than yielding torn rows —
+unless the extractor observes the file for itself (a remote one: each GET
+answers the object's signature with its bytes and is conditional on the
+one before), in which case it reports the one version it read and nothing
+is asked before or after.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from ..db.errors import (
     FileIngestError,
     IngestError,
     QueryBudgetExceeded,
+    RemoteObjectMissingError,
     StaleFileError,
 )
 from ..db.expr import Expr
@@ -63,7 +69,7 @@ from ..ingest.formats import (
     RecordSpan,
     SelectiveFormatExtractor,
 )
-from ..ingest.schema import BindingSet
+from ..ingest.schema import BindingSet, RepositoryBinding
 from .cache import (
     INF,
     CacheGranularity,
@@ -318,9 +324,10 @@ class ExtractResult:
     records_decoded: int = 0
     records_skipped: int = 0
     selective: bool = False
-    # The file's signature observed by the post-extraction staleness check,
-    # for the cache store — saves a third stat/HEAD per mount. None when
-    # staleness validation is off.
+    # The signature of the version extracted — the post-extraction stat's,
+    # or the one a self-observing (remote) extractor reports — for the cache
+    # store, instead of another stat/HEAD. None when staleness validation
+    # is off.
     signature: Optional[FileSignature] = None
 
 
@@ -541,8 +548,8 @@ class MountService:
         interval = interval_from_predicate(
             predicate, f"{alias}.{self.time_column}"
         )
-        # The extraction's own post-read staleness check already observed
-        # the signature; reuse it instead of a third stat/HEAD per mount.
+        # The extraction already observed the signature of what it read;
+        # reuse it instead of another stat/HEAD per mount.
         signature = result.signature
         if self.cache.granularity_for(uri) is CacheGranularity.TUPLE:
             narrowed = _interval_mask_batch(batch, self.time_column, interval)
@@ -653,21 +660,22 @@ class MountService:
         interval = interval_from_predicate(
             predicate, f"{alias}.{self.time_column}"
         )
+        # Another query's invalidation landing between the two reads is
+        # counted as this one's: `stale_remounts` is a counter, no decision
+        # hangs on it.
+        invalidations_before = self.cache.stats.invalidations
         signature = (
             self._current_signature(uri, table_name, context)
             if self.validate_staleness
             else None
         )
-        # Another query's invalidation landing between the two reads is
-        # counted as this one's: `stale_remounts` is a counter, no decision
-        # hangs on it.
-        invalidations_before = self.cache.stats.invalidations
         cached = self.cache.lookup(uri, interval, signature=signature)
         if cached is None:
             # The plan expected a hit (rule (1) consulted the cache at
             # run-time optimization) but the entry is gone — either evicted,
-            # or just invalidated because the file changed on disk. Fall
-            # back to a fresh mount either way.
+            # or just invalidated because the file changed on disk or left
+            # it. Fall back to a fresh mount either way: of a file that is
+            # gone, it raises (or quarantines) the typed error.
             stale = self.cache.stats.invalidations > invalidations_before
             with self._lock:
                 self.stats.fallback_mounts += 1
@@ -691,11 +699,7 @@ class MountService:
         wraps the registry's extractor in its ranged-GET adapter, whose
         requests run under ``context`` (token, retry budget).
         """
-        binding = self.bindings.for_table(table_name)
-        if binding is None:
-            raise IngestError(
-                f"actual table {table_name!r} has no repository binding"
-            )
+        binding = self._binding_of(table_name)
         repository = binding.repository
         path = repository.path_of(uri)
         assert binding.registry is not None
@@ -704,17 +708,37 @@ class MountService:
         )
         return path, extractor, repository
 
+    def _binding_of(self, table_name: str) -> RepositoryBinding:
+        binding = self.bindings.for_table(table_name)
+        if binding is None:
+            raise IngestError(
+                f"actual table {table_name!r} has no repository binding"
+            )
+        return binding
+
     def _current_signature(
         self,
         uri: str,
         table_name: str,
         context: Optional[MountContext] = None,
     ) -> Optional[FileSignature]:
-        """The file's current signature, or None when it cannot be stated —
-        the mount fallback will surface the real error."""
+        """The file's current signature, for a cache lookup to compare
+        against; None when there is nothing to compare with.
+
+        A file that definitively does not exist (the ``stat`` says so, or
+        the endpoint answers 404) has no version the cached rows could still
+        be: its entries are invalidated here, so the lookup misses and the
+        mount fallback raises — or quarantines — the typed error. A file
+        that merely cannot be *observed* (an unreachable endpoint) keeps
+        its entries, and the lookup serves them uncompared: stale-but-
+        available, like :meth:`RemoteRepository.uris`' remembered listing.
+        """
         try:
-            _, _, repository = self._resolve(uri, table_name, context)
+            repository = self._binding_of(table_name).repository
             return repository.signature_of(uri, context)
+        except (FileNotFoundError, RemoteObjectMissingError):
+            self.cache.invalidate(uri)
+            return None
         except (OSError, IngestError):
             return None
 
@@ -735,7 +759,8 @@ class MountService:
         ``observed`` is a signature of the file the caller fetched just now
         (the shared extraction path's cache lookup): the first attempt takes
         it as its pre-read observation instead of asking again — the
-        staleness sandwich only widens — and a retry observes afresh.
+        staleness sandwich only widens; for a remote file it is what every
+        GET of the attempt is conditional on — and a retry observes afresh.
 
         Transient failures (I/O errors, files caught mid-rewrite) retry up
         to ``max_retries`` times with linear backoff, but never past
@@ -801,7 +826,15 @@ class MountService:
         before: Optional[FileSignature],
         context: MountContext,
     ) -> "ExtractResult":
-        if before is None:
+        # An extractor that observes the file for itself (a remote one: the
+        # GETs that carry the bytes answer the object's signature, and each
+        # is conditional on the one before) takes what the caller has seen,
+        # if anything, and names the version it read afterwards. Anything
+        # else is bracketed here: a signature before the read, one after.
+        observing = getattr(extractor, "observing", None)
+        if observing is not None:
+            extractor = observing(before)
+        elif before is None:
             try:
                 before = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
@@ -810,11 +843,6 @@ class MountService:
                     uri=uri,
                     cause=exc,
                 ) from exc
-        # An extractor whose own reads start by observing the file (a remote
-        # one: a HEAD before its GETs) takes this observation instead.
-        observing = getattr(extractor, "observing", None)
-        if observing is not None:
-            extractor = observing(before)
         selective = request is not None and isinstance(
             extractor, SelectiveFormatExtractor
         )
@@ -839,16 +867,16 @@ class MountService:
                 self.stats.records_decoded += records_decoded
                 self.stats.records_skipped += records_skipped
         else:
-            nbytes = before[1]
-            io_seconds = 0.0
-            # The buffer manager locks itself; only the service's own
-            # counter needs this lock — never hold it across the (slow)
-            # disk model.
-            if self.buffers is not None:
-                io_seconds = self.buffers.touch(f"repo:{uri}", nbytes)
-            with self._lock:
-                self.stats.bytes_read += nbytes
-            mounted = extractor.mount(path, uri)
+            if observing is None:
+                assert before is not None
+                nbytes = before[1]
+                io_seconds = self._touch_whole(uri, nbytes)
+                mounted = extractor.mount(path, uri)
+            else:
+                # Self-observed: the object's size arrives with its bytes.
+                mounted = extractor.mount(path, uri)
+                nbytes = extractor.observed[1]
+                io_seconds = self._touch_whole(uri, nbytes)
             coverage = WHOLE_FILE
             # record_id is per-file consecutive, so the last id counts them.
             records_decoded = (
@@ -858,7 +886,14 @@ class MountService:
             with self._lock:
                 self.stats.records_decoded += records_decoded
         after: Optional[FileSignature] = None
-        if self.validate_staleness:
+        if self.validate_staleness and observing is not None:
+            # `before` = the first response's signature = each later GET's
+            # `if_match` = … = the last response's: the same sandwich, both
+            # ends inside the requests that read the bytes. A rewrite after
+            # the last response is the next cache scan's to see; these rows
+            # are wholly the version they are about to be cached under.
+            after = extractor.observed
+        elif self.validate_staleness:
             try:
                 after = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
@@ -888,6 +923,19 @@ class MountService:
             selective=selective,
             signature=after,
         )
+
+    def _touch_whole(self, uri: str, nbytes: int) -> float:
+        """Account one whole-file read; returns the simulated disk seconds.
+
+        The buffer manager locks itself; only the service's own counter
+        needs this lock — never hold it across the (slow) disk model.
+        """
+        io_seconds = 0.0
+        if self.buffers is not None:
+            io_seconds = self.buffers.touch(f"repo:{uri}", nbytes)
+        with self._lock:
+            self.stats.bytes_read += nbytes
+        return io_seconds
 
     def _deliver(
         self, batch: ColumnBatch, alias: str, predicate: Optional[Expr]

@@ -99,19 +99,13 @@ def lazy_ingest_metadata(
             extractor = extractor_for(path, uri, registry)
         else:
             extractor = registry.for_path(path)
-        if metastore is not None:
-            # An extractor whose reads start by observing the file (a remote
-            # one: a HEAD before its GET) takes our observation instead.
-            # Should the file change before the read, the store signs the
-            # newer bytes' rows with the older signature, which the next
-            # session finds stale and extracts again.
-            observing = getattr(extractor, "observing", None)
-            if observing is not None:
-                extractor = observing(signature)
         extracted = extractor.extract_metadata(path, uri)
         file_rows.append(extracted.file_row)
         record_parts.append(extracted.records)
         if metastore is not None:
+            # Should the file have changed since it was observed, the store
+            # signs the newer bytes' rows with the older signature, which
+            # the next session finds stale and extracts again.
             metastore.record(
                 uri, signature, extracted.file_row, extracted.records
             )

@@ -11,8 +11,9 @@ The translation happens through the repository protocol hooks:
     extractor reads them.
 ``signature_of``
     Answered by a HEAD: ``(mtime_ns, size)`` of the remote object, so the
-    mount layer's staleness checks observe the *remote* file, not the
-    staging copy.
+    mount layer's cache-scan staleness check observes the *remote* file,
+    not the staging copy. An extraction needs none: every GET answers the
+    object's signature with its bytes (see *staging* below).
 ``signatures``
     Answered by one LIST (a request per page of 1 000 objects): every
     object's URI and the signature a HEAD of it would have answered. The
@@ -26,7 +27,9 @@ The translation happens through the repository protocol hooks:
     into a sparse staging file; the inner extractor then seeks the staging
     file exactly as it would a local volume. Whole-file paths (metadata
     extraction, non-addressable byte maps) stage the whole object once and
-    reuse it until the remote signature changes.
+    reuse it until the remote signature changes. The wrapper observes the
+    object for itself (``observing``): it reports the one version all the
+    bytes it read came from, so the mount layer brackets it with no HEADs.
 
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (timeouts, retry budget, hedging, per-endpoint circuit breaker), so every
@@ -48,13 +51,13 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .. import _sync
 from ..core.governor import CircuitBreaker
-from ..db.errors import FileIngestError, IngestError
+from ..db.errors import FileIngestError, IngestError, StaleFileError
 from ..ingest.formats import (
     FormatExtractor,
     FormatRegistry,
@@ -123,6 +126,34 @@ class _StagedFile:
     signature: tuple[int, int]
     ranges: list[tuple[int, int]] = field(default_factory=list)
     whole: bool = False
+
+
+def _missing(
+    wanted: list[tuple[int, int]],
+    version: Optional[tuple[int, int]],
+    entry: Optional[_StagedFile],
+) -> list[tuple[int, int]]:
+    """The parts of ``wanted`` (merged/sorted) that ``entry`` does not hold,
+    clamped to the object's size once a ``version`` says what that is."""
+    if entry is None:
+        covered: list[tuple[int, int]] = []
+    elif entry.whole:
+        return []
+    else:
+        covered = entry.ranges
+    if version is not None:
+        size = version[1]
+        wanted = [(s, min(e, size)) for s, e in wanted if s < size]
+    return _subtract_ranges(wanted, covered)
+
+
+class Staged(NamedTuple):
+    """What a staging call answers: the remote version every staged byte of
+    the object is of, and the remote bytes this call moved to get the
+    wanted ones there (0: staging already held them)."""
+
+    signature: tuple[int, int]
+    moved: int
 
 
 @dataclass
@@ -270,6 +301,12 @@ class RemoteRepository:
         self.transport.close()
 
     # -- staging -------------------------------------------------------------
+    #
+    # Every GET answers the object's signature with its bytes, so staging
+    # needs no HEAD to know which version it holds: the first response of a
+    # call says, and each later GET of the call is conditional (``if_match``)
+    # on it. Whatever happens to the object meanwhile, what is staged under
+    # one signature is bytes of that one version.
 
     def _lock_for(self, key: str) -> threading.Lock:
         with self._lock:
@@ -279,42 +316,96 @@ class RemoteRepository:
                 self._key_locks[key] = lock
             return lock
 
+    def _drop_locked(self, key: str) -> None:
+        if self._staged.pop(key, None) is not None:
+            self.stats.invalidations += 1
+
+    def _staged_of(
+        self, key: str, observed: Optional[tuple[int, int]]
+    ) -> Optional[_StagedFile]:
+        """What is staged for ``key`` — dropped, if ``observed`` (the
+        object's current signature, when something has observed it) says it
+        is of another version."""
+        with self._lock:
+            entry = self._staged.get(key)
+            if entry is not None and observed not in (None, entry.signature):
+                self._drop_locked(key)
+                entry = None
+            return entry
+
+    def _sized(self, uri: str, size: int) -> Path:
+        """The staging file, made to exist at exactly ``size`` bytes: byte-map
+        readers stat it to validate span bounds before seeking, whether or
+        not anything (or anything *new*) was fetched into it."""
+        path = self.path_of(uri)
+        if not path.exists() or path.stat().st_size != size:
+            with open(path, "wb") as handle:
+                handle.truncate(size)
+        return path
+
+    def check_staged(self, uri: str, signature: tuple[int, int]) -> None:
+        """Raise :class:`StaleFileError` unless what is staged for ``uri`` is
+        still of ``signature``.
+
+        For a reader to call *after* it has read the staging file: staging
+        is serialised per object but reading is not, so another extraction
+        may have staged a newer version underneath. An entry changes hands
+        before a byte of another version is written, so a reader that still
+        finds its own read nothing of any other.
+        """
+        key = self._key(uri)
+        with self._lock:
+            entry = self._staged.get(key)
+        current = None if entry is None else entry.signature
+        if current != signature:
+            raise StaleFileError(
+                "staged copy replaced while it was being read "
+                f"(version {signature} -> {current})",
+                uri=uri,
+            )
+
     def ensure_whole(
         self,
         uri: str,
         signature: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
-    ) -> int:
-        """Stage the whole object; returns remote bytes moved (0 on reuse).
+    ) -> Staged:
+        """Stage the whole object; answers the version staged and the remote
+        bytes moved (0 on reuse).
 
         ``signature`` is the caller's own fresh observation of the object
-        (see :meth:`fetch_spans`); without one a HEAD is issued here.
+        (see :meth:`fetch_spans`): a whole copy of that version is reused
+        without a request, and the GET is conditional on it. Without one, a
+        whole copy costs the one HEAD that says whether it is current, and
+        the GET takes — and answers — whatever version is there.
         """
         key = self._key(uri)
-        if signature is None:
-            signature = self.transport.head(key, uri=uri, scope=scope).signature
         with self._lock_for(key):
-            with self._lock:
-                entry = self._staged.get(key)
-                if (
-                    entry is not None
-                    and entry.whole
-                    and entry.signature == signature
-                ):
+            entry = self._staged_of(key, signature)
+            if entry is not None and entry.whole and signature is None:
+                entry = self._staged_of(
+                    key, self.transport.head(key, uri=uri, scope=scope).signature
+                )
+            if entry is not None and entry.whole:
+                with self._lock:
                     self.stats.staged_reuses += 1
-                    return 0
-            data = self.transport.get(key, 0, None, uri=uri, scope=scope)
-            path = self.path_of(uri)
-            path.write_bytes(data)
+                return Staged(entry.signature, 0)
+            stat, data = self.transport.get(
+                key, 0, None, signature, uri=uri, scope=scope
+            )
             with self._lock:
+                if entry is not None and entry.signature != stat.signature:
+                    self._drop_locked(key)
                 self._staged[key] = _StagedFile(
-                    signature=signature,
+                    signature=stat.signature,
                     ranges=[(0, len(data))],
                     whole=True,
                 )
                 self.stats.whole_fetches += 1
                 self.stats.remote_bytes += len(data)
-            return len(data)
+            with open(self._sized(uri, len(data)), "r+b") as handle:
+                handle.write(data)
+            return Staged(stat.signature, len(data))
 
     def fetch_spans(
         self,
@@ -322,9 +413,10 @@ class RemoteRepository:
         spans: Sequence[tuple[int, int]],
         signature: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
-    ) -> int:
-        """Stage the ``(byte_offset, byte_length)`` spans; returns remote
-        bytes moved (0 when staging already covers them).
+    ) -> Staged:
+        """Stage the ``(byte_offset, byte_length)`` spans; answers the
+        version they are staged under and the remote bytes moved (0 when
+        staging already covers them).
 
         Missing ranges are coalesced under the bandwidth model and fetched
         as ranged GETs into a size-exact sparse staging file, so the inner
@@ -332,69 +424,90 @@ class RemoteRepository:
         size while untouched regions cost nothing.
 
         ``signature`` is the ``(mtime_ns, size)`` the caller has just
-        observed — the mount layer's pre-read staleness observation — and
-        stands in for the HEAD issued here without one. Bytes staged under
-        it are checked by the caller's post-read observation; if the object
-        changed in between, the next call's fresh signature invalidates
-        them. Every request issued here runs under ``scope``.
+        observed, when it has: staged ranges of any other version are
+        dropped and every GET is conditional on it. Without one the GETs
+        observe for themselves — the first takes whatever version is there
+        (or, when ranges are already staged, is conditional on theirs: they
+        are only *presumed* current, and are dropped and fetched again when
+        the response says otherwise), and every later one is conditional on
+        what the first answered. A conditional GET refused once a version
+        has been observed is the object changing under this call: a
+        transient :class:`StaleFileError`, with nothing of the dead version
+        left staged. A request with nothing to fetch has no response to
+        observe by and costs exactly one HEAD instead. Every request issued
+        here runs under ``scope``.
         """
         key = self._key(uri)
-        if signature is None:
-            signature = self.transport.head(key, uri=uri, scope=scope).signature
-        size = signature[1]
         wanted = coalesce_spans(
-            [
-                (offset, min(offset + length, size))
-                for offset, length in spans
-                if offset < size and length > 0
-            ],
+            [(offset, offset + length) for offset, length in spans],
             gap_bytes=0,
         )
         with self._lock_for(key):
+            return self._stage_ranges(uri, key, wanted, signature, scope)
+
+    def _stage_ranges(
+        self,
+        uri: str,
+        key: str,
+        wanted: list[tuple[int, int]],
+        observed: Optional[tuple[int, int]],
+        scope: Optional[RequestScope],
+    ) -> Staged:
+        """:meth:`fetch_spans` under the key's lock. ``observed`` is the
+        version something — the caller, then a response here — has actually
+        observed the object to be; None until something has."""
+        entry = self._staged_of(key, observed)
+        # What the next GET is conditional on: an observation, else the
+        # version of what is staged, else (None) nothing.
+        version = observed if entry is None else entry.signature
+        missing = _missing(wanted, version, entry)
+        if not missing and observed is None:
+            observed = version = self.transport.head(
+                key, uri=uri, scope=scope
+            ).signature
+            entry = self._staged_of(key, observed)
+            missing = _missing(wanted, version, entry)
+        fetchable = coalesce_spans(missing, self.coalesce_gap_bytes)
+        if not fetchable:
+            assert version is not None  # handed down, staged, or the HEAD's
             with self._lock:
-                entry = self._staged.get(key)
-                if entry is not None and entry.signature != signature:
-                    self.stats.invalidations += 1
-                    entry = None
+                self.stats.staged_reuses += 1
                 if entry is None:
-                    entry = _StagedFile(signature=signature)
-                    self._staged[key] = entry
-                if entry.whole:
-                    self.stats.staged_reuses += 1
-                    return 0
-                covered = list(entry.ranges)
-            # The staging file must exist at the object's exact size even
-            # when nothing (or nothing *new*) needs fetching: byte-map
-            # readers stat it to validate span bounds before seeking.
-            path = self.path_of(uri)
-            if not path.exists() or path.stat().st_size != size:
-                with open(path, "wb") as handle:
-                    handle.truncate(size)
-            missing = _subtract_ranges(wanted, covered)
-            if not missing:
+                    self._staged[key] = _StagedFile(signature=version)
+            self._sized(uri, version[1])
+            return Staged(version, 0)
+        moved = 0
+        for start, end in fetchable:
+            try:
+                stat, data = self.transport.get(
+                    key, start, end - start, version, uri=uri, scope=scope
+                )
+            except StaleFileError:
                 with self._lock:
-                    self.stats.staged_reuses += 1
-                return 0
-            fetchable = coalesce_spans(missing, self.coalesce_gap_bytes)
-            total = 0
-            with open(path, "r+b") as handle:
-                for start, end in fetchable:
-                    data = self.transport.get(
-                        key, start, end - start, uri=uri, scope=scope
-                    )
-                    handle.seek(start)
-                    handle.write(data)
-                    total += len(data)
+                    self._drop_locked(key)
+                if observed is not None:
+                    raise
+                # Only the presumption was wrong: start over, cold.
+                return self._stage_ranges(uri, key, wanted, None, scope)
+            observed = version = stat.signature
+            if entry is None:
+                entry = _StagedFile(signature=version)
+                with self._lock:
+                    self._staged[key] = entry
+            with open(self._sized(uri, stat.size), "r+b") as handle:
+                handle.seek(start)
+                handle.write(data)
+            moved += len(data)
             with self._lock:
                 entry.ranges = coalesce_spans(
-                    covered + fetchable, gap_bytes=0
+                    entry.ranges + [(start, start + len(data))], gap_bytes=0
                 )
-                if entry.ranges == [(0, size)]:
-                    entry.whole = True
-                self.stats.span_fetches += 1
-                self.stats.ranged_gets += len(fetchable)
-                self.stats.remote_bytes += total
-            return total
+                entry.whole = entry.ranges == [(0, stat.size)]
+                self.stats.ranged_gets += 1
+                self.stats.remote_bytes += len(data)
+        with self._lock:
+            self.stats.span_fetches += 1
+        return Staged(version, moved)
 
 
 class RemoteExtractor:
@@ -404,6 +517,10 @@ class RemoteExtractor:
     moved by this call* — the number the bandwidth model, the governor's
     byte budget, and the ranged-GET benchmark all care about. A mount fully
     served from the staging file reports 0, exactly like a page-cache hit.
+
+    A mount through it needs no signature taken before or after: the
+    responses that carry the bytes say which version they are of
+    (:meth:`observing`, :attr:`observed`).
     """
 
     def __init__(
@@ -415,19 +532,25 @@ class RemoteExtractor:
     ) -> None:
         self.repository = repository
         self.inner = inner
-        # The caller's pre-read observation of the object, when this
-        # extractor serves one extraction attempt (see `observing`).
+        # The caller's own observation of the object, when it has one and
+        # this extractor serves one extraction attempt (see `observing`).
         self.signature = signature
         # The query whose mount this is; every request runs under it.
         self.scope = scope
+        # The version the last mount through this extractor read: every
+        # byte of it, and nothing of any other.
+        self.observed: Optional[tuple[int, int]] = None
 
-    def observing(self, signature: tuple[int, int]) -> "RemoteExtractor":
-        """This extractor for one extraction attempt whose caller has just
-        observed ``signature`` (the mount layer's ``before`` HEAD, or the
-        metadata pass's listing): staging trusts it instead of a HEAD of
-        its own. A mount's post-read observation checks the bytes; the
-        metadata pass stores its rows under ``signature``, which a later
-        listing finds stale if the object moved on in between."""
+    def observing(
+        self, signature: Optional[tuple[int, int]]
+    ) -> "RemoteExtractor":
+        """This extractor for one extraction attempt. ``signature`` is what
+        the caller has just observed the object to be (the shared cache
+        lookup's HEAD), or None: with one, every GET is conditional on it;
+        without, the first response says which version this is and every
+        later GET is conditional on that. Either way the mount reads one
+        version or raises :class:`~repro.db.errors.StaleFileError`, and
+        :attr:`observed` names it afterwards."""
         return RemoteExtractor(
             self.repository, self.inner, signature, self.scope
         )
@@ -440,13 +563,21 @@ class RemoteExtractor:
     def suffix(self) -> str:
         return self.inner.suffix
 
+    def _read_was_of(self, uri: str, staged: Staged) -> None:
+        """The read of the staging file just made was of ``staged``'s
+        version, or (re-staged underneath by another extraction) is void."""
+        self.repository.check_staged(uri, staged.signature)
+        self.observed = staged.signature
+
     def extract_metadata(self, path: Path, uri: str):
         self.repository.ensure_whole(uri, self.signature, self.scope)
         return self.inner.extract_metadata(path, uri)
 
     def mount(self, path: Path, uri: str):
-        self.repository.ensure_whole(uri, self.signature, self.scope)
-        return self.inner.mount(path, uri)
+        staged = self.repository.ensure_whole(uri, self.signature, self.scope)
+        mounted = self.inner.mount(path, uri)
+        self._read_was_of(uri, staged)
+        return mounted
 
     def mount_selective(
         self, path: Path, uri: str, request: MountRequest
@@ -463,39 +594,32 @@ class RemoteExtractor:
             # No trustworthy byte map (or the request wants everything):
             # stage the whole object — a header walk over a partially
             # staged sparse file would parse zeros as corruption.
-            fetched = self.repository.ensure_whole(
+            staged = self.repository.ensure_whole(
                 uri, self.signature, self.scope
             )
             if selective_inner:
                 outcome = inner.mount_selective(path, uri, request)
-                return MountOutcome(
-                    mounted=outcome.mounted,
-                    bytes_read=fetched,
-                    records_decoded=outcome.records_decoded,
-                    records_skipped=outcome.records_skipped,
+            else:
+                outcome = MountOutcome(
+                    mounted=inner.mount(path, uri),
+                    bytes_read=0,
+                    records_decoded=0,
+                    records_skipped=0,
                 )
-            mounted = inner.mount(path, uri)
-            return MountOutcome(
-                mounted=mounted,
-                bytes_read=fetched,
-                records_decoded=0,
-                records_skipped=0,
+        else:
+            staged = self.repository.fetch_spans(
+                uri,
+                [
+                    (span.byte_offset, span.byte_length)
+                    for span in spans
+                    if request.wants(span.start_time, span.end_time)
+                ],
+                self.signature,
+                self.scope,
             )
-        wanted = [
-            (span.byte_offset, span.byte_length)
-            for span in spans
-            if request.wants(span.start_time, span.end_time)
-        ]
-        fetched = self.repository.fetch_spans(
-            uri, wanted, self.signature, self.scope
-        )
-        outcome = inner.mount_selective(path, uri, request)
-        return MountOutcome(
-            mounted=outcome.mounted,
-            bytes_read=fetched,
-            records_decoded=outcome.records_decoded,
-            records_skipped=outcome.records_skipped,
-        )
+            outcome = inner.mount_selective(path, uri, request)
+        self._read_was_of(uri, staged)
+        return replace(outcome, bytes_read=staged.moved)
 
 
 __all__ = [
@@ -503,5 +627,6 @@ __all__ = [
     "RemoteExtractor",
     "RemoteRepository",
     "RemoteRepositoryStats",
+    "Staged",
     "coalesce_spans",
 ]

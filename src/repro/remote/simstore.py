@@ -2,7 +2,8 @@
 
 One :class:`SimulatedObjectStore` plays the role of a remote endpoint: it
 serves the files under a local directory through an object-store-shaped API
-(``list_keys`` in pages / ``head`` / ``get`` with byte ranges) while charging
+(``list_keys`` in pages / ``head`` / ``get`` with byte ranges and
+``if_match``) while charging
 every request against a seeded :class:`~repro.remote.netmodel.NetworkModel` —
 per-request latency (with jitter and an optional heavy tail), per-byte
 bandwidth, and seeded request loss.
@@ -18,8 +19,10 @@ Two properties make it the right test double for the transport layer:
   store's reads, exactly where a real socket would fail.
 
 The store itself raises raw OS-level errors (``ConnectionRefusedError``,
-``ConnectionResetError``, ``FileNotFoundError``) — the resilient transport
-owns wrapping them into the typed taxonomy.
+``ConnectionResetError``, ``FileNotFoundError``) and, for a conditional GET
+of an object that is no longer the version asked for, its own
+:class:`PreconditionFailed` — the resilient transport owns wrapping them
+into the typed taxonomy.
 """
 
 from __future__ import annotations
@@ -69,6 +72,19 @@ class ObjectStat:
         return (self.mtime_ns, self.size)
 
 
+class PreconditionFailed(Exception):
+    """A GET's ``if_match`` is not the object's signature (HTTP 412).
+
+    Deliberately not an ``OSError``: the endpoint answered, and what it said
+    is a fact about the object — nothing a retry of the same request cures.
+    """
+
+    def __init__(self, if_match: tuple[int, int], current: ObjectStat) -> None:
+        super().__init__(
+            f"asked for version {if_match}, the object is {current.signature}"
+        )
+
+
 @dataclass(frozen=True)
 class ListPage:
     """One LIST response: up to :data:`LIST_PAGE_ENTRIES` objects in key
@@ -88,6 +104,8 @@ class SimStoreStats:
     bytes_served: int = 0
     refused: int = 0  # connection refused (endpoint down)
     lost: int = 0  # requests reset by the loss model
+    precondition_failed: int = 0  # conditional GETs refused (412), no body
+    torn: int = 0  # GETs reset: the object changed while being served
 
 
 @_sync.guarded
@@ -232,6 +250,10 @@ class SimulatedObjectStore:
             next_after=page[-1] if first + len(page) < len(keys) else None,
         )
 
+    def _stat(self, key: str, path: str) -> ObjectStat:
+        st = os.stat(path)  # FileNotFoundError when absent
+        return ObjectStat(key=key, size=st.st_size, mtime_ns=st.st_mtime_ns)
+
     def head(
         self,
         key: str,
@@ -242,29 +264,42 @@ class SimulatedObjectStore:
         self._request(f"HEAD:{key}", cancel, token)
         with self._lock:
             self.stats.heads += 1
-        st = os.stat(self._path_of(key))  # FileNotFoundError when absent
-        return ObjectStat(key=key, size=st.st_size, mtime_ns=st.st_mtime_ns)
+        return self._stat(key, self._path_of(key))
 
     def get(
         self,
         key: str,
         start: int = 0,
         length: Optional[int] = None,
+        if_match: Optional[tuple[int, int]] = None,
         cancel: Optional[threading.Event] = None,
         token: Optional[object] = None,
-    ) -> bytes:
-        """One (ranged) GET: bytes ``[start, start+length)`` of the object.
+    ) -> tuple[ObjectStat, bytes]:
+        """One (ranged) GET: what a HEAD answers, and bytes
+        ``[start, start+length)`` of that version of the object.
 
         ``length=None`` reads to the end. The payload streams in
         :data:`CHUNK_BYTES` chunks, each paying the bandwidth model and
         each passing through the fault-plan hook, so mid-stream disconnects
         and stalls land mid-payload like they would on a socket.
+
+        The response is of one version or it is no response: the object is
+        observed before the first chunk and again after the last, and one
+        that changed in between resets the connection (a transient failure
+        like any other reset) instead of returning a torn body. With
+        ``if_match``, an object whose signature is anything else is refused
+        before any body byte (:class:`PreconditionFailed`).
         """
         if start < 0 or (length is not None and length < 0):
             raise ValueError("start/length must be non-negative")
         self._request(f"GET:{key}", cancel, token)
         path = self._path_of(key)
-        size = os.stat(path).st_size  # FileNotFoundError when absent
+        served = self._stat(key, path)
+        if if_match is not None and served.signature != if_match:
+            with self._lock:
+                self.stats.precondition_failed += 1
+            raise PreconditionFailed(if_match, served)
+        size = served.size
         ranged = start > 0 or (length is not None and start + length < size)
         with self._lock:
             self.stats.gets += 1
@@ -289,10 +324,21 @@ class SimulatedObjectStore:
                     cancel,
                     token,
                 )
+        try:
+            unchanged = self._stat(key, path) == served
+        except FileNotFoundError:
+            unchanged = False
+        if not unchanged:
+            with self._lock:
+                self.stats.torn += 1
+            raise ConnectionResetError(
+                f"connection to {self.endpoint!r} reset: {key} changed "
+                f"while it was being served"
+            )
         data = b"".join(chunks)
         with self._lock:
             self.stats.bytes_served += len(data)
-        return data
+        return served, data
 
 
 __all__ = [
@@ -301,6 +347,7 @@ __all__ = [
     "LIST_PAGE_ENTRIES",
     "ListPage",
     "ObjectStat",
+    "PreconditionFailed",
     "SimStoreStats",
     "SimulatedObjectStore",
 ]

@@ -32,7 +32,11 @@ a budget of ``retry_budget_attempts`` for that one request.
 
 Raw store errors are wrapped into the typed taxonomy here:
 ``FileNotFoundError`` → :class:`RemoteObjectMissingError` (non-transient);
-everything else OS-shaped → :class:`RemoteTransportError` (transient).
+a conditional GET's 412 → the mount layer's transient
+:class:`~repro.db.errors.StaleFileError` (the endpoint answered both: no
+retry here, no breaker failure); everything else OS-shaped — a response
+reset because the object changed while it was being served included —
+→ :class:`RemoteTransportError` (transient, retried here).
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ from ..core.governor import (
 from ..db.errors import (
     RemoteObjectMissingError,
     RemoteTransportError,
+    StaleFileError,
 )
 from .netmodel import RequestAbandoned, interruptible_wait
-from .simstore import ObjectStat, SimulatedObjectStore
+from .simstore import ObjectStat, PreconditionFailed, SimulatedObjectStore
 
 T = TypeVar("T")
 
@@ -280,14 +285,17 @@ class ResilientTransport:
         key: str,
         start: int = 0,
         length: Optional[int] = None,
+        if_match: Optional[tuple[int, int]] = None,
         uri: Optional[str] = None,
         scope: Optional[RequestScope] = None,
-    ) -> bytes:
+    ) -> tuple[ObjectStat, bytes]:
+        """The object's stat and the bytes asked for, both of one version —
+        of ``if_match``, when given, or :class:`StaleFileError`."""
         return self._call(
             f"GET:{key}",
             uri,
             scope,
-            partial(self.store.get, key, start, length),
+            partial(self.store.get, key, start, length, if_match),
         )
 
     # -- internals -----------------------------------------------------------
@@ -333,6 +341,14 @@ class ResilientTransport:
                     uri=uri,
                     endpoint=endpoint,
                     cause=exc,
+                ) from exc
+            except PreconditionFailed as exc:
+                # Answered too: the object is not the version the caller
+                # holds bytes of. Asking again cannot change that; the
+                # caller starts over from the version there is now.
+                self.breaker.record_success(endpoint)
+                raise StaleFileError(
+                    f"{op}: {exc}", uri=uri, cause=exc
                 ) from exc
             except RemoteTransportError as exc:
                 failure: RemoteTransportError = exc

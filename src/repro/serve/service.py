@@ -515,18 +515,23 @@ class QueryService:
         """
         mounts = self._executor.mounts
         interval = WHOLE_FILE if request is None else request.interval
+        # The file's signature is asked for (a HEAD, for a remote one) only
+        # to compare a cached batch against, so only when the cache holds
+        # one. A batch that lands between the two reads was compared with
+        # nothing observed for this request, and is left unserved.
+        compare = mounts.validate_staleness and self.cache.contains(
+            uri, interval
+        )
         signature = (
-            mounts._current_signature(uri, table_name)
-            if mounts.validate_staleness
-            else None
+            mounts._current_signature(uri, table_name) if compare else None
         )
         cached = self.cache.lookup(uri, interval, signature=signature)
-        if cached is not None:
+        if cached is not None and (compare or not mounts.validate_staleness):
             return ExtractResult(
                 batch=cached, io_seconds=0.0, coverage=interval
             )
-        # The lookup's observation of the file doubles as the extraction's
-        # `before`: one HEAD per remote mount saved, the sandwich only wider.
+        # The lookup's observation of the file, when it made one, is what
+        # the extraction presumes current: the sandwich only wider.
         return mounts._extract(uri, table_name, request, observed=signature)
 
     # -- introspection -------------------------------------------------------

@@ -580,13 +580,6 @@ class TestRetryBudget:
         assert budget.spent() == 3
         assert budget.remaining() == 0
 
-    def test_reset_refills(self):
-        budget = RetryBudget(attempts=1)
-        assert budget.try_spend()
-        assert not budget.try_spend()
-        budget.reset()
-        assert budget.try_spend()
-
     def test_multi_unit_spend_is_all_or_nothing(self):
         budget = RetryBudget(attempts=3)
         assert budget.try_spend(2)

@@ -10,6 +10,7 @@ federated dispatcher. End-to-end fault grids live in
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -56,6 +57,9 @@ from repro.mseed import (
     write_volume,
 )
 from repro.remote import simstore as simstore_module
+from repro.remote.simstore import ObjectStat, PreconditionFailed
+from repro.serve import QueryService
+from repro.testing.faults import STALE_FLIP, FaultPlan, FaultSpec
 from repro.remote import transport as transport_module
 from repro.remote import (
     FederatedRepository,
@@ -212,7 +216,7 @@ class TestSimulatedObjectStore:
         assert stat == page.entries[0]  # a LIST entry is what a HEAD answers
         raw = (objects_dir / key).read_bytes()
         assert stat.size == len(raw)
-        assert store.get(key) == raw
+        assert store.get(key) == (stat, raw)  # what a HEAD answers, and the bytes
         assert store.stats.lists == 1
         assert store.stats.heads == 1
         assert store.stats.gets == 1
@@ -221,10 +225,46 @@ class TestSimulatedObjectStore:
         store = _store(objects_dir)
         key = store.list_keys().entries[0].key
         raw = (objects_dir / key).read_bytes()
-        assert store.get(key, 10, 50) == raw[10:60]
+        stat = store.head(key)
+        assert store.get(key, 10, 50) == (stat, raw[10:60])
         assert store.stats.ranged_gets == 1
         # Tail reads clamp at end-of-object, like HTTP range semantics.
-        assert store.get(key, len(raw) - 5, 100) == raw[-5:]
+        assert store.get(key, len(raw) - 5, 100) == (stat, raw[-5:])
+
+    def test_conditional_get_is_refused_before_any_body_byte(self, tmp_path):
+        (tmp_path / "a.xseed").write_bytes(b"A" * 256)
+        store = SimulatedObjectStore("seis-eu", tmp_path)
+        stat = store.head("a.xseed")
+        assert store.get("a.xseed", 0, 16, stat.signature) == (stat, b"A" * 16)
+        (tmp_path / "a.xseed").write_bytes(b"B" * 300)
+        with pytest.raises(PreconditionFailed):
+            store.get("a.xseed", 0, 16, stat.signature)
+        # The request was made and answered; no GET was served.
+        stats = store.stats
+        assert (stats.requests, stats.heads, stats.gets) == (3, 1, 1)
+        assert (stats.precondition_failed, stats.bytes_served) == (1, 16)
+        now = store.head("a.xseed")
+        assert store.get("a.xseed", 0, 16, now.signature) == (now, b"B" * 16)
+
+    def test_object_changed_while_served_resets_the_response(
+        self, objects_dir, tmp_path
+    ):
+        shutil.copytree(objects_dir, tmp_path / "objects")
+        store = SimulatedObjectStore("seis-eu", tmp_path / "objects")
+        key = store.list_keys().entries[0].key
+        before = store.head(key)
+        # The first chunk is read, then the object's mtime moves.
+        plan = FaultPlan([FaultSpec(uri_suffix=key, kind=STALE_FLIP)])
+        with plan.install():
+            with pytest.raises(ConnectionResetError, match="changed"):
+                store.get(key)
+            assert (store.stats.torn, store.stats.bytes_served) == (1, 0)
+            stat, data = store.get(key)  # the fault is spent: a stable object
+        assert stat.signature != before.signature
+        assert data == (tmp_path / "objects" / key).read_bytes()
+        (tmp_path / "objects" / key).unlink()
+        with pytest.raises(FileNotFoundError):
+            store.get(key)
 
     def test_down_endpoint_refuses_every_request(self, objects_dir):
         store = _store(objects_dir)
@@ -312,13 +352,20 @@ class _ScriptedStore:
     def __init__(self, endpoint="stub-ep", fail_times=0, payload=b"payload"):
         self.endpoint = endpoint
         self.payload = payload
+        self.mtime_ns = 1  # bump to script a rewrite
         self.fail_times = fail_times
         self.calls = 0
         self.stall_keys = set()
         self._stalled_once = set()
         self._lock = threading.Lock()
 
-    def get(self, key, start=0, length=None, cancel=None, token=None):
+    def answer(self, key):
+        """What a GET of ``key`` answers now."""
+        return ObjectStat(key, len(self.payload), self.mtime_ns), self.payload
+
+    def get(
+        self, key, start=0, length=None, if_match=None, cancel=None, token=None
+    ):
         with self._lock:
             self.calls += 1
             remaining = self.fail_times
@@ -339,7 +386,10 @@ class _ScriptedStore:
             raise ConnectionResetError("stalled attempt abandoned")
         if key == "missing":
             raise FileNotFoundError(key)
-        return self.payload
+        stat, payload = self.answer(key)
+        if if_match not in (None, stat.signature):
+            raise PreconditionFailed(if_match, stat)
+        return stat, payload
 
     def head(self, key, cancel=None, token=None):
         raise NotImplementedError
@@ -358,7 +408,9 @@ class _GatedStore(_ScriptedStore):
         self.probe_fails = False
         self.probe_cancelled = False
 
-    def get(self, key, start=0, length=None, cancel=None, token=None):
+    def get(
+        self, key, start=0, length=None, if_match=None, cancel=None, token=None
+    ):
         if key == "probe":
             self.entered.set()
             assert self.release.wait(5.0)
@@ -367,7 +419,7 @@ class _GatedStore(_ScriptedStore):
             if self.probe_cancelled:
                 # What a store raises when the query's token fires mid-read.
                 raise QueryCancelledError("probe's query cancelled")
-        return super().get(key, start, length, cancel, token)
+        return super().get(key, start, length, if_match, cancel, token)
 
 
 class TestHalfOpenProbeInFlight:
@@ -421,7 +473,10 @@ class TestHalfOpenProbeInFlight:
         waiter.join(0.05)
         assert waiter.is_alive() and "waiter" not in results
         self._finish(store, probe, waiter)
-        assert results == {"probe": b"payload", "waiter": b"payload"}
+        assert results == {
+            "probe": store.answer("probe"),
+            "waiter": store.answer("k"),
+        }
         assert transport.stats.breaker_refusals == 0
         assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
 
@@ -443,7 +498,7 @@ class TestHalfOpenProbeInFlight:
         store.probe_cancelled = True
         self._finish(store, probe, waiter)
         assert isinstance(results["probe"], QueryCancelledError)
-        assert results["waiter"] == b"payload"  # it probed in turn
+        assert results["waiter"] == store.answer("k")  # it probed in turn
         assert transport.stats.breaker_refusals == 0
         assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
 
@@ -474,7 +529,7 @@ class TestResilientTransport:
         transport = ResilientTransport(
             store, TransportPolicy(max_attempts=3, backoff_seconds=0.0)
         )
-        assert transport.get("k") == b"payload"
+        assert transport.get("k") == store.answer("k")
         assert store.calls == 3
         assert transport.stats.retries == 2
         assert transport.stats.failures == 2
@@ -596,7 +651,7 @@ class TestResilientTransport:
         for _ in range(4):  # warm the tracker with fast requests
             transport.get("fast")
         started = time.monotonic()
-        assert transport.get("slow") == b"payload"  # the hedge's answer
+        assert transport.get("slow") == store.answer("slow")  # the hedge's
         assert time.monotonic() - started < 1.0
         assert transport.stats.hedges == 1
         assert transport.stats.hedge_wins == 1
@@ -624,6 +679,64 @@ class TestResilientTransport:
         assert transport.stats.hedges_denied >= 1
         transport.close()
 
+    def test_a_refused_condition_is_stale_not_a_transport_failure(self):
+        store = _ScriptedStore()
+        transport = ResilientTransport(
+            store,
+            TransportPolicy(
+                max_attempts=3, backoff_seconds=0.0, retry_budget_attempts=4
+            ),
+            breaker=CircuitBreaker(failure_threshold=1),
+        )
+        scope = MountContext()
+        held = store.answer("k")[0].signature
+        assert transport.get("k", if_match=held, scope=scope) == store.answer("k")
+        store.mtime_ns += 1  # rewritten
+        with pytest.raises(StaleFileError) as excinfo:
+            transport.get("k", if_match=held, uri="remote://stub-ep/k", scope=scope)
+        # The mount layer's transient error, naming the file; the endpoint
+        # answered, so: one call, no retry, nothing spent, no breaker
+        # failure (a threshold of one would have opened the circuit).
+        assert excinfo.value.transient
+        assert excinfo.value.uri == "remote://stub-ep/k"
+        assert not isinstance(excinfo.value, RemoteTransportError)
+        assert store.calls == 2
+        stats = transport.stats
+        assert (stats.failures, stats.retries, stats.retries_denied) == (0, 0, 0)
+        assert scope.retry_budget(store.endpoint, 4).spent() == 0
+        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+        assert transport.get("k", scope=scope) == store.answer("k")
+
+    def test_hedged_conditional_get_answers_one_consistent_pair(self):
+        store = _ScriptedStore()
+        store.stall_keys.add("slow")
+        transport = ResilientTransport(
+            store,
+            TransportPolicy(
+                hedge_enabled=True,
+                hedge_min_samples=4,
+                hedge_multiplier=1.5,
+                max_attempts=1,
+                backoff_seconds=0.0,
+            ),
+        )
+        for _ in range(4):
+            transport.get("fast")
+        held = store.answer("slow")[0].signature
+        # The primary stalls, the backup answers: the stat and the bytes
+        # are one attempt's, and of the version asked for.
+        stat, data = transport.get("slow", if_match=held)
+        assert (stat.signature, data) == (held, store.payload)
+        assert transport.stats.hedge_wins == 1
+        # Both attempts carry the condition: neither answers another
+        # version's bytes once the object has moved on.
+        store.mtime_ns += 1
+        store.payload = b"rewritten"
+        with pytest.raises(StaleFileError):
+            transport.get("fast", if_match=held)
+        assert transport.get("fast") == store.answer("fast")
+        transport.close()
+
     def test_inline_policy_is_the_zero_thread_path(self):
         assert TransportPolicy().inline
         assert not TransportPolicy(request_timeout_seconds=1.0).inline
@@ -646,11 +759,18 @@ class TestRemoteRepository:
         uri = repo.uris()[0]
         key = parse_remote_uri(uri)[1]
         raw = (objects_dir / key).read_bytes()
-        fetched = repo.ensure_whole(uri)
-        assert fetched == len(raw)
+        store = repo.transport.store
+        staged = repo.ensure_whole(uri)
+        assert staged == (repo.signature_of(uri), len(raw))
         assert repo.path_of(uri).read_bytes() == raw
-        assert repo.ensure_whole(uri) == 0  # signature matched: no traffic
-        assert repo.stats.staged_reuses == 1
+        heads = store.stats.heads
+        # Reuse costs the one HEAD that says the copy is current…
+        assert repo.ensure_whole(uri) == (staged.signature, 0)
+        assert (store.stats.heads, store.stats.gets) == (heads + 1, 1)
+        # …or nothing, under the caller's own observation.
+        assert repo.ensure_whole(uri, staged.signature).moved == 0
+        assert (store.stats.heads, store.stats.gets) == (heads + 1, 1)
+        assert repo.stats.staged_reuses == 2
         assert repo.stats.whole_fetches == 1
         assert repo.stats.remote_bytes == len(raw)
 
@@ -665,7 +785,7 @@ class TestRemoteRepository:
         raw = (objects_dir / key).read_bytes()
         # Spans are (byte_offset, byte_length), like RecordSpan.
         fetched = repo.fetch_spans(uri, [(0, 64), (128, 128)])
-        assert fetched == 64 + 128
+        assert fetched == (repo.signature_of(uri), 64 + 128)
         assert repo.stats.ranged_gets == 2  # 64-byte gap > coalesce gap
         staged = repo.path_of(uri)
         assert staged.stat().st_size == len(raw)  # size-exact sparse file
@@ -674,9 +794,9 @@ class TestRemoteRepository:
         assert data[128:256] == raw[128:256]
         # Overlapping re-request only moves the genuinely missing bytes:
         # [64, 128) and [256, 300) of the wanted [32, 300).
-        assert repo.fetch_spans(uri, [(32, 268)]) == 64 + 44
+        assert repo.fetch_spans(uri, [(32, 268)]).moved == 64 + 44
         assert repo.path_of(uri).read_bytes()[0:300] == raw[0:300]
-        assert repo.fetch_spans(uri, [(0, 300)]) == 0  # fully covered now
+        assert repo.fetch_spans(uri, [(0, 300)]).moved == 0  # fully covered now
         assert repo.stats.staged_reuses == 1
 
     def test_adjacent_spans_coalesce_into_one_get(self, objects_dir, tmp_path):
@@ -684,7 +804,7 @@ class TestRemoteRepository:
             tmp_path, _store(objects_dir), coalesce_gap_bytes=64
         )
         uri = repo.uris()[0]
-        assert repo.fetch_spans(uri, [(0, 32), (48, 48)]) == 96
+        assert repo.fetch_spans(uri, [(0, 32), (48, 48)]).moved == 96
         assert repo.stats.ranged_gets == 1  # 16-byte gap read through
 
     def test_remote_rewrite_invalidates_staged_state(
@@ -697,16 +817,39 @@ class TestRemoteRepository:
             tmp_path, SimulatedObjectStore("seis-eu", work)
         )
         uri = repo.uris()[0]
-        assert repo.ensure_whole(uri) == 256
+        assert repo.ensure_whole(uri).moved == 256
         (work / "a.xseed").write_bytes(b"B" * 300)
-        assert repo.ensure_whole(uri) == 300  # stale staging dropped
+        # Stale staging dropped, and counted: one whole GET, nothing reused.
+        assert repo.ensure_whole(uri) == (repo.signature_of(uri), 300)
         assert repo.path_of(uri).read_bytes() == b"B" * 300
+        stats = repo.stats
+        assert (stats.invalidations, stats.whole_fetches) == (1, 2)
+        assert (stats.staged_reuses, stats.remote_bytes) == (0, 556)
+        assert repo.transport.store.stats.gets == 2
         # Ranged staging tracks the rewrite too: staged ranges for the
         # old version must not satisfy reads against the new one.
         (work / "a.xseed").write_bytes(b"C" * 300)
-        assert repo.fetch_spans(uri, [(0, 10)]) == 10
-        assert repo.stats.invalidations == 1
+        assert repo.fetch_spans(uri, [(0, 10)]).moved == 10
+        assert repo.stats.invalidations == 2
         assert repo.path_of(uri).read_bytes()[0:10] == b"C" * 10
+
+    def test_whole_restaging_over_ranges_of_another_version_is_counted(
+        self, tmp_path
+    ):
+        work = tmp_path / "mutable_objects"
+        work.mkdir()
+        (work / "a.xseed").write_bytes(b"A" * 256)
+        repo = _repository(tmp_path, SimulatedObjectStore("seis-eu", work))
+        uri = repo.uris()[0]
+        repo.fetch_spans(uri, [(0, 10)])
+        (work / "a.xseed").write_bytes(b"B" * 300)
+        # Ranges are no whole copy: nothing to ask a HEAD about, the GET
+        # says what it replaced.
+        heads = repo.transport.store.stats.heads
+        assert repo.ensure_whole(uri).moved == 300
+        assert repo.transport.store.stats.heads == heads
+        assert repo.stats.invalidations == 1
+        assert repo.path_of(uri).read_bytes() == b"B" * 300
 
     def test_signature_of_reflects_the_remote_object(
         self, objects_dir, tmp_path
@@ -1191,7 +1334,7 @@ class _ColdMount:
     def __init__(self, tmp_path, **service_kwargs):
         self.objects = tmp_path / "objects"
         generate_repository(self.objects, SPEC)
-        db = Database()
+        self.db = db = Database()
         lazy_ingest_metadata(
             db,
             RemoteRepository(
@@ -1215,8 +1358,21 @@ class _ColdMount:
             self.spans[self.LAST].end_time,
         )
 
-    def request(self):
-        return MountRequest(interval=self.interval, records=self.spans)
+    def request(self, *records):
+        """The selective request for records FIRST..LAST — through a byte
+        map of only ``records`` of them, when given."""
+        spans = tuple(self.spans[i] for i in records) or self.spans
+        return MountRequest(interval=self.interval, records=spans)
+
+    def two_ranges(self, monkeypatch):
+        """The request for FIRST and LAST alone, with coalescing cut down so
+        that the record between them is a gap: two ranged GETs."""
+        monkeypatch.setattr(self.repo, "coalesce_gap_bytes", 8)
+        return self.request(self.FIRST, self.LAST)
+
+    def requests(self):
+        """(HEADs, GETs served) at the endpoint so far."""
+        return self.store.stats.heads, self.store.stats.gets
 
     def predicate(self):
         time_ref = ColumnRef("d.sample_time", DataType.TIMESTAMP)
@@ -1254,50 +1410,317 @@ class _ColdMount:
         write_volume(self.path, bumped)
         os.utime(self.path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
 
-    def samples(self, selective=True):
-        """What is in the object now (every record, or the wanted ones)."""
+    def samples(self, selective=True, only=None):
+        """What is in the object now (every record, the wanted ones, or
+        ``only`` those)."""
         records = read_records(self.path)
-        if selective:
+        if only is not None:
+            records = [records[i] for i in only]
+        elif selective:
             records = records[self.FIRST : self.LAST + 1]
         return np.concatenate([r.samples for r in records]).astype(float)
+
+    def after_get(self, number=None, action=None):
+        """The log of every GET's ``if_match`` from now on; with ``number``,
+        ``action`` runs once the endpoint has answered that many, before
+        the caller sees the response."""
+        conditions = []
+        get = self.store.get
+
+        def logged(key, start=0, length=None, if_match=None, **kwargs):
+            conditions.append(if_match)
+            response = get(key, start, length, if_match, **kwargs)
+            if len(conditions) == number:
+                action()
+            return response
+
+        self.store.get = logged
+        return conditions
 
 
 def _values(result):
     return result.batch.column("sample_value").values
 
 
-class TestObservationHandDown:
-    def test_selective_mount_is_two_heads_and_the_wanted_ranges(self, tmp_path):
+class TestTheGetIsTheObservation:
+    """An extraction of a remote object is bracketed by no HEADs: each GET
+    answers the signature of the version its bytes are of, and every GET
+    after the first is conditional on it."""
+
+    def test_first_touch_selective_mount_is_its_one_get(self, tmp_path):
         cold = _ColdMount(tmp_path)
         batch = cold.mounts.mount_file(cold.uri, "D", "d", cold.predicate())
         assert batch.num_rows > 0
         stats = cold.store.stats
-        # before + after; the ranged fetch trusts `before` instead of a HEAD
-        # of its own. The three wanted records are adjacent: one GET.
-        assert (stats.heads, stats.gets, stats.ranged_gets) == (2, 1, 1)
+        # The three wanted records are adjacent: one ranged GET, and (the
+        # fixture's listing apart) nothing else.
+        assert (stats.requests - stats.lists, stats.heads, stats.gets) == (1, 0, 1)
+        assert stats.ranged_gets == 1
         assert stats.bytes_served == cold.wanted_bytes()
         assert cold.repo.stats.remote_bytes == cold.wanted_bytes()
 
-    def test_whole_file_mount_is_two_heads_and_one_get(self, tmp_path):
+    def test_first_touch_whole_file_mount_is_its_one_get(self, tmp_path):
         cold = _ColdMount(tmp_path)
         batch = cold.mounts.mount_file(cold.uri, "D", "d", None)
         assert np.array_equal(
             batch.column("d.sample_value").values, cold.samples(selective=False)
         )
         stats = cold.store.stats
-        assert (stats.heads, stats.gets, stats.ranged_gets) == (2, 1, 0)
+        assert (stats.requests - stats.lists, stats.heads, stats.gets) == (1, 0, 1)
+        assert stats.ranged_gets == 0
         assert stats.bytes_served == cold.path.stat().st_size
+        assert cold.mounts.stats.bytes_read == cold.path.stat().st_size
 
-    def test_handed_down_observation_replaces_the_before_head(self, tmp_path):
+    def test_prefetch_is_its_one_get_too(self, tmp_path):
+        cold = _ColdMount(tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED))
+        outcome = cold.mounts.prefetch_into_cache(
+            cold.uri, "D", cold.interval, MountContext()
+        )
+        assert outcome == ("stored", cold.wanted_bytes())
+        assert cold.requests() == (0, 1)
+
+    def test_the_extraction_reports_the_version_its_bytes_came_from(
+        self, tmp_path
+    ):
+        cold = _ColdMount(tmp_path)
+        for request in (cold.request(), None):
+            result = cold.mounts._extract(cold.uri, "D", request)
+            assert result.signature == cold.repo.signature_of(cold.uri)
+        extractor = cold.repo.extractor_for(
+            cold.repo.path_of(cold.uri), cold.uri, default_registry()
+        )
+        attempt = extractor.observing(None)
+        assert attempt is not extractor and attempt.observed is None
+        attempt.mount(cold.repo.path_of(cold.uri), cold.uri)
+        assert attempt.observed == cold.repo.signature_of(cold.uri)
+
+    def test_later_gets_are_conditional_on_what_the_first_answered(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _ColdMount(tmp_path)
+        conditions = cold.after_get()
+        result = cold.mounts._extract(
+            cold.uri, "D", cold.two_ranges(monkeypatch)
+        )
+        assert cold.requests() == (0, 2)
+        assert conditions == [None, result.signature]
+        assert np.array_equal(
+            _values(result), cold.samples(only=(cold.FIRST, cold.LAST))
+        )
+
+    def test_a_request_staging_covers_entirely_is_exactly_one_head(
+        self, tmp_path
+    ):
+        cold = _ColdMount(tmp_path)
+        first = cold.mounts._extract(cold.uri, "D", cold.request())
+        assert cold.requests() == (0, 1)
+        # No response to observe the version by: the HEAD does.
+        again = cold.mounts._extract(cold.uri, "D", cold.request())
+        assert cold.requests() == (1, 1)
+        assert (again.bytes_read, again.signature) == (0, first.signature)
+        assert np.array_equal(_values(again), _values(first))
+        assert cold.repo.stats.staged_reuses == 1
+        # Under the caller's own observation, not even that.
+        cold.mounts._extract(
+            cold.uri, "D", cold.request(), observed=first.signature
+        )
+        assert cold.requests() == (1, 1)
+
+    def test_rewrite_between_two_gets_is_retried_to_the_new_content(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _ColdMount(tmp_path)
+        request = cold.two_ranges(monkeypatch)
+        conditions = cold.after_get(1, cold.rewrite)
+        result = cold.mounts._extract(cold.uri, "D", request)
+        # GET 1 answered the old version, GET 2 was conditional on it and
+        # refused; the retry began again, from whatever is there now.
+        old = conditions[1]
+        assert conditions == [None, old, None, result.signature]
+        assert result.signature == cold.repo.signature_of(cold.uri) != old
+        assert np.array_equal(
+            _values(result), cold.samples(only=(cold.FIRST, cold.LAST))
+        )
+        assert cold.mounts.stats.retries == 1
+        assert cold.repo.stats.invalidations == 1  # GET 1's range, dropped
+        assert cold.store.stats.precondition_failed == 1
+        assert cold.repo.transport.stats.retries == 0
+
+    def test_mid_get_change_is_a_reset_response_the_transport_retries(
+        self, tmp_path
+    ):
+        cold = _ColdMount(tmp_path)
+        attempts = cold.repo.transport.policy.retry_budget_attempts
+        context = MountContext()
+        before = cold.repo.signature_of(cold.uri)
+        # The object's mtime moves after the first chunk is read: inside
+        # the GET, which therefore answers nothing.
+        plan = FaultPlan([FaultSpec(uri_suffix=cold.uri, kind=STALE_FLIP)])
+        with plan.install():
+            result = cold.mounts._extract(
+                cold.uri, "D", cold.request(), context=context
+            )
+        assert result.signature == cold.repo.signature_of(cold.uri) != before
+        assert np.array_equal(_values(result), cold.samples())
+        stats = cold.store.stats
+        assert (stats.torn, stats.gets) == (1, 2)
+        assert stats.bytes_served == cold.wanted_bytes()  # one body, whole
+        # Retried where a reset is retried, on the query's budget; the
+        # mount layer never saw it.
+        assert cold.repo.transport.stats.retries == 1
+        assert context.retry_budget("seis-eu", attempts).spent() == 1
+        assert cold.mounts.stats.retries == 0
+
+    def test_mid_get_rewrite_never_returns_a_body(self, tmp_path, monkeypatch):
+        cold = _ColdMount(tmp_path)
+        open_volume = simstore_module.open_volume
+        pending = [cold.rewrite]
+
+        @contextlib.contextmanager
+        def rewritten_while_open(path, uri):
+            with open_volume(path, uri) as handle:
+                yield handle
+                if pending:  # the body is read; the store has yet to look again
+                    pending.pop()()
+
+        monkeypatch.setattr(simstore_module, "open_volume", rewritten_while_open)
+        result = cold.mounts._extract(cold.uri, "D", None)
+        assert np.array_equal(_values(result), cold.samples(selective=False))
+        assert result.signature == cold.repo.signature_of(cold.uri)
+        assert (cold.store.stats.torn, cold.store.stats.gets) == (1, 2)
+        assert cold.store.stats.bytes_served == cold.path.stat().st_size
+
+    def test_presumed_current_staging_is_dropped_not_mixed(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _ColdMount(tmp_path)
+        monkeypatch.setattr(cold.repo, "coalesce_gap_bytes", 8)
+        middle = cold.spans[cold.FIRST + 1]
+        cold.mounts._extract(
+            cold.uri,
+            "D",
+            MountRequest(
+                interval=(middle.start_time, middle.end_time),
+                records=cold.spans,
+            ),
+        )
+        cold.rewrite()
+        conditions = cold.after_get()
+        result = cold.mounts._extract(cold.uri, "D", cold.request())
+        # The middle record is staged, of a version only presumed current:
+        # the GET for the record before it says otherwise, and all three
+        # are fetched from the version there is — none kept from the old.
+        assert conditions[1:] == [None] and conditions[0] != result.signature
+        assert np.array_equal(_values(result), cold.samples())
+        assert result.signature == cold.repo.signature_of(cold.uri)
+        assert cold.store.stats.precondition_failed == 1
+        assert cold.repo.stats.invalidations == 1
+        assert cold.repo.stats.staged_reuses == 0
+        assert cold.mounts.stats.retries == 0  # staging's affair, not a failure
+
+    def test_rewrite_after_the_last_response_is_the_next_cache_scans_to_see(
+        self, tmp_path, monkeypatch
+    ):
+        cold = _ColdMount(
+            tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED)
+        )
+        old_signature = cold.repo.signature_of(cold.uri)
+        old_samples = cold.samples()
+        cold.after_get(1, cold.rewrite)  # the response is complete
+        batch = cold.mounts.mount_file(cold.uri, "D", "d", cold.predicate())
+        # Wholly the old version, cached under the old signature.
+        assert np.array_equal(batch.column("d.sample_value").values, old_samples)
+        assert cold.mounts.cache.lookup(
+            cold.uri, cold.interval, signature=old_signature
+        ) is not None
+        assert cold.mounts.stats.retries == 0
+        again = cold.mounts.cache_scan(cold.uri, "D", "d", cold.predicate())
+        assert np.array_equal(
+            again.column("d.sample_value").values, cold.samples()
+        )
+        assert np.array_equal(cold.samples(), old_samples + 1)
+        assert cold.mounts.stats.stale_remounts == 1
+        assert cold.mounts.stats.cache_scans == 0
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_a_copy_restaged_under_a_reader_voids_the_read(
+        self, tmp_path, monkeypatch, max_retries
+    ):
+        from repro.ingest.xseed_format import XSeedExtractor
+
+        cold = _ColdMount(tmp_path, max_retries=max_retries)
+        wanted = [
+            (span.byte_offset, span.byte_length)
+            for span in cold.spans[cold.FIRST : cold.LAST + 1]
+        ]
+        mount_selective = XSeedExtractor.mount_selective
+        pending = [cold.rewrite]
+
+        def another_extraction_first(self, path, uri, request):
+            if pending:  # staged, not yet read: the object is replaced, and
+                pending.pop()()  # someone else stages the new version
+                cold.repo.fetch_spans(cold.uri, wanted)
+            return mount_selective(self, path, uri, request)
+
+        monkeypatch.setattr(
+            XSeedExtractor, "mount_selective", another_extraction_first
+        )
+        if max_retries == 0:
+            with pytest.raises(StaleFileError, match="staged copy") as excinfo:
+                cold.mounts._extract(cold.uri, "D", cold.request())
+            assert excinfo.value.transient
+        else:
+            result = cold.mounts._extract(cold.uri, "D", cold.request())
+            assert cold.mounts.stats.retries == 1
+            assert result.signature == cold.repo.signature_of(cold.uri)
+            assert np.array_equal(_values(result), cold.samples())
+
+    def test_a_served_first_touch_is_its_get_and_a_cached_one_its_head(
+        self, tmp_path
+    ):
+        cold = _ColdMount(tmp_path)
+        sql = "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
+        with QueryService(cold.repo, db=cold.db) as service:
+            first = service.execute(sql, tenant="a").rows
+            # Nothing cached, nothing to compare: the late-bound lookup
+            # asks for no HEAD, and the extraction is its GET.
+            assert cold.requests() == (0, 1)
+            assert service.execute(sql, tenant="b").rows == first
+            assert cold.requests() == (1, 1)  # the cache scan's comparison
+            # Late-bound with the batch cached: compared, then served.
+            served = service._shared_extract(cold.uri, "D", None)
+            assert (served.bytes_read, cold.requests()) == (0, (2, 1))
+            # …and compared means a rewritten object is never served from it.
+            cold.rewrite()
+            conditions = cold.after_get()
+            fresh = service._shared_extract(cold.uri, "D", None)
+            assert cold.requests() == (3, 2)
+            assert conditions == [fresh.signature]  # the HEAD's, handed down
+            assert np.array_equal(_values(fresh), cold.samples(selective=False))
+
+
+class TestObservationHandDown:
+    def test_handed_down_observation_is_the_if_match_of_every_get(
+        self, tmp_path, monkeypatch
+    ):
         cold = _ColdMount(tmp_path)
         observed = cold.repo.signature_of(cold.uri)
+        conditions = cold.after_get()
         result = cold.mounts._extract(
-            cold.uri, "D", cold.request(), observed=observed
+            cold.uri, "D", cold.two_ranges(monkeypatch), observed=observed
         )
-        assert np.array_equal(_values(result), cold.samples())
+        assert np.array_equal(
+            _values(result), cold.samples(only=(cold.FIRST, cold.LAST))
+        )
         assert result.signature == observed
-        assert cold.store.stats.heads == 2  # ours above + the `after`
+        assert conditions == [observed, observed]
+        assert cold.requests() == (1, 2)  # the HEAD is ours, above
         assert cold.mounts.stats.retries == 0
+        # The whole-file GET too.
+        del conditions[:]
+        whole = cold.mounts._extract(cold.uri, "D", None, observed=observed)
+        assert (conditions, whole.signature) == ([observed], observed)
+        assert cold.requests() == (1, 3)
 
     @pytest.mark.parametrize("selective", [True, False])
     def test_rewrite_after_the_hand_down_is_retried_to_the_new_content(
@@ -1312,10 +1735,11 @@ class TestObservationHandDown:
             cold.request() if selective else None,
             observed=observed,
         )
-        # Attempt 0 read under the stale observation and failed its
-        # post-read check (a transient StaleFileError); the retry observed
-        # afresh and staged the new version.
+        # Attempt 0's GET was conditional on the stale observation and was
+        # refused (a transient StaleFileError) before any body byte; the
+        # retry observed afresh and staged the new version.
         assert cold.mounts.stats.retries == 1
+        assert cold.store.stats.precondition_failed == 1
         assert result.signature == cold.repo.signature_of(cold.uri) != observed
         assert np.array_equal(_values(result), cold.samples(selective))
 
@@ -1334,19 +1758,19 @@ class TestObservationHandDown:
         self, tmp_path, monkeypatch, hand_down
     ):
         cold = _ColdMount(tmp_path, max_retries=0)
-        fetch_spans = cold.repo.fetch_spans
-
-        def fetch_then_rewrite(*args, **kwargs):
-            moved = fetch_spans(*args, **kwargs)
-            cold.rewrite()  # after the GETs, before the post-read HEAD
-            return moved
-
-        monkeypatch.setattr(cold.repo, "fetch_spans", fetch_then_rewrite)
+        request = cold.two_ranges(monkeypatch)
         observed = cold.repo.signature_of(cold.uri) if hand_down else None
-        with pytest.raises(StaleFileError):
-            cold.mounts._extract(
-                cold.uri, "D", cold.request(), observed=observed
-            )
+        cold.after_get(1, cold.rewrite)  # between the extraction's two GETs
+        with pytest.raises(StaleFileError) as excinfo:
+            cold.mounts._extract(cold.uri, "D", request, observed=observed)
+        assert excinfo.value.transient
+        assert cold.store.stats.precondition_failed == 1
+        # Nothing of the dead version is left staged for the next attempt.
+        assert cold.repo.stats.invalidations == 1
+        cold.repo.coalesce_gap_bytes = 64 * 1024
+        result = cold.mounts._extract(cold.uri, "D", cold.request())
+        assert np.array_equal(_values(result), cold.samples())
+        assert cold.repo.stats.staged_reuses == 0
 
     def test_staged_ranges_of_the_old_version_are_not_reused(self, tmp_path):
         cold = _ColdMount(tmp_path)
@@ -1359,6 +1783,79 @@ class TestObservationHandDown:
         assert cold.repo.stats.staged_reuses == 0
         assert cold.store.stats.ranged_gets == 2  # fetched again, not reused
         assert cold.repo.stats.remote_bytes == 2 * cold.wanted_bytes()
+
+
+class TestCacheScanOfAVanishedFile:
+    """Cached rows are served only against a signature the file has now. A
+    file that has none — it is gone — is the mount's error to raise or
+    report, not a hit; an endpoint that merely cannot be asked is."""
+
+    @pytest.fixture(params=["local", "remote"])
+    def cached(self, request, tmp_path):
+        """A mount service with one file's rows cached, and that file."""
+        cold = _ColdMount(tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED))
+        if request.param == "local":
+            cold.repo = FileRepository(cold.objects)
+            cold.mounts.bindings = BindingSet.single(RepositoryBinding(cold.repo))
+            cold.mounts.record_map_provider = None
+            [cold.uri] = cold.repo.uris()
+        cold.rows = cold.mounts.mount_file(cold.uri, "D", "d", None).num_rows
+        assert cold.rows > 0 and cold.mounts.cache.contains(cold.uri)
+        return cold
+
+    def test_fail_fast_raises_the_typed_error(self, cached):
+        cached.path.unlink()
+        with pytest.raises(FileIngestError) as excinfo:
+            cached.mounts.cache_scan(cached.uri, "D", "d", None)
+        assert excinfo.value.uri == cached.uri
+        if isinstance(cached.repo, RemoteRepository):
+            assert isinstance(excinfo.value, RemoteObjectMissingError)
+        stats = cached.mounts.stats
+        assert (stats.cache_scans, stats.fallback_mounts) == (0, 1)
+        assert stats.stale_remounts == 1
+        assert not cached.mounts.cache.contains(cached.uri)
+
+    def test_skip_quarantines_and_reports(self, cached):
+        cached.path.unlink()
+        context = MountContext(on_error="skip")
+        batch = cached.mounts.cache_scan(cached.uri, "D", "d", None, context)
+        assert batch.num_rows == 0
+        assert context.failure_report.uris() == [cached.uri]
+        assert context.is_quarantined(cached.uri)
+        stats = cached.mounts.stats
+        assert (stats.cache_scans, stats.skipped_mounts) == (0, 1)
+        assert not cached.mounts.cache.contains(cached.uri)
+
+    def test_a_second_run_of_the_query_does_not_answer_from_the_cache(
+        self, tmp_path
+    ):
+        cold = _ColdMount(tmp_path)
+        sql = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri"
+        executor = TwoStageExecutor(
+            cold.db,
+            RepositoryBinding(cold.repo),
+            cache=IngestionCache(CachePolicy.UNBOUNDED),
+        )
+        assert executor.execute(sql).rows[0][0] > 0
+        cold.path.unlink()
+        with pytest.raises(RemoteObjectMissingError):
+            executor.execute(sql)
+        degraded = executor.execute(
+            sql, context=executor.open_context(on_mount_error="skip")
+        )
+        assert degraded.rows == [(0,)]
+        assert degraded.timings.mount_failures.uris() == [cold.uri]
+
+    def test_an_unreachable_endpoint_serves_what_is_cached(self, tmp_path):
+        cold = _ColdMount(tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED))
+        rows = cold.mounts.mount_file(cold.uri, "D", "d", None).num_rows
+        cold.store.set_down()
+        # Nothing says the rows are stale and nothing can: stale-but-
+        # available, as with the remembered listing.
+        batch = cold.mounts.cache_scan(cold.uri, "D", "d", None)
+        assert batch.num_rows == rows
+        assert cold.mounts.stats.cache_scans == 1
+        assert cold.mounts.cache.contains(cold.uri)
 
 
 def _record_tokens(store):
@@ -1529,7 +2026,7 @@ class TestScopeHandDown:
         context = MountContext(governor=QueryGovernor())
         predicate = cold.predicate() if selective else None
         cold.mounts.mount_file(cold.uri, "D", "d", predicate, context)
-        assert [op for op, _ in seen] == ["head", "get", "head"]
+        assert [op for op, _ in seen] == ["get"]
         assert all(token is context.token for _, token in seen)
         # The cache scan's staleness HEAD too.
         del seen[:]

@@ -780,8 +780,10 @@ class TestCrossTenantIsolation:
         return db
 
     def _slow_service(self, tiny_repo, remote_db, tmp_path):
+        # A cold extraction is one request: this long, so that tenant b's
+        # cancel / deadline (0.25 s in) lands while it is in flight.
         store = SimulatedObjectStore(
-            "seis-eu", tiny_repo.root, NetworkProfile(latency_seconds=0.15)
+            "seis-eu", tiny_repo.root, NetworkProfile(latency_seconds=0.45)
         )
         return _service(
             RemoteRepository(store, tmp_path / "staging"), db=remote_db
