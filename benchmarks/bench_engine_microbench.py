@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.ingest import default_registry
-from repro.mseed import read_file_metadata, scan_headers, steim_decode, steim_encode
+from repro.mseed import (
+    read_file_metadata,
+    read_files_metadata,
+    scan_headers,
+    steim_decode,
+    steim_encode,
+)
 from repro.mseed.volume import read_records
 
 
@@ -47,6 +53,16 @@ def test_file_metadata_columnar(env, benchmark):
     uri = env.repository.uris()[0]
     path = env.repository.path_of(uri)
     benchmark(read_file_metadata, path)
+
+
+def test_repository_metadata_pass(env, benchmark):
+    """Every file of the repository in one call: the same walk per file, one
+    parse per block of files. Divided by the file count and set against the
+    one-file case above, it is what a numpy call per file used to cost."""
+    repo = env.repository
+    files = [(repo.path_of(uri), uri) for uri in repo.uris()]
+    results = benchmark(read_files_metadata, files)
+    assert len(results) == len(files)
 
 
 def test_full_parse(env, benchmark):

@@ -16,6 +16,7 @@ from ..db.database import Database
 from ..mseed.repository import FileRepository
 from ._batches import file_rows_batch, mounted_files_batch, record_rows_batch
 from .formats import FormatRegistry, default_registry
+from .lazy import metadata_pass
 from .schema import ACTUAL_TABLE, FILE_TABLE, RECORD_TABLE, ensure_schema
 
 
@@ -52,20 +53,12 @@ def eager_ingest(
     ensure_schema(db)
     started = time.perf_counter()
 
-    extractor_for = getattr(repository, "extractor_for", None)
-    file_rows = []
-    record_parts = []
-    mounted = []
-    for uri in repository.uris():
-        path = repository.path_of(uri)
-        if extractor_for is not None:
-            extractor = extractor_for(path, uri, registry)
-        else:
-            extractor = registry.for_path(path)
-        extracted = extractor.extract_metadata(path, uri)
-        file_rows.append(extracted.file_row)
-        record_parts.append(extracted.records)
-        mounted.append(extractor.mount(path, uri))
+    # The metadata half is ALi's pass; every file is then mounted through
+    # the extractor that read its headers.
+    sources, extracted = metadata_pass(repository, registry, repository.uris())
+    file_rows = [metadata.file_row for metadata in extracted]
+    record_parts = [metadata.records for metadata in extracted]
+    mounted = [extractor.mount(path, uri) for path, uri, extractor in sources]
 
     db.catalog.table(FILE_TABLE).append(file_rows_batch(file_rows))
     records = record_rows_batch([row.uri for row in file_rows], record_parts)

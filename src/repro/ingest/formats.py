@@ -20,6 +20,12 @@ read/decode accounting so the mount service can charge the buffer manager
 for the bytes actually read rather than the whole file. Formats that do not
 implement it fall back to :meth:`~FormatExtractor.mount` transparently.
 
+Extractors may likewise implement **batched metadata extraction**
+(``extract_metadata_many``): the metadata pass hands a run of consecutive
+files of one extractor over in one call, so a format whose headers parse
+columnar can parse a whole run at once. Formats that do not implement it are
+asked file by file.
+
 The :class:`FormatRegistry` resolves a file's extractor by suffix, so one
 repository may mix formats.
 """
@@ -29,8 +35,8 @@ from __future__ import annotations
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Optional, Protocol, runtime_checkable
+from pathlib import Path, PurePath
+from typing import Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -243,6 +249,21 @@ class SelectiveFormatExtractor(FormatExtractor, Protocol):
         ...
 
 
+@runtime_checkable
+class BatchFormatExtractor(FormatExtractor, Protocol):
+    """A format extractor that can extract many files' metadata at once."""
+
+    def extract_metadata_many(
+        self, files: Sequence[tuple[Path, str]]
+    ) -> list[ExtractedMetadata]:
+        """:meth:`extract_metadata` of each ``(path, uri)``, in order.
+
+        Must read each file exactly as the one-file call does and raise what
+        a file-by-file loop would: the first defective file's error.
+        """
+        ...
+
+
 class FormatRegistry:
     """Suffix-keyed registry of format extractors."""
 
@@ -256,7 +277,9 @@ class FormatRegistry:
         self._by_suffix[suffix] = extractor
 
     def for_path(self, path: str | Path) -> FormatExtractor:
-        suffix = Path(path).suffix.lower()
+        if not isinstance(path, PurePath):
+            path = PurePath(path)
+        suffix = path.suffix.lower()
         extractor = self._by_suffix.get(suffix)
         if extractor is None:
             raise IngestError(

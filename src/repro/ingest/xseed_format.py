@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from ..mseed.record import sample_time_offsets
 from ..mseed.volume import (
     SelectiveRead,
     decode_volume,
-    read_file_metadata,
+    read_files_metadata,
     read_selected_records,
 )
 from .formats import (
@@ -37,10 +38,20 @@ class XSeedExtractor:
     suffix = ".xseed"
 
     def extract_metadata(self, path: Path, uri: str) -> ExtractedMetadata:
-        with extraction_guard(uri, path):
-            meta, columns = read_file_metadata(path, uri=uri)
-        file_row = FileMetaRow(uri=uri, **vars(meta))  # same fields
-        return ExtractedMetadata(file_row, RecordColumns(**columns))
+        return self.extract_metadata_many([(path, uri)])[0]
+
+    def extract_metadata_many(
+        self, files: Sequence[tuple[Path, str]]
+    ) -> list[ExtractedMetadata]:
+        return [
+            ExtractedMetadata(
+                FileMetaRow(uri=uri, **vars(meta)),  # same fields
+                RecordColumns(**columns),
+            )
+            for (_, uri), (meta, columns) in zip(
+                files, read_files_metadata(files, extraction_guard)
+            )
+        ]
 
     def mount(self, path: Path, uri: str) -> MountedFile:
         with extraction_guard(uri, path):

@@ -17,6 +17,7 @@ from .synthesize import RepositorySpec, WaveformSpec, generate_repository, synth
 from .volume import (
     SelectiveRead,
     read_file_metadata,
+    read_files_metadata,
     read_records,
     read_selected_records,
     read_volume,
@@ -41,6 +42,7 @@ __all__ = [
     "read_records",
     "read_selected_records",
     "read_file_metadata",
+    "read_files_metadata",
     "scan_headers",
     "SelectiveRead",
     "VolumeIoHook",

@@ -40,6 +40,8 @@ HEADER_DTYPE = np.dtype(
         ("encoding", ">u2"), ("payload_len", ">u4"), ("pad", "V", _PAD),
     ]
 )
+# Where network, station, location and channel sit inside ``identifiers``.
+IDENTIFIER_BOUNDS = ((0, 2), (2, 7), (7, 9), (9, 12))
 
 assert HEADER_DTYPE.itemsize == HEADER_SIZE, "header dtype is not 64 bytes"
 

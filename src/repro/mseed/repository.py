@@ -24,13 +24,19 @@ is source-agnostic.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from stat import S_ISLNK
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..db.errors import FileIngestError, IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycles)
     from ..ingest.formats import FormatExtractor, FormatRegistry
+
+
+# URI components that make a URI something other than a path below the root.
+_NOT_PLAIN = frozenset(("", ".", ".."))
 
 
 class FileRepository:
@@ -58,16 +64,36 @@ class FileRepository:
         """The first suffix (kept for single-format callers)."""
         return self.suffixes[0]
 
+    def _listing(self) -> list[tuple[str, os.DirEntry]]:
+        """Every file with one of the suffixes, as (URI, directory entry),
+        sorted by URI: one ``scandir`` walk from the resolved root. Plain
+        directories are entered and symlinked ones are not; a link counts as
+        a file when what it points at is one."""
+        found: list[tuple[str, os.DirEntry]] = []
+        pending = [(self._resolved_root, "")]
+        while pending:
+            directory, prefix = pending.pop()
+            try:
+                with os.scandir(directory) as scan:
+                    entries = list(scan)
+            except PermissionError:
+                continue
+            for entry in entries:
+                name = entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    pending.append((entry.path, f"{prefix}{name}/"))
+                elif name.endswith(self.suffixes):
+                    try:
+                        if entry.is_file():
+                            found.append((prefix + name, entry))
+                    except OSError:
+                        pass  # a link that cannot be followed is no file
+        found.sort(key=itemgetter(0))
+        return found
+
     def uris(self, scope: object = None) -> list[str]:
         """All file URIs, sorted for deterministic iteration order."""
-        found: set[str] = set()
-        for suffix in self.suffixes:
-            found.update(
-                p.relative_to(self.root).as_posix()
-                for p in self.root.rglob(f"*{suffix}")
-                if p.is_file()
-            )
-        return sorted(found)
+        return [uri for uri, _ in self._listing()]
 
     def __len__(self) -> int:
         return len(self.uris())
@@ -75,16 +101,38 @@ class FileRepository:
     def __iter__(self) -> Iterator[str]:
         return iter(self.uris())
 
-    def _resolve(self, uri: str) -> str:
-        """The real path of ``uri``, which must lie inside the root."""
+    def _resolve(self, uri: str) -> tuple[str, Optional[os.stat_result]]:
+        """The real path of ``uri``, which must lie inside the root, and what
+        an ``lstat`` of it answered on the way (None after the full walk).
+
+        A plain relative URI none of whose components is a link *is* its real
+        path below the root resolved at construction, so only those components
+        are looked at. Anything else — a link anywhere, ``..``, an absolute
+        URI, an empty or ``.`` component, a missing component, a platform
+        whose separator is not the URI's — takes the ``realpath`` comparison.
+        """
+        if os.sep == "/":
+            path = self._inside_root[:-1]
+            for part in uri.split("/"):
+                if part in _NOT_PLAIN:
+                    break
+                path = f"{path}/{part}"
+                try:
+                    seen = os.lstat(path)
+                except OSError:
+                    break
+                if S_ISLNK(seen.st_mode):
+                    break
+            else:
+                return path, seen
         resolved = os.path.realpath(os.path.join(self._resolved_root, uri))
         if not (resolved + os.sep).startswith(self._inside_root):
             raise IngestError(f"URI {uri!r} escapes the repository root")
-        return resolved
+        return resolved, None
 
     def path_of(self, uri: str) -> Path:
-        resolved = self._resolve(uri)
-        if not os.path.exists(resolved):
+        resolved, seen = self._resolve(uri)
+        if seen is None and not os.path.exists(resolved):
             raise FileIngestError(
                 f"no file for URI {uri!r} in {self.root}", uri=uri
             )
@@ -95,7 +143,7 @@ class FileRepository:
 
     def total_bytes(self) -> int:
         """Size of the repository — the "mSEED" column of Table 1."""
-        return sum(self.size_of(uri) for uri in self.uris())
+        return sum(size for _, size in self.signatures().values())
 
     # -- repository protocol hooks -------------------------------------------
     #
@@ -111,18 +159,25 @@ class FileRepository:
         deleted-during-extraction staleness, which must keep working when a
         file vanishes *between* resolution and the post-extract re-check.
         """
-        st = os.stat(self._resolve(uri))
+        resolved, seen = self._resolve(uri)
+        st = seen if seen is not None else os.stat(resolved)
         return (st.st_mtime_ns, st.st_size)
 
     def signatures(self, scope: object = None) -> dict[str, tuple[int, int]]:
         """Every URI and its signature, in listing order: the repository
-        observed in bulk. Here it is :meth:`uris` plus one ``stat`` per
-        file; a backend whose listing already carries size and mtime
-        answers it without a request per file."""
+        observed in bulk. The listing's own walk answers for a plain entry
+        (one ``stat`` of the directory entry); a symlinked one goes through
+        :meth:`signature_of` and its containment check. A backend whose
+        listing already carries size and mtime answers it without a request
+        per file."""
         observed: dict[str, tuple[int, int]] = {}
-        for uri in self.uris(scope):
+        for uri, entry in self._listing():
             try:
-                observed[uri] = self.signature_of(uri, scope)
+                if entry.is_symlink():
+                    observed[uri] = self.signature_of(uri, scope)
+                else:
+                    st = entry.stat()
+                    observed[uri] = (st.st_mtime_ns, st.st_size)
             except FileNotFoundError:
                 pass  # deleted since the listing
         return observed

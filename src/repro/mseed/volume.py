@@ -18,9 +18,19 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import (
+    Callable,
+    ContextManager,
+    Iterable,
+    Iterator,
+    NoReturn,
+    Optional,
+    Sequence,
+)
 
 import numpy as np
 
@@ -31,6 +41,7 @@ from .record import (
     ENCODING_STEIM1,
     HEADER_DTYPE,
     HEADER_SIZE,
+    IDENTIFIER_BOUNDS,
     INT64_MAX,
     MAGIC,
     RecordHeader,
@@ -339,36 +350,6 @@ def scan_headers(
     return _unpack_headers(raws, uri, size)
 
 
-def _header_columns(raws: Sequence[bytes]) -> Optional[dict[str, np.ndarray]]:
-    """One vectorised parse of the headers of a complete walk: the record
-    level as columns, one entry per record in file order — or None when a
-    header fails one of :meth:`RecordHeader.unpack`'s checks (a usable rate,
-    the last sample inside the timestamp range, ASCII identifiers)."""
-    parsed = np.frombuffer(b"".join(raws), dtype=HEADER_DTYPE)
-    start_time = parsed["start_time"].astype(np.int64)
-    sample_rate = parsed["sample_rate"].astype(np.float64)
-    nsamples = parsed["nsamples"].astype(np.int64)
-    byte_length = parsed["payload_len"].astype(np.int64) + HEADER_SIZE
-    # last_sample_offset, vectorised: (n-1) * step in that association,
-    # rounded half to even.
-    last = np.maximum(nsamples - 1, 0)
-    with np.errstate(all="ignore"):
-        reach = np.where(last > 0, last * (1_000_000 / sample_rate), 0.0)
-        sound = (
-            (sample_rate > 0)
-            & (sample_rate < np.inf)
-            & (reach < INT64_MAX - np.maximum(start_time, 0))
-        )
-    if not (sound.all() and parsed["identifiers"].max() < 128):
-        return None
-    return dict(
-        start_time=start_time, sample_rate=sample_rate, nsamples=nsamples,
-        end_time=start_time + np.rint(reach).astype(np.int64),
-        byte_offset=np.cumsum(byte_length) - byte_length,
-        byte_length=byte_length,
-    )
-
-
 @dataclass(frozen=True)
 class FileMetadata:
     """File-level metadata summarized from record headers (table ``F``)."""
@@ -384,27 +365,139 @@ class FileMetadata:
     size_bytes: int
 
 
+# Walked headers wait for the vectorised parse until this many are pending, so
+# what a metadata pass holds in flight (64 bytes a header, 256 KiB a block) is
+# bounded whatever the size of the archive. A block ends with the file that
+# fills it.
+_PARSE_BLOCK_HEADERS = 1 << 12
+
+# One walked file awaiting the parse: path, URI, raw headers, size, complete.
+_Walked = tuple[str | Path, str, list[bytes], int, bool]
+_Guard = Callable[[str, str | Path], ContextManager[None]]
+
+
+def _unguarded(uri: str, path: str | Path) -> ContextManager[None]:
+    return nullcontext()
+
+
+def read_files_metadata(
+    files: Iterable[tuple[str | Path, str]], guard: _Guard = _unguarded
+) -> list[tuple[FileMetadata, dict[str, np.ndarray]]]:
+    """What ALi's metadata pass runs: file-level metadata and the
+    record-level columns of each ``(path, uri)``, in order. Every file is
+    walked as :func:`scan_headers` walks it; the headers of a whole block of
+    files are parsed at once. ``size_bytes`` is the size the truncation
+    check used.
+
+    ``guard(uri, path)`` is entered around each file's walk and around its
+    scalar re-parse: the caller's error taxonomy, applied per file. The
+    first defective file in the order given decides the error raised — a
+    walk that fails outright waits for the files walked before it to parse.
+    """
+    results: list[tuple[FileMetadata, dict[str, np.ndarray]]] = []
+    walked: list[_Walked] = []
+    pending = 0
+    for path, uri in files:
+        try:
+            with guard(uri, path):
+                raws, size, complete = _walk_headers(path, uri)
+        except Exception:
+            _parse_walked(walked, guard)  # an earlier file's defect is first
+            raise
+        walked.append((path, uri, raws, size, complete))
+        pending += len(raws)
+        if pending >= _PARSE_BLOCK_HEADERS:
+            results += _parse_walked(walked, guard)
+            walked, pending = [], 0
+    results += _parse_walked(walked, guard)
+    return results
+
+
 def read_file_metadata(
     path: str | Path, uri: str | None = None
 ) -> tuple[FileMetadata, dict[str, np.ndarray]]:
-    """What ALi's metadata pass runs per file: file-level metadata and the
-    record-level columns. ``size_bytes`` is the size the truncation check
-    used."""
+    """:func:`read_files_metadata` of one file."""
     uri = uri if uri is not None else str(path)
-    raws, size, complete = _walk_headers(path, uri)
-    if not raws:
-        raise CorruptFileError("empty volume", uri=uri, offset=0)
-    columns = _header_columns(raws) if complete else None
-    if columns is None:
-        _unpack_headers(raws, uri, size)  # raises at the first defect
-        raise AssertionError("vector and scalar header checks disagree")
-    first = RecordHeader.unpack(raws[0], uri=uri)
-    meta = FileMetadata(
-        first.network, first.station, first.location, first.channel,
-        start_time=int(columns["start_time"].min()),
-        end_time=int(columns["end_time"].max()),
-        nrecords=len(raws),
-        nsamples=int(columns["nsamples"].sum()),
-        size_bytes=size,
+    return read_files_metadata([(path, uri)])[0]
+
+
+def _raise_first_defect(walked: Sequence[_Walked], guard: _Guard) -> NoReturn:
+    """The scalar parser over walked files, in order: the error oracle."""
+    for path, uri, raws, size, _ in walked:
+        with guard(uri, path):
+            if not raws:
+                raise CorruptFileError("empty volume", uri=uri, offset=0)
+            _unpack_headers(raws, uri, size)
+    raise AssertionError("vector and scalar header checks disagree")
+
+
+def _parse_walked(
+    walked: Sequence[_Walked], guard: _Guard
+) -> list[tuple[FileMetadata, dict[str, np.ndarray]]]:
+    """One vectorised parse of the headers of every walked file: the record
+    level as columns — each file's a slice of the block's, one entry per
+    record in file order — and the file level reduced from them.
+
+    The vector checks (a complete walk of a non-empty file, a usable rate,
+    the last sample inside the timestamp range, ASCII identifiers) only
+    *notice* that some header in the block fails one of
+    :meth:`RecordHeader.unpack`'s: the scalar parser then names the first
+    defect, before any cast an unsound value would reach."""
+    if not walked:
+        return []
+    _, _, headers, sizes, complete = zip(*walked)
+    if not (all(headers) and all(complete)):
+        _raise_first_defect(walked, guard)
+    parsed = np.frombuffer(
+        b"".join(chain.from_iterable(headers)), dtype=HEADER_DTYPE
     )
-    return meta, columns
+    start_time = parsed["start_time"].astype(np.int64)
+    sample_rate = parsed["sample_rate"].astype(np.float64)
+    nsamples = parsed["nsamples"].astype(np.int64)
+    byte_length = parsed["payload_len"].astype(np.int64) + HEADER_SIZE
+    # last_sample_offset, vectorised: (n-1) * step in that association,
+    # rounded half to even.
+    last = np.maximum(nsamples - 1, 0)
+    with np.errstate(all="ignore"):
+        reach = np.where(last > 0, last * (1_000_000 / sample_rate), 0.0)
+        sound = (
+            (sample_rate > 0)
+            & (sample_rate < np.inf)
+            & (reach < INT64_MAX - np.maximum(start_time, 0))
+        )
+    if not (sound.all() and parsed["identifiers"].max() < 128):
+        _raise_first_defect(walked, guard)
+    end_time = start_time + np.rint(reach).astype(np.int64)
+
+    counts = np.fromiter(map(len, headers), np.int64, len(walked))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Offsets count from each file's first record, not the block's.
+    offset = np.cumsum(byte_length) - byte_length
+    columns = dict(
+        start_time=start_time, sample_rate=sample_rate, nsamples=nsamples,
+        end_time=end_time,
+        byte_offset=offset - np.repeat(offset[starts], counts),
+        byte_length=byte_length,
+    )
+    # Each file is named by its first header.
+    first = parsed["identifiers"][starts]
+    identifiers = []
+    for at, to in IDENTIFIER_BOUNDS:
+        text = first[:, at:to].tobytes().decode("ascii")
+        identifiers.append(
+            [text[k : k + to - at].strip() for k in range(0, len(text), to - at)]
+        )
+    metas = map(
+        FileMetadata,
+        *identifiers,
+        np.minimum.reduceat(start_time, starts).tolist(),
+        np.maximum.reduceat(end_time, starts).tolist(),
+        counts.tolist(),
+        np.add.reduceat(nsamples, starts).tolist(),
+        sizes,
+    )
+    return [
+        (meta, {name: column[at:to] for name, column in columns.items()})
+        for meta, at, to in zip(metas, starts.tolist(), ends.tolist())
+    ]

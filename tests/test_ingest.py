@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.metastore import MetadataStore
 from repro.db import Database
 from repro.db.errors import IngestError
 from repro.ingest import (
@@ -20,9 +21,11 @@ from repro.mseed import (
     HEADER_SIZE,
     FileRepository,
     RepositorySpec,
+    XSeedRecord,
     generate_repository,
     read_records,
     scan_headers,
+    write_volume,
 )
 
 
@@ -267,6 +270,52 @@ def _row_wise_tables(repo):
     }
 
 
+def _write_xseed(path, station, record_sizes, start=1_263_081_600_000_000):
+    """One xSEED file of ``len(record_sizes)`` records, that many samples
+    each, back to back in time."""
+    records = []
+    for seq, n in enumerate(record_sizes):
+        samples = np.cumsum(np.random.default_rng(seq).integers(-9, 9, n))
+        records.append(XSeedRecord.create(
+            seq, "KO", station, "", "BHZ", start, 0.5, samples.astype(np.int32)
+        ))
+        start = records[-1].header.end_time + 2_000_000
+    write_volume(path, records)
+
+
+def _write_csv(path, station):
+    write_csv_timeseries(
+        path, "WX", station, "", "TMP", 0.5,
+        1_263_254_400_000_000, np.linspace(0.0, 1.0, 9),
+    )
+
+
+def _one_record(root):
+    _write_xseed(root / "lone.xseed", "ISK", [40])
+
+
+def _ragged(root):
+    # Different record counts, a one-record file in the middle and last, a
+    # one-sample record: nothing about one file's shape leaks into the next.
+    for name, sizes in [("a", [30, 30, 7]), ("b", [1]), ("c", [5] * 9),
+                        ("d/e", [12, 1, 12, 1]), ("f", [64])]:
+        _write_xseed(root / f"{name}.xseed", name[-1].upper(), sizes)
+
+
+def _interleaved(root):
+    # In listing order: a run of three xSEED files, one CSV, a run of one, two
+    # CSVs, a run of two.
+    for name, sizes in [("a1", [8, 8]), ("a2", [3]), ("a3", [5, 6, 7]),
+                        ("c", [20]), ("f1", [2, 2, 2, 2]), ("f2", [9])]:
+        _write_xseed(root / f"{name}.xseed", name.upper(), sizes)
+    for name in ("b", "d", "e"):
+        _write_csv(root / f"{name}.tscsv", name.upper())
+
+
+def _empty(root):
+    pass
+
+
 class TestMetadataTablesEqualRowWiseAssembly:
     """The columnar metadata pass changes how ``F`` and ``R`` are built,
     never what they hold: dtype, values and dictionary order."""
@@ -287,11 +336,9 @@ class TestMetadataTablesEqualRowWiseAssembly:
         )
         return FileRepository(root, suffix=(".xseed", ".tscsv"))
 
-    @pytest.mark.parametrize("ingest", [lazy_ingest_metadata, eager_ingest])
-    def test_column_for_column(self, mixed_repo, ingest):
-        db = Database()
-        ingest(db, mixed_repo)
-        for table, expected in _row_wise_tables(mixed_repo).items():
+    @staticmethod
+    def assert_column_for_column(db, repo):
+        for table, expected in _row_wise_tables(repo).items():
             batch = db.catalog.table(table).batch
             assert batch.names == list(expected)
             for name, (values, entries) in expected.items():
@@ -301,8 +348,43 @@ class TestMetadataTablesEqualRowWiseAssembly:
                 if entries is not None:
                     assert list(column.dictionary.entries) == entries
 
+    @pytest.mark.parametrize("ingest", [lazy_ingest_metadata, eager_ingest])
+    def test_column_for_column(self, mixed_repo, ingest):
+        db = Database()
+        ingest(db, mixed_repo)
+        self.assert_column_for_column(db, mixed_repo)
+
+    @pytest.mark.parametrize("ingest", [lazy_ingest_metadata, eager_ingest])
+    @pytest.mark.parametrize("shape", [_one_record, _ragged, _interleaved, _empty])
+    def test_column_for_column_whatever_the_shape(self, tmp_path, shape, ingest):
+        shape(tmp_path)
+        repo = FileRepository(tmp_path, suffix=(".xseed", ".tscsv"))
+        db = Database()
+        report = ingest(db, repo)
+        assert report.files == len(repo)
+        self.assert_column_for_column(db, repo)
+
     def test_empty_repository(self, tmp_path):
         db = Database()
         report = lazy_ingest_metadata(db, FileRepository(tmp_path))
         assert report.records == 0
         assert db.catalog.table(RECORD_TABLE).num_rows == 0
+
+    def test_part_reused_pass(self, tmp_path):
+        """Rows reused from the metastore and rows extracted in this pass
+        land in listing order, whichever way each file came."""
+        _interleaved(tmp_path)
+        repo = FileRepository(tmp_path, suffix=(".xseed", ".tscsv"))
+        store = MetadataStore(tmp_path / "sidecar.json")
+        lazy_ingest_metadata(Database(), repo, metastore=store)
+        # Since that pass: two files rewritten (one inside a run, one a run
+        # of its own), one new in the middle of the listing, one gone.
+        _write_xseed(tmp_path / "a2.xseed", "A2", [4, 4, 4, 4, 4])
+        _write_xseed(tmp_path / "c.xseed", "C", [1])
+        _write_xseed(tmp_path / "a9.xseed", "A9", [6, 6])
+        (tmp_path / "d.tscsv").unlink()
+
+        db = Database()
+        report = lazy_ingest_metadata(db, repo, metastore=store)
+        assert (report.files, report.files_reused) == (9, 6)
+        self.assert_column_for_column(db, repo)

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.db import Database
 from repro.db.errors import CorruptFileError, IngestError, TruncatedFileError
 from repro.db.interval import WHOLE_FILE
-from repro.ingest.formats import MountRequest
+from repro.ingest import eager_ingest, lazy_ingest_metadata
+from repro.ingest.formats import MountRequest, extraction_guard
 from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import (
     HEADER_SIZE,
+    FileRepository,
     RecordHeader,
     XSeedRecord,
     open_volume,
     read_file_metadata,
+    read_files_metadata,
     read_records,
     scan_headers,
     set_volume_io_hook,
@@ -623,3 +627,205 @@ class _RecordingHandle:
         self.handle.close()
         if self.on_close is not None:
             self.on_close()
+
+
+def _nan_rate(raw, offset):
+    raw[offset + 28:offset + 36] = np.float64("nan").tobytes()[::-1]
+
+
+class _FailsToOpen:
+    """A volume hook under which one URI's open is an I/O error."""
+
+    def __init__(self, uri):
+        self.uri = uri
+
+    def wrap(self, path, uri, handle):
+        if uri == self.uri:
+            raise OSError(5, "injected I/O error")
+        return handle
+
+
+class TestOneParsePerPass:
+    """The metadata pass walks file by file and parses block by block. What
+    it reads of each file, and what a defective repository raises, are still
+    what a file-at-a-time scalar pass reads and raises."""
+
+    RECORDS = 6
+
+    def repository(self, root, files=5):
+        for k in range(files):
+            write_volume(
+                root / f"f{k}.xseed",
+                [make_record(seq=i, start=i * 60_000_000, n=40 + 10 * k)
+                 for i in range(self.RECORDS)],
+            )
+        return FileRepository(root)
+
+    def passes(self, repo):
+        """Every way into the pass-wide kernel, outermost first."""
+        files = [(repo.path_of(uri), uri) for uri in repo.uris()]
+        return {
+            "lazy_ingest_metadata": lambda: lazy_ingest_metadata(Database(), repo),
+            "eager_ingest": lambda: eager_ingest(Database(), repo),
+            "extract_metadata_many": (
+                lambda: XSeedExtractor().extract_metadata_many(files)
+            ),
+            "read_files_metadata": (
+                lambda: read_files_metadata(files, extraction_guard)
+            ),
+        }
+
+    @staticmethod
+    def file_by_file(repo):
+        """The oracle: one guarded scalar walk per file, in listing order."""
+        for uri in repo.uris():
+            path = repo.path_of(uri)
+            with extraction_guard(uri, path):
+                reference_scan(path, uri)
+
+    @staticmethod
+    def damage(repo, uri, defect, record):
+        path = repo.path_of(uri)
+        offsets = XSeedExtractor().extract_metadata(path, uri).records.byte_offset
+        raw = bytearray(path.read_bytes())
+        defect(raw, int(offsets[record]))
+        path.write_bytes(bytes(raw))
+
+    def test_same_reads_and_seeks_as_the_scalar_walk(self, tmp_path):
+        """Per URI the pass issues the calls the scalar walk issues — seeded
+        fault plans address a file's reads by index — and opens each file
+        once."""
+        repo = self.repository(tmp_path)
+
+        class Recorder:
+            def wrap(self, path, uri, handle):
+                calls = logs.setdefault(uri, [])
+                calls.append(("open",))
+                return _RecordingHandle(handle, calls)
+
+        previous = set_volume_io_hook(Recorder())
+        try:
+            logs = {}
+            self.file_by_file(repo)
+            expected = logs
+            for name, run in self.passes(repo).items():
+                if name == "eager_ingest":
+                    continue  # goes on to mount what it walked
+                logs = {}
+                run()
+                assert logs == expected, name
+        finally:
+            set_volume_io_hook(previous)
+        assert list(expected) == repo.uris()
+        for calls in expected.values():
+            assert calls.count(("open",)) == 1
+            assert len(calls) == 1 + (self.RECORDS + 1) + self.RECORDS
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("parse_first", [True, False])
+    @pytest.mark.parametrize(
+        "walk_defect",
+        [_bad_magic, _cut_mid_payload, _short_final_header, OSError],
+    )
+    @pytest.mark.parametrize(
+        "parse_defect", [_nan_rate, _non_ascii_identifier, _overflowing_rate]
+    )
+    def test_first_defective_file_decides_the_error(
+        self, tmp_path, parse_defect, walk_defect, parse_first
+    ):
+        """One file fails a check only the parse makes, another one the walk
+        itself trips over: whichever comes first in listing order raises, as
+        the scalar parser words it."""
+        repo = self.repository(tmp_path)
+        earlier, later = "f1.xseed", "f3.xseed"
+        parsed, walked = (earlier, later) if parse_first else (later, earlier)
+        self.damage(repo, parsed, parse_defect, 4)
+        hook = None
+        if walk_defect is OSError:
+            hook = _FailsToOpen(walked)
+        else:
+            self.damage(repo, walked, walk_defect, 2)
+
+        previous = set_volume_io_hook(hook)
+        try:
+            with pytest.raises(IngestError) as expected:
+                self.file_by_file(repo)
+            assert expected.value.uri == earlier
+            for name, run in self.passes(repo).items():
+                with pytest.raises(IngestError) as excinfo:
+                    run()
+                self.assert_same_error(excinfo.value, expected.value, name)
+        finally:
+            set_volume_io_hook(previous)
+
+    @staticmethod
+    def assert_same_error(error, expected, name):
+        assert type(error) is type(expected), name
+        assert str(error) == str(expected), name
+        assert (error.uri, error.offset) == (expected.uri, expected.offset), name
+        assert error.transient == expected.transient, name
+        assert type(error.cause) is type(expected.cause), name
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("defective", range(5))
+    @pytest.mark.parametrize("defect", [_nan_rate, _bad_magic])
+    def test_blocks_parse_in_listing_order(
+        self, tmp_path, monkeypatch, defect, defective
+    ):
+        """Two files fill a block here: a defect in the last file of one
+        block, the first of the next or the short block at the end raises
+        for that file, and sound blocks come out whole."""
+        monkeypatch.setattr(
+            volume_module, "_PARSE_BLOCK_HEADERS", 2 * self.RECORDS
+        )
+        repo = self.repository(tmp_path)
+        files = [(repo.path_of(uri), uri) for uri in repo.uris()]
+        parses = []
+        parse_walked = volume_module._parse_walked
+
+        def logging_parse(walked, guard):
+            parses.append([uri for _, uri, *_ in walked])
+            return parse_walked(walked, guard)
+
+        monkeypatch.setattr(volume_module, "_parse_walked", logging_parse)
+
+        sound = read_files_metadata(files)
+        assert parses == [
+            ["f0.xseed", "f1.xseed"], ["f2.xseed", "f3.xseed"], ["f4.xseed"]
+        ]
+        for (path, uri), (meta, columns) in zip(files, sound):
+            alone, alone_columns = read_file_metadata(path, uri)
+            assert meta == alone
+            for name, column in alone_columns.items():
+                assert columns[name].tolist() == column.tolist(), (uri, name)
+
+        self.damage(repo, f"f{defective}.xseed", defect, 3)
+        with pytest.raises(IngestError) as expected:
+            self.file_by_file(repo)
+        assert expected.value.uri == f"f{defective}.xseed"
+        for name, run in self.passes(repo).items():
+            with pytest.raises(IngestError) as excinfo:
+                run()
+            self.assert_same_error(excinfo.value, expected.value, name)
+
+    @pytest.mark.parametrize("ingest", [lazy_ingest_metadata, eager_ingest])
+    def test_a_uri_that_does_not_resolve_waits_its_turn(self, tmp_path, ingest):
+        """URIs are resolved before anything is read, but a file no extractor
+        is registered for still fails after the defective file before it."""
+        self.repository(tmp_path)
+        (tmp_path / "f2.hdf5").write_bytes(b"")
+        repo = FileRepository(tmp_path, suffix=(".xseed", ".hdf5"))
+        with pytest.raises(IngestError, match="no format extractor"):
+            ingest(Database(), repo)
+        self.damage(repo, "f1.xseed", _nan_rate, 0)
+        with pytest.raises(CorruptFileError, match="sample rate") as excinfo:
+            ingest(Database(), repo)
+        assert excinfo.value.uri == "f1.xseed"
+
+    def test_an_empty_file_among_many(self, tmp_path):
+        repo = self.repository(tmp_path)
+        repo.path_of("f2.xseed").write_bytes(b"")
+        for name, run in self.passes(repo).items():
+            with pytest.raises(CorruptFileError, match="empty volume") as excinfo:
+                run()
+            assert (excinfo.value.uri, excinfo.value.offset) == ("f2.xseed", 0)

@@ -1,7 +1,11 @@
 """Tests for waveform synthesis and the repository abstraction."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db.errors import IngestError
 from repro.mseed import (
@@ -145,3 +149,165 @@ class TestRepository:
 
     def test_iteration(self, repo):
         assert list(iter(repo)) == repo.uris()
+
+
+def _rglob_listing(root, suffixes):
+    """How ``FileRepository.uris`` listed before it walked with ``scandir``:
+    the reference for what counts as a file of the repository."""
+    found = set()
+    for suffix in suffixes:
+        found.update(
+            p.relative_to(root).as_posix()
+            for p in root.rglob(f"*{suffix}")
+            if p.is_file()
+        )
+    return sorted(found)
+
+
+@pytest.fixture(scope="module")
+def linked_tree(tmp_path_factory):
+    """A small repository tree with every kind of entry a listing or a URI
+    can meet, and a directory beside it that nothing may reach."""
+    base = tmp_path_factory.mktemp("linked")
+    root, outside = base / "root", base / "outside"
+    (root / "a" / "b").mkdir(parents=True)
+    outside.mkdir()
+    (outside / "secret.xseed").write_bytes(b"not yours")
+    (root / "top.xseed").write_bytes(b"1")
+    (root / "a" / "plain.xseed").write_bytes(b"22")
+    (root / "a" / "b" / "deep.xseed").write_bytes(b"333")
+    (root / "a" / "old.v2.xseed").write_bytes(b"4444")  # both suffixes below
+    (root / "a" / ".hidden.xseed").write_bytes(b"55555")
+    (root / "a" / "notes.txt").write_bytes(b"no")
+    (root / "x.xseed").mkdir()  # a directory that looks like a file
+    (root / "x.xseed" / "inner.xseed").write_bytes(b"666666")
+    (root / "a" / "inside.xseed").symlink_to(root / "a" / "b" / "deep.xseed")
+    (root / "a" / "escaping.xseed").symlink_to(outside / "secret.xseed")
+    (root / "dangling.xseed").symlink_to(root / "nowhere.xseed")
+    (root / "loop.xseed").symlink_to(root / "loop.xseed")
+    (root / "ldir").symlink_to(root / "a", target_is_directory=True)
+    (root / "lout").symlink_to(outside, target_is_directory=True)
+    return root
+
+
+SUFFIXES = (".xseed", ".v2.xseed")
+
+
+class TestListing:
+    def test_lists_what_rglob_listed(self, linked_tree):
+        repo = FileRepository(linked_tree, suffix=SUFFIXES)
+        uris = repo.uris()
+        assert uris == _rglob_listing(linked_tree, SUFFIXES)
+        # ...which is: nested and dot files, links to files wherever they
+        # lead, each file once; no directory, nothing under a linked one.
+        assert uris == [
+            "a/.hidden.xseed", "a/b/deep.xseed", "a/escaping.xseed",
+            "a/inside.xseed", "a/old.v2.xseed", "a/plain.xseed",
+            "top.xseed", "x.xseed/inner.xseed",
+        ]
+        assert len(repo) == 8
+        assert FileRepository(linked_tree, suffix=".txt").uris() == [
+            "a/notes.txt"
+        ]
+
+    def test_signatures_are_the_listing_walks_observation(self, linked_tree):
+        """A plain entry is signed by the walk that listed it, a link through
+        ``signature_of`` and its containment check: the same dict either way."""
+        (linked_tree / "a" / "escaping.xseed").rename(linked_tree / "a" / "esc")
+        try:
+            repo = FileRepository(linked_tree, suffix=SUFFIXES)
+            observed = repo.signatures()
+            assert list(observed) == repo.uris()
+            assert "a/inside.xseed" in observed
+            assert observed == {
+                uri: repo.signature_of(uri) for uri in repo.uris()
+            }
+            assert repo.total_bytes() == sum(
+                repo.size_of(uri) for uri in repo.uris()
+            )
+        finally:
+            (linked_tree / "a" / "esc").rename(
+                linked_tree / "a" / "escaping.xseed"
+            )
+
+    def test_an_escaping_link_fails_the_bulk_observation(self, linked_tree):
+        repo = FileRepository(linked_tree, suffix=SUFFIXES)
+        with pytest.raises(IngestError, match="escapes"):
+            repo.signatures()
+        with pytest.raises(IngestError, match="escapes"):
+            repo.total_bytes()
+
+    def test_a_file_deleted_since_the_listing_is_skipped(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "stays.xseed").write_bytes(b"1")
+        (tmp_path / "goes.xseed").write_bytes(b"2")
+        (tmp_path / "link.xseed").symlink_to(tmp_path / "goes.xseed")
+        repo = FileRepository(tmp_path)
+        listed = repo._listing()
+        (tmp_path / "goes.xseed").unlink()
+        monkeypatch.setattr(repo, "_listing", lambda: listed)
+        assert list(repo.signatures()) == ["stays.xseed"]
+
+
+_COMPONENTS = st.sampled_from(
+    ["a", "b", "plain.xseed", "deep.xseed", "inside.xseed", "escaping.xseed",
+     "dangling.xseed", "loop.xseed", "ldir", "lout", "secret.xseed", "x.xseed",
+     "missing", "..", ".", ""]
+)
+
+
+class TestContainment:
+    """``_resolve`` looks only at a plain URI's own components; whatever it
+    answers, the full ``realpath`` comparison would have answered."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        parts=st.lists(_COMPONENTS, min_size=0, max_size=5),
+        absolute=st.sampled_from(["", "/", "root"]),
+    )
+    def test_resolves_to_the_realpath_or_rejects_the_uri(
+        self, linked_tree, parts, absolute
+    ):
+        repo = FileRepository(linked_tree)
+        root = os.path.realpath(linked_tree)
+        uri = "/".join(parts)
+        if absolute:
+            uri = (root if absolute == "root" else "") + "/" + uri
+        expected = os.path.realpath(os.path.join(root, uri))
+        if not (expected + os.sep).startswith(os.path.join(root, "")):
+            for resolve in (repo._resolve, repo.path_of, repo.signature_of):
+                with pytest.raises(IngestError, match="escapes"):
+                    resolve(uri)
+            return
+        resolved, seen = repo._resolve(uri)
+        assert resolved == expected
+        assert seen is None or seen == os.lstat(expected)
+        if os.path.exists(expected):
+            assert repo.path_of(uri) == Path(expected)
+            st_ = os.stat(expected)
+            assert repo.signature_of(uri) == (st_.st_mtime_ns, st_.st_size)
+        else:
+            with pytest.raises(IngestError, match="no file for URI"):
+                repo.path_of(uri)
+            with pytest.raises(OSError):  # not there, or a link in a loop
+                repo.signature_of(uri)
+
+    def test_a_plain_uri_is_not_walked_from_the_filesystem_root(
+        self, linked_tree, monkeypatch
+    ):
+        """One ``lstat`` per component of the URI, none for the root's."""
+        repo = FileRepository(linked_tree)
+        seen = []
+        lstat = os.lstat
+
+        def logging_lstat(path):
+            seen.append(path)
+            return lstat(path)
+
+        monkeypatch.setattr(os, "lstat", logging_lstat)
+        path = repo.path_of("a/b/deep.xseed")
+        monkeypatch.undo()
+        root = os.path.realpath(linked_tree)
+        assert seen == [f"{root}/a", f"{root}/a/b", f"{root}/a/b/deep.xseed"]
+        assert path == Path(root, "a", "b", "deep.xseed")
