@@ -10,8 +10,12 @@ Run: ``pytest benchmarks/bench_engine_microbench.py --benchmark-only -s``
 import numpy as np
 import pytest
 
-from repro.ingest import default_registry
+from repro.db import Database
+from repro.ingest import default_registry, eager_ingest
 from repro.mseed import (
+    FileRepository,
+    RepositorySpec,
+    generate_repository,
     read_file_metadata,
     read_files_metadata,
     scan_headers,
@@ -87,6 +91,43 @@ def test_hash_join_kernel(env, benchmark):
         "WHERE R.record_id = 0"
     )
     benchmark.pedantic(lambda: env.ei.execute(sql), rounds=3, iterations=1)
+
+
+@pytest.fixture(scope="module")
+def wide_scan_db(tmp_path_factory):
+    """What a wide scan's stage 2 joins: 3 stations x 3 channels x 2 days
+    at 0.2 Hz — 18 files, ~311k samples, 24 records a file — loaded without
+    key indexes, so the join below is the hash join rule (1) plans."""
+    root = tmp_path_factory.mktemp("wide_scan")
+    generate_repository(
+        root,
+        RepositorySpec(
+            stations=("ISK", "ANK", "IZM"),
+            channels=("BHE", "BHN", "BHZ"),
+            days=2,
+            sample_rate=0.2,
+            samples_per_record=720,
+        ),
+    )
+    db = Database()
+    eager_ingest(db, FileRepository(root), build_indexes=False)
+    db.warm_all()
+    return db
+
+
+def test_rule_one_join_kernel(wide_scan_db, benchmark):
+    """Rule (1)'s join under AVG: every mounted sample (probe side, left)
+    against a ~400-row stage-1 result (build side, right) on
+    (uri, record_id) — the shape that dominates a wide scan's stage 2."""
+    sql = (
+        "SELECT AVG(D.sample_value) FROM D JOIN R "
+        "ON D.uri = R.uri AND D.record_id = R.record_id "
+        "WHERE R.record_id > 0"
+    )
+    result = benchmark.pedantic(
+        lambda: wide_scan_db.execute(sql), rounds=20, iterations=1
+    )
+    assert result.num_rows == 1
 
 
 def test_aggregation_kernel(env, benchmark):

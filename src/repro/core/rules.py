@@ -28,6 +28,7 @@ from ..db.plan.logical import (
     UnionAll,
 )
 from ..db.interval import is_empty
+from ..db.plan.rewrite import prune_columns
 from ..db.types import DataType
 from .cache import IngestionCache, Interval, WHOLE_FILE
 from .mounting import interval_from_predicate
@@ -146,7 +147,13 @@ def apply_ali_rewrite(
     report: Optional[RewriteReport] = None,
 ) -> LogicalPlan:
     """Rewrite every actual scan in ``Qs`` whose alias has a files-of-interest
-    entry. ``Select(Scan)`` shapes fuse their selection into the branches."""
+    entry. ``Select(Scan)`` shapes fuse their selection into the branches.
+
+    Column pruning then runs once more: a column only the fused selection
+    read (``d.sample_time`` under a time window) leaves every branch's
+    output — the mounter still filters, and caches, the whole extracted
+    batch before the branch selects its columns.
+    """
 
     def rewrite(node: LogicalPlan) -> LogicalPlan:
         if isinstance(node, Select) and isinstance(node.child, Scan):
@@ -172,4 +179,4 @@ def apply_ali_rewrite(
             return node
         return node.with_children([rewrite(child) for child in children])
 
-    return rewrite(qs)
+    return prune_columns(rewrite(qs))

@@ -17,6 +17,9 @@ from ..column import Column
 from ..errors import TypeError_
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def factorize(column: Column) -> tuple[np.ndarray, int]:
     """Map a column to int64 codes preserving value order.
 
@@ -29,7 +32,12 @@ def factorize(column: Column) -> tuple[np.ndarray, int]:
     if column.dictionary is not None:
         ranks = column.dictionary.sort_ranks()
         return ranks[column.values], len(ranks)
-    uniques, inverse = np.unique(column.values, return_inverse=True)
+    return _ordered_codes(column.values)
+
+
+def _ordered_codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``np.unique``'s inverse: dense codes in value order."""
+    uniques, inverse = np.unique(values, return_inverse=True)
     return inverse.astype(np.int64), len(uniques)
 
 
@@ -37,16 +45,22 @@ def combined_codes(columns: Sequence[Column]) -> np.ndarray:
     """Collapse several key columns into one int64 code per row.
 
     Row equality on the combined code is equivalent to tuple equality on the
-    original keys; ordering follows the left-to-right tuple order.
+    original keys; ordering follows the left-to-right tuple order. Codes are
+    a product of per-column cardinalities; when the next product would pass
+    int64, the codes built so far are re-factorized first (at most one code
+    per row, still in tuple order), so no key tuple ever wraps onto another.
     """
     if not columns:
         raise ValueError("combined_codes requires at least one column")
-    codes, card = factorize(columns[0])
+    codes, space = factorize(columns[0])
     for column in columns[1:]:
         next_codes, next_card = factorize(column)
         if next_card == 0:
             return codes
+        if space * next_card > _INT64_MAX:
+            codes, space = _ordered_codes(codes)
         codes = codes * np.int64(next_card) + next_codes
+        space *= next_card
     return codes
 
 
@@ -82,17 +96,35 @@ def join_codes(
     (the engine's stand-in for NULL) equals nothing, itself included, so it
     never joins and never satisfies ``IN`` — unlike :func:`factorize`, which
     gives all NaNs one code so they group and sort together.
+
+    The code space is dense: every code is below ``len(left) + len(right) +
+    1``, so a matcher can address codes directly. Positions combine as a
+    product of their cardinalities; when the next product would exceed that
+    bound, the codes built so far are re-factorized first — onto the
+    shorter side's distinct tuples plus one no-match code — and once more
+    at the end if the last product did.
     """
     if len(left_columns) != len(right_columns):
         raise ValueError("join key arity mismatch")
-    n_left = len(left_columns[0]) if left_columns else 0
-    left_codes = np.zeros(n_left, dtype=np.int64)
-    n_right = len(right_columns[0]) if right_columns else 0
-    right_codes = np.zeros(n_right, dtype=np.int64)
-    for left_col, right_col in zip(left_columns, right_columns):
-        left_part, right_part, card = _shared_codes(left_col, right_col)
-        left_codes = left_codes * card + left_part
-        right_codes = right_codes * card + right_part
+    if not left_columns:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    positions = [
+        _shared_codes(left_col, right_col)
+        for left_col, right_col in zip(left_columns, right_columns)
+    ]
+    bound = len(left_columns[0]) + len(right_columns[0]) + 1
+    left_codes, right_codes, space = positions[0]
+    for left_part, right_part, card in positions[1:]:
+        # Python ints: the bound check itself cannot wrap.
+        if space * card > bound:
+            left_codes, right_codes, space = _probe_shorter(
+                left_codes, right_codes
+            )
+        left_codes = left_codes * np.int64(card) + left_part
+        right_codes = right_codes * np.int64(card) + right_part
+        space *= card
+    if space > bound:
+        left_codes, right_codes, space = _probe_shorter(left_codes, right_codes)
     return left_codes, right_codes
 
 
@@ -118,20 +150,37 @@ def _shared_codes(
             return left.values, table[right.values], len(left_dict) + 1
         table = left_dict.translate_to(right_dict)
         return table[left.values], right.values, len(right_dict) + 1
+    return _probe_shorter(left.values, right.values)
+
+
+def _probe_shorter(
+    left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Codes for one key of raw values: build on the shorter side, probe
+    the other (also how :func:`join_codes` re-factorizes its codes)."""
     if len(right) <= len(left):
-        right_part, left_part, card = _build_and_probe(right.values, left.values)
-        return left_part, right_part, card
-    return _build_and_probe(left.values, right.values)
+        right_codes, left_codes, card = _build_and_probe(right, left)
+        return left_codes, right_codes, card
+    return _build_and_probe(left, right)
 
 
 def _build_and_probe(
     build: np.ndarray, probe: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factorize ``build``; look ``probe`` up in its sorted distinct values.
+    """Factorize ``build``; give each ``probe`` value its build code.
 
-    The lookup confirms each hit with ``==``, which is what keeps NaN from
-    matching NaN.
+    Integers whose build side spans a value range no larger than the two
+    inputs together are looked up in a table indexed by the offset from the
+    build minimum. Anything else goes through the build side's sorted
+    distinct values, each hit confirmed with ``==``, which is what keeps NaN
+    from matching NaN. A probe value the build side lacks gets the one
+    extra no-match code.
     """
+    if len(build) and build.dtype.kind == "i" and probe.dtype.kind == "i":
+        low, high = build.min(), build.max()
+        # Python ints: the span of keys near both int64 bounds cannot wrap.
+        if int(high) - int(low) < len(build) + len(probe):
+            return _table_lookup(build, probe, low, high)
     uniques, build_codes = np.unique(build, return_inverse=True)
     miss = len(uniques)
     if miss == 0:
@@ -140,6 +189,31 @@ def _build_and_probe(
     position[position == miss] = 0
     probe_codes = np.where(uniques[position] == probe, position, miss)
     return build_codes, probe_codes, miss + 1
+
+
+def _table_lookup(
+    build: np.ndarray, probe: np.ndarray, low: np.integer, high: np.integer
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_build_and_probe` through a table over ``[low, high]``.
+
+    Only values inside that range are ever offset from ``low``, so every
+    offset is a valid table index: a probe value outside the range is a
+    miss, never a wrapped neighbour.
+    """
+    origin = np.int64(low)
+    build_offsets = build - origin
+    present = np.zeros(int(high) - int(low) + 1, dtype=bool)
+    present[build_offsets] = True
+    table = np.cumsum(present) - 1
+    miss = int(table[-1]) + 1
+    table[~present] = miss
+    inside = (probe >= low) & (probe <= high)
+    if inside.all():
+        probe_codes = table[probe - origin]
+    else:
+        probe_codes = np.full(len(probe), miss, dtype=np.int64)
+        probe_codes[inside] = table[probe[inside] - origin]
+    return table[build_offsets], probe_codes, miss + 1
 
 
 def sort_indices(

@@ -124,21 +124,30 @@ class Project(LogicalPlan):
 
 @dataclass(eq=False)
 class Join(LogicalPlan):
-    """⋈ — inner join; ``condition`` None means a cartesian product."""
+    """⋈ — inner join; ``condition`` None means a cartesian product.
+
+    The output is both sides' columns, left then right, unless
+    ``declared_output`` names the subset (same order) the plan above reads:
+    column pruning records it, so the join materializes only those.
+    """
 
     left: LogicalPlan
     right: LogicalPlan
     condition: Optional[Expr]
+    declared_output: Optional[OutputSchema] = None
 
     def __post_init__(self) -> None:
-        self.output = list(self.left.output) + list(self.right.output)
+        if self.declared_output is not None:
+            self.output = list(self.declared_output)
+        else:
+            self.output = list(self.left.output) + list(self.right.output)
 
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.left, self.right)
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Join":
         left, right = children
-        return Join(left, right, self.condition)
+        return Join(left, right, self.condition, self.declared_output)
 
     def label(self) -> str:
         if self.condition is None:

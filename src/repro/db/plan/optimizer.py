@@ -283,7 +283,10 @@ class PhysicalPlanner:
         )
         if not pairs:
             return PNestedLoopJoin(
-                self.plan(node.left), self.plan(node.right), node.condition
+                self.plan(node.left),
+                self.plan(node.right),
+                node.output_keys(),
+                node.condition,
             )
         if self.use_indexes:
             indexed = self._try_index_join(node, pairs, residual)
@@ -294,6 +297,7 @@ class PhysicalPlanner:
             self.plan(node.right),
             [lk for lk, _ in pairs],
             [rk for _, rk in pairs],
+            node.output_keys(),
             residual,
             index_sideload=self._sideload_indexes(node, pairs),
         )
@@ -374,6 +378,7 @@ class PhysicalPlanner:
                 alias=scan.alias,
                 stored_columns=stored_columns,
                 index=index,
+                output_names=node.output_keys(),
                 stored_predicate=stored_predicate,
                 residual=residual,
                 probe_on_left=probe_on_left,

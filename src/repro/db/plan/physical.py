@@ -21,7 +21,7 @@ from ..buffer import BufferManager, index_object_name, table_object_name
 from ..catalog import Catalog
 from ..column import Column
 from ..errors import ExecutionError
-from ..expr import Expr
+from ..expr import Expr, conjoin
 from ..index import HashIndex
 from ..table import ColumnBatch, concat_batches
 from ..types import DataType
@@ -308,6 +308,7 @@ class PHashJoin(PhysicalOp):
     right: PhysicalOp
     left_keys: list[str]
     right_keys: list[str]
+    output_names: list[str]
     residual: Optional[Expr] = None
     index_sideload: list[HashIndex] = field(default_factory=list)
 
@@ -323,16 +324,56 @@ class PHashJoin(PhysicalOp):
         right_cols = [right_batch.column(k) for k in self.right_keys]
         left_codes, right_codes = join_codes(left_cols, right_cols)
         left_idx, right_idx = _match_codes(left_codes, right_codes)
-        joined = ColumnBatch(
-            left_batch.names + right_batch.names,
-            [c.take(left_idx) for c in left_batch.columns]
-            + [c.take(right_idx) for c in right_batch.columns],
+        joined = _materialize(
+            left_batch, right_batch, left_idx, right_idx,
+            self.residual, self.output_names,
         )
-        if self.residual is not None:
-            mask = self.residual.evaluate(joined).values
-            joined = joined.filter(mask)
         ctx.stats.rows_joined += joined.num_rows
         return joined
+
+
+def _materialize(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
+    predicate: Optional[Expr],
+    output_names: list[str],
+) -> ColumnBatch:
+    """The joined rows ``(left[left_idx[i]], right[right_idx[i]])`` that
+    satisfy ``predicate``, as the columns ``output_names``.
+
+    Late materialization: only the columns ``predicate`` reads are gathered
+    before it is applied, and only ``output_names`` after, so a column
+    nothing above the join reads is never taken.
+    """
+    if predicate is not None:
+        references = predicate.references()
+        names = [n for n in left.names + right.names if n in references]
+        mask = predicate.evaluate(
+            _gather(left, right, left_idx, right_idx, names)
+        ).values
+        left_idx, right_idx = left_idx[mask], right_idx[mask]
+    return _gather(left, right, left_idx, right_idx, output_names)
+
+
+def _gather(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
+    names: list[str],
+) -> ColumnBatch:
+    left_names = set(left.names)
+    return ColumnBatch(
+        names,
+        [
+            left.column(n).take(left_idx)
+            if n in left_names
+            else right.column(n).take(right_idx)
+            for n in names
+        ],
+    )
 
 
 def _match_codes(
@@ -340,23 +381,37 @@ def _match_codes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (left, right) index pairs with equal codes (inner-join core).
 
-    Pairs come out in left row order, and within one left row in right row
-    order — an order that depends on which codes are equal, never on their
-    values.
+    The codes are :func:`join_codes`' dense ones, so the right (build) side
+    is addressed directly by code. When no right code repeats — every key
+    join of a key table — a slot table holds each code's one row and a probe
+    is one gather; otherwise the right rows are laid out per code (CSR: a
+    ``bincount`` of offsets over a stable order) and each left row takes its
+    code's run. Pairs come out in left row order, and within one left row in
+    right row order — an order that depends on which codes are equal, never
+    on their values.
     """
-    order = np.argsort(right_codes, kind="stable")
-    sorted_codes = right_codes[order]
-    starts = np.searchsorted(sorted_codes, left_codes, side="left")
-    ends = np.searchsorted(sorted_codes, left_codes, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    if len(left_codes) == 0 or len(right_codes) == 0:
         return empty, empty
-    left_idx = np.repeat(np.arange(len(left_codes)), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    within = np.arange(total) - np.repeat(offsets, counts)
-    right_idx = order[np.repeat(starts, counts) + within]
+    space = int(max(left_codes.max(), right_codes.max())) + 1
+    rows = np.arange(len(right_codes))
+    slot = np.full(space, -1, dtype=np.int64)
+    slot[right_codes] = rows
+    if np.array_equal(slot[right_codes], rows):
+        hits = slot[left_codes]
+        left_idx = np.flatnonzero(hits >= 0)
+        return left_idx, hits[left_idx]
+    counts = np.bincount(right_codes, minlength=space)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(right_codes, kind="stable")
+    runs = counts[left_codes]
+    total = int(runs.sum())
+    if total == 0:
+        return empty, empty
+    left_idx = np.repeat(np.arange(len(left_codes)), runs)
+    run_offsets = np.cumsum(runs) - runs
+    within = np.arange(total) - np.repeat(run_offsets, runs)
+    right_idx = order[np.repeat(starts[left_codes], runs) + within]
     return left_idx, right_idx
 
 
@@ -366,6 +421,7 @@ class PNestedLoopJoin(PhysicalOp):
 
     left: PhysicalOp
     right: PhysicalOp
+    output_names: list[str]
     condition: Optional[Expr] = None
 
     def _run(self, ctx: ExecutionContext) -> ColumnBatch:
@@ -374,14 +430,10 @@ class PNestedLoopJoin(PhysicalOp):
         n_left, n_right = left_batch.num_rows, right_batch.num_rows
         left_idx = np.repeat(np.arange(n_left), n_right)
         right_idx = np.tile(np.arange(n_right), n_left)
-        joined = ColumnBatch(
-            left_batch.names + right_batch.names,
-            [c.take(left_idx) for c in left_batch.columns]
-            + [c.take(right_idx) for c in right_batch.columns],
+        joined = _materialize(
+            left_batch, right_batch, left_idx, right_idx,
+            self.condition, self.output_names,
         )
-        if self.condition is not None:
-            mask = self.condition.evaluate(joined).values
-            joined = joined.filter(mask)
         ctx.stats.rows_joined += joined.num_rows
         return joined
 
@@ -402,6 +454,7 @@ class PIndexJoin(PhysicalOp):
     alias: str
     stored_columns: list[tuple[str, str, DataType]]
     index: HashIndex
+    output_names: list[str]
     stored_predicate: Optional[Expr] = None
     residual: Optional[Expr] = None
     probe_on_left: bool = True
@@ -430,25 +483,18 @@ class PIndexJoin(PhysicalOp):
                 table_object_name(self.table_name, column_name), column.nbytes()
             )
             names.append(key)
-            cols.append(column.take(build_rowids))
-        build_batch = ColumnBatch(names, cols)
-        probe_side = probe_batch.take(probe_idx)
-        if self.probe_on_left:
-            joined = ColumnBatch(
-                probe_side.names + build_batch.names,
-                probe_side.columns + build_batch.columns,
-            )
-        else:
-            joined = ColumnBatch(
-                build_batch.names + probe_side.names,
-                build_batch.columns + probe_side.columns,
-            )
-        if self.stored_predicate is not None:
-            mask = self.stored_predicate.evaluate(joined).values
-            joined = joined.filter(mask)
-        if self.residual is not None:
-            mask = self.residual.evaluate(joined).values
-            joined = joined.filter(mask)
+            cols.append(column)
+        stored = ColumnBatch(names, cols)
+        sides = [(probe_batch, probe_idx), (stored, build_rowids)]
+        if not self.probe_on_left:
+            sides.reverse()
+        (left, left_idx), (right, right_idx) = sides
+        predicate = conjoin(
+            [p for p in (self.stored_predicate, self.residual) if p is not None]
+        )
+        joined = _materialize(
+            left, right, left_idx, right_idx, predicate, self.output_names
+        )
         ctx.stats.rows_joined += joined.num_rows
         return joined
 

@@ -10,12 +10,13 @@ Three families of rules run before execution:
   ``a1 ⋈ (a2 ⋈ (… (ay ⋈ (m1 ⋈ (m2 ⋈ (… ⋈ mx))))))``
   so the metadata branch ``Q_f`` is a connected subtree that can be cut off
   and run as stage 1,
-* column pruning, so scans only materialize (and charge I/O for) columns the
-  query needs.
+* column pruning, so scans, joins and mounts only materialize (and charge
+  I/O for) columns the query needs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from ..expr import Expr, conjoin, conjuncts
@@ -24,10 +25,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (stats imports plan.logical)
     from ..stats import StatisticsCatalog
 from .logical import (
     Aggregate,
+    CacheScan,
     Distinct,
     Join,
     Limit,
     LogicalPlan,
+    Mount,
+    OutputSchema,
     Project,
     Scan,
     Select,
@@ -227,8 +231,8 @@ def cost_based_join_order(
 ) -> LogicalPlan:
     """Orient each join so the estimated-smaller side is the hash build side.
 
-    The hash join builds on its *right* input (``_match_codes`` sorts the
-    right side's codes and binary-searches left probes into them), so when
+    The hash join builds on its *right* input (``_match_codes`` addresses
+    the right side's codes directly and probes left rows into them), so when
     cardinality estimates say the left side is smaller the join is flipped.
     Swaps only happen between sides with the same metadata classification:
     flipping an actual side past a metadata side would undo the paper's
@@ -256,16 +260,29 @@ def cost_based_join_order(
 
 
 def prune_columns(plan: LogicalPlan) -> LogicalPlan:
-    """Trim Scan outputs to the columns the rest of the plan references."""
+    """Trim each node's output to the columns the plan above it reads.
+
+    Scans, joins and the ALi access paths (Mount / CacheScan and their
+    union) produce only what their consumers reference; a join's own
+    condition is read inside it, not passed up. Run once at compile time
+    and once more after rule (1), when a fused predicate has moved into the
+    mounts and the columns only it reads can leave their outputs too.
+    """
     return _prune(plan, set(plan.output_keys()))
+
+
+def _kept(output: OutputSchema, required: set[str]) -> OutputSchema:
+    """``output`` restricted to ``required`` — never to nothing, since even
+    COUNT(*) needs some column to carry the row count."""
+    kept = [(key, dtype) for key, dtype in output if key in required]
+    return kept or list(output[:1])
 
 
 def _prune(plan: LogicalPlan, required: set[str]) -> LogicalPlan:
     if isinstance(plan, Scan):
-        kept = [(key, dtype) for key, dtype in plan.output if key in required]
-        if not kept:  # e.g. COUNT(*) needs some column to count rows
-            kept = [plan.output[0]]
-        return Scan(plan.table_name, plan.alias, kept)
+        return Scan(plan.table_name, plan.alias, _kept(plan.output, required))
+    if isinstance(plan, (Mount, CacheScan)):
+        return replace(plan, output=_kept(plan.output, required))
     if isinstance(plan, Select):
         child = _prune(plan.child, required | plan.predicate.references())
         return Select(child, plan.predicate)
@@ -282,7 +299,8 @@ def _prune(plan: LogicalPlan, required: set[str]) -> LogicalPlan:
         right_keys = set(plan.right.output_keys())
         left = _prune(plan.left, needed & left_keys)
         right = _prune(plan.right, needed & right_keys)
-        return Join(left, right, plan.condition)
+        declared = _kept(list(left.output) + list(right.output), required)
+        return Join(left, right, plan.condition, declared)
     if isinstance(plan, Aggregate):
         needed = set()
         for _, expr in plan.groups:
@@ -312,13 +330,18 @@ def _prune(plan: LogicalPlan, required: set[str]) -> LogicalPlan:
         subplan = _prune(plan.subplan, set(plan.subplan.output_keys()))
         return SemiJoin(child, plan.operand, subplan, plan.negated)
     if isinstance(plan, UnionAll):
-        # Branch outputs must stay aligned with the union's schema, so prune
-        # with the union's own keys (not the caller's subset) and keep the
-        # declared schema for the zero-branch case.
-        union_keys = set(plan.output_keys())
+        # Rule (1)'s union of per-file access paths narrows to what its
+        # consumer reads; any other union keeps its declared schema. Either
+        # way every branch is pruned to the union's keys, so branch outputs
+        # stay aligned, and the declared schema keeps the zero-branch case
+        # well-defined.
+        output = list(plan.output)
+        if all(isinstance(b, (Mount, CacheScan)) for b in plan.inputs):
+            output = _kept(output, required)
+        union_keys = {key for key, _ in output}
         inputs = [_prune(child, union_keys) for child in plan.inputs]
-        return UnionAll(inputs, plan.declared_output or list(plan.output))
-    # Access paths (ResultScan/CacheScan/Mount) keep their full output.
+        return UnionAll(inputs, output)
+    # A result-scan keeps the whole stage-1 result it re-reads.
     children = [
         _prune(child, set(child.output_keys())) for child in plan.children()
     ]

@@ -12,8 +12,9 @@ node when one is violated:
 * **type consistency** — a :class:`~repro.db.expr.ColumnRef`'s declared type
   matches the type the child schema assigns that key,
 * **schema shape** — node outputs are well-formed ``(key, DataType)`` lists
-  with no duplicate keys, and structural nodes (Select/Sort/Limit/Distinct)
-  pass their child schema through unchanged,
+  with no duplicate keys, structural nodes (Select/Sort/Limit/Distinct)
+  pass their child schema through unchanged, and a Join outputs a subset
+  of its two sides' columns, in their order,
 * **union alignment** — every :class:`~repro.db.plan.logical.UnionAll`
   branch produces exactly the union's declared schema (rule (1)'s per-file
   branches must agree before they are concatenated),
@@ -225,9 +226,12 @@ def _check_node(node: LogicalPlan, pass_name: str) -> None:
                 raise PlanInvariantError(
                     pass_name, "join condition must be boolean", node
                 )
+        both = list(left) + list(right)
+        kept = [entry for entry in both if entry in node.output]
         _require_same_schema(
-            node, node.output, list(left) + list(right), pass_name,
-            "Join output must be left schema + right schema",
+            node, node.output, kept, pass_name,
+            "Join output must be a subset of left schema + right schema, "
+            "in that order",
         )
     elif isinstance(node, Aggregate):
         scope = _scope_of(node.child.output)
@@ -379,11 +383,11 @@ def physical_output_keys(op: PhysicalOp) -> list[str]:
     if isinstance(op, PProject):
         return [name for name, _ in op.items]
     if isinstance(op, (PHashJoin, PNestedLoopJoin)):
-        return physical_output_keys(op.left) + physical_output_keys(op.right)
+        inputs = physical_output_keys(op.left) + physical_output_keys(op.right)
+        return _join_output(op, inputs)
     if isinstance(op, PIndexJoin):
-        probe = physical_output_keys(op.probe)
         stored = [key for _, key, _ in op.stored_columns]
-        return probe + stored if op.probe_on_left else stored + probe
+        return _join_output(op, physical_output_keys(op.probe) + stored)
     if isinstance(op, PSemiJoin):
         return physical_output_keys(op.child)
     if isinstance(op, PAggregate):
@@ -401,6 +405,20 @@ def physical_output_keys(op: PhysicalOp) -> list[str]:
         f"unknown physical operator {type(op).__name__}",
         op,
     )
+
+
+def _join_output(
+    op: PHashJoin | PNestedLoopJoin | PIndexJoin, inputs: list[str]
+) -> list[str]:
+    """A join's declared output, which its inputs must all produce."""
+    missing = [key for key in op.output_names if key not in inputs]
+    if missing:
+        raise PlanInvariantError(
+            "physical-lowering",
+            f"join outputs {missing}, which neither input produces",
+            op,
+        )
+    return list(op.output_names)
 
 
 def verify_physical(

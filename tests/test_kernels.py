@@ -308,3 +308,98 @@ class TestStringKernelsAgainstDecodedValues:
         assert ngroups == len(in_key_order)
         assert representatives.tolist() == [first_seen[k] for k in in_key_order]
         assert group_ids.tolist() == [in_key_order.index(row) for row in rows]
+
+
+# -- dense join codes ------------------------------------------------------------
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# Few values (duplicates on both sides), many values (products of per-key
+# cardinalities that outgrow the rows, forcing re-factorization), negative
+# keys and keys at both int64 bounds (a lookup table offset must not wrap).
+WIDE_INTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-400, 400),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, INT64_MAX - 1, INT64_MAX]),
+)
+DENSE_JOIN_KEY_VALUES = {
+    DataType.INT64: WIDE_INTS,
+    DataType.TIMESTAMP: WIDE_INTS,
+    DataType.FLOAT64: st.sampled_from([-1.5, -0.0, 0.0, 2.25, float("nan")]),
+    DataType.STRING: st.text(alphabet="abé", max_size=3),
+}
+
+
+class TestDenseJoinCodes:
+    @given(
+        keyed_rows(
+            sides=2, values=DENSE_JOIN_KEY_VALUES, max_keys=5, max_rows=30
+        )
+    )
+    def test_pairs_order_and_density(self, drawn):
+        dtypes, (left, right), (left_pad, right_pad) = drawn
+        left_codes, right_codes = join_codes(
+            key_columns(dtypes, left, left_pad),
+            key_columns(dtypes, right, right_pad),
+        )
+        bound = len(left) + len(right) + 1
+        assert all(0 <= code < bound for code in left_codes.tolist())
+        assert all(0 <= code < bound for code in right_codes.tolist())
+        left_idx, right_idx = _match_codes(left_codes, right_codes)
+        got = list(zip(left_idx.tolist(), right_idx.tolist()))
+        assert got == nested_loop_pairs(left, right)
+
+    def test_products_past_the_rows_are_refactorized(self):
+        # Five keys of 12 distinct values each: 13^5 codes before density.
+        rows = [tuple(i * (k + 1) for k in range(5)) for i in range(12)]
+        probes = rows[::-1] + [(0, 0, 0, 0, 1), (11, 22, 33, 44, 0)]
+        columns = [int_col([r[k] for r in probes]) for k in range(5)]
+        builds = [int_col([r[k] for r in rows]) for k in range(5)]
+        left_codes, right_codes = join_codes(columns, builds)
+        assert max(left_codes.max(), right_codes.max()) < len(probes) + 13
+        assert joined_pairs(columns, builds) == nested_loop_pairs(probes, rows)
+
+    def test_repeated_build_codes_keep_right_row_order(self):
+        left = int_col([2, 1, 2, 9])
+        right = int_col([1, 2, 2, 1, 2])
+        assert joined_pairs([left], [right]) == [
+            (0, 1), (0, 2), (0, 4), (1, 0), (1, 3), (2, 1), (2, 2), (2, 4),
+        ]
+
+    def test_lookup_table_misses_keys_outside_the_build_range(self):
+        left = int_col([INT64_MIN, -1, 0, 5, 6, INT64_MAX])
+        right = int_col([5, 0, 3])
+        assert joined_pairs([left], [right]) == [(2, 1), (3, 0)]
+
+
+class TestCodeOverflow:
+    """Five keys of 65 536 values each: a product of cardinalities is 2^80,
+    which wraps int64 onto other tuples unless the codes are re-factorized."""
+
+    WIDTH = 5
+    CARD = 1 << 16
+
+    def _diagonal(self, count):
+        return [(i,) * self.WIDTH for i in range(count)]
+
+    def _columns(self, rows):
+        return [int_col([r[k] for r in rows]) for k in range(self.WIDTH)]
+
+    def test_distinct_and_group_by_keep_every_tuple(self):
+        # (1, 0, 0, 0, 0) and (2, 0, 0, 0, 0) wrap onto (0, 0, 0, 0, 0).
+        rows = self._diagonal(self.CARD) + [(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)]
+        codes = combined_codes(self._columns(rows))
+        assert len(first_occurrence_indices(codes)) == len(rows)
+        group_ids, _, ngroups = group_by_codes(codes)
+        assert ngroups == len(rows)
+        # Code order is still tuple order after re-factorization.
+        order = np.argsort(codes, kind="stable")
+        assert [rows[i] for i in order] == sorted(rows)
+
+    def test_absent_probe_matches_nothing(self):
+        build = self._diagonal(self.CARD - 1)
+        probe = build + [(1, 0, 0, 0, 0)]
+        left_idx, right_idx = _match_codes(
+            *join_codes(self._columns(probe), self._columns(build))
+        )
+        assert len(left_idx) == len(build)
+        assert left_idx.tolist() == right_idx.tolist() == list(range(len(build)))
