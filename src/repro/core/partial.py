@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from ..db.errors import PlanError
+from ..db.errors import ExecutionError, PlanError
 from ..db.plan.logical import Aggregate, AggSpec, LogicalPlan
 from ..db.types import DataType
 
@@ -45,8 +45,9 @@ def expand_partial_specs(
 ) -> tuple[list[AggSpec], list[_PartialPlanEntry]]:
     """Expand final aggregates into per-file partial aggregates.
 
-    AVG(x) becomes SUM(x) and COUNT(x); everything else keeps its function.
-    Duplicate partials are shared (AVG(x) + SUM(x) compute SUM(x) once).
+    AVG(x) becomes SUM(x) and COUNT(x), MIN/MAX(x) carry COUNT(x) beside
+    the extremum; everything else keeps its function. Duplicate partials
+    are shared (AVG(x) + SUM(x) compute SUM(x) once).
     """
     partials: list[AggSpec] = []
     keys: dict[tuple, str] = {}
@@ -74,26 +75,27 @@ def expand_partial_specs(
     for spec in aggs:
         if spec.func not in DECOMPOSABLE_FUNCS or spec.distinct:
             raise PlanError(f"aggregate {spec.label()} is not decomposable")
-        if spec.func == "avg":
-            names = (partial_for("sum", spec), partial_for("count", spec))
+        if spec.func in ("avg", "min", "max"):
+            first = "sum" if spec.func == "avg" else spec.func
+            names = (partial_for(first, spec), partial_for("count", spec))
         else:
             names = (partial_for(spec.func, spec),)
         plan.append(_PartialPlanEntry(spec.func, names, spec.dtype))
     return partials, plan
 
 
-def _merge_extremum(func: str, current: Any, value: Any) -> Any:
-    """Fold one MIN/MAX partial into the running extremum.
+def _fits_int64(value: Any) -> bool:
+    return not isinstance(value, int) or -(1 << 63) <= value < 1 << 63
 
-    A file whose rows were all filtered away contributes the engine's
-    empty-input marker (NaN for float MIN/MAX) — the identity of the merge,
-    not a data value. Python's ``min``/``max`` would instead propagate a NaN
-    that arrives first, so NaN partials must be skipped explicitly.
+
+def _merge_extremum(func: str, current: Any, value: Any) -> Any:
+    """Fold one non-empty MIN/MAX partial into a non-empty running extremum.
+
+    A NaN value wins either way, as it does in the bulk aggregate; Python's
+    ``min``/``max`` would keep or drop it depending on the argument order.
     """
-    if value != value:  # NaN: empty partial
-        return current
-    if current != current:
-        return value
+    if value != value or current != current:
+        return float("nan")
     return min(current, value) if func == "min" else max(current, value)
 
 
@@ -107,6 +109,15 @@ class PartialMerger:
         # group key tuple -> list of per-partial accumulated values
         self._state: dict[tuple, list[Any]] = {}
         self.files_merged = 0
+        # A MIN/MAX partial's position -> its row count's. A file whose rows
+        # were all filtered away contributes the engine's empty-input marker
+        # (0 or NaN) as its extremum: not a value, and its count says so.
+        position = {s.out_name: i for i, s in enumerate(self.partial_specs)}
+        self._rows_of = {
+            position[entry.partial_names[0]]: position[entry.partial_names[1]]
+            for entry in self._plan
+            if entry.func in ("min", "max")
+        }
 
     def partial_aggregate_node(self, child: LogicalPlan) -> Aggregate:
         """The Aggregate node to run over one file's sub-plan."""
@@ -124,11 +135,16 @@ class PartialMerger:
             if state is None:
                 self._state[key] = list(values)
                 continue
+            before = list(state)
             for i, (spec, value) in enumerate(zip(self.partial_specs, values)):
                 if spec.func in ("sum", "count"):
-                    state[i] = state[i] + value
-                else:  # min / max
-                    state[i] = _merge_extremum(spec.func, state[i], value)
+                    state[i] = before[i] + value
+                elif values[self._rows_of[i]]:  # a min / max over some rows
+                    state[i] = (
+                        _merge_extremum(spec.func, before[i], value)
+                        if before[self._rows_of[i]]
+                        else value
+                    )
         self.files_merged += 1
 
     def finalized_rows(self) -> list[tuple]:
@@ -145,6 +161,9 @@ class PartialMerger:
                 if entry.func == "avg":
                     total, count = values
                     finals.append(total / count if count else float("nan"))
+                elif entry.func == "sum" and not _fits_int64(values[0]):
+                    # Per-file sums fit; their exact total does not.
+                    raise ExecutionError("integer SUM overflows int64")
                 else:
                     finals.append(values[0])
             out.append(tuple(key) + tuple(finals))

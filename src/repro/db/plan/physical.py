@@ -556,8 +556,9 @@ def _aggregate(
     """Compute one aggregate over grouped rows.
 
     The engine has no NULLs; over empty input a scalar aggregate yields 0 for
-    COUNT/integer SUM and NaN for floating-point results (documented
-    simplification).
+    COUNT and SUM (0.0 for a float SUM) and NaN for the other floating-point
+    results (documented simplification). Integer SUM is exact, or raises
+    :class:`ExecutionError` when the total does not fit int64.
     """
     if spec.arg is None:  # COUNT(*)
         counts = np.bincount(group_ids, minlength=ngroups)
@@ -574,6 +575,10 @@ def _aggregate(
     if spec.func == "count":
         counts = np.bincount(group_ids, minlength=ngroups)
         return Column(DataType.INT64, counts.astype(np.int64))
+    if spec.func == "sum" and spec.dtype is DataType.INT64:
+        return Column(
+            DataType.INT64, _int_sums(arg_col.values, group_ids, ngroups)
+        )
     if spec.func in ("sum", "avg"):
         values = arg_col.values.astype(np.float64)
         sums = np.bincount(group_ids, weights=values, minlength=ngroups)
@@ -582,12 +587,27 @@ def _aggregate(
             with np.errstate(invalid="ignore", divide="ignore"):
                 result = sums / counts
             return Column(DataType.FLOAT64, result)
-        if spec.dtype is DataType.INT64:
-            return Column(DataType.INT64, sums.astype(np.int64))
         return Column(DataType.FLOAT64, sums)
     if spec.func in ("min", "max"):
         return _min_max(spec, arg_col, group_ids, ngroups)
     raise ExecutionError(f"unknown aggregate {spec.func!r}")
+
+
+def _int_sums(
+    values: np.ndarray, group_ids: np.ndarray, ngroups: int
+) -> np.ndarray:
+    """Exact int64 sums per group. Each value is split into its high and
+    low 32 bits, whose per-group sums cannot overflow; a total outside
+    int64 raises instead of wrapping."""
+    values = values.astype(np.int64, copy=False)
+    high = np.zeros(ngroups, dtype=np.int64)
+    low = np.zeros(ngroups, dtype=np.int64)
+    np.add.at(high, group_ids, values >> 32)
+    np.add.at(low, group_ids, values & 0xFFFFFFFF)
+    high += low >> 32
+    if ((high < -(1 << 31)) | (high >= 1 << 31)).any():
+        raise ExecutionError("integer SUM overflows int64")
+    return (high << 32) | (low & 0xFFFFFFFF)
 
 
 def _min_max(
@@ -604,19 +624,19 @@ def _min_max(
             for r in best
         ]
         return Column.from_pylist(DataType.STRING, values)
-    values = arg_col.values
-    if spec.func == "min":
-        fill = np.inf if values.dtype.kind == "f" else np.iinfo(np.int64).max
-        out = np.full(ngroups, fill, dtype=np.float64)
-        np.minimum.at(out, group_ids, values.astype(np.float64))
+    # Integer extremes stay int64: a float64 detour rounds values past 2**53.
+    exact = spec.dtype in (DataType.INT64, DataType.TIMESTAMP)
+    if exact:
+        info = np.iinfo(np.int64)
+        low, high, dtype = info.min, info.max, np.int64
     else:
-        fill = -np.inf if values.dtype.kind == "f" else np.iinfo(np.int64).min
-        out = np.full(ngroups, fill, dtype=np.float64)
-        np.maximum.at(out, group_ids, values.astype(np.float64))
+        low, high, dtype = -np.inf, np.inf, np.float64
+    out = np.full(ngroups, high if spec.func == "min" else low, dtype=dtype)
+    reduce = np.minimum if spec.func == "min" else np.maximum
+    reduce.at(out, group_ids, arg_col.values.astype(dtype, copy=False))
     counts = np.bincount(group_ids, minlength=ngroups)
-    if spec.dtype in (DataType.INT64, DataType.TIMESTAMP):
-        out = np.where(counts > 0, out, 0.0)
-        return Column(spec.dtype, out.astype(np.int64))
+    if exact:
+        return Column(spec.dtype, np.where(counts > 0, out, 0))
     # Empty groups yield NaN for floating-point extremes (no-NULL engine).
     out = np.where(counts > 0, out, np.nan)
     return Column(DataType.FLOAT64, out)

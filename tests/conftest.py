@@ -12,6 +12,7 @@ from repro.core import TwoStageExecutor
 from repro.db import Database
 from repro.ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.testing.oracle import Reference
 
 
 TINY_SPEC = RepositorySpec(
@@ -49,6 +50,13 @@ def ali_db(tiny_repo) -> Database:
     db = Database()
     lazy_ingest_metadata(db, tiny_repo)
     return db
+
+
+@pytest.fixture(scope="session")
+def reference(tiny_repo) -> Reference:
+    """Eager ingestion of the tiny repository plus the wide-key tables: the
+    differential oracle's reference (read-only across tests)."""
+    return Reference(tiny_repo.root)
 
 
 @pytest.fixture()

@@ -1,161 +1,88 @@
-"""Seeded chaos testing: the engine's answers must not depend on the noise.
+"""Seeded chaos cells: one fixed fault plan at fixed points of the lattice.
 
-The grid runs one fixed-seed fault plan against every combination of
-``mount_workers`` × ``on_mount_error`` × ``selective`` and asserts the
-answer is byte-identical to the fault-free baseline — recoverable faults
-(transient I/O errors, read latency, mid-extraction rewrites) are exactly
-the ones the retry ladder and staleness re-validation exist to absorb, so
-any divergence is a resilience bug, not test noise.
-
-Unrecoverable faults are the complement: they must *surface*, with the
-offending URI attached, under every combination.
+Each cell is a point of the differential oracle's configuration lattice
+(:mod:`repro.testing.oracle`) judged by its one verdict — ``mount_workers``
+× ``on_mount_error`` × ``selective``. Recoverable faults (transient I/O
+errors, read latency, mid-extraction rewrites) must leave the answer equal
+to eager ingestion; an unrecoverable one must surface naming its file
+(fail-fast) or be disclosed while the rest stays exact (skip).
 """
 
 from __future__ import annotations
 
 import itertools
+import shutil
 
 import pytest
 
-from repro.core import TwoStageExecutor
-from repro.db import Database
-from repro.db.errors import FileIngestError
-from repro.ingest import RepositoryBinding, lazy_ingest_metadata
-from repro.mseed import FileRepository, RepositorySpec, generate_repository
-from repro.testing import (
-    RECOVERABLE_KINDS,
-    TRANSIENT_OSERROR,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.testing import RECOVERABLE_KINDS, FaultPlan
+from repro.testing.oracle import ConfigPoint, Engine, FaultScript, run, verdicts
 
-CHAOS_SEED = 20130610  # fixed: CI smoke replays exactly this fault plan
+CHAOS_SEED = 20130610  # fixed: CI replays exactly this fault plan
 
-SPEC = RepositorySpec(
-    stations=("ISK", "ANK"),
-    channels=("BHE", "BHZ"),
-    days=2,
-    sample_rate=0.02,
-    samples_per_record=500,
-)
-
-# A query that exercises both stages, grouping, and (when enabled) the
-# record-granular selective path via the sample-time interval.
+# Both stages, grouping, and (when enabled) the record-granular selective
+# path via the sample-time interval.
 CHAOS_SQL = (
-    "SELECT F.station, COUNT(*) AS n, SUM(D.sample_value) AS s\n"
-    "FROM F JOIN D ON F.uri = D.uri\n"
-    "WHERE D.sample_time > '2010-01-10T06:00:00.000'\n"
-    "AND D.sample_time < '2010-01-11T18:00:00.000'\n"
+    "SELECT F.station, COUNT(*) AS n, SUM(D.sample_value) AS s "
+    "FROM F JOIN D ON F.uri = D.uri "
+    "WHERE D.sample_time > '2010-01-10T06:00:00.000' "
+    "AND D.sample_time < '2010-01-11T18:00:00.000' "
     "GROUP BY F.station ORDER BY F.station"
 )
 
-GRID = list(
-    itertools.product(
-        (1, 4),  # mount_workers
-        ("fail", "skip"),  # on_mount_error
-        (True, False),  # selective mounting
+GRID = list(itertools.product((1, 4), ("fail", "skip"), (True, False)))
+CELLS = [(w, s) for w in (1, 4) for s in (True, False)]
+VICTIM = FaultScript(victim=2)  # every read of the third file fails
+
+
+def _cell(reference, tmp_path, script, **point):
+    return verdicts(
+        run(reference, [CHAOS_SQL], tmp_path, ConfigPoint(**point), script)
     )
-)
-
-
-@pytest.fixture(scope="module")
-def repo(tmp_path_factory):
-    root = tmp_path_factory.mktemp("chaos_repo")
-    generate_repository(root, SPEC)
-    return FileRepository(root)
-
-
-def _executor(repo, workers=1, policy="fail", selective=True):
-    db = Database()
-    lazy_ingest_metadata(db, repo)
-    return TwoStageExecutor(
-        db,
-        RepositoryBinding(repo),
-        mount_workers=workers,
-        on_mount_error=policy,
-        selective_mounts=selective,
-    )
-
-
-@pytest.fixture(scope="module")
-def baseline(repo):
-    return _executor(repo).execute(CHAOS_SQL).rows
 
 
 class TestChaosGrid:
     @pytest.mark.parametrize("workers,policy,selective", GRID)
     def test_recoverable_faults_byte_identical(
-        self, repo, baseline, workers, policy, selective
+        self, reference, tmp_path, workers, policy, selective
     ):
-        plan = FaultPlan.seeded(
-            CHAOS_SEED,
-            repo.uris(),
-            kinds=RECOVERABLE_KINDS,
-            fault_rate=1.0,  # every file takes a hit
-            times=1,  # within the retry budget: must be absorbed
-        )
-        assert plan.specs, "seeded plan unexpectedly empty"
-        executor = _executor(
-            repo, workers=workers, policy=policy, selective=selective
-        )
-        with plan.install():
-            outcome = executor.execute(CHAOS_SQL)
-        assert outcome.rows == baseline
-        assert not outcome.timings.mount_failures
-        assert outcome.truncation is None
+        script = FaultScript(seed=CHAOS_SEED, rate=1.0)  # every file hit
+        assert _cell(
+            reference, tmp_path, script, mount_workers=workers,
+            on_mount_error=policy, selective=selective,
+        ) == ["rows"]
 
-    @pytest.mark.parametrize("workers,selective", [
-        (w, s) for w in (1, 4) for s in (True, False)
-    ])
+    @pytest.mark.parametrize("workers,selective", CELLS)
     def test_unrecoverable_fault_surfaces_uri_fail_fast(
-        self, repo, workers, selective
+        self, reference, tmp_path, workers, selective
     ):
-        victim = repo.uris()[2]
-        plan = FaultPlan(
-            [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=-1)]
-        )
-        executor = _executor(
-            repo, workers=workers, policy="fail", selective=selective
-        )
-        with plan.install():
-            with pytest.raises(FileIngestError) as excinfo:
-                executor.execute(CHAOS_SQL)
-        assert excinfo.value.mount_uri == victim
+        assert _cell(
+            reference, tmp_path, VICTIM, mount_workers=workers,
+            selective=selective,
+        ) == ["typed error"]
 
-    @pytest.mark.parametrize("workers,selective", [
-        (w, s) for w in (1, 4) for s in (True, False)
-    ])
+    @pytest.mark.parametrize("workers,selective", CELLS)
     def test_unrecoverable_fault_skipped_and_reported(
-        self, repo, baseline, workers, selective
+        self, reference, tmp_path, workers, selective
     ):
-        victim = repo.uris()[2]
-        plan = FaultPlan(
-            [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=-1)]
-        )
-        executor = _executor(
-            repo, workers=workers, policy="skip", selective=selective
-        )
-        with plan.install():
-            outcome = executor.execute(CHAOS_SQL)
-        assert outcome.timings.mount_failures.uris() == [victim]
-        # Degraded, not wrong: the answer is the baseline minus one file.
-        assert outcome.rows != baseline
-        total = sum(row[1] for row in outcome.rows)
-        baseline_total = sum(row[1] for row in baseline)
-        assert total < baseline_total
+        assert _cell(
+            reference, tmp_path, VICTIM, mount_workers=workers,
+            on_mount_error="skip", selective=selective,
+        ) == ["degradation"]
 
-    def test_same_seed_same_grid_cell_same_log(self, repo):
-        def run():
-            executor = _executor(repo, workers=4, policy="skip")
+    def test_same_seed_same_grid_cell_same_log(self, reference, tmp_path):
+        def log(name):
+            shutil.copytree(reference.root, tmp_path / name)
+            engine = Engine(
+                ConfigPoint(mount_workers=4, on_mount_error="skip"),
+                tmp_path / name, tmp_path / f"{name}-scratch",
+            )
             plan = FaultPlan.seeded(
-                CHAOS_SEED,
-                repo.uris(),
-                kinds=RECOVERABLE_KINDS,
-                fault_rate=1.0,
-                times=1,
+                CHAOS_SEED, engine.repository.uris(),
+                kinds=RECOVERABLE_KINDS, fault_rate=1.0,
             )
             with plan.install():
-                executor.execute(CHAOS_SQL)
+                engine.executor.execute(CHAOS_SQL)
             return plan.signature()
 
-        assert run() == run()
+        assert log("first") == log("second")

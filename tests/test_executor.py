@@ -28,6 +28,7 @@ from repro.ingest import FILE_TABLE, RepositoryBinding, lazy_ingest_metadata
 from repro.mseed import FileRepository, generate_repository
 from repro.remote import RemoteRepository, SimulatedObjectStore
 from repro.testing import READ_LATENCY, FaultPlan, FaultSpec
+from repro.testing.oracle import ConfigPoint, run, same_rows, verdicts
 
 # A family of queries spanning the supported SQL surface, all answerable by
 # both engines. Each must yield identical results under Ei and ALi.
@@ -100,38 +101,34 @@ EQUIVALENCE_QUERIES = [
 ]
 
 
-def _resolve(sql, query1, query2):
-    return {"query1": query1, "query2": query2}.get(sql, sql)
-
-
-def _normalize(rows):
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                round(v, 9) if isinstance(v, float) else v for v in row
-            )
-        )
-    return sorted(out)
+def _judged(sql, reference, tmp_path, query1, query2, **point):
+    sql = {"query1": query1, "query2": query2}.get(sql, sql)
+    return verdicts(run(reference, [sql], tmp_path, ConfigPoint(**point)))
 
 
 @pytest.mark.parametrize("sql", EQUIVALENCE_QUERIES)
-def test_ali_matches_ei(sql, ei_db, executor, query1, query2):
-    sql = _resolve(sql, query1, query2)
-    expected = ei_db.execute(sql).rows()
-    got = executor.execute(sql).rows
-    assert _normalize(got) == _normalize(expected)
+def test_ali_matches_ei(sql, reference, tmp_path, query1, query2):
+    assert _judged(sql, reference, tmp_path, query1, query2) == ["rows"]
 
 
 @pytest.mark.parametrize("sql", EQUIVALENCE_QUERIES)
-def test_per_file_strategy_matches_ei(sql, ei_db, ali_db, tiny_repo, query1, query2):
-    sql = _resolve(sql, query1, query2)
+def test_per_file_strategy_matches_ei(sql, reference, tmp_path, query1, query2):
+    judged = _judged(sql, reference, tmp_path, query1, query2, strategy=PER_FILE)
+    assert judged == ["rows"]
+
+
+def test_per_file_extremum_skips_files_with_no_rows(ali_db, tiny_repo, ei_db):
+    """A file whose rows are all filtered out contributes no extremum: its
+    empty partial's 0 once won MIN over every real sample time."""
+    sql = (
+        "SELECT MIN(D.sample_time) FROM F JOIN D ON F.uri = D.uri "
+        "WHERE D.sample_time > '2010-01-11T03:00:00'"
+    )
     executor = TwoStageExecutor(
         ali_db, RepositoryBinding(tiny_repo), strategy=PER_FILE
     )
-    expected = ei_db.execute(sql).rows()
-    got = executor.execute(sql).rows
-    assert _normalize(got) == _normalize(expected)
+    assert executor.execute(sql).rows == ei_db.execute(sql).rows()
+    assert ei_db.execute(sql).rows() == [(1263178820000000,)]
 
 
 class TestBreakpoint:
@@ -278,8 +275,8 @@ class TestCacheIntegration:
         first = executor.execute(query1)
         second = executor.execute(query1)  # served from tuple cache
         assert second.breakpoint.rewrite.cache_scans == 1
-        assert _normalize(first.rows) == _normalize(expected)
-        assert _normalize(second.rows) == _normalize(expected)
+        for outcome in (first, second):
+            same_rows(outcome.rows, expected, outcome.result.names, False)
 
 
 class TestDestinyPolicies:

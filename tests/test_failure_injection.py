@@ -5,13 +5,9 @@ cleanly when the repository misbehaves — and the paper's discard-by-default
 cache exists precisely because files change underneath the database.
 """
 
-import shutil
-import threading
-
-import numpy as np
 import pytest
 
-from repro.core import CachePolicy, IngestionCache, TwoStageExecutor
+from repro.core import PER_FILE, CachePolicy, IngestionCache, TwoStageExecutor
 from repro.db import Database
 from repro.db.errors import IngestError, TruncatedFileError
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
@@ -23,6 +19,7 @@ from repro.mseed import (
     write_volume,
 )
 from repro.mseed.steim import SteimError
+from repro.testing.oracle import ConfigPoint, FaultScript, run, verdicts
 
 SPEC = RepositorySpec(
     stations=("ISK",),
@@ -111,22 +108,16 @@ class TestParallelMountFailures:
             db, RepositoryBinding(repo), mount_workers=workers
         )
 
-    def test_deleted_file_mid_query_cancels_and_names_uri(self, par_repo):
-        executor = self._executor(par_repo)
-        total_files = len(par_repo.uris())
-        victim = par_repo.uris()[3]
-        par_repo.path_of(victim).unlink()
-        with pytest.raises(IngestError) as excinfo:
-            executor.execute(self.ALL_SQL)
-        assert excinfo.value.mount_uri == victim
-        # The failed query left no state behind; the engine still works.
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("mountpool")
-        ]
-        assert (
-            executor.execute("SELECT COUNT(*) FROM F").rows[0][0]
-            == total_files
+    def test_deleted_file_mid_query_cancels_and_names_uri(
+        self, reference, tmp_path
+    ):
+        # The file goes after the metadata load; the engine works after.
+        count = "SELECT COUNT(*) FROM F"
+        reached = run(
+            reference, [count, self.ALL_SQL, count], tmp_path,
+            ConfigPoint(mount_workers=4), FaultScript(events=(("delete", 3),)),
         )
+        assert verdicts(reached) == ["rows", "typed error", "rows"]
 
     def test_corrupt_payload_raises_same_error_as_serial(self, par_repo):
         victim = par_repo.uris()[2]
@@ -142,22 +133,13 @@ class TestParallelMountFailures:
         assert parallel_exc.value.mount_uri == victim
         assert serial_exc.value.mount_uri == victim
 
-    def test_failure_in_per_file_strategy(self, par_repo):
-        from repro.core import PER_FILE
-
-        db = Database()
-        lazy_ingest_metadata(db, par_repo)
-        executor = TwoStageExecutor(
-            db,
-            RepositoryBinding(par_repo),
-            mount_workers=4,
-            strategy=PER_FILE,
+    def test_failure_in_per_file_strategy(self, reference, tmp_path):
+        reached = run(
+            reference, ["SELECT COUNT(*) FROM F", self.ALL_SQL], tmp_path,
+            ConfigPoint(mount_workers=4, strategy=PER_FILE),
+            FaultScript(events=(("delete", 1),)),
         )
-        victim = par_repo.uris()[1]
-        par_repo.path_of(victim).unlink()
-        with pytest.raises(IngestError) as excinfo:
-            executor.execute(self.ALL_SQL)
-        assert excinfo.value.mount_uri == victim
+        assert verdicts(reached) == ["rows", "typed error"]
 
 
 class TestFreshness:

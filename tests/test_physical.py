@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import ColumnDef, Database, DataType, TableSchema
+from repro.db.errors import ExecutionError
 
 
 @pytest.fixture()
@@ -209,6 +210,19 @@ class TestAggregation:
         from repro.db import parse_timestamp
 
         assert row == (parse_timestamp("2010-01-01"), parse_timestamp("2010-01-03"))
+
+    def test_integer_extremes_and_sums_are_exact(self, db):
+        """Past 2**53 a float64 detour rounds: MAX once answered a value
+        not in the table, and a MAX near 2**63 wrapped negative."""
+        db.insert_rows("Rt", [(0, 2**53 + 1), (0, 2**53 + 3), (1, 2**53)])
+        rows = db.execute(
+            "SELECT MIN(w), MAX(w), SUM(w) FROM Rt WHERE k < 2"
+        ).rows()
+        assert rows == [(2**53, 2**53 + 3, 3 * 2**53 + 4)]
+        db.insert_rows("Rt", [(5, 2**63 - 4)])
+        assert db.execute("SELECT MAX(w) FROM Rt").rows() == [(2**63 - 4,)]
+        with pytest.raises(ExecutionError, match="overflows int64"):
+            db.execute("SELECT SUM(w) FROM Rt")
 
 
 class TestSortDistinctLimit:

@@ -36,6 +36,7 @@ from repro.db.plan.verify import (
 from repro.db.plan.physical import PResultScan, PTableScan
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding
+from repro.testing.oracle import ConfigPoint, run, verdicts
 
 from conftest import QUERY1, QUERY2
 
@@ -300,15 +301,9 @@ def test_workload_verifies_cleanly(ali_db, tiny_repo, sql):
 
 
 @pytest.mark.parametrize("sql", [QUERY1, QUERY2, METADATA_QUERY])
-def test_results_identical_with_verification(ali_db, tiny_repo, sql):
-    on = TwoStageExecutor(
-        ali_db, RepositoryBinding(tiny_repo), verify_plans=True
-    ).execute(sql)
-    off = TwoStageExecutor(
-        ali_db, RepositoryBinding(tiny_repo), verify_plans=False
-    ).execute(sql)
-    assert on.result.rows() == off.result.rows()
-    assert on.result.names == off.result.names
+def test_results_identical_with_verification(reference, tmp_path, sql):
+    point = ConfigPoint(verify_plans=True)
+    assert verdicts(run(reference, [sql], tmp_path, point)) == ["rows"]
 
 
 def test_ei_pipeline_verifies_cleanly(tiny_repo):

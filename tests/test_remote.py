@@ -2009,7 +2009,9 @@ class TestScopeHandDown:
         # page's own wait, and no third page was asked for.
         assert time.monotonic() - started < 2.0
         assert (store.stats.requests, store.stats.lists) == (2, 1)
-        # The page that did arrive is no listing to fall back on.
+        # The page that did arrive is no listing to fall back on. The link
+        # stops stalling first: a refusal pays the latency, per attempt.
+        store.model = NetworkModel(NetworkProfile())
         store.set_down()
         with pytest.raises(FileIngestError):
             endpoint.repo.uris()

