@@ -136,26 +136,6 @@ def test_two_stage_equals_eager(sql, data, ei_db, ali_db, tiny_repo):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(sql=seismic_queries(), data=st.data())
-def test_repeated_execution_stable_under_caching(sql, data, ali_db, tiny_repo):
-    """Re-running any query with a warm cache returns identical answers
-    (cache transparency)."""
-    executor = TwoStageExecutor(
-        ali_db,
-        RepositoryBinding(tiny_repo),
-        cache=IngestionCache(CachePolicy.UNBOUNDED),
-        mount_workers=data.draw(st.sampled_from([1, 4])),
-    )
-    first = executor.execute(sql).rows
-    second = executor.execute(sql).rows
-    assert normalize(first) == normalize(second), sql
-
-
-@settings(
-    deadline=None,
-    max_examples=15,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(sql=seismic_queries(), data=st.data())
 def test_no_dangling_state_after_queries(sql, data, ali_db, tiny_repo):
     """Mount transparency: with the paper's discard policy, executing any
     query leaves the database exactly as it was (D empty, no cache) — with

@@ -4,14 +4,15 @@ Covers the full request flow — rule (1) intervals on plan nodes, the
 executor's R-table byte map, :meth:`MountService.request_for`, the
 extractors' ``mount_selective``, and the interval-aware ingestion cache —
 plus the volume-level selective read's staleness and truncation behavior.
-That answers are identical whether mounting is selective or whole-file,
-serial or pooled, cached or not is the differential oracle's to check
-(``tests/test_oracle.py``); the cells here pin how the cache's coverage
-serves reruns and widens.
+Equivalence is the headline: a narrow-window query must return byte-identical
+rows whether mounting is selective or whole-file, serial or pooled, cached
+or not. The differential oracle (``tests/test_oracle.py``) judges the same
+axes against eager ingestion.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 
@@ -87,6 +88,27 @@ def make_executor(repo, *, selective=True, workers=1, cache=None):
 
 
 class TestEquivalence:
+    def test_identical_rows_across_all_configurations(self, dense_repo):
+        """selective on/off x workers 1/4 x cache retained/discarded."""
+        baseline = None
+        for selective, workers, policy in itertools.product(
+            (False, True), (1, 4), (CachePolicy.DISCARD, CachePolicy.UNBOUNDED)
+        ):
+            executor = make_executor(
+                dense_repo,
+                selective=selective,
+                workers=workers,
+                cache=IngestionCache(policy),
+            )
+            rows = executor.execute(NARROW_SQL).rows
+            assert rows, "narrow window unexpectedly empty"
+            if baseline is None:
+                baseline = rows
+            assert rows == baseline, (
+                f"answer drifted at selective={selective}, workers={workers}, "
+                f"cache={policy}"
+            )
+
     def test_cached_rerun_matches_and_uses_cache_scans(self, dense_repo):
         executor = make_executor(
             dense_repo, cache=IngestionCache(CachePolicy.UNBOUNDED)
