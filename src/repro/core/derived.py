@@ -73,8 +73,9 @@ class DerivedMetadataStore:
         if uri in self._files_done:
             return
         self._files_done.add(uri)
-        record_ids = batch.column("record_id").values
-        times = batch.column("sample_time").values
+        # Summaries read ids and times row by row: materialized here.
+        record_ids = batch.column("record_id").materialize().values
+        times = batch.column("sample_time").materialize().values
         values = batch.column("sample_value").values
         rows = []
         for rid in np.unique(record_ids):

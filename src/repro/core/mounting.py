@@ -60,9 +60,9 @@ from ..db.errors import (
     StaleFileError,
 )
 from ..db.expr import Expr
-from ..db.interval import covers, interval_from_predicate
+from ..db.interval import covers, interval_from_predicate, time_slice
 from ..db.table import ColumnBatch
-from ..ingest._batches import mounted_file_batch, mounted_files_batch
+from ..ingest._batches import mounted_files_batch
 from ..ingest.formats import (
     FormatExtractor,
     MountRequest,
@@ -186,16 +186,6 @@ __all__ = [
     "check_on_error",
     "interval_from_predicate",
 ]
-
-
-def _interval_mask_batch(
-    batch: ColumnBatch, time_column: str, interval: Interval
-) -> ColumnBatch:
-    if interval == WHOLE_FILE:
-        return batch
-    values = batch.column(time_column).values
-    mask = (values >= interval[0]) & (values <= interval[1])
-    return batch.filter(mask)
 
 
 class MountContext:
@@ -552,9 +542,8 @@ class MountService:
         # reuse it instead of another stat/HEAD per mount.
         signature = result.signature
         if self.cache.granularity_for(uri) is CacheGranularity.TUPLE:
-            narrowed = _interval_mask_batch(batch, self.time_column, interval)
-            self.cache.store(uri, narrowed, interval, signature=signature)
-            batch = narrowed
+            batch = self._narrowed(batch, interval)
+            self.cache.store(uri, batch, interval, signature=signature)
         else:
             self.cache.store(
                 uri, batch, result.coverage, signature=signature
@@ -613,9 +602,7 @@ class MountService:
             request is not None
             and self.cache.granularity_for(uri) is CacheGranularity.TUPLE
         ):
-            narrowed = _interval_mask_batch(
-                result.batch, self.time_column, interval
-            )
+            narrowed = self._narrowed(result.batch, interval)
             self.cache.store(uri, narrowed, interval, signature=signature)
         else:
             self.cache.store(
@@ -878,10 +865,7 @@ class MountService:
                 nbytes = extractor.observed[1]
                 io_seconds = self._touch_whole(uri, nbytes)
             coverage = WHOLE_FILE
-            # record_id is per-file consecutive, so the last id counts them.
-            records_decoded = (
-                int(mounted.record_id[-1]) + 1 if len(mounted.record_id) else 0
-            )
+            records_decoded = mounted.records
             records_skipped = 0
             with self._lock:
                 self.stats.records_decoded += records_decoded
@@ -914,7 +898,7 @@ class MountService:
             # possibly on a pool worker, whence it propagates to the taker.
             context.governor.charge_mount(nbytes, records_decoded)
         return ExtractResult(
-            batch=mounted_file_batch(mounted),
+            batch=mounted.batch,
             io_seconds=io_seconds,
             coverage=coverage,
             bytes_read=nbytes,
@@ -937,15 +921,30 @@ class MountService:
             self.stats.bytes_read += nbytes
         return io_seconds
 
+    def _narrowed(self, batch: ColumnBatch, interval: Interval) -> ColumnBatch:
+        """What a tuple-granular cache entry covering ``interval`` keeps:
+        the samples timed inside it, cut out of the record runs."""
+        if interval == WHOLE_FILE:
+            return batch
+        return batch.within(self.time_column, *interval)
+
     def _deliver(
         self, batch: ColumnBatch, alias: str, predicate: Optional[Expr]
     ) -> ColumnBatch:
         """Qualify column names for the query plan and apply the fused
-        selection (the combined select+mount / select+cache-scan paths)."""
+        selection (the combined select+mount / select+cache-scan paths).
+
+        The predicate's exact bounds on the time column cut the batch — a
+        record's samples are sliced out of its run, not masked row by row —
+        and the rest of the predicate is evaluated on the columns it reads.
+        """
+        time_key = f"{alias}.{self.time_column}"
         qualified = ColumnBatch(
             [f"{alias}.{name}" for name in batch.names], batch.columns
         )
-        if predicate is not None:
-            mask = predicate.evaluate(qualified).values
-            qualified = qualified.filter(mask)
+        interval, rest = time_slice(predicate, time_key)
+        if interval is not None:
+            qualified = qualified.within(time_key, *interval)
+        if rest is not None:
+            qualified = qualified.filter(rest.evaluate(qualified).values)
         return qualified

@@ -214,8 +214,10 @@ class TopNBranchMonitor:
     def observe(self, index: int, batch: ColumnBatch) -> None:
         if batch.num_rows == 0:
             return
+        # The monitor reads the primary key: a run-encoded time column is
+        # materialized for it.
         values = np.asarray(
-            batch.column(self.key).values, dtype=np.int64
+            batch.column(self.key).materialize().values, dtype=np.int64
         )
         merged = np.sort(np.concatenate([self._kept, values]))
         if self.ascending:

@@ -8,17 +8,34 @@ Columns are non-nullable; the scientific schemas this engine serves (file and
 record headers, sample streams) have no missing values, and keeping validity
 masks out of the hot path keeps every kernel a plain numpy operation. Aggregates
 over empty inputs surface ``None`` at the result layer instead.
+
+A regularly sampled series has a second, *run-encoded* form: a
+:class:`RunColumn` derives its rows from the :class:`RecordRuns` of its batch
+(one run per record) instead of holding them, and builds them only when read.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
-from typing import Any
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import TypeError_
 from .types import DataType, format_timestamp, parse_timestamp
+
+
+def sample_offsets(index: Any, sample_rate: Any) -> np.ndarray:
+    """µs offsets from a record's start time of its samples ``index``,
+    sampled at ``sample_rate`` Hz: ``round(index * (10**6 / rate))``.
+
+    The one definition of sample timing. Every element is computed on its
+    own, so an offset does not depend on which other indices (or rates) are
+    computed with it: a record's ``end_time``, its materialized sample
+    times and a run's slice bounds all agree to the µs.
+    """
+    return np.round(index * (1_000_000 / sample_rate)).astype(np.int64)
 
 
 class StringDictionary:
@@ -220,6 +237,329 @@ class Column:
         if self.dictionary is not None:
             total += self.dictionary.nbytes
         return total
+
+    def materialize(self, rows: Optional[np.ndarray] = None) -> "Column":
+        """The column's rows as stored values: itself, or its ``rows``."""
+        return self if rows is None else self.take(rows)
+
+
+class Blocks(NamedTuple):
+    """Rows ``start[i]`` up to ``start[i] + length[i]``, block after block
+    in the order given: a row selection copied block by block, not row by
+    row."""
+
+    start: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def of(cls, start: np.ndarray, length: np.ndarray) -> "Blocks":
+        """Increasing pieces, empty ones dropped and touching ones merged."""
+        filled = length > 0
+        if not filled.all():
+            start, length = start[filled], length[filled]
+        if len(start) < 2:
+            return cls(start, length)
+        heads = np.flatnonzero(
+            np.append(True, start[1:] != start[:-1] + length[:-1])
+        )
+        return cls(start[heads], np.add.reduceat(length, heads))
+
+    def rows(self) -> np.ndarray:
+        ends = np.cumsum(self.length)
+        total = int(ends[-1]) if len(ends) else 0
+        shift = self.start - (ends - self.length)
+        return np.repeat(shift, self.length) + np.arange(total)
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """``values`` at these rows, copied: never a view that would keep
+        all of ``values`` alive behind a smaller array (a cache entry's
+        bytes are what its arrays say)."""
+        return np.concatenate(
+            [values[:0]]
+            + [values[s:s + n] for s, n in zip(self.start.tolist(),
+                                               self.length.tolist())]
+        )
+
+
+# The rows a batch keeps, in order: all of them (None), blocks, or a
+# boolean mask.
+RowSelection = Union[None, Blocks, np.ndarray]
+
+
+class RecordRuns:
+    """Per-record runs: what a run-encoded batch stores instead of its
+    ``uri``, ``record_id`` and ``sample_time`` columns.
+
+    Run ``j`` covers rows ``offset[j]`` to ``offset[j] + length[j]`` of its
+    batch: samples ``first[j]``, ``first[j] + 1``, … of record
+    ``record_id[j]`` of file ``uri[j]``, which starts at ``start_time[j]``
+    and is sampled at ``sample_rate[j]`` Hz. Runs tile the batch in row
+    order; a run may be empty (a record holding no samples). A row's
+    ``uri`` and ``record_id`` are its run's; its ``sample_time`` is
+    ``start_time + sample_offsets(index, sample_rate)``.
+
+    Immutable by convention: every operation returns new runs and new
+    arrays, so runs a cache entry holds never grow.
+    """
+
+    __slots__ = ("uri", "record_id", "offset", "length", "first",
+                 "start_time", "sample_rate", "num_rows")
+
+    def __init__(
+        self,
+        uri: Column,
+        record_id: np.ndarray,
+        offset: np.ndarray,
+        length: np.ndarray,
+        first: np.ndarray,
+        start_time: np.ndarray,
+        sample_rate: np.ndarray,
+    ) -> None:
+        self.uri = uri  # STRING, one code per run
+        self.record_id = record_id
+        self.offset = offset
+        self.length = length
+        self.first = first
+        self.start_time = start_time
+        self.sample_rate = sample_rate
+        self.num_rows = int(offset[-1] + length[-1]) if len(length) else 0
+
+    @classmethod
+    def of_records(
+        cls,
+        uri: str,
+        record_id: Sequence[int],
+        nsamples: Sequence[int],
+        start_time: Sequence[int],
+        sample_rate: Sequence[float],
+    ) -> "RecordRuns":
+        """One run per whole record of one file, in the order given."""
+        length = np.asarray(nsamples, dtype=np.int64)
+        return cls(
+            Column.constant(DataType.STRING, uri, len(length)),
+            np.asarray(record_id, dtype=np.int64),
+            np.cumsum(length) - length,
+            length,
+            np.zeros(len(length), dtype=np.int64),
+            np.asarray(start_time, dtype=np.int64),
+            np.asarray(sample_rate, dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["RecordRuns"]) -> "RecordRuns":
+        """The runs of batches stacked in order."""
+        shifts = np.cumsum([0] + [part.num_rows for part in parts[:-1]])
+
+        def stacked(name: str) -> np.ndarray:
+            return np.concatenate([getattr(part, name) for part in parts])
+
+        return cls(
+            concat_columns([part.uri for part in parts]),
+            stacked("record_id"),
+            np.concatenate([p.offset + s for p, s in zip(parts, shifts)]),
+            stacked("length"),
+            stacked("first"),
+            stacked("start_time"),
+            stacked("sample_rate"),
+        )
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def nbytes(self) -> int:
+        arrays = (self.record_id, self.offset, self.length, self.first,
+                  self.start_time, self.sample_rate)
+        return self.uri.nbytes() + sum(int(a.nbytes) for a in arrays)
+
+    def materialize(self, kind: str, rows: Optional[np.ndarray] = None) -> Column:
+        """Column ``kind`` (``uri``, ``record_id`` or ``sample_time``) at
+        ``rows``, every row in order by default.
+
+        The one place those columns are built from runs. Each call returns
+        new arrays and keeps none of them.
+        """
+        if rows is None:
+            run = np.repeat(np.arange(len(self)), self.length)
+            position = np.arange(len(run))
+        else:
+            position = np.asarray(rows, dtype=np.int64)
+            run = np.searchsorted(self.offset, position, side="right") - 1
+        if kind == "uri":
+            return self.uri.take(run)
+        if kind == "record_id":
+            return Column(DataType.INT64, self.record_id[run])
+        index = self.first[run] + (position - self.offset[run])
+        return Column(
+            DataType.TIMESTAMP,
+            self.start_time[run] + sample_offsets(index, self.sample_rate[run]),
+        )
+
+    def within(self, lo: int, hi: int) -> tuple["RecordRuns", RowSelection]:
+        """The samples timed in ``[lo, hi]``: the runs cut to them (a run
+        with none left stays, empty) and the rows of the batch they keep.
+
+        A run whose first and last samples both lie inside is kept whole,
+        and one lying wholly outside is emptied, without computing its other
+        times; only a run a bound falls into is searched for its cut. Exact
+        to the µs, strict and non-strict bounds alike: every time compared
+        is ``start + round(index * step)``, the arithmetic of
+        :func:`sample_offsets` on Python floats.
+        """
+        begins, kept, cut = [], [], False
+        starts: list[int] = []  # the kept rows, as merged blocks
+        lengths: list[int] = []
+        for offset, start, rate, first, count in zip(
+            self.offset.tolist(), self.start_time.tolist(),
+            self.sample_rate.tolist(), self.first.tolist(),
+            self.length.tolist(),
+        ):
+            begin, end = 0, count
+            if count:
+                step = 1_000_000 / rate
+                head = start + round(first * step)
+                tail = start + round((first + count - 1) * step)
+                if tail < lo or head > hi:
+                    end = 0
+                else:
+                    run = (start, step, first, count)
+                    if head < lo:
+                        begin = _first_sample_from(lo, *run)
+                    if tail > hi:
+                        end = max(begin, _first_sample_from(hi + 1, *run))
+                cut = cut or begin > 0 or end < count
+            begins.append(begin)
+            kept.append(end - begin)
+            if end > begin:
+                if starts and starts[-1] + lengths[-1] == offset + begin:
+                    lengths[-1] += end - begin
+                else:
+                    starts.append(offset + begin)
+                    lengths.append(end - begin)
+        if not cut:
+            return self, None
+        length = np.array(kept, dtype=np.int64)
+        runs = RecordRuns(
+            self.uri, self.record_id, np.cumsum(length) - length, length,
+            self.first + np.array(begins, dtype=np.int64),
+            self.start_time, self.sample_rate,
+        )
+        return runs, Blocks(
+            np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
+        )
+
+    def select(self, runs: np.ndarray) -> tuple["RecordRuns", Blocks]:
+        """Whole runs ``runs`` (increasing), and the rows they hold."""
+        length = self.length[runs]
+        return (
+            self._pick(runs, length, self.first[runs]),
+            Blocks.of(self.offset[runs], length),
+        )
+
+    def take_rows(self, rows: np.ndarray) -> "RecordRuns":
+        """The runs of the rows ``rows`` (increasing) of the batch; a run is
+        split where the rows skip one of its samples."""
+        rows = np.asarray(rows, dtype=np.int64)
+        run = np.searchsorted(self.offset, rows, side="right") - 1
+        index = self.first[run] + (rows - self.offset[run])
+        breaks = np.ones(len(rows), dtype=bool)
+        breaks[1:] = (run[1:] != run[:-1]) | (index[1:] != index[:-1] + 1)
+        starts = np.flatnonzero(breaks)
+        lengths = np.diff(np.append(starts, len(rows)))
+        return self._pick(run[starts], lengths, index[starts])
+
+    def _pick(
+        self, runs: np.ndarray, length: np.ndarray, first: np.ndarray
+    ) -> "RecordRuns":
+        """``runs`` of these, in order, re-cut to ``length`` samples from
+        sample ``first`` of each record and laid end to end."""
+        return RecordRuns(
+            self.uri.take(runs),
+            self.record_id[runs],
+            np.cumsum(length) - length,
+            length,
+            first,
+            self.start_time[runs],
+            self.sample_rate[runs],
+        )
+
+
+def _first_sample_from(
+    time: int, start: int, step: float, first: int, count: int
+) -> int:
+    """How many of a run's ``count`` samples (record indices ``first``
+    onwards, ``step`` µs apart, from ``start``) are timed before ``time``.
+
+    An estimate from the step, then corrected one sample at a time against
+    the exact times — ``start + round(index * step)``, the arithmetic of
+    :func:`sample_offsets` on Python floats — so it is exact whatever the
+    estimate's rounding.
+    """
+    index = min(max(first, math.ceil((time - start) / step - 0.5)), first + count)
+    while index > first and start + round((index - 1) * step) >= time:
+        index -= 1
+    while index < first + count and start + round(index * step) < time:
+        index += 1
+    return index - first
+
+
+_RUN_KINDS = {
+    "uri": DataType.STRING,
+    "record_id": DataType.INT64,
+    "sample_time": DataType.TIMESTAMP,
+}
+
+
+class RunColumn(Column):
+    """A column of a run-encoded batch — ``uri``, ``record_id`` or
+    ``sample_time`` — derived from the batch's :class:`RecordRuns`.
+
+    Reading :attr:`values` (or anything built on it) materializes the rows
+    through :meth:`RecordRuns.materialize` every time and keeps nothing, so a
+    run-encoded batch in a cache never grows. Batch operations work on
+    :attr:`runs` instead: filtering and slicing a batch split runs, a union
+    concatenates them, a hash join on run-constant keys matches runs.
+    """
+
+    __slots__ = ("runs", "kind")
+
+    def __init__(self, runs: RecordRuns, kind: str) -> None:
+        # Column.__init__ would store values; these are derived.
+        self.runs = runs
+        self.kind = kind
+        self.dtype = _RUN_KINDS[kind]
+        self.dictionary = runs.uri.dictionary if kind == "uri" else None
+
+    @property
+    def values(self) -> np.ndarray:  # type: ignore[override]
+        return self.materialize().values
+
+    def __len__(self) -> int:
+        return self.runs.num_rows
+
+    def __repr__(self) -> str:
+        return f"RunColumn({self.kind}, n={len(self)}, runs={len(self.runs)})"
+
+    @property
+    def run_constant(self) -> bool:
+        """Whether all rows of a run share one value (not ``sample_time``)."""
+        return self.kind != "sample_time"
+
+    def run_values(self) -> Column:
+        """One value per run, for a run-constant kind."""
+        if self.kind == "uri":
+            return self.runs.uri
+        if self.kind == "record_id":
+            return Column(DataType.INT64, self.runs.record_id)
+        raise TypeError_(f"{self.kind} is not constant over a run")
+
+    def materialize(self, rows: Optional[np.ndarray] = None) -> Column:
+        return self.runs.materialize(self.kind, rows)
+
+    def take(self, indices: np.ndarray) -> Column:
+        return self.materialize(indices)
+
+    def nbytes(self) -> int:
+        return self.runs.nbytes()
 
 
 def concat_columns(columns: Sequence[Column]) -> Column:

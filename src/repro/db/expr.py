@@ -49,7 +49,9 @@ class ColumnRef(Expr):
     dtype: DataType
 
     def evaluate(self, batch: ColumnBatch) -> Column:
-        return batch.column(self.key)
+        # An expression reads stored values: a run-encoded column is
+        # materialized here, where the plan reads it.
+        return batch.column(self.key).materialize()
 
     def references(self) -> set[str]:
         return {self.key}

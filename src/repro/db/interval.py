@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .expr import ColumnRef, Comparison, Expr, Literal, conjuncts
+from .expr import ColumnRef, Comparison, Expr, Literal, conjoin, conjuncts
 from .types import DataType
 
 INF = 2**62
@@ -51,6 +51,25 @@ def intersect(a: Interval, b: Interval) -> Interval:
     return (max(a[0], b[0]), min(a[1], b[1]))
 
 
+def _time_bound(conj: Expr, time_key: str) -> Optional[tuple[str, int]]:
+    """``(op, value)`` when ``conj`` reads ``time_key op value`` for a
+    TIMESTAMP literal ``value`` (either side, mirrored) and ``op`` is one of
+    ``=``, ``<``, ``<=``, ``>``, ``>=``; None for any other conjunct."""
+    if not isinstance(conj, Comparison):
+        return None
+    column, literal, op = None, None, conj.op
+    if isinstance(conj.left, ColumnRef) and isinstance(conj.right, Literal):
+        column, literal = conj.left, conj.right
+    elif isinstance(conj.right, ColumnRef) and isinstance(conj.left, Literal):
+        column, literal = conj.right, conj.left
+        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+    if column is None or column.key != time_key:
+        return None
+    if literal.dtype is not DataType.TIMESTAMP or op == "<>":
+        return None
+    return op, int(literal.value)
+
+
 def interval_from_predicate(
     predicate: Optional[Expr], time_key: str
 ) -> Interval:
@@ -67,23 +86,48 @@ def interval_from_predicate(
     if predicate is None:
         return lo, hi
     for conj in conjuncts(predicate):
-        if not isinstance(conj, Comparison):
+        bound = _time_bound(conj, time_key)
+        if bound is None:
             continue
-        column, literal, op = None, None, conj.op
-        if isinstance(conj.left, ColumnRef) and isinstance(conj.right, Literal):
-            column, literal = conj.left, conj.right
-        elif isinstance(conj.right, ColumnRef) and isinstance(conj.left, Literal):
-            column, literal = conj.right, conj.left
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if column is None or column.key != time_key:
-            continue
-        if literal.dtype is not DataType.TIMESTAMP:
-            continue
-        value = int(literal.value)
-        if op in (">", ">="):
+        op, value = bound
+        if op in (">", ">=", "="):
             lo = max(lo, value)
-        elif op in ("<", "<="):
+        if op in ("<", "<=", "="):
             hi = min(hi, value)
-        elif op == "=":
-            lo, hi = max(lo, value), min(hi, value)
     return lo, hi
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def time_slice(
+    predicate: Optional[Expr], time_key: str
+) -> tuple[Optional[Interval], Optional[Expr]]:
+    """Split ``predicate`` into the exact closed interval its conjuncts on
+    ``time_key`` admit and the conjuncts left over.
+
+    Unlike :func:`interval_from_predicate`'s hull, the interval is exact on
+    integer µs: ``time > v`` admits ``v + 1`` onwards, ``time < v`` up to
+    ``v - 1``. A row satisfies ``predicate`` exactly when its time lies in
+    the interval and it satisfies the rest. The interval is None when no
+    conjunct bounds the time, inverted when they contradict each other.
+    """
+    lo, hi = _INT64_MIN, _INT64_MAX
+    bounded, rest = False, []
+    for conj in conjuncts(predicate) if predicate is not None else ():
+        bound = _time_bound(conj, time_key)
+        if bound is None:
+            rest.append(conj)
+            continue
+        op, value = bound
+        bounded = True
+        if op in (">", ">=", "="):
+            lo = max(lo, value + (op == ">"))
+        if op in ("<", "<=", "="):
+            hi = min(hi, value - (op == "<"))
+    interval: Optional[Interval] = None
+    if bounded:
+        # Past either end of int64 nothing qualifies: the empty interval.
+        fits = lo <= _INT64_MAX and hi >= _INT64_MIN
+        interval = (lo, hi) if fits else (1, 0)
+    return interval, conjoin(rest)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from functools import partial
+from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
 
 from ..buffer import BufferManager, index_object_name, table_object_name
 from ..catalog import Catalog
-from ..column import Column
+from ..column import Blocks, Column, RecordRuns, RunColumn
 from ..errors import ExecutionError
 from ..expr import Expr, conjoin
 from ..index import HashIndex
@@ -322,8 +323,16 @@ class PHashJoin(PhysicalOp):
         right_batch = self.right.execute(ctx)
         left_cols = [left_batch.column(k) for k in self.left_keys]
         right_cols = [right_batch.column(k) for k in self.right_keys]
-        left_codes, right_codes = join_codes(left_cols, right_cols)
+        left_runs, right_runs = _key_runs(left_cols), _key_runs(right_cols)
+        left_codes, right_codes = join_codes(
+            _unit_keys(left_cols, left_runs), _unit_keys(right_cols, right_runs)
+        )
         left_idx, right_idx = _match_codes(left_codes, right_codes)
+        if left_runs is not None or right_runs is not None:
+            left_batch, left_idx, right_idx = _expand_runs(
+                left_batch, left_idx, right_idx, left_codes, right_codes,
+                left_runs, right_runs,
+            )
         joined = _materialize(
             left_batch, right_batch, left_idx, right_idx,
             self.residual, self.output_names,
@@ -332,16 +341,22 @@ class PHashJoin(PhysicalOp):
         return joined
 
 
+# A join's right row per output row, or a function that builds it.
+RightRows = Union[np.ndarray, Callable[[], np.ndarray]]
+
+
 def _materialize(
     left: ColumnBatch,
     right: ColumnBatch,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
+    left_idx: Optional[np.ndarray],
+    right_idx: RightRows,
     predicate: Optional[Expr],
     output_names: list[str],
 ) -> ColumnBatch:
     """The joined rows ``(left[left_idx[i]], right[right_idx[i]])`` that
-    satisfy ``predicate``, as the columns ``output_names``.
+    satisfy ``predicate``, as the columns ``output_names``. ``left_idx``
+    None means every left row once, in order; ``right_idx`` may come as a
+    function, called only if a right column is read.
 
     Late materialization: only the columns ``predicate`` reads are gathered
     before it is applied, and only ``output_names`` after, so a column
@@ -353,27 +368,90 @@ def _materialize(
         mask = predicate.evaluate(
             _gather(left, right, left_idx, right_idx, names)
         ).values
-        left_idx, right_idx = left_idx[mask], right_idx[mask]
+        left_idx = np.flatnonzero(mask) if left_idx is None else left_idx[mask]
+        right_idx = _rows(right_idx)[mask]
     return _gather(left, right, left_idx, right_idx, output_names)
+
+
+def _rows(right_idx: RightRows) -> np.ndarray:
+    return right_idx() if callable(right_idx) else right_idx
 
 
 def _gather(
     left: ColumnBatch,
     right: ColumnBatch,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
+    left_idx: Optional[np.ndarray],
+    right_idx: RightRows,
     names: list[str],
 ) -> ColumnBatch:
     left_names = set(left.names)
-    return ColumnBatch(
-        names,
-        [
-            left.column(n).take(left_idx)
-            if n in left_names
-            else right.column(n).take(right_idx)
-            for n in names
-        ],
+    columns = []
+    for name in names:
+        if name not in left_names:
+            right_idx = _rows(right_idx)
+            columns.append(right.column(name).take(right_idx))
+        elif left_idx is None:  # every left row, in order: nothing to take
+            columns.append(left.column(name))
+        else:
+            columns.append(left.column(name).take(left_idx))
+    return ColumnBatch(names, columns)
+
+
+def _key_runs(columns: list[Column]) -> Optional[RecordRuns]:
+    """The runs every key column is constant over, when they are the same
+    run-encoded columns' runs; None when the keys must be read per row."""
+    if not all(isinstance(c, RunColumn) and c.run_constant for c in columns):
+        return None
+    runs = {c.runs for c in columns}  # type: ignore[attr-defined]
+    return runs.pop() if len(runs) == 1 else None
+
+
+def _unit_keys(
+    columns: list[Column], runs: Optional[RecordRuns]
+) -> list[Column]:
+    """What a join side matches: one key per run, or per row."""
+    if runs is None:
+        return columns
+    return [column.run_values() for column in columns]  # type: ignore[attr-defined]
+
+
+def _expand_runs(
+    left: ColumnBatch,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    left_runs: Optional[RecordRuns],
+    right_runs: Optional[RecordRuns],
+) -> tuple[ColumnBatch, Optional[np.ndarray], RightRows]:
+    """Row pairs from the unit pairs :func:`_match_codes` matched — a unit
+    being a row, or a run of a run-keyed side — in the order matching row
+    by row gives: left row order, then right row order.
+
+    A right run expands in place into its rows. When each left run matched
+    at most one right unit, the left side becomes the matched runs, kept
+    whole (blocks of rows, still run-encoded), each of its rows taking its
+    run's right row: built only if a right column is read. Otherwise — a
+    left run matching several right units — the match is redone row by row
+    on the run codes repeated over their rows.
+    """
+    if left_runs is None:
+        assert right_runs is not None
+        lengths = right_runs.length[right_idx]
+        rows = Blocks(right_runs.offset[right_idx], lengths).rows()
+        return left, np.repeat(left_idx, lengths), rows
+    if right_runs is None and np.all(left_idx[1:] > left_idx[:-1]):
+        lengths = left_runs.length[left_idx]
+        if len(left_idx) < len(left_runs):
+            runs, blocks = left_runs.select(left_idx)
+            left = left.keep(blocks, {id(left_runs): runs})
+        return left, None, partial(np.repeat, right_idx, lengths)
+    left_idx, right_idx = _match_codes(
+        np.repeat(left_codes, left_runs.length),
+        right_codes if right_runs is None
+        else np.repeat(right_codes, right_runs.length),
     )
+    return left, left_idx, right_idx
 
 
 def _match_codes(
@@ -561,8 +639,7 @@ def _aggregate(
     :class:`ExecutionError` when the total does not fit int64.
     """
     if spec.arg is None:  # COUNT(*)
-        counts = np.bincount(group_ids, minlength=ngroups)
-        return Column(DataType.INT64, counts.astype(np.int64))
+        return Column(DataType.INT64, _counts(group_ids, ngroups))
 
     arg_col = spec.arg.evaluate(batch)
     if spec.distinct and len(arg_col):
@@ -573,17 +650,16 @@ def _aggregate(
         arg_col = arg_col.take(keep)
 
     if spec.func == "count":
-        counts = np.bincount(group_ids, minlength=ngroups)
-        return Column(DataType.INT64, counts.astype(np.int64))
+        return Column(DataType.INT64, _counts(group_ids, ngroups))
     if spec.func == "sum" and spec.dtype is DataType.INT64:
         return Column(
             DataType.INT64, _int_sums(arg_col.values, group_ids, ngroups)
         )
     if spec.func in ("sum", "avg"):
-        values = arg_col.values.astype(np.float64)
+        values = arg_col.values.astype(np.float64, copy=False)
         sums = np.bincount(group_ids, weights=values, minlength=ngroups)
         if spec.func == "avg":
-            counts = np.bincount(group_ids, minlength=ngroups)
+            counts = _counts(group_ids, ngroups)
             with np.errstate(invalid="ignore", divide="ignore"):
                 result = sums / counts
             return Column(DataType.FLOAT64, result)
@@ -591,6 +667,13 @@ def _aggregate(
     if spec.func in ("min", "max"):
         return _min_max(spec, arg_col, group_ids, ngroups)
     raise ExecutionError(f"unknown aggregate {spec.func!r}")
+
+
+def _counts(group_ids: np.ndarray, ngroups: int) -> np.ndarray:
+    """Rows per group; a lone group holds them all, no pass needed."""
+    if ngroups == 1:
+        return np.array([len(group_ids)], dtype=np.int64)
+    return np.bincount(group_ids, minlength=ngroups).astype(np.int64)
 
 
 def _int_sums(
@@ -634,7 +717,7 @@ def _min_max(
     out = np.full(ngroups, high if spec.func == "min" else low, dtype=dtype)
     reduce = np.minimum if spec.func == "min" else np.maximum
     reduce.at(out, group_ids, arg_col.values.astype(dtype, copy=False))
-    counts = np.bincount(group_ids, minlength=ngroups)
+    counts = _counts(group_ids, ngroups)
     if exact:
         return Column(spec.dtype, np.where(counts > 0, out, 0))
     # Empty groups yield NaN for floating-point extremes (no-NULL engine).

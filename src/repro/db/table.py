@@ -9,11 +9,18 @@ ColumnBatch with a schema, held by the catalog.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
-from .column import Column, concat_columns
+from .column import (
+    Blocks,
+    Column,
+    RecordRuns,
+    RowSelection,
+    RunColumn,
+    concat_columns,
+)
 from .errors import ExecutionError
 from .schema import TableSchema
 from .types import DataType
@@ -62,10 +69,52 @@ class ColumnBatch:
         return ColumnBatch(self.names, [c.take(indices) for c in self.columns])
 
     def filter(self, mask: np.ndarray) -> "ColumnBatch":
-        return ColumnBatch(self.names, [c.filter(mask) for c in self.columns])
+        return self.keep(mask)
 
     def slice(self, start: int, stop: int) -> "ColumnBatch":
-        return ColumnBatch(self.names, [c.slice(start, stop) for c in self.columns])
+        kept = range(self.num_rows)[start:stop]
+        return self.keep(
+            Blocks(np.array([kept.start]), np.array([len(kept)]))
+        )
+
+    def keep(
+        self, rows: RowSelection, cut: Optional[dict[int, RecordRuns]] = None
+    ) -> "ColumnBatch":
+        """The rows ``rows`` selects — all of them, blocks, or a boolean
+        mask — in order. Run-encoded columns stay run-encoded, and columns
+        sharing runs share the cut runs: ``cut`` maps runs (by ``id``) to
+        what they become when the caller already knows."""
+        if rows is None:
+            return self
+        cut = {} if cut is None else cut
+        columns: list[Column] = []
+        for column in self.columns:
+            if isinstance(column, RunColumn):
+                runs = cut.get(id(column.runs))
+                if runs is None:
+                    indices = (
+                        rows.rows() if isinstance(rows, Blocks)
+                        else np.flatnonzero(rows)
+                    )
+                    runs = cut[id(column.runs)] = column.runs.take_rows(indices)
+                columns.append(RunColumn(runs, column.kind))
+            elif isinstance(rows, Blocks):
+                columns.append(Column(
+                    column.dtype, rows.gather(column.values), column.dictionary
+                ))
+            else:
+                columns.append(column.filter(rows))
+        return ColumnBatch(self.names, columns)
+
+    def within(self, name: str, lo: int, hi: int) -> "ColumnBatch":
+        """The rows whose ``name`` lies in the closed ``[lo, hi]``, in order.
+        A run-encoded time column is cut run by run, not masked row by row."""
+        column = self.column(name)
+        if isinstance(column, RunColumn) and not column.run_constant:
+            runs, rows = column.runs.within(lo, hi)
+            return self.keep(rows, {id(column.runs): runs})
+        values = column.values
+        return self.filter((values >= lo) & (values <= hi))
 
     def select(self, names: Sequence[str]) -> "ColumnBatch":
         return ColumnBatch(list(names), [self.column(n) for n in names])
@@ -76,7 +125,16 @@ class ColumnBatch:
         return list(zip(*pylists)) if pylists else []
 
     def nbytes(self) -> int:
-        return sum(col.nbytes() for col in self.columns)
+        """Bytes held: columns sharing runs count the runs once."""
+        counted: set[int] = set()
+        total = 0
+        for col in self.columns:
+            if isinstance(col, RunColumn):
+                if id(col.runs) in counted:
+                    continue
+                counted.add(id(col.runs))
+            total += col.nbytes()
+        return total
 
     @classmethod
     def empty_like(cls, names: Sequence[str], dtypes: Sequence[DataType]) -> "ColumnBatch":
@@ -84,7 +142,12 @@ class ColumnBatch:
 
 
 def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
-    """Vertically concatenate batches with identical column layout."""
+    """Vertically concatenate batches with identical column layout.
+
+    A column run-encoded in every batch stays so: the batches' runs are
+    concatenated once for all the columns sharing them. A column that some
+    batch holds materialized is materialized in all of them first.
+    """
     if not batches:
         raise ExecutionError("concat_batches requires at least one batch")
     names = batches[0].names
@@ -93,9 +156,21 @@ def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
             raise ExecutionError(
                 f"batch layout mismatch: {batch.names} vs {names}"
             )
-    columns = [
-        concat_columns([b.columns[i] for b in batches]) for i in range(len(names))
-    ]
+    if len(batches) == 1:
+        return batches[0]
+    merged: dict[tuple[int, ...], RecordRuns] = {}
+    columns: list[Column] = []
+    for i in range(len(names)):
+        parts = [b.columns[i] for b in batches]
+        if all(
+            isinstance(p, RunColumn) and p.kind == parts[0].kind for p in parts
+        ):
+            key = tuple(id(p.runs) for p in parts)
+            if key not in merged:
+                merged[key] = RecordRuns.concat([p.runs for p in parts])
+            columns.append(RunColumn(merged[key], parts[0].kind))
+        else:
+            columns.append(concat_columns([p.materialize() for p in parts]))
     return ColumnBatch(names, columns)
 
 

@@ -6,8 +6,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..db.column import Column, StringDictionary
-from ..db.table import ColumnBatch
+from ..db.column import Column, RecordRuns, RunColumn, StringDictionary
+from ..db.table import ColumnBatch, concat_batches
 from ..db.types import DataType
 from .formats import FileMetaRow, MountedFile, RecordColumns
 
@@ -75,40 +75,52 @@ def record_rows_batch(
     )
 
 
-def _stack(parts: list[np.ndarray]) -> np.ndarray:
-    """Per-file arrays as one column; a lone file's array is wrapped, not
-    copied — an extractor builds it for the mount and nobody else holds it."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+_D_COLUMNS = ("uri", "record_id", "sample_time", "sample_value")
 
 
-def mounted_files_batch(mounted: Sequence[MountedFile]) -> ColumnBatch:
-    """Stack mounted files into one D-layout batch (Ei's bulk load path)."""
-    dictionary = StringDictionary()
-    code_parts = []
-    for part in mounted:
-        code = dictionary.encode_one(part.uri)
-        code_parts.append(np.full(part.num_rows, code, dtype=np.int32))
-    if mounted:
-        codes = _stack(code_parts)
-        record_id = _stack([p.record_id for p in mounted])
-        sample_time = _stack([p.sample_time for p in mounted])
-        sample_value = _stack([p.sample_value for p in mounted])
-    else:
-        codes = np.empty(0, dtype=np.int32)
-        record_id = np.empty(0, dtype=np.int64)
-        sample_time = np.empty(0, dtype=np.int64)
-        sample_value = np.empty(0, dtype=np.float64)
-    return ColumnBatch(
-        ["uri", "record_id", "sample_time", "sample_value"],
-        [
-            Column(DataType.STRING, codes, dictionary),
-            Column(DataType.INT64, record_id),
-            Column(DataType.TIMESTAMP, sample_time),
-            Column(DataType.FLOAT64, sample_value),
-        ],
+def run_encoded_mount(
+    uri: str, sample_value: np.ndarray, runs: RecordRuns
+) -> MountedFile:
+    """A file whose records carry a start time and a rate: ``sample_value``
+    plus ``runs``, one per decoded record; nothing else is stored."""
+    columns: list[Column] = [RunColumn(runs, name) for name in _D_COLUMNS[:3]]
+    columns.append(Column(DataType.FLOAT64, sample_value))
+    return MountedFile(uri, ColumnBatch(_D_COLUMNS, columns), len(runs))
+
+
+def explicit_mount(
+    uri: str,
+    record_id: np.ndarray,
+    sample_time: np.ndarray,
+    sample_value: np.ndarray,
+    records: int,
+) -> MountedFile:
+    """A file whose rows carry their own times: four materialized columns."""
+    return MountedFile(
+        uri,
+        ColumnBatch(
+            _D_COLUMNS,
+            [
+                Column.constant(DataType.STRING, uri, len(sample_value)),
+                Column(DataType.INT64, record_id),
+                Column(DataType.TIMESTAMP, sample_time),
+                Column(DataType.FLOAT64, sample_value),
+            ],
+        ),
+        records,
     )
 
 
-def mounted_file_batch(part: MountedFile) -> ColumnBatch:
-    """One mounted file as a D-layout batch (the ALi mount path)."""
-    return mounted_files_batch([part])
+def mounted_files_batch(mounted: Sequence[MountedFile]) -> ColumnBatch:
+    """Mounted files stacked into one materialized D-layout batch (Ei's
+    bulk load path; with no files, the empty D batch)."""
+    if not mounted:
+        return ColumnBatch.empty_like(
+            _D_COLUMNS,
+            [DataType.STRING, DataType.INT64, DataType.TIMESTAMP,
+             DataType.FLOAT64],
+        )
+    stacked = concat_batches([part.batch for part in mounted])
+    return ColumnBatch(
+        stacked.names, [column.materialize() for column in stacked.columns]
+    )

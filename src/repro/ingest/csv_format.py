@@ -32,6 +32,7 @@ from .formats import (
     RecordColumns,
     extraction_guard,
 )
+from ._batches import explicit_mount
 
 SUFFIX = ".tscsv"
 
@@ -129,9 +130,7 @@ class CsvExtractor:
                     body.write(line)
             body.seek(0)
             if nsamples == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return MountedFile(uri, empty, empty.copy(),
-                                   np.empty(0, dtype=np.float64))
+                return _no_samples(uri, records=1)
             data = np.loadtxt(body, delimiter=",", dtype=np.float64, ndmin=2)
         if data.shape[0] < nsamples:
             raise TruncatedFileError(
@@ -145,11 +144,12 @@ class CsvExtractor:
                 f"{data.shape[0]}",
                 uri=uri,
             )
-        return MountedFile(
-            uri=uri,
+        return explicit_mount(
+            uri,
             record_id=np.zeros(nsamples, dtype=np.int64),
             sample_time=data[:, 0].astype(np.int64),
             sample_value=data[:, 1],
+            records=1,
         )
 
     def mount_selective(
@@ -174,12 +174,16 @@ class CsvExtractor:
                 )
             span_bytes = _prefix_length(path)
         if not request.wants(start_time, end_time):
-            empty = np.empty(0, dtype=np.int64)
-            mounted = MountedFile(uri, empty, empty.copy(),
-                                  np.empty(0, dtype=np.float64))
-            return MountOutcome(mounted, span_bytes, 0, 1)
+            return MountOutcome(_no_samples(uri, records=0), span_bytes, 0, 1)
         mounted = self.mount(path, uri)
         return MountOutcome(mounted, path.stat().st_size, 1, 0)
+
+
+def _no_samples(uri: str, records: int) -> MountedFile:
+    empty = np.empty(0, dtype=np.int64)
+    return explicit_mount(
+        uri, empty, empty.copy(), np.empty(0, dtype=np.float64), records
+    )
 
 
 def _prefix_length(path: Path) -> int:

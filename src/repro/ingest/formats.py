@@ -42,6 +42,7 @@ import numpy as np
 
 from ..db.errors import CorruptFileError, FileIngestError, IngestError
 from ..db.interval import WHOLE_FILE, Interval, is_empty, overlaps
+from ..db.table import ColumnBatch
 
 
 @contextmanager
@@ -133,21 +134,36 @@ class ExtractedMetadata:
 
 @dataclass(frozen=True)
 class MountedFile:
-    """One file's actual data, transformed to the ``D`` layout.
+    """One file's actual data as a ``D``-layout batch (``uri``,
+    ``record_id``, ``sample_time``, ``sample_value``), and how many of its
+    records the extraction decoded.
 
-    Arrays are parallel and row-aligned: ``record_id`` int64,
-    ``sample_time`` int64 µs, ``sample_value`` float64. The URI column is
-    implicit (constant per file) and added by the consumer.
+    A format whose records carry a start time and a rate (xSEED) hands the
+    batch over run-encoded: ``sample_value`` plus one
+    :class:`~repro.db.column.RecordRuns` run per decoded record. A format
+    with explicit times (CSV) hands it over materialized. The array
+    properties read a column as stored values (materializing a derived one).
     """
 
     uri: str
-    record_id: np.ndarray
-    sample_time: np.ndarray
-    sample_value: np.ndarray
+    batch: ColumnBatch
+    records: int
 
     @property
     def num_rows(self) -> int:
-        return len(self.sample_value)
+        return self.batch.num_rows
+
+    @property
+    def record_id(self) -> np.ndarray:
+        return self.batch.column("record_id").values
+
+    @property
+    def sample_time(self) -> np.ndarray:
+        return self.batch.column("sample_time").values
+
+    @property
+    def sample_value(self) -> np.ndarray:
+        return self.batch.column("sample_value").values
 
 
 @dataclass(frozen=True)

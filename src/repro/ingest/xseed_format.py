@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..mseed.record import sample_time_offsets
+from ..db.column import RecordRuns
 from ..mseed.volume import (
     SelectiveRead,
     decode_volume,
@@ -23,6 +23,7 @@ from .formats import (
     RecordColumns,
     extraction_guard,
 )
+from ._batches import run_encoded_mount
 
 
 class XSeedExtractor:
@@ -78,29 +79,17 @@ class XSeedExtractor:
 
 
 def _mounted(uri: str, read: SelectiveRead) -> MountedFile:
-    """The ``D``-layout columns of the records one read decoded.
-
-    Each column is allocated once for the file. Sample times are a record's
-    ``start_time`` plus :func:`sample_time_offsets` — still the single
-    source of timing — computed once per distinct record shape.
-    """
-    counts = np.fromiter(
-        (h.nsamples for h in read.headers), np.int64, len(read.headers)
+    """The ``D`` layout of the records one read decoded: the samples, and
+    one run per record from its header (start time, rate, sample count).
+    No per-sample time or id is built; :class:`~repro.db.column.RecordRuns`
+    derives them, with the arithmetic that defines ``R.end_time``, only
+    where a query reads them."""
+    headers = read.headers
+    runs = RecordRuns.of_records(
+        uri,
+        read.record_ids,
+        [h.nsamples for h in headers],
+        [h.start_time for h in headers],
+        [h.sample_rate for h in headers],
     )
-    sample_time = np.empty(len(read.samples), dtype=np.int64)
-    offsets_of: dict[tuple[int, float], np.ndarray] = {}
-    position = 0
-    for header in read.headers:
-        shape = (header.nsamples, header.sample_rate)
-        offsets = offsets_of.get(shape)
-        if offsets is None:
-            offsets = offsets_of[shape] = sample_time_offsets(*shape)
-        end = position + header.nsamples
-        np.add(offsets, header.start_time, out=sample_time[position:end])
-        position = end
-    return MountedFile(
-        uri=uri,
-        record_id=np.repeat(np.asarray(read.record_ids, dtype=np.int64), counts),
-        sample_time=sample_time,
-        sample_value=read.samples.astype(np.float64),
-    )
+    return run_encoded_mount(uri, read.samples.astype(np.float64), runs)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..db.column import sample_offsets
 from ..db.errors import CorruptFileError, TruncatedFileError
 from .steim import SteimError, steim_decode, steim_encode
 
@@ -49,12 +50,12 @@ assert HEADER_DTYPE.itemsize == HEADER_SIZE, "header dtype is not 64 bytes"
 def sample_time_offsets(nsamples: int, sample_rate: float) -> np.ndarray:
     """µs offsets of each sample from the record's start time.
 
-    The single source of truth for sample timing: both the materialized
-    per-sample times and the header's ``end_time`` derive from it, so
+    Every index through :func:`~repro.db.column.sample_offsets`, the single
+    source of truth for sample timing: the header's ``end_time``, a mounted
+    record's run and its materialized times all derive from it, so
     header-based time pruning can never disagree with mounted sample times.
     """
-    step = 1_000_000 / sample_rate
-    return np.round(np.arange(nsamples) * step).astype(np.int64)
+    return sample_offsets(np.arange(nsamples), sample_rate)
 
 
 def last_sample_offset(nsamples: int, sample_rate: float) -> int:

@@ -85,6 +85,8 @@ _CACHES = {
 CACHES = tuple(_CACHES)
 METASTORES = ("none", "cold", "warm", "stale")
 SOURCES = ("local", "remote", "federated")
+# A repository may mix formats: xSEED volumes and CSV time series.
+SUFFIXES = (".xseed", ".tscsv")
 ENDPOINT = "seis-eu"
 # The remote transport's breaker cools down this fast, so an endpoint that
 # comes back is probed (half-open) by the next query. It counts failed
@@ -241,7 +243,7 @@ class Reference:
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        repository = FileRepository(self.root)
+        repository = FileRepository(self.root, SUFFIXES)
         self.files = repository.uris()  # relative paths, sorted
         self.db = Database()
         eager_ingest(self.db, repository)
@@ -510,12 +512,12 @@ class Engine:
             return repository
 
         if self.point.source == "local":
-            return FileRepository(self.root)
+            return FileRepository(self.root, SUFFIXES)
         if self.point.source == "remote":
             return remote(self.root)
         # Federated: the last station's directory behind the endpoint.
         *local, far = sorted({p.parent for p in self.root.rglob("*.xseed")})
-        members = [FileRepository(directory) for directory in local]
+        members = [FileRepository(directory, SUFFIXES) for directory in local]
         return FederatedRepository(members + [remote(far)])
 
     def run(self, sql: str, plan: _Plan, cancel: bool = False) -> list:
@@ -708,6 +710,8 @@ def run(
                     if clause in ("rows", "degradation"):
                         interest = outcome.breakpoint.files_of_interest
                         used = sorted(map(name_of, interest)) or names
+                        if {Path(u).suffix for u in interest} >= set(SUFFIXES):
+                            reached.append("union of CSV and xSEED branches")
                 engine.assert_nothing_left_behind()
                 after = engine.counters()
                 reached += [p for p in _COUNTED if after[p] > before[p]]

@@ -6,11 +6,20 @@ state build their own objects.
 
 from __future__ import annotations
 
+import shutil
+
+import numpy as np
 import pytest
 
 from repro.core import TwoStageExecutor
 from repro.db import Database
-from repro.ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
+from repro.db.types import parse_timestamp
+from repro.ingest import (
+    RepositoryBinding,
+    eager_ingest,
+    lazy_ingest_metadata,
+    write_csv_timeseries,
+)
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
 from repro.testing.oracle import Reference
 
@@ -57,6 +66,27 @@ def reference(tiny_repo) -> Reference:
     """Eager ingestion of the tiny repository plus the wide-key tables: the
     differential oracle's reference (read-only across tests)."""
     return Reference(tiny_repo.root)
+
+
+# The mixed repository's CSV member: ISK/BHZ beside the xSEED files of that
+# channel, explicit times at a rate whose step is not a whole number of µs.
+CSV_MEMBER = "2010/KO.ISK/KO.ISK..BHZ.2010.010.tscsv"
+CSV_START = parse_timestamp("2010-01-10T03:00:00")
+CSV_RATE = 0.03
+CSV_SAMPLES = 2000
+
+
+@pytest.fixture(scope="session")
+def mixed_reference(tmp_path_factory, tiny_repo) -> Reference:
+    """The tiny repository plus one CSV time series: a union over both
+    formats, judged against eager ingestion of both."""
+    root = tmp_path_factory.mktemp("mixed_repo") / "repo"
+    shutil.copytree(tiny_repo.root, root)
+    values = np.round(np.random.default_rng(7).normal(0, 800, CSV_SAMPLES), 2)
+    write_csv_timeseries(
+        root / CSV_MEMBER, "KO", "ISK", "", "BHZ", CSV_RATE, CSV_START, values
+    )
+    return Reference(root)
 
 
 @pytest.fixture()

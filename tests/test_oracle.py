@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.core import BULK, FAIL_FAST, PER_FILE, SKIP_AND_REPORT
+from repro.db.types import format_timestamp, parse_timestamp
 from repro.testing.faults import (
     CONNECTION_REFUSED,
     SHORT_READ,
@@ -35,6 +36,8 @@ from repro.testing.oracle import (
     run,
     sqlite_agrees,
 )
+
+from conftest import CSV_RATE, CSV_SAMPLES, CSV_START, TINY_SPEC
 
 STATIONS = ["ISK", "ANK", "NOSUCH"]
 CHANNELS = ["BHE", "BHZ"]
@@ -105,6 +108,45 @@ def window(draw, column):
 
 
 @st.composite
+def sample_instant(draw):
+    """Exactly on, or 1 µs either side of, a sample: of the tiny
+    repository's xSEED grid or of the mixed repository's CSV member."""
+    if draw(st.booleans()):
+        day = parse_timestamp(draw(st.sampled_from(TIMES[1:5]))[:10])
+        step = 1_000_000 / TINY_SPEC.sample_rate
+        index = draw(st.integers(0, int(86_400 * TINY_SPEC.sample_rate) - 1))
+    else:
+        day, step = CSV_START, 1_000_000 / CSV_RATE
+        index = draw(st.integers(0, CSV_SAMPLES - 1))
+    instant = day + round(index * step) + draw(st.sampled_from([0, 0, -1, 1]))
+    return format_timestamp(instant)
+
+
+@st.composite
+def sample_window(draw):
+    """Bounds on D.sample_time drawn from sample times: strict or closed on
+    either side, one instant, or an OR of two ranges; one in four
+    contradicts itself."""
+    column = "D.sample_time"
+    shape = draw(st.sampled_from(["range", "range", "instant", "or"]))
+    if shape == "instant":
+        return [f"{column} = '{draw(sample_instant())}'"]
+    t0, t1, t2, t3 = sorted(
+        draw(sample_instant()) for _ in range(4)
+    )
+    if shape == "or":
+        return [
+            f"(({column} >= '{t0}' AND {column} <= '{t1}') "
+            f"OR ({column} > '{t2}' AND {column} < '{t3}'))"
+        ]
+    if draw(st.integers(0, 3)) == 3:
+        t0, t3 = t3, t0
+    lower = draw(st.sampled_from([">", ">="]))
+    upper = draw(st.sampled_from(["<", "<="]))
+    return [f"{column} {lower} '{t0}'", f"{column} {upper} '{t3}'"]
+
+
+@st.composite
 def metadata_queries(draw):
     channel = draw(st.sampled_from(CHANNELS + [None]))
     where = _where([f"F.channel = '{channel}'"] if channel else [])
@@ -127,11 +169,14 @@ def seismic_queries(draw, focus="any"):
     DISTINCT, or an IN subquery; or a metadata-only query. The ``"top-n"``
     focus draws the Top-N pushdown's shape: time-ordered rows of F ⋈ R ⋈ D
     whose R and value predicates thin out what the union's branches emit;
-    ``"per-file"`` draws the aggregates strategy (b) merges per file."""
-    top_n = focus == "top-n"
+    ``"per-file"`` draws the aggregates strategy (b) merges per file;
+    ``"mixed"`` keeps the mixed repository's CSV member (ISK/BHZ, record 0)
+    among the files of interest, beside xSEED ones."""
+    top_n, mixed = focus == "top-n", focus == "mixed"
     shape = "rows" if top_n else draw(st.sampled_from(
         ["aggregate", "grouped", "subquery"] if focus == "per-file" else
-        ["rows", "aggregate", "grouped", "distinct", "subquery", "metadata"]
+        ["rows", "aggregate", "grouped", "distinct", "subquery"]
+        + ["metadata"] * (not mixed)
     ))
     if shape == "metadata":
         return draw(metadata_queries())
@@ -141,16 +186,17 @@ def seismic_queries(draw, focus="any"):
     predicates = []
     if "F" in tables:
         for column, values in (("station", STATIONS), ("channel", CHANNELS)):
-            value = draw(st.sampled_from(values + [None]))
+            kept = ["ISK" if column == "station" else "BHZ"]
+            value = draw(st.sampled_from((kept if mixed else values) + [None]))
             if value:
                 predicates.append(f"F.{column} = '{value}'")
     if "R" in tables and (top_n or draw(st.integers(0, 3))):
         predicates += draw(st.sampled_from([
-            [f"R.record_id = {draw(st.integers(0, 5))}"],
+            [f"R.record_id = {draw(st.integers(0, 0 if mixed else 5))}"],
             draw(window("R.start_time")),
         ]))
     if draw(st.integers(0, 3)):
-        predicates += draw(window("D.sample_time"))
+        predicates += draw(window("D.sample_time") | sample_window())
     if top_n or draw(st.booleans()):
         value = draw(st.sampled_from([500.0, 5000.0, -1000.0]))
         predicates.append(f"D.sample_value > {value}")
@@ -203,7 +249,7 @@ def _rarely(draw, value):
 # every region holds are reached; whatever a focus does not pin is drawn
 # from the whole lattice.
 FOCI = ["any", "top-n", "per-file", "remote", "outage", "tenants",
-        "prefetch", "setup", "cache"]
+        "prefetch", "setup", "cache", "mixed"]
 
 
 @st.composite
@@ -213,7 +259,10 @@ def config_points(draw, focus="any"):
     }.get(focus, [0, 0, 0, 1, 2, 3])))
     standalone = tenants == 0
     remote = focus in ("remote", "outage")
-    source = draw(st.sampled_from(SOURCES[remote:]))
+    # The mixed region's CSV member is served from a local directory.
+    source = "local" if focus == "mixed" else draw(
+        st.sampled_from(SOURCES[remote:])
+    )
     # A remote source's mounts stage cold after a warm metadata session:
     # every byte they move then crosses the link under the fault plan.
     metastores = METASTORES[2:] if remote or focus == "setup" else METASTORES
@@ -314,8 +363,10 @@ def examples(draw, focus):
 )
 @given(data=st.data())
 def test_every_configuration_answers_what_eager_ingestion_answers(
-    focus, data, reference, tmp_path
+    focus, data, reference, request, tmp_path
 ):
+    if focus == "mixed":  # a CSV member in the repository: mixed unions
+        reference = request.getfixturevalue("mixed_reference")
     queries, point, script = data.draw(examples(focus), label="example")
     with tempfile.TemporaryDirectory(dir=tmp_path) as workdir:
         for reached in set(run(reference, queries, workdir, point, script)):
