@@ -18,7 +18,8 @@ and quartiles, the wins, and a verdict per cell against ``BENCHMARK.json``:
 * any other cell is *worse* when the change's median is worse than the
   parent's by more than the metric's bound; *unresolved* when either side's
   quartile distance exceeds the bound (unless every change run beats every
-  parent run: *better*); *flat* otherwise.
+  parent run: *better*); *better* when the median improved by more than
+  the bound; *within bound* otherwise.
 
 ``--table`` prints a saved file's cells as a Markdown table.
 """
@@ -125,8 +126,10 @@ def _cell(
         verdict = "worse"
     elif pm and max(p3 - p1, c3 - c1) / abs(pm) > metric["bound"]:
         verdict = "better" if max(cost_c) < min(cost_p) else "unresolved"
+    elif pm and gain / abs(pm) > metric["bound"]:
+        verdict = "better"
     else:
-        verdict = "flat"
+        verdict = "within bound"
     return {
         "parent": {"median": pm, "q1": p1, "q3": p3, "values": parent},
         "change": {"median": cm, "q1": c1, "q3": c3, "values": change},
@@ -175,7 +178,7 @@ def table(report: dict[str, Any]) -> str:
     """The cells as Markdown: median [q1, q3] per side, change, wins."""
 
     def side(stats: dict[str, float]) -> str:
-        return f"{stats['median']:.4g} [{stats['q1']:.4g}, {stats['q3']:.4g}]"
+        return f"{stats['median']:.6g} [{stats['q1']:.6g}, {stats['q3']:.6g}]"
 
     lines = [
         "| workload | metric | parent median [q1, q3] | change median [q1, q3]"
@@ -192,7 +195,7 @@ def table(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list[str]] = None, runner: Optional[Runner] = None) -> int:
+def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", nargs="?", help="the revision to compare with")
     parser.add_argument("--label", help="writes BENCH_<label>.json")
@@ -216,7 +219,7 @@ def main(argv: Optional[list[str]] = None, runner: Optional[Runner] = None) -> i
         parent_tree = Path(scratch) / "tree"
         parent_hash = export(args.parent, parent_tree)
         runs = measure(
-            runner or e2e_runner(workloads),
+            e2e_runner(workloads),
             {"parent": parent_tree, "change": ROOT}, args.seeds, args.pairs,
             log=lambda line: print(line, file=sys.stderr, flush=True),
         )
