@@ -38,6 +38,13 @@ def sample_offsets(index: Any, sample_rate: Any) -> np.ndarray:
     return np.round(index * (1_000_000 / sample_rate)).astype(np.int64)
 
 
+def sample_offset(index: int, sample_rate: float) -> int:
+    """:func:`sample_offsets` of one index, on Python numbers (the same
+    float operations, the same round-half-to-even): what a header-only scan
+    or a run's cut needs without building an array."""
+    return int(round(index * (1_000_000 / sample_rate)))
+
+
 class StringDictionary:
     """An append-only mapping between strings and dense int32 codes.
 
@@ -402,8 +409,7 @@ class RecordRuns:
         and one lying wholly outside is emptied, without computing its other
         times; only a run a bound falls into is searched for its cut. Exact
         to the µs, strict and non-strict bounds alike: every time compared
-        is ``start + round(index * step)``, the arithmetic of
-        :func:`sample_offsets` on Python floats.
+        is ``start + sample_offset(index, rate)``.
         """
         begins, kept, cut = [], [], False
         starts: list[int] = []  # the kept rows, as merged blocks
@@ -415,13 +421,12 @@ class RecordRuns:
         ):
             begin, end = 0, count
             if count:
-                step = 1_000_000 / rate
-                head = start + round(first * step)
-                tail = start + round((first + count - 1) * step)
+                head = start + sample_offset(first, rate)
+                tail = start + sample_offset(first + count - 1, rate)
                 if tail < lo or head > hi:
                     end = 0
                 else:
-                    run = (start, step, first, count)
+                    run = (start, rate, first, count)
                     if head < lo:
                         begin = _first_sample_from(lo, *run)
                     if tail > hi:
@@ -484,20 +489,20 @@ class RecordRuns:
 
 
 def _first_sample_from(
-    time: int, start: int, step: float, first: int, count: int
+    time: int, start: int, rate: float, first: int, count: int
 ) -> int:
     """How many of a run's ``count`` samples (record indices ``first``
-    onwards, ``step`` µs apart, from ``start``) are timed before ``time``.
+    onwards, sampled at ``rate`` Hz from ``start``) are timed before ``time``.
 
     An estimate from the step, then corrected one sample at a time against
-    the exact times — ``start + round(index * step)``, the arithmetic of
-    :func:`sample_offsets` on Python floats — so it is exact whatever the
-    estimate's rounding.
+    the exact times, ``start + sample_offset(index, rate)``, so it is exact
+    whatever the estimate's rounding.
     """
+    step = 1_000_000 / rate
     index = min(max(first, math.ceil((time - start) / step - 0.5)), first + count)
-    while index > first and start + round((index - 1) * step) >= time:
+    while index > first and start + sample_offset(index - 1, rate) >= time:
         index -= 1
-    while index < first + count and start + round(index * step) < time:
+    while index < first + count and start + sample_offset(index, rate) < time:
         index += 1
     return index - first
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..db.column import sample_offsets
+from ..db.column import sample_offset, sample_offsets
 from ..db.errors import CorruptFileError, TruncatedFileError
 from .steim import SteimError, steim_decode, steim_encode
 
@@ -61,15 +61,14 @@ def sample_time_offsets(nsamples: int, sample_rate: float) -> np.ndarray:
 def last_sample_offset(nsamples: int, sample_rate: float) -> int:
     """µs offset of the last sample — ``sample_time_offsets(...)[-1]``.
 
-    Computed scalar-wise so header-only scans stay O(1) per record, with
-    the exact float association of :func:`sample_time_offsets`
-    (``(n-1) * step``, never ``(n-1) * 1_000_000 / rate``): the two paths
-    once disagreed by 1 µs at interval boundaries.
+    Computed scalar-wise by :func:`~repro.db.column.sample_offset` so
+    header-only scans stay O(1) per record and agree with the array form to
+    the µs (a scalar path of its own once disagreed by 1 µs at interval
+    boundaries).
     """
     if nsamples <= 1 or sample_rate <= 0:
         return 0
-    step = 1_000_000 / sample_rate
-    return int(round((nsamples - 1) * step))
+    return sample_offset(nsamples - 1, sample_rate)
 
 
 def _fix(text: str, width: int) -> bytes:

@@ -35,6 +35,7 @@ from repro.testing.oracle import (
     FaultScript,
     run,
     sqlite_agrees,
+    verdicts,
 )
 
 from conftest import CSV_RATE, CSV_SAMPLES, CSV_START, TINY_SPEC
@@ -371,6 +372,22 @@ def test_every_configuration_answers_what_eager_ingestion_answers(
     with tempfile.TemporaryDirectory(dir=tmp_path) as workdir:
         for reached in set(run(reference, queries, workdir, point, script)):
             event(reached)
+
+
+@pytest.mark.parametrize("strategy", [BULK, PER_FILE])
+def test_a_sum_of_mounted_sample_times_overflows_as_eis_does(
+    strategy, reference, tmp_path
+):
+    """The windows the strategy draws are mostly too narrow for a SUM of
+    sample times to leave int64; this lattice point is one that does, over
+    sample times materialized from mounted records' runs."""
+    sql = (
+        "SELECT SUM(D.sample_time) FROM F JOIN D ON F.uri = D.uri "
+        "WHERE D.sample_time >= '2010-01-09T00:00:00' "
+        "AND D.sample_time <= '2010-01-13T00:00:00'"
+    )
+    point = ConfigPoint(strategy=strategy, selective=False, top_n=False)
+    assert verdicts(run(reference, [sql], tmp_path, point)) == ["Ei's error"]
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """Paired parent / change runs of the end-to-end benchmark, one command.
 
     python -m tools.ab PARENT --label NAME [--pairs 10] [--seeds 7 43]
-                       [--claim WORKLOAD:METRIC ...] [--workload NAME]
+                       [--claim WORKLOAD:METRIC ...]
     python -m tools.ab --table BENCH_NAME.json
 
 Exports revision PARENT (``git archive``, into a temporary directory outside
@@ -46,14 +46,12 @@ Runner = Callable[[Path, int], dict[str, dict[str, Any]]]
 
 def e2e_runner(workloads: Sequence[str]) -> Runner:
     """Run ``benchmarks/e2e/run.py`` in a checkout; its last lines are one
-    result object per workload, in the order asked for."""
+    result object per declared workload, in declaration order."""
 
     def run(checkout: Path, seed: int) -> dict[str, dict[str, Any]]:
-        command = [sys.executable, "benchmarks/e2e/run.py", "--seed", str(seed)]
-        if len(workloads) == 1:
-            command += ["--workload", workloads[0]]
         done = subprocess.run(
-            command, cwd=checkout, capture_output=True, text=True, check=False
+            [sys.executable, "benchmarks/e2e/run.py", "--seed", str(seed)],
+            cwd=checkout, capture_output=True, text=True, check=False,
         )
         lines = done.stdout.strip().splitlines()[-len(workloads):]
         if len(lines) < len(workloads):
@@ -143,10 +141,9 @@ def summarize(
     runs: list[dict[str, Any]], declaration: dict[str, Any],
     claims: Sequence[str],
 ) -> dict[str, Any]:
-    """Cells for every workload × end-to-end metric the runs report, the
+    """Cells for every declared workload × end-to-end metric, the
     correctness of every run, and the overall verdict."""
-    workloads = [w for w in (x["name"] for x in declaration["workloads"])
-                 if w in runs[0]["parent"]]
+    workloads = [w["name"] for w in declaration["workloads"]]
     cells = []
     for workload in workloads:
         for metric in declaration["end_to_end"]:
@@ -203,7 +200,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[7])
     parser.add_argument("--claim", nargs="*", default=[],
                         metavar="WORKLOAD:METRIC", help="the claimed cells")
-    parser.add_argument("--workload", help="run one workload only")
     parser.add_argument("--table", metavar="BENCH_JSON",
                         help="print a saved file's table and exit")
     args = parser.parse_args(argv)
@@ -213,8 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not args.parent or not args.label:
         parser.error("PARENT and --label are required")
     declaration = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = ([args.workload] if args.workload
-                 else [w["name"] for w in declaration["workloads"]])
+    workloads = [w["name"] for w in declaration["workloads"]]
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as scratch:
         parent_tree = Path(scratch) / "tree"
         parent_hash = export(args.parent, parent_tree)
