@@ -1,22 +1,12 @@
-"""Experiment A10 — workload-adaptive caching and the persistent metastore.
+"""Experiment A10 — the persistent metastore's warm start.
 
-Two quantitative claims, each asserted:
-
-1. **Warm start**: a session that loads the persisted metastore reaches its
-   first answer reading at least ``MIN_WARM_REDUCTION``x fewer repository
-   bytes than a cold session that must header-walk every file — the DiNoDB
-   move of treating positional maps as metadata worth keeping.
-2. **Adaptive beats LRU**: on a sliding-hot-window trace (the exploration
-   loop of §1: repeated overlapping looks at one station amid one-off
-   sweeps) the adaptive policy's granularity promotion converts the hot
-   files into whole-file cache entries, so its cache-scan rate exceeds
-   plain LRU's by at least ``MIN_RATE_GAP``. Plain LRU at tuple
-   granularity never covers a *sliding* window, so it re-mounts every time.
-
-That answers are identical under either policy, any worker count and
-selective mounting on or off is the differential oracle's to check
-(``tests/test_oracle.py``): adaptivity is a performance lever, never a
-semantics lever.
+One quantitative claim, asserted: a session that loads the persisted
+metastore reaches its first answer reading at least ``MIN_WARM_REDUCTION``x
+fewer repository bytes than a cold session that must header-walk every file
+— the DiNoDB move of treating positional maps as metadata worth keeping.
+(A10's second claim, the ``ADAPTIVE`` cache policy against LRU, was
+deleted with the policy; EXPERIMENTS.md A23 has the measurement that
+decided it.)
 
 Run as a script (CI smoke-checks ``--smoke --json``)::
 
@@ -36,13 +26,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterator, Optional, Sequence
 
 from bench_json import add_json_argument, maybe_emit_json
-from repro.core import (
-    CacheGranularity,
-    CachePolicy,
-    IngestionCache,
-    MetadataStore,
-    TwoStageExecutor,
-)
+from repro.core import MetadataStore, TwoStageExecutor
 from repro.db import Database
 from repro.db.types import format_timestamp, parse_timestamp
 from repro.harness.setup import materialize_repository
@@ -51,9 +35,7 @@ from repro.mseed import FileRepository, RepositorySpec
 from repro.mseed.iohooks import set_volume_io_hook
 
 MIN_WARM_REDUCTION = 5.0  # cold/warm repository-bytes ratio floor
-MIN_RATE_GAP = 0.15  # adaptive cache-scan rate must beat LRU's by this
 HOT_STATION = "ISK"
-CACHE_BYTES = 64_000_000
 
 _MINUTE_US = 60 * 1_000_000
 
@@ -88,26 +70,6 @@ def _window_sql(station: str, lo_us: int, hi_us: int) -> str:
         f"AND D.sample_time >= '{format_timestamp(lo_us)}' "
         f"AND D.sample_time < '{format_timestamp(hi_us)}'"
     )
-
-
-def exploration_trace(spec: RepositorySpec, hot_steps: int = 8) -> list[str]:
-    """Sliding 30-minute windows on the hot station (50% overlap — never
-    covered by an earlier tuple-granular entry) interleaved with one-off
-    sweep queries on every other station: the flood plain LRU drowns in."""
-    day_us = parse_timestamp(spec.start_day)
-    base = day_us + 8 * 60 * _MINUTE_US
-    width = 30 * _MINUTE_US
-    step = width // 2
-    others = [s for s in spec.stations if s != HOT_STATION]
-    trace: list[str] = []
-    for i in range(hot_steps):
-        lo = base + i * step
-        trace.append(_window_sql(HOT_STATION, lo, lo + width))
-        if others:
-            sweep = others[i % len(others)]
-            sweep_lo = day_us + (2 + i) * 60 * _MINUTE_US
-            trace.append(_window_sql(sweep, sweep_lo, sweep_lo + width))
-    return trace
 
 
 # -- repository byte accounting ------------------------------------------------
@@ -169,7 +131,7 @@ class _CountingHandle:
         self.close()
 
 
-# -- claim 1: cold vs warm metastore start -------------------------------------
+# -- the claim: cold vs warm metastore start ----------------------------------
 
 
 @dataclass
@@ -258,82 +220,10 @@ def check_cold_vs_warm(
     )
 
 
-# -- claim 2: adaptive vs LRU ----------------------------------------------------
-
-
-@dataclass
-class TraceRun:
-    """One cache policy over the whole trace."""
-
-    policy: str
-    rows: list[list[tuple]]
-    mounts: int
-    cache_scans: int
-    adaptive_whole_file: int
-    cache_scan_rate: float
-
-
-def run_trace(
-    repository: FileRepository,
-    trace: Sequence[str],
-    policy: CachePolicy,
-) -> TraceRun:
-    db = Database()
-    lazy_ingest_metadata(db, repository)
-    cache = IngestionCache(
-        policy, CacheGranularity.TUPLE, capacity_bytes=CACHE_BYTES
-    )
-    executor = TwoStageExecutor(
-        db,
-        RepositoryBinding(repository),
-        cache=cache,
-    )
-    db.make_cold()
-    rows = [executor.execute(sql).rows for sql in trace]
-    stats = executor.mounts.stats
-    touches = stats.mounts + stats.cache_scans
-    return TraceRun(
-        policy=policy.value,
-        rows=rows,
-        mounts=stats.mounts,
-        cache_scans=stats.cache_scans,
-        adaptive_whole_file=stats.adaptive_whole_file,
-        cache_scan_rate=stats.cache_scans / touches if touches else 0.0,
-    )
-
-
-def run_policy_duel(
-    repository: FileRepository, trace: Sequence[str]
-) -> tuple[TraceRun, TraceRun]:
-    adaptive = run_trace(repository, trace, CachePolicy.ADAPTIVE)
-    lru = run_trace(repository, trace, CachePolicy.LRU)
-    return adaptive, lru
-
-
-def check_policy_duel(adaptive: TraceRun, lru: TraceRun) -> None:
-    assert adaptive.rows == lru.rows, (
-        "adaptive caching changed an answer vs plain LRU"
-    )
-    gap = adaptive.cache_scan_rate - lru.cache_scan_rate
-    assert gap >= MIN_RATE_GAP, (
-        f"expected adaptive to beat LRU's cache-scan rate by "
-        f">={MIN_RATE_GAP:.2f}, got {adaptive.cache_scan_rate:.2f} vs "
-        f"{lru.cache_scan_rate:.2f} (gap {gap:.2f})"
-    )
-    assert adaptive.adaptive_whole_file > 0, (
-        "the hot station never triggered granularity promotion"
-    )
-
-
 # -- reporting -----------------------------------------------------------------
 
 
-def render(
-    cold: SessionRun,
-    warm: SessionRun,
-    adaptive: TraceRun,
-    lru: TraceRun,
-) -> str:
+def render(cold: SessionRun, warm: SessionRun) -> str:
     lines = [
         f"{'session':>8} {'repo bytes':>12} {'reused':>7} {'mounts':>7}",
     ]
@@ -346,16 +236,6 @@ def render(
         f"warm start reads {warm_reduction(cold, warm):.1f}x fewer "
         f"repository bytes to its first answer"
     )
-    lines.append("")
-    lines.append(
-        f"{'policy':>10} {'mounts':>7} {'scans':>6} {'promoted':>9} "
-        f"{'scan rate':>10}"
-    )
-    for run in (lru, adaptive):
-        lines.append(
-            f"{run.policy:>10} {run.mounts:>7} {run.cache_scans:>6} "
-            f"{run.adaptive_whole_file:>9} {run.cache_scan_rate:>9.1%}"
-        )
     return "\n".join(lines)
 
 
@@ -365,27 +245,19 @@ def render(
 def _run_all(spec: RepositorySpec) -> dict:
     repository = materialize_repository(spec)
     cold, warm = run_cold_vs_warm(repository, spec)
-    trace = exploration_trace(spec)
-    adaptive, lru = run_policy_duel(repository, trace)
     print()
-    print(render(cold, warm, adaptive, lru))
+    print(render(cold, warm))
     check_cold_vs_warm(cold, warm, spec.file_count)
-    check_policy_duel(adaptive, lru)
-    return {
-        "cold": cold,
-        "warm": warm,
-        "adaptive": adaptive,
-        "lru": lru,
-    }
+    return {"cold": cold, "warm": warm}
 
 
 def test_adaptive_cache_smoke():
-    """Smoke: both claims at 4-file scale."""
+    """Smoke: the claim at 4-file scale."""
     _run_all(smoke_spec())
 
 
 def test_adaptive_cache_headline():
-    """Headline: both claims on 27 day-long files."""
+    """Headline: the claim on 27 day-long files."""
     _run_all(dense_spec())
 
 
@@ -394,8 +266,7 @@ def test_adaptive_cache_headline():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Adaptive cache + persistent metastore: cold vs warm, "
-        "adaptive vs LRU"
+        description="Persistent metastore: cold vs warm start"
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -423,18 +294,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "files": spec.file_count,
             "repository_bytes": repository.total_bytes(),
             "min_warm_reduction": MIN_WARM_REDUCTION,
-            "min_rate_gap": MIN_RATE_GAP,
-            "cache_bytes": CACHE_BYTES,
         },
         results={
             "cold": runs["cold"],
             "warm": runs["warm"],
-            "adaptive": runs["adaptive"],
-            "lru": runs["lru"],
             "warm_reduction": warm_reduction(runs["cold"], runs["warm"]),
-            "rate_gap": (
-                runs["adaptive"].cache_scan_rate - runs["lru"].cache_scan_rate
-            ),
         },
     )
     return 0

@@ -1,13 +1,10 @@
-"""Experiment A11 — the remote backend's three quantitative claims.
+"""Experiment A11 — the remote backend's two quantitative claims.
 
 1. **Ranged GETs**: on a narrow time window, the selective mount path
    moves at least ``MIN_RANGED_REDUCTION``x fewer remote bytes than
    whole-object staging — byte maps turn into HTTP-style range requests,
    so a 30-minute look at a day-long file stops downloading the day.
-2. **Hedged reads**: under a heavy-tailed latency distribution, hedged
-   backup requests cut the p99 GET wall time by at least
-   ``MIN_HEDGE_P99_CUT``x — the backup almost never draws the tail twice.
-3. **Resilience overhead**: the always-on resilience stack (retry
+2. **Resilience overhead**: the always-on resilience stack (retry
    ladder, retry budget, circuit breaker) costs at most
    ``MAX_OVERHEAD_FRACTION`` extra wall time on a fault-free run vs the
    bare single-attempt transport — insurance that is free until it pays.
@@ -26,7 +23,6 @@ or through pytest (``pytest benchmarks/bench_remote.py -s``).
 from __future__ import annotations
 
 import argparse
-import statistics
 import tempfile
 import time
 from dataclasses import dataclass
@@ -44,27 +40,14 @@ from repro.mseed import RepositorySpec
 from repro.remote import (
     NetworkProfile,
     RemoteRepository,
-    ResilientTransport,
     SimulatedObjectStore,
     TransportPolicy,
 )
 
 MIN_RANGED_REDUCTION = 5.0  # whole/ranged remote-bytes ratio floor
-MIN_HEDGE_P99_CUT = 2.0  # p99(no hedge) / p99(hedged) floor
 MAX_OVERHEAD_FRACTION = 0.02  # fault-free resilience tax ceiling
 
 _MINUTE_US = 60 * 1_000_000
-
-# Heavy-tailed link for the hedging duel: 2 ms baseline, 5% of requests
-# take 40 ms. Drawn deterministically from the seed, so both arms of the
-# duel face the same weather. The tail probability must sit below the
-# hedge percentile's complement (here 10%), or the latency tracker's
-# baseline *is* the tail and backups never arm.
-HEAVY_TAIL_PROFILE = NetworkProfile(
-    latency_seconds=0.002,
-    heavy_tail_probability=0.05,
-    heavy_tail_multiplier=20.0,
-)
 
 
 def dense_spec() -> RepositorySpec:
@@ -200,82 +183,7 @@ def check_ranged_vs_whole(whole: RemoteRun, ranged: RemoteRun) -> None:
     )
 
 
-# -- claim 2: hedged reads on a heavy-tailed link ------------------------------
-
-
-@dataclass
-class HedgeRun:
-    mode: str  # "plain" | "hedged"
-    p50_ms: float
-    p99_ms: float
-    hedges: int
-    hedge_wins: int
-
-
-def _percentile(samples: Sequence[float], p: float) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(p * len(ordered)))
-    return ordered[index]
-
-
-def run_hedge_duel(
-    objects_dir: Path, requests: int
-) -> tuple[HedgeRun, HedgeRun]:
-    """The same deterministic weather, with and without backup requests."""
-    key = SimulatedObjectStore("seis-eu", objects_dir).list_keys().entries[0].key
-    runs = []
-    for mode in ("plain", "hedged"):
-        store = SimulatedObjectStore(
-            "seis-eu", objects_dir, profile=HEAVY_TAIL_PROFILE, seed=13
-        )
-        transport = ResilientTransport(
-            store,
-            TransportPolicy(
-                hedge_enabled=(mode == "hedged"),
-                hedge_percentile=0.90,
-                hedge_min_samples=8,
-                hedge_multiplier=1.5,
-                retry_budget_attempts=10 * requests,
-            ),
-        )
-        for _ in range(8):  # warm the latency tracker in both arms:
-            transport.get(key, 0, 4096)  # hedging needs a baseline first
-        walls = []
-        for _ in range(requests):
-            started = time.perf_counter()
-            transport.get(key, 0, 4096)
-            walls.append(time.perf_counter() - started)
-        transport.close()
-        runs.append(
-            HedgeRun(
-                mode=mode,
-                p50_ms=_percentile(walls, 0.50) * 1e3,
-                p99_ms=_percentile(walls, 0.99) * 1e3,
-                hedges=transport.stats.hedges,
-                hedge_wins=transport.stats.hedge_wins,
-            )
-        )
-    return runs[0], runs[1]
-
-
-def hedge_p99_cut(plain: HedgeRun, hedged: HedgeRun) -> float:
-    if hedged.p99_ms == 0:
-        return float("inf")
-    return plain.p99_ms / hedged.p99_ms
-
-
-def check_hedge_duel(plain: HedgeRun, hedged: HedgeRun) -> None:
-    assert hedged.hedges > 0, "the tail never armed a backup request"
-    assert hedged.hedge_wins > 0, "no backup ever beat a straggler"
-    cut = hedge_p99_cut(plain, hedged)
-    assert cut >= MIN_HEDGE_P99_CUT, (
-        f"expected hedging to cut p99 by >={MIN_HEDGE_P99_CUT}x, got "
-        f"{cut:.2f}x ({plain.p99_ms:.1f} ms plain vs "
-        f"{hedged.p99_ms:.1f} ms hedged)"
-    )
-
-
-# -- claim 3: fault-free resilience overhead -----------------------------------
+# -- claim 2: fault-free resilience overhead -----------------------------------
 
 
 @dataclass
@@ -287,9 +195,6 @@ class OverheadRun:
 
 BARE_POLICY = TransportPolicy(max_attempts=1, retry_budget_attempts=0)
 # The always-on stack: retry ladder, per-query budget, circuit breaker.
-# Hedging and per-request timeouts are opt-in knobs that buy their thread
-# pool only when configured (claim 2 prices hedging separately), so the
-# default policy keeps the zero-thread inline path.
 RESILIENT_POLICY = TransportPolicy(max_attempts=3, retry_budget_attempts=64)
 
 
@@ -349,8 +254,6 @@ def check_overhead(bare: OverheadRun, resilient: OverheadRun) -> None:
 def render(
     whole: RemoteRun,
     ranged: RemoteRun,
-    plain: HedgeRun,
-    hedged: HedgeRun,
     bare: OverheadRun,
     resilient: OverheadRun,
 ) -> str:
@@ -367,17 +270,6 @@ def render(
         f"remote bytes on the narrow window"
     )
     lines.append("")
-    lines.append(f"{'mode':>10} {'p50 ms':>8} {'p99 ms':>8} {'hedges':>7}")
-    for run in (plain, hedged):
-        lines.append(
-            f"{run.mode:>10} {run.p50_ms:>8.2f} {run.p99_ms:>8.2f} "
-            f"{run.hedges:>7}"
-        )
-    lines.append(
-        f"hedged backups cut p99 {hedge_p99_cut(plain, hedged):.1f}x on the "
-        f"heavy-tailed link"
-    )
-    lines.append("")
     lines.append(
         f"fault-free resilience overhead: "
         f"{overhead_fraction(bare, resilient):+.2%} "
@@ -390,7 +282,7 @@ def render(
 # -- pytest entry points -------------------------------------------------------
 
 
-def _run_all(spec: RepositorySpec, requests: int, repeats: int) -> dict:
+def _run_all(spec: RepositorySpec, repeats: int) -> dict:
     repository = materialize_repository(spec)
     objects_dir = Path(repository.root)
     workdir = Path(tempfile.mkdtemp(prefix="bench-remote-"))
@@ -400,28 +292,24 @@ def _run_all(spec: RepositorySpec, requests: int, repeats: int) -> dict:
     whole, ranged = run_ranged_vs_whole(
         objects_dir, workdir, metastore_path, sql
     )
-    plain, hedged = run_hedge_duel(objects_dir, requests)
     bare, resilient = run_overhead(
         objects_dir, workdir, metastore_path, sql, repeats
     )
     print()
-    print(render(whole, ranged, plain, hedged, bare, resilient))
+    print(render(whole, ranged, bare, resilient))
     check_ranged_vs_whole(whole, ranged)
-    check_hedge_duel(plain, hedged)
     check_overhead(bare, resilient)
     return {
         "whole": whole,
         "ranged": ranged,
-        "plain": plain,
-        "hedged": hedged,
         "bare": bare,
         "resilient": resilient,
     }
 
 
 def test_remote_bench_quick():
-    """Smoke: all three claims at 2-file scale."""
-    _run_all(quick_spec(), requests=150, repeats=5)
+    """Smoke: both claims at 2-file scale."""
+    _run_all(quick_spec(), repeats=5)
 
 
 # -- script entry point --------------------------------------------------------
@@ -429,8 +317,8 @@ def test_remote_bench_quick():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Remote backend: ranged GETs vs whole staging, hedged "
-        "p99, fault-free resilience overhead"
+        description="Remote backend: ranged GETs vs whole staging, "
+        "fault-free resilience overhead"
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -440,7 +328,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     spec = quick_spec() if args.quick else dense_spec()
-    requests = 150 if args.quick else 400
     repeats = 5  # best-of: adjudicates scheduler noise on a ~50 ms wall
     repository = materialize_repository(spec)
     print(
@@ -448,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{repository.total_bytes():,} bytes"
     )
     try:
-        runs = _run_all(spec, requests, repeats)
+        runs = _run_all(spec, repeats)
     except AssertionError as exc:
         print(f"FAIL: {exc}")
         return 1
@@ -459,10 +346,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "quick": args.quick,
             "files": spec.file_count,
             "repository_bytes": repository.total_bytes(),
-            "hedge_requests": requests,
             "overhead_repeats": repeats,
             "min_ranged_reduction": MIN_RANGED_REDUCTION,
-            "min_hedge_p99_cut": MIN_HEDGE_P99_CUT,
             "max_overhead_fraction": MAX_OVERHEAD_FRACTION,
         },
         results={
@@ -471,9 +356,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "ranged_reduction": ranged_reduction(
                 runs["whole"], runs["ranged"]
             ),
-            "plain": runs["plain"],
-            "hedged": runs["hedged"],
-            "hedge_p99_cut": hedge_p99_cut(runs["plain"], runs["hedged"]),
             "bare": runs["bare"],
             "resilient": runs["resilient"],
             "overhead_fraction": overhead_fraction(

@@ -107,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--endpoint-timeout-ms", type=float, default=None, metavar="MS",
-        help="per-request timeout; a request that outlives it is abandoned "
-        "and retried (default: no timeout)",
+        help="per-request timeout; a request still waiting on the link when "
+        "it passes fails and is retried (default: no timeout)",
     )
     query.add_argument(
         "--endpoint-retries", type=_positive_int, default=3, metavar="N",
@@ -116,14 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--endpoint-retry-budget", type=int, default=64, metavar="N",
-        help="per-query cap on retries + hedges across all remote requests "
+        help="per-query cap on retries across all remote requests "
         "(default 64)",
-    )
-    query.add_argument(
-        "--endpoint-hedge-percentile", type=float, default=None, metavar="P",
-        help="enable hedged backup requests: when a request outlives this "
-        "latency percentile of recent requests, race a second one and take "
-        "the first answer (e.g. 0.95; default: hedging off)",
     )
     query.add_argument(
         "--explain", action="store_true", help="print the plan instead"
@@ -174,19 +168,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--cache-policy",
-        choices=("discard", "unbounded", "lru", "adaptive"),
+        choices=("discard", "unbounded", "lru"),
         default="discard",
         help="ingestion-cache retention: discard = the paper's default "
         "(nothing survives the query); unbounded = retain everything; lru = "
-        "byte-budgeted least-recently-used; adaptive = byte-budgeted with "
-        "workload-learned (LRU-2) eviction and per-file whole-file "
-        "promotion (repo mode only)",
+        "byte-budgeted least-recently-used (repo mode only)",
     )
     query.add_argument(
         "--cache-bytes", type=_positive_int, default=256_000_000,
         metavar="B",
-        help="cache capacity for --cache-policy lru/adaptive "
-        "(default 256 MB)",
+        help="cache capacity for --cache-policy lru (default 256 MB)",
     )
     query.add_argument(
         "--metastore", action="store_true",
@@ -371,8 +362,6 @@ def _build_query_repository(args: argparse.Namespace):
             ),
             max_attempts=args.endpoint_retries,
             retry_budget_attempts=args.endpoint_retry_budget,
-            hedge_enabled=args.endpoint_hedge_percentile is not None,
-            hedge_percentile=args.endpoint_hedge_percentile or 0.95,
         )
         staging_root = Path(tempfile.mkdtemp(prefix="repro-remote-staging-"))
         for spec in args.remote:
@@ -403,8 +392,7 @@ def _print_remote_stats(remotes) -> None:
             f"byte(s) in {stats.ranged_gets} ranged / "
             f"{stats.whole_fetches} whole GET(s), "
             f"{stats.staged_reuses} staging reuse(s); "
-            f"{transport.retries} retry(ies), {transport.hedges} hedge(s) "
-            f"({transport.hedge_wins} won), "
+            f"{transport.retries} retry(ies), "
             f"{transport.breaker_refusals} breaker refusal(s))",
             file=sys.stderr,
         )
@@ -452,11 +440,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from .core.cache import CacheGranularity, CachePolicy, IngestionCache
 
         policy = CachePolicy(args.cache_policy)
-        capacity = (
-            args.cache_bytes
-            if policy in (CachePolicy.LRU, CachePolicy.ADAPTIVE)
-            else None
-        )
+        capacity = args.cache_bytes if policy is CachePolicy.LRU else None
         cache = IngestionCache(
             policy, CacheGranularity.TUPLE, capacity_bytes=capacity
         )

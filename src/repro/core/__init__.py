@@ -7,13 +7,6 @@ rule (1) onto mount/cache-scan access paths, the ingestion cache design
 space, derived metadata, and multi-stage execution.
 """
 
-from .advisor import (
-    CacheAdvisor,
-    PredictedWindow,
-    PrefetchStats,
-    SessionPrefetcher,
-    WorkloadPredictor,
-)
 from .breakpoint import BreakpointInfo
 from .cache import (
     CacheGranularity,
@@ -73,6 +66,12 @@ from .mountpool import (
 )
 from .multistage import BatchSnapshot, MultiStageExecutor, MultiStageResult
 from .partial import PartialMerger, is_decomposable
+from .prefetch import (
+    PredictedWindow,
+    PrefetchStats,
+    SessionPrefetcher,
+    WorkloadPredictor,
+)
 from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
 from .topn import (
     TopNBranchMonitor,
@@ -84,7 +83,6 @@ from .verify import verify_ali_rewrite, verify_decomposition
 
 __all__ = [
     "BreakpointInfo",
-    "CacheAdvisor",
     "PredictedWindow",
     "PrefetchStats",
     "SessionPrefetcher",

@@ -5,10 +5,8 @@ The paper's default discards mounted data as soon as the query finishes
 management as an open challenge (§5). This module implements the design
 space that challenge spans:
 
-* **policies** — DISCARD (paper default), UNBOUNDED, LRU with a byte
-  budget, and ADAPTIVE (byte-budgeted like LRU, but eviction order comes
-  from a :class:`~repro.core.advisor.CacheAdvisor`'s LRU-2 scores, and the
-  advisor's access counts drive per-URI granularity promotion),
+* **policies** — DISCARD (paper default), UNBOUNDED, and LRU with a byte
+  budget,
 * **granularities** — FILE (cache whole files) and TUPLE (cache only the
   tuples inside the requested time interval; §3: "combined selections with
   cache-scans even lets the cache storage be tuple-granular").
@@ -44,7 +42,6 @@ from typing import Optional
 from .. import _sync
 from ..db.interval import INF, WHOLE_FILE, Interval, covers
 from ..db.table import ColumnBatch
-from .advisor import CacheAdvisor
 
 __all__ = [
     "INF",
@@ -70,7 +67,6 @@ class CachePolicy(enum.Enum):
     DISCARD = "discard"  # the paper's default: never retain
     UNBOUNDED = "unbounded"  # retain everything
     LRU = "lru"  # retain within a byte budget, evict least recently used
-    ADAPTIVE = "adaptive"  # byte budget + advisor-scored (LRU-2) eviction
 
 
 class CacheGranularity(enum.Enum):
@@ -126,22 +122,12 @@ class IngestionCache:
         policy: CachePolicy = CachePolicy.DISCARD,
         granularity: CacheGranularity = CacheGranularity.FILE,
         capacity_bytes: Optional[int] = None,
-        advisor: Optional[CacheAdvisor] = None,
     ) -> None:
-        if (
-            policy in (CachePolicy.LRU, CachePolicy.ADAPTIVE)
-            and capacity_bytes is None
-        ):
+        if policy is CachePolicy.LRU and capacity_bytes is None:
             raise ValueError(f"{policy.value} policy requires capacity_bytes")
         self.policy = policy
         self.granularity = granularity
         self.capacity_bytes = capacity_bytes
-        # The adaptive policy needs an advisor; other policies accept one
-        # (its history still drives granularity promotion) but don't require
-        # it. The advisor locks itself — lock order is cache → advisor.
-        if advisor is None and policy is CachePolicy.ADAPTIVE:
-            advisor = CacheAdvisor()
-        self.advisor = advisor
         self.stats = CacheStats()  # guarded-by: _lock
         # Key: uri for FILE granularity, (uri, interval) for TUPLE.
         self._entries: OrderedDict[object, _Entry] = OrderedDict()  # guarded-by: _lock
@@ -187,8 +173,6 @@ class IngestionCache:
         that file is stale: all are invalidated and the lookup misses, so
         the caller re-mounts the rewritten file instead of serving old rows.
         """
-        if self.advisor is not None:
-            self.advisor.note_access(uri)
         with self._lock:
             key = self._matching_key_locked(uri, request)
             if key is None:
@@ -210,32 +194,6 @@ class IngestionCache:
     def cached_uris(self) -> set[str]:
         with self._lock:
             return set(self._by_uri)
-
-    # -- workload adaptation ---------------------------------------------------
-
-    def wants_whole_file(self, uri: str) -> bool:
-        """Whether the workload history says ``uri`` should mount whole.
-
-        Only the adaptive policy promotes (other policies have no mandate to
-        trade speculative bytes for future hits); the mount layer consults
-        this before building a selective request.
-        """
-        return (
-            self.policy is CachePolicy.ADAPTIVE
-            and self.advisor is not None
-            and self.advisor.wants_whole_file(uri)
-        )
-
-    def granularity_for(self, uri: str) -> CacheGranularity:
-        """Effective store granularity for one file: a hot URI under the
-        adaptive policy is retained whole even in a TUPLE-granular cache
-        (the entry's coverage then satisfies every later window)."""
-        if (
-            self.granularity is CacheGranularity.TUPLE
-            and self.wants_whole_file(uri)
-        ):
-            return CacheGranularity.FILE
-        return self.granularity
 
     # -- store ---------------------------------------------------------------
 
@@ -263,11 +221,9 @@ class IngestionCache:
         """
         if self.policy is CachePolicy.DISCARD:
             return
-        if self.advisor is not None:
-            self.advisor.note_access(uri)
         entry = _Entry(interval, batch, signature)  # sized outside the lock
         if (
-            self.policy in (CachePolicy.LRU, CachePolicy.ADAPTIVE)
+            self.policy is CachePolicy.LRU
             and self.capacity_bytes is not None
             and entry.nbytes > self.capacity_bytes
         ):
@@ -327,33 +283,13 @@ class IngestionCache:
                 del self._by_uri[uri]
 
     def _evict_if_needed_locked(self) -> None:
-        if self.policy not in (CachePolicy.LRU, CachePolicy.ADAPTIVE):
+        if self.policy is not CachePolicy.LRU:
             return
         assert self.capacity_bytes is not None
         while self.stats.current_bytes > self.capacity_bytes and self._entries:
-            self._remove_entry_locked(self._victim_locked())
+            # The least recently used entry: the front of the ordered table.
+            self._remove_entry_locked(next(iter(self._entries)))
             self.stats.evictions += 1
-
-    def _victim_locked(self) -> object:
-        """The next eviction victim under the active policy.
-
-        LRU: the least recently used entry (front of the ordered table).
-        ADAPTIVE: the entry whose URI has the lowest LRU-2 score — files
-        seen fewer than twice (score -1) go first, ties fall back to LRU
-        order because the scan walks the table oldest-first. The scan is
-        O(entries), which is fine: eviction is rare next to lookup, and the
-        per-URI index keeps the hot path (lookup) off full scans.
-        """
-        if self.policy is not CachePolicy.ADAPTIVE or self.advisor is None:
-            return next(iter(self._entries))
-        best_key: Optional[object] = None
-        best_score = 0
-        for key in self._entries:
-            score = self.advisor.eviction_score(_uri_of(key))
-            if best_key is None or score < best_score:
-                best_key, best_score = key, score
-        assert best_key is not None
-        return best_key
 
     # -- maintenance -----------------------------------------------------------
 

@@ -601,10 +601,10 @@ class RetryBudget:
     The per-request retry ladder bounds one request; the retry budget bounds
     the query: a flapping endpoint that makes every ranged GET need two
     retries would otherwise multiply the query's wall time by the retry
-    count times the file count. Each retry (and each hedged backup request)
-    spends one unit via :meth:`try_spend`; once the pool is dry, requests
-    get exactly one attempt and failures surface immediately — degrading the
-    query instead of stretching it.
+    count times the file count. Each retry spends one unit via
+    :meth:`try_spend`; once the pool is dry, requests get exactly one
+    attempt and failures surface immediately — degrading the query instead
+    of stretching it.
 
     Shared by every mount worker of one query, hence the lock. There is one
     per (query, endpoint): the query's

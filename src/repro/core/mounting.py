@@ -292,7 +292,6 @@ class MountStats:
     early_terminated_branches: int = 0  # union branches skipped by Top-N proof
     early_cancelled_mounts: int = 0  # pending mounts released before extraction
     whole_file_requests: int = 0  # selective requests widened: interval covers file
-    adaptive_whole_file: int = 0  # requests widened by the cache's hot-file promotion
     prefetched_mounts: int = 0  # speculative extractions stored ahead of a query
     prefetched_bytes: int = 0  # bytes read by those speculative extractions
 
@@ -442,14 +441,6 @@ class MountService:
         )
         if interval == WHOLE_FILE:
             return None
-        if self.cache.wants_whole_file(uri):
-            # Workload promotion: the advisor has seen this file often enough
-            # that caching it whole beats re-mounting window after window.
-            # Mount whole once; the cache retains whole-file coverage and
-            # every later window over this file becomes a cache scan.
-            with self._lock:
-                self.stats.adaptive_whole_file += 1
-            return None
         if self.file_span_provider is not None and interval[0] <= interval[1]:
             # Cost choice: when the interval covers the file's whole metadata
             # span, every record overlaps it — selective extraction would
@@ -541,7 +532,7 @@ class MountService:
         # The extraction already observed the signature of what it read;
         # reuse it instead of another stat/HEAD per mount.
         signature = result.signature
-        if self.cache.granularity_for(uri) is CacheGranularity.TUPLE:
+        if self.cache.granularity is CacheGranularity.TUPLE:
             batch = self._narrowed(batch, interval)
             self.cache.store(uri, batch, interval, signature=signature)
         else:
@@ -560,7 +551,7 @@ class MountService:
         """Speculatively extract ``interval`` of one file into the cache.
 
         The predictive-prefetch entry point: called off the query path (the
-        :class:`~repro.core.advisor.SessionPrefetcher`'s worker thread)
+        :class:`~repro.core.prefetch.SessionPrefetcher`'s worker thread)
         under the prefetcher's own ``context`` — speculative work is no
         query's bill and no query's cancellation reaches it. It must never
         make an answer wrong, so it stores exactly what a real mount of the
@@ -577,11 +568,7 @@ class MountService:
         if self.cache.contains(uri, interval):
             return ("covered", 0)
         request: Optional[MountRequest] = None
-        if (
-            self.selective
-            and interval != WHOLE_FILE
-            and not self.cache.wants_whole_file(uri)
-        ):
+        if self.selective and interval != WHOLE_FILE:
             records: Optional[tuple[RecordSpan, ...]] = None
             if self.record_map_provider is not None:
                 records = self.record_map_provider(uri, table_name)
@@ -600,7 +587,7 @@ class MountService:
         coverage = WHOLE_FILE if request is None else interval
         if (
             request is not None
-            and self.cache.granularity_for(uri) is CacheGranularity.TUPLE
+            and self.cache.granularity is CacheGranularity.TUPLE
         ):
             narrowed = self._narrowed(result.batch, interval)
             self.cache.store(uri, narrowed, interval, signature=signature)

@@ -1,16 +1,9 @@
-"""Workload advisor: access history, eviction scores, and prefetch.
+"""Predictive prefetch: window prediction and speculative cache warming.
 
 The paper leaves cache management at the stage-1/stage-2 breakpoint as an
 open challenge (§5); NoDB's answer is to let the *workload* drive the
-auxiliary structures. Three cooperating pieces implement that here:
+auxiliary structures. Two cooperating pieces implement that here:
 
-* :class:`CacheAdvisor` — per-URI access history. It feeds two decisions:
-  the adaptive cache's eviction order (an LRU-2 score: the victim is the
-  entry whose file's *penultimate* access is oldest, so one-shot scans are
-  evicted before twice-touched working-set files — the classic defence
-  against sequential flooding that plain LRU lacks) and granularity
-  promotion (a file touched often enough is worth mounting whole, turning
-  every later window on it into a cache hit).
 * :class:`WorkloadPredictor` — recognizes the sliding-window / zoom shapes
   :mod:`repro.explore.workload` generates and extrapolates the next window.
 * :class:`SessionPrefetcher` — turns predictions into speculative
@@ -20,122 +13,32 @@ auxiliary structures. Three cooperating pieces implement that here:
   a prefetch can only *add* covering entries, so results stay
   byte-identical with prefetch on or off.
 
-Thread-safety: the advisor is consulted from cache operations (under the
-cache's lock) and from mount workers; the predictor from whichever thread
-ran the query and from the prefetch worker. Both therefore carry their own
-locks, and neither calls out to other locked components while holding its
-lock (lock order stays cache → advisor, acyclic).
+Thread-safety: the predictor is consulted from whichever thread ran the
+query and from the prefetch worker, so both carry their own locks, and
+neither calls out to other locked components while holding its lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .. import _sync
 from ..db.interval import Interval, is_empty, overlaps
+from .mounting import MountContext, MountService
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mounting → cache)
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..db.stats import StatisticsCatalog
     from .governor import CircuitBreaker
-    from .mounting import MountService
 
 __all__ = [
-    "AccessProfile",
-    "CacheAdvisor",
     "PredictedWindow",
     "PrefetchStats",
     "SessionPrefetcher",
     "WorkloadPredictor",
 ]
-
-
-@dataclass(frozen=True)
-class AccessProfile:
-    """One file's access history snapshot.
-
-    ``last_seq`` / ``prev_seq`` are positions in the advisor's global access
-    sequence; ``prev_seq`` is -1 until the file's second access — the LRU-2
-    convention that makes one-timers sort before any twice-accessed file.
-    """
-
-    count: int
-    last_seq: int
-    prev_seq: int
-
-
-@_sync.guarded
-class CacheAdvisor:
-    """Per-URI access frequency/recency, driving eviction and granularity.
-
-    ``whole_file_threshold`` is the promotion knob: a file accessed at least
-    that many times is declared *hot* and :meth:`wants_whole_file` starts
-    answering True — the mount layer then widens its next request to the
-    whole file so any later window is covered. Profiles survive eviction
-    (they describe the *workload*, not the cache contents); that history is
-    exactly what lets a re-admitted hot file outrank fresh one-timers.
-    """
-
-    def __init__(self, whole_file_threshold: int = 3) -> None:
-        if whole_file_threshold < 1:
-            raise ValueError("whole_file_threshold must be >= 1")
-        self.whole_file_threshold = whole_file_threshold
-        self._lock = _sync.create_lock("CacheAdvisor._lock")
-        self._seq = 0  # guarded-by: _lock
-        # uri -> [count, prev_seq, last_seq]
-        self._profiles: dict[str, list[int]] = {}  # guarded-by: _lock
-
-    def note_access(self, uri: str) -> None:
-        """Record one access (a cache lookup or a store) of ``uri``."""
-        with self._lock:
-            self._seq += 1
-            profile = self._profiles.get(uri)
-            if profile is None:
-                self._profiles[uri] = [1, -1, self._seq]
-            else:
-                profile[0] += 1
-                profile[1] = profile[2]
-                profile[2] = self._seq
-
-    def access_count(self, uri: str) -> int:
-        with self._lock:
-            profile = self._profiles.get(uri)
-            return profile[0] if profile is not None else 0
-
-    def eviction_score(self, uri: str) -> int:
-        """LRU-2 score: the penultimate access's sequence number.
-
-        Lower is a better eviction victim. Files seen fewer than twice score
-        -1, so they are evicted before any file with a reuse history —
-        a one-pass sweep cannot flush the working set.
-        """
-        with self._lock:
-            profile = self._profiles.get(uri)
-            return profile[1] if profile is not None else -1
-
-    def wants_whole_file(self, uri: str) -> bool:
-        """Whether ``uri`` is hot enough to mount whole instead of by range."""
-        with self._lock:
-            profile = self._profiles.get(uri)
-            return (
-                profile is not None
-                and profile[0] >= self.whole_file_threshold
-            )
-
-    def profile(self, uri: str) -> Optional[AccessProfile]:
-        with self._lock:
-            profile = self._profiles.get(uri)
-            if profile is None:
-                return None
-            return AccessProfile(
-                count=profile[0], last_seq=profile[2], prev_seq=profile[1]
-            )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._profiles)
 
 
 # -- prediction ---------------------------------------------------------------
@@ -280,7 +183,7 @@ class SessionPrefetcher:
 
     def __init__(
         self,
-        mounts: "MountService",
+        mounts: MountService,
         statistics: Callable[[], "StatisticsCatalog"],
         table_name: str = "D",
         predictor: Optional[WorkloadPredictor] = None,
@@ -393,8 +296,6 @@ class SessionPrefetcher:
         :meth:`~repro.core.mounting.MountService.prefetch_into_cache` — a
         speculative miss must never surface as a session error.
         """
-        from .mounting import MountContext  # deferred: mounting → cache → here
-
         with self._lock:
             self.stats.rounds += 1
         spent = 0

@@ -14,7 +14,7 @@ from typing import Any, Optional, Protocol, Union, runtime_checkable
 
 from ..db.database import Database, QueryResult
 from ..db.types import format_timestamp, parse_timestamp
-from ..core.advisor import SessionPrefetcher
+from ..core.prefetch import SessionPrefetcher
 from ..core.executor import TwoStageExecutor, TwoStageResult
 from ..core.governor import ON_BUDGET_RAISE, QueryBudget
 from ..core.mounting import check_on_error

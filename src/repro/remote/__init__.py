@@ -3,9 +3,9 @@
 The remote subsystem makes ``remote://endpoint/key`` URIs first-class
 sources: a :class:`SimulatedObjectStore` serves objects under a seeded
 network model (latency, jitter, heavy tails, bandwidth, loss), a
-:class:`ResilientTransport` wraps every request in timeouts, a per-query
-retry budget with jittered backoff, hedged backup requests, and a
-per-endpoint circuit breaker, and a :class:`RemoteRepository` maps the
+:class:`ResilientTransport` wraps every request in a per-endpoint circuit
+breaker, a per-query retry budget with jittered backoff, and a per-attempt
+deadline, and a :class:`RemoteRepository` maps the
 engine's selective-mount byte spans onto coalesced **ranged GETs** staged
 into sparse local files. :class:`FederatedRepository` lets one query span
 local and remote sources with per-endpoint failure isolation.
@@ -20,12 +20,7 @@ from .repository import (
     coalesce_spans,
 )
 from .simstore import ObjectStat, SimStoreStats, SimulatedObjectStore
-from .transport import (
-    LatencyTracker,
-    ResilientTransport,
-    TransportPolicy,
-    TransportStats,
-)
+from .transport import ResilientTransport, TransportPolicy, TransportStats
 from .uris import (
     REMOTE_SCHEME,
     endpoint_of,
@@ -36,7 +31,6 @@ from .uris import (
 
 __all__ = [
     "FederatedRepository",
-    "LatencyTracker",
     "NetworkModel",
     "NetworkProfile",
     "ObjectStat",

@@ -7,8 +7,8 @@ protocol hook dispatches on URI ownership (``owns_uri``) to the member that
 serves it.
 
 Failure isolation is the point: each remote member carries its own
-transport (circuit breaker, hedging) and a query keeps one retry budget per
-endpoint, so a dead endpoint
+transport (circuit breaker, deadlines) and a query keeps one retry budget
+per endpoint, so a dead endpoint
 fails *its* files' mounts with errors naming the endpoint while the other
 members keep answering. Combined with ``on_mount_error="skip"`` the query
 degrades to the surviving sources and the

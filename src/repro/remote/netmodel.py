@@ -8,69 +8,35 @@ per-request draws: every ``(key, access-index)`` pair gets its own
 sees the same latency and the same loss verdict no matter how mount-worker
 threads interleave. That is what makes the remote chaos grid replayable.
 
-Waits are always interruptible: :func:`interruptible_wait` slices the wait
-over the caller's cancel events, so a cancelled query (or an abandoned
-hedge attempt) stops paying modeled latency within ~5 ms.
+Waits are interruptible: :func:`interruptible_wait` waits on the query's
+cancellation token, so a cancelled query stops paying modeled latency at
+once.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .. import _sync
 
-# Wait slice for interruptible waits: the bound on how stale a cancel
-# check can be mid-wait.
-_WAIT_SLICE_SECONDS = 0.005
-
-# Fallback event for waits with no cancel source wired — same code path,
-# never set.
+# Fallback event for waits with no token wired — same code path, never set.
 _NEVER = threading.Event()
 
 
-class RequestAbandoned(Exception):
-    """Internal: a hedged/raced attempt was told to stop — not an error.
+def interruptible_wait(seconds: float, token: Optional[object] = None) -> bool:
+    """Wait up to ``seconds``; True when ``token`` fired first.
 
-    Never surfaces to callers of the transport; the losing attempt raises
-    it out of the store, and the transport swallows it.
+    ``token`` is a :class:`~repro.core.governor.CancellationToken` duck type
+    (``wait(timeout)`` answers whether it fired); without one the wait runs
+    to completion.
     """
-
-
-def interruptible_wait(
-    seconds: float,
-    cancel: Optional[threading.Event] = None,
-    token: Optional[object] = None,
-) -> Optional[str]:
-    """Wait up to ``seconds``; return what cut it short, if anything.
-
-    Returns ``"cancel"`` when the per-attempt cancel event fired (a hedge
-    race was decided elsewhere), ``"token"`` when the query's cancellation
-    token fired, None when the wait ran to completion. ``token`` is a
-    :class:`~repro.core.governor.CancellationToken` duck type (``fired`` +
-    ``wait``); both sources are optional. The wait is sliced so each source
-    is polled at least every ``_WAIT_SLICE_SECONDS`` even though only one
-    can be waited on natively.
-    """
-    deadline = time.monotonic() + seconds
-    while True:
-        if cancel is not None and cancel.is_set():
-            return "cancel"
-        if token is not None and getattr(token, "fired", False):
-            return "token"
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return None
-        slice_seconds = min(remaining, _WAIT_SLICE_SECONDS)
-        if token is not None:
-            token.wait(slice_seconds)  # type: ignore[attr-defined]
-        elif cancel is not None:
-            cancel.wait(slice_seconds)
-        else:
-            _NEVER.wait(slice_seconds)
+    if token is None:
+        _NEVER.wait(seconds)
+        return False
+    return bool(token.wait(seconds))  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -81,9 +47,8 @@ class NetworkProfile:
     coalescing amortizes); ``bandwidth_bytes_per_second`` streams the
     payload (None = infinite); ``jitter`` spreads latency uniformly in
     ``[1-jitter, 1+jitter]``; the heavy tail turns a ``heavy_tail_probability``
-    fraction of requests into ``heavy_tail_multiplier``× stragglers (what
-    hedged reads exist to beat); ``loss_probability`` resets that fraction
-    of requests mid-flight.
+    fraction of requests into ``heavy_tail_multiplier``× stragglers;
+    ``loss_probability`` resets that fraction of requests mid-flight.
     """
 
     latency_seconds: float = 0.0
@@ -167,7 +132,6 @@ class NetworkModel:
 __all__ = [
     "NetworkModel",
     "NetworkProfile",
-    "RequestAbandoned",
     "RequestDraw",
     "interruptible_wait",
 ]

@@ -32,7 +32,7 @@ The translation happens through the repository protocol hooks:
     bytes it read came from, so the mount layer brackets it with no HEADs.
 
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
-(timeouts, retry budget, hedging, per-endpoint circuit breaker), so every
+(per-endpoint circuit breaker, retry budget, deadlines), so every
 failure surfaces as a typed error naming the endpoint. ``uris``,
 ``signatures``, ``signature_of`` and ``extractor_for`` take the calling
 query's ``scope`` (its :class:`~repro.core.mounting.MountContext`) and hand
@@ -298,7 +298,7 @@ class RemoteRepository:
         return RemoteExtractor(self, registry.for_path(path), scope=scope)
 
     def close(self) -> None:
-        self.transport.close()
+        """Nothing to release: every request runs on its caller's thread."""
 
     # -- staging -------------------------------------------------------------
     #

@@ -18,18 +18,24 @@ Two properties make it the right test double for the transport layer:
   kinds (connection-refused, mid-stream disconnect, stall) *inside* the
   store's reads, exactly where a real socket would fail.
 
+Every request takes an optional absolute ``deadline`` on
+``time.monotonic``'s clock. Each modeled wait checks it, and a request that
+reaches it raises ``TimeoutError`` — what a socket timeout does. It is
+checked at the waits only: a read that hangs is noticed at the wait after
+its chunk, not inside the read.
+
 The store itself raises raw OS-level errors (``ConnectionRefusedError``,
-``ConnectionResetError``, ``FileNotFoundError``) and, for a conditional GET
-of an object that is no longer the version asked for, its own
-:class:`PreconditionFailed` — the resilient transport owns wrapping them
-into the typed taxonomy.
+``ConnectionResetError``, ``TimeoutError``, ``FileNotFoundError``) and,
+for a conditional GET of an object that is no longer the version asked
+for, its own :class:`PreconditionFailed` — the resilient transport owns
+wrapping them into the typed taxonomy.
 """
 
 from __future__ import annotations
 
 import os
 import stat
-import threading
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,12 +43,7 @@ from typing import Optional
 
 from .. import _sync
 from ..mseed.iohooks import open_volume
-from .netmodel import (
-    NetworkModel,
-    NetworkProfile,
-    RequestAbandoned,
-    interruptible_wait,
-)
+from .netmodel import NetworkModel, NetworkProfile, interruptible_wait
 from .uris import remote_uri
 
 # Payload streaming granularity: bandwidth waits and fault-plan read
@@ -160,37 +161,39 @@ class SimulatedObjectStore:
         self,
         seconds: float,
         op_key: str,
-        cancel: Optional[threading.Event],
+        deadline: Optional[float],
         token: Optional[object],
     ) -> None:
-        """Wait out modeled link time, unless the attempt or the query is
-        told to stop first."""
-        if seconds <= 0:
-            return
-        interrupted = interruptible_wait(seconds, cancel=cancel, token=token)
-        if interrupted == "cancel":
-            raise RequestAbandoned(op_key)
-        if interrupted == "token":
+        """Wait out modeled link time, unless the query is cancelled first;
+        a wait that reaches ``deadline`` stops there with ``TimeoutError``
+        (so does a zero wait that starts past it)."""
+        timed_out = False
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            timed_out = seconds >= left
+            seconds = min(seconds, max(0.0, left))
+        if seconds > 0 and interruptible_wait(seconds, token):
             raise token.interruption()  # type: ignore[union-attr]
+        if timed_out:
+            raise TimeoutError(f"{op_key} timed out on {self.endpoint!r}")
 
     def _request(
         self,
         op_key: str,
-        cancel: Optional[threading.Event],
+        deadline: Optional[float],
         token: Optional[object],
     ) -> None:
         """Charge one request's setup: latency, outage refusal, loss.
 
-        Raises :class:`RequestAbandoned` when the per-attempt cancel event
-        fires mid-wait (a hedge race decided elsewhere), the token's typed
-        interruption when the query is cancelled, ``ConnectionRefusedError``
-        on outage, ``ConnectionResetError`` on a modeled loss.
+        Raises the token's typed interruption when the query is cancelled,
+        ``TimeoutError`` at the deadline, ``ConnectionRefusedError`` on
+        outage, ``ConnectionResetError`` on a modeled loss.
         """
         with self._lock:
             self.stats.requests += 1
             down = self._down
         draw = self.model.draw(op_key)
-        self._wait(draw.latency_seconds, op_key, cancel, token)
+        self._wait(draw.latency_seconds, op_key, deadline, token)
         if down:
             with self._lock:
                 self.stats.refused += 1
@@ -209,7 +212,7 @@ class SimulatedObjectStore:
     def list_keys(
         self,
         after: Optional[str] = None,
-        cancel: Optional[threading.Event] = None,
+        deadline: Optional[float] = None,
         token: Optional[object] = None,
     ) -> ListPage:
         """One page of the listing (one LIST request): the objects whose
@@ -219,7 +222,7 @@ class SimulatedObjectStore:
         listing observes every signature. The response body is charged to
         a link with a bandwidth at :data:`LIST_ENTRY_BYTES` per entry.
         """
-        self._request("LIST", cancel, token)
+        self._request("LIST", deadline, token)
         with self._lock:
             self.stats.lists += 1
         keys: list[str] = []
@@ -242,7 +245,7 @@ class SimulatedObjectStore:
         self._wait(
             self.model.transfer_seconds(len(entries) * LIST_ENTRY_BYTES),
             "LIST",
-            cancel,
+            deadline,
             token,
         )
         return ListPage(
@@ -257,11 +260,11 @@ class SimulatedObjectStore:
     def head(
         self,
         key: str,
-        cancel: Optional[threading.Event] = None,
+        deadline: Optional[float] = None,
         token: Optional[object] = None,
     ) -> ObjectStat:
         """Size and mtime of one object (one HEAD request)."""
-        self._request(f"HEAD:{key}", cancel, token)
+        self._request(f"HEAD:{key}", deadline, token)
         with self._lock:
             self.stats.heads += 1
         return self._stat(key, self._path_of(key))
@@ -272,7 +275,7 @@ class SimulatedObjectStore:
         start: int = 0,
         length: Optional[int] = None,
         if_match: Optional[tuple[int, int]] = None,
-        cancel: Optional[threading.Event] = None,
+        deadline: Optional[float] = None,
         token: Optional[object] = None,
     ) -> tuple[ObjectStat, bytes]:
         """One (ranged) GET: what a HEAD answers, and bytes
@@ -281,7 +284,8 @@ class SimulatedObjectStore:
         ``length=None`` reads to the end. The payload streams in
         :data:`CHUNK_BYTES` chunks, each paying the bandwidth model and
         each passing through the fault-plan hook, so mid-stream disconnects
-        and stalls land mid-payload like they would on a socket.
+        and stalls land mid-payload like they would on a socket; a stalled
+        chunk meets the deadline at the wait that follows it.
 
         The response is of one version or it is no response: the object is
         observed before the first chunk and again after the last, and one
@@ -292,7 +296,7 @@ class SimulatedObjectStore:
         """
         if start < 0 or (length is not None and length < 0):
             raise ValueError("start/length must be non-negative")
-        self._request(f"GET:{key}", cancel, token)
+        self._request(f"GET:{key}", deadline, token)
         path = self._path_of(key)
         served = self._stat(key, path)
         if if_match is not None and served.signature != if_match:
@@ -321,7 +325,7 @@ class SimulatedObjectStore:
                 self._wait(
                     self.model.transfer_seconds(len(chunk)),
                     f"GET:{key}",
-                    cancel,
+                    deadline,
                     token,
                 )
         try:

@@ -1,7 +1,8 @@
 """The resilient transport: every remote request goes through here.
 
 One :class:`ResilientTransport` fronts one endpoint's object store and
-wraps each request in four layers of protection, outside-in:
+wraps each request in three layers of protection, outside-in, plus a
+deadline:
 
 1. **Per-endpoint circuit breaker** — the PR 5 :class:`CircuitBreaker`
    keyed by *endpoint* instead of URI: an endpoint that keeps failing is
@@ -9,19 +10,21 @@ wraps each request in four layers of protection, outside-in:
    a half-open probe succeeds; requests arriving while that probe is in
    flight wait for its verdict. One dead endpoint costs one failure streak,
    not a retry ladder per file behind it.
-2. **Per-query retry budget** — retries and hedges spend from one
+2. **Per-query retry budget** — retries spend from one
    :class:`~repro.core.governor.RetryBudget` shared by all of a query's
    mount workers, so a flapping endpoint degrades the query instead of
    stretching it without bound.
 3. **Jittered exponential backoff** between attempts, waited on the query's
    cancellation token.
-4. **Per-request timeout + hedged backup requests** — attempts run on a
-   small worker pool; the caller's wait is sliced against the token, a
-   request that outlives its timeout is abandoned, and once the latency
-   tracker has enough samples a backup request is launched when the primary
-   outlives the configured percentile — first success wins, the loser is
-   cancelled (tail latency without duplicate side effects: requests are
-   read-only).
+
+Every attempt runs on the calling thread; the transport owns no thread.
+With ``request_timeout_seconds`` set, each attempt carries an absolute
+deadline into the store, which checks it at every modeled wait and raises
+``TimeoutError`` past it — what a socket timeout does. That is an
+``OSError``, so it is a transient failure like any other: retried, and
+counted in ``stats.timeouts``. The deadline is checked at the request's
+waits, not inside a read: a read that hangs (a fault plan's ``STALL``) is
+noticed at the wait that follows its chunk, not mid-read.
 
 The transport itself belongs to no query: the token and the budget arrive
 *with each request*, as its ``scope`` (a :class:`RequestScope` — the query's
@@ -42,10 +45,7 @@ reset because the object changed while it was being served included —
 from __future__ import annotations
 
 import random
-import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Protocol, TypeVar
@@ -63,13 +63,13 @@ from ..db.errors import (
     RemoteTransportError,
     StaleFileError,
 )
-from .netmodel import RequestAbandoned, interruptible_wait
+from .netmodel import interruptible_wait
 from .simstore import ObjectStat, PreconditionFailed, SimulatedObjectStore
 
 T = TypeVar("T")
 
-# Caller-side wait slice while attempts run on the pool: bounds how stale a
-# token/timeout/hedge check can be.
+# Wait slice while a half-open probe is in flight: bounds how stale a
+# request's view of the probe's verdict can be.
 _POLL_SECONDS = 0.005
 # How long a request waits on another request's half-open probe when the
 # policy sets no request timeout.
@@ -88,24 +88,14 @@ class RequestScope(Protocol):
 
 @dataclass(frozen=True)
 class TransportPolicy:
-    """Knobs of the resilience layer (all per-request unless noted).
+    """Knobs of the resilience layer (all per-request unless noted)."""
 
-    ``request_timeout_seconds=None`` and ``hedge_enabled=False`` together
-    select the zero-thread fast path: requests run inline on the calling
-    mount worker — the configuration the ≤2 % fault-free overhead target is
-    measured for.
-    """
-
-    request_timeout_seconds: Optional[float] = None
+    request_timeout_seconds: Optional[float] = None  # per attempt
     max_attempts: int = 3
     backoff_seconds: float = 0.005
     backoff_multiplier: float = 2.0
     backoff_jitter: float = 0.5
     retry_budget_attempts: int = 64  # per query, shared across workers
-    hedge_enabled: bool = False
-    hedge_percentile: float = 0.95  # launch backup past this latency…
-    hedge_multiplier: float = 1.5  # …times this factor
-    hedge_min_samples: int = 8  # no hedging before the tracker warms up
     jitter_seed: int = 0  # backoff jitter stream (deterministic tests)
 
     def __post_init__(self) -> None:
@@ -123,43 +113,6 @@ class TransportPolicy:
             raise ValueError("backoff_jitter must be >= 0")
         if self.retry_budget_attempts < 0:
             raise ValueError("retry_budget_attempts must be >= 0")
-        if not 0.0 < self.hedge_percentile < 1.0:
-            raise ValueError("hedge_percentile must be in (0, 1)")
-        if self.hedge_multiplier < 1.0:
-            raise ValueError("hedge_multiplier must be >= 1")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
-
-    @property
-    def inline(self) -> bool:
-        """True when requests can run on the caller with zero extra threads."""
-        return self.request_timeout_seconds is None and not self.hedge_enabled
-
-
-@_sync.guarded
-class LatencyTracker:
-    """Ring buffer of completed request latencies, for the hedge trigger."""
-
-    def __init__(self, capacity: int = 128) -> None:
-        self._lock = _sync.create_lock("LatencyTracker._lock")
-        self._samples: deque[float] = deque(maxlen=capacity)  # guarded-by: _lock
-
-    def record(self, seconds: float) -> None:
-        with self._lock:
-            self._samples.append(seconds)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
-    def percentile(self, p: float, min_samples: int = 1) -> Optional[float]:
-        """The p-quantile of recent latencies, or None before warm-up."""
-        with self._lock:
-            if len(self._samples) < min_samples:
-                return None
-            ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, max(0, int(p * len(ordered))))
-        return ordered[index]
 
 
 @dataclass
@@ -168,42 +121,8 @@ class TransportStats:
     failures: int = 0  # failed attempts (pre-retry)
     retries: int = 0
     retries_denied: int = 0  # retry wanted, budget dry
-    timeouts: int = 0
-    hedges: int = 0  # backup requests launched
-    hedge_wins: int = 0  # races the backup won
-    hedges_denied: int = 0  # hedge wanted, budget dry
+    timeouts: int = 0  # attempts that reached their deadline
     breaker_refusals: int = 0
-
-
-class _Race:
-    """First-success-wins outcome box for one request's attempt set."""
-
-    def __init__(self) -> None:
-        self.lock = _sync.create_lock("_Race.lock")
-        self.event = threading.Event()
-        self.pending = 0  # guarded-by: lock
-        self.result: Optional[object] = None  # guarded-by: lock
-        self.won = False  # guarded-by: lock
-        self.winner_hedge = False  # guarded-by: lock
-        self.errors: list[BaseException] = []  # guarded-by: lock
-
-    def offer(self, result: object, is_hedge: bool) -> None:
-        with self.lock:
-            self.pending -= 1
-            if not self.won:
-                self.won = True
-                self.result = result
-                self.winner_hedge = is_hedge
-        self.event.set()
-
-    def offer_error(self, exc: BaseException) -> None:
-        with self.lock:
-            self.pending -= 1
-            if not isinstance(exc, RequestAbandoned):
-                self.errors.append(exc)
-            exhausted = self.pending <= 0 and not self.won
-        if exhausted:
-            self.event.set()
 
 
 class ResilientTransport:
@@ -226,29 +145,10 @@ class ResilientTransport:
             if breaker is not None
             else CircuitBreaker(failure_threshold=3, cooldown_seconds=0.25)
         )
-        self.latencies = LatencyTracker()
         self.stats = TransportStats()  # guarded-by: _lock
         self._clock = clock
         self._lock = _sync.create_lock("ResilientTransport._lock")
         self._rng = random.Random(policy.jitter_seed)  # guarded-by: _lock
-        self._executor: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=16,
-                    thread_name_prefix=f"transport-{self.store.endpoint}",
-                )
-            return self._executor
 
     # -- public request API --------------------------------------------------
 
@@ -307,12 +207,11 @@ class ResilientTransport:
         scope: Optional[RequestScope],
         fn: Callable[..., T],
     ) -> T:
-        """Run the store request ``fn(cancel=..., token=...)`` under the
-        resilience layers."""
+        """Run the store request ``fn(deadline=..., token=...)`` under the
+        resilience layers; each attempt gets a deadline of its own."""
         endpoint = self.store.endpoint
         policy = self.policy
-        # The scope is read here, once, on the calling thread; everything
-        # below — attempts on the race pool included — gets these two.
+        timeout = policy.request_timeout_seconds
         if scope is None:
             token = CancellationToken()
             budget = RetryBudget(policy.retry_budget_attempts)
@@ -324,13 +223,10 @@ class ResilientTransport:
             self.stats.requests += 1
         attempt = 0
         while True:
+            # On the monotonic clock the store's modeled waits run on.
+            deadline = None if timeout is None else time.monotonic() + timeout
             try:
-                if policy.inline:
-                    started = self._clock()
-                    result = fn(cancel=None, token=token)
-                    self.latencies.record(self._clock() - started)
-                else:
-                    result = self._race(op, uri, fn, token, budget)
+                result = fn(deadline=deadline, token=token)
             except FileNotFoundError as exc:
                 # The endpoint *answered* — this is a repository fact, not
                 # a transport failure; it neither trips the breaker nor
@@ -353,6 +249,9 @@ class ResilientTransport:
             except RemoteTransportError as exc:
                 failure: RemoteTransportError = exc
             except OSError as exc:
+                if isinstance(exc, TimeoutError):
+                    with self._lock:
+                        self.stats.timeouts += 1
                 failure = RemoteTransportError(
                     f"{op} failed: {exc}",
                     uri=uri,
@@ -394,7 +293,7 @@ class ResilientTransport:
             with self._lock:
                 self.stats.retries += 1
             if backoff > 0:
-                if interruptible_wait(backoff, token=token) == "token":
+                if interruptible_wait(backoff, token):
                     raise token.interruption() from failure
 
     def _admit(
@@ -424,106 +323,15 @@ class ResilientTransport:
                     self.stats.breaker_refusals += 1
                 raise self.breaker.refusal(subject, endpoint=endpoint)
             # Closed means the probe succeeded since allow() ran: ask again.
-            if (
-                state == CIRCUIT_HALF_OPEN
-                and interruptible_wait(_POLL_SECONDS, token=token)
-                == "token"
+            if state == CIRCUIT_HALF_OPEN and interruptible_wait(
+                _POLL_SECONDS, token
             ):
                 raise token.interruption()
         # A half-open circuit says yes to its one probe only.
         return self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN
 
-    def _race(
-        self,
-        op: str,
-        uri: Optional[str],
-        fn: Callable[..., T],
-        token: CancellationToken,
-        budget: RetryBudget,
-    ) -> T:
-        """One attempt off the calling thread: raced with a timeout and,
-        once the latency tracker is warm, a hedged backup."""
-        policy = self.policy
-        endpoint = self.store.endpoint
-        race = _Race()
-        cancels: list[threading.Event] = []
-        pool = self._pool()
-
-        def launch(is_hedge: bool) -> None:
-            cancel = threading.Event()
-            cancels.append(cancel)
-            with race.lock:
-                race.pending += 1
-
-            def run() -> None:
-                try:
-                    race.offer(fn(cancel=cancel, token=token), is_hedge)
-                except BaseException as exc:  # noqa: BLE001 — forwarded to caller
-                    race.offer_error(exc)
-
-            pool.submit(run)
-
-        started = self._clock()
-        launch(is_hedge=False)
-        hedge_at: Optional[float] = None
-        if policy.hedge_enabled:
-            baseline = self.latencies.percentile(
-                policy.hedge_percentile, policy.hedge_min_samples
-            )
-            if baseline is not None:
-                hedge_at = started + baseline * policy.hedge_multiplier
-        timeout_at = (
-            None
-            if policy.request_timeout_seconds is None
-            else started + policy.request_timeout_seconds
-        )
-        hedged = False
-        try:
-            while not race.event.wait(_POLL_SECONDS):
-                if token.fired:
-                    raise token.interruption()  # type: ignore[misc]
-                now = self._clock()
-                if timeout_at is not None and now >= timeout_at:
-                    with self._lock:
-                        self.stats.timeouts += 1
-                    raise RemoteTransportError(
-                        f"{op} timed out after "
-                        f"{policy.request_timeout_seconds}s",
-                        uri=uri,
-                        endpoint=endpoint,
-                    )
-                if hedge_at is not None and not hedged and now >= hedge_at:
-                    hedged = True
-                    if budget.try_spend():
-                        with self._lock:
-                            self.stats.hedges += 1
-                        launch(is_hedge=True)
-                    else:
-                        with self._lock:
-                            self.stats.hedges_denied += 1
-        finally:
-            # Winner decided, timeout, or cancellation: every still-running
-            # attempt is told to stop paying modeled latency.
-            for cancel in cancels:
-                cancel.set()
-        with race.lock:
-            won = race.won
-            winner_hedge = race.winner_hedge
-            result = race.result
-            errors = list(race.errors)
-        if won:
-            if winner_hedge:
-                with self._lock:
-                    self.stats.hedge_wins += 1
-            self.latencies.record(self._clock() - started)
-            return result  # type: ignore[return-value]
-        raise errors[0] if errors else RemoteTransportError(
-            f"{op}: all attempts abandoned", uri=uri, endpoint=endpoint
-        )
-
 
 __all__ = [
-    "LatencyTracker",
     "RequestScope",
     "ResilientTransport",
     "TransportPolicy",

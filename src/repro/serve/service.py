@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .. import _sync
-from ..core.advisor import WorkloadPredictor
+from ..core.prefetch import WorkloadPredictor
 from ..core.cache import WHOLE_FILE, CachePolicy, CacheStats, IngestionCache
 from ..core.executor import TwoStageExecutor, TwoStageResult
 from ..core.governor import (

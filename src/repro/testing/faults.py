@@ -28,8 +28,9 @@ Kinds
     Network-shaped kinds for the remote backend: the first two raise
     ``ConnectionRefusedError`` / ``ConnectionResetError`` (OSError
     subclasses, hence transient downstream), a stall hangs the read for
-    ``stall_seconds`` before serving — the shape per-request timeouts and
-    hedged backup requests exist to beat.
+    ``stall_seconds`` before serving — the shape per-request timeouts
+    exist to bound (the store notices its deadline at the wait after the
+    stalled read).
 
 Determinism
 -----------
@@ -279,7 +280,7 @@ class _FaultyHandle:
             )
         if spec.kind == STALL:
             # A hung connection: the read eventually serves, but only after
-            # a wait long enough for timeouts/hedging to beat it. The wait
+            # a wait long enough for a request timeout to matter. The wait
             # runs on the plan's interrupt event, so cancellation cuts it.
             self._plan._wait(spec.stall_seconds)
             return self._handle.read(n)

@@ -73,14 +73,13 @@ from .faults import (
     FaultSpec,
 )
 
-# Holds about two of the tiny repository's files: LRU and ADAPTIVE evict.
+# Holds about two of the tiny repository's files: LRU evicts.
 CACHE_BYTES = 256 * 1024
 _CACHES = {
     "discard": (CachePolicy.DISCARD, CacheGranularity.FILE),
     "unbounded-file": (CachePolicy.UNBOUNDED, CacheGranularity.FILE),
     "unbounded-tuple": (CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
     "lru": (CachePolicy.LRU, CacheGranularity.FILE),
-    "adaptive": (CachePolicy.ADAPTIVE, CacheGranularity.FILE),
 }
 CACHES = tuple(_CACHES)
 METASTORES = ("none", "cold", "warm", "stale")
@@ -109,8 +108,8 @@ class ConfigPoint:
     concurrently; ``mount_workers`` is then the scheduler's worker count, and
     ``strategy`` / ``top_n`` keep the service executor's defaults.
     ``verify_plans`` forces plan verification on (off leaves the
-    ``REPRO_VERIFY_PLANS`` default). ``prefetch`` (service) and ``hedging``
-    (remote transport) are the two speculative features.
+    ``REPRO_VERIFY_PLANS`` default). ``prefetch`` (service) is the one
+    speculative feature.
     """
 
     strategy: str = BULK
@@ -124,7 +123,6 @@ class ConfigPoint:
     on_mount_error: str = FAIL_FAST
     verify_plans: bool = False
     prefetch: bool = False
-    hedging: bool = False
 
 
 @dataclass(frozen=True)
@@ -461,9 +459,9 @@ class Engine:
             name_of(uri) for remote in self.remotes for uri in remote.uris()
         }
         policy, granularity = _CACHES[point.cache]
-        bounded = policy in (CachePolicy.LRU, CachePolicy.ADAPTIVE)
         self.cache = IngestionCache(
-            policy, granularity, CACHE_BYTES if bounded else None
+            policy, granularity,
+            CACHE_BYTES if policy is CachePolicy.LRU else None,
         )
         settings = dict(
             cache=self.cache, selective_mounts=point.selective,
@@ -500,10 +498,7 @@ class Engine:
             store = SimulatedObjectStore(ENDPOINT, root)
             repository = RemoteRepository(
                 store, staging,
-                policy=TransportPolicy(
-                    max_attempts=4, backoff_seconds=0.0,
-                    hedge_enabled=self.point.hedging, hedge_min_samples=2,
-                ),
+                policy=TransportPolicy(max_attempts=4, backoff_seconds=0.0),
                 breaker=CircuitBreaker(BREAKER_FAILURES, BREAKER_COOLDOWN),
             )
             if keep:
@@ -584,8 +579,6 @@ class Engine:
     def close(self) -> None:
         if self.service is not None:
             self.service.close()
-        for repository in self.remotes:
-            repository.close()
 
 
 def _outcome(call: Callable, *args: Any) -> Any:

@@ -1,9 +1,8 @@
-"""Workload advisor: LRU-2 scores, window prediction, and prefetch.
+"""Predictive prefetch: window prediction and speculative cache warming.
 
-Covers the three adaptive pieces in :mod:`repro.core.advisor` plus their
-integration with the cache (granularity promotion, flood resistance) and
-the executor (a synchronous prefetch round turning the next query into a
-cache scan without changing its answer).
+Covers the two pieces in :mod:`repro.core.prefetch` plus their integration
+with the executor (a synchronous prefetch round turning the next query into
+a cache scan without changing its answer).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import pytest
 
 from repro.core import (
     ON_BUDGET_PARTIAL,
-    CacheAdvisor,
     CacheGranularity,
     CachePolicy,
     CancellationToken,
@@ -22,56 +20,13 @@ from repro.core import (
     TwoStageExecutor,
     WorkloadPredictor,
 )
-from repro.core.advisor import PredictedWindow
+from repro.core.prefetch import PredictedWindow
 from repro.db import Database
 from repro.db.errors import QueryCancelledError
 from repro.db.types import format_timestamp, parse_timestamp
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 
 _MINUTE_US = 60 * 1_000_000
-
-
-class TestCacheAdvisor:
-    def test_one_timers_score_minus_one(self):
-        advisor = CacheAdvisor()
-        advisor.note_access("a")
-        assert advisor.eviction_score("a") == -1
-        assert advisor.eviction_score("never-seen") == -1
-
-    def test_lru2_prefers_older_penultimate_access(self):
-        advisor = CacheAdvisor()
-        # a: accesses 1, 2; b: accesses 3, 4. Penultimate(a)=1 < 3.
-        advisor.note_access("a")
-        advisor.note_access("a")
-        advisor.note_access("b")
-        advisor.note_access("b")
-        assert advisor.eviction_score("a") < advisor.eviction_score("b")
-        # A fresh one-timer still sorts below both.
-        advisor.note_access("c")
-        assert advisor.eviction_score("c") < advisor.eviction_score("a")
-
-    def test_promotion_threshold(self):
-        advisor = CacheAdvisor(whole_file_threshold=3)
-        for _ in range(2):
-            advisor.note_access("hot")
-        assert not advisor.wants_whole_file("hot")
-        advisor.note_access("hot")
-        assert advisor.wants_whole_file("hot")
-
-    def test_profile_snapshot(self):
-        advisor = CacheAdvisor()
-        assert advisor.profile("x") is None
-        advisor.note_access("x")
-        advisor.note_access("x")
-        profile = advisor.profile("x")
-        assert profile.count == 2
-        assert profile.prev_seq == 1
-        assert profile.last_seq == 2
-        assert len(advisor) == 1
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            CacheAdvisor(whole_file_threshold=0)
 
 
 class TestWorkloadPredictor:
@@ -148,60 +103,6 @@ class TestWorkloadPredictor:
         predictor.observe((self.BASE, self.BASE - 1))  # empty
         predicted = predictor.observe_and_predict(self._window(1))
         assert predicted is not None and predicted.kind == "slide"
-
-
-class TestAdaptiveCacheIntegration:
-    def _batch(self, nbytes):
-        # The cache charges ColumnBatch.nbytes(); a stub with the right
-        # surface keeps the test focused on policy mechanics.
-        class _Stub:
-            def __init__(self, n):
-                self._n = n
-
-            def nbytes(self):
-                return self._n
-
-            @property
-            def num_rows(self):
-                return 1
-
-        return _Stub(nbytes)
-
-    def test_flood_cannot_evict_twice_touched_file(self):
-        cache = IngestionCache(
-            CachePolicy.ADAPTIVE, CacheGranularity.FILE, capacity_bytes=300
-        )
-        cache.store("hot", self._batch(100), signature=None)
-        assert cache.lookup("hot") is not None  # second access: reuse history
-        for i in range(6):
-            cache.store(f"sweep-{i}", self._batch(100), signature=None)
-        assert cache.stats.evictions > 0
-        assert cache.lookup("hot") is not None
-        assert cache.contains("hot")
-
-    def test_plain_lru_would_have_evicted_it(self):
-        cache = IngestionCache(
-            CachePolicy.LRU, CacheGranularity.FILE, capacity_bytes=300
-        )
-        cache.store("hot", self._batch(100), signature=None)
-        assert cache.lookup("hot") is not None
-        for i in range(6):
-            cache.store(f"sweep-{i}", self._batch(100), signature=None)
-        assert cache.lookup("hot") is None
-
-    def test_granularity_promotion_flips_to_file(self):
-        advisor = CacheAdvisor(whole_file_threshold=3)
-        cache = IngestionCache(
-            CachePolicy.ADAPTIVE,
-            CacheGranularity.TUPLE,
-            capacity_bytes=10_000,
-            advisor=advisor,
-        )
-        for _ in range(3):
-            advisor.note_access("hot")
-        assert cache.wants_whole_file("hot")
-        assert cache.granularity_for("hot") is CacheGranularity.FILE
-        assert cache.granularity_for("cold") is CacheGranularity.TUPLE
 
 
 class TestSessionPrefetcher:

@@ -416,70 +416,6 @@ class TestPerUriIndex:
         assert cache.stats.misses == 1
 
 
-class TestAdaptivePolicy:
-    def test_requires_capacity(self):
-        with pytest.raises(ValueError):
-            IngestionCache(CachePolicy.ADAPTIVE)
-
-    def test_default_advisor_attached(self):
-        cache = IngestionCache(CachePolicy.ADAPTIVE, capacity_bytes=10_000)
-        assert cache.advisor is not None
-
-    def test_non_adaptive_policies_never_promote(self):
-        one = batch().nbytes()
-        cache = IngestionCache(
-            CachePolicy.LRU,
-            CacheGranularity.TUPLE,
-            capacity_bytes=int(one * 10),
-        )
-        for _ in range(5):
-            cache.store("hot", batch(), (0, 10))
-            cache.lookup("hot", (0, 10))
-        assert not cache.wants_whole_file("hot")
-        assert cache.granularity_for("hot") is CacheGranularity.TUPLE
-
-    def test_oversized_entry_rejected_like_lru(self):
-        cache = IngestionCache(CachePolicy.ADAPTIVE, capacity_bytes=1)
-        cache.store("a", batch())
-        assert not cache.contains("a")
-        assert cache.stats.rejected == 1
-
-    def test_adaptive_hammer_preserves_accounting(self):
-        """The LRU-2 victim walk must stay consistent under concurrent
-        store/lookup/invalidate — same invariants as the LRU hammer."""
-        one = batch().nbytes()
-        cache = IngestionCache(
-            CachePolicy.ADAPTIVE, capacity_bytes=int(one * 3.5)
-        )
-        uris = [f"f{i}" for i in range(8)]
-        errors = []
-        barrier = threading.Barrier(4)
-
-        def hammer(worker):
-            try:
-                barrier.wait(timeout=10)
-                for i in range(300):
-                    uri = uris[(worker + i) % len(uris)]
-                    cache.store(uri, batch())
-                    got = cache.lookup(uri)
-                    assert got is None or got.num_rows == 10
-                    if i % 17 == 0:
-                        cache.invalidate(uri)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(w,)) for w in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors, errors
-        assert cache.stats.current_bytes == len(cache) * one
-        assert cache.stats.current_bytes <= int(one * 3.5)
-
-
 class TestCacheStatsHelpers:
     def test_hit_rate_zero_when_untouched(self):
         cache = IngestionCache(CachePolicy.UNBOUNDED)

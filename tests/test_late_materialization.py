@@ -263,7 +263,7 @@ class TestAccessPathsAfterRuleOne:
 
     def test_cache_scans_and_mounts_in_one_union(self, tiny_repo, ei_db, rewrites):
         cache = IngestionCache(
-            CachePolicy.ADAPTIVE, CacheGranularity.TUPLE, capacity_bytes=10**9
+            CachePolicy.LRU, CacheGranularity.TUPLE, capacity_bytes=10**9
         )
         executor = make_executor(tiny_repo, cache=cache)
         executor.execute(BY_STATION.replace("WHERE ", "WHERE F.station = 'ISK' AND "))

@@ -196,8 +196,12 @@ def seismic_queries(draw, focus="any"):
             [f"R.record_id = {draw(st.integers(0, 0 if mixed else 5))}"],
             draw(window("R.start_time")),
         ]))
-    if draw(st.integers(0, 3)):
-        predicates += draw(window("D.sample_time") | sample_window())
+    if draw(st.integers(0, 3)) or focus == "remote":
+        # The remote region moves this window between queries.
+        moving = window("D.sample_time")
+        if focus != "remote":
+            moving = moving | sample_window()
+        predicates += draw(moving)
     if top_n or draw(st.booleans()):
         value = draw(st.sampled_from([500.0, 5000.0, -1000.0]))
         predicates.append(f"D.sample_value > {value}")
@@ -285,7 +289,6 @@ def config_points(draw, focus="any"):
         prefetch=focus == "prefetch" or (
             not standalone and focus != "tenants" and draw(st.booleans())
         ),
-        hedging=source != "local" and draw(st.booleans()),
     )
 
 

@@ -3,7 +3,7 @@
 Unit-level coverage of every layer the ``remote://`` scheme stacks up:
 URI helpers, the ranged-GET span planner, the deterministic network
 model, the simulated object store, the resilient transport (retries,
-budgets, breakers, timeouts, hedging), the staging repository, and the
+budgets, breakers, deadlines), the staging repository, and the
 federated dispatcher. End-to-end fault grids live in
 ``test_remote_chaos.py``.
 """
@@ -59,7 +59,7 @@ from repro.mseed import (
 from repro.remote import simstore as simstore_module
 from repro.remote.simstore import ObjectStat, PreconditionFailed
 from repro.serve import QueryService
-from repro.testing.faults import STALE_FLIP, FaultPlan, FaultSpec
+from repro.testing.faults import STALE_FLIP, STALL, FaultPlan, FaultSpec
 from repro.remote import transport as transport_module
 from repro.remote import (
     FederatedRepository,
@@ -344,10 +344,33 @@ class TestSimulatedObjectStore:
             store.list_keys()
         assert store.stats.lost == 1
 
+    def test_a_request_stops_at_its_deadline(self, objects_dir):
+        store = _store(objects_dir, latency_seconds=5.0)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            store.list_keys(deadline=time.monotonic() + 0.02)
+        assert time.monotonic() - started < 1.0  # not the 5 s of latency
+        with pytest.raises(TimeoutError):  # a zero wait past it, too
+            _store(objects_dir).list_keys(deadline=time.monotonic() - 1.0)
+
+    def test_a_stalled_chunk_meets_the_deadline_at_the_next_wait(
+        self, objects_dir
+    ):
+        store = _store(objects_dir)
+        key = store.list_keys().entries[0].key
+        plan = FaultPlan([FaultSpec(key, STALL, stall_seconds=0.1)])
+        started = time.monotonic()
+        with plan.install(), pytest.raises(TimeoutError):
+            store.get(key, deadline=time.monotonic() + 0.02)
+        # The read is not cut: the stall is served, then the wait after it
+        # finds the deadline passed.
+        assert time.monotonic() - started >= 0.1
+        assert store.stats.bytes_served == 0
+
 
 class _ScriptedStore:
     """A stub endpoint whose per-key behavior is scripted for transport
-    tests: fail N times, stall until cancelled, or answer instantly."""
+    tests: fail N times, stall until the deadline, or answer instantly."""
 
     def __init__(self, endpoint="stub-ep", fail_times=0, payload=b"payload"):
         self.endpoint = endpoint
@@ -364,7 +387,7 @@ class _ScriptedStore:
         return ObjectStat(key, len(self.payload), self.mtime_ns), self.payload
 
     def get(
-        self, key, start=0, length=None, if_match=None, cancel=None, token=None
+        self, key, start=0, length=None, if_match=None, deadline=None, token=None
     ):
         with self._lock:
             self.calls += 1
@@ -377,13 +400,12 @@ class _ScriptedStore:
         if remaining > 0:
             raise ConnectionResetError("scripted reset")
         if stall:
-            # Park until the race cancels us (or give up after 2 s so a
-            # broken transport cannot hang the test suite).
-            if cancel is not None:
-                cancel.wait(2.0)
-            else:  # pragma: no cover - inline callers never stall here
-                time.sleep(2.0)
-            raise ConnectionResetError("stalled attempt abandoned")
+            # Hang until the attempt's deadline, as the simulated store's
+            # waits do (or give up after 2 s so a transport that passes no
+            # deadline cannot hang the test suite).
+            wait = 2.0 if deadline is None else deadline - time.monotonic()
+            time.sleep(max(0.0, wait))
+            raise TimeoutError("scripted stall timed out")
         if key == "missing":
             raise FileNotFoundError(key)
         stat, payload = self.answer(key)
@@ -391,10 +413,10 @@ class _ScriptedStore:
             raise PreconditionFailed(if_match, stat)
         return stat, payload
 
-    def head(self, key, cancel=None, token=None):
+    def head(self, key, deadline=None, token=None):
         raise NotImplementedError
 
-    def list_keys(self, after=None, cancel=None, token=None):
+    def list_keys(self, after=None, deadline=None, token=None):
         raise NotImplementedError
 
 
@@ -409,7 +431,7 @@ class _GatedStore(_ScriptedStore):
         self.probe_cancelled = False
 
     def get(
-        self, key, start=0, length=None, if_match=None, cancel=None, token=None
+        self, key, start=0, length=None, if_match=None, deadline=None, token=None
     ):
         if key == "probe":
             self.entered.set()
@@ -419,7 +441,7 @@ class _GatedStore(_ScriptedStore):
             if self.probe_cancelled:
                 # What a store raises when the query's token fires mid-read.
                 raise QueryCancelledError("probe's query cancelled")
-        return super().get(key, start, length, if_match, cancel, token)
+        return super().get(key, start, length, if_match, deadline, token)
 
 
 class TestHalfOpenProbeInFlight:
@@ -627,57 +649,31 @@ class TestResilientTransport:
                 backoff_seconds=0.0,
             ),
         )
+        threads = threading.active_count()
         started = time.monotonic()
         with pytest.raises(RemoteTransportError) as excinfo:
             transport.get("slow")
         assert time.monotonic() - started < 1.0  # nowhere near the 2 s stall
         assert "timed out" in str(excinfo.value)
+        assert excinfo.value.transient
         assert transport.stats.timeouts == 1
-        transport.close()
+        # The attempt ran on this thread: nothing is left running behind it.
+        assert threading.active_count() == threads
 
-    def test_hedged_request_wins_past_the_latency_percentile(self):
+    def test_a_timed_out_attempt_is_retried(self):
         store = _ScriptedStore()
-        store.stall_keys.add("slow")
+        store.stall_keys.add("slow")  # stalls once, then answers
         transport = ResilientTransport(
             store,
             TransportPolicy(
-                hedge_enabled=True,
-                hedge_min_samples=4,
-                hedge_multiplier=1.5,
-                max_attempts=1,
+                request_timeout_seconds=0.05,
+                max_attempts=2,
                 backoff_seconds=0.0,
             ),
         )
-        for _ in range(4):  # warm the tracker with fast requests
-            transport.get("fast")
-        started = time.monotonic()
-        assert transport.get("slow") == store.answer("slow")  # the hedge's
-        assert time.monotonic() - started < 1.0
-        assert transport.stats.hedges == 1
-        assert transport.stats.hedge_wins == 1
-        transport.close()
-
-    def test_hedging_spends_the_retry_budget(self):
-        store = _ScriptedStore()
-        store.stall_keys.add("slow")
-        transport = ResilientTransport(
-            store,
-            TransportPolicy(
-                hedge_enabled=True,
-                hedge_min_samples=4,
-                hedge_multiplier=1.5,
-                max_attempts=1,
-                backoff_seconds=0.0,
-                retry_budget_attempts=0,  # nothing left for backups
-            ),
-        )
-        for _ in range(4):
-            transport.get("fast")
-        with pytest.raises(RemoteTransportError):
-            transport.get("slow")  # primary stalls; no budget to hedge
-        assert transport.stats.hedges == 0
-        assert transport.stats.hedges_denied >= 1
-        transport.close()
+        assert transport.get("slow") == store.answer("slow")
+        stats = transport.stats
+        assert (stats.timeouts, stats.retries, store.calls) == (1, 1, 2)
 
     def test_a_refused_condition_is_stale_not_a_transport_failure(self):
         store = _ScriptedStore()
@@ -706,41 +702,6 @@ class TestResilientTransport:
         assert scope.retry_budget(store.endpoint, 4).spent() == 0
         assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
         assert transport.get("k", scope=scope) == store.answer("k")
-
-    def test_hedged_conditional_get_answers_one_consistent_pair(self):
-        store = _ScriptedStore()
-        store.stall_keys.add("slow")
-        transport = ResilientTransport(
-            store,
-            TransportPolicy(
-                hedge_enabled=True,
-                hedge_min_samples=4,
-                hedge_multiplier=1.5,
-                max_attempts=1,
-                backoff_seconds=0.0,
-            ),
-        )
-        for _ in range(4):
-            transport.get("fast")
-        held = store.answer("slow")[0].signature
-        # The primary stalls, the backup answers: the stat and the bytes
-        # are one attempt's, and of the version asked for.
-        stat, data = transport.get("slow", if_match=held)
-        assert (stat.signature, data) == (held, store.payload)
-        assert transport.stats.hedge_wins == 1
-        # Both attempts carry the condition: neither answers another
-        # version's bytes once the object has moved on.
-        store.mtime_ns += 1
-        store.payload = b"rewritten"
-        with pytest.raises(StaleFileError):
-            transport.get("fast", if_match=held)
-        assert transport.get("fast") == store.answer("fast")
-        transport.close()
-
-    def test_inline_policy_is_the_zero_thread_path(self):
-        assert TransportPolicy().inline
-        assert not TransportPolicy(request_timeout_seconds=1.0).inline
-        assert not TransportPolicy(hedge_enabled=True).inline
 
 
 class TestRemoteRepository:

@@ -727,9 +727,9 @@ class _ScriptedHeadStore(SimulatedObjectStore):
         super().__init__(*args, **kwargs)
         self.before_head = {}
 
-    def head(self, key, cancel=None, token=None):
+    def head(self, key, deadline=None, token=None):
         if not self.failing:
-            return super().head(key, cancel=cancel, token=token)
+            return super().head(key, deadline=deadline, token=token)
         self.failed_heads += 1
         self.before_head.pop(self.failed_heads, lambda: None)()
         raise ConnectionResetError(f"scripted reset (HEAD:{key})")

@@ -2,7 +2,8 @@
 
     python -m tools.code_lines src/repro [OTHER_TREE]
 
-Prints one total per tree; with two trees, also the per-file differences.
+Prints one total per tree; with two trees, also the per-file differences. A
+tree may be a single ``.py`` file, counted as a one-file tree.
 This is the counter behind the "less code" acceptance lines in ISSUE.md /
 CHANGES.md: a line counts when it carries at least one token that is not a
 comment, not layout, and not a string standing alone as a statement (a
@@ -49,6 +50,8 @@ def code_lines(path: Path) -> int:
 
 
 def count_tree(root: Path) -> dict[str, int]:
+    if root.is_file():
+        return {root.name: code_lines(root)}
     return {
         str(path.relative_to(root)): code_lines(path)
         for path in sorted(root.rglob("*.py"))

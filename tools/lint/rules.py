@@ -50,8 +50,8 @@ ANNOTATED_PACKAGES = ("repro/core", "repro/db/plan")
 # loops landed: every wait there must honor CancellationToken/Condition
 # timeouts, or a shed/cancelled tenant blocks the whole scheduler.
 # repro/remote joined with the resilient transport: modeled network
-# latency, retry backoff, and hedging delays are exactly the waits a
-# cancelled query must be able to cut short.
+# latency and retry backoff are exactly the waits a cancelled query must
+# be able to cut short.
 GOVERNED_PACKAGES = ("repro/core", "repro/ingest", "repro/serve", "repro/remote")
 
 # Same-line escape hatch for waits that genuinely run outside any query.
