@@ -58,12 +58,6 @@ from .mounting import (
     interval_from_predicate,
 )
 from .metastore import MetadataStore, MetastoreStats
-from .mountpool import (
-    MountPool,
-    MountPoolTimings,
-    MountTaskTiming,
-    merge_requests,
-)
 from .multistage import BatchSnapshot, MultiStageExecutor, MultiStageResult
 from .partial import PartialMerger, is_decomposable
 from .prefetch import (
@@ -73,6 +67,15 @@ from .prefetch import (
     WorkloadPredictor,
 )
 from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
+from .scheduler import (
+    MountPoolTimings,
+    MountScheduler,
+    MountTaskTiming,
+    SchedulerPolicy,
+    SchedulerStats,
+    SharedPoolClient,
+    merge_requests,
+)
 from .topn import (
     TopNBranchMonitor,
     TopNPushdownTarget,
@@ -131,9 +134,12 @@ __all__ = [
     "ExtractResult",
     "FAIL_FAST",
     "SKIP_AND_REPORT",
-    "MountPool",
     "MountPoolTimings",
+    "MountScheduler",
     "MountTaskTiming",
+    "SchedulerPolicy",
+    "SchedulerStats",
+    "SharedPoolClient",
     "merge_requests",
     "interval_from_predicate",
     "MultiStageExecutor",

@@ -24,7 +24,7 @@ widen-on-remount subsumption and invalidation proportional to *one file's*
 entries instead of the whole cache — the index is maintained by the same
 locked mutations that touch the entry table, so the two can never disagree.
 
-The cache is shared by every worker of a :class:`~repro.core.mountpool.MountPool`,
+The cache is shared by every worker of a :class:`~repro.core.scheduler.MountScheduler`,
 so all public operations take an internal lock: lookups (which move LRU
 entries), stores (insertion + byte accounting + eviction) and invalidation
 are each atomic. File-level double mounting is prevented one layer up (the

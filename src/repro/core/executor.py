@@ -64,16 +64,25 @@ from .mounting import (
     check_on_error,
     interval_from_predicate,
 )
-from .mountpool import MountPool, MountPoolTimings
 from .partial import PartialMerger, is_decomposable
 from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
+from .scheduler import (
+    MountPoolTimings,
+    MountScheduler,
+    SchedulerPolicy,
+    SharedPoolClient,
+)
 from .statsindex import StatisticsIndex
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
 from .verify import verify_ali_rewrite, verify_decomposition
 
 BULK = "bulk"  # strategy (a): union everything, operate once
 PER_FILE = "per_file"  # strategy (b): operate per file, merge results
+
+# A standalone execution is a batch of one: nobody else can join its tasks,
+# so there is no batch window to wait out.
+_ONE_TENANT = SchedulerPolicy(batch_window_seconds=0.0)
 
 _PARTIAL_TAG = "partial_agg"
 
@@ -82,9 +91,10 @@ _PARTIAL_TAG = "partial_agg"
 class StageTimings:
     """Wall-clock CPU per physical step (simulated I/O tracked separately).
 
-    The ``mount_*`` fields describe the stage-2 mount phase as seen by the
-    :class:`~repro.core.mountpool.MountPool`: how many files were extracted,
-    by how many workers, the serialized cost (sum over files of real extract
+    The ``mount_*`` fields describe the stage-2 mount phase as the query's
+    :class:`~repro.core.scheduler.SharedPoolClient` saw it: how many files
+    it consumed, by how many workers, the serialized cost (sum over files of
+    real extract
     time + simulated disk time) and the critical path (the busiest worker's
     chain). ``mount_speedup`` is the observable effect of ``mount_workers``.
 
@@ -128,7 +138,7 @@ class StageTimings:
         return self.mount_serial_seconds / self.mount_wall_seconds
 
     def record_mounts(self, workers: int, timings: MountPoolTimings) -> None:
-        """Fold one mount pool's observations into these timings."""
+        """Fold one scheduler client's observations into these timings."""
         self.mount_workers = workers
         self.mount_files += timings.files
         self.mount_serial_seconds += timings.serial_seconds
@@ -195,7 +205,6 @@ class TwoStageExecutor:
         derived=None,  # Optional[DerivedMetadataStore]
         estimate: bool = True,
         mount_workers: int = 1,
-        mount_inflight: Optional[int] = None,
         on_mount_error: str = FAIL_FAST,
         verify_plans: Optional[bool] = None,
         selective_mounts: bool = True,
@@ -241,7 +250,6 @@ class TwoStageExecutor:
         self.derived = derived
         self.estimate = estimate
         self.mount_workers = mount_workers
-        self.mount_inflight = mount_inflight
         # None inherits the database's setting (itself REPRO_VERIFY_PLANS-
         # defaulted), so one env var flips the whole pipeline.
         self.verify_plans = (
@@ -297,10 +305,13 @@ class TwoStageExecutor:
     ) -> MountContext:
         """One execution's context, from this executor's session defaults
         (each overridable for this one execution): an armed governor, the
-        degradation policy, the breaker and a fresh mount pool.
+        degradation policy, the breaker, and the execution as a one-tenant
+        service — a mount scheduler of its own, extracting under this
+        context, with ``mount_workers`` threads (none when serial: every
+        take then extracts inline on the consuming thread, in plan order).
 
         Shared by :meth:`execute` and the multi-stage executor; run the
-        execution inside :meth:`running`.
+        execution inside :meth:`running`, which closes the scheduler.
         """
         governor = QueryGovernor(
             budget if budget is not None else self.budget, token=cancellation
@@ -310,19 +321,20 @@ class TwoStageExecutor:
             on_error=on_mount_error or self.on_mount_error,
             breaker=self.breaker,
         )
-        context.pool = MountPool(
+        context.scheduler = MountScheduler(
             partial(self.mounts._extract, context=context),
-            max_workers=self.mount_workers,
-            max_inflight=self.mount_inflight,
-            fail_fast=not context.skips,
-            token=governor.token,
+            policy=_ONE_TENANT,
+            workers=0 if self.mount_workers == 1 else self.mount_workers,
         )
+        context.scheduler.start()
+        context.pool = context.scheduler.client(token=governor.token)
         return context
 
     @contextmanager
     def running(self, context: MountContext) -> Iterator[None]:
         """One execution's span: :meth:`cancel` reaches ``context`` while
-        it lasts, and its governor's deadline timer is disarmed after."""
+        it lasts; after it the governor's deadline timer is disarmed and a
+        scheduler the context owns is closed, so no worker outlives it."""
         assert context.governor is not None
         with self._lock:
             self._in_flight.append(context)
@@ -332,6 +344,8 @@ class TwoStageExecutor:
             with self._lock:
                 self._in_flight.remove(context)
             context.governor.close()
+            if context.scheduler is not None:
+                context.scheduler.close()
 
     def cancel(self, reason: str = "query cancelled by caller") -> bool:
         """Cancel every in-flight execution; True when any was live.
@@ -484,8 +498,7 @@ class TwoStageExecutor:
         timings.runtime_opt_seconds = time.perf_counter() - opt_started
 
         # Stage 2: mounts happen here, inside the plan. Both strategies
-        # dispatch their mount branches through a MountPool — serial when
-        # mount_workers == 1, fanned out to a thread pool otherwise.
+        # dispatch their mount branches through the context's scheduler.
         termination = None
         if self.top_n_pushdown and self.strategy == BULK:
             termination = self._top_n_termination(rewritten, pool)
@@ -549,7 +562,7 @@ class TwoStageExecutor:
     # -- Top-N early termination -------------------------------------------------
 
     def _top_n_termination(
-        self, rewritten: LogicalPlan, pool: MountPool
+        self, rewritten: LogicalPlan, pool: SharedPoolClient
     ) -> Optional[tuple[TopNBranchMonitor, list[Mount]]]:
         """Arm branch skipping for one stage-2 execution, when sound.
 

@@ -86,9 +86,9 @@ from .governor import (
     RetryBudget,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool uses batches)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..mseed.repository import FileRepository
-    from .mountpool import MountPool
+    from .scheduler import MountKey, MountScheduler, SharedPoolClient
 
 OnMountCallback = Callable[[str, ColumnBatch], None]
 
@@ -201,11 +201,14 @@ class MountContext:
     the ``on_charge`` ledger hook; ``on_error`` is the degradation policy
     (:data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); ``breaker`` is the
     circuit breaker to consult — it outlives the context, which is its
-    point; ``pool`` is stage 2's dispatch handle (a
-    :class:`~repro.core.mountpool.MountPool`, or the query service's
-    :class:`~repro.serve.scheduler.SharedPoolClient`) — with one,
-    :meth:`MountService.mount_file` consumes pre-extracted batches from it
-    instead of extracting inline. The quarantine and its
+    point; ``pool`` is stage 2's dispatch handle, a
+    :class:`~repro.core.scheduler.SharedPoolClient` of a mount scheduler —
+    with one, :meth:`MountService.mount_file` consumes pre-extracted
+    batches from it instead of extracting inline. ``scheduler`` is the
+    one-tenant scheduler a standalone execution owns (closed when the
+    execution ends); None when the pool is a client of a shared one. The
+    context charges the governor once per distinct file consumed
+    (:meth:`charge`), wherever the file was extracted. The quarantine and its
     :class:`MountFailureReport` live here, so a file that failed once is
     skipped for the rest of *this* query and gets a fresh chance in the
     next one.
@@ -221,12 +224,13 @@ class MountContext:
         governor: Optional[QueryGovernor] = None,
         on_error: str = FAIL_FAST,
         breaker: Optional[CircuitBreaker] = None,
-        pool: Optional["MountPool"] = None,
+        pool: Optional["SharedPoolClient"] = None,
     ) -> None:
         self.governor = governor
         self.on_error = check_on_error(on_error)
         self.breaker = breaker
         self.pool = pool
+        self.scheduler: Optional["MountScheduler"] = None
         # Backoff sleeps and request waits block on this token's event;
         # without a governor it is a token nobody holds, so it never fires.
         self.token = (
@@ -236,6 +240,7 @@ class MountContext:
         self.failure_report = MountFailureReport()  # guarded-by: _lock
         self._quarantined: set[str] = set()  # guarded-by: _lock
         self._retry_budgets: dict[str, RetryBudget] = {}  # guarded-by: _lock
+        self._charged: set["MountKey"] = set()  # guarded-by: _lock
 
     @property
     def skips(self) -> bool:
@@ -270,6 +275,19 @@ class MountContext:
             if endpoint not in self._retry_budgets:
                 self._retry_budgets[endpoint] = RetryBudget(attempts)
             return self._retry_budgets[endpoint]
+
+    def charge(self, key: "MountKey", result: "ExtractResult") -> None:
+        """Charge the governor for one consumed file, once per distinct
+        ``(table, uri)``: in plan order, on the consuming thread, so a
+        budget trips at the same branch however many workers extracted
+        ahead. Raise-mode exhaustion raises here."""
+        if self.governor is None:
+            return
+        with self._lock:
+            if key in self._charged:
+                return
+            self._charged.add(key)
+        self.governor.charge_mount(result.bytes_read, result.records_decoded)
 
 
 @dataclass
@@ -338,7 +356,7 @@ class MountService:
     retry budgets — arrives with each call as a :class:`MountContext`. So it
     is *reentrant* twice over: any number of queries may mount through it at
     once, and :meth:`_extract` may run concurrently on the workers of each
-    one's :class:`~repro.core.mountpool.MountPool` (the buffer manager and
+    one's :class:`~repro.core.scheduler.MountScheduler` (the buffer manager and
     the ingestion cache lock themselves; the service's own lock guards only
     its counters). Within one query everything stateful (cache stores,
     callbacks, delivery) still happens on the calling thread, in plan order.
@@ -607,7 +625,8 @@ class MountService:
         request: Optional[MountRequest],
         context: MountContext,
     ) -> "ExtractResult":
-        """One branch's extraction, via the context's pool when it has one.
+        """One branch's extraction, via the context's pool when it has one,
+        charged to the context's governor.
 
         The pool may have prefetched the file under a different (hull-merged)
         request; any coverage that satisfies this branch is accepted, and a
@@ -616,11 +635,15 @@ class MountService:
         re-extraction rather than returning incomplete rows.
         """
         if context.pool is None:
-            return self._extract(uri, table_name, request, context=context)
-        result = context.pool.take(uri, table_name, request)
-        needed = WHOLE_FILE if request is None else request.interval
-        if not covers(result.coverage, needed):
-            return self._extract(uri, table_name, request, context=context)
+            result = self._extract(uri, table_name, request, context=context)
+        else:
+            result = context.pool.take(uri, table_name, request)
+            needed = WHOLE_FILE if request is None else request.interval
+            if not covers(result.coverage, needed):
+                result = self._extract(
+                    uri, table_name, request, context=context
+                )
+        context.charge((table_name, uri), result)
         return result
 
     def cache_scan(
@@ -724,11 +747,12 @@ class MountService:
         observed: Optional[FileSignature] = None,
         context: Optional[MountContext] = None,
     ) -> "ExtractResult":
-        """Extract one file into a batch; thread-safe (mount-pool workers
+        """Extract one file into a batch; thread-safe (scheduler workers
         call this concurrently). Returns the batch plus the simulated disk
         seconds the buffer manager charged and the extraction's coverage /
-        read accounting. Without a ``context`` the extraction is a scope of
-        its own: ungoverned, uncancellable, a fresh retry budget.
+        read accounting; charges no budget (the consumer's context does).
+        Without a ``context`` the extraction is a scope of its own:
+        uncancellable, a fresh retry budget.
 
         ``observed`` is a signature of the file the caller fetched just now
         (the shared extraction path's cache lookup): the first attempt takes
@@ -879,11 +903,6 @@ class MountService:
                     f"(mtime/size {before} -> {after})",
                     uri=uri,
                 )
-        if context.governor is not None:
-            # Charge the ledger once per successful extraction (retries and
-            # failures never count). Raise-mode exhaustion aborts here —
-            # possibly on a pool worker, whence it propagates to the taker.
-            context.governor.charge_mount(nbytes, records_decoded)
         return ExtractResult(
             batch=mounted.batch,
             io_seconds=io_seconds,

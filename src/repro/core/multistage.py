@@ -153,10 +153,11 @@ class MultiStageExecutor:
             files[i: i + self.batch_files]
             for i in range(0, len(files), self.batch_files)
         ]
-        # Every ingestion stage shares one mount pool: uncached files are
-        # prefetched up front (bounded in flight, so early stopping leaves
-        # at most max_inflight wasted extractions to cancel) and each
-        # stage's per-file plans consume them in file order.
+        # Every ingestion stage shares the context's scheduler client:
+        # uncached files are prefetched up front (bounded in flight, so
+        # early stopping leaves at most 2 × mount_workers wasted extractions
+        # to withdraw) and each stage's per-file plans consume them in file
+        # order.
         table_name = info.table_name
         cache = self.executor.cache
         # The per-file rewrites below fuse this alias's predicate into every

@@ -19,14 +19,14 @@ A query's life in the service:
    synchronously, on the submitting thread.
 2. **Stage 1** — the executor runs the query's metadata stage and
    reaches the stage-1/stage-2 breakpoint with its files of interest.
-3. **Scheduling** — instead of a private :class:`~repro.core.mountpool.MountPool`,
-   the query's context carries a
-   :class:`~repro.serve.scheduler.SharedPoolClient`: the query's mount
-   branches are registered with the shared scheduler (hull-merged with
-   every other waiting query touching the same files) and the query parks
-   until its files complete — each extraction feeding *every* waiter.
-4. **Charging** — the query's governor is charged at consume time for the
-   bytes it uses (same ledger as standalone), and the governor's
+3. **Scheduling** — instead of a one-tenant scheduler of its own, the
+   query's context carries a client of the service's shared
+   :class:`~repro.core.scheduler.MountScheduler`: the query's mount
+   branches are registered with it (hull-merged with every other waiting
+   query touching the same files) and the query parks until its files
+   complete — each extraction feeding *every* waiter.
+4. **Charging** — the query's context charges its governor at consume time
+   for the bytes it uses (same ledger as standalone), and the governor's
    ``on_charge`` hook feeds the tenant's running byte ledger.
 
 Tenant isolation is deliberate where it matters and shared where that is
@@ -63,6 +63,12 @@ from ..core.mounting import (
     MountContext,
     check_on_error,
 )
+from ..core.scheduler import (
+    MountKey,
+    MountScheduler,
+    SchedulerPolicy,
+    SchedulerStats,
+)
 from ..db.interval import overlaps
 from ..db.database import Database
 from ..db.errors import QueryShedError
@@ -70,7 +76,6 @@ from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
 from ..ingest.schema import RepositoryBinding
 from ..mseed.repository import FileRepository
-from .scheduler import MountKey, MountScheduler, SchedulerPolicy, SchedulerStats
 
 
 @dataclass(frozen=True)
@@ -428,7 +433,7 @@ class QueryService:
             governor=governor,
             on_error=state.policy.on_mount_error,
             breaker=state.breaker,
-            pool=self.scheduler.client(token=governor.token, governor=governor),
+            pool=self.scheduler.client(token=governor.token),
         )
 
     # -- predictive prefetch ---------------------------------------------------
@@ -507,8 +512,8 @@ class QueryService:
         total nor any consuming query's budget is charged for it.
 
         The task serves every query waiting on the file, so it runs under no
-        one's context: no governor (each consumer's SharedPoolClient charges
-        its own, once per file it uses), no breaker (each waiter's tenant
+        one's context: no governor (each consumer's context charges its
+        own, once per file it uses), no breaker (each waiter's tenant
         breaker judges the failure), and no waiter's token or retry budget —
         the mount service only extracts, retries transients, and counts
         service-wide bytes.

@@ -49,6 +49,7 @@ from ..core import (
 )
 from ..core.governor import CancellationToken, CircuitBreaker
 from ..core.metastore import MetadataStore
+from ..core.scheduler import WORKER_THREAD_PREFIX
 from ..db import ColumnDef, Database, DataType, TableSchema
 from ..db.errors import ExecutionError, FileIngestError, QueryInterruptedError
 from ..db.types import parse_timestamp
@@ -568,8 +569,9 @@ class Engine:
         )
         if self.service is None:
             check(not any(
-                t.name.startswith("mountpool") for t in threading.enumerate()
-            ), "a mount pool outlived its query")
+                t.name.startswith(WORKER_THREAD_PREFIX)
+                for t in threading.enumerate()
+            ), "a mount scheduler outlived its query")
         elif not self.point.prefetch:
             check(
                 self.service.scheduler.pending_tasks() == 0,

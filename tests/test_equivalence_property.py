@@ -22,6 +22,8 @@ from repro.core import (
 )
 from repro.ingest import RepositoryBinding
 
+from test_mountpool import live_workers
+
 STATIONS = ["ISK", "ANK", "NOSUCH"]
 CHANNELS = ["BHE", "BHZ"]
 # Time anchors inside (and slightly outside) the tiny repository's 2 days.
@@ -148,7 +150,5 @@ def test_no_dangling_state_after_queries(sql, data, ali_db, tiny_repo):
     executor.execute(sql)
     assert ali_db.catalog.table("D").num_rows == 0
     assert len(executor.cache) == 0
-    # The pool never outlives stage 2.
-    assert not [
-        t for t in threading.enumerate() if t.name.startswith("mountpool")
-    ]
+    # The scheduler never outlives the execution.
+    assert not live_workers()

@@ -30,6 +30,8 @@ from repro.remote import RemoteRepository, SimulatedObjectStore
 from repro.testing import READ_LATENCY, FaultPlan, FaultSpec
 from repro.testing.oracle import ConfigPoint, run, same_rows, verdicts
 
+from test_mountpool import live_workers
+
 # A family of queries spanning the supported SQL surface, all answerable by
 # both engines. Each must yield identical results under Ei and ALi.
 EQUIVALENCE_QUERIES = [
@@ -550,9 +552,7 @@ class TestReentrancy:
         stats = shared.mounts.stats
         for counter, expected in expected_stats.items():
             assert getattr(stats, counter) == expected, counter
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("mountpool")
-        ]
+        assert not live_workers()
 
 
 class TestHandedInContext:

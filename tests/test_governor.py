@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -44,6 +45,8 @@ from repro.testing import (
     FaultPlan,
     FaultSpec,
 )
+
+from test_mountpool import live_workers
 
 SPEC = RepositorySpec(
     stations=("ISK", "ANK"),
@@ -88,21 +91,13 @@ def _slow_plan(repo, token, delay=0.5):
     )
 
 
-def _mountpool_threads():
-    return [
-        t for t in threading.enumerate() if t.name.startswith("mountpool")
-    ]
-
-
 def _assert_workers_joined(timeout=2.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if not _mountpool_threads():
+        if not live_workers():
             return
         time.sleep(0.01)
-    raise AssertionError(
-        f"mount pool workers leaked: {_mountpool_threads()!r}"
-    )
+    raise AssertionError(f"mount workers leaked: {live_workers()!r}")
 
 
 # -- budget validation -----------------------------------------------------------
@@ -286,19 +281,23 @@ class TestResourceBudgets:
         assert report.mounts_completed >= 1
 
     def test_byte_budget_partial_returns_tuples_so_far(self, repo):
+        """Charged as consumed, in plan order: workers extracting ahead
+        change neither the tuples so far nor the disclosure."""
         baseline = _executor(repo).execute(COUNT_SQL).rows[0][0]
-        executor = _executor(repo)
-        outcome = executor.execute(
-            COUNT_SQL,
-            budget=QueryBudget(
-                max_mount_bytes=1, on_budget=ON_BUDGET_PARTIAL
-            ),
-        )
-        assert outcome.truncation is not None
-        assert "byte" in outcome.truncation.reason
-        partial_count = outcome.rows[0][0]
-        assert 0 < partial_count < baseline
-        assert executor.mounts.stats.budget_truncated_mounts >= 1
+        budget = QueryBudget(max_mount_bytes=1, on_budget=ON_BUDGET_PARTIAL)
+        answers = {}
+        for workers in (1, 4):
+            executor = _executor(repo, workers=workers)
+            outcome = executor.execute(COUNT_SQL, budget=budget)
+            assert outcome.truncation is not None
+            assert "byte" in outcome.truncation.reason
+            assert 0 < outcome.rows[0][0] < baseline
+            assert executor.mounts.stats.budget_truncated_mounts >= 1
+            answers[workers] = (
+                outcome.rows,
+                replace(outcome.truncation, elapsed_seconds=0.0),
+            )
+        assert answers[4] == answers[1]
 
     def test_record_budget_trips(self, repo):
         executor = _executor(repo)

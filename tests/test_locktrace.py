@@ -120,7 +120,7 @@ def test_rlock_reentrancy_counts_outermost_only():
 
 
 def test_two_instances_of_one_class_do_not_false_positive():
-    # Class-level naming: two MountPool instances share the name; nesting
+    # Class-level naming: two instances of one class share the name; nesting
     # one inside the other is outside the hierarchy model and must not
     # raise (check_order skips same-name holders).
     with tracing():
@@ -371,7 +371,7 @@ def test_executor_exports_lock_stats_when_tracing(tiny_repo):
     assert traced.rows == cold.rows
     assert traced.timings.lock_stats, "tracing produced no lock stats"
     assert any(
-        name.startswith(("BufferManager", "IngestionCache", "MountPool",
+        name.startswith(("BufferManager", "IngestionCache", "MountScheduler",
                          "CancellationToken", "QueryGovernor"))
         for name in traced.timings.lock_stats
     )

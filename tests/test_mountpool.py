@@ -1,32 +1,36 @@
-"""Unit tests for the stage-2 mount pool (core/mountpool.py).
+"""The mount scheduler as one query's dispatcher (core/scheduler.py).
 
-These test the pool against a synthetic extract function — ordering,
-single-flight, backpressure, work stealing, error propagation — without
-standing up a repository. End-to-end equivalence under ``mount_workers=4``
-lives in test_equivalence_property.py; failure injection through a real
-executor lives in test_failure_injection.py.
+A standalone execution mounts through a one-tenant :class:`MountScheduler`
+(batch window 0, ``mount_workers`` threads, none when serial). These cells
+drive it against a synthetic extract function — ordering, single-flight,
+backpressure, work stealing, error propagation — without standing up a
+repository. End-to-end equivalence under ``mount_workers=4`` lives in
+test_equivalence_property.py; failure injection through a real executor in
+test_failure_injection.py.
 """
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.mounting import ExtractResult
-from repro.core.mountpool import MountPool, MountPoolTimings, MountTaskTiming
+from repro.core.scheduler import (
+    WORKER_THREAD_PREFIX,
+    MountPoolTimings,
+    MountScheduler,
+    MountTaskTiming,
+    SchedulerPolicy,
+)
 from repro.db import Column, ColumnBatch, DataType
 from repro.db.errors import IngestError
 
 
-def tagged_batch(uri):
-    """A one-row batch whose value identifies the uri it came from."""
-    return ColumnBatch(
-        ["tag"], [Column.from_pylist(DataType.INT64, [hash(uri) % 10**9])]
-    )
-
-
 def tagged_result(uri, io_seconds=0.0):
-    return ExtractResult(batch=tagged_batch(uri), io_seconds=io_seconds)
+    """A one-row batch whose value identifies the uri it came from."""
+    tag = Column.from_pylist(DataType.INT64, [hash(uri) % 10**9])
+    return ExtractResult(ColumnBatch(["tag"], [tag]), io_seconds)
 
 
 class RecordingExtract:
@@ -39,14 +43,12 @@ class RecordingExtract:
         self.unblock = threading.Event()
         self.calls = []
         self.threads = {}
-        self.requests = {}
         self._lock = threading.Lock()
 
     def __call__(self, uri, table_name, request=None):
         with self._lock:
             self.calls.append(uri)
             self.threads[uri] = threading.get_ident()
-            self.requests[uri] = request
         if uri in self.block_uris:
             assert self.unblock.wait(timeout=10), "extract left blocked"
         if self.delay:
@@ -60,11 +62,28 @@ def keys(n):
     return [("D", f"file-{i:03}.xseed") for i in range(n)]
 
 
+def live_workers():
+    """The mount scheduler threads alive in this process."""
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith(WORKER_THREAD_PREFIX)
+    ]
+
+
+@contextmanager
+def one_tenant(extract, workers):
+    """A client of the scheduler ``TwoStageExecutor.open_context`` builds
+    for ``mount_workers=workers``, closed on exit."""
+    policy = SchedulerPolicy(batch_window_seconds=0.0)
+    with MountScheduler(extract, policy, 0 if workers == 1 else workers) as s:
+        yield s.client()
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_results_match_keys_in_plan_order(workers):
     tasks = keys(20)
     extract = RecordingExtract()
-    with MountPool(extract, max_workers=workers) as pool:
+    with one_tenant(extract, workers) as pool:
         pool.prefetch(tasks)
         for table_name, uri in tasks:
             batch = pool.take(uri, table_name).batch
@@ -76,9 +95,9 @@ def test_results_match_keys_in_plan_order(workers):
 def test_serial_fallback_stays_on_consumer_thread():
     tasks = keys(6)
     extract = RecordingExtract()
-    with MountPool(extract, max_workers=1) as pool:
+    with one_tenant(extract, 1) as pool:
         pool.prefetch(tasks)
-        assert pool._executor is None  # no threads were started
+        assert not live_workers()  # no threads were started
         for table_name, uri in tasks:
             pool.take(uri, table_name)
     me = threading.get_ident()
@@ -90,11 +109,9 @@ def test_serial_fallback_stays_on_consumer_thread():
 def test_single_flight_extracts_once_serves_every_take():
     (key,) = keys(1)
     table_name, uri = key
-    # A self-join takes the same file twice; a second distinct key keeps the
-    # pool out of its serial fallback.
-    other = ("D", "other.xseed")
+    other = ("D", "other.xseed")  # a self-join takes `key` twice
     extract = RecordingExtract()
-    with MountPool(extract, max_workers=2) as pool:
+    with one_tenant(extract, 2) as pool:
         pool.prefetch([key, other, key])
         first = pool.take(uri, table_name).batch
         second = pool.take(other[1], other[0]).batch
@@ -106,37 +123,34 @@ def test_single_flight_extracts_once_serves_every_take():
 
 def test_unprefetched_take_extracts_inline():
     extract = RecordingExtract()
-    with MountPool(extract, max_workers=4) as pool:
+    with one_tenant(extract, 4) as pool:
         batch = pool.take("surprise.xseed", "D").batch
     assert batch.num_rows == 1
     assert extract.threads["surprise.xseed"] == threading.get_ident()
 
 
 def test_backpressure_bounds_unconsumed_batches():
-    """At most max_inflight batches are running-or-unconsumed at once."""
-    inflight = 3
+    """At most 2 × workers batches are running-or-unconsumed at once."""
+    workers = 4
     produced = []
-    consumed = []
-    lock = threading.Lock()
     high_water = [0]
 
     def extract(uri, table_name, request=None):
-        with lock:
-            produced.append(uri)
-            high_water[0] = max(
-                high_water[0], len(produced) - len(consumed)
-            )
+        produced.append(uri)
+        # A grant is counted before its task stops counting against the
+        # bound, so this is the claimed-and-unconsumed count, race-free.
+        high_water[0] = max(
+            high_water[0], len(produced) - pool._scheduler.stats.grants
+        )
         return tagged_result(uri)
 
     tasks = keys(24)
-    with MountPool(extract, max_workers=4, max_inflight=inflight) as pool:
+    with one_tenant(extract, workers) as pool:
         pool.prefetch(tasks)
         for table_name, uri in tasks:
             time.sleep(0.002)  # slow consumer: producers must wait
             pool.take(uri, table_name)
-            with lock:
-                consumed.append(uri)
-    assert high_water[0] <= inflight
+    assert high_water[0] <= 2 * workers
     assert len(produced) == len(tasks)
 
 
@@ -146,7 +160,7 @@ def test_slow_consumer_never_deadlocks():
     completed batches for later branches holding every slot."""
     tasks = keys(40)
     extract = RecordingExtract()
-    with MountPool(extract, max_workers=4, max_inflight=4) as pool:
+    with one_tenant(extract, 4) as pool:
         pool.prefetch(tasks)
         for table_name, uri in tasks:
             time.sleep(0.001)
@@ -160,52 +174,50 @@ def test_consumer_steals_when_workers_are_busy():
     blocked = [("D", "slow-a.xseed"), ("D", "slow-b.xseed")]
     wanted = ("D", "wanted.xseed")
     extract = RecordingExtract(block_uris={uri for _, uri in blocked})
-    pool = MountPool(extract, max_workers=2)
-    try:
-        pool.prefetch(blocked + [wanted])
-        # Both workers are stuck inside the blocking extracts; the third
-        # task is still queued, so the consumer takes it inline.
-        deadline = time.monotonic() + 5
-        while len(extract.calls) < 2 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        batch = pool.take(wanted[1], wanted[0]).batch
-        assert extract.threads[wanted[1]] == threading.get_ident()
-        assert batch.num_rows == 1
-        extract.unblock.set()
-        for table_name, uri in blocked:
-            pool.take(uri, table_name)
-    finally:
-        extract.unblock.set()
-        pool.close()
+    with one_tenant(extract, 2) as pool:
+        try:
+            pool.prefetch(blocked + [wanted])
+            # Both workers are stuck inside the blocking extracts; the third
+            # task is still pending, so the consumer takes it inline.
+            deadline = time.monotonic() + 5
+            while len(extract.calls) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            batch = pool.take(wanted[1], wanted[0]).batch
+            assert extract.threads[wanted[1]] == threading.get_ident()
+            assert batch.num_rows == 1
+            extract.unblock.set()
+            for table_name, uri in blocked:
+                pool.take(uri, table_name)
+        finally:
+            extract.unblock.set()
 
 
 def test_worker_failure_cancels_and_surfaces_uri():
-    tasks = keys(12)
+    """The failed file's branch raises its error, named; the fail-fast query
+    then closes its client, withdrawing what no worker had claimed."""
+    tasks = keys(24)
     bad_uri = tasks[3][1]
     extract = RecordingExtract(delay=0.002, fail_uris={bad_uri})
-    with MountPool(extract, max_workers=4, max_inflight=4) as pool:
+    with one_tenant(extract, 4) as pool:
         pool.prefetch(tasks)
         with pytest.raises(IngestError) as excinfo:
             for table_name, uri in tasks:
                 pool.take(uri, table_name)
-        assert excinfo.value.mount_uri == bad_uri
-        assert pool.first_error is excinfo.value
-        assert pool.failed_uri == bad_uri
-        # The pool is poisoned: every later take re-raises the first error.
-        with pytest.raises(IngestError):
-            pool.take(tasks[-1][1], tasks[-1][0])
-    # Cancellation kept the pool from extracting the whole repository.
+        pool.close()
+    assert excinfo.value.mount_uri == bad_uri
+    # Backpressure and the withdrawal kept it from extracting everything.
     assert len(extract.calls) < len(tasks)
+    assert pool._scheduler.pending_tasks() == 0
 
 
-@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_skip_mode_poisons_only_the_failed_key(workers):
-    """With fail_fast=False one bad file must not cancel the rest: every
-    other branch completes, and only takes of the failed key raise."""
+    """One bad file must not cancel the rest: every other branch completes,
+    and only takes of the failed key raise."""
     tasks = keys(12)
     bad_uri = tasks[3][1]
     extract = RecordingExtract(delay=0.002, fail_uris={bad_uri})
-    with MountPool(extract, max_workers=workers, fail_fast=False) as pool:
+    with one_tenant(extract, workers) as pool:
         pool.prefetch(tasks)
         failures = []
         for table_name, uri in tasks:
@@ -215,34 +227,15 @@ def test_skip_mode_poisons_only_the_failed_key(workers):
                 failures.append((uri, exc))
                 continue
             assert batch.column("tag").values[0] == hash(uri) % 10**9
-        assert [uri for uri, _ in failures] == [bad_uri]
-        assert failures[0][1].mount_uri == bad_uri
-        assert pool.first_error is None  # pool never poisoned
+    assert [uri for uri, _ in failures] == [bad_uri]
+    assert failures[0][1].mount_uri == bad_uri
     # Every file was attempted — nothing was cancelled.
     assert sorted(extract.calls) == sorted(uri for _, uri in tasks)
 
 
-def test_skip_mode_serial_fallback():
-    tasks = keys(6)
-    bad_uri = tasks[2][1]
-    extract = RecordingExtract(fail_uris={bad_uri})
-    with MountPool(extract, max_workers=1, fail_fast=False) as pool:
-        pool.prefetch(tasks)
-        outcomes = []
-        for table_name, uri in tasks:
-            try:
-                pool.take(uri, table_name)
-                outcomes.append("ok")
-            except IngestError:
-                outcomes.append("fail")
-    assert outcomes == ["ok", "ok", "fail", "ok", "ok", "ok"]
-
-
 def test_invalid_configuration_rejected():
     with pytest.raises(ValueError):
-        MountPool(lambda u, t, r=None: tagged_result(u), max_workers=0)
-    with pytest.raises(ValueError):
-        MountPool(lambda u, t, r=None: tagged_result(u), max_inflight=0)
+        MountScheduler(lambda u, t, r=None: tagged_result(u), workers=-1)
 
 
 def test_timings_critical_path_math():

@@ -101,6 +101,21 @@ def _service(repo, db=None, **kwargs):
     return QueryService(repo, db=db, **kwargs)
 
 
+_SCAN_ALL = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri"
+
+
+def _before_extract(service, monkeypatch, hook):
+    """Run ``hook(uri)`` ahead of every extraction from disk."""
+    mounts = service._executor.mounts
+    extract = mounts._extract
+
+    def hooked(uri, *args, **kwargs):
+        hook(uri)
+        return extract(uri, *args, **kwargs)
+
+    monkeypatch.setattr(mounts, "_extract", hooked)
+
+
 # -- scheduler unit cells (fake clock, no threads) ---------------------------
 
 
@@ -571,6 +586,42 @@ class TestServiceEquivalence:
         assert stats.tasks_extracted == 1
         assert stats.shared_grants == 1
         assert stats.max_wait_seconds < window / 2
+
+    def test_slow_consumer_bounds_unconsumed_batches(
+        self, repo, metadata_db, monkeypatch
+    ):
+        """A served query's workers stay within 2 × workers extractions
+        ahead of a consumer that is slower than they are."""
+        service = _service(repo, db=metadata_db, mount_workers=2)
+        started, high_water = [], [0]
+
+        def count(uri):
+            started.append(uri)
+            # A grant is counted before its task stops counting against the
+            # bound, so this is the claimed-and-unconsumed count.
+            grants = service.scheduler.stats.grants
+            high_water[0] = max(high_water[0], len(started) - grants)
+
+        _before_extract(service, monkeypatch, count)
+        service._executor.mounts.add_mount_callback(
+            lambda uri, batch: threading.Event().wait(0.005)
+        )
+        with service:
+            service.execute(_SCAN_ALL)
+        assert len(started) == len(repo.uris()) > 4
+        assert high_water[0] <= 4
+
+    def test_served_query_reports_the_workers_that_ran_it(
+        self, repo, metadata_db, monkeypatch
+    ):
+        service = _service(repo, db=metadata_db, mount_workers=2)
+        _before_extract(
+            service, monkeypatch, lambda uri: threading.Event().wait(0.01)
+        )
+        with service:
+            timings = service.execute(_SCAN_ALL).timings
+        assert timings.mount_files == len(repo.uris()) >= 8
+        assert len(timings.mount_worker_seconds) > 1
 
     def test_session_runs_unchanged_over_tenant_client(self, repo):
         from repro.explore import ExplorationSession

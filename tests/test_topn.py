@@ -26,7 +26,6 @@ from repro.core import (
     decompose,
     find_top_n_target,
 )
-from repro.core.mountpool import MountPool
 from repro.db import (
     BindError,
     Column,
@@ -65,9 +64,8 @@ from repro.db.plan.rewrite import (
 from repro.db.plan.verify import verify_plan
 from repro.db.sql.parser import parse_sql
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
-from repro.serve import MountScheduler, SchedulerPolicy
 
-from test_mountpool import RecordingExtract, keys
+from test_mountpool import RecordingExtract, keys, one_tenant
 
 # Descending latest-K over the tiny repository: the day-011 files bound the
 # answer, so every day-010 branch is provably skippable once the heap fills.
@@ -533,96 +531,69 @@ class TestTopNBranchMonitor:
         assert not monitor.safe()
 
 
-class TestMountPoolRelease:
+class TestSharedPoolClientRelease:
+    """``release`` is True only when it spared the extraction — the count
+    ``MountStats.early_cancelled_mounts`` reports."""
+
+    def test_release_withdraws_interest(self):
+        tasks = keys(3)
+        extract = RecordingExtract()
+        with one_tenant(extract, 1) as client:
+            client.prefetch(tasks)
+            assert client.release(*tasks[1]) is True
+            assert client._scheduler.stats.withdrawn == 1
+            for table_name, uri in (tasks[0], tasks[2]):
+                client.take(uri, table_name)
+            assert client._scheduler.peek_next() is None
+        assert extract.calls == [tasks[0][1], tasks[2][1]]
+
+    def test_release_keeps_interest_while_takes_remain(self):
+        """One of two takers renouncing must not cancel the other's take."""
+        key = ("D", "shared.xseed")
+        with one_tenant(RecordingExtract(), 1) as client:
+            client.prefetch([key, key])
+            assert client.release(*key) is False  # the other taker remains
+            assert client._scheduler.stats.withdrawn == 0
+            assert client._scheduler.peek_next() == key
+            assert client.take(key[1], key[0]).batch.num_rows == 1
+
+    def test_release_unknown_key_is_noop(self):
+        with one_tenant(RecordingExtract(), 2) as client:
+            assert client.release("D", "never.xseed") is False
+
     def test_release_queued_task_cancels_extraction(self):
         blocked = [("D", "slow-a.xseed"), ("D", "slow-b.xseed")]
         doomed = ("D", "doomed.xseed")
         extract = RecordingExtract(block_uris={uri for _, uri in blocked})
-        pool = MountPool(extract, max_workers=2)
-        try:
-            pool.prefetch(blocked + [doomed])
-            deadline = threading.Event()
-            for _ in range(5000):
-                if len(extract.calls) >= 2:
-                    break
-                deadline.wait(0.001)
-            # Both workers are stuck; the third task is still queued.
-            assert pool.release(*doomed) is True
-            extract.unblock.set()
-            for table_name, uri in blocked:
-                pool.take(uri, table_name)
-        finally:
-            extract.unblock.set()
-            pool.close()
+        with one_tenant(extract, 2) as client:
+            try:
+                client.prefetch(blocked + [doomed])
+                deadline = threading.Event()
+                for _ in range(5000):
+                    if len(extract.calls) >= 2:
+                        break
+                    deadline.wait(0.001)
+                # Both workers are stuck; the third task is still pending.
+                assert client.release(*doomed) is True
+                extract.unblock.set()
+                for table_name, uri in blocked:
+                    client.take(uri, table_name)
+            finally:
+                extract.unblock.set()
         assert doomed[1] not in extract.calls
-
-    def test_release_serial_pool_never_extracts(self):
-        tasks = keys(3)
-        extract = RecordingExtract()
-        with MountPool(extract, max_workers=1) as pool:
-            pool.prefetch(tasks)
-            assert pool.release(*tasks[1]) is True
-            for table_name, uri in (tasks[0], tasks[2]):
-                pool.take(uri, table_name)
-        assert extract.calls == [tasks[0][1], tasks[2][1]]
-
-    def test_release_respects_single_flight_takers(self):
-        """One of two takers renouncing must not cancel the other's take."""
-        key = ("D", "shared.xseed")
-        extract = RecordingExtract()
-        with MountPool(extract, max_workers=1) as pool:
-            pool.prefetch([key, key])
-            assert pool.release(*key) is False  # the other taker remains
-            assert pool.take(key[1], key[0]).batch.num_rows == 1
-
-    def test_release_unknown_key_is_noop(self):
-        extract = RecordingExtract()
-        with MountPool(extract, max_workers=2) as pool:
-            assert pool.release("D", "never-prefetched.xseed") is False
 
     def test_release_after_extraction_reports_false(self):
         tasks = keys(2)
         extract = RecordingExtract()
-        with MountPool(extract, max_workers=2) as pool:
-            pool.prefetch(tasks)
-            pool.take(tasks[0][1], tasks[0][0])
+        with one_tenant(extract, 2) as client:
+            client.prefetch(tasks)
+            client.take(tasks[0][1], tasks[0][0])
             # Wait for the other worker to finish the second task too.
             for _ in range(5000):
                 if len(extract.calls) == 2:
                     break
                 threading.Event().wait(0.001)
-            assert pool.release(*tasks[1]) is False
-
-
-class TestSharedPoolClientRelease:
-    def _scheduler(self):
-        return MountScheduler(
-            lambda uri, table, request=None: (_ for _ in ()).throw(
-                AssertionError(f"unexpected extraction of {uri}")
-            ),
-            policy=SchedulerPolicy(batch_window_seconds=0.0),
-            workers=0,
-        )
-
-    def test_release_withdraws_interest(self):
-        scheduler = self._scheduler()
-        client = scheduler.client()
-        client.prefetch([("D", "a.xseed", None)])
-        assert client.release("D", "a.xseed") is True
-        assert scheduler.stats.withdrawn == 1
-        assert scheduler.peek_next() is None
-
-    def test_release_keeps_interest_while_takes_remain(self):
-        scheduler = self._scheduler()
-        client = scheduler.client()
-        client.prefetch([("D", "a.xseed", None), ("D", "a.xseed", None)])
-        assert client.release("D", "a.xseed") is False
-        assert scheduler.stats.withdrawn == 0
-        assert scheduler.peek_next() == ("D", "a.xseed")
-
-    def test_release_unknown_key_is_noop(self):
-        client = self._scheduler().client()
-        assert client.release("D", "never.xseed") is False
+            assert client.release(*tasks[1]) is False
 
 
 class TestEndToEndEquivalence:
