@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    MountScheduler,
+    SchedulerPolicy,
     TopNBranchMonitor,
     TwoStageExecutor,
     apply_ali_rewrite,
@@ -531,35 +533,69 @@ class TestTopNBranchMonitor:
         assert not monitor.safe()
 
 
+class TestMountPoolRelease:
+    """Release on the standalone query's mount pool: the one-tenant
+    scheduler ``TwoStageExecutor.open_context`` builds, with its workers."""
+
+    def test_release_serial_pool_never_extracts(self):
+        tasks = keys(3)
+        extract = RecordingExtract()
+        with one_tenant(extract, 1) as pool:
+            pool.prefetch(tasks)
+            assert pool.release(*tasks[1]) is True
+            for table_name, uri in (tasks[0], tasks[2]):
+                pool.take(uri, table_name)
+        assert extract.calls == [tasks[0][1], tasks[2][1]]
+
+    def test_release_respects_single_flight_takers(self):
+        """One of two takers renouncing must not cancel the other's take."""
+        key = ("D", "shared.xseed")
+        extract = RecordingExtract()
+        with one_tenant(extract, 1) as pool:
+            pool.prefetch([key, key])
+            assert pool.release(*key) is False  # the other taker remains
+            assert pool.take(key[1], key[0]).batch.num_rows == 1
+        assert extract.calls == [key[1]]
+
+    def test_release_unknown_key_is_noop(self):
+        extract = RecordingExtract()
+        with one_tenant(extract, 2) as pool:
+            assert pool.release("D", "never-prefetched.xseed") is False
+        assert extract.calls == []
+
+
 class TestSharedPoolClientRelease:
     """``release`` is True only when it spared the extraction — the count
     ``MountStats.early_cancelled_mounts`` reports."""
 
+    def _scheduler(self):
+        return MountScheduler(
+            lambda uri, table, request=None: (_ for _ in ()).throw(
+                AssertionError(f"unexpected extraction of {uri}")
+            ),
+            policy=SchedulerPolicy(batch_window_seconds=0.0),
+            workers=0,
+        )
+
     def test_release_withdraws_interest(self):
-        tasks = keys(3)
-        extract = RecordingExtract()
-        with one_tenant(extract, 1) as client:
-            client.prefetch(tasks)
-            assert client.release(*tasks[1]) is True
-            assert client._scheduler.stats.withdrawn == 1
-            for table_name, uri in (tasks[0], tasks[2]):
-                client.take(uri, table_name)
-            assert client._scheduler.peek_next() is None
-        assert extract.calls == [tasks[0][1], tasks[2][1]]
+        scheduler = self._scheduler()
+        client = scheduler.client()
+        client.prefetch([("D", "a.xseed", None)])
+        assert client.release("D", "a.xseed") is True
+        assert scheduler.stats.withdrawn == 1
+        assert scheduler.peek_next() is None
 
     def test_release_keeps_interest_while_takes_remain(self):
-        """One of two takers renouncing must not cancel the other's take."""
-        key = ("D", "shared.xseed")
-        with one_tenant(RecordingExtract(), 1) as client:
-            client.prefetch([key, key])
-            assert client.release(*key) is False  # the other taker remains
-            assert client._scheduler.stats.withdrawn == 0
-            assert client._scheduler.peek_next() == key
-            assert client.take(key[1], key[0]).batch.num_rows == 1
+        scheduler = self._scheduler()
+        client = scheduler.client()
+        client.prefetch([("D", "a.xseed", None), ("D", "a.xseed", None)])
+        assert client.release("D", "a.xseed") is False
+        assert scheduler.stats.withdrawn == 0
+        assert scheduler.peek_next() == ("D", "a.xseed")
 
     def test_release_unknown_key_is_noop(self):
-        with one_tenant(RecordingExtract(), 2) as client:
-            assert client.release("D", "never.xseed") is False
+        client = self._scheduler().client()
+        assert client.release("D", "never.xseed") is False
 
     def test_release_queued_task_cancels_extraction(self):
         blocked = [("D", "slow-a.xseed"), ("D", "slow-b.xseed")]
