@@ -76,15 +76,6 @@ class LockStats:
     hold_seconds: float = 0.0  # total time the lock was held
     max_hold_seconds: float = 0.0
 
-    def merged_with(self, other: "LockStats") -> "LockStats":
-        return LockStats(
-            acquisitions=self.acquisitions + other.acquisitions,
-            contended=self.contended + other.contended,
-            wait_seconds=self.wait_seconds + other.wait_seconds,
-            hold_seconds=self.hold_seconds + other.hold_seconds,
-            max_hold_seconds=max(self.max_hold_seconds, other.max_hold_seconds),
-        )
-
 
 def create_lock(name: str) -> "threading.Lock":
     """A mutex named for diagnostics: ``ClassName._attr`` by convention."""

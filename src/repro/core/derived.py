@@ -94,9 +94,6 @@ class DerivedMetadataStore:
         if rows:
             self.db.insert_rows(DERIVED_TABLE, rows)
 
-    def has_file(self, uri: str) -> bool:
-        return uri in self._files_done
-
     def coverage(self, uris: Iterable[str]) -> float:
         uris = list(uris)
         if not uris:

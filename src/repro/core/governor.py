@@ -25,21 +25,29 @@ so no query can run, sleep, or retry unboundedly once mounting has started:
   are refused outright (no retry ladder spent); after ``cooldown_seconds``
   one half-open probe is allowed through, and its outcome re-closes or
   re-opens the circuit.
+* :class:`RetryLadder` — the one retry ladder, climbed under a
+  :class:`RetryPolicy`: the remote transport repeats a request on it, the
+  mount layer restarts an extraction on it, and each failure is retried by
+  exactly one of the two. :class:`RetryBudget` caps a query's retries.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, TypeVar
 
 from .. import _sync
 from ..db.errors import (
     CircuitOpenError,
+    FileIngestError,
     QueryBudgetExceeded,
     QueryCancelledError,
 )
+
+T = TypeVar("T")
 
 # What exhausting a budget does to the query.
 ON_BUDGET_RAISE = "raise"  # abort with QueryBudgetExceeded (default)
@@ -400,9 +408,11 @@ class CircuitBreaker:
 
     The per-query quarantine (PR 2) protects one query from re-extracting a
     file that just failed; the breaker protects *every subsequent query*
-    from spending a full retry ladder on a key that keeps failing. Keys are
-    URIs on the local mount path and *endpoints* on the remote transport
-    path — the state machine is identical:
+    from spending a full retry ladder on a key that keeps failing. Each
+    failure is scored under one key: the remote transport scores a
+    request's failures under its *endpoint*, and the mount layer scores
+    under the file's URI only what no endpoint circuit scored (a 404, a
+    corrupt or stale file, local I/O) — the state machine is identical:
 
     ``closed`` → normal; failures accumulate, successes reset the score.
     ``open`` → after ``failure_threshold`` consecutive failures; mounts are
@@ -636,6 +646,92 @@ class RetryBudget:
             return max(0, self.attempts - self._spent)
 
 
+# -- retry ladder --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """The knobs of one :class:`RetryLadder`.
+
+    ``max_attempts`` counts the first attempt. The wait before retry ``k``
+    (1-based) is ``backoff_seconds * backoff_multiplier ** (k - 1)``,
+    stretched by a uniform draw from ``[1, 1 + backoff_jitter]`` out of a
+    stream seeded by ``jitter_seed``. ``retry_budget_attempts`` sizes the
+    per-query :class:`RetryBudget` a ladder's caller spends retries from.
+    """
+
+    max_attempts: int = 3
+    backoff_seconds: float = 0.005
+    backoff_multiplier: float = 2.0
+    backoff_jitter: float = 0.5
+    retry_budget_attempts: int = 64  # per query, shared across workers
+    jitter_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.backoff_multiplier < 1.0:
+            raise ValueError("backoff_multiplier must be >= 1")
+        for name in ("backoff_seconds", "backoff_jitter", "retry_budget_attempts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+
+@_sync.guarded
+class RetryLadder:
+    """The one retry ladder: attempts, jittered exponential backoff, and a
+    retry count on every failure that leaves.
+
+    :meth:`run` calls ``attempt(n)`` for ``n = 0, 1, …`` until one returns.
+    A :class:`~repro.db.errors.FileIngestError` ends the climb when it is
+    not ``retryable`` or the policy's attempts are spent; otherwise
+    ``admit(failure)`` may still stop it by raising (the transport spends
+    its retry budget and consults its endpoint circuit there; the mount
+    layer counts the restart), and the backoff is waited on the query's
+    token, so a cancelled or expired query stops climbing at once. The failure that leaves carries in ``retries``
+    every retry its file cost: this ladder's, plus those an inner ladder
+    counted on the failures that led to them.
+
+    Any number of threads may climb one ladder at once; they share its
+    jitter stream, so workers that failed together come back apart.
+    """
+
+    def __init__(self, policy: RetryPolicy = RetryPolicy()) -> None:
+        self.policy = policy
+        self._lock = _sync.create_lock("RetryLadder._lock")
+        self._rng = random.Random(policy.jitter_seed)  # guarded-by: _lock
+
+    def backoff(self, retry: int) -> float:
+        """The wait before retry ``retry`` (1-based), its jitter drawn."""
+        policy = self.policy
+        wait = policy.backoff_seconds * policy.backoff_multiplier ** (retry - 1)
+        if wait > 0 and policy.backoff_jitter > 0:
+            with self._lock:
+                wait *= 1.0 + policy.backoff_jitter * self._rng.random()
+        return wait
+
+    def run(
+        self, attempt: Callable[[int], T], *, token: CancellationToken,
+        retryable: Callable[[FileIngestError], bool],
+        admit: Optional[Callable[[FileIngestError], None]] = None,
+    ) -> T:
+        n = spent = 0  # attempts made, retries they cost
+        while True:
+            try:
+                return attempt(n)
+            except FileIngestError as failure:
+                failure.retries += spent
+                n += 1
+                if not retryable(failure) or n >= self.policy.max_attempts:
+                    raise
+                if admit is not None:
+                    admit(failure)
+                spent = failure.retries + 1
+                wait = self.backoff(n)
+                if wait > 0 and token.wait(wait):
+                    raise token.interruption() from failure
+
+
 __all__ = [
     "CIRCUIT_CLOSED",
     "CIRCUIT_HALF_OPEN",
@@ -648,5 +744,7 @@ __all__ = [
     "QueryBudget",
     "QueryGovernor",
     "RetryBudget",
+    "RetryLadder",
+    "RetryPolicy",
     "TruncationReport",
 ]

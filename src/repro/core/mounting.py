@@ -27,13 +27,22 @@ and the service applies the query's *degradation policy* (a field of its
   the query completes over the intact files with a
   :class:`MountFailureReport` listing every skipped file.
 
-Transient failures (I/O errors, files caught mid-rewrite) are retried with
-backoff up to ``max_retries`` times before the policy applies. Staleness is
-detected twice: the ingestion cache compares the ``(mtime_ns, size)``
-signature recorded at store time on every cache-scan (a changed file is
-invalidated and re-mounted, a deleted one invalidated and its error
-surfaced), and :meth:`_extract` re-stats the file after extraction so a
-file rewritten *during* the read raises
+Each failure is retried by exactly one layer, on the engine's one
+:class:`~repro.core.governor.RetryLadder`. A remote request is repeated by
+its transport, and a :class:`~repro.db.errors.RemoteTransportError` that
+leaves the transport is final here. The mount layer restarts a whole
+extraction (:data:`RESTARTS`) only for what no request can repeat: a file
+caught mid-rewrite (:class:`~repro.db.errors.StaleFileError`) and transient
+local I/O. Each failure is also scored under one key: the per-file circuit
+breaker leaves to the endpoint's circuit what that circuit already scored
+(its refusals, transient transport failures) and scores the rest — a 404,
+a corrupt or stale file — against the file (:meth:`MountService._score`).
+
+Staleness is detected twice: the ingestion cache compares the
+``(mtime_ns, size)`` signature recorded at store time on every cache-scan
+(a changed file is invalidated and re-mounted, a deleted one invalidated
+and its error surfaced), and :meth:`_extract` re-stats the file after
+extraction so a file rewritten *during* the read raises
 :class:`~repro.db.errors.StaleFileError` rather than yielding torn rows —
 unless the extractor observes the file for itself (a remote one: each GET
 answers the object's signature with its bytes and is conditional on the
@@ -43,9 +52,7 @@ is asked before or after.
 
 from __future__ import annotations
 
-import random
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
@@ -53,10 +60,12 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .. import _sync
 from ..db.buffer import BufferManager
 from ..db.errors import (
+    CircuitOpenError,
     FileIngestError,
     IngestError,
     QueryBudgetExceeded,
     RemoteObjectMissingError,
+    RemoteTransportError,
     StaleFileError,
 )
 from ..db.expr import Expr
@@ -84,6 +93,8 @@ from .governor import (
     CircuitBreaker,
     QueryGovernor,
     RetryBudget,
+    RetryLadder,
+    RetryPolicy,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,6 +108,21 @@ FAIL_FAST = "fail"  # first failure aborts the query (default)
 SKIP_AND_REPORT = "skip"  # quarantine the file, answer from the intact rest
 
 ON_ERROR_POLICIES = (FAIL_FAST, SKIP_AND_REPORT)
+
+
+# The mount layer's ladder: it restarts a whole extraction, for the failures
+# `restartable` names. Every service shares it, and so its jitter stream.
+RESTARTS = RetryLadder(RetryPolicy(backoff_seconds=0.01))
+
+
+def restartable(exc: FileIngestError) -> bool:
+    """Whether the mount layer restarts an extraction that failed with
+    ``exc``: the file changed under the read, or local I/O failed
+    transiently. A failure with an endpoint came out of a transport whose
+    ladder already repeated the request."""
+    return isinstance(exc, StaleFileError) or (
+        exc.transient and exc.endpoint is None
+    )
 
 
 def check_on_error(policy: str) -> str:
@@ -155,13 +181,6 @@ class MountFailureReport:
     def endpoints(self) -> list[str]:
         """The remote endpoints implicated in the skips, sorted, deduped."""
         return sorted({f.endpoint for f in self.failures if f.endpoint})
-
-    def by_endpoint(self) -> dict[Optional[str], list[MountFailure]]:
-        """Failures grouped per source (None = local repository files)."""
-        grouped: dict[Optional[str], list[MountFailure]] = {}
-        for failure in self.failures:
-            grouped.setdefault(failure.endpoint, []).append(failure)
-        return grouped
 
     def describe(self) -> str:
         if not self.failures:
@@ -251,22 +270,20 @@ class MountContext:
         with self._lock:
             return uri in self._quarantined
 
-    def quarantine(self, uri: str, exc: BaseException) -> None:
+    def quarantine(self, uri: str, exc: IngestError) -> None:
         """Skip ``uri`` for the rest of this query; report it once."""
+        if isinstance(exc, FileIngestError):
+            failure = MountFailure(
+                uri, type(exc).__name__, exc.message, exc.offset,
+                exc.retries, exc.endpoint,
+            )
+        else:
+            failure = MountFailure(uri, type(exc).__name__, str(exc))
         with self._lock:
             if uri in self._quarantined:
                 return
             self._quarantined.add(uri)
-            self.failure_report.failures.append(
-                MountFailure(
-                    uri=uri,
-                    error=type(exc).__name__,
-                    message=getattr(exc, "message", None) or str(exc),
-                    offset=getattr(exc, "offset", None),
-                    retries=getattr(exc, "ingest_retries", 0),
-                    endpoint=getattr(exc, "endpoint", None),
-                )
-            )
+            self.failure_report.failures.append(failure)
 
     def retry_budget(self, endpoint: str, attempts: int) -> RetryBudget:
         """This query's retry budget against ``endpoint``, created full (at
@@ -298,8 +315,7 @@ class MountStats:
     bytes_read: int = 0  # bytes actually pulled off disk (partial for selective)
     fallback_mounts: int = 0  # cache-scan that had to re-mount
     stale_remounts: int = 0  # cache entries invalidated by a changed file
-    retries: int = 0  # transient-failure extraction retries
-    retry_deadline_hits: int = 0  # retry ladders cut short by the deadline
+    retries: int = 0  # extractions restarted (stale file, local I/O)
     skipped_mounts: int = 0  # branches answered empty under SKIP_AND_REPORT
     budget_truncated_mounts: int = 0  # branches answered empty after a budget trip
     breaker_skips: int = 0  # mounts refused outright by the circuit breaker
@@ -361,10 +377,10 @@ class MountService:
     its counters). Within one query everything stateful (cache stores,
     callbacks, delivery) still happens on the calling thread, in plan order.
 
-    Transient failures retry ``max_retries`` times with linear backoff
-    before the context's policy applies. ``validate_staleness`` enables the
-    ``(mtime_ns, size)`` signature checks on cache scans and the
-    post-extraction re-stat.
+    A stale file or transient local I/O restarts the extraction on
+    :data:`RESTARTS` before the context's policy applies.
+    ``validate_staleness`` enables the ``(mtime_ns, size)`` signature checks
+    on cache scans and the post-extraction re-stat.
     """
 
     bindings: BindingSet
@@ -372,19 +388,6 @@ class MountService:
     buffers: Optional[BufferManager] = None
     time_column: str = "sample_time"
     stats: MountStats = field(default_factory=MountStats)  # guarded-by: _lock
-    max_retries: int = 2
-    retry_backoff_seconds: float = 0.01
-    # Multiplicative backoff jitter: each retry's wait is scaled by a
-    # uniform draw from [1, 1 + retry_jitter], so parallel workers retrying
-    # the same endpoint desynchronize instead of hammering it in lockstep.
-    retry_jitter: float = 0.5
-    _retry_rng: random.Random = field(  # guarded-by: _lock
-        default_factory=random.Random, repr=False
-    )
-    # Wall-clock cap on one file's whole retry ladder (None = unbounded):
-    # a transient failure whose next backoff would cross the deadline gives
-    # up immediately instead of stalling a mount-pool worker.
-    retry_deadline_seconds: Optional[float] = None
     validate_staleness: bool = True
     # Selective mounting: push the fused predicate's time interval into
     # extraction so only overlapping records are read and decoded.
@@ -522,16 +525,14 @@ class MountService:
                 raise
             return self._truncated_branch(alias, predicate, governor)
         except IngestError as exc:
-            if breaker is not None and isinstance(exc, FileIngestError):
-                breaker.record_failure(uri, exc)
+            self._score(breaker, uri, exc)
             if not context.skips:
                 raise
             context.quarantine(uri, exc)
             with self._lock:
                 self.stats.skipped_mounts += 1
             return self._empty_branch(alias, predicate)
-        if breaker is not None:
-            breaker.record_success(uri)
+        self._score(breaker, uri)
         batch = result.batch
         with self._lock:
             self.stats.mounts += 1
@@ -596,11 +597,9 @@ class MountService:
         try:
             result = self._extract(uri, table_name, request, context=context)
         except IngestError as exc:
-            if breaker is not None and isinstance(exc, FileIngestError):
-                breaker.record_failure(uri, exc)
+            self._score(breaker, uri, exc)
             return ("error", 0)
-        if breaker is not None:
-            breaker.record_success(uri)
+        self._score(breaker, uri)
         signature = result.signature
         coverage = WHOLE_FILE if request is None else interval
         if (
@@ -617,6 +616,28 @@ class MountService:
             self.stats.prefetched_mounts += 1
             self.stats.prefetched_bytes += result.bytes_read
         return ("stored", result.bytes_read)
+
+    @staticmethod
+    def _score(
+        breaker: Optional[CircuitBreaker],
+        uri: str,
+        failure: Optional[IngestError] = None,
+    ) -> None:
+        """Score one extraction of ``uri`` (a success when ``failure`` is
+        None) on the file's circuit. An endpoint's refusal or transient
+        transport failure was scored by the endpoint's circuit and says
+        nothing about the file: it is no verdict, and a half-open probe of
+        the file that met it frees its slot."""
+        if breaker is None:
+            return
+        if failure is None:
+            breaker.record_success(uri)
+        elif isinstance(failure, CircuitOpenError) or (
+            isinstance(failure, RemoteTransportError) and failure.transient
+        ):
+            breaker.abandon_probe(uri)
+        elif isinstance(failure, FileIngestError):
+            breaker.record_failure(uri, failure)
 
     def _obtain(
         self,
@@ -760,10 +781,9 @@ class MountService:
         staleness sandwich only widens; for a remote file it is what every
         GET of the attempt is conditional on — and a retry observes afresh.
 
-        Transient failures (I/O errors, files caught mid-rewrite) retry up
-        to ``max_retries`` times with linear backoff, but never past
-        ``retry_deadline_seconds`` of wall clock; the final exception
-        carries the retry count as ``exc.ingest_retries``. Backoff waits on
+        A stale file or transient local I/O restarts the extraction on
+        :data:`RESTARTS` (see :func:`restartable`); the final exception
+        carries the retries the file cost in ``retries``. Backoff waits on
         the context's cancellation token — not ``time.sleep`` — so a
         cancelled or deadline-expired query stops retrying immediately
         instead of sleeping out the rest of its ladder.
@@ -773,46 +793,20 @@ class MountService:
         token = context.token
         token.raise_if_interrupted()
         path, extractor, repository = self._resolve(uri, table_name, context)
-        attempt = 0
-        deadline = (
-            None
-            if self.retry_deadline_seconds is None
-            else time.monotonic() + self.retry_deadline_seconds
+
+        def attempt(n: int) -> "ExtractResult":
+            before = observed if n == 0 else None
+            return self._extract_once(
+                uri, path, extractor, request, repository, before, context
+            )
+
+        return RESTARTS.run(
+            attempt, token=token, retryable=restartable, admit=self._restarted
         )
-        while True:
-            try:
-                return self._extract_once(
-                    uri,
-                    path,
-                    extractor,
-                    request,
-                    repository,
-                    observed if attempt == 0 else None,
-                    context,
-                )
-            except FileIngestError as exc:
-                exc.ingest_retries = attempt  # type: ignore[attr-defined]
-                if not exc.transient or attempt >= self.max_retries:
-                    raise
-                backoff = self.retry_backoff_seconds * (attempt + 1)
-                if self.retry_jitter > 0:
-                    # Jitter the wait so N workers that failed against the
-                    # same endpoint at the same instant don't all come back
-                    # at the same instant (retry storms re-break half-open
-                    # circuits). The RNG is shared; draw under the lock.
-                    with self._lock:
-                        backoff *= 1.0 + self.retry_jitter * self._retry_rng.random()
-                if deadline is not None and (
-                    time.monotonic() + backoff >= deadline
-                ):
-                    with self._lock:
-                        self.stats.retry_deadline_hits += 1
-                    raise
-                attempt += 1
-                with self._lock:
-                    self.stats.retries += 1
-                if backoff > 0 and token.wait(backoff):
-                    raise token.interruption() from exc
+
+    def _restarted(self, _: FileIngestError) -> None:
+        with self._lock:
+            self.stats.retries += 1
 
     def _extract_once(
         self,

@@ -54,9 +54,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"no table {name!r}") from None
 
-    def table_names(self) -> list[str]:
-        return [t.schema.name for t in self._tables.values()]
-
     def tables(self) -> list[Table]:
         return list(self._tables.values())
 

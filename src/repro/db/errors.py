@@ -86,10 +86,15 @@ class FileIngestError(IngestError):
     the offending ``uri``, the byte ``offset`` where extraction failed (when
     known), and the low-level ``cause``. ``transient`` marks failures worth
     retrying before the file is quarantined (e.g. a concurrent rewrite).
-    ``mount_uri`` mirrors ``uri`` — it is the attribute the mount pool
-    annotates onto foreign exceptions, so callers can read one name for
+    ``endpoint`` names the remote endpoint a failure is attributable to
+    (None for a local file). ``retries`` is how many retries the failure
+    cost before it surfaced, counted by the retry ladder at whichever layer
+    retried. ``mount_uri`` mirrors ``uri`` — it is the attribute the mount
+    scheduler annotates onto foreign exceptions, so callers can read one name for
     both taxonomy and wrapped errors.
     """
+
+    transient = False  # a subclass's default; ``transient=`` overrides it
 
     def __init__(
         self,
@@ -98,7 +103,9 @@ class FileIngestError(IngestError):
         uri: str | None = None,
         offset: int | None = None,
         cause: BaseException | None = None,
-        transient: bool = False,
+        transient: bool | None = None,
+        endpoint: str | None = None,
+        retries: int = 0,
     ) -> None:
         detail = f"{uri}: {message}" if uri else message
         if offset is not None:
@@ -108,7 +115,10 @@ class FileIngestError(IngestError):
         self.uri = uri
         self.offset = offset
         self.cause = cause
-        self.transient = transient
+        if transient is not None:
+            self.transient = transient
+        self.endpoint = endpoint
+        self.retries = retries
         if uri is not None:
             self.mount_uri = uri
 
@@ -126,6 +136,8 @@ class FileIngestError(IngestError):
             offset=self.offset,
             cause=self.cause if self.cause is not None else self,
             transient=self.transient,
+            endpoint=self.endpoint,
+            retries=self.retries,
         )
 
 
@@ -142,9 +154,7 @@ class StaleFileError(FileIngestError):
     """The file changed on disk while it was being read or after it was
     cached. Transient by default: re-reading observes the new version."""
 
-    def __init__(self, message: str, **kwargs: object) -> None:
-        kwargs.setdefault("transient", True)
-        super().__init__(message, **kwargs)  # type: ignore[arg-type]
+    transient = True
 
 
 class QueryAbortedError(DatabaseError):
@@ -214,26 +224,18 @@ class CircuitOpenError(FileIngestError):
     :class:`~repro.core.mounting.MountFailureReport` carries.
     """
 
-    def __init__(self, message: str, **kwargs: object) -> None:
-        endpoint = kwargs.pop("endpoint", None)
-        super().__init__(message, **kwargs)  # type: ignore[arg-type]
-        self.endpoint = endpoint
-
 
 class RemoteTransportError(FileIngestError):
     """A remote request failed in transit (refused, reset, timed out).
 
     Transient by default — connection churn, packet loss, and latency-model
-    timeouts are exactly what the resilient transport's retry ladder and the
-    mount service's own retries exist to absorb. ``endpoint`` names the
-    remote endpoint for per-source degradation reporting.
+    timeouts are exactly what the resilient transport's retry ladder exists
+    to absorb; one that leaves the transport has climbed that ladder and is
+    final. ``endpoint`` names the remote endpoint for per-source degradation
+    reporting.
     """
 
-    def __init__(self, message: str, **kwargs: object) -> None:
-        endpoint = kwargs.pop("endpoint", None)
-        kwargs.setdefault("transient", True)
-        super().__init__(message, **kwargs)  # type: ignore[arg-type]
-        self.endpoint = endpoint
+    transient = True
 
 
 class RemoteObjectMissingError(RemoteTransportError):
@@ -244,6 +246,4 @@ class RemoteObjectMissingError(RemoteTransportError):
     a local ``FileNotFoundError`` at resolution time.)
     """
 
-    def __init__(self, message: str, **kwargs: object) -> None:
-        kwargs["transient"] = False
-        super().__init__(message, **kwargs)
+    transient = False

@@ -40,10 +40,6 @@ class DataType(enum.Enum):
     def is_numeric(self) -> bool:
         return self in (DataType.INT64, DataType.FLOAT64)
 
-    @property
-    def is_orderable(self) -> bool:
-        return self is not DataType.BOOL
-
 
 _NUMPY_DTYPES = {
     DataType.INT64: np.dtype(np.int64),

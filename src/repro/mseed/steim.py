@@ -281,8 +281,3 @@ def _decode_records(
             record=int(np.searchsorted(ends, outside.argmax(), side="right")),
         )
     return samples.astype(np.int32)
-
-
-def compressed_size(samples: np.ndarray) -> int:
-    """The payload size ``steim_encode`` would produce, in bytes."""
-    return len(steim_encode(samples))

@@ -15,7 +15,12 @@ deadline:
    mount workers, so a flapping endpoint degrades the query instead of
    stretching it without bound.
 3. **Jittered exponential backoff** between attempts, waited on the query's
-   cancellation token.
+   cancellation token: the engine's one
+   :class:`~repro.core.governor.RetryLadder`, climbed under the policy.
+
+A request is repeated here and nowhere else: a
+:class:`RemoteTransportError` that leaves the transport has climbed the
+whole ladder, and the mount layer takes it as final.
 
 Every attempt runs on the calling thread; the transport owns no thread.
 With ``request_timeout_seconds`` set, each attempt carries an absolute
@@ -44,7 +49,6 @@ reset because the object changed while it was being served included —
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -57,13 +61,16 @@ from ..core.governor import (
     CancellationToken,
     CircuitBreaker,
     RetryBudget,
+    RetryLadder,
+    RetryPolicy,
 )
 from ..db.errors import (
+    CircuitOpenError,
+    FileIngestError,
     RemoteObjectMissingError,
     RemoteTransportError,
     StaleFileError,
 )
-from .netmodel import interruptible_wait
 from .simstore import ObjectStat, PreconditionFailed, SimulatedObjectStore
 
 T = TypeVar("T")
@@ -87,32 +94,17 @@ class RequestScope(Protocol):
 
 
 @dataclass(frozen=True)
-class TransportPolicy:
-    """Knobs of the resilience layer (all per-request unless noted)."""
+class TransportPolicy(RetryPolicy):
+    """The retry ladder's knobs plus a deadline for each attempt."""
 
     request_timeout_seconds: Optional[float] = None  # per attempt
-    max_attempts: int = 3
-    backoff_seconds: float = 0.005
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.5
-    retry_budget_attempts: int = 64  # per query, shared across workers
-    jitter_seed: int = 0  # backoff jitter stream (deterministic tests)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.request_timeout_seconds is not None and (
             self.request_timeout_seconds <= 0
         ):
             raise ValueError("request_timeout_seconds must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_seconds < 0:
-            raise ValueError("backoff_seconds must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff_jitter must be >= 0")
-        if self.retry_budget_attempts < 0:
-            raise ValueError("retry_budget_attempts must be >= 0")
 
 
 @dataclass
@@ -148,7 +140,7 @@ class ResilientTransport:
         self.stats = TransportStats()  # guarded-by: _lock
         self._clock = clock
         self._lock = _sync.create_lock("ResilientTransport._lock")
-        self._rng = random.Random(policy.jitter_seed)  # guarded-by: _lock
+        self._ladder = RetryLadder(policy)
 
     # -- public request API --------------------------------------------------
 
@@ -221,8 +213,8 @@ class ResilientTransport:
         probe = self._admit(endpoint, uri or op, token)
         with self._lock:
             self.stats.requests += 1
-        attempt = 0
-        while True:
+
+        def attempt(_: int) -> T:
             # On the monotonic clock the store's modeled waits run on.
             deadline = None if timeout is None else time.monotonic() + timeout
             try:
@@ -246,55 +238,47 @@ class ResilientTransport:
                 raise StaleFileError(
                     f"{op}: {exc}", uri=uri, cause=exc
                 ) from exc
-            except RemoteTransportError as exc:
-                failure: RemoteTransportError = exc
             except OSError as exc:
-                if isinstance(exc, TimeoutError):
-                    with self._lock:
-                        self.stats.timeouts += 1
                 failure = RemoteTransportError(
-                    f"{op} failed: {exc}",
-                    uri=uri,
-                    endpoint=endpoint,
-                    cause=exc,
+                    f"{op} failed: {exc}", uri=uri, endpoint=endpoint, cause=exc
                 )
+                self.breaker.record_failure(endpoint, failure)
+                with self._lock:
+                    self.stats.failures += 1
+                    self.stats.timeouts += isinstance(exc, TimeoutError)
+                raise failure from exc
             except BaseException:
                 # No verdict on the endpoint (the query was cancelled
                 # mid-request): a probe frees its slot for the next request.
                 if probe:
                     self.breaker.abandon_probe(endpoint)
                 raise
-            else:
-                self.breaker.record_success(endpoint)
-                return result
-            self.breaker.record_failure(endpoint, failure)
-            with self._lock:
-                self.stats.failures += 1
-            attempt += 1
-            if not failure.transient or attempt >= policy.max_attempts:
-                raise failure
+            self.breaker.record_success(endpoint)
+            return result
+
+        def admit(failure: FileIngestError) -> None:
+            nonlocal probe
             if not budget.try_spend():
                 with self._lock:
                     self.stats.retries_denied += 1
                 raise failure
-            if not self.breaker.allow(endpoint):
-                # This failure streak just opened the circuit — stop here
+            try:
+                # A failure streak that just opened the circuit stops here
                 # rather than probing it from inside one request's ladder.
-                with self._lock:
-                    self.stats.breaker_refusals += 1
-                raise self.breaker.refusal(uri or op, endpoint=endpoint)
-            probe = self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN
-            backoff = policy.backoff_seconds * (
-                policy.backoff_multiplier ** (attempt - 1)
-            )
-            if policy.backoff_jitter > 0:
-                with self._lock:
-                    backoff *= 1.0 + policy.backoff_jitter * self._rng.random()
+                probe = self._admit(endpoint, uri or op, token)
+            except CircuitOpenError as refusal:
+                refusal.retries = failure.retries
+                raise refusal from failure
             with self._lock:
                 self.stats.retries += 1
-            if backoff > 0:
-                if interruptible_wait(backoff, token):
-                    raise token.interruption() from failure
+
+        return self._ladder.run(
+            attempt,
+            token=token,
+            retryable=lambda failure: isinstance(failure, RemoteTransportError)
+            and failure.transient,
+            admit=admit,
+        )
 
     def _admit(
         self, endpoint: str, subject: str, token: CancellationToken
@@ -323,9 +307,7 @@ class ResilientTransport:
                     self.stats.breaker_refusals += 1
                 raise self.breaker.refusal(subject, endpoint=endpoint)
             # Closed means the probe succeeded since allow() ran: ask again.
-            if state == CIRCUIT_HALF_OPEN and interruptible_wait(
-                _POLL_SECONDS, token
-            ):
+            if state == CIRCUIT_HALF_OPEN and token.wait(_POLL_SECONDS):
                 raise token.interruption()
         # A half-open circuit says yes to its one probe only.
         return self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN

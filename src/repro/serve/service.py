@@ -515,7 +515,7 @@ class QueryService:
         one's context: no governor (each consumer's context charges its
         own, once per file it uses), no breaker (each waiter's tenant
         breaker judges the failure), and no waiter's token or retry budget —
-        the mount service only extracts, retries transients, and counts
+        the mount service only extracts, restarts what went stale, and counts
         service-wide bytes.
         """
         mounts = self._executor.mounts

@@ -91,11 +91,14 @@ ENDPOINT = "seis-eu"
 # The remote transport's breaker cools down this fast, so an endpoint that
 # comes back is probed (half-open) by the next query. It counts failed
 # attempts endpoint-wide: concurrent first attempts that a recoverable plan
-# resets would open the default three-failure circuit. Ten is more than one
-# fault per file can add up to, and less than what one file's mount meets
-# in an outage (three mount attempts of four requests each).
+# resets would open the default three-failure circuit. Nine is more than the
+# one fault each of the tiny repository's eight files can add up to. A
+# file's mount in an outage is one ladder of requests, and the transport
+# alone retries it: one attempt more than the threshold, so that ladder
+# opens the circuit and its last retry meets the refusal.
 BREAKER_COOLDOWN = 0.02
-BREAKER_FAILURES = 10
+BREAKER_FAILURES = 9
+TRANSPORT = TransportPolicy(max_attempts=BREAKER_FAILURES + 1, backoff_seconds=0.0)
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,9 @@ class FaultScript:
 
     * ``("touch" | "rewrite" | "delete", k)`` on the ``k``-th file that query
       was about (mod their count; of the repository when it was about none);
-    * ``("outage", _)``: the endpoint is down for the next query and back,
-      its breaker cooled down, for the one after;
+    * ``("outage", n)``: the endpoint is down for the next ``n`` queries
+      (1–3) and back, its breaker cooled down, for the one after, which
+      must answer as if it had never been down;
     * ``("cancel", _)``: the next query's second tenant is cancelled on the
       first read of an extraction, which fails once.
     """
@@ -499,7 +503,7 @@ class Engine:
             store = SimulatedObjectStore(ENDPOINT, root)
             repository = RemoteRepository(
                 store, staging,
-                policy=TransportPolicy(max_attempts=4, backoff_seconds=0.0),
+                policy=TRANSPORT,
                 breaker=CircuitBreaker(BREAKER_FAILURES, BREAKER_COOLDOWN),
             )
             if keep:
@@ -662,14 +666,18 @@ def run(
         # A remote file failing every read is its endpoint failing.
         faulted |= engine.remote_names | {ENDPOINT}
     deleted: set[str] = set()
+    outage: set[str] = set()  # what only the outage made fail
+    back_at = None  # the query the endpoint is back for
     used, plan, before = names, _plan(script, names), engine.counters()
     try:
         with plan.install():
             for index, sql in enumerate(queries):
-                if _event(script, index - 1)[0] == "outage":
+                if index == back_at:
                     for store in engine.stores:
                         store.set_down(False)
                     threading.Event().wait(BREAKER_COOLDOWN)  # half-open
+                    faulted -= outage
+                    reached.append("answer after an outage")
                 action, target = _event(script, index)
                 path = path_of[used[target % len(used)]]
                 if action in ("touch", "rewrite", "delete") and path.exists():
@@ -683,7 +691,9 @@ def run(
                 if action == "outage":
                     for store in engine.stores:
                         store.set_down()
-                    faulted |= engine.remote_names | {ENDPOINT}
+                    outage = (engine.remote_names | {ENDPOINT}) - faulted
+                    faulted |= outage
+                    back_at = index + max(1, target)
                 if engine.counters()["hints"] > before["hints"]:
                     reached.append("prefetch round overlaps the next query")
                 before = engine.counters()

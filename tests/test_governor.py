@@ -9,6 +9,7 @@ joined. Cancellation latency is bounded by event wake-ups, not by sleeps.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from dataclasses import replace
@@ -28,10 +29,14 @@ from repro.core.governor import (
     CIRCUIT_OPEN,
     QueryGovernor,
     RetryBudget,
+    RetryLadder,
+    RetryPolicy,
 )
+from repro.core import mounting
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
+    FileIngestError,
     QueryBudgetExceeded,
     QueryCancelledError,
     QueryInterruptedError,
@@ -225,13 +230,16 @@ class TestDeadline:
 
 
 class TestCancellation:
-    def test_cancel_during_retry_backoff_returns_promptly(self, repo):
+    def test_cancel_during_retry_backoff_returns_promptly(
+        self, repo, monkeypatch
+    ):
         """Regression: backoff used to be time.sleep — a cancel mid-ladder
         slept out the whole backoff. It must now return within one poll
-        interval, and never count against retry_deadline_hits."""
+        interval."""
         executor = _executor(repo, workers=1)
-        executor.mounts.retry_backoff_seconds = 5.0  # would dominate if slept
-        executor.mounts.max_retries = 3
+        monkeypatch.setattr(mounting, "RESTARTS", RetryLadder(RetryPolicy(
+            max_attempts=4, backoff_seconds=5.0  # would dominate if slept
+        )))
         victim = repo.uris()[0]
         plan = FaultPlan(
             [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=-1)]
@@ -243,7 +251,6 @@ class TestCancellation:
                 executor.execute(COUNT_SQL)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"cancel slept out the backoff: {elapsed:.3f}s"
-        assert executor.mounts.stats.retry_deadline_hits == 0
 
     def test_cancel_from_another_thread_mid_mount(self, repo):
         executor = _executor(repo, workers=4)
@@ -603,6 +610,66 @@ class TestRetryBudget:
             t.join()
         assert len(granted) == 64
         assert budget.spent() == 64
+
+
+class TestRetryLadder:
+    def test_validation(self):
+        for bad in (
+            dict(max_attempts=0),
+            dict(backoff_seconds=-1.0),
+            dict(backoff_multiplier=0.5),
+            dict(backoff_jitter=-0.1),
+            dict(retry_budget_attempts=-1),
+        ):
+            with pytest.raises(ValueError):
+                RetryPolicy(**bad)
+
+    def test_threads_share_one_ladder(self):
+        """Workers climbing one ladder at once draw its one jitter stream:
+        every draw is used exactly once, none lost or repeated to a race."""
+        threads, retries = 8, 3
+        policy = RetryPolicy(
+            max_attempts=retries + 1, backoff_seconds=0.001, jitter_seed=11
+        )
+        ladder = RetryLadder(policy)
+        draws, errors = [], []
+        lock = threading.Lock()
+        barrier = threading.Barrier(threads)
+
+        class Recording(CancellationToken):
+            def wait(self, timeout=None):
+                retry = len(self.waits) + 1
+                self.waits.append(timeout)
+                base = policy.backoff_seconds * 2 ** (retry - 1)
+                with lock:
+                    draws.append((timeout / base - 1.0) / policy.backoff_jitter)
+                return False
+
+        def climb():
+            token = Recording()
+            token.waits = []
+            barrier.wait()
+
+            def attempt(n):
+                if n < retries:
+                    raise FileIngestError("flake", transient=True)
+                return n
+
+            try:
+                ladder.run(attempt, token=token, retryable=lambda e: True)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        pool = [threading.Thread(target=climb) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert errors == []
+        stream = random.Random(policy.jitter_seed)
+        expected = [stream.random() for _ in range(threads * retries)]
+        assert sorted(draws) == pytest.approx(sorted(expected))
 
 
 class TestBreakerIntegration:

@@ -1,5 +1,7 @@
 """Tests for the mount service and interval extraction."""
 
+import os
+import random
 import threading
 
 import numpy as np
@@ -18,6 +20,8 @@ from repro.core import (
     interval_from_predicate,
 )
 from repro.core.cache import INF
+from repro.core.governor import RetryLadder, RetryPolicy
+from repro.core.mounting import restartable
 from repro.db.buffer import BufferManager
 from repro.db.errors import (
     CorruptFileError,
@@ -333,9 +337,10 @@ class FlakyExtractor:
     format_name = "flaky-xseed"
     suffix = ".xseed"
 
-    def __init__(self, fail_times=2, transient=True):
+    def __init__(self, fail_times=2, transient=True, endpoint=None):
         self.fail_times = fail_times
         self.transient = transient
+        self.endpoint = endpoint
         self.mount_calls = 0
         self._inner = XSeedExtractor()
 
@@ -346,12 +351,15 @@ class FlakyExtractor:
         self.mount_calls += 1
         if self.mount_calls <= self.fail_times:
             raise FileIngestError(
-                "injected flake", uri=uri, transient=self.transient
+                "injected flake",
+                uri=uri,
+                transient=self.transient,
+                endpoint=self.endpoint,
             )
         return self._inner.mount(path, uri)
 
 
-def _flaky_service(tiny_repo, extractor, **kwargs):
+def _flaky_service(tiny_repo, extractor):
     from repro.ingest.formats import FormatRegistry
 
     registry = FormatRegistry()
@@ -359,15 +367,16 @@ def _flaky_service(tiny_repo, extractor, **kwargs):
     return MountService(
         BindingSet.single(RepositoryBinding(tiny_repo, registry=registry)),
         IngestionCache(CachePolicy.DISCARD),
-        retry_backoff_seconds=0.0,
-        **kwargs,
     )
 
 
 class TestRetry:
+    """The mount layer restarts an extraction (three attempts) for what no
+    request can repeat: transient local I/O and a stale file."""
+
     def test_transient_failure_retried_to_success(self, tiny_repo):
         extractor = FlakyExtractor(fail_times=2)
-        service = _flaky_service(tiny_repo, extractor, max_retries=2)
+        service = _flaky_service(tiny_repo, extractor)
         uri = tiny_repo.uris()[0]
         batch = service.mount_file(uri, "D", "d", None)
         assert batch.num_rows > 0
@@ -376,56 +385,31 @@ class TestRetry:
 
     def test_retries_exhausted_raises_with_count(self, tiny_repo):
         extractor = FlakyExtractor(fail_times=100)
-        service = _flaky_service(tiny_repo, extractor, max_retries=2)
+        service = _flaky_service(tiny_repo, extractor)
         uri = tiny_repo.uris()[0]
         with pytest.raises(FileIngestError) as excinfo:
             service.mount_file(uri, "D", "d", None)
         assert extractor.mount_calls == 3  # initial try + 2 retries
-        assert excinfo.value.ingest_retries == 2
+        assert excinfo.value.retries == 2
         assert excinfo.value.uri == uri
 
     def test_non_transient_failure_not_retried(self, tiny_repo):
         extractor = FlakyExtractor(fail_times=100, transient=False)
-        service = _flaky_service(tiny_repo, extractor, max_retries=2)
+        service = _flaky_service(tiny_repo, extractor)
         with pytest.raises(FileIngestError):
             service.mount_file(tiny_repo.uris()[0], "D", "d", None)
         assert extractor.mount_calls == 1
         assert service.stats.retries == 0
 
-    def test_retry_deadline_cuts_the_ladder_short(self, tiny_repo):
-        """A backoff that would cross the wall-clock deadline gives up
-        immediately; the error still names the offending URI first."""
-        from repro.ingest.formats import FormatRegistry
-
-        extractor = FlakyExtractor(fail_times=100)
-        registry = FormatRegistry()
-        registry.register(extractor)
-        service = MountService(
-            BindingSet.single(RepositoryBinding(tiny_repo, registry=registry)),
-            IngestionCache(CachePolicy.DISCARD),
-            max_retries=100,
-            retry_backoff_seconds=0.05,
-            retry_deadline_seconds=0.04,
-        )
-        uri = tiny_repo.uris()[0]
+    def test_a_failure_with_an_endpoint_is_not_restarted(self, tiny_repo):
+        """A transient failure that names an endpoint came out of a
+        transport, whose ladder already repeated the request."""
+        extractor = FlakyExtractor(fail_times=100, endpoint="seis-eu")
+        service = _flaky_service(tiny_repo, extractor)
         with pytest.raises(FileIngestError) as excinfo:
-            service.mount_file(uri, "D", "d", None)
-        assert excinfo.value.uri == uri
-        assert service.stats.retry_deadline_hits == 1
-        # First backoff (50 ms) already crossed the 40 ms deadline: exactly
-        # one attempt, no sleeping.
+            service.mount_file(tiny_repo.uris()[0], "D", "d", None)
         assert extractor.mount_calls == 1
-        assert service.stats.retries == 0
-
-    def test_deadline_roomy_enough_still_retries(self, tiny_repo):
-        extractor = FlakyExtractor(fail_times=2)
-        service = _flaky_service(
-            tiny_repo, extractor, max_retries=5, retry_deadline_seconds=30.0
-        )
-        batch = service.mount_file(tiny_repo.uris()[0], "D", "d", None)
-        assert batch.num_rows > 0
-        assert service.stats.retries == 2
-        assert service.stats.retry_deadline_hits == 0
+        assert (excinfo.value.retries, service.stats.retries) == (0, 0)
 
 
 class _BackoffRecordingToken(CancellationToken):
@@ -445,60 +429,81 @@ class _BackoffRecordingToken(CancellationToken):
 class TestRetryJitter:
     """Regression: the retry ladder's jitter is seeded, bounded, and spread.
 
-    A fleet of workers that all failed against the same endpoint at the
-    same instant must not come back at the same instant — jitter stretches
-    each linear backoff by a uniform draw from [1, 1 + retry_jitter].
+    The transport and the mount layer climb one :class:`RetryLadder`, so
+    its formula is tested once, here: the wait before retry ``k`` is
+    ``backoff_seconds * backoff_multiplier ** (k - 1)``, stretched by a
+    uniform draw from ``[1, 1 + backoff_jitter]``. A fleet of workers that
+    all failed at the same instant must not come back at the same instant.
     """
 
-    def _ladder(self, tiny_repo, *, jitter, seed, fails=3):
-        import random
-
-        extractor = FlakyExtractor(fail_times=fails)
+    def _ladder(self, *, jitter, seed, fails=3):
+        ladder = RetryLadder(RetryPolicy(
+            max_attempts=fails + 1,
+            backoff_seconds=0.01,
+            backoff_jitter=jitter,
+            jitter_seed=seed,
+        ))
         token = _BackoffRecordingToken()
-        service = _flaky_service(
-            tiny_repo,
-            extractor,
-            max_retries=fails,
-            retry_jitter=jitter,
+        attempts = []
+
+        def attempt(n):
+            attempts.append(n)
+            if n < fails:
+                raise FileIngestError("injected flake", transient=True)
+            return "mounted"
+
+        assert ladder.run(attempt, token=token, retryable=restartable) == (
+            "mounted"
         )
-        service.retry_backoff_seconds = 0.01
-        service._retry_rng = random.Random(seed)
-        context = MountContext(governor=QueryGovernor(token=token))
-        batch = service.mount_file(
-            tiny_repo.uris()[0], "D", "d", None, context
-        )
-        assert batch.num_rows > 0
+        assert attempts == list(range(fails + 1))
         return token.waits
 
-    def test_fixed_seed_reproduces_the_exact_jittered_ladder(self, tiny_repo):
-        import random
-
-        waits = self._ladder(tiny_repo, jitter=0.5, seed=42)
+    def test_fixed_seed_reproduces_the_exact_jittered_ladder(self):
+        waits = self._ladder(jitter=0.5, seed=42)
         rng = random.Random(42)
         expected = [
-            0.01 * (attempt + 1) * (1.0 + 0.5 * rng.random())
-            for attempt in range(3)
+            0.01 * 2**retry * (1.0 + 0.5 * rng.random()) for retry in range(3)
         ]
         assert waits == pytest.approx(expected)
 
-    def test_jittered_waits_stay_within_the_advertised_band(self, tiny_repo):
+    def test_jittered_waits_stay_within_the_advertised_band(self):
         for seed in (0, 7, 20130610):
-            waits = self._ladder(tiny_repo, jitter=0.5, seed=seed)
+            waits = self._ladder(jitter=0.5, seed=seed)
             assert len(waits) == 3
-            for attempt, wait in enumerate(waits):
-                base = 0.01 * (attempt + 1)
+            for retry, wait in enumerate(waits):
+                base = 0.01 * 2**retry
                 assert base <= wait <= base * 1.5
 
-    def test_two_seeds_spread_apart_one_seed_replays(self, tiny_repo):
-        first = self._ladder(tiny_repo, jitter=0.5, seed=1)
-        replay = self._ladder(tiny_repo, jitter=0.5, seed=1)
-        other = self._ladder(tiny_repo, jitter=0.5, seed=2)
+    def test_two_seeds_spread_apart_one_seed_replays(self):
+        first = self._ladder(jitter=0.5, seed=1)
+        replay = self._ladder(jitter=0.5, seed=1)
+        other = self._ladder(jitter=0.5, seed=2)
         assert first == replay
         assert first != other  # distinct seeds → distinct comeback times
 
-    def test_zero_jitter_keeps_the_linear_ladder_exact(self, tiny_repo):
-        waits = self._ladder(tiny_repo, jitter=0.0, seed=42)
-        assert waits == pytest.approx([0.01, 0.02, 0.03])
+    def test_zero_jitter_keeps_the_exponential_ladder_exact(self):
+        waits = self._ladder(jitter=0.0, seed=42)
+        assert waits == pytest.approx([0.01, 0.02, 0.04])
+
+    def test_a_failure_carries_every_retry_its_file_cost(self):
+        """Three restarts of an extraction whose request retried twice each
+        time cost 3 × 2 request retries plus 2 restarts."""
+        inner = RetryLadder(RetryPolicy(max_attempts=3, backoff_seconds=0.0))
+        outer = RetryLadder(RetryPolicy(max_attempts=3, backoff_seconds=0.0))
+        token = CancellationToken()
+
+        def request(_):
+            raise FileIngestError("reset", transient=True, endpoint="seis-eu")
+
+        def extraction(_):
+            try:
+                inner.run(request, token=token, retryable=lambda e: True)
+            except FileIngestError as exc:
+                raise StaleFileError("voided", retries=exc.retries) from exc
+
+        with pytest.raises(StaleFileError) as excinfo:
+            outer.run(extraction, token=token, retryable=restartable)
+        assert excinfo.value.retries == 3 * 2 + 2
 
 
 class TestSkipAndReport:
@@ -582,10 +587,27 @@ class TestSkipAndReport:
             MountContext(on_error="explode")
 
 
+class _RestoringToken(_BackoffRecordingToken):
+    """A live token whose timed waits run ``restore`` and return at once."""
+
+    def __init__(self, restore):
+        super().__init__()
+        self.restore = restore
+
+    def wait(self, timeout=None):
+        if timeout is not None:
+            self.restore()
+        return super().wait(timeout)
+
+
 class TestStaleDetection:
     def test_file_deleted_mid_extract_is_stale(self, scratch_repo):
-        """Delete the file between the pre-stat and the decode: the typed
+        """Delete the file between the pre-stat and the decode, on every
+        attempt (it is back each time the ladder waits): the typed
         StaleFileError (transient) surfaces, not a raw FileNotFoundError."""
+        uri = scratch_repo.uris()[0]
+        path = scratch_repo.path_of(uri)
+        original = path.read_bytes()
 
         class DeletingExtractor(FlakyExtractor):
             def __init__(self):
@@ -596,28 +618,34 @@ class TestStaleDetection:
                 path.unlink()
                 return mounted
 
-        service = _flaky_service(
-            scratch_repo, DeletingExtractor(), max_retries=0
-        )
+        extractor = DeletingExtractor()
+        service = _flaky_service(scratch_repo, extractor)
+        token = _RestoringToken(lambda: path.write_bytes(original))
+        context = MountContext(governor=QueryGovernor(token=token))
         with pytest.raises(StaleFileError) as excinfo:
-            service.mount_file(scratch_repo.uris()[0], "D", "d", None)
+            service.mount_file(uri, "D", "d", None, context)
         assert excinfo.value.transient
+        assert (extractor.mount_calls, excinfo.value.retries) == (3, 2)
 
     def test_file_rewritten_mid_extract_is_stale(self, scratch_repo):
+        """Rewritten during every read: each restart is voided too."""
+
         class RewritingExtractor(FlakyExtractor):
             def __init__(self):
                 super().__init__(fail_times=0)
 
             def mount(self, path, uri):
                 mounted = super().mount(path, uri)
-                path.write_bytes(path.read_bytes() + b"x")
+                stat = path.stat()
+                os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
                 return mounted
 
-        service = _flaky_service(
-            scratch_repo, RewritingExtractor(), max_retries=0
-        )
-        with pytest.raises(StaleFileError):
+        extractor = RewritingExtractor()
+        service = _flaky_service(scratch_repo, extractor)
+        with pytest.raises(StaleFileError) as excinfo:
             service.mount_file(scratch_repo.uris()[0], "D", "d", None)
+        assert (extractor.mount_calls, excinfo.value.retries) == (3, 2)
+        assert service.stats.retries == 2
 
 
 class TestConcurrentExtraction:

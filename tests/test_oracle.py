@@ -1,7 +1,8 @@
 """The differential oracle's two legs (see :mod:`repro.testing.oracle`).
 
-* Engine leg — a sequence of 1–3 queries × a ``ConfigPoint`` × a
-  ``FaultScript``, every answer judged against eager ingestion.
+* Engine leg — a sequence of 1–3 queries (5 in the outage region) × a
+  ``ConfigPoint`` × a ``FaultScript``, every answer judged against eager
+  ingestion.
 * Engine-independent leg — ``repro.db.Database`` against stdlib ``sqlite3``
   over the seismic tables and two wide-key tables.
 
@@ -309,10 +310,12 @@ def fault_scripts(draw, point, queries, focus="any"):
     events = []
     for _ in range(queries - 1):
         action = draw(st.sampled_from(actions))
-        events.append(action and (action, draw(st.integers(0, 7))))
+        # A file's index, or an outage's length in queries.
+        target = st.integers(1, 3) if action == "outage" else st.integers(0, 7)
+        events.append(action and (action, draw(target)))
         # One deletion or one outage per run: a cached file deleted behind
         # a down endpoint is served stale by design (nothing can tell it is
-        # gone), and an outage ends for the query after the next.
+        # gone), and an outage ends, within three queries, for good.
         if action in ("delete", "outage"):
             actions = [a for a in actions if a not in ("delete", "outage")]
             actions = actions or [None]
@@ -343,7 +346,12 @@ def examples(draw, focus):
     caches, staging and remounts matter between queries."""
     queries = [draw(seismic_queries(focus))]
     longer = focus in ("remote", "outage", "tenants", "prefetch", "cache")
-    for _ in range(2 if longer else draw(st.sampled_from([0, 1, 2]))):
+    # An outage after the first query lasts up to three: the fifth query is
+    # the one after the longest.
+    more = 4 if focus == "outage" else 2 if longer else draw(
+        st.sampled_from([0, 1, 2])
+    )
+    for _ in range(more):
         step = " AND ".join(draw(window("D.sample_time")))
         moved = _WINDOW.sub(lambda _: step, queries[-1])
         # Staging re-fetches what a moved window needs; the predictor

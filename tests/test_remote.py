@@ -16,6 +16,7 @@ import os
 import shutil
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1307,7 +1308,6 @@ class _ColdMount:
         self.repo = RemoteRepository(self.store, tmp_path / "staging")
         self.mounts = MountService(
             BindingSet.single(RepositoryBinding(self.repo)),
-            retry_backoff_seconds=0.0,
             **service_kwargs,
         )
         self.mounts.record_map_provider = RecordMapIndex(db)
@@ -1382,16 +1382,17 @@ class _ColdMount:
         return np.concatenate([r.samples for r in records]).astype(float)
 
     def after_get(self, number=None, action=None):
-        """The log of every GET's ``if_match`` from now on; with ``number``,
-        ``action`` runs once the endpoint has answered that many, before
-        the caller sees the response."""
+        """The log of every GET's ``if_match`` from now on; with ``number``
+        (one count or several), ``action`` runs once the endpoint has
+        answered that many, before the caller sees the response."""
         conditions = []
         get = self.store.get
+        numbers = {number} if isinstance(number, int) else set(number or ())
 
         def logged(key, start=0, length=None, if_match=None, **kwargs):
             conditions.append(if_match)
             response = get(key, start, length, if_match, **kwargs)
-            if len(conditions) == number:
+            if len(conditions) in numbers:
                 action()
             return response
 
@@ -1603,19 +1604,21 @@ class TestTheGetIsTheObservation:
         assert cold.mounts.stats.stale_remounts == 1
         assert cold.mounts.stats.cache_scans == 0
 
-    @pytest.mark.parametrize("max_retries", [0, 2])
+    @pytest.mark.parametrize("restaged_again", [0, 2])
     def test_a_copy_restaged_under_a_reader_voids_the_read(
-        self, tmp_path, monkeypatch, max_retries
+        self, tmp_path, monkeypatch, restaged_again
     ):
+        """Restaged under the first attempt only, the restart reads the new
+        version; under every attempt, the staleness surfaces."""
         from repro.ingest.xseed_format import XSeedExtractor
 
-        cold = _ColdMount(tmp_path, max_retries=max_retries)
+        cold = _ColdMount(tmp_path)
         wanted = [
             (span.byte_offset, span.byte_length)
             for span in cold.spans[cold.FIRST : cold.LAST + 1]
         ]
         mount_selective = XSeedExtractor.mount_selective
-        pending = [cold.rewrite]
+        pending = [cold.rewrite] * (1 + restaged_again)
 
         def another_extraction_first(self, path, uri, request):
             if pending:  # staged, not yet read: the object is replaced, and
@@ -1626,10 +1629,11 @@ class TestTheGetIsTheObservation:
         monkeypatch.setattr(
             XSeedExtractor, "mount_selective", another_extraction_first
         )
-        if max_retries == 0:
+        if restaged_again:
             with pytest.raises(StaleFileError, match="staged copy") as excinfo:
                 cold.mounts._extract(cold.uri, "D", cold.request())
             assert excinfo.value.transient
+            assert excinfo.value.retries == cold.mounts.stats.retries == 2
         else:
             result = cold.mounts._extract(cold.uri, "D", cold.request())
             assert cold.mounts.stats.retries == 1
@@ -1704,30 +1708,40 @@ class TestObservationHandDown:
         assert result.signature == cold.repo.signature_of(cold.uri) != observed
         assert np.array_equal(_values(result), cold.samples(selective))
 
-    def test_rewrite_after_the_hand_down_surfaces_as_stale(self, tmp_path):
-        cold = _ColdMount(tmp_path, max_retries=0)
+    def test_rewrite_after_the_hand_down_surfaces_as_stale(
+        self, tmp_path, monkeypatch
+    ):
+        """…when the object keeps changing: each restart's second GET is
+        refused too, and the last refusal surfaces."""
+        cold = _ColdMount(tmp_path)
+        request = cold.two_ranges(monkeypatch)
         observed = cold.repo.signature_of(cold.uri)
         cold.rewrite()
+        # GET 1 is refused at once; each restart's first GET answers, and
+        # the object is rewritten before its second.
+        cold.after_get((2, 4), cold.rewrite)
         with pytest.raises(StaleFileError) as excinfo:
-            cold.mounts._extract(
-                cold.uri, "D", cold.request(), observed=observed
-            )
+            cold.mounts._extract(cold.uri, "D", request, observed=observed)
         assert excinfo.value.transient
+        assert excinfo.value.retries == cold.mounts.stats.retries == 2
+        assert cold.store.stats.precondition_failed == 3
 
     @pytest.mark.parametrize("hand_down", [True, False])
     def test_rewrite_mid_extract_is_still_detected(
         self, tmp_path, monkeypatch, hand_down
     ):
-        cold = _ColdMount(tmp_path, max_retries=0)
+        cold = _ColdMount(tmp_path)
         request = cold.two_ranges(monkeypatch)
         observed = cold.repo.signature_of(cold.uri) if hand_down else None
-        cold.after_get(1, cold.rewrite)  # between the extraction's two GETs
+        # Between each attempt's two GETs, on all three attempts.
+        cold.after_get((1, 3, 5), cold.rewrite)
         with pytest.raises(StaleFileError) as excinfo:
             cold.mounts._extract(cold.uri, "D", request, observed=observed)
         assert excinfo.value.transient
-        assert cold.store.stats.precondition_failed == 1
-        # Nothing of the dead version is left staged for the next attempt.
-        assert cold.repo.stats.invalidations == 1
+        assert excinfo.value.retries == 2
+        assert cold.store.stats.precondition_failed == 3
+        # Nothing of a dead version is left staged for the next attempt.
+        assert cold.repo.stats.invalidations == 3
         cold.repo.coalesce_gap_bytes = 64 * 1024
         result = cold.mounts._extract(cold.uri, "D", cold.request())
         assert np.array_equal(_values(result), cold.samples())
@@ -1744,6 +1758,81 @@ class TestObservationHandDown:
         assert cold.repo.stats.staged_reuses == 0
         assert cold.store.stats.ranged_gets == 2  # fetched again, not reused
         assert cold.repo.stats.remote_bytes == 2 * cold.wanted_bytes()
+
+
+class TestOneLadderOneKey:
+    """A failed request is retried by its transport alone, and scored under
+    its endpoint alone: an outage costs each file one ladder of requests,
+    and once the endpoint is back and cooled down every file behind it
+    answers — none is refused for the endpoint's own refusals."""
+
+    SQL = "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
+    COOLDOWN = 0.05
+
+    def _endpoint(self, tmp_path, failure_threshold=3):
+        objects = tmp_path / "objects"
+        generate_repository(objects, replace(SPEC, stations=("ISK", "ANK")))
+        store = SimulatedObjectStore("seis-eu", objects)
+        repo = RemoteRepository(
+            store,
+            tmp_path / "staging",
+            policy=TransportPolicy(backoff_seconds=0.0),
+            breaker=CircuitBreaker(failure_threshold, self.COOLDOWN),
+        )
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        return store, repo, db
+
+    def _recover(self, store):
+        store.set_down(False)
+        time.sleep(self.COOLDOWN)  # the endpoint's circuit cools down
+
+    def test_one_files_mount_against_a_down_endpoint_is_one_ladder(
+        self, tmp_path
+    ):
+        store, repo, _ = self._endpoint(tmp_path, failure_threshold=100)
+        mounts = MountService(BindingSet.single(RepositoryBinding(repo)))
+        uri = repo.uris()[0]
+        store.set_down()
+        before = store.stats.requests
+        with pytest.raises(RemoteTransportError) as excinfo:
+            mounts.mount_file(uri, "D", "d", None)
+        # The transport's three attempts, not three mount attempts of three.
+        assert store.stats.requests - before == 3
+        assert excinfo.value.retries == 2
+        assert mounts.stats.retries == 0
+
+    def test_skip_mode_outages_leave_no_file_refused(self, tmp_path):
+        store, repo, db = self._endpoint(tmp_path)
+        executor = TwoStageExecutor(
+            db, RepositoryBinding(repo), cache=IngestionCache(CachePolicy.DISCARD)
+        )
+        healthy = executor.execute(self.SQL).rows
+        store.set_down()
+        for _ in range(3):
+            degraded = executor.execute(
+                self.SQL, context=executor.open_context(on_mount_error="skip")
+            )
+            assert degraded.timings.mount_failures.endpoints() == ["seis-eu"]
+        self._recover(store)
+        assert executor.execute(self.SQL).rows == healthy
+        assert executor.breaker.open_uris() == []
+
+    def test_a_tenant_over_a_discard_cache_answers_after_outages(
+        self, tmp_path
+    ):
+        store, repo, db = self._endpoint(tmp_path)
+        with QueryService(
+            repo, db=db, cache=IngestionCache(CachePolicy.DISCARD)
+        ) as service:
+            healthy = service.execute(self.SQL, tenant="a").rows
+            store.set_down()
+            for _ in range(3):
+                with pytest.raises(FileIngestError) as excinfo:
+                    service.execute(self.SQL, tenant="a")
+                assert excinfo.value.endpoint == "seis-eu"
+            self._recover(store)
+            assert service.execute(self.SQL, tenant="a").rows == healthy
 
 
 class TestCacheScanOfAVanishedFile:
