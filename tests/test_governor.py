@@ -637,17 +637,19 @@ class TestRetryLadder:
         barrier = threading.Barrier(threads)
 
         class Recording(CancellationToken):
+            """Records each backoff's jitter draw; never fires."""
+
+            retries = 0
+
             def wait(self, timeout=None):
-                retry = len(self.waits) + 1
-                self.waits.append(timeout)
-                base = policy.backoff_seconds * 2 ** (retry - 1)
+                self.retries += 1
+                base = policy.backoff_seconds * 2 ** (self.retries - 1)
                 with lock:
                     draws.append((timeout / base - 1.0) / policy.backoff_jitter)
                 return False
 
         def climb():
             token = Recording()
-            token.waits = []
             barrier.wait()
 
             def attempt(n):

@@ -1767,7 +1767,7 @@ class TestOneLadderOneKey:
     answers — none is refused for the endpoint's own refusals."""
 
     SQL = "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
-    COOLDOWN = 0.05
+    COOLDOWN = 0.2  # also bounds how long a request waits on the probe
 
     def _endpoint(self, tmp_path, failure_threshold=3):
         objects = tmp_path / "objects"
