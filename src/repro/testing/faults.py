@@ -2,10 +2,12 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers installed as
 the :mod:`repro.mseed.iohooks` hook. Each spec names a URI (by suffix), a
-fault kind, and *which read* of that URI it fires on — reads are counted
-per URI across the whole plan lifetime, so a retry's re-reads see fresh
-indices and a ``times=1`` transient fault recovers on the retry, exactly
-the shape the retry ladder exists for.
+fault kind, and *which bytes* of that URI it fires on: a read fires it when
+the byte range the read covers holds the spec's ``at_byte`` (``None``: any
+read). ``times`` counts firings per URI across the whole plan lifetime, so
+a ``times=1`` transient fault fires once and the retry's re-read passes,
+exactly the shape the retry ladder exists for — however many reads a mount
+makes, and in whatever order it makes them.
 
 Kinds
 -----
@@ -34,11 +36,12 @@ Kinds
 
 Determinism
 -----------
-:meth:`FaultPlan.seeded` derives the spec list from ``(seed, uris)`` alone,
-and every injected fault is appended to :attr:`FaultPlan.log` under the
-plan lock with its per-URI read index. :meth:`signature` is the
-order-independent digest (sorted tuples) that must be identical across
-same-seed runs regardless of mount-worker interleaving.
+:meth:`FaultPlan.seeded` derives the spec list from ``(seed, files)``
+alone, each fault keyed by a record start of its file, and every injected
+fault is appended to :attr:`FaultPlan.log` under the plan lock with the
+byte offset its read started at. :meth:`signature` is the order-independent
+digest (sorted tuples) that must be identical across same-seed runs
+regardless of mount-worker interleaving.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Mapping, Optional, Sequence
 
 from ..mseed.iohooks import set_volume_io_hook
 
@@ -92,18 +95,20 @@ _NEVER = threading.Event()
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One trigger: fire ``kind`` on reads [at_read, at_read+times) of a URI.
+    """One trigger: fire ``kind`` on the first ``times`` reads of a URI
+    whose byte range covers ``at_byte``.
 
     ``uri_suffix`` matches ``uri.endswith(...)`` so tests can name files
-    without caring about repository roots. ``times=-1`` means every read
-    from ``at_read`` on (a persistently bad file). Read indices are global
-    per URI — attempt 2's first read continues the count, so consecutive
-    indices model "fails N times, then recovers".
+    without caring about repository roots. ``at_byte=None`` matches every
+    read; ``times=-1`` fires on every matching read (a persistently bad
+    file). Firings are counted per URI across the plan's lifetime — attempt
+    2's reads continue the count, so ``times=N`` models "fails N times,
+    then recovers".
     """
 
     uri_suffix: str
     kind: str
-    at_read: int = 0
+    at_byte: Optional[int] = None
     times: int = 1
     delay_seconds: float = 0.01  # read-latency only
     short_by: int = 32  # short-read only: bytes withheld
@@ -112,8 +117,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.at_read < 0:
-            raise ValueError("at_read must be >= 0")
+        if self.at_byte is not None and self.at_byte < 0:
+            raise ValueError("at_byte must be >= 0")
         if self.times == 0 or self.times < -1:
             raise ValueError("times must be positive or -1 (forever)")
         if self.short_by < 1:
@@ -121,10 +126,12 @@ class FaultSpec:
         if self.stall_seconds < 0:
             raise ValueError("stall_seconds must be >= 0")
 
-    def fires_at(self, index: int) -> bool:
-        if index < self.at_read:
-            return False
-        return self.times == -1 or index < self.at_read + self.times
+    def covers(self, start: int, end: Optional[int]) -> bool:
+        """Whether a read of bytes ``[start, end)`` (``end=None``: to the
+        end of the file) touches this spec's byte."""
+        if self.at_byte is None:
+            return True
+        return start <= self.at_byte and (end is None or self.at_byte < end)
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ class InjectedFault:
 
     uri: str
     kind: str
-    read_index: int
+    offset: int  # where the read it fired on started
 
 
 class FaultPlan:
@@ -150,40 +157,42 @@ class FaultPlan:
         self.interrupt = interrupt
         self.log: list[InjectedFault] = []  # guarded-by: _lock
         self._lock = threading.Lock()
-        self._read_counts: dict[str, int] = {}  # guarded-by: _lock
+        # Firings so far, by (spec index, URI).
+        self._fired: dict[tuple[int, str], int] = {}  # guarded-by: _lock
 
     @classmethod
     def seeded(
         cls,
         seed: int,
-        uris: Sequence[str],
+        files: Mapping[str, Sequence[int]],
         kinds: Sequence[str] = RECOVERABLE_KINDS,
         fault_rate: float = 0.5,
-        max_read: int = 4,
         times: int = 1,
         delay_seconds: float = 0.002,
         short_by: int = 32,
         stall_seconds: float = 0.02,
     ) -> "FaultPlan":
-        """A plan derived entirely from ``(seed, sorted(uris))``.
+        """A plan derived entirely from ``(seed, files)``.
 
-        Each URI independently gets a fault with probability ``fault_rate``;
-        kind and trigger read are drawn from the same stream. Two plans
-        seeded identically over the same URI set are equal spec-for-spec.
+        ``files`` maps each URI to its record starts (byte offsets). Each
+        URI independently gets a fault with probability ``fault_rate``;
+        kind and the record start it is keyed by are drawn from the same
+        stream. Two plans seeded identically over the same files are equal
+        spec-for-spec, whatever order the mapping lists them in.
         """
         rng = random.Random(seed)
         specs: list[FaultSpec] = []
-        for uri in sorted(uris):
+        for uri in sorted(files):
             roll = rng.random()
             kind = rng.choice(list(kinds))
-            at_read = rng.randrange(max_read)
+            at_byte = rng.choice(sorted(files[uri]) or [0])
             if roll >= fault_rate:
                 continue  # draws above keep the stream position uniform
             specs.append(
                 FaultSpec(
                     uri_suffix=uri,
                     kind=kind,
-                    at_read=at_read,
+                    at_byte=at_byte,
                     times=times,
                     delay_seconds=delay_seconds,
                     short_by=short_by,
@@ -208,15 +217,20 @@ class FaultPlan:
 
     # -- injection internals -------------------------------------------------
 
-    def _before_read(self, uri: str) -> Optional[tuple[FaultSpec, int]]:
-        """Advance the URI's read counter; return the spec to fire, if any."""
+    def _before_read(
+        self, uri: str, start: int, end: Optional[int]
+    ) -> Optional[FaultSpec]:
+        """The spec a read of ``[start, end)`` fires, if any; counts it."""
         with self._lock:
-            index = self._read_counts.get(uri, 0)
-            self._read_counts[uri] = index + 1
-            for spec in self.specs:
-                if uri.endswith(spec.uri_suffix) and spec.fires_at(index):
-                    self.log.append(InjectedFault(uri, spec.kind, index))
-                    return spec, index
+            for index, spec in enumerate(self.specs):
+                if not (uri.endswith(spec.uri_suffix) and spec.covers(start, end)):
+                    continue
+                fired = self._fired.get((index, uri), 0)
+                if spec.times != -1 and fired >= spec.times:
+                    continue
+                self._fired[(index, uri)] = fired + 1
+                self.log.append(InjectedFault(uri, spec.kind, start))
+                return spec
         return None
 
     def _wait(self, seconds: float) -> None:
@@ -238,7 +252,7 @@ class FaultPlan:
         """
         with self._lock:
             return tuple(
-                sorted((f.uri, f.kind, f.read_index) for f in self.log)
+                sorted((f.uri, f.kind, f.offset) for f in self.log)
             )
 
 
@@ -254,14 +268,14 @@ class _FaultyHandle:
         self._handle = handle
 
     def read(self, n: int = -1) -> bytes:
-        fired = self._plan._before_read(self._uri)
-        if fired is None:
+        start = self._handle.tell()
+        end = start + n if n is not None and n >= 0 else None
+        spec = self._plan._before_read(self._uri, start, end)
+        if spec is None:
             return self._handle.read(n)
-        spec, index = fired
         if spec.kind == TRANSIENT_OSERROR:
             raise OSError(
-                f"injected transient I/O error "
-                f"({self._uri}, read #{index})"
+                f"injected transient I/O error ({self._uri}, byte {start})"
             )
         if spec.kind == READ_LATENCY:
             self._plan._wait(spec.delay_seconds)
@@ -271,12 +285,11 @@ class _FaultyHandle:
             return data[: max(0, len(data) - spec.short_by)]
         if spec.kind == CONNECTION_REFUSED:
             raise ConnectionRefusedError(
-                f"injected connection refused ({self._uri}, read #{index})"
+                f"injected connection refused ({self._uri}, byte {start})"
             )
         if spec.kind == MID_STREAM_DISCONNECT:
             raise ConnectionResetError(
-                f"injected mid-stream disconnect "
-                f"({self._uri}, read #{index})"
+                f"injected mid-stream disconnect ({self._uri}, byte {start})"
             )
         if spec.kind == STALL:
             # A hung connection: the read eventually serves, but only after

@@ -54,7 +54,7 @@ from ..db import ColumnDef, Database, DataType, TableSchema
 from ..db.errors import ExecutionError, FileIngestError, QueryInterruptedError
 from ..db.types import parse_timestamp
 from ..ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
-from ..ingest.schema import ACTUAL_TABLE, ensure_schema
+from ..ingest.schema import ACTUAL_TABLE, RECORD_TABLE, ensure_schema
 from ..mseed import FileRepository
 from ..remote import (
     FederatedRepository,
@@ -248,6 +248,7 @@ class Reference:
         self.root = Path(root)
         repository = FileRepository(self.root, SUFFIXES)
         self.files = repository.uris()  # relative paths, sorted
+        self.names = [name_of(uri) for uri in self.files]
         self.db = Database()
         eager_ingest(self.db, repository)
         add_wide_tables(self.db)
@@ -279,6 +280,17 @@ class Reference:
             except ExecutionError as exc:
                 self._answers[key] = exc
         return self._answers[key]
+
+    def record_starts(self) -> dict[str, list[int]]:
+        """Each file's record start offsets, by file name (``R``)."""
+        records = self.db.catalog.table(RECORD_TABLE).batch
+        starts: dict[str, list[int]] = {name: [] for name in self.names}
+        for uri, offset in zip(
+            records.column("uri").to_pylist(),
+            records.column("byte_offset").to_pylist(),
+        ):
+            starts[name_of(uri)].append(offset)
+        return starts
 
     def sqlite(self) -> sqlite3.Connection:
         """Every table of :attr:`db` in an in-memory sqlite database."""
@@ -408,13 +420,15 @@ class _Plan(FaultPlan):
 
     cancel_next: Optional[CancellationToken] = None
 
-    def _before_read(self, uri: str) -> Optional[tuple[FaultSpec, int]]:
+    def _before_read(
+        self, uri: str, start: int, end: Optional[int]
+    ) -> Optional[FaultSpec]:
         with self._lock:
             token, self.cancel_next = self.cancel_next, None
         if token is None:
-            return super()._before_read(uri)
+            return super()._before_read(uri, start, end)
         token.cancel("tenant t1 cancelled during an extraction")
-        return FaultSpec(uri, MID_STREAM_DISCONNECT), -1
+        return FaultSpec(uri, MID_STREAM_DISCONNECT)
 
 
 def _bump_mtime(path: Path) -> None:
@@ -597,11 +611,12 @@ def _outcome(call: Callable, *args: Any) -> Any:
 # -- one example -----------------------------------------------------------------
 
 
-def _plan(script: FaultScript, names: Sequence[str]) -> _Plan:
-    """The script's faults on the query path. A mount reads a local file
-    about six times, so a later query of a sequence can take a fault too; a
-    network fault lands on a remote file's first read of the run: its GET,
-    when staging is cold."""
+def fault_plan(script: FaultScript, reference: Reference) -> _Plan:
+    """The script's faults on the query path. Each seeded fault is keyed by
+    a record start of its file, so it fires on the first read that covers
+    that record: a whole-file mount's, a selective mount's when the record
+    is selected, and for a network fault the GET that moves the record when
+    staging is cold."""
     # Half the network faults change the object mid-GET (a torn response,
     # then a 412 for whatever the retry presumed).
     kinds = (
@@ -609,11 +624,12 @@ def _plan(script: FaultScript, names: Sequence[str]) -> _Plan:
         if script.network else RECOVERABLE_KINDS
     )
     specs = FaultPlan.seeded(
-        script.seed, names, kinds=kinds, fault_rate=script.rate,
-        max_read=1 if script.network else 8, stall_seconds=0.005,
+        script.seed, reference.record_starts(), kinds=kinds,
+        fault_rate=script.rate, stall_seconds=0.005,
     ).specs
     if script.victim is not None and script.setup != "header":
-        specs.append(FaultSpec(names[script.victim], script.victim_kind, times=-1))
+        victim = reference.names[script.victim]
+        specs.append(FaultSpec(victim, script.victim_kind, times=-1))
     return _Plan(specs)
 
 
@@ -645,7 +661,7 @@ def run(
     root = Path(workdir) / "repo"
     shutil.copytree(reference.root, root)
     path_of = {Path(rel).name: root / rel for rel in reference.files}
-    names = list(path_of)
+    names = reference.names
     skip = point.on_mount_error == SKIP_AND_REPORT
     reached: list[str] = []
     faulted = set() if script.victim is None else {names[script.victim]}
@@ -668,7 +684,7 @@ def run(
     deleted: set[str] = set()
     outage: set[str] = set()  # what only the outage made fail
     back_at = None  # the query the endpoint is back for
-    used, plan, before = names, _plan(script, names), engine.counters()
+    used, plan, before = names, fault_plan(script, reference), engine.counters()
     try:
         with plan.install():
             for index, sql in enumerate(queries):

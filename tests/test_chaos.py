@@ -16,6 +16,7 @@ import shutil
 import pytest
 
 from repro.testing import RECOVERABLE_KINDS, FaultPlan
+from repro.testing import oracle
 from repro.testing.oracle import ConfigPoint, Engine, FaultScript, run, verdicts
 
 CHAOS_SEED = 20130610  # fixed: CI replays exactly this fault plan
@@ -32,6 +33,7 @@ CHAOS_SQL = (
 
 GRID = list(itertools.product((1, 4), ("fail", "skip"), (True, False)))
 CELLS = [(w, s) for w in (1, 4) for s in (True, False)]
+POLICIES = list(itertools.product((1, 4), ("fail", "skip")))
 VICTIM = FaultScript(victim=2)  # every read of the third file fails
 
 
@@ -51,6 +53,34 @@ class TestChaosGrid:
             reference, tmp_path, script, mount_workers=workers,
             on_mount_error=policy, selective=selective,
         ) == ["rows"]
+
+    @pytest.mark.parametrize("workers,policy", POLICIES)
+    def test_every_seeded_fault_fires_in_a_whole_file_cell(
+        self, reference, tmp_path, monkeypatch, workers, policy
+    ):
+        """A whole-file mount reads every record, so each file's fault —
+        keyed by one of its record starts — fires, however few reads the
+        mount makes."""
+        plans = []
+
+        def kept(*args):
+            plans.append(fault_plan(*args))
+            return plans[-1]
+
+        fault_plan = oracle.fault_plan
+        monkeypatch.setattr(oracle, "fault_plan", kept)
+        script = FaultScript(seed=CHAOS_SEED, rate=1.0)
+        assert _cell(
+            reference, tmp_path, script, mount_workers=workers,
+            on_mount_error=policy, selective=False,
+        ) == ["rows"]
+        (plan,) = plans
+        assert len(plan.specs) == len(reference.names)
+        for spec in plan.specs:
+            assert any(
+                fault.uri.endswith(spec.uri_suffix) and fault.kind == spec.kind
+                for fault in plan.log
+            ), spec
 
     @pytest.mark.parametrize("workers,selective", CELLS)
     def test_unrecoverable_fault_surfaces_uri_fail_fast(
@@ -78,7 +108,7 @@ class TestChaosGrid:
                 tmp_path / name, tmp_path / f"{name}-scratch",
             )
             plan = FaultPlan.seeded(
-                CHAOS_SEED, engine.repository.uris(),
+                CHAOS_SEED, reference.record_starts(),
                 kinds=RECOVERABLE_KINDS, fault_rate=1.0,
             )
             with plan.install():

@@ -1,7 +1,8 @@
 """The deterministic fault-injection harness.
 
-Two layers of guarantee: the plan itself (specs fire at exactly the chosen
-per-URI read indices, and a seed reproduces them exactly) and the engine's
+Two layers of guarantee: the plan itself (specs fire on exactly the reads
+that cover their byte, as many times as they say, and a seed reproduces
+them exactly) and the engine's
 response (transient faults are absorbed by the retry ladder; persistent
 faults surface through the failure taxonomy with identical reports across
 same-seed runs).
@@ -22,6 +23,7 @@ from repro.mseed import (
     FileRepository,
     RepositorySpec,
     generate_repository,
+    read_file_metadata,
     read_records,
 )
 from repro.mseed.iohooks import get_volume_io_hook
@@ -60,6 +62,13 @@ def _executor(repo, workers=1):
 COUNT_SQL = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri"
 
 
+def record_starts(repo):
+    return {
+        uri: read_file_metadata(repo.path_of(uri))[1]["byte_offset"].tolist()
+        for uri in repo.uris()
+    }
+
+
 # -- spec validation and trigger windows ----------------------------------------
 
 
@@ -72,50 +81,68 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(uri_suffix="a", kind=TRANSIENT_OSERROR, times=0)
 
-    def test_negative_at_read_rejected(self):
+    def test_negative_at_byte_rejected(self):
         with pytest.raises(ValueError):
-            FaultSpec(uri_suffix="a", kind=TRANSIENT_OSERROR, at_read=-1)
+            FaultSpec(uri_suffix="a", kind=TRANSIENT_OSERROR, at_byte=-1)
 
-    def test_fires_in_window_only(self):
-        spec = FaultSpec(
-            uri_suffix="a", kind=TRANSIENT_OSERROR, at_read=2, times=3
-        )
-        assert [spec.fires_at(i) for i in range(7)] == [
-            False, False, True, True, True, False, False,
-        ]
+    def test_fires_on_reads_covering_its_byte(self):
+        spec = FaultSpec(uri_suffix="a", kind=TRANSIENT_OSERROR, at_byte=100)
+        assert spec.covers(0, None)  # a read to the end of the file
+        assert spec.covers(100, 101) and spec.covers(36, 164)
+        assert not spec.covers(0, 100) and not spec.covers(101, 200)
 
-    def test_forever_fires_from_at_read_on(self):
-        spec = FaultSpec(
-            uri_suffix="a", kind=TRANSIENT_OSERROR, at_read=1, times=-1
-        )
-        assert not spec.fires_at(0)
-        assert all(spec.fires_at(i) for i in (1, 2, 100))
+    def test_no_byte_covers_every_read(self):
+        spec = FaultSpec(uri_suffix="a", kind=TRANSIENT_OSERROR)
+        assert all(spec.covers(start, start + 64) for start in (0, 64, 10**9))
+
+    def test_times_counts_firings_per_uri(self, repo):
+        uri = repo.uris()[0]
+        path = repo.path_of(uri)
+        second = read_file_metadata(path)[1]["byte_offset"].tolist()[1]
+        plan = FaultPlan([
+            FaultSpec(uri_suffix=uri, kind=READ_LATENCY, at_byte=second,
+                      times=2, delay_seconds=0.0)
+        ])
+        with plan.install():
+            for _ in range(3):
+                read_records(path, uri)
+        # One read of each pass covers the second record's header.
+        assert [f.offset for f in plan.log] == [second, second]
 
 
 # -- seed determinism ------------------------------------------------------------
 
 
 class TestSeeding:
-    URIS = ["x/a.xseed", "x/b.xseed", "y/c.xseed", "y/d.xseed", "y/e.xseed"]
+    FILES = {
+        "x/a.xseed": [0, 512, 1024], "x/b.xseed": [0, 640],
+        "y/c.xseed": [0], "y/d.xseed": [0, 704, 1408], "y/e.xseed": [0, 576],
+    }
 
     def test_same_seed_same_specs(self):
-        one = FaultPlan.seeded(7, self.URIS)
-        two = FaultPlan.seeded(7, list(reversed(self.URIS)))
+        one = FaultPlan.seeded(7, self.FILES)
+        two = FaultPlan.seeded(7, dict(reversed(self.FILES.items())))
         assert one.specs == two.specs
 
     def test_different_seeds_eventually_differ(self):
-        base = FaultPlan.seeded(0, self.URIS).specs
+        base = FaultPlan.seeded(0, self.FILES).specs
         assert any(
-            FaultPlan.seeded(seed, self.URIS).specs != base
+            FaultPlan.seeded(seed, self.FILES).specs != base
             for seed in range(1, 10)
         )
 
     def test_seeded_draws_from_requested_kinds(self):
         plan = FaultPlan.seeded(
-            3, self.URIS, kinds=(READ_LATENCY,), fault_rate=1.0
+            3, self.FILES, kinds=(READ_LATENCY,), fault_rate=1.0
         )
-        assert len(plan.specs) == len(self.URIS)
+        assert len(plan.specs) == len(self.FILES)
         assert all(spec.kind == READ_LATENCY for spec in plan.specs)
+
+    def test_seeded_faults_sit_at_record_starts(self):
+        plan = FaultPlan.seeded(5, self.FILES, fault_rate=1.0)
+        assert all(
+            spec.at_byte in self.FILES[spec.uri_suffix] for spec in plan.specs
+        )
 
     def test_recoverable_kinds_exclude_short_read(self):
         assert SHORT_READ not in RECOVERABLE_KINDS
@@ -135,16 +162,16 @@ class TestInjection:
         with plan.install():
             with pytest.raises(OSError):
                 read_records(path, uri)
-            # Read counters are global per URI: the retry's reads land past
-            # the trigger window, so the same call now succeeds.
+            # Firings are counted per URI: the spec has fired its one time,
+            # so the same call now succeeds.
             assert read_records(path, uri)
         assert [f.kind for f in plan.log] == [TRANSIENT_OSERROR]
-        assert plan.log[0].read_index == 0
+        assert plan.log[0].offset == 0
 
     def test_short_read_surfaces_as_parse_failure(self, repo):
         uri = repo.uris()[0]
         plan = FaultPlan(
-            [FaultSpec(uri_suffix=uri, kind=SHORT_READ, at_read=1, times=1)]
+            [FaultSpec(uri_suffix=uri, kind=SHORT_READ, at_byte=0)]
         )
         with plan.install():
             with pytest.raises(Exception) as excinfo:
@@ -156,7 +183,7 @@ class TestInjection:
         path = repo.path_of(uri)
         before = path.stat().st_mtime_ns
         plan = FaultPlan(
-            [FaultSpec(uri_suffix=uri, kind=STALE_FLIP, at_read=0, times=1)]
+            [FaultSpec(uri_suffix=uri, kind=STALE_FLIP, at_byte=0)]
         )
         with plan.install():
             read_records(path, uri)
@@ -208,7 +235,7 @@ class TestEngineDeterminism:
         executor.on_mount_error = "skip"
         plan = FaultPlan.seeded(
             seed,
-            repo.uris(),
+            record_starts(repo),
             kinds=(TRANSIENT_OSERROR,),
             fault_rate=0.6,
             times=-1,  # persistent: the retry ladder cannot absorb these
@@ -230,8 +257,9 @@ class TestEngineDeterminism:
         assert out_a.rows == out_b.rows
 
     def test_signature_stable_across_worker_counts(self, repo):
-        # Read counters are per URI, so worker interleaving cannot change
-        # which faults fire — only the log *order*, which signature() sorts.
+        # Faults are keyed by byte and counted per URI, so worker
+        # interleaving cannot change which fire — only the log *order*,
+        # which signature() sorts.
         plan_serial, _ = self._run_with_seed(repo, seed=11, workers=1)
         plan_parallel, _ = self._run_with_seed(repo, seed=11, workers=4)
         assert plan_serial.signature() == plan_parallel.signature()

@@ -317,7 +317,6 @@ class TestSidecarFailureModes:
                 FaultSpec(
                     uri_suffix=store.path.name,
                     kind=SHORT_READ,
-                    at_read=0,
                     times=-1,
                     short_by=16,
                 )

@@ -56,7 +56,7 @@ class TestRemoteChaosGrid:
                 tmp_path / name, tmp_path / f"{name}-scratch",
             )
             plan = FaultPlan.seeded(
-                CHAOS_SEED, engine.repository.uris(),
+                CHAOS_SEED, reference.record_starts(),
                 kinds=RECOVERABLE_NETWORK_KINDS, fault_rate=1.0,
             )
             with plan.install():
