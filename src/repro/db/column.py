@@ -405,48 +405,55 @@ class RecordRuns:
         """The samples timed in ``[lo, hi]``: the runs cut to them (a run
         with none left stays, empty) and the rows of the batch they keep.
 
-        A run whose first and last samples both lie inside is kept whole,
-        and one lying wholly outside is emptied, without computing its other
-        times; only a run a bound falls into is searched for its cut. Exact
-        to the µs, strict and non-strict bounds alike: every time compared
-        is ``start + sample_offset(index, rate)``.
+        Every run's first and last times come from one
+        :func:`sample_offsets` call. A run with both inside is kept whole
+        and one wholly outside emptied, without computing its other times;
+        only a run a bound falls into — at most two when runs follow each
+        other in time — is searched for its cut. Exact to the µs, strict and
+        non-strict bounds alike: every time compared is
+        ``start + sample_offset(index, rate)``.
         """
-        begins, kept, cut = [], [], False
+        first, count = self.first, self.length
+        heads, tails = (
+            self.start_time
+            + sample_offsets(np.stack([first, first + count - 1]), self.sample_rate)
+        ).tolist()
+        counts = count.tolist()
+        if all(
+            lo <= head and tail <= hi or not n
+            for head, tail, n in zip(heads, tails, counts)
+        ):
+            return self, None
+        begins, ends = [0] * len(counts), [0] * len(counts)
         starts: list[int] = []  # the kept rows, as merged blocks
         lengths: list[int] = []
-        for offset, start, rate, first, count in zip(
-            self.offset.tolist(), self.start_time.tolist(),
-            self.sample_rate.tolist(), self.first.tolist(),
-            self.length.tolist(),
-        ):
-            begin, end = 0, count
-            if count:
-                head = start + sample_offset(first, rate)
-                tail = start + sample_offset(first + count - 1, rate)
-                if tail < lo or head > hi:
-                    end = 0
-                else:
-                    run = (start, rate, first, count)
-                    if head < lo:
-                        begin = _first_sample_from(lo, *run)
-                    if tail > hi:
-                        end = max(begin, _first_sample_from(hi + 1, *run))
-                cut = cut or begin > 0 or end < count
-            begins.append(begin)
-            kept.append(end - begin)
-            if end > begin:
-                if starts and starts[-1] + lengths[-1] == offset + begin:
-                    lengths[-1] += end - begin
-                else:
-                    starts.append(offset + begin)
-                    lengths.append(end - begin)
-        if not cut:
-            return self, None
-        length = np.array(kept, dtype=np.int64)
+        for j, offset in enumerate(self.offset.tolist()):
+            head, tail, n = heads[j], tails[j], counts[j]
+            if not n or tail < lo or head > hi:
+                continue
+            begin, end = 0, n
+            if head < lo or tail > hi:
+                run = (
+                    int(self.start_time[j]), float(self.sample_rate[j]),
+                    int(first[j]), n,
+                )
+                if head < lo:
+                    begin = _first_sample_from(lo, *run)
+                if tail > hi:
+                    end = max(begin, _first_sample_from(hi + 1, *run))
+            begins[j], ends[j] = begin, end
+            if end == begin:
+                continue
+            if starts and starts[-1] + lengths[-1] == offset + begin:
+                lengths[-1] += end - begin
+            else:
+                starts.append(offset + begin)
+                lengths.append(end - begin)
+        begin_at = np.array(begins, dtype=np.int64)
+        length = np.array(ends, dtype=np.int64) - begin_at
         runs = RecordRuns(
             self.uri, self.record_id, np.cumsum(length) - length, length,
-            self.first + np.array(begins, dtype=np.int64),
-            self.start_time, self.sample_rate,
+            first + begin_at, self.start_time, self.sample_rate,
         )
         return runs, Blocks(
             np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)

@@ -5,8 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..db.column import RecordRuns
 from ..mseed.volume import (
     SelectiveRead,
@@ -84,12 +82,7 @@ def _mounted(uri: str, read: SelectiveRead) -> MountedFile:
     No per-sample time or id is built; :class:`~repro.db.column.RecordRuns`
     derives them, with the arithmetic that defines ``R.end_time``, only
     where a query reads them."""
-    headers = read.headers
     runs = RecordRuns.of_records(
-        uri,
-        read.record_ids,
-        [h.nsamples for h in headers],
-        [h.start_time for h in headers],
-        [h.sample_rate for h in headers],
+        uri, read.record_id, read.nsamples, read.start_time, read.sample_rate
     )
-    return run_encoded_mount(uri, read.samples.astype(np.float64), runs)
+    return run_encoded_mount(uri, read.samples, runs)

@@ -24,19 +24,28 @@ magnitude (a true Steim1 encoder re-chunks greedily). This costs a little
 compression on mixed content but none of the format's structure, and both
 encode and decode run as numpy kernels — important because eager ingestion
 decodes every payload in the repository.
+
+:func:`steim_decode` is the one decode kernel: one record, a list of
+records, or — what a mount passes — one buffer holding many records'
+payloads between their headers, decoded in the same numpy calls whatever
+the record count. The samples are summed once in int64, range-checked, and
+cast once to the dtype the caller asks for (a mount asks for the float64
+that ``D.sample_value`` holds).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
+import numpy.typing as npt
 
 from ..db.errors import CorruptFileError
 
 _WORDS_PER_FRAME = 16
 _SLOTS_PER_FRAME = _WORDS_PER_FRAME - 1  # word 0 is the control word
-_FRAME_BYTES = 4 * _WORDS_PER_FRAME
+FRAME_BYTES = 4 * _WORDS_PER_FRAME
 
 _CODE_SPECIAL = 0
 _CODE_BYTE = 1
@@ -155,28 +164,63 @@ def steim_encode(samples: np.ndarray) -> bytes:
 
 
 def steim_decode(
-    payload: bytes | Sequence[bytes], nsamples: int | Sequence[int]
+    data: bytes | Sequence[bytes],
+    nsamples: int | Sequence[int],
+    payloads: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    *,
+    dtype: npt.DTypeLike = np.int32,
 ) -> np.ndarray:
-    """Decompress Steim1-style payloads back into int32 samples.
+    """Decompress Steim1-style payloads back into samples.
 
     ``steim_decode(payload, nsamples)`` decodes one record;
-    ``steim_decode(payloads, counts)`` decodes a sequence of records in the
-    same numpy calls and returns their samples concatenated in order — what
-    a file mount uses, because the per-call overhead of ~40 small numpy
-    operations dwarfs the arithmetic on a 720-sample record.
+    ``steim_decode(payloads, counts)`` a sequence of records; and
+    ``steim_decode(buffer, counts, (offsets, lengths))`` the records whose
+    payloads lie in one buffer, record ``k``'s at ``offsets[k]`` for
+    ``lengths[k]`` bytes, whatever lies between them (a volume's record
+    headers). Records are decoded in the
+    same numpy calls and their samples returned concatenated in order —
+    what a file mount uses, because the per-call overhead of ~40 small
+    numpy operations dwarfs the arithmetic on a 720-sample record.
 
     Every record's frame-length rule, delta count and reverse integration
     constant are verified, and decoded samples must fit int32. Any
     inconsistency raises :class:`SteimError` whose ``record`` is the index
-    of the *first* defective record.
+    of the *first* defective record. The samples are summed in int64 and
+    cast to ``dtype`` once.
     """
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return _decode_records([payload], [nsamples])
-    return _decode_records(payload, nsamples)
+    if payloads is None:
+        if isinstance(data, (bytes, bytearray, memoryview)):
+            data, nsamples = [data], [nsamples]  # type: ignore[list-item]
+        lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+        raw = np.frombuffer(b"".join(data), dtype=np.uint8)
+    else:
+        offsets, lengths = (np.asarray(a, dtype=np.int64) for a in payloads)
+        raw = _laid_end_to_end(
+            np.frombuffer(data, dtype=np.uint8), offsets, lengths
+        )
+    return _decode_records(
+        raw, lengths, np.asarray(nsamples, dtype=np.int64), np.dtype(dtype)
+    )
+
+
+def _laid_end_to_end(
+    data: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """The payloads ``data[offsets[k]:offsets[k] + lengths[k]]``, one after
+    the other: gathered a frame at a time, or a byte at a time when one is
+    off the frame grid."""
+    aligned = not ((offsets | lengths) % FRAME_BYTES).any()
+    unit = FRAME_BYTES if aligned else 1
+    units = lengths // unit
+    index = np.repeat(offsets // unit - (np.cumsum(units) - units), units)
+    index += np.arange(len(index))
+    rows = data[: len(data) // unit * unit].reshape(-1, unit)
+    return np.take(rows, index, axis=0).reshape(-1)
 
 
 def _defect(
-    payloads: Sequence[bytes], counts: np.ndarray, record: int, message: str
+    raw: np.ndarray, lengths: np.ndarray, counts: np.ndarray, record: int,
+    message: str,
 ) -> SteimError:
     """The error for ``record`` — unless an earlier record is defective too.
 
@@ -184,18 +228,19 @@ def _defect(
     kind may sit behind a defect of a later kind; decoding the records
     before it surfaces that one instead.
     """
-    _decode_records(payloads[:record], counts[:record])
+    _decode_records(
+        raw[: lengths[:record].sum()], lengths[:record], counts[:record],
+        np.dtype(np.int32),
+    )
     return SteimError(message, record=record)
 
 
 def _decode_records(
-    payloads: Sequence[bytes], nsamples: Sequence[int]
+    raw: np.ndarray, lengths: np.ndarray, counts: np.ndarray, dtype: np.dtype
 ) -> np.ndarray:
-    counts = np.asarray(nsamples, dtype=np.int64)
-    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(counts))
     live = counts > 0  # zero-sample records hold no frames, not even x0/xn
     malformed = np.where(
-        live, (lengths % _FRAME_BYTES != 0) | (lengths == 0), lengths != 0
+        live, (lengths % FRAME_BYTES != 0) | (lengths == 0), lengths != 0
     )
     if malformed.any():
         k = int(malformed.argmax())
@@ -206,16 +251,15 @@ def _decode_records(
         else:
             message = (
                 f"payload length {lengths[k]} is not a multiple of "
-                f"{_FRAME_BYTES}"
+                f"{FRAME_BYTES}"
             )
-        raise _defect(payloads, counts, k, message)
+        raise _defect(raw, lengths, counts, k, message)
     if not live.any():
-        return np.empty(0, dtype=np.int32)
+        return np.empty(0, dtype=dtype)
 
     # All frames of all records as one (F, 16) array of big-endian words.
-    raw = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     frames = raw.view(">i4").reshape(-1, _WORDS_PER_FRAME)
-    nframes = lengths // _FRAME_BYTES
+    nframes = lengths // FRAME_BYTES
     first = (np.cumsum(nframes) - nframes)[live]  # each record's first frame
     codes = (raw.view(">u4")[::_WORDS_PER_FRAME, None] >> _CODE_SHIFTS) & 3
     codes[first, :2] = _CODE_SPECIAL  # the x0/xn slots, whatever they claim
@@ -232,25 +276,28 @@ def _decode_records(
         .reshape(-1, 4)
         .astype(np.int32)
     )
-    halves = flat_codes == _CODE_HALF
-    if halves.any():
+    halves = np.flatnonzero(flat_codes == _CODE_HALF)
+    if len(halves):
         lanes[halves, :2] = (
             raw.view(">i2")
             .reshape(-1, _WORDS_PER_FRAME, 2)[:, 1:]
             .reshape(-1, 2)[halves]
         )
-    fulls = flat_codes == _CODE_FULL
-    if fulls.any():
+    fulls = np.flatnonzero(flat_codes == _CODE_FULL)
+    if len(fulls):
         lanes[fulls, 0] = frames[:, 1:].reshape(-1)[fulls]
-    deltas = lanes[_LANE_USED[flat_codes]]
+    # (np.take: far cheaper than fancy indexing by a uint32 code array.)
+    deltas = lanes[np.take(_LANE_USED, flat_codes, axis=0)]
 
     held = np.zeros(len(counts), dtype=np.int64)  # deltas each record holds
-    held[live] = np.add.reduceat(_LANES_PER_CODE[codes].sum(axis=1), first)
+    held[live] = np.add.reduceat(
+        np.take(_LANES_PER_CODE, codes).sum(axis=1), first
+    )
     short = held < counts
     if short.any():
         k = int(short.argmax())
         raise _defect(
-            payloads, counts, k,
+            raw, lengths, counts, k,
             f"payload holds {held[k]} deltas but {counts[k]} samples expected",
         )
     ends = np.cumsum(counts)
@@ -270,7 +317,7 @@ def _decode_records(
     if wrong.any():
         j = int(wrong.argmax())
         raise _defect(
-            payloads, counts, int(np.flatnonzero(live)[j]),
+            raw, lengths, counts, int(np.flatnonzero(live)[j]),
             f"reverse integration constant mismatch: got {last[j]}, "
             f"expected {xn[j]}",
         )
@@ -280,4 +327,4 @@ def _decode_records(
             "decoded samples exceed int32 range",
             record=int(np.searchsorted(ends, outside.argmax(), side="right")),
         )
-    return samples.astype(np.int32)
+    return samples.astype(dtype)

@@ -4,9 +4,17 @@ The key asymmetry the paper exploits is implemented here:
 :func:`scan_headers` reads only the 64-byte headers and *seeks over* every
 payload, so metadata extraction costs a tiny fraction of a full parse, while
 :func:`decode_volume` decodes everything (what eager ingestion and mounting
-do) and :func:`read_selected_records` the records a time window touches —
-both file-at-a-time: one Steim kernel call per file, not per record.
+do) and :func:`read_selected_records` the records a time window touches.
 :func:`read_records` is the record-at-a-time API for tools and tests.
+
+A mount is one buffer, one header parse and one decode. The bytes it needs
+come off disk in as few reads as their layout allows — one ``read()`` for a
+whole file, one per run of touching records a byte map selects — and the
+headers in that buffer are parsed and checked together (``HEADER_DTYPE``),
+the payloads decoded by one :func:`~repro.mseed.steim.steim_decode` call
+that reads them where they lie. No :class:`RecordHeader` is built on the
+way: the scalar parser runs only when a check fails, over the same bytes,
+to name the first defect exactly as a record-at-a-time loop would.
 
 Every parse failure raises a :class:`~repro.db.errors.FileIngestError`
 subclass carrying the offending URI (the path, unless the caller passes the
@@ -18,11 +26,13 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import (
+    BinaryIO,
     Callable,
     ContextManager,
     Iterable,
@@ -47,7 +57,7 @@ from .record import (
     RecordHeader,
     XSeedRecord,
 )
-from .steim import SteimError, steim_decode
+from .steim import FRAME_BYTES, SteimError, steim_decode
 
 
 def write_volume(path: str | Path, records: Sequence[XSeedRecord]) -> int:
@@ -102,86 +112,64 @@ def read_volume(path: str | Path) -> list[XSeedRecord]:
 class SelectiveRead:
     """The records one read of a volume selected, decoded, and its cost.
 
-    File-at-a-time, not record-at-a-time: ``record_ids`` and ``headers``
-    are parallel per-record lists and ``samples`` holds the selected
-    records' samples back to back (``headers[i].nsamples`` each), decoded
-    by one :func:`steim_decode` call.
+    File-at-a-time, not record-at-a-time: ``record_id``, ``start_time``,
+    ``sample_rate`` and ``nsamples`` hold one entry per selected record, in
+    file order, and ``samples`` their samples back to back as float64 (what
+    ``D.sample_value`` holds), decoded by one :func:`steim_decode` call.
     """
 
-    record_ids: list[int]
-    headers: list[RecordHeader]
-    samples: np.ndarray  # int32
+    record_id: np.ndarray  # int64
+    start_time: np.ndarray  # int64 µs
+    sample_rate: np.ndarray  # float64 Hz
+    nsamples: np.ndarray  # int64
+    samples: np.ndarray  # float64
     bytes_read: int  # headers + payloads actually pulled off disk
     records_skipped: int
 
     @property
     def records_decoded(self) -> int:
-        return len(self.headers)
+        return len(self.record_id)
 
 
-class _Selection:
-    """Accumulates the (header, payload) pairs a read loop selects."""
+def coalesce_spans(
+    spans: Sequence[tuple[int, int]], gap_bytes: int
+) -> list[tuple[int, int]]:
+    """Merge ``(start, end)`` byte ranges whose gaps are <= ``gap_bytes``.
 
-    def __init__(self, uri: str) -> None:
-        self.uri = uri
-        self.record_ids: list[int] = []
-        self.offsets: list[int] = []
-        self.headers: list[RecordHeader] = []
-        self.payloads: list[bytes] = []
-        self.bytes_read = 0
-        self.skipped = 0
-
-    def add(
-        self, record_id: int, offset: int, header: RecordHeader, payload: bytes
-    ) -> None:
-        if len(payload) != header.payload_len:
-            raise TruncatedFileError(
-                f"record payload truncated: {len(payload)} of "
-                f"{header.payload_len} bytes",
-                uri=self.uri,
-                offset=offset + HEADER_SIZE,
-            )
-        if header.encoding != ENCODING_STEIM1:
-            raise CorruptFileError(
-                f"unknown encoding {header.encoding}",
-                uri=self.uri,
-                offset=offset,
-            )
-        self.record_ids.append(record_id)
-        self.offsets.append(offset)
-        self.headers.append(header)
-        self.payloads.append(payload)
-
-    def decode(self) -> SelectiveRead:
-        """Decode every selected payload in one kernel call.
-
-        The kernel reports a defect by record index within the batch; the
-        record's file offset turns that into the byte offset of its payload.
-        """
-        try:
-            samples = steim_decode(
-                self.payloads, [h.nsamples for h in self.headers]
-            )
-        except SteimError as exc:
-            raise SteimError(
-                exc.message,
-                uri=self.uri,
-                offset=self.offsets[exc.record] + HEADER_SIZE,
-                cause=exc,
-            ) from exc
-        return SelectiveRead(
-            self.record_ids, self.headers, samples, self.bytes_read, self.skipped
-        )
+    The range planner of every read by byte map: a selective mount reads
+    one range per run of touching records (``gap_bytes=0``), and a remote
+    one issues one ranged GET per range, absorbing a gap cheaper to stream
+    through than to re-negotiate. Input ranges may overlap and arrive in
+    any order.
+    """
+    ordered = sorted((s, e) for s, e in spans if e > s)
+    if not ordered:
+        return []
+    merged: list[tuple[int, int]] = [ordered[0]]
+    for start, end in ordered[1:]:
+        last_start, last_end = merged[-1]
+        if start - last_end <= gap_bytes:
+            merged[-1] = (last_start, max(last_end, end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 def decode_volume(path: str | Path, uri: str | None = None) -> SelectiveRead:
-    """Every record of a volume, decoded file-at-a-time (a whole-file mount).
-
-    The same bytes, read by the same calls, as :func:`read_records`, without
-    a record object or a kernel call per record.
-    """
+    """Every record of a volume, decoded file-at-a-time (a whole-file
+    mount): one ``read()`` of the file, then :func:`_decoded`."""
     uri = uri if uri is not None else str(path)
-    return _read_by_header_walk(Path(path), None, uri)
+    with open_volume(path, uri) as handle:
+        buffer = handle.read()
+    at, complete = _record_starts(buffer)
+    starts = np.asarray(at, dtype=np.int64)
+    read = (
+        _decoded(buffer, starts, starts, np.arange(len(at)), uri, len(buffer), 0)
+        if complete else None
+    )
+    if read is None:
+        _raise_first_defect_in(_records_in(buffer, starts, starts), uri)
+    return read
 
 
 def read_selected_records(
@@ -194,16 +182,16 @@ def read_selected_records(
 
     With a record byte map (``spans`` — objects carrying ``record_id``,
     ``byte_offset``, ``byte_length``, ``start_time``, ``end_time``), the
-    read seeks straight to each overlapping record and touches nothing
-    else: skipped records cost zero bytes. Every selected record's header
-    is re-validated against its span — a map that no longer matches the
-    file (rewritten since the metadata pass) raises
+    read fetches each run of touching overlapping records in one range and
+    touches nothing else: skipped records cost zero bytes. Every selected
+    record's header is re-validated against its span — a map that no longer
+    matches the file (rewritten since the metadata pass) raises
     :class:`~repro.db.errors.StaleFileError` instead of yielding torn rows.
 
-    Without a byte map, the read streams the file header-by-header (64
-    bytes per record, like :func:`scan_headers`) and seeks over every
-    non-overlapping payload, so the payload read + Steim decode — the
-    dominant cost — is still skipped.
+    Without a byte map, the read walks the file header-by-header (64 bytes
+    per record, like :func:`scan_headers`), seeking over every payload, then
+    reads the payloads of the overlapping records, so the payload read +
+    Steim decode — the dominant cost — is still skipped.
     """
     uri = uri if uri is not None else str(path)
     path = Path(path)
@@ -215,114 +203,320 @@ def read_selected_records(
 def _read_by_byte_map(
     path: Path, interval: Interval, uri: str, spans: Sequence
 ) -> SelectiveRead:
-    size = path.stat().st_size
-    selection = _Selection(uri)
+    chosen = [s for s in spans if overlaps(interval, s.start_time, s.end_time)]
+    ranges = coalesce_spans(
+        [(s.byte_offset, s.byte_offset + s.byte_length) for s in chosen], 0
+    )
+    parts = []
     with open_volume(path, uri) as handle:
-        for span in spans:
-            if not overlaps(interval, span.start_time, span.end_time):
-                selection.skipped += 1
-                continue
-            if span.byte_offset + span.byte_length > size:
-                raise TruncatedFileError(
-                    f"record ends at byte "
-                    f"{span.byte_offset + span.byte_length}, file ends at "
-                    f"{size}",
-                    uri=uri,
-                    offset=span.byte_offset,
-                )
-            handle.seek(span.byte_offset)
-            raw = handle.read(span.byte_length)
-            selection.bytes_read += len(raw)
-            header = RecordHeader.unpack(raw, uri=uri, offset=span.byte_offset)
-            if (
-                header.start_time != span.start_time
-                or HEADER_SIZE + header.payload_len != span.byte_length
-            ):
-                raise StaleFileError(
-                    "record byte map no longer matches the file on disk "
-                    f"(record {span.record_id}: header start_time/length "
-                    "drifted since the metadata pass)",
-                    uri=uri,
-                    offset=span.byte_offset,
-                )
-            selection.add(
-                span.record_id, span.byte_offset, header, raw[HEADER_SIZE:]
-            )
-    return selection.decode()
+        for lo, hi in ranges:
+            handle.seek(lo)
+            parts.append(handle.read(hi - lo))
+    # Each record's range, and where the ranges lie read end to end.
+    first = [lo for lo, _ in ranges]
+    placed = list(accumulate((hi - lo for lo, hi in ranges), initial=0))
+    where = [bisect_right(first, s.byte_offset) - 1 for s in chosen]
+    bytes_read = sum(map(len, parts))
+    # Every range read whole: every record lies inside the file.
+    if bytes_read == placed[-1] and all(
+        s.byte_length >= HEADER_SIZE for s in chosen
+    ):
+        record_id, at, offset, length, start_time = np.array(
+            [
+                (s.record_id, placed[r] + s.byte_offset - first[r],
+                 s.byte_offset, s.byte_length, s.start_time)
+                for s, r in zip(chosen, where)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 5).T
+        read = _decoded(
+            b"".join(parts), at, offset, record_id, uri, bytes_read,
+            len(spans) - len(chosen), (start_time, length),
+        )
+        if read is not None:
+            return read
+    _raise_first_defect_in(
+        [
+            (s.byte_offset, parts[r][s.byte_offset - first[r]:][: s.byte_length])
+            for s, r in zip(chosen, where)
+        ],
+        uri, chosen, path.stat().st_size,
+    )
 
 
 def _read_by_header_walk(
-    path: Path, interval: Optional[Interval], uri: str
+    path: Path, interval: Interval, uri: str
 ) -> SelectiveRead:
-    """Stream the volume; ``interval=None`` selects every record."""
+    """Walk the headers, then read the overlapping records' payloads."""
     size = path.stat().st_size
-    selection = _Selection(uri)
-    offset = 0
-    record_id = 0
     with open_volume(path, uri) as handle:
-        while True:
-            header_raw = handle.read(HEADER_SIZE)
-            if not header_raw:
-                break
-            selection.bytes_read += len(header_raw)
-            header = RecordHeader.unpack(header_raw, uri=uri, offset=offset)
-            record_end = offset + HEADER_SIZE + header.payload_len
-            if interval is None or overlaps(
-                interval, header.start_time, header.end_time
-            ):
-                payload = handle.read(header.payload_len)
-                selection.bytes_read += len(payload)
-                selection.add(record_id, offset, header, payload)
-            else:
-                # Truncation inside a skipped payload is still detected
-                # against the file size (the scan_headers guarantee), but
-                # the payload's *content* is never read — damage inside a
-                # record the query does not touch cannot fail the query.
-                if record_end > size:
-                    raise TruncatedFileError(
-                        f"record payload truncated: file ends at byte "
-                        f"{size}, record needs {record_end}",
-                        uri=uri,
-                        offset=offset + HEADER_SIZE,
-                    )
-                handle.seek(header.payload_len, 1)
-                selection.skipped += 1
-            offset = record_end
-            record_id += 1
-    return selection.decode()
+        raws, complete = _walk_headers(handle, size)
+        if not complete:
+            _raise_walk_defect(raws, size, interval, uri)
+        parsed = np.frombuffer(b"".join(raws), dtype=HEADER_DTYPE)
+        start_time, _, _, reach, sound = _header_columns(parsed)
+        if not sound.all():
+            _raise_walk_defect(raws, size, interval, uri)
+        end_time = start_time + np.rint(reach).astype(np.int64)
+        chosen = np.flatnonzero(
+            (start_time <= interval[1]) & (end_time >= interval[0])
+        )
+        if (parsed["encoding"][chosen] != ENCODING_STEIM1).any():
+            _raise_walk_defect(raws, size, interval, uri)
+        length = parsed["payload_len"].astype(np.int64)
+        offset = np.cumsum(length + HEADER_SIZE) - (length + HEADER_SIZE)
+        buffer, at, whole = bytearray(), [], True
+        for k in chosen.tolist():
+            handle.seek(int(offset[k]) + HEADER_SIZE)
+            payload = handle.read(int(length[k]))
+            whole = whole and len(payload) == length[k]
+            at.append(len(buffer))
+            buffer += raws[k]
+            buffer += payload
+    starts = np.asarray(at, dtype=np.int64)
+    bytes_read = sum(map(len, raws)) + len(buffer) - HEADER_SIZE * len(at)
+    read = (
+        _decoded(
+            buffer, starts, offset[chosen], chosen, uri, bytes_read,
+            len(raws) - len(chosen),
+        )
+        if whole else None
+    )
+    if read is None:
+        _raise_first_defect_in(
+            _records_in(buffer, starts, offset[chosen]), uri
+        )
+    return read
+
+
+def _record_starts(buffer: bytes) -> tuple[list[int], bool]:
+    """Where each record of a volume read whole starts, and whether the
+    records fill the buffer exactly. Looks only at ``magic`` and
+    ``payload_len``, like :func:`_walk_headers`, and gives up after the same
+    kind of record."""
+    starts: list[int] = []
+    at, size = 0, len(buffer)
+    while at < size:
+        starts.append(at)
+        if at + HEADER_SIZE > size or not buffer.startswith(MAGIC, at):
+            return starts, False
+        (payload_len,) = _PAYLOAD_LEN.unpack_from(buffer, at + _PAYLOAD_LEN_AT)
+        at += HEADER_SIZE + payload_len
+    return starts, at == size
+
+
+def _records_in(
+    buffer: bytes, at: np.ndarray, offset: np.ndarray
+) -> list[tuple[int, bytes]]:
+    """``(file offset, bytes)`` of records laid end to end in ``buffer`` from
+    positions ``at``, the last running to the buffer's end."""
+    ends = [*at.tolist()[1:], len(buffer)]
+    return [
+        (o, bytes(buffer[a:e]))
+        for o, a, e in zip(offset.tolist(), at.tolist(), ends)
+    ]
+
+
+_HEADER_BYTES = np.arange(HEADER_SIZE)
+
+
+def _header_columns(
+    parsed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``start_time``, ``sample_rate``, ``nsamples`` and the reach of the
+    last sample (µs after the start, before rounding) of parsed headers, and
+    which headers pass the checks of :meth:`RecordHeader.unpack` (magic, a
+    usable rate, the last sample inside the timestamp range, ASCII
+    identifiers). The vector checks only *notice* a defect; the scalar
+    parser names it."""
+    start_time = parsed["start_time"].astype(np.int64)
+    sample_rate = parsed["sample_rate"].astype(np.float64)
+    nsamples = parsed["nsamples"].astype(np.int64)
+    # last_sample_offset, vectorised: (n-1) * step in that association;
+    # end_time rounds it half to even.
+    last = nsamples - 1
+    with np.errstate(all="ignore"):
+        reach = np.where(last > 0, last * (1_000_000 / sample_rate), 0.0)
+        sound = (
+            (sample_rate > 0)
+            & (sample_rate < np.inf)
+            & (reach < INT64_MAX - np.maximum(start_time, 0))
+            & (parsed["magic"] == MAGIC)
+        )
+    if parsed["identifiers"].max(initial=0) >= 128:
+        sound[:] = False
+    return start_time, sample_rate, nsamples, reach, sound
+
+
+def _decoded(
+    buffer: bytes | bytearray,
+    at: np.ndarray,
+    offset: np.ndarray,
+    record_id: np.ndarray,
+    uri: str,
+    bytes_read: int,
+    skipped: int,
+    expected: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> Optional[SelectiveRead]:
+    """The records whose headers lie at positions ``at`` of ``buffer`` (at
+    ``offset`` in the file), parsed together and decoded by one kernel call
+    — or None when a check the scalar loop makes would fail: a header
+    :meth:`RecordHeader.unpack` rejects, an unknown encoding, a payload
+    that is not whole frames or overruns the buffer, or, with ``expected``
+    (the byte map's start times and record lengths), a stale map. A Steim
+    defect raises, at its record's payload, as it always has. Each header
+    lies whole in the buffer, and each payload too once its length is
+    checked (against the byte map, or by the walk that found it)."""
+    parsed = np.frombuffer(buffer, dtype=np.uint8)[
+        at[:, None] + _HEADER_BYTES
+    ].view(HEADER_DTYPE)[:, 0]
+    start_time, sample_rate, nsamples, _, ok = _header_columns(parsed)
+    length = parsed["payload_len"].astype(np.int64)
+    ok &= (parsed["encoding"] == ENCODING_STEIM1) & (length % FRAME_BYTES == 0)
+    ok &= (length > 0) == (nsamples > 0)
+    if expected is not None:
+        ok &= (start_time == expected[0]) & (HEADER_SIZE + length == expected[1])
+    if not ok.all():
+        return None
+    try:
+        samples = steim_decode(
+            buffer, nsamples, (at + HEADER_SIZE, length), dtype=np.float64
+        )
+    except SteimError as exc:
+        raise SteimError(
+            exc.message,
+            uri=uri,
+            offset=int(offset[exc.record]) + HEADER_SIZE,
+            cause=exc,
+        ) from exc
+    return SelectiveRead(
+        record_id, start_time, sample_rate, nsamples, samples, bytes_read,
+        skipped,
+    )
+
+
+def _raise_first_defect_in(
+    records: Sequence[tuple[int, bytes]],
+    uri: str,
+    spans: Optional[Sequence] = None,
+    size: int = 0,
+) -> NoReturn:
+    """The record-at-a-time loop :func:`_decoded` stands in for, over the
+    ``(file offset, header + payload as read)`` of each selected record in
+    order — with a byte map, each first checked against the file size and
+    then its span: the mount's error oracle. Header, length and encoding
+    defects come first, in record order; Steim defects after them all."""
+    offsets, payloads, counts = [], [], []
+    for k, (offset, raw) in enumerate(records):
+        span = spans[k] if spans is not None else None
+        if span is not None and offset + span.byte_length > size:
+            raise TruncatedFileError(
+                f"record ends at byte {offset + span.byte_length}, file "
+                f"ends at {size}",
+                uri=uri,
+                offset=offset,
+            )
+        header = RecordHeader.unpack(raw, uri=uri, offset=offset)
+        if span is not None and (
+            header.start_time != span.start_time
+            or HEADER_SIZE + header.payload_len != span.byte_length
+        ):
+            raise StaleFileError(
+                "record byte map no longer matches the file on disk "
+                f"(record {span.record_id}: header start_time/length "
+                "drifted since the metadata pass)",
+                uri=uri,
+                offset=offset,
+            )
+        payload = raw[HEADER_SIZE : HEADER_SIZE + header.payload_len]
+        if len(payload) != header.payload_len:
+            raise TruncatedFileError(
+                f"record payload truncated: {len(payload)} of "
+                f"{header.payload_len} bytes",
+                uri=uri,
+                offset=offset + HEADER_SIZE,
+            )
+        if header.encoding != ENCODING_STEIM1:
+            raise CorruptFileError(
+                f"unknown encoding {header.encoding}", uri=uri, offset=offset
+            )
+        offsets.append(offset)
+        payloads.append(payload)
+        counts.append(header.nsamples)
+    try:
+        steim_decode(payloads, counts)
+    except SteimError as exc:
+        raise SteimError(
+            exc.message,
+            uri=uri,
+            offset=offsets[exc.record] + HEADER_SIZE,
+            cause=exc,
+        ) from exc
+    raise AssertionError("vector and scalar mount checks disagree")
+
+
+def _raise_walk_defect(
+    raws: Sequence[bytes], size: int, interval: Interval, uri: str
+) -> NoReturn:
+    """The header walk's error oracle: the first walked record whose header
+    fails to parse, that overruns the file, or that is selected with an
+    unknown encoding."""
+
+    def encoding(header: RecordHeader, offset: int) -> None:
+        if header.encoding != ENCODING_STEIM1 and overlaps(
+            interval, header.start_time, header.end_time
+        ):
+            raise CorruptFileError(
+                f"unknown encoding {header.encoding}", uri=uri, offset=offset
+            )
+
+    _unpack_headers(raws, uri, size, encoding)
+    raise AssertionError("vector and scalar header checks disagree")
 
 
 _PAYLOAD_LEN = struct.Struct(">I")
 _PAYLOAD_LEN_AT = HEADER_DTYPE.fields["payload_len"][1]
 
 
-def _walk_headers(path: str | Path, uri: str) -> tuple[list[bytes], int, bool]:
-    """Read 64 bytes per record, seek over payloads: the raw headers, the
-    file size, and whether the walk reached the end of the file. Looks only
-    at ``magic`` and ``payload_len``: it gives up after a header that is short,
-    has no magic or overruns the size, and :func:`_unpack_headers` names why."""
-    size = os.stat(path).st_size
+def _walk_headers(handle: BinaryIO, size: int) -> tuple[list[bytes], bool]:
+    """Read 64 bytes per record, seek over payloads: the raw headers, and
+    whether the walk reached the end of a file of ``size`` bytes. Looks only
+    at ``magic`` and ``payload_len``: it gives up after a header that is
+    short, has no magic or overruns the size, and :func:`_unpack_headers`
+    names why."""
     raws: list[bytes] = []
     offset = 0
+    while raw := handle.read(HEADER_SIZE):
+        raws.append(raw)
+        if len(raw) < HEADER_SIZE or not raw.startswith(MAGIC):
+            return raws, False
+        (payload_len,) = _PAYLOAD_LEN.unpack_from(raw, _PAYLOAD_LEN_AT)
+        offset += HEADER_SIZE + payload_len
+        if offset > size:
+            return raws, False
+        handle.seek(payload_len, 1)
+    return raws, True
+
+
+def _walk_file(path: str | Path, uri: str) -> tuple[list[bytes], int, bool]:
+    """:func:`_walk_headers` of one file: its raw headers, its size, and
+    whether the walk reached the end."""
+    size = os.stat(path).st_size
     with open_volume(path, uri) as handle:
-        while raw := handle.read(HEADER_SIZE):
-            raws.append(raw)
-            if len(raw) < HEADER_SIZE or not raw.startswith(MAGIC):
-                return raws, size, False
-            (payload_len,) = _PAYLOAD_LEN.unpack_from(raw, _PAYLOAD_LEN_AT)
-            offset += HEADER_SIZE + payload_len
-            if offset > size:
-                return raws, size, False
-            handle.seek(payload_len, 1)
-    return raws, size, True
+        raws, complete = _walk_headers(handle, size)
+    return raws, size, complete
 
 
 def _unpack_headers(
-    raws: Sequence[bytes], uri: str, size: int
+    raws: Sequence[bytes],
+    uri: str,
+    size: int,
+    check: Optional[Callable[[RecordHeader, int], None]] = None,
 ) -> list[RecordHeader]:
     """Scalar-parse walked headers in file order, against the file size (the
-    metadata never promises samples a payload cannot hold). The metadata
-    pass's error oracle: the first record this rejects decides the error."""
+    metadata never promises samples a payload cannot hold), and ``check``
+    each at its offset. The metadata pass's error oracle: the first record
+    this rejects decides the error."""
     headers: list[RecordHeader] = []
     offset = 0
     for raw in raws:
@@ -335,6 +529,8 @@ def _unpack_headers(
                 uri=uri,
                 offset=offset + HEADER_SIZE,
             )
+        if check is not None:
+            check(header, offset)
         headers.append(header)
         offset = record_end
     return headers
@@ -346,7 +542,7 @@ def scan_headers(
     """Header-only scan, record by record: the cost is proportional to the
     number of records, not the number of samples."""
     uri = uri if uri is not None else str(path)
-    raws, size, _ = _walk_headers(path, uri)
+    raws, size, _ = _walk_file(path, uri)
     return _unpack_headers(raws, uri, size)
 
 
@@ -400,7 +596,7 @@ def read_files_metadata(
     for path, uri in files:
         try:
             with guard(uri, path):
-                raws, size, complete = _walk_headers(path, uri)
+                raws, size, complete = _walk_file(path, uri)
         except Exception:
             _parse_walked(walked, guard)  # an earlier file's defect is first
             raise
@@ -451,23 +647,11 @@ def _parse_walked(
     parsed = np.frombuffer(
         b"".join(chain.from_iterable(headers)), dtype=HEADER_DTYPE
     )
-    start_time = parsed["start_time"].astype(np.int64)
-    sample_rate = parsed["sample_rate"].astype(np.float64)
-    nsamples = parsed["nsamples"].astype(np.int64)
-    byte_length = parsed["payload_len"].astype(np.int64) + HEADER_SIZE
-    # last_sample_offset, vectorised: (n-1) * step in that association,
-    # rounded half to even.
-    last = np.maximum(nsamples - 1, 0)
-    with np.errstate(all="ignore"):
-        reach = np.where(last > 0, last * (1_000_000 / sample_rate), 0.0)
-        sound = (
-            (sample_rate > 0)
-            & (sample_rate < np.inf)
-            & (reach < INT64_MAX - np.maximum(start_time, 0))
-        )
-    if not (sound.all() and parsed["identifiers"].max() < 128):
+    start_time, sample_rate, nsamples, reach, sound = _header_columns(parsed)
+    if not sound.all():
         _raise_first_defect(walked, guard)
     end_time = start_time + np.rint(reach).astype(np.int64)
+    byte_length = parsed["payload_len"].astype(np.int64) + HEADER_SIZE
 
     counts = np.fromiter(map(len, headers), np.int64, len(walked))
     ends = np.cumsum(counts)

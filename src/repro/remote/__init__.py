@@ -17,7 +17,6 @@ from .repository import (
     RemoteExtractor,
     RemoteRepository,
     RemoteRepositoryStats,
-    coalesce_spans,
 )
 from .simstore import ObjectStat, SimStoreStats, SimulatedObjectStore
 from .transport import ResilientTransport, TransportPolicy, TransportStats
@@ -43,7 +42,6 @@ __all__ = [
     "SimulatedObjectStore",
     "TransportPolicy",
     "TransportStats",
-    "coalesce_spans",
     "endpoint_of",
     "interruptible_wait",
     "is_remote_uri",

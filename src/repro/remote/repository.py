@@ -65,6 +65,7 @@ from ..ingest.formats import (
     MountRequest,
     SelectiveFormatExtractor,
 )
+from ..mseed.volume import coalesce_spans
 from .simstore import SimulatedObjectStore
 from .transport import RequestScope, ResilientTransport, TransportPolicy
 from .uris import endpoint_of, parse_remote_uri, remote_uri
@@ -72,30 +73,6 @@ from .uris import endpoint_of, parse_remote_uri, remote_uri
 # Fallback coalescing gap when the profile gives no latency×bandwidth
 # product to derive one from.
 DEFAULT_COALESCE_GAP_BYTES = 64 * 1024
-
-
-def coalesce_spans(
-    spans: Sequence[tuple[int, int]], gap_bytes: int
-) -> list[tuple[int, int]]:
-    """Merge ``(start, end)`` byte ranges whose gaps are <= ``gap_bytes``.
-
-    The ranged-GET planner: each merged range costs one request's latency,
-    so a gap cheaper to stream through than to re-negotiate is absorbed.
-    Input ranges may overlap and arrive in any order.
-    """
-    if not spans:
-        return []
-    ordered = sorted((s, e) for s, e in spans if e > s)
-    if not ordered:
-        return []
-    merged: list[tuple[int, int]] = [ordered[0]]
-    for start, end in ordered[1:]:
-        last_start, last_end = merged[-1]
-        if start - last_end <= gap_bytes:
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged
 
 
 def _subtract_ranges(
@@ -628,5 +605,4 @@ __all__ = [
     "RemoteRepository",
     "RemoteRepositoryStats",
     "Staged",
-    "coalesce_spans",
 ]

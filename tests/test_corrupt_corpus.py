@@ -24,7 +24,9 @@ from repro.db.errors import (
     IngestError,
     TruncatedFileError,
 )
+from repro.db.types import format_timestamp
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
+from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import (
     HEADER_SIZE,
     FileRepository,
@@ -33,6 +35,8 @@ from repro.mseed import (
     generate_repository,
     read_file_metadata,
 )
+
+from test_record_volume import MOUNT_DEFECTS, reference_mount
 
 SPEC = RepositorySpec(
     stations=("ISK", "ANK"),
@@ -323,3 +327,44 @@ class TestWorkerEquivalence:
             serial.timings.mount_failures.uris()
             == parallel.timings.mount_failures.uris()
         )
+
+
+class TestFirstDefectThroughTheMountPath:
+    """Two defects in one file, the second in a later record: a fail-fast
+    query raises the type, URI and offset the record-at-a-time mount loop
+    raises (``reference_mount``), mounting the file whole or selecting its
+    records by byte map. (``int32 overflow`` needs records shaped for it:
+    ``tests/test_record_volume.py`` covers it with the rest.)"""
+
+    @pytest.mark.parametrize("selective", [False, True])
+    @pytest.mark.parametrize(
+        "first", sorted(set(MOUNT_DEFECTS) - {"int32 overflow"})
+    )
+    def test_first_defect_decides_the_error(self, repo, selective, first):
+        victim = repo.uris()[1]
+        path = repo.path_of(victim)
+        spans = XSeedExtractor().extract_metadata(path, victim).records.spans()
+        window = (spans[1].start_time, spans[5].end_time)
+        sql = SQL + (
+            f" WHERE D.sample_time >= '{format_timestamp(window[0])}'"
+            f" AND D.sample_time <= '{format_timestamp(window[1])}'"
+            if selective else ""
+        )
+        executor = make_executor(repo)  # metadata of the sound file
+        raw = bytearray(path.read_bytes())
+        MOUNT_DEFECTS["bad magic"](raw, spans[4].byte_offset)
+        MOUNT_DEFECTS[first](raw, spans[2].byte_offset)
+        path.write_bytes(bytes(raw))
+
+        with pytest.raises(IngestError) as expected:
+            if selective:
+                reference_mount(path, victim, window, spans)
+            else:
+                reference_mount(path, victim)
+        with pytest.raises(FileIngestError) as excinfo:
+            executor.execute(sql)
+        assert type(excinfo.value) is type(expected.value)
+        assert excinfo.value.mount_uri == victim
+        assert excinfo.value.offset == expected.value.offset
+        stats = executor.mounts.stats
+        assert (stats.selective_mounts > 0) == selective

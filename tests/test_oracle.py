@@ -401,6 +401,32 @@ def test_a_sum_of_mounted_sample_times_overflows_as_eis_does(
     assert verdicts(run(reference, [sql], tmp_path, point)) == ["Ei's error"]
 
 
+@pytest.mark.parametrize("policy", [FAIL_FAST, SKIP_AND_REPORT])
+def test_a_remote_endpoint_back_from_an_outage_is_probed_half_open(
+    policy, reference, tmp_path
+):
+    """The ``[remote]`` region reached the breaker's half-open probe by one
+    drawn example of 21 or by none; this lattice point reaches it every
+    run. The endpoint is down for the second query, whose requests open its
+    circuit; the third, once the cooldown has passed, is the probe, and it
+    answers what eager ingestion answers."""
+    sql = (
+        "SELECT F.station, COUNT(*) AS n, SUM(D.sample_value) AS s "
+        "FROM F JOIN D ON F.uri = D.uri "
+        "WHERE D.sample_time > '2010-01-10T06:00:00.000' "
+        "AND D.sample_time < '2010-01-11T18:00:00.000' "
+        "GROUP BY F.station ORDER BY F.station"
+    )
+    point = ConfigPoint(source="remote", metastore="warm", on_mount_error=policy)
+    reached = run(
+        reference, [sql] * 3, tmp_path, point,
+        FaultScript(events=(("outage", 1),)),
+    )
+    down = "typed error" if policy == FAIL_FAST else "degradation"
+    assert verdicts(reached) == ["rows", down, "rows"]
+    assert "breaker half-open probe" in reached
+
+
 @st.composite
 def wide_queries(draw):
     """Queries over W and V: DISTINCT / GROUP BY over up to all six wide

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database
-from repro.db.errors import CorruptFileError, IngestError, TruncatedFileError
-from repro.db.interval import WHOLE_FILE
+from repro.db.errors import (
+    CorruptFileError,
+    IngestError,
+    StaleFileError,
+    TruncatedFileError,
+)
+from repro.db.interval import WHOLE_FILE, overlaps
 from repro.ingest import eager_ingest, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest, extraction_guard
 from repro.ingest.xseed_format import XSeedExtractor
@@ -19,6 +24,7 @@ from repro.mseed import (
     read_file_metadata,
     read_files_metadata,
     read_records,
+    read_selected_records,
     scan_headers,
     set_volume_io_hook,
     write_volume,
@@ -26,7 +32,7 @@ from repro.mseed import (
 from repro.mseed.record import last_sample_offset, sample_time_offsets
 from repro.mseed.steim import SteimError, steim_decode
 from repro.mseed import volume as volume_module
-from repro.mseed.volume import iter_records
+from repro.mseed.volume import decode_volume, iter_records
 
 
 def make_record(seq=0, station="ISK", channel="BHE", start=0, n=100, rate=20.0):
@@ -355,15 +361,221 @@ class TestFileAtATimeMount:
         path = self.volume(tmp_path, [(100, 20.0)] * 24)
         calls = []
 
-        def counting(payloads, counts):
-            calls.append(len(payloads))
-            return steim_decode(payloads, counts)
+        def counting(data, counts, *args, **kwargs):
+            calls.append(len(counts))
+            return steim_decode(data, counts, *args, **kwargs)
 
         monkeypatch.setattr(volume_module, "steim_decode", counting)
         for name, mount in self.mounts(path).items():
             del calls[:]
             assert mount().num_rows == 2400
             assert calls == [24], name
+
+    def test_a_sound_mount_builds_no_record_header(self, tmp_path, monkeypatch):
+        """The scalar parser is the error oracle only: a mount that finds
+        nothing wrong parses every header in one vector pass."""
+        path = self.volume(tmp_path, [(100, 20.0), (0, 20.0), (37, 7.3)] * 4)
+        mounts = self.mounts(path)
+        expected = {name: mount().sample_value.tolist() for name, mount in mounts.items()}
+
+        def refused(*args, **kwargs):
+            raise AssertionError("RecordHeader.unpack on a sound mount")
+
+        monkeypatch.setattr(RecordHeader, "unpack", refused)
+        for name, mount in mounts.items():
+            assert mount().sample_value.tolist() == expected[name], name
+        spans = XSeedExtractor().extract_metadata(path, self.URI).records.spans()
+        window = (spans[5].start_time, spans[7].end_time)
+        for byte_map in (spans, None):
+            read = read_selected_records(path, window, self.URI, byte_map)
+            assert read.record_id.tolist() == [5, 6, 7]
+
+
+def reference_mount(path, uri, interval=WHOLE_FILE, spans=None):
+    """The record-at-a-time mount loops the buffer path replaced: per
+    record a header read, a scalar ``RecordHeader.unpack`` and a payload
+    read (by byte map, or walking the headers and seeking over the
+    payloads a window skips), then one decode. The oracle for the samples a
+    mount yields and for the error a defective file raises."""
+    size = path.stat().st_size
+    chosen = []
+
+    def add(offset, header, payload):
+        if len(payload) != header.payload_len:
+            raise TruncatedFileError("payload", uri=uri, offset=offset + HEADER_SIZE)
+        if header.encoding != 1:
+            raise CorruptFileError("encoding", uri=uri, offset=offset)
+        chosen.append((offset, header, payload))
+
+    with open(path, "rb") as handle:
+        for span in spans or ():
+            if not overlaps(interval, span.start_time, span.end_time):
+                continue
+            if span.byte_offset + span.byte_length > size:
+                raise TruncatedFileError("span", uri=uri, offset=span.byte_offset)
+            handle.seek(span.byte_offset)
+            raw = handle.read(span.byte_length)
+            header = RecordHeader.unpack(raw, uri=uri, offset=span.byte_offset)
+            if (
+                header.start_time != span.start_time
+                or HEADER_SIZE + header.payload_len != span.byte_length
+            ):
+                raise StaleFileError("stale", uri=uri, offset=span.byte_offset)
+            add(span.byte_offset, header, raw[HEADER_SIZE:])
+        offset = 0
+        while spans is None and (header_raw := handle.read(HEADER_SIZE)):
+            header = RecordHeader.unpack(header_raw, uri=uri, offset=offset)
+            end = offset + HEADER_SIZE + header.payload_len
+            if overlaps(interval, header.start_time, header.end_time):
+                add(offset, header, handle.read(header.payload_len))
+            elif end > size:
+                raise TruncatedFileError("skipped", uri=uri, offset=offset + HEADER_SIZE)
+            else:
+                handle.seek(header.payload_len, 1)
+            offset = end
+    try:
+        samples = steim_decode(
+            [payload for _, _, payload in chosen],
+            [header.nsamples for _, header, _ in chosen],
+        )
+    except SteimError as exc:
+        offset = chosen[exc.record][0] + HEADER_SIZE
+        raise SteimError(exc.message, uri=uri, offset=offset) from exc
+    return [offset for offset, _, _ in chosen], samples
+
+
+def _short_header(raw, offset):
+    del raw[offset + 20:]
+
+
+def _frames_not_whole(raw, offset):
+    """Ten payload bytes fewer, and a payload length that says so."""
+    length = int.from_bytes(raw[offset + 42:offset + 46], "big")
+    raw[offset + 42:offset + 46] = (length - 10).to_bytes(4, "big")
+    del raw[offset + HEADER_SIZE + length - 10:offset + HEADER_SIZE + length]
+
+
+def _xn_mismatch(raw, offset):
+    raw[offset + HEADER_SIZE + 11] ^= 0x01  # the last sample's low bit
+
+
+def _int32_overflow(raw, offset):
+    """x0 and xn lifted together so the hump in the middle of the record
+    passes the int32 limit while both constants still match."""
+    for at in (offset + HEADER_SIZE + 4, offset + HEADER_SIZE + 8):
+        word = int.from_bytes(raw[at:at + 4], "big", signed=True)
+        raw[at:at + 4] = (word + 2**31 - HUMP + 1).to_bytes(4, "big", signed=True)
+
+
+def _start_time_drifted(raw, offset):
+    """A sound record whose start moved: only a byte map notices."""
+    start = int.from_bytes(raw[offset + 20:offset + 28], "big", signed=True)
+    raw[offset + 20:offset + 28] = (start + 1).to_bytes(8, "big", signed=True)
+
+
+HUMP = 50  # the records' samples climb 0 … HUMP - 1 and come back to 0
+MOUNT_DEFECTS = {
+    "bad magic": _bad_magic,
+    "short header": _short_header,
+    "truncated payload": _cut_mid_payload,
+    "frames not whole": _frames_not_whole,
+    "unknown encoding": _unknown_encoding,
+    "NaN rate": lambda raw, offset: _nan_rate(raw, offset),
+    "xn mismatch": _xn_mismatch,
+    "int32 overflow": _int32_overflow,
+    "stale byte map": _start_time_drifted,
+}
+
+
+def damaged_volume(path, defects, records=6):
+    """``records`` records of one hump each; ``defects`` maps a record index
+    to a defect kind. Damage goes in from the far end of the file, so every
+    defect lands where the pristine record was. Returns the pristine byte
+    map."""
+    hump = np.concatenate([np.arange(HUMP), np.arange(HUMP)[::-1]])
+    write_volume(path, [
+        XSeedRecord.create(i, "KO", "ISK", "", "BHE", i * 60_000_000, 20.0, hump)
+        for i in range(records)
+    ])
+    spans = XSeedExtractor().extract_metadata(path, "v").records.spans()
+    raw = bytearray(path.read_bytes())
+    for k, kind in sorted(defects.items(), reverse=True):
+        if spans[k].byte_offset < len(raw):
+            MOUNT_DEFECTS[kind](raw, spans[k].byte_offset)
+    path.write_bytes(bytes(raw))
+    return spans
+
+
+def outcome(call):
+    try:
+        return call()
+    except IngestError as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected, label):
+    if isinstance(expected, IngestError):
+        assert isinstance(got, IngestError), (label, got)
+        assert type(got) is type(expected), (label, got, expected)
+        assert (got.uri, got.offset) == (expected.uri, expected.offset), (
+            label, got, expected,
+        )
+    else:
+        offsets, samples = expected
+        assert not isinstance(got, IngestError), (label, got)
+        assert got.samples.tolist() == samples.tolist(), label
+
+
+class TestBufferMountErrors:
+    """Whole-file, byte-map and header-walk mounts raise, for a defect in
+    record ``k`` and another one after it, the type, URI and offset the
+    record-at-a-time loops raised (:func:`reference_mount`)."""
+
+    URI = "KO/ISK/vol.xseed"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        first=st.sampled_from(sorted(MOUNT_DEFECTS)),
+        second=st.sampled_from(sorted(MOUNT_DEFECTS)),
+        k=st.integers(0, 4),
+        gap=st.integers(1, 5),
+        window=st.sampled_from([None, (0, 5), (1, 2), (3, 5)]),
+    )
+    def test_first_defect_raises_what_the_record_loop_raises(
+        self, tmp_path_factory, first, second, k, gap, window
+    ):
+        path = tmp_path_factory.mktemp("mount") / "vol.xseed"
+        defects = {k: first}
+        if k + gap < 6:
+            defects[k + gap] = second
+        spans = damaged_volume(path, defects)
+        interval = WHOLE_FILE if window is None else (
+            spans[window[0]].start_time, spans[window[1]].end_time
+        )
+        for label, byte_map in (("byte map", spans), ("header walk", None)):
+            expected = outcome(
+                lambda: reference_mount(path, self.URI, interval, byte_map)
+            )
+            got = outcome(lambda: read_selected_records(
+                path, interval, self.URI, byte_map
+            ))
+            assert_same_outcome(got, expected, label)
+        if window is None:
+            expected = outcome(lambda: reference_mount(path, self.URI))
+            got = outcome(lambda: decode_volume(path, self.URI))
+            assert_same_outcome(got, expected, "whole file")
+
+    @pytest.mark.parametrize("kind", sorted(MOUNT_DEFECTS))
+    def test_every_kind_fails_a_byte_map_mount(self, tmp_path, kind):
+        """Each defect alone fails the record loop's byte-map mount, so the
+        pairs above compare errors, not two clean reads."""
+        path = tmp_path / "vol.xseed"
+        spans = damaged_volume(path, {2: kind})
+        with pytest.raises(IngestError) as expected:
+            reference_mount(path, self.URI, WHOLE_FILE, spans)
+        with pytest.raises(IngestError) as excinfo:
+            read_selected_records(path, WHOLE_FILE, self.URI, spans)
+        assert_same_outcome(excinfo.value, expected.value, kind)
 
 
 def _non_ascii_identifier(raw, offset):

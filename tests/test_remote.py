@@ -57,6 +57,7 @@ from repro.mseed import (
     read_records,
     write_volume,
 )
+from repro.mseed.volume import coalesce_spans
 from repro.remote import simstore as simstore_module
 from repro.remote.simstore import ObjectStat, PreconditionFailed
 from repro.serve import QueryService
@@ -70,7 +71,6 @@ from repro.remote import (
     ResilientTransport,
     SimulatedObjectStore,
     TransportPolicy,
-    coalesce_spans,
     endpoint_of,
     is_remote_uri,
     parse_remote_uri,

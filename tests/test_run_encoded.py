@@ -20,7 +20,14 @@ from repro.core import MountService, TwoStageExecutor
 from repro.core.governor import QueryBudget
 from repro.db import Database
 from repro.db.catalog import Catalog
-from repro.db.column import Column, RunColumn
+from repro.db.column import (
+    Blocks,
+    Column,
+    RecordRuns,
+    RunColumn,
+    _first_sample_from,
+    sample_offset,
+)
 from repro.db.errors import QueryBudgetExceeded
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Expr, Literal, conjoin
 from repro.db.interval import WHOLE_FILE, interval_from_predicate
@@ -46,24 +53,37 @@ RATES = [0.3, 40.0, 100.0]
 # -- the references: the per-row layout before runs ----------------------------
 
 
+def selective_read(record_ids, headers, samples) -> SelectiveRead:
+    """What a mount decodes from ``headers`` (one per selected record)."""
+    return SelectiveRead(
+        np.asarray(record_ids, dtype=np.int64),
+        np.array([h.start_time for h in headers], dtype=np.int64),
+        np.array([h.sample_rate for h in headers], dtype=np.float64),
+        np.array([h.nsamples for h in headers], dtype=np.int64),
+        np.asarray(samples, dtype=np.float64),
+        0, 0,
+    )
+
+
 def reference_mounted(uri: str, read: SelectiveRead) -> ColumnBatch:
     """Every sample's ``record_id`` and ``sample_time`` filled in, record by
     record: ``start_time + round(i * (10**6 / rate))``."""
-    counts = [h.nsamples for h in read.headers]
     sample_time = np.empty(len(read.samples), dtype=np.int64)
     position = 0
-    for header in read.headers:
-        step = 1_000_000 / header.sample_rate
-        offsets = np.round(np.arange(header.nsamples) * step).astype(np.int64)
-        end = position + header.nsamples
-        np.add(offsets, header.start_time, out=sample_time[position:end])
-        position = end
-    record_id = np.repeat(np.asarray(read.record_ids, dtype=np.int64), counts)
+    for start, rate, count in zip(
+        read.start_time.tolist(), read.sample_rate.tolist(),
+        read.nsamples.tolist(),
+    ):
+        step = 1_000_000 / rate
+        offsets = np.round(np.arange(count) * step).astype(np.int64)
+        np.add(offsets, start, out=sample_time[position:position + count])
+        position += count
+    record_id = np.repeat(read.record_id, read.nsamples)
     return ColumnBatch(D_COLUMNS, [
         Column.constant(DataType.STRING, uri, len(read.samples)),
         Column(DataType.INT64, record_id),
         Column(DataType.TIMESTAMP, sample_time),
-        Column(DataType.FLOAT64, read.samples.astype(np.float64)),
+        Column(DataType.FLOAT64, read.samples),
     ])
 
 
@@ -123,7 +143,7 @@ def reads(draw, max_records: int = 4) -> SelectiveRead:
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     total = sum(h.nsamples for h in headers)
     samples = rng.integers(-1000, 1000, total).astype(np.int32)
-    return SelectiveRead(record_ids, headers, samples, 0, 0)
+    return selective_read(record_ids, headers, samples)
 
 
 def sample_times(read: SelectiveRead) -> list[int]:
@@ -184,7 +204,7 @@ def test_delivery_equals_the_per_row_reference(data):
     reference = reference_mounted("a.xseed", read)
     stored = mounted.batch.nbytes()
 
-    assert mounted.records == len(read.headers)
+    assert mounted.records == read.records_decoded
     assert rows(mounted.batch) == rows(reference)
     assert dtypes(mounted.batch) == dtypes(reference)
 
@@ -206,12 +226,11 @@ def test_delivery_equals_the_per_row_reference(data):
 
 
 def test_time_bounds_slice_runs_instead_of_materializing():
-    read = SelectiveRead(
+    read = selective_read(
         [0, 1],
         [RecordHeader(i, "KO", "ZZZ", "", "BHE", EPOCH_2010 + i * 10**7,
                       0.3, 4, 1, 0) for i in range(2)],
-        np.arange(8, dtype=np.int32),
-        0, 0,
+        np.arange(8),
     )
     batch = _mounted("a.xseed", read).batch
     # Sample 1 of record 0 sits at +3 333 333 µs: a strict bound on it.
@@ -228,6 +247,115 @@ def test_time_bounds_slice_runs_instead_of_materializing():
     assert list(time_column.runs.first) == [2, 0]
     assert list(time_column.runs.length) == [2, 1]
     assert delivered.column("d.sample_value").to_pylist() == [2.0, 3.0, 4.0]
+
+
+# -- cutting runs to a time window ------------------------------------------------
+
+
+def reference_within(runs: RecordRuns, lo: int, hi: int):
+    """``RecordRuns.within`` as a loop over every run, each run's first and
+    last times computed one at a time: the reference for the vector form."""
+    begins, kept, cut = [], [], False
+    starts: list[int] = []
+    lengths: list[int] = []
+    for offset, start, rate, first, count in zip(
+        runs.offset.tolist(), runs.start_time.tolist(),
+        runs.sample_rate.tolist(), runs.first.tolist(), runs.length.tolist(),
+    ):
+        begin, end = 0, count
+        if count:
+            head = start + sample_offset(first, rate)
+            tail = start + sample_offset(first + count - 1, rate)
+            if tail < lo or head > hi:
+                end = 0
+            else:
+                run = (start, rate, first, count)
+                if head < lo:
+                    begin = _first_sample_from(lo, *run)
+                if tail > hi:
+                    end = max(begin, _first_sample_from(hi + 1, *run))
+            cut = cut or begin > 0 or end < count
+        begins.append(begin)
+        kept.append(end - begin)
+        if end > begin:
+            if starts and starts[-1] + lengths[-1] == offset + begin:
+                lengths[-1] += end - begin
+            else:
+                starts.append(offset + begin)
+                lengths.append(end - begin)
+    if not cut:
+        return runs, None
+    length = np.array(kept, dtype=np.int64)
+    cut_runs = RecordRuns(
+        runs.uri, runs.record_id, np.cumsum(length) - length, length,
+        runs.first + np.array(begins, dtype=np.int64),
+        runs.start_time, runs.sample_rate,
+    )
+    return cut_runs, Blocks(
+        np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
+    )
+
+
+@st.composite
+def run_tables(draw):
+    """Runs of 0, 1 or many samples from a record index ``first`` on, at
+    non-integer-µs rates, starting in 2010 or so close to the int64 limit
+    that the last sample is the largest time a header allows."""
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        count = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
+        first = draw(st.integers(0, 3))
+        rate = draw(st.sampled_from(RATES))
+        reach = sample_offset(first + count - 1, rate) if count else 0
+        if draw(st.booleans()):
+            start = INT64_MAX - reach - draw(st.integers(0, 2))
+        else:
+            start = EPOCH_2010 + draw(st.integers(0, 120)) * 1_000_000
+        runs.append((count, first, start, rate))
+    count, first, start, rate = (np.array(c) for c in zip(*runs))
+    length = count.astype(np.int64)
+    return RecordRuns(
+        Column.constant(DataType.STRING, "a.xseed", len(runs)),
+        np.arange(len(runs), dtype=np.int64), np.cumsum(length) - length,
+        length, first.astype(np.int64), start.astype(np.int64),
+        rate.astype(np.float64),
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_within_equals_the_run_by_run_loop(data):
+    runs = data.draw(run_tables(), label="runs")
+    times = sorted({
+        start + sample_offset(index, rate)
+        for start, rate, first, count in zip(
+            runs.start_time.tolist(), runs.sample_rate.tolist(),
+            runs.first.tolist(), runs.length.tolist(),
+        )
+        for index in range(first, first + count)
+    }) or [EPOCH_2010]
+
+    def bound():
+        # On a sample time, one µs either side (a strict bound), or far out.
+        far = data.draw(st.sampled_from([None, None, -(2**63), INT64_MAX]))
+        if far is not None:
+            return far
+        value = data.draw(st.sampled_from(times)) + data.draw(
+            st.sampled_from([-1, 0, 1])
+        )
+        return min(max(value, -(2**63)), INT64_MAX)
+
+    lo, hi = bound(), bound()
+    got_runs, got_rows = runs.within(lo, hi)
+    want_runs, want_rows = reference_within(runs, lo, hi)
+    if want_rows is None:
+        assert got_rows is None and got_runs is runs
+        return
+    for name in ("offset", "length", "first", "record_id", "start_time"):
+        got, want = getattr(got_runs, name), getattr(want_runs, name)
+        assert got.tolist() == want.tolist(), name
+    assert got_rows.start.tolist() == want_rows.start.tolist()
+    assert got_rows.length.tolist() == want_rows.length.tolist()
 
 
 # -- unions and joins over runs --------------------------------------------------
@@ -298,9 +426,9 @@ def test_union_and_key_join_over_runs_equal_the_rows(data):
 
 
 def test_a_union_with_an_explicit_time_branch_materializes():
-    read = SelectiveRead(
+    read = selective_read(
         [0], [RecordHeader(0, "KO", "ZZZ", "", "BHE", EPOCH_2010, 40.0, 3, 1, 0)],
-        np.array([1, 2, 3], dtype=np.int32), 0, 0,
+        [1, 2, 3],
     )
     xseed = _mounted("a.xseed", read).batch
     csv = explicit_mount(

@@ -177,7 +177,7 @@ class TestAccounting:
         interval = (spans[0].start_time, spans[0].end_time)
         walked = read_selected_records(path, interval, uri=uri)
         mapped = read_selected_records(path, interval, uri=uri, spans=spans)
-        assert walked.record_ids == mapped.record_ids
+        assert walked.record_id.tolist() == mapped.record_id.tolist()
         assert walked.samples.tolist() == mapped.samples.tolist()
         # The walk pays 64 bytes per header on top of the selected payloads,
         # but far less than the whole file.
