@@ -177,10 +177,10 @@ def steim_decode(
     ``steim_decode(buffer, counts, (offsets, lengths))`` the records whose
     payloads lie in one buffer, record ``k``'s at ``offsets[k]`` for
     ``lengths[k]`` bytes, whatever lies between them (a volume's record
-    headers). Records are decoded in the
-    same numpy calls and their samples returned concatenated in order —
-    what a file mount uses, because the per-call overhead of ~40 small
-    numpy operations dwarfs the arithmetic on a 720-sample record.
+    headers). Records are decoded in the same numpy calls and their samples
+    returned concatenated in order — what a file mount uses, because the
+    per-call overhead of ~40 small numpy operations dwarfs the arithmetic
+    on a 720-sample record.
 
     Every record's frame-length rule, delta count and reverse integration
     constant are verified, and decoded samples must fit int32. Any

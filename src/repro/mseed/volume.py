@@ -164,7 +164,7 @@ def decode_volume(path: str | Path, uri: str | None = None) -> SelectiveRead:
     at, complete = _record_starts(buffer)
     starts = np.asarray(at, dtype=np.int64)
     read = (
-        _decoded(buffer, starts, starts, np.arange(len(at)), uri, len(buffer), 0)
+        _decoded(buffer, starts, np.arange(len(at)), len(buffer), 0)
         if complete else None
     )
     if read is None:
@@ -221,17 +221,18 @@ def _read_by_byte_map(
     if bytes_read == placed[-1] and all(
         s.byte_length >= HEADER_SIZE for s in chosen
     ):
-        record_id, at, offset, length, start_time = np.array(
+        record_id, at, length, start_time = np.array(
             [
                 (s.record_id, placed[r] + s.byte_offset - first[r],
-                 s.byte_offset, s.byte_length, s.start_time)
+                 s.byte_length, s.start_time)
                 for s, r in zip(chosen, where)
             ],
             dtype=np.int64,
-        ).reshape(-1, 5).T
+        ).reshape(-1, 4).T
         read = _decoded(
-            b"".join(parts), at, offset, record_id, uri, bytes_read,
-            len(spans) - len(chosen), (start_time, length),
+            b"".join(parts), at,
+            record_id.copy(),  # kept by the mounted runs: not a view
+            bytes_read, len(spans) - len(chosen), (start_time, length),
         )
         if read is not None:
             return read
@@ -276,10 +277,7 @@ def _read_by_header_walk(
     starts = np.asarray(at, dtype=np.int64)
     bytes_read = sum(map(len, raws)) + len(buffer) - HEADER_SIZE * len(at)
     read = (
-        _decoded(
-            buffer, starts, offset[chosen], chosen, uri, bytes_read,
-            len(raws) - len(chosen),
-        )
+        _decoded(buffer, starts, chosen, bytes_read, len(raws) - len(chosen))
         if whole else None
     )
     if read is None:
@@ -351,22 +349,19 @@ def _header_columns(
 def _decoded(
     buffer: bytes | bytearray,
     at: np.ndarray,
-    offset: np.ndarray,
     record_id: np.ndarray,
-    uri: str,
     bytes_read: int,
     skipped: int,
     expected: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Optional[SelectiveRead]:
-    """The records whose headers lie at positions ``at`` of ``buffer`` (at
-    ``offset`` in the file), parsed together and decoded by one kernel call
-    — or None when a check the scalar loop makes would fail: a header
+    """The records whose headers lie at positions ``at`` of ``buffer``,
+    parsed together and decoded by one kernel call — or None when a check
+    the record-at-a-time loop makes would fail: a header
     :meth:`RecordHeader.unpack` rejects, an unknown encoding, a payload
-    that is not whole frames or overruns the buffer, or, with ``expected``
-    (the byte map's start times and record lengths), a stale map. A Steim
-    defect raises, at its record's payload, as it always has. Each header
-    lies whole in the buffer, and each payload too once its length is
-    checked (against the byte map, or by the walk that found it)."""
+    that is not whole frames, with ``expected`` (the byte map's start times
+    and record lengths) a stale map, or a Steim defect. Each header lies
+    whole in the buffer, and each payload too once its length is checked
+    (against the byte map, or by the walk that found it)."""
     parsed = np.frombuffer(buffer, dtype=np.uint8)[
         at[:, None] + _HEADER_BYTES
     ].view(HEADER_DTYPE)[:, 0]
@@ -382,13 +377,8 @@ def _decoded(
         samples = steim_decode(
             buffer, nsamples, (at + HEADER_SIZE, length), dtype=np.float64
         )
-    except SteimError as exc:
-        raise SteimError(
-            exc.message,
-            uri=uri,
-            offset=int(offset[exc.record]) + HEADER_SIZE,
-            cause=exc,
-        ) from exc
+    except SteimError:
+        return None  # the oracle decodes again and names the record
     return SelectiveRead(
         record_id, start_time, sample_rate, nsamples, samples, bytes_read,
         skipped,

@@ -95,6 +95,18 @@ class TestFaultSpec:
         spec = FaultSpec(uri_suffix="a", kind=TRANSIENT_OSERROR)
         assert all(spec.covers(start, start + 64) for start in (0, 64, 10**9))
 
+    def test_forever_fires_on_every_covering_read(self, repo):
+        uri = repo.uris()[0]
+        path = repo.path_of(uri)
+        plan = FaultPlan([
+            FaultSpec(uri_suffix=uri, kind=READ_LATENCY, at_byte=0,
+                      times=-1, delay_seconds=0.0)
+        ])
+        with plan.install():
+            for _ in range(3):
+                read_records(path, uri)
+        assert [f.offset for f in plan.log] == [0, 0, 0]
+
     def test_times_counts_firings_per_uri(self, repo):
         uri = repo.uris()[0]
         path = repo.path_of(uri)

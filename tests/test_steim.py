@@ -193,6 +193,20 @@ def test_batch_equals_per_record_decodes(shapes, data):
     assert decoded.tolist() == [int(v) for r in records for v in r]
     singles = [steim_decode(p, n) for p, n in zip(payloads, counts)]
     assert decoded.tolist() == np.concatenate(singles).tolist()
+    # The same records where a volume holds them: a 64-byte header before
+    # each payload, or a gap off the frame grid.
+    gap = data.draw(st.sampled_from([64, 64, 3]))
+    buffer, offsets = bytearray(), []
+    for payload in payloads:
+        buffer += bytes(range(gap))
+        offsets.append(len(buffer))
+        buffer += payload
+    lengths = [len(p) for p in payloads]
+    in_place = steim_decode(
+        bytes(buffer), counts, (offsets, lengths), dtype=np.float64
+    )
+    assert in_place.dtype == np.float64
+    assert in_place.tolist() == decoded.tolist()
     for payload, count in zip(payloads, counts):
         assert reference_decode(payload, count) == steim_decode(
             payload, count
@@ -208,12 +222,17 @@ def test_batch_equals_per_record_decodes(shapes, data):
     bit = data.draw(st.integers(0, 8 * len(damaged) - 1))
     damaged[bit // 8] ^= 1 << (bit % 8)
     payloads[k] = bytes(damaged)
+    buffer[offsets[k]:offsets[k] + lengths[k]] = payloads[k]
     try:
         records[k] = reference_decode(payloads[k], counts[k])
     except ValueError:
-        with pytest.raises(SteimError) as excinfo:
-            steim_decode(payloads, counts)
-        assert excinfo.value.record == k
+        for call in (
+            lambda: steim_decode(payloads, counts),
+            lambda: steim_decode(bytes(buffer), counts, (offsets, lengths)),
+        ):
+            with pytest.raises(SteimError) as excinfo:
+                call()
+            assert excinfo.value.record == k
     else:
         assert steim_decode(payloads, counts).tolist() == [
             int(v) for r in records for v in r
