@@ -45,7 +45,7 @@ from ..db.errors import CorruptFileError
 
 _WORDS_PER_FRAME = 16
 _SLOTS_PER_FRAME = _WORDS_PER_FRAME - 1  # word 0 is the control word
-FRAME_BYTES = 4 * _WORDS_PER_FRAME
+_FRAME_BYTES = 4 * _WORDS_PER_FRAME
 
 _CODE_SPECIAL = 0
 _CODE_BYTE = 1
@@ -209,8 +209,8 @@ def _laid_end_to_end(
     """The payloads ``data[offsets[k]:offsets[k] + lengths[k]]``, one after
     the other: gathered a frame at a time, or a byte at a time when one is
     off the frame grid."""
-    aligned = not ((offsets | lengths) % FRAME_BYTES).any()
-    unit = FRAME_BYTES if aligned else 1
+    aligned = not ((offsets | lengths) % _FRAME_BYTES).any()
+    unit = _FRAME_BYTES if aligned else 1
     units = lengths // unit
     index = np.repeat(offsets // unit - (np.cumsum(units) - units), units)
     index += np.arange(len(index))
@@ -240,7 +240,7 @@ def _decode_records(
 ) -> np.ndarray:
     live = counts > 0  # zero-sample records hold no frames, not even x0/xn
     malformed = np.where(
-        live, (lengths % FRAME_BYTES != 0) | (lengths == 0), lengths != 0
+        live, (lengths % _FRAME_BYTES != 0) | (lengths == 0), lengths != 0
     )
     if malformed.any():
         k = int(malformed.argmax())
@@ -251,7 +251,7 @@ def _decode_records(
         else:
             message = (
                 f"payload length {lengths[k]} is not a multiple of "
-                f"{FRAME_BYTES}"
+                f"{_FRAME_BYTES}"
             )
         raise _defect(raw, lengths, counts, k, message)
     if not live.any():
@@ -259,7 +259,7 @@ def _decode_records(
 
     # All frames of all records as one (F, 16) array of big-endian words.
     frames = raw.view(">i4").reshape(-1, _WORDS_PER_FRAME)
-    nframes = lengths // FRAME_BYTES
+    nframes = lengths // _FRAME_BYTES
     first = (np.cumsum(nframes) - nframes)[live]  # each record's first frame
     codes = (raw.view(">u4")[::_WORDS_PER_FRAME, None] >> _CODE_SHIFTS) & 3
     codes[first, :2] = _CODE_SPECIAL  # the x0/xn slots, whatever they claim

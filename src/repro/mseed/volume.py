@@ -57,7 +57,7 @@ from .record import (
     RecordHeader,
     XSeedRecord,
 )
-from .steim import FRAME_BYTES, SteimError, steim_decode
+from .steim import SteimError, steim_decode
 
 
 def write_volume(path: str | Path, records: Sequence[XSeedRecord]) -> int:
@@ -357,18 +357,17 @@ def _decoded(
     """The records whose headers lie at positions ``at`` of ``buffer``,
     parsed together and decoded by one kernel call — or None when a check
     the record-at-a-time loop makes would fail: a header
-    :meth:`RecordHeader.unpack` rejects, an unknown encoding, a payload
-    that is not whole frames, with ``expected`` (the byte map's start times
-    and record lengths) a stale map, or a Steim defect. Each header lies
-    whole in the buffer, and each payload too once its length is checked
-    (against the byte map, or by the walk that found it)."""
+    :meth:`RecordHeader.unpack` rejects, an unknown encoding, with
+    ``expected`` (the byte map's start times and record lengths) a stale
+    map, or a Steim defect (a payload of broken frames among them). Each
+    header lies whole in the buffer, and each payload too once its length
+    is checked (against the byte map, or by the walk that found it)."""
     parsed = np.frombuffer(buffer, dtype=np.uint8)[
         at[:, None] + _HEADER_BYTES
     ].view(HEADER_DTYPE)[:, 0]
     start_time, sample_rate, nsamples, _, ok = _header_columns(parsed)
     length = parsed["payload_len"].astype(np.int64)
-    ok &= (parsed["encoding"] == ENCODING_STEIM1) & (length % FRAME_BYTES == 0)
-    ok &= (length > 0) == (nsamples > 0)
+    ok &= parsed["encoding"] == ENCODING_STEIM1
     if expected is not None:
         ok &= (start_time == expected[0]) & (HEADER_SIZE + length == expected[1])
     if not ok.all():

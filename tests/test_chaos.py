@@ -61,13 +61,12 @@ class TestChaosGrid:
         """A whole-file mount reads every record, so each file's fault —
         keyed by one of its record starts — fires, however few reads the
         mount makes."""
-        plans = []
+        plans, planned = [], oracle.fault_plan
 
         def kept(*args):
-            plans.append(fault_plan(*args))
+            plans.append(planned(*args))
             return plans[-1]
 
-        fault_plan = oracle.fault_plan
         monkeypatch.setattr(oracle, "fault_plan", kept)
         script = FaultScript(seed=CHAOS_SEED, rate=1.0)
         assert _cell(

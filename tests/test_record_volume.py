@@ -391,193 +391,6 @@ class TestFileAtATimeMount:
             assert read.record_id.tolist() == [5, 6, 7]
 
 
-def reference_mount(path, uri, interval=WHOLE_FILE, spans=None):
-    """The record-at-a-time mount loops the buffer path replaced: per
-    record a header read, a scalar ``RecordHeader.unpack`` and a payload
-    read (by byte map, or walking the headers and seeking over the
-    payloads a window skips), then one decode. The oracle for the samples a
-    mount yields and for the error a defective file raises."""
-    size = path.stat().st_size
-    chosen = []
-
-    def add(offset, header, payload):
-        if len(payload) != header.payload_len:
-            raise TruncatedFileError("payload", uri=uri, offset=offset + HEADER_SIZE)
-        if header.encoding != 1:
-            raise CorruptFileError("encoding", uri=uri, offset=offset)
-        chosen.append((offset, header, payload))
-
-    with open(path, "rb") as handle:
-        for span in spans or ():
-            if not overlaps(interval, span.start_time, span.end_time):
-                continue
-            if span.byte_offset + span.byte_length > size:
-                raise TruncatedFileError("span", uri=uri, offset=span.byte_offset)
-            handle.seek(span.byte_offset)
-            raw = handle.read(span.byte_length)
-            header = RecordHeader.unpack(raw, uri=uri, offset=span.byte_offset)
-            if (
-                header.start_time != span.start_time
-                or HEADER_SIZE + header.payload_len != span.byte_length
-            ):
-                raise StaleFileError("stale", uri=uri, offset=span.byte_offset)
-            add(span.byte_offset, header, raw[HEADER_SIZE:])
-        offset = 0
-        while spans is None and (header_raw := handle.read(HEADER_SIZE)):
-            header = RecordHeader.unpack(header_raw, uri=uri, offset=offset)
-            end = offset + HEADER_SIZE + header.payload_len
-            if overlaps(interval, header.start_time, header.end_time):
-                add(offset, header, handle.read(header.payload_len))
-            elif end > size:
-                raise TruncatedFileError("skipped", uri=uri, offset=offset + HEADER_SIZE)
-            else:
-                handle.seek(header.payload_len, 1)
-            offset = end
-    try:
-        samples = steim_decode(
-            [payload for _, _, payload in chosen],
-            [header.nsamples for _, header, _ in chosen],
-        )
-    except SteimError as exc:
-        offset = chosen[exc.record][0] + HEADER_SIZE
-        raise SteimError(exc.message, uri=uri, offset=offset) from exc
-    return [offset for offset, _, _ in chosen], samples
-
-
-def _short_header(raw, offset):
-    del raw[offset + 20:]
-
-
-def _frames_not_whole(raw, offset):
-    """Ten payload bytes fewer, and a payload length that says so."""
-    length = int.from_bytes(raw[offset + 42:offset + 46], "big")
-    raw[offset + 42:offset + 46] = (length - 10).to_bytes(4, "big")
-    del raw[offset + HEADER_SIZE + length - 10:offset + HEADER_SIZE + length]
-
-
-def _xn_mismatch(raw, offset):
-    raw[offset + HEADER_SIZE + 11] ^= 0x01  # the last sample's low bit
-
-
-def _int32_overflow(raw, offset):
-    """x0 and xn lifted together so the hump in the middle of the record
-    passes the int32 limit while both constants still match."""
-    for at in (offset + HEADER_SIZE + 4, offset + HEADER_SIZE + 8):
-        word = int.from_bytes(raw[at:at + 4], "big", signed=True)
-        raw[at:at + 4] = (word + 2**31 - HUMP + 1).to_bytes(4, "big", signed=True)
-
-
-def _start_time_drifted(raw, offset):
-    """A sound record whose start moved: only a byte map notices."""
-    start = int.from_bytes(raw[offset + 20:offset + 28], "big", signed=True)
-    raw[offset + 20:offset + 28] = (start + 1).to_bytes(8, "big", signed=True)
-
-
-HUMP = 50  # the records' samples climb 0 … HUMP - 1 and come back to 0
-MOUNT_DEFECTS = {
-    "bad magic": _bad_magic,
-    "short header": _short_header,
-    "truncated payload": _cut_mid_payload,
-    "frames not whole": _frames_not_whole,
-    "unknown encoding": _unknown_encoding,
-    "NaN rate": lambda raw, offset: _nan_rate(raw, offset),
-    "xn mismatch": _xn_mismatch,
-    "int32 overflow": _int32_overflow,
-    "stale byte map": _start_time_drifted,
-}
-
-
-def damaged_volume(path, defects, records=6):
-    """``records`` records of one hump each; ``defects`` maps a record index
-    to a defect kind. Damage goes in from the far end of the file, so every
-    defect lands where the pristine record was. Returns the pristine byte
-    map."""
-    hump = np.concatenate([np.arange(HUMP), np.arange(HUMP)[::-1]])
-    write_volume(path, [
-        XSeedRecord.create(i, "KO", "ISK", "", "BHE", i * 60_000_000, 20.0, hump)
-        for i in range(records)
-    ])
-    spans = XSeedExtractor().extract_metadata(path, "v").records.spans()
-    raw = bytearray(path.read_bytes())
-    for k, kind in sorted(defects.items(), reverse=True):
-        if spans[k].byte_offset < len(raw):
-            MOUNT_DEFECTS[kind](raw, spans[k].byte_offset)
-    path.write_bytes(bytes(raw))
-    return spans
-
-
-def outcome(call):
-    try:
-        return call()
-    except IngestError as exc:
-        return exc
-
-
-def assert_same_outcome(got, expected, label):
-    if isinstance(expected, IngestError):
-        assert isinstance(got, IngestError), (label, got)
-        assert type(got) is type(expected), (label, got, expected)
-        assert (got.uri, got.offset) == (expected.uri, expected.offset), (
-            label, got, expected,
-        )
-    else:
-        offsets, samples = expected
-        assert not isinstance(got, IngestError), (label, got)
-        assert got.samples.tolist() == samples.tolist(), label
-
-
-class TestBufferMountErrors:
-    """Whole-file, byte-map and header-walk mounts raise, for a defect in
-    record ``k`` and another one after it, the type, URI and offset the
-    record-at-a-time loops raised (:func:`reference_mount`)."""
-
-    URI = "KO/ISK/vol.xseed"
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        first=st.sampled_from(sorted(MOUNT_DEFECTS)),
-        second=st.sampled_from(sorted(MOUNT_DEFECTS)),
-        k=st.integers(0, 4),
-        gap=st.integers(1, 5),
-        window=st.sampled_from([None, (0, 5), (1, 2), (3, 5)]),
-    )
-    def test_first_defect_raises_what_the_record_loop_raises(
-        self, tmp_path_factory, first, second, k, gap, window
-    ):
-        path = tmp_path_factory.mktemp("mount") / "vol.xseed"
-        defects = {k: first}
-        if k + gap < 6:
-            defects[k + gap] = second
-        spans = damaged_volume(path, defects)
-        interval = WHOLE_FILE if window is None else (
-            spans[window[0]].start_time, spans[window[1]].end_time
-        )
-        for label, byte_map in (("byte map", spans), ("header walk", None)):
-            expected = outcome(
-                lambda: reference_mount(path, self.URI, interval, byte_map)
-            )
-            got = outcome(lambda: read_selected_records(
-                path, interval, self.URI, byte_map
-            ))
-            assert_same_outcome(got, expected, label)
-        if window is None:
-            expected = outcome(lambda: reference_mount(path, self.URI))
-            got = outcome(lambda: decode_volume(path, self.URI))
-            assert_same_outcome(got, expected, "whole file")
-
-    @pytest.mark.parametrize("kind", sorted(MOUNT_DEFECTS))
-    def test_every_kind_fails_a_byte_map_mount(self, tmp_path, kind):
-        """Each defect alone fails the record loop's byte-map mount, so the
-        pairs above compare errors, not two clean reads."""
-        path = tmp_path / "vol.xseed"
-        spans = damaged_volume(path, {2: kind})
-        with pytest.raises(IngestError) as expected:
-            reference_mount(path, self.URI, WHOLE_FILE, spans)
-        with pytest.raises(IngestError) as excinfo:
-            read_selected_records(path, WHOLE_FILE, self.URI, spans)
-        assert_same_outcome(excinfo.value, expected.value, kind)
-
-
 def _non_ascii_identifier(raw, offset):
     raw[offset + 11] = 0xE9  # inside the station field
 
@@ -1041,3 +854,186 @@ class TestOneParsePerPass:
             with pytest.raises(CorruptFileError, match="empty volume") as excinfo:
                 run()
             assert (excinfo.value.uri, excinfo.value.offset) == ("f2.xseed", 0)
+
+
+def reference_mount(path, uri, interval=WHOLE_FILE, spans=None):
+    """The record-at-a-time mount loops the buffer path replaced: per
+    record a header read, a scalar ``RecordHeader.unpack`` and a payload
+    read (by byte map, or walking the headers and seeking over the
+    payloads a window skips), then one decode. The oracle for the samples a
+    mount yields and for the error a defective file raises."""
+    size = path.stat().st_size
+    chosen = []
+
+    def add(offset, header, payload):
+        if len(payload) != header.payload_len:
+            raise TruncatedFileError("payload", uri=uri, offset=offset + HEADER_SIZE)
+        if header.encoding != 1:
+            raise CorruptFileError("encoding", uri=uri, offset=offset)
+        chosen.append((offset, header, payload))
+
+    with open(path, "rb") as handle:
+        for span in spans or ():
+            if not overlaps(interval, span.start_time, span.end_time):
+                continue
+            if span.byte_offset + span.byte_length > size:
+                raise TruncatedFileError("span", uri=uri, offset=span.byte_offset)
+            handle.seek(span.byte_offset)
+            raw = handle.read(span.byte_length)
+            header = RecordHeader.unpack(raw, uri=uri, offset=span.byte_offset)
+            if (
+                header.start_time != span.start_time
+                or HEADER_SIZE + header.payload_len != span.byte_length
+            ):
+                raise StaleFileError("stale", uri=uri, offset=span.byte_offset)
+            add(span.byte_offset, header, raw[HEADER_SIZE:])
+        offset = 0
+        while spans is None and (header_raw := handle.read(HEADER_SIZE)):
+            header = RecordHeader.unpack(header_raw, uri=uri, offset=offset)
+            end = offset + HEADER_SIZE + header.payload_len
+            if overlaps(interval, header.start_time, header.end_time):
+                add(offset, header, handle.read(header.payload_len))
+            elif end > size:
+                raise TruncatedFileError("skipped", uri=uri, offset=offset + HEADER_SIZE)
+            else:
+                handle.seek(header.payload_len, 1)
+            offset = end
+    try:
+        return steim_decode(
+            [payload for _, _, payload in chosen],
+            [header.nsamples for _, header, _ in chosen],
+        )
+    except SteimError as exc:
+        offset = chosen[exc.record][0] + HEADER_SIZE
+        raise SteimError(exc.message, uri=uri, offset=offset) from exc
+
+
+def _frames_not_whole(raw, offset):
+    """Ten payload bytes fewer, and a payload length that says so."""
+    length = int.from_bytes(raw[offset + 42:offset + 46], "big")
+    raw[offset + 42:offset + 46] = (length - 10).to_bytes(4, "big")
+    del raw[offset + HEADER_SIZE + length - 10:offset + HEADER_SIZE + length]
+
+
+def _xn_mismatch(raw, offset):
+    raw[offset + HEADER_SIZE + 11] ^= 0x01  # the last sample's low bit
+
+
+HUMP = 50  # the records' samples climb 0 … HUMP - 1 and come back to 0
+
+
+def _int32_overflow(raw, offset):
+    """x0 and xn lifted together so the hump in the middle of the record
+    passes the int32 limit while both constants still match."""
+    for at in (offset + HEADER_SIZE + 4, offset + HEADER_SIZE + 8):
+        word = int.from_bytes(raw[at:at + 4], "big", signed=True)
+        raw[at:at + 4] = (word + 2**31 - HUMP + 1).to_bytes(4, "big", signed=True)
+
+
+def _start_time_drifted(raw, offset):
+    """A sound record whose start moved: only a byte map notices."""
+    start = int.from_bytes(raw[offset + 20:offset + 28], "big", signed=True)
+    raw[offset + 20:offset + 28] = (start + 1).to_bytes(8, "big", signed=True)
+
+
+MOUNT_DEFECTS = {
+    "bad magic": _bad_magic,
+    "short header": _short_final_header,
+    "truncated payload": _cut_mid_payload,
+    "frames not whole": _frames_not_whole,
+    "unknown encoding": _unknown_encoding,
+    "NaN rate": _nan_rate,
+    "xn mismatch": _xn_mismatch,
+    "int32 overflow": _int32_overflow,
+    "stale byte map": _start_time_drifted,
+}
+
+
+def damaged_volume(path, defects, records=6):
+    """``records`` records of one hump each; ``defects`` maps a record index
+    to a defect kind. Damage goes in from the far end of the file, so every
+    defect lands where the pristine record was. Returns the pristine byte
+    map."""
+    hump = np.concatenate([np.arange(HUMP), np.arange(HUMP)[::-1]])
+    write_volume(path, [
+        XSeedRecord.create(i, "KO", "ISK", "", "BHE", i * 60_000_000, 20.0, hump)
+        for i in range(records)
+    ])
+    spans = XSeedExtractor().extract_metadata(path, "v").records.spans()
+    raw = bytearray(path.read_bytes())
+    for k, kind in sorted(defects.items(), reverse=True):
+        if spans[k].byte_offset < len(raw):
+            MOUNT_DEFECTS[kind](raw, spans[k].byte_offset)
+    path.write_bytes(bytes(raw))
+    return spans
+
+
+def outcome(call):
+    try:
+        return call()
+    except IngestError as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected, label):
+    if isinstance(expected, IngestError):
+        assert isinstance(got, IngestError), (label, got)
+        assert type(got) is type(expected), (label, got, expected)
+        assert (got.uri, got.offset) == (expected.uri, expected.offset), (
+            label, got, expected,
+        )
+    else:
+        assert not isinstance(got, IngestError), (label, got)
+        assert got.samples.tolist() == expected.tolist(), label
+
+
+class TestBufferMountErrors:
+    """Whole-file, byte-map and header-walk mounts raise, for a defect in
+    record ``k`` and another one after it, the type, URI and offset the
+    record-at-a-time loops raised (:func:`reference_mount`)."""
+
+    URI = "KO/ISK/vol.xseed"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        first=st.sampled_from(sorted(MOUNT_DEFECTS)),
+        second=st.sampled_from(sorted(MOUNT_DEFECTS)),
+        k=st.integers(0, 4),
+        gap=st.integers(1, 5),
+        window=st.sampled_from([None, (0, 5), (1, 2), (3, 5)]),
+    )
+    def test_first_defect_raises_what_the_record_loop_raises(
+        self, tmp_path_factory, first, second, k, gap, window
+    ):
+        path = tmp_path_factory.mktemp("mount") / "vol.xseed"
+        defects = {k: first}
+        if k + gap < 6:
+            defects[k + gap] = second
+        spans = damaged_volume(path, defects)
+        interval = WHOLE_FILE if window is None else (
+            spans[window[0]].start_time, spans[window[1]].end_time
+        )
+        for label, byte_map in (("byte map", spans), ("header walk", None)):
+            expected = outcome(
+                lambda: reference_mount(path, self.URI, interval, byte_map)
+            )
+            got = outcome(lambda: read_selected_records(
+                path, interval, self.URI, byte_map
+            ))
+            assert_same_outcome(got, expected, label)
+        if window is None:
+            expected = outcome(lambda: reference_mount(path, self.URI))
+            got = outcome(lambda: decode_volume(path, self.URI))
+            assert_same_outcome(got, expected, "whole file")
+
+    @pytest.mark.parametrize("kind", sorted(MOUNT_DEFECTS))
+    def test_every_kind_fails_a_byte_map_mount(self, tmp_path, kind):
+        """Each defect alone fails the record loop's byte-map mount, so the
+        pairs above compare errors, not two clean reads."""
+        path = tmp_path / "vol.xseed"
+        spans = damaged_volume(path, {2: kind})
+        with pytest.raises(IngestError) as expected:
+            reference_mount(path, self.URI, WHOLE_FILE, spans)
+        with pytest.raises(IngestError) as excinfo:
+            read_selected_records(path, WHOLE_FILE, self.URI, spans)
+        assert_same_outcome(excinfo.value, expected.value, kind)
