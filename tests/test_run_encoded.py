@@ -253,8 +253,9 @@ def test_time_bounds_slice_runs_instead_of_materializing():
 
 
 def reference_within(runs: RecordRuns, lo: int, hi: int):
-    """``RecordRuns.within`` as a loop over every run, each run's first and
-    last times computed one at a time: the reference for the vector form."""
+    """``RecordRuns.within`` as it was: a loop over every run, each run's
+    first and last times computed one at a time. The reference for the
+    form that computes them all with one ``sample_offsets`` call."""
     begins, kept, cut = [], [], False
     starts: list[int] = []
     lengths: list[int] = []
