@@ -35,7 +35,7 @@ def sample_offsets(index: Any, sample_rate: Any) -> np.ndarray:
     computed with it: a record's ``end_time``, its materialized sample
     times and a run's slice bounds all agree to the µs.
     """
-    return np.round(index * (1_000_000 / sample_rate)).astype(np.int64)
+    return np.rint(index * (1_000_000 / sample_rate)).astype(np.int64)
 
 
 def sample_offset(index: int, sample_rate: float) -> int:
@@ -416,7 +416,7 @@ class RecordRuns:
         first, count = self.first, self.length
         heads, tails = (
             self.start_time
-            + sample_offsets(np.stack([first, first + count - 1]), self.sample_rate)
+            + sample_offsets(np.array((first, first + count - 1)), self.sample_rate)
         ).tolist()
         counts = count.tolist()
         if all(
