@@ -414,9 +414,13 @@ class RecordRuns:
         ``start + sample_offset(index, rate)``.
         """
         first, count = self.first, self.length
+        # An empty run's times are never compared; take index 0 for it, so
+        # that no offset it could not hold is computed.
+        live = count > 0
+        index = np.where(live, first, 0)
+        bounds = np.array((index, index + count - live))
         heads, tails = (
-            self.start_time
-            + sample_offsets(np.array((first, first + count - 1)), self.sample_rate)
+            self.start_time + sample_offsets(bounds, self.sample_rate)
         ).tolist()
         counts = count.tolist()
         if all(

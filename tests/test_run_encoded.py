@@ -300,13 +300,17 @@ def reference_within(runs: RecordRuns, lo: int, hi: int):
 @st.composite
 def run_tables(draw):
     """Runs of 0, 1 or many samples from a record index ``first`` on, at
-    non-integer-µs rates, starting in 2010 or so close to the int64 limit
-    that the last sample is the largest time a header allows."""
+    non-integer-µs rates — or, for a one-sample record or what a cut left
+    of it, a rate whose step is past int64 µs — starting in 2010 or so
+    close to the int64 limit that the last sample is the largest time a
+    header allows."""
     runs = []
     for _ in range(draw(st.integers(1, 6))):
         count = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
         first = draw(st.integers(0, 3))
-        rate = draw(st.sampled_from(RATES))
+        rate = draw(st.sampled_from(RATES + [1e-13]))
+        if rate == 1e-13:  # legal for a record of one sample at most
+            count, first = min(count, 1), draw(st.integers(0, 1 - min(count, 1)))
         reach = sample_offset(first + count - 1, rate) if count else 0
         if draw(st.booleans()):
             start = INT64_MAX - reach - draw(st.integers(0, 2))
