@@ -203,6 +203,7 @@ def read_selected_records(
 def _read_by_byte_map(
     path: Path, interval: Interval, uri: str, spans: Sequence
 ) -> SelectiveRead:
+    size = path.stat().st_size
     chosen = [s for s in spans if overlaps(interval, s.start_time, s.end_time)]
     ranges = coalesce_spans(
         [(s.byte_offset, s.byte_offset + s.byte_length) for s in chosen], 0
@@ -211,13 +212,13 @@ def _read_by_byte_map(
     with open_volume(path, uri) as handle:
         for lo, hi in ranges:
             handle.seek(lo)
-            parts.append(handle.read(hi - lo))
+            # Never past the end of the file, whatever a stale map claims.
+            parts.append(handle.read(max(0, min(hi, size) - lo)))
     # Each record's range, and where the ranges lie read end to end.
     first = [lo for lo, _ in ranges]
     placed = list(accumulate((hi - lo for lo, hi in ranges), initial=0))
     where = [bisect_right(first, s.byte_offset) - 1 for s in chosen]
     bytes_read = sum(map(len, parts))
-    # Every range read whole: every record lies inside the file.
     if bytes_read == placed[-1] and all(
         s.byte_length >= HEADER_SIZE for s in chosen
     ):
@@ -241,7 +242,7 @@ def _read_by_byte_map(
             (s.byte_offset, parts[r][s.byte_offset - first[r]:][: s.byte_length])
             for s, r in zip(chosen, where)
         ],
-        uri, chosen, path.stat().st_size,
+        uri, chosen, size,
     )
 
 

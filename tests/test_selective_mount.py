@@ -227,6 +227,26 @@ class TestStaleByteMap:
                 path, (last.start_time, last.end_time), uri=uri, spans=spans
             )
 
+    def test_a_span_claiming_terabytes_is_not_read(self, dense_repo):
+        """A stale length far past the end of the file fails on the file
+        size: the read of its range stops at the end of the file."""
+        uri = dense_repo.uris()[0]
+        path = dense_repo.path_of(uri)
+        spans = list(self._spans(dense_repo, uri))
+        bad = spans[1]
+        spans[1] = RecordSpan(
+            record_id=bad.record_id,
+            byte_offset=bad.byte_offset,
+            byte_length=10**13,
+            start_time=bad.start_time,
+            end_time=bad.end_time,
+        )
+        with pytest.raises(TruncatedFileError) as excinfo:
+            read_selected_records(
+                path, (spans[0].start_time, bad.end_time), uri=uri, spans=spans
+            )
+        assert excinfo.value.offset == bad.byte_offset
+
     def test_service_surfaces_stale_map_with_uri(self, dense_repo):
         """A stale map through the whole mount path names the file."""
         uri = dense_repo.uris()[0]
