@@ -15,12 +15,13 @@ from ..ingest.schema import FILE_TABLE
 class StatisticsIndex:
     """``index()`` → the current :class:`~repro.db.stats.StatisticsCatalog`.
 
-    Collecting statistics walks every row of ``F``, so the snapshot is kept
-    until ``F``'s batch object changes: lazy metadata ingestion replaces it
-    (together with the other metadata batches), and identity tracks "has the
-    metadata changed" without a version counter. One instance may serve
-    concurrent queries — the query service shares one across its per-query
-    executors, which would otherwise each start with an empty memo.
+    Collecting statistics reads ``F``'s columns and indexes its URIs, so
+    the snapshot is kept until ``F``'s batch object changes: lazy metadata
+    ingestion replaces it (together with the other metadata batches), and
+    identity tracks "has the metadata changed" without a version counter.
+    One instance may serve concurrent queries — the query service shares
+    one across its per-query executors, which would otherwise each start
+    with an empty memo.
     """
 
     def __init__(self, db: Database) -> None:

@@ -22,8 +22,11 @@ enough to run at compile time on every query.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .catalog import Catalog
 from .expr import BoolOp, Comparison, Expr, conjuncts
@@ -69,6 +72,44 @@ class FileStatistics:
         return (self.start_time, self.end_time)
 
 
+_COUNTS = ("nrecords", "nsamples", "size_bytes")
+
+
+class FileStatisticsColumns(Mapping[str, FileStatistics]):
+    """Per-file statistics kept as ``F``'s columns: URI → row, and one
+    int64 array per statistic. A :class:`FileStatistics` is built the first
+    time its URI is looked up, and kept: a snapshot serves every query of an
+    executor, and a query may look up every file of interest."""
+
+    def __init__(
+        self, uris: list[str], columns: dict[str, np.ndarray]
+    ) -> None:
+        self._rows = {uri: k for k, uri in enumerate(uris)}
+        self._columns = tuple(
+            columns[name] for name in ("start_time", "end_time", *_COUNTS)
+        )
+        # Filled under the GIL: two threads racing on one URI build equal
+        # values, and either may stay.
+        self._built: dict[str, FileStatistics] = {}
+
+    def __getitem__(self, uri: str) -> FileStatistics:
+        stats = self._built.get(uri)
+        if stats is None:
+            k = self._rows[uri]
+            stats = FileStatistics(uri, *(int(c[k]) for c in self._columns))
+            self._built[uri] = stats
+        return stats
+
+    def __contains__(self, uri: object) -> bool:
+        return uri in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass
 class StatisticsCatalog:
     """A snapshot of table cardinalities and per-file statistics.
@@ -79,7 +120,7 @@ class StatisticsCatalog:
     """
 
     table_rows: dict[str, int] = field(default_factory=dict)
-    files: dict[str, FileStatistics] = field(default_factory=dict)
+    files: Mapping[str, FileStatistics] = field(default_factory=dict)
     default_rows: int = DEFAULT_TABLE_ROWS
 
     # -- per-file lookups -------------------------------------------------------
@@ -178,21 +219,11 @@ def collect_statistics(
     if any(name not in batch.names for name in required):
         return stats
     uris = batch.column("uri").to_pylist()
-    starts = batch.column("start_time").to_pylist()
-    ends = batch.column("end_time").to_pylist()
-    counts = [
-        batch.column(name).to_pylist()
+    columns = {
+        name: batch.column(name).values
         if name in batch.names
-        else [0] * len(uris)
-        for name in ("nrecords", "nsamples", "size_bytes")
-    ]
-    for uri, start, end, nrec, nsamp, size in zip(uris, starts, ends, *counts):
-        stats.files[uri] = FileStatistics(
-            uri=uri,
-            start_time=int(start),
-            end_time=int(end),
-            nrecords=int(nrec),
-            nsamples=int(nsamp),
-            size_bytes=int(size),
-        )
+        else np.zeros(len(uris), dtype=np.int64)
+        for name in ("start_time", "end_time", *_COUNTS)
+    }
+    stats.files = FileStatisticsColumns(uris, columns)
     return stats

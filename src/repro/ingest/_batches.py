@@ -1,4 +1,5 @@
-"""Internal helpers turning extracted rows into column batches."""
+"""Internal helpers turning extracted metadata and mounts into column
+batches."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import numpy as np
 from ..db.column import Column, RecordRuns, RunColumn, StringDictionary
 from ..db.table import ColumnBatch, concat_batches
 from ..db.types import DataType
-from .formats import FileMetaRow, MountedFile, RecordColumns
+from ..mseed.volume import FILE_COLUMNS, RECORD_COLUMNS, MetadataBlock
+from .formats import MountedFile
 
 
 def _string_column(values: Sequence[str]) -> Column:
@@ -18,61 +20,40 @@ def _string_column(values: Sequence[str]) -> Column:
     return Column(DataType.STRING, codes, dictionary)
 
 
-def file_rows_batch(rows: Sequence[FileMetaRow]) -> ColumnBatch:
-    return ColumnBatch(
-        [
-            "uri", "network", "station", "location", "channel",
-            "start_time", "end_time", "nrecords", "nsamples", "size_bytes",
-        ],
-        [
-            _string_column([r.uri for r in rows]),
-            _string_column([r.network for r in rows]),
-            _string_column([r.station for r in rows]),
-            _string_column([r.location for r in rows]),
-            _string_column([r.channel for r in rows]),
-            Column(DataType.TIMESTAMP,
-                   np.asarray([r.start_time for r in rows], dtype=np.int64)),
-            Column(DataType.TIMESTAMP,
-                   np.asarray([r.end_time for r in rows], dtype=np.int64)),
-            Column(DataType.INT64,
-                   np.asarray([r.nrecords for r in rows], dtype=np.int64)),
-            Column(DataType.INT64,
-                   np.asarray([r.nsamples for r in rows], dtype=np.int64)),
-            Column(DataType.INT64,
-                   np.asarray([r.size_bytes for r in rows], dtype=np.int64)),
-        ],
-    )
-
-
-def record_rows_batch(
-    uris: Sequence[str], parts: Sequence[RecordColumns]
-) -> ColumnBatch:
-    """``R`` from per-file column sets, ``parts[i]`` describing ``uris[i]``:
-    one dictionary code per file, repeated over its records, and a
-    ``record_id`` counting from zero within each file."""
-    counts = np.fromiter(map(len, parts), np.int64, len(parts))
+def metadata_batches(block: MetadataBlock) -> tuple[ColumnBatch, ColumnBatch]:
+    """``F`` and ``R`` from a block's columns. ``F.uri`` and ``R.uri`` have
+    a dictionary each; ``R.uri`` repeats each file's code over its records,
+    and ``R.record_id`` counts from zero within each file."""
+    files, records = block.files, block.records
+    counts = files["nrecords"]
     dictionary = StringDictionary()
-    codes = np.repeat(dictionary.encode(uris), counts)
+    codes = np.repeat(dictionary.encode(files["uri"]), counts)
     first_row = np.repeat(np.cumsum(counts) - counts, counts)
-
-    def stacked(name: str, dtype: type) -> np.ndarray:
-        arrays = [getattr(part, name) for part in parts]
-        return np.concatenate(arrays) if arrays else np.empty(0, dtype)
-
-    return ColumnBatch(
-        ["uri", "record_id", "start_time", "end_time", "sample_rate",
-         "nsamples", "byte_offset", "byte_length"],
+    file_batch = ColumnBatch(
+        list(FILE_COLUMNS),
+        [_string_column(files[name]) for name in FILE_COLUMNS[:5]]
+        + [Column(dtype, files[name]) for name, dtype in _FILE_NUMBERS],
+    )
+    record_batch = ColumnBatch(
+        ["uri", "record_id", *RECORD_COLUMNS],
         [
             Column(DataType.STRING, codes, dictionary),
             Column(DataType.INT64, np.arange(len(codes)) - first_row),
-            Column(DataType.TIMESTAMP, stacked("start_time", np.int64)),
-            Column(DataType.TIMESTAMP, stacked("end_time", np.int64)),
-            Column(DataType.FLOAT64, stacked("sample_rate", np.float64)),
-            Column(DataType.INT64, stacked("nsamples", np.int64)),
-            Column(DataType.INT64, stacked("byte_offset", np.int64)),
-            Column(DataType.INT64, stacked("byte_length", np.int64)),
-        ],
+        ]
+        + [Column(dtype, records[name]) for name, dtype in _RECORD_TYPES],
     )
+    return file_batch, record_batch
+
+
+_FILE_NUMBERS = tuple(
+    zip(FILE_COLUMNS[5:], [DataType.TIMESTAMP] * 2 + [DataType.INT64] * 3)
+)
+_RECORD_TYPES = tuple(
+    zip(
+        RECORD_COLUMNS,
+        [DataType.TIMESTAMP] * 2 + [DataType.FLOAT64] + [DataType.INT64] * 3,
+    )
+)
 
 
 _D_COLUMNS = ("uri", "record_id", "sample_time", "sample_value")

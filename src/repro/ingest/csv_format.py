@@ -17,6 +17,7 @@ one record per file (record_id 0).
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ def write_csv_timeseries(
             handle.write(f"{int(t)},{float(v)!r}\n")
 
 
-def _parse_header(path: Path) -> dict[str, str]:
+def _parse_header(path: str | Path) -> dict[str, str]:
     fields: dict[str, str] = {}
     with open(path, "r") as handle:
         for line in handle:
@@ -89,7 +90,9 @@ class CsvExtractor:
     format_name = "csv-timeseries"
     suffix = SUFFIX
 
-    def extract_metadata(self, path: Path, uri: str) -> ExtractedMetadata:
+    def extract_metadata(
+        self, path: str | Path, uri: str
+    ) -> ExtractedMetadata:
         with extraction_guard(uri, path):
             fields = _parse_header(path)
             start_time = int(fields["start_time"])
@@ -106,7 +109,7 @@ class CsvExtractor:
             end_time=end_time,
             nrecords=1,
             nsamples=nsamples,
-            size_bytes=path.stat().st_size,
+            size_bytes=os.stat(path).st_size,
         )
         records = RecordColumns(
             start_time=np.array([start_time], dtype=np.int64),
@@ -118,7 +121,7 @@ class CsvExtractor:
         )
         return ExtractedMetadata(file_row, records)
 
-    def mount(self, path: Path, uri: str) -> MountedFile:
+    def mount(self, path: str | Path, uri: str) -> MountedFile:
         with extraction_guard(uri, path):
             fields = _parse_header(path)
             nsamples = int(fields["nsamples"])

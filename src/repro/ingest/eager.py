@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..db.database import Database
 from ..mseed.repository import FileRepository
-from ._batches import file_rows_batch, mounted_files_batch, record_rows_batch
+from ._batches import metadata_batches, mounted_files_batch
 from .formats import FormatRegistry, default_registry
 from .lazy import metadata_pass
 from .schema import ACTUAL_TABLE, FILE_TABLE, RECORD_TABLE, ensure_schema
@@ -55,14 +55,12 @@ def eager_ingest(
 
     # The metadata half is ALi's pass; every file is then mounted through
     # the extractor that read its headers.
-    sources, extracted = metadata_pass(repository, registry, repository.uris())
-    file_rows = [metadata.file_row for metadata in extracted]
-    record_parts = [metadata.records for metadata in extracted]
+    sources, block = metadata_pass(repository, registry)
     mounted = [extractor.mount(path, uri) for path, uri, extractor in sources]
 
-    db.catalog.table(FILE_TABLE).append(file_rows_batch(file_rows))
-    records = record_rows_batch([row.uri for row in file_rows], record_parts)
-    db.catalog.table(RECORD_TABLE).append(records)
+    file_batch, record_batch = metadata_batches(block)
+    db.catalog.table(FILE_TABLE).append(file_batch)
+    db.catalog.table(RECORD_TABLE).append(record_batch)
     db.catalog.table(ACTUAL_TABLE).append(mounted_files_batch(mounted))
     load_seconds = time.perf_counter() - started
 
@@ -72,8 +70,8 @@ def eager_ingest(
             index_seconds += db.build_key_indexes(table)
 
     return EagerLoadReport(
-        files=len(file_rows),
-        records=records.num_rows,
+        files=file_batch.num_rows,
+        records=record_batch.num_rows,
         samples=sum(m.num_rows for m in mounted),
         load_seconds=load_seconds,
         index_seconds=index_seconds,

@@ -22,9 +22,11 @@ implement it fall back to :meth:`~FormatExtractor.mount` transparently.
 
 Extractors may likewise implement **batched metadata extraction**
 (``extract_metadata_many``): the metadata pass hands a run of consecutive
-files of one extractor over in one call, so a format whose headers parse
-columnar can parse a whole run at once. Formats that do not implement it are
-asked file by file.
+files of one extractor over in one call and gets their ``F`` and ``R``
+columns back as one :class:`~repro.mseed.volume.MetadataBlock`, so a format
+whose headers parse columnar never builds a per-file object. Formats that do
+not implement it are asked file by file, and a run's answers are stacked
+into one block (:func:`views_block`).
 
 The :class:`FormatRegistry` resolves a file's extractor by suffix, so one
 repository may mix formats.
@@ -32,10 +34,11 @@ repository may mix formats.
 
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -43,6 +46,7 @@ import numpy as np
 from ..db.errors import CorruptFileError, FileIngestError, IngestError
 from ..db.interval import WHOLE_FILE, Interval, is_empty, overlaps
 from ..db.table import ColumnBatch
+from ..mseed.volume import FILE_COLUMNS, RECORD_COLUMNS, MetadataBlock
 
 
 @contextmanager
@@ -130,6 +134,34 @@ class ExtractedMetadata:
 
     file_row: FileMetaRow
     records: RecordColumns
+
+    @classmethod
+    def of(cls, block: MetadataBlock, k: int) -> "ExtractedMetadata":
+        """File ``k`` of ``block``, as a per-file view of its columns."""
+        meta, records = block[k]
+        return cls(
+            FileMetaRow(uri=block.files["uri"][k], **vars(meta)),
+            RecordColumns(**records),
+        )
+
+
+def views_block(views: Sequence[ExtractedMetadata]) -> MetadataBlock:
+    """One or more files' per-file views, in order, as one block. A view is
+    anything with a ``file_row`` and its ``records``: what a per-file
+    extractor answers, or a file's state in the metastore."""
+    rows = [view.file_row for view in views]
+    files: dict[str, list[str] | np.ndarray] = {
+        name: [getattr(row, name) for row in rows] for name in FILE_COLUMNS[:5]
+    }
+    files |= {
+        name: np.array([getattr(row, name) for row in rows], dtype=np.int64)
+        for name in FILE_COLUMNS[5:]
+    }
+    records = {
+        name: np.concatenate([getattr(view.records, name) for view in views])
+        for name in RECORD_COLUMNS
+    }
+    return MetadataBlock(files, records)
 
 
 @dataclass(frozen=True)
@@ -237,11 +269,13 @@ class FormatExtractor(Protocol):
     format_name: str
     suffix: str
 
-    def extract_metadata(self, path: Path, uri: str) -> ExtractedMetadata:
+    def extract_metadata(
+        self, path: str | Path, uri: str
+    ) -> ExtractedMetadata:
         """Header-only metadata extraction (must not decode actual data)."""
         ...
 
-    def mount(self, path: Path, uri: str) -> MountedFile:
+    def mount(self, path: str | Path, uri: str) -> MountedFile:
         """Full extraction of the file's actual data."""
         ...
 
@@ -270,9 +304,10 @@ class BatchFormatExtractor(FormatExtractor, Protocol):
     """A format extractor that can extract many files' metadata at once."""
 
     def extract_metadata_many(
-        self, files: Sequence[tuple[Path, str]]
-    ) -> list[ExtractedMetadata]:
-        """:meth:`extract_metadata` of each ``(path, uri)``, in order.
+        self, files: Sequence[tuple[str | Path, str]]
+    ) -> MetadataBlock:
+        """What :meth:`extract_metadata` reads of each ``(path, uri)``, as
+        one block of the files in order.
 
         Must read each file exactly as the one-file call does and raise what
         a file-by-file loop would: the first defective file's error.
@@ -293,9 +328,7 @@ class FormatRegistry:
         self._by_suffix[suffix] = extractor
 
     def for_path(self, path: str | Path) -> FormatExtractor:
-        if not isinstance(path, PurePath):
-            path = PurePath(path)
-        suffix = path.suffix.lower()
+        suffix = path_suffix(os.fspath(path)).lower()
         extractor = self._by_suffix.get(suffix)
         if extractor is None:
             raise IngestError(
@@ -306,6 +339,16 @@ class FormatRegistry:
 
     def known_suffixes(self) -> list[str]:
         return sorted(self._by_suffix)
+
+
+def path_suffix(path: str) -> str:
+    """``PurePath(path).suffix``, without building the ``PurePath``: the
+    last name's final ``.``-part, unless the dot leads or ends the name."""
+    name = path.rstrip(os.sep).rpartition(os.sep)[2]
+    if os.altsep:
+        name = name.rpartition(os.altsep)[2]
+    dot = name.rfind(".")
+    return name[dot:] if 0 < dot < len(name) - 1 else ""
 
 
 def default_registry() -> FormatRegistry:

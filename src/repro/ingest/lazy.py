@@ -26,18 +26,20 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
-from ..core.metastore import MetadataStore, StoredFileState
+from ..core.metastore import MetadataStore
 from ..db.database import Database
 from ..mseed.repository import FileRepository
-from ._batches import file_rows_batch, record_rows_batch
+from ..mseed.volume import MetadataBlock
+from ._batches import metadata_batches
 from .formats import (
     BatchFormatExtractor,
     ExtractedMetadata,
     FormatExtractor,
     FormatRegistry,
     default_registry,
+    views_block,
 )
 from .schema import FILE_TABLE, RECORD_TABLE, ensure_schema
 
@@ -52,6 +54,9 @@ class LazyLoadReport:
     load_seconds: float
     metadata_bytes: int  # in-database size of F and R ("ALi" column)
     files_reused: int = 0  # files served from the metastore (no header walk)
+
+
+Source = tuple[str | Path, str, FormatExtractor]
 
 
 def _observe(repository: FileRepository) -> dict[str, tuple[int, int]]:
@@ -72,25 +77,30 @@ def _observe(repository: FileRepository) -> dict[str, tuple[int, int]]:
 
 
 def metadata_pass(
-    repository: FileRepository, registry: FormatRegistry, uris: Sequence[str]
-) -> tuple[list[tuple[Path, str, FormatExtractor]], list[ExtractedMetadata]]:
-    """The header-only pass over ``uris``: each one's ``(path, uri,
-    extractor)`` and what that extractor read of it, both in the order given.
+    repository: FileRepository,
+    registry: FormatRegistry,
+    located: Iterable[tuple[str, str | Path]] | None = None,
+) -> tuple[list[Source], MetadataBlock]:
+    """The header-only pass over ``located`` — ``(uri, path)`` pairs, by
+    default every file as one listing of the repository located it
+    (:meth:`~repro.mseed.repository.FileRepository.locate`): each file's
+    ``(path, uri, extractor)``, and what the extractors read of the files as
+    one block, both in the order given.
 
-    URIs are resolved first — that reads nothing — and maximal runs of
-    consecutive files with the same extractor are then extracted in one
-    ``extract_metadata_many`` call when the extractor has one, file by file
-    when not. The first defective file in the order given decides the error:
-    a URI that does not resolve waits for the files before it.
+    Files are located and dispatched first — that reads nothing — and
+    maximal runs of consecutive files with the same extractor are then
+    extracted in one ``extract_metadata_many`` call when the extractor has
+    one, file by file (their views stacked into a block) when not. The
+    first defective file in the order given decides the error: a URI that
+    does not resolve waits for the files before it.
     """
+    if located is None:
+        located = repository.locate()
     extractor_for = getattr(repository, "extractor_for", None)
-    sources: list[tuple[Path, str, FormatExtractor]] = []
+    sources: list[Source] = []
     unresolved: Exception | None = None
     try:
-        for uri in uris:
-            # Only a file about to be read needs its path (for a remote one,
-            # its staging directory).
-            path = repository.path_of(uri)
+        for uri, path in located:
             if extractor_for is not None:
                 extractor = extractor_for(path, uri, registry)
             else:
@@ -98,19 +108,57 @@ def metadata_pass(
             sources.append((path, uri, extractor))
     except Exception as exc:
         unresolved = exc
-    extracted: list[ExtractedMetadata] = []
+    blocks: list[MetadataBlock] = []
     for extractor, run in groupby(sources, key=itemgetter(2)):
+        files = [(path, uri) for path, uri, _ in run]
         if isinstance(extractor, BatchFormatExtractor):
-            extracted += extractor.extract_metadata_many(
-                [(path, uri) for path, uri, _ in run]
-            )
+            blocks.append(extractor.extract_metadata_many(files))
         else:
-            extracted += [
-                extractor.extract_metadata(path, uri) for path, uri, _ in run
-            ]
+            blocks.append(views_block(
+                [extractor.extract_metadata(path, uri) for path, uri in files]
+            ))
     if unresolved is not None:
         raise unresolved
-    return sources, extracted
+    return sources, MetadataBlock.stack(blocks)
+
+
+def _incremental_pass(
+    repository: FileRepository,
+    registry: FormatRegistry,
+    metastore: MetadataStore,
+) -> tuple[MetadataBlock, int]:
+    """The pass with a store: every file observed in one go, the files whose
+    signature still matches taken from the store, the rest extracted and
+    recorded. Returns the block of every listed file, in listing order, and
+    how many came from the store."""
+    observed = _observe(repository)
+    stored = {}
+    for uri, signature in observed.items():
+        state = metastore.lookup(uri, signature)
+        if state is not None:
+            stored[uri] = state
+    fresh = [uri for uri in observed if uri not in stored]
+    _, extracted = metadata_pass(
+        repository, registry, ((uri, repository.path_of(uri)) for uri in fresh)
+    )
+    for k, uri in enumerate(fresh):
+        # Should the file have changed since it was observed, the store signs
+        # the newer bytes' rows with the older signature, which the next
+        # session finds stale and extracts again.
+        kept = ExtractedMetadata.of(extracted, k)
+        metastore.record(uri, observed[uri], kept.file_row, kept.records)
+    # Listing order: each run of fresh files is a slice of the extracted
+    # block, each run of stored ones a block of their stored views.
+    parts: list[MetadataBlock] = []
+    at = 0
+    for reused, run in groupby(observed, key=stored.__contains__):
+        if reused:
+            parts.append(views_block([stored[uri] for uri in run]))
+        else:
+            count = sum(1 for _ in run)
+            parts.append(extracted[at : at + count])
+            at += count
+    return MetadataBlock.stack(parts), len(stored)
 
 
 def lazy_ingest_metadata(
@@ -124,48 +172,26 @@ def lazy_ingest_metadata(
     ensure_schema(db)
     started = time.perf_counter()
 
-    # What each file's rows are loaded from: the store's state or a fresh
-    # extraction, which carry the same two fields.
-    loaded: dict[str, StoredFileState | ExtractedMetadata] = {}
-    if metastore is not None:
-        # The store's reuse is gated on every file's signature as observed
-        # now, in one go.
-        observed = _observe(repository)
-        uris = list(observed)
-        for uri in uris:
-            stored = metastore.lookup(uri, observed[uri])
-            if stored is not None:
-                loaded[uri] = stored
+    if metastore is None:
+        _, block = metadata_pass(repository, registry)
+        files_reused = 0
     else:
-        uris = repository.uris()
-    files_reused = len(loaded)
-    fresh = [uri for uri in uris if uri not in loaded]
-    _, extracted = metadata_pass(repository, registry, fresh)
-    for uri, metadata in zip(fresh, extracted):
-        loaded[uri] = metadata
-        if metastore is not None:
-            # Should the file have changed since it was observed, the store
-            # signs the newer bytes' rows with the older signature, which
-            # the next session finds stale and extracts again.
-            metastore.record(
-                uri, observed[uri], metadata.file_row, metadata.records
-            )
-    file_rows = [loaded[uri].file_row for uri in uris]
-    record_parts = [loaded[uri].records for uri in uris]
-
-    db.catalog.table(FILE_TABLE).append(file_rows_batch(file_rows))
-    records = record_rows_batch([row.uri for row in file_rows], record_parts)
-    db.catalog.table(RECORD_TABLE).append(records)
+        block, files_reused = _incremental_pass(
+            repository, registry, metastore
+        )
+    file_batch, record_batch = metadata_batches(block)
+    db.catalog.table(FILE_TABLE).append(file_batch)
+    db.catalog.table(RECORD_TABLE).append(record_batch)
     load_seconds = time.perf_counter() - started
 
     if metastore is not None:
         metastore.record_table_rows(
             {
-                FILE_TABLE.lower(): len(file_rows),
-                RECORD_TABLE.lower(): records.num_rows,
+                FILE_TABLE.lower(): file_batch.num_rows,
+                RECORD_TABLE.lower(): record_batch.num_rows,
             }
         )
-        metastore.retain(uris)
+        metastore.retain(block.files["uri"])
         if metastore.dirty:
             metastore.save()
 
@@ -174,9 +200,9 @@ def lazy_ingest_metadata(
         + db.catalog.table(RECORD_TABLE).nbytes()
     )
     return LazyLoadReport(
-        files=len(file_rows),
-        records=records.num_rows,
-        samples=sum(r.nsamples for r in file_rows),
+        files=file_batch.num_rows,
+        records=record_batch.num_rows,
+        samples=int(block.files["nsamples"].sum()),
         load_seconds=load_seconds,
         metadata_bytes=metadata_bytes,
         files_reused=files_reused,

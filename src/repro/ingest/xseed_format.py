@@ -7,6 +7,7 @@ from typing import Sequence
 
 from ..db.column import RecordRuns
 from ..mseed.volume import (
+    MetadataBlock,
     SelectiveRead,
     decode_volume,
     read_files_metadata,
@@ -14,11 +15,9 @@ from ..mseed.volume import (
 )
 from .formats import (
     ExtractedMetadata,
-    FileMetaRow,
     MountedFile,
     MountOutcome,
     MountRequest,
-    RecordColumns,
     extraction_guard,
 )
 from ._batches import run_encoded_mount
@@ -36,23 +35,18 @@ class XSeedExtractor:
     format_name = "xseed"
     suffix = ".xseed"
 
-    def extract_metadata(self, path: Path, uri: str) -> ExtractedMetadata:
-        return self.extract_metadata_many([(path, uri)])[0]
+    def extract_metadata(
+        self, path: str | Path, uri: str
+    ) -> ExtractedMetadata:
+        block = self.extract_metadata_many([(path, uri)])
+        return ExtractedMetadata.of(block, 0)
 
     def extract_metadata_many(
-        self, files: Sequence[tuple[Path, str]]
-    ) -> list[ExtractedMetadata]:
-        return [
-            ExtractedMetadata(
-                FileMetaRow(uri=uri, **vars(meta)),  # same fields
-                RecordColumns(**columns),
-            )
-            for (_, uri), (meta, columns) in zip(
-                files, read_files_metadata(files, extraction_guard)
-            )
-        ]
+        self, files: Sequence[tuple[str | Path, str]]
+    ) -> MetadataBlock:
+        return read_files_metadata(files, extraction_guard)
 
-    def mount(self, path: Path, uri: str) -> MountedFile:
+    def mount(self, path: str | Path, uri: str) -> MountedFile:
         with extraction_guard(uri, path):
             return _mounted(uri, decode_volume(path, uri=uri))
 

@@ -7,18 +7,19 @@ only, and the mount access path resolves one URI at a time.
 
 :class:`FileRepository` is also the *repository protocol* other backends
 implement by duck type: ingestion and mounting resolve everything source-
-specific through four overridable hooks — :meth:`~FileRepository.path_of`
-(URI → readable local path), :meth:`~FileRepository.signature_of` (URI →
-staleness signature), :meth:`~FileRepository.signatures` (every URI and its
-signature, observed in bulk) and :meth:`~FileRepository.extractor_for` (path →
-format extractor, possibly wrapped). The last three, and :meth:`uris`, also
-receive the calling query's ``scope`` (its
-:class:`~repro.core.mounting.MountContext`, or None outside a query): a
-backend whose reads can wait or retry runs them under that query's
-cancellation token and retry budget; a local directory has no use for it.
-The remote backend (:mod:`repro.remote.repository`) and the federated dispatcher
-(:mod:`repro.remote.federation`) override them; everything above the hooks
-is source-agnostic.
+specific through five overridable hooks — :meth:`~FileRepository.path_of`
+(URI → readable local path), :meth:`~FileRepository.locate` (every URI and
+its readable local path, from one listing),
+:meth:`~FileRepository.signature_of` (URI → staleness signature),
+:meth:`~FileRepository.signatures` (every URI and its signature, observed in
+bulk) and :meth:`~FileRepository.extractor_for` (path → format extractor,
+possibly wrapped). The last four, and :meth:`uris`, also receive the calling
+query's ``scope`` (its :class:`~repro.core.mounting.MountContext`, or None
+outside a query): a backend whose reads can wait or retry runs them under
+that query's cancellation token and retry budget; a local directory has no
+use for it. The remote backend (:mod:`repro.remote.repository`) and the
+federated dispatcher (:mod:`repro.remote.federation`) override them;
+everything above the hooks is source-agnostic.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ class FileRepository:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.uris())
+
+    def locate(self, scope: object = None) -> Iterator[tuple[str, str | Path]]:
+        """Every URI and the path its file is read at, in listing order: the
+        repository located in one go. The listing's own walk answers for a
+        plain entry (where it found it); a symlinked one goes through
+        :meth:`path_of` and its containment check when its turn comes, so a
+        link that escapes the root raises after the URIs listed before it."""
+        for uri, entry in self._listing():
+            yield uri, self.path_of(uri) if entry.is_symlink() else entry.path
 
     def _resolve(self, uri: str) -> tuple[str, Optional[os.stat_result]]:
         """The real path of ``uri``, which must lie inside the root, and what

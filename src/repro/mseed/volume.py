@@ -29,6 +29,7 @@ import struct
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import (
@@ -551,6 +552,100 @@ class FileMetadata:
     size_bytes: int
 
 
+# The columns a metadata pass fills, by their names in the tables: ``F``'s
+# ten, one entry per file, and ``R``'s six read off the headers, one entry
+# per record (``R.uri`` and ``R.record_id`` follow from ``F.uri`` and
+# ``F.nrecords``). The first five of ``F``'s are strings.
+FILE_COLUMNS = (
+    "uri", "network", "station", "location", "channel",
+    "start_time", "end_time", "nrecords", "nsamples", "size_bytes",
+)
+RECORD_COLUMNS = (
+    "start_time", "end_time", "sample_rate", "nsamples",
+    "byte_offset", "byte_length",
+)
+_RECORD_DTYPES = dict.fromkeys(RECORD_COLUMNS, np.int64) | {
+    "sample_rate": np.float64
+}
+
+
+@dataclass(frozen=True, eq=False)
+class MetadataBlock:
+    """What a metadata pass read of a run of files, as columns.
+
+    ``files`` holds ``F``'s ten columns, one entry per file in order: the
+    five strings as lists, the rest as int64 arrays. ``records`` holds
+    ``R``'s six, one entry per record: each file's records in file order,
+    the files back to back, file ``k``'s ``files["nrecords"][k]`` long.
+
+    A block is also the sequence of its files' per-file views, built only
+    when indexed: ``block[k]`` is file ``k``'s :class:`FileMetadata` and its
+    records' columns (views of the block's), ``block[i:j]`` the block of
+    files ``i`` to ``j``.
+    """
+
+    files: dict[str, list[str] | np.ndarray]
+    records: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.files["uri"])
+
+    @cached_property
+    def _record_ends(self) -> list[int]:
+        return [0, *accumulate(self.files["nrecords"].tolist())]
+
+    def __getitem__(self, k):
+        ends = self._record_ends
+        if isinstance(k, slice):
+            if k.step not in (None, 1):
+                raise TypeError("a block slices with step 1 only")
+            lo, hi, _ = k.indices(len(self))
+            hi = max(lo, hi)
+            return MetadataBlock(
+                {name: column[lo:hi] for name, column in self.files.items()},
+                {
+                    name: column[ends[lo] : ends[hi]]
+                    for name, column in self.records.items()
+                },
+            )
+        k = range(len(self))[k]  # an IndexError past either end
+        files = self.files
+        meta = FileMetadata(
+            *(files[name][k] for name in FILE_COLUMNS[1:5]),
+            *(int(files[name][k]) for name in FILE_COLUMNS[5:]),
+        )
+        lo, hi = ends[k], ends[k + 1]
+        return meta, {
+            name: column[lo:hi] for name, column in self.records.items()
+        }
+
+    def __iter__(self) -> Iterator[tuple[FileMetadata, dict[str, np.ndarray]]]:
+        return map(self.__getitem__, range(len(self)))
+
+    @staticmethod
+    def stack(blocks: Sequence["MetadataBlock"]) -> "MetadataBlock":
+        """The blocks' files one after another, as one block."""
+        if len(blocks) == 1:
+            return blocks[0]
+        files = {
+            name: list(chain.from_iterable(b.files[name] for b in blocks))
+            for name in FILE_COLUMNS[:5]
+        }
+        files |= {
+            name: np.concatenate(
+                [b.files[name] for b in blocks] or [np.empty(0, np.int64)]
+            )
+            for name in FILE_COLUMNS[5:]
+        }
+        records = {
+            name: np.concatenate(
+                [b.records[name] for b in blocks] or [np.empty(0, dtype)]
+            )
+            for name, dtype in _RECORD_DTYPES.items()
+        }
+        return MetadataBlock(files, records)
+
+
 # Walked headers wait for the vectorised parse until this many are pending, so
 # what a metadata pass holds in flight (64 bytes a header, 256 KiB a block) is
 # bounded whatever the size of the archive. A block ends with the file that
@@ -568,19 +663,19 @@ def _unguarded(uri: str, path: str | Path) -> ContextManager[None]:
 
 def read_files_metadata(
     files: Iterable[tuple[str | Path, str]], guard: _Guard = _unguarded
-) -> list[tuple[FileMetadata, dict[str, np.ndarray]]]:
-    """What ALi's metadata pass runs: file-level metadata and the
-    record-level columns of each ``(path, uri)``, in order. Every file is
-    walked as :func:`scan_headers` walks it; the headers of a whole block of
-    files are parsed at once. ``size_bytes`` is the size the truncation
-    check used.
+) -> MetadataBlock:
+    """What ALi's metadata pass runs: the ``F`` and ``R`` columns of each
+    ``(path, uri)``, in order, as one block. Every file is walked as
+    :func:`scan_headers` walks it; the headers of a whole block of files are
+    parsed at once, and the parsed blocks stacked. ``size_bytes`` is the
+    size the truncation check used.
 
     ``guard(uri, path)`` is entered around each file's walk and around its
     scalar re-parse: the caller's error taxonomy, applied per file. The
     first defective file in the order given decides the error raised — a
     walk that fails outright waits for the files walked before it to parse.
     """
-    results: list[tuple[FileMetadata, dict[str, np.ndarray]]] = []
+    blocks: list[MetadataBlock] = []
     walked: list[_Walked] = []
     pending = 0
     for path, uri in files:
@@ -593,16 +688,16 @@ def read_files_metadata(
         walked.append((path, uri, raws, size, complete))
         pending += len(raws)
         if pending >= _PARSE_BLOCK_HEADERS:
-            results += _parse_walked(walked, guard)
+            blocks.append(_parse_walked(walked, guard))
             walked, pending = [], 0
-    results += _parse_walked(walked, guard)
-    return results
+    blocks.append(_parse_walked(walked, guard))
+    return MetadataBlock.stack(blocks)
 
 
 def read_file_metadata(
     path: str | Path, uri: str | None = None
 ) -> tuple[FileMetadata, dict[str, np.ndarray]]:
-    """:func:`read_files_metadata` of one file."""
+    """:func:`read_files_metadata` of one file, as its per-file view."""
     uri = uri if uri is not None else str(path)
     return read_files_metadata([(path, uri)])[0]
 
@@ -617,12 +712,10 @@ def _raise_first_defect(walked: Sequence[_Walked], guard: _Guard) -> NoReturn:
     raise AssertionError("vector and scalar header checks disagree")
 
 
-def _parse_walked(
-    walked: Sequence[_Walked], guard: _Guard
-) -> list[tuple[FileMetadata, dict[str, np.ndarray]]]:
+def _parse_walked(walked: Sequence[_Walked], guard: _Guard) -> MetadataBlock:
     """One vectorised parse of the headers of every walked file: the record
-    level as columns — each file's a slice of the block's, one entry per
-    record in file order — and the file level reduced from them.
+    level as columns, one entry per record in file order, and the file level
+    reduced from them.
 
     The vector checks (a complete walk of a non-empty file, a usable rate,
     the last sample inside the timestamp range, ASCII identifiers) only
@@ -630,8 +723,8 @@ def _parse_walked(
     :meth:`RecordHeader.unpack`'s: the scalar parser then names the first
     defect, before any cast an unsound value would reach."""
     if not walked:
-        return []
-    _, _, headers, sizes, complete = zip(*walked)
+        return MetadataBlock.stack([])
+    _, uris, headers, sizes, complete = zip(*walked)
     if not (all(headers) and all(complete)):
         _raise_first_defect(walked, guard)
     parsed = np.frombuffer(
@@ -644,34 +737,28 @@ def _parse_walked(
     byte_length = parsed["payload_len"].astype(np.int64) + HEADER_SIZE
 
     counts = np.fromiter(map(len, headers), np.int64, len(walked))
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    starts = np.cumsum(counts) - counts
     # Offsets count from each file's first record, not the block's.
     offset = np.cumsum(byte_length) - byte_length
-    columns = dict(
-        start_time=start_time, sample_rate=sample_rate, nsamples=nsamples,
-        end_time=end_time,
+    records = dict(
+        start_time=start_time, end_time=end_time, sample_rate=sample_rate,
+        nsamples=nsamples,
         byte_offset=offset - np.repeat(offset[starts], counts),
         byte_length=byte_length,
     )
     # Each file is named by its first header.
     first = parsed["identifiers"][starts]
-    identifiers = []
-    for at, to in IDENTIFIER_BOUNDS:
+    files: dict[str, list[str] | np.ndarray] = {"uri": list(uris)}
+    for name, (at, to) in zip(FILE_COLUMNS[1:5], IDENTIFIER_BOUNDS):
         text = first[:, at:to].tobytes().decode("ascii")
-        identifiers.append(
-            [text[k : k + to - at].strip() for k in range(0, len(text), to - at)]
-        )
-    metas = map(
-        FileMetadata,
-        *identifiers,
-        np.minimum.reduceat(start_time, starts).tolist(),
-        np.maximum.reduceat(end_time, starts).tolist(),
-        counts.tolist(),
-        np.add.reduceat(nsamples, starts).tolist(),
-        sizes,
-    )
-    return [
-        (meta, {name: column[at:to] for name, column in columns.items()})
-        for meta, at, to in zip(metas, starts.tolist(), ends.tolist())
-    ]
+        files[name] = [
+            text[k : k + to - at].strip() for k in range(0, len(text), to - at)
+        ]
+    files |= {
+        "start_time": np.minimum.reduceat(start_time, starts),
+        "end_time": np.maximum.reduceat(end_time, starts),
+        "nrecords": counts,
+        "nsamples": np.add.reduceat(nsamples, starts),
+        "size_bytes": np.array(sizes, dtype=np.int64),
+    }
+    return MetadataBlock(files, records)

@@ -97,6 +97,13 @@ class FederatedRepository:
     def path_of(self, uri: str) -> Path:
         return self._member_for(uri).path_of(uri)
 
+    def locate(
+        self, scope: Optional["RequestScope"] = None
+    ) -> Iterator[tuple[str, str | Path]]:
+        """The members' listings one after another, in member order."""
+        for member in self.members:
+            yield from member.locate(scope)
+
     def signature_of(
         self, uri: str, scope: Optional["RequestScope"] = None
     ) -> tuple[int, int]:

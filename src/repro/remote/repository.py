@@ -231,6 +231,14 @@ class RemoteRepository:
     def owns_uri(self, uri: str) -> bool:
         return endpoint_of(uri) == self.endpoint
 
+    def locate(
+        self, scope: Optional[RequestScope] = None
+    ) -> Iterator[tuple[str, Path]]:
+        """Every URI and its staging path, in listing order, each path made
+        when its turn comes."""
+        for uri in self.uris(scope):
+            yield uri, self.path_of(uri)
+
     def _key(self, uri: str) -> str:
         try:
             endpoint, key = parse_remote_uri(uri)

@@ -12,9 +12,14 @@ from repro.core import (
     ProceedAlways,
     estimate_informativeness,
 )
-from repro.db import collect_statistics
+from repro.db import (
+    Database,
+    FileStatistics,
+    StatisticsCatalog,
+    collect_statistics,
+)
 from repro.db.buffer import DiskModel
-from repro.ingest import FILE_TABLE
+from repro.ingest import FILE_TABLE, ensure_schema
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +157,51 @@ class TestResultRowEstimate:
         # Half the day-file's samples fall into the half-day window.
         day_total = 4320
         assert abs(report.est_result_rows - day_total / 2) < day_total * 0.05
+
+
+def _row_by_row_statistics(catalog, file_table):
+    """How ``collect_statistics`` built the catalog before it read ``F``'s
+    columns as arrays: a ``FileStatistics`` per row, from Python lists."""
+    stats = StatisticsCatalog()
+    for table in catalog.tables():
+        stats.table_rows[table.schema.name.lower()] = table.batch.num_rows
+    if not catalog.has_table(file_table):
+        return stats
+    batch = catalog.table(file_table).batch
+    columns = [
+        batch.column(name).to_pylist()
+        for name in ("uri", "start_time", "end_time", "nrecords", "nsamples",
+                     "size_bytes")
+    ]
+    for uri, *numbers in zip(*columns):
+        stats.files[uri] = FileStatistics(uri, *map(int, numbers))
+    return stats
+
+
+class TestColumnarStatistics:
+    def test_equals_the_row_by_row_catalog(self, ali_db, tiny_repo):
+        stats = collect_statistics(ali_db.catalog, FILE_TABLE)
+        expected = _row_by_row_statistics(ali_db.catalog, FILE_TABLE)
+        assert stats == expected
+        assert dict(stats.files.items()) == expected.files
+        assert list(stats.files) == tiny_repo.uris() == list(expected.files)
+        for uri in tiny_repo.uris():
+            assert uri in stats.files
+            assert stats.files.get(uri) == stats.files[uri]
+            assert stats.files[uri] == expected.files[uri]
+            assert stats.file_span(uri) == expected.file_span(uri)
+            assert stats.file_bytes(uri) == expected.file_bytes(uri)
+        assert "elsewhere.xseed" not in stats.files
+        assert stats.files.get("elsewhere.xseed") is None
+        assert stats.file_span("elsewhere.xseed") is None
+        with pytest.raises(KeyError):
+            stats.files["elsewhere.xseed"]
+
+    @pytest.mark.parametrize("schema", [False, True])
+    def test_empty_catalog(self, schema):
+        db = Database()
+        if schema:
+            ensure_schema(db)
+        stats = collect_statistics(db.catalog, FILE_TABLE)
+        assert stats == _row_by_row_statistics(db.catalog, FILE_TABLE)
+        assert len(stats.files) == 0 and dict(stats.files.items()) == {}

@@ -1,5 +1,9 @@
 """Tests for format extractors, the registry, and the two ingestion paths."""
 
+import dataclasses
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -23,10 +27,13 @@ from repro.mseed import (
     RepositorySpec,
     XSeedRecord,
     generate_repository,
+    read_file_metadata,
     read_records,
     scan_headers,
     write_volume,
 )
+from repro.mseed import volume as volume_module
+from repro.mseed.volume import RECORD_COLUMNS
 
 
 class TestRegistry:
@@ -388,3 +395,118 @@ class TestMetadataTablesEqualRowWiseAssembly:
         report = lazy_ingest_metadata(db, repo, metastore=store)
         assert (report.files, report.files_reused) == (9, 6)
         self.assert_column_for_column(db, repo)
+
+
+def _file_by_file_tables(repo):
+    """``F`` and ``R`` as decoded rows, assembled one file at a time from
+    that file's own per-file view: ``read_file_metadata`` for an xSEED file,
+    the extractor's ``extract_metadata`` for a CSV one. The reference the
+    block path must reproduce. ``{table: [row, ...]}``."""
+    f_rows, r_rows = [], []
+    for uri in repo.uris():
+        path = repo.path_of(uri)
+        if uri.endswith(".xseed"):
+            meta, records = read_file_metadata(path, uri)
+            f_rows.append((uri, *dataclasses.astuple(meta)))
+        else:
+            extracted = CsvExtractor().extract_metadata(path, uri)
+            f_rows.append(dataclasses.astuple(extracted.file_row))
+            records = vars(extracted.records)
+        r_rows += [
+            (uri, k, *row)
+            for k, row in enumerate(
+                zip(*(records[name].tolist() for name in RECORD_COLUMNS))
+            )
+        ]
+    return {FILE_TABLE: f_rows, RECORD_TABLE: r_rows}
+
+
+def _decoded_tables(db):
+    """What ``F`` and ``R`` hold, decoded, as rows."""
+    tables = {}
+    for table in (FILE_TABLE, RECORD_TABLE):
+        batch = db.catalog.table(table).batch
+        tables[table] = list(
+            zip(*(batch.column(name).to_pylist() for name in batch.names))
+        )
+    return tables
+
+
+class TestBlockPathEqualsFileByFile:
+    """``F`` and ``R`` stacked from block columns hold, column for column,
+    what the files' per-file views hold, whichever way each file came."""
+
+    @staticmethod
+    def loads(repo):
+        for ingest in (lazy_ingest_metadata, eager_ingest):
+            db = Database()
+            ingest(db, repo)
+            yield ingest.__name__, db
+
+    @pytest.mark.parametrize("block_headers", [1, 7, 12])
+    def test_headers_across_parse_blocks(
+        self, tiny_repo, monkeypatch, block_headers
+    ):
+        expected = _file_by_file_tables(tiny_repo)
+        monkeypatch.setattr(
+            volume_module, "_PARSE_BLOCK_HEADERS", block_headers
+        )
+        for name, db in self.loads(tiny_repo):
+            assert _decoded_tables(db) == expected, name
+
+    def test_mixed_xseed_and_csv(self, tmp_path, monkeypatch):
+        _interleaved(tmp_path)
+        repo = FileRepository(tmp_path, suffix=(".xseed", ".tscsv"))
+        expected = _file_by_file_tables(repo)
+        monkeypatch.setattr(volume_module, "_PARSE_BLOCK_HEADERS", 5)
+        for name, db in self.loads(repo):
+            assert _decoded_tables(db) == expected, name
+
+    def test_half_warm_metastore(self, tmp_path):
+        _interleaved(tmp_path)
+        repo = FileRepository(tmp_path, suffix=(".xseed", ".tscsv"))
+        store = MetadataStore(tmp_path / "sidecar.json")
+        lazy_ingest_metadata(Database(), repo, metastore=store)
+        # Every other file changes since: half reused, half extracted again.
+        for uri in repo.uris()[::2]:
+            path = repo.path_of(uri)
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        expected = _file_by_file_tables(repo)
+        db = Database()
+        report = lazy_ingest_metadata(db, repo, metastore=store)
+        assert (report.files, report.files_reused) == (9, 4)
+        assert _decoded_tables(db) == expected
+        # The store keeps the same per-file rows: a warm pass reproduces them.
+        warm = Database()
+        report = lazy_ingest_metadata(warm, repo, metastore=store)
+        assert report.files_reused == 9
+        assert _decoded_tables(warm) == expected
+        for name, db in self.loads(repo):
+            assert _decoded_tables(db) == expected, name
+
+    # sha256 of the sidecar a cold pass wrote over the repository below
+    # before the pass built F and R from block columns.
+    SIDECAR_SHA256 = (
+        "4c8ae0f5fc63b0faf01b085be9b6451db455b3e41caf6aa1c3ac9bee86485f04"
+    )
+
+    def test_a_cold_pass_writes_the_same_sidecar(self, tmp_path):
+        root = tmp_path / "repo"
+        _interleaved(root)
+        generate_repository(
+            root / "gen",
+            RepositorySpec(stations=("ISK",), channels=("BHE", "BHZ"), days=1,
+                           sample_rate=0.05, samples_per_record=700),
+        )
+        files = sorted(p for p in root.rglob("*") if p.is_file())
+        for k, path in enumerate(files):
+            os.utime(path, ns=(1_700_000_000_000_000_000 + k,) * 2)
+        sidecar = tmp_path / "sidecar.json"
+        lazy_ingest_metadata(
+            Database(),
+            FileRepository(root, suffix=(".xseed", ".tscsv")),
+            metastore=MetadataStore(sidecar),
+        )
+        digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        assert digest == self.SIDECAR_SHA256

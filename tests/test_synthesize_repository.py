@@ -1,13 +1,16 @@
 """Tests for waveform synthesis and the repository abstraction."""
 
 import os
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db.errors import IngestError
+from repro.db import Database
+from repro.db.errors import FileIngestError, IngestError
+from repro.ingest import FILE_TABLE, default_registry, lazy_ingest_metadata
+from repro.ingest.formats import path_suffix
 from repro.mseed import (
     FileRepository,
     RepositorySpec,
@@ -311,3 +314,93 @@ class TestContainment:
         root = os.path.realpath(linked_tree)
         assert seen == [f"{root}/a", f"{root}/a/b", f"{root}/a/b/deep.xseed"]
         assert path == Path(root, "a", "b", "deep.xseed")
+
+
+class TestListingHandOff:
+    """The metadata pass reads each file at the path the listing found it,
+    one listing in all: a plain entry as the walk saw it, a link through
+    ``path_of`` and its containment check."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        """A generated repository, with one more file at each kind of name
+        suffix dispatch must get right, and a directory beside it."""
+        root, outside = tmp_path / "root", tmp_path / "outside"
+        generate_repository(root, SPEC)
+        outside.mkdir()
+        volume = next(root.rglob("*.xseed")).read_bytes()
+        for name in (".hidden.xseed", "old.v2.xseed", "x.xseed/inner.xseed"):
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_bytes(volume)
+        (outside / "secret.xseed").write_bytes(volume)
+        return root, outside
+
+    @staticmethod
+    def resolved_while_loading(repo, monkeypatch):
+        resolved = []
+        path_of = repo.path_of
+
+        def logging_path_of(uri):
+            resolved.append(uri)
+            return path_of(uri)
+
+        monkeypatch.setattr(repo, "path_of", logging_path_of)
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        return db, resolved
+
+    def test_a_link_inside_the_root_is_read_through_path_of(
+        self, tree, monkeypatch
+    ):
+        root, _ = tree
+        (root / "link.xseed").symlink_to(root / "old.v2.xseed")
+        repo = FileRepository(root)
+        db, resolved = self.resolved_while_loading(repo, monkeypatch)
+        assert resolved == ["link.xseed"]
+        files = db.catalog.table(FILE_TABLE).batch
+        rows = dict(zip(files.column("uri").to_pylist(),
+                        files.column("nsamples").to_pylist()))
+        assert list(rows) == repo.uris()
+        assert rows["link.xseed"] == rows["old.v2.xseed"]
+
+    def test_an_escaping_link_raises(self, tree):
+        root, outside = tree
+        (root / "link.xseed").symlink_to(outside / "secret.xseed")
+        with pytest.raises(IngestError, match="escapes"):
+            lazy_ingest_metadata(Database(), FileRepository(root))
+
+    def test_a_file_removed_since_the_listing(self, tree, monkeypatch):
+        """Typed as it was when the pass resolved every URI again: a
+        ``FileIngestError`` naming the URI, not transient."""
+        root, _ = tree
+        repo = FileRepository(root)
+        listed = repo._listing()
+        gone = repo.uris()[3]
+        (root / gone).unlink()
+        monkeypatch.setattr(repo, "_listing", lambda: listed)
+        with pytest.raises(IngestError) as excinfo:
+            lazy_ingest_metadata(Database(), repo)
+        assert type(excinfo.value) is FileIngestError
+        assert excinfo.value.uri == gone
+        assert excinfo.value.transient is False
+
+    def test_suffix_dispatch_is_the_pure_path_suffix(self, tree, monkeypatch):
+        root, _ = tree
+        repo = FileRepository(root, suffix=(".xseed", ".v2.xseed"))
+        db, resolved = self.resolved_while_loading(repo, monkeypatch)
+        assert resolved == []
+        assert db.catalog.table(FILE_TABLE).batch.num_rows == len(repo) == 7
+        registry = default_registry()
+        for path in [
+            *(str(root / uri) for uri in repo.uris()),
+            str(root / "x.xseed"), str(root / "x.xseed") + "/", ".xseed",
+            "a/.xseed", "a.b/c", "noext", "a/b.TSCSV", "a/.hidden.tscsv",
+        ]:
+            assert path_suffix(path) == PurePath(path).suffix, path
+            if PurePath(path).suffix.lower() in (".xseed", ".tscsv"):
+                assert registry.for_path(path).suffix == (
+                    PurePath(path).suffix.lower()
+                )
+            else:
+                with pytest.raises(IngestError, match="no format extractor"):
+                    registry.for_path(path)
