@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from ..db.errors import PlanError
 from ..db.expr import ColumnRef, Comparison, conjuncts
 from ..db.plan.logical import Join, LogicalPlan, ResultScan, Scan
+from ..ingest.schema import URI_COLUMN
 
 ClassifyFn = Callable[[str], bool]
 
@@ -102,7 +103,6 @@ def _find_actual_scans(
     qs: LogicalPlan,
     qf: Optional[LogicalPlan],
     classify: ClassifyFn,
-    uri_column_of: Callable[[str], str],
 ) -> list[ActualScanInfo]:
     qf_keys = set(qf.output_keys()) if qf is not None else set()
     join_pairs: list[tuple[str, str]] = []
@@ -122,7 +122,7 @@ def _find_actual_scans(
     for node in qs.walk():
         if not isinstance(node, Scan) or classify(node.table_name):
             continue
-        uri_key = f"{node.alias}.{uri_column_of(node.table_name)}"
+        uri_key = f"{node.alias}.{URI_COLUMN}"
         link = None
         for left, right in join_pairs:
             if left == uri_key and right in qf_keys:
@@ -140,11 +140,7 @@ def _find_actual_scans(
     return infos
 
 
-def decompose(
-    plan: LogicalPlan,
-    classify: ClassifyFn,
-    uri_column_of: Callable[[str], str] = lambda table: "uri",
-) -> Decomposition:
+def decompose(plan: LogicalPlan, classify: ClassifyFn) -> Decomposition:
     """Split an optimized plan into ``Qf`` and ``Qs``.
 
     "It is not needed to form Qf and Qs unless the query refers to both
@@ -168,7 +164,7 @@ def decompose(
             raise PlanError("metadata branch produces no columns")
         qs = _replace_subtree(plan, qf, ResultScan(QF_TAG, list(qf.output)))
 
-    actual_scans = _find_actual_scans(qs, qf, classify, uri_column_of)
+    actual_scans = _find_actual_scans(qs, qf, classify)
     return Decomposition(
         plan=plan,
         qf=qf,

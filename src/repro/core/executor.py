@@ -37,7 +37,7 @@ from ..db.plan.logical import (
     UnionAll,
 )
 from .. import _sync
-from ..ingest.schema import BindingSet, RepositoryBinding
+from ..ingest.schema import TIME_COLUMN, RepositoryBinding
 from .breakpoint import BreakpointInfo
 from .cache import INF, IngestionCache
 from .decompose import Decomposition, decompose, _replace_subtree
@@ -50,7 +50,6 @@ from .governor import (
     TruncationReport,
 )
 from .informativeness import (
-    CostModel,
     DestinyAction,
     DestinyPolicy,
     ProceedAlways,
@@ -197,33 +196,28 @@ class TwoStageExecutor:
     def __init__(
         self,
         db: Database,
-        bindings: BindingSet | RepositoryBinding,
+        binding: RepositoryBinding,
         cache: Optional[IngestionCache] = None,
         destiny: Optional[DestinyPolicy] = None,
-        cost_model: Optional[CostModel] = None,
         strategy: str = BULK,
         derived=None,  # Optional[DerivedMetadataStore]
-        estimate: bool = True,
         mount_workers: int = 1,
         on_mount_error: str = FAIL_FAST,
-        verify_plans: Optional[bool] = None,
         selective_mounts: bool = True,
         budget: Optional[QueryBudget] = None,
         breaker: Optional[CircuitBreaker] = None,
         top_n_pushdown: bool = True,
     ) -> None:
-        if isinstance(bindings, RepositoryBinding):
-            bindings = BindingSet.single(bindings)
         if strategy not in (BULK, PER_FILE):
             raise ValueError(f"unknown strategy {strategy!r}")
         if mount_workers < 1:
             raise ValueError("mount_workers must be >= 1")
         self.db = db
-        self.bindings = bindings
+        self.binding = binding
         # `cache or ...` would discard an *empty* cache (len() == 0 is falsy).
         self.cache = cache if cache is not None else IngestionCache()
         self.mounts = MountService(
-            bindings,
+            binding,
             self.cache,
             buffers=db.buffers,
             selective=selective_mounts,
@@ -245,16 +239,9 @@ class TwoStageExecutor:
         # the current snapshot.
         self.statistics = StatisticsIndex(db)
         self.destiny = destiny or ProceedAlways()
-        self.cost_model = cost_model or CostModel()
         self.strategy = strategy
         self.derived = derived
-        self.estimate = estimate
         self.mount_workers = mount_workers
-        # None inherits the database's setting (itself REPRO_VERIFY_PLANS-
-        # defaulted), so one env var flips the whole pipeline.
-        self.verify_plans = (
-            db.verify_plans if verify_plans is None else verify_plans
-        )
         # Session defaults every execute() opens its context from: `budget`
         # and the degradation policy apply unless that call brings its own;
         # the breaker is shared by every query this executor runs (that is
@@ -269,10 +256,6 @@ class TwoStageExecutor:
 
     # -- compile-time ------------------------------------------------------------
 
-    def _uri_column_of(self, table_name: str) -> str:
-        binding = self.bindings.for_table(table_name)
-        return binding.uri_column if binding is not None else "uri"
-
     def prepare(self, sql: str) -> Decomposition:
         """Steps 1: parse, bind, optimize metadata-first, decompose."""
         plan = self.db.bind_sql(sql)
@@ -282,10 +265,10 @@ class TwoStageExecutor:
             stats=self.statistics(),
             fuse_topn=self.top_n_pushdown,
         )
-        decomposition = decompose(
-            plan, self.db.catalog.is_metadata_table, self._uri_column_of
-        )
-        if self.verify_plans:
+        decomposition = decompose(plan, self.db.catalog.is_metadata_table)
+        # The database's one switch verifies its own passes, the
+        # decomposition and rule (1) alike.
+        if self.db.verify_plans:
             verify_decomposition(
                 decomposition, self.db.catalog.is_metadata_table
             )
@@ -441,32 +424,28 @@ class TwoStageExecutor:
         breakpoint_info.files_by_alias = files_by_alias
         breakpoint_info.pruned_by_time = pruned_by_time
 
-        if self.estimate:
-            breakpoint_info.estimate = estimate_informativeness(
-                self.statistics(),
-                breakpoint_info.files_of_interest,
-                self.cache.cached_uris(),
-                self.cost_model,
-                interval=breakpoint_info.query_interval,
+        breakpoint_info.estimate = estimate_informativeness(
+            self.statistics(),
+            breakpoint_info.files_of_interest,
+            self.cache.cached_uris(),
+            interval=breakpoint_info.query_interval,
+        )
+        decision = self.destiny.decide(breakpoint_info.estimate)
+        breakpoint_info.decision = decision
+        if decision.action is DestinyAction.ABORT:
+            raise QueryAbortedError(
+                f"query aborted at breakpoint: {decision.reason}",
+                breakpoint_info,
             )
-            decision = self.destiny.decide(breakpoint_info.estimate)
-            breakpoint_info.decision = decision
-            if decision.action is DestinyAction.ABORT:
-                raise QueryAbortedError(
-                    f"query aborted at breakpoint: {decision.reason}",
-                    breakpoint_info,
-                )
-            approximate = False
-            if decision.action is DestinyAction.LIMIT:
-                assert decision.max_files is not None
-                files_by_alias = {
-                    alias: files[: decision.max_files]
-                    for alias, files in files_by_alias.items()
-                }
-                breakpoint_info.files_by_alias = files_by_alias
-                approximate = True
-        else:
-            approximate = False
+        approximate = False
+        if decision.action is DestinyAction.LIMIT:
+            assert decision.max_files is not None
+            files_by_alias = {
+                alias: files[: decision.max_files]
+                for alias, files in files_by_alias.items()
+            }
+            breakpoint_info.files_by_alias = files_by_alias
+            approximate = True
 
         # Derived-metadata fast path (§5): answer summaries without mounting.
         if self.derived is not None:
@@ -486,13 +465,9 @@ class TwoStageExecutor:
         report = RewriteReport()
         assert decomposition.qs is not None
         rewritten = apply_ali_rewrite(
-            decomposition.qs,
-            files_by_alias,
-            self.cache,
-            time_column=self.mounts.time_column,
-            report=report,
+            decomposition.qs, files_by_alias, self.cache, report=report
         )
-        if self.verify_plans:
+        if self.db.verify_plans:
             verify_ali_rewrite(decomposition.qs, rewritten)
         breakpoint_info.rewrite = report
         timings.runtime_opt_seconds = time.perf_counter() - opt_started
@@ -572,7 +547,7 @@ class TwoStageExecutor:
         and the threshold tightens before the losers reach the front of the
         queue. None when the rewritten plan is not the recognized shape.
         """
-        target = find_top_n_target(rewritten, self.mounts.time_column)
+        target = find_top_n_target(rewritten)
         if target is None:
             return None
         hulls = branch_hulls(target.union, self.statistics().file_span)
@@ -614,7 +589,7 @@ class TwoStageExecutor:
         contributes no rows and need not be mounted. This is metadata
         exploitation beyond the join structure (§5 "extending metadata"),
         and it is what keeps queries that constrain *only* D's time cheap.
-        Disable per binding with ``prune_by_time=False``.
+        On with the binding's ``prune_by_time``.
         """
         assert decomposition.qs is not None
         pruned_total = 0
@@ -622,17 +597,11 @@ class TwoStageExecutor:
         result: dict[str, list[str]] = {}
         for info in decomposition.actual_scans:
             files = files_by_alias.get(info.alias, [])
-            binding = self.bindings.for_table(info.table_name)
             predicate = predicates.get(info.alias)
-            if (
-                binding is None
-                or not binding.prune_by_time
-                or predicate is None
-                or not files
-            ):
+            if not self.binding.prune_by_time or predicate is None or not files:
                 result[info.alias] = files
                 continue
-            time_key = f"{info.alias}.{binding.time_column}"
+            time_key = f"{info.alias}.{TIME_COLUMN}"
             lo, hi = interval_from_predicate(predicate, time_key)
             if lo == -INF and hi == INF:
                 result[info.alias] = files
@@ -656,13 +625,11 @@ class TwoStageExecutor:
             return None
         predicates = _actual_scan_predicates(decomposition.qs)
         for info in decomposition.actual_scans:
-            binding = self.bindings.for_table(info.table_name)
-            time_column = binding.time_column if binding else "sample_time"
             predicate = predicates.get(info.alias)
             if predicate is None:
                 continue
             interval = interval_from_predicate(
-                predicate, f"{info.alias}.{time_column}"
+                predicate, f"{info.alias}.{TIME_COLUMN}"
             )
             if interval != (-INF, INF):
                 return interval
@@ -678,11 +645,9 @@ class TwoStageExecutor:
             else:
                 # No metadata constraint: every file is of interest (§4's
                 # worst case). A remote listing is a request of this query.
-                binding = self.bindings.for_table(info.table_name)
-                files_by_alias[info.alias] = (
-                    binding.repository.uris(ctx.mount_context)
-                    if binding is not None
-                    else []
+                binding = self.mounts.binding_for(info.table_name)
+                files_by_alias[info.alias] = binding.repository.uris(
+                    ctx.mount_context
                 )
         return files_by_alias
 

@@ -78,7 +78,7 @@ from ..ingest.formats import (
     RecordSpan,
     SelectiveFormatExtractor,
 )
-from ..ingest.schema import BindingSet, RepositoryBinding
+from ..ingest.schema import ACTUAL_TABLE, TIME_COLUMN, RepositoryBinding
 from .cache import (
     INF,
     CacheGranularity,
@@ -98,7 +98,7 @@ from .governor import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..mseed.repository import FileRepository
+    from ..mseed.repository import Repository
     from .scheduler import MountKey, MountScheduler, SharedPoolClient
 
 OnMountCallback = Callable[[str, ColumnBatch], None]
@@ -349,8 +349,7 @@ class ExtractResult:
     selective: bool = False
     # The signature of the version extracted — the post-extraction stat's,
     # or the one a self-observing (remote) extractor reports — for the cache
-    # store, instead of another stat/HEAD. None when staleness validation
-    # is off.
+    # store, instead of another stat/HEAD.
     signature: Optional[FileSignature] = None
 
 
@@ -379,16 +378,12 @@ class MountService:
 
     A stale file or transient local I/O restarts the extraction on
     :data:`RESTARTS` before the context's policy applies.
-    ``validate_staleness`` enables the ``(mtime_ns, size)`` signature checks
-    on cache scans and the post-extraction re-stat.
     """
 
-    bindings: BindingSet
+    binding: RepositoryBinding
     cache: IngestionCache = field(default_factory=IngestionCache)
     buffers: Optional[BufferManager] = None
-    time_column: str = "sample_time"
     stats: MountStats = field(default_factory=MountStats)  # guarded-by: _lock
-    validate_staleness: bool = True
     # Selective mounting: push the fused predicate's time interval into
     # extraction so only overlapping records are read and decoded.
     selective: bool = True
@@ -413,6 +408,30 @@ class MountService:
     def add_mount_callback(self, callback: OnMountCallback) -> None:
         """Register a side-effect of mounting (e.g. derived metadata, §5)."""
         self._callbacks.append(callback)
+
+    @property
+    def retains(self) -> bool:
+        """Whether the cache keeps anything a mount stores (DISCARD keeps
+        nothing: speculative extraction would be work thrown away)."""
+        return self.cache.policy is not CachePolicy.DISCARD
+
+    def retain(
+        self, uri: str, result: "ExtractResult", interval: Interval
+    ) -> ColumnBatch:
+        """Store what a mount of ``interval`` keeps, and return it: the
+        samples timed inside ``interval`` under tuple granularity, the whole
+        extraction at its coverage otherwise."""
+        # The extraction already observed the signature of what it read;
+        # the entry is stored under it, not under another stat/HEAD.
+        batch = result.batch
+        if self.cache.granularity is CacheGranularity.TUPLE:
+            batch = self._narrowed(batch, interval)
+            self.cache.store(uri, batch, interval, signature=result.signature)
+        else:
+            self.cache.store(
+                uri, batch, result.coverage, signature=result.signature
+            )
+        return batch
 
     # -- failure bookkeeping ---------------------------------------------------
 
@@ -457,9 +476,7 @@ class MountService:
         """
         if not self.selective:
             return None
-        interval = interval_from_predicate(
-            predicate, f"{alias}.{self.time_column}"
-        )
+        interval = interval_from_predicate(predicate, f"{alias}.{TIME_COLUMN}")
         if interval == WHOLE_FILE:
             return None
         if self.file_span_provider is not None and interval[0] <= interval[1]:
@@ -545,19 +562,8 @@ class MountService:
             for callback in self._callbacks:
                 callback(uri, batch)
 
-        interval = interval_from_predicate(
-            predicate, f"{alias}.{self.time_column}"
-        )
-        # The extraction already observed the signature of what it read;
-        # reuse it instead of another stat/HEAD per mount.
-        signature = result.signature
-        if self.cache.granularity is CacheGranularity.TUPLE:
-            batch = self._narrowed(batch, interval)
-            self.cache.store(uri, batch, interval, signature=signature)
-        else:
-            self.cache.store(
-                uri, batch, result.coverage, signature=signature
-            )
+        interval = interval_from_predicate(predicate, f"{alias}.{TIME_COLUMN}")
+        batch = self.retain(uri, result, interval)
         return self._deliver(batch, alias, predicate)
 
     def prefetch_into_cache(
@@ -580,8 +586,8 @@ class MountService:
         ``error``) plus the bytes read, for the prefetcher's accounting.
         """
         breaker = context.breaker
-        if self.cache.policy is CachePolicy.DISCARD:
-            return ("disabled", 0)  # nothing stored would survive the call
+        if not self.retains:
+            return ("disabled", 0)
         if breaker is not None and breaker.likely_blocked(uri):
             return ("blocked", 0)
         if self.cache.contains(uri, interval):
@@ -600,18 +606,7 @@ class MountService:
             self._score(breaker, uri, exc)
             return ("error", 0)
         self._score(breaker, uri)
-        signature = result.signature
-        coverage = WHOLE_FILE if request is None else interval
-        if (
-            request is not None
-            and self.cache.granularity is CacheGranularity.TUPLE
-        ):
-            narrowed = self._narrowed(result.batch, interval)
-            self.cache.store(uri, narrowed, interval, signature=signature)
-        else:
-            self.cache.store(
-                uri, result.batch, coverage, signature=signature
-            )
+        self.retain(uri, result, interval)
         with self._lock:
             self.stats.prefetched_mounts += 1
             self.stats.prefetched_bytes += result.bytes_read
@@ -675,18 +670,12 @@ class MountService:
         predicate: Optional[Expr],
         context: Optional[MountContext] = None,
     ) -> ColumnBatch:
-        interval = interval_from_predicate(
-            predicate, f"{alias}.{self.time_column}"
-        )
+        interval = interval_from_predicate(predicate, f"{alias}.{TIME_COLUMN}")
         # Another query's invalidation landing between the two reads is
         # counted as this one's: `stale_remounts` is a counter, no decision
         # hangs on it.
         invalidations_before = self.cache.stats.invalidations
-        signature = (
-            self._current_signature(uri, table_name, context)
-            if self.validate_staleness
-            else None
-        )
+        signature = self._current_signature(uri, table_name, context)
         cached = self.cache.lookup(uri, interval, signature=signature)
         if cached is None:
             # The plan expected a hit (rule (1) consulted the cache at
@@ -708,7 +697,7 @@ class MountService:
 
     def _resolve(
         self, uri: str, table_name: str, context: Optional[MountContext]
-    ) -> tuple[Path, FormatExtractor, "FileRepository"]:
+    ) -> tuple[Path, FormatExtractor, "Repository"]:
         """URI → (readable path, format extractor, owning repository).
 
         Everything source-specific goes through the repository protocol
@@ -717,7 +706,7 @@ class MountService:
         wraps the registry's extractor in its ranged-GET adapter, whose
         requests run under ``context`` (token, retry budget).
         """
-        binding = self._binding_of(table_name)
+        binding = self.binding_for(table_name)
         repository = binding.repository
         path = repository.path_of(uri)
         assert binding.registry is not None
@@ -726,13 +715,13 @@ class MountService:
         )
         return path, extractor, repository
 
-    def _binding_of(self, table_name: str) -> RepositoryBinding:
-        binding = self.bindings.for_table(table_name)
-        if binding is None:
+    def binding_for(self, table_name: str) -> RepositoryBinding:
+        """The binding serving ``table_name``; only ``D`` has one."""
+        if table_name.upper() != ACTUAL_TABLE:
             raise IngestError(
                 f"actual table {table_name!r} has no repository binding"
             )
-        return binding
+        return self.binding
 
     def _current_signature(
         self,
@@ -752,7 +741,7 @@ class MountService:
         available, like :meth:`RemoteRepository.uris`' remembered listing.
         """
         try:
-            repository = self._binding_of(table_name).repository
+            repository = self.binding_for(table_name).repository
             return repository.signature_of(uri, context)
         except (FileNotFoundError, RemoteObjectMissingError):
             self.cache.invalidate(uri)
@@ -814,7 +803,7 @@ class MountService:
         path: Path,
         extractor: FormatExtractor,
         request: Optional[MountRequest],
-        repository: "FileRepository",
+        repository: "Repository",
         before: Optional[FileSignature],
         context: MountContext,
     ) -> "ExtractResult":
@@ -874,15 +863,14 @@ class MountService:
             records_skipped = 0
             with self._lock:
                 self.stats.records_decoded += records_decoded
-        after: Optional[FileSignature] = None
-        if self.validate_staleness and observing is not None:
+        if observing is not None:
             # `before` = the first response's signature = each later GET's
             # `if_match` = … = the last response's: the same sandwich, both
             # ends inside the requests that read the bytes. A rewrite after
             # the last response is the next cache scan's to see; these rows
             # are wholly the version they are about to be cached under.
             after = extractor.observed
-        elif self.validate_staleness:
+        else:
             try:
                 after = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
@@ -921,15 +909,17 @@ class MountService:
             self.stats.bytes_read += nbytes
         return io_seconds
 
-    def _narrowed(self, batch: ColumnBatch, interval: Interval) -> ColumnBatch:
+    @staticmethod
+    def _narrowed(batch: ColumnBatch, interval: Interval) -> ColumnBatch:
         """What a tuple-granular cache entry covering ``interval`` keeps:
         the samples timed inside it, cut out of the record runs."""
         if interval == WHOLE_FILE:
             return batch
-        return batch.within(self.time_column, *interval)
+        return batch.within(TIME_COLUMN, *interval)
 
+    @staticmethod
     def _deliver(
-        self, batch: ColumnBatch, alias: str, predicate: Optional[Expr]
+        batch: ColumnBatch, alias: str, predicate: Optional[Expr]
     ) -> ColumnBatch:
         """Qualify column names for the query plan and apply the fused
         selection (the combined select+mount / select+cache-scan paths).
@@ -938,7 +928,7 @@ class MountService:
         record's samples are sliced out of its run, not masked row by row —
         and the rest of the predicate is evaluated on the columns it reads.
         """
-        time_key = f"{alias}.{self.time_column}"
+        time_key = f"{alias}.{TIME_COLUMN}"
         qualified = ColumnBatch(
             [f"{alias}.{name}" for name in batch.names], batch.columns
         )

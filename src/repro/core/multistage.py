@@ -188,12 +188,9 @@ class MultiStageExecutor:
                         stopped = True
                         break
                     child = apply_ali_rewrite(
-                        aggregate.child,
-                        {info.alias: [uri]},
-                        cache,
-                        time_column=self.executor.mounts.time_column,
+                        aggregate.child, {info.alias: [uri]}, cache
                     )
-                    if self.executor.verify_plans:
+                    if db.verify_plans:
                         verify_ali_rewrite(aggregate.child, child)
                     partial_plan = merger.partial_aggregate_node(child)
                     partial = db.execute_plan(partial_plan, ctx)

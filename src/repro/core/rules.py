@@ -30,6 +30,7 @@ from ..db.plan.logical import (
 from ..db.interval import is_empty
 from ..db.plan.rewrite import prune_columns
 from ..db.types import DataType
+from ..ingest.schema import TIME_COLUMN, URI_COLUMN
 from .cache import IngestionCache, Interval, WHOLE_FILE
 from .mounting import interval_from_predicate
 
@@ -85,7 +86,6 @@ def rewrite_actual_scan(
     predicate: Optional[Expr],
     files_of_interest: Sequence[str],
     cache: IngestionCache,
-    time_column: str = "sample_time",
     report: Optional[RewriteReport] = None,
 ) -> UnionAll:
     """Apply rule (1) to one actual scan, fusing ``predicate`` into every
@@ -93,7 +93,7 @@ def rewrite_actual_scan(
     interval: Interval = WHOLE_FILE
     if predicate is not None:
         interval = interval_from_predicate(
-            predicate, f"{scan.alias}.{time_column}"
+            predicate, f"{scan.alias}.{TIME_COLUMN}"
         )
     if is_empty(interval):
         # Contradictory time conjuncts: no tuple can satisfy the predicate,
@@ -105,7 +105,7 @@ def rewrite_actual_scan(
     # The node's pruning interval: whole-file predicates carry None (mount
     # everything); a bounded interval licenses record-granular skipping.
     node_interval = None if interval == WHOLE_FILE else interval
-    node_interval_column = None if node_interval is None else time_column
+    node_interval_column = None if node_interval is None else TIME_COLUMN
     branches: list[LogicalPlan] = []
     for uri in files_of_interest:
         if cache.contains(uri, interval):
@@ -143,7 +143,6 @@ def apply_ali_rewrite(
     qs: LogicalPlan,
     files_by_alias: dict[str, list[str]],
     cache: IngestionCache,
-    time_column: str = "sample_time",
     report: Optional[RewriteReport] = None,
 ) -> LogicalPlan:
     """Rewrite every actual scan in ``Qs`` whose alias has a files-of-interest
@@ -159,7 +158,7 @@ def apply_ali_rewrite(
         if isinstance(node, Select) and isinstance(node.child, Scan):
             scan = node.child
             if scan.alias in files_by_alias:
-                uri_key = f"{scan.alias}.uri"
+                uri_key = f"{scan.alias}.{URI_COLUMN}"
                 files = uris_from_uri_predicate(
                     node.predicate, uri_key, files_by_alias[scan.alias]
                 )
@@ -168,11 +167,11 @@ def apply_ali_rewrite(
                         len(files_by_alias[scan.alias]) - len(files)
                     )
                 return rewrite_actual_scan(
-                    scan, node.predicate, files, cache, time_column, report
+                    scan, node.predicate, files, cache, report
                 )
         if isinstance(node, Scan) and node.alias in files_by_alias:
             return rewrite_actual_scan(
-                node, None, files_by_alias[node.alias], cache, time_column, report
+                node, None, files_by_alias[node.alias], cache, report
             )
         children = node.children()
         if not children:

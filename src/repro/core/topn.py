@@ -54,6 +54,7 @@ from ..db.plan.logical import (
     UnionAll,
 )
 from ..db.table import ColumnBatch
+from ..ingest.schema import TIME_COLUMN
 
 #: Operators through which a Top-N threshold argument survives: each may
 #: drop or reorder rows, but never *creates* a row whose primary key is not
@@ -86,9 +87,7 @@ def _nodes_between(root: LogicalPlan, target: LogicalPlan) -> Optional[list]:
     return None
 
 
-def find_top_n_target(
-    plan: LogicalPlan, time_column: str
-) -> Optional[TopNPushdownTarget]:
+def find_top_n_target(plan: LogicalPlan) -> Optional[TopNPushdownTarget]:
     """The static gate: match the rewritten stage-2 plan against the shape
     Top-N early termination can serve, or None."""
     unions = [n for n in plan.walk() if isinstance(n, UnionAll)]
@@ -106,12 +105,12 @@ def find_top_n_target(
     # A branch pruning interval on some *other* column would make the file
     # span a wrong bound for what the branch can produce.
     if any(
-        b.interval is not None and b.interval_column != time_column
+        b.interval is not None and b.interval_column != TIME_COLUMN
         for b in union.inputs
     ):
         return None
     (alias,) = aliases
-    key = f"{alias}.{time_column}"
+    key = f"{alias}.{TIME_COLUMN}"
     primary = topn.keys[0][0]
     if not isinstance(primary, ColumnRef) or primary.key != key:
         return None

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol, Union, runtime_checkable
+from typing import Any, Optional, Protocol, runtime_checkable
 
 from ..db.database import Database, QueryResult
 from ..db.types import format_timestamp, parse_timestamp
 from ..core.prefetch import SessionPrefetcher
 from ..core.executor import TwoStageExecutor, TwoStageResult
-from ..core.governor import ON_BUDGET_RAISE, QueryBudget
-from ..core.mounting import check_on_error
 from .workload import make_query1, make_query2
 
 
@@ -64,74 +62,23 @@ class ExplorationSession:
     :class:`~repro.serve.service.TenantClient`, which runs the session's
     queries through a shared multi-tenant service. The session API is
     identical — the paper's point that the querying front-end does not
-    change.
-
-    ``mount_workers`` (the CLI's ``--mount-workers``) applies only to a
-    two-stage engine: it sets the stage-2 mount parallelism for every query
-    the session runs. ``None`` leaves the engine's own setting untouched.
-    Likewise ``on_mount_error`` (the CLI's ``--on-mount-error``): ``"fail"``
-    aborts a query on the first unreadable file, ``"skip"`` quarantines it
-    and completes the query over the intact rest, recording the skip count
-    per history entry. ``verify_plans`` (the CLI's ``--verify-plans``) turns
-    on structural plan verification for every query; it applies to both
-    engine kinds.
+    change — and so is the engine: the session runs queries through it and
+    never re-configures it. Mount parallelism, the degradation policy, plan
+    verification and query budgets are the engine's own settings.
     """
 
     engine: QueryEngine
     setup_seconds: float = 0.0  # ingestion time before the session began
     history: list[SessionEntry] = field(default_factory=list)
-    mount_workers: Union[int, None] = None
-    on_mount_error: Union[str, None] = None
-    verify_plans: Union[bool, None] = None
-    # Session-wide query budget (two-stage engine only): the CLI's
-    # --deadline-seconds / --max-mount-bytes / --on-budget. Every query the
-    # session runs inherits it; None leaves the engine ungoverned.
-    deadline_seconds: Union[float, None] = None
-    max_mount_bytes: Union[int, None] = None
-    max_decoded_records: Union[int, None] = None
-    on_budget: str = ON_BUDGET_RAISE
-    # Predictive prefetch (two-stage engine only, the CLI's --prefetch):
-    # after each query, the workload predictor extrapolates the next window
-    # from the session's interval history and warms the ingestion cache in
-    # the background. `prefetcher` is injectable for tests (e.g. a
-    # synchronous one); prefetch=True builds the default.
+    # Predictive prefetch (two-stage engine only): after each query, the
+    # workload predictor extrapolates the next window from the session's
+    # interval history and warms the ingestion cache in the background.
+    # `prefetcher` is injectable for tests (e.g. a synchronous one);
+    # prefetch=True builds the default.
     prefetch: bool = False
     prefetcher: Optional[SessionPrefetcher] = None
 
     def __post_init__(self) -> None:
-        if self.mount_workers is not None:
-            if not isinstance(self.engine, TwoStageExecutor):
-                raise ValueError(
-                    "mount_workers applies only to a TwoStageExecutor engine"
-                )
-            if self.mount_workers < 1:
-                raise ValueError("mount_workers must be >= 1")
-            self.engine.mount_workers = self.mount_workers
-        if self.on_mount_error is not None:
-            if not isinstance(self.engine, TwoStageExecutor):
-                raise ValueError(
-                    "on_mount_error applies only to a TwoStageExecutor engine"
-                )
-            self.engine.on_mount_error = check_on_error(self.on_mount_error)
-        if self.verify_plans is not None:
-            self.engine.verify_plans = self.verify_plans
-            if isinstance(self.engine, TwoStageExecutor):
-                self.engine.db.verify_plans = self.verify_plans
-        if (
-            self.deadline_seconds is not None
-            or self.max_mount_bytes is not None
-            or self.max_decoded_records is not None
-        ):
-            if not isinstance(self.engine, TwoStageExecutor):
-                raise ValueError(
-                    "query budgets apply only to a TwoStageExecutor engine"
-                )
-            self.engine.budget = QueryBudget(
-                deadline_seconds=self.deadline_seconds,
-                max_mount_bytes=self.max_mount_bytes,
-                max_decoded_records=self.max_decoded_records,
-                on_budget=self.on_budget,
-            )
         if self.prefetch or self.prefetcher is not None:
             if not isinstance(self.engine, TwoStageExecutor):
                 raise ValueError(

@@ -7,7 +7,7 @@ per-query half (mounting) lives in :mod:`repro.core.mounting`.
 
 With a :class:`~repro.core.metastore.MetadataStore` attached, the pass
 becomes incremental across sessions: the repository is observed once, in
-bulk (:meth:`~repro.mseed.repository.FileRepository.signatures` — one walk of
+bulk (:meth:`~repro.mseed.repository.Repository.signatures` — one walk of
 a local tree, one LIST for a whole remote endpoint), and a file whose
 ``(mtime_ns, size)`` signature matches the stored one reuses its persisted
 ``F``/``R`` rows — including the record byte map selective mounting needs —
@@ -20,7 +20,6 @@ loaded are identical either way.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -30,7 +29,7 @@ from typing import Iterable
 
 from ..core.metastore import MetadataStore
 from ..db.database import Database
-from ..mseed.repository import FileRepository
+from ..mseed.repository import Repository
 from ..mseed.volume import MetadataBlock
 from ._batches import metadata_batches
 from .formats import (
@@ -59,31 +58,14 @@ class LazyLoadReport:
 Source = tuple[str | Path, str, FormatExtractor]
 
 
-def _observe(repository: FileRepository) -> dict[str, tuple[int, int]]:
-    """Every URI's ``(mtime_ns, size)`` signature, in listing order."""
-    signatures = getattr(repository, "signatures", None)
-    if signatures is not None:
-        return signatures()
-    # A duck-typed repository without the bulk hook is asked file by file.
-    signature_of = getattr(repository, "signature_of", None)
-    observed = {}
-    for uri in repository.uris():
-        if signature_of is not None:
-            observed[uri] = signature_of(uri)
-        else:
-            st = os.stat(repository.path_of(uri))
-            observed[uri] = (st.st_mtime_ns, st.st_size)
-    return observed
-
-
 def metadata_pass(
-    repository: FileRepository,
+    repository: Repository,
     registry: FormatRegistry,
     located: Iterable[tuple[str, str | Path]] | None = None,
 ) -> tuple[list[Source], MetadataBlock]:
     """The header-only pass over ``located`` — ``(uri, path)`` pairs, by
     default every file as one listing of the repository located it
-    (:meth:`~repro.mseed.repository.FileRepository.locate`): each file's
+    (:meth:`~repro.mseed.repository.Repository.locate`): each file's
     ``(path, uri, extractor)``, and what the extractors read of the files as
     one block, both in the order given.
 
@@ -96,15 +78,11 @@ def metadata_pass(
     """
     if located is None:
         located = repository.locate()
-    extractor_for = getattr(repository, "extractor_for", None)
     sources: list[Source] = []
     unresolved: Exception | None = None
     try:
         for uri, path in located:
-            if extractor_for is not None:
-                extractor = extractor_for(path, uri, registry)
-            else:
-                extractor = registry.for_path(path)
+            extractor = repository.extractor_for(path, uri, registry)
             sources.append((path, uri, extractor))
     except Exception as exc:
         unresolved = exc
@@ -123,7 +101,7 @@ def metadata_pass(
 
 
 def _incremental_pass(
-    repository: FileRepository,
+    repository: Repository,
     registry: FormatRegistry,
     metastore: MetadataStore,
 ) -> tuple[MetadataBlock, int]:
@@ -131,7 +109,7 @@ def _incremental_pass(
     signature still matches taken from the store, the rest extracted and
     recorded. Returns the block of every listed file, in listing order, and
     how many came from the store."""
-    observed = _observe(repository)
+    observed = repository.signatures()
     stored = {}
     for uri, signature in observed.items():
         state = metastore.lookup(uri, signature)
@@ -163,7 +141,7 @@ def _incremental_pass(
 
 def lazy_ingest_metadata(
     db: Database,
-    repository: FileRepository,
+    repository: Repository,
     registry: FormatRegistry | None = None,
     metastore: MetadataStore | None = None,
 ) -> LazyLoadReport:

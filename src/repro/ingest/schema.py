@@ -9,16 +9,20 @@ follow the FROM clause of Query 1: ``R.uri → F.uri`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..db.database import Database
 from ..db.schema import ColumnDef, ForeignKey, TableKind, TableSchema
 from ..db.types import DataType
-from ..mseed.repository import FileRepository
+from ..mseed.repository import Repository
 
 FILE_TABLE = "F"
 RECORD_TABLE = "R"
 ACTUAL_TABLE = "D"
+# The actual table's source-file handle (what rule (1) unions over) and its
+# sample timestamp (what time windows bound); extraction writes exactly these.
+URI_COLUMN = "uri"
+TIME_COLUMN = "sample_time"
 
 
 def file_table_schema() -> TableSchema:
@@ -66,9 +70,9 @@ def actual_table_schema() -> TableSchema:
     return TableSchema(
         name=ACTUAL_TABLE,
         columns=[
-            ColumnDef("uri", DataType.STRING),
+            ColumnDef(URI_COLUMN, DataType.STRING),
             ColumnDef("record_id", DataType.INT64),
-            ColumnDef("sample_time", DataType.TIMESTAMP),
+            ColumnDef(TIME_COLUMN, DataType.TIMESTAMP),
             ColumnDef("sample_value", DataType.FLOAT64),
         ],
         kind=TableKind.ACTUAL,
@@ -96,24 +100,18 @@ def ensure_schema(db: Database) -> None:
 
 @dataclass
 class RepositoryBinding:
-    """Connects one actual-data table to the file repository feeding it.
+    """Connects the actual table ``D`` to the file repository feeding it.
 
-    ``uri_column`` names the column of the actual table that identifies the
-    source file — the handle the run-time rewrite rule (1) unions over.
-    ``time_column`` is the sample-timestamp column; with ``prune_by_time``
-    the breakpoint drops files of interest whose metadata time span is
-    disjoint from the query's sample-time interval, since such files cannot
-    contribute rows. It defaults to **off** because the paper's ALi does not
-    exploit metadata this way (it is our implementation of §5's "extending
-    metadata" direction) — the reproduction benchmarks must match the
-    paper's behaviour, and `benchmarks/bench_time_pruning.py` measures the
-    extension explicitly.
+    With ``prune_by_time`` the breakpoint drops files of interest whose
+    metadata time span is disjoint from the query's sample-time interval,
+    since such files cannot contribute rows. It defaults to **off** because
+    the paper's ALi does not exploit metadata this way (it is our
+    implementation of §5's "extending metadata" direction) — the
+    reproduction benchmarks must match the paper's behaviour, and
+    `benchmarks/bench_time_pruning.py` measures the extension explicitly.
     """
 
-    repository: FileRepository
-    actual_table: str = ACTUAL_TABLE
-    uri_column: str = "uri"
-    time_column: str = "sample_time"
+    repository: Repository
     prune_by_time: bool = False
     registry: "FormatRegistry | None" = None
 
@@ -122,20 +120,3 @@ class RepositoryBinding:
             from .formats import default_registry
 
             self.registry = default_registry()
-
-
-@dataclass
-class BindingSet:
-    """All repository bindings of a database, keyed by actual table name."""
-
-    bindings: dict[str, RepositoryBinding] = field(default_factory=dict)
-
-    @classmethod
-    def single(cls, binding: RepositoryBinding) -> "BindingSet":
-        return cls({binding.actual_table.lower(): binding})
-
-    def for_table(self, table_name: str) -> RepositoryBinding | None:
-        return self.bindings.get(table_name.lower())
-
-    def add(self, binding: RepositoryBinding) -> None:
-        self.bindings[binding.actual_table.lower()] = binding

@@ -5,21 +5,22 @@ A repository is a directory tree of standard-format files addressed by
 ingestion: eager ingestion walks every URI, lazy ingestion walks headers
 only, and the mount access path resolves one URI at a time.
 
-:class:`FileRepository` is also the *repository protocol* other backends
-implement by duck type: ingestion and mounting resolve everything source-
-specific through five overridable hooks — :meth:`~FileRepository.path_of`
-(URI → readable local path), :meth:`~FileRepository.locate` (every URI and
-its readable local path, from one listing),
-:meth:`~FileRepository.signature_of` (URI → staleness signature),
-:meth:`~FileRepository.signatures` (every URI and its signature, observed in
-bulk) and :meth:`~FileRepository.extractor_for` (path → format extractor,
-possibly wrapped). The last four, and :meth:`uris`, also receive the calling
-query's ``scope`` (its :class:`~repro.core.mounting.MountContext`, or None
-outside a query): a backend whose reads can wait or retry runs them under
-that query's cancellation token and retry budget; a local directory has no
-use for it. The remote backend (:mod:`repro.remote.repository`) and the
-federated dispatcher (:mod:`repro.remote.federation`) override them;
-everything above the hooks is source-agnostic.
+:class:`Repository` states the protocol every backend implements —
+:class:`FileRepository` here, the remote backend
+(:mod:`repro.remote.repository`) and the federated dispatcher
+(:mod:`repro.remote.federation`). Ingestion and mounting resolve everything
+source-specific through its hooks: :meth:`~Repository.path_of` (URI →
+readable local path), :meth:`~Repository.locate` (every URI and its
+readable local path, from one listing), :meth:`~Repository.signature_of`
+(URI → staleness signature), :meth:`~Repository.signatures` (every URI and
+its signature, observed in bulk), :meth:`~Repository.extractor_for` (path →
+format extractor, possibly wrapped) and :meth:`~Repository.owns_uri`
+(federation dispatch). Those that can read, and :meth:`~Repository.uris`,
+also receive the calling query's ``scope`` (its
+:class:`~repro.core.mounting.MountContext`, or None outside a query): a
+backend whose reads can wait or retry runs them under that query's
+cancellation token and retry budget; a local directory has no use for it.
+Everything above the hooks is source-agnostic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 from operator import itemgetter
 from pathlib import Path
 from stat import S_ISLNK
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol
 
 from ..db.errors import FileIngestError, IngestError
 
@@ -38,6 +39,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (import cycles)
 
 # URI components that make a URI something other than a path below the root.
 _NOT_PLAIN = frozenset(("", ".", ".."))
+
+
+class Repository(Protocol):
+    """What ingestion and mounting ask of a file repository."""
+
+    suffixes: tuple[str, ...]
+
+    def uris(self, scope: Any = None) -> list[str]: ...
+
+    def locate(self, scope: Any = None) -> Iterator[tuple[str, str | Path]]: ...
+
+    def path_of(self, uri: str) -> Path: ...
+
+    def signature_of(self, uri: str, scope: Any = None) -> tuple[int, int]: ...
+
+    def signatures(self, scope: Any = None) -> dict[str, tuple[int, int]]: ...
+
+    def extractor_for(
+        self,
+        path: Path,
+        uri: str,
+        registry: "FormatRegistry",
+        scope: Any = None,
+    ) -> "FormatExtractor": ...
+
+    def owns_uri(self, uri: str) -> bool: ...
 
 
 class FileRepository:

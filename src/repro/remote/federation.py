@@ -25,6 +25,7 @@ from ..db.errors import IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ingest.formats import FormatExtractor, FormatRegistry
+    from ..mseed.repository import Repository
     from .transport import RequestScope
 
 
@@ -37,13 +38,13 @@ class FederatedRepository:
     otherwise irrelevant because remote members claim disjoint endpoints).
     """
 
-    def __init__(self, members: Sequence[object]) -> None:
+    def __init__(self, members: Sequence["Repository"]) -> None:
         if not members:
             raise IngestError("a federation needs at least one member repository")
         self.members = tuple(members)
         suffixes: list[str] = []
         for member in self.members:
-            for suffix in getattr(member, "suffixes", None) or (member.suffix,):
+            for suffix in member.suffixes:
                 if suffix not in suffixes:
                     suffixes.append(suffix)
         self.suffixes = tuple(suffixes)
@@ -52,10 +53,9 @@ class FederatedRepository:
     def suffix(self) -> str:
         return self.suffixes[0]
 
-    def _member_for(self, uri: str) -> object:
+    def _member_for(self, uri: str) -> "Repository":
         for member in self.members:
-            owns = getattr(member, "owns_uri", None)
-            if owns is not None and owns(uri):
+            if member.owns_uri(uri):
                 return member
         raise IngestError(f"no federation member serves URI {uri!r}")
 
@@ -70,16 +70,10 @@ class FederatedRepository:
     def signatures(
         self, scope: Optional["RequestScope"] = None
     ) -> dict[str, tuple[int, int]]:
-        """The members' bulk observations, concatenated in member order; a
-        member without the hook is listed and asked file by file."""
+        """The members' bulk observations, concatenated in member order."""
         out: dict[str, tuple[int, int]] = {}
         for member in self.members:
-            signatures = getattr(member, "signatures", None)
-            if signatures is not None:
-                out.update(signatures(scope))
-            else:
-                for uri in member.uris(scope):
-                    out[uri] = self.signature_of(uri, scope)
+            out.update(member.signatures(scope))
         return out
 
     def __len__(self) -> int:
@@ -89,10 +83,7 @@ class FederatedRepository:
         return iter(self.uris())
 
     def owns_uri(self, uri: str) -> bool:
-        return any(
-            getattr(member, "owns_uri", lambda _uri: False)(uri)
-            for member in self.members
-        )
+        return any(member.owns_uri(uri) for member in self.members)
 
     def path_of(self, uri: str) -> Path:
         return self._member_for(uri).path_of(uri)
@@ -107,12 +98,7 @@ class FederatedRepository:
     def signature_of(
         self, uri: str, scope: Optional["RequestScope"] = None
     ) -> tuple[int, int]:
-        member = self._member_for(uri)
-        signature_of = getattr(member, "signature_of", None)
-        if signature_of is not None:
-            return signature_of(uri, scope)
-        st = member.path_of(uri).stat()
-        return (st.st_mtime_ns, st.st_size)
+        return self._member_for(uri).signature_of(uri, scope)
 
     def total_bytes(self) -> int:
         return sum(member.total_bytes() for member in self.members)
@@ -124,11 +110,7 @@ class FederatedRepository:
         registry: "FormatRegistry",
         scope: Optional["RequestScope"] = None,
     ) -> "FormatExtractor":
-        member = self._member_for(uri)
-        extractor_for = getattr(member, "extractor_for", None)
-        if extractor_for is not None:
-            return extractor_for(path, uri, registry, scope)
-        return registry.for_path(path)
+        return self._member_for(uri).extractor_for(path, uri, registry, scope)
 
     def close(self) -> None:
         for member in self.members:

@@ -74,8 +74,8 @@ from ..db.database import Database
 from ..db.errors import QueryShedError
 from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
-from ..ingest.schema import RepositoryBinding
-from ..mseed.repository import FileRepository
+from ..ingest.schema import ACTUAL_TABLE, RepositoryBinding
+from ..mseed.repository import Repository
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class QueryService:
 
     def __init__(
         self,
-        repository: FileRepository,
+        repository: Repository,
         db: Optional[Database] = None,
         cache: Optional[IngestionCache] = None,
         default_policy: Optional[TenantPolicy] = None,
@@ -214,7 +214,6 @@ class QueryService:
         mount_workers: int = 2,
         max_concurrent_queries: int = 8,
         selective_mounts: bool = True,
-        verify_plans: Optional[bool] = None,
         prefetch: bool = False,
     ) -> None:
         if max_concurrent_queries < 1:
@@ -229,7 +228,6 @@ class QueryService:
             if cache is not None
             else IngestionCache(policy=CachePolicy.UNBOUNDED)
         )
-        self._binding = RepositoryBinding(repository)
         self.default_policy = default_policy or TenantPolicy()
         self.max_concurrent_queries = max_concurrent_queries
         # The one pipeline every query runs through — and with it one mount
@@ -238,16 +236,15 @@ class QueryService:
         # client) is the context _run_admitted hands its execute().
         self._executor = TwoStageExecutor(
             db,
-            self._binding,
+            RepositoryBinding(repository),
             cache=self.cache,
             selective_mounts=selective_mounts,
-            verify_plans=verify_plans,
         )
         # Predictive prefetch: after each completed query, the tenant's
         # predictor extrapolates the next window and the overlapping files
         # are registered as scheduler *hints* — waiter-less tasks run only
         # when no real query is waiting; their results land in the shared
-        # cache via _store_hint.
+        # cache via _store_hint. A cache that retains nothing gets none.
         self.prefetch = prefetch
         self.scheduler = MountScheduler(
             self._shared_extract,
@@ -444,17 +441,19 @@ class QueryService:
         Skips files the tenant's breaker distrusts and intervals the shared
         cache already covers; everything else becomes a waiter-less hint
         task the scheduler runs only when no real query waits. Returns the
-        number of hints accepted (for tests and ops).
+        number of hints accepted (for tests and ops): none when the shared
+        cache would keep nothing the hints extract.
         """
+        mounts = self._executor.mounts
+        if not mounts.retains:
+            return 0
         predicted = state.predictor.observe_and_predict(
             result.breakpoint.query_interval
         )
         if predicted is None:
             return 0
-        table = self._binding.actual_table
         hints: list[tuple[str, str, Optional[MountRequest]]] = []
-        selective = self._executor.mounts.selective
-        record_map = self._executor.mounts.record_map_provider
+        record_map = mounts.record_map_provider
         for uri, file in self._executor.statistics().files.items():
             if not overlaps(predicted.interval, *file.span):
                 continue
@@ -464,12 +463,13 @@ class QueryService:
                 continue
             request = (
                 MountRequest(
-                    interval=predicted.interval, records=record_map(uri, table)
+                    interval=predicted.interval,
+                    records=record_map(uri, ACTUAL_TABLE),
                 )
-                if selective
+                if mounts.selective
                 else None
             )
-            hints.append((table, uri, request))
+            hints.append((ACTUAL_TABLE, uri, request))
         if not hints:
             return 0
         return self.scheduler.hint(hints)
@@ -480,7 +480,8 @@ class QueryService:
         request: Optional[MountRequest],
         result: ExtractResult,
     ) -> None:
-        """Retain one completed hint extraction in the shared cache.
+        """Retain one completed hint extraction in the shared cache, as a
+        mount of the hinted interval would.
 
         The scheduler's extract function does not store (query-side takes
         store after consumption); hints have no consumer, so without this
@@ -490,9 +491,8 @@ class QueryService:
         if result.bytes_read == 0 and result.io_seconds == 0.0:
             return
         _table_name, uri = key
-        self.cache.store(
-            uri, result.batch, result.coverage, signature=result.signature
-        )
+        interval = WHOLE_FILE if request is None else request.interval
+        self._executor.mounts.retain(uri, result, interval)
 
     # -- shared extraction ---------------------------------------------------
 
@@ -524,14 +524,12 @@ class QueryService:
         # to compare a cached batch against, so only when the cache holds
         # one. A batch that lands between the two reads was compared with
         # nothing observed for this request, and is left unserved.
-        compare = mounts.validate_staleness and self.cache.contains(
-            uri, interval
-        )
+        compare = self.cache.contains(uri, interval)
         signature = (
             mounts._current_signature(uri, table_name) if compare else None
         )
         cached = self.cache.lookup(uri, interval, signature=signature)
-        if cached is not None and (compare or not mounts.validate_staleness):
+        if cached is not None and compare:
             return ExtractResult(
                 batch=cached, io_seconds=0.0, coverage=interval
             )

@@ -482,10 +482,7 @@ class Engine:
             policy, granularity,
             CACHE_BYTES if policy is CachePolicy.LRU else None,
         )
-        settings = dict(
-            cache=self.cache, selective_mounts=point.selective,
-            verify_plans=point.verify_plans or None,
-        )
+        settings = dict(cache=self.cache, selective_mounts=point.selective)
         if point.tenants:
             self.service = QueryService(
                 self.repository, db=self.db, mount_workers=point.mount_workers,

@@ -115,7 +115,8 @@ class TestStaleness:
         assert cache.stats.current_bytes == 0
 
     def test_no_signature_lookup_skips_validation(self):
-        """A caller that opts out (validate_staleness=False) still hits."""
+        """A lookup with nothing to compare (the file could not be
+        observed) still hits."""
         cache = IngestionCache(CachePolicy.UNBOUNDED)
         cache.store("a", batch(), signature=(100, 64))
         assert cache.lookup("a") is not None

@@ -311,13 +311,6 @@ class TestDestinyPolicies:
         assert outcome.approximate
         assert outcome.result.stats.files_mounted == 1
 
-    def test_estimation_can_be_disabled(self, ali_db, tiny_repo, query1):
-        executor = TwoStageExecutor(
-            ali_db, RepositoryBinding(tiny_repo), estimate=False
-        )
-        outcome = executor.execute(query1)
-        assert outcome.breakpoint.estimate is None
-
 
 class TestExplain:
     def test_explain_marks_qf(self, executor, query1):

@@ -232,27 +232,3 @@ class TestFreshness:
         # The remount re-populated the cache with the new contents.
         again = executor.execute(sql).rows[0][0]
         assert again == 10**9
-
-    def test_stale_cache_serves_old_data_with_validation_off(self, repo):
-        """Disabling staleness validation restores the historical trade-off:
-        the unbounded cache serves stale rows until invalidated by hand."""
-        db = Database()
-        lazy_ingest_metadata(db, repo)
-        cache = IngestionCache(CachePolicy.UNBOUNDED)
-        executor = TwoStageExecutor(db, RepositoryBinding(repo), cache=cache)
-        executor.mounts.validate_staleness = False
-        sql = (
-            "SELECT MAX(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
-            "WHERE F.station = 'ISK'"
-        )
-        before = executor.execute(sql).rows[0][0]
-
-        uri = repo.uris()[0]
-        self._spike_first_sample(repo, uri)
-
-        stale = executor.execute(sql).rows[0][0]
-        assert stale == before  # cache hid the update
-
-        cache.invalidate(uri)
-        fresh = executor.execute(sql).rows[0][0]
-        assert fresh == 10**9

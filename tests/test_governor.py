@@ -317,12 +317,12 @@ class TestResourceBudgets:
     def test_session_budget_marks_truncated_entries(self, repo):
         db = Database()
         lazy_ingest_metadata(db, repo)
-        engine = TwoStageExecutor(db, RepositoryBinding(repo))
-        session = ExplorationSession(
-            engine,
-            max_mount_bytes=1,
-            on_budget=ON_BUDGET_PARTIAL,
+        engine = TwoStageExecutor(
+            db,
+            RepositoryBinding(repo),
+            budget=QueryBudget(max_mount_bytes=1, on_budget=ON_BUDGET_PARTIAL),
         )
+        session = ExplorationSession(engine)
         session.run(COUNT_SQL)
         assert session.history[0].truncated
         assert "(truncated)" in session.report()

@@ -33,7 +33,6 @@ from repro.db.errors import (
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding
-from repro.ingest.schema import BindingSet
 from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import FileRepository, generate_repository, read_records
 
@@ -166,7 +165,7 @@ class TestIntervalExtraction:
         """A contradictory fused predicate answers empty even when the file
         is gone from disk — proof the branch never opened it."""
         service = MountService(
-            BindingSet.single(RepositoryBinding(scratch_repo)),
+            RepositoryBinding(scratch_repo),
             IngestionCache(CachePolicy.UNBOUNDED),
         )
         uri = scratch_repo.uris()[0]
@@ -188,7 +187,7 @@ class TestIntervalExtraction:
 @pytest.fixture()
 def service(tiny_repo):
     return MountService(
-        BindingSet.single(RepositoryBinding(tiny_repo)),
+        RepositoryBinding(tiny_repo),
         IngestionCache(CachePolicy.UNBOUNDED),
     )
 
@@ -269,7 +268,7 @@ class TestCacheScan:
 
     def test_discard_policy_never_caches(self, tiny_repo):
         service = MountService(
-            BindingSet.single(RepositoryBinding(tiny_repo)),
+            RepositoryBinding(tiny_repo),
             IngestionCache(CachePolicy.DISCARD),
         )
         uri = tiny_repo.uris()[0]
@@ -280,7 +279,7 @@ class TestCacheScan:
 class TestTupleGranularMounting:
     def test_interval_stored_not_full_file(self, tiny_repo):
         service = MountService(
-            BindingSet.single(RepositoryBinding(tiny_repo)),
+            RepositoryBinding(tiny_repo),
             IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
         )
         uri = tiny_repo.uris()[0]
@@ -304,7 +303,7 @@ class TestTupleGranularMounting:
     def test_value_predicates_not_baked_into_cache(self, tiny_repo):
         """Non-time conjuncts must not narrow what the cache stores."""
         service = MountService(
-            BindingSet.single(RepositoryBinding(tiny_repo)),
+            RepositoryBinding(tiny_repo),
             IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
         )
         uri = tiny_repo.uris()[0]
@@ -365,7 +364,7 @@ def _flaky_service(tiny_repo, extractor):
     registry = FormatRegistry()
     registry.register(extractor)
     return MountService(
-        BindingSet.single(RepositoryBinding(tiny_repo, registry=registry)),
+        RepositoryBinding(tiny_repo, registry=registry),
         IngestionCache(CachePolicy.DISCARD),
     )
 
@@ -515,7 +514,7 @@ class TestSkipAndReport:
 
     def _service(self, repo):
         return MountService(
-            BindingSet.single(RepositoryBinding(repo)),
+            RepositoryBinding(repo),
             IngestionCache(CachePolicy.DISCARD),
         )
 
@@ -655,7 +654,7 @@ class TestConcurrentExtraction:
 
     def test_parallel_extract_accounting(self, tiny_repo):
         service = MountService(
-            BindingSet.single(RepositoryBinding(tiny_repo)),
+            RepositoryBinding(tiny_repo),
             IngestionCache(CachePolicy.DISCARD),
             buffers=BufferManager(),
         )

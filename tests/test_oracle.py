@@ -272,8 +272,9 @@ def config_points(draw, focus="any"):
     # A remote source's mounts stage cold after a warm metadata session:
     # every byte they move then crosses the link under the fault plan.
     metastores = METASTORES[2:] if remote or focus == "setup" else METASTORES
-    # Nothing cached: every query of a prefetch or tenants run extracts.
-    caches = {"cache": CACHES[1:], "prefetch": CACHES[:1],
+    # Nothing cached: every query of a tenants run extracts. A prefetch run
+    # needs a cache that keeps what its hints extract (DISCARD gets none).
+    caches = {"cache": CACHES[1:], "prefetch": ("lru",),
               "tenants": CACHES[:1]}.get(focus, CACHES)
     return ConfigPoint(
         strategy={"top-n": BULK, "per-file": PER_FILE}.get(focus)

@@ -53,7 +53,7 @@ def render_snapshot(executor: TwoStageExecutor, sql: str) -> str:
     plan = prune_columns(plan)
     sections.append(("prune-columns", plan.explain()))
 
-    decomposition = decompose(plan, classify, executor._uri_column_of)
+    decomposition = decompose(plan, classify)
     sections.append(("decomposition (Qf marked *)", decomposition.explain()))
 
     if not decomposition.metadata_only:
@@ -67,10 +67,7 @@ def render_snapshot(executor: TwoStageExecutor, sql: str) -> str:
         )
         assert decomposition.qs is not None
         rewritten = apply_ali_rewrite(
-            decomposition.qs,
-            files_by_alias,
-            executor.cache,
-            time_column=executor.mounts.time_column,
+            decomposition.qs, files_by_alias, executor.cache
         )
         sections.append(("stage-2 after ALi rewrite (rule 1)", rewritten.explain()))
 

@@ -35,7 +35,7 @@ from repro.db.plan.verify import (
 )
 from repro.db.plan.physical import PResultScan, PTableScan
 from repro.db.types import DataType
-from repro.ingest import RepositoryBinding
+from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.testing.oracle import ConfigPoint, run, verdicts
 
 from conftest import QUERY1, QUERY2
@@ -271,15 +271,34 @@ def test_env_flag_sets_database_default(monkeypatch):
     assert Database(verify_plans=True).verify_plans is True
 
 
-def test_executor_inherits_database_setting(ali_db, tiny_repo):
-    db = Database(verify_plans=True)
-    # fresh db has no metadata; only checking flag plumbing here
-    executor = TwoStageExecutor(db, RepositoryBinding(tiny_repo))
-    assert executor.verify_plans is True
-    executor_off = TwoStageExecutor(
-        db, RepositoryBinding(tiny_repo), verify_plans=False
-    )
-    assert executor_off.verify_plans is False
+@pytest.fixture(scope="module")
+def switch_db(tiny_repo):
+    """A metadata-only database of this module's own, whose
+    ``verify_plans`` the tests flip."""
+    db = Database()
+    lazy_ingest_metadata(db, tiny_repo)
+    return db
+
+
+def test_executor_inherits_database_setting(
+    switch_db, tiny_repo, monkeypatch
+):
+    """``Database.verify_plans`` is the one switch: it also turns on the
+    executor's decomposition and rule-(1) checks, read at each query."""
+    from repro.core import executor as executor_module
+
+    calls: list[str] = []
+    for name in ("verify_decomposition", "verify_ali_rewrite"):
+        monkeypatch.setattr(
+            executor_module, name, lambda *_, name=name: calls.append(name)
+        )
+    executor = TwoStageExecutor(switch_db, RepositoryBinding(tiny_repo))
+    switch_db.verify_plans = False
+    executor.execute(QUERY1)
+    assert calls == []
+    switch_db.verify_plans = True
+    executor.execute(QUERY1)
+    assert calls == ["verify_decomposition", "verify_ali_rewrite"]
 
 
 # -- whole-pipeline checks -----------------------------------------------------
@@ -292,10 +311,9 @@ METADATA_QUERY = (
 
 
 @pytest.mark.parametrize("sql", [QUERY1, QUERY2, METADATA_QUERY])
-def test_workload_verifies_cleanly(ali_db, tiny_repo, sql):
-    executor = TwoStageExecutor(
-        ali_db, RepositoryBinding(tiny_repo), verify_plans=True
-    )
+def test_workload_verifies_cleanly(switch_db, tiny_repo, sql):
+    switch_db.verify_plans = True
+    executor = TwoStageExecutor(switch_db, RepositoryBinding(tiny_repo))
     outcome = executor.execute(sql)
     assert outcome.result.num_rows >= 1
 
@@ -368,14 +386,13 @@ def random_queries(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sql=random_queries())
-def test_random_join_queries_verify_and_agree(ali_db, tiny_repo, sql):
+def test_random_join_queries_verify_and_agree(switch_db, tiny_repo, sql):
     """Random metadata/actual joins: verifier-clean at every pass, and the
     answer does not depend on whether verification runs."""
-    on = TwoStageExecutor(
-        ali_db, RepositoryBinding(tiny_repo), verify_plans=True
-    ).execute(sql)
-    off = TwoStageExecutor(
-        ali_db, RepositoryBinding(tiny_repo), verify_plans=False
-    ).execute(sql)
+    executor = TwoStageExecutor(switch_db, RepositoryBinding(tiny_repo))
+    switch_db.verify_plans = True
+    on = executor.execute(sql)
+    switch_db.verify_plans = False
+    off = executor.execute(sql)
     assert on.result.rows() == off.result.rows()
     assert on.result.names == off.result.names

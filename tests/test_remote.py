@@ -48,7 +48,6 @@ from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest, default_registry
-from repro.ingest.schema import BindingSet
 from repro.mseed import (
     FileRepository,
     RepositorySpec,
@@ -863,18 +862,22 @@ class TestRemoteRepository:
             repo.uris()  # no last-known listing to fall back on
 
 
-class _Without:
-    """A repository seen by duck type, minus the named hooks: what a
-    backend written before the hook existed looks like to its callers."""
+class _FileByFile:
+    """A repository whose bulk observation asks file by file: what a backend
+    without a listing that carries signatures answers from its per-file
+    hook."""
 
-    def __init__(self, inner, *hidden):
+    def __init__(self, inner):
         self._inner = inner
-        self._hidden = hidden
 
     def __getattr__(self, name):
-        if name in self._hidden:
-            raise AttributeError(name)
         return getattr(self._inner, name)
+
+    def signatures(self, scope=None):
+        return {
+            uri: self._inner.signature_of(uri, scope)
+            for uri in self._inner.uris(scope)
+        }
 
 
 class TestFederatedRepository:
@@ -916,13 +919,9 @@ class TestFederatedRepository:
         assert fed.signatures() == {**local.signatures(), **remote.signatures()}
         assert list(fed.signatures()) == fed.uris()
         heads = remote.transport.store.stats.heads
-        # No bulk hook: asked file by file (a HEAD each); no per-file hook
-        # either: the resolved path is stat'ed.
+        # Members that observe file by file: a HEAD per remote object.
         hookless = FederatedRepository(
-            [
-                _Without(local, "signatures", "signature_of"),
-                _Without(remote, "signatures"),
-            ]
+            [_FileByFile(local), _FileByFile(remote)]
         )
         assert hookless.signatures() == fed.signatures()
         assert remote.transport.store.stats.heads == heads + len(remote.uris())
@@ -1102,7 +1101,7 @@ class TestListingCarriesSignatures:
         # same sidecar behind, at a HEAD per object.
         asked = _Endpoint(objects, tmp_path / "per-file")
         per_file = _MetadataSession(
-            _Without(asked.repo, "signatures"), per_file_sidecar
+            _FileByFile(asked.repo), per_file_sidecar
         )
         assert asked.requests() == {"LIST": 1, "HEAD": self.FILES, "GET": 2}
         assert per_file.metadata == warm.metadata
@@ -1147,7 +1146,7 @@ class TestListingCarriesSignatures:
         assert not {row[0] for row in warm.metadata["F"]} & set(gone)
         cold = _MetadataSession(repository("cold"), tmp_path / "cold.json")
         per_file = _MetadataSession(
-            _Without(repository("per-file"), "signatures"), per_file_sidecar
+            _FileByFile(repository("per-file")), per_file_sidecar
         )
         assert warm.metadata == cold.metadata == per_file.metadata
         assert sidecar.read_bytes() == per_file_sidecar.read_bytes()
@@ -1307,7 +1306,7 @@ class _ColdMount:
         self.store = SimulatedObjectStore("seis-eu", self.objects)
         self.repo = RemoteRepository(self.store, tmp_path / "staging")
         self.mounts = MountService(
-            BindingSet.single(RepositoryBinding(self.repo)),
+            RepositoryBinding(self.repo),
             **service_kwargs,
         )
         self.mounts.record_map_provider = RecordMapIndex(db)
@@ -1791,7 +1790,7 @@ class TestOneLadderOneKey:
         self, tmp_path
     ):
         store, repo, _ = self._endpoint(tmp_path, failure_threshold=100)
-        mounts = MountService(BindingSet.single(RepositoryBinding(repo)))
+        mounts = MountService(RepositoryBinding(repo))
         uri = repo.uris()[0]
         store.set_down()
         before = store.stats.requests
@@ -1846,7 +1845,7 @@ class TestCacheScanOfAVanishedFile:
         cold = _ColdMount(tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED))
         if request.param == "local":
             cold.repo = FileRepository(cold.objects)
-            cold.mounts.bindings = BindingSet.single(RepositoryBinding(cold.repo))
+            cold.mounts.binding = RepositoryBinding(cold.repo)
             cold.mounts.record_map_provider = None
             [cold.uri] = cold.repo.uris()
         cold.rows = cold.mounts.mount_file(cold.uri, "D", "d", None).num_rows

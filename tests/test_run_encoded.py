@@ -37,7 +37,6 @@ from repro.db.types import DataType
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest._batches import explicit_mount
 from repro.ingest.formats import MountRequest
-from repro.ingest.schema import BindingSet
 from repro.ingest.xseed_format import _mounted
 from repro.mseed import FileRepository
 from repro.mseed.record import INT64_MAX, RecordHeader, XSeedRecord
@@ -111,9 +110,6 @@ def rows(batch: ColumnBatch) -> list[tuple]:
 
 def dtypes(batch: ColumnBatch) -> list:
     return [column.materialize().values.dtype for column in batch.columns]
-
-
-SERVICE = MountService(BindingSet())
 
 
 # -- strategies ----------------------------------------------------------------
@@ -208,17 +204,17 @@ def test_delivery_equals_the_per_row_reference(data):
     assert rows(mounted.batch) == rows(reference)
     assert dtypes(mounted.batch) == dtypes(reference)
 
-    delivered = SERVICE._deliver(mounted.batch, "d", predicate)
+    delivered = MountService._deliver(mounted.batch, "d", predicate)
     expected = reference_deliver(reference, "d", predicate)
     assert delivered.names == expected.names
     assert rows(delivered) == rows(expected)
 
     # A tuple-granular cache entry, and a later delivery from it.
     interval = interval_from_predicate(predicate, TIME_KEY)
-    narrowed = SERVICE._narrowed(mounted.batch, interval)
+    narrowed = MountService._narrowed(mounted.batch, interval)
     narrowed_reference = reference_narrowed(reference, interval)
     assert rows(narrowed) == rows(narrowed_reference)
-    assert rows(SERVICE._deliver(narrowed, "d", predicate)) == rows(
+    assert rows(MountService._deliver(narrowed, "d", predicate)) == rows(
         reference_deliver(narrowed_reference, "d", predicate)
     )
     # Reading an entry materializes new arrays and never grows it.
@@ -238,7 +234,7 @@ def test_time_bounds_slice_runs_instead_of_materializing():
         _time(">", EPOCH_2010 + 3_333_333, False),
         _time("<=", EPOCH_2010 + 10**7, False),
     ])
-    delivered = SERVICE._deliver(batch, "d", predicate)
+    delivered = MountService._deliver(batch, "d", predicate)
     # The three derived columns still share one (cut) run table.
     assert len({id(c.runs) for c in delivered.columns
                 if isinstance(c, RunColumn)}) == 1
@@ -381,7 +377,7 @@ def _mounts(data, count: int) -> list:
 def test_union_and_key_join_over_runs_equal_the_rows(data):
     mounts = _mounts(data, data.draw(st.integers(1, 3)))
     union = concat_batches([
-        SERVICE._deliver(m.batch, "d", None) for m, _ in mounts
+        MountService._deliver(m.batch, "d", None) for m, _ in mounts
     ])
     reference = concat_batches([
         reference_deliver(r, "d", None) for _, r in mounts

@@ -32,7 +32,7 @@ from repro.db.errors import StaleFileError, TruncatedFileError
 from repro.db.interval import INF, WHOLE_FILE
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest, RecordSpan
-from repro.ingest.schema import RECORD_TABLE, BindingSet, ensure_schema
+from repro.ingest.schema import RECORD_TABLE, ensure_schema
 from repro.ingest.xseed_format import XSeedExtractor
 from repro.mseed import (
     FileRepository,
@@ -260,7 +260,7 @@ class TestStaleByteMap:
             end_time=first.end_time - 7,
         )
         service = MountService(
-            BindingSet.single(RepositoryBinding(dense_repo)),
+            RepositoryBinding(dense_repo),
             IngestionCache(CachePolicy.DISCARD),
             record_map_provider=lambda u, t: tuple(spans),
         )
@@ -306,14 +306,14 @@ class TestEmptyInterval:
 class TestRequestFor:
     def test_unbounded_predicate_yields_no_request(self, dense_repo):
         service = MountService(
-            BindingSet.single(RepositoryBinding(dense_repo)),
+            RepositoryBinding(dense_repo),
             IngestionCache(CachePolicy.DISCARD),
         )
         assert service.request_for("u", "D", "d", None) is None
 
     def test_selective_disabled_yields_no_request(self, dense_repo):
         service = MountService(
-            BindingSet.single(RepositoryBinding(dense_repo)),
+            RepositoryBinding(dense_repo),
             IngestionCache(CachePolicy.DISCARD),
             selective=False,
         )

@@ -30,9 +30,9 @@ import threading
 import pytest
 
 from repro.core import IngestionCache, TwoStageExecutor
-from repro.core.cache import CachePolicy
+from repro.core.cache import CacheGranularity, CachePolicy
 from repro.core.governor import CancellationToken, CircuitBreaker, QueryBudget
-from repro.core.mounting import ExtractResult
+from repro.core.mounting import ExtractResult, MountContext
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
@@ -44,7 +44,7 @@ from repro.db.errors import (
 )
 from repro.db.column import Column
 from repro.db.table import ColumnBatch
-from repro.db.types import DataType
+from repro.db.types import DataType, format_timestamp, parse_timestamp
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
@@ -1117,3 +1117,79 @@ class TestServicePrefetch:
         point = ConfigPoint(tenants=4, prefetch=True, mount_workers=2)
         reached = run(reference, workload[0], tmp_path, point)
         assert verdicts(reached) == ["rows"] * 12
+
+    _HOUR = 3_600 * 1_000_000
+
+    def _window(self, first_hour: int, hours: int) -> tuple[int, int]:
+        start = parse_timestamp(SPEC.start_day) + first_hour * self._HOUR
+        return start, start + hours * self._HOUR - 1
+
+    def test_a_discarding_cache_gets_no_hints(self, repo):
+        """DISCARD keeps nothing a hint would extract: a sliding walk with
+        prefetch on registers no hint and reads no more than with it off."""
+        walk = [
+            "SELECT AVG(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
+            "WHERE F.station = 'ISK' AND F.channel = 'BHE' "
+            f"AND D.sample_time >= '{format_timestamp(lo)}' "
+            f"AND D.sample_time <= '{format_timestamp(hi)}'"
+            for lo, hi in (self._window(hour, 2) for hour in (2, 4, 6))
+        ]
+        runs = {}
+        for prefetch in (False, True):
+            service = _service(
+                repo,
+                cache=IngestionCache(CachePolicy.DISCARD),
+                mount_workers=1,
+                prefetch=prefetch,
+            )
+            with service:
+                answers = [service.execute(sql).rows for sql in walk]
+            runs[prefetch] = (
+                answers,
+                service.scheduler.stats.hints_registered,
+                service.total_mount_bytes,
+            )
+        answers, hints, read = runs[True]
+        assert answers == runs[False][0]
+        assert hints == 0
+        assert read <= runs[False][2]
+
+    def test_a_hint_keeps_what_a_session_prefetch_keeps(self, repo):
+        """One retention rule: on a tuple-granular cache a hint of a window
+        and a session prefetch of it leave the same entry behind."""
+        uri = repo.uris()[0]
+        interval = self._window(2, 2)
+
+        def tuple_cache():
+            return IngestionCache(
+                CachePolicy.UNBOUNDED, CacheGranularity.TUPLE
+            )
+
+        executor = TwoStageExecutor(
+            _fresh_db(repo), RepositoryBinding(repo), cache=tuple_cache()
+        )
+        outcome = executor.mounts.prefetch_into_cache(
+            uri, "D", interval, MountContext()
+        )
+        assert outcome[0] == "stored"
+        service = _service(repo, cache=tuple_cache(), mount_workers=1)
+        mounts = service._executor.mounts
+        request = MountRequest(
+            interval=interval, records=mounts.record_map_provider(uri, "D")
+        )
+        with service:
+            assert service.scheduler.hint([("D", uri, request)]) == 1
+            pacer = threading.Event()
+            for _ in range(500):
+                if len(service.cache):
+                    break
+                pacer.wait(0.01)
+        assert len(service.cache) == len(executor.cache) == 1
+        assert (
+            service.cache.stats.current_bytes
+            == executor.cache.stats.current_bytes
+        )
+        assert (
+            service.cache.lookup(uri, interval).rows()
+            == executor.cache.lookup(uri, interval).rows()
+        )

@@ -1,0 +1,101 @@
+"""The engine's settings, pinned by name.
+
+Each setting has one home: the executor's and the service's keywords, the
+session's and the binding's fields, the mount service's fields. A new
+option — or a second home for an existing one — fails here, so it arrives
+as a conscious edit of this list rather than as one more keyword.
+"""
+
+from __future__ import annotations
+
+import inspect
+from dataclasses import fields
+
+import pytest
+
+from repro.core import TwoStageExecutor
+from repro.core.mounting import MountService
+from repro.db.errors import IngestError
+from repro.explore import ExplorationSession
+from repro.ingest import RepositoryBinding
+from repro.serve import QueryService
+
+
+def _parameters(function) -> list[str]:
+    return [
+        name for name in inspect.signature(function).parameters
+        if name != "self"
+    ]
+
+
+def _fields(cls) -> list[str]:
+    return [field.name for field in fields(cls)]
+
+
+def test_executor_parameters():
+    assert _parameters(TwoStageExecutor.__init__) == [
+        "db",
+        "binding",
+        "cache",
+        "destiny",
+        "strategy",
+        "derived",
+        "mount_workers",
+        "on_mount_error",
+        "selective_mounts",
+        "budget",
+        "breaker",
+        "top_n_pushdown",
+    ]
+
+
+def test_service_parameters():
+    assert _parameters(QueryService.__init__) == [
+        "repository",
+        "db",
+        "cache",
+        "default_policy",
+        "scheduler_policy",
+        "mount_workers",
+        "max_concurrent_queries",
+        "selective_mounts",
+        "prefetch",
+    ]
+
+
+def test_session_fields():
+    assert _fields(ExplorationSession) == [
+        "engine",
+        "setup_seconds",
+        "history",
+        "prefetch",
+        "prefetcher",
+    ]
+
+
+def test_binding_fields():
+    assert _fields(RepositoryBinding) == [
+        "repository",
+        "prune_by_time",
+        "registry",
+    ]
+
+
+def test_mount_service_fields():
+    assert _fields(MountService) == [
+        "binding",
+        "cache",
+        "buffers",
+        "stats",
+        "selective",
+        "record_map_provider",
+        "file_span_provider",
+        "_callbacks",
+        "_lock",
+    ]
+
+
+def test_an_actual_table_the_binding_does_not_serve_is_refused(tiny_repo):
+    mounts = MountService(RepositoryBinding(tiny_repo))
+    with pytest.raises(IngestError, match="has no repository binding"):
+        mounts.mount_file(tiny_repo.uris()[0], "A1", "a", None)

@@ -170,19 +170,14 @@ class TestPushdownThroughSortAndDistinct:
         plan = db.optimize(
             db.bind_sql(sql), metadata_first=True, stats=executor.statistics()
         )
-        decomposition = decompose(
-            plan, db.catalog.is_metadata_table, executor._uri_column_of
-        )
+        decomposition = decompose(plan, db.catalog.is_metadata_table)
         ctx = db.make_context(mounter=executor.mounts)
         if decomposition.qf is not None:
             stage1 = db.execute_plan(decomposition.qf, ctx)
             ctx.results[decomposition.result_tag] = stage1.batch
         files_by_alias = executor._files_of_interest(decomposition, ctx)
         rewritten = apply_ali_rewrite(
-            decomposition.qs,
-            files_by_alias,
-            executor.cache,
-            time_column=executor.mounts.time_column,
+            decomposition.qs, files_by_alias, executor.cache
         )
         mounts = [n for n in rewritten.walk() if isinstance(n, Mount)]
         assert mounts, "rewrite produced no mount branches"
@@ -397,7 +392,7 @@ class TestFindTopNTarget:
 
     def test_matches_canonical_shape(self):
         plan = self._target_plan([self._mount("a"), self._mount("b")])
-        target = find_top_n_target(plan, "sample_time")
+        target = find_top_n_target(plan)
         assert target is not None
         assert target.key == "d.sample_time"
         assert target.ascending is False
@@ -415,7 +410,7 @@ class TestFindTopNTarget:
             ),
         )
         plan = TopN(inner, [(self._key(), True)], 3)
-        assert find_top_n_target(plan, "sample_time") is not None
+        assert find_top_n_target(plan) is not None
 
     def test_aggregate_between_rejected(self):
         union = UnionAll(
@@ -423,7 +418,7 @@ class TestFindTopNTarget:
         )
         agg = Aggregate(union, [("d.sample_time", self._key())], [])
         plan = TopN(agg, [(self._key(), True)], 3)
-        assert find_top_n_target(plan, "sample_time") is None
+        assert find_top_n_target(plan) is None
 
     def test_wrong_primary_key_rejected(self):
         union = UnionAll(
@@ -431,24 +426,20 @@ class TestFindTopNTarget:
         )
         other = ColumnRef("d.sample_value", DataType.FLOAT64)
         plan = TopN(union, [(other, True)], 3)
-        assert find_top_n_target(plan, "sample_time") is None
+        assert find_top_n_target(plan) is None
 
     def test_foreign_interval_column_rejected(self):
         plan = self._target_plan(
             [self._mount("a", interval=(0, 10), interval_column="other")]
         )
-        assert find_top_n_target(plan, "sample_time") is None
+        assert find_top_n_target(plan) is None
 
     def test_zero_count_and_empty_union_rejected(self):
         assert (
-            find_top_n_target(
-                self._target_plan([self._mount("a")], count=0), "sample_time"
-            )
+            find_top_n_target(self._target_plan([self._mount("a")], count=0))
             is None
         )
-        assert (
-            find_top_n_target(self._target_plan([]), "sample_time") is None
-        )
+        assert find_top_n_target(self._target_plan([])) is None
 
     def test_branch_hulls_intersect_span_and_interval(self):
         union = UnionAll(
