@@ -502,6 +502,12 @@ class TwoStageExecutor:
                     if breaker is None or not breaker.likely_blocked(node.uri)
                 ]
             )
+            # The cache scans' files observed at once, while the workers'
+            # GETs run: one LIST per directory where a scan would HEAD.
+            context.observed = self.mounts.binding.repository.signatures_of(
+                [n.uri for n in rewritten.walk() if isinstance(n, CacheScan)],
+                context,
+            )
             if self.strategy == PER_FILE:
                 stage2 = self._execute_per_file(rewritten, ctx)
             else:

@@ -235,7 +235,10 @@ class MountContext:
     The context is also the scope a remote repository's requests run under:
     ``token`` interrupts their waits, and :meth:`retry_budget` is the one
     :class:`~repro.core.governor.RetryBudget` per endpoint all of the
-    query's requests to it spend from.
+    query's requests to it spend from. ``observed`` is what the breakpoint
+    observed of the plan's cache-scanned files
+    (:meth:`~repro.mseed.repository.Repository.signatures_of`), which each
+    cache scan compares against instead of observing the file itself.
     """
 
     def __init__(
@@ -250,6 +253,8 @@ class MountContext:
         self.breaker = breaker
         self.pool = pool
         self.scheduler: Optional["MountScheduler"] = None
+        # Set at the breakpoint, read by the cache scans: the query's thread.
+        self.observed: dict[str, FileSignature | IngestError] = {}
         # Backoff sleeps and request waits block on this token's event;
         # without a governor it is a token nobody holds, so it never fires.
         self.token = (
@@ -732,17 +737,29 @@ class MountService:
         """The file's current signature, for a cache lookup to compare
         against; None when there is nothing to compare with.
 
-        A file that definitively does not exist (the ``stat`` says so, or
-        the endpoint answers 404) has no version the cached rows could still
-        be: its entries are invalidated here, so the lookup misses and the
-        mount fallback raises — or quarantines — the typed error. A file
-        that merely cannot be *observed* (an unreachable endpoint) keeps
-        its entries, and the lookup serves them uncompared: stale-but-
-        available, like :meth:`RemoteRepository.uris`' remembered listing.
+        What the breakpoint observed of the file (``context.observed``: one
+        LIST per directory of a remote query's cache scans) answers when
+        there is one, else the file is observed now (a local ``stat``, a
+        remote HEAD). An answer from the breakpoint is as fresh as the
+        breakpoint: a rewrite landing during stage 2 is the next query's to
+        see, and this query's rows are wholly the version listed.
+
+        A file that definitively does not exist (the ``stat`` says so, the
+        endpoint answers 404, or a complete listing passes it over) has no
+        version the cached rows could still be: its entries are invalidated
+        here, so the lookup misses and the mount fallback raises — or
+        quarantines — the typed error. A file that merely cannot be
+        *observed* (an unreachable endpoint, at the scan or at the
+        breakpoint) keeps its entries, and the lookup serves them
+        uncompared: stale-but-available, like
+        :meth:`RemoteRepository.uris`' remembered listing.
         """
+        observed = None if context is None else context.observed.get(uri)
         try:
+            if isinstance(observed, IngestError):
+                raise observed
             repository = self.binding_for(table_name).repository
-            return repository.signature_of(uri, context)
+            return observed or repository.signature_of(uri, context)
         except (FileNotFoundError, RemoteObjectMissingError):
             self.cache.invalidate(uri)
             return None

@@ -13,7 +13,9 @@ source-specific through its hooks: :meth:`~Repository.path_of` (URI →
 readable local path), :meth:`~Repository.locate` (every URI and its
 readable local path, from one listing), :meth:`~Repository.signature_of`
 (URI → staleness signature), :meth:`~Repository.signatures` (every URI and
-its signature, observed in bulk), :meth:`~Repository.extractor_for` (path →
+its signature, observed in bulk), :meth:`~Repository.signatures_of` (some
+URIs' signatures, observed ahead where that saves requests — what a query's
+cache scans compare against), :meth:`~Repository.extractor_for` (path →
 format extractor, possibly wrapped) and :meth:`~Repository.owns_uri`
 (federation dispatch). Those that can read, and :meth:`~Repository.uris`,
 also receive the calling query's ``scope`` (its
@@ -29,7 +31,7 @@ import os
 from operator import itemgetter
 from pathlib import Path
 from stat import S_ISLNK
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol, Sequence
 
 from ..db.errors import FileIngestError, IngestError
 
@@ -55,6 +57,10 @@ class Repository(Protocol):
     def signature_of(self, uri: str, scope: Any = None) -> tuple[int, int]: ...
 
     def signatures(self, scope: Any = None) -> dict[str, tuple[int, int]]: ...
+
+    def signatures_of(
+        self, uris: Sequence[str], scope: Any = None
+    ) -> dict[str, tuple[int, int] | IngestError]: ...
 
     def extractor_for(
         self,
@@ -218,6 +224,13 @@ class FileRepository:
             except FileNotFoundError:
                 pass  # deleted since the listing
         return observed
+
+    def signatures_of(
+        self, uris: Sequence[str], scope: object = None
+    ) -> dict[str, tuple[int, int] | IngestError]:
+        """Nothing observed ahead: a ``stat`` costs the same at the scan
+        as it would here, so each scan keeps its own."""
+        return {}
 
     def extractor_for(
         self,

@@ -100,6 +100,16 @@ class FederatedRepository:
     ) -> tuple[int, int]:
         return self._member_for(uri).signature_of(uri, scope)
 
+    def signatures_of(
+        self, uris: Sequence[str], scope: Optional["RequestScope"] = None
+    ) -> dict[str, tuple[int, int] | IngestError]:
+        """Each member's observation ahead of the URIs it serves."""
+        out: dict[str, tuple[int, int] | IngestError] = {}
+        for member in self.members:
+            owned = [uri for uri in uris if member.owns_uri(uri)]
+            out.update(member.signatures_of(owned, scope))
+        return out
+
     def total_bytes(self) -> int:
         return sum(member.total_bytes() for member in self.members)
 

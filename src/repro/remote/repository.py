@@ -12,13 +12,23 @@ The translation happens through the repository protocol hooks:
 ``signature_of``
     Answered by a HEAD: ``(mtime_ns, size)`` of the remote object, so the
     mount layer's cache-scan staleness check observes the *remote* file,
-    not the staging copy. An extraction needs none: every GET answers the
-    object's signature with its bytes (see *staging* below).
+    not the staging copy. A cache scan asks it only for a file the
+    breakpoint did not observe (``signatures_of``). An extraction needs
+    none: every GET answers the object's signature with its bytes (see
+    *staging* below).
 ``signatures``
     Answered by one LIST (a request per page of 1 000 objects): every
     object's URI and the signature a HEAD of it would have answered. The
     metadata pass gates sidecar reuse on it, so a session over N objects
     starts in ⌈N/1000⌉ requests, not N + 1.
+``signatures_of``
+    Answered at the breakpoint for a query's cache scans: one LIST per
+    directory holding two or more of them, bounded by their common key
+    prefix and cut at its first page, instead of one HEAD per scan. Each
+    scan compares its cached rows against that observation, so the
+    freshness window opens at the breakpoint, not at the scan: a rewrite
+    landing during stage 2 is seen by the next query. A lone file in its
+    directory, or one past the page, keeps its HEAD at the scan.
 ``extractor_for``
     Wraps the registry's per-suffix choice in :class:`RemoteExtractor`,
     which maps the selective-mount byte map onto **ranged GETs**: wanted
@@ -34,11 +44,12 @@ The translation happens through the repository protocol hooks:
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (per-endpoint circuit breaker, retry budget, deadlines), so every
 failure surfaces as a typed error naming the endpoint. ``uris``,
-``signatures``, ``signature_of`` and ``extractor_for`` take the calling
-query's ``scope`` (its :class:`~repro.core.mounting.MountContext`) and hand
-it down to every request they cause, so the query's token interrupts them
-and they spend from the query's retry budget for this endpoint; the
-repository keeps no "current query". ``uris()`` keeps the
+``signatures``, ``signature_of``, ``signatures_of`` and ``extractor_for``
+take the calling query's ``scope`` (its
+:class:`~repro.core.mounting.MountContext`) and hand it down to every
+request they cause, so the query's token interrupts them and they spend
+from the query's retry budget for this endpoint; the repository keeps no
+"current query". ``uris()`` keeps the
 last successful listing: an endpoint that dies *between* queries still
 resolves its file set, and the failures then surface per-file at mount
 time — where skip-and-report can degrade gracefully — instead of killing
@@ -57,7 +68,12 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .. import _sync
 from ..core.governor import CircuitBreaker
-from ..db.errors import FileIngestError, IngestError, StaleFileError
+from ..db.errors import (
+    FileIngestError,
+    IngestError,
+    RemoteObjectMissingError,
+    StaleFileError,
+)
 from ..ingest.formats import (
     FormatExtractor,
     FormatRegistry,
@@ -269,6 +285,41 @@ class RemoteRepository:
         return self.transport.head(
             self._key(uri), uri=uri, scope=scope
         ).signature
+
+    def signatures_of(
+        self, uris: Sequence[str], scope: Optional[RequestScope] = None
+    ) -> dict[str, tuple[int, int] | IngestError]:
+        """What a HEAD of each URI would answer now, its signature or its
+        typed error, for the URIs that a LIST per directory observes.
+
+        The keys are grouped by directory. A group of two or more is one
+        LIST bounded by the group's common key prefix, first page only: a
+        key it lists answers its signature, a key it passes over is gone
+        (the 404 a HEAD would get), and a LIST that fails answers its error
+        for the whole group. A lone key, and a key past the page, are left
+        out: the scan's own HEAD observes it for the same one request.
+        """
+        groups: dict[str, dict[str, str]] = {}
+        for uri in uris:
+            key = self._key(uri)
+            groups.setdefault(key.rpartition("/")[0], {})[key] = uri
+        observed: dict[str, tuple[int, int] | IngestError] = {}
+        for group in (keys for keys in groups.values() if len(keys) > 1):
+            prefix = os.path.commonprefix(list(group))
+            try:
+                page = self.transport.list_page(prefix, None, scope)
+            except IngestError as exc:
+                observed.update(dict.fromkeys(group.values(), exc))
+                continue
+            listed = {stat.key: stat.signature for stat in page.entries}
+            for key, uri in group.items():
+                if key in listed:
+                    observed[uri] = listed[key]
+                elif page.next_after is None or key <= page.next_after:
+                    observed[uri] = RemoteObjectMissingError(
+                        "LIST: no such object", uri=uri, endpoint=self.endpoint
+                    )
+        return observed
 
     def total_bytes(self) -> int:
         return sum(size for _, size in self.signatures().values())

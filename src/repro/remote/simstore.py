@@ -214,9 +214,12 @@ class SimulatedObjectStore:
         after: Optional[str] = None,
         deadline: Optional[float] = None,
         token: Optional[object] = None,
+        prefix: str = "",
     ) -> ListPage:
         """One page of the listing (one LIST request): the objects whose
-        keys sort after ``after`` (None: from the first), in key order.
+        keys start with ``prefix`` and sort after ``after`` (None: from the
+        first), in key order. A prefix no key starts with answers an empty
+        page, as S3 does. The walk starts at the prefix's directory.
 
         Each entry is what a HEAD of that object would answer now, so one
         listing observes every signature. The response body is charged to
@@ -225,11 +228,18 @@ class SimulatedObjectStore:
         self._request("LIST", deadline, token)
         with self._lock:
             self.stats.lists += 1
+        # Keys are named from where the walk found them, so a directory the
+        # root's walk would not enter (a link's target) names none with the
+        # prefix; a way out of the store names none either.
+        top = os.path.join(self._resolved_root, prefix.rpartition("/")[0])
+        top = os.path.realpath(top)
+        if not (top + os.sep).startswith(self._inside_root):
+            top = self._resolved_root
         keys: list[str] = []
-        for directory, _, names in os.walk(self._resolved_root):
-            prefix = directory[len(self._inside_root) :].replace(os.sep, "/")
-            keys.extend(f"{prefix}/{name}" if prefix else name for name in names)
-        keys.sort()
+        for directory, _, names in os.walk(top):
+            base = directory[len(self._inside_root) :].replace(os.sep, "/")
+            keys.extend(f"{base}/{name}" if base else name for name in names)
+        keys = sorted(key for key in keys if key.startswith(prefix))
         first = 0 if after is None else bisect_right(keys, after)
         page = keys[first : first + LIST_PAGE_ENTRIES]
         entries = []

@@ -71,7 +71,7 @@ from ..db.errors import (
     RemoteTransportError,
     StaleFileError,
 )
-from .simstore import ObjectStat, PreconditionFailed, SimulatedObjectStore
+from .simstore import ListPage, ObjectStat, PreconditionFailed, SimulatedObjectStore
 
 T = TypeVar("T")
 
@@ -145,22 +145,28 @@ class ResilientTransport:
     # -- public request API --------------------------------------------------
 
     def list_keys(
-        self, scope: Optional[RequestScope] = None
+        self, scope: Optional[RequestScope] = None, prefix: str = ""
     ) -> list[ObjectStat]:
-        """Every object's stat, in key order: one request per page of the
-        store's listing, each under the resilience layers on its own — a
-        page that fails is retried alone, and a listing that cannot be
-        completed raises with nothing of it returned."""
+        """Every stat of an object whose key starts with ``prefix``, in key
+        order: one request per page of the store's listing, each under the
+        resilience layers on its own — a page that fails is retried alone,
+        and a listing that cannot be completed raises with nothing of it
+        returned."""
         listed: list[ObjectStat] = []
         after: Optional[str] = None
         while True:
-            page = self._call(
-                "LIST", None, scope, partial(self.store.list_keys, after)
-            )
+            page = self.list_page(prefix, after, scope)
             listed.extend(page.entries)
             after = page.next_after
             if after is None:
                 return listed
+
+    def list_page(
+        self, prefix: str, after: Optional[str], scope: Optional[RequestScope]
+    ) -> ListPage:
+        """One page of :meth:`list_keys`: one LIST request."""
+        fetch = partial(self.store.list_keys, after, prefix=prefix)
+        return self._call("LIST", None, scope, fetch)
 
     def head(
         self,

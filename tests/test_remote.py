@@ -313,6 +313,51 @@ class TestSimulatedObjectStore:
         for entry in store.list_keys("b/2.xseed").entries:
             assert entry == store.head(entry.key)
 
+    @pytest.mark.parametrize("page_entries", [2, 3])
+    def test_a_prefixed_listing_is_the_full_one_filtered(
+        self, tmp_path, monkeypatch, page_entries
+    ):
+        monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", page_entries)
+        root = tmp_path / "root"
+        keys = (
+            "a.xseed", "a/0.xseed", "b/1.xseed", "b/2.xseed", "b/c/3.xseed",
+            "bb/4.xseed", "c.xseed",
+        )
+        for key in keys:
+            (root / key).parent.mkdir(parents=True, exist_ok=True)
+            (root / key).write_bytes(key.encode())
+        os.symlink(root / "b", root / "up")  # the full walk does not enter it
+        store = SimulatedObjectStore("seis-eu", root)
+
+        def paged(prefix=None):
+            listed, after = [], None
+            while True:
+                if prefix is None:
+                    page = store.list_keys(after)
+                else:
+                    page = store.list_keys(after, prefix=prefix)
+                listed.extend(entry.key for entry in page.entries)
+                after = page.next_after
+                if after is None:
+                    return listed
+
+        full = paged()
+        assert full == list(keys)
+        assert paged("") == full
+        for prefix in (
+            "a", "a/", "b", "b/", "b/1", "b/c/", "bb/", "c.x", "a.xseed",
+            "up/", "up/1", "../", "b/../a", "zz", "no/such/dir/",
+        ):
+            expected = [key for key in full if key.startswith(prefix)]
+            assert paged(prefix) == expected, prefix
+        empty = store.list_keys(prefix="no/such/dir/")
+        assert (empty.entries, empty.next_after) == ((), None)
+        transport = ResilientTransport(store)
+        assert [stat.key for stat in transport.list_keys(prefix="b/")] == [
+            "b/1.xseed", "b/2.xseed", "b/c/3.xseed",
+        ]
+        assert transport.list_keys() == transport.list_keys(prefix="")
+
     def test_list_body_is_charged_to_a_link_with_a_bandwidth(self, objects_dir):
         entries = len(_store(objects_dir).list_keys().entries)
         body = entries * simstore_module.LIST_ENTRY_BYTES
@@ -1285,6 +1330,29 @@ class TestListingCarriesSignatures:
 # -- one observation of the remote version per extraction ---------------------
 
 
+def _rewrite(path):
+    """Replace the object at ``path``: every sample one count higher, the
+    record layout (and so the harvested byte map) unchanged, mtime later."""
+    records = read_records(path)
+    bumped = [
+        XSeedRecord.create(
+            sequence=r.header.sequence,
+            network=r.header.network,
+            station=r.header.station,
+            location=r.header.location,
+            channel=r.header.channel,
+            start_time=r.header.start_time,
+            sample_rate=r.header.sample_rate,
+            samples=r.samples + 1,
+        )
+        for r in records
+    ]
+    assert [len(r.pack()) for r in bumped] == [len(r.pack()) for r in records]
+    before = path.stat()
+    write_volume(path, bumped)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+
+
 class _ColdMount:
     """A :class:`MountService` over a cold-staged remote copy of one
     rewritable object; ``R`` was harvested by an earlier session's
@@ -1349,26 +1417,7 @@ class _ColdMount:
         )
 
     def rewrite(self):
-        """Replace the object: every sample one count higher, the record
-        layout (and so the harvested byte map) unchanged, mtime later."""
-        records = read_records(self.path)
-        bumped = [
-            XSeedRecord.create(
-                sequence=r.header.sequence,
-                network=r.header.network,
-                station=r.header.station,
-                location=r.header.location,
-                channel=r.header.channel,
-                start_time=r.header.start_time,
-                sample_rate=r.header.sample_rate,
-                samples=r.samples + 1,
-            )
-            for r in records
-        ]
-        assert [len(r.pack()) for r in bumped] == [len(r.pack()) for r in records]
-        before = self.path.stat()
-        write_volume(self.path, bumped)
-        os.utime(self.path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        _rewrite(self.path)
 
     def samples(self, selective=True, only=None):
         """What is in the object now (every record, the wanted ones, or
@@ -1662,6 +1711,19 @@ class TestTheGetIsTheObservation:
             assert conditions == [fresh.signature]  # the HEAD's, handed down
             assert np.array_equal(_values(fresh), cold.samples(selective=False))
 
+    def test_three_served_cached_files_are_one_list_and_no_head(
+        self, tmp_path
+    ):
+        query = _CachedQuery(tmp_path, warm=False)
+        with QueryService(query.repo, db=query.db) as service:
+            first = service.execute(query.sql, tenant="a").rows
+            assert query.requests() == (0, 0, 3)
+            served = service.execute(query.sql, tenant="b")
+        assert served.rows == first
+        assert served.result.stats.cache_scans == 3
+        # One directory: the breakpoint's LIST is the three comparisons.
+        assert query.requests() == (1, 0, 3)
+
 
 class TestObservationHandDown:
     def test_handed_down_observation_is_the_if_match_of_every_get(
@@ -1905,6 +1967,207 @@ class TestCacheScanOfAVanishedFile:
         assert batch.num_rows == rows
         assert cold.mounts.stats.cache_scans == 1
         assert cold.mounts.cache.contains(cold.uri)
+
+
+# Two directories (one per station) of three objects each (one per channel).
+BREAKPOINT_SPEC = replace(
+    SPEC, stations=("ISK", "ANK"), channels=("BHE", "BHN", "BHZ")
+)
+
+
+class _CachedQuery:
+    """A query whose files an executor with an unbounded cache holds, over
+    a cold-staged endpoint of :data:`BREAKPOINT_SPEC` whose metadata an
+    earlier session harvested; ``warm=False`` leaves the query unrun."""
+
+    ONE_STATION = (
+        "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
+        "WHERE F.station = 'ISK'"
+    )
+    BOTH_STATIONS = (
+        "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
+    )
+
+    def __init__(self, tmp_path, sql=ONE_STATION, warm=True):
+        self.tmp_path = tmp_path
+        self.objects = tmp_path / "objects"
+        generate_repository(self.objects, BREAKPOINT_SPEC)
+        self.db = Database()
+        lazy_ingest_metadata(self.db, self._repository("harvest"))
+        self.repo = self._repository("staging")
+        self.store = self.repo.transport.store
+        self.executor = TwoStageExecutor(
+            self.db,
+            RepositoryBinding(self.repo),
+            cache=IngestionCache(CachePolicy.UNBOUNDED),
+        )
+        self.sql = sql
+        if warm:
+            self.warm = self.executor.execute(sql).rows
+            self.uris = sorted(self.executor.cache.cached_uris())
+        self.before = replace(self.store.stats)
+
+    def _repository(self, staging):
+        return RemoteRepository(
+            SimulatedObjectStore("seis-eu", self.objects),
+            self.tmp_path / staging,
+        )
+
+    def path(self, uri):
+        return self.objects / parse_remote_uri(uri)[1]
+
+    def requests(self):
+        """(LISTs, HEADs, GETs) answered since the query was first run."""
+        now, before = self.store.stats, self.before
+        return (
+            now.lists - before.lists,
+            now.heads - before.heads,
+            now.gets - before.gets,
+        )
+
+    def fresh(self):
+        """The query's answer over the objects as they are now, from a
+        session that has nothing cached or staged."""
+        repo = self._repository(f"fresh-{time.monotonic_ns()}")
+        return TwoStageExecutor(self.db, RepositoryBinding(repo)).execute(
+            self.sql
+        ).rows
+
+
+class TestOneListPerBreakpoint:
+    """A query's cache scans compare against what one LIST per directory
+    observed at the breakpoint, instead of a HEAD each; a file whose
+    directory holds no other scan keeps its HEAD, and whatever a HEAD could
+    meet — a 404, an endpoint down, a cancelled query — ends the same."""
+
+    def test_three_cached_files_are_one_list_and_no_head(self, tmp_path):
+        query = _CachedQuery(tmp_path)
+        served = query.executor.execute(query.sql)
+        assert served.rows == query.warm
+        assert served.result.stats.cache_scans == 3
+        assert query.requests() == (1, 0, 0)
+
+    def test_cached_files_in_two_directories_are_two_lists(self, tmp_path):
+        query = _CachedQuery(tmp_path, _CachedQuery.BOTH_STATIONS)
+        served = query.executor.execute(query.sql)
+        assert served.rows == query.warm
+        assert served.result.stats.cache_scans == 6
+        assert query.requests() == (2, 0, 0)
+
+    def test_a_lone_cached_file_is_its_head(self, tmp_path):
+        query = _CachedQuery(
+            tmp_path, _CachedQuery.ONE_STATION + " AND F.channel = 'BHZ'"
+        )
+        assert query.executor.execute(query.sql).rows == query.warm
+        assert query.requests() == (0, 1, 0)
+
+    def test_a_group_longer_than_a_page_heads_the_rest(
+        self, tmp_path, monkeypatch
+    ):
+        query = _CachedQuery(tmp_path)
+        monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 2)
+        served = query.executor.execute(query.sql)
+        assert served.rows == query.warm
+        assert served.result.stats.cache_scans == 3
+        assert query.requests() == (1, 1, 0)  # the page held two of three
+        # The third was left to its HEAD, not taken for gone.
+        assert query.executor.mounts.stats.fallback_mounts == 0
+
+    @pytest.mark.parametrize("observed_by", ["LIST", "HEAD"])
+    def test_an_object_deleted_before_the_list_is_a_404(
+        self, tmp_path, monkeypatch, observed_by
+    ):
+        """The last key in the group is gone: passed over by the LIST, or —
+        past a page of one — answered 404 by its own HEAD. Both end alike."""
+        query = _CachedQuery(tmp_path)
+        if observed_by == "HEAD":
+            monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 1)
+        gone = query.uris[-1]
+        samples = sum(len(r.samples) for r in read_records(query.path(gone)))
+        query.path(gone).unlink()
+        with pytest.raises(RemoteObjectMissingError) as excinfo:
+            query.executor.execute(query.sql)
+        assert excinfo.value.uri == gone
+        assert not excinfo.value.transient
+        # The scans' HEADs, if any, and the fallback mount's: staging holds
+        # a whole copy and asks whether it is current.
+        assert query.requests()[:2] == (1, 1 if observed_by == "LIST" else 3)
+        assert query.executor.cache.cached_uris() == set(query.uris[:-1])
+        assert query.executor.mounts.stats.stale_remounts == 1
+        degraded = query.executor.execute(
+            query.sql, context=query.executor.open_context(on_mount_error="skip")
+        )
+        [failure] = degraded.timings.mount_failures.failures
+        assert (failure.uri, failure.error, failure.endpoint) == (
+            gone, "RemoteObjectMissingError", "seis-eu",
+        )
+        assert degraded.rows[0][0] == query.warm[0][0] - samples
+
+    def test_an_endpoint_down_at_the_list_serves_the_cached_rows_unobserved(
+        self, tmp_path
+    ):
+        query = _CachedQuery(tmp_path)
+        query.store.set_down()
+        served = query.executor.execute(query.sql)
+        assert served.rows == query.warm
+        assert served.result.stats.cache_scans == 3
+        assert served.timings.mount_failures.failures == []
+        # Every request was an attempt at the one LIST, refused; no scan
+        # asked again.
+        stats = query.store.stats
+        assert stats.refused == stats.requests - query.before.requests > 0
+        assert query.requests() == (0, 0, 0)
+        assert query.executor.cache.cached_uris() == set(query.uris)
+
+    def test_a_token_cancelled_during_the_list_raises_the_interruption(
+        self, tmp_path
+    ):
+        query = _CachedQuery(tmp_path)
+        context = query.executor.open_context()
+        list_keys = query.store.list_keys
+
+        def cancelled_in_flight(*args, **kwargs):
+            context.token.cancel("ctrl-c during the breakpoint's LIST")
+            query.store.model = NetworkModel(NetworkProfile(latency_seconds=5.0))
+            return list_keys(*args, **kwargs)
+
+        query.store.list_keys = cancelled_in_flight
+        started = time.monotonic()
+        with pytest.raises(QueryCancelledError, match="breakpoint's LIST"):
+            query.executor.execute(query.sql, context=context)
+        assert time.monotonic() - started < 2.0
+        # The LIST was begun and never answered; nothing was asked after it.
+        assert query.store.stats.requests == query.before.requests + 1
+        assert query.requests() == (0, 0, 0)
+        assert query.executor.cache.cached_uris() == set(query.uris)
+
+    def test_a_rewrite_after_the_list_is_the_next_querys_to_see(
+        self, tmp_path
+    ):
+        """The comparison is as fresh as the breakpoint: a rewrite landing
+        between the LIST and the scan leaves this query's rows wholly of the
+        version listed, and the next query's LIST replaces them."""
+        query = _CachedQuery(tmp_path)
+        rewritten = query.uris[0]
+        list_keys = query.store.list_keys
+
+        def rewritten_once_listed(*args, **kwargs):
+            page = list_keys(*args, **kwargs)
+            query.store.list_keys = list_keys
+            _rewrite(query.path(rewritten))
+            return page
+
+        query.store.list_keys = rewritten_once_listed
+        served = query.executor.execute(query.sql)
+        stats = query.executor.mounts.stats
+        assert served.rows == query.warm
+        assert (stats.cache_scans, stats.stale_remounts) == (3, 0)
+        again = query.executor.execute(query.sql)
+        assert (stats.cache_scans, stats.stale_remounts) == (5, 1)
+        assert again.rows == query.fresh() != query.warm
+        assert again.rows[0][0] == query.warm[0][0]
+        # The remount's HEAD is staging's, of its whole copy; then its GET.
+        assert query.requests() == (2, 1, 1)
 
 
 def _record_tokens(store):

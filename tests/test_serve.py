@@ -767,23 +767,23 @@ class TestServeChaos:
 # -- one query, one context ---------------------------------------------------
 
 
-class _ScriptedHeadStore(SimulatedObjectStore):
-    """HEADs fail while ``failing``; ``before_head[n]`` runs ahead of the
+class _ScriptedListStore(SimulatedObjectStore):
+    """LISTs fail while ``failing``; ``before_list[n]`` runs ahead of the
     n-th failing one, on the thread that issued it."""
 
     failing = False
-    failed_heads = 0
+    failed_lists = 0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.before_head = {}
+        self.before_list = {}
 
-    def head(self, key, deadline=None, token=None):
+    def list_keys(self, after=None, deadline=None, token=None, prefix=""):
         if not self.failing:
-            return super().head(key, deadline=deadline, token=token)
-        self.failed_heads += 1
-        self.before_head.pop(self.failed_heads, lambda: None)()
-        raise ConnectionResetError(f"scripted reset (HEAD:{key})")
+            return super().list_keys(after, deadline, token, prefix)
+        self.failed_lists += 1
+        self.before_list.pop(self.failed_lists, lambda: None)()
+        raise ConnectionResetError(f"scripted reset (LIST {prefix!r})")
 
 
 class TestCrossTenantIsolation:
@@ -857,11 +857,12 @@ class TestCrossTenantIsolation:
     def test_a_query_starting_does_not_refill_anothers_retry_budget(
         self, tiny_repo, remote_db, tmp_path
     ):
-        """Tenant a's query makes two staleness HEADs (one per cached file)
-        against an endpoint that resets every HEAD, on a budget of one
-        retry: the first HEAD spends it, the second gets none — even though
-        tenant b's query starts (and ends) in between."""
-        store = _ScriptedHeadStore("seis-eu", tiny_repo.root)
+        """Tenant a's query observes its two cached files with one LIST at
+        the breakpoint, against an endpoint that resets every LIST, on a
+        budget of one retry: the first attempt's failure spends it, the
+        second's gets none — even though tenant b's query starts (and ends)
+        in between. The scans then serve the cached rows unobserved."""
+        store = _ScriptedListStore("seis-eu", tiny_repo.root)
         repository = RemoteRepository(
             store,
             tmp_path / "staging",
@@ -873,17 +874,17 @@ class TestCrossTenantIsolation:
         with _service(repository, db=remote_db) as service:
             warm = service.execute(self.SQL, tenant="a").rows
             store.failing = True
-            # Ahead of a's second HEAD (failing HEADs 1 and 2 are the first
-            # one's two attempts), on a's own thread.
-            store.before_head[3] = lambda: service.execute(
+            # Ahead of the LIST's second attempt, on a's own thread.
+            store.before_list[2] = lambda: service.execute(
                 "SELECT COUNT(*) FROM F", tenant="b"
             )
             served = service.execute(self.SQL, tenant="a")
         assert served.rows == warm
         assert served.result.stats.cache_scans == 2
-        assert store.failed_heads == 3 and not store.before_head
+        assert store.failed_lists == 2 and not store.before_list
+        assert store.stats.heads == 0
         stats = repository.transport.stats
-        assert (stats.retries, stats.retries_denied) == (1, 2)
+        assert (stats.retries, stats.retries_denied) == (1, 1)
 
 
 class TestOneExecutor:
