@@ -28,7 +28,9 @@ The translation happens through the repository protocol hooks:
     scan compares its cached rows against that observation, so the
     freshness window opens at the breakpoint, not at the scan: a rewrite
     landing during stage 2 is seen by the next query. A lone file in its
-    directory, or one past the page, keeps its HEAD at the scan.
+    directory, or one past the page, keeps its HEAD at the scan; so does a
+    group whose LIST body would stream longer, on a link with a bandwidth,
+    than the round trips its HEADs cost.
 ``extractor_for``
     Wraps the registry's per-suffix choice in :class:`RemoteExtractor`,
     which maps the selective-mount byte map onto **ranged GETs**: wanted
@@ -82,6 +84,7 @@ from ..ingest.formats import (
     SelectiveFormatExtractor,
 )
 from ..mseed.volume import coalesce_spans
+from . import simstore
 from .simstore import SimulatedObjectStore
 from .transport import RequestScope, ResilientTransport, TransportPolicy
 from .uris import endpoint_of, parse_remote_uri, remote_uri
@@ -171,7 +174,6 @@ class RemoteRepository:
         policy: TransportPolicy = TransportPolicy(),
         suffix: str | tuple[str, ...] = (".xseed", ".tscsv"),
         breaker: Optional[CircuitBreaker] = None,
-        coalesce_gap_bytes: Optional[int] = None,
     ) -> None:
         self.endpoint = store.endpoint
         self.transport = ResilientTransport(store, policy, breaker=breaker)
@@ -182,21 +184,16 @@ class RemoteRepository:
         self._resolved_root = os.path.realpath(self.staging_root)
         self._inside_root = os.path.join(self._resolved_root, "")
         self.suffixes = (suffix,) if isinstance(suffix, str) else tuple(suffix)
-        if coalesce_gap_bytes is None:
-            profile = store.model.profile
-            if profile.bandwidth_bytes_per_second is not None:
-                # Gaps that stream faster than one request round-trips are
-                # cheaper to read through than to split.
-                coalesce_gap_bytes = max(
-                    1,
-                    int(
-                        profile.latency_seconds
-                        * profile.bandwidth_bytes_per_second
-                    ),
-                )
-            else:
-                coalesce_gap_bytes = DEFAULT_COALESCE_GAP_BYTES
-        self.coalesce_gap_bytes = coalesce_gap_bytes
+        # Gaps that stream faster than one request round-trips are cheaper to
+        # read through than to split.
+        profile = store.model.profile
+        self.coalesce_gap_bytes = (
+            DEFAULT_COALESCE_GAP_BYTES
+            if profile.bandwidth_bytes_per_second is None
+            else max(
+                1, int(profile.latency_seconds * profile.bandwidth_bytes_per_second)
+            )
+        )
         self.stats = RemoteRepositoryStats()  # guarded-by: _lock
         self._lock = _sync.create_lock("RemoteRepository._lock")
         self._staged: dict[str, _StagedFile] = {}  # guarded-by: _lock
@@ -297,7 +294,9 @@ class RemoteRepository:
         key it lists answers its signature, a key it passes over is gone
         (the 404 a HEAD would get), and a LIST that fails answers its error
         for the whole group. A lone key, and a key past the page, are left
-        out: the scan's own HEAD observes it for the same one request.
+        out: the scan's own HEAD observes it for the same one request. So
+        is a group whose LIST would cost more link time than its HEADs
+        (:meth:`_listing_pays`).
         """
         groups: dict[str, dict[str, str]] = {}
         for uri in uris:
@@ -306,6 +305,8 @@ class RemoteRepository:
         observed: dict[str, tuple[int, int] | IngestError] = {}
         for group in (keys for keys in groups.values() if len(keys) > 1):
             prefix = os.path.commonprefix(list(group))
+            if not self._listing_pays(prefix, len(group)):
+                continue
             try:
                 page = self.transport.list_page(prefix, None, scope)
             except IngestError as exc:
@@ -320,6 +321,26 @@ class RemoteRepository:
                         "LIST: no such object", uri=uri, endpoint=self.endpoint
                     )
         return observed
+
+    def _listing_pays(self, prefix: str, heads: int) -> bool:
+        """Whether one LIST of the keys under ``prefix`` costs less link
+        time than ``heads`` HEADs: each request pays the link's latency, and
+        the LIST's body also streams at its bandwidth, so the body must
+        stream in less than the ``heads - 1`` round trips it saves. How many
+        keys it holds is read from the last listing (a full page before
+        there is one)."""
+        profile = self.transport.store.model.profile
+        if profile.bandwidth_bytes_per_second is None:
+            return True
+        with self._lock:
+            listing = self._last_listing
+        entries = simstore.LIST_PAGE_ENTRIES
+        if listing is not None:
+            under = remote_uri(self.endpoint, prefix)
+            entries = min(entries, sum(uri.startswith(under) for uri in listing))
+        return entries * simstore.LIST_ENTRY_BYTES < (heads - 1) * (
+            profile.latency_seconds * profile.bandwidth_bytes_per_second
+        )
 
     def total_bytes(self) -> int:
         return sum(size for _, size in self.signatures().values())

@@ -145,17 +145,16 @@ class ResilientTransport:
     # -- public request API --------------------------------------------------
 
     def list_keys(
-        self, scope: Optional[RequestScope] = None, prefix: str = ""
+        self, scope: Optional[RequestScope] = None
     ) -> list[ObjectStat]:
-        """Every stat of an object whose key starts with ``prefix``, in key
-        order: one request per page of the store's listing, each under the
-        resilience layers on its own — a page that fails is retried alone,
-        and a listing that cannot be completed raises with nothing of it
-        returned."""
+        """Every object's stat, in key order: one request per page of the
+        store's listing, each under the resilience layers on its own — a
+        page that fails is retried alone, and a listing that cannot be
+        completed raises with nothing of it returned."""
         listed: list[ObjectStat] = []
         after: Optional[str] = None
         while True:
-            page = self.list_page(prefix, after, scope)
+            page = self.list_page("", after, scope)
             listed.extend(page.entries)
             after = page.next_after
             if after is None:
@@ -164,7 +163,8 @@ class ResilientTransport:
     def list_page(
         self, prefix: str, after: Optional[str], scope: Optional[RequestScope]
     ) -> ListPage:
-        """One page of :meth:`list_keys`: one LIST request."""
+        """One page of the listing of the keys that start with ``prefix``
+        (``""``: every key), after ``after``: one LIST request."""
         fetch = partial(self.store.list_keys, after, prefix=prefix)
         return self._call("LIST", None, scope, fetch)
 

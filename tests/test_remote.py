@@ -352,11 +352,8 @@ class TestSimulatedObjectStore:
             assert paged(prefix) == expected, prefix
         empty = store.list_keys(prefix="no/such/dir/")
         assert (empty.entries, empty.next_after) == ((), None)
-        transport = ResilientTransport(store)
-        assert [stat.key for stat in transport.list_keys(prefix="b/")] == [
-            "b/1.xseed", "b/2.xseed", "b/c/3.xseed",
-        ]
-        assert transport.list_keys() == transport.list_keys(prefix="")
+        page = ResilientTransport(store).list_page("b/", None, None)
+        assert [stat.key for stat in page.entries] == paged("b/")[:page_entries]
 
     def test_list_body_is_charged_to_a_link_with_a_bandwidth(self, objects_dir):
         entries = len(_store(objects_dir).list_keys().entries)
@@ -783,9 +780,8 @@ class TestRemoteRepository:
     def test_fetch_spans_moves_only_missing_coalesced_bytes(
         self, objects_dir, tmp_path
     ):
-        repo = _repository(
-            tmp_path, _store(objects_dir), coalesce_gap_bytes=8
-        )
+        repo = _repository(tmp_path, _store(objects_dir))
+        repo.coalesce_gap_bytes = 8
         uri = repo.uris()[0]
         key = parse_remote_uri(uri)[1]
         raw = (objects_dir / key).read_bytes()
@@ -806,9 +802,8 @@ class TestRemoteRepository:
         assert repo.stats.staged_reuses == 1
 
     def test_adjacent_spans_coalesce_into_one_get(self, objects_dir, tmp_path):
-        repo = _repository(
-            tmp_path, _store(objects_dir), coalesce_gap_bytes=64
-        )
+        repo = _repository(tmp_path, _store(objects_dir))
+        repo.coalesce_gap_bytes = 64
         uri = repo.uris()[0]
         assert repo.fetch_spans(uri, [(0, 32), (48, 48)]).moved == 96
         assert repo.stats.ranged_gets == 1  # 16-byte gap read through
@@ -1711,19 +1706,6 @@ class TestTheGetIsTheObservation:
             assert conditions == [fresh.signature]  # the HEAD's, handed down
             assert np.array_equal(_values(fresh), cold.samples(selective=False))
 
-    def test_three_served_cached_files_are_one_list_and_no_head(
-        self, tmp_path
-    ):
-        query = _CachedQuery(tmp_path, warm=False)
-        with QueryService(query.repo, db=query.db) as service:
-            first = service.execute(query.sql, tenant="a").rows
-            assert query.requests() == (0, 0, 3)
-            served = service.execute(query.sql, tenant="b")
-        assert served.rows == first
-        assert served.result.stats.cache_scans == 3
-        # One directory: the breakpoint's LIST is the three comparisons.
-        assert query.requests() == (1, 0, 3)
-
 
 class TestObservationHandDown:
     def test_handed_down_observation_is_the_if_match_of_every_get(
@@ -2046,6 +2028,37 @@ class TestOneListPerBreakpoint:
         assert served.rows == query.warm
         assert served.result.stats.cache_scans == 3
         assert query.requests() == (1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "listed, round_trips, requests",
+        [(True, 1.5, (1, 0, 0)), (True, 2.5, (0, 3, 0)), (False, 1.5, (0, 3, 0))],
+    )
+    def test_a_list_whose_body_outlasts_the_heads_it_saves_is_left_to_them(
+        self, tmp_path, listed, round_trips, requests
+    ):
+        """On a link with a bandwidth the LIST's body streams too: it is
+        sent only if that takes less than the two round trips it saves. The
+        keys under its prefix are counted in the last listing, and taken
+        for a full page before there is one."""
+        query = _CachedQuery(tmp_path)
+        keys = [parse_remote_uri(uri)[1] for uri in query.uris]
+        prefix = os.path.commonprefix(keys)
+        listing = SimulatedObjectStore("seis-eu", query.objects).list_keys
+        body = len(listing(prefix=prefix).entries) * (
+            simstore_module.LIST_ENTRY_BYTES
+        )
+        if listed:
+            query.repo.signatures()
+        latency = 0.002
+        query.store.model = NetworkModel(
+            NetworkProfile(
+                latency_seconds=latency,
+                bandwidth_bytes_per_second=body / (round_trips * latency),
+            )
+        )
+        query.before = replace(query.store.stats)
+        assert query.executor.execute(query.sql).rows == query.warm
+        assert query.requests() == requests
 
     def test_cached_files_in_two_directories_are_two_lists(self, tmp_path):
         query = _CachedQuery(tmp_path, _CachedQuery.BOTH_STATIONS)
