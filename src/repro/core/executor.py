@@ -23,7 +23,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Union
 
 from ..db.buffer import IoStats
 from ..db.database import Database, QueryResult
@@ -84,6 +84,11 @@ PER_FILE = "per_file"  # strategy (b): operate per file, merge results
 _ONE_TENANT = SchedulerPolicy(batch_window_seconds=0.0)
 
 _PARTIAL_TAG = "partial_agg"
+
+# Strategy (b)'s per-branch hook: called with (branches merged, branches in
+# the union, the merger) before each branch and once after the last; True
+# stops the loop, keeping what is merged. Multi-stage execution is one.
+_BranchHook = Callable[[int, int, PartialMerger], bool]
 
 
 @dataclass
@@ -378,12 +383,20 @@ class TwoStageExecutor:
         outcome.timings.lock_stats = _sync.lock_snapshot_delta(lock_before)
         return outcome
 
-    def _execute(self, sql: str, context: MountContext) -> TwoStageResult:
+    def _execute(
+        self,
+        query: Union[str, Decomposition],
+        context: MountContext,
+        on_branch: Optional[_BranchHook] = None,
+    ) -> TwoStageResult:
+        """Run ``query`` (SQL, or a decomposition already prepared) under
+        ``context``. ``on_branch`` runs stage 2 per file whatever the
+        strategy, calling it around every branch (see ``_BranchHook``)."""
         governor, pool, breaker = context.governor, context.pool, context.breaker
         assert governor is not None and pool is not None
         timings = StageTimings()
         started = time.perf_counter()
-        decomposition = self.prepare(sql)
+        decomposition = self.prepare(query) if isinstance(query, str) else query
         timings.compile_seconds = time.perf_counter() - started
 
         ctx = self.db.make_context(
@@ -474,8 +487,9 @@ class TwoStageExecutor:
 
         # Stage 2: mounts happen here, inside the plan. Both strategies
         # dispatch their mount branches through the context's scheduler.
+        per_file = on_branch is not None or self.strategy == PER_FILE
         termination = None
-        if self.top_n_pushdown and self.strategy == BULK:
+        if self.top_n_pushdown and not per_file:
             termination = self._top_n_termination(rewritten, pool)
         try:
             if termination is not None:
@@ -508,8 +522,8 @@ class TwoStageExecutor:
                 [n.uri for n in rewritten.walk() if isinstance(n, CacheScan)],
                 context,
             )
-            if self.strategy == PER_FILE:
-                stage2 = self._execute_per_file(rewritten, ctx)
+            if per_file:
+                stage2 = self._execute_per_file(rewritten, ctx, on_branch)
             else:
                 stage2 = self.db.execute_plan(rewritten, ctx)
                 if monitor is not None and not monitor.safe():
@@ -659,11 +673,18 @@ class TwoStageExecutor:
 
     # -- strategy (b): per-file partials --------------------------------------------
 
-    def _execute_per_file(self, rewritten: LogicalPlan, ctx) -> QueryResult:
+    def _execute_per_file(
+        self,
+        rewritten: LogicalPlan,
+        ctx,
+        on_branch: Optional[_BranchHook] = None,
+    ) -> QueryResult:
         """Run higher operators per sub-table and merge (§3 choice (b)).
 
         Falls back to bulk execution when the plan shape does not decompose
-        (no aggregate, non-decomposable aggregate, or several unions).
+        (no aggregate, non-decomposable aggregate, or several unions). A
+        branch ``on_branch`` stops before is never taken; closing the pool
+        withdraws its mount.
         """
         aggregate = next(
             (n for n in rewritten.walk() if isinstance(n, Aggregate)), None
@@ -682,13 +703,19 @@ class TwoStageExecutor:
 
         union = unions[0]
         merger = PartialMerger(aggregate)
-        for branch in union.inputs:
+        total = len(union.inputs)
+        for done, branch in enumerate(union.inputs):
+            if on_branch is not None and on_branch(done, total, merger):
+                break
             child = _replace_subtree(
                 aggregate.child, union, UnionAll([branch])
             )
             partial_plan = merger.partial_aggregate_node(child)
             partial = self.db.execute_plan(partial_plan, ctx)
             merger.merge(partial.rows(), partial.names)
+        else:
+            if on_branch is not None:
+                on_branch(total, total, merger)
 
         final_batch = batch_from_rows(aggregate.output, merger.finalized_rows())
         ctx.results[_PARTIAL_TAG] = final_batch

@@ -74,7 +74,6 @@ class MetastoreStats:
     stale: int = 0  # URIs whose on-disk signature drifted since extraction
     corrupt_loads: int = 0  # sidecar unreadable/unparsable → clean reset
     version_mismatches: int = 0  # sidecar from another layout version
-    loaded_files: int = 0  # per-URI states read by the last successful load
     saved_files: int = 0  # per-URI states written by the last save
     saved_bytes: int = 0  # sidecar size written by the last save
 
@@ -250,7 +249,6 @@ class MetadataStore:
             self._files = files
             self._table_rows = table_rows
             self._dirty = False
-            self.stats.loaded_files = len(files)
         return len(files)
 
     @property

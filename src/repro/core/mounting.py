@@ -332,7 +332,6 @@ class MountStats:
     early_cancelled_mounts: int = 0  # pending mounts released before extraction
     whole_file_requests: int = 0  # selective requests widened: interval covers file
     prefetched_mounts: int = 0  # speculative extractions stored ahead of a query
-    prefetched_bytes: int = 0  # bytes read by those speculative extractions
 
 
 @dataclass(frozen=True)
@@ -614,7 +613,6 @@ class MountService:
         self.retain(uri, result, interval)
         with self._lock:
             self.stats.prefetched_mounts += 1
-            self.stats.prefetched_bytes += result.bytes_read
         return ("stored", result.bytes_read)
 
     @staticmethod

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .. import _sync
 from ..db.interval import Interval, is_empty, overlaps
+from ..ingest.schema import ACTUAL_TABLE
 from .mounting import MountContext, MountService
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -39,6 +40,18 @@ __all__ = [
     "SessionPrefetcher",
     "WorkloadPredictor",
 ]
+
+
+# Each prediction is hull-widened by this fraction of its width on both
+# sides, so a slightly-off extrapolation still covers the real next window
+# (coverage is all-or-nothing for the cache).
+WIDEN_FRACTION = 0.25
+# Two windows whose widths differ by at most this fraction are a slide.
+WIDTH_TOLERANCE = 0.3
+# Query windows the predictor remembers.
+MAX_HISTORY = 8
+# Bound on one prefetch round's speculative disk work.
+MAX_BYTES_PER_ROUND = 32 * 1024 * 1024
 
 
 # -- prediction ---------------------------------------------------------------
@@ -61,27 +74,12 @@ class WorkloadPredictor:
     similar center). Anything else — the MOVE_ON jump to a fresh random
     focus — is deliberately unpredictable and yields no prediction, so the
     prefetcher stays idle instead of guessing.
-
-    ``widen_fraction`` hull-widens each prediction by that fraction of its
-    width on both sides, so a slightly-off extrapolation still covers the
-    real next window (coverage is all-or-nothing for the cache).
     """
 
-    def __init__(
-        self,
-        widen_fraction: float = 0.25,
-        width_tolerance: float = 0.3,
-        max_history: int = 8,
-    ) -> None:
-        if widen_fraction < 0:
-            raise ValueError("widen_fraction must be >= 0")
-        if not 0 < width_tolerance < 1:
-            raise ValueError("width_tolerance must be in (0, 1)")
-        self.widen_fraction = widen_fraction
-        self.width_tolerance = width_tolerance
+    def __init__(self) -> None:
         self._lock = _sync.create_lock("WorkloadPredictor._lock")
         self._windows: deque[Interval] = deque(  # guarded-by: _lock
-            maxlen=max_history
+            maxlen=MAX_HISTORY
         )
 
     def observe(self, interval: Optional[Interval]) -> None:
@@ -105,7 +103,7 @@ class WorkloadPredictor:
         center_last = (last[0] + last[1]) // 2
         delta = center_last - center_prev
         ratio = width_last / width_prev
-        tol = self.width_tolerance
+        tol = WIDTH_TOLERANCE
         if 1 - tol <= ratio <= 1 + tol:
             # Similar widths: a slide (or a repeat, delta 0). A jump much
             # larger than the window itself is a MOVE_ON, not a slide.
@@ -139,7 +137,7 @@ class WorkloadPredictor:
     def _widened(
         self, lo: int, hi: int, width: int, kind: str
     ) -> PredictedWindow:
-        margin = int(width * self.widen_fraction)
+        margin = int(width * WIDEN_FRACTION)
         return PredictedWindow(interval=(lo - margin, hi + margin), kind=kind)
 
 
@@ -151,10 +149,8 @@ class PrefetchStats:
     observed: int = 0  # query windows fed to the predictor
     predictions: int = 0  # windows the predictor extrapolated
     rounds: int = 0  # prefetch rounds actually executed
-    files_considered: int = 0  # files overlapping a predicted window
     files_prefetched: int = 0  # speculative extractions stored in the cache
     bytes_prefetched: int = 0  # bytes those extractions read off disk
-    skipped_covered: int = 0  # already satisfied by a cache entry
     skipped_blocked: int = 0  # refused by the breaker / cache policy
     skipped_budget: int = 0  # dropped by the per-round byte budget
     errors: int = 0  # failed extractions and failed rounds (absorbed)
@@ -175,31 +171,22 @@ class SessionPrefetcher:
     speculative bytes land on no query's ledger and a query's cancellation
     or deadline neither reaches a round nor is caused by one.
 
-    By default one daemon worker drains a round queue so prefetching never
-    blocks the explorer's next query; ``synchronous=True`` runs each round
-    inline on the observing thread — the deterministic mode tests use.
-    ``max_bytes_per_round`` bounds each round's speculative disk work.
+    One daemon worker drains a round queue so prefetching never blocks the
+    explorer's next query; :meth:`flush` waits for the queue to drain.
+    Each round's speculative disk work is bounded by
+    ``MAX_BYTES_PER_ROUND``.
     """
 
     def __init__(
         self,
         mounts: MountService,
         statistics: Callable[[], "StatisticsCatalog"],
-        table_name: str = "D",
-        predictor: Optional[WorkloadPredictor] = None,
-        max_bytes_per_round: int = 32 * 1024 * 1024,
-        synchronous: bool = False,
         breaker: Optional["CircuitBreaker"] = None,
     ) -> None:
-        if max_bytes_per_round < 1:
-            raise ValueError("max_bytes_per_round must be >= 1")
         self.mounts = mounts
         self.breaker = breaker
         self.statistics = statistics
-        self.table_name = table_name
-        self.predictor = predictor or WorkloadPredictor()
-        self.max_bytes_per_round = max_bytes_per_round
-        self.synchronous = synchronous
+        self.predictor = WorkloadPredictor()
         self.stats = PrefetchStats()  # guarded-by: _lock
         self._lock = _sync.create_lock("SessionPrefetcher._lock")
         # The wakeup condition shares _lock (same idiom as the scheduler).
@@ -222,9 +209,6 @@ class SessionPrefetcher:
             return
         with self._lock:
             self.stats.predictions += 1
-        if self.synchronous:
-            self._run_round(predicted)
-            return
         with self._wakeup:
             if self._stop:
                 return
@@ -306,24 +290,21 @@ class SessionPrefetcher:
             if not overlaps(predicted.interval, span[0], span[1]):
                 continue
             with self._lock:
-                self.stats.files_considered += 1
                 if self._stop:
                     return
-            if spent >= self.max_bytes_per_round:
+            if spent >= MAX_BYTES_PER_ROUND:
                 with self._lock:
                     self.stats.skipped_budget += 1
                 continue
             outcome, nbytes = self.mounts.prefetch_into_cache(
-                uri, self.table_name, predicted.interval, context
+                uri, ACTUAL_TABLE, predicted.interval, context
             )
             spent += nbytes
             with self._lock:
                 if outcome == "stored":
                     self.stats.files_prefetched += 1
                     self.stats.bytes_prefetched += nbytes
-                elif outcome == "covered":
-                    self.stats.skipped_covered += 1
                 elif outcome == "error":
                     self.stats.errors += 1
-                else:  # "blocked" / "disabled"
+                elif outcome != "covered":  # "blocked" / "disabled"
                     self.stats.skipped_blocked += 1

@@ -300,10 +300,8 @@ class SchedulerStats:
     grants: int = 0
     shared_grants: int = 0
     inline_steals: int = 0
-    unscheduled_mounts: int = 0  # client fallbacks that bypassed the table
     withdrawn: int = 0  # interests dropped by cancelled/closed queries
     starved_grants: int = 0
-    bytes_extracted: int = 0
     bytes_shared: int = 0
     max_wait_seconds: float = 0.0
     hints_registered: int = 0  # speculative prefetch tasks accepted
@@ -667,9 +665,7 @@ class MountScheduler:
             raise
         elapsed = time.perf_counter() - started
         with self._lock:
-            self.stats.unscheduled_mounts += 1
             self.stats.tasks_extracted += 1
-            self.stats.bytes_extracted += result.bytes_read
         return result, MountTaskTiming(
             uri, table_name, self.workers, elapsed, result.io_seconds
         )
@@ -779,7 +775,6 @@ class MountScheduler:
             task.state = TASK_DONE
             task.extract_seconds = time.perf_counter() - started
             self.stats.tasks_extracted += 1
-            self.stats.bytes_extracted += result.bytes_read
             if task.hint:
                 self.stats.hint_extractions += 1
             self._reap_locked(task)

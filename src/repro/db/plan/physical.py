@@ -121,8 +121,6 @@ class OpProfile:
 class ExecStats:
     """Counters accumulated while executing one plan."""
 
-    rows_scanned: int = 0
-    rows_joined: int = 0
     files_mounted: int = 0
     cache_scans: int = 0
     operators_run: int = 0
@@ -227,9 +225,7 @@ class PTableScan(PhysicalOp):
             )
             names.append(key)
             cols.append(column)
-        batch = ColumnBatch(names, cols)
-        ctx.stats.rows_scanned += batch.num_rows
-        return batch
+        return ColumnBatch(names, cols)
 
 
 @dataclass
@@ -265,7 +261,6 @@ class PIndexScan(PhysicalOp):
             names.append(key)
             cols.append(column.take(rowids))
         batch = ColumnBatch(names, cols)
-        ctx.stats.rows_scanned += batch.num_rows
         if self.residual is not None:
             mask = self.residual.evaluate(batch).values
             batch = batch.filter(mask)
@@ -333,12 +328,10 @@ class PHashJoin(PhysicalOp):
                 left_batch, left_idx, right_idx, left_codes, right_codes,
                 left_runs, right_runs,
             )
-        joined = _materialize(
+        return _materialize(
             left_batch, right_batch, left_idx, right_idx,
             self.residual, self.output_names,
         )
-        ctx.stats.rows_joined += joined.num_rows
-        return joined
 
 
 # A join's right row per output row, or a function that builds it.
@@ -508,12 +501,10 @@ class PNestedLoopJoin(PhysicalOp):
         n_left, n_right = left_batch.num_rows, right_batch.num_rows
         left_idx = np.repeat(np.arange(n_left), n_right)
         right_idx = np.tile(np.arange(n_right), n_left)
-        joined = _materialize(
+        return _materialize(
             left_batch, right_batch, left_idx, right_idx,
             self.condition, self.output_names,
         )
-        ctx.stats.rows_joined += joined.num_rows
-        return joined
 
 
 @dataclass
@@ -570,11 +561,9 @@ class PIndexJoin(PhysicalOp):
         predicate = conjoin(
             [p for p in (self.stored_predicate, self.residual) if p is not None]
         )
-        joined = _materialize(
+        return _materialize(
             left, right, left_idx, right_idx, predicate, self.output_names
         )
-        ctx.stats.rows_joined += joined.num_rows
-        return joined
 
 
 @dataclass

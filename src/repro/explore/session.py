@@ -73,23 +73,20 @@ class ExplorationSession:
     # Predictive prefetch (two-stage engine only): after each query, the
     # workload predictor extrapolates the next window from the session's
     # interval history and warms the ingestion cache in the background.
-    # `prefetcher` is injectable for tests (e.g. a synchronous one);
-    # prefetch=True builds the default.
     prefetch: bool = False
-    prefetcher: Optional[SessionPrefetcher] = None
 
     def __post_init__(self) -> None:
-        if self.prefetch or self.prefetcher is not None:
+        self.prefetcher: Optional[SessionPrefetcher] = None
+        if self.prefetch:
             if not isinstance(self.engine, TwoStageExecutor):
                 raise ValueError(
                     "prefetch applies only to a TwoStageExecutor engine"
                 )
-            if self.prefetcher is None:
-                self.prefetcher = SessionPrefetcher(
-                    self.engine.mounts,
-                    self.engine.statistics,
-                    breaker=self.engine.breaker,
-                )
+            self.prefetcher = SessionPrefetcher(
+                self.engine.mounts,
+                self.engine.statistics,
+                breaker=self.engine.breaker,
+            )
 
     def close(self) -> None:
         """Stop the background prefetcher, if one is running."""

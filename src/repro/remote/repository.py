@@ -155,7 +155,6 @@ class Staged(NamedTuple):
 @dataclass
 class RemoteRepositoryStats:
     remote_bytes: int = 0  # bytes actually moved off the endpoint
-    span_fetches: int = 0  # fetch_spans calls that issued >= 1 GET
     ranged_gets: int = 0  # coalesced ranged GETs issued
     whole_fetches: int = 0  # whole-object GETs issued
     staged_reuses: int = 0  # calls fully served from the staging file
@@ -562,8 +561,6 @@ class RemoteRepository:
                 entry.whole = entry.ranges == [(0, stat.size)]
                 self.stats.ranged_gets += 1
                 self.stats.remote_bytes += len(data)
-        with self._lock:
-            self.stats.span_fetches += 1
         return Staged(version, moved)
 
 

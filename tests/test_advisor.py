@@ -1,8 +1,8 @@
 """Predictive prefetch: window prediction and speculative cache warming.
 
 Covers the two pieces in :mod:`repro.core.prefetch` plus their integration
-with the executor (a synchronous prefetch round turning the next query into
-a cache scan without changing its answer).
+with the executor (a prefetch round, drained with ``flush()``, turning the
+next query into a cache scan without changing its answer).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core import (
     TwoStageExecutor,
     WorkloadPredictor,
 )
+from repro.core import prefetch
 from repro.core.prefetch import PredictedWindow
 from repro.db import Database
 from repro.db.errors import QueryCancelledError
@@ -27,6 +28,16 @@ from repro.db.types import format_timestamp, parse_timestamp
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 
 _MINUTE_US = 60 * 1_000_000
+
+
+@pytest.fixture()
+def unwidened(monkeypatch):
+    monkeypatch.setattr(prefetch, "WIDEN_FRACTION", 0.0)
+
+
+@pytest.fixture()
+def one_byte_rounds(monkeypatch):
+    monkeypatch.setattr(prefetch, "MAX_BYTES_PER_ROUND", 1)
 
 
 class TestWorkloadPredictor:
@@ -43,8 +54,8 @@ class TestWorkloadPredictor:
         assert predictor.predict() is None
         assert predictor.observe_and_predict(self._window(0)) is None
 
-    def test_slide_extrapolates_next_step(self):
-        predictor = WorkloadPredictor(widen_fraction=0.0)
+    def test_slide_extrapolates_next_step(self, unwidened):
+        predictor = WorkloadPredictor()
         predictor.observe(self._window(0))
         predicted = predictor.observe_and_predict(self._window(1))
         assert predicted is not None
@@ -52,7 +63,8 @@ class TestWorkloadPredictor:
         assert predicted.interval == self._window(2)
 
     def test_widening_covers_sloppy_slides(self):
-        predictor = WorkloadPredictor(widen_fraction=0.25)
+        assert prefetch.WIDEN_FRACTION == 0.25
+        predictor = WorkloadPredictor()
         predictor.observe(self._window(0))
         predicted = predictor.observe_and_predict(self._window(1))
         margin = self.WIDTH // 4
@@ -67,8 +79,8 @@ class TestWorkloadPredictor:
         # Same width but a jump far beyond 2x the window: MOVE_ON.
         assert predictor.observe_and_predict(self._window(40)) is None
 
-    def test_zoom_in_contracts_around_center(self):
-        predictor = WorkloadPredictor(widen_fraction=0.0)
+    def test_zoom_in_contracts_around_center(self, unwidened):
+        predictor = WorkloadPredictor()
         wide = (self.BASE, self.BASE + 4 * self.WIDTH)
         center = (wide[0] + wide[1]) // 2
         half = self.WIDTH
@@ -82,8 +94,8 @@ class TestWorkloadPredictor:
         assert wide[0] < lo < hi < wide[1]
         assert hi - lo < 2 * half
 
-    def test_zoom_out_expands_around_center(self):
-        predictor = WorkloadPredictor(widen_fraction=0.0)
+    def test_zoom_out_expands_around_center(self, unwidened):
+        predictor = WorkloadPredictor()
         half = self.WIDTH
         center = self.BASE + 4 * self.WIDTH
         predictor.observe((center - half, center + half))
@@ -135,10 +147,8 @@ class TestSessionPrefetcher:
         )
 
     def test_synchronous_round_warms_next_window(self, tiny_repo):
+        """Each round is drained before the next query runs."""
         executor = self._executor(tiny_repo)
-        prefetcher = SessionPrefetcher(
-            executor.mounts, executor.statistics, synchronous=True
-        )
         windows = self._sliding(3)
         plain = self._executor(tiny_repo)
         expected = [
@@ -146,9 +156,13 @@ class TestSessionPrefetcher:
         ]
 
         rows = []
-        for lo, hi in windows:
-            rows.append(executor.execute(self._sql(lo, hi)).rows)
-            prefetcher.observe((lo, hi))
+        with SessionPrefetcher(
+            executor.mounts, executor.statistics
+        ) as prefetcher:
+            for lo, hi in windows:
+                rows.append(executor.execute(self._sql(lo, hi)).rows)
+                prefetcher.observe((lo, hi))
+                assert prefetcher.flush(timeout=10.0)
         assert rows == expected
 
         stats = prefetcher.stats
@@ -163,15 +177,16 @@ class TestSessionPrefetcher:
         """A prediction past the archive's end prefetches nothing and the
         following unrelated query still answers identically."""
         executor = self._executor(tiny_repo)
-        prefetcher = SessionPrefetcher(
-            executor.mounts, executor.statistics, synchronous=True
-        )
         base = parse_timestamp("2010-01-11T20:00:00.000")
         width = 60 * _MINUTE_US
-        # Slide toward (and past) the end of the last day.
-        for i in range(4):
-            lo = base + i * width
-            prefetcher.observe((lo, lo + width))
+        with SessionPrefetcher(
+            executor.mounts, executor.statistics
+        ) as prefetcher:
+            # Slide toward (and past) the end of the last day.
+            for i in range(4):
+                lo = base + i * width
+                prefetcher.observe((lo, lo + width))
+            assert prefetcher.flush(timeout=10.0)
         check = self._sliding(1)[0]
         plain = self._executor(tiny_repo)
         assert (
@@ -183,11 +198,12 @@ class TestSessionPrefetcher:
         db = Database()
         lazy_ingest_metadata(db, tiny_repo)
         executor = TwoStageExecutor(db, RepositoryBinding(tiny_repo))
-        prefetcher = SessionPrefetcher(
-            executor.mounts, executor.statistics, synchronous=True
-        )
-        for lo, hi in self._sliding(3):
-            prefetcher.observe((lo, hi))
+        with SessionPrefetcher(
+            executor.mounts, executor.statistics
+        ) as prefetcher:
+            for lo, hi in self._sliding(3):
+                prefetcher.observe((lo, hi))
+            assert prefetcher.flush(timeout=10.0)
         assert prefetcher.stats.files_prefetched == 0
         assert prefetcher.stats.skipped_blocked > 0
 
@@ -204,16 +220,14 @@ class TestSessionPrefetcher:
         prefetcher.close()
         prefetcher.observe((0, 1))
 
-    def test_byte_budget_bounds_a_round(self, tiny_repo):
+    def test_byte_budget_bounds_a_round(self, tiny_repo, one_byte_rounds):
         executor = self._executor(tiny_repo)
-        prefetcher = SessionPrefetcher(
-            executor.mounts,
-            executor.statistics,
-            synchronous=True,
-            max_bytes_per_round=1,
-        )
-        for lo, hi in self._sliding(3):
-            prefetcher.observe((lo, hi))
+        with SessionPrefetcher(
+            executor.mounts, executor.statistics
+        ) as prefetcher:
+            for lo, hi in self._sliding(3):
+                prefetcher.observe((lo, hi))
+            assert prefetcher.flush(timeout=10.0)
         stats = prefetcher.stats
         # At most one file fits under a 1-byte budget; the rest are counted.
         assert stats.files_prefetched <= stats.rounds
@@ -225,7 +239,7 @@ class TestPrefetchIsNobodysBill:
     lands on no query's ledger, and no query's token reaches it."""
 
     @pytest.fixture()
-    def overlapping(self, tiny_repo):
+    def overlapping(self, tiny_repo, one_byte_rounds):
         """(executor, prefetcher, sql, foreground file): the query mounts
         one whole file, and while it does — from a mount callback, so the
         overlap is exact — the prefetcher runs one round that extracts
@@ -237,12 +251,7 @@ class TestPrefetchIsNobodysBill:
             RepositoryBinding(tiny_repo),
             cache=IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
         )
-        prefetcher = SessionPrefetcher(
-            executor.mounts,
-            executor.statistics,
-            synchronous=True,
-            max_bytes_per_round=1,
-        )
+        prefetcher = SessionPrefetcher(executor.mounts, executor.statistics)
         uri = tiny_repo.uris()[0]
         lo, hi = executor.statistics().file_span(uri)
         window = PredictedWindow(interval=(lo, (lo + hi) // 2), kind="slide")
@@ -301,9 +310,8 @@ class TestPrefetchIsNobodysBill:
         lazy_ingest_metadata(db, tiny_repo)
         statistics = TwoStageExecutor(db, RepositoryBinding(tiny_repo)).statistics
         span = statistics().file_span(tiny_repo.uris()[0])
-        with SessionPrefetcher(
-            FailsOnce(), statistics, predictor=AlwaysPredicts()
-        ) as prefetcher:
+        with SessionPrefetcher(FailsOnce(), statistics) as prefetcher:
+            prefetcher.predictor = AlwaysPredicts()
             prefetcher.observe(span)
             assert prefetcher.flush(timeout=10.0)
             assert prefetcher.stats.errors == 1

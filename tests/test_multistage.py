@@ -1,13 +1,34 @@
 """Tests for multi-stage (batched) execution with early stopping."""
 
 import math
+import shutil
+import threading
+import time
 
 import pytest
 
-from repro.core import MultiStageExecutor, PartialMerger, TwoStageExecutor, is_decomposable
-from repro.db.errors import PlanError
+from repro.core import (
+    ON_BUDGET_PARTIAL,
+    PER_FILE,
+    CacheGranularity,
+    CachePolicy,
+    CancellationToken,
+    DerivedMetadataStore,
+    IngestionCache,
+    MultiStageExecutor,
+    PartialMerger,
+    QueryBudget,
+    TwoStageExecutor,
+    is_decomposable,
+)
+from repro.core.scheduler import SharedPoolClient
+from repro.db import Database
+from repro.db.errors import PlanError, QueryBudgetExceeded, QueryCancelledError
 from repro.db.plan.logical import Aggregate
-from repro.ingest import RepositoryBinding
+from repro.ingest import RepositoryBinding, lazy_ingest_metadata
+from repro.mseed import FileRepository
+
+from test_governor import _assert_workers_joined, _slow_plan
 
 
 WHOLE_REPO_AVG = "SELECT AVG(sample_value) FROM D"
@@ -133,3 +154,173 @@ class TestPartialMerger:
         merger = PartialMerger(agg)
         (row,) = merger.finalized_rows()
         assert math.isnan(row[0])
+
+
+# -- one breakpoint: multi-stage runs the executor's stage 2 ---------------------
+
+WINDOW_AVG = (
+    "SELECT AVG(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
+    "WHERE D.sample_time > '2010-01-10T10:00:00.000' "
+    "AND D.sample_time < '2010-01-10T12:00:00.000'"
+)
+
+
+def _tuple_cache():
+    return IngestionCache(
+        CachePolicy.LRU, CacheGranularity.TUPLE, capacity_bytes=64 << 20
+    )
+
+
+def _executor(db, repo, **kwargs):
+    return TwoStageExecutor(db, RepositoryBinding(repo), **kwargs)
+
+
+class TestOneBreakpoint:
+    def test_prefetch_registers_exactly_the_uncached_files(
+        self, ali_db, tiny_repo, monkeypatch
+    ):
+        """Rule (1) serves the warmed window from the cache, so the workers
+        are handed only the files it mounts."""
+        executor = _executor(
+            ali_db, tiny_repo, cache=_tuple_cache(), mount_workers=2
+        )
+        executor.execute(WINDOW_AVG + " AND F.station = 'ISK'")
+        cached = executor.cache.cached_uris()
+        assert cached
+        fresh = _executor(ali_db, tiny_repo)
+        uncached = fresh.execute(
+            WINDOW_AVG + " AND F.station = 'ANK'"
+        ).breakpoint.files_of_interest
+        assert uncached
+
+        registered = []
+        prefetch = SharedPoolClient.prefetch
+
+        def recording(pool, tasks):
+            registered.extend(task[1] for task in tasks)
+            prefetch(pool, tasks)
+
+        monkeypatch.setattr(SharedPoolClient, "prefetch", recording)
+        before = executor.mounts.stats.bytes_read
+        outcome = MultiStageExecutor(executor, batch_files=1).execute(WINDOW_AVG)
+        assert sorted(registered) == sorted(uncached)
+        assert executor.mounts.stats.bytes_read - before == (
+            fresh.mounts.stats.bytes_read
+        )
+        assert outcome.converged
+        assert outcome.total_files == len(cached) + len(uncached)
+        assert outcome.result.rows()[0][0] == pytest.approx(
+            fresh.execute(WINDOW_AVG).rows[0][0]
+        )
+
+    def test_derived_answer_is_converged_with_no_batches(
+        self, fresh_ali_db, tiny_repo
+    ):
+        derived = DerivedMetadataStore(fresh_ali_db)
+        executor = _executor(fresh_ali_db, tiny_repo, derived=derived)
+        exact = executor.execute(STATION_SUM).rows[0][0]  # fills the store
+        outcome = MultiStageExecutor(executor, batch_files=1).execute(STATION_SUM)
+        assert outcome.converged
+        assert outcome.snapshots == []
+        assert outcome.files_processed == outcome.total_files == 0
+        assert outcome.result.rows()[0][0] == pytest.approx(exact)
+
+    def test_total_files_counts_rule_one_branches(self, executor, tiny_repo):
+        """A ``D.uri`` equality leaves one branch of the files of interest."""
+        uri = tiny_repo.uris()[0]
+        outcome = MultiStageExecutor(executor, batch_files=1).execute(
+            f"SELECT COUNT(*) FROM D WHERE D.uri = '{uri}'"
+        )
+        assert outcome.total_files == outcome.files_processed == 1
+        assert [s.files_processed for s in outcome.snapshots] == [1]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("cache", ["discard", "lru-tuple"])
+    def test_full_run_matches_two_stage_across_pools_and_caches(
+        self, ali_db, tiny_repo, ei_db, workers, cache
+    ):
+        executor = _executor(
+            ali_db, tiny_repo, mount_workers=workers,
+            cache=_tuple_cache() if cache == "lru-tuple" else None,
+        )
+        multi = MultiStageExecutor(executor, batch_files=2)
+        expected = ei_db.execute(WHOLE_REPO_AVG).scalar()
+        for _ in range(2):  # the second run meets a warm cache
+            outcome = multi.execute(WHOLE_REPO_AVG)
+            assert outcome.converged
+            assert outcome.files_processed == outcome.total_files
+            assert outcome.result.rows()[0][0] == pytest.approx(expected)
+        _assert_workers_joined()
+
+
+class TestGovernedRuns:
+    def test_partial_byte_budget_keeps_the_merged_prefix(self, executor):
+        budget = QueryBudget(max_mount_bytes=1, on_budget=ON_BUDGET_PARTIAL)
+        multi = MultiStageExecutor(executor, batch_files=2)
+        outcome = multi.execute(WHOLE_REPO_AVG, budget=budget)
+        assert not outcome.converged
+        assert 0 < outcome.files_processed < outcome.total_files
+        assert outcome.truncation is not None
+        assert "byte" in outcome.truncation.reason
+        assert outcome.snapshots[-1].files_processed == outcome.files_processed
+        # The same prefix, stopped by the caller instead of the budget.
+        prefix = MultiStageExecutor(
+            executor,
+            batch_files=1,
+            stop_condition=lambda s: s.files_processed >= outcome.files_processed,
+        ).execute(WHOLE_REPO_AVG)
+        assert prefix.truncation is None
+        assert outcome.result.rows() == prefix.result.rows()
+
+    def test_raise_mode_budget_raises_within_a_second(self, ali_db, tiny_repo):
+        executor = _executor(ali_db, tiny_repo, mount_workers=4)
+        token = CancellationToken()
+        started = time.perf_counter()
+        with _slow_plan(tiny_repo, token).install():
+            with pytest.raises(QueryBudgetExceeded):
+                MultiStageExecutor(executor).execute(
+                    WHOLE_REPO_AVG,
+                    budget=QueryBudget(deadline_seconds=0.05),
+                    cancellation=token,
+                )
+        assert time.perf_counter() - started < 1.0
+        _assert_workers_joined()
+
+    def test_cancel_from_another_thread_raises_within_a_second(
+        self, ali_db, tiny_repo
+    ):
+        executor = _executor(ali_db, tiny_repo, mount_workers=4)
+        token = CancellationToken()
+        cancelled = []
+        threading.Timer(0.05, lambda: cancelled.append(executor.cancel())).start()
+        started = time.perf_counter()
+        with _slow_plan(tiny_repo, token).install():
+            with pytest.raises(QueryCancelledError):
+                MultiStageExecutor(executor).execute(
+                    WHOLE_REPO_AVG, cancellation=token
+                )
+        assert time.perf_counter() - started < 1.0
+        assert cancelled == [True]
+        _assert_workers_joined()
+
+    def test_skipped_corrupt_file_is_reported(self, tmp_path, tiny_repo):
+        shutil.copytree(tiny_repo.root, tmp_path / "repo")
+        repo = FileRepository(tmp_path / "repo")
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        victim = repo.uris()[2]
+        path = repo.path_of(victim)
+        raw = bytearray(path.read_bytes())
+        raw[100] ^= 0xFF  # inside the first payload: the headers stay valid
+        path.write_bytes(bytes(raw))
+
+        multi = MultiStageExecutor(
+            _executor(db, repo, on_mount_error="skip"), batch_files=2
+        )
+        outcome = multi.execute(WHOLE_REPO_AVG)
+        assert outcome.mount_failures.uris() == [victim]
+        assert outcome.converged
+        per_file = _executor(db, repo, on_mount_error="skip", strategy=PER_FILE)
+        two_stage = per_file.execute(WHOLE_REPO_AVG)
+        assert two_stage.timings.mount_failures.uris() == [victim]
+        assert outcome.result.rows() == two_stage.rows

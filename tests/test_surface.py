@@ -69,7 +69,6 @@ def test_session_fields():
         "setup_seconds",
         "history",
         "prefetch",
-        "prefetcher",
     ]
 
 
