@@ -42,11 +42,6 @@ from typing import Callable, Optional
 _tracing: bool = os.environ.get("REPRO_LOCK_TRACE", "") == "1"
 
 
-def tracing_enabled() -> bool:
-    """Whether traced locks are being handed out right now."""
-    return _tracing
-
-
 def set_tracing(enabled: bool) -> bool:
     """Flip the tracing switch; returns the previous value.
 
@@ -175,5 +170,4 @@ __all__ = [
     "lock_snapshot",
     "lock_snapshot_delta",
     "set_tracing",
-    "tracing_enabled",
 ]

@@ -7,18 +7,18 @@ Commands cover the whole zero-to-exploration path:
 * ``load``     — ingest (eagerly or metadata-only) and persist a database,
 * ``query``    — run SQL: against a persisted database, or two-stage with
   automated lazy ingestion straight against a repository,
-* ``bench``    — regenerate the paper's Table 1 / Figure 3 at a chosen scale,
-* ``serve``    — stand up the multi-query service over a repository and
-  drive N simulated clients through it, reporting per-query latency
-  percentiles, aggregate bytes saved versus independent sessions, and the
-  scheduler's sharing/fairness counters.
+* ``bench``    — regenerate the paper's Table 1 / Figure 3 at a chosen scale.
+
+The multi-query service is driven by ``benchmarks/bench_serve.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -82,42 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve DIR as the simulated remote endpoint ENDPOINT and "
         "federate it with --repo (repeatable; may also stand alone). "
         "Remote files mount through ranged GETs over the resilient "
-        "transport; shape the link with the --endpoint-* knobs",
-    )
-    query.add_argument(
-        "--endpoint-latency-ms", type=float, default=0.0, metavar="MS",
-        help="simulated per-request latency for every --remote endpoint",
-    )
-    query.add_argument(
-        "--endpoint-jitter", type=float, default=0.0, metavar="J",
-        help="latency jitter fraction in [0, 1] for --remote endpoints",
-    )
-    query.add_argument(
-        "--endpoint-bandwidth-mbps", type=float, default=None, metavar="MB",
-        help="simulated bandwidth cap in MB/s (default: unlimited)",
-    )
-    query.add_argument(
-        "--endpoint-loss", type=float, default=0.0, metavar="P",
-        help="per-request loss probability in [0, 1) for --remote endpoints",
-    )
-    query.add_argument(
-        "--endpoint-seed", type=int, default=0, metavar="N",
-        help="seed of the deterministic network model (same seed = same "
-        "latency/loss draws)",
-    )
-    query.add_argument(
-        "--endpoint-timeout-ms", type=float, default=None, metavar="MS",
-        help="per-request timeout; a request still waiting on the link when "
-        "it passes fails and is retried (default: no timeout)",
-    )
-    query.add_argument(
-        "--endpoint-retries", type=_positive_int, default=3, metavar="N",
-        help="max attempts per remote request (default 3)",
-    )
-    query.add_argument(
-        "--endpoint-retry-budget", type=int, default=64, metavar="N",
-        help="per-query cap on retries across all remote requests "
-        "(default 64)",
+        "transport on the default NetworkProfile and TransportPolicy",
     )
     query.add_argument(
         "--explain", action="store_true", help="print the plan instead"
@@ -204,56 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--runs", type=int, default=3)
 
-    serve = commands.add_parser(
-        "serve",
-        help="run the multi-query service with N simulated clients",
-    )
-    serve.add_argument(
-        "--repo", default=None,
-        help="repository to serve (default: a generated benchmark "
-        "repository at --scale)",
-    )
-    serve.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default="small",
-        help="benchmark repository scale when no --repo is given",
-    )
-    serve.add_argument(
-        "--clients", type=_positive_int, default=8, metavar="N",
-        help="simulated closed-loop clients (one tenant each)",
-    )
-    serve.add_argument(
-        "--queries-per-client", type=_positive_int, default=3, metavar="Q",
-        help="queries each client issues back-to-back",
-    )
-    serve.add_argument(
-        "--mount-workers", type=_positive_int, default=2, metavar="W",
-        help="shared scheduler extraction workers (service-wide)",
-    )
-    serve.add_argument(
-        "--throughput-bias", type=float, default=0.7, metavar="B",
-        help="scheduler knob in [0,1]: 1.0 = serve the most-waited-on "
-        "files first (throughput), 0.0 = strict arrival order (fairness); "
-        "starvation aging applies at every setting",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=20.0, metavar="MS",
-        help="upper bound on the batching delay before a cold file is "
-        "extracted, letting co-arriving queries merge into one extraction; "
-        "the wait ends as soon as every query that could still join has, "
-        "so a query that is alone does not wait (0 disables batching)",
-    )
-    serve.add_argument(
-        "--max-queue-depth", type=int, default=None, metavar="D",
-        help="per-tenant admission limit on in-flight queries; beyond it "
-        "submissions are shed with a typed error instead of queued",
-    )
-    serve.add_argument(
-        "--prefetch", action="store_true",
-        help="predictive prefetch: after each query, extrapolate the "
-        "tenant's next time window (sliding/zooming patterns) and warm the "
-        "shared cache through low-priority scheduler hints that run only "
-        "when no real query is waiting",
-    )
     return parser
 
 
@@ -324,54 +239,30 @@ def _parse_remote_spec(spec: str) -> tuple[str, str]:
     return endpoint, directory
 
 
-def _build_query_repository(args: argparse.Namespace):
+def _build_query_repository(args: argparse.Namespace, stack: ExitStack):
     """The query's repository: local, remote, or a federation of both.
 
     Returns ``(repository, remote_members)`` — the members list is what the
-    per-endpoint transport statistics are reported from afterwards.
+    per-endpoint transport statistics are reported from afterwards. Remote
+    members stage under a temporary directory that ``stack`` removes.
     """
     members: list[object] = []
     if args.repo:
         members.append(FileRepository(args.repo, suffix=(".xseed", ".tscsv")))
     remotes = []
     if args.remote:
-        import tempfile
+        from .remote import RemoteRepository, SimulatedObjectStore
 
-        from .remote import (
-            NetworkProfile,
-            RemoteRepository,
-            SimulatedObjectStore,
-            TransportPolicy,
-        )
-
-        profile = NetworkProfile(
-            latency_seconds=args.endpoint_latency_ms / 1000.0,
-            jitter=args.endpoint_jitter,
-            bandwidth_bytes_per_second=(
-                None
-                if args.endpoint_bandwidth_mbps is None
-                else args.endpoint_bandwidth_mbps * 1_000_000.0
-            ),
-            loss_probability=args.endpoint_loss,
-        )
-        policy = TransportPolicy(
-            request_timeout_seconds=(
-                None
-                if args.endpoint_timeout_ms is None
-                else args.endpoint_timeout_ms / 1000.0
-            ),
-            max_attempts=args.endpoint_retries,
-            retry_budget_attempts=args.endpoint_retry_budget,
-        )
-        staging_root = Path(tempfile.mkdtemp(prefix="repro-remote-staging-"))
-        for spec in args.remote:
-            endpoint, directory = _parse_remote_spec(spec)
-            store = SimulatedObjectStore(
-                endpoint, directory, profile, seed=args.endpoint_seed
-            )
+        specs = [_parse_remote_spec(spec) for spec in args.remote]
+        staging_root = Path(stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-remote-staging-")
+        ))
+        for endpoint, directory in specs:
             remote = RemoteRepository(
-                store, staging_root / endpoint, policy=policy
+                SimulatedObjectStore(endpoint, directory),
+                staging_root / endpoint,
             )
+            stack.callback(remote.close)
             members.append(remote)
             remotes.append(remote)
     if not members:
@@ -412,8 +303,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(result.pretty(limit=args.limit))
         print(f"({result.num_rows} rows in {result.total_seconds:.4f}s)")
         return 0
+    with ExitStack() as stack:
+        return _query_repository(args, *_build_query_repository(args, stack))
 
-    repo, remotes = _build_query_repository(args)
+
+def _query_repository(args: argparse.Namespace, repo, remotes) -> int:
     db = Database(verify_plans=True if args.verify_plans else None)
     metastore = None
     if args.metastore:
@@ -529,94 +423,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .harness.setup import (
-        default_spec,
-        materialize_repository,
-        small_spec,
-        tiny_spec,
-    )
-    from .serve import QueryService, SchedulerPolicy, TenantPolicy, run_comparison
-
-    if args.repo is not None:
-        repo = FileRepository(args.repo, suffix=(".xseed", ".tscsv"))
-        db = Database()
-        lazy_ingest_metadata(db, repo)
-        spec = _spec_from_metadata(db)
-    else:
-        spec = {
-            "tiny": tiny_spec, "small": small_spec, "default": default_spec
-        }[args.scale]()
-        repo = materialize_repository(spec)
-        db = None
-
-    policy = SchedulerPolicy(
-        throughput_bias=args.throughput_bias,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
-    )
-    service = QueryService(
-        repo,
-        db=db,
-        scheduler_policy=policy,
-        mount_workers=args.mount_workers,
-        default_policy=TenantPolicy(max_queue_depth=args.max_queue_depth),
-        prefetch=args.prefetch,
-    )
-    try:
-        report = run_comparison(
-            repo,
-            spec,
-            clients=args.clients,
-            queries_per_client=args.queries_per_client,
-            service=service,
-        )
-    finally:
-        service.close()
-    print(report.describe())
-    if not report.identical:
-        print("error: service answers diverged from standalone",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _spec_from_metadata(db: Database) -> RepositorySpec:
-    """A workload-shaped spec for an arbitrary repository, read from ``F``.
-
-    The simulated-clients workload only needs stations, channels, and the
-    day range; everything else keeps its defaults. Works best on
-    day-aligned repositories (the generated benchmark kind).
-    """
-    from .db.types import format_timestamp
-
-    summary = db.execute(
-        "SELECT station, channel, MIN(start_time) AS lo, MAX(end_time) AS hi "
-        "FROM F GROUP BY station, channel ORDER BY station, channel"
-    )
-    rows = summary.rows()
-    if not rows:
-        raise DatabaseError("repository has no files to build a workload from")
-    stations = tuple(dict.fromkeys(r[0] for r in rows))
-    channels = tuple(dict.fromkeys(r[1] for r in rows))
-    lo = min(int(r[2]) for r in rows)
-    hi = max(int(r[3]) for r in rows)
-    day_us = 86_400 * 1_000_000
-    days = max(1, (hi - lo) // day_us)
-    return RepositorySpec(
-        stations=stations,
-        channels=channels,
-        days=int(days),
-        start_day=format_timestamp(lo)[:10],
-    )
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "inspect": _cmd_inspect,
     "load": _cmd_load,
     "query": _cmd_query,
     "bench": _cmd_bench,
-    "serve": _cmd_serve,
 }
 
 

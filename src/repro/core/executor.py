@@ -173,10 +173,6 @@ class TwoStageResult:
     def rows(self) -> list[tuple[Any, ...]]:
         return self.result.rows()
 
-    @property
-    def total_seconds(self) -> float:
-        return self.result.total_seconds
-
 
 def _merge_io(parts: list[IoStats]) -> IoStats:
     merged = IoStats()

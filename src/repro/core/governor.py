@@ -274,10 +274,6 @@ class QueryGovernor:
         return self._trip_reason is not None
 
     @property
-    def trip_reason(self) -> Optional[str]:
-        return self._trip_reason
-
-    @property
     def should_truncate(self) -> bool:
         """True once a tripped budget should empty the remaining branches."""
         return self.tripped and self.partial

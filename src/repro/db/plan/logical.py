@@ -34,8 +34,10 @@ class LogicalPlan:
         return ()
 
     def with_children(self, children: Sequence["LogicalPlan"]) -> "LogicalPlan":
-        """Rebuild this node with new children (rewrite-rule plumbing)."""
-        raise NotImplementedError
+        """Rebuild this node with new children (rewrite-rule plumbing); a
+        leaf has none and stands for itself."""
+        assert not children
+        return self
 
     def output_keys(self) -> list[str]:
         return [key for key, _ in self.output]
@@ -68,10 +70,6 @@ class Scan(LogicalPlan):
     table_name: str
     alias: str
     output: OutputSchema
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Scan":
-        assert not children
-        return self
 
     def label(self) -> str:
         if self.alias != self.table_name.lower():
@@ -361,10 +359,6 @@ class ResultScan(LogicalPlan):
     tag: str
     output: OutputSchema
 
-    def with_children(self, children: Sequence[LogicalPlan]) -> "ResultScan":
-        assert not children
-        return self
-
     def label(self) -> str:
         return f"ResultScan[{self.tag}]"
 
@@ -388,10 +382,6 @@ class CacheScan(LogicalPlan):
     # the plan verifier checks it covers the predicate's hull.
     interval: Optional[tuple[int, int]] = None
     interval_column: Optional[str] = None  # unqualified time column name
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "CacheScan":
-        assert not children
-        return self
 
     def label(self) -> str:
         suffix = f" σ[{self.predicate!r}]" if self.predicate is not None else ""
@@ -417,10 +407,6 @@ class Mount(LogicalPlan):
     # no narrower than the fused predicate's hull.
     interval: Optional[tuple[int, int]] = None
     interval_column: Optional[str] = None
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Mount":
-        assert not children
-        return self
 
     def label(self) -> str:
         suffix = f" σ[{self.predicate!r}]" if self.predicate is not None else ""

@@ -79,13 +79,6 @@ class TableSchema:
         lowered = name.lower()
         return any(col.name.lower() == lowered for col in self.columns)
 
-    def column(self, name: str) -> ColumnDef:
-        lowered = name.lower()
-        for col in self.columns:
-            if col.name.lower() == lowered:
-                return col
-        raise CatalogError(f"no column {name!r} in table {self.name!r}")
-
     def column_index(self, name: str) -> int:
         lowered = name.lower()
         for i, col in enumerate(self.columns):

@@ -58,13 +58,6 @@ class ColumnBatch:
                 return col
         raise ExecutionError(f"batch has no column {name!r}; has {self.names}")
 
-    def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, cname in enumerate(self.names):
-            if cname.lower() == lowered:
-                return i
-        raise ExecutionError(f"batch has no column {name!r}; has {self.names}")
-
     def take(self, indices: np.ndarray) -> "ColumnBatch":
         return ColumnBatch(self.names, [c.take(indices) for c in self.columns])
 

@@ -20,7 +20,6 @@ from .volume import (
     read_files_metadata,
     read_records,
     read_selected_records,
-    read_volume,
     scan_headers,
     write_volume,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "generate_repository",
     "synthesize_waveform",
     "write_volume",
-    "read_volume",
     "read_records",
     "read_selected_records",
     "read_file_metadata",

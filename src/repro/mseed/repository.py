@@ -93,11 +93,6 @@ class FileRepository:
         self._resolved_root = os.path.realpath(self.root)
         self._inside_root = os.path.join(self._resolved_root, "")
 
-    @property
-    def suffix(self) -> str:
-        """The first suffix (kept for single-format callers)."""
-        return self.suffixes[0]
-
     def _listing(self) -> list[tuple[str, os.DirEntry]]:
         """Every file with one of the suffixes, as (URI, directory entry),
         sorted by URI: one ``scandir`` walk from the resolved root. Plain

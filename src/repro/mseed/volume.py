@@ -104,11 +104,6 @@ def iter_records(
             offset += HEADER_SIZE + header.payload_len
 
 
-def read_volume(path: str | Path) -> list[XSeedRecord]:
-    """Alias for :func:`read_records` (kept for symmetry with write)."""
-    return read_records(path)
-
-
 @dataclass(frozen=True)
 class SelectiveRead:
     """The records one read of a volume selected, decoded, and its cost.

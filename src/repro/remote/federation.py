@@ -49,10 +49,6 @@ class FederatedRepository:
                     suffixes.append(suffix)
         self.suffixes = tuple(suffixes)
 
-    @property
-    def suffix(self) -> str:
-        return self.suffixes[0]
-
     def _member_for(self, uri: str) -> "Repository":
         for member in self.members:
             if member.owns_uri(uri):
@@ -78,9 +74,6 @@ class FederatedRepository:
 
     def __len__(self) -> int:
         return len(self.uris())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.uris())
 
     def owns_uri(self, uri: str) -> bool:
         return any(member.owns_uri(uri) for member in self.members)
@@ -121,12 +114,6 @@ class FederatedRepository:
         scope: Optional["RequestScope"] = None,
     ) -> "FormatExtractor":
         return self._member_for(uri).extractor_for(path, uri, registry, scope)
-
-    def close(self) -> None:
-        for member in self.members:
-            close = getattr(member, "close", None)
-            if close is not None:
-                close()
 
 
 __all__ = ["FederatedRepository"]

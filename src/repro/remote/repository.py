@@ -199,10 +199,6 @@ class RemoteRepository:
         self._key_locks: dict[str, threading.Lock] = {}  # guarded-by: _lock
         self._last_listing: Optional[list[str]] = None  # guarded-by: _lock
 
-    @property
-    def suffix(self) -> str:
-        return self.suffixes[0]
-
     # -- repository protocol -------------------------------------------------
 
     def signatures(
@@ -236,9 +232,6 @@ class RemoteRepository:
 
     def __len__(self) -> int:
         return len(self.uris())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.uris())
 
     def owns_uri(self, uri: str) -> bool:
         return endpoint_of(uri) == self.endpoint

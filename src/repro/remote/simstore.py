@@ -140,11 +140,6 @@ class SimulatedObjectStore:
 
     # -- outage control ------------------------------------------------------
 
-    @property
-    def down(self) -> bool:
-        with self._lock:
-            return self._down
-
     def set_down(self, down: bool = True) -> None:
         with self._lock:
             self._down = down

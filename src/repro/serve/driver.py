@@ -2,7 +2,7 @@
 
 The paper's evaluation measures one scientist's console; a service is
 justified by what happens when N scientists share the archive. This module
-is the load harness behind ``repro serve`` and ``benchmarks/bench_serve.py``:
+is the load harness behind ``benchmarks/bench_serve.py``:
 
 * :func:`build_workload` — N clients × Q queries over one repository, built
   so clients *overlap* on files (every client's q-th query touches the same
@@ -261,30 +261,6 @@ class ComparisonReport:
         if self.service.mount_bytes <= 0:
             return float(self.baseline.mount_bytes > 0) or 1.0
         return self.baseline.mount_bytes / self.service.mount_bytes
-
-    def describe(self) -> str:
-        lines = [
-            f"{self.clients} clients x {self.queries_per_client} queries",
-            (
-                f"latency p50 {self.service.percentile(50) * 1e3:.1f} ms, "
-                f"p99 {self.service.percentile(99) * 1e3:.1f} ms "
-                f"(standalone p50 "
-                f"{self.baseline.percentile(50) * 1e3:.1f} ms)"
-            ),
-            (
-                f"mounted bytes: service {self.service.mount_bytes}, "
-                f"independent sessions {self.baseline.mount_bytes} "
-                f"({self.bytes_savings_ratio:.2f}x saved)"
-            ),
-            (
-                "answers byte-identical to standalone"
-                if self.identical
-                else f"ANSWER MISMATCH on {len(self.mismatches)} queries: "
-                f"{self.mismatches[:5]}"
-            ),
-        ]
-        lines.append(self.service_stats.describe())
-        return "\n".join(lines)
 
 
 def run_comparison(

@@ -308,9 +308,6 @@ class _FaultyHandle:
     def seek(self, offset: int, whence: int = 0) -> int:
         return self._handle.seek(offset, whence)
 
-    def tell(self) -> int:
-        return self._handle.tell()
-
     def close(self) -> None:
         self._handle.close()
 

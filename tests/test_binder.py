@@ -250,3 +250,30 @@ class TestLiteralsAndExpressions:
             "SELECT uri FROM D WHERE sample_time > '2010-01-12T00:00:00'"
         )
         assert "1263254400000000" in repr(plan.child.predicate)
+
+
+@pytest.mark.parametrize("sql, refusal", [
+    ("SELECT g.* FROM F", "unknown table alias g"),
+    ("SELECT abs(nsamples, 1) FROM F", "abs takes exactly one argument"),
+    ("SELECT SUM(nsamples, uri) FROM F", "sum takes exactly one argument"),
+    (
+        "SELECT station FROM F GROUP BY station HAVING COUNT(*)",
+        "HAVING predicate must be boolean",
+    ),
+])
+def test_malformed_queries_refused(db, sql, refusal):
+    with pytest.raises(BindError, match=refusal):
+        db.bind_sql(sql)
+
+
+@pytest.mark.parametrize("sql, label", [
+    ("SELECT abs(SUM(nsamples)) FROM F", "abs(agg_0)"),
+    ("SELECT SUM(nsamples) BETWEEN 1 AND 2 FROM F", "((agg_0 >= 1) AND"),
+    ("SELECT SUM(nsamples) IN (1, 2) FROM F", "((agg_0 = 1) OR"),
+    ("SELECT COUNT(*) FROM F GROUP BY nsamples + 1", "('group_0', (f.nsamples + 1))"),
+])
+def test_aggregates_found_inside_expressions(db, sql, label):
+    plan = db.bind_sql(sql)
+    assert isinstance(plan, Project)
+    assert isinstance(plan.child, Aggregate)
+    assert label in repr(plan.items) + repr(plan.child.groups)

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import runpy
+import shutil
+import sys
+import tempfile
+
 import pytest
 
 from repro.cli import main
+from repro.mseed import HEADER_SIZE
 
 
 @pytest.fixture()
@@ -116,6 +122,142 @@ class TestLoadQuery:
         ])
         assert code == 0
         assert "truncated" not in capsys.readouterr().err
+
+
+QUERY = "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
+ANK = "2010/KO.ANK/KO.ANK..BHE.2010.010.xseed"
+
+
+def _copy_without(repo, tmp_path, name, station):
+    copy = tmp_path / name
+    shutil.copytree(repo, copy)
+    shutil.rmtree(copy / "2010" / f"KO.{station}")
+    return copy
+
+
+def _remote_alone(repo, tmp_path):
+    return ["--remote", f"seis={repo}"], repo, "(endpoint seis:"
+
+
+def _remote_federated(repo, tmp_path):
+    local = _copy_without(repo, tmp_path, "local", "ANK")
+    far = _copy_without(repo, tmp_path, "far", "ISK")
+    return ["--repo", str(local), "--remote", f"seis={far}"], repo, (
+        "in 0 ranged / 1 whole GET(s)"
+    )
+
+
+def _remote_metastore(repo, tmp_path):
+    return (
+        ["--remote", f"seis={repo}", "--metastore"],
+        repo,
+        "--metastore needs a local repository root",
+    )
+
+
+def _metastore_second_run(repo, tmp_path):
+    assert main(["query", "--repo", str(repo), "--metastore", QUERY]) == 0
+    return ["--repo", str(repo), "--metastore"], repo, (
+        "(metastore: 2/2 files reused"
+    )
+
+
+def _lru_cache(repo, tmp_path):
+    return ["--repo", str(repo), "--cache-policy", "lru"], repo, "rows; stage 1"
+
+
+def _two_mount_workers(repo, tmp_path):
+    return ["--repo", str(repo), "--mount-workers", "2"], repo, (
+        "(mounts: 2 file(s) on 2 workers"
+    )
+
+
+def _skip_a_corrupt_file(repo, tmp_path):
+    # A payload bit flip leaves the headers the metadata pass reads intact,
+    # so the damage surfaces at mount time, where skip mode degrades.
+    path = repo / ANK
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 36] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    intact = _copy_without(repo, tmp_path, "intact", "ANK")
+    return ["--repo", str(repo), "--on-mount-error", "skip"], intact, (
+        f"warning: 1 file(s) skipped:\n  {ANK}"
+    )
+
+
+def _eager_db_verified(repo, tmp_path):
+    db = tmp_path / "db"
+    assert main(["load", "--repo", str(repo), "--db", str(db),
+                 "--mode", "eager"]) == 0
+    return ["--db", str(db), "--verify-plans"], repo, "rows in"
+
+
+@pytest.mark.parametrize("case", [
+    _remote_alone,
+    _remote_federated,
+    _remote_metastore,
+    _metastore_second_run,
+    _lru_cache,
+    _two_mount_workers,
+    _skip_a_corrupt_file,
+    _eager_db_verified,
+])
+def test_query_paths_answer_like_plain_repo(case, repo_dir, tmp_path, capsys):
+    """Each path prints the answer a plain ``--repo`` query prints over the
+    files it can read, and says what it did."""
+    argv, reference, says = case(repo_dir, tmp_path)
+    capsys.readouterr()
+    assert main(["query", *argv, QUERY]) == 0
+    out, err = capsys.readouterr()
+    assert says in out + err
+    assert main(["query", "--repo", str(reference), QUERY]) == 0
+    expected = capsys.readouterr().out
+    assert out.split("\n(")[0] == expected.split("\n(")[0]
+
+
+def test_db_explain_prints_the_plan(repo_dir, tmp_path, capsys):
+    db = tmp_path / "db"
+    assert main(["load", "--repo", str(repo_dir), "--db", str(db)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--db", str(db), "--explain", QUERY]) == 0
+    assert "Scan(D)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--db", "db", "--remote", "seis=dir"], "not --db"),
+    (["--remote", "seis"], "--remote expects ENDPOINT=DIR, got 'seis'"),
+    (["--remote", "=dir"], "--remote expects ENDPOINT=DIR"),
+    ([], "query needs --db, --repo, or --remote"),
+])
+def test_query_refuses_malformed_sources(argv, refusal):
+    with pytest.raises(SystemExit, match=refusal):
+        main(["query", *argv, QUERY])
+
+
+def test_non_positive_worker_count_refused(repo_dir, capsys):
+    with pytest.raises(SystemExit):
+        main(["query", "--repo", str(repo_dir), "--mount-workers", "0", QUERY])
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_module_entry_point(repo_dir, monkeypatch, capsys):
+    argv = ["repro", "inspect", "--repo", str(repo_dir)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("repro", run_name="__main__")
+    assert exit_.value.code == 0
+    assert "files      : 2" in capsys.readouterr().out
+
+
+def test_remote_query_removes_its_staging_directory(
+    repo_dir, tmp_path, monkeypatch, capsys
+):
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+    assert main(["query", "--remote", f"seis={repo_dir}", QUERY]) == 0
+    assert "(endpoint seis:" in capsys.readouterr().err
+    assert not list(temp_root.glob("repro-remote-staging-*"))
 
 
 class TestBench:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TwoStageExecutor
+from repro.core.cache import CacheGranularity, CachePolicy, IngestionCache
 from repro.db.sql.parser import parse_sql
 from repro.explore import (
     ExplorationSession,
@@ -174,3 +175,31 @@ class TestSession:
         assert ei_session.average(*args) == pytest.approx(
             ali_session.average(*args)
         )
+
+    def test_prefetching_session_answers_alike(self, ali_db, tiny_repo):
+        """A sliding walk feeds the predictor; what it warms never changes
+        an answer."""
+        executor = TwoStageExecutor(
+            ali_db,
+            RepositoryBinding(tiny_repo),
+            cache=IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
+        )
+        session = ExplorationSession(executor, prefetch=True)
+        plain = ExplorationSession(TwoStageExecutor(
+            ali_db, RepositoryBinding(tiny_repo)
+        ))
+        try:
+            for hour in ("10", "11", "12"):
+                args = (
+                    "ISK", "BHE", "2010-01-10",
+                    f"2010-01-10T{hour}:00:00", f"2010-01-10T{hour}:30:00",
+                )
+                assert session.average(*args) == plain.average(*args)
+            session.prefetcher.flush()
+            assert session.prefetcher.stats.observed == 3
+        finally:
+            session.close()
+
+    def test_prefetch_needs_a_two_stage_engine(self, ei_db):
+        with pytest.raises(ValueError, match="TwoStageExecutor"):
+            ExplorationSession(ei_db, prefetch=True)

@@ -258,3 +258,30 @@ def test_arithmetic_matches_python(pairs):
     ]
     got = Arithmetic("/", a, b).evaluate(data).to_pylist()
     assert got == pytest.approx([u / v for u, v in pairs])
+
+
+NEGATED_SQL = (
+    "SELECT SUM(abs(-D.sample_value)) FROM F AS x JOIN D ON x.uri = D.uri "
+    "WHERE NOT (x.station = 'ISK') AND x.uri IN (SELECT uri FROM R)"
+)
+
+
+def test_not_negate_and_functions_through_both_engines(ei_db, executor):
+    """NOT, unary minus and a scalar function run through binding, pushdown,
+    plan verification and EXPLAIN, and answer what numpy answers."""
+    raw = ei_db.execute(
+        "SELECT D.sample_value FROM F JOIN D ON F.uri = D.uri "
+        "WHERE F.station <> 'ISK'"
+    )
+    expected = float(np.abs(np.array([row[0] for row in raw.rows()])).sum())
+    assert ei_db.execute(NEGATED_SQL).rows()[0][0] == pytest.approx(expected)
+    was, executor.db.verify_plans = executor.db.verify_plans, True
+    try:
+        outcome = executor.execute(NEGATED_SQL)
+        plan = executor.explain(NEGATED_SQL)
+    finally:
+        executor.db.verify_plans = was
+    assert outcome.rows[0][0] == pytest.approx(expected)
+    assert "(NOT (x.station = 'ISK'))" in plan
+    assert "abs((-d.sample_value))" in plan
+    assert "Scan(F AS x)" in plan and "SemiJoin[x.uri IN (subquery)]" in plan

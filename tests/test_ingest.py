@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.metastore import MetadataStore
 from repro.db import Database
-from repro.db.errors import IngestError
+from repro.db.errors import CorruptFileError, IngestError
 from repro.ingest import (
     CsvExtractor,
     FormatRegistry,
@@ -19,6 +19,7 @@ from repro.ingest import (
     lazy_ingest_metadata,
     write_csv_timeseries,
 )
+from repro.ingest.formats import MountRequest
 from repro.db.column import StringDictionary
 from repro.ingest.schema import ACTUAL_TABLE, FILE_TABLE, RECORD_TABLE, ensure_schema
 from repro.mseed import (
@@ -134,6 +135,34 @@ class TestCsvExtractor:
         path.write_text(text)  # drop one body row
         with pytest.raises(IngestError):
             CsvExtractor().mount(path, "w.tscsv")
+
+    def test_body_longer_than_header_claims(self, tmp_path):
+        path, _ = self.write(tmp_path, n=5)
+        path.write_text(path.read_text() + "99000000,1.5\n")
+        with pytest.raises(CorruptFileError, match="claims 5 samples"):
+            CsvExtractor().mount(path, "w.tscsv")
+
+    def test_empty_file_mounts_one_empty_record(self, tmp_path):
+        path, _ = self.write(tmp_path, n=0)
+        mounted = CsvExtractor().mount(path, "w.tscsv")
+        assert len(mounted.sample_value) == 0 and mounted.records == 1
+
+    def test_selective_mount_without_byte_map(self, tmp_path):
+        """With no byte map the header says the record's span; a request
+        outside it reads only the comment prefix and decodes nothing."""
+        path, values = self.write(tmp_path, n=10, rate=0.5)
+        prefix = len(path.read_text().split("t_us")[0])
+        extractor = CsvExtractor()
+        miss = extractor.mount_selective(
+            path, "w.tscsv", MountRequest(interval=(50_000_000, 60_000_000))
+        )
+        assert (miss.bytes_read, miss.records_decoded) == (prefix, 0)
+        assert miss.records_skipped == 1 and len(miss.mounted.sample_value) == 0
+        hit = extractor.mount_selective(
+            path, "w.tscsv", MountRequest(interval=(0, 3_000_000))
+        )
+        assert (hit.bytes_read, hit.records_decoded) == (path.stat().st_size, 1)
+        assert np.allclose(hit.mounted.sample_value, values)
 
 
 class TestEagerIngest:

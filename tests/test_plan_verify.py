@@ -19,15 +19,20 @@ from repro.db import Database, PlanInvariantError
 from repro.db.expr import ColumnRef, Comparison, Literal
 from repro.db.plan import verify as plan_verify
 from repro.db.plan.logical import (
+    CacheScan,
     Join,
+    Limit,
     Mount,
     Project,
     ResultScan,
     Scan,
     Select,
+    SemiJoin,
+    TopN,
     UnionAll,
 )
 from repro.db.plan.verify import (
+    physical_output_keys,
     verify_enabled_default,
     verify_pass,
     verify_physical,
@@ -179,6 +184,57 @@ def test_physical_matching_output_accepted():
     assert verify_physical(physical, logical) is physical
 
 
+def _fused_mount(predicate) -> Mount:
+    return Mount(
+        uri="2010/x.xseed",
+        table_name="D",
+        alias="d",
+        output=[("d.sample_value", DataType.FLOAT64)],
+        predicate=predicate,
+    )
+
+
+_VALUE = ColumnRef("d.sample_value", DataType.FLOAT64)
+_URI = ColumnRef("f.uri", STR)
+
+
+@pytest.mark.parametrize("plan, refusal", [
+    (Scan("F", "f", []), "no output schema"),
+    (Scan("F", "f", [("f.uri", "string")]), "malformed output entry"),
+    (Select(_scan(), _URI), "expected bool"),
+    (
+        Join(_scan("f"), _scan("f"), None, declared_output=[("f.uri", STR)]),
+        "join sides both produce",
+    ),
+    (Join(_scan("f"), _scan("g"), _URI), "join condition must be boolean"),
+    (TopN(_scan(), [], 3), "at least one sort key"),
+    (TopN(_scan(), [(_URI, True)], -1), "TopN count must be >= 0"),
+    (Limit(_scan(), -1), "Limit count must be >= 0"),
+    (
+        SemiJoin(_scan("f"), _URI, _scan("g")),
+        "must produce exactly one column",
+    ),
+    (_fused_mount(_VALUE), "fused predicate must be boolean"),
+    (
+        CacheScan(
+            "2010/x.xseed", "D", "d", [("d.sample_value", DataType.FLOAT64)],
+            predicate=_VALUE,
+        ),
+        r"fused predicate must be boolean \(at CacheScan\[2010/x.xseed\]",
+    ),
+], ids=lambda value: value if isinstance(value, str) else "")
+def test_structural_refusals(plan, refusal):
+    with pytest.raises(PlanInvariantError, match=refusal) as err:
+        verify_plan(plan, "some-pass")
+    assert err.value.pass_name == "some-pass"
+
+
+def test_physical_unknown_operator_rejected():
+    with pytest.raises(PlanInvariantError, match="unknown physical") as err:
+        physical_output_keys(object())
+    assert err.value.pass_name == "physical-lowering"
+
+
 # -- decomposition invariants --------------------------------------------------
 
 
@@ -225,6 +281,41 @@ def test_metadata_only_with_stage2_rejected():
     )
     with pytest.raises(PlanInvariantError, match="metadata-only"):
         verify_decomposition(decomposition, _classify)
+
+
+def test_qf_with_non_scan_leaf_rejected():
+    qf = ResultScan("elsewhere", [("f.uri", STR)])
+    qs = ResultScan(QF_TAG, [("f.uri", STR)])
+    decomposition = Decomposition(plan=qs, qf=qf, qs=qs, metadata_only=False)
+    with pytest.raises(PlanInvariantError, match="non-scan leaf") as err:
+        verify_decomposition(decomposition, _classify)
+    assert err.value.pass_name == "decompose"
+
+
+def test_missing_qs_rejected():
+    qf = _scan("f")
+    decomposition = Decomposition(plan=qf, qf=qf, qs=None, metadata_only=False)
+    with pytest.raises(PlanInvariantError, match="missing Qs") as err:
+        verify_decomposition(decomposition, _classify)
+    assert err.value.pass_name == "decompose"
+
+
+def test_result_scan_without_qf_rejected():
+    qs = ResultScan(QF_TAG, [("f.uri", STR)])
+    decomposition = Decomposition(plan=qs, qf=None, qs=qs, metadata_only=False)
+    with pytest.raises(PlanInvariantError, match="has no Qf") as err:
+        verify_decomposition(decomposition, _classify)
+    assert err.value.pass_name == "decompose"
+
+
+def test_qs_schema_drift_rejected():
+    qf = _scan("f")
+    qs = ResultScan(QF_TAG, list(qf.output))
+    plan = Scan("F", "f", [("f.uri", STR)])
+    decomposition = Decomposition(plan=plan, qf=qf, qs=qs, metadata_only=False)
+    with pytest.raises(PlanInvariantError, match="drifted") as err:
+        verify_decomposition(decomposition, _classify)
+    assert err.value.pass_name == "decompose"
 
 
 def test_valid_decomposition_accepted(executor):

@@ -46,7 +46,7 @@ from repro.db.errors import (
 )
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
-from repro.ingest import RepositoryBinding, lazy_ingest_metadata
+from repro.ingest import RepositoryBinding, XSeedExtractor, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest, default_registry
 from repro.mseed import (
     FileRepository,
@@ -755,6 +755,32 @@ class TestRemoteRepository:
         assert not repo.owns_uri("2010/local.xseed")
         assert len(repo) == len(uris)
 
+    @pytest.mark.parametrize("uri", [
+        "2010/local.xseed", "remote://seis-us/2010/x.xseed",
+    ])
+    def test_foreign_uri_refused(self, objects_dir, tmp_path, uri):
+        repo = _repository(tmp_path, _store(objects_dir))
+        with pytest.raises(IngestError):
+            repo.path_of(uri)
+
+    def test_request_without_byte_map_stages_the_whole_object(
+        self, objects_dir, tmp_path
+    ):
+        """No record map to trust: the whole object is staged and the inner
+        extractor selects from the local copy."""
+        repo = _repository(tmp_path, _store(objects_dir))
+        uri = repo.uris()[0]
+        path = repo.path_of(uri)
+        extractor = repo.extractor_for(path, uri, default_registry())
+        lo, hi = XSeedExtractor().extract_metadata(
+            objects_dir / uri.split("/", 3)[3], uri
+        ).records.start_time[:2]
+        outcome = extractor.mount_selective(
+            path, uri, MountRequest(interval=(int(lo), int(hi) - 1))
+        )
+        assert outcome.bytes_read == path.stat().st_size
+        assert outcome.records_decoded == 1 and outcome.records_skipped > 0
+
     def test_ensure_whole_stages_exact_bytes_then_reuses(
         self, objects_dir, tmp_path
     ):
@@ -965,6 +991,12 @@ class TestFederatedRepository:
         )
         assert hookless.signatures() == fed.signatures()
         assert remote.transport.store.stats.heads == heads + len(remote.uris())
+
+    def test_ownership_is_any_members(self, members):
+        local, remote = members
+        fed = FederatedRepository([remote])
+        assert fed.owns_uri(remote.uris()[0])
+        assert not fed.owns_uri(local.uris()[0])
 
     def test_total_bytes_sums_members(self, members):
         local, remote = members

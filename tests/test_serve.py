@@ -545,6 +545,11 @@ class TestServiceEquivalence:
         assert report.service_stats.queries_failed == 0
         # Never worse than independent sessions on aggregate disk bytes.
         assert report.service.mount_bytes <= report.baseline.mount_bytes
+        assert report.bytes_savings_ratio >= 1.0
+        assert 0 < report.service.percentile(50) <= report.service.percentile(99)
+        assert "queries: 8 completed, 0 failed, 0 shed" in (
+            report.service_stats.describe()
+        )
         # Every query ended consumed or withdrawn: no leaked scheduler tasks.
         assert service.scheduler.pending_tasks() == 0
 
@@ -1194,3 +1199,22 @@ class TestServicePrefetch:
             service.cache.lookup(uri, interval).rows()
             == executor.cache.lookup(uri, interval).rows()
         )
+
+
+@pytest.mark.parametrize("make, refusal", [
+    (lambda: build_workload(SPEC, clients=0, queries_per_client=1), ">= 1"),
+    (
+        lambda: build_workload(SPEC, clients=100, queries_per_client=1),
+        "window too narrow",
+    ),
+    (lambda: TenantPolicy(max_queue_depth=-1), "max_queue_depth"),
+    (lambda: TenantPolicy(max_total_mount_bytes=-1), "max_total_mount_bytes"),
+])
+def test_load_and_tenant_policy_refusals(make, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        make()
+
+
+def test_service_needs_a_query_slot(repo):
+    with pytest.raises(ValueError, match="max_concurrent_queries"):
+        QueryService(repo, max_concurrent_queries=0)

@@ -28,7 +28,9 @@ _LAYOUT = {
 }
 
 
-def code_lines(path: Path) -> int:
+def statements(path: Path) -> list[list[int]]:
+    """The code lines of each logical line that has any, in file order."""
+    found: list[list[int]] = []
     lines: set[int] = set()
     with open(path, "rb") as handle:
         at_statement_start = True
@@ -37,6 +39,9 @@ def code_lines(path: Path) -> int:
             if token.type in _LAYOUT:
                 if token.type == tokenize.NEWLINE:
                     at_statement_start, pending = True, None
+                    if lines:
+                        found.append(sorted(lines))
+                        lines = set()
                 continue
             if token.type == tokenize.STRING and at_statement_start:
                 at_statement_start, pending = False, token
@@ -46,7 +51,11 @@ def code_lines(path: Path) -> int:
                 if counted is not None:
                     lines.update(range(counted.start[0], counted.end[0] + 1))
             pending = None
-    return len(lines)
+    return found
+
+
+def code_lines(path: Path) -> int:
+    return sum(len(statement) for statement in statements(path))
 
 
 def count_tree(root: Path) -> dict[str, int]:
