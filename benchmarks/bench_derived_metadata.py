@@ -41,7 +41,7 @@ def test_cold_summary_mounts(derived_executor, benchmark):
     outcome = benchmark.pedantic(
         lambda: derived_executor.execute(SUMMARY_SQL), rounds=1, iterations=1
     )
-    assert outcome.result.stats.files_mounted > 0
+    assert outcome.result.trace.counters["files_mounted"] > 0
 
 
 def test_warm_summary_from_derived(derived_executor, benchmark):
@@ -49,7 +49,7 @@ def test_warm_summary_from_derived(derived_executor, benchmark):
     derived_executor.execute(SUMMARY_SQL)  # ensure coverage
     outcome = benchmark(lambda: derived_executor.execute(SUMMARY_SQL))
     assert outcome.breakpoint.answered_from_derived
-    assert outcome.result.stats.files_mounted == 0
+    assert outcome.result.trace.counters["files_mounted"] == 0
 
 
 def test_speedup_and_correctness(small_env, benchmark):
@@ -71,8 +71,8 @@ def test_speedup_and_correctness(small_env, benchmark):
     for got in (first.rows[0], second.rows[0]):
         for g, e in zip(got, expected):
             assert g == pytest.approx(e)
-    speedup = first.timings.total_seconds / max(
-        second.timings.total_seconds, 1e-9
+    speedup = first.trace.total_seconds / max(
+        second.trace.total_seconds, 1e-9
     )
     print(f"\nderived-metadata answer {speedup:.1f}x faster than mounting")
-    assert second.timings.total_seconds < first.timings.total_seconds
+    assert second.trace.total_seconds < first.trace.total_seconds

@@ -10,6 +10,7 @@ Run: ``pytest benchmarks/bench_figure3_querying.py --benchmark-only -s``
 
 import pytest
 
+from repro.core import MountSpan, worker_busy_seconds
 from repro.harness import render_figure3, run_figure3
 from repro.harness.experiments import _execute_seconds
 from repro.harness.reporting import render_figure3_chart
@@ -67,17 +68,19 @@ def test_ali_parallel_mounts(env, benchmark, query_name):
     _bench_query(benchmark, engine, sql, "COLD")
     report = env.fresh_executor(mount_workers=4)
     report.db.make_cold()
-    timings = report.execute(sql).timings
+    trace = report.execute(sql).trace
+    busy = worker_busy_seconds(trace)
+    serial, critical = sum(busy.values()), max(busy.values(), default=0.0)
     print()
     print(
-        f"{query_name}: {timings.mount_files} mount(s) on "
-        f"{timings.mount_workers} workers; serialized "
-        f"{timings.mount_serial_seconds * 1000:.1f} ms, critical path "
-        f"{timings.mount_wall_seconds * 1000:.1f} ms "
-        f"({timings.mount_speedup:.2f}x); per-worker busy: "
+        f"{query_name}: "
+        f"{sum(isinstance(s, MountSpan) for s in trace.spans)} mount(s) on "
+        f"{report.mount_workers} workers; serialized "
+        f"{serial * 1000:.1f} ms, critical path {critical * 1000:.1f} ms "
+        f"({serial / critical if critical > 0 else 1.0:.2f}x); per-worker busy: "
         + ", ".join(
             f"w{worker}={seconds * 1000:.1f}ms"
-            for worker, seconds in sorted(timings.mount_worker_seconds.items())
+            for worker, seconds in sorted(busy.items())
         )
     )
 

@@ -12,7 +12,8 @@ files) runs cold at ``mount_workers=1`` and ``mount_workers=N``. Reported
 times follow the repo-wide convention (wall CPU + simulated disk seconds,
 see DESIGN.md): the serial figure charges the mounts end-to-end, the
 parallel figure charges the busiest worker's chain (the critical path),
-both straight from :class:`~repro.core.executor.StageTimings`. Results
+both from the query trace's mount spans
+(:func:`~repro.core.scheduler.worker_busy_seconds`). Results
 must be byte-identical across worker counts.
 
 Run as a script (CI smoke-checks ``--quick``)::
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from bench_json import add_json_argument, maybe_emit_json
-from repro.core import TwoStageExecutor
+from repro.core import MountSpan, TwoStageExecutor, worker_busy_seconds
 from repro.db import Database
 from repro.harness.setup import materialize_repository
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
@@ -100,14 +101,14 @@ def run_cold_mounts(
         )
         db.make_cold()
         outcome = executor.execute(FULL_SQL)
-        timings = outcome.timings
+        busy = worker_busy_seconds(outcome.trace)
         run = MountRun(
             workers=workers,
             rows=outcome.rows,
-            files=timings.mount_files,
-            serial_seconds=timings.mount_serial_seconds,
-            wall_seconds=timings.mount_wall_seconds,
-            workers_used=len(timings.mount_worker_seconds),
+            files=sum(isinstance(s, MountSpan) for s in outcome.trace.spans),
+            serial_seconds=sum(busy.values()),
+            wall_seconds=max(busy.values(), default=0.0),
+            workers_used=len(busy),
         )
         if best is None or run.wall_seconds < best.wall_seconds:
             best = run

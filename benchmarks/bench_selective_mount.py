@@ -111,7 +111,7 @@ def run_cold(
         records_decoded=stats.records_decoded,
         records_skipped=stats.records_skipped,
         selective_mounts=stats.selective_mounts,
-        stage2_seconds=outcome.timings.stage2_seconds,
+        stage2_seconds=outcome.trace.seconds("stage2"),
     )
 
 

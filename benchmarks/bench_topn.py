@@ -109,7 +109,7 @@ def run_cold(repository: FileRepository, pushdown: bool) -> TopNRun:
         bytes_read=stats.bytes_read,
         early_terminated_branches=stats.early_terminated_branches,
         early_cancelled_mounts=stats.early_cancelled_mounts,
-        stage2_seconds=outcome.timings.stage2_seconds,
+        stage2_seconds=outcome.trace.seconds("stage2"),
     )
 
 

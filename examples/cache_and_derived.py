@@ -99,14 +99,14 @@ def main() -> None:
         )
         first = executor.execute(summary)
         print(
-            f"  first run : {first.timings.total_seconds * 1000:7.1f} ms, "
-            f"{first.result.stats.files_mounted} mounts "
+            f"  first run : {first.trace.total_seconds * 1000:7.1f} ms, "
+            f"{first.result.trace.counters['files_mounted']} mounts "
             f"(collected derived metadata as a side-effect)"
         )
         second = executor.execute(summary)
         print(
-            f"  second run: {second.timings.total_seconds * 1000:7.1f} ms, "
-            f"{second.result.stats.files_mounted} mounts, "
+            f"  second run: {second.trace.total_seconds * 1000:7.1f} ms, "
+            f"{second.result.trace.counters['files_mounted']} mounts, "
             f"answered_from_derived={second.breakpoint.answered_from_derived}"
         )
         assert second.rows[0][0] == first.rows[0][0]

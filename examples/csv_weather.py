@@ -89,7 +89,7 @@ def main() -> None:
         )
         print("Station inventory (answered from metadata alone):")
         print(catalog.result.pretty())
-        assert catalog.result.stats.files_mounted == 0
+        assert catalog.result.trace.counters["files_mounted"] == 0
 
         # Average afternoon temperature in Madrid on one day: mounts 1 file.
         outcome = executor.execute(
@@ -101,7 +101,7 @@ def main() -> None:
         )
         print(
             f"\nMAD afternoon mean on 2010-01-11: {outcome.rows[0][0]:.2f} °C "
-            f"({outcome.result.stats.files_mounted} CSV file mounted, "
+            f"({outcome.result.trace.counters['files_mounted']} CSV file mounted, "
             f"{outcome.breakpoint.n_files} of interest)"
         )
 
@@ -116,7 +116,7 @@ def main() -> None:
         print("\nPeak temperatures on 2010-01-12:")
         print(hottest.result.pretty())
         print(
-            f"({hottest.result.stats.files_mounted} files mounted out of "
+            f"({hottest.result.trace.counters['files_mounted']} files mounted out of "
             f"{len(repository)})"
         )
 

@@ -68,7 +68,7 @@ def main() -> None:
         print("\n2) LimitFilesAboveCost(keep_files=4):")
         print(
             f"   approximate answer {outcome.rows[0][0]:.4f} from "
-            f"{outcome.result.stats.files_mounted} of "
+            f"{outcome.result.trace.counters['files_mounted']} of "
             f"{len(repository)} files (approximate={outcome.approximate})"
         )
 

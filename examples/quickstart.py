@@ -59,8 +59,8 @@ def main() -> None:
         print(outcome.breakpoint.summary())
         print(f"\nAnswer: {outcome.rows[0][0]:.6f}")
         print(
-            f"stage 1 {outcome.timings.stage1_seconds * 1000:.1f} ms, "
-            f"stage 2 {outcome.timings.stage2_seconds * 1000:.1f} ms"
+            f"stage 1 {outcome.trace.seconds('stage1') * 1000:.1f} ms, "
+            f"stage 2 {outcome.trace.seconds('stage2') * 1000:.1f} ms"
         )
 
         # Sanity: the eager baseline agrees.

@@ -60,9 +60,9 @@ def set_tracing(enabled: bool) -> bool:
 class LockStats:
     """Per-lock observability counters exported by the tracing layer.
 
-    Attached to :class:`~repro.core.executor.StageTimings` (``lock_stats``)
+    Attached to the query's :class:`~repro.obs.QueryTrace` (``lock_stats``)
     when tracing is active, so a traced run's result carries the lock
-    hold-time/contention story next to its mount timings.
+    hold-time/contention story next to its spans.
     """
 
     acquisitions: int = 0

@@ -22,7 +22,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import QueryBudget, TwoStageExecutor
+from .core import MountSpan, QueryBudget, TwoStageExecutor, worker_busy_seconds
 from .db import Database, DatabaseError
 from .ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
 from .mseed import FileRepository, RepositorySpec, generate_repository
@@ -363,29 +363,32 @@ def _query_repository(args: argparse.Namespace, repo, remotes) -> int:
         print(executor.explain(args.sql))
         return 0
     outcome = executor.execute(args.sql)
+    trace = outcome.trace
     if args.breakpoint:
         print("-- breakpoint --")
         print(outcome.breakpoint.summary())
+        print(trace.render())
         print("-- result --")
     print(outcome.result.pretty(limit=args.limit))
-    timings = outcome.timings
     print(
         f"({outcome.result.num_rows} rows; stage 1 "
-        f"{timings.stage1_seconds * 1000:.1f} ms, stage 2 "
-        f"{timings.stage2_seconds * 1000:.1f} ms, "
-        f"{outcome.result.stats.files_mounted} file(s) mounted)"
+        f"{trace.seconds('stage1') * 1000:.1f} ms, stage 2 "
+        f"{trace.seconds('stage2') * 1000:.1f} ms, "
+        f"{trace.counters['files_mounted']} file(s) mounted)"
     )
-    if timings.mount_workers > 1 and timings.mount_files:
+    busy = worker_busy_seconds(trace)
+    if args.mount_workers > 1 and busy:
+        serial, critical = sum(busy.values()), max(busy.values())
+        files = sum(isinstance(span, MountSpan) for span in trace.spans)
         print(
-            f"(mounts: {timings.mount_files} file(s) on "
-            f"{timings.mount_workers} workers; serialized "
-            f"{timings.mount_serial_seconds * 1000:.1f} ms, critical path "
-            f"{timings.mount_wall_seconds * 1000:.1f} ms, "
-            f"{timings.mount_speedup:.1f}x)"
+            f"(mounts: {files} file(s) on {args.mount_workers} workers; "
+            f"serialized {serial * 1000:.1f} ms, critical path "
+            f"{critical * 1000:.1f} ms, "
+            f"{serial / critical if critical > 0 else 1.0:.1f}x)"
         )
-    if timings.mount_failures:
-        print(f"warning: {timings.mount_failures.describe()}", file=sys.stderr)
-        for endpoint in timings.mount_failures.endpoints():
+    if outcome.mount_failures:
+        print(f"warning: {outcome.mount_failures.describe()}", file=sys.stderr)
+        for endpoint in outcome.mount_failures.endpoints():
             print(
                 f"warning: endpoint {endpoint} degraded — its files were "
                 "skipped, surviving sources answered",

@@ -17,13 +17,7 @@ from .cache import (
 )
 from .decompose import ActualScanInfo, Decomposition, decompose
 from .derived import DERIVED_TABLE, DerivedMetadataStore, derived_table_schema
-from .executor import (
-    BULK,
-    PER_FILE,
-    StageTimings,
-    TwoStageExecutor,
-    TwoStageResult,
-)
+from .executor import BULK, PER_FILE, TwoStageExecutor, TwoStageResult
 from .governor import (
     CancellationToken,
     CircuitBreaker,
@@ -68,13 +62,13 @@ from .prefetch import (
 )
 from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
 from .scheduler import (
-    MountPoolTimings,
     MountScheduler,
-    MountTaskTiming,
+    MountSpan,
     SchedulerPolicy,
     SchedulerStats,
     SharedPoolClient,
     merge_requests,
+    worker_busy_seconds,
 )
 from .topn import (
     TopNBranchMonitor,
@@ -105,7 +99,6 @@ __all__ = [
     "derived_table_schema",
     "TwoStageExecutor",
     "TwoStageResult",
-    "StageTimings",
     "BULK",
     "PER_FILE",
     "CostModel",
@@ -134,13 +127,13 @@ __all__ = [
     "ExtractResult",
     "FAIL_FAST",
     "SKIP_AND_REPORT",
-    "MountPoolTimings",
     "MountScheduler",
-    "MountTaskTiming",
+    "MountSpan",
     "SchedulerPolicy",
     "SchedulerStats",
     "SharedPoolClient",
     "merge_requests",
+    "worker_busy_seconds",
     "interval_from_predicate",
     "MultiStageExecutor",
     "MultiStageResult",

@@ -22,7 +22,6 @@ class BreakpointInfo:
     files_by_alias: dict[str, list[str]] = field(default_factory=dict)
     pruned_by_time: int = 0  # files dropped via metadata time spans
     stage1_rows: int = 0
-    stage1_seconds: float = 0.0
     estimate: Optional[InformativenessReport] = None
     decision: Optional[DestinyDecision] = None
     rewrite: Optional[RewriteReport] = None
@@ -46,8 +45,7 @@ class BreakpointInfo:
 
     def summary(self) -> str:
         lines = [
-            f"stage 1: {self.stage1_rows} metadata rows in "
-            f"{self.stage1_seconds * 1000:.1f} ms; "
+            f"stage 1: {self.stage1_rows} metadata rows; "
             f"{self.n_files} file(s) of interest"
         ]
         if self.pruned_by_time:

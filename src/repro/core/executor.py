@@ -19,13 +19,11 @@ metadata fast path of §5.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Union
 
-from ..db.buffer import IoStats
 from ..db.database import Database, QueryResult
 from ..db.errors import QueryAbortedError
 from ..db.plan.logical import (
@@ -37,6 +35,7 @@ from ..db.plan.logical import (
     UnionAll,
 )
 from .. import _sync
+from ..obs import QueryTrace
 from ..ingest.schema import TIME_COLUMN, RepositoryBinding
 from .breakpoint import BreakpointInfo
 from .cache import INF, IngestionCache
@@ -66,12 +65,7 @@ from .mounting import (
 from .partial import PartialMerger, is_decomposable
 from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
-from .scheduler import (
-    MountPoolTimings,
-    MountScheduler,
-    SchedulerPolicy,
-    SharedPoolClient,
-)
+from .scheduler import MountScheduler, SchedulerPolicy, SharedPoolClient
 from .statsindex import StatisticsIndex
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
 from .verify import verify_ali_rewrite, verify_decomposition
@@ -92,71 +86,16 @@ _BranchHook = Callable[[int, int, PartialMerger], bool]
 
 
 @dataclass
-class StageTimings:
-    """Wall-clock CPU per physical step (simulated I/O tracked separately).
+class TwoStageResult:
+    """A query answer plus everything the breakpoint learned.
 
-    The ``mount_*`` fields describe the stage-2 mount phase as the query's
-    :class:`~repro.core.scheduler.SharedPoolClient` saw it: how many files
-    it consumed, by how many workers, the serialized cost (sum over files of
-    real extract
-    time + simulated disk time) and the critical path (the busiest worker's
-    chain). ``mount_speedup`` is the observable effect of ``mount_workers``.
+    ``trace`` is the answer's :class:`~repro.obs.QueryTrace`: the spans
+    ``compile`` / ``stage1`` / ``breakpoint`` / ``stage2`` with the plans'
+    operators and the consumed mounts under them, and the counters.
 
     ``mount_failures`` is the degraded-answer disclosure: under the
     ``SKIP_AND_REPORT`` policy it lists every file the query was answered
     *without* (empty under ``FAIL_FAST``, which raises instead).
-    """
-
-    compile_seconds: float = 0.0
-    stage1_seconds: float = 0.0
-    runtime_opt_seconds: float = 0.0
-    stage2_seconds: float = 0.0
-    mount_workers: int = 1
-    mount_files: int = 0
-    mount_serial_seconds: float = 0.0
-    mount_wall_seconds: float = 0.0
-    mount_worker_seconds: dict[int, float] = field(default_factory=dict)
-    mount_failures: MountFailureReport = field(
-        default_factory=MountFailureReport
-    )
-    # Per-lock acquisition/contention/hold-time counters for this execution,
-    # exported by the tracing layer. Empty unless REPRO_LOCK_TRACE=1 (the
-    # zero-cost default); under a concurrent service the delta attributes
-    # *service-wide* lock activity to this execution's window.
-    lock_stats: dict[str, _sync.LockStats] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.compile_seconds
-            + self.stage1_seconds
-            + self.runtime_opt_seconds
-            + self.stage2_seconds
-        )
-
-    @property
-    def mount_speedup(self) -> float:
-        """serialized mount cost / critical path (1.0 when nothing mounted)."""
-        if self.mount_wall_seconds <= 0:
-            return 1.0
-        return self.mount_serial_seconds / self.mount_wall_seconds
-
-    def record_mounts(self, workers: int, timings: MountPoolTimings) -> None:
-        """Fold one scheduler client's observations into these timings."""
-        self.mount_workers = workers
-        self.mount_files += timings.files
-        self.mount_serial_seconds += timings.serial_seconds
-        self.mount_wall_seconds += timings.wall_seconds
-        for worker, busy in timings.worker_seconds.items():
-            self.mount_worker_seconds[worker] = (
-                self.mount_worker_seconds.get(worker, 0.0) + busy
-            )
-
-
-@dataclass
-class TwoStageResult:
-    """A query answer plus everything the breakpoint learned.
-
     ``truncation`` is non-None when an ``on_budget="partial"`` budget
     tripped mid-execution: the rows are the tuples produced before the
     trip, and the report says how much was left on the table.
@@ -165,7 +104,9 @@ class TwoStageResult:
     result: QueryResult
     breakpoint: BreakpointInfo
     decomposition: Decomposition
-    timings: StageTimings = field(default_factory=StageTimings)
+    mount_failures: MountFailureReport = field(
+        default_factory=MountFailureReport
+    )
     approximate: bool = False
     truncation: Optional[TruncationReport] = None
 
@@ -173,15 +114,9 @@ class TwoStageResult:
     def rows(self) -> list[tuple[Any, ...]]:
         return self.result.rows()
 
-
-def _merge_io(parts: list[IoStats]) -> IoStats:
-    merged = IoStats()
-    for part in parts:
-        merged.objects_read += part.objects_read
-        merged.bytes_read += part.bytes_read
-        merged.simulated_seconds += part.simulated_seconds
-        merged.touched |= part.touched
-    return merged
+    @property
+    def trace(self) -> QueryTrace:
+        return self.result.trace
 
 
 @_sync.guarded
@@ -311,7 +246,9 @@ class TwoStageExecutor:
             workers=0 if self.mount_workers == 1 else self.mount_workers,
         )
         context.scheduler.start()
-        context.pool = context.scheduler.client(token=governor.token)
+        context.pool = context.scheduler.client(
+            token=governor.token, trace=context.trace
+        )
         return context
 
     @contextmanager
@@ -376,7 +313,7 @@ class TwoStageExecutor:
         lock_before = _sync.lock_snapshot()
         with self.running(context):
             outcome = self._execute(sql, context)
-        outcome.timings.lock_stats = _sync.lock_snapshot_delta(lock_before)
+        context.trace.lock_stats = _sync.lock_snapshot_delta(lock_before)
         return outcome
 
     def _execute(
@@ -390,96 +327,107 @@ class TwoStageExecutor:
         strategy, calling it around every branch (see ``_BranchHook``)."""
         governor, pool, breaker = context.governor, context.pool, context.breaker
         assert governor is not None and pool is not None
-        timings = StageTimings()
-        started = time.perf_counter()
-        decomposition = self.prepare(query) if isinstance(query, str) else query
-        timings.compile_seconds = time.perf_counter() - started
+        trace = context.trace
+        io_before = self.db.buffers.stats.copy()
+        if isinstance(query, str):
+            with trace.span("compile"):
+                decomposition = self.prepare(query)
+        else:
+            decomposition = query
 
         ctx = self.db.make_context(
-            mounter=self.mounts, governor=governor, mount_context=context
+            mounter=self.mounts, governor=governor, mount_context=context,
+            trace=trace,
         )
         breakpoint_info = BreakpointInfo(
             query_interval=self._query_interval(decomposition)
         )
-        io_parts: list[IoStats] = []
+
+        def answer(
+            result: QueryResult, approximate: bool = False
+        ) -> TwoStageResult:
+            """``result``'s rows under the whole execution's accounting: the
+            trace's top-level time and every buffer read since it began."""
+            combined = QueryResult(
+                names=result.names,
+                batch=result.batch,
+                elapsed_cpu=trace.total_seconds,
+                io=self.db.buffers.stats.since(io_before),
+                trace=trace,
+            )
+            return TwoStageResult(
+                combined, breakpoint_info, decomposition,
+                context.failure_report, approximate,
+                governor.truncation_report(),
+            )
 
         # A metadata-only query is answered entirely by stage 1 — "the first
         # stage of execution is naturally enough" (§3).
         if decomposition.metadata_only:
-            result = self.db.execute_plan(decomposition.plan, ctx)
-            timings.stage1_seconds = result.elapsed_cpu
+            with trace.span("stage1"):
+                result = self.db.execute_plan(decomposition.plan, ctx)
             breakpoint_info.stage1_rows = result.num_rows
-            breakpoint_info.stage1_seconds = result.elapsed_cpu
-            return TwoStageResult(
-                result, breakpoint_info, decomposition, timings,
-                truncation=governor.truncation_report(),
-            )
+            return answer(result)
 
         # Stage 1: the metadata branch.
         if decomposition.qf is not None:
-            stage1 = self.db.execute_plan(decomposition.qf, ctx)
+            with trace.span("stage1"):
+                stage1 = self.db.execute_plan(decomposition.qf, ctx)
             ctx.results[decomposition.result_tag] = stage1.batch
-            timings.stage1_seconds = stage1.elapsed_cpu
-            io_parts.append(stage1.io)
             breakpoint_info.stage1_rows = stage1.num_rows
-            breakpoint_info.stage1_seconds = stage1.elapsed_cpu
 
-        # Files of interest, per actual-table alias.
-        opt_started = time.perf_counter()
-        files_by_alias = self._files_of_interest(decomposition, ctx)
-        files_by_alias, pruned_by_time = self._prune_by_time(
-            decomposition, files_by_alias
-        )
-        breakpoint_info.files_by_alias = files_by_alias
-        breakpoint_info.pruned_by_time = pruned_by_time
-
-        breakpoint_info.estimate = estimate_informativeness(
-            self.statistics(),
-            breakpoint_info.files_of_interest,
-            self.cache.cached_uris(),
-            interval=breakpoint_info.query_interval,
-        )
-        decision = self.destiny.decide(breakpoint_info.estimate)
-        breakpoint_info.decision = decision
-        if decision.action is DestinyAction.ABORT:
-            raise QueryAbortedError(
-                f"query aborted at breakpoint: {decision.reason}",
-                breakpoint_info,
+        with trace.span("breakpoint"):
+            # Files of interest, per actual-table alias.
+            files_by_alias = self._files_of_interest(decomposition, ctx)
+            files_by_alias, pruned_by_time = self._prune_by_time(
+                decomposition, files_by_alias
             )
-        approximate = False
-        if decision.action is DestinyAction.LIMIT:
-            assert decision.max_files is not None
-            files_by_alias = {
-                alias: files[: decision.max_files]
-                for alias, files in files_by_alias.items()
-            }
             breakpoint_info.files_by_alias = files_by_alias
-            approximate = True
+            breakpoint_info.pruned_by_time = pruned_by_time
 
-        # Derived-metadata fast path (§5): answer summaries without mounting.
-        if self.derived is not None:
-            derived_result = self.derived.try_answer(
-                decomposition, files_by_alias, ctx, self.db
+            breakpoint_info.estimate = estimate_informativeness(
+                self.statistics(),
+                breakpoint_info.files_of_interest,
+                self.cache.cached_uris(),
+                interval=breakpoint_info.query_interval,
             )
-            if derived_result is not None:
-                breakpoint_info.answered_from_derived = True
-                timings.runtime_opt_seconds = time.perf_counter() - opt_started
-                return TwoStageResult(
-                    derived_result, breakpoint_info, decomposition, timings,
-                    approximate=approximate,
-                    truncation=governor.truncation_report(),
+            decision = self.destiny.decide(breakpoint_info.estimate)
+            breakpoint_info.decision = decision
+            if decision.action is DestinyAction.ABORT:
+                raise QueryAbortedError(
+                    f"query aborted at breakpoint: {decision.reason}",
+                    breakpoint_info,
                 )
+            approximate = False
+            if decision.action is DestinyAction.LIMIT:
+                assert decision.max_files is not None
+                files_by_alias = {
+                    alias: files[: decision.max_files]
+                    for alias, files in files_by_alias.items()
+                }
+                breakpoint_info.files_by_alias = files_by_alias
+                approximate = True
 
-        # Run-time optimization: rewrite rule (1).
-        report = RewriteReport()
-        assert decomposition.qs is not None
-        rewritten = apply_ali_rewrite(
-            decomposition.qs, files_by_alias, self.cache, report=report
-        )
-        if self.db.verify_plans:
-            verify_ali_rewrite(decomposition.qs, rewritten)
-        breakpoint_info.rewrite = report
-        timings.runtime_opt_seconds = time.perf_counter() - opt_started
+            # Derived-metadata fast path (§5): answer summaries without
+            # mounting.
+            derived_result = None
+            if self.derived is not None:
+                derived_result = self.derived.try_answer(
+                    decomposition, files_by_alias, ctx, self.db
+                )
+            if derived_result is None:
+                # Run-time optimization: rewrite rule (1).
+                report = RewriteReport()
+                assert decomposition.qs is not None
+                rewritten = apply_ali_rewrite(
+                    decomposition.qs, files_by_alias, self.cache, report=report
+                )
+                if self.db.verify_plans:
+                    verify_ali_rewrite(decomposition.qs, rewritten)
+                breakpoint_info.rewrite = report
+        if derived_result is not None:
+            breakpoint_info.answered_from_derived = True
+            return answer(derived_result, approximate)
 
         # Stage 2: mounts happen here, inside the plan. Both strategies
         # dispatch their mount branches through the context's scheduler.
@@ -487,6 +435,7 @@ class TwoStageExecutor:
         termination = None
         if self.top_n_pushdown and not per_file:
             termination = self._top_n_termination(rewritten, pool)
+        stage2_span = trace.open("stage2")
         try:
             if termination is not None:
                 monitor, prefetch_mounts = termination
@@ -532,23 +481,10 @@ class TwoStageExecutor:
         finally:
             ctx.branch_monitor = None
             pool.close()
-            timings.record_mounts(self.mount_workers, pool.timings)
-            timings.mount_failures = context.failure_report
-        timings.stage2_seconds = stage2.elapsed_cpu
-        io_parts.append(stage2.io)
-
-        combined = QueryResult(
-            names=stage2.names,
-            batch=stage2.batch,
-            elapsed_cpu=timings.total_seconds,
-            io=_merge_io(io_parts),
-            stats=ctx.stats,
-        )
-        return TwoStageResult(
-            combined, breakpoint_info, decomposition, timings,
-            approximate=approximate,
-            truncation=governor.truncation_report(),
-        )
+            # One span over every plan stage 2 ran: a Top-N re-run's first
+            # pass and strategy (b)'s partials count with the final plan.
+            trace.close(stage2_span)
+        return answer(stage2, approximate)
 
     # -- Top-N early termination -------------------------------------------------
 

@@ -58,6 +58,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .. import _sync
+from ..obs import QueryTrace
 from ..db.buffer import BufferManager
 from ..db.errors import (
     CircuitOpenError,
@@ -163,8 +164,9 @@ class MountFailure:
 class MountFailureReport:
     """Every file a SKIP_AND_REPORT query answered *without*.
 
-    Attached to :class:`~repro.core.executor.StageTimings` so callers can
-    tell a complete answer from a degraded one.
+    Attached to :class:`~repro.core.executor.TwoStageResult`
+    (``mount_failures``) so callers can tell a complete answer from a
+    degraded one.
     """
 
     failures: list[MountFailure] = field(default_factory=list)
@@ -239,6 +241,10 @@ class MountContext:
     observed of the plan's cache-scanned files
     (:meth:`~repro.mseed.repository.Repository.signatures_of`), which each
     cache scan compares against instead of observing the file itself.
+
+    ``trace`` is the query's :class:`~repro.obs.QueryTrace`: the executor's
+    stages, the plans' operators and the pool's consumed mounts all record
+    into it. A query service names its tenant on it.
     """
 
     def __init__(
@@ -246,13 +252,13 @@ class MountContext:
         governor: Optional[QueryGovernor] = None,
         on_error: str = FAIL_FAST,
         breaker: Optional[CircuitBreaker] = None,
-        pool: Optional["SharedPoolClient"] = None,
     ) -> None:
         self.governor = governor
         self.on_error = check_on_error(on_error)
         self.breaker = breaker
-        self.pool = pool
+        self.pool: Optional["SharedPoolClient"] = None
         self.scheduler: Optional["MountScheduler"] = None
+        self.trace = QueryTrace()
         # Set at the breakpoint, read by the cache scans: the query's thread.
         self.observed: dict[str, FileSignature | IngestError] = {}
         # Backoff sleeps and request waits block on this token's event;

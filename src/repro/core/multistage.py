@@ -124,7 +124,8 @@ class MultiStageExecutor:
             return stopped
 
         with self.executor.running(context):
-            decomposition = self.executor.prepare(sql)
+            with context.trace.span("compile"):
+                decomposition = self.executor.prepare(sql)
             if not decomposition.metadata_only:
                 _check_shape(decomposition)
             outcome = self.executor._execute(decomposition, context, on_branch)

@@ -25,7 +25,7 @@ Two classes implement it:
   window 0, ``mount_workers`` threads — none when serial) and that is
   closed when the execution ends.
 * :class:`SharedPoolClient` — one query's view (``prefetch`` / ``take`` /
-  ``release`` / ``close`` / ``timings``), carried as the ``pool`` of the
+  ``release`` / ``close`` / ``trace``), carried as the ``pool`` of the
   query's :class:`~repro.core.mounting.MountContext`.
 
 Division of labour and guarantees
@@ -86,12 +86,14 @@ all stay query-side.
 
 Timing model
 ------------
-Each consumed task is reported as a :class:`MountTaskTiming`: the index of
-the worker that ran it (a consumer's inline steal counts as worker
-``workers``), its real extraction seconds, and the simulated disk seconds
-the buffer manager charged (``db/buffer.py``). :class:`MountPoolTimings`
-exposes the serialized total and the critical path (the busiest worker's
-chain) — what ``benchmarks/bench_parallel_mount.py`` reports as the speedup.
+Each file a query consumes becomes one :class:`MountSpan` in the query's
+trace, recorded on the consuming thread: the worker that ran it (a
+consumer's inline steal counts as worker ``workers``), its real extraction
+seconds, and the simulated disk seconds the buffer manager charged
+(``db/buffer.py``). :func:`worker_busy_seconds` folds them per worker: the
+sum is the serialized cost, the maximum the critical path (the busiest
+worker's chain) — what ``benchmarks/bench_parallel_mount.py`` reports as
+the speedup.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence
 
 from .. import _sync
+from ..obs import QueryTrace, Span
 from ..db.interval import covers, hull
 from ..ingest.formats import MountRequest
 from .governor import CancellationToken
@@ -168,56 +171,35 @@ def _interleave_endpoints(keys: Sequence[MountKey]) -> list[MountKey]:
     ]
 
 
-@dataclass(frozen=True)
-class MountTaskTiming:
-    """One file's extraction, attributed to the worker that ran it."""
+@dataclass(slots=True)
+class MountSpan(Span):
+    """One consumed file: ``detail`` is its uri, ``seconds`` the consumer's
+    wait for it; its cost is the extraction wherever it ran."""
 
-    uri: str
-    table_name: str
-    worker: int  # worker index; a consumer's inline steal is index `workers`
-    extract_seconds: float  # real wall time spent extracting/decoding
-    io_seconds: float  # simulated disk seconds charged by the buffer manager
+    worker: int = 0  # worker index; a consumer's inline steal is `workers`
+    extract_seconds: float = 0.0  # real wall time spent extracting/decoding
+    io_seconds: float = 0.0  # simulated disk seconds charged by the buffers
 
-    @property
-    def seconds(self) -> float:
-        return self.extract_seconds + self.io_seconds
+    def describe(self) -> str:
+        return (
+            f"mount {self.detail} on worker {self.worker}  [{self.rows} rows, "
+            f"extract {self.extract_seconds * 1000:.2f} ms + "
+            f"io {self.io_seconds * 1000:.2f} ms]"
+        )
 
 
-@dataclass
-class MountPoolTimings:
-    """Per-worker mount timing of the tasks one query consumed."""
-
-    tasks: list[MountTaskTiming] = field(default_factory=list)
-
-    @property
-    def files(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def serial_seconds(self) -> float:
-        """What the mounts would cost end-to-end on one worker."""
-        return sum(t.seconds for t in self.tasks)
-
-    @property
-    def worker_seconds(self) -> dict[int, float]:
-        """worker index → that worker's busy time (its chain of tasks)."""
-        busy: dict[int, float] = {}
-        for t in self.tasks:
-            busy[t.worker] = busy.get(t.worker, 0.0) + t.seconds
-        return busy
-
-    @property
-    def wall_seconds(self) -> float:
-        """The critical path: the busiest worker's chain. Concurrent mounts
-        overlap their simulated reads, so the phase's modeled wall time is
-        the longest per-worker chain rather than the serialized sum."""
-        busy = self.worker_seconds
-        return max(busy.values()) if busy else 0.0
-
-    @property
-    def speedup(self) -> float:
-        wall = self.wall_seconds
-        return self.serial_seconds / wall if wall > 0 else 1.0
+def worker_busy_seconds(trace: QueryTrace) -> dict[int, float]:
+    """worker index → that worker's busy time (extraction plus simulated
+    disk) over the files the traced query consumed. The sum is what the
+    mounts would cost end-to-end on one worker; the maximum is the critical
+    path — concurrent mounts overlap their simulated reads, so the phase's
+    modeled wall time is the longest per-worker chain."""
+    busy: dict[int, float] = {}
+    for span in trace.spans:
+        if isinstance(span, MountSpan):
+            cost = span.extract_seconds + span.io_seconds
+            busy[span.worker] = busy.get(span.worker, 0.0) + cost
+    return busy
 
 
 def _request_covers(
@@ -438,10 +420,16 @@ class MountScheduler:
         self.close()
 
     def client(
-        self, token: Optional[CancellationToken] = None
+        self,
+        token: Optional[CancellationToken] = None,
+        trace: Optional[QueryTrace] = None,
     ) -> "SharedPoolClient":
-        """A fresh per-query facade over this scheduler."""
-        return SharedPoolClient(self, next(self._client_ids), token=token)
+        """A fresh per-query facade over this scheduler, recording the
+        query's mounts into ``trace`` (a fresh one when None)."""
+        return SharedPoolClient(
+            self, next(self._client_ids), token=token,
+            trace=trace if trace is not None else QueryTrace(),
+        )
 
     # -- the crowd (service-facing) ------------------------------------------
 
@@ -600,8 +588,9 @@ class MountScheduler:
         client_id: int,
         task: _FileTask,
         token: Optional[CancellationToken] = None,
-    ) -> tuple["ExtractResult", MountTaskTiming]:
-        """Block until ``task`` completes; return its result and timing.
+    ) -> tuple["ExtractResult", int, float]:
+        """Block until ``task`` completes; return its result, the worker
+        that ran it and its extraction seconds.
 
         Work conservation: a still-pending task is claimed and extracted
         inline on the consuming thread. The wait is cancellation-aware —
@@ -653,7 +642,7 @@ class MountScheduler:
 
     def extract_now(
         self, uri: str, table_name: str, request: Optional[MountRequest]
-    ) -> tuple["ExtractResult", MountTaskTiming]:
+    ) -> tuple["ExtractResult", int, float]:
         """One unscheduled extraction, on the caller's thread: the client's
         fallback for keys it never prefetched (cache-scan misses that fell
         back to mounting, branches a Top-N re-run needs after a release)."""
@@ -666,9 +655,7 @@ class MountScheduler:
         elapsed = time.perf_counter() - started
         with self._lock:
             self.stats.tasks_extracted += 1
-        return result, MountTaskTiming(
-            uri, table_name, self.workers, elapsed, result.io_seconds
-        )
+        return result, self.workers, elapsed
 
     # -- scheduling core -----------------------------------------------------
 
@@ -791,7 +778,7 @@ class MountScheduler:
 
     def _grant(
         self, client_id: int, task: _FileTask
-    ) -> tuple["ExtractResult", MountTaskTiming]:
+    ) -> tuple["ExtractResult", int, float]:
         with self._wakeup:
             registered_at = task.waiters.pop(client_id, None)
             waited = (
@@ -813,11 +800,7 @@ class MountScheduler:
         if task.error is not None:
             raise task.error
         assert task.result is not None
-        table_name, uri = task.key
-        return task.result, MountTaskTiming(
-            uri, table_name, task.worker, task.extract_seconds,
-            task.result.io_seconds,
-        )
+        return task.result, task.worker, task.extract_seconds
 
     def _reap_locked(self, task: _FileTask) -> None:
         """Drop a finished (or abandoned-pending) task once nobody waits,
@@ -870,22 +853,24 @@ class SharedPoolClient:
     * :meth:`close` withdraws whatever the plan never consumed; so does the
       query's cancellation token firing.
 
-    ``timings`` reports the *consumed* extraction costs — what this query's
-    mounts cost wherever they ran, which is what a per-query speedup or
-    billing report wants; the scheduler's own stats carry the shared-work
-    (bytes-saved) view.
+    Each extraction a :meth:`take` consumes becomes a :class:`MountSpan` in
+    ``trace``: what this query's mounts cost wherever they ran, which is
+    what a per-query speedup or billing report wants; the scheduler's own
+    stats carry the shared-work (bytes-saved) view.
     """
 
     def __init__(
         self,
         scheduler: MountScheduler,
         client_id: int,
-        token: Optional[CancellationToken] = None,
+        token: Optional[CancellationToken],
+        trace: QueryTrace,
     ) -> None:
         self._scheduler = scheduler
         self._client_id = client_id
         self._token = token
-        self.timings = MountPoolTimings()  # guarded-by: _lock
+        # unguarded-ok: written by take() only, on the query's own thread.
+        self.trace = trace
         self._tasks: dict[MountKey, _FileTask] = {}  # guarded-by: _lock
         self._pending_takes: dict[MountKey, int] = {}  # guarded-by: _lock
         self._held: dict[MountKey, "ExtractResult"] = {}  # guarded-by: _lock
@@ -921,18 +906,22 @@ class SharedPoolClient:
         with self._lock:
             result = self._held.get(key)
             task = self._tasks.get(key)
-        timing = None
         if result is None:
-            result, timing = (
+            started = time.perf_counter()
+            result, worker, extract_seconds = (
                 self._scheduler.extract_now(uri, table_name, request)
                 if task is None
                 else self._scheduler.take(
                     self._client_id, task, token=self._token
                 )
             )
+            self.trace.record(MountSpan(
+                "mount", uri, start=started,
+                seconds=time.perf_counter() - started,
+                rows=result.batch.num_rows, worker=worker,
+                extract_seconds=extract_seconds, io_seconds=result.io_seconds,
+            ))
         with self._lock:
-            if timing is not None:
-                self.timings.tasks.append(timing)
             remaining = self._pending_takes.get(key, 1) - 1
             if remaining > 0:
                 self._pending_takes[key] = remaining

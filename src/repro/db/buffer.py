@@ -47,6 +47,15 @@ class IoStats:
             set(self.touched),
         )
 
+    def since(self, before: "IoStats") -> "IoStats":
+        """What accrued after ``before`` (an earlier :meth:`copy`)."""
+        return IoStats(
+            self.objects_read - before.objects_read,
+            self.bytes_read - before.bytes_read,
+            self.simulated_seconds - before.simulated_seconds,
+            self.touched - before.touched,
+        )
+
 
 @_sync.guarded
 class BufferManager:

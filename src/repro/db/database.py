@@ -19,7 +19,8 @@ from .index import HashIndex
 from .plan.binder import Binder
 from .plan.logical import LogicalPlan
 from .plan.optimizer import PhysicalPlanner, optimize_logical
-from .plan.physical import ExecStats, ExecutionContext, GovernorHook, Mounter
+from ..obs import QueryTrace
+from .plan.physical import ExecutionContext, GovernorHook, Mounter
 from .plan.verify import verify_enabled_default, verify_physical
 from .schema import TableSchema
 from .sql.parser import parse_sql
@@ -34,7 +35,7 @@ class QueryResult:
     batch: ColumnBatch
     elapsed_cpu: float
     io: IoStats
-    stats: ExecStats
+    trace: QueryTrace
 
     @property
     def num_rows(self) -> int:
@@ -173,13 +174,17 @@ class Database:
         mounter: Optional[Mounter] = None,
         governor: Optional[GovernorHook] = None,
         mount_context: object = None,
+        trace: Optional[QueryTrace] = None,
     ) -> ExecutionContext:
+        """A context whose operators record into ``trace`` (a fresh one
+        when None)."""
         return ExecutionContext(
             catalog=self.catalog,
             buffers=self.buffers,
             mounter=mounter,
             governor=governor,
             mount_context=mount_context,
+            trace=trace if trace is not None else QueryTrace(),
         )
 
     def execute_plan(
@@ -196,36 +201,18 @@ class Database:
         if self.verify_plans:
             verify_physical(physical, plan)
         batch = physical.execute(ctx)
-        elapsed = time.perf_counter() - started
-        io_after = self.buffers.stats
-        io_delta = IoStats(
-            objects_read=io_after.objects_read - io_before.objects_read,
-            bytes_read=io_after.bytes_read - io_before.bytes_read,
-            simulated_seconds=(
-                io_after.simulated_seconds - io_before.simulated_seconds
-            ),
-            touched=io_after.touched - io_before.touched,
-        )
         return QueryResult(
             names=list(batch.names),
             batch=batch,
-            elapsed_cpu=elapsed,
-            io=io_delta,
-            stats=ctx.stats,
+            elapsed_cpu=time.perf_counter() - started,
+            io=self.buffers.stats.since(io_before),
+            trace=ctx.trace,
         )
 
     def execute(self, sql: str, use_indexes: bool = True) -> QueryResult:
         """Parse, bind, optimize (classic pipeline), and run one query."""
         plan = self.optimize(self.bind_sql(sql))
         return self.execute_plan(plan, use_indexes=use_indexes)
-
-    def profile(self, sql: str, use_indexes: bool = True) -> QueryResult:
-        """Like :meth:`execute`, with per-operator profiling enabled; render
-        the tree with ``result.stats.render_profile()``."""
-        plan = self.optimize(self.bind_sql(sql))
-        ctx = self.make_context()
-        ctx.profiling = True
-        return self.execute_plan(plan, ctx, use_indexes=use_indexes)
 
     # -- persistence ----------------------------------------------------------------
 

@@ -11,7 +11,6 @@ ignorant of file formats and cache policies.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Protocol, Union
@@ -26,6 +25,7 @@ from ..expr import Expr, conjoin
 from ..index import HashIndex
 from ..table import ColumnBatch, concat_batches
 from ..types import DataType
+from ...obs import QueryTrace
 from .kernels import (
     combined_codes,
     factorize,
@@ -107,38 +107,6 @@ class BranchMonitor(Protocol):
 
 
 @dataclass
-class OpProfile:
-    """One operator's contribution to a query (EXPLAIN-ANALYZE style)."""
-
-    op: str
-    detail: str
-    rows: int
-    seconds: float  # inclusive of children
-    depth: int
-
-
-@dataclass
-class ExecStats:
-    """Counters accumulated while executing one plan."""
-
-    files_mounted: int = 0
-    cache_scans: int = 0
-    operators_run: int = 0
-    profile: list[OpProfile] = field(default_factory=list)
-
-    def render_profile(self) -> str:
-        """The operator tree with per-node rows and inclusive times."""
-        lines = []
-        for entry in self.profile:
-            indent = "  " * entry.depth
-            lines.append(
-                f"{indent}{entry.op}{entry.detail}  "
-                f"[{entry.rows} rows, {entry.seconds * 1000:.2f} ms]"
-            )
-        return "\n".join(lines)
-
-
-@dataclass
 class ExecutionContext:
     """Everything operators need at run time."""
 
@@ -148,12 +116,11 @@ class ExecutionContext:
     governor: Optional[GovernorHook] = None
     mount_context: object = None  # handed to every mounter call, see Mounter
     results: dict[str, ColumnBatch] = field(default_factory=dict)
-    stats: ExecStats = field(default_factory=ExecStats)
-    profiling: bool = False
+    # The executing query's trace: every operator records an ``op`` span.
+    trace: QueryTrace = field(default_factory=QueryTrace)
     # Installed by the two-stage executor for Top-N queries over a rule-(1)
     # union; None means unions execute every branch in plan order.
     branch_monitor: Optional[BranchMonitor] = None
-    _profile_depth: int = 0
 
     def touch(self, name: str, nbytes: int) -> None:
         if self.buffers is not None:
@@ -163,9 +130,9 @@ class ExecutionContext:
 class PhysicalOp:
     """Base class; ``execute`` returns the operator's full result.
 
-    When the context has ``profiling`` on, every operator contributes an
-    :class:`OpProfile` entry (pre-order, with depth) so the full executed
-    tree can be rendered with rows and inclusive wall times.
+    Every execution records one ``op`` span in the context's trace
+    (pre-order, nested under its parent operator's) with the operator's
+    rows and inclusive wall time.
     """
 
     def execute(self, ctx: ExecutionContext) -> ColumnBatch:
@@ -174,28 +141,16 @@ class PhysicalOp:
             # place every operator passes through, so deadline/cancellation
             # latency is bounded by a single operator, not a whole stage.
             ctx.governor.checkpoint()
-        ctx.stats.operators_run += 1
-        if not ctx.profiling:
-            return self._run(ctx)
-        entry = OpProfile(
-            op=type(self).__name__,
-            detail=self._profile_detail(),
-            rows=0,
-            seconds=0.0,
-            depth=ctx._profile_depth,
-        )
-        ctx.stats.profile.append(entry)
-        ctx._profile_depth += 1
-        started = _time.perf_counter()
+        trace = ctx.trace
+        span = trace.open("op", type(self).__name__ + self._span_detail())
         try:
             batch = self._run(ctx)
         finally:
-            ctx._profile_depth -= 1
-        entry.seconds = _time.perf_counter() - started
-        entry.rows = batch.num_rows
+            trace.close(span)
+        span.rows = batch.num_rows
         return batch
 
-    def _profile_detail(self) -> str:
+    def _span_detail(self) -> str:
         for attr in ("table_name", "uri", "tag"):
             value = getattr(self, attr, None)
             if value is not None:
@@ -882,7 +837,7 @@ class PMount(PhysicalOp):
             self.uri, self.table_name, self.alias, self.predicate,
             ctx.mount_context,
         )
-        ctx.stats.files_mounted += 1
+        ctx.trace.counters["files_mounted"] += 1
         return batch.select(self.output_names)
 
 
@@ -905,5 +860,5 @@ class PCacheScan(PhysicalOp):
             self.uri, self.table_name, self.alias, self.predicate,
             ctx.mount_context,
         )
-        ctx.stats.cache_scans += 1
+        ctx.trace.counters["cache_scans"] += 1
         return batch.select(self.output_names)

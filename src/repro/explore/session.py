@@ -104,9 +104,9 @@ class ExplorationSession:
             self.prefetcher.observe(outcome.breakpoint.query_interval)
         if isinstance(outcome, TwoStageResult):
             result = outcome.result
-            mounted = result.stats.files_mounted
-            cache_scans = result.stats.cache_scans
-            failures = len(outcome.timings.mount_failures)
+            mounted = result.trace.counters["files_mounted"]
+            cache_scans = result.trace.counters["cache_scans"]
+            failures = len(outcome.mount_failures)
             truncated = outcome.truncation is not None
         else:
             result = outcome

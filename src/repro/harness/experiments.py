@@ -158,7 +158,6 @@ class SweepEntry:
 
     fraction: float
     files_of_interest: int
-    tuples_mounted: int
     seconds: float
 
 
@@ -181,7 +180,6 @@ def interest_sweep(
             SweepEntry(
                 fraction=fraction,
                 files_of_interest=outcome.breakpoint.n_files,
-                tuples_mounted=outcome.result.stats.files_mounted,
                 seconds=elapsed + outcome.result.io.simulated_seconds,
             )
         )

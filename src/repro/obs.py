@@ -1,0 +1,103 @@
+"""One query's trace: where its time went, as nested spans and counters.
+
+Each execution owns exactly one :class:`QueryTrace` (its
+:class:`~repro.core.mounting.MountContext` creates it; a plain
+:meth:`~repro.db.database.Database.execute` makes a fresh one). The
+two-stage executor records ``compile`` / ``stage1`` / ``breakpoint`` /
+``stage2``; every physical operator records an ``op`` span with its rows;
+the query's mount scheduler client records one ``mount`` span per file the
+query consumed (:class:`~repro.core.scheduler.MountSpan`). Counters carry
+what is counted rather than timed (``files_mounted``, ``cache_scans``), and
+``lock_stats`` the lock-tracing layer's per-lock counters for the
+execution's window.
+
+Only the query's own thread writes its trace, so it needs no lock: spans
+nest by a plain depth counter, and ``spans`` is the tree in pre-order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
+
+from ._sync import LockStats
+
+# Query ids are unique per process; next() on a count is atomic in CPython.
+_query_ids = itertools.count(1)
+
+
+@dataclass(slots=True)
+class Span:
+    """One timed step: ``seconds`` includes its children (the spans after
+    it in pre-order with a greater ``depth``)."""
+
+    name: str
+    detail: str = ""
+    depth: int = 0
+    start: float = 0.0
+    seconds: float = 0.0
+    rows: Optional[int] = None
+
+    def describe(self) -> str:
+        rows = "" if self.rows is None else f"{self.rows} rows, "
+        return f"{self.detail or self.name}  [{rows}{self.seconds * 1000:.2f} ms]"
+
+
+@dataclass
+class QueryTrace:
+    """The spans, counters and lock statistics of one execution."""
+
+    tenant: str = ""
+    query_id: int = field(default_factory=lambda: next(_query_ids))
+    spans: list[Span] = field(default_factory=list)
+    counters: Counter = field(default_factory=Counter)
+    lock_stats: dict[str, LockStats] = field(default_factory=dict)
+    _depth: int = field(default=0, init=False, repr=False)
+
+    def open(self, name: str, detail: str = "") -> Span:
+        """Start a span under whichever span is open; end it with
+        :meth:`close`."""
+        span = Span(name, detail, self._depth, time.perf_counter())
+        self.spans.append(span)
+        self._depth += 1
+        return span
+
+    def close(self, span: Span) -> None:
+        self._depth -= 1
+        span.seconds = time.perf_counter() - span.start
+
+    @contextmanager
+    def span(self, name: str, detail: str = "") -> Iterator[Span]:
+        span = self.open(name, detail)
+        try:
+            yield span
+        finally:
+            self.close(span)
+
+    def record(self, span: Span) -> None:
+        """Add a span timed elsewhere, under whichever span is open."""
+        span.depth = self._depth
+        self.spans.append(span)
+
+    def seconds(self, name: str) -> float:
+        """The summed seconds of every span called ``name``."""
+        return sum(s.seconds for s in self.spans if s.name == name)
+
+    @property
+    def total_seconds(self) -> float:
+        """The top-level spans' seconds: the execution's wall time."""
+        return sum(s.seconds for s in self.spans if s.depth == 0)
+
+    def render(self) -> str:
+        """The span tree, one indented line per span, then the counters."""
+        lines = [f"{'  ' * s.depth}{s.describe()}" for s in self.spans]
+        if self.counters:
+            lines.append(
+                "counters: "
+                + ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
+            )
+        return "\n".join(lines)

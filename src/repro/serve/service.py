@@ -426,12 +426,16 @@ class QueryService:
             token=cancellation,
             on_charge=charge,
         )
-        return MountContext(
+        context = MountContext(
             governor=governor,
             on_error=state.policy.on_mount_error,
             breaker=state.breaker,
-            pool=self.scheduler.client(token=governor.token),
         )
+        context.trace.tenant = state.name
+        context.pool = self.scheduler.client(
+            token=governor.token, trace=context.trace
+        )
+        return context
 
     # -- predictive prefetch ---------------------------------------------------
 

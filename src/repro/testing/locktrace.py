@@ -18,7 +18,7 @@ instead of the plain :mod:`threading` primitives. The wrappers:
   ``Lock`` it already holds) instead of hanging;
 * accumulate per-lock-name :class:`~repro._sync.LockStats`
   (acquisitions, contended acquisitions, wait time, hold time) that
-  :func:`repro._sync.lock_snapshot` exports onto ``StageTimings``;
+  :func:`repro._sync.lock_snapshot` exports onto ``QueryTrace.lock_stats``;
 * optionally enforce ``# guarded-by:`` declarations: rebinding an
   annotated attribute without holding its declared lock raises
   :class:`GuardViolation` (see :func:`guard_class`).

@@ -224,7 +224,7 @@ def verdict(
         if isinstance(want, ExecutionError) and type(outcome) is type(want):
             return "Ei's error"
         raise AssertionError(f"unaccepted error: {outcome!r}") from outcome
-    failed = frozenset(map(name_of, outcome.timings.mount_failures.uris()))
+    failed = frozenset(map(name_of, outcome.mount_failures.uris()))
     check(
         not failed or (skip and failed <= faulted),
         f"undisclosable failures {sorted(failed)} (skip={skip})",

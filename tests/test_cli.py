@@ -78,6 +78,9 @@ class TestLoadQuery:
         assert "file(s) of interest" in out
         assert "1 file(s) mounted" in out
         assert "1728" in out
+        # The query's trace follows the breakpoint summary.
+        assert "\nstage2  [" in out and "on worker 0" in out
+        assert "counters: files_mounted=1" in out
 
     def test_explain(self, repo_dir, capsys):
         assert main([

@@ -127,7 +127,7 @@ class TestTruncationFuzzing:
         outcome = executor.execute(SQL)
         count, total = outcome.rows[0]
         assert count == expected_over(repo, intact)
-        report = outcome.timings.mount_failures
+        report = outcome.mount_failures
         assert report.uris() == [victim]
         assert report.failures[0].error == "TruncatedFileError"
         assert report.failures[0].offset is not None
@@ -177,7 +177,7 @@ class TestBitFlips:
         intact = [u for u in repo.uris() if u != victim]
         outcome = executor.execute(SQL)
         assert outcome.rows[0][0] == expected_over(repo, intact)
-        assert outcome.timings.mount_failures.uris() == [victim]
+        assert outcome.mount_failures.uris() == [victim]
 
 
 class TestStructuralDamage:
@@ -220,7 +220,7 @@ class TestStructuralDamage:
         outcome = executor.execute(SQL)
         count, total = outcome.rows[0]
         assert count == expected_over(repo, intact)
-        report = outcome.timings.mount_failures
+        report = outcome.mount_failures
         assert sorted(report.uris()) == sorted(victims)
         assert {f.uri: f.error for f in report.failures} == {
             truncated: "TruncatedFileError",
@@ -304,7 +304,7 @@ class TestSelectiveMountingUnderDamage:
 
         executor = make_executor(repo, workers, "skip")
         result = executor.execute(NARROW_SQL)
-        assert result.timings.mount_failures.uris() == [victim]
+        assert result.mount_failures.uris() == [victim]
         assert result.rows[0][0] > 0  # intact files still contributed
 
 
@@ -324,8 +324,8 @@ class TestWorkerEquivalence:
         parallel = parallel_executor.execute(SQL)
         assert serial.rows == parallel.rows
         assert (
-            serial.timings.mount_failures.uris()
-            == parallel.timings.mount_failures.uris()
+            serial.mount_failures.uris()
+            == parallel.mount_failures.uris()
         )
 
 

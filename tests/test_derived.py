@@ -77,7 +77,7 @@ class TestFastPath:
         assert not first.breakpoint.answered_from_derived
         second = executor.execute(SUMMARY_SQL)
         assert second.breakpoint.answered_from_derived
-        assert second.result.stats.files_mounted == 0
+        assert second.result.trace.counters["files_mounted"] == 0
         assert second.rows[0][0] == pytest.approx(first.rows[0][0])
 
     def test_all_decomposable_funcs(self, derived_executor, ei_db):
@@ -124,7 +124,7 @@ class TestFastPath:
         outcome = executor.execute(sql)
         assert not outcome.breakpoint.answered_from_derived
         # Both ISK/BHE day-files are of interest and must actually mount.
-        assert outcome.result.stats.files_mounted == 2
+        assert outcome.result.trace.counters["files_mounted"] == 2
 
     def test_grouped_aggregate_disables_fast_path(self, derived_executor):
         sql = (

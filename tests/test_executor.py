@@ -142,10 +142,10 @@ class TestBreakpoint:
 
     def test_stage_timings_populated(self, executor, query1):
         outcome = executor.execute(query1)
-        timings = outcome.timings
-        assert timings.stage1_seconds > 0
-        assert timings.stage2_seconds > 0
-        assert timings.total_seconds >= timings.stage2_seconds
+        trace = outcome.trace
+        assert trace.seconds("stage1") > 0
+        assert trace.seconds("stage2") > 0
+        assert trace.total_seconds >= trace.seconds("stage2")
 
     def test_estimate_present(self, executor, query1):
         outcome = executor.execute(query1)
@@ -169,18 +169,18 @@ class TestBreakpoint:
         )
         outcome = executor.execute(sql)
         assert outcome.breakpoint.n_files == 0
-        assert outcome.result.stats.files_mounted == 0
+        assert outcome.result.trace.counters["files_mounted"] == 0
         assert math.isnan(outcome.rows[0][0])
         assert outcome.breakpoint.estimate.score == 1.0
 
     def test_worst_case_touches_whole_repository(self, executor, tiny_repo):
         outcome = executor.execute("SELECT COUNT(*) FROM D")
         assert outcome.breakpoint.n_files == len(tiny_repo)
-        assert outcome.result.stats.files_mounted == len(tiny_repo)
+        assert outcome.result.trace.counters["files_mounted"] == len(tiny_repo)
 
     def test_metadata_only_query_has_no_mounts(self, executor):
         outcome = executor.execute("SELECT COUNT(*) FROM F")
-        assert outcome.result.stats.files_mounted == 0
+        assert outcome.result.trace.counters["files_mounted"] == 0
         assert outcome.breakpoint.files_by_alias == {}
 
 
@@ -309,7 +309,7 @@ class TestDestinyPolicies:
         )
         outcome = executor.execute("SELECT COUNT(*) FROM D")
         assert outcome.approximate
-        assert outcome.result.stats.files_mounted == 1
+        assert outcome.result.trace.counters["files_mounted"] == 1
 
 
 class TestExplain:
@@ -463,8 +463,8 @@ class TestReentrancy:
                 expected_stats[counter] += self.ROUNDS * getattr(
                     reference.mounts.stats, counter
                 )
-        assert alone["skip-isk-bhe"].timings.mount_failures.uris() == [bad_isk]
-        assert alone["skip-ank-bhz"].timings.mount_failures.uris() == [bad_ank]
+        assert alone["skip-isk-bhe"].mount_failures.uris() == [bad_isk]
+        assert alone["skip-ank-bhz"].mount_failures.uris() == [bad_ank]
         assert alone["budget"].truncation.bytes_mounted == repo.size_of(lone_file)
         assert expected_stats["early_terminated_branches"] > 0
 
@@ -524,8 +524,8 @@ class TestReentrancy:
             for outcome in outcomes:
                 assert outcome.rows == alone[name].rows, name
                 assert (
-                    outcome.timings.mount_failures.uris()
-                    == alone[name].timings.mount_failures.uris()
+                    outcome.mount_failures.uris()
+                    == alone[name].mount_failures.uris()
                 ), name
                 lone, served = alone[name].truncation, outcome.truncation
                 assert (lone is None) == (served is None), name

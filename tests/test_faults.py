@@ -260,8 +260,8 @@ class TestEngineDeterminism:
         plan_a, out_a = self._run_with_seed(repo, seed=11, workers=1)
         plan_b, out_b = self._run_with_seed(repo, seed=11, workers=1)
         assert plan_a.signature() == plan_b.signature()
-        report_a = out_a.timings.mount_failures
-        report_b = out_b.timings.mount_failures
+        report_a = out_a.mount_failures
+        report_b = out_b.mount_failures
         assert report_a.uris() == report_b.uris()
         assert [f.error for f in report_a.failures] == [
             f.error for f in report_b.failures

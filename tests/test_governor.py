@@ -692,14 +692,14 @@ class TestBreakerIntegration:
         # Query 1: the fault opens the circuit.
         with plan.install():
             first = executor.execute(COUNT_SQL)
-        assert victim in first.timings.mount_failures.uris()
+        assert victim in first.mount_failures.uris()
         assert breaker.state_of(victim) == CIRCUIT_OPEN
 
         # Query 2: faults are gone and the file is healthy, but the circuit
         # is still cooling down — the mount is refused without any I/O.
         second = executor.execute(COUNT_SQL)
         assert executor.mounts.stats.breaker_skips >= 1
-        failures = second.timings.mount_failures
+        failures = second.mount_failures
         assert failures.uris() == [victim]
         assert failures.failures[0].error == "CircuitOpenError"
         assert second.rows != baseline

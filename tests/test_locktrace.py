@@ -341,7 +341,7 @@ def test_guard_class_allows_init_and_plain_locks():
 
 
 def test_executor_exports_lock_stats_when_tracing(tiny_repo):
-    """StageTimings.lock_stats carries the per-lock counters of one
+    """QueryTrace.lock_stats carries the per-lock counters of one
     execution when tracing is armed, and stays empty otherwise — and a
     traced run answers exactly like an untraced one."""
     from repro.core import TwoStageExecutor
@@ -362,21 +362,21 @@ def test_executor_exports_lock_stats_when_tracing(tiny_repo):
     previous = _sync.set_tracing(False)
     try:
         cold = run()
-        assert cold.timings.lock_stats == {}
+        assert cold.trace.lock_stats == {}
     finally:
         _sync.set_tracing(previous)
 
     with tracing():
         traced = run()
     assert traced.rows == cold.rows
-    assert traced.timings.lock_stats, "tracing produced no lock stats"
+    assert traced.trace.lock_stats, "tracing produced no lock stats"
     assert any(
         name.startswith(("BufferManager", "IngestionCache", "MountScheduler",
                          "CancellationToken", "QueryGovernor"))
-        for name in traced.timings.lock_stats
+        for name in traced.trace.lock_stats
     )
     assert all(
-        stats.acquisitions > 0 for stats in traced.timings.lock_stats.values()
+        stats.acquisitions > 0 for stats in traced.trace.lock_stats.values()
     )
 
 

@@ -18,13 +18,14 @@ import pytest
 from repro.core.mounting import ExtractResult
 from repro.core.scheduler import (
     WORKER_THREAD_PREFIX,
-    MountPoolTimings,
     MountScheduler,
-    MountTaskTiming,
+    MountSpan,
     SchedulerPolicy,
+    worker_busy_seconds,
 )
 from repro.db import Column, ColumnBatch, DataType
 from repro.db.errors import IngestError
+from repro.obs import QueryTrace
 
 
 def tagged_result(uri, io_seconds=0.0):
@@ -58,6 +59,11 @@ class RecordingExtract:
         return tagged_result(uri, 0.008)  # pretend one simulated seek
 
 
+def mount_spans(pool):
+    """The files ``pool``'s query consumed, as recorded in its trace."""
+    return [s for s in pool.trace.spans if isinstance(s, MountSpan)]
+
+
 def keys(n):
     return [("D", f"file-{i:03}.xseed") for i in range(n)]
 
@@ -89,7 +95,7 @@ def test_results_match_keys_in_plan_order(workers):
             batch = pool.take(uri, table_name).batch
             assert batch.column("tag").values[0] == hash(uri) % 10**9
     assert sorted(extract.calls) == sorted(uri for _, uri in tasks)
-    assert pool.timings.files == 20
+    assert len(mount_spans(pool)) == 20
 
 
 def test_serial_fallback_stays_on_consumer_thread():
@@ -165,7 +171,7 @@ def test_slow_consumer_never_deadlocks():
         for table_name, uri in tasks:
             time.sleep(0.001)
             pool.take(uri, table_name)
-    assert pool.timings.files == len(tasks)
+    assert len(mount_spans(pool)) == len(tasks)
 
 
 def test_consumer_steals_when_workers_are_busy():
@@ -239,17 +245,16 @@ def test_invalid_configuration_rejected():
 
 
 def test_timings_critical_path_math():
-    timings = MountPoolTimings(
-        tasks=[
-            MountTaskTiming("a", "D", worker=0, extract_seconds=0.1, io_seconds=0.1),
-            MountTaskTiming("b", "D", worker=0, extract_seconds=0.1, io_seconds=0.1),
-            MountTaskTiming("c", "D", worker=1, extract_seconds=0.2, io_seconds=0.1),
-        ]
-    )
-    assert timings.files == 3
-    assert timings.serial_seconds == pytest.approx(0.7)
-    assert timings.worker_seconds == {0: pytest.approx(0.4), 1: pytest.approx(0.3)}
-    assert timings.wall_seconds == pytest.approx(0.4)  # busiest chain
-    assert timings.speedup == pytest.approx(0.7 / 0.4)
-    assert MountPoolTimings().wall_seconds == 0.0
-    assert MountPoolTimings().speedup == 1.0
+    trace = QueryTrace()
+    for uri, worker, extract in (("a", 0, 0.1), ("b", 0, 0.1), ("c", 1, 0.2)):
+        trace.record(MountSpan(
+            "mount", uri, worker=worker, extract_seconds=extract,
+            io_seconds=0.1,
+        ))
+    busy = worker_busy_seconds(trace)
+    assert len(trace.spans) == 3
+    assert sum(busy.values()) == pytest.approx(0.7)  # serialized
+    assert busy == {0: pytest.approx(0.4), 1: pytest.approx(0.3)}
+    assert max(busy.values()) == pytest.approx(0.4)  # busiest chain
+    assert sum(busy.values()) / max(busy.values()) == pytest.approx(0.7 / 0.4)
+    assert worker_busy_seconds(QueryTrace()) == {}

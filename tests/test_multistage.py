@@ -322,5 +322,5 @@ class TestGovernedRuns:
         assert outcome.converged
         per_file = _executor(db, repo, on_mount_error="skip", strategy=PER_FILE)
         two_stage = per_file.execute(WHOLE_REPO_AVG)
-        assert two_stage.timings.mount_failures.uris() == [victim]
+        assert two_stage.mount_failures.uris() == [victim]
         assert outcome.result.rows() == two_stage.rows

@@ -1,5 +1,5 @@
-"""Tests for the operator profiler, the Figure-3 chart renderer, and
-mixed-format repositories."""
+"""Tests for the operator spans of a query's trace, the Figure-3 chart
+renderer, and mixed-format repositories."""
 
 import numpy as np
 import pytest
@@ -24,34 +24,38 @@ class TestProfiler:
         return db
 
     def test_profile_collects_operator_tree(self, db):
-        result = db.profile("SELECT k, v FROM t WHERE k > 50 ORDER BY v")
-        ops = [e.op for e in result.stats.profile]
+        result = db.execute("SELECT k, v FROM t WHERE k > 50 ORDER BY v")
+        ops = [s.detail for s in result.trace.spans if s.name == "op"]
         assert ops[0] == "PProject"
-        assert "PSort" in ops and "PFilter" in ops and "PTableScan" in ops
+        assert "PSort" in ops and "PFilter" in ops and "PTableScan(t)" in ops
 
     def test_depths_nest(self, db):
-        result = db.profile("SELECT COUNT(*) FROM t WHERE k > 50")
-        depths = [e.depth for e in result.stats.profile]
+        result = db.execute("SELECT COUNT(*) FROM t WHERE k > 50")
+        depths = [s.depth for s in result.trace.spans if s.name == "op"]
         assert depths[0] == 0
         assert max(depths) >= 2
 
     def test_rows_and_seconds_recorded(self, db):
-        result = db.profile("SELECT k FROM t WHERE k >= 90")
-        scan = next(e for e in result.stats.profile if e.op == "PTableScan")
+        result = db.execute("SELECT k FROM t WHERE k >= 90")
+        spans = result.trace.spans
+        scan = next(s for s in spans if s.detail == "PTableScan(t)")
         assert scan.rows == 100
-        top = result.stats.profile[0]
+        top = spans[0]
         assert top.rows == 10
         assert top.seconds >= scan.seconds  # inclusive timing
 
     def test_render_profile_text(self, db):
-        result = db.profile("SELECT k FROM t LIMIT 3")
-        text = result.stats.render_profile()
+        result = db.execute("SELECT k FROM t LIMIT 3")
+        text = result.trace.render()
         assert "PTableScan(t)" in text
         assert "rows" in text and "ms" in text
 
-    def test_plain_execute_collects_nothing(self, db):
-        result = db.execute("SELECT k FROM t")
-        assert result.stats.profile == []
+    def test_each_execute_has_its_own_trace(self, db):
+        first = db.execute("SELECT k FROM t")
+        second = db.execute("SELECT k FROM t")
+        assert first.trace is not second.trace
+        assert first.trace.query_id != second.trace.query_id
+        assert [s.detail for s in second.trace.spans] == ["PProject", "PTableScan(t)"]
 
 
 class TestFigure3Chart:

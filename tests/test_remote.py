@@ -1888,7 +1888,7 @@ class TestOneLadderOneKey:
             degraded = executor.execute(
                 self.SQL, context=executor.open_context(on_mount_error="skip")
             )
-            assert degraded.timings.mount_failures.endpoints() == ["seis-eu"]
+            assert degraded.mount_failures.endpoints() == ["seis-eu"]
         self._recover(store)
         assert executor.execute(self.SQL).rows == healthy
         assert executor.breaker.open_uris() == []
@@ -1969,7 +1969,7 @@ class TestCacheScanOfAVanishedFile:
             sql, context=executor.open_context(on_mount_error="skip")
         )
         assert degraded.rows == [(0,)]
-        assert degraded.timings.mount_failures.uris() == [cold.uri]
+        assert degraded.mount_failures.uris() == [cold.uri]
 
     def test_an_unreachable_endpoint_serves_what_is_cached(self, tmp_path):
         cold = _ColdMount(tmp_path, cache=IngestionCache(CachePolicy.UNBOUNDED))
@@ -2058,7 +2058,7 @@ class TestOneListPerBreakpoint:
         query = _CachedQuery(tmp_path)
         served = query.executor.execute(query.sql)
         assert served.rows == query.warm
-        assert served.result.stats.cache_scans == 3
+        assert served.result.trace.counters["cache_scans"] == 3
         assert query.requests() == (1, 0, 0)
 
     @pytest.mark.parametrize(
@@ -2096,7 +2096,7 @@ class TestOneListPerBreakpoint:
         query = _CachedQuery(tmp_path, _CachedQuery.BOTH_STATIONS)
         served = query.executor.execute(query.sql)
         assert served.rows == query.warm
-        assert served.result.stats.cache_scans == 6
+        assert served.result.trace.counters["cache_scans"] == 6
         assert query.requests() == (2, 0, 0)
 
     def test_a_lone_cached_file_is_its_head(self, tmp_path):
@@ -2113,7 +2113,7 @@ class TestOneListPerBreakpoint:
         monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 2)
         served = query.executor.execute(query.sql)
         assert served.rows == query.warm
-        assert served.result.stats.cache_scans == 3
+        assert served.result.trace.counters["cache_scans"] == 3
         assert query.requests() == (1, 1, 0)  # the page held two of three
         # The third was left to its HEAD, not taken for gone.
         assert query.executor.mounts.stats.fallback_mounts == 0
@@ -2142,7 +2142,7 @@ class TestOneListPerBreakpoint:
         degraded = query.executor.execute(
             query.sql, context=query.executor.open_context(on_mount_error="skip")
         )
-        [failure] = degraded.timings.mount_failures.failures
+        [failure] = degraded.mount_failures.failures
         assert (failure.uri, failure.error, failure.endpoint) == (
             gone, "RemoteObjectMissingError", "seis-eu",
         )
@@ -2155,8 +2155,8 @@ class TestOneListPerBreakpoint:
         query.store.set_down()
         served = query.executor.execute(query.sql)
         assert served.rows == query.warm
-        assert served.result.stats.cache_scans == 3
-        assert served.timings.mount_failures.failures == []
+        assert served.result.trace.counters["cache_scans"] == 3
+        assert served.mount_failures.failures == []
         # Every request was an attempt at the one LIST, refused; no scan
         # asked again.
         stats = query.store.stats

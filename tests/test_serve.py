@@ -33,6 +33,7 @@ from repro.core import IngestionCache, TwoStageExecutor
 from repro.core.cache import CacheGranularity, CachePolicy
 from repro.core.governor import CancellationToken, CircuitBreaker, QueryBudget
 from repro.core.mounting import ExtractResult, MountContext
+from repro.core.scheduler import MountSpan, worker_busy_seconds
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
@@ -192,7 +193,7 @@ class TestSchedulerUnit:
         # And a *fresh* lone task would lose to the same crowd.
         sched.register(6, [("d", "fresh.xseed", None)])
         tasks = sched.register(1, [("d", "lone.xseed", None)])
-        result, _ = sched.take(1, tasks[("d", "lone.xseed")])
+        result, _, _ = sched.take(1, tasks[("d", "lone.xseed")])
         assert sched.peek_next() == ("d", "popular.xseed")
 
     def test_shared_extraction_single_flight(self):
@@ -205,8 +206,8 @@ class TestSchedulerUnit:
         sched = self._scheduler(extract)
         tasks_a = sched.register(1, [("d", "shared.xseed", None)])
         tasks_b = sched.register(2, [("d", "shared.xseed", None)])
-        result_a, _ = sched.take(1, tasks_a[("d", "shared.xseed")])
-        result_b, _ = sched.take(2, tasks_b[("d", "shared.xseed")])
+        result_a, _, _ = sched.take(1, tasks_a[("d", "shared.xseed")])
+        result_b, _, _ = sched.take(2, tasks_b[("d", "shared.xseed")])
         assert calls == ["shared.xseed"]
         assert result_a is result_b
         assert sched.stats.grants == 2
@@ -449,11 +450,11 @@ class TestSuccessorTask:
 
         sched = self._scheduler(extract)
         first = sched.register(1, [(*key, MountRequest(interval=(100, 200)))])[key]
-        narrow, _ = sched.take(1, first)
+        narrow, _, _ = sched.take(1, first)
         assert late[2] is first  # covered: joins the running task
         assert late[3] is not first and late[4] is late[3]
         assert sched.take(2, late[2])[0] is narrow
-        wide, _ = sched.take(3, late[3])
+        wide, _, _ = sched.take(3, late[3])
         assert sched.take(4, late[4])[0] is wide
         assert [r.interval for r in seen] == [(100, 200), (50, 500)]
         assert sched.stats.tasks_created == 2
@@ -624,9 +625,10 @@ class TestServiceEquivalence:
             service, monkeypatch, lambda uri: threading.Event().wait(0.01)
         )
         with service:
-            timings = service.execute(_SCAN_ALL).timings
-        assert timings.mount_files == len(repo.uris()) >= 8
-        assert len(timings.mount_worker_seconds) > 1
+            trace = service.execute(_SCAN_ALL).trace
+        mounts = [s for s in trace.spans if isinstance(s, MountSpan)]
+        assert len(mounts) == len(repo.uris()) >= 8
+        assert len(worker_busy_seconds(trace)) > 1
 
     def test_session_runs_unchanged_over_tenant_client(self, repo):
         from repro.explore import ExplorationSession
@@ -885,7 +887,7 @@ class TestCrossTenantIsolation:
             )
             served = service.execute(self.SQL, tenant="a")
         assert served.rows == warm
-        assert served.result.stats.cache_scans == 2
+        assert served.result.trace.counters["cache_scans"] == 2
         assert store.failed_lists == 2 and not store.before_list
         assert store.stats.heads == 0
         stats = repository.transport.stats
@@ -1047,7 +1049,7 @@ class TestSchedulerHints:
         sched.hint([("d", "shared.xseed", None)])
         joined = sched.register(7, [("d", "shared.xseed", None)])
         task = joined[("d", "shared.xseed")]
-        result, _ = sched.take(7, task)
+        result, _, _ = sched.take(7, task)
         assert result.batch.num_rows == 1
         assert calls == ["shared.xseed"]
         assert sched.peek_next() is None
@@ -1104,7 +1106,7 @@ class TestSchedulerHints:
             assert sched.stats.hint_extractions == 1
             # The scheduler still serves real work after the bad callback.
             joined = sched.register(1, [("d", "real.xseed", None)])
-            result, _ = sched.take(1, joined[("d", "real.xseed")])
+            result, _, _ = sched.take(1, joined[("d", "real.xseed")])
             assert result.batch.num_rows == 1
         finally:
             sched.close()

@@ -145,4 +145,4 @@ class TestTwoStageIntegration:
         assert got.rows == ei_db.execute(sql).rows()
         # Membership + station predicates evaluated as metadata: only ISK
         # files with a 5th record were mounted.
-        assert got.result.stats.files_mounted == got.breakpoint.n_files
+        assert got.result.trace.counters["files_mounted"] == got.breakpoint.n_files

@@ -32,7 +32,7 @@ class TestPruning:
         # Only day-1 files (4 of 8) overlap the window.
         assert outcome.breakpoint.n_files == 4
         assert outcome.breakpoint.pruned_by_time == 4
-        assert outcome.result.stats.files_mounted == 4
+        assert outcome.result.trace.counters["files_mounted"] == 4
 
     def test_answer_matches_eager(self, pruning_executor, ei_db):
         sql = narrow_window_sql()
@@ -46,7 +46,7 @@ class TestPruning:
         )
         outcome = pruning_executor.execute(sql)
         assert outcome.breakpoint.n_files == 0
-        assert outcome.result.stats.files_mounted == 0
+        assert outcome.result.trace.counters["files_mounted"] == 0
         assert outcome.rows == [(0,)]
 
     def test_combines_with_metadata_predicates(self, pruning_executor):
