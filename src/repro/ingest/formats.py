@@ -148,7 +148,7 @@ class ExtractedMetadata:
 def views_block(views: Sequence[ExtractedMetadata]) -> MetadataBlock:
     """One or more files' per-file views, in order, as one block. A view is
     anything with a ``file_row`` and its ``records``: what a per-file
-    extractor answers, or a file's state in the metastore."""
+    extractor answers."""
     rows = [view.file_row for view in views]
     files: dict[str, list[str] | np.ndarray] = {
         name: [getattr(row, name) for row in rows] for name in FILE_COLUMNS[:5]

@@ -8,24 +8,29 @@ per-query half (mounting) lives in :mod:`repro.core.mounting`.
 With a :class:`~repro.core.metastore.MetadataStore` attached, the pass
 becomes incremental across sessions: the repository is observed once, in
 bulk (:meth:`~repro.mseed.repository.Repository.signatures` — one walk of
-a local tree, one LIST for a whole remote endpoint), and a file whose
-``(mtime_ns, size)`` signature matches the stored one reuses its persisted
-``F``/``R`` rows — including the record byte map selective mounting needs —
-without being touched again; only changed or new files pay the header walk,
-files that have left the repository are dropped from the store, and the store
-is re-saved if any of that changed it, so the next session inherits this
-one's work. Signature drift always falls back to live extraction, so the rows
-loaded are identical either way.
+a local tree, one LIST for a whole remote endpoint), and the observed
+``(mtime_ns, size)`` signatures are compared with the stored signature
+columns in one vectorized step. A file whose signature matches takes its
+``F`` row and ``R`` slice — including the record byte map selective mounting
+needs — from the stored block by index, without being touched again; only
+changed or new files pay the header walk. The pass's block, in listing
+order, then becomes the store's image (files that have left the repository
+drop out with it), and the store is re-saved if that changed it, so the
+next session inherits this one's work. Signature drift always falls back to
+live extraction, so the rows loaded are identical either way, and a failed
+save costs the next session a walk, never this one its rows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, pairwise
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from ..core.metastore import MetadataStore
 from ..db.database import Database
@@ -34,7 +39,6 @@ from ..mseed.volume import MetadataBlock
 from ._batches import metadata_batches
 from .formats import (
     BatchFormatExtractor,
-    ExtractedMetadata,
     FormatExtractor,
     FormatRegistry,
     default_registry,
@@ -106,37 +110,36 @@ def _incremental_pass(
     metastore: MetadataStore,
 ) -> tuple[MetadataBlock, int]:
     """The pass with a store: every file observed in one go, the files whose
-    signature still matches taken from the store, the rest extracted and
-    recorded. Returns the block of every listed file, in listing order, and
-    how many came from the store."""
+    signature still matches taken from the stored block by index, the rest
+    extracted; the block of every listed file, in listing order, becomes the
+    store's image. Returns that block and how many files came from the
+    store."""
     observed = repository.signatures()
-    stored = {}
-    for uri, signature in observed.items():
-        state = metastore.lookup(uri, signature)
-        if state is not None:
-            stored[uri] = state
-    fresh = [uri for uri in observed if uri not in stored]
+    uris = list(observed)
+    signatures = np.array(list(observed.values()), np.int64).reshape(-1, 2)
+    stored, at = metastore.match(uris, signatures)
+    reused = at >= 0
     _, extracted = metadata_pass(
-        repository, registry, ((uri, repository.path_of(uri)) for uri in fresh)
+        repository,
+        registry,
+        ((uri, repository.path_of(uri))
+         for uri, kept in zip(uris, reused.tolist()) if not kept),
     )
-    for k, uri in enumerate(fresh):
-        # Should the file have changed since it was observed, the store signs
-        # the newer bytes' rows with the older signature, which the next
-        # session finds stale and extracts again.
-        kept = ExtractedMetadata.of(extracted, k)
-        metastore.record(uri, observed[uri], kept.file_row, kept.records)
-    # Listing order: each run of fresh files is a slice of the extracted
-    # block, each run of stored ones a block of their stored views.
-    parts: list[MetadataBlock] = []
-    at = 0
-    for reused, run in groupby(observed, key=stored.__contains__):
-        if reused:
-            parts.append(views_block([stored[uri] for uri in run]))
-        else:
-            count = sum(1 for _ in run)
-            parts.append(extracted[at : at + count])
-            at += count
-    return MetadataBlock.stack(parts), len(stored)
+    # Each file's position in the block it comes from; a run of files at
+    # consecutive positions of one block is one slice of it.
+    source = np.where(reused, at, np.cumsum(~reused) - 1)
+    cut = np.ones(len(uris) + 1, bool)
+    cut[1:-1] = (reused[1:] != reused[:-1]) | (np.diff(source) != 1)
+    bounds = np.flatnonzero(cut).tolist()
+    block = MetadataBlock.stack([
+        (stored if reused[lo] else extracted)[source[lo] : source[lo] + hi - lo]
+        for lo, hi in pairwise(bounds)
+    ])
+    # Should a file have changed since it was observed, the store signs the
+    # newer bytes' rows with the older signature, which the next session
+    # finds stale and extracts again.
+    metastore.keep(block, signatures)
+    return block, int(reused.sum())
 
 
 def lazy_ingest_metadata(
@@ -162,16 +165,11 @@ def lazy_ingest_metadata(
     db.catalog.table(RECORD_TABLE).append(record_batch)
     load_seconds = time.perf_counter() - started
 
-    if metastore is not None:
-        metastore.record_table_rows(
-            {
-                FILE_TABLE.lower(): file_batch.num_rows,
-                RECORD_TABLE.lower(): record_batch.num_rows,
-            }
-        )
-        metastore.retain(block.files["uri"])
-        if metastore.dirty:
+    if metastore is not None and metastore.dirty:
+        try:
             metastore.save()
+        except OSError:
+            pass  # the rows stand; the store stays dirty for the next pass
 
     metadata_bytes = (
         db.catalog.table(FILE_TABLE).nbytes()

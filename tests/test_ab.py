@@ -9,7 +9,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))
 
-from tools.ab import measure, summarize, table  # noqa: E402
+from tools.ab import clear_fixtures, measure, summarize, table  # noqa: E402
 
 DECLARATION = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in DECLARATION["workloads"]]
@@ -102,3 +102,17 @@ def test_an_incorrect_answer_fails_the_run():
     report = summarize(runs, DECLARATION, [])
     assert not report["all_correct"]
     assert report["verdict"] == "fail"
+
+
+def test_the_working_trees_cached_fixtures_are_cleared(tmp_path):
+    build = tmp_path / ".bench_build"
+    for name in ("e2e-fixture-12ff34714418", "e2e-fixture-b7a587067f3f"):
+        (build / name / "objects").mkdir(parents=True)
+        (build / name / "remote-metastore.json").write_text("{}")
+    (build / "run-kept").mkdir()
+    removed = clear_fixtures(tmp_path)
+    assert [p.name for p in removed] == [
+        "e2e-fixture-12ff34714418", "e2e-fixture-b7a587067f3f"
+    ]
+    assert [p.name for p in build.iterdir()] == ["run-kept"]
+    assert clear_fixtures(tmp_path / "never-built") == []

@@ -515,9 +515,9 @@ class TestBlockPathEqualsFileByFile:
             assert _decoded_tables(db) == expected, name
 
     # sha256 of the sidecar a cold pass wrote over the repository below
-    # before the pass built F and R from block columns.
+    # when the sidecar became one file of raw columns (version 2).
     SIDECAR_SHA256 = (
-        "4c8ae0f5fc63b0faf01b085be9b6451db455b3e41caf6aa1c3ac9bee86485f04"
+        "6b7581fa7ad36836001f93a923bbbde567d7d1b822afcf0f162daffa90affa4c"
     )
 
     def test_a_cold_pass_writes_the_same_sidecar(self, tmp_path):

@@ -8,7 +8,10 @@ Exports revision PARENT (``git archive``, into a temporary directory outside
 the repository) and runs ``benchmarks/e2e/run.py`` there and in this working
 tree, alternately, ``--pairs`` times per seed: the parent runs first in even
 pairs, the change in odd ones. Each side builds its own fixture under its
-own ``.bench_build/``. ``BENCH_<label>.json`` at the repository root then
+own ``.bench_build/``; the working tree's cached fixtures are removed
+before the first pair, since the fixture key hashes only the format's
+source and a cached fixture keeps a sidecar another writer made.
+``BENCH_<label>.json`` at the repository root then
 holds every run's value per workload × end-to-end metric, each side's median
 and quartiles, the wins, and a verdict per cell against ``BENCHMARK.json``:
 
@@ -30,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -75,6 +79,15 @@ def export(revision: str, target: Path) -> str:
     target.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
     return full
+
+
+def clear_fixtures(checkout: Path) -> list[Path]:
+    """Remove the end-to-end fixtures built under ``checkout``, so its next
+    run builds one with its own code; returns what went."""
+    built = sorted((checkout / ".bench_build").glob("e2e-fixture-*"))
+    for path in built:
+        shutil.rmtree(path)
+    return built
 
 
 def measure(
@@ -213,6 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as scratch:
         parent_tree = Path(scratch) / "tree"
         parent_hash = export(args.parent, parent_tree)
+        clear_fixtures(ROOT)
         runs = measure(
             e2e_runner(workloads),
             {"parent": parent_tree, "change": ROOT}, args.seeds, args.pairs,
