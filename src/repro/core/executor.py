@@ -19,13 +19,14 @@ metadata fast path of §5.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterator, Optional, Union
 
 from ..db.database import Database, QueryResult
-from ..db.errors import QueryAbortedError
+from ..db.errors import DatabaseError, PlanError, QueryAbortedError
 from ..db.plan.logical import (
     Aggregate,
     CacheScan,
@@ -34,6 +35,8 @@ from ..db.plan.logical import (
     ResultScan,
     UnionAll,
 )
+from ..db.sql.lexer import Token, shape_key, tokenize
+from ..db.stats import StatisticsCatalog
 from .. import _sync
 from ..obs import QueryTrace
 from ..ingest.schema import TIME_COLUMN, RepositoryBinding
@@ -67,6 +70,7 @@ from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
 from .scheduler import MountScheduler, SchedulerPolicy, SharedPoolClient
 from .statsindex import StatisticsIndex
+from .templates import Template, describe_difference
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
 from .verify import verify_ali_rewrite, verify_decomposition
 
@@ -78,6 +82,9 @@ PER_FILE = "per_file"  # strategy (b): operate per file, merge results
 _ONE_TENANT = SchedulerPolicy(batch_window_seconds=0.0)
 
 _PARTIAL_TAG = "partial_agg"
+
+# Query shapes one executor keeps; the least recently used goes.
+TEMPLATE_CAPACITY = 64
 
 # Strategy (b)'s per-branch hook: called with (branches merged, branches in
 # the union, the merger) before each branch and once after the last; True
@@ -187,21 +194,79 @@ class TwoStageExecutor:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._lock = _sync.create_lock("TwoStageExecutor._lock")
         self._in_flight: list[MountContext] = []  # guarded-by: _lock
+        # Query shapes, least recently used first — a template once a shape
+        # came twice, None after its first query — and what they were
+        # compiled against: (statistics snapshot, catalog, its generation).
+        # Nothing compiles while the lock is held.
+        self._compile_lock = _sync.create_lock("TwoStageExecutor._compile_lock")
+        self._templates: OrderedDict[  # guarded-by: _compile_lock
+            tuple, Optional[Template]
+        ] = OrderedDict()
+        self._templates_basis: tuple = (None, None, -1)  # guarded-by: _compile_lock
         if derived is not None:
             self.mounts.add_mount_callback(derived.on_mount)
 
     # -- compile-time ------------------------------------------------------------
 
-    def prepare(self, sql: str) -> Decomposition:
-        """Steps 1: parse, bind, optimize metadata-first, decompose."""
-        plan = self.db.bind_sql(sql)
-        plan = self.db.optimize(
-            plan,
-            metadata_first=True,
-            stats=self.statistics(),
-            fuse_topn=self.top_n_pushdown,
-        )
-        decomposition = decompose(plan, self.db.catalog.is_metadata_table)
+    def prepare(
+        self, sql: str, trace: Optional[QueryTrace] = None
+    ) -> Decomposition:
+        """Step 1: parse, bind, optimize metadata-first, decompose — once
+        per query shape. A query whose shape (its tokens, literal values
+        set aside; :func:`~repro.db.sql.lexer.shape_key`) was kept gets a
+        copy of that compile with its own literal values re-derived
+        (:mod:`repro.core.templates`); ``trace`` counts which it was, under
+        ``template_hits`` / ``template_misses``. A shape is kept from its
+        second query on: its first keeps only the key, so a query asked
+        once — a cold start's first answer — costs one compile and nothing
+        more. The kept shapes go when the statistics snapshot or the
+        catalog's tables change."""
+        tokens = tokenize(sql)
+        key = (shape_key(tokens), self.top_n_pushdown)
+        stats, catalog = self.statistics(), self.db.catalog
+        with self._compile_lock:
+            basis = self._templates_basis
+            if not (
+                basis[0] is stats
+                and basis[1] is catalog
+                and basis[2] == catalog.generation
+            ):
+                basis = (stats, catalog, catalog.generation)
+                self._templates_basis = basis
+                self._templates.clear()
+            seen = key in self._templates
+            template = self._templates.get(key)
+            if seen:
+                self._templates.move_to_end(key)
+        decomposition = None
+        if template is not None:
+            try:
+                decomposition = template.bind(tokens)
+            except DatabaseError:
+                pass  # a literal binding refuses: compile in full, for its error
+        if decomposition is None:
+            decomposition = self._compile(sql, tokens, stats)
+            template = Template(decomposition) if seen else None
+            with self._compile_lock:
+                # Unless a new snapshot or table arrived meanwhile.
+                if self._templates_basis is basis:
+                    self._templates[key] = template
+                    if len(self._templates) > TEMPLATE_CAPACITY:
+                        self._templates.popitem(last=False)
+            counter = "template_misses"
+        else:
+            counter = "template_hits"
+            if self.db.verify_plans:
+                difference = describe_difference(
+                    decomposition, self._compile(sql, tokens, stats)
+                )
+                if difference is not None:
+                    raise PlanError(
+                        f"a kept compile disagrees with a fresh one for "
+                        f"{sql!r}: {difference}"
+                    )
+        if trace is not None:
+            trace.counters[counter] += 1
         # The database's one switch verifies its own passes, the
         # decomposition and rule (1) alike.
         if self.db.verify_plans:
@@ -209,6 +274,19 @@ class TwoStageExecutor:
                 decomposition, self.db.catalog.is_metadata_table
             )
         return decomposition
+
+    def _compile(
+        self, sql: str, tokens: list[Token], stats: StatisticsCatalog
+    ) -> Decomposition:
+        """Parse, bind, optimize metadata-first and decompose ``sql``."""
+        plan = self.db.bind_sql(sql, tokens)
+        plan = self.db.optimize(
+            plan,
+            metadata_first=True,
+            stats=stats,
+            fuse_topn=self.top_n_pushdown,
+        )
+        return decompose(plan, self.db.catalog.is_metadata_table)
 
     def explain(self, sql: str) -> str:
         """The single optimized plan with the ``Qf`` branch marked."""
@@ -331,7 +409,7 @@ class TwoStageExecutor:
         io_before = self.db.buffers.stats.copy()
         if isinstance(query, str):
             with trace.span("compile"):
-                decomposition = self.prepare(query)
+                decomposition = self.prepare(query, trace)
         else:
             decomposition = query
 

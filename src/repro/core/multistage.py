@@ -125,7 +125,7 @@ class MultiStageExecutor:
 
         with self.executor.running(context):
             with context.trace.span("compile"):
-                decomposition = self.executor.prepare(sql)
+                decomposition = self.executor.prepare(sql, context.trace)
             if not decomposition.metadata_only:
                 _check_shape(decomposition)
             outcome = self.executor._execute(decomposition, context, on_branch)

@@ -19,6 +19,9 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._indexes: dict[tuple[str, tuple[str, ...]], HashIndex] = {}
+        # Bumped whenever a table is created, registered or dropped: what a
+        # plan compiled against this catalog can go stale on.
+        self.generation = 0
 
     # -- tables --------------------------------------------------------------
 
@@ -28,6 +31,7 @@ class Catalog:
             raise CatalogError(f"table {schema.name!r} already exists")
         table = Table(schema)
         self._tables[key] = table
+        self.generation += 1
         return table
 
     def register_table(self, table: Table) -> None:
@@ -35,12 +39,14 @@ class Catalog:
         if key in self._tables:
             raise CatalogError(f"table {table.schema.name!r} already exists")
         self._tables[key] = table
+        self.generation += 1
 
     def drop_table(self, name: str) -> None:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(f"no table {name!r}")
         del self._tables[key]
+        self.generation += 1
         self._indexes = {
             ikey: idx for ikey, idx in self._indexes.items() if ikey[0] != key
         }

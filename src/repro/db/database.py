@@ -23,6 +23,7 @@ from ..obs import QueryTrace
 from .plan.physical import ExecutionContext, GovernorHook, Mounter
 from .plan.verify import verify_enabled_default, verify_physical
 from .schema import TableSchema
+from .sql.lexer import Token
 from .sql.parser import parse_sql
 from .table import ColumnBatch, Table
 
@@ -150,8 +151,12 @@ class Database:
 
     # -- query pipeline -----------------------------------------------------------
 
-    def bind_sql(self, sql: str) -> LogicalPlan:
-        return Binder(self.catalog).bind(parse_sql(sql))
+    def bind_sql(
+        self, sql: str, tokens: Optional[list[Token]] = None
+    ) -> LogicalPlan:
+        """Parse and bind ``sql`` (``tokens``: its tokens, when already
+        lexed)."""
+        return Binder(self.catalog).bind(parse_sql(sql, tokens))
 
     def optimize(
         self,

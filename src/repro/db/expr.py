@@ -8,8 +8,8 @@ columns under those keys. Evaluation is columnar: each node maps a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 import numpy as np
 
@@ -60,31 +60,70 @@ class ColumnRef(Expr):
         return self.key
 
 
+@dataclass(frozen=True)
+class LiteralSource:
+    """Where a literal's value came from: the index of the SQL token it was
+    written as, and how binding derived the value from that token's — an
+    odd number of folded unary minuses, a string read as a timestamp."""
+
+    token: int
+    negated: bool = False
+    timestamp: bool = False
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 @dataclass(frozen=True, eq=False)
 class Literal(Expr):
-    """A constant value."""
+    """A constant value; ``source`` is set when it came from a SQL token."""
 
     value: Any
     dtype: DataType
+    source: Optional[LiteralSource] = field(default=None)
 
     @classmethod
-    def infer(cls, value: Any) -> "Literal":
+    def infer(
+        cls, value: Any, source: Optional[LiteralSource] = None
+    ) -> "Literal":
         if isinstance(value, bool):
-            return cls(value, DataType.BOOL)
+            return cls(value, DataType.BOOL, source)
         if isinstance(value, int):
-            return cls(value, DataType.INT64)
+            return cls(value, DataType.INT64, source)
         if isinstance(value, float):
-            return cls(value, DataType.FLOAT64)
+            return cls(value, DataType.FLOAT64, source)
         if isinstance(value, str):
-            return cls(value, DataType.STRING)
+            return cls(value, DataType.STRING, source)
         raise TypeError_(f"unsupported literal: {value!r}")
+
+    def negated(self) -> "Literal":
+        """Unary minus folded into a numeric literal."""
+        source = self.source
+        if source is not None:
+            source = LiteralSource(source.token, not source.negated)
+        return Literal(-self.value, self.dtype, source)
+
+    def in_int64(self) -> "Literal":
+        """This literal, when it is not an integer outside int64."""
+        if self.dtype is DataType.INT64 and not (
+            _INT64_MIN <= self.value <= _INT64_MAX
+        ):
+            raise TypeError_(
+                f"integer literal {self.value} is outside the int64 range"
+            )
+        return self
 
     def as_timestamp(self) -> "Literal":
         """Reinterpret a string literal as a timestamp (front-end coercion)."""
         if self.dtype is DataType.TIMESTAMP:
             return self
         if self.dtype is DataType.STRING and looks_like_timestamp(self.value):
-            return Literal(parse_timestamp(self.value), DataType.TIMESTAMP)
+            source = self.source
+            if source is not None and not source.timestamp:
+                source = LiteralSource(source.token, source.negated, True)
+            return Literal(
+                parse_timestamp(self.value), DataType.TIMESTAMP, source
+            )
         raise TypeError_(f"literal {self.value!r} is not a timestamp")
 
     def evaluate(self, batch: ColumnBatch) -> Column:

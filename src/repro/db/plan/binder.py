@@ -9,7 +9,7 @@ join outputs never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..catalog import Catalog
 from ..errors import BindError
@@ -21,6 +21,7 @@ from ..expr import (
     Expr,
     FuncCall,
     Literal,
+    LiteralSource,
     Negate,
     Not,
 )
@@ -103,19 +104,28 @@ AggResolver = Callable[[ENode], Optional[Expr]]
 
 
 def bind_scalar(
-    node: ENode, scope: Scope, agg_resolver: Optional[AggResolver] = None
+    node: ENode,
+    scope: Scope,
+    agg_resolver: Optional[AggResolver] = None,
+    *,
+    negating: bool = False,
 ) -> Expr:
     """Bind one expression AST into a typed :class:`Expr`.
 
     ``agg_resolver`` intercepts sub-ASTs that must map to aggregate outputs
-    or group keys when binding above an Aggregate node.
+    or group keys when binding above an Aggregate node. ``negating`` binds
+    the operand of a unary minus: an integer literal is checked against the
+    int64 range after the minus is folded in, so ``-9223372036854775808``
+    binds.
     """
     if agg_resolver is not None:
         resolved = agg_resolver(node)
         if resolved is not None:
             return resolved
     if isinstance(node, ELiteral):
-        return Literal.infer(node.value)
+        source = None if node.token is None else LiteralSource(node.token)
+        literal = Literal.infer(node.value, source)
+        return literal if negating else literal.in_int64()
     if isinstance(node, EColumn):
         key, dtype = scope.resolve(node.table, node.name)
         return ColumnRef(key, dtype)
@@ -128,11 +138,13 @@ def bind_scalar(
             return Comparison(node.op, left, right)
         return Arithmetic(node.op, left, right)
     if isinstance(node, EUnary):
-        operand = bind_scalar(node.operand, scope, agg_resolver)
-        if node.op == "not":
+        minus = node.op != "not"
+        operand = bind_scalar(node.operand, scope, agg_resolver, negating=minus)
+        if not minus:
             return Not(operand)
         if isinstance(operand, Literal) and operand.dtype.is_numeric:
-            return Literal(-operand.value, operand.dtype)
+            folded = operand.negated()
+            return folded if negating else folded.in_int64()
         return Negate(operand)
     if isinstance(node, EBetween):
         operand = bind_scalar(node.operand, scope, agg_resolver)
@@ -166,6 +178,18 @@ def bind_scalar(
             "IN (SELECT ...) is only supported as a top-level WHERE conjunct"
         )
     raise BindError(f"cannot bind expression node {node!r}")
+
+
+def rebind_literal(source: LiteralSource, value: Any) -> Literal:
+    """The literal binding derives from a token of ``value`` written where
+    ``source``'s token was, in a query of the same shape: the three steps
+    that read a literal's value, repeated — its kind, the folded unary
+    minus with the int64 check after it, and the timestamp coercion a
+    comparison applies. Raises what binding would."""
+    # A folded minus keeps the value's type: negate before inferring it.
+    literal = Literal.infer(-value if source.negated else value, source)
+    literal = literal.in_int64()
+    return literal.as_timestamp() if source.timestamp else literal
 
 
 def _contains_aggregate(node: ENode) -> bool:
@@ -243,7 +267,10 @@ class _AggregationContext:
             if len(node.args) != 1:
                 raise BindError(f"{node.name} takes exactly one argument")
             arg = bind_scalar(node.args[0], self.scope)
-            signature = (node.name, repr(arg), node.distinct)
+            # Equal ASTs as well as equal reprs: which aggregates merge then
+            # follows from which literals are equal (a kept plan's key), not
+            # from what binding derives (-0 and 0 print alike).
+            signature = (node.name, node.args[0], repr(arg), node.distinct)
         existing = self._agg_keys.get(signature)
         if existing is not None:
             spec = next(s for s in self.aggs if s.out_name == existing)

@@ -23,9 +23,12 @@ class EColumn(ENode):
 
 @dataclass(frozen=True)
 class ELiteral(ENode):
-    """A literal: number, string, or boolean."""
+    """A literal: number, string, or boolean. ``token`` is the index of the
+    token it was written as (None for ``TRUE`` / ``FALSE`` and literals
+    built in code); it takes no part in equality."""
 
     value: Any
+    token: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -50,16 +50,18 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        # The token at _pos, kept as an attribute: the parser reads it
+        # several times per token. Past END it stays END (nothing reads it
+        # there: consuming END only happens on the way to an error).
+        self._current = tokens[0]
 
     # -- token plumbing ----------------------------------------------------
-
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._current
         self._pos += 1
+        if self._pos < len(self._tokens):
+            self._current = self._tokens[self._pos]
         return token
 
     def _expect_keyword(self, name: str) -> Token:
@@ -325,12 +327,9 @@ class _Parser:
 
     def _parse_primary(self) -> ENode:
         token = self._current
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
             self._advance()
-            return ELiteral(token.value)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ELiteral(token.value)
+            return ELiteral(token.value, self._pos - 1)
         if token.is_keyword("true"):
             self._advance()
             return ELiteral(True)
@@ -369,6 +368,7 @@ class _Parser:
         return EFunc(name.lower(), tuple(args), distinct=distinct)
 
 
-def parse_sql(text: str) -> SelectStmt:
-    """Parse one SELECT statement; raises :class:`SqlSyntaxError` otherwise."""
-    return _Parser(tokenize(text)).parse_select()
+def parse_sql(text: str, tokens: Optional[list[Token]] = None) -> SelectStmt:
+    """Parse one SELECT statement; raises :class:`SqlSyntaxError` otherwise.
+    ``tokens``, when given, is ``tokenize(text)`` already done."""
+    return _Parser(tokens if tokens is not None else tokenize(text)).parse_select()

@@ -254,6 +254,7 @@ class Reference:
         add_wide_tables(self.db)
         self._restricted: dict[frozenset, Database] = {frozenset(): self.db}
         self._answers: dict[tuple[str, frozenset], Any] = {}
+        self._sqlite: Optional[sqlite3.Connection] = None
 
     def answer(self, sql: str, without: frozenset = frozenset()) -> Any:
         """Ei's rows for ``sql`` with the files named in ``without`` gone
@@ -280,6 +281,13 @@ class Reference:
             except ExecutionError as exc:
                 self._answers[key] = exc
         return self._answers[key]
+
+    def agrees_with_sqlite(self, sql: str) -> str:
+        """:func:`sqlite_agrees` over :attr:`db` and one sqlite copy of it,
+        made on first use."""
+        if self._sqlite is None:
+            self._sqlite = self.sqlite()
+        return sqlite_agrees(self.db, self._sqlite, sql)
 
     def record_starts(self) -> dict[str, list[int]]:
         """Each file's record start offsets, by file name (``R``)."""
@@ -725,6 +733,13 @@ def run(
                         "tenant cancel during a shared extraction"
                         if cancelled else f"verdict: {clause}"
                     )
+                    if not isinstance(outcome, BaseException) and (
+                        outcome.trace.counters["template_hits"]
+                    ):
+                        # A kept compile answered: Ei (a fresh compile)
+                        # judged it above, and sqlite judges Ei here.
+                        reached.append("compile template hit")
+                        reference.agrees_with_sqlite(sql)
                     if clause in ("rows", "degradation"):
                         interest = outcome.breakpoint.files_of_interest
                         used = sorted(map(name_of, interest)) or names

@@ -123,7 +123,8 @@ class TestSpans:
             for line in lines
         )
         assert any("mount " in line and "on worker 0" in line for line in lines)
-        assert lines[-1] == "counters: files_mounted=4"
+        # A fresh executor compiles its first query of a shape in full.
+        assert lines[-1] == "counters: files_mounted=4, template_misses=1"
 
     def test_a_metadata_only_answer_counts_its_compile_time(self, executor):
         outcome = executor.execute("SELECT COUNT(*) FROM F")

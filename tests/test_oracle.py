@@ -1,8 +1,9 @@
 """The differential oracle's two legs (see :mod:`repro.testing.oracle`).
 
-* Engine leg — a sequence of 1–3 queries (5 in the outage region) × a
+* Engine leg — a sequence of 3–5 queries (7 in the outage region) × a
   ``ConfigPoint`` × a ``FaultScript``, every answer judged against eager
-  ingestion.
+  ingestion; an answer from a kept compile (a template hit) is judged
+  against sqlite too.
 * Engine-independent leg — ``repro.db.Database`` against stdlib ``sqlite3``
   over the seismic tables and two wide-key tables.
 
@@ -338,13 +339,48 @@ def fault_scripts(draw, point, queries, focus="any"):
 
 
 _WINDOW = re.compile(r"D\.sample_time > '[^']*' AND D\.sample_time < '[^']*'")
+# A literal of a query: a string, or a number that is not a LIMIT count.
+_LITERAL = re.compile(r"'([^']*)'|(?<!LIMIT )(?<![\w.])(\d+(?:\.\d+)?)(?![\w.])")
+# What a query's literals are redrawn from: timestamps, other strings,
+# numbers (integral, so that an int and a float that were equal stay so).
+FRESH_TIMES = TIMES + [
+    "2010-01-10T00:00:00", "2010-01-10T12:00:00.250", "2010-01-10T23:59:59",
+    "2010-01-11T00:00:00", "2010-01-11T09:30:00", "2010-01-12T00:00:00",
+]
+FRESH_NAMES = STATIONS + CHANNELS + ["IZM", "BHN", "EDC"]
+FRESH_NUMBERS = [0, 1, 2, 3, 4, 5, 7, 100, 500, 1000, 5000, 20000]
+
+
+@st.composite
+def fresh_literals(draw, sql):
+    """``sql`` with every literal but a LIMIT count redrawn, equal ones
+    alike and unequal ones apart: the same shape with fresh literals."""
+    pools = {
+        "time": iter(draw(st.permutations(FRESH_TIMES))),
+        "name": iter(draw(st.permutations(FRESH_NAMES))),
+        "number": iter(draw(st.permutations(FRESH_NUMBERS))),
+    }
+    fresh: dict = {}
+
+    def redraw(match):
+        text, number = match.groups()
+        if number is None:
+            kind = "time" if re.match(r"\d{4}-", text) else "name"
+            value = fresh.setdefault((kind, text), next(pools[kind]))
+            return f"'{value}'"
+        value = float(number) if "." in number else int(number)
+        new = fresh.setdefault(("number", value), next(pools["number"]))
+        return f"{float(new)}" if "." in number else f"{new}"
+
+    return _LITERAL.sub(redraw, sql)
 
 
 @st.composite
 def examples(draw, focus):
     """(queries, ConfigPoint, FaultScript). A later query repeats the one
     before it, moves its time window (an exploration step), or is new, so
-    caches, staging and remounts matter between queries."""
+    caches, staging and remounts matter between queries; the last two
+    repeat a drawn one's shape with fresh literals."""
     queries = [draw(seismic_queries(focus))]
     longer = focus in ("remote", "outage", "tenants", "prefetch", "cache")
     # An outage after the first query lasts up to three: the fifth query is
@@ -361,6 +397,11 @@ def examples(draw, focus):
         queries.append(forced or draw(
             st.sampled_from([moved, queries[-1]]) | seismic_queries(focus)
         ))
+    # One shape twice more with fresh literals: an executor keeps a shape
+    # from its second query on, so the last is answered from a kept
+    # compile (when the shape compiles at all).
+    shape = draw(st.sampled_from(queries))
+    queries += [draw(fresh_literals(shape)) for _ in range(2)]
     point = draw(config_points(focus))
     return queries, point, draw(fault_scripts(point, len(queries), focus))
 

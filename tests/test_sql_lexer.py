@@ -115,6 +115,23 @@ class TestQuotedIdentifiers:
         with pytest.raises(SqlSyntaxError):
             tokenize('"oops')
 
+    def test_doubled_quote_is_one_quote(self):
+        assert kinds('"uri""n" x') == [
+            (TokenType.IDENT, 'uri"n'),
+            (TokenType.IDENT, "x"),
+        ]
+
+    def test_doubled_quote_names_no_other_column(self, ali_db):
+        from repro.db.errors import BindError
+
+        with pytest.raises(BindError, match='unknown column uri"n'):
+            ali_db.execute('SELECT "uri""n" FROM F LIMIT 1')
+
+    def test_unterminated_after_a_doubled_quote(self):
+        with pytest.raises(SqlSyntaxError) as raised:
+            tokenize('SELECT "uri""')
+        assert raised.value.position == 7
+
 
 def test_positions_recorded():
     tokens = tokenize("select x")
