@@ -54,12 +54,7 @@ from .mounting import (
 from .metastore import MetadataStore, MetastoreStats
 from .multistage import BatchSnapshot, MultiStageExecutor, MultiStageResult
 from .partial import PartialMerger, is_decomposable
-from .prefetch import (
-    PredictedWindow,
-    PrefetchStats,
-    SessionPrefetcher,
-    WorkloadPredictor,
-)
+from .prefetch import PredictedWindow, WorkloadPredictor, speculative_tasks
 from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
 from .scheduler import (
     MountScheduler,
@@ -81,9 +76,8 @@ from .verify import verify_ali_rewrite, verify_decomposition
 __all__ = [
     "BreakpointInfo",
     "PredictedWindow",
-    "PrefetchStats",
-    "SessionPrefetcher",
     "WorkloadPredictor",
+    "speculative_tasks",
     "MetadataStore",
     "MetastoreStats",
     "CachePolicy",

@@ -337,7 +337,6 @@ class MountStats:
     early_terminated_branches: int = 0  # union branches skipped by Top-N proof
     early_cancelled_mounts: int = 0  # pending mounts released before extraction
     whole_file_requests: int = 0  # selective requests widened: interval covers file
-    prefetched_mounts: int = 0  # speculative extractions stored ahead of a query
 
 
 @dataclass(frozen=True)
@@ -576,50 +575,55 @@ class MountService:
         batch = self.retain(uri, result, interval)
         return self._deliver(batch, alias, predicate)
 
-    def prefetch_into_cache(
-        self,
-        uri: str,
-        table_name: str,
-        interval: Interval,
-        context: MountContext,
-    ) -> tuple[str, int]:
-        """Speculatively extract ``interval`` of one file into the cache.
+    def extract_shared(
+        self, uri: str, table_name: str, request: Optional[MountRequest]
+    ) -> "ExtractResult":
+        """A shared scheduler's extraction function: cache first, then disk.
 
-        The predictive-prefetch entry point: called off the query path (the
-        :class:`~repro.core.prefetch.SessionPrefetcher`'s worker thread)
-        under the prefetcher's own ``context`` — speculative work is no
-        query's bill and no query's cancellation reaches it. It must never
-        make an answer wrong, so it stores exactly what a real mount of the
-        same interval would store, and declines whenever retention is off
-        or the context's breaker distrusts the file. Returns an outcome
-        label (``stored`` / ``covered`` / ``blocked`` / ``disabled`` /
-        ``error``) plus the bytes read, for the prefetcher's accounting.
+        A query's plan chooses mount vs cache-scan at *its* rewrite time;
+        under concurrency another query's store often lands between one
+        query's rewrite and its take. Re-checking the cache here — at the
+        moment the work would actually run — is rule (1)'s cache preference
+        applied late-bound, and it is what makes a service's byte savings
+        robust to arrival order instead of depending on queries registering
+        within one extraction's window. A cache-served result reports
+        ``bytes_read=0``: no disk work happened, so neither the service
+        total nor any consuming query's budget is charged for it.
+
+        The task serves every query waiting on the file — or none, for a
+        speculative hint — so it runs under no one's context: no governor
+        (each consumer's context charges its own, once per file it uses), no
+        breaker (each waiter's breaker judges the failure; a failed hint
+        scores nothing), and no query's token or retry budget.
         """
-        breaker = context.breaker
-        if not self.retains:
-            return ("disabled", 0)
-        if breaker is not None and breaker.likely_blocked(uri):
-            return ("blocked", 0)
-        if self.cache.contains(uri, interval):
-            return ("covered", 0)
-        request: Optional[MountRequest] = None
-        if self.selective and interval != WHOLE_FILE:
-            records: Optional[tuple[RecordSpan, ...]] = None
-            if self.record_map_provider is not None:
-                records = self.record_map_provider(uri, table_name)
-            request = MountRequest(interval=interval, records=records)
-            if request.selects_nothing:
-                return ("covered", 0)
-        try:
-            result = self._extract(uri, table_name, request, context=context)
-        except IngestError as exc:
-            self._score(breaker, uri, exc)
-            return ("error", 0)
-        self._score(breaker, uri)
-        self.retain(uri, result, interval)
-        with self._lock:
-            self.stats.prefetched_mounts += 1
-        return ("stored", result.bytes_read)
+        interval = WHOLE_FILE if request is None else request.interval
+        # The file's signature is asked for (a HEAD, for a remote one) only
+        # to compare a cached batch against, so only when the cache holds
+        # one. A batch that lands between the two reads was compared with
+        # nothing observed for this request, and is left unserved.
+        compare = self.cache.contains(uri, interval)
+        signature = self._current_signature(uri, table_name) if compare else None
+        cached = self.cache.lookup(uri, interval, signature=signature)
+        if cached is not None and compare:
+            return ExtractResult(batch=cached, io_seconds=0.0, coverage=interval)
+        # The lookup's observation of the file, when it made one, is what
+        # the extraction presumes current: the sandwich only wider.
+        return self._extract(uri, table_name, request, observed=signature)
+
+    def store_hint(
+        self,
+        key: "MountKey",
+        request: Optional[MountRequest],
+        result: "ExtractResult",
+    ) -> None:
+        """Retain one completed hint extraction, as a mount of the hinted
+        interval would (:meth:`retain`): a hint has no consumer to store
+        it. A result served *from* the cache (``bytes_read == 0``, no disk
+        time) has nothing new to store."""
+        if result.bytes_read == 0 and result.io_seconds == 0.0:
+            return
+        _table_name, uri = key
+        self.retain(uri, result, WHOLE_FILE if request is None else request.interval)
 
     @staticmethod
     def _score(

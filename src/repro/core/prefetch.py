@@ -1,44 +1,51 @@
-"""Predictive prefetch: window prediction and speculative cache warming.
+"""Predictive prefetch: window prediction and speculative hint planning.
 
 The paper leaves cache management at the stage-1/stage-2 breakpoint as an
 open challenge (§5); NoDB's answer is to let the *workload* drive the
-auxiliary structures. Two cooperating pieces implement that here:
+auxiliary structures. Two pieces implement that here:
 
 * :class:`WorkloadPredictor` — recognizes the sliding-window / zoom shapes
   :mod:`repro.explore.workload` generates and extrapolates the next window.
-* :class:`SessionPrefetcher` — turns predictions into speculative
-  cache-warming extractions between queries, via
-  :meth:`~repro.core.mounting.MountService.prefetch_into_cache`. Wrong
-  predictions waste bytes, never answers: the cache's coverage checks mean
-  a prefetch can only *add* covering entries, so results stay
-  byte-identical with prefetch on or off.
+* :func:`speculative_tasks` — the one planner: turns the predictor's next
+  window into scheduler hints (:meth:`~repro.core.scheduler.MountScheduler.hint`)
+  for the files it overlaps.
 
-Thread-safety: the predictor is consulted from whichever thread ran the
-query and from the prefetch worker, so both carry their own locks, and
-neither calls out to other locked components while holding its lock.
+Both a prefetching :class:`~repro.explore.session.ExplorationSession` and a
+prefetching :class:`~repro.serve.service.QueryService` run the planner the
+same way: the query's thread only records its window
+(:meth:`WorkloadPredictor.observe`) and defers the plan
+(:meth:`~repro.core.scheduler.MountScheduler.defer`); an idle scheduler
+worker predicts, plans and registers the hints, which extract through
+:meth:`~repro.core.mounting.MountService.extract_shared` and land in the
+cache through :meth:`~repro.core.mounting.MountService.store_hint`. Wrong
+predictions waste bytes, never answers: the cache's coverage checks mean a
+hint can only *add* covering entries, so results stay byte-identical with
+prefetch on or off.
+
+Thread-safety: the predictor is fed from the query's thread and read from
+a scheduler worker, so it carries its own lock, and does not call out to
+other locked components while holding it.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .. import _sync
 from ..db.interval import Interval, is_empty, overlaps
+from ..ingest.formats import MountRequest
 from ..ingest.schema import ACTUAL_TABLE
-from .mounting import MountContext, MountService
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..db.stats import StatisticsCatalog
+    from .executor import TwoStageExecutor
     from .governor import CircuitBreaker
 
 __all__ = [
     "PredictedWindow",
-    "PrefetchStats",
-    "SessionPrefetcher",
     "WorkloadPredictor",
+    "speculative_tasks",
 ]
 
 
@@ -50,7 +57,7 @@ WIDEN_FRACTION = 0.25
 WIDTH_TOLERANCE = 0.3
 # Query windows the predictor remembers.
 MAX_HISTORY = 8
-# Bound on one prefetch round's speculative disk work.
+# Bound on one plan's speculative disk work, in the planned files' sizes.
 MAX_BYTES_PER_ROUND = 32 * 1024 * 1024
 
 
@@ -72,8 +79,8 @@ class WorkloadPredictor:
     recognizable shapes: *sliding* (similar width, shifted center), *zoom
     in* (shrinking width, contained center) and *zoom out* (growing width,
     similar center). Anything else — the MOVE_ON jump to a fresh random
-    focus — is deliberately unpredictable and yields no prediction, so the
-    prefetcher stays idle instead of guessing.
+    focus — is deliberately unpredictable and yields no prediction, so no
+    hint is planned instead of a guess.
     """
 
     def __init__(self) -> None:
@@ -128,12 +135,6 @@ class WorkloadPredictor:
             )
         return None
 
-    def observe_and_predict(
-        self, interval: Optional[Interval]
-    ) -> Optional[PredictedWindow]:
-        self.observe(interval)
-        return self.predict()
-
     def _widened(
         self, lo: int, hi: int, width: int, kind: str
     ) -> PredictedWindow:
@@ -141,170 +142,48 @@ class WorkloadPredictor:
         return PredictedWindow(interval=(lo - margin, hi + margin), kind=kind)
 
 
-# -- prefetch -----------------------------------------------------------------
 
 
-@dataclass
-class PrefetchStats:
-    observed: int = 0  # query windows fed to the predictor
-    predictions: int = 0  # windows the predictor extrapolated
-    rounds: int = 0  # prefetch rounds actually executed
-    files_prefetched: int = 0  # speculative extractions stored in the cache
-    bytes_prefetched: int = 0  # bytes those extractions read off disk
-    skipped_blocked: int = 0  # refused by the breaker / cache policy
-    skipped_budget: int = 0  # dropped by the per-round byte budget
-    errors: int = 0  # failed extractions and failed rounds (absorbed)
+# -- planning -----------------------------------------------------------------
 
 
-@_sync.guarded
-class SessionPrefetcher:
-    """Speculatively warms the ingestion cache between a session's queries.
+def speculative_tasks(
+    executor: "TwoStageExecutor",
+    predictor: WorkloadPredictor,
+    breaker: "CircuitBreaker",
+) -> list[tuple[str, str, Optional[MountRequest]]]:
+    """The hints for ``predictor``'s next window: ``(table, uri, request)``
+    specs of :meth:`~repro.core.scheduler.MountScheduler.hint`.
 
-    ``mounts`` is the session's :class:`~repro.core.mounting.MountService`
-    (its ``_extract`` is thread-safe; the cache locks itself), and
-    ``statistics`` a callable returning the current
-    :class:`~repro.db.stats.StatisticsCatalog` — file time spans map a
-    predicted window to the files overlapping it.
-
-    Each round extracts under a :class:`~repro.core.mounting.MountContext`
-    of its own — the session's ``breaker``, no governor, no pool — so
-    speculative bytes land on no query's ledger and a query's cancellation
-    or deadline neither reaches a round nor is caused by one.
-
-    One daemon worker drains a round queue so prefetching never blocks the
-    explorer's next query; :meth:`flush` waits for the queue to drain.
-    Each round's speculative disk work is bounded by
-    ``MAX_BYTES_PER_ROUND``.
+    Takes the files whose span overlaps the predicted window, skipping a
+    file ``breaker`` (the session's or the tenant's) expects to refuse and
+    one whose window the cache already holds; a selective executor asks for
+    the window through the file's record map. Stops once the planned files'
+    sizes reach :data:`MAX_BYTES_PER_ROUND`. Runs on a scheduler worker,
+    inside a deferred plan: never on a query's thread.
     """
-
-    def __init__(
-        self,
-        mounts: MountService,
-        statistics: Callable[[], "StatisticsCatalog"],
-        breaker: Optional["CircuitBreaker"] = None,
-    ) -> None:
-        self.mounts = mounts
-        self.breaker = breaker
-        self.statistics = statistics
-        self.predictor = WorkloadPredictor()
-        self.stats = PrefetchStats()  # guarded-by: _lock
-        self._lock = _sync.create_lock("SessionPrefetcher._lock")
-        # The wakeup condition shares _lock (same idiom as the scheduler).
-        self._wakeup = _sync.create_condition(
-            "SessionPrefetcher._wakeup", self._lock
-        )
-        self._pending: deque[PredictedWindow] = deque()  # guarded-by: _lock
-        self._stop = False  # guarded-by: _lock
-        self._active_rounds = 0  # guarded-by: _lock
-        self._thread: Optional[threading.Thread] = None  # guarded-by: _lock
-
-    # -- session-facing -------------------------------------------------------
-
-    def observe(self, interval: Optional[Interval]) -> None:
-        """Feed one query's realized window; maybe kick off a prefetch round."""
-        with self._lock:
-            self.stats.observed += 1
-        predicted = self.predictor.observe_and_predict(interval)
-        if predicted is None:
-            return
-        with self._lock:
-            self.stats.predictions += 1
-        with self._wakeup:
-            if self._stop:
-                return
-            self._pending.append(predicted)
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._worker_loop,
-                    name="session-prefetch",
-                    daemon=True,
-                )
-                self._thread.start()
-            self._wakeup.notify_all()
-
-    def flush(self, timeout: float = 10.0) -> bool:
-        """Wait until every queued round has run (True if drained in time)."""
-        deadline = threading.Event()  # used purely as a timed sleeper
-        waited = 0.0
-        while waited < timeout:
-            with self._lock:
-                if not self._pending and self._active_rounds == 0:
-                    return True
-            deadline.wait(0.01)
-            waited += 0.01
-        return False
-
-    def close(self) -> None:
-        """Stop the worker; queued-but-unrun rounds are dropped."""
-        with self._wakeup:
-            self._stop = True
-            self._pending.clear()
-            thread = self._thread
-            self._thread = None
-            self._wakeup.notify_all()
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def __enter__(self) -> "SessionPrefetcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- internals ------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._wakeup:
-                while not self._stop and not self._pending:
-                    self._wakeup.wait(0.1)
-                if self._stop:
-                    return
-                predicted = self._pending.popleft()
-                self._active_rounds += 1
-            try:
-                self._run_round(predicted)
-            except Exception:  # noqa: BLE001 - speculative: absorbed, counted
-                # A failed round must not take the worker with it: `_thread`
-                # would stay set and every later round queue up unrun.
-                with self._lock:
-                    self.stats.errors += 1
-            finally:
-                with self._lock:
-                    self._active_rounds -= 1
-
-    def _run_round(self, predicted: PredictedWindow) -> None:
-        """One speculative pass: warm every file overlapping the prediction.
-
-        Every skip/outcome is counted; per-file failures are absorbed by
-        :meth:`~repro.core.mounting.MountService.prefetch_into_cache` — a
-        speculative miss must never surface as a session error.
-        """
-        with self._lock:
-            self.stats.rounds += 1
-        spent = 0
-        context = MountContext(breaker=self.breaker)
-        catalog = self.statistics()
-        for uri in sorted(catalog.files):
-            span = catalog.files[uri].span
-            if not overlaps(predicted.interval, span[0], span[1]):
-                continue
-            with self._lock:
-                if self._stop:
-                    return
-            if spent >= MAX_BYTES_PER_ROUND:
-                with self._lock:
-                    self.stats.skipped_budget += 1
-                continue
-            outcome, nbytes = self.mounts.prefetch_into_cache(
-                uri, ACTUAL_TABLE, predicted.interval, context
+    predicted = predictor.predict()
+    if predicted is None:
+        return []
+    window = predicted.interval
+    mounts = executor.mounts
+    tasks: list[tuple[str, str, Optional[MountRequest]]] = []
+    planned = 0
+    for uri, file in executor.statistics().files.items():
+        if planned >= MAX_BYTES_PER_ROUND:
+            break
+        if not overlaps(window, *file.span):
+            continue
+        if breaker.likely_blocked(uri) or mounts.cache.contains(uri, window):
+            continue
+        request = (
+            MountRequest(
+                interval=window,
+                records=mounts.record_map_provider(uri, ACTUAL_TABLE),
             )
-            spent += nbytes
-            with self._lock:
-                if outcome == "stored":
-                    self.stats.files_prefetched += 1
-                    self.stats.bytes_prefetched += nbytes
-                elif outcome == "error":
-                    self.stats.errors += 1
-                elif outcome != "covered":  # "blocked" / "disabled"
-                    self.stats.skipped_blocked += 1
+            if mounts.selective
+            else None
+        )
+        tasks.append((ACTUAL_TABLE, uri, request))
+        planned += file.size_bytes
+    return tasks

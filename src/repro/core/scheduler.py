@@ -68,6 +68,13 @@ priority eventually exceeds any fixed popularity — a lone low-overlap query
 waits at most ``aging_seconds × (bias × max_waiters)`` behind the crowd,
 never forever.
 
+Speculation sits below both. A *hint* (:meth:`MountScheduler.hint`) is a
+waiter-less task a worker runs only when no real task is eligible; a
+*deferred plan* (:meth:`MountScheduler.defer`) — predictive prefetch's
+planner — runs only when no task at all is eligible, and registers the
+hints it returns. A real query registering a hinted file joins the hint's
+task like any pending one.
+
 Task states
 -----------
 ``pending → running → done | failed``. A task is *pending* from first
@@ -101,6 +108,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence
 
@@ -117,6 +125,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (runtime import cycle)
 # "mount the whole file"; a request narrows extraction to the records
 # overlapping its interval (selective mounting).
 ExtractFn = Callable[[str, str, Optional[MountRequest]], "ExtractResult"]
+# A deferred plan: called on an idle worker, it returns the hint specs to
+# register (see MountScheduler.defer).
+Plan = Callable[[], Sequence]
 
 MountKey = tuple[str, str]  # (table_name, uri)
 
@@ -287,7 +298,7 @@ class SchedulerStats:
     bytes_shared: int = 0
     max_wait_seconds: float = 0.0
     hints_registered: int = 0  # speculative prefetch tasks accepted
-    hint_extractions: int = 0  # hint tasks actually extracted by a worker
+    hint_extractions: int = 0  # hint tasks extracted and handed to the store
 
 
 @dataclass
@@ -356,6 +367,7 @@ class MountScheduler:
             "MountScheduler._wakeup", self._lock
         )
         self._tasks: dict[MountKey, _FileTask] = {}  # guarded-by: _lock
+        self._plans: deque[Plan] = deque()  # guarded-by: _lock
         self._seq = itertools.count()  # guarded-by: _lock
         # unguarded-ok: itertools.count.__next__ is atomic in CPython; the
         # id handed out only needs uniqueness, not ordering.
@@ -565,6 +577,22 @@ class MountScheduler:
                 self._wakeup.notify_all()
         return accepted
 
+    def defer(self, plan: Plan) -> None:
+        """Queue ``plan`` below every task: a worker with no task to run
+        calls it and registers what it returns through :meth:`hint`.
+
+        Speculation's own planning thus stays off the query's thread. A
+        plan already queued is not queued again — it reads its predictor
+        when it runs, so one run serves every deferral before it. A plan
+        that raises is dropped and the worker lives on; on a closed
+        scheduler, as for :meth:`hint`, nothing is queued.
+        """
+        with self._wakeup:
+            if self._stop or plan in self._plans:
+                return
+            self._plans.append(plan)
+            self._wakeup.notify_all()
+
     def withdraw(self, client_id: int, tasks: Sequence[_FileTask]) -> int:
         """Drop a client's remaining interest (query done or cancelled, or a
         branch released); returns how many extractions that avoided.
@@ -726,19 +754,27 @@ class MountScheduler:
         """
         while True:
             with self._wakeup:
-                task = None
+                task = plan = None
                 while not self._stop:
                     idle_wait = _IDLE_WAIT_SECONDS
                     if self._claimed < 2 * self.workers:
                         task, idle_wait = self._pick_locked()
                         if task is not None:
+                            self._claim_locked(task, index)
+                            break
+                        if self._plans:
+                            plan = self._plans.popleft()
                             break
                     self._wakeup.wait(idle_wait)
                 if self._stop:
                     return
-                assert task is not None
-                self._claim_locked(task, index)
-            self._run_task(task)
+            if task is not None:
+                self._run_task(task)
+                continue
+            try:
+                self.hint(plan())
+            except Exception:  # noqa: BLE001 - speculative: a failed plan is dropped
+                pass
 
     def _run_task(self, task: _FileTask) -> None:
         """Extract one claimed task and publish the outcome to all waiters."""
@@ -762,19 +798,21 @@ class MountScheduler:
             task.state = TASK_DONE
             task.extract_seconds = time.perf_counter() - started
             self.stats.tasks_extracted += 1
-            if task.hint:
-                self.stats.hint_extractions += 1
             self._reap_locked(task)
             self._wakeup.notify_all()
         task.event.set()
-        if task.hint and self._on_hint_result is not None:
-            # Outside the lock: the callback stores into the shared cache
-            # (which locks itself). A failing store only loses the
-            # speculative benefit — it must never take down a worker.
+        if not task.hint:
+            return
+        if self._on_hint_result is not None:
+            # Outside the lock: the callback stores into the cache (which
+            # locks itself). A failing store only loses the speculative
+            # benefit — it must never take down a worker.
             try:
                 self._on_hint_result(task.key, task.request, result)
             except Exception:  # noqa: BLE001 - speculative, best-effort
                 pass
+        with self._lock:
+            self.stats.hint_extractions += 1
 
     def _grant(
         self, client_id: int, task: _FileTask

@@ -14,8 +14,9 @@ from typing import Any, Optional, Protocol, runtime_checkable
 
 from ..db.database import Database, QueryResult
 from ..db.types import format_timestamp, parse_timestamp
-from ..core.prefetch import SessionPrefetcher
 from ..core.executor import TwoStageExecutor, TwoStageResult
+from ..core.prefetch import WorkloadPredictor, speculative_tasks
+from ..core.scheduler import MountScheduler
 from .workload import make_query1, make_query2
 
 
@@ -70,38 +71,44 @@ class ExplorationSession:
     engine: QueryEngine
     setup_seconds: float = 0.0  # ingestion time before the session began
     history: list[SessionEntry] = field(default_factory=list)
-    # Predictive prefetch (two-stage engine only): after each query, the
-    # workload predictor extrapolates the next window from the session's
-    # interval history and warms the ingestion cache in the background.
+    # Predictive prefetch (two-stage engine only): after each query, a
+    # scheduler worker of the session's own extrapolates the next window
+    # from the session's interval history and warms the ingestion cache.
     prefetch: bool = False
 
     def __post_init__(self) -> None:
-        self.prefetcher: Optional[SessionPrefetcher] = None
+        self.predictor = WorkloadPredictor()
+        # The session's hints wait on a one-worker scheduler of its own,
+        # started at the first deferred plan and closed by close(); none
+        # when prefetch is off or the cache would keep nothing.
+        self.scheduler: Optional[MountScheduler] = None
         if self.prefetch:
             if not isinstance(self.engine, TwoStageExecutor):
                 raise ValueError(
                     "prefetch applies only to a TwoStageExecutor engine"
                 )
-            self.prefetcher = SessionPrefetcher(
-                self.engine.mounts,
-                self.engine.statistics,
-                breaker=self.engine.breaker,
-            )
+            mounts = self.engine.mounts
+            if mounts.retains:
+                self.scheduler = MountScheduler(
+                    mounts.extract_shared,
+                    workers=1,
+                    on_hint_result=mounts.store_hint,
+                )
 
     def close(self) -> None:
-        """Stop the background prefetcher, if one is running."""
-        if self.prefetcher is not None:
-            self.prefetcher.close()
+        """Stop and join the prefetch worker, if one is running; later
+        queries prefetch nothing."""
+        scheduler, self.scheduler = self.scheduler, None
+        if scheduler is not None:
+            scheduler.close()
+
+    def _speculate(self) -> list:
+        return speculative_tasks(self.engine, self.predictor, self.engine.breaker)
 
     def run(self, sql: str, note: str = "") -> QueryResult:
         started = time.perf_counter()
         outcome = self.engine.execute(sql)
         elapsed = time.perf_counter() - started
-        if self.prefetcher is not None and isinstance(outcome, TwoStageResult):
-            # Feed the predictor this query's fused time window; a confident
-            # extrapolation warms the cache while the explorer reads the
-            # answer. Runs after the query, so answers are never affected.
-            self.prefetcher.observe(outcome.breakpoint.query_interval)
         if isinstance(outcome, TwoStageResult):
             result = outcome.result
             mounted = result.trace.counters["files_mounted"]
@@ -126,6 +133,12 @@ class ExplorationSession:
                 note=note,
             )
         )
+        if self.scheduler is not None:
+            # Record this query's fused time window; the deferred plan
+            # predicts from it while the explorer reads the answer.
+            self.predictor.observe(outcome.breakpoint.query_interval)
+            self.scheduler.start()
+            self.scheduler.defer(self._speculate)
         return result
 
     # -- explorer verbs ----------------------------------------------------------

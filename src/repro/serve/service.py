@@ -45,11 +45,12 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .. import _sync
-from ..core.prefetch import WorkloadPredictor
-from ..core.cache import WHOLE_FILE, CachePolicy, CacheStats, IngestionCache
+from ..core.prefetch import WorkloadPredictor, speculative_tasks
+from ..core.cache import CachePolicy, CacheStats, IngestionCache
 from ..core.executor import TwoStageExecutor, TwoStageResult
 from ..core.governor import (
     CancellationToken,
@@ -63,18 +64,12 @@ from ..core.mounting import (
     MountContext,
     check_on_error,
 )
-from ..core.scheduler import (
-    MountKey,
-    MountScheduler,
-    SchedulerPolicy,
-    SchedulerStats,
-)
-from ..db.interval import overlaps
+from ..core.scheduler import MountScheduler, SchedulerPolicy, SchedulerStats
 from ..db.database import Database
 from ..db.errors import QueryShedError
 from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
-from ..ingest.schema import ACTUAL_TABLE, RepositoryBinding
+from ..ingest.schema import RepositoryBinding
 from ..mseed.repository import Repository
 
 
@@ -127,8 +122,10 @@ class TenantState:
     records_charged: int = 0
     # Per-tenant workload predictor (locks itself): each tenant's query
     # stream has its own sliding/zooming shape; mixing tenants' windows
-    # would predict nobody's next query.
+    # would predict nobody's next query. `plan` is the tenant's deferred
+    # planner, one object so that the scheduler queues it once.
     predictor: WorkloadPredictor = field(default_factory=WorkloadPredictor)
+    plan: Optional[Callable[[], list]] = None
 
 
 @dataclass(frozen=True)
@@ -241,16 +238,15 @@ class QueryService:
             selective_mounts=selective_mounts,
         )
         # Predictive prefetch: after each completed query, the tenant's
-        # predictor extrapolates the next window and the overlapping files
-        # are registered as scheduler *hints* — waiter-less tasks run only
-        # when no real query is waiting; their results land in the shared
-        # cache via _store_hint. A cache that retains nothing gets none.
+        # plan is deferred to the scheduler; an idle worker runs it and
+        # registers its *hints* — waiter-less tasks run only when no real
+        # query is waiting, whose results the mount service retains.
         self.prefetch = prefetch
         self.scheduler = MountScheduler(
             self._shared_extract,
             policy=scheduler_policy,
             workers=mount_workers,
-            on_hint_result=self._store_hint,
+            on_hint_result=self._executor.mounts.store_hint,
         )
         self._lock = _sync.create_lock("QueryService._lock")
         self._tenants: dict[str, TenantState] = {}  # guarded-by: _lock
@@ -295,6 +291,7 @@ class QueryService:
                 state = TenantState(
                     name=name, policy=policy or self.default_policy
                 )
+                state.plan = partial(self._speculate, state)
                 self._tenants[name] = state
             return state
 
@@ -393,9 +390,9 @@ class QueryService:
                 state.completed += 1
                 self._completed += 1
             if self.prefetch:
-                # After the answer is already delivered-able: feed the
-                # tenant's predictor and register hints. Purely additive —
-                # a wrong prediction costs idle-worker bytes, never answers.
+                # After the answer is already delivered-able. Purely
+                # additive: a wrong prediction costs idle-worker bytes,
+                # never answers.
                 self._prefetch_for(state, result)
             return result
         finally:
@@ -439,107 +436,27 @@ class QueryService:
 
     # -- predictive prefetch ---------------------------------------------------
 
-    def _prefetch_for(self, state: TenantState, result: TwoStageResult) -> int:
-        """Extrapolate the tenant's next window; hint the overlapping files.
-
-        Skips files the tenant's breaker distrusts and intervals the shared
-        cache already covers; everything else becomes a waiter-less hint
-        task the scheduler runs only when no real query waits. Returns the
-        number of hints accepted (for tests and ops): none when the shared
-        cache would keep nothing the hints extract.
-        """
-        mounts = self._executor.mounts
-        if not mounts.retains:
-            return 0
-        predicted = state.predictor.observe_and_predict(
-            result.breakpoint.query_interval
-        )
-        if predicted is None:
-            return 0
-        hints: list[tuple[str, str, Optional[MountRequest]]] = []
-        record_map = mounts.record_map_provider
-        for uri, file in self._executor.statistics().files.items():
-            if not overlaps(predicted.interval, *file.span):
-                continue
-            if state.breaker.likely_blocked(uri):
-                continue
-            if self.cache.contains(uri, predicted.interval):
-                continue
-            request = (
-                MountRequest(
-                    interval=predicted.interval,
-                    records=record_map(uri, ACTUAL_TABLE),
-                )
-                if mounts.selective
-                else None
-            )
-            hints.append((ACTUAL_TABLE, uri, request))
-        if not hints:
-            return 0
-        return self.scheduler.hint(hints)
-
-    def _store_hint(
-        self,
-        key: MountKey,
-        request: Optional[MountRequest],
-        result: ExtractResult,
-    ) -> None:
-        """Retain one completed hint extraction in the shared cache, as a
-        mount of the hinted interval would.
-
-        The scheduler's extract function does not store (query-side takes
-        store after consumption); hints have no consumer, so without this
-        the speculative work would evaporate. A ``bytes_read == 0`` result
-        was served *from* the cache — nothing new to store.
-        """
-        if result.bytes_read == 0 and result.io_seconds == 0.0:
+    def _prefetch_for(self, state: TenantState, result: TwoStageResult) -> None:
+        """Record the tenant's window and defer its plan to the shared
+        scheduler, whose idle worker predicts the next window and hints the
+        files it overlaps (:func:`~repro.core.prefetch.speculative_tasks`).
+        A cache that would keep nothing the hints extract gets none."""
+        if not self._executor.mounts.retains:
             return
-        _table_name, uri = key
-        interval = WHOLE_FILE if request is None else request.interval
-        self._executor.mounts.retain(uri, result, interval)
+        state.predictor.observe(result.breakpoint.query_interval)
+        self.scheduler.defer(state.plan)
+
+    def _speculate(self, state: TenantState) -> list:
+        return speculative_tasks(self._executor, state.predictor, state.breaker)
 
     # -- shared extraction ---------------------------------------------------
 
     def _shared_extract(
         self, uri: str, table_name: str, request: Optional[MountRequest]
     ) -> ExtractResult:
-        """The scheduler's extraction function: cache first, then disk.
-
-        A query's plan chooses mount vs cache-scan at *its* rewrite time;
-        under concurrency another query's store often lands between one
-        query's rewrite and its take. Re-checking the cache here — at the
-        moment the work would actually run — is rule (1)'s cache preference
-        applied late-bound, and it is what makes the service's byte savings
-        robust to arrival order instead of depending on queries registering
-        within one extraction's window. A cache-served result reports
-        ``bytes_read=0``: no disk work happened, so neither the service
-        total nor any consuming query's budget is charged for it.
-
-        The task serves every query waiting on the file, so it runs under no
-        one's context: no governor (each consumer's context charges its
-        own, once per file it uses), no breaker (each waiter's tenant
-        breaker judges the failure), and no waiter's token or retry budget —
-        the mount service only extracts, restarts what went stale, and counts
-        service-wide bytes.
-        """
-        mounts = self._executor.mounts
-        interval = WHOLE_FILE if request is None else request.interval
-        # The file's signature is asked for (a HEAD, for a remote one) only
-        # to compare a cached batch against, so only when the cache holds
-        # one. A batch that lands between the two reads was compared with
-        # nothing observed for this request, and is left unserved.
-        compare = self.cache.contains(uri, interval)
-        signature = (
-            mounts._current_signature(uri, table_name) if compare else None
-        )
-        cached = self.cache.lookup(uri, interval, signature=signature)
-        if cached is not None and compare:
-            return ExtractResult(
-                batch=cached, io_seconds=0.0, coverage=interval
-            )
-        # The lookup's observation of the file, when it made one, is what
-        # the extraction presumes current: the sandwich only wider.
-        return mounts._extract(uri, table_name, request, observed=signature)
+        """The scheduler's extraction function (cache first, then disk):
+        :meth:`~repro.core.mounting.MountService.extract_shared`."""
+        return self._executor.mounts.extract_shared(uri, table_name, request)
 
     # -- introspection -------------------------------------------------------
 

@@ -53,6 +53,7 @@ from ..core.scheduler import WORKER_THREAD_PREFIX
 from ..db import ColumnDef, Database, DataType, TableSchema
 from ..db.errors import ExecutionError, FileIngestError, QueryInterruptedError
 from ..db.types import parse_timestamp
+from ..explore.session import ExplorationSession
 from ..ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
 from ..ingest.schema import ACTUAL_TABLE, RECORD_TABLE, ensure_schema
 from ..mseed import FileRepository
@@ -112,8 +113,8 @@ class ConfigPoint:
     concurrently; ``mount_workers`` is then the scheduler's worker count, and
     ``strategy`` / ``top_n`` keep the service executor's defaults.
     ``verify_plans`` forces plan verification on (off leaves the
-    ``REPRO_VERIFY_PLANS`` default). ``prefetch`` (service) is the one
-    speculative feature.
+    ``REPRO_VERIFY_PLANS`` default). ``prefetch`` is the one speculative
+    feature: a prefetching session's standalone, the service's served.
     """
 
     strategy: str = BULK
@@ -449,7 +450,8 @@ class Engine:
     ``root``: its repository (local, remote or federated, behind
     :data:`ENDPOINT`), its metadata session (with the metastore the point
     asks for; ``setup`` faults that session's start), and a standalone
-    executor or a started query service."""
+    executor (run through a prefetching exploration session when the point
+    prefetches) or a started query service."""
 
     def __init__(
         self, point: ConfigPoint, root: Path, scratch: Path,
@@ -459,7 +461,7 @@ class Engine:
         self.stores: list[SimulatedObjectStore] = []
         self.remotes: list[RemoteRepository] = []
         self.repository = self._repository(scratch / "staging")
-        self.metastore, self.service = None, None
+        self.metastore, self.service, self.session = None, None, None
         if point.metastore != "none":
             sidecar = scratch / "metastore.json"
             if point.metastore != "cold":  # harvested by an earlier session
@@ -506,6 +508,17 @@ class Engine:
                 on_mount_error=point.on_mount_error,
                 top_n_pushdown=point.top_n, **settings,
             )
+            if point.prefetch:
+                # The session reduces an outcome to its result: keep the
+                # outcome its `execute` returned, for the verdict.
+                execute = self.executor.execute
+
+                def kept(sql: str) -> Any:
+                    self.outcome = execute(sql)
+                    return self.outcome
+
+                self.executor.execute = kept  # type: ignore[method-assign]
+                self.session = ExplorationSession(self.executor, prefetch=True)
         # Every Top-N execution arms a monitor; an unsafe one means a re-run.
         self.monitors: list = []
         arm = self.executor._top_n_termination
@@ -545,7 +558,7 @@ class Engine:
         Returns (outcome, cancelled) pairs, an outcome being the result or
         the exception raised, and whether that query's token fired."""
         if self.service is None:
-            return [(_outcome(self.executor.execute, sql), False)]
+            return [(_outcome(self._standalone, sql), False)]
         token = CancellationToken()
         plan.cancel_next = token if cancel else None
         futures = [
@@ -558,10 +571,19 @@ class Engine:
         plan.cancel_next = None
         return [(o, t == 1 and token.fired) for t, o in enumerate(outcomes)]
 
+    def _standalone(self, sql: str) -> Any:
+        if self.session is None:
+            return self.executor.execute(sql)
+        self.session.run(sql)
+        return self.outcome
+
     def counters(self) -> dict[str, int]:
         """The existing counters that say which rare paths a run reached."""
         metastore = self.metastore.stats if self.metastore else None
-        scheduler = self.service.scheduler.stats if self.service else None
+        scheduler = (
+            self.service.scheduler if self.service
+            else self.session and self.session.scheduler
+        )
         return {
             "stale-signature remount": self.executor.mounts.stats.stale_remounts,
             "cache fallback": self.executor.mounts.stats.fallback_mounts,
@@ -574,7 +596,7 @@ class Engine:
             ),
             "Top-N unsafe re-run": sum(not m.safe() for m in self.monitors),
             "sidecar reset": metastore.corrupt_loads if metastore else 0,
-            "hints": scheduler.hints_registered if scheduler else 0,
+            "hints": scheduler.stats.hints_registered if scheduler else 0,
         }
 
     def assert_nothing_left_behind(self) -> None:
@@ -591,10 +613,13 @@ class Engine:
             "the cache outgrew its capacity",
         )
         if self.service is None:
-            check(not any(
+            # An open prefetching session keeps its one worker; a query's
+            # scheduler, when it has threads at all, has two or more.
+            session = self.session is not None and self.session.scheduler
+            check(sum(
                 t.name.startswith(WORKER_THREAD_PREFIX)
                 for t in threading.enumerate()
-            ), "a mount scheduler outlived its query")
+            ) <= bool(session), "a mount scheduler outlived its query")
         elif not self.point.prefetch:
             check(
                 self.service.scheduler.pending_tasks() == 0,
@@ -604,6 +629,8 @@ class Engine:
     def close(self) -> None:
         if self.service is not None:
             self.service.close()
+        if self.session is not None:
+            self.session.close()
 
 
 def _outcome(call: Callable, *args: Any) -> Any:
@@ -755,6 +782,7 @@ def run(
                     reached.append("breaker half-open probe")
     finally:
         engine.close()
+    engine.assert_nothing_left_behind()  # and no session worker outlives it
     return reached
 
 

@@ -1,5 +1,7 @@
 """Tests for the exploration layer: detection, workloads, sessions."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,7 @@ class TestSession:
 
     def test_prefetching_session_answers_alike(self, ali_db, tiny_repo):
         """A sliding walk feeds the predictor; what it warms never changes
-        an answer."""
+        an answer, and the window it predicted is answered from the cache."""
         executor = TwoStageExecutor(
             ali_db,
             RepositoryBinding(tiny_repo),
@@ -195,8 +197,15 @@ class TestSession:
                     f"2010-01-10T{hour}:00:00", f"2010-01-10T{hour}:30:00",
                 )
                 assert session.average(*args) == plain.average(*args)
-            session.prefetcher.flush()
-            assert session.prefetcher.stats.observed == 3
+                if hour == "11":
+                    # The first plan that saw two windows hints the third.
+                    stats = session.scheduler.stats
+                    pacer = threading.Event()
+                    for _ in range(500):
+                        if 0 < stats.hints_registered == stats.hint_extractions:
+                            break
+                        pacer.wait(0.01)
+            assert session.history[-1].cache_scans > 0
         finally:
             session.close()
 

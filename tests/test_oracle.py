@@ -198,10 +198,11 @@ def seismic_queries(draw, focus="any"):
             [f"R.record_id = {draw(st.integers(0, 0 if mixed else 5))}"],
             draw(window("R.start_time")),
         ]))
-    if draw(st.integers(0, 3)) or focus == "remote":
-        # The remote region moves this window between queries.
+    if draw(st.integers(0, 3)) or focus in ("remote", "prefetch"):
+        # The remote region moves this window between queries; the prefetch
+        # region's predictor extrapolates it.
         moving = window("D.sample_time")
-        if focus != "remote":
+        if focus not in ("remote", "prefetch"):
             moving = moving | sample_window()
         predicates += draw(moving)
     if top_n or draw(st.booleans()):
@@ -262,7 +263,9 @@ FOCI = ["any", "top-n", "per-file", "remote", "outage", "tenants",
 @st.composite
 def config_points(draw, focus="any"):
     tenants = draw(st.sampled_from({
-        "top-n": [0], "per-file": [0], "tenants": [2, 3], "prefetch": [1, 2, 3],
+        "top-n": [0], "per-file": [0], "tenants": [2, 3],
+        # Two prefetch points in five are a prefetching session's.
+        "prefetch": [0, 1, 0, 2, 3],
     }.get(focus, [0, 0, 0, 1, 2, 3])))
     standalone = tenants == 0
     remote = focus in ("remote", "outage")

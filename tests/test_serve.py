@@ -32,7 +32,8 @@ import pytest
 from repro.core import IngestionCache, TwoStageExecutor
 from repro.core.cache import CacheGranularity, CachePolicy
 from repro.core.governor import CancellationToken, CircuitBreaker, QueryBudget
-from repro.core.mounting import ExtractResult, MountContext
+from repro.core.mounting import ExtractResult
+from repro.core.prefetch import PredictedWindow, WorkloadPredictor
 from repro.core.scheduler import MountSpan, worker_busy_seconds
 from repro.db import Database
 from repro.db.errors import (
@@ -46,6 +47,7 @@ from repro.db.errors import (
 from repro.db.column import Column
 from repro.db.table import ColumnBatch
 from repro.db.types import DataType, format_timestamp, parse_timestamp
+from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
@@ -1163,36 +1165,52 @@ class TestServicePrefetch:
         assert read <= runs[False][2]
 
     def test_a_hint_keeps_what_a_session_prefetch_keeps(self, repo):
-        """One retention rule: on a tuple-granular cache a hint of a window
-        and a session prefetch of it leave the same entry behind."""
+        """One retention rule: on a tuple-granular cache a tenant's plan and
+        a session's plan of one predicted window leave the same entries
+        behind."""
         uri = repo.uris()[0]
         interval = self._window(2, 2)
+        nowhere = (
+            "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
+            "WHERE F.uri = 'nowhere'"
+        )
+
+        class Predicts(WorkloadPredictor):
+            def predict(self):
+                return PredictedWindow(interval=interval, kind="slide")
 
         def tuple_cache():
             return IngestionCache(
                 CachePolicy.UNBOUNDED, CacheGranularity.TUPLE
             )
 
+        def drained(scheduler):
+            pacer = threading.Event()
+            for _ in range(500):
+                stats = scheduler.stats
+                if 0 < stats.hints_registered == stats.hint_extractions:
+                    break
+                pacer.wait(0.01)
+            return scheduler.stats.hint_extractions
+
         executor = TwoStageExecutor(
             _fresh_db(repo), RepositoryBinding(repo), cache=tuple_cache()
         )
-        outcome = executor.mounts.prefetch_into_cache(
-            uri, "D", interval, MountContext()
-        )
-        assert outcome[0] == "stored"
-        service = _service(repo, cache=tuple_cache(), mount_workers=1)
-        mounts = service._executor.mounts
-        request = MountRequest(
-            interval=interval, records=mounts.record_map_provider(uri, "D")
+        session = ExplorationSession(executor, prefetch=True)
+        session.predictor = Predicts()
+        try:
+            session.run(nowhere)
+            hints = drained(session.scheduler)
+        finally:
+            session.close()
+        service = _service(
+            repo, cache=tuple_cache(), mount_workers=1, prefetch=True
         )
         with service:
-            assert service.scheduler.hint([("D", uri, request)]) == 1
-            pacer = threading.Event()
-            for _ in range(500):
-                if len(service.cache):
-                    break
-                pacer.wait(0.01)
-        assert len(service.cache) == len(executor.cache) == 1
+            service.register_tenant("default").predictor = Predicts()
+            service.execute(nowhere)
+            assert drained(service.scheduler) == hints > 0
+        assert len(service.cache) == len(executor.cache) == hints
         assert (
             service.cache.stats.current_bytes
             == executor.cache.stats.current_bytes
