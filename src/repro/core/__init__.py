@@ -54,7 +54,6 @@ from .mounting import (
 from .metastore import MetadataStore, MetastoreStats
 from .multistage import BatchSnapshot, MultiStageExecutor, MultiStageResult
 from .partial import PartialMerger, is_decomposable
-from .prefetch import PredictedWindow, WorkloadPredictor, speculative_tasks
 from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
 from .scheduler import (
     MountScheduler,
@@ -75,9 +74,6 @@ from .verify import verify_ali_rewrite, verify_decomposition
 
 __all__ = [
     "BreakpointInfo",
-    "PredictedWindow",
-    "WorkloadPredictor",
-    "speculative_tasks",
     "MetadataStore",
     "MetastoreStats",
     "CachePolicy",

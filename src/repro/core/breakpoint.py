@@ -27,7 +27,7 @@ class BreakpointInfo:
     rewrite: Optional[RewriteReport] = None
     answered_from_derived: bool = False
     # The query's fused actual-data time interval (None when unbounded or
-    # metadata-only): sizes the estimate, feeds the workload predictor.
+    # metadata-only): sizes the estimate.
     query_interval: Optional[tuple[int, int]] = None
 
     @property

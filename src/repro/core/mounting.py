@@ -83,7 +83,6 @@ from ..ingest.schema import ACTUAL_TABLE, TIME_COLUMN, RepositoryBinding
 from .cache import (
     INF,
     CacheGranularity,
-    CachePolicy,
     FileSignature,
     IngestionCache,
     Interval,
@@ -418,12 +417,6 @@ class MountService:
         """Register a side-effect of mounting (e.g. derived metadata, §5)."""
         self._callbacks.append(callback)
 
-    @property
-    def retains(self) -> bool:
-        """Whether the cache keeps anything a mount stores (DISCARD keeps
-        nothing: speculative extraction would be work thrown away)."""
-        return self.cache.policy is not CachePolicy.DISCARD
-
     def retain(
         self, uri: str, result: "ExtractResult", interval: Interval
     ) -> ColumnBatch:
@@ -590,11 +583,10 @@ class MountService:
         ``bytes_read=0``: no disk work happened, so neither the service
         total nor any consuming query's budget is charged for it.
 
-        The task serves every query waiting on the file — or none, for a
-        speculative hint — so it runs under no one's context: no governor
-        (each consumer's context charges its own, once per file it uses), no
-        breaker (each waiter's breaker judges the failure; a failed hint
-        scores nothing), and no query's token or retry budget.
+        The task serves every query waiting on the file, so it runs under
+        no one's context: no governor (each consumer's context charges its
+        own, once per file it uses), no breaker (each waiter's breaker
+        judges the failure), and no query's token or retry budget.
         """
         interval = WHOLE_FILE if request is None else request.interval
         # The file's signature is asked for (a HEAD, for a remote one) only
@@ -609,21 +601,6 @@ class MountService:
         # The lookup's observation of the file, when it made one, is what
         # the extraction presumes current: the sandwich only wider.
         return self._extract(uri, table_name, request, observed=signature)
-
-    def store_hint(
-        self,
-        key: "MountKey",
-        request: Optional[MountRequest],
-        result: "ExtractResult",
-    ) -> None:
-        """Retain one completed hint extraction, as a mount of the hinted
-        interval would (:meth:`retain`): a hint has no consumer to store
-        it. A result served *from* the cache (``bytes_read == 0``, no disk
-        time) has nothing new to store."""
-        if result.bytes_read == 0 and result.io_seconds == 0.0:
-            return
-        _table_name, uri = key
-        self.retain(uri, result, WHOLE_FILE if request is None else request.interval)
 
     @staticmethod
     def _score(

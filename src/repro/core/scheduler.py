@@ -68,13 +68,6 @@ priority eventually exceeds any fixed popularity — a lone low-overlap query
 waits at most ``aging_seconds × (bias × max_waiters)`` behind the crowd,
 never forever.
 
-Speculation sits below both. A *hint* (:meth:`MountScheduler.hint`) is a
-waiter-less task a worker runs only when no real task is eligible; a
-*deferred plan* (:meth:`MountScheduler.defer`) — predictive prefetch's
-planner — runs only when no task at all is eligible, and registers the
-hints it returns. A real query registering a hinted file joins the hint's
-task like any pending one.
-
 Task states
 -----------
 ``pending → running → done | failed``. A task is *pending* from first
@@ -108,7 +101,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence
 
@@ -125,9 +117,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (runtime import cycle)
 # "mount the whole file"; a request narrows extraction to the records
 # overlapping its interval (selective mounting).
 ExtractFn = Callable[[str, str, Optional[MountRequest]], "ExtractResult"]
-# A deferred plan: called on an idle worker, it returns the hint specs to
-# register (see MountScheduler.defer).
-Plan = Callable[[], Sequence]
 
 MountKey = tuple[str, str]  # (table_name, uri)
 
@@ -297,8 +286,6 @@ class SchedulerStats:
     starved_grants: int = 0
     bytes_shared: int = 0
     max_wait_seconds: float = 0.0
-    hints_registered: int = 0  # speculative prefetch tasks accepted
-    hint_extractions: int = 0  # hint tasks extracted and handed to the store
 
 
 @dataclass
@@ -311,10 +298,6 @@ class _FileTask:
     enqueued_at: float  # injected-clock time: priority aging, batch window
     state: str = TASK_PENDING
     waiters: dict[int, float] = field(default_factory=dict)  # client → t
-    # Speculative prefetch task: no waiters of its own, runs only when no
-    # real task pends, survives waiter-less reaping while pending. A real
-    # query registering on the key joins it like any pending task.
-    hint: bool = False
     # Claimed and not yet retired: counts against the backpressure bound.
     claimed: bool = False
     worker: int = 0  # index of the worker that ran it
@@ -345,19 +328,12 @@ class MountScheduler:
         policy: Optional[SchedulerPolicy] = None,
         workers: int = 2,
         clock: Callable[[], float] = time.monotonic,
-        on_hint_result: Optional[
-            Callable[[MountKey, Optional[MountRequest], "ExtractResult"], None]
-        ] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self._extract = extract
         self.policy = policy or SchedulerPolicy()
         self.workers = workers
-        # Called (outside the lock) with each completed hint task's key,
-        # request and result — the service stores it into the shared cache.
-        # unguarded-ok: set at construction, read-only afterwards.
-        self._on_hint_result = on_hint_result
         self._clock = clock
         self._lock = _sync.create_lock("MountScheduler._lock")
         # The wakeup condition *shares* _lock: waiters and mutators
@@ -367,7 +343,6 @@ class MountScheduler:
             "MountScheduler._wakeup", self._lock
         )
         self._tasks: dict[MountKey, _FileTask] = {}  # guarded-by: _lock
-        self._plans: deque[Plan] = deque()  # guarded-by: _lock
         self._seq = itertools.count()  # guarded-by: _lock
         # unguarded-ok: itertools.count.__next__ is atomic in CPython; the
         # id handed out only needs uniqueness, not ordering.
@@ -546,53 +521,6 @@ class MountScheduler:
             self._wakeup.notify_all()
         return joined
 
-    def hint(self, tasks: Sequence) -> int:
-        """Register speculative prefetch tasks; returns how many were accepted.
-
-        Hints are the predictive-prefetch entry point: waiter-less tasks a
-        worker extracts only when no *real* (waiter-having) task is pending,
-        so speculation can never delay a query. Keys with a live task are
-        skipped (the real task already covers them); a completed hint's
-        result is handed to ``on_hint_result`` for cache storage. Task specs
-        are the same ``(table_name, uri, request?)`` tuples ``register``
-        takes.
-        """
-        accepted = 0
-        now = self._clock()
-        with self._wakeup:
-            if self._stop:
-                return 0
-            for spec in tasks:
-                key: MountKey = (spec[0], spec[1])
-                if key in self._tasks:
-                    continue
-                request = spec[2] if len(spec) > 2 else None
-                self._tasks[key] = _FileTask(
-                    key, request, next(self._seq), now, hint=True
-                )
-                self.stats.tasks_created += 1
-                self.stats.hints_registered += 1
-                accepted += 1
-            if accepted:
-                self._wakeup.notify_all()
-        return accepted
-
-    def defer(self, plan: Plan) -> None:
-        """Queue ``plan`` below every task: a worker with no task to run
-        calls it and registers what it returns through :meth:`hint`.
-
-        Speculation's own planning thus stays off the query's thread. A
-        plan already queued is not queued again — it reads its predictor
-        when it runs, so one run serves every deferral before it. A plan
-        that raises is dropped and the worker lives on; on a closed
-        scheduler, as for :meth:`hint`, nothing is queued.
-        """
-        with self._wakeup:
-            if self._stop or plan in self._plans:
-                return
-            self._plans.append(plan)
-            self._wakeup.notify_all()
-
     def withdraw(self, client_id: int, tasks: Sequence[_FileTask]) -> int:
         """Drop a client's remaining interest (query done or cancelled, or a
         branch released); returns how many extractions that avoided.
@@ -606,7 +534,7 @@ class MountScheduler:
             for task in tasks:
                 if task.waiters.pop(client_id, None) is not None:
                     self.stats.withdrawn += 1
-                if task.state == TASK_PENDING and not (task.waiters or task.hint):
+                if task.state == TASK_PENDING and not task.waiters:
                     avoided += 1
                 self._reap_locked(task)
         return avoided
@@ -713,19 +641,8 @@ class MountScheduler:
         idle_wait = _IDLE_WAIT_SECONDS
         best: Optional[_FileTask] = None
         best_rank: tuple[float, float] = (0.0, 0.0)
-        best_hint: Optional[_FileTask] = None
         for task in self._tasks.values():
             if task.state != TASK_PENDING:
-                continue
-            if not task.waiters:
-                # Waiter-less pending tasks are speculative hints (an
-                # abandoned real task would have been reaped): lowest
-                # priority class, oldest first, no batch window — nobody is
-                # waiting, so there is nothing to hull-merge with.
-                if task.hint and (
-                    best_hint is None or task.seq < best_hint.seq
-                ):
-                    best_hint = task
                 continue
             window_left = self._window_left_locked(task, now, crowd)
             if window_left > 0:
@@ -734,7 +651,7 @@ class MountScheduler:
             rank = (self._priority(task, now), -task.seq)
             if best is None or rank > best_rank:
                 best, best_rank = task, rank
-        return (best if best is not None else best_hint), idle_wait
+        return best, idle_wait
 
     def _claim_locked(self, task: _FileTask, worker: int) -> None:
         task.state = TASK_RUNNING
@@ -754,27 +671,17 @@ class MountScheduler:
         """
         while True:
             with self._wakeup:
-                task = plan = None
-                while not self._stop:
+                while True:
+                    if self._stop:
+                        return
                     idle_wait = _IDLE_WAIT_SECONDS
                     if self._claimed < 2 * self.workers:
                         task, idle_wait = self._pick_locked()
                         if task is not None:
                             self._claim_locked(task, index)
                             break
-                        if self._plans:
-                            plan = self._plans.popleft()
-                            break
                     self._wakeup.wait(idle_wait)
-                if self._stop:
-                    return
-            if task is not None:
-                self._run_task(task)
-                continue
-            try:
-                self.hint(plan())
-            except Exception:  # noqa: BLE001 - speculative: a failed plan is dropped
-                pass
+            self._run_task(task)
 
     def _run_task(self, task: _FileTask) -> None:
         """Extract one claimed task and publish the outcome to all waiters."""
@@ -801,18 +708,6 @@ class MountScheduler:
             self._reap_locked(task)
             self._wakeup.notify_all()
         task.event.set()
-        if not task.hint:
-            return
-        if self._on_hint_result is not None:
-            # Outside the lock: the callback stores into the cache (which
-            # locks itself). A failing store only loses the speculative
-            # benefit — it must never take down a worker.
-            try:
-                self._on_hint_result(task.key, task.request, result)
-            except Exception:  # noqa: BLE001 - speculative, best-effort
-                pass
-        with self._lock:
-            self.stats.hint_extractions += 1
 
     def _grant(
         self, client_id: int, task: _FileTask
@@ -845,8 +740,6 @@ class MountScheduler:
         and retire its backpressure claim."""
         if task.waiters or task.state == TASK_RUNNING:
             return
-        if task.hint and task.state == TASK_PENDING:
-            return  # hints are waiter-less by design; keep until run
         if self._tasks.get(task.key) is task:
             del self._tasks[task.key]
         if task.claimed:

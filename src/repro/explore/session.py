@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from ..db.database import Database, QueryResult
 from ..db.types import format_timestamp, parse_timestamp
-from ..core.executor import TwoStageExecutor, TwoStageResult
-from ..core.prefetch import WorkloadPredictor, speculative_tasks
-from ..core.scheduler import MountScheduler
+from ..core.executor import TwoStageResult
 from .workload import make_query1, make_query2
 
 
@@ -58,8 +56,8 @@ class ExplorationSession:
     """A stateful explorer session over any execution engine.
 
     ``engine`` is a plain :class:`Database` (the Ei world: everything loaded
-    up-front), a :class:`TwoStageExecutor` (the ALi world), or any other
-    :class:`QueryEngine` — e.g. a
+    up-front), a :class:`~repro.core.executor.TwoStageExecutor` (the ALi
+    world), or any other :class:`QueryEngine` — e.g. a
     :class:`~repro.serve.service.TenantClient`, which runs the session's
     queries through a shared multi-tenant service. The session API is
     identical — the paper's point that the querying front-end does not
@@ -71,39 +69,11 @@ class ExplorationSession:
     engine: QueryEngine
     setup_seconds: float = 0.0  # ingestion time before the session began
     history: list[SessionEntry] = field(default_factory=list)
-    # Predictive prefetch (two-stage engine only): after each query, a
-    # scheduler worker of the session's own extrapolates the next window
-    # from the session's interval history and warms the ingestion cache.
-    prefetch: bool = False
-
-    def __post_init__(self) -> None:
-        self.predictor = WorkloadPredictor()
-        # The session's hints wait on a one-worker scheduler of its own,
-        # started at the first deferred plan and closed by close(); none
-        # when prefetch is off or the cache would keep nothing.
-        self.scheduler: Optional[MountScheduler] = None
-        if self.prefetch:
-            if not isinstance(self.engine, TwoStageExecutor):
-                raise ValueError(
-                    "prefetch applies only to a TwoStageExecutor engine"
-                )
-            mounts = self.engine.mounts
-            if mounts.retains:
-                self.scheduler = MountScheduler(
-                    mounts.extract_shared,
-                    workers=1,
-                    on_hint_result=mounts.store_hint,
-                )
 
     def close(self) -> None:
-        """Stop and join the prefetch worker, if one is running; later
-        queries prefetch nothing."""
-        scheduler, self.scheduler = self.scheduler, None
-        if scheduler is not None:
-            scheduler.close()
-
-    def _speculate(self) -> list:
-        return speculative_tasks(self.engine, self.predictor, self.engine.breaker)
+        """Nothing to release: a session owns no thread or resource of its
+        own (its engine is the caller's). Kept so callers that close every
+        session they open need no special case."""
 
     def run(self, sql: str, note: str = "") -> QueryResult:
         started = time.perf_counter()
@@ -133,12 +103,6 @@ class ExplorationSession:
                 note=note,
             )
         )
-        if self.scheduler is not None:
-            # Record this query's fused time window; the deferred plan
-            # predicts from it while the explorer reads the answer.
-            self.predictor.observe(outcome.breakpoint.query_interval)
-            self.scheduler.start()
-            self.scheduler.defer(self._speculate)
         return result
 
     # -- explorer verbs ----------------------------------------------------------

@@ -45,11 +45,9 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .. import _sync
-from ..core.prefetch import WorkloadPredictor, speculative_tasks
 from ..core.cache import CachePolicy, CacheStats, IngestionCache
 from ..core.executor import TwoStageExecutor, TwoStageResult
 from ..core.governor import (
@@ -120,12 +118,6 @@ class TenantState:
     shed: int = 0
     bytes_charged: int = 0
     records_charged: int = 0
-    # Per-tenant workload predictor (locks itself): each tenant's query
-    # stream has its own sliding/zooming shape; mixing tenants' windows
-    # would predict nobody's next query. `plan` is the tenant's deferred
-    # planner, one object so that the scheduler queues it once.
-    predictor: WorkloadPredictor = field(default_factory=WorkloadPredictor)
-    plan: Optional[Callable[[], list]] = None
 
 
 @dataclass(frozen=True)
@@ -211,7 +203,6 @@ class QueryService:
         mount_workers: int = 2,
         max_concurrent_queries: int = 8,
         selective_mounts: bool = True,
-        prefetch: bool = False,
     ) -> None:
         if max_concurrent_queries < 1:
             raise ValueError("max_concurrent_queries must be >= 1")
@@ -237,16 +228,10 @@ class QueryService:
             cache=self.cache,
             selective_mounts=selective_mounts,
         )
-        # Predictive prefetch: after each completed query, the tenant's
-        # plan is deferred to the scheduler; an idle worker runs it and
-        # registers its *hints* — waiter-less tasks run only when no real
-        # query is waiting, whose results the mount service retains.
-        self.prefetch = prefetch
         self.scheduler = MountScheduler(
             self._shared_extract,
             policy=scheduler_policy,
             workers=mount_workers,
-            on_hint_result=self._executor.mounts.store_hint,
         )
         self._lock = _sync.create_lock("QueryService._lock")
         self._tenants: dict[str, TenantState] = {}  # guarded-by: _lock
@@ -291,7 +276,6 @@ class QueryService:
                 state = TenantState(
                     name=name, policy=policy or self.default_policy
                 )
-                state.plan = partial(self._speculate, state)
                 self._tenants[name] = state
             return state
 
@@ -389,11 +373,6 @@ class QueryService:
             with self._lock:
                 state.completed += 1
                 self._completed += 1
-            if self.prefetch:
-                # After the answer is already delivered-able. Purely
-                # additive: a wrong prediction costs idle-worker bytes,
-                # never answers.
-                self._prefetch_for(state, result)
             return result
         finally:
             with self._lock:
@@ -433,21 +412,6 @@ class QueryService:
             token=governor.token, trace=context.trace
         )
         return context
-
-    # -- predictive prefetch ---------------------------------------------------
-
-    def _prefetch_for(self, state: TenantState, result: TwoStageResult) -> None:
-        """Record the tenant's window and defer its plan to the shared
-        scheduler, whose idle worker predicts the next window and hints the
-        files it overlaps (:func:`~repro.core.prefetch.speculative_tasks`).
-        A cache that would keep nothing the hints extract gets none."""
-        if not self._executor.mounts.retains:
-            return
-        state.predictor.observe(result.breakpoint.query_interval)
-        self.scheduler.defer(state.plan)
-
-    def _speculate(self, state: TenantState) -> list:
-        return speculative_tasks(self._executor, state.predictor, state.breaker)
 
     # -- shared extraction ---------------------------------------------------
 

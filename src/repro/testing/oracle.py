@@ -53,7 +53,6 @@ from ..core.scheduler import WORKER_THREAD_PREFIX
 from ..db import ColumnDef, Database, DataType, TableSchema
 from ..db.errors import ExecutionError, FileIngestError, QueryInterruptedError
 from ..db.types import parse_timestamp
-from ..explore.session import ExplorationSession
 from ..ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
 from ..ingest.schema import ACTUAL_TABLE, RECORD_TABLE, ensure_schema
 from ..mseed import FileRepository
@@ -113,8 +112,7 @@ class ConfigPoint:
     concurrently; ``mount_workers`` is then the scheduler's worker count, and
     ``strategy`` / ``top_n`` keep the service executor's defaults.
     ``verify_plans`` forces plan verification on (off leaves the
-    ``REPRO_VERIFY_PLANS`` default). ``prefetch`` is the one speculative
-    feature: a prefetching session's standalone, the service's served.
+    ``REPRO_VERIFY_PLANS`` default).
     """
 
     strategy: str = BULK
@@ -127,7 +125,6 @@ class ConfigPoint:
     tenants: int = 0
     on_mount_error: str = FAIL_FAST
     verify_plans: bool = False
-    prefetch: bool = False
 
 
 @dataclass(frozen=True)
@@ -450,8 +447,7 @@ class Engine:
     ``root``: its repository (local, remote or federated, behind
     :data:`ENDPOINT`), its metadata session (with the metastore the point
     asks for; ``setup`` faults that session's start), and a standalone
-    executor (run through a prefetching exploration session when the point
-    prefetches) or a started query service."""
+    executor or a started query service."""
 
     def __init__(
         self, point: ConfigPoint, root: Path, scratch: Path,
@@ -461,7 +457,7 @@ class Engine:
         self.stores: list[SimulatedObjectStore] = []
         self.remotes: list[RemoteRepository] = []
         self.repository = self._repository(scratch / "staging")
-        self.metastore, self.service, self.session = None, None, None
+        self.metastore, self.service = None, None
         if point.metastore != "none":
             sidecar = scratch / "metastore.json"
             if point.metastore != "cold":  # harvested by an earlier session
@@ -498,7 +494,7 @@ class Engine:
                 self.repository, db=self.db, mount_workers=point.mount_workers,
                 default_policy=TenantPolicy(on_mount_error=point.on_mount_error),
                 scheduler_policy=SchedulerPolicy(batch_window_seconds=0.005),
-                prefetch=point.prefetch, **settings,
+                **settings,
             ).start()
             self.executor = self.service._executor
         else:
@@ -508,17 +504,6 @@ class Engine:
                 on_mount_error=point.on_mount_error,
                 top_n_pushdown=point.top_n, **settings,
             )
-            if point.prefetch:
-                # The session reduces an outcome to its result: keep the
-                # outcome its `execute` returned, for the verdict.
-                execute = self.executor.execute
-
-                def kept(sql: str) -> Any:
-                    self.outcome = execute(sql)
-                    return self.outcome
-
-                self.executor.execute = kept  # type: ignore[method-assign]
-                self.session = ExplorationSession(self.executor, prefetch=True)
         # Every Top-N execution arms a monitor; an unsafe one means a re-run.
         self.monitors: list = []
         arm = self.executor._top_n_termination
@@ -558,7 +543,7 @@ class Engine:
         Returns (outcome, cancelled) pairs, an outcome being the result or
         the exception raised, and whether that query's token fired."""
         if self.service is None:
-            return [(_outcome(self._standalone, sql), False)]
+            return [(_outcome(self.executor.execute, sql), False)]
         token = CancellationToken()
         plan.cancel_next = token if cancel else None
         futures = [
@@ -571,19 +556,9 @@ class Engine:
         plan.cancel_next = None
         return [(o, t == 1 and token.fired) for t, o in enumerate(outcomes)]
 
-    def _standalone(self, sql: str) -> Any:
-        if self.session is None:
-            return self.executor.execute(sql)
-        self.session.run(sql)
-        return self.outcome
-
     def counters(self) -> dict[str, int]:
         """The existing counters that say which rare paths a run reached."""
         metastore = self.metastore.stats if self.metastore else None
-        scheduler = (
-            self.service.scheduler if self.service
-            else self.session and self.session.scheduler
-        )
         return {
             "stale-signature remount": self.executor.mounts.stats.stale_remounts,
             "cache fallback": self.executor.mounts.stats.fallback_mounts,
@@ -596,7 +571,6 @@ class Engine:
             ),
             "Top-N unsafe re-run": sum(not m.safe() for m in self.monitors),
             "sidecar reset": metastore.corrupt_loads if metastore else 0,
-            "hints": scheduler.stats.hints_registered if scheduler else 0,
         }
 
     def assert_nothing_left_behind(self) -> None:
@@ -613,14 +587,11 @@ class Engine:
             "the cache outgrew its capacity",
         )
         if self.service is None:
-            # An open prefetching session keeps its one worker; a query's
-            # scheduler, when it has threads at all, has two or more.
-            session = self.session is not None and self.session.scheduler
-            check(sum(
+            check(not any(
                 t.name.startswith(WORKER_THREAD_PREFIX)
                 for t in threading.enumerate()
-            ) <= bool(session), "a mount scheduler outlived its query")
-        elif not self.point.prefetch:
+            ), "a mount scheduler outlived its query")
+        else:
             check(
                 self.service.scheduler.pending_tasks() == 0,
                 "the scheduler kept an orphaned task",
@@ -629,8 +600,6 @@ class Engine:
     def close(self) -> None:
         if self.service is not None:
             self.service.close()
-        if self.session is not None:
-            self.session.close()
 
 
 def _outcome(call: Callable, *args: Any) -> Any:
@@ -742,11 +711,16 @@ def run(
                     outage = (engine.remote_names | {ENDPOINT}) - faulted
                     faulted |= outage
                     back_at = index + max(1, target)
-                if engine.counters()["hints"] > before["hints"]:
-                    reached.append("prefetch round overlaps the next query")
                 before = engine.counters()
                 cancel = action == "cancel"
-                for outcome, cancelled in engine.run(sql, plan, cancel):
+                outcomes = engine.run(sql, plan, cancel)
+                if index == back_at and engine.counters()["open breakers"]:
+                    # The half-open probe met a seeded fault, and a failed
+                    # probe re-opens the circuit: the outage lasts a query
+                    # longer.
+                    faulted |= outage
+                    back_at = index + 1
+                for outcome, cancelled in outcomes:
                     clause = verdict(
                         outcome,
                         lambda failed: reference.answer(sql, failed | deleted),
@@ -782,7 +756,7 @@ def run(
                     reached.append("breaker half-open probe")
     finally:
         engine.close()
-    engine.assert_nothing_left_behind()  # and no session worker outlives it
+    engine.assert_nothing_left_behind()
     return reached
 
 

@@ -1,12 +1,9 @@
 """Tests for the exploration layer: detection, workloads, sessions."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.core import TwoStageExecutor
-from repro.core.cache import CacheGranularity, CachePolicy, IngestionCache
 from repro.db.sql.parser import parse_sql
 from repro.explore import (
     ExplorationSession,
@@ -177,38 +174,3 @@ class TestSession:
         assert ei_session.average(*args) == pytest.approx(
             ali_session.average(*args)
         )
-
-    def test_prefetching_session_answers_alike(self, ali_db, tiny_repo):
-        """A sliding walk feeds the predictor; what it warms never changes
-        an answer, and the window it predicted is answered from the cache."""
-        executor = TwoStageExecutor(
-            ali_db,
-            RepositoryBinding(tiny_repo),
-            cache=IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
-        )
-        session = ExplorationSession(executor, prefetch=True)
-        plain = ExplorationSession(TwoStageExecutor(
-            ali_db, RepositoryBinding(tiny_repo)
-        ))
-        try:
-            for hour in ("10", "11", "12"):
-                args = (
-                    "ISK", "BHE", "2010-01-10",
-                    f"2010-01-10T{hour}:00:00", f"2010-01-10T{hour}:30:00",
-                )
-                assert session.average(*args) == plain.average(*args)
-                if hour == "11":
-                    # The first plan that saw two windows hints the third.
-                    stats = session.scheduler.stats
-                    pacer = threading.Event()
-                    for _ in range(500):
-                        if 0 < stats.hints_registered == stats.hint_extractions:
-                            break
-                        pacer.wait(0.01)
-            assert session.history[-1].cache_scans > 0
-        finally:
-            session.close()
-
-    def test_prefetch_needs_a_two_stage_engine(self, ei_db):
-        with pytest.raises(ValueError, match="TwoStageExecutor"):
-            ExplorationSession(ei_db, prefetch=True)

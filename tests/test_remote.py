@@ -30,7 +30,6 @@ from repro.core.governor import (
     QueryGovernor,
 )
 from repro.core.metastore import MetadataStore
-from repro.core.prefetch import PredictedWindow, WorkloadPredictor
 from repro.core.mounting import MountContext, MountService
 from repro.core.recordmap import RecordMapIndex
 from repro.db import Database
@@ -46,7 +45,6 @@ from repro.db.errors import (
 )
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
-from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding, XSeedExtractor, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest, default_registry
 from repro.mseed import (
@@ -1504,40 +1502,6 @@ class TestTheGetIsTheObservation:
         assert stats.ranged_gets == 0
         assert stats.bytes_served == cold.path.stat().st_size
         assert cold.mounts.stats.bytes_read == cold.path.stat().st_size
-
-    def test_prefetch_is_its_one_get_too(self, tmp_path):
-        """A prefetching session's hint of the wanted window, planned after
-        a query that touches no file, crosses the link once."""
-        cold = _ColdMount(tmp_path)
-        executor = TwoStageExecutor(
-            cold.db,
-            RepositoryBinding(cold.repo),
-            cache=IngestionCache(CachePolicy.UNBOUNDED),
-        )
-
-        class Predicts(WorkloadPredictor):
-            def predict(self):
-                return PredictedWindow(interval=cold.interval, kind="slide")
-
-        session = ExplorationSession(executor, prefetch=True)
-        session.predictor = Predicts()
-        try:
-            session.run(
-                "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
-                "WHERE F.uri = 'nowhere'"
-            )
-            stats = session.scheduler.stats
-            pacer = threading.Event()
-            for _ in range(500):
-                if stats.hint_extractions:
-                    break
-                pacer.wait(0.01)
-        finally:
-            session.close()
-        assert (stats.hints_registered, stats.hint_extractions) == (1, 1)
-        assert executor.mounts.stats.bytes_read == cold.wanted_bytes()
-        assert len(executor.cache) == 1
-        assert cold.requests() == (0, 1)
 
     def test_the_extraction_reports_the_version_its_bytes_came_from(
         self, tmp_path

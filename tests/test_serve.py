@@ -30,10 +30,9 @@ import threading
 import pytest
 
 from repro.core import IngestionCache, TwoStageExecutor
-from repro.core.cache import CacheGranularity, CachePolicy
+from repro.core.cache import CachePolicy
 from repro.core.governor import CancellationToken, CircuitBreaker, QueryBudget
 from repro.core.mounting import ExtractResult
-from repro.core.prefetch import PredictedWindow, WorkloadPredictor
 from repro.core.scheduler import MountSpan, worker_busy_seconds
 from repro.db import Database
 from repro.db.errors import (
@@ -46,7 +45,7 @@ from repro.db.errors import (
 )
 from repro.db.column import Column
 from repro.db.table import ColumnBatch
-from repro.db.types import DataType, format_timestamp, parse_timestamp
+from repro.db.types import DataType
 from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.ingest.formats import MountRequest
@@ -1001,224 +1000,6 @@ class TestCacheOwnership:
         assert cache.stats.insertions == 1
         assert cache.stats.duplicate_stores == threads - 1
         assert cache.stats.current_bytes == batch.nbytes()
-
-
-class TestSchedulerHints:
-    """Speculative prefetch tasks: run only when idle, never delay a real
-    query, and their results land in the shared cache via the callback."""
-
-    def _scheduler(self, extract, clock=None, workers=0, on_hint_result=None):
-        return MountScheduler(
-            extract,
-            policy=SchedulerPolicy(
-                throughput_bias=1.0,
-                aging_seconds=0.25,
-                batch_window_seconds=0.0,
-            ),
-            workers=workers,
-            clock=clock or FakeClock(),
-            on_hint_result=on_hint_result,
-        )
-
-    def test_hint_runs_only_when_no_real_task_pends(self):
-        sched = self._scheduler(lambda *a: _result())
-        assert sched.hint([("d", "spec.xseed", None)]) == 1
-        assert sched.stats.hints_registered == 1
-        assert sched.peek_next() == ("d", "spec.xseed")
-        # A real query arrives: it outranks the older hint outright.
-        sched.register(1, [("d", "real.xseed", None)])
-        assert sched.peek_next() == ("d", "real.xseed")
-
-    def test_hint_on_live_key_is_skipped(self):
-        sched = self._scheduler(lambda *a: _result())
-        sched.register(1, [("d", "busy.xseed", None)])
-        assert sched.hint([("d", "busy.xseed", None)]) == 0
-        assert sched.stats.hints_registered == 0
-        # And a second hint on an already-hinted key is also one task only.
-        assert sched.hint([("d", "spec.xseed", None)]) == 1
-        assert sched.hint([("d", "spec.xseed", None)]) == 0
-
-    def test_real_client_joins_pending_hint(self):
-        """A query landing on a hinted key rides the same task — no second
-        extraction, normal take() semantics."""
-        calls = []
-
-        def extract(uri, table, request):
-            calls.append(uri)
-            return _result()
-
-        sched = self._scheduler(extract)
-        sched.hint([("d", "shared.xseed", None)])
-        joined = sched.register(7, [("d", "shared.xseed", None)])
-        task = joined[("d", "shared.xseed")]
-        result, _, _ = sched.take(7, task)
-        assert result.batch.num_rows == 1
-        assert calls == ["shared.xseed"]
-        assert sched.peek_next() is None
-
-    def test_pending_hint_survives_waiter_reaping(self):
-        """Withdrawing the joining client must not reap the still-pending
-        hint — speculation keeps its slot until a worker runs it."""
-        sched = self._scheduler(lambda *a: _result())
-        sched.hint([("d", "spec.xseed", None)])
-        joined = sched.register(1, [("d", "spec.xseed", None)])
-        sched.withdraw(1, list(joined.values()))
-        assert sched.peek_next() == ("d", "spec.xseed")
-        assert sched.pending_tasks() == 1
-
-    def test_worker_runs_hint_and_stores_via_callback(self):
-        stored = []
-
-        def on_hint_result(key, request, result):
-            stored.append((key, request, result.bytes_read))
-
-        sched = self._scheduler(
-            lambda *a: _result(),
-            workers=1,
-            on_hint_result=on_hint_result,
-        )
-        try:
-            sched.start()
-            assert sched.hint([("d", "spec.xseed", None)]) == 1
-            pacer = threading.Event()
-            for _ in range(500):
-                if sched.stats.hint_extractions == 1:
-                    break
-                pacer.wait(0.01)
-            assert sched.stats.hint_extractions == 1
-            assert stored == [(("d", "spec.xseed"), None, 100)]
-        finally:
-            sched.close()
-
-    def test_hint_callback_failure_is_absorbed(self):
-        def exploding(key, request, result):
-            raise RuntimeError("cache said no")
-
-        sched = self._scheduler(
-            lambda *a: _result(), workers=1, on_hint_result=exploding
-        )
-        try:
-            sched.start()
-            sched.hint([("d", "spec.xseed", None)])
-            pacer = threading.Event()
-            for _ in range(500):
-                if sched.stats.hint_extractions == 1:
-                    break
-                pacer.wait(0.01)
-            assert sched.stats.hint_extractions == 1
-            # The scheduler still serves real work after the bad callback.
-            joined = sched.register(1, [("d", "real.xseed", None)])
-            result, _, _ = sched.take(1, joined[("d", "real.xseed")])
-            assert result.batch.num_rows == 1
-        finally:
-            sched.close()
-
-    def test_hint_after_close_is_refused(self):
-        sched = self._scheduler(lambda *a: _result())
-        sched.close()
-        assert sched.hint([("d", "spec.xseed", None)]) == 0
-
-
-class TestServicePrefetch:
-    def test_answers_identical_with_prefetch_on(self, reference, tmp_path):
-        """Prefetch is a performance lever only: answers stay Ei's with
-        speculative mounts in flight."""
-        workload = build_workload(SPEC, clients=4, queries_per_client=3)
-        point = ConfigPoint(tenants=4, prefetch=True, mount_workers=2)
-        reached = run(reference, workload[0], tmp_path, point)
-        assert verdicts(reached) == ["rows"] * 12
-
-    _HOUR = 3_600 * 1_000_000
-
-    def _window(self, first_hour: int, hours: int) -> tuple[int, int]:
-        start = parse_timestamp(SPEC.start_day) + first_hour * self._HOUR
-        return start, start + hours * self._HOUR - 1
-
-    def test_a_discarding_cache_gets_no_hints(self, repo):
-        """DISCARD keeps nothing a hint would extract: a sliding walk with
-        prefetch on registers no hint and reads no more than with it off."""
-        walk = [
-            "SELECT AVG(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
-            "WHERE F.station = 'ISK' AND F.channel = 'BHE' "
-            f"AND D.sample_time >= '{format_timestamp(lo)}' "
-            f"AND D.sample_time <= '{format_timestamp(hi)}'"
-            for lo, hi in (self._window(hour, 2) for hour in (2, 4, 6))
-        ]
-        runs = {}
-        for prefetch in (False, True):
-            service = _service(
-                repo,
-                cache=IngestionCache(CachePolicy.DISCARD),
-                mount_workers=1,
-                prefetch=prefetch,
-            )
-            with service:
-                answers = [service.execute(sql).rows for sql in walk]
-            runs[prefetch] = (
-                answers,
-                service.scheduler.stats.hints_registered,
-                service.total_mount_bytes,
-            )
-        answers, hints, read = runs[True]
-        assert answers == runs[False][0]
-        assert hints == 0
-        assert read <= runs[False][2]
-
-    def test_a_hint_keeps_what_a_session_prefetch_keeps(self, repo):
-        """One retention rule: on a tuple-granular cache a tenant's plan and
-        a session's plan of one predicted window leave the same entries
-        behind."""
-        uri = repo.uris()[0]
-        interval = self._window(2, 2)
-        nowhere = (
-            "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri "
-            "WHERE F.uri = 'nowhere'"
-        )
-
-        class Predicts(WorkloadPredictor):
-            def predict(self):
-                return PredictedWindow(interval=interval, kind="slide")
-
-        def tuple_cache():
-            return IngestionCache(
-                CachePolicy.UNBOUNDED, CacheGranularity.TUPLE
-            )
-
-        def drained(scheduler):
-            pacer = threading.Event()
-            for _ in range(500):
-                stats = scheduler.stats
-                if 0 < stats.hints_registered == stats.hint_extractions:
-                    break
-                pacer.wait(0.01)
-            return scheduler.stats.hint_extractions
-
-        executor = TwoStageExecutor(
-            _fresh_db(repo), RepositoryBinding(repo), cache=tuple_cache()
-        )
-        session = ExplorationSession(executor, prefetch=True)
-        session.predictor = Predicts()
-        try:
-            session.run(nowhere)
-            hints = drained(session.scheduler)
-        finally:
-            session.close()
-        service = _service(
-            repo, cache=tuple_cache(), mount_workers=1, prefetch=True
-        )
-        with service:
-            service.register_tenant("default").predictor = Predicts()
-            service.execute(nowhere)
-            assert drained(service.scheduler) == hints > 0
-        assert len(service.cache) == len(executor.cache) == hints
-        assert (
-            service.cache.stats.current_bytes
-            == executor.cache.stats.current_bytes
-        )
-        assert (
-            service.cache.lookup(uri, interval).rows()
-            == executor.cache.lookup(uri, interval).rows()
-        )
 
 
 @pytest.mark.parametrize("make, refusal", [

@@ -59,7 +59,6 @@ def test_service_parameters():
         "mount_workers",
         "max_concurrent_queries",
         "selective_mounts",
-        "prefetch",
     ]
 
 
@@ -68,7 +67,6 @@ def test_session_fields():
         "engine",
         "setup_seconds",
         "history",
-        "prefetch",
     ]
 
 
