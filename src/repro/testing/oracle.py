@@ -51,7 +51,9 @@ from ..core.governor import CancellationToken, CircuitBreaker
 from ..core.metastore import MetadataStore
 from ..core.scheduler import WORKER_THREAD_PREFIX
 from ..db import ColumnDef, Database, DataType, TableSchema
-from ..db.errors import ExecutionError, FileIngestError, QueryInterruptedError
+from ..db.errors import (
+    CircuitOpenError, ExecutionError, FileIngestError, QueryInterruptedError,
+)
 from ..db.types import parse_timestamp
 from ..ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
 from ..ingest.schema import ACTUAL_TABLE, RECORD_TABLE, ensure_schema
@@ -557,7 +559,8 @@ class Engine:
         return [(o, t == 1 and token.fired) for t, o in enumerate(outcomes)]
 
     def counters(self) -> dict[str, int]:
-        """The existing counters that say which rare paths a run reached."""
+        """The existing counters that say which rare paths a run reached
+        and what the endpoint was asked."""
         metastore = self.metastore.stats if self.metastore else None
         return {
             "stale-signature remount": self.executor.mounts.stats.stale_remounts,
@@ -566,6 +569,10 @@ class Engine:
                 s.stats.precondition_failed for s in self.stores
             ),
             "torn GET": sum(s.stats.torn for s in self.stores),
+            "requests": sum(r.transport.stats.requests for r in self.remotes),
+            "failed requests": sum(
+                r.transport.stats.failures for r in self.remotes
+            ),
             "open breakers": sum(
                 len(r.transport.breaker.open_uris()) for r in self.remotes
             ),
@@ -641,6 +648,30 @@ _COUNTED = (
 )
 
 
+def _refused(outcome: Any) -> bool:
+    """Whether the endpoint's open circuit refused ``outcome``'s query: it
+    raised the refusal, or skipped a file for it."""
+    if isinstance(outcome, CircuitOpenError):
+        return outcome.endpoint == ENDPOINT
+    return not isinstance(outcome, BaseException) and any(
+        f.error == CircuitOpenError.__name__ and f.endpoint == ENDPOINT
+        for f in outcome.mount_failures.failures
+    )
+
+
+def _probe_failed(
+    engine: Engine, fired: Sequence[Any], before: dict, outcomes: list
+) -> bool:
+    """Whether a seeded fault failed the probe a query sent: one of the
+    faults ``fired`` during the query hit a remote object, a request
+    failed, and the circuit that failure re-opened refused the query."""
+    return (
+        any(name_of(f.uri) in engine.remote_names for f in fired)
+        and engine.counters()["failed requests"] > before["failed requests"]
+        and any(_refused(outcome) for outcome, _ in outcomes)
+    )
+
+
 def _event(script: FaultScript, index: int) -> tuple[Optional[str], int]:
     """The event between query ``index - 1`` and query ``index``."""
     if 0 < index <= len(script.events) and script.events[index - 1]:
@@ -685,6 +716,7 @@ def run(
     deleted: set[str] = set()
     outage: set[str] = set()  # what only the outage made fail
     back_at = None  # the query the endpoint is back for
+    probe = False  # whether the endpoint's next request is its probe
     used, plan, before = names, fault_plan(script, reference), engine.counters()
     try:
         with plan.install():
@@ -694,6 +726,7 @@ def run(
                         store.set_down(False)
                     threading.Event().wait(BREAKER_COOLDOWN)  # half-open
                     faulted -= outage
+                    probe = True
                     reached.append("answer after an outage")
                 action, target = _event(script, index)
                 path = path_of[used[target % len(used)]]
@@ -711,15 +744,18 @@ def run(
                     outage = (engine.remote_names | {ENDPOINT}) - faulted
                     faulted |= outage
                     back_at = index + max(1, target)
-                before = engine.counters()
+                before, fired = engine.counters(), len(plan.log)
                 cancel = action == "cancel"
                 outcomes = engine.run(sql, plan, cancel)
-                if index == back_at and engine.counters()["open breakers"]:
-                    # The half-open probe met a seeded fault, and a failed
-                    # probe re-opens the circuit: the outage lasts a query
-                    # longer.
-                    faulted |= outage
-                    back_at = index + 1
+                if probe and engine.counters()["requests"] > before["requests"]:
+                    # The endpoint's first request since the outage: its
+                    # half-open probe when the outage opened its circuit.
+                    # A failed probe re-opens the circuit by design, and
+                    # the outage then lasts one query longer.
+                    probe = False
+                    if _probe_failed(engine, plan.log[fired:], before, outcomes):
+                        faulted |= outage
+                        back_at = index + 1
                 for outcome, cancelled in outcomes:
                     clause = verdict(
                         outcome,
