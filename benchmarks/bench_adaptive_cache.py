@@ -166,7 +166,7 @@ def _first_answer(
         rows=outcome.rows,
         repository_bytes=counter.bytes_read,
         files_reused=report.files_reused,
-        mounts=executor.mounts.stats.mounts,
+        mounts=outcome.trace.counters["files_mounted"],
         load_seconds=report.load_seconds,
     )
 

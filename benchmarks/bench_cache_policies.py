@@ -60,10 +60,10 @@ def test_cache_config(small_env, benchmark, policy, granularity, capacity):
         return executor
 
     executor = benchmark.pedantic(run, rounds=2, iterations=1)
-    stats = executor.mounts.stats
+    totals = executor.totals()
     print(
         f"\n{policy.value}/{granularity.value}: "
-        f"{stats.mounts} mounts, {stats.cache_scans} cache-scans, "
+        f"{totals['files_mounted']} mounts, {totals['cache_scans']} cache-scans, "
         f"lookup hit rate {executor.cache.stats.hit_rate():.1%}, "
         f"cache {executor.cache.stats.current_bytes:,} bytes"
     )
@@ -78,7 +78,7 @@ def test_caching_reduces_mounts(small_env, benchmark):
         )
         for sql in queries:
             executor.execute(sql)
-        return executor.mounts.stats.mounts
+        return executor.totals()["files_mounted"]
 
     discard = benchmark.pedantic(
         mounts_under, args=(CachePolicy.DISCARD,), rounds=1, iterations=1
@@ -102,6 +102,6 @@ def test_tuple_cache_narrowing_zooms_hit(small_env, benchmark):
             executor.execute(sql)
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
-    stats = executor.mounts.stats
-    assert stats.cache_scans > 0
-    assert stats.mounts == 3
+    totals = executor.totals()
+    assert totals["cache_scans"] > 0
+    assert totals["files_mounted"] == 3

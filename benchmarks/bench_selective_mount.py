@@ -101,16 +101,16 @@ def run_cold(
     )
     db.make_cold()
     outcome = executor.execute(NARROW_SQL)
-    stats = executor.mounts.stats
+    counters = outcome.trace.counters
     return SelectiveRun(
         selective=selective,
         workers=workers,
         rows=outcome.rows,
-        files_mounted=stats.mounts,
-        bytes_read=stats.bytes_read,
-        records_decoded=stats.records_decoded,
-        records_skipped=stats.records_skipped,
-        selective_mounts=stats.selective_mounts,
+        files_mounted=counters["files_mounted"],
+        bytes_read=counters["bytes_read"],
+        records_decoded=counters["records_decoded"],
+        records_skipped=counters["records_skipped"],
+        selective_mounts=counters["selective_mounts"],
         stage2_seconds=outcome.trace.seconds("stage2"),
     )
 

@@ -101,14 +101,14 @@ def run_cold(repository: FileRepository, pushdown: bool) -> TopNRun:
     )
     db.make_cold()
     outcome = executor.execute(LATEST_SQL)
-    stats = executor.mounts.stats
+    counters = outcome.trace.counters
     return TopNRun(
         pushdown=pushdown,
         rows=outcome.rows,
-        files_mounted=stats.mounts,
-        bytes_read=stats.bytes_read,
-        early_terminated_branches=stats.early_terminated_branches,
-        early_cancelled_mounts=stats.early_cancelled_mounts,
+        files_mounted=counters["files_mounted"],
+        bytes_read=counters["bytes_read"],
+        early_terminated_branches=counters["early_terminated_branches"],
+        early_cancelled_mounts=counters["early_cancelled_mounts"],
         stage2_seconds=outcome.trace.seconds("stage2"),
     )
 

@@ -76,10 +76,11 @@ def main() -> None:
         for name, cache in configs:
             executor = TwoStageExecutor(fresh_db(), binding, cache=cache)
             seconds = run_workload(executor)
-            stats = executor.mounts.stats
+            totals = executor.totals()
             print(
                 f"  {name:26}: {seconds * 1000:7.1f} ms, "
-                f"{stats.mounts} mounts, {stats.cache_scans} cache-scans, "
+                f"{totals['files_mounted']} mounts, "
+                f"{totals['cache_scans']} cache-scans, "
                 f"cache holds {cache.stats.current_bytes:,} bytes"
             )
 

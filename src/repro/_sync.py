@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 # Master switch, initialized from the environment once at import. Tests flip
 # it through set_tracing() (see locktrace.tracing()); CI exports

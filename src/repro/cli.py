@@ -24,7 +24,9 @@ from typing import Optional, Sequence
 
 from .core import MountSpan, QueryBudget, TwoStageExecutor, worker_busy_seconds
 from .db import Database, DatabaseError
+from .db.plan.logical import Scan
 from .ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
+from .ingest.schema import ACTUAL_TABLE, FILE_TABLE
 from .mseed import FileRepository, RepositorySpec, generate_repository
 
 
@@ -299,12 +301,32 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.explain:
             print(db.explain(args.sql))
             return 0
+        _refuse_unloaded_samples(db, args.sql)
         result = db.execute(args.sql)
         print(result.pretty(limit=args.limit))
         print(f"({result.num_rows} rows in {result.total_seconds:.4f}s)")
         return 0
     with ExitStack() as stack:
         return _query_repository(args, *_build_query_repository(args, stack))
+
+
+def _refuse_unloaded_samples(db: Database, sql: str) -> None:
+    """A metadata-only database (``load --mode lazy``) lists files in ``F``
+    but holds no ``D`` rows: a query reading ``D`` there would answer as if
+    the files held no samples. Refuse it; mounting them needs the
+    repository."""
+    rows = {table.name: table.num_rows for table in db.catalog.tables()}
+    if rows.get(ACTUAL_TABLE) != 0 or not rows.get(FILE_TABLE):
+        return
+    if any(
+        isinstance(node, Scan) and node.table_name.upper() == ACTUAL_TABLE
+        for node in db.bind_sql(sql).walk()
+    ):
+        raise DatabaseError(
+            f"{ACTUAL_TABLE} is not loaded in this metadata-only database "
+            f"(load --mode lazy): query the repository with --repo to mount "
+            f"its samples"
+        )
 
 
 def _query_repository(args: argparse.Namespace, repo, remotes) -> int:

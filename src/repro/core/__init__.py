@@ -48,7 +48,6 @@ from .mounting import (
     MountFailure,
     MountFailureReport,
     MountService,
-    MountStats,
     interval_from_predicate,
 )
 from .metastore import MetadataStore, MetastoreStats
@@ -111,7 +110,6 @@ __all__ = [
     "TruncationReport",
     "MountContext",
     "MountService",
-    "MountStats",
     "MountFailure",
     "MountFailureReport",
     "ExtractResult",

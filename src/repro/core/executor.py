@@ -19,7 +19,7 @@ metadata fast path of §5.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -133,7 +133,8 @@ class TwoStageExecutor:
     The executor holds session settings and shared machinery only; what
     belongs to one query lives in the
     :class:`~repro.core.mounting.MountContext` its :meth:`execute` runs
-    under, so one executor may run several queries at once.
+    under, so one executor may run several queries at once. What it counts
+    across queries is the sum of their traces' counters (:meth:`totals`).
     """
 
     def __init__(
@@ -194,6 +195,7 @@ class TwoStageExecutor:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._lock = _sync.create_lock("TwoStageExecutor._lock")
         self._in_flight: list[MountContext] = []  # guarded-by: _lock
+        self._totals: Counter = Counter()  # guarded-by: _lock
         # Query shapes, least recently used first — a template once a shape
         # came twice, None after its first query — and what they were
         # compiled against: (statistics snapshot, catalog, its generation).
@@ -332,8 +334,10 @@ class TwoStageExecutor:
     @contextmanager
     def running(self, context: MountContext) -> Iterator[None]:
         """One execution's span: :meth:`cancel` reaches ``context`` while
-        it lasts; after it the governor's deadline timer is disarmed and a
-        scheduler the context owns is closed, so no worker outlives it."""
+        it lasts; after it the trace's counters join :meth:`totals` (a
+        query that raised too), the governor's deadline timer is disarmed
+        and a scheduler the context owns is closed, so no worker outlives
+        it."""
         assert context.governor is not None
         with self._lock:
             self._in_flight.append(context)
@@ -342,9 +346,18 @@ class TwoStageExecutor:
         finally:
             with self._lock:
                 self._in_flight.remove(context)
+                self._totals += context.trace.counters
             context.governor.close()
             if context.scheduler is not None:
                 context.scheduler.close()
+
+    def totals(self) -> Counter:
+        """Every finished execution's trace counters, summed: the
+        executor-lifetime count of each mount event (``files_mounted``,
+        ``bytes_read``, ``stale_remounts``, …), queries that raised
+        included."""
+        with self._lock:
+            return Counter(self._totals)
 
     def cancel(self, reason: str = "query cancelled by caller") -> bool:
         """Cancel every in-flight execution; True when any was live.
@@ -585,10 +598,12 @@ class TwoStageExecutor:
 
         def on_skip(index: int) -> None:
             branch = branches[index]
-            self.mounts.note_early_termination(
-                isinstance(branch, Mount)
-                and pool.release(branch.table_name, branch.uri)
-            )
+            counters = pool.trace.counters
+            counters["early_terminated_branches"] += 1
+            if isinstance(branch, Mount) and pool.release(
+                branch.table_name, branch.uri
+            ):
+                counters["early_cancelled_mounts"] += 1
 
         monitor = TopNBranchMonitor(
             count=target.topn.count,

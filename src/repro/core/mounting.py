@@ -52,7 +52,7 @@ is asked before or after.
 
 from __future__ import annotations
 
-import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
@@ -81,7 +81,6 @@ from ..ingest.formats import (
 )
 from ..ingest.schema import ACTUAL_TABLE, TIME_COLUMN, RepositoryBinding
 from .cache import (
-    INF,
     CacheGranularity,
     FileSignature,
     IngestionCache,
@@ -200,7 +199,6 @@ __all__ = [
     "MountContext",
     "MountFailureReport",
     "MountService",
-    "MountStats",
     "ON_ERROR_POLICIES",
     "SKIP_AND_REPORT",
     "check_on_error",
@@ -243,7 +241,9 @@ class MountContext:
 
     ``trace`` is the query's :class:`~repro.obs.QueryTrace`: the executor's
     stages, the plans' operators and the pool's consumed mounts all record
-    into it. A query service names its tenant on it.
+    into it, and every mount-path event is counted once in its
+    ``counters``, on the consuming thread. A query service names its
+    tenant on it.
     """
 
     def __init__(
@@ -304,38 +304,25 @@ class MountContext:
             return self._retry_budgets[endpoint]
 
     def charge(self, key: "MountKey", result: "ExtractResult") -> None:
-        """Charge the governor for one consumed file, once per distinct
-        ``(table, uri)``: in plan order, on the consuming thread, so a
-        budget trips at the same branch however many workers extracted
-        ahead. Raise-mode exhaustion raises here."""
-        if self.governor is None:
-            return
+        """Count one consumed file's extraction into the trace and charge
+        the governor for it, once per distinct ``(table, uri)``: in plan
+        order, on the consuming thread, so a budget trips at the same
+        branch however many workers extracted ahead, and the bytes the
+        trace counts are the bytes the governor was charged. Raise-mode
+        exhaustion raises here."""
         with self._lock:
             if key in self._charged:
                 return
             self._charged.add(key)
-        self.governor.charge_mount(result.bytes_read, result.records_decoded)
-
-
-@dataclass
-class MountStats:
-    mounts: int = 0
-    cache_scans: int = 0
-    tuples_mounted: int = 0
-    bytes_read: int = 0  # bytes actually pulled off disk (partial for selective)
-    fallback_mounts: int = 0  # cache-scan that had to re-mount
-    stale_remounts: int = 0  # cache entries invalidated by a changed file
-    retries: int = 0  # extractions restarted (stale file, local I/O)
-    skipped_mounts: int = 0  # branches answered empty under SKIP_AND_REPORT
-    budget_truncated_mounts: int = 0  # branches answered empty after a budget trip
-    breaker_skips: int = 0  # mounts refused outright by the circuit breaker
-    selective_mounts: int = 0  # extractions that pruned at record granularity
-    records_decoded: int = 0  # payloads actually Steim-decoded
-    records_skipped: int = 0  # records pruned by the request interval
-    empty_interval_skips: int = 0  # contradictory predicates: no disk touched
-    early_terminated_branches: int = 0  # union branches skipped by Top-N proof
-    early_cancelled_mounts: int = 0  # pending mounts released before extraction
-    whole_file_requests: int = 0  # selective requests widened: interval covers file
+        self.trace.counters += Counter(
+            bytes_read=result.bytes_read,
+            records_decoded=result.records_decoded,
+            records_skipped=result.records_skipped,
+            selective_mounts=result.selective,
+            restarts=result.restarts,
+        )
+        if self.governor is not None:
+            self.governor.charge_mount(result.bytes_read, result.records_decoded)
 
 
 @dataclass(frozen=True)
@@ -355,6 +342,7 @@ class ExtractResult:
     records_decoded: int = 0
     records_skipped: int = 0
     selective: bool = False
+    restarts: int = 0  # extractions :data:`RESTARTS` began again
     # The signature of the version extracted — the post-extraction stat's,
     # or the one a self-observing (remote) extractor reports — for the cache
     # store, instead of another stat/HEAD.
@@ -380,9 +368,11 @@ class MountService:
     is *reentrant* twice over: any number of queries may mount through it at
     once, and :meth:`_extract` may run concurrently on the workers of each
     one's :class:`~repro.core.scheduler.MountScheduler` (the buffer manager and
-    the ingestion cache lock themselves; the service's own lock guards only
-    its counters). Within one query everything stateful (cache stores,
-    callbacks, delivery) still happens on the calling thread, in plan order.
+    the ingestion cache lock themselves; the service keeps no counters and
+    holds no lock). Within one query everything stateful (cache stores,
+    callbacks, counting, delivery) still happens on the calling thread, in
+    plan order: what a worker's extraction read and decoded reaches the
+    query's trace on the :class:`ExtractResult` it consumes.
 
     A stale file or transient local I/O restarts the extraction on
     :data:`RESTARTS` before the context's policy applies.
@@ -391,7 +381,6 @@ class MountService:
     binding: RepositoryBinding
     cache: IngestionCache = field(default_factory=IngestionCache)
     buffers: Optional[BufferManager] = None
-    stats: MountStats = field(default_factory=MountStats)  # guarded-by: _lock
     # Selective mounting: push the fused predicate's time interval into
     # extraction so only overlapping records are read and decoded.
     selective: bool = True
@@ -408,10 +397,6 @@ class MountService:
     # unguarded-ok: callbacks are registered at wiring time, before any
     # concurrent mounting starts; workers only iterate the list.
     _callbacks: list[OnMountCallback] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=lambda: _sync.create_lock("MountService._lock"),
-        repr=False,
-    )
 
     def add_mount_callback(self, callback: OnMountCallback) -> None:
         """Register a side-effect of mounting (e.g. derived metadata, §5)."""
@@ -444,21 +429,13 @@ class MountService:
         return self._deliver(mounted_files_batch([]), alias, predicate)
 
     def _truncated_branch(
-        self, alias: str, predicate: Optional[Expr], governor: QueryGovernor
+        self, alias: str, predicate: Optional[Expr], context: MountContext
     ) -> ColumnBatch:
         """One branch dropped by a tripped partial-mode budget."""
-        governor.note_truncated_mount()
-        with self._lock:
-            self.stats.budget_truncated_mounts += 1
+        assert context.governor is not None
+        context.governor.note_truncated_mount()
+        context.trace.counters["budget_truncated_mounts"] += 1
         return self._empty_branch(alias, predicate)
-
-    def note_early_termination(self, cancelled: bool) -> None:
-        """Count one union branch the executor's Top-N monitor skipped, and
-        whether releasing it spared its pending mount the extraction."""
-        with self._lock:
-            self.stats.early_terminated_branches += 1
-            if cancelled:
-                self.stats.early_cancelled_mounts += 1
 
     # -- Mounter protocol -----------------------------------------------------
 
@@ -468,13 +445,17 @@ class MountService:
         table_name: str,
         alias: str,
         predicate: Optional[Expr],
+        context: Optional[MountContext] = None,
     ) -> Optional[MountRequest]:
         """The selective :class:`MountRequest` one mount branch implies.
 
         ``None`` means "mount the whole file" — selective mounting disabled,
         or the fused predicate does not bound the time column at all. The
         record byte map is attached when a provider is wired (the executor
-        serves it from the ``R`` table) and the interval is non-empty.
+        serves it from the ``R`` table) and the interval is non-empty. A
+        request widened to the whole file is counted in ``context``'s trace
+        (``whole_file_requests``): the mount passes its context, the
+        executor registering the branch beforehand does not.
         """
         if not self.selective:
             return None
@@ -488,8 +469,8 @@ class MountService:
             # output is identical, delivery still applies the predicate.
             span = self.file_span_provider(uri)
             if span is not None and covers(interval, span):
-                with self._lock:
-                    self.stats.whole_file_requests += 1
+                if context is not None:
+                    context.trace.counters["whole_file_requests"] += 1
                 return None
         records: Optional[tuple[RecordSpan, ...]] = None
         if self.record_map_provider is not None and interval[0] <= interval[1]:
@@ -507,32 +488,30 @@ class MountService:
         if context is None:
             context = MountContext()
         governor, breaker = context.governor, context.breaker
+        counters = context.trace.counters
         if governor is not None:
             # Budget checkpoint at branch entry: cancellation and raise-mode
             # exhaustion abort here; a tripped partial budget answers the
             # rest of the union empty (same shape as a dropped branch).
             governor.checkpoint()
             if governor.should_truncate:
-                return self._truncated_branch(alias, predicate, governor)
+                return self._truncated_branch(alias, predicate, context)
         if context.skips and context.is_quarantined(uri):
-            with self._lock:
-                self.stats.skipped_mounts += 1
+            counters["skipped_mounts"] += 1
             return self._empty_branch(alias, predicate)
         if breaker is not None and not breaker.allow(uri):
             refusal = breaker.refusal(uri)
             if not context.skips:
                 raise refusal
             context.quarantine(uri, refusal)
-            with self._lock:
-                self.stats.breaker_skips += 1
-                self.stats.skipped_mounts += 1
+            counters["breaker_skips"] += 1
+            counters["skipped_mounts"] += 1
             return self._empty_branch(alias, predicate)
-        request = self.request_for(uri, table_name, alias, predicate)
+        request = self.request_for(uri, table_name, alias, predicate, context)
         if request is not None and request.selects_nothing:
             # Contradictory conjuncts: the branch cannot produce rows, so
             # answer empty without touching the repository at all.
-            with self._lock:
-                self.stats.empty_interval_skips += 1
+            counters["empty_interval_skips"] += 1
             return self._empty_branch(alias, predicate)
         try:
             result = self._obtain(uri, table_name, request, context)
@@ -542,20 +521,18 @@ class MountService:
             # (never quarantined — the file did nothing wrong).
             if governor is None or not governor.partial:
                 raise
-            return self._truncated_branch(alias, predicate, governor)
+            return self._truncated_branch(alias, predicate, context)
         except IngestError as exc:
             self._score(breaker, uri, exc)
             if not context.skips:
                 raise
             context.quarantine(uri, exc)
-            with self._lock:
-                self.stats.skipped_mounts += 1
+            counters["skipped_mounts"] += 1
             return self._empty_branch(alias, predicate)
         self._score(breaker, uri)
         batch = result.batch
-        with self._lock:
-            self.stats.mounts += 1
-            self.stats.tuples_mounted += batch.num_rows
+        counters["files_mounted"] += 1
+        counters["tuples_mounted"] += batch.num_rows
 
         if result.coverage == WHOLE_FILE:
             # Mount side-effects (derived metadata) summarize whole files;
@@ -567,40 +544,6 @@ class MountService:
         interval = interval_from_predicate(predicate, f"{alias}.{TIME_COLUMN}")
         batch = self.retain(uri, result, interval)
         return self._deliver(batch, alias, predicate)
-
-    def extract_shared(
-        self, uri: str, table_name: str, request: Optional[MountRequest]
-    ) -> "ExtractResult":
-        """A shared scheduler's extraction function: cache first, then disk.
-
-        A query's plan chooses mount vs cache-scan at *its* rewrite time;
-        under concurrency another query's store often lands between one
-        query's rewrite and its take. Re-checking the cache here — at the
-        moment the work would actually run — is rule (1)'s cache preference
-        applied late-bound, and it is what makes a service's byte savings
-        robust to arrival order instead of depending on queries registering
-        within one extraction's window. A cache-served result reports
-        ``bytes_read=0``: no disk work happened, so neither the service
-        total nor any consuming query's budget is charged for it.
-
-        The task serves every query waiting on the file, so it runs under
-        no one's context: no governor (each consumer's context charges its
-        own, once per file it uses), no breaker (each waiter's breaker
-        judges the failure), and no query's token or retry budget.
-        """
-        interval = WHOLE_FILE if request is None else request.interval
-        # The file's signature is asked for (a HEAD, for a remote one) only
-        # to compare a cached batch against, so only when the cache holds
-        # one. A batch that lands between the two reads was compared with
-        # nothing observed for this request, and is left unserved.
-        compare = self.cache.contains(uri, interval)
-        signature = self._current_signature(uri, table_name) if compare else None
-        cached = self.cache.lookup(uri, interval, signature=signature)
-        if cached is not None and compare:
-            return ExtractResult(batch=cached, io_seconds=0.0, coverage=interval)
-        # The lookup's observation of the file, when it made one, is what
-        # the extraction presumes current: the sandwich only wider.
-        return self._extract(uri, table_name, request, observed=signature)
 
     @staticmethod
     def _score(
@@ -646,9 +589,7 @@ class MountService:
             result = context.pool.take(uri, table_name, request)
             needed = WHOLE_FILE if request is None else request.interval
             if not covers(result.coverage, needed):
-                result = self._extract(
-                    uri, table_name, request, context=context
-                )
+                result = self._extract(uri, table_name, request, context=context)
         context.charge((table_name, uri), result)
         return result
 
@@ -660,6 +601,9 @@ class MountService:
         predicate: Optional[Expr],
         context: Optional[MountContext] = None,
     ) -> ColumnBatch:
+        if context is None:
+            context = MountContext()
+        counters = context.trace.counters
         interval = interval_from_predicate(predicate, f"{alias}.{TIME_COLUMN}")
         # Another query's invalidation landing between the two reads is
         # counted as this one's: `stale_remounts` is a counter, no decision
@@ -673,14 +617,11 @@ class MountService:
             # or just invalidated because the file changed on disk or left
             # it. Fall back to a fresh mount either way: of a file that is
             # gone, it raises (or quarantines) the typed error.
-            stale = self.cache.stats.invalidations > invalidations_before
-            with self._lock:
-                self.stats.fallback_mounts += 1
-                if stale:
-                    self.stats.stale_remounts += 1
+            counters["fallback_mounts"] += 1
+            if self.cache.stats.invalidations > invalidations_before:
+                counters["stale_remounts"] += 1
             return self.mount_file(uri, table_name, alias, predicate, context)
-        with self._lock:
-            self.stats.cache_scans += 1
+        counters["cache_scans"] += 1
         return self._deliver(cached, alias, predicate)
 
     # -- internals ---------------------------------------------------------------
@@ -773,8 +714,9 @@ class MountService:
         GET of the attempt is conditional on — and a retry observes afresh.
 
         A stale file or transient local I/O restarts the extraction on
-        :data:`RESTARTS` (see :func:`restartable`); the final exception
-        carries the retries the file cost in ``retries``. Backoff waits on
+        :data:`RESTARTS` (see :func:`restartable`); the result counts the
+        restarts in ``restarts``, and the final exception carries the
+        retries the file cost in ``retries``. Backoff waits on
         the context's cancellation token — not ``time.sleep`` — so a
         cancelled or deadline-expired query stops retrying immediately
         instead of sleeping out the rest of its ladder.
@@ -786,18 +728,13 @@ class MountService:
         path, extractor, repository = self._resolve(uri, table_name, context)
 
         def attempt(n: int) -> "ExtractResult":
+            # Attempt n follows n restarts.
             before = observed if n == 0 else None
             return self._extract_once(
-                uri, path, extractor, request, repository, before, context
+                uri, path, extractor, request, repository, before, context, n
             )
 
-        return RESTARTS.run(
-            attempt, token=token, retryable=restartable, admit=self._restarted
-        )
-
-    def _restarted(self, _: FileIngestError) -> None:
-        with self._lock:
-            self.stats.retries += 1
+        return RESTARTS.run(attempt, token=token, retryable=restartable)
 
     def _extract_once(
         self,
@@ -808,6 +745,7 @@ class MountService:
         repository: "Repository",
         before: Optional[FileSignature],
         context: MountContext,
+        restarts: int,
     ) -> "ExtractResult":
         # An extractor that observes the file for itself (a remote one: the
         # GETs that carry the bytes answer the object's signature, and each
@@ -844,11 +782,6 @@ class MountService:
                 io_seconds = self.buffers.touch_bytes(
                     f"repo:{uri}", nbytes, full=records_skipped == 0
                 )
-            with self._lock:
-                self.stats.bytes_read += nbytes
-                self.stats.selective_mounts += 1
-                self.stats.records_decoded += records_decoded
-                self.stats.records_skipped += records_skipped
         else:
             if observing is None:
                 assert before is not None
@@ -863,8 +796,6 @@ class MountService:
             coverage = WHOLE_FILE
             records_decoded = mounted.records
             records_skipped = 0
-            with self._lock:
-                self.stats.records_decoded += records_decoded
         if observing is not None:
             # `before` = the first response's signature = each later GET's
             # `if_match` = … = the last response's: the same sandwich, both
@@ -895,21 +826,16 @@ class MountService:
             records_decoded=records_decoded,
             records_skipped=records_skipped,
             selective=selective,
+            restarts=restarts,
             signature=after,
         )
 
     def _touch_whole(self, uri: str, nbytes: int) -> float:
-        """Account one whole-file read; returns the simulated disk seconds.
-
-        The buffer manager locks itself; only the service's own counter
-        needs this lock — never hold it across the (slow) disk model.
-        """
-        io_seconds = 0.0
-        if self.buffers is not None:
-            io_seconds = self.buffers.touch(f"repo:{uri}", nbytes)
-        with self._lock:
-            self.stats.bytes_read += nbytes
-        return io_seconds
+        """Charge one whole-file read to the buffer manager; returns the
+        simulated disk seconds."""
+        if self.buffers is None:
+            return 0.0
+        return self.buffers.touch(f"repo:{uri}", nbytes)
 
     @staticmethod
     def _narrowed(batch: ColumnBatch, interval: Interval) -> ColumnBatch:

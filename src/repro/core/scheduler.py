@@ -269,8 +269,10 @@ class SchedulerStats:
 
     ``grants`` counts results delivered to waiting queries;
     ``shared_grants`` the grants beyond the first per extraction — the
-    work-sharing win. ``bytes_shared`` is the byte volume those re-grants
-    would have re-extracted in independent sessions. ``starved_grants``
+    work-sharing win. ``bytes_read`` is what the scheduler's extractions
+    read, each counted once however many queries it served;
+    ``bytes_shared`` is the byte volume the re-grants would have
+    re-extracted in independent sessions. ``starved_grants``
     and ``max_wait_seconds`` are the fairness side of the ops story: a
     rising starved count under a high ``throughput_bias`` is the signal to
     turn the knob down.
@@ -284,6 +286,7 @@ class SchedulerStats:
     inline_steals: int = 0
     withdrawn: int = 0  # interests dropped by cancelled/closed queries
     starved_grants: int = 0
+    bytes_read: int = 0
     bytes_shared: int = 0
     max_wait_seconds: float = 0.0
 
@@ -486,12 +489,15 @@ class MountScheduler:
         A key listed twice (a self-join) asks once, under the hull of both
         requests. Joins the live task for the key when it can still serve
         this query: a *pending* one (widening its request by hull-merge), or
-        a running or finished one whose request covers this query's.
-        Otherwise a fresh task replaces it in the table — after a *failed*
-        one, so a new query never inherits a stale failure, and after one
-        too narrow to widen any more, so every late arrival merges into one
-        successor extraction instead of each re-extracting inline on its own
-        thread. Fresh tasks are queued round-robin across endpoints.
+        a running or finished one whose request covers this query's and
+        that some query still waits on. Otherwise a fresh task replaces it
+        in the table — after a *failed* one, so a new query never inherits a
+        stale failure; after one every waiter left while it ran (a Top-N
+        release, a query that ended), whose read may predate a change this
+        query must see; and after one too narrow to widen any more, so
+        every late arrival merges into one successor extraction instead of
+        each re-extracting inline on its own thread. Fresh tasks are queued
+        round-robin across endpoints.
         """
         wanted: dict[MountKey, Optional[MountRequest]] = {}
         for spec in tasks:
@@ -511,6 +517,7 @@ class MountScheduler:
                 elif (
                     task is None
                     or task.state == TASK_FAILED
+                    or not task.waiters
                     or not _request_covers(task.request, request)
                 ):
                     task = _FileTask(key, request, next(self._seq), now)
@@ -611,6 +618,7 @@ class MountScheduler:
         elapsed = time.perf_counter() - started
         with self._lock:
             self.stats.tasks_extracted += 1
+            self.stats.bytes_read += result.bytes_read
         return result, self.workers, elapsed
 
     # -- scheduling core -----------------------------------------------------
@@ -705,6 +713,7 @@ class MountScheduler:
             task.state = TASK_DONE
             task.extract_seconds = time.perf_counter() - started
             self.stats.tasks_extracted += 1
+            self.stats.bytes_read += result.bytes_read
             self._reap_locked(task)
             self._wakeup.notify_all()
         task.event.set()

@@ -107,45 +107,60 @@ class HashIndex:
         except (TypeError, ValueError):
             return None
 
-    def _range_of(self, key: object) -> tuple[int, int]:
-        components = key if isinstance(key, tuple) else (key,)
-        if len(components) != len(self._sorted_keys):
-            return 0, 0
-        lo, hi = 0, len(self._rowids)
-        for level, component in enumerate(components):
-            encoded = self._encode_component(level, component)
-            if encoded is None or lo >= hi:
-                return 0, 0
-            segment = self._sorted_keys[level][lo:hi]
-            start = int(np.searchsorted(segment, encoded, side="left"))
-            end = int(np.searchsorted(segment, encoded, side="right"))
-            lo, hi = lo + start, lo + end
-        return lo, hi
-
     def lookup(self, key: object) -> np.ndarray:
         """Row ids whose key columns equal ``key`` (empty when absent)."""
-        lo, hi = self._range_of(key)
-        return self._rowids[lo:hi]
+        components = key if isinstance(key, tuple) else (key,)
+        probe = [np.array([c], dtype=object) for c in components]
+        return self.lookup_many(probe)[1]
 
     def lookup_many(
-        self, probe_keys: Sequence[object]
+        self, probe_keys: Sequence[np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Join probe keys against the index.
+        """Join probe keys, one array of logical values per key level,
+        against the index.
 
         Returns ``(probe_idx, build_rowids)`` — parallel arrays pairing each
-        probe position with every matching indexed row.
+        probe position with every matching indexed row, probe order first.
+        Every probe row is narrowed one key level at a time, all of them at
+        once: ``np.searchsorted`` over the first level, which is sorted
+        whole, and a vectorized bisection inside each probe's range below
+        it, which is sorted within that range.
         """
-        probe_parts: list[np.ndarray] = []
-        build_parts: list[np.ndarray] = []
-        for i, key in enumerate(probe_keys):
-            rowids = self.lookup(key)
-            if len(rowids):
-                probe_parts.append(np.full(len(rowids), i, dtype=np.int64))
-                build_parts.append(rowids)
-        if not probe_parts:
-            empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        if len(probe_keys) != len(self._sorted_keys):
             return empty, empty
-        return np.concatenate(probe_parts), np.concatenate(build_parts)
+        rows = len(probe_keys[0])
+        lo = np.zeros(rows, dtype=np.int64)
+        hi = np.full(rows, len(self._rowids), dtype=np.int64)
+        for level, values in enumerate(probe_keys):
+            encoded, known = self._encode_level(level, values)
+            keys = self._sorted_keys[level]
+            lo, hi = (
+                _searchsorted(keys, lo, hi, encoded, right=False),
+                _searchsorted(keys, lo, hi, encoded, right=True),
+            )
+            hi = np.where(known, hi, lo)  # a value the column cannot hold
+        counts = hi - lo
+        # Output j of probe i reads sorted position lo[i] + (j - first[i]).
+        first = np.cumsum(counts) - counts
+        positions = np.arange(counts.sum()) + np.repeat(lo - first, counts)
+        return np.repeat(np.arange(rows), counts), self._rowids[positions]
+
+    def _encode_level(
+        self, level: int, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``values`` as key level ``level`` stores them, and which of them
+        it can hold at all: numbers cast at once, anything else one value at
+        a time (:meth:`_encode_component`)."""
+        keys = self._sorted_keys[level]
+        if self._dictionaries[level] is None and keys.dtype.kind in "iuf" and (
+            values.dtype.kind in "iub" or values.dtype.kind == keys.dtype.kind
+        ):
+            return values.astype(keys.dtype), np.ones(len(values), dtype=bool)
+        physical = [self._encode_component(level, v) for v in values.tolist()]
+        known = np.array([v is not None for v in physical], dtype=bool)
+        encoded = [0 if v is None else v for v in physical]
+        return np.array(encoded, dtype=keys.dtype), known
 
     def nbytes(self) -> int:
         """Storage footprint: row ids plus the sorted key vectors.
@@ -156,6 +171,28 @@ class HashIndex:
         for arr in self._sorted_keys:
             total += int(arr.nbytes)
         return total
+
+
+def _searchsorted(
+    keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, values: np.ndarray,
+    right: bool,
+) -> np.ndarray:
+    """``lo[i] + np.searchsorted(keys[lo[i]:hi[i]], values[i], side)`` for
+    every ``i`` at once, each range of ``keys`` sorted on its own: one
+    ``np.searchsorted`` when every range is the whole of ``keys``, else a
+    vectorized bisection, in which NaN orders last as numpy sorts it."""
+    if not lo.any() and (hi == len(keys)).all():
+        return np.searchsorted(keys, values, side="right" if right else "left")
+    lo, hi = lo.copy(), hi.copy()
+    while (active := lo < hi).any():
+        mid = (lo + hi) // 2
+        probe = keys[np.minimum(mid, len(keys) - 1)]
+        below = probe <= values if right else probe < values
+        if keys.dtype.kind == "f":
+            below |= np.isnan(values) & (right | ~np.isnan(probe))
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+    return lo
 
 
 def _normalize_scalar(value: object) -> object:

@@ -56,7 +56,9 @@ class Mounter(Protocol):
     ``context`` is the executing query's
     :attr:`ExecutionContext.mount_context`, opaque to the engine: the
     mounter is shared by every query, so what belongs to one arrives with
-    the call.
+    the call. The mounter counts what each access path did (a file
+    mounted, a cache scan served, a fallback) in the query's trace; the
+    operators count nothing.
     """
 
     def mount_file(
@@ -489,14 +491,9 @@ class PIndexJoin(PhysicalOp):
             index_object_name(self.table_name, self.index.column_names),
             self.index.nbytes(),
         )
-        key_arrays = [
-            probe_batch.column(k).decoded() for k in self.probe_keys
-        ]
-        if len(key_arrays) == 1:
-            probe_key_list: list[object] = list(key_arrays[0])
-        else:
-            probe_key_list = list(zip(*key_arrays))
-        probe_idx, build_rowids = self.index.lookup_many(probe_key_list)
+        probe_idx, build_rowids = self.index.lookup_many(
+            [probe_batch.column(k).decoded() for k in self.probe_keys]
+        )
 
         table = ctx.catalog.table(self.table_name)
         names: list[str] = []
@@ -837,7 +834,6 @@ class PMount(PhysicalOp):
             self.uri, self.table_name, self.alias, self.predicate,
             ctx.mount_context,
         )
-        ctx.trace.counters["files_mounted"] += 1
         return batch.select(self.output_names)
 
 
@@ -860,5 +856,4 @@ class PCacheScan(PhysicalOp):
             self.uri, self.table_name, self.alias, self.predicate,
             ctx.mount_context,
         )
-        ctx.trace.counters["cache_scans"] += 1
         return batch.select(self.output_names)

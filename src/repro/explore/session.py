@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
-from ..db.database import Database, QueryResult
+from ..db.database import QueryResult
 from ..db.types import format_timestamp, parse_timestamp
 from ..core.executor import TwoStageResult
 from .workload import make_query1, make_query2

@@ -7,9 +7,13 @@ two-stage executor records ``compile`` / ``stage1`` / ``breakpoint`` /
 ``stage2``; every physical operator records an ``op`` span with its rows;
 the query's mount scheduler client records one ``mount`` span per file the
 query consumed (:class:`~repro.core.scheduler.MountSpan`). Counters carry
-what is counted rather than timed (``files_mounted``, ``cache_scans``), and
+what is counted rather than timed — each mount-path event once, under one
+name (``files_mounted``, ``cache_scans``, ``bytes_read``,
+``stale_remounts``, …; the mount service counts them) — and
 ``lock_stats`` the lock-tracing layer's per-lock counters for the
-execution's window.
+execution's window. An executor's lifetime numbers are the sum of its
+executions' counters
+(:meth:`~repro.core.executor.TwoStageExecutor.totals`).
 
 Only the query's own thread writes its trace, so it needs no lock: spans
 nest by a plain depth counter, and ``spans`` is the tree in pre-order.

@@ -232,7 +232,7 @@ def run_standalone_baseline(
                     client, index, time.perf_counter() - started, rows, error
                 )
             )
-        total_bytes += executor.mounts.stats.bytes_read
+        total_bytes += executor.totals()["bytes_read"]
     return LoadResult(
         outcomes=outcomes,
         wall_seconds=time.perf_counter() - started_all,

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .. import _sync
-from ..core.cache import CachePolicy, CacheStats, IngestionCache
+from ..core.cache import WHOLE_FILE, CachePolicy, CacheStats, IngestionCache
 from ..core.executor import TwoStageExecutor, TwoStageResult
 from ..core.governor import (
     CancellationToken,
@@ -418,18 +418,47 @@ class QueryService:
     def _shared_extract(
         self, uri: str, table_name: str, request: Optional[MountRequest]
     ) -> ExtractResult:
-        """The scheduler's extraction function (cache first, then disk):
-        :meth:`~repro.core.mounting.MountService.extract_shared`."""
-        return self._executor.mounts.extract_shared(uri, table_name, request)
+        """The shared scheduler's extraction function: cache first, then
+        disk.
+
+        A query's plan chooses mount vs cache-scan at *its* rewrite time;
+        under concurrency another query's store often lands between one
+        query's rewrite and its take. Re-checking the cache here — at the
+        moment the work would actually run — is rule (1)'s cache preference
+        applied late-bound, and it is what makes the service's byte savings
+        robust to arrival order instead of depending on queries registering
+        within one extraction's window. A cache-served result reports
+        ``bytes_read=0``: no disk work happened, so neither the service
+        total nor any consuming query's budget is charged for it.
+
+        The task serves every query waiting on the file, so it runs under
+        no one's context: no governor (each consumer's context charges its
+        own, once per file it uses), no breaker (each waiter's breaker
+        judges the failure), and no query's token or retry budget.
+        """
+        mounts = self._executor.mounts
+        interval = WHOLE_FILE if request is None else request.interval
+        # The file's signature is asked for (a HEAD, for a remote one) only
+        # to compare a cached batch against, so only when the cache holds
+        # one. A batch that lands between the two reads was compared with
+        # nothing observed for this request, and is left unserved.
+        compare = self.cache.contains(uri, interval)
+        signature = mounts._current_signature(uri, table_name) if compare else None
+        cached = self.cache.lookup(uri, interval, signature=signature)
+        if cached is not None and compare:
+            return ExtractResult(batch=cached, io_seconds=0.0, coverage=interval)
+        # The lookup's observation of the file, when it made one, is what
+        # the extraction presumes current: the sandwich only wider.
+        return mounts._extract(uri, table_name, request, observed=signature)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def total_mount_bytes(self) -> int:
-        """Bytes actually pulled off disk, service-wide: every scheduled and
-        unscheduled shared extraction plus every query-side coverage
-        fallback. The N-independent-sessions comparison number."""
-        return self._executor.mounts.stats.bytes_read
+        """Bytes actually pulled off disk, service-wide: the shared
+        scheduler's extractions, each counted once however many queries it
+        served. The N-independent-sessions comparison number."""
+        return self.scheduler.stats.bytes_read
 
     def stats(self) -> ServiceStats:
         with self._lock:

@@ -562,9 +562,10 @@ class Engine:
         """The existing counters that say which rare paths a run reached
         and what the endpoint was asked."""
         metastore = self.metastore.stats if self.metastore else None
+        totals = self.executor.totals()
         return {
-            "stale-signature remount": self.executor.mounts.stats.stale_remounts,
-            "cache fallback": self.executor.mounts.stats.fallback_mounts,
+            "stale-signature remount": totals["stale_remounts"],
+            "cache fallback": totals["fallback_mounts"],
             "412 between two GETs": sum(
                 s.stats.precondition_failed for s in self.stores
             ),

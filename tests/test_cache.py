@@ -2,7 +2,6 @@
 
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 

@@ -56,6 +56,22 @@ class TestLoadQuery:
         out = capsys.readouterr().out
         assert "ISK" in out and "2 rows" in out
 
+    def test_a_lazy_database_refuses_to_read_d(self, repo_dir, tmp_path, capsys):
+        """Metadata only: D holds no rows, so a query reading it is refused
+        with an error naming --repo instead of answering 0."""
+        db_dir = tmp_path / "db"
+        assert main([
+            "load", "--repo", str(repo_dir), "--db", str(db_dir),
+            "--mode", "lazy",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "query", "--db", str(db_dir), "SELECT COUNT(*) FROM D",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "--repo" in captured.err
+        assert "0" not in captured.out
+
     def test_eager_load_and_query(self, repo_dir, tmp_path, capsys):
         db_dir = tmp_path / "db"
         assert main([
@@ -80,7 +96,7 @@ class TestLoadQuery:
         assert "1728" in out
         # The query's trace follows the breakpoint summary.
         assert "\nstage2  [" in out and "on worker 0" in out
-        assert "counters: files_mounted=1" in out
+        assert "counters: " in out and "files_mounted=1," in out
 
     def test_explain(self, repo_dir, capsys):
         assert main([

@@ -261,7 +261,7 @@ class TestSelectiveMountingUnderDamage:
         damaged = make_executor(repo)
         result = damaged.execute(NARROW_SQL)
         assert result.rows == expected
-        assert damaged.mounts.stats.records_skipped > 0
+        assert result.trace.counters["records_skipped"] > 0
 
     def test_truncated_tail_record_does_not_fail_narrow_query(self, repo):
         """Truncation confined to the (skipped) last record: the byte map
@@ -366,5 +366,4 @@ class TestFirstDefectThroughTheMountPath:
         assert type(excinfo.value) is type(expected.value)
         assert excinfo.value.mount_uri == victim
         assert excinfo.value.offset == expected.value.offset
-        stats = executor.mounts.stats
-        assert (stats.selective_mounts > 0) == selective
+        assert (executor.totals()["selective_mounts"] > 0) == selective

@@ -1,9 +1,7 @@
 """Tests for plan decomposition into Qf and Qs."""
 
-import pytest
-
 from repro.core import decompose
-from repro.db.plan.logical import Aggregate, ResultScan, Scan, UnionAll
+from repro.db.plan.logical import Aggregate, ResultScan, Scan
 
 
 def prepared(db, sql):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CachePolicy,
     DerivedMetadataStore,
     DERIVED_TABLE,
-    IngestionCache,
     TwoStageExecutor,
 )
 from repro.core.derived import _count_gaps

@@ -8,9 +8,7 @@ grammar over the seismic schema.
 """
 
 import math
-import threading
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (

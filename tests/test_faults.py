@@ -284,9 +284,9 @@ class TestEngineDeterminism:
             [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=1)]
         )
         with plan.install():
-            rows = executor.execute(COUNT_SQL).rows
-        assert rows == baseline
-        assert executor.mounts.stats.retries >= 1
+            outcome = executor.execute(COUNT_SQL)
+        assert outcome.rows == baseline
+        assert outcome.trace.counters["restarts"] >= 1
 
     def test_persistent_fault_surfaces_uri_fail_fast(self, repo):
         executor = _executor(repo, workers=4)

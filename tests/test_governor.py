@@ -299,7 +299,7 @@ class TestResourceBudgets:
             assert outcome.truncation is not None
             assert "byte" in outcome.truncation.reason
             assert 0 < outcome.rows[0][0] < baseline
-            assert executor.mounts.stats.budget_truncated_mounts >= 1
+            assert outcome.trace.counters["budget_truncated_mounts"] >= 1
             answers[workers] = (
                 outcome.rows,
                 replace(outcome.truncation, elapsed_seconds=0.0),
@@ -698,7 +698,7 @@ class TestBreakerIntegration:
         # Query 2: faults are gone and the file is healthy, but the circuit
         # is still cooling down — the mount is refused without any I/O.
         second = executor.execute(COUNT_SQL)
-        assert executor.mounts.stats.breaker_skips >= 1
+        assert second.trace.counters["breaker_skips"] >= 1
         failures = second.mount_failures
         assert failures.uris() == [victim]
         assert failures.failures[0].error == "CircuitOpenError"

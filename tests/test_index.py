@@ -73,15 +73,62 @@ class TestCompositeKeys:
     def test_lookup_many(self):
         k = Column.from_pylist(DataType.INT64, [1, 2, 2, 3])
         index = build([k])
-        probe_idx, rowids = index.lookup_many([2, 9, 1])
+        probe_idx, rowids = index.lookup_many([np.array([2, 9, 1])])
         pairs = sorted(zip(probe_idx.tolist(), rowids.tolist()))
         assert pairs == [(0, 1), (0, 2), (2, 0)]
 
     def test_lookup_many_no_matches(self):
         k = Column.from_pylist(DataType.INT64, [1])
         index = build([k])
-        probe_idx, rowids = index.lookup_many([5, 6])
+        probe_idx, rowids = index.lookup_many([np.array([5, 6])])
         assert len(probe_idx) == 0 and len(rowids) == 0
+
+    def test_lookup_many_encodes_another_type_as_lookup_does(self):
+        index = build([Column.from_pylist(DataType.INT64, [10, 20, 20])])
+        for probe in (
+            np.array([20.0, 10.5, float("nan")]),
+            np.array(["20", "x", 20], dtype=object),
+        ):
+            probe_idx, rowids = index.lookup_many([probe])
+            expected = [
+                (i, int(r)) for i, key in enumerate(probe.tolist())
+                for r in index.lookup(key)
+            ]
+            assert list(zip(probe_idx.tolist(), rowids.tolist())) == expected
+
+    def test_lookup_many_matches_every_equal_composite_key(self):
+        """Three levels (string, int, float), duplicates, absent strings
+        and NaN (which the sorted index matches to NaN): each probe pairs
+        with exactly the rows whose key equals it, probes in order."""
+        rng = np.random.default_rng(7)
+        n, m = 300, 400
+        names = [f"f{i}" for i in range(8)]
+        floats = [0.5, 1.5, float("nan")]
+        stored = [
+            Column.from_pylist(DataType.STRING, list(rng.choice(names, n))),
+            Column.from_pylist(DataType.INT64, rng.integers(0, 6, n).tolist()),
+            Column.from_pylist(DataType.FLOAT64, list(rng.choice(floats, n))),
+        ]
+        probe = [
+            rng.choice(names + ["absent"], m).astype(object),
+            rng.integers(-1, 7, m),
+            rng.choice(floats + [2.5], m),
+        ]
+        probe_idx, rowids = build(stored).lookup_many(probe)
+
+        def same(a, b):
+            return a == b or (a != a and b != b)
+
+        rows = list(zip(*(column.to_pylist() for column in stored)))
+        expected = [
+            (i, r)
+            for i, key in enumerate(zip(*(p.tolist() for p in probe)))
+            for r, row in enumerate(rows)
+            if all(map(same, row, key))
+        ]
+        assert np.all(np.diff(probe_idx) >= 0)
+        assert sorted(zip(probe_idx.tolist(), rowids.tolist())) == expected
+        assert len(expected) > m
 
 
 class TestAccounting:

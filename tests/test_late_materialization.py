@@ -282,8 +282,9 @@ class TestAccessPathsAfterRuleOne:
             f"WHERE {WINDOW} ORDER BY D.sample_time DESC LIMIT 5"
         )
         executor = make_executor(tiny_repo)
-        rows = executor.execute(sql).rows
-        assert executor.mounts.stats.early_terminated_branches >= 1
+        outcome = executor.execute(sql)
+        rows = outcome.rows
+        assert outcome.trace.counters["early_terminated_branches"] >= 1
         union = union_of(rewrites[-1])
         assert union.output_keys() == ["d.uri", "d.sample_time", "d.sample_value"]
         baseline = make_executor(tiny_repo, top_n_pushdown=False)

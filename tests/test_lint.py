@@ -219,6 +219,36 @@ def test_uninterruptible_sleep_allowlist_comment(tmp_path):
     assert "uninterruptible-sleep" not in _rules_fired(violations)
 
 
+def test_unused_import_fires_on_a_name_nothing_reads(tmp_path):
+    """A quoted annotation and an ``__all__`` entry read their names; a
+    ``# noqa`` line is kept on purpose."""
+    violations = _lint_source(
+        tmp_path,
+        """
+        from __future__ import annotations
+
+        import os
+        import sys  # noqa: F401 - imported for its side effect
+        from typing import TYPE_CHECKING, Optional
+        from json import dumps, loads
+
+        if TYPE_CHECKING:
+            from pathlib import Path
+
+        __all__ = ["dumps"]
+
+        def f(x: "Optional[Path]") -> int:
+            return 1
+        """,
+        relpath="anywhere.py",
+    )
+    assert sorted(v.message for v in violations) == [
+        "'loads' is imported and never used; delete it",
+        "'os' is imported and never used; delete it",
+    ]
+    assert _rules_fired(violations) == {"unused-import"}
+
+
 # -- framework behavior ---------------------------------------------------------
 
 

@@ -23,13 +23,7 @@ from repro.core.cache import INF
 from repro.core.governor import RetryLadder, RetryPolicy
 from repro.core.mounting import restartable
 from repro.db.buffer import BufferManager
-from repro.db.errors import (
-    CorruptFileError,
-    FileIngestError,
-    IngestError,
-    StaleFileError,
-    TruncatedFileError,
-)
+from repro.db.errors import FileIngestError, IngestError, StaleFileError
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding
@@ -177,11 +171,10 @@ class TestIntervalExtraction:
                 Comparison("<", time_ref(), ts_literal(100)),
             ],
         )
-        batch = service.mount_file(uri, "D", "d", predicate)
+        context = MountContext()
+        batch = service.mount_file(uri, "D", "d", predicate, context)
         assert batch.num_rows == 0
-        assert service.stats.empty_interval_skips == 1
-        assert service.stats.mounts == 0
-        assert service.stats.bytes_read == 0
+        assert context.trace.counters == {"empty_interval_skips": 1}
 
 
 @pytest.fixture()
@@ -230,10 +223,12 @@ class TestMountFile:
 
     def test_stats_updated(self, tiny_repo, service):
         uri = tiny_repo.uris()[0]
-        service.mount_file(uri, "D", "d", None)
-        assert service.stats.mounts == 1
-        assert service.stats.tuples_mounted > 0
-        assert service.stats.bytes_read > 0
+        context = MountContext()
+        batch = service.mount_file(uri, "D", "d", None, context)
+        counters = context.trace.counters
+        assert counters["files_mounted"] == 1
+        assert counters["tuples_mounted"] == batch.num_rows > 0
+        assert counters["bytes_read"] == tiny_repo.path_of(uri).stat().st_size
 
     def test_unknown_table_rejected(self, service):
         with pytest.raises(IngestError):
@@ -254,17 +249,21 @@ class TestMountFile:
 class TestCacheScan:
     def test_cache_scan_after_mount(self, tiny_repo, service):
         uri = tiny_repo.uris()[0]
-        mounted = service.mount_file(uri, "D", "d", None)
-        cached = service.cache_scan(uri, "D", "d", None)
+        context = MountContext()
+        mounted = service.mount_file(uri, "D", "d", None, context)
+        cached = service.cache_scan(uri, "D", "d", None, context)
         assert cached.num_rows == mounted.num_rows
-        assert service.stats.cache_scans == 1
-        assert service.stats.mounts == 1
+        assert context.trace.counters["cache_scans"] == 1
+        assert context.trace.counters["files_mounted"] == 1
 
     def test_cache_scan_falls_back_to_mount(self, tiny_repo, service):
         uri = tiny_repo.uris()[0]
-        result = service.cache_scan(uri, "D", "d", None)
+        context = MountContext()
+        result = service.cache_scan(uri, "D", "d", None, context)
         assert result.num_rows > 0
-        assert service.stats.fallback_mounts == 1
+        counters = context.trace.counters
+        assert counters["fallback_mounts"] == counters["files_mounted"] == 1
+        assert counters["cache_scans"] == 0
 
     def test_discard_policy_never_caches(self, tiny_repo):
         service = MountService(
@@ -377,10 +376,11 @@ class TestRetry:
         extractor = FlakyExtractor(fail_times=2)
         service = _flaky_service(tiny_repo, extractor)
         uri = tiny_repo.uris()[0]
-        batch = service.mount_file(uri, "D", "d", None)
+        context = MountContext()
+        batch = service.mount_file(uri, "D", "d", None, context)
         assert batch.num_rows > 0
         assert extractor.mount_calls == 3
-        assert service.stats.retries == 2
+        assert context.trace.counters["restarts"] == 2
 
     def test_retries_exhausted_raises_with_count(self, tiny_repo):
         extractor = FlakyExtractor(fail_times=100)
@@ -395,10 +395,10 @@ class TestRetry:
     def test_non_transient_failure_not_retried(self, tiny_repo):
         extractor = FlakyExtractor(fail_times=100, transient=False)
         service = _flaky_service(tiny_repo, extractor)
-        with pytest.raises(FileIngestError):
+        with pytest.raises(FileIngestError) as excinfo:
             service.mount_file(tiny_repo.uris()[0], "D", "d", None)
         assert extractor.mount_calls == 1
-        assert service.stats.retries == 0
+        assert excinfo.value.retries == 0
 
     def test_a_failure_with_an_endpoint_is_not_restarted(self, tiny_repo):
         """A transient failure that names an endpoint came out of a
@@ -408,7 +408,7 @@ class TestRetry:
         with pytest.raises(FileIngestError) as excinfo:
             service.mount_file(tiny_repo.uris()[0], "D", "d", None)
         assert extractor.mount_calls == 1
-        assert (excinfo.value.retries, service.stats.retries) == (0, 0)
+        assert excinfo.value.retries == 0
 
 
 class _BackoffRecordingToken(CancellationToken):
@@ -541,7 +541,7 @@ class TestSkipAndReport:
         assert failure.uri == uri
         assert failure.error in ("SteimError", "CorruptFileError")
         assert uri in context.failure_report.describe()
-        assert service.stats.skipped_mounts == 1
+        assert context.trace.counters["skipped_mounts"] == 1
 
     def test_quarantine_skips_repeat_mounts(self, scratch_repo):
         """A self-join takes the same file twice; the second take must not
@@ -553,7 +553,7 @@ class TestSkipAndReport:
         service.mount_file(uri, "D", "d", None, context)
         service.mount_file(uri, "D", "d2", None, context)
         assert len(context.failure_report) == 1
-        assert service.stats.skipped_mounts == 2
+        assert context.trace.counters["skipped_mounts"] == 2
 
     def test_fresh_context_clears_quarantine(self, scratch_repo):
         """Quarantine is per query: the next query's context starts empty,
@@ -570,7 +570,9 @@ class TestSkipAndReport:
         service.mount_file(uri, "D", "d", None, second)
         assert second.failure_report.uris() == [uri]
         assert len(first.failure_report) == 1  # the old report is untouched
-        assert service.stats.skipped_mounts == 2  # stats are cumulative
+        assert [c.trace.counters["skipped_mounts"] for c in (first, second)] == [
+            1, 1,
+        ]  # each query counts its own
 
     def test_intact_files_unaffected(self, scratch_repo):
         service = self._service(scratch_repo)
@@ -644,12 +646,10 @@ class TestStaleDetection:
         with pytest.raises(StaleFileError) as excinfo:
             service.mount_file(scratch_repo.uris()[0], "D", "d", None)
         assert (extractor.mount_calls, excinfo.value.retries) == (3, 2)
-        assert service.stats.retries == 2
 
 
 class TestConcurrentExtraction:
-    """The service must not hold its own lock across buffer-manager calls:
-    concurrent _extract calls hammer one BufferManager and the byte
+    """Concurrent _extract calls hammer one BufferManager, and the byte
     accounting must come out exact."""
 
     def test_parallel_extract_accounting(self, tiny_repo):
@@ -662,6 +662,7 @@ class TestConcurrentExtraction:
         sizes = {u: tiny_repo.path_of(u).stat().st_size for u in uris}
         rounds = 8
         errors = []
+        read = []
         barrier = threading.Barrier(4)
 
         def hammer(worker):
@@ -669,8 +670,9 @@ class TestConcurrentExtraction:
                 barrier.wait(timeout=10)
                 for i in range(rounds):
                     uri = uris[(worker + i) % len(uris)]
-                    batch = service._extract(uri, "D").batch
-                    assert batch.num_rows > 0
+                    result = service._extract(uri, "D")
+                    assert result.batch.num_rows > 0
+                    read.append(result.bytes_read)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -687,7 +689,7 @@ class TestConcurrentExtraction:
             for w in range(4)
             for i in range(rounds)
         )
-        assert service.stats.bytes_read == expected
+        assert sum(read) == expected
         # Each distinct file was charged to the disk model exactly once.
         assert service.buffers.stats.objects_read == len(set(uris))
         assert service.buffers.stats.bytes_read == sum(

@@ -201,11 +201,11 @@ class TestOneBreakpoint:
             prefetch(pool, tasks)
 
         monkeypatch.setattr(SharedPoolClient, "prefetch", recording)
-        before = executor.mounts.stats.bytes_read
+        before = executor.totals()["bytes_read"]
         outcome = MultiStageExecutor(executor, batch_files=1).execute(WINDOW_AVG)
         assert sorted(registered) == sorted(uncached)
-        assert executor.mounts.stats.bytes_read - before == (
-            fresh.mounts.stats.bytes_read
+        assert executor.totals()["bytes_read"] - before == (
+            fresh.totals()["bytes_read"]
         )
         assert outcome.converged
         assert outcome.total_files == len(cached) + len(uncached)

@@ -1,7 +1,8 @@
 """One query, one trace (repro/obs.py).
 
 Pins the span names and nesting of a two-stage execution, the counters
-against the mount service's own, the per-query identity of served queries,
+(each mount event once, what the governor was charged, the executor's
+totals their sum), the per-query identity of served queries,
 and the stage-2 accounting of strategy (b), multi-stage execution and a
 Top-N re-run: one ``stage2`` span over every plan stage 2 ran, and the
 answer's I/O over the whole execution.
@@ -9,6 +10,8 @@ answer's I/O over the whole execution.
 
 import pytest
 
+from repro.db import Database
+from repro.db.errors import IngestError
 from repro.core import (
     BULK,
     PER_FILE,
@@ -19,7 +22,8 @@ from repro.core import (
     TwoStageExecutor,
 )
 from repro.core.topn import TopNBranchMonitor
-from repro.ingest import RepositoryBinding
+from repro.ingest import RepositoryBinding, lazy_ingest_metadata
+from repro.mseed import FileRepository, generate_repository
 from repro.obs import QueryTrace
 from repro.serve import QueryService
 
@@ -89,9 +93,9 @@ class TestSpans:
             assert span.worker == 0  # serial: every take extracts inline
             assert span.io_seconds > 0
 
-        stats = executor.mounts.stats
-        assert trace.counters["files_mounted"] == stats.mounts == len(mounts)
-        assert trace.counters["cache_scans"] == stats.cache_scans == 0
+        assert trace.counters["files_mounted"] == len(mounts)
+        assert trace.counters["cache_scans"] == 0
+        assert executor.totals() == trace.counters
         assert outcome.result.elapsed_cpu == trace.total_seconds
 
     def test_cache_scans_count_what_the_mount_service_served(
@@ -103,12 +107,48 @@ class TestSpans:
         )
         first = executor.execute(ISK_AVG)
         second = executor.execute(ISK_AVG)
-        stats = executor.mounts.stats
-        assert first.trace.counters["files_mounted"] == stats.mounts > 0
+        totals = executor.totals()
+        assert first.trace.counters["files_mounted"] == totals["files_mounted"] > 0
         assert second.trace.counters["files_mounted"] == 0
-        assert second.trace.counters["cache_scans"] == stats.cache_scans
-        assert stats.cache_scans == stats.mounts
+        assert second.trace.counters["cache_scans"] == totals["cache_scans"]
+        assert totals["cache_scans"] == totals["files_mounted"]
         assert not [s for s in second.trace.spans if isinstance(s, MountSpan)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_traced_bytes_and_records_are_what_the_governor_charged(
+        self, fresh_ali_db, tiny_repo, workers
+    ):
+        executor = TwoStageExecutor(
+            fresh_ali_db, RepositoryBinding(tiny_repo), mount_workers=workers
+        )
+        context = executor.open_context()
+        counters = executor.execute(ISK_AVG, context=context).trace.counters
+        governor = context.governor
+        assert counters["bytes_read"] == governor.bytes_mounted > 0
+        assert counters["records_decoded"] == governor.records_decoded > 0
+        assert counters["files_mounted"] == governor.mounts_completed
+
+    def test_a_query_that_raises_still_adds_its_counters_to_the_totals(
+        self, tmp_path, tiny_spec
+    ):
+        """The stale remount of a deleted file, fail-fast: the query raises,
+        and the remount is in the executor's totals all the same."""
+        generate_repository(tmp_path, tiny_spec)
+        repo = FileRepository(tmp_path)
+        db = Database()
+        lazy_ingest_metadata(db, repo)
+        executor = TwoStageExecutor(
+            db, RepositoryBinding(repo),
+            cache=IngestionCache(CachePolicy.UNBOUNDED),
+        )
+        first = executor.execute(ISK_AVG)
+        mounted = first.trace.counters["files_mounted"]
+        repo.path_of(first.breakpoint.files_of_interest[0]).unlink()
+        with pytest.raises(IngestError):
+            executor.execute(ISK_AVG)
+        totals = executor.totals()
+        assert totals["stale_remounts"] == totals["fallback_mounts"] == 1
+        assert totals["files_mounted"] == mounted
 
     def test_render_shows_the_tree_the_mounts_and_the_counters(
         self, fresh_ali_db, tiny_repo
@@ -124,7 +164,10 @@ class TestSpans:
         )
         assert any("mount " in line and "on worker 0" in line for line in lines)
         # A fresh executor compiles its first query of a shape in full.
-        assert lines[-1] == "counters: files_mounted=4, template_misses=1"
+        assert lines[-1].startswith("counters: ")
+        assert {"files_mounted=4", "template_misses=1"} <= set(
+            lines[-1].removeprefix("counters: ").split(", ")
+        )
 
     def test_a_metadata_only_answer_counts_its_compile_time(self, executor):
         outcome = executor.execute("SELECT COUNT(*) FROM F")

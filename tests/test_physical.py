@@ -6,7 +6,6 @@ re-implementation over the same rows.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

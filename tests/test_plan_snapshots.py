@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import TwoStageExecutor, apply_ali_rewrite, decompose
-from repro.db import Database
 from repro.db.plan.rewrite import (
     cost_based_join_order,
     fuse_top_n,

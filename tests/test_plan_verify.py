@@ -38,7 +38,7 @@ from repro.db.plan.verify import (
     verify_physical,
     verify_plan,
 )
-from repro.db.plan.physical import PResultScan, PTableScan
+from repro.db.plan.physical import PTableScan
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.testing.oracle import ConfigPoint, run, verdicts

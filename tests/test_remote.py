@@ -1493,7 +1493,8 @@ class TestTheGetIsTheObservation:
 
     def test_first_touch_whole_file_mount_is_its_one_get(self, tmp_path):
         cold = _ColdMount(tmp_path)
-        batch = cold.mounts.mount_file(cold.uri, "D", "d", None)
+        context = MountContext()
+        batch = cold.mounts.mount_file(cold.uri, "D", "d", None, context)
         assert np.array_equal(
             batch.column("d.sample_value").values, cold.samples(selective=False)
         )
@@ -1501,7 +1502,7 @@ class TestTheGetIsTheObservation:
         assert (stats.requests - stats.lists, stats.heads, stats.gets) == (1, 0, 1)
         assert stats.ranged_gets == 0
         assert stats.bytes_served == cold.path.stat().st_size
-        assert cold.mounts.stats.bytes_read == cold.path.stat().st_size
+        assert context.trace.counters["bytes_read"] == cold.path.stat().st_size
 
     def test_the_extraction_reports_the_version_its_bytes_came_from(
         self, tmp_path
@@ -1565,7 +1566,7 @@ class TestTheGetIsTheObservation:
         assert np.array_equal(
             _values(result), cold.samples(only=(cold.FIRST, cold.LAST))
         )
-        assert cold.mounts.stats.retries == 1
+        assert result.restarts == 1
         assert cold.repo.stats.invalidations == 1  # GET 1's range, dropped
         assert cold.store.stats.precondition_failed == 1
         assert cold.repo.transport.stats.retries == 0
@@ -1593,7 +1594,7 @@ class TestTheGetIsTheObservation:
         # mount layer never saw it.
         assert cold.repo.transport.stats.retries == 1
         assert context.retry_budget("seis-eu", attempts).spent() == 1
-        assert cold.mounts.stats.retries == 0
+        assert result.restarts == 0
 
     def test_mid_get_rewrite_never_returns_a_body(self, tmp_path, monkeypatch):
         cold = _ColdMount(tmp_path)
@@ -1640,7 +1641,7 @@ class TestTheGetIsTheObservation:
         assert cold.store.stats.precondition_failed == 1
         assert cold.repo.stats.invalidations == 1
         assert cold.repo.stats.staged_reuses == 0
-        assert cold.mounts.stats.retries == 0  # staging's affair, not a failure
+        assert result.restarts == 0  # staging's affair, not a failure
 
     def test_rewrite_after_the_last_response_is_the_next_cache_scans_to_see(
         self, tmp_path, monkeypatch
@@ -1651,20 +1652,26 @@ class TestTheGetIsTheObservation:
         old_signature = cold.repo.signature_of(cold.uri)
         old_samples = cold.samples()
         cold.after_get(1, cold.rewrite)  # the response is complete
-        batch = cold.mounts.mount_file(cold.uri, "D", "d", cold.predicate())
+        mount = MountContext()
+        batch = cold.mounts.mount_file(
+            cold.uri, "D", "d", cold.predicate(), mount
+        )
         # Wholly the old version, cached under the old signature.
         assert np.array_equal(batch.column("d.sample_value").values, old_samples)
         assert cold.mounts.cache.lookup(
             cold.uri, cold.interval, signature=old_signature
         ) is not None
-        assert cold.mounts.stats.retries == 0
-        again = cold.mounts.cache_scan(cold.uri, "D", "d", cold.predicate())
+        assert mount.trace.counters["restarts"] == 0
+        scan = MountContext()
+        again = cold.mounts.cache_scan(
+            cold.uri, "D", "d", cold.predicate(), scan
+        )
         assert np.array_equal(
             again.column("d.sample_value").values, cold.samples()
         )
         assert np.array_equal(cold.samples(), old_samples + 1)
-        assert cold.mounts.stats.stale_remounts == 1
-        assert cold.mounts.stats.cache_scans == 0
+        assert scan.trace.counters["stale_remounts"] == 1
+        assert scan.trace.counters["cache_scans"] == 0
 
     @pytest.mark.parametrize("restaged_again", [0, 2])
     def test_a_copy_restaged_under_a_reader_voids_the_read(
@@ -1695,10 +1702,10 @@ class TestTheGetIsTheObservation:
             with pytest.raises(StaleFileError, match="staged copy") as excinfo:
                 cold.mounts._extract(cold.uri, "D", cold.request())
             assert excinfo.value.transient
-            assert excinfo.value.retries == cold.mounts.stats.retries == 2
+            assert excinfo.value.retries == 2
         else:
             result = cold.mounts._extract(cold.uri, "D", cold.request())
-            assert cold.mounts.stats.retries == 1
+            assert result.restarts == 1
             assert result.signature == cold.repo.signature_of(cold.uri)
             assert np.array_equal(_values(result), cold.samples())
 
@@ -1742,7 +1749,7 @@ class TestObservationHandDown:
         assert result.signature == observed
         assert conditions == [observed, observed]
         assert cold.requests() == (1, 2)  # the HEAD is ours, above
-        assert cold.mounts.stats.retries == 0
+        assert result.restarts == 0
         # The whole-file GET too.
         del conditions[:]
         whole = cold.mounts._extract(cold.uri, "D", None, observed=observed)
@@ -1765,7 +1772,7 @@ class TestObservationHandDown:
         # Attempt 0's GET was conditional on the stale observation and was
         # refused (a transient StaleFileError) before any body byte; the
         # retry observed afresh and staged the new version.
-        assert cold.mounts.stats.retries == 1
+        assert result.restarts == 1
         assert cold.store.stats.precondition_failed == 1
         assert result.signature == cold.repo.signature_of(cold.uri) != observed
         assert np.array_equal(_values(result), cold.samples(selective))
@@ -1785,7 +1792,7 @@ class TestObservationHandDown:
         with pytest.raises(StaleFileError) as excinfo:
             cold.mounts._extract(cold.uri, "D", request, observed=observed)
         assert excinfo.value.transient
-        assert excinfo.value.retries == cold.mounts.stats.retries == 2
+        assert excinfo.value.retries == 2
         assert cold.store.stats.precondition_failed == 3
 
     @pytest.mark.parametrize("hand_down", [True, False])
@@ -1862,7 +1869,6 @@ class TestOneLadderOneKey:
         # The transport's three attempts, not three mount attempts of three.
         assert store.stats.requests - before == 3
         assert excinfo.value.retries == 2
-        assert mounts.stats.retries == 0
 
     def test_skip_mode_outages_leave_no_file_refused(self, tmp_path):
         store, repo, db = self._endpoint(tmp_path)
@@ -1917,14 +1923,15 @@ class TestCacheScanOfAVanishedFile:
 
     def test_fail_fast_raises_the_typed_error(self, cached):
         cached.path.unlink()
+        context = MountContext()
         with pytest.raises(FileIngestError) as excinfo:
-            cached.mounts.cache_scan(cached.uri, "D", "d", None)
+            cached.mounts.cache_scan(cached.uri, "D", "d", None, context)
         assert excinfo.value.uri == cached.uri
         if isinstance(cached.repo, RemoteRepository):
             assert isinstance(excinfo.value, RemoteObjectMissingError)
-        stats = cached.mounts.stats
-        assert (stats.cache_scans, stats.fallback_mounts) == (0, 1)
-        assert stats.stale_remounts == 1
+        assert context.trace.counters == {
+            "fallback_mounts": 1, "stale_remounts": 1,
+        }
         assert not cached.mounts.cache.contains(cached.uri)
 
     def test_skip_quarantines_and_reports(self, cached):
@@ -1934,8 +1941,8 @@ class TestCacheScanOfAVanishedFile:
         assert batch.num_rows == 0
         assert context.failure_report.uris() == [cached.uri]
         assert context.is_quarantined(cached.uri)
-        stats = cached.mounts.stats
-        assert (stats.cache_scans, stats.skipped_mounts) == (0, 1)
+        counters = context.trace.counters
+        assert (counters["cache_scans"], counters["skipped_mounts"]) == (0, 1)
         assert not cached.mounts.cache.contains(cached.uri)
 
     def test_a_second_run_of_the_query_does_not_answer_from_the_cache(
@@ -1964,9 +1971,10 @@ class TestCacheScanOfAVanishedFile:
         cold.store.set_down()
         # Nothing says the rows are stale and nothing can: stale-but-
         # available, as with the remembered listing.
-        batch = cold.mounts.cache_scan(cold.uri, "D", "d", None)
+        context = MountContext()
+        batch = cold.mounts.cache_scan(cold.uri, "D", "d", None, context)
         assert batch.num_rows == rows
-        assert cold.mounts.stats.cache_scans == 1
+        assert context.trace.counters == {"cache_scans": 1}
         assert cold.mounts.cache.contains(cold.uri)
 
 
@@ -2103,7 +2111,7 @@ class TestOneListPerBreakpoint:
         assert served.result.trace.counters["cache_scans"] == 3
         assert query.requests() == (1, 1, 0)  # the page held two of three
         # The third was left to its HEAD, not taken for gone.
-        assert query.executor.mounts.stats.fallback_mounts == 0
+        assert served.trace.counters["fallback_mounts"] == 0
 
     @pytest.mark.parametrize("observed_by", ["LIST", "HEAD"])
     def test_an_object_deleted_before_the_list_is_a_404(
@@ -2125,7 +2133,7 @@ class TestOneListPerBreakpoint:
         # a whole copy and asks whether it is current.
         assert query.requests()[:2] == (1, 1 if observed_by == "LIST" else 3)
         assert query.executor.cache.cached_uris() == set(query.uris[:-1])
-        assert query.executor.mounts.stats.stale_remounts == 1
+        assert query.executor.totals()["stale_remounts"] == 1
         degraded = query.executor.execute(
             query.sql, context=query.executor.open_context(on_mount_error="skip")
         )
@@ -2191,11 +2199,16 @@ class TestOneListPerBreakpoint:
 
         query.store.list_keys = rewritten_once_listed
         served = query.executor.execute(query.sql)
-        stats = query.executor.mounts.stats
         assert served.rows == query.warm
-        assert (stats.cache_scans, stats.stale_remounts) == (3, 0)
+        assert (
+            served.trace.counters["cache_scans"],
+            served.trace.counters["stale_remounts"],
+        ) == (3, 0)
         again = query.executor.execute(query.sql)
-        assert (stats.cache_scans, stats.stale_remounts) == (5, 1)
+        assert (
+            again.trace.counters["cache_scans"],
+            again.trace.counters["stale_remounts"],
+        ) == (2, 1)
         assert again.rows == query.fresh() != query.warm
         assert again.rows[0][0] == query.warm[0][0]
         # The remount's HEAD is staging's, of its whole copy; then its GET.
@@ -2378,7 +2391,7 @@ class TestScopeHandDown:
         del seen[:]
         cold.mounts.cache_scan(cold.uri, "D", "d", predicate, context)
         assert seen == [("head", context.token)]
-        assert cold.mounts.stats.cache_scans == 1
+        assert context.trace.counters["cache_scans"] == 1
 
     def test_a_fired_token_stops_its_own_mount_and_no_other(self, tmp_path):
         cold = _ColdMount(tmp_path)

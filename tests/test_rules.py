@@ -1,7 +1,5 @@
 """Tests for run-time rewrite rule (1): scan(a) → ∪ mount/cache-scan."""
 
-import pytest
-
 from repro.core import (
     CachePolicy,
     IngestionCache,

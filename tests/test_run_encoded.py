@@ -484,7 +484,6 @@ class TestZeroSampleRecords:
         selective = mounts._extract(self.URI, "D", request)
         assert (whole.selective, selective.selective) == (False, True)
         assert whole.records_decoded == selective.records_decoded == 3
-        assert mounts.stats.records_decoded == 6
 
     @pytest.mark.parametrize("selective", [False, True])
     def test_a_budget_of_two_records_trips(self, repo, selective):
@@ -494,4 +493,4 @@ class TestZeroSampleRecords:
             executor.execute(
                 self.SQL, budget=QueryBudget(max_decoded_records=2)
             )
-        assert executor.mounts.stats.selective_mounts == 2 * selective
+        assert executor.totals()["selective_mounts"] == 2 * selective

@@ -114,12 +114,11 @@ class TestEquivalence:
             dense_repo, cache=IngestionCache(CachePolicy.UNBOUNDED)
         )
         first = executor.execute(NARROW_SQL).rows
-        mounts_after_first = executor.mounts.stats.mounts
-        second = executor.execute(NARROW_SQL).rows
-        assert second == first
+        second = executor.execute(NARROW_SQL)
+        assert second.rows == first
         # The covering entries served the identical request: no re-mounts.
-        assert executor.mounts.stats.mounts == mounts_after_first
-        assert executor.mounts.stats.cache_scans > 0
+        assert second.trace.counters["files_mounted"] == 0
+        assert second.trace.counters["cache_scans"] > 0
 
     def test_wider_query_remounts_and_widens_coverage(self, dense_repo):
         """A narrow mount's cache entry must not serve a wider request."""
@@ -131,24 +130,21 @@ class TestEquivalence:
         # Widen-on-remount: still one entry per file, now with the wider
         # coverage — and the narrow query is served from it.
         assert len(cache) == len(dense_repo.uris())
-        mounts_before = executor.mounts.stats.mounts
-        assert executor.execute(NARROW_SQL).rows == narrow
-        assert executor.mounts.stats.mounts == mounts_before
+        again = executor.execute(NARROW_SQL)
+        assert again.rows == narrow
+        assert again.trace.counters["files_mounted"] == 0
 
 
 class TestAccounting:
     def test_bytes_and_decodes_cut_at_least_5x(self, dense_repo):
         full = make_executor(dense_repo, selective=False)
-        full.execute(NARROW_SQL)
+        full = full.execute(NARROW_SQL).trace.counters
         sel = make_executor(dense_repo, selective=True)
-        sel.execute(NARROW_SQL)
-        assert sel.mounts.stats.selective_mounts == sel.mounts.stats.mounts
-        assert sel.mounts.stats.records_skipped > 0
-        assert full.mounts.stats.bytes_read >= 5 * sel.mounts.stats.bytes_read
-        assert (
-            full.mounts.stats.records_decoded
-            >= 5 * sel.mounts.stats.records_decoded
-        )
+        sel = sel.execute(NARROW_SQL).trace.counters
+        assert sel["selective_mounts"] == sel["files_mounted"]
+        assert sel["records_skipped"] > 0
+        assert full["bytes_read"] >= 5 * sel["bytes_read"]
+        assert full["records_decoded"] >= 5 * sel["records_decoded"]
 
     def test_selective_bytes_match_span_lengths_exactly(self, dense_repo):
         """bytes_read charges exactly the byte ranges of selected records."""
@@ -284,8 +280,8 @@ class TestEmptyInterval:
         executor = make_executor(dense_repo)
         result = executor.execute(self.CONTRADICTORY_SQL)
         assert result.rows == [(0,)]
-        assert executor.mounts.stats.mounts == 0
-        assert executor.mounts.stats.bytes_read == 0
+        assert result.trace.counters["files_mounted"] == 0
+        assert result.trace.counters["bytes_read"] == 0
 
     def test_contradictory_predicate_survives_missing_file(
         self, tmp_path
@@ -345,9 +341,9 @@ class TestTupleGranularityStillWorks:
         cache = IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE)
         executor = make_executor(dense_repo, cache=cache)
         first = executor.execute(NARROW_SQL).rows
-        second = executor.execute(NARROW_SQL).rows
-        assert first == second
-        assert executor.mounts.stats.cache_scans > 0
+        second = executor.execute(NARROW_SQL)
+        assert first == second.rows
+        assert second.trace.counters["cache_scans"] > 0
 
 
 class TestRecordMapIndex:

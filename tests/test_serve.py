@@ -463,6 +463,39 @@ class TestSuccessorTask:
         assert sched.stats.shared_grants == 2
         assert sched.pending_tasks() == 0
 
+    def test_a_running_task_every_waiter_left_is_not_joined(self):
+        """An extraction whose waiters all left while it ran (a Top-N
+        release, a query that ended) read the file as it was before a later
+        query began: that query opens a successor instead of joining it."""
+        key = ("d", "f.xseed")
+        running, finish = threading.Event(), threading.Event()
+        calls = []
+
+        def extract(uri, table, request):
+            calls.append(uri)
+            running.set()
+            finish.wait(5.0)
+            return _result()
+
+        sched = MountScheduler(
+            extract,
+            policy=SchedulerPolicy(batch_window_seconds=0.0),
+            workers=1,
+        )
+        sched.start()
+        try:
+            first = sched.register(1, [key])[key]
+            assert running.wait(5.0)  # a worker runs it...
+            sched.withdraw(1, [first])  # ...and its only waiter leaves
+            second = sched.register(2, [key])[key]
+            finish.set()
+            assert second is not first
+            assert sched.take(2, second)[0].bytes_read == 100
+        finally:
+            finish.set()
+            sched.close()
+        assert len(calls) == 2
+
     def test_whole_file_task_covers_every_late_arrival(self):
         key = ("d", "f.xseed")
         sched = self._scheduler(lambda *a: _result())
@@ -570,29 +603,47 @@ class TestServiceEquivalence:
             stats.scheduler.shared_grants + stats.cache.hits
         ) > 0, stats.describe()
 
-    def test_two_tenants_together_share_one_extraction_without_the_window(
-        self, repo, metadata_db
-    ):
-        window = 0.5
+    WINDOW = 0.5
+
+    def _two_tenants_together(self, repo, metadata_db):
+        """Tenants "a" and "b", both closed-loop and just back, submit one
+        single-file query together; their outcomes and the service's
+        stats."""
         service = QueryService(
             repo,
             db=metadata_db,
-            scheduler_policy=SchedulerPolicy(batch_window_seconds=window),
+            scheduler_policy=SchedulerPolicy(batch_window_seconds=self.WINDOW),
         )
         [[sql]] = build_workload(SPEC, clients=1, queries_per_client=1)
         count_files = "SELECT COUNT(*) FROM F"
         with service:
             service.execute(count_files, tenant="a")  # first reported query
-            threading.Event().wait(window)  # ...and one window watched
-            for tenant in ("a", "b"):  # both closed-loop, both just back
+            threading.Event().wait(self.WINDOW)  # ...and one window watched
+            for tenant in ("a", "b"):
                 service.execute(count_files, tenant=tenant)
             futures = [service.submit(sql, tenant=t) for t in ("a", "b")]
-            rows = [future.result(timeout=30).rows for future in futures]
-            stats = service.stats().scheduler
+            outcomes = [future.result(timeout=30) for future in futures]
+            return outcomes, service.stats()
+
+    def test_two_tenants_together_share_one_extraction_without_the_window(
+        self, repo, metadata_db
+    ):
+        outcomes, stats = self._two_tenants_together(repo, metadata_db)
+        rows = [outcome.rows for outcome in outcomes]
         assert rows[0] and rows[0] == rows[1]
-        assert stats.tasks_extracted == 1
-        assert stats.shared_grants == 1
-        assert stats.max_wait_seconds < window / 2
+        assert stats.scheduler.tasks_extracted == 1
+        assert stats.scheduler.shared_grants == 1
+        assert stats.scheduler.max_wait_seconds < self.WINDOW / 2
+
+    def test_one_shared_extraction_is_read_once_and_charged_to_each_trace(
+        self, repo, metadata_db
+    ):
+        outcomes, stats = self._two_tenants_together(repo, metadata_db)
+        assert stats.scheduler.tasks_extracted == 1
+        [read] = {outcome.trace.counters["bytes_read"] for outcome in outcomes}
+        assert read > 0
+        assert stats.total_mount_bytes == read
+        assert [t.bytes_charged for t in stats.tenants] == [read, read]
 
     def test_slow_consumer_bounds_unconsumed_batches(
         self, repo, metadata_db, monkeypatch

@@ -1,7 +1,6 @@
 """Fuzz tests: the SQL front-end never crashes with anything but its own
 typed errors, no matter the input."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.errors import DatabaseError, SqlSyntaxError

@@ -83,12 +83,10 @@ def test_mount_service_fields():
         "binding",
         "cache",
         "buffers",
-        "stats",
         "selective",
         "record_map_provider",
         "file_span_provider",
         "_callbacks",
-        "_lock",
     ]
 
 

@@ -215,8 +215,8 @@ class TestLimitValidation:
             "SELECT D.sample_time FROM F JOIN D ON F.uri = D.uri LIMIT 0"
         )
         assert result.rows == []
-        assert executor.mounts.stats.mounts == 0
-        assert executor.mounts.stats.bytes_read == 0
+        assert result.trace.counters["files_mounted"] == 0
+        assert result.trace.counters["bytes_read"] == 0
 
 
 class TestFuseTopN:
@@ -557,7 +557,7 @@ class TestMountPoolRelease:
 
 class TestSharedPoolClientRelease:
     """``release`` is True only when it spared the extraction — the count
-    ``MountStats.early_cancelled_mounts`` reports."""
+    a query's trace counts as ``early_cancelled_mounts``."""
 
     def _scheduler(self):
         return MountScheduler(
@@ -630,18 +630,20 @@ class TestEndToEndEquivalence:
         never mounted — and the answer is unchanged."""
         executor = make_executor(tiny_repo)
         result = executor.execute(LATEST_SQL)
-        stats = executor.mounts.stats
-        assert stats.early_terminated_branches >= 1
-        assert stats.early_cancelled_mounts >= 1
-        assert stats.mounts < len(tiny_repo.uris())
-        baseline = make_executor(tiny_repo, top_n_pushdown=False)
-        assert result.rows == baseline.execute(LATEST_SQL).rows
-        assert baseline.mounts.stats.early_terminated_branches == 0
+        counters = result.trace.counters
+        assert counters["early_terminated_branches"] >= 1
+        assert counters["early_cancelled_mounts"] >= 1
+        assert counters["files_mounted"] < len(tiny_repo.uris())
+        baseline = make_executor(tiny_repo, top_n_pushdown=False).execute(
+            LATEST_SQL
+        )
+        assert result.rows == baseline.rows
+        assert baseline.trace.counters["early_terminated_branches"] == 0
 
     def test_early_termination_under_pooled_workers(self, tiny_repo):
         executor = make_executor(tiny_repo, mount_workers=4)
         result = executor.execute(LATEST_SQL)
-        assert executor.mounts.stats.early_terminated_branches >= 1
+        assert result.trace.counters["early_terminated_branches"] >= 1
         baseline = make_executor(tiny_repo, top_n_pushdown=False)
         assert result.rows == baseline.execute(LATEST_SQL).rows
 
@@ -653,7 +655,8 @@ class TestEndToEndEquivalence:
 
     def test_covering_interval_mounts_whole_file(self, tiny_repo):
         """A pruning interval spanning a file's whole hull makes the seek
-        ladder pure overhead: the span-aware service mounts it whole."""
+        ladder pure overhead: the span-aware service mounts it whole, and
+        counts each such branch once, at its mount."""
         executor = make_executor(tiny_repo)
         sql = (
             "SELECT COUNT(*) AS n FROM F JOIN D ON F.uri = D.uri "
@@ -661,7 +664,8 @@ class TestEndToEndEquivalence:
             "AND D.sample_time < '2010-02-01T00:00:00.000'"
         )
         result = executor.execute(sql)
-        assert executor.mounts.stats.whole_file_requests > 0
+        counters = result.trace.counters
+        assert counters["whole_file_requests"] == counters["files_mounted"] > 0
         full = make_executor(tiny_repo, selective_mounts=False)
         assert result.rows == full.execute(sql).rows
 

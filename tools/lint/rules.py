@@ -20,6 +20,9 @@ to learn.
   a cancelled query used to sleep out its whole ladder). Wait on
   ``CancellationToken.wait``/an ``Event`` instead; genuinely unmanaged
   waits can carry ``# lint: allow-uninterruptible-sleep``.
+* ``unused-import`` — every imported name is read somewhere in its file
+  (an ``__all__`` entry or a quoted annotation counts). An import kept for
+  its side effect or as a re-export carries ``# noqa`` on its line.
 """
 
 from __future__ import annotations
@@ -219,10 +222,75 @@ class UninterruptibleSleepRule(Rule):
             )
 
 
+class UnusedImportRule(Rule):
+    """Every imported name is read somewhere in its file."""
+
+    name = "unused-import"
+
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        imported: dict[str, ast.AST] = {}
+        used: set[str] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(bound, node)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported.setdefault(alias.asname or alias.name, node)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            used.update(_quoted_names(node))
+        lines = ctx.source.splitlines()
+        for bound, node in imported.items():
+            if bound in used or "noqa" in lines[node.lineno - 1]:
+                continue
+            yield self.violation(
+                ctx, node, f"{bound!r} is imported and never used; delete it"
+            )
+
+
+def _quoted_names(node: ast.AST) -> set[str]:
+    """The names ``node`` reads in quotes: a quoted annotation (or a quoted
+    type argument, ``Optional["MountKey"]``) and the ``__all__`` entries."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        arguments = node.args
+        quoted = [
+            a.annotation
+            for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            + [arguments.vararg, arguments.kwarg]
+            if a is not None and a.annotation is not None
+        ] + [node.returns]
+    elif isinstance(node, ast.AnnAssign):
+        quoted = [node.annotation]
+    elif isinstance(node, ast.Subscript):
+        quoted = [node.slice]
+    elif isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        quoted = [node.value]
+    else:
+        return set()
+    names: set[str] = set()
+    for expression in filter(None, quoted):
+        for part in ast.walk(expression):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                try:
+                    parsed = ast.parse(part.value.strip(), mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    return names
+
+
 DEFAULT_RULES: list[Rule] = [
     BareExceptRule(),
     ExtractionErrorWrapRule(),
     MutableDefaultArgRule(),
     MissingAnnotationsRule(),
     UninterruptibleSleepRule(),
+    UnusedImportRule(),
 ]
