@@ -20,7 +20,6 @@ from .derived import DERIVED_TABLE, DerivedMetadataStore, derived_table_schema
 from .executor import BULK, PER_FILE, TwoStageExecutor, TwoStageResult
 from .governor import (
     CancellationToken,
-    CircuitBreaker,
     ON_BUDGET_PARTIAL,
     ON_BUDGET_POLICIES,
     ON_BUDGET_RAISE,
@@ -101,7 +100,6 @@ __all__ = [
     "LimitFilesAboveCost",
     "CallbackPolicy",
     "CancellationToken",
-    "CircuitBreaker",
     "ON_BUDGET_PARTIAL",
     "ON_BUDGET_POLICIES",
     "ON_BUDGET_RAISE",

@@ -46,7 +46,6 @@ from .decompose import Decomposition, decompose, _replace_subtree
 from .executor_util import batch_from_rows
 from .governor import (
     CancellationToken,
-    CircuitBreaker,
     QueryBudget,
     QueryGovernor,
     TruncationReport,
@@ -149,7 +148,6 @@ class TwoStageExecutor:
         on_mount_error: str = FAIL_FAST,
         selective_mounts: bool = True,
         budget: Optional[QueryBudget] = None,
-        breaker: Optional[CircuitBreaker] = None,
         top_n_pushdown: bool = True,
     ) -> None:
         if strategy not in (BULK, PER_FILE):
@@ -187,12 +185,9 @@ class TwoStageExecutor:
         self.derived = derived
         self.mount_workers = mount_workers
         # Session defaults every execute() opens its context from: `budget`
-        # and the degradation policy apply unless that call brings its own;
-        # the breaker is shared by every query this executor runs (that is
-        # its whole point).
+        # and the degradation policy apply unless that call brings its own.
         self.budget = budget
         self.on_mount_error = check_on_error(on_mount_error)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._lock = _sync.create_lock("TwoStageExecutor._lock")
         self._in_flight: list[MountContext] = []  # guarded-by: _lock
         self._totals: Counter = Counter()  # guarded-by: _lock
@@ -304,7 +299,7 @@ class TwoStageExecutor:
     ) -> MountContext:
         """One execution's context, from this executor's session defaults
         (each overridable for this one execution): an armed governor, the
-        degradation policy, the breaker, and the execution as a one-tenant
+        degradation policy, and the execution as a one-tenant
         service — a mount scheduler of its own, extracting under this
         context, with ``mount_workers`` threads (none when serial: every
         take then extracts inline on the consuming thread, in plan order).
@@ -318,7 +313,6 @@ class TwoStageExecutor:
         context = MountContext(
             governor=governor,
             on_error=on_mount_error or self.on_mount_error,
-            breaker=self.breaker,
         )
         context.scheduler = MountScheduler(
             partial(self.mounts._extract, context=context),
@@ -385,9 +379,9 @@ class TwoStageExecutor:
         another thread). Exceeding the budget raises
         :class:`~repro.db.errors.QueryBudgetExceeded`, or truncates with a
         report under ``on_budget="partial"``. A caller with its own idea of
-        what a query is (the query service: tenant policy, tenant breaker,
+        what a query is (the query service: tenant policy, tenant ledger,
         shared scheduler) hands in the whole ``context`` instead — governor
-        and pool included, the breaker optional — and with it nothing else.
+        and pool included — and with it nothing else.
         """
         if context is None:
             context = self.open_context(budget, cancellation)
@@ -416,7 +410,7 @@ class TwoStageExecutor:
         """Run ``query`` (SQL, or a decomposition already prepared) under
         ``context``. ``on_branch`` runs stage 2 per file whatever the
         strategy, calling it around every branch (see ``_BranchHook``)."""
-        governor, pool, breaker = context.governor, context.pool, context.breaker
+        governor, pool = context.governor, context.pool
         assert governor is not None and pool is not None
         trace = context.trace
         io_before = self.db.buffers.stats.copy()
@@ -547,9 +541,6 @@ class TwoStageExecutor:
                         ),
                     )
                     for node in prefetch_mounts
-                    # Don't spend workers on files the breaker will refuse
-                    # at mount time anyway (mount_file stays authoritative).
-                    if breaker is None or not breaker.likely_blocked(node.uri)
                 ]
             )
             # The cache scans' files observed at once, while the workers'

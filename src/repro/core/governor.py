@@ -1,4 +1,4 @@
-"""The query governor — deadlines, budgets, cancellation, circuit breaking.
+"""The query governor — deadlines, budgets, cancellation, retries.
 
 The paper's §5 "query destiny" lets the scientist bound or abort a query at
 the inter-stage breakpoint; this module extends that control *into* stage 2,
@@ -19,12 +19,6 @@ so no query can run, sleep, or retry unboundedly once mounting has started:
   the token, arms a timer that fires the token at the deadline (waking every
   blocked wait immediately), and keeps the byte/record ledger the budget is
   charged against.
-* :class:`CircuitBreaker` — session-scoped generalization of the per-query
-  quarantine: a per-URI failure score that survives across queries. After
-  ``failure_threshold`` failures the circuit opens and mounts of that URI
-  are refused outright (no retry ladder spent); after ``cooldown_seconds``
-  one half-open probe is allowed through, and its outcome re-closes or
-  re-opens the circuit.
 * :class:`RetryLadder` — the one retry ladder, climbed under a
   :class:`RetryPolicy`: the remote transport repeats a request on it, the
   mount layer restarts an extraction on it, and each failure is retried by
@@ -41,7 +35,6 @@ from typing import Callable, Optional, TypeVar
 
 from .. import _sync
 from ..db.errors import (
-    CircuitOpenError,
     FileIngestError,
     QueryBudgetExceeded,
     QueryCancelledError,
@@ -381,222 +374,6 @@ class QueryGovernor:
             )
 
 
-# -- circuit breaker -----------------------------------------------------------
-
-CIRCUIT_CLOSED = "closed"
-CIRCUIT_OPEN = "open"
-CIRCUIT_HALF_OPEN = "half_open"
-
-
-@dataclass
-class _Circuit:
-    failures: int = 0
-    state: str = CIRCUIT_CLOSED
-    opened_at: float = 0.0
-    probing: bool = False  # a half-open probe is in flight
-    last_error: str = ""
-    last_touched: float = 0.0  # for idle-expiry / cap eviction
-
-
-@_sync.guarded
-class CircuitBreaker:
-    """Cross-query failure scoring per key, with half-open probe retries.
-
-    The per-query quarantine (PR 2) protects one query from re-extracting a
-    file that just failed; the breaker protects *every subsequent query*
-    from spending a full retry ladder on a key that keeps failing. Each
-    failure is scored under one key: the remote transport scores a
-    request's failures under its *endpoint*, and the mount layer scores
-    under the file's URI only what no endpoint circuit scored (a 404, a
-    corrupt or stale file, local I/O) — the state machine is identical:
-
-    ``closed`` → normal; failures accumulate, successes reset the score.
-    ``open`` → after ``failure_threshold`` consecutive failures; mounts are
-    refused outright (:class:`~repro.db.errors.CircuitOpenError`) until
-    ``cooldown_seconds`` pass.
-    ``half_open`` → after the cooldown, exactly one probe mount is let
-    through; success closes the circuit, failure re-opens it (and restarts
-    the cooldown).
-
-    The registry is bounded: entries idle longer than
-    ``idle_expiry_seconds`` are dropped, and when more than ``max_circuits``
-    keys hold state the least-recently-touched closed circuits are evicted
-    first — a long exploration session over a huge archive cannot leak one
-    ``_Circuit`` per file it ever failed on. Eviction runs on the failure
-    path only, so :meth:`allow` stays O(1).
-
-    ``clock`` is injectable so tests drive the cooldown deterministically.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_seconds: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        max_circuits: int = 1024,
-        idle_expiry_seconds: float = 900.0,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if cooldown_seconds < 0:
-            raise ValueError("cooldown_seconds must be >= 0")
-        if max_circuits < 1:
-            raise ValueError("max_circuits must be >= 1")
-        if idle_expiry_seconds <= 0:
-            raise ValueError("idle_expiry_seconds must be positive")
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
-        self.max_circuits = max_circuits
-        self.idle_expiry_seconds = idle_expiry_seconds
-        self._clock = clock
-        self._lock = _sync.create_lock("CircuitBreaker._lock")
-        self._circuits: dict[str, _Circuit] = {}  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._circuits)
-
-    def _reap_locked(self, now: float) -> None:
-        """Drop idle entries; enforce the cap (closed, least-recent first)."""
-        cutoff = now - self.idle_expiry_seconds
-        stale = [
-            key
-            for key, circuit in self._circuits.items()
-            if circuit.last_touched <= cutoff
-        ]
-        for key in stale:
-            del self._circuits[key]
-        self.evictions += len(stale)
-        excess = len(self._circuits) - self.max_circuits
-        if excess <= 0:
-            return
-        victims = sorted(
-            self._circuits.items(),
-            key=lambda kv: (
-                kv[1].state != CIRCUIT_CLOSED,  # closed circuits go first
-                kv[1].last_touched,
-            ),
-        )
-        for key, _ in victims[:excess]:
-            del self._circuits[key]
-        self.evictions += excess
-
-    def allow(self, uri: str) -> bool:
-        """May this URI be mounted right now? (May admit a half-open probe.)"""
-        with self._lock:
-            circuit = self._circuits.get(uri)
-            if circuit is None:
-                return True
-            circuit.last_touched = self._clock()
-            if circuit.state == CIRCUIT_CLOSED:
-                return True
-            if circuit.state == CIRCUIT_OPEN:
-                if self._clock() - circuit.opened_at < self.cooldown_seconds:
-                    return False
-                circuit.state = CIRCUIT_HALF_OPEN
-                circuit.probing = True
-                return True
-            # half-open: one probe at a time
-            if circuit.probing:
-                return False
-            circuit.probing = True
-            return True
-
-    def record_failure(self, uri: str, error: Optional[BaseException] = None) -> None:
-        with self._lock:
-            now = self._clock()
-            circuit = self._circuits.setdefault(uri, _Circuit())
-            circuit.failures += 1
-            circuit.last_touched = now
-            if error is not None:
-                circuit.last_error = type(error).__name__
-            reopen = (
-                circuit.state == CIRCUIT_HALF_OPEN
-                or circuit.failures >= self.failure_threshold
-            )
-            circuit.probing = False
-            if reopen:
-                circuit.state = CIRCUIT_OPEN
-                circuit.opened_at = now
-            self._reap_locked(now)
-
-    def record_success(self, uri: str) -> None:
-        with self._lock:
-            self._circuits.pop(uri, None)
-
-    def abandon_probe(self, uri: str) -> None:
-        """The admitted half-open probe ended without a verdict (its query
-        was cancelled mid-mount): free the slot so the next caller probes."""
-        with self._lock:
-            circuit = self._circuits.get(uri)
-            if circuit is not None and circuit.state == CIRCUIT_HALF_OPEN:
-                circuit.probing = False
-
-    def likely_blocked(self, uri: str) -> bool:
-        """Non-mutating peek: would :meth:`allow` refuse this URI right now?
-
-        Used to keep refused files out of prefetch lists without consuming
-        the half-open probe slot (only a real :meth:`allow` does that).
-        """
-        with self._lock:
-            circuit = self._circuits.get(uri)
-            if circuit is None or circuit.state == CIRCUIT_CLOSED:
-                return False
-            if circuit.state == CIRCUIT_OPEN:
-                return (
-                    self._clock() - circuit.opened_at < self.cooldown_seconds
-                )
-            return circuit.probing
-
-    def state_of(self, uri: str) -> str:
-        with self._lock:
-            circuit = self._circuits.get(uri)
-            return circuit.state if circuit is not None else CIRCUIT_CLOSED
-
-    def open_uris(self) -> list[str]:
-        with self._lock:
-            return sorted(
-                uri
-                for uri, circuit in self._circuits.items()
-                if circuit.state != CIRCUIT_CLOSED
-            )
-
-    def reset(self) -> None:
-        with self._lock:
-            self._circuits.clear()
-
-    def refusal(
-        self, uri: str, *, endpoint: Optional[str] = None
-    ) -> CircuitOpenError:
-        """The typed error for a mount the breaker refused.
-
-        ``endpoint`` attributes the refusal to a remote endpoint when the
-        circuit key is an endpoint rather than a single file — the remote
-        transport passes it so :class:`~repro.db.errors.CircuitOpenError`
-        (and through it, per-source failure reports) name the source.
-        """
-        key = endpoint if endpoint is not None else uri
-        with self._lock:
-            circuit = self._circuits.get(key)
-            failures = circuit.failures if circuit is not None else 0
-            last = circuit.last_error if circuit is not None else ""
-            remaining = 0.0
-            if circuit is not None and circuit.state == CIRCUIT_OPEN:
-                remaining = max(
-                    0.0,
-                    self.cooldown_seconds
-                    - (self._clock() - circuit.opened_at),
-                )
-        subject = f"endpoint {endpoint!r}: " if endpoint is not None else ""
-        detail = f"{subject}circuit open after {failures} failure(s)"
-        if last:
-            detail = f"{detail} (last: {last})"
-        if remaining > 0:
-            detail = f"{detail}; probe retry in {remaining:.1f}s"
-        return CircuitOpenError(detail, uri=uri, endpoint=endpoint)
-
-
 # -- retry budget --------------------------------------------------------------
 
 
@@ -729,11 +506,7 @@ class RetryLadder:
 
 
 __all__ = [
-    "CIRCUIT_CLOSED",
-    "CIRCUIT_HALF_OPEN",
-    "CIRCUIT_OPEN",
     "CancellationToken",
-    "CircuitBreaker",
     "ON_BUDGET_PARTIAL",
     "ON_BUDGET_POLICIES",
     "ON_BUDGET_RAISE",

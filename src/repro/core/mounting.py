@@ -33,10 +33,9 @@ its transport, and a :class:`~repro.db.errors.RemoteTransportError` that
 leaves the transport is final here. The mount layer restarts a whole
 extraction (:data:`RESTARTS`) only for what no request can repeat: a file
 caught mid-rewrite (:class:`~repro.db.errors.StaleFileError`) and transient
-local I/O. Each failure is also scored under one key: the per-file circuit
-breaker leaves to the endpoint's circuit what that circuit already scored
-(its refusals, transient transport failures) and scores the rest — a 404,
-a corrupt or stale file — against the file (:meth:`MountService._score`).
+local I/O. A file's failure is the query's own: nothing scores it across
+queries, and the next query reads the file afresh. The one circuit is a
+remote endpoint's, kept by its transport.
 
 Staleness is detected twice: the ingestion cache compares the
 ``(mtime_ns, size)`` signature recorded at store time on every cache-scan
@@ -61,12 +60,10 @@ from .. import _sync
 from ..obs import QueryTrace
 from ..db.buffer import BufferManager
 from ..db.errors import (
-    CircuitOpenError,
     FileIngestError,
     IngestError,
     QueryBudgetExceeded,
     RemoteObjectMissingError,
-    RemoteTransportError,
     StaleFileError,
 )
 from ..db.expr import Expr
@@ -89,7 +86,6 @@ from .cache import (
 )
 from .governor import (
     CancellationToken,
-    CircuitBreaker,
     QueryGovernor,
     RetryBudget,
     RetryLadder,
@@ -213,13 +209,12 @@ class MountContext:
     :class:`MountService` with every call, so the service itself remembers
     no "current query" and any number of queries may mount through it at
     once. A call without a context runs under a fresh default one: no
-    governor, fail-fast, no breaker, extraction inline.
+    governor, fail-fast, extraction inline.
 
     ``governor`` enforces the budget and carries the cancellation token and
     the ``on_charge`` ledger hook; ``on_error`` is the degradation policy
-    (:data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); ``breaker`` is the
-    circuit breaker to consult — it outlives the context, which is its
-    point; ``pool`` is stage 2's dispatch handle, a
+    (:data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); ``pool`` is stage 2's
+    dispatch handle, a
     :class:`~repro.core.scheduler.SharedPoolClient` of a mount scheduler —
     with one, :meth:`MountService.mount_file` consumes pre-extracted
     batches from it instead of extracting inline. ``scheduler`` is the
@@ -250,11 +245,9 @@ class MountContext:
         self,
         governor: Optional[QueryGovernor] = None,
         on_error: str = FAIL_FAST,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.governor = governor
         self.on_error = check_on_error(on_error)
-        self.breaker = breaker
         self.pool: Optional["SharedPoolClient"] = None
         self.scheduler: Optional["MountScheduler"] = None
         self.trace = QueryTrace()
@@ -363,7 +356,7 @@ class MountService:
     runs cheap even though they re-mount every query.
 
     The service holds only what is true for every query; what belongs to
-    one — governor, token, error policy, breaker, stage-2 pool, quarantine,
+    one — governor, token, error policy, stage-2 pool, quarantine,
     retry budgets — arrives with each call as a :class:`MountContext`. So it
     is *reentrant* twice over: any number of queries may mount through it at
     once, and :meth:`_extract` may run concurrently on the workers of each
@@ -487,7 +480,7 @@ class MountService:
     ) -> ColumnBatch:
         if context is None:
             context = MountContext()
-        governor, breaker = context.governor, context.breaker
+        governor = context.governor
         counters = context.trace.counters
         if governor is not None:
             # Budget checkpoint at branch entry: cancellation and raise-mode
@@ -497,14 +490,6 @@ class MountService:
             if governor.should_truncate:
                 return self._truncated_branch(alias, predicate, context)
         if context.skips and context.is_quarantined(uri):
-            counters["skipped_mounts"] += 1
-            return self._empty_branch(alias, predicate)
-        if breaker is not None and not breaker.allow(uri):
-            refusal = breaker.refusal(uri)
-            if not context.skips:
-                raise refusal
-            context.quarantine(uri, refusal)
-            counters["breaker_skips"] += 1
             counters["skipped_mounts"] += 1
             return self._empty_branch(alias, predicate)
         request = self.request_for(uri, table_name, alias, predicate, context)
@@ -523,13 +508,14 @@ class MountService:
                 raise
             return self._truncated_branch(alias, predicate, context)
         except IngestError as exc:
-            self._score(breaker, uri, exc)
+            # Once per file and query: fail-fast raises, skip quarantines.
+            if isinstance(exc, FileIngestError) and exc.restarts:
+                counters["restarts"] += exc.restarts
             if not context.skips:
                 raise
             context.quarantine(uri, exc)
             counters["skipped_mounts"] += 1
             return self._empty_branch(alias, predicate)
-        self._score(breaker, uri)
         batch = result.batch
         counters["files_mounted"] += 1
         counters["tuples_mounted"] += batch.num_rows
@@ -544,28 +530,6 @@ class MountService:
         interval = interval_from_predicate(predicate, f"{alias}.{TIME_COLUMN}")
         batch = self.retain(uri, result, interval)
         return self._deliver(batch, alias, predicate)
-
-    @staticmethod
-    def _score(
-        breaker: Optional[CircuitBreaker],
-        uri: str,
-        failure: Optional[IngestError] = None,
-    ) -> None:
-        """Score one extraction of ``uri`` (a success when ``failure`` is
-        None) on the file's circuit. An endpoint's refusal or transient
-        transport failure was scored by the endpoint's circuit and says
-        nothing about the file: it is no verdict, and a half-open probe of
-        the file that met it frees its slot."""
-        if breaker is None:
-            return
-        if failure is None:
-            breaker.record_success(uri)
-        elif isinstance(failure, CircuitOpenError) or (
-            isinstance(failure, RemoteTransportError) and failure.transient
-        ):
-            breaker.abandon_probe(uri)
-        elif isinstance(failure, FileIngestError):
-            breaker.record_failure(uri, failure)
 
     def _obtain(
         self,
@@ -715,26 +679,33 @@ class MountService:
 
         A stale file or transient local I/O restarts the extraction on
         :data:`RESTARTS` (see :func:`restartable`); the result counts the
-        restarts in ``restarts``, and the final exception carries the
-        retries the file cost in ``retries``. Backoff waits on
-        the context's cancellation token — not ``time.sleep`` — so a
-        cancelled or deadline-expired query stops retrying immediately
-        instead of sleeping out the rest of its ladder.
+        restarts in ``restarts``, and the final exception carries them in
+        its ``restarts`` and the retries the file cost in ``retries``.
+        Backoff waits on the context's cancellation token — not
+        ``time.sleep`` — so a cancelled or deadline-expired query stops
+        retrying immediately instead of sleeping out the rest of its
+        ladder.
         """
         if context is None:
             context = MountContext()
         token = context.token
         token.raise_if_interrupted()
         path, extractor, repository = self._resolve(uri, table_name, context)
+        restarts = 0
 
         def attempt(n: int) -> "ExtractResult":
-            # Attempt n follows n restarts.
+            nonlocal restarts
+            restarts = n  # attempt n follows n restarts
             before = observed if n == 0 else None
             return self._extract_once(
                 uri, path, extractor, request, repository, before, context, n
             )
 
-        return RESTARTS.run(attempt, token=token, retryable=restartable)
+        try:
+            return RESTARTS.run(attempt, token=token, retryable=restartable)
+        except FileIngestError as failure:
+            failure.restarts = restarts
+            raise
 
     def _extract_once(
         self,

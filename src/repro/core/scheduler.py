@@ -81,8 +81,7 @@ arrives while the file's task is running or done under a request too narrow
 for it likewise opens a fresh *successor* task, which later arrivals merge
 into, instead of re-extracting on its own thread. Every waiter
 of a failed task receives the same typed exception and applies its own
-session policy — skip/fail, retry ladders, and per-tenant circuit breakers
-all stay query-side.
+session policy — skip or fail stays query-side.
 
 Timing model
 ------------

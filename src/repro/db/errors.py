@@ -89,12 +89,14 @@ class FileIngestError(IngestError):
     ``endpoint`` names the remote endpoint a failure is attributable to
     (None for a local file). ``retries`` is how many retries the failure
     cost before it surfaced, counted by the retry ladder at whichever layer
-    retried. ``mount_uri`` mirrors ``uri`` — it is the attribute the mount
-    scheduler annotates onto foreign exceptions, so callers can read one name for
-    both taxonomy and wrapped errors.
+    retried; ``restarts`` is how many of them restarted the whole
+    extraction (set by the mount layer). ``mount_uri`` mirrors ``uri`` — it
+    is the attribute the mount scheduler annotates onto foreign exceptions,
+    so callers can read one name for both taxonomy and wrapped errors.
     """
 
     transient = False  # a subclass's default; ``transient=`` overrides it
+    restarts = 0
 
     def __init__(
         self,
@@ -213,15 +215,14 @@ class QueryShedError(DatabaseError):
 
 
 class CircuitOpenError(FileIngestError):
-    """The cross-query circuit breaker refused to touch this file.
+    """A remote endpoint's circuit refused the request for this file.
 
     Not transient: the whole point of the open state is to spend *zero*
-    retry ladder on a URI that has repeatedly failed across queries. The
-    breaker closes again via a half-open probe after its cooldown.
+    retry ladder on an endpoint that has repeatedly failed across queries.
+    The circuit closes again via a half-open probe after its cooldown.
 
-    ``endpoint`` is set when the refusing circuit guards a remote endpoint
-    rather than a single file — the per-source attribution a federated
-    :class:`~repro.core.mounting.MountFailureReport` carries.
+    ``endpoint`` names the refusing endpoint — the per-source attribution a
+    federated :class:`~repro.core.mounting.MountFailureReport` carries.
     """
 
 

@@ -69,7 +69,6 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .. import _sync
-from ..core.governor import CircuitBreaker
 from ..db.errors import (
     FileIngestError,
     IngestError,
@@ -172,10 +171,9 @@ class RemoteRepository:
         staging_dir: str | Path,
         policy: TransportPolicy = TransportPolicy(),
         suffix: str | tuple[str, ...] = (".xseed", ".tscsv"),
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.endpoint = store.endpoint
-        self.transport = ResilientTransport(store, policy, breaker=breaker)
+        self.transport = ResilientTransport(store, policy)
         self.staging_root = Path(staging_dir)
         self.staging_root.mkdir(parents=True, exist_ok=True)
         # Containment is checked against this on every URI resolution; the

@@ -4,8 +4,9 @@ One :class:`ResilientTransport` fronts one endpoint's object store and
 wraps each request in three layers of protection, outside-in, plus a
 deadline:
 
-1. **Per-endpoint circuit breaker** — the PR 5 :class:`CircuitBreaker`
-   keyed by *endpoint* instead of URI: an endpoint that keeps failing is
+1. **The endpoint's circuit** — the transport's own
+   :class:`CircuitBreaker`, sized by the policy (``breaker_failures``,
+   ``breaker_cooldown_seconds``): an endpoint that keeps failing is
    refused outright (``CircuitOpenError`` carrying the endpoint name) until
    a half-open probe succeeds; requests arriving while that probe is in
    flight wait for its verdict. One dead endpoint costs one failure streak,
@@ -56,10 +57,7 @@ from typing import Callable, Optional, Protocol, TypeVar
 
 from .. import _sync
 from ..core.governor import (
-    CIRCUIT_HALF_OPEN,
-    CIRCUIT_OPEN,
     CancellationToken,
-    CircuitBreaker,
     RetryBudget,
     RetryLadder,
     RetryPolicy,
@@ -95,9 +93,14 @@ class RequestScope(Protocol):
 
 @dataclass(frozen=True)
 class TransportPolicy(RetryPolicy):
-    """The retry ladder's knobs plus a deadline for each attempt."""
+    """The retry ladder's knobs, a deadline for each attempt, and the
+    endpoint circuit's: it opens after ``breaker_failures`` failed attempts
+    in a row and lets one probe through ``breaker_cooldown_seconds`` later.
+    """
 
     request_timeout_seconds: Optional[float] = None  # per attempt
+    breaker_failures: int = 3
+    breaker_cooldown_seconds: float = 0.25
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -105,6 +108,118 @@ class TransportPolicy(RetryPolicy):
             self.request_timeout_seconds <= 0
         ):
             raise ValueError("request_timeout_seconds must be positive")
+        if self.breaker_failures < 1:
+            raise ValueError("breaker_failures must be >= 1")
+        if self.breaker_cooldown_seconds < 0:
+            raise ValueError("breaker_cooldown_seconds must be >= 0")
+
+
+CIRCUIT_CLOSED = "closed"
+CIRCUIT_OPEN = "open"
+CIRCUIT_HALF_OPEN = "half_open"
+
+
+@_sync.guarded
+class CircuitBreaker:
+    """One endpoint's circuit: its failures scored across queries.
+
+    ``closed`` → normal; failures accumulate, a success resets the score.
+    ``open`` → after ``failure_threshold`` consecutive failures; requests
+    are refused outright (:meth:`refusal`, a
+    :class:`~repro.db.errors.CircuitOpenError` naming the endpoint) until
+    ``cooldown_seconds`` pass.
+    ``half_open`` → after the cooldown, exactly one probe is let through;
+    success closes the circuit, failure re-opens it and restarts the
+    cooldown, and a probe that ends without a verdict frees its slot for
+    the next caller (:meth:`abandon_probe`).
+
+    ``clock`` is injectable so tests drive the cooldown deterministically.
+    """
+
+    def __init__(
+        self,
+        endpoint: str,
+        failure_threshold: int,
+        cooldown_seconds: float,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.endpoint = endpoint
+        self.failure_threshold = failure_threshold
+        self.cooldown_seconds = cooldown_seconds
+        self._clock = clock
+        self._lock = _sync.create_lock("CircuitBreaker._lock")
+        self._state = CIRCUIT_CLOSED  # guarded-by: _lock
+        self._failures = 0  # guarded-by: _lock
+        self._opened_at = 0.0  # guarded-by: _lock
+        self._probing = False  # guarded-by: _lock
+        self._last_error = ""  # guarded-by: _lock
+
+    @property
+    def state(self) -> str:
+        with self._lock:
+            return self._state
+
+    def allow(self) -> bool:
+        """May a request go out right now? (May admit the half-open probe.)"""
+        with self._lock:
+            if self._state == CIRCUIT_CLOSED:
+                return True
+            if self._state == CIRCUIT_OPEN:
+                if self._clock() - self._opened_at < self.cooldown_seconds:
+                    return False
+                self._state = CIRCUIT_HALF_OPEN
+            elif self._probing:
+                return False  # half-open: one probe at a time
+            self._probing = True
+            return True
+
+    def record_failure(self, error: Optional[BaseException] = None) -> None:
+        with self._lock:
+            self._failures += 1
+            if error is not None:
+                self._last_error = type(error).__name__
+            if (
+                self._state == CIRCUIT_HALF_OPEN
+                or self._failures >= self.failure_threshold
+            ):
+                self._state = CIRCUIT_OPEN
+                self._opened_at = self._clock()
+            self._probing = False
+
+    def record_success(self) -> None:
+        with self._lock:
+            self._state = CIRCUIT_CLOSED
+            self._failures = 0
+            self._probing = False
+            self._last_error = ""
+
+    def abandon_probe(self) -> None:
+        """The admitted half-open probe ended without a verdict (its query
+        was cancelled mid-request): free the slot so the next caller probes."""
+        with self._lock:
+            if self._state == CIRCUIT_HALF_OPEN:
+                self._probing = False
+
+    def refusal(self, subject: str) -> CircuitOpenError:
+        """The typed error for a request about ``subject`` (a file's URI,
+        else the request) that the circuit refused."""
+        with self._lock:
+            failures, last = self._failures, self._last_error
+            remaining = 0.0
+            if self._state == CIRCUIT_OPEN:
+                remaining = max(
+                    0.0,
+                    self.cooldown_seconds - (self._clock() - self._opened_at),
+                )
+        detail = (
+            f"endpoint {self.endpoint!r}: circuit open after "
+            f"{failures} failure(s)"
+        )
+        if last:
+            detail = f"{detail} (last: {last})"
+        if remaining > 0:
+            detail = f"{detail}; probe retry in {remaining:.1f}s"
+        return CircuitOpenError(detail, uri=subject, endpoint=self.endpoint)
 
 
 @dataclass
@@ -124,18 +239,15 @@ class ResilientTransport:
         self,
         store: SimulatedObjectStore,
         policy: TransportPolicy = TransportPolicy(),
-        breaker: Optional[CircuitBreaker] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.store = store
         self.policy = policy
-        # Endpoint-keyed breaker. Sharable across transports (a federation
-        # passes one) — the key space is endpoints, so transports don't
-        # collide.
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(failure_threshold=3, cooldown_seconds=0.25)
+        self.breaker = CircuitBreaker(
+            store.endpoint,
+            policy.breaker_failures,
+            policy.breaker_cooldown_seconds,
+            clock,
         )
         self.stats = TransportStats()  # guarded-by: _lock
         self._clock = clock
@@ -216,7 +328,7 @@ class ResilientTransport:
         else:
             token = scope.token
             budget = scope.retry_budget(endpoint, policy.retry_budget_attempts)
-        probe = self._admit(endpoint, uri or op, token)
+        probe = self._admit(uri or op, token)
         with self._lock:
             self.stats.requests += 1
 
@@ -229,7 +341,7 @@ class ResilientTransport:
                 # The endpoint *answered* — this is a repository fact, not
                 # a transport failure; it neither trips the breaker nor
                 # earns a retry.
-                self.breaker.record_success(endpoint)
+                self.breaker.record_success()
                 raise RemoteObjectMissingError(
                     f"{op}: object does not exist on {endpoint!r}",
                     uri=uri,
@@ -240,7 +352,7 @@ class ResilientTransport:
                 # Answered too: the object is not the version the caller
                 # holds bytes of. Asking again cannot change that; the
                 # caller starts over from the version there is now.
-                self.breaker.record_success(endpoint)
+                self.breaker.record_success()
                 raise StaleFileError(
                     f"{op}: {exc}", uri=uri, cause=exc
                 ) from exc
@@ -248,7 +360,7 @@ class ResilientTransport:
                 failure = RemoteTransportError(
                     f"{op} failed: {exc}", uri=uri, endpoint=endpoint, cause=exc
                 )
-                self.breaker.record_failure(endpoint, failure)
+                self.breaker.record_failure(failure)
                 with self._lock:
                     self.stats.failures += 1
                     self.stats.timeouts += isinstance(exc, TimeoutError)
@@ -257,9 +369,9 @@ class ResilientTransport:
                 # No verdict on the endpoint (the query was cancelled
                 # mid-request): a probe frees its slot for the next request.
                 if probe:
-                    self.breaker.abandon_probe(endpoint)
+                    self.breaker.abandon_probe()
                 raise
-            self.breaker.record_success(endpoint)
+            self.breaker.record_success()
             return result
 
         def admit(failure: FileIngestError) -> None:
@@ -271,7 +383,7 @@ class ResilientTransport:
             try:
                 # A failure streak that just opened the circuit stops here
                 # rather than probing it from inside one request's ladder.
-                probe = self._admit(endpoint, uri or op, token)
+                probe = self._admit(uri or op, token)
             except CircuitOpenError as refusal:
                 refusal.retries = failure.retries
                 raise refusal from failure
@@ -286,9 +398,7 @@ class ResilientTransport:
             admit=admit,
         )
 
-    def _admit(
-        self, endpoint: str, subject: str, token: CancellationToken
-    ) -> bool:
+    def _admit(self, subject: str, token: CancellationToken) -> bool:
         """Pass the breaker, or raise its refusal.
 
         Returns whether this request is the half-open probe. A query's mount
@@ -301,25 +411,28 @@ class ResilientTransport:
         may take (the request timeout, else ``_PROBE_WAIT_SECONDS``) and by
         the cooldown a refusal would have imposed.
         """
-        timeout = self.policy.request_timeout_seconds
+        breaker, timeout = self.breaker, self.policy.request_timeout_seconds
         deadline = self._clock() + min(
-            self.breaker.cooldown_seconds,
+            breaker.cooldown_seconds,
             _PROBE_WAIT_SECONDS if timeout is None else timeout,
         )
-        while not self.breaker.allow(endpoint):
-            state = self.breaker.state_of(endpoint)
+        while not breaker.allow():
+            state = breaker.state
             if state == CIRCUIT_OPEN or self._clock() >= deadline:
                 with self._lock:
                     self.stats.breaker_refusals += 1
-                raise self.breaker.refusal(subject, endpoint=endpoint)
+                raise breaker.refusal(subject)
             # Closed means the probe succeeded since allow() ran: ask again.
             if state == CIRCUIT_HALF_OPEN and token.wait(_POLL_SECONDS):
                 raise token.interruption()
         # A half-open circuit says yes to its one probe only.
-        return self.breaker.state_of(endpoint) == CIRCUIT_HALF_OPEN
-
+        return breaker.state == CIRCUIT_HALF_OPEN
 
 __all__ = [
+    "CIRCUIT_CLOSED",
+    "CIRCUIT_HALF_OPEN",
+    "CIRCUIT_OPEN",
+    "CircuitBreaker",
     "RequestScope",
     "ResilientTransport",
     "TransportPolicy",

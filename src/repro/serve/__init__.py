@@ -6,8 +6,8 @@ register their files of interest with a cross-query scheduler
 (LifeRaft-style data-driven batching with a throughput ↔ fairness knob and
 starvation aging), and every completed extraction feeds every waiting
 query. Per-tenant admission control — queue-depth shedding, per-query
-budgets, tenant byte ledgers, per-tenant circuit breakers — turns the
-single-user governor machinery into a multi-user story.
+budgets, tenant byte ledgers — turns the single-user governor machinery
+into a multi-user story.
 """
 
 from .driver import (

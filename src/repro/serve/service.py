@@ -30,32 +30,24 @@ A query's life in the service:
    ``on_charge`` hook feeds the tenant's running byte ledger.
 
 Tenant isolation is deliberate where it matters and shared where that is
-the point: every tenant gets its **own**
-:class:`~repro.core.governor.CircuitBreaker` (one tenant hammering a broken
-file trips only its own breaker; another tenant's queries still mount the
-files *they* need), while the cache and scheduler are shared (their
-concurrency story: cache stores are first-wins idempotent, scheduler tasks
-single-flight per file). A shared extraction that genuinely fails surfaces
-the same typed error to every query waiting on that file — each query then
-applies its own ``on_mount_error`` policy and records the failure in its
-own tenant's breaker.
+the point: every tenant keeps its **own** policy, budget and byte ledger,
+while the cache and scheduler are shared (their concurrency story: cache
+stores are first-wins idempotent, scheduler tasks single-flight per file).
+A shared extraction that genuinely fails surfaces the same typed error to
+every query waiting on that file — each query then applies its own
+``on_mount_error`` policy, and the next query reads the file afresh.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .. import _sync
 from ..core.cache import WHOLE_FILE, CachePolicy, CacheStats, IngestionCache
 from ..core.executor import TwoStageExecutor, TwoStageResult
-from ..core.governor import (
-    CancellationToken,
-    CircuitBreaker,
-    QueryBudget,
-    QueryGovernor,
-)
+from ..core.governor import CancellationToken, QueryBudget, QueryGovernor
 from ..core.mounting import (
     FAIL_FAST,
     ExtractResult,
@@ -105,12 +97,10 @@ class TenantPolicy:
 
 @dataclass
 class TenantState:
-    """One tenant's live accounting; mutated only under the service lock
-    (except the breaker, which locks itself)."""
+    """One tenant's live accounting; mutated only under the service lock."""
 
     name: str
     policy: TenantPolicy
-    breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     in_flight: int = 0
     admitted: int = 0
     completed: int = 0
@@ -220,7 +210,7 @@ class QueryService:
         self.max_concurrent_queries = max_concurrent_queries
         # The one pipeline every query runs through — and with it one mount
         # service, one byte-map index, one statistics memo. What differs
-        # per query (tenant policy, budget, breaker, ledger, the scheduler
+        # per query (tenant policy, budget, ledger, the scheduler
         # client) is the context _run_admitted hands its execute().
         self._executor = TwoStageExecutor(
             db,
@@ -386,8 +376,8 @@ class QueryService:
         cancellation: Optional[CancellationToken],
     ) -> MountContext:
         """One admitted query's context, from its tenant: the policy's
-        degradation mode and budget (unless the call brought one), the
-        tenant's breaker, a governor whose charges feed the tenant ledger,
+        degradation mode and budget (unless the call brought one), a
+        governor whose charges feed the tenant ledger,
         and a scheduler client as stage 2's pool — consumed shared results
         charge this query's budget exactly as standalone extraction would.
         """
@@ -405,7 +395,6 @@ class QueryService:
         context = MountContext(
             governor=governor,
             on_error=state.policy.on_mount_error,
-            breaker=state.breaker,
         )
         context.trace.tenant = state.name
         context.pool = self.scheduler.client(
@@ -433,8 +422,7 @@ class QueryService:
 
         The task serves every query waiting on the file, so it runs under
         no one's context: no governor (each consumer's context charges its
-        own, once per file it uses), no breaker (each waiter's breaker
-        judges the failure), and no query's token or retry budget.
+        own, once per file it uses), and no query's token or retry budget.
         """
         mounts = self._executor.mounts
         interval = WHOLE_FILE if request is None else request.interval

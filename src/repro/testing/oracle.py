@@ -47,7 +47,7 @@ from ..core import (
     IngestionCache,
     TwoStageExecutor,
 )
-from ..core.governor import CancellationToken, CircuitBreaker
+from ..core.governor import CancellationToken
 from ..core.metastore import MetadataStore
 from ..core.scheduler import WORKER_THREAD_PREFIX
 from ..db import ColumnDef, Database, DataType, TableSchema
@@ -64,6 +64,7 @@ from ..remote import (
     SimulatedObjectStore,
     TransportPolicy,
 )
+from ..remote.transport import CIRCUIT_CLOSED
 from ..serve import QueryService, SchedulerPolicy, TenantPolicy
 from .faults import (
     MID_STREAM_DISCONNECT,
@@ -100,7 +101,10 @@ ENDPOINT = "seis-eu"
 # opens the circuit and its last retry meets the refusal.
 BREAKER_COOLDOWN = 0.02
 BREAKER_FAILURES = 9
-TRANSPORT = TransportPolicy(max_attempts=BREAKER_FAILURES + 1, backoff_seconds=0.0)
+TRANSPORT = TransportPolicy(
+    max_attempts=BREAKER_FAILURES + 1, backoff_seconds=0.0,
+    breaker_failures=BREAKER_FAILURES, breaker_cooldown_seconds=BREAKER_COOLDOWN,
+)
 
 
 @dataclass(frozen=True)
@@ -520,11 +524,7 @@ class Engine:
     def _repository(self, staging: Path, keep: bool = True) -> Any:
         def remote(root: Path) -> RemoteRepository:
             store = SimulatedObjectStore(ENDPOINT, root)
-            repository = RemoteRepository(
-                store, staging,
-                policy=TRANSPORT,
-                breaker=CircuitBreaker(BREAKER_FAILURES, BREAKER_COOLDOWN),
-            )
+            repository = RemoteRepository(store, staging, policy=TRANSPORT)
             if keep:
                 self.stores.append(store)
                 self.remotes.append(repository)
@@ -575,7 +575,7 @@ class Engine:
                 r.transport.stats.failures for r in self.remotes
             ),
             "open breakers": sum(
-                len(r.transport.breaker.open_uris()) for r in self.remotes
+                r.transport.breaker.state != CIRCUIT_CLOSED for r in self.remotes
             ),
             "Top-N unsafe re-run": sum(not m.safe() for m in self.monitors),
             "sidecar reset": metastore.corrupt_loads if metastore else 0,

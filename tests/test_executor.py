@@ -14,7 +14,6 @@ from repro.core import (
     CachePolicy,
     CacheGranularity,
     CancellationToken,
-    CircuitBreaker,
     IngestionCache,
     LimitFilesAboveCost,
     MountContext,
@@ -400,14 +399,7 @@ class TestReentrancy:
     def _executor(self, repo, workers):
         db = Database()
         lazy_ingest_metadata(db, repo)
-        return TwoStageExecutor(
-            db,
-            RepositoryBinding(repo),
-            mount_workers=workers,
-            # Out of the picture: this is about contexts, and a breaker
-            # (shared on purpose) would reword the repeat failures.
-            breaker=CircuitBreaker(failure_threshold=10**6),
-        )
+        return TwoStageExecutor(db, RepositoryBinding(repo), mount_workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_six_queries_at_once_equal_the_same_queries_alone(
@@ -567,8 +559,3 @@ class TestHandedInContext:
         with pytest.raises(ValueError, match="governor and a pool"):
             executor.execute(query1, context=MountContext())
 
-    def test_context_without_a_breaker_runs_unbroken(self, executor, query1):
-        context = executor.open_context()
-        context.breaker = None
-        alone = executor.execute(query1).rows
-        assert executor.execute(query1, context=context).rows == alone

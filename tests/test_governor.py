@@ -1,4 +1,5 @@
-"""The query governor: deadlines, budgets, cancellation, circuit breaking.
+"""The query governor: deadlines, budgets, cancellation, retries — and the
+one circuit, a remote endpoint's.
 
 The headline guarantee: a query with a 50ms deadline against a corpus whose
 mounts stall for seconds comes back in well under 200ms — raising under
@@ -18,15 +19,11 @@ import pytest
 
 from repro.core import (
     CancellationToken,
-    CircuitBreaker,
     ON_BUDGET_PARTIAL,
     QueryBudget,
     TwoStageExecutor,
 )
 from repro.core.governor import (
-    CIRCUIT_CLOSED,
-    CIRCUIT_HALF_OPEN,
-    CIRCUIT_OPEN,
     QueryGovernor,
     RetryBudget,
     RetryLadder,
@@ -36,6 +33,7 @@ from repro.core import mounting
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
+    CorruptFileError,
     FileIngestError,
     QueryBudgetExceeded,
     QueryCancelledError,
@@ -44,6 +42,13 @@ from repro.db.errors import (
 from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.remote.transport import (
+    CIRCUIT_CLOSED,
+    CIRCUIT_HALF_OPEN,
+    CIRCUIT_OPEN,
+    CircuitBreaker,
+    TransportPolicy,
+)
 from repro.testing import (
     READ_LATENCY,
     TRANSIENT_OSERROR,
@@ -350,179 +355,95 @@ class _FakeClock:
 
 
 class TestCircuitBreaker:
+    """The endpoint's circuit: one state machine, no key."""
+
     def _breaker(self, threshold=3, cooldown=30.0):
         clock = _FakeClock()
-        return CircuitBreaker(
-            failure_threshold=threshold,
-            cooldown_seconds=cooldown,
-            clock=clock,
-        ), clock
+        return CircuitBreaker("seis-eu", threshold, cooldown, clock), clock
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
+            TransportPolicy(breaker_failures=0)
         with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_seconds=-1)
+            TransportPolicy(breaker_cooldown_seconds=-1)
 
     def test_opens_at_threshold(self):
         breaker, _ = self._breaker(threshold=3)
         for _ in range(2):
-            breaker.record_failure("u")
-            assert breaker.allow("u")
-        breaker.record_failure("u")
-        assert breaker.state_of("u") == CIRCUIT_OPEN
-        assert not breaker.allow("u")
-        assert breaker.open_uris() == ["u"]
+            breaker.record_failure()
+            assert breaker.allow()
+        breaker.record_failure()
+        assert breaker.state == CIRCUIT_OPEN
+        assert not breaker.allow()
 
     def test_success_resets_the_score(self):
         breaker, _ = self._breaker(threshold=2)
-        breaker.record_failure("u")
-        breaker.record_success("u")
-        breaker.record_failure("u")
-        assert breaker.state_of("u") == CIRCUIT_CLOSED
+        breaker.record_failure()
+        breaker.record_success()
+        breaker.record_failure()
+        assert breaker.state == CIRCUIT_CLOSED
 
     def test_half_open_admits_exactly_one_probe(self):
         breaker, clock = self._breaker(threshold=1, cooldown=30.0)
-        breaker.record_failure("u")
-        assert not breaker.allow("u")
+        breaker.record_failure()
+        assert not breaker.allow()
         clock.now = 31.0
-        assert breaker.allow("u")  # the probe
-        assert breaker.state_of("u") == CIRCUIT_HALF_OPEN
-        assert not breaker.allow("u")  # only one at a time
+        assert breaker.allow()  # the probe
+        assert breaker.state == CIRCUIT_HALF_OPEN
+        assert not breaker.allow()  # only one at a time
 
     def test_probe_success_closes(self):
         breaker, clock = self._breaker(threshold=1, cooldown=30.0)
-        breaker.record_failure("u")
+        breaker.record_failure()
         clock.now = 31.0
-        assert breaker.allow("u")
-        breaker.record_success("u")
-        assert breaker.state_of("u") == CIRCUIT_CLOSED
-        assert breaker.allow("u")
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == CIRCUIT_CLOSED
+        assert breaker.allow()
 
     def test_probe_failure_reopens_and_restarts_cooldown(self):
         breaker, clock = self._breaker(threshold=1, cooldown=30.0)
-        breaker.record_failure("u")
+        breaker.record_failure()
         clock.now = 31.0
-        assert breaker.allow("u")
-        breaker.record_failure("u")
-        assert breaker.state_of("u") == CIRCUIT_OPEN
+        assert breaker.allow()
+        breaker.record_failure()
+        assert breaker.state == CIRCUIT_OPEN
         clock.now = 60.0  # < 31 + 30: still cooling down
-        assert not breaker.allow("u")
-
-    def test_likely_blocked_does_not_consume_the_probe(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=30.0)
-        breaker.record_failure("u")
-        assert breaker.likely_blocked("u")
-        clock.now = 31.0
-        assert not breaker.likely_blocked("u")  # peek only
-        assert breaker.state_of("u") == CIRCUIT_OPEN  # state untouched
-        assert breaker.allow("u")  # the real probe admission
+        assert not breaker.allow()
+        clock.now = 61.5
+        assert breaker.allow()
 
     def test_refusal_describes_the_circuit(self):
-        breaker, _ = self._breaker(threshold=1, cooldown=30.0)
-        breaker.record_failure("u", OSError("disk on fire"))
+        breaker, clock = self._breaker(threshold=1, cooldown=30.0)
+        breaker.record_failure(OSError("disk on fire"))
+        clock.now = 10.0
         refusal = breaker.refusal("u")
         assert isinstance(refusal, CircuitOpenError)
         assert refusal.uri == "u"
-        assert "1 failure" in str(refusal)
-        assert "OSError" in str(refusal)
+        assert str(refusal) == (
+            "u: endpoint 'seis-eu': circuit open after 1 failure(s) "
+            "(last: OSError); probe retry in 20.0s"
+        )
         assert not refusal.transient  # no retry ladder for refusals
-
-    def test_reset_clears_all_circuits(self):
-        breaker, _ = self._breaker(threshold=1)
-        breaker.record_failure("u")
-        breaker.reset()
-        assert breaker.allow("u")
-        assert breaker.open_uris() == []
 
     def test_endpoint_refusal_names_the_endpoint(self):
         breaker, _ = self._breaker(threshold=1)
-        breaker.record_failure("seis-eu", OSError("link down"))
-        refusal = breaker.refusal(
-            "remote://seis-eu/a.xseed", endpoint="seis-eu"
-        )
+        breaker.record_failure(OSError("link down"))
+        refusal = breaker.refusal("remote://seis-eu/a.xseed")
         assert isinstance(refusal, CircuitOpenError)
         assert refusal.uri == "remote://seis-eu/a.xseed"
         assert refusal.endpoint == "seis-eu"
         assert "seis-eu" in str(refusal)
 
 
-class TestBreakerRegistryBounds:
-    """The circuit registry must not grow without bound (satellite: cap +
-    idle expiry). One breaker can outlive millions of distinct URIs."""
-
-    def _breaker(self, **kwargs):
-        clock = _FakeClock()
-        return CircuitBreaker(clock=clock, **kwargs), clock
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(max_circuits=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(idle_expiry_seconds=0)
-
-    def test_idle_circuits_expire(self):
-        breaker, clock = self._breaker(idle_expiry_seconds=100.0)
-        breaker.record_failure("a")
-        breaker.record_failure("b")
-        assert len(breaker) == 2
-        clock.now = 150.0
-        breaker.record_failure("c")  # reap runs on the failure path
-        assert len(breaker) == 1  # a and b idled out, c is fresh
-        assert breaker.evictions == 2
-
-    def test_touch_keeps_a_circuit_alive(self):
-        breaker, clock = self._breaker(idle_expiry_seconds=100.0)
-        breaker.record_failure("a")
-        breaker.record_failure("b")
-        clock.now = 90.0
-        assert breaker.allow("a")  # touches a, not b
-        clock.now = 150.0
-        breaker.record_failure("c")
-        assert len(breaker) == 2  # a survived via the touch, b expired
-
-    def test_capacity_evicts_least_recent_closed_first(self):
-        breaker, clock = self._breaker(
-            max_circuits=3, failure_threshold=2, idle_expiry_seconds=1e9
-        )
-        clock.now = 1.0
-        breaker.record_failure("open-1")
-        breaker.record_failure("open-1")  # tripped: state open
-        clock.now = 2.0
-        breaker.record_failure("closed-old")
-        clock.now = 3.0
-        breaker.record_failure("closed-new")
-        clock.now = 4.0
-        breaker.record_failure("fresh")  # over capacity: evict one
-        assert len(breaker) == 3
-        # The least-recently-touched *closed* circuit goes first; open
-        # circuits (known-bad endpoints) are the last thing to forget.
-        assert breaker.state_of("closed-old") == CIRCUIT_CLOSED  # re-created
-        assert breaker.evictions == 1
-        assert not breaker.allow("open-1")  # the open circuit survived
-
-    def test_just_failed_circuit_never_self_evicts(self):
-        breaker, clock = self._breaker(max_circuits=1, idle_expiry_seconds=1e9)
-        for index in range(5):
-            clock.now = float(index)
-            breaker.record_failure(f"u{index}")
-            assert len(breaker) == 1
-        # The survivor is always the most recent failure.
-        breaker.record_failure("u4")
-        breaker.record_failure("u4")
-        assert not breaker.allow("u4")
-
-
 class TestHalfOpenProbeHammer:
-    """Satellite: under concurrency, a cooled-down circuit admits exactly
-    one probe; every losing thread gets a typed refusal, not a request."""
+    """Under concurrency, a cooled-down circuit admits exactly one probe;
+    every losing thread gets a typed refusal, not a request."""
 
     def test_exactly_one_probe_under_concurrency(self):
         clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=30.0, clock=clock
-        )
-        breaker.record_failure("seis-eu", OSError("down"))
+        breaker = CircuitBreaker("seis-eu", 1, 30.0, clock)
+        breaker.record_failure(OSError("down"))
         clock.now = 31.0  # cooled down: next allow() is the probe
 
         threads = 16
@@ -533,11 +454,11 @@ class TestHalfOpenProbeHammer:
 
         def hammer():
             barrier.wait()
-            if breaker.allow("seis-eu"):
+            if breaker.allow():
                 with lock:
                     admitted.append(threading.get_ident())
             else:
-                refusal = breaker.refusal("seis-eu", endpoint="seis-eu")
+                refusal = breaker.refusal("seis-eu")
                 with lock:
                     refused.append(refusal)
 
@@ -551,26 +472,23 @@ class TestHalfOpenProbeHammer:
         assert len(refused) == threads - 1
         assert all(isinstance(r, CircuitOpenError) for r in refused)
         assert all(r.endpoint == "seis-eu" for r in refused)
-        assert breaker.state_of("seis-eu") == CIRCUIT_HALF_OPEN
+        assert breaker.state == CIRCUIT_HALF_OPEN
         # The probe's success closes the circuit for everyone.
-        breaker.record_success("seis-eu")
-        assert breaker.state_of("seis-eu") == CIRCUIT_CLOSED
-        assert breaker.allow("seis-eu")
+        breaker.record_success()
+        assert breaker.state == CIRCUIT_CLOSED
+        assert breaker.allow()
 
     def test_abandoned_probe_frees_the_slot(self):
         clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=30.0, clock=clock
-        )
-        breaker.record_failure("seis-eu", OSError("down"))
+        breaker = CircuitBreaker("seis-eu", 1, 30.0, clock)
+        breaker.record_failure(OSError("down"))
         clock.now = 31.0
-        assert breaker.allow("seis-eu")  # the probe
-        assert not breaker.allow("seis-eu")
-        breaker.abandon_probe("seis-eu")  # no verdict: still half-open
-        assert breaker.state_of("seis-eu") == CIRCUIT_HALF_OPEN
-        assert breaker.allow("seis-eu")  # the next caller probes
-        assert not breaker.allow("seis-eu")
-        breaker.abandon_probe("unknown")  # no circuit: a no-op
+        assert breaker.allow()  # the probe
+        assert not breaker.allow()
+        breaker.abandon_probe()  # no verdict: still half-open
+        assert breaker.state == CIRCUIT_HALF_OPEN
+        assert breaker.allow()  # the next caller probes
+        assert not breaker.allow()
 
 
 class TestRetryBudget:
@@ -674,47 +592,42 @@ class TestRetryLadder:
         assert sorted(draws) == pytest.approx(sorted(expected))
 
 
-class TestBreakerIntegration:
-    def test_failures_open_circuit_across_queries(self, repo):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=60.0, clock=clock
-        )
-        executor = _executor(
-            repo, workers=1, on_mount_error="skip", breaker=breaker
-        )
-        baseline = _executor(repo).execute(COUNT_SQL).rows
+class TestAFailingFileIsJudgedPerQuery:
+    """No circuit scores a file across queries: every query reads a failing
+    file afresh and meets the file's own error."""
+
+    def test_a_corrupt_file_fails_every_query_with_its_own_error(
+        self, tmp_path
+    ):
+        generate_repository(tmp_path, SPEC)
+        local = FileRepository(tmp_path)
+        executor = _executor(local)
+        victim = local.uris()[0]
+        path = local.path_of(victim)
+        raw = bytearray(path.read_bytes())
+        raw[0] ^= 0xFF  # the first record's magic
+        path.write_bytes(bytes(raw))
+        for _ in range(4):
+            with pytest.raises(CorruptFileError) as excinfo:
+                executor.execute(COUNT_SQL)
+            assert excinfo.value.uri == victim
+        for _ in range(4):
+            outcome = executor.execute(
+                COUNT_SQL, context=executor.open_context(on_mount_error="skip")
+            )
+            [failure] = outcome.mount_failures.failures
+            assert (failure.uri, failure.error) == (victim, "CorruptFileError")
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_failed_querys_restarts_reach_the_totals(self, repo, workers):
+        """Transient local I/O on every read: the mount layer restarts the
+        extraction twice, and the query that raised counts both."""
+        executor = _executor(repo, workers=workers)
         victim = repo.uris()[0]
         plan = FaultPlan(
             [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=-1)]
         )
-
-        # Query 1: the fault opens the circuit.
-        with plan.install():
-            first = executor.execute(COUNT_SQL)
-        assert victim in first.mount_failures.uris()
-        assert breaker.state_of(victim) == CIRCUIT_OPEN
-
-        # Query 2: faults are gone and the file is healthy, but the circuit
-        # is still cooling down — the mount is refused without any I/O.
-        second = executor.execute(COUNT_SQL)
-        assert second.trace.counters["breaker_skips"] >= 1
-        failures = second.mount_failures
-        assert failures.uris() == [victim]
-        assert failures.failures[0].error == "CircuitOpenError"
-        assert second.rows != baseline
-
-        # Query 3: past the cooldown, the half-open probe heals the circuit.
-        clock.now = 61.0
-        third = executor.execute(COUNT_SQL)
-        assert third.rows == baseline
-        assert breaker.state_of(victim) == CIRCUIT_CLOSED
-
-    def test_fail_fast_refusal_raises_circuit_open(self, repo):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=60.0)
-        executor = _executor(repo, workers=1, breaker=breaker)
-        victim = repo.uris()[0]
-        breaker.record_failure(victim, OSError("seeded"))
-        with pytest.raises(CircuitOpenError) as excinfo:
+        with plan.install(), pytest.raises(FileIngestError) as excinfo:
             executor.execute(COUNT_SQL)
-        assert excinfo.value.uri == victim
+        assert excinfo.value.mount_uri == victim
+        assert executor.totals()["restarts"] == 2

@@ -643,9 +643,11 @@ class TestStaleDetection:
 
         extractor = RewritingExtractor()
         service = _flaky_service(scratch_repo, extractor)
+        context = MountContext()
         with pytest.raises(StaleFileError) as excinfo:
-            service.mount_file(scratch_repo.uris()[0], "D", "d", None)
+            service.mount_file(scratch_repo.uris()[0], "D", "d", None, context)
         assert (extractor.mount_calls, excinfo.value.retries) == (3, 2)
+        assert context.trace.counters["restarts"] == 2
 
 
 class TestConcurrentExtraction:

@@ -22,13 +22,7 @@ import pytest
 
 from repro.core import TwoStageExecutor
 from repro.core.cache import CachePolicy, IngestionCache
-from repro.core.governor import (
-    CIRCUIT_CLOSED,
-    CIRCUIT_OPEN,
-    CircuitBreaker,
-    QueryBudget,
-    QueryGovernor,
-)
+from repro.core.governor import QueryBudget, QueryGovernor
 from repro.core.metastore import MetadataStore
 from repro.core.mounting import MountContext, MountService
 from repro.core.recordmap import RecordMapIndex
@@ -58,6 +52,7 @@ from repro.mseed import (
 from repro.mseed.volume import coalesce_spans
 from repro.remote import simstore as simstore_module
 from repro.remote.simstore import ObjectStat, PreconditionFailed
+from repro.remote.transport import CIRCUIT_CLOSED, CIRCUIT_OPEN
 from repro.serve import QueryService
 from repro.testing.faults import STALE_FLIP, STALL, FaultPlan, FaultSpec
 from repro.remote import transport as transport_module
@@ -490,20 +485,21 @@ class TestHalfOpenProbeInFlight:
     that is second waits for the probe's verdict."""
 
     def _second_request_during_probe(self, cooldown=5.0):
-        now = [0.0]
+        skipped = [0.0]
         store = _GatedStore()
         transport = ResilientTransport(
             store,
-            TransportPolicy(max_attempts=1, backoff_seconds=0.0),
-            breaker=CircuitBreaker(
-                failure_threshold=1,
-                cooldown_seconds=cooldown,
-                clock=lambda: now[0],
+            TransportPolicy(
+                max_attempts=1,
+                backoff_seconds=0.0,
+                breaker_failures=1,
+                breaker_cooldown_seconds=cooldown,
             ),
+            clock=lambda: time.monotonic() + skipped[0],
         )
         with pytest.raises(RemoteTransportError):
             transport.get("k")
-        now[0] = cooldown + 1.0  # past the cooldown: next request probes
+        skipped[0] = cooldown + 1.0  # past the cooldown: next request probes
         results = {}
 
         def call(name, key):
@@ -541,7 +537,7 @@ class TestHalfOpenProbeInFlight:
             "waiter": store.answer("k"),
         }
         assert transport.stats.breaker_refusals == 0
-        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+        assert transport.breaker.state == CIRCUIT_CLOSED
 
     def test_probe_failure_refuses_the_waiter(self):
         store, transport, probe, waiter, results = (
@@ -563,7 +559,7 @@ class TestHalfOpenProbeInFlight:
         assert isinstance(results["probe"], QueryCancelledError)
         assert results["waiter"] == store.answer("k")  # it probed in turn
         assert transport.stats.breaker_refusals == 0
-        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+        assert transport.breaker.state == CIRCUIT_CLOSED
 
     def test_wait_is_bounded_without_a_request_timeout(self, monkeypatch):
         monkeypatch.setattr(transport_module, "_PROBE_WAIT_SECONDS", 0.05)
@@ -596,7 +592,7 @@ class TestResilientTransport:
         assert store.calls == 3
         assert transport.stats.retries == 2
         assert transport.stats.failures == 2
-        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+        assert transport.breaker.state == CIRCUIT_CLOSED
 
     def test_attempts_exhausted_surface_the_transport_error(self):
         store = _ScriptedStore(fail_times=100)
@@ -619,20 +615,24 @@ class TestResilientTransport:
         assert not excinfo.value.transient  # not worth any retry ladder
         assert store.calls == 1
         assert transport.stats.retries == 0
-        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+        assert transport.breaker.state == CIRCUIT_CLOSED
 
     def test_breaker_opens_and_refuses_with_the_endpoint_named(self):
         store = _ScriptedStore(fail_times=10**6)
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=60.0)
         transport = ResilientTransport(
             store,
-            TransportPolicy(max_attempts=1, backoff_seconds=0.0),
-            breaker=breaker,
+            TransportPolicy(
+                max_attempts=1,
+                backoff_seconds=0.0,
+                breaker_failures=3,
+                breaker_cooldown_seconds=60.0,
+            ),
         )
+        breaker = transport.breaker
         for _ in range(3):
             with pytest.raises(RemoteTransportError):
                 transport.get("k")
-        assert breaker.state_of(store.endpoint) == CIRCUIT_OPEN
+        assert breaker.state == CIRCUIT_OPEN
         with pytest.raises(CircuitOpenError) as excinfo:
             transport.get("k")
         assert excinfo.value.endpoint == "stub-ep"
@@ -644,9 +644,11 @@ class TestResilientTransport:
         transport = ResilientTransport(
             store,
             TransportPolicy(
-                max_attempts=3, backoff_seconds=0.0, retry_budget_attempts=1
+                max_attempts=3,
+                backoff_seconds=0.0,
+                retry_budget_attempts=1,
+                breaker_failures=100,
             ),
-            breaker=CircuitBreaker(failure_threshold=100),
         )
         scope = MountContext()  # one query: both requests spend from it
         with pytest.raises(RemoteTransportError):
@@ -662,9 +664,11 @@ class TestResilientTransport:
         transport = ResilientTransport(
             store,
             TransportPolicy(
-                max_attempts=2, backoff_seconds=0.0, retry_budget_attempts=1
+                max_attempts=2,
+                backoff_seconds=0.0,
+                retry_budget_attempts=1,
+                breaker_failures=100,
             ),
-            breaker=CircuitBreaker(failure_threshold=100),
         )
         first = MountContext()
         with pytest.raises(RemoteTransportError):
@@ -721,9 +725,11 @@ class TestResilientTransport:
         transport = ResilientTransport(
             store,
             TransportPolicy(
-                max_attempts=3, backoff_seconds=0.0, retry_budget_attempts=4
+                max_attempts=3,
+                backoff_seconds=0.0,
+                retry_budget_attempts=4,
+                breaker_failures=1,
             ),
-            breaker=CircuitBreaker(failure_threshold=1),
         )
         scope = MountContext()
         held = store.answer("k")[0].signature
@@ -741,7 +747,7 @@ class TestResilientTransport:
         stats = transport.stats
         assert (stats.failures, stats.retries, stats.retries_denied) == (0, 0, 0)
         assert scope.retry_budget(store.endpoint, 4).spent() == 0
-        assert transport.breaker.state_of(store.endpoint) == CIRCUIT_CLOSED
+        assert transport.breaker.state == CIRCUIT_CLOSED
         assert transport.get("k", scope=scope) == store.answer("k")
 
 
@@ -1845,8 +1851,11 @@ class TestOneLadderOneKey:
         repo = RemoteRepository(
             store,
             tmp_path / "staging",
-            policy=TransportPolicy(backoff_seconds=0.0),
-            breaker=CircuitBreaker(failure_threshold, self.COOLDOWN),
+            policy=TransportPolicy(
+                backoff_seconds=0.0,
+                breaker_failures=failure_threshold,
+                breaker_cooldown_seconds=self.COOLDOWN,
+            ),
         )
         db = Database()
         lazy_ingest_metadata(db, repo)
@@ -1884,7 +1893,6 @@ class TestOneLadderOneKey:
             assert degraded.mount_failures.endpoints() == ["seis-eu"]
         self._recover(store)
         assert executor.execute(self.SQL).rows == healthy
-        assert executor.breaker.open_uris() == []
 
     def test_a_tenant_over_a_discard_cache_answers_after_outages(
         self, tmp_path

@@ -9,10 +9,8 @@ Four obligations, each with its own cell:
 * **Fairness** — the scheduler's aging term must eventually outrank any
   popularity bias: a lone low-overlap query beats a fresh popular task once
   it has waited long enough, even at ``throughput_bias=1.0``.
-* **Isolation** — one tenant hammering a broken file trips only its own
-  circuit breaker; another tenant's queries stay byte-identical. Admission
-  control sheds deterministically on queue depth and on an exhausted
-  tenant byte ledger.
+* **Isolation** — admission control sheds deterministically on queue
+  depth and on an exhausted tenant byte ledger.
 * **Ownership** — the shared cache's first-store-wins story holds under a
   thread hammer: one entry, exact byte accounting, every loser counted.
 * **The batch window waits for the crowd, not for the clock** — a task runs
@@ -31,12 +29,11 @@ import pytest
 
 from repro.core import IngestionCache, TwoStageExecutor
 from repro.core.cache import CachePolicy
-from repro.core.governor import CancellationToken, CircuitBreaker, QueryBudget
+from repro.core.governor import CancellationToken, QueryBudget
 from repro.core.mounting import ExtractResult
 from repro.core.scheduler import MountSpan, worker_busy_seconds
 from repro.db import Database
 from repro.db.errors import (
-    CircuitOpenError,
     DatabaseError,
     FileIngestError,
     QueryBudgetExceeded,
@@ -65,7 +62,6 @@ from repro.serve import (
     run_comparison,
     run_service_load,
 )
-from repro.testing import TRANSIENT_OSERROR, FaultPlan, FaultSpec
 from repro.testing.oracle import ConfigPoint, FaultScript, run, verdicts
 
 SERVE_SEED = 20130610  # same fixed seed discipline as the chaos suite
@@ -758,7 +754,7 @@ def _fresh_db(repo):
     return db
 
 
-# -- chaos: faults under concurrency, tenant isolation -----------------------
+# -- chaos: faults under concurrency -----------------------------------------
 
 
 class TestServeChaos:
@@ -769,58 +765,6 @@ class TestServeChaos:
             FaultScript(seed=SERVE_SEED, rate=1.0),  # within the retry budget
         )
         assert verdicts(reached) == ["rows"] * 18
-
-    def test_tenant_breaker_isolation(self, repo, metadata_db):
-        """Tenant A hammering a permanently broken file trips only A's
-        breaker; tenant B's answers stay byte-identical to standalone."""
-        f_rows = metadata_db.execute(
-            "SELECT uri, station, channel, start_time FROM F ORDER BY uri"
-        ).rows()
-        victim_uri, v_station, v_channel, v_start = f_rows[0]
-        other = next(
-            r for r in f_rows if (r[1], r[2]) != (v_station, v_channel)
-        )
-
-        def day_query(station, channel, start_us):
-            from repro.serve.driver import _rows_query
-
-            base = int(start_us) + 6 * 3600 * 1_000_000
-            return _rows_query(
-                station, channel, int(start_us), base, base + 40 * 60 * 1_000_000
-            )
-
-        sql_a = day_query(v_station, v_channel, v_start)
-        sql_b = day_query(other[1], other[2], other[3])
-        plan = FaultPlan(
-            [FaultSpec(uri_suffix=victim_uri, kind=TRANSIENT_OSERROR, times=-1)]
-        )
-        service = _service(repo, db=metadata_db)
-        try:
-            with plan.install():
-                # Three failures open tenant A's breaker...
-                for _ in range(3):
-                    with pytest.raises(FileIngestError):
-                        service.execute(sql_a, tenant="noisy")
-                # ...after which A is refused outright, without extraction:
-                # its own breaker keeps the file off the scheduler, too.
-                created = service.stats().scheduler.tasks_created
-                with pytest.raises(CircuitOpenError):
-                    service.execute(sql_a, tenant="noisy")
-                assert service.stats().scheduler.tasks_created == created
-                # Tenant B is untouched: same faults installed, different
-                # file, own breaker — byte-identical to standalone.
-                served = service.execute(sql_b, tenant="quiet").rows
-        finally:
-            service.close()
-        standalone = (
-            TwoStageExecutor(_fresh_db(repo), RepositoryBinding(repo))
-            .execute(sql_b)
-            .rows
-        )
-        assert served == standalone
-        snapshot = {t.name: t for t in service.stats().tenants}
-        assert snapshot["noisy"].failed == 4
-        assert snapshot["quiet"].failed == 0
 
 
 # -- one query, one context ---------------------------------------------------
@@ -926,9 +870,11 @@ class TestCrossTenantIsolation:
             store,
             tmp_path / "staging",
             policy=TransportPolicy(
-                max_attempts=3, backoff_seconds=0.0, retry_budget_attempts=1
+                max_attempts=3,
+                backoff_seconds=0.0,
+                retry_budget_attempts=1,
+                breaker_failures=10**6,
             ),
-            breaker=CircuitBreaker(failure_threshold=10**6),
         )
         with _service(repository, db=remote_db) as service:
             warm = service.execute(self.SQL, tenant="a").rows

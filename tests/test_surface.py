@@ -18,6 +18,7 @@ from repro.core.mounting import MountService
 from repro.db.errors import IngestError
 from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding
+from repro.remote import RemoteRepository, ResilientTransport, TransportPolicy
 from repro.serve import QueryService
 
 
@@ -44,7 +45,6 @@ def test_executor_parameters():
         "on_mount_error",
         "selective_mounts",
         "budget",
-        "breaker",
         "top_n_pushdown",
     ]
 
@@ -59,6 +59,34 @@ def test_service_parameters():
         "mount_workers",
         "max_concurrent_queries",
         "selective_mounts",
+    ]
+
+
+def test_remote_parameters():
+    assert _parameters(RemoteRepository.__init__) == [
+        "store",
+        "staging_dir",
+        "policy",
+        "suffix",
+    ]
+    assert _parameters(ResilientTransport.__init__) == [
+        "store",
+        "policy",
+        "clock",
+    ]
+
+
+def test_transport_policy_fields():
+    assert _fields(TransportPolicy) == [
+        "max_attempts",
+        "backoff_seconds",
+        "backoff_multiplier",
+        "backoff_jitter",
+        "retry_budget_attempts",
+        "jitter_seed",
+        "request_timeout_seconds",
+        "breaker_failures",
+        "breaker_cooldown_seconds",
     ]
 
 
