@@ -15,14 +15,14 @@ answers are equal). The workload runs twice:
 * as N independent sessions — fresh executor and private cache per client,
   nothing shared (:func:`~repro.serve.driver.run_standalone_baseline`).
 
-Reported per configuration: service p50/p99 latency, standalone p50,
-aggregate mounted bytes on both sides, the savings ratio, and the
-scheduler's sharing/fairness counters. Non-quick mode asserts the
-acceptance floor — every answer byte-identical and aggregate savings of at
-least ``SAVINGS_FLOOR``x at N=8 — and exits 1 otherwise. The savings ratio
-depends on when the clients' threads happen to arrive, so one run of it is
-a coin flip: ``--repeat N`` runs every configuration N times, reports the
-minimum and median per bias, and holds the *minimum* to the floor.
+Reported per run: service p50/p99 latency, standalone p50, aggregate
+mounted bytes on both sides, the savings ratio, and the scheduler's
+sharing counters. Non-quick mode asserts the acceptance floor — every
+answer byte-identical and aggregate savings of at least ``SAVINGS_FLOOR``x
+at N=8 — and exits 1 otherwise. The savings ratio depends on when the
+clients' threads happen to arrive, so one run of it is a coin flip:
+``--repeat N`` runs the configuration N times, reports the minimum and
+median over the runs, and holds the *minimum* to the floor.
 
 Run as a script (CI smoke-checks ``--quick``)::
 
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from bench_json import add_json_argument, maybe_emit_json
 from repro.harness.setup import materialize_repository, small_spec, tiny_spec
-from repro.serve import ComparisonReport, QueryService, SchedulerPolicy, run_comparison
+from repro.serve import ComparisonReport, QueryService, run_comparison
 
 # Non-quick acceptance floor: the service must mount at most half the bytes
 # of N independent sessions on the overlapping workload (the perfect-overlap
@@ -57,7 +57,6 @@ class ServeRun:
     clients: int
     queries_per_client: int
     mount_workers: int
-    throughput_bias: float
     identical: bool
     savings_ratio: float
     service_mount_bytes: int
@@ -69,20 +68,18 @@ class ServeRun:
     baseline_wall_seconds: float
     shared_grants: int
     inline_steals: int
-    starved_grants: int
     max_wait_ms: float
     cache_hits: int
     cache_hit_rate: float
     queries_shed: int
 
 
-def summarize(report: ComparisonReport, mount_workers: int, bias: float) -> ServeRun:
+def summarize(report: ComparisonReport, mount_workers: int) -> ServeRun:
     sched = report.service_stats.scheduler
     return ServeRun(
         clients=report.clients,
         queries_per_client=report.queries_per_client,
         mount_workers=mount_workers,
-        throughput_bias=bias,
         identical=report.identical,
         savings_ratio=report.bytes_savings_ratio,
         service_mount_bytes=report.service.mount_bytes,
@@ -94,7 +91,6 @@ def summarize(report: ComparisonReport, mount_workers: int, bias: float) -> Serv
         baseline_wall_seconds=report.baseline.wall_seconds,
         shared_grants=sched.shared_grants,
         inline_steals=sched.inline_steals,
-        starved_grants=sched.starved_grants,
         max_wait_ms=sched.max_wait_seconds * 1e3,
         cache_hits=report.service_stats.cache.hits,
         cache_hit_rate=report.service_stats.cache.hit_rate(),
@@ -108,13 +104,8 @@ def run_configuration(
     clients: int,
     queries_per_client: int,
     mount_workers: int,
-    bias: float,
 ) -> tuple[ServeRun, ComparisonReport]:
-    service = QueryService(
-        repository,
-        scheduler_policy=SchedulerPolicy(throughput_bias=bias),
-        mount_workers=mount_workers,
-    )
+    service = QueryService(repository, mount_workers=mount_workers)
     try:
         report = run_comparison(
             repository,
@@ -125,18 +116,18 @@ def run_configuration(
         )
     finally:
         service.close()
-    return summarize(report, mount_workers, bias), report
+    return summarize(report, mount_workers), report
 
 
 def render(runs: list[ServeRun]) -> str:
     header = (
-        f"{'clients':>7} {'bias':>5} {'p50':>9} {'p99':>9} {'alone p50':>10} "
+        f"{'clients':>7} {'p50':>9} {'p99':>9} {'alone p50':>10} "
         f"{'bytes':>12} {'alone':>12} {'saved':>7} {'shared':>7} {'ok':>3}"
     )
     lines = [header]
     for r in runs:
         lines.append(
-            f"{r.clients:>7} {r.throughput_bias:>5.2f} "
+            f"{r.clients:>7} "
             f"{r.service_p50_ms:>7.1f}ms {r.service_p99_ms:>7.1f}ms "
             f"{r.baseline_p50_ms:>8.1f}ms "
             f"{r.service_mount_bytes:>12,} {r.baseline_mount_bytes:>12,} "
@@ -147,10 +138,9 @@ def render(runs: list[ServeRun]) -> str:
 
 
 @dataclass
-class BiasSummary:
-    """One bias over its repeats: the spread of the timing-dependent numbers."""
+class RepeatSummary:
+    """The runs' spread of the timing-dependent numbers."""
 
-    throughput_bias: float
     runs: int
     identical: bool
     savings_min: float
@@ -159,39 +149,26 @@ class BiasSummary:
     service_p50_ms_median: float
 
 
-def summarize_repeats(runs: list[ServeRun]) -> list[BiasSummary]:
-    by_bias: dict[float, list[ServeRun]] = {}
-    for run in runs:
-        by_bias.setdefault(run.throughput_bias, []).append(run)
-    return [
-        BiasSummary(
-            throughput_bias=bias,
-            runs=len(repeats),
-            identical=all(r.identical for r in repeats),
-            savings_min=min(r.savings_ratio for r in repeats),
-            savings_median=statistics.median(r.savings_ratio for r in repeats),
-            service_p50_ms_min=min(r.service_p50_ms for r in repeats),
-            service_p50_ms_median=statistics.median(
-                r.service_p50_ms for r in repeats
-            ),
-        )
-        for bias, repeats in by_bias.items()
-    ]
+def summarize_repeats(runs: list[ServeRun]) -> RepeatSummary:
+    return RepeatSummary(
+        runs=len(runs),
+        identical=all(r.identical for r in runs),
+        savings_min=min(r.savings_ratio for r in runs),
+        savings_median=statistics.median(r.savings_ratio for r in runs),
+        service_p50_ms_min=min(r.service_p50_ms for r in runs),
+        service_p50_ms_median=statistics.median(r.service_p50_ms for r in runs),
+    )
 
 
-def render_repeats(summaries: list[BiasSummary]) -> str:
-    lines = [
-        f"{'bias':>5} {'runs':>5} {'saved min':>10} {'median':>8} "
-        f"{'p50 min':>9} {'median':>9} {'ok':>3}"
-    ]
-    for s in summaries:
-        lines.append(
-            f"{s.throughput_bias:>5.2f} {s.runs:>5} {s.savings_min:>9.2f}x "
-            f"{s.savings_median:>7.2f}x {s.service_p50_ms_min:>7.1f}ms "
-            f"{s.service_p50_ms_median:>7.1f}ms "
-            f"{'yes' if s.identical else 'NO':>3}"
-        )
-    return "\n".join(lines)
+def render_repeats(s: RepeatSummary) -> str:
+    return "\n".join([
+        f"{'runs':>5} {'saved min':>10} {'median':>8} "
+        f"{'p50 min':>9} {'median':>9} {'ok':>3}",
+        f"{s.runs:>5} {s.savings_min:>9.2f}x "
+        f"{s.savings_median:>7.2f}x {s.service_p50_ms_min:>7.1f}ms "
+        f"{s.service_p50_ms_median:>7.1f}ms "
+        f"{'yes' if s.identical else 'NO':>3}",
+    ])
 
 
 # -- pytest entry point --------------------------------------------------------
@@ -207,7 +184,6 @@ def test_serve_quick():
         clients=QUICK_CLIENTS,
         queries_per_client=2,
         mount_workers=2,
-        bias=0.7,
     )
     print()
     print(render([run]))
@@ -237,7 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--mount-workers", type=int, default=2, metavar="N")
     parser.add_argument(
         "--repeat", type=int, default=1, metavar="N",
-        help="run every configuration N times; the floor applies to the "
+        help="run the configuration N times; the floor applies to the "
         "minimum savings (default: 1)",
     )
     add_json_argument(parser)
@@ -254,32 +230,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{repository.total_bytes():,} bytes"
     )
 
-    # The fairness knob's two ends plus the shipped default: savings should
-    # survive the whole range (sharing comes from the batch window and the
-    # cache, not from any particular bias).
-    biases = [0.7] if args.quick else [0.0, 0.7, 1.0]
     runs: list[ServeRun] = []
-    for bias in biases:
-        for _ in range(args.repeat):
-            run, report = run_configuration(
-                repository,
-                spec,
-                clients=clients,
-                queries_per_client=queries,
-                mount_workers=args.mount_workers,
-                bias=bias,
-            )
-            runs.append(run)
+    for _ in range(args.repeat):
+        run, report = run_configuration(
+            repository,
+            spec,
+            clients=clients,
+            queries_per_client=queries,
+            mount_workers=args.mount_workers,
+        )
+        runs.append(run)
     print(render(runs))
     print()
-    summaries = summarize_repeats(runs)
+    summary = summarize_repeats(runs)
     if args.repeat > 1:
-        print(render_repeats(summaries))
+        print(render_repeats(summary))
         print()
     print(report.service_stats.describe())
 
-    identical = all(s.identical for s in summaries)
-    floor_met = all(s.savings_min >= SAVINGS_FLOOR for s in summaries)
+    identical = summary.identical
+    floor_met = summary.savings_min >= SAVINGS_FLOOR
     maybe_emit_json(
         args.json,
         "serve",
@@ -288,14 +258,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "clients": clients,
             "queries_per_client": queries,
             "mount_workers": args.mount_workers,
-            "biases": biases,
             "repeat": args.repeat,
             "files": len(repository.uris()),
             "savings_floor": SAVINGS_FLOOR,
         },
         results={
             "runs": runs,
-            "per_bias": summaries,
+            "summary": summary,
             "identical": identical,
             "floor_met": floor_met,
         },
@@ -306,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.quick and not floor_met:
         print(
             f"FAIL: byte savings below the {SAVINGS_FLOOR:.1f}x floor: "
-            f"{[round(s.savings_min, 2) for s in summaries]}"
+            f"{summary.savings_min:.2f}x"
         )
         return 1
     return 0

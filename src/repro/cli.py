@@ -15,6 +15,7 @@ The multi-query service is driven by ``benchmarks/bench_serve.py``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 import time
@@ -34,6 +35,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a positive, finite number")
     return value
 
 
@@ -112,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "interval (repo mode only)",
     )
     query.add_argument(
-        "--deadline-seconds", type=float, default=None, metavar="S",
+        "--deadline-seconds", type=_positive_seconds, default=None, metavar="S",
         help="wall-clock budget for the whole query: mounting, retries and "
         "the kernel loop all stop within milliseconds of the deadline "
         "(repo mode only)",

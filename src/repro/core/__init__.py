@@ -56,7 +56,6 @@ from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
 from .scheduler import (
     MountScheduler,
     MountSpan,
-    SchedulerPolicy,
     SchedulerStats,
     SharedPoolClient,
     merge_requests,
@@ -115,7 +114,6 @@ __all__ = [
     "SKIP_AND_REPORT",
     "MountScheduler",
     "MountSpan",
-    "SchedulerPolicy",
     "SchedulerStats",
     "SharedPoolClient",
     "merge_requests",

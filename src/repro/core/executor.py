@@ -67,7 +67,7 @@ from .mounting import (
 from .partial import PartialMerger, is_decomposable
 from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
-from .scheduler import MountScheduler, SchedulerPolicy, SharedPoolClient
+from .scheduler import MountScheduler, SharedPoolClient
 from .statsindex import StatisticsIndex
 from .templates import Template, describe_difference
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
@@ -75,10 +75,6 @@ from .verify import verify_ali_rewrite, verify_decomposition
 
 BULK = "bulk"  # strategy (a): union everything, operate once
 PER_FILE = "per_file"  # strategy (b): operate per file, merge results
-
-# A standalone execution is a batch of one: nobody else can join its tasks,
-# so there is no batch window to wait out.
-_ONE_TENANT = SchedulerPolicy(batch_window_seconds=0.0)
 
 _PARTIAL_TAG = "partial_agg"
 
@@ -301,8 +297,9 @@ class TwoStageExecutor:
         (each overridable for this one execution): an armed governor, the
         degradation policy, and the execution as a one-tenant
         service — a mount scheduler of its own, extracting under this
-        context, with ``mount_workers`` threads (none when serial: every
-        take then extracts inline on the consuming thread, in plan order).
+        context, with no batch window (nobody else can join its tasks) and
+        ``mount_workers`` threads (none when serial: every take then
+        extracts inline on the consuming thread, in plan order).
 
         Shared by :meth:`execute` and the multi-stage executor; run the
         execution inside :meth:`running`, which closes the scheduler.
@@ -316,7 +313,6 @@ class TwoStageExecutor:
         )
         context.scheduler = MountScheduler(
             partial(self.mounts._extract, context=context),
-            policy=_ONE_TENANT,
             workers=0 if self.mount_workers == 1 else self.mount_workers,
         )
         context.scheduler.start()

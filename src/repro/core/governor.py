@@ -27,6 +27,7 @@ so no query can run, sleep, or retry unboundedly once mounting has started:
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -155,8 +156,10 @@ class QueryBudget:
             )
         for name in ("deadline_seconds", "max_mount_bytes", "max_decoded_records"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
 
     @property
     def bounded(self) -> bool:
@@ -441,6 +444,9 @@ class RetryPolicy:
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("backoff_seconds", "backoff_multiplier", "backoff_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_multiplier < 1.0:

@@ -54,19 +54,15 @@ plan order, so answers are byte-identical to serial execution.
 
 Scheduling policy
 -----------------
-:class:`SchedulerPolicy` is the LifeRaft-style throughput ↔ fairness knob.
-A pending task's priority is::
+Which pending task runs next is LifeRaft's rule with a fixed weighting::
 
-    priority = throughput_bias * waiters + age_seconds / aging_seconds
+    priority = 0.7 * waiters + age_seconds / 0.25
 
-``throughput_bias`` near 1.0 favours *popular* files — one extraction
-retires many queries, maximizing aggregate throughput but starving
-low-overlap queries while popular work keeps arriving. Bias near 0.0
-degenerates to FIFO by age. The additive age term is the starvation-aging
-guarantee: it grows without bound regardless of the bias, so every task's
-priority eventually exceeds any fixed popularity — a lone low-overlap query
-waits at most ``aging_seconds × (bias × max_waiters)`` behind the crowd,
-never forever.
+The waiter term favours *popular* files — one extraction retires many
+queries. The additive age term is the starvation guarantee: it grows
+without bound, so every task's priority eventually exceeds any fixed
+popularity — a lone query waits at most ``0.25 s × 0.7 × max_waiters``
+behind the crowd, never forever. Equal popularity goes in arrival order.
 
 Task states
 -----------
@@ -98,6 +94,7 @@ the speedup.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -129,6 +126,11 @@ WORKER_THREAD_PREFIX = "mount-worker"  # every scheduler thread's name
 
 _WAIT_POLL_SECONDS = 0.05  # waiter wake-up interval for cancellation checks
 _IDLE_WAIT_SECONDS = 0.1  # an idle worker's sleep when no batch window is open
+
+# The priority's weights (see "Scheduling policy" above): a waiter counts
+# 0.7, and every 0.25 s of age counts one more.
+_WAITER_WEIGHT = 0.7
+_AGING_SECONDS = 0.25
 
 
 def merge_requests(
@@ -211,57 +213,6 @@ def _request_covers(
     return want is not None and covers(have.interval, want.interval)
 
 
-@dataclass(frozen=True)
-class SchedulerPolicy:
-    """The throughput ↔ fairness knob, with starvation aging.
-
-    ``throughput_bias`` ∈ [0, 1] weights a task's waiter count; the age
-    term ``age / aging_seconds`` is always added, so aging is unconditional
-    (the starvation guarantee) and ``aging_seconds`` sets how long a wait
-    counts as much as one extra waiter. ``starvation_threshold_seconds``
-    only classifies grants for the ops counters: a grant whose waiter
-    waited longer counts as *starved* in :class:`SchedulerStats`.
-
-    ``batch_window_seconds`` is LifeRaft's batching delay, as an upper
-    bound: a pending task is not eligible to run (by a worker *or* a
-    stealing consumer) until every query that could still join it has —
-    the scheduler's *crowd*, see :meth:`MountScheduler.query_started` — or,
-    failing that, until it has aged past the window. Queries arriving
-    within a few milliseconds of each other so hull-merge into one
-    extraction instead of the first arriver racing off with its own narrow
-    interval, while a query that is alone does not wait for anybody. A
-    scheduler nobody reports queries to has no crowd to count, and every
-    cold file then costs the full window (a one-tenant scheduler has 0).
-    The window is measured on the scheduler's injected clock, like the
-    priorities.
-    """
-
-    throughput_bias: float = 0.7
-    aging_seconds: float = 0.25
-    starvation_threshold_seconds: float = 2.0
-    batch_window_seconds: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.throughput_bias <= 1.0:
-            raise ValueError(
-                f"throughput_bias must be in [0, 1], got {self.throughput_bias!r}"
-            )
-        if self.aging_seconds <= 0:
-            raise ValueError(
-                f"aging_seconds must be positive, got {self.aging_seconds!r}"
-            )
-        if self.starvation_threshold_seconds <= 0:
-            raise ValueError(
-                "starvation_threshold_seconds must be positive, "
-                f"got {self.starvation_threshold_seconds!r}"
-            )
-        if self.batch_window_seconds < 0:
-            raise ValueError(
-                "batch_window_seconds must be >= 0, "
-                f"got {self.batch_window_seconds!r}"
-            )
-
-
 @dataclass
 class SchedulerStats:
     """Shared-work accounting for one scheduler lifetime.
@@ -271,10 +222,8 @@ class SchedulerStats:
     work-sharing win. ``bytes_read`` is what the scheduler's extractions
     read, each counted once however many queries it served;
     ``bytes_shared`` is the byte volume the re-grants would have
-    re-extracted in independent sessions. ``starved_grants``
-    and ``max_wait_seconds`` are the fairness side of the ops story: a
-    rising starved count under a high ``throughput_bias`` is the signal to
-    turn the knob down.
+    re-extracted in independent sessions. ``max_wait_seconds`` is the
+    longest any grant's waiter waited — the fairness side of the story.
     """
 
     tasks_created: int = 0
@@ -284,7 +233,6 @@ class SchedulerStats:
     shared_grants: int = 0
     inline_steals: int = 0
     withdrawn: int = 0  # interests dropped by cancelled/closed queries
-    starved_grants: int = 0
     bytes_read: int = 0
     bytes_shared: int = 0
     max_wait_seconds: float = 0.0
@@ -320,22 +268,39 @@ class MountScheduler:
     each query is charged at consume time, once per file, by its own
     :class:`~repro.core.mounting.MountContext`, so every query pays for the
     bytes it uses exactly as it would alone, even when the extraction ran
-    once for eight of them. ``clock`` is injectable so the aging math is
-    testable without sleeping.
+    once for eight of them.
+
+    ``batch_window_seconds`` is LifeRaft's batching delay, as an upper
+    bound: a pending task is not eligible to run (by a worker *or* a
+    stealing consumer) until every query that could still join it has —
+    the scheduler's *crowd*, see :meth:`query_started` — or, failing that,
+    until it has aged past the window. Queries arriving within a few
+    milliseconds of each other so hull-merge into one extraction instead of
+    the first arriver racing off with its own narrow interval, while a
+    query that is alone does not wait for anybody. A scheduler nobody
+    reports queries to has no crowd to count, and every cold file then
+    costs the full window; a standalone execution's scheduler has none.
+    ``clock`` is injectable so the window and the aging math are testable
+    without sleeping.
     """
 
     def __init__(
         self,
         extract: ExtractFn,
-        policy: Optional[SchedulerPolicy] = None,
         workers: int = 2,
+        batch_window_seconds: float = 0.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
+        if not math.isfinite(batch_window_seconds) or batch_window_seconds < 0:
+            raise ValueError(
+                "batch_window_seconds must be finite and >= 0, "
+                f"got {batch_window_seconds!r}"
+            )
         self._extract = extract
-        self.policy = policy or SchedulerPolicy()
         self.workers = workers
+        self.batch_window_seconds = batch_window_seconds
         self._clock = clock
         self._lock = _sync.create_lock("MountScheduler._lock")
         # The wakeup condition *shares* _lock: waiters and mutators
@@ -441,7 +406,7 @@ class MountScheduler:
 
     def query_finished(self, tenant: str) -> None:
         now = self._clock()
-        window = self.policy.batch_window_seconds
+        window = self.batch_window_seconds
         with self._wakeup:
             remaining = self._running[tenant] - 1
             if remaining:
@@ -462,7 +427,7 @@ class MountScheduler:
         """How many queries could still join a pending task; None while that
         is unknown — no query was ever reported, or the first one less than
         a window ago (a cold burst has not finished arriving)."""
-        window = self.policy.batch_window_seconds
+        window = self.batch_window_seconds
         if self._watching_since is None or now - self._watching_since < window:
             return None
         return sum(self._running.values()) + sum(
@@ -475,7 +440,7 @@ class MountScheduler:
         """Seconds until ``task`` may run; <= 0 once its window has closed."""
         if crowd is not None and len(task.waiters) >= crowd:
             return 0.0
-        return task.enqueued_at + self.policy.batch_window_seconds - now
+        return task.enqueued_at + self.batch_window_seconds - now
 
     # -- registration / consumption (client-facing) --------------------------
 
@@ -623,12 +588,9 @@ class MountScheduler:
     # -- scheduling core -----------------------------------------------------
 
     def _priority(self, task: _FileTask, now: float) -> float:
-        """LifeRaft knob: popularity weighted by the bias, plus raw age."""
+        """LifeRaft's rule: weighted popularity plus raw age."""
         age = max(0.0, now - task.enqueued_at)
-        return (
-            self.policy.throughput_bias * len(task.waiters)
-            + age / self.policy.aging_seconds
-        )
+        return _WAITER_WEIGHT * len(task.waiters) + age / _AGING_SECONDS
 
     def peek_next(self) -> Optional[MountKey]:
         """The key the scheduler would run next (None when nothing pends).
@@ -733,8 +695,6 @@ class MountScheduler:
                 if task.result is not None:
                     self.stats.bytes_shared += task.result.bytes_read
             task.consumers += 1
-            if waited > self.policy.starvation_threshold_seconds:
-                self.stats.starved_grants += 1
             if waited > self.stats.max_wait_seconds:
                 self.stats.max_wait_seconds = waited
             self._reap_locked(task)

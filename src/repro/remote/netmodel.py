@@ -15,9 +15,10 @@ once.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .. import _sync
@@ -59,6 +60,10 @@ class NetworkProfile:
     heavy_tail_multiplier: float = 10.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):  # every field is a float
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite")
         if self.latency_seconds < 0:
             raise ValueError("latency_seconds must be >= 0")
         if not 0.0 <= self.jitter <= 1.0:

@@ -50,6 +50,7 @@ reset because the object changed while it was being served included —
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -104,6 +105,10 @@ class TransportPolicy(RetryPolicy):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for name in ("request_timeout_seconds", "breaker_cooldown_seconds"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.request_timeout_seconds is not None and (
             self.request_timeout_seconds <= 0
         ):

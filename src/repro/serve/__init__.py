@@ -3,10 +3,10 @@
 One shared Database + IngestionCache + MountScheduler serving many
 concurrent sessions: queries pause at the stage-1/stage-2 breakpoint,
 register their files of interest with a cross-query scheduler
-(LifeRaft-style data-driven batching with a throughput ↔ fairness knob and
+(LifeRaft-style data-driven batching: popular files first, with
 starvation aging), and every completed extraction feeds every waiting
-query. Per-tenant admission control — queue-depth shedding, per-query
-budgets, tenant byte ledgers — turns the single-user governor machinery
+query. Per-tenant admission control — queue-depth shedding, tenant byte
+ledgers — and per-query budgets turn the single-user governor machinery
 into a multi-user story.
 """
 
@@ -21,7 +21,6 @@ from .driver import (
 )
 from .scheduler import (
     MountScheduler,
-    SchedulerPolicy,
     SchedulerStats,
     SharedPoolClient,
 )
@@ -30,20 +29,17 @@ from .service import (
     ServiceStats,
     TenantClient,
     TenantPolicy,
-    TenantSnapshot,
     TenantState,
 )
 
 __all__ = [
     "MountScheduler",
-    "SchedulerPolicy",
     "SchedulerStats",
     "SharedPoolClient",
     "QueryService",
     "ServiceStats",
     "TenantClient",
     "TenantPolicy",
-    "TenantSnapshot",
     "TenantState",
     "ComparisonReport",
     "LoadResult",

@@ -10,14 +10,12 @@ name: its ``serve.scheduler.take`` span resolves the class here.
 
 from ..core.scheduler import (
     MountScheduler,
-    SchedulerPolicy,
     SchedulerStats,
     SharedPoolClient,
 )
 
 __all__ = [
     "MountScheduler",
-    "SchedulerPolicy",
     "SchedulerStats",
     "SharedPoolClient",
 ]

@@ -30,9 +30,10 @@ A query's life in the service:
    ``on_charge`` hook feeds the tenant's running byte ledger.
 
 Tenant isolation is deliberate where it matters and shared where that is
-the point: every tenant keeps its **own** policy, budget and byte ledger,
-while the cache and scheduler are shared (their concurrency story: cache
-stores are first-wins idempotent, scheduler tasks single-flight per file).
+the point: every tenant keeps its **own** policy and byte ledger, every
+query its own budget, while the cache and scheduler are shared (their
+concurrency story: cache stores are first-wins idempotent, scheduler tasks
+single-flight per file).
 A shared extraction that genuinely fails surfaces the same typed error to
 every query waiting on that file — each query then applies its own
 ``on_mount_error`` policy, and the next query reads the file afresh.
@@ -54,7 +55,7 @@ from ..core.mounting import (
     MountContext,
     check_on_error,
 )
-from ..core.scheduler import MountScheduler, SchedulerPolicy, SchedulerStats
+from ..core.scheduler import MountScheduler, SchedulerStats
 from ..db.database import Database
 from ..db.errors import QueryShedError
 from ..ingest.formats import MountRequest
@@ -65,10 +66,8 @@ from ..mseed.repository import Repository
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """Per-tenant admission control, built from the PR-5 governance pieces.
+    """Per-tenant admission control, built from the governance pieces.
 
-    ``query_budget`` is the per-query ceiling (every query this tenant
-    submits runs under it unless the call passes its own);
     ``max_total_mount_bytes`` is the *tenant* ceiling — a running ledger
     across all of the tenant's queries, fed by each query's governor, that
     sheds new admissions once exhausted. ``max_queue_depth`` bounds the
@@ -76,11 +75,11 @@ class TenantPolicy:
     sheds instead of queueing, keeping one greedy tenant from occupying
     the service. ``on_mount_error`` is the tenant's degradation policy
     (:data:`~repro.core.mounting.FAIL_FAST` or
-    :data:`~repro.core.mounting.SKIP_AND_REPORT`).
+    :data:`~repro.core.mounting.SKIP_AND_REPORT`). A per-query ceiling is
+    the ``budget`` of :meth:`QueryService.execute`.
     """
 
     max_queue_depth: Optional[int] = None
-    query_budget: Optional[QueryBudget] = None
     max_total_mount_bytes: Optional[int] = None
     on_mount_error: str = FAIL_FAST
 
@@ -97,7 +96,8 @@ class TenantPolicy:
 
 @dataclass
 class TenantState:
-    """One tenant's live accounting; mutated only under the service lock."""
+    """One tenant's live accounting; mutated only under the service lock,
+    handed out by :meth:`QueryService.stats` as a copy."""
 
     name: str
     policy: TenantPolicy
@@ -111,37 +111,33 @@ class TenantState:
 
 
 @dataclass(frozen=True)
-class TenantSnapshot:
-    """Point-in-time copy of one tenant's counters (safe to hand out)."""
-
-    name: str
-    in_flight: int
-    admitted: int
-    completed: int
-    failed: int
-    shed: int
-    bytes_charged: int
-    records_charged: int
-
-
-@dataclass(frozen=True)
 class ServiceStats:
     """One service lifetime's shared-work and admission story.
 
     ``scheduler`` carries the sharing win (``shared_grants`` /
-    ``bytes_shared``) and the fairness counters (``starved_grants``,
-    ``max_wait_seconds``); ``tenants`` the per-tenant admission ledgers;
-    ``total_mount_bytes`` the bytes actually pulled off disk service-wide —
-    the number the bench compares against N independent sessions.
+    ``bytes_shared``) and the longest wait (``max_wait_seconds``);
+    ``tenants`` the per-tenant admission ledgers, whose sums are the
+    service's query counts; ``total_mount_bytes`` the bytes actually pulled
+    off disk service-wide — the number the bench compares against N
+    independent sessions.
     """
 
     scheduler: SchedulerStats
     cache: CacheStats
-    tenants: tuple[TenantSnapshot, ...]
+    tenants: tuple[TenantState, ...]
     total_mount_bytes: int
-    queries_completed: int
-    queries_failed: int
-    queries_shed: int
+
+    @property
+    def queries_completed(self) -> int:
+        return sum(t.completed for t in self.tenants)
+
+    @property
+    def queries_failed(self) -> int:
+        return sum(t.failed for t in self.tenants)
+
+    @property
+    def queries_shed(self) -> int:
+        return sum(t.shed for t in self.tenants)
 
     def describe(self) -> str:
         lines = [
@@ -150,7 +146,6 @@ class ServiceStats:
             f"mount bytes (actual disk): {self.total_mount_bytes}",
             f"shared grants: {self.scheduler.shared_grants} "
             f"(bytes re-served: {self.scheduler.bytes_shared})",
-            f"starved grants: {self.scheduler.starved_grants}, "
             f"max wait: {self.scheduler.max_wait_seconds:.3f}s",
             f"cache: {self.cache.hits} hits, {self.cache.misses} misses "
             f"({self.cache.hit_rate():.1%} hit rate), "
@@ -181,6 +176,9 @@ class QueryService:
     ``mount_workers`` sizes the shared scheduler's extraction pool —
     service-wide, not per query (a query's plan runs on the submitting
     thread and consumes from the shared scheduler).
+    ``batch_window_seconds`` is the longest a fresh task waits for
+    co-arriving queries to join it (see
+    :class:`~repro.core.scheduler.MountScheduler`).
     """
 
     def __init__(
@@ -189,7 +187,7 @@ class QueryService:
         db: Optional[Database] = None,
         cache: Optional[IngestionCache] = None,
         default_policy: Optional[TenantPolicy] = None,
-        scheduler_policy: Optional[SchedulerPolicy] = None,
+        batch_window_seconds: float = 0.02,
         mount_workers: int = 2,
         max_concurrent_queries: int = 8,
         selective_mounts: bool = True,
@@ -220,13 +218,11 @@ class QueryService:
         )
         self.scheduler = MountScheduler(
             self._shared_extract,
-            policy=scheduler_policy,
             workers=mount_workers,
+            batch_window_seconds=batch_window_seconds,
         )
         self._lock = _sync.create_lock("QueryService._lock")
         self._tenants: dict[str, TenantState] = {}  # guarded-by: _lock
-        self._completed = 0  # guarded-by: _lock
-        self._failed = 0  # guarded-by: _lock
         self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
@@ -357,12 +353,10 @@ class QueryService:
         except BaseException:
             with self._lock:
                 state.failed += 1
-                self._failed += 1
             raise
         else:
             with self._lock:
                 state.completed += 1
-                self._completed += 1
             return result
         finally:
             with self._lock:
@@ -376,10 +370,10 @@ class QueryService:
         cancellation: Optional[CancellationToken],
     ) -> MountContext:
         """One admitted query's context, from its tenant: the policy's
-        degradation mode and budget (unless the call brought one), a
-        governor whose charges feed the tenant ledger,
-        and a scheduler client as stage 2's pool — consumed shared results
-        charge this query's budget exactly as standalone extraction would.
+        degradation mode, a governor over the call's budget whose charges
+        feed the tenant ledger, and a scheduler client as stage 2's pool —
+        consumed shared results charge this query's budget exactly as
+        standalone extraction would.
         """
 
         def charge(bytes_read: int, records_decoded: int) -> None:
@@ -387,11 +381,7 @@ class QueryService:
                 state.bytes_charged += bytes_read
                 state.records_charged += records_decoded
 
-        governor = QueryGovernor(
-            budget if budget is not None else state.policy.query_budget,
-            token=cancellation,
-            on_charge=charge,
-        )
+        governor = QueryGovernor(budget, token=cancellation, on_charge=charge)
         context = MountContext(
             governor=governor,
             on_error=state.policy.on_mount_error,
@@ -450,29 +440,12 @@ class QueryService:
 
     def stats(self) -> ServiceStats:
         with self._lock:
-            tenants = tuple(
-                TenantSnapshot(
-                    name=t.name,
-                    in_flight=t.in_flight,
-                    admitted=t.admitted,
-                    completed=t.completed,
-                    failed=t.failed,
-                    shed=t.shed,
-                    bytes_charged=t.bytes_charged,
-                    records_charged=t.records_charged,
-                )
-                for t in self._tenants.values()
-            )
-            shed = sum(t.shed for t in tenants)
-            completed, failed = self._completed, self._failed
+            tenants = tuple(replace(t) for t in self._tenants.values())
         return ServiceStats(
             scheduler=replace(self.scheduler.stats),
             cache=replace(self.cache.stats),
             tenants=tenants,
             total_mount_bytes=self.total_mount_bytes,
-            queries_completed=completed,
-            queries_failed=failed,
-            queries_shed=shed,
         )
 
 

@@ -65,7 +65,7 @@ from ..remote import (
     TransportPolicy,
 )
 from ..remote.transport import CIRCUIT_CLOSED
-from ..serve import QueryService, SchedulerPolicy, TenantPolicy
+from ..serve import QueryService, TenantPolicy
 from .faults import (
     MID_STREAM_DISCONNECT,
     RECOVERABLE_KINDS,
@@ -499,7 +499,7 @@ class Engine:
             self.service = QueryService(
                 self.repository, db=self.db, mount_workers=point.mount_workers,
                 default_policy=TenantPolicy(on_mount_error=point.on_mount_error),
-                scheduler_policy=SchedulerPolicy(batch_window_seconds=0.005),
+                batch_window_seconds=0.005,
                 **settings,
             ).start()
             self.executor = self.service._executor

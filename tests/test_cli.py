@@ -259,6 +259,21 @@ def test_non_positive_worker_count_refused(repo_dir, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+def test_deadline_that_is_not_a_positive_finite_number_is_a_usage_error(
+    repo_dir, seconds, capsys
+):
+    with pytest.raises(SystemExit) as exit_:
+        main([
+            "query", "--repo", str(repo_dir),
+            f"--deadline-seconds={seconds}", QUERY,
+        ])
+    assert exit_.value.code == 2
+    assert "--deadline-seconds: must be a positive, finite number" in (
+        capsys.readouterr().err
+    )
+
+
 def test_module_entry_point(repo_dir, monkeypatch, capsys):
     argv = ["repro", "inspect", "--repo", str(repo_dir)]
     monkeypatch.setattr(sys, "argv", argv)

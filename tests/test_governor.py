@@ -10,6 +10,7 @@ joined. Cancellation latency is bounded by event wake-ups, not by sleeps.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -121,6 +122,8 @@ class TestQueryBudget:
     @pytest.mark.parametrize("field,value", [
         ("deadline_seconds", 0.0),
         ("deadline_seconds", -1.0),
+        ("deadline_seconds", math.nan),
+        ("deadline_seconds", math.inf),
         ("max_mount_bytes", 0),
         ("max_decoded_records", -5),
     ])
@@ -367,6 +370,14 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError):
             TransportPolicy(breaker_cooldown_seconds=-1)
 
+    @pytest.mark.parametrize(
+        "name", ["breaker_cooldown_seconds", "request_timeout_seconds"]
+    )
+    def test_non_finite_seconds_rejected(self, name):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                TransportPolicy(**{name: value})
+
     def test_opens_at_threshold(self):
         breaker, _ = self._breaker(threshold=3)
         for _ in range(2):
@@ -541,6 +552,14 @@ class TestRetryLadder:
         ):
             with pytest.raises(ValueError):
                 RetryPolicy(**bad)
+
+    @pytest.mark.parametrize(
+        "name", ["backoff_seconds", "backoff_multiplier", "backoff_jitter"]
+    )
+    def test_non_finite_backoff_rejected(self, name):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                RetryPolicy(**{name: value})
 
     def test_threads_share_one_ladder(self):
         """Workers climbing one ladder at once draw its one jitter stream:

@@ -20,7 +20,6 @@ from repro.core.scheduler import (
     WORKER_THREAD_PREFIX,
     MountScheduler,
     MountSpan,
-    SchedulerPolicy,
     worker_busy_seconds,
 )
 from repro.db import Column, ColumnBatch, DataType
@@ -80,8 +79,7 @@ def live_workers():
 def one_tenant(extract, workers):
     """A client of the scheduler ``TwoStageExecutor.open_context`` builds
     for ``mount_workers=workers``, closed on exit."""
-    policy = SchedulerPolicy(batch_window_seconds=0.0)
-    with MountScheduler(extract, policy, 0 if workers == 1 else workers) as s:
+    with MountScheduler(extract, 0 if workers == 1 else workers) as s:
         yield s.client()
 
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import (
-    HealthCheck, assume, event, given, settings, strategies as st,
+    HealthCheck, Phase, assume, event, given, settings, strategies as st,
 )
 
 from repro.core import BULK, FAIL_FAST, PER_FILE, SKIP_AND_REPORT
@@ -424,6 +424,9 @@ def examples(draw, focus):
     derandomize=True,
     deadline=None,
     database=None,
+    # A failing example fails as drawn: shrinking a timing-dependent
+    # failure re-runs whole engines for minutes.
+    phases=(Phase.explicit, Phase.generate),
     suppress_health_check=[HealthCheck.function_scoped_fixture,
                            HealthCheck.too_slow],
 )

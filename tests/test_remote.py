@@ -11,6 +11,7 @@ federated dispatcher. End-to-end fault grids live in
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import shutil
 import threading
@@ -193,6 +194,16 @@ class TestNetworkModel:
             NetworkProfile(loss_probability=1.5)
         with pytest.raises(ValueError):
             NetworkProfile(bandwidth_bytes_per_second=0)
+
+    @pytest.mark.parametrize("name", [
+        "latency_seconds",
+        "bandwidth_bytes_per_second",
+        "heavy_tail_multiplier",
+    ])
+    def test_non_finite_profile_rejected(self, name):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                NetworkProfile(**{name: value})
 
 
 class TestSimulatedObjectStore:

@@ -3,12 +3,11 @@
 Four obligations, each with its own cell:
 
 * **Equivalence** — a service answer must be byte-identical to the same
-  query in an independent session, across scheduler worker counts and both
-  ends of the throughput ↔ fairness knob. Sharing is an optimization, never
-  a semantic.
+  query in an independent session, across scheduler worker counts. Sharing
+  is an optimization, never a semantic.
 * **Fairness** — the scheduler's aging term must eventually outrank any
-  popularity bias: a lone low-overlap query beats a fresh popular task once
-  it has waited long enough, even at ``throughput_bias=1.0``.
+  popularity: a lone low-overlap query beats a fresh popular task once it
+  has waited long enough.
 * **Isolation** — admission control sheds deterministically on queue
   depth and on an exhausted tenant byte ledger.
 * **Ownership** — the shared cache's first-store-wins story holds under a
@@ -23,6 +22,7 @@ Four obligations, each with its own cell:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
@@ -56,7 +56,6 @@ from repro.remote import (
 from repro.serve import (
     MountScheduler,
     QueryService,
-    SchedulerPolicy,
     TenantPolicy,
     build_workload,
     run_comparison,
@@ -93,9 +92,7 @@ def metadata_db(repo):
 
 
 def _service(repo, db=None, **kwargs):
-    kwargs.setdefault(
-        "scheduler_policy", SchedulerPolicy(batch_window_seconds=0.01)
-    )
+    kwargs.setdefault("batch_window_seconds", 0.01)
     return QueryService(repo, db=db, **kwargs)
 
 
@@ -136,25 +133,18 @@ def _result(tag: str = "x") -> ExtractResult:
 
 
 class TestSchedulerUnit:
-    def _scheduler(self, extract, bias=1.0, clock=None):
-        return MountScheduler(
-            extract,
-            policy=SchedulerPolicy(
-                throughput_bias=bias,
-                aging_seconds=0.25,
-                batch_window_seconds=0.0,
-            ),
-            workers=0,
-            clock=clock or FakeClock(),
-        )
+    def _scheduler(self, extract, clock=None):
+        return MountScheduler(extract, workers=0, clock=clock or FakeClock())
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SchedulerPolicy(throughput_bias=1.5)
-        with pytest.raises(ValueError):
-            SchedulerPolicy(aging_seconds=0.0)
-        with pytest.raises(ValueError):
-            SchedulerPolicy(batch_window_seconds=-1.0)
+    def test_policy_validation(self, repo, metadata_db):
+        """A window that is negative or not finite is refused up front: a
+        NaN or infinite one would keep every task inside its window, and a
+        worker-less scheduler's take would never return."""
+        for window in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="batch_window_seconds"):
+                MountScheduler(lambda *a: _result(), batch_window_seconds=window)
+            with pytest.raises(ValueError, match="batch_window_seconds"):
+                QueryService(repo, db=metadata_db, batch_window_seconds=window)
 
     def test_throughput_bias_prefers_popular_task(self):
         clock = FakeClock()
@@ -163,29 +153,37 @@ class TestSchedulerUnit:
         sched.register(2, [("d", "popular.xseed", None)])
         sched.register(3, [("d", "popular.xseed", None)])
         sched.register(4, [("d", "popular.xseed", None)])
-        # Same age, three waiters vs one: the biased knob picks popularity.
+        # Same age, three waiters vs one: popularity wins.
         assert sched.peek_next() == ("d", "popular.xseed")
 
     def test_fifo_at_zero_bias(self):
+        """Tasks of equal popularity go in arrival order."""
         clock = FakeClock()
-        sched = self._scheduler(lambda *a: _result(), bias=0.0, clock=clock)
-        sched.register(1, [("d", "first.xseed", None)])
-        clock.now = 0.1
-        sched.register(2, [("d", "second.xseed", None)])
-        sched.register(3, [("d", "second.xseed", None)])
-        # Bias 0 ignores the crowd entirely: strict arrival order.
-        assert sched.peek_next() == ("d", "first.xseed")
+        sched = self._scheduler(lambda *a: _result(), clock=clock)
+        waiting = {}
+        arrivals = (("first.xseed", 0.0), ("second.xseed", 0.0), ("third.xseed", 0.1))
+        for client, (name, at) in enumerate(arrivals, start=1):
+            clock.now = at
+            [(key, task)] = sched.register(client, [("d", name, None)]).items()
+            waiting[key] = (client, task)
+        clock.now = 0.2
+        order = []
+        while (key := sched.peek_next()) is not None:
+            order.append(key[1])
+            sched.take(*waiting[key])
+        # One waiter each: older first, and the earlier of two equals.
+        assert order == ["first.xseed", "second.xseed", "third.xseed"]
 
     def test_starvation_aging_beats_full_throughput_bias(self):
-        """A lone old task outranks a fresh popular one even at bias=1.0."""
+        """A lone old task outranks a fresh popular one."""
         clock = FakeClock()
-        sched = self._scheduler(lambda *a: _result(), bias=1.0, clock=clock)
+        sched = self._scheduler(lambda *a: _result(), clock=clock)
         sched.register(1, [("d", "lone.xseed", None)])
         # Heavy overlap load arrives much later; the lone task has aged.
         clock.now = 2.0
         for client in (2, 3, 4, 5):
             sched.register(client, [("d", "popular.xseed", None)])
-        # lone: 1 waiter + 2.0s/0.25s aging = 9.0; popular: 4 waiters + 0.
+        # lone: 0.7 × 1 waiter + 2.0 s / 0.25 s = 8.7; popular: 0.7 × 4 = 2.8.
         assert sched.peek_next() == ("d", "lone.xseed")
         # And a *fresh* lone task would lose to the same crowd.
         sched.register(6, [("d", "fresh.xseed", None)])
@@ -271,7 +269,7 @@ class TestBatchWindowCrowd:
     def _scheduler(self, extract=None, clock=None):
         return MountScheduler(
             extract or (lambda *a: _result()),
-            policy=SchedulerPolicy(batch_window_seconds=self.WINDOW),
+            batch_window_seconds=self.WINDOW,
             workers=0,
             clock=clock or FakeClock(),
         )
@@ -419,7 +417,6 @@ class TestSuccessorTask:
     def _scheduler(self, extract):
         return MountScheduler(
             extract,
-            policy=SchedulerPolicy(batch_window_seconds=0.0),
             workers=0,
             clock=FakeClock(),
         )
@@ -475,7 +472,6 @@ class TestSuccessorTask:
 
         sched = MountScheduler(
             extract,
-            policy=SchedulerPolicy(batch_window_seconds=0.0),
             workers=1,
         )
         sched.start()
@@ -516,7 +512,6 @@ class TestSchedulerLifecycle:
         workers = 3
         sched = MountScheduler(
             lambda *a: _result(),
-            policy=SchedulerPolicy(batch_window_seconds=0.0),
             workers=workers,
         )
         barrier = threading.Barrier(4)
@@ -539,7 +534,6 @@ class TestSchedulerLifecycle:
     def test_close_is_idempotent_and_restartable(self):
         sched = MountScheduler(
             lambda *a: _result(),
-            policy=SchedulerPolicy(batch_window_seconds=0.0),
             workers=2,
         )
         sched.start()
@@ -555,17 +549,9 @@ class TestSchedulerLifecycle:
 
 
 class TestServiceEquivalence:
-    @pytest.mark.parametrize(
-        "workers,bias", [(1, 0.0), (1, 1.0), (4, 0.0), (4, 1.0)]
-    )
-    def test_answers_byte_identical_across_grid(self, repo, workers, bias):
-        service = QueryService(
-            repo,
-            mount_workers=workers,
-            scheduler_policy=SchedulerPolicy(
-                throughput_bias=bias, batch_window_seconds=0.01
-            ),
-        )
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_answers_byte_identical_across_grid(self, repo, workers):
+        service = _service(repo, mount_workers=workers)
         try:
             report = run_comparison(
                 repo, SPEC, clients=4, queries_per_client=2, service=service
@@ -608,7 +594,7 @@ class TestServiceEquivalence:
         service = QueryService(
             repo,
             db=metadata_db,
-            scheduler_policy=SchedulerPolicy(batch_window_seconds=self.WINDOW),
+            batch_window_seconds=self.WINDOW,
         )
         [[sql]] = build_workload(SPEC, clients=1, queries_per_client=1)
         count_files = "SELECT COUNT(*) FROM F"

@@ -1,9 +1,10 @@
 """The engine's settings, pinned by name.
 
-Each setting has one home: the executor's and the service's keywords, the
-session's and the binding's fields, the mount service's fields. A new
-option — or a second home for an existing one — fails here, so it arrives
-as a conscious edit of this list rather than as one more keyword.
+Each setting has one home: the executor's, the service's and the mount
+scheduler's keywords, the tenant policy's, the session's and the binding's
+fields, the mount service's fields. A new option — or a second home for an
+existing one — fails here, so it arrives as a conscious edit of this list
+rather than as one more keyword.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core import TwoStageExecutor
+from repro.core import MountScheduler, TwoStageExecutor
 from repro.core.mounting import MountService
 from repro.db.errors import IngestError
 from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding
 from repro.remote import RemoteRepository, ResilientTransport, TransportPolicy
-from repro.serve import QueryService
+from repro.serve import QueryService, TenantPolicy
 
 
 def _parameters(function) -> list[str]:
@@ -55,10 +56,27 @@ def test_service_parameters():
         "db",
         "cache",
         "default_policy",
-        "scheduler_policy",
+        "batch_window_seconds",
         "mount_workers",
         "max_concurrent_queries",
         "selective_mounts",
+    ]
+
+
+def test_scheduler_parameters():
+    assert _parameters(MountScheduler.__init__) == [
+        "extract",
+        "workers",
+        "batch_window_seconds",
+        "clock",
+    ]
+
+
+def test_tenant_policy_fields():
+    assert _fields(TenantPolicy) == [
+        "max_queue_depth",
+        "max_total_mount_bytes",
+        "on_mount_error",
     ]
 
 

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     MountScheduler,
-    SchedulerPolicy,
     TopNBranchMonitor,
     TwoStageExecutor,
     apply_ali_rewrite,
@@ -564,7 +563,6 @@ class TestSharedPoolClientRelease:
             lambda uri, table, request=None: (_ for _ in ()).throw(
                 AssertionError(f"unexpected extraction of {uri}")
             ),
-            policy=SchedulerPolicy(batch_window_seconds=0.0),
             workers=0,
         )
 
