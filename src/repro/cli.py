@@ -31,18 +31,31 @@ from .ingest.schema import ACTUAL_TABLE, FILE_TABLE
 from .mseed import FileRepository, RepositorySpec, generate_repository
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return parse
 
 
-def _positive_seconds(text: str) -> float:
+_positive_int = _at_least(1)
+
+
+def _positive_number(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError("must be a positive, finite number")
     return value
+
+
+def _names(text: str) -> tuple[str, ...]:
+    names = tuple(name for name in text.split(",") if name)
+    if not names:
+        raise argparse.ArgumentTypeError("must name at least one")
+    return names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,12 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "generate", help="synthesize an xSEED file repository"
     )
     gen.add_argument("--root", required=True, help="output directory")
-    gen.add_argument("--stations", default="ISK,ANK,IZM")
-    gen.add_argument("--channels", default="BHE,BHN,BHZ")
-    gen.add_argument("--days", type=int, default=2)
+    gen.add_argument("--stations", type=_names, default="ISK,ANK,IZM")
+    gen.add_argument("--channels", type=_names, default="BHE,BHN,BHZ")
+    gen.add_argument("--days", type=_positive_int, default=2)
     gen.add_argument("--start-day", default="2010-01-10")
-    gen.add_argument("--sample-rate", type=float, default=0.1)
-    gen.add_argument("--samples-per-record", type=int, default=1800)
+    gen.add_argument("--sample-rate", type=_positive_number, default=0.1)
+    gen.add_argument("--samples-per-record", type=_positive_int, default=1800)
     gen.add_argument("--seed", type=int, default=2013)
 
     inspect = commands.add_parser(
@@ -120,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "interval (repo mode only)",
     )
     query.add_argument(
-        "--deadline-seconds", type=_positive_seconds, default=None, metavar="S",
+        "--deadline-seconds", type=_positive_number, default=None, metavar="S",
         help="wall-clock budget for the whole query: mounting, retries and "
         "the kernel loop all stop within milliseconds of the deadline "
         "(repo mode only)",
@@ -168,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "offending pass and node on a violation (REPRO_VERIFY_PLANS=1 "
         "makes this the default)",
     )
-    query.add_argument("--limit", type=int, default=25,
+    query.add_argument("--limit", type=_at_least(0), default=25,
                        help="rows to display")
 
     bench = commands.add_parser(
@@ -177,15 +190,15 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--scale", choices=("tiny", "small", "default"), default="small"
     )
-    bench.add_argument("--runs", type=int, default=3)
+    bench.add_argument("--runs", type=_positive_int, default=3)
 
     return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = RepositorySpec(
-        stations=tuple(s for s in args.stations.split(",") if s),
-        channels=tuple(c for c in args.channels.split(",") if c),
+        stations=args.stations,
+        channels=args.channels,
         days=args.days,
         start_day=args.start_day,
         sample_rate=args.sample_rate,

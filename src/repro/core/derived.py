@@ -14,7 +14,7 @@ path for ungrouped decomposable aggregates over the sample values.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class DerivedMetadataStore:
             )
         if rows:
             self.db.insert_rows(DERIVED_TABLE, rows)
-
-    def coverage(self, uris: Iterable[str]) -> float:
-        uris = list(uris)
-        if not uris:
-            return 1.0
-        return sum(1 for u in uris if u in self._files_done) / len(uris)
 
     # -- exploitation (the breakpoint fast path) ---------------------------------
 

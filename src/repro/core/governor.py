@@ -161,14 +161,6 @@ class QueryBudget:
                     f"{name} must be positive and finite, got {value!r}"
                 )
 
-    @property
-    def bounded(self) -> bool:
-        return (
-            self.deadline_seconds is not None
-            or self.max_mount_bytes is not None
-            or self.max_decoded_records is not None
-        )
-
 
 @dataclass(frozen=True)
 class TruncationReport:

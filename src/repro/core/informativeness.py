@@ -160,7 +160,7 @@ class DestinyPolicy:
     """Decides a query's destiny from the breakpoint report."""
 
     def decide(self, report: InformativenessReport) -> DestinyDecision:
-        raise NotImplementedError
+        """The query's destiny given what the breakpoint knows."""
 
 
 class ProceedAlways(DestinyPolicy):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import CatalogError
 from .index import HashIndex
-from .schema import TableKind, TableSchema
+from .schema import TableSchema
 from .table import Table
 
 
@@ -41,16 +41,6 @@ class Catalog:
         self._tables[key] = table
         self.generation += 1
 
-    def drop_table(self, name: str) -> None:
-        key = name.lower()
-        if key not in self._tables:
-            raise CatalogError(f"no table {name!r}")
-        del self._tables[key]
-        self.generation += 1
-        self._indexes = {
-            ikey: idx for ikey, idx in self._indexes.items() if ikey[0] != key
-        }
-
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
@@ -67,12 +57,6 @@ class Catalog:
 
     def is_metadata_table(self, name: str) -> bool:
         return self.table(name).schema.kind.counts_as_metadata
-
-    def metadata_tables(self) -> list[Table]:
-        return [t for t in self.tables() if t.schema.kind.counts_as_metadata]
-
-    def actual_tables(self) -> list[Table]:
-        return [t for t in self.tables() if t.schema.kind is TableKind.ACTUAL]
 
     # -- indexes ---------------------------------------------------------------
 

@@ -200,9 +200,6 @@ class Column:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __repr__(self) -> str:
-        return f"Column({self.dtype.value}, n={len(self)})"
-
     # -- vector operations ---------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Column":
@@ -551,9 +548,6 @@ class RunColumn(Column):
 
     def __len__(self) -> int:
         return self.runs.num_rows
-
-    def __repr__(self) -> str:
-        return f"RunColumn({self.kind}, n={len(self)}, runs={len(self.runs)})"
 
     @property
     def run_constant(self) -> bool:

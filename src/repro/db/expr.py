@@ -31,11 +31,10 @@ class Expr:
     dtype: DataType
 
     def evaluate(self, batch: ColumnBatch) -> Column:
-        raise NotImplementedError
+        """The expression's value on every row of ``batch``."""
 
     def references(self) -> set[str]:
         """The qualified column keys this expression reads."""
-        raise NotImplementedError
 
     def children(self) -> tuple["Expr", ...]:
         return ()

@@ -75,15 +75,6 @@ class HashIndex:
                 duplicate &= arr[1:] == arr[:-1]
         self.unique = not bool(duplicate.any())
 
-    def __len__(self) -> int:
-        if len(self._rowids) == 0:
-            return 0
-        distinct = np.zeros(len(self._rowids), dtype=bool)
-        distinct[0] = True
-        for arr in self._sorted_keys:
-            distinct[1:] |= arr[1:] != arr[:-1]
-        return int(distinct.sum())
-
     # -- probing ---------------------------------------------------------------
 
     def _encode_component(self, level: int, value: object) -> object | None:

@@ -33,12 +33,6 @@ class LogicalPlan:
     def children(self) -> tuple["LogicalPlan", ...]:
         return ()
 
-    def with_children(self, children: Sequence["LogicalPlan"]) -> "LogicalPlan":
-        """Rebuild this node with new children (rewrite-rule plumbing); a
-        leaf has none and stands for itself."""
-        assert not children
-        return self
-
     def output_keys(self) -> list[str]:
         return [key for key, _ in self.output]
 
@@ -310,9 +304,6 @@ class UnionAll(LogicalPlan):
 
     def children(self) -> tuple[LogicalPlan, ...]:
         return tuple(self.inputs)
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "UnionAll":
-        return UnionAll(list(children), self.declared_output or self.output)
 
     def label(self) -> str:
         return f"UnionAll[{len(self.inputs)}]"

@@ -160,7 +160,7 @@ class PhysicalOp:
         return ""
 
     def _run(self, ctx: ExecutionContext) -> ColumnBatch:
-        raise NotImplementedError
+        """The operator's own work; ``execute`` wraps it in a span."""
 
 
 @dataclass

@@ -79,13 +79,6 @@ class TableSchema:
         lowered = name.lower()
         return any(col.name.lower() == lowered for col in self.columns)
 
-    def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, col in enumerate(self.columns):
-            if col.name.lower() == lowered:
-                return i
-        raise CatalogError(f"no column {name!r} in table {self.name!r}")
-
     @property
     def column_names(self) -> list[str]:
         return [col.name for col in self.columns]

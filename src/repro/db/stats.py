@@ -30,18 +30,7 @@ import numpy as np
 
 from .catalog import Catalog
 from .expr import BoolOp, Comparison, Expr, conjuncts
-from .plan.logical import (
-    Aggregate,
-    Distinct,
-    Join,
-    Limit,
-    LogicalPlan,
-    Scan,
-    Select,
-    SemiJoin,
-    TopN,
-    UnionAll,
-)
+from .plan.logical import Join, LogicalPlan, Scan, Select
 
 # System R (Selinger et al. 1979) default selectivities.
 EQ_SELECTIVITY = 0.1
@@ -130,14 +119,14 @@ class StatisticsCatalog:
         stats = self.files.get(uri)
         return stats.span if stats is not None else None
 
-    def file_bytes(self, uri: str) -> Optional[int]:
-        stats = self.files.get(uri)
-        return stats.size_bytes if stats is not None else None
-
     # -- cardinality estimation ------------------------------------------------
 
     def estimate_rows(self, plan: LogicalPlan) -> float:
-        """Estimated output cardinality of ``plan`` (never negative)."""
+        """Estimated output cardinality of ``plan`` (never negative).
+
+        The join-order pass compares the sides of a join: scans, filters and
+        joins. Any other node estimates as its only child, or as a table of
+        ``default_rows``."""
         if isinstance(plan, Scan):
             return float(
                 self.table_rows.get(plan.table_name.lower(), self.default_rows)
@@ -151,26 +140,10 @@ class StatisticsCatalog:
                 return left * right
             # Equi-join with the larger side treated as the key domain.
             return left * right / max(left, right, 1.0)
-        if isinstance(plan, (Limit, TopN)):
-            return min(float(plan.count), self.estimate_rows(plan.children()[0]))
-        if isinstance(plan, UnionAll):
-            return sum(self.estimate_rows(child) for child in plan.inputs)
-        if isinstance(plan, Aggregate):
-            if not plan.groups:
-                return 1.0
-            return max(1.0, self.estimate_rows(plan.child) * 0.1)
-        if isinstance(plan, SemiJoin):
-            return self.estimate_rows(plan.child) * DEFAULT_SELECTIVITY
-        if isinstance(plan, Distinct):
-            return max(1.0, self.estimate_rows(plan.child) * 0.1)
         children = plan.children()
         if len(children) == 1:
-            # Project, Sort, and other row-preserving unary nodes.
             return self.estimate_rows(children[0])
-        if not children:
-            # ResultScan and other leaves without statistics.
-            return float(self.default_rows)
-        return sum(self.estimate_rows(child) for child in children)
+        return float(self.default_rows)
 
 
 def _selectivity(predicate: Expr) -> float:

@@ -93,8 +93,3 @@ def load_catalog(directory: str | Path) -> Catalog:
         catalog.register_index(index_def["table"], columns, index)
     return catalog
 
-
-def database_disk_bytes(directory: str | Path) -> int:
-    """Total bytes of a saved database directory."""
-    root = Path(directory)
-    return sum(p.stat().st_size for p in root.glob("*") if p.is_file())

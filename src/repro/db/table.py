@@ -48,9 +48,6 @@ class ColumnBatch:
     def num_columns(self) -> int:
         return len(self.columns)
 
-    def __repr__(self) -> str:
-        return f"ColumnBatch({self.names}, rows={self.num_rows})"
-
     def column(self, name: str) -> Column:
         lowered = name.lower()
         for cname, col in zip(self.names, self.columns):

@@ -8,7 +8,6 @@ Query 2, explorative workload generators, and the STA/LTA event detector
 seismologists run over query results.
 """
 
-from .autopilot import ConfirmedEvent, EventHunter, HuntReport, SurveyEntry
 from .detect import detect_events, sta_lta
 from .session import ExplorationSession, QueryEngine, SessionEntry
 from .visualize import downsample, sparkline, waveform_panel
@@ -34,8 +33,4 @@ __all__ = [
     "downsample",
     "sparkline",
     "waveform_panel",
-    "EventHunter",
-    "HuntReport",
-    "SurveyEntry",
-    "ConfirmedEvent",
 ]

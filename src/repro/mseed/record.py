@@ -256,9 +256,3 @@ class XSeedRecord:
                 cause=exc,
             ) from exc
         return cls(header, samples, payload)
-
-    def sample_times(self) -> np.ndarray:
-        """Per-sample timestamps (µs), materialized the way Ei does."""
-        return self.header.start_time + sample_time_offsets(
-            self.header.nsamples, self.header.sample_rate
-        )

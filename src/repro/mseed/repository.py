@@ -176,9 +176,6 @@ class FileRepository:
             )
         return Path(resolved)
 
-    def size_of(self, uri: str) -> int:
-        return self.path_of(uri).stat().st_size
-
     def total_bytes(self) -> int:
         """Size of the repository — the "mSEED" column of Table 1."""
         return sum(size for _, size in self.signatures().values())

@@ -11,6 +11,7 @@ reproducible across runs and machines.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +35,10 @@ class WaveformSpec:
     event_decay_s: float = 25.0  # burst amplitude e-folding time
 
 
+class SpecError(ValueError):
+    """A ``RepositorySpec`` that describes no repository."""
+
+
 @dataclass(frozen=True)
 class RepositorySpec:
     """Shape of a synthetic file repository (stations × channels × days)."""
@@ -47,6 +52,19 @@ class RepositorySpec:
     samples_per_record: int = 3600  # one record per hour at 1 Hz
     seed: int = 2013
     waveform: WaveformSpec = field(default_factory=WaveformSpec)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise SpecError(
+                f"sample_rate must be a positive, finite number, got "
+                f"{self.sample_rate!r}"
+            )
+        for name in ("samples_per_record", "days"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("stations", "channels"):
+            if not getattr(self, name):
+                raise SpecError(f"{name} must name at least one")
 
     @property
     def file_count(self) -> int:

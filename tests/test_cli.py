@@ -274,6 +274,51 @@ def test_deadline_that_is_not_a_positive_finite_number_is_a_usage_error(
     )
 
 
+@pytest.mark.parametrize("flag, value, refusal", [
+    ("--samples-per-record", "0", "must be >= 1"),
+    ("--samples-per-record", "-5", "must be >= 1"),
+    ("--days", "0", "must be >= 1"),
+    ("--days", "-1", "must be >= 1"),
+    ("--stations", ",", "must name at least one"),
+    ("--channels", ",,", "must name at least one"),
+    ("--sample-rate", "nan", "must be a positive, finite number"),
+    ("--sample-rate", "-1", "must be a positive, finite number"),
+    ("--sample-rate", "0", "must be a positive, finite number"),
+])
+def test_generate_refuses_a_bad_shape_as_a_usage_error(
+    tmp_path, flag, value, refusal, capsys
+):
+    root = tmp_path / "r"
+    with pytest.raises(SystemExit) as exit_:
+        main(["generate", "--root", str(root), "--days", "1",
+              "--sample-rate", "0.02", "--samples-per-record", "400",
+              f"{flag}={value}"])
+    assert exit_.value.code == 2
+    assert f"{flag}: {refusal}" in capsys.readouterr().err
+    assert not root.exists()
+
+
+def test_a_negative_row_limit_is_a_usage_error(repo_dir, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["query", "--repo", str(repo_dir), "--limit", "-1", QUERY])
+    assert exit_.value.code == 2
+    assert "--limit: must be >= 0" in capsys.readouterr().err
+
+
+def test_a_zero_row_limit_prints_only_the_count(repo_dir, capsys):
+    sql = "SELECT F.uri FROM F"
+    assert main(["query", "--repo", str(repo_dir), "--limit", "0", sql]) == 0
+    out = capsys.readouterr().out
+    assert "... (2 more rows)" in out and "ISK" not in out
+
+
+def test_bench_needs_at_least_one_run(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--scale", "tiny", "--runs", "0"])
+    assert exit_.value.code == 2
+    assert "--runs: must be >= 1" in capsys.readouterr().err
+
+
 def test_module_entry_point(repo_dir, monkeypatch, capsys):
     argv = ["repro", "inspect", "--repo", str(repo_dir)]
     monkeypatch.setattr(sys, "argv", argv)

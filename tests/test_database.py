@@ -98,12 +98,6 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             db.create_table(TableSchema("t", [ColumnDef("x", DataType.INT64)]))
 
-    def test_drop_table(self, db):
-        db.catalog.drop_table("t")
-        assert not db.catalog.has_table("t")
-        with pytest.raises(CatalogError):
-            db.catalog.table("t")
-
     def test_metadata_actual_partition(self):
         catalog = Catalog()
         catalog.create_table(
@@ -114,21 +108,8 @@ class TestCatalog:
             TableSchema("a", [ColumnDef("x", DataType.INT64)],
                         kind=TableKind.ACTUAL)
         )
-        assert [t.name for t in catalog.metadata_tables()] == ["m"]
-        assert [t.name for t in catalog.actual_tables()] == ["a"]
         assert catalog.is_metadata_table("m")
         assert not catalog.is_metadata_table("a")
-
-    def test_drop_removes_indexes(self, db):
-        db.create_table(
-            TableSchema("pk", [ColumnDef("k", DataType.INT64)],
-                        primary_key=("k",))
-        )
-        db.insert_rows("pk", [(1,)])
-        db.build_key_indexes("pk")
-        assert db.index_nbytes() > 0
-        db.catalog.drop_table("pk")
-        assert db.index_nbytes() == 0
 
     def test_build_key_indexes_idempotent(self, db):
         db.create_table(

@@ -60,12 +60,6 @@ class TestCollection:
         executor.execute(SUMMARY_SQL)
         assert executor.db.catalog.table(DERIVED_TABLE).num_rows == rows_before
 
-    def test_coverage(self, derived_executor, tiny_repo):
-        executor, derived = derived_executor
-        assert derived.coverage(tiny_repo.uris()) == 0.0
-        executor.execute(SUMMARY_SQL)
-        assert 0 < derived.coverage(tiny_repo.uris()) < 1
-        assert derived.coverage([]) == 1.0
 
 
 class TestFastPath:

@@ -427,7 +427,7 @@ class TestReentrancy:
                 self._count(f"F.uri = '{lone_file}'"),
                 {
                     "budget": QueryBudget(
-                        max_mount_bytes=repo.size_of(lone_file) - 1,
+                        max_mount_bytes=repo.path_of(lone_file).stat().st_size - 1,
                         on_budget=ON_BUDGET_PARTIAL,
                     )
                 },
@@ -457,7 +457,7 @@ class TestReentrancy:
                 )
         assert alone["skip-isk-bhe"].mount_failures.uris() == [bad_isk]
         assert alone["skip-ank-bhz"].mount_failures.uris() == [bad_ank]
-        assert alone["budget"].truncation.bytes_mounted == repo.size_of(lone_file)
+        assert alone["budget"].truncation.bytes_mounted == repo.path_of(lone_file).stat().st_size
         assert expected_stats["early_terminated_branches"] > 0
 
         shared = self._executor(repo, workers)

@@ -131,10 +131,6 @@ class TestQueryBudget:
         with pytest.raises(ValueError):
             QueryBudget(**{field: value})
 
-    def test_bounded(self):
-        assert not QueryBudget().bounded
-        assert QueryBudget(deadline_seconds=1.0).bounded
-        assert QueryBudget(max_mount_bytes=1).bounded
 
 
 # -- cancellation token ----------------------------------------------------------

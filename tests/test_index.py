@@ -35,14 +35,9 @@ class TestSingleColumn:
         assert build([Column.from_pylist(DataType.INT64, [1, 2, 3])]).unique
         assert not build([Column.from_pylist(DataType.INT64, [1, 1])]).unique
 
-    def test_len_counts_distinct_keys(self):
-        index = build([Column.from_pylist(DataType.INT64, [1, 1, 2, 3, 3])])
-        assert len(index) == 3
-
     def test_empty_column(self):
         index = build([Column.from_pylist(DataType.INT64, [])])
         assert len(index.lookup(1)) == 0
-        assert len(index) == 0
 
     def test_numpy_scalar_probe(self):
         col = Column.from_pylist(DataType.INT64, [10, 20])

@@ -190,7 +190,6 @@ class TestColumnarStatistics:
             assert stats.files.get(uri) == stats.files[uri]
             assert stats.files[uri] == expected.files[uri]
             assert stats.file_span(uri) == expected.file_span(uri)
-            assert stats.file_bytes(uri) == expected.file_bytes(uri)
         assert "elsewhere.xseed" not in stats.files
         assert stats.files.get("elsewhere.xseed") is None
         assert stats.file_span("elsewhere.xseed") is None

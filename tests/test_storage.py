@@ -4,7 +4,7 @@ import pytest
 
 from repro.db import ColumnDef, Database, DataType, TableKind, TableSchema
 from repro.db.errors import StorageError
-from repro.db.storage import database_disk_bytes, load_catalog, save_catalog
+from repro.db.storage import load_catalog, save_catalog
 
 
 @pytest.fixture()
@@ -66,7 +66,8 @@ class TestAccountingAndErrors:
     def test_save_returns_bytes(self, db, tmp_path):
         written = save_catalog(db.catalog, tmp_path)
         assert written > 0
-        assert database_disk_bytes(tmp_path) >= written
+        on_disk = sum(f.stat().st_size for f in tmp_path.rglob("*") if f.is_file())
+        assert on_disk >= written
 
     def test_missing_catalog_raises(self, tmp_path):
         with pytest.raises(StorageError):

@@ -92,6 +92,23 @@ class TestBuildRecords:
         assert rel == "2010/KO.ISK/KO.ISK..BHE.2010.010.xseed"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sample_rate", float("nan")),
+    ("sample_rate", float("inf")),
+    ("sample_rate", -1.0),
+    ("sample_rate", 0.0),
+    ("samples_per_record", 0),
+    ("samples_per_record", -5),
+    ("days", 0),
+    ("days", -1),
+    ("stations", ()),
+    ("channels", ()),
+])
+def test_the_spec_refuses_a_shape_no_repository_has(field, value):
+    with pytest.raises(ValueError, match=field):
+        RepositorySpec(**{field: value})
+
+
 class TestRepository:
     @pytest.fixture(scope="class")
     def repo(self, tmp_path_factory):
@@ -143,7 +160,7 @@ class TestRepository:
 
     def test_total_bytes(self, repo):
         total = repo.total_bytes()
-        assert total == sum(repo.size_of(u) for u in repo.uris())
+        assert total == sum(repo.path_of(u).stat().st_size for u in repo.uris())
         assert total > 0
 
     def test_missing_root_rejected(self, tmp_path):
@@ -226,7 +243,7 @@ class TestListing:
                 uri: repo.signature_of(uri) for uri in repo.uris()
             }
             assert repo.total_bytes() == sum(
-                repo.size_of(uri) for uri in repo.uris()
+                repo.path_of(uri).stat().st_size for uri in repo.uris()
             )
         finally:
             (linked_tree / "a" / "esc").rename(

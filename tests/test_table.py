@@ -113,12 +113,6 @@ class TestSchema:
         assert TableKind.DERIVED.counts_as_metadata
         assert not TableKind.ACTUAL.counts_as_metadata
 
-    def test_column_index(self):
-        schema = TableSchema("t", [ColumnDef("a", DataType.INT64),
-                                   ColumnDef("b", DataType.STRING)])
-        assert schema.column_index("B") == 1
-        with pytest.raises(CatalogError):
-            schema.column_index("c")
 
 
 class TestTable:

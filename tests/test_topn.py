@@ -345,7 +345,7 @@ class TestStatisticsCatalog:
         for uri in tiny_repo.uris():
             lo, hi = stats.file_span(uri)
             assert lo < hi
-            assert stats.file_bytes(uri) is not None
+            assert stats.files[uri].size_bytes is not None
 
     def test_unknown_table_uses_default_rows(self):
         stats = StatisticsCatalog(table_rows={}, default_rows=42)
