@@ -10,16 +10,19 @@ Run: ``pytest benchmarks/bench_figure3_querying.py --benchmark-only -s``
 
 import pytest
 
-from repro.core import MountSpan, worker_busy_seconds
+from repro.core import IngestionCache
 from repro.harness import render_figure3, run_figure3
 from repro.harness.experiments import _execute_seconds
 from repro.harness.reporting import render_figure3_chart
+from repro.obs import MountSpan, worker_busy_seconds
+from repro.serve import QueryService
+
+PARALLEL_WORKERS = 4
 
 
 def _cold_setup(engine):
     def setup():
-        db = engine.db if hasattr(engine, "db") else engine
-        db.make_cold()
+        getattr(engine, "db", engine).make_cold()
         return (), {}
 
     return setup
@@ -56,26 +59,29 @@ def test_ali(env, benchmark, query_name, state):
 
 @pytest.mark.parametrize("query_name", ["query1", "query2"])
 def test_ali_parallel_mounts(env, benchmark, query_name):
-    """ALi COLD with stage 2 fanned out to 4 mount workers (experiment A6).
+    """ALi COLD with stage 2 fanned out to the 4 mount workers of a query
+    service's scheduler (experiment A6).
 
     Prints the per-worker mount accounting next to the Figure 3 bars: the
-    serialized mount cost, the critical path the pool achieved, and the
-    resulting mount-phase speedup. Query 1 mounts a single file, so its
-    pool degrades to serial — the interesting row is Query 2.
+    serialized mount cost, the critical path the workers achieved, and the
+    resulting mount-phase speedup. Query 1 mounts a single file, so it
+    degrades to serial — the interesting row is Query 2.
     """
     sql = getattr(env.queries, query_name)
-    engine = env.fresh_executor(mount_workers=4)
-    _bench_query(benchmark, engine, sql, "COLD")
-    report = env.fresh_executor(mount_workers=4)
-    report.db.make_cold()
-    trace = report.execute(sql).trace
+    with QueryService(
+        env.repository, db=env.ali, cache=IngestionCache(),
+        mount_workers=PARALLEL_WORKERS, batch_window_seconds=0.0,
+    ) as service:
+        _bench_query(benchmark, service, sql, "COLD")
+        env.ali.make_cold()
+        trace = service.execute(sql).trace
     busy = worker_busy_seconds(trace)
     serial, critical = sum(busy.values()), max(busy.values(), default=0.0)
     print()
     print(
         f"{query_name}: "
         f"{sum(isinstance(s, MountSpan) for s in trace.spans)} mount(s) on "
-        f"{report.mount_workers} workers; serialized "
+        f"{PARALLEL_WORKERS} workers; serialized "
         f"{serial * 1000:.1f} ms, critical path {critical * 1000:.1f} ms "
         f"({serial / critical if critical > 0 else 1.0:.2f}x); per-worker busy: "
         + ", ".join(

@@ -3,8 +3,8 @@
 The governor threads a checkpoint between every physical operator, a charge
 into every extraction, and an event-based wait under every backoff — so the
 question this benchmark answers is whether governance is free when nothing
-fires. Method: the A6 parallel-mount workload (cold, whole-repository
-aggregate) runs ungoverned (no budget — the executor still creates a
+fires. Method: the A6 workload (cold, whole-repository aggregate, mounted
+inline by a standalone executor) runs ungoverned (no budget — the executor still creates a
 governor, but with nothing to enforce) and governed (a budget with huge
 limits, so every checkpoint, ledger charge, and deadline timer is live but
 never trips). Best-of-``runs`` wall times are compared; the governed run
@@ -69,28 +69,23 @@ class CancellationRun:
     total_seconds: float
 
 
-def _cold_executor(
-    repository: FileRepository, workers: int
-) -> TwoStageExecutor:
+def _cold_executor(repository: FileRepository) -> TwoStageExecutor:
     db = Database()
     lazy_ingest_metadata(db, repository)
-    executor = TwoStageExecutor(
-        db, RepositoryBinding(repository), mount_workers=workers
-    )
+    executor = TwoStageExecutor(db, RepositoryBinding(repository))
     db.make_cold()
     return executor
 
 
 def run_workload(
     repository: FileRepository,
-    workers: int,
     runs: int,
     budget: Optional[QueryBudget],
     label: str,
 ) -> GovernedRun:
     best: Optional[GovernedRun] = None
     for _ in range(runs):
-        executor = _cold_executor(repository, workers)
+        executor = _cold_executor(repository)
         started = time.perf_counter()
         outcome = executor.execute(FULL_SQL, budget=budget)
         wall = (
@@ -105,13 +100,11 @@ def run_workload(
 
 
 def measure_overhead(
-    repository: FileRepository, workers: int, runs: int
+    repository: FileRepository, runs: int
 ) -> tuple[GovernedRun, GovernedRun, float]:
     """(baseline, governed, relative overhead) on the A6 workload."""
-    baseline = run_workload(repository, workers, runs, None, "ungoverned")
-    governed = run_workload(
-        repository, workers, runs, HUGE_BUDGET, "governed"
-    )
+    baseline = run_workload(repository, runs, None, "ungoverned")
+    governed = run_workload(repository, runs, HUGE_BUDGET, "governed")
     if governed.rows != baseline.rows:
         raise AssertionError(
             "governance changed the answer: "
@@ -124,10 +117,10 @@ def measure_overhead(
 
 
 def measure_cancellation(
-    repository: FileRepository, workers: int, cancel_after: float = 0.05
+    repository: FileRepository, cancel_after: float = 0.05
 ) -> CancellationRun:
     """Cancel a latency-stalled query; report cancel-to-error latency."""
-    executor = _cold_executor(repository, workers)
+    executor = _cold_executor(repository)
     token = CancellationToken()
     plan = FaultPlan(
         [
@@ -188,10 +181,8 @@ def render(
 def test_governor_overhead_quick():
     """Smoke: identical answers, overhead measured, cancellation surfaces."""
     repository = materialize_repository(quick_spec())
-    baseline, governed, overhead = measure_overhead(
-        repository, workers=4, runs=2
-    )
-    cancellation = measure_cancellation(repository, workers=4)
+    baseline, governed, overhead = measure_overhead(repository, runs=2)
+    cancellation = measure_cancellation(repository)
     print()
     print(render(baseline, governed, overhead, cancellation))
     assert governed.rows == baseline.rows
@@ -209,7 +200,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--quick", action="store_true",
         help="8-file smoke run (no overhead assertion); CI uses this",
     )
-    parser.add_argument("--workers", type=int, default=4, metavar="N")
     parser.add_argument("--runs", type=int, default=3)
     add_json_argument(parser)
     args = parser.parse_args(argv)
@@ -220,10 +210,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"repository: {len(repository.uris())} files, "
         f"{repository.total_bytes():,} bytes"
     )
-    baseline, governed, overhead = measure_overhead(
-        repository, args.workers, args.runs
-    )
-    cancellation = measure_cancellation(repository, args.workers)
+    baseline, governed, overhead = measure_overhead(repository, args.runs)
+    cancellation = measure_cancellation(repository)
     print(render(baseline, governed, overhead, cancellation))
     passed = overhead <= OVERHEAD_CEILING
     maybe_emit_json(
@@ -231,7 +219,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "governor",
         params={
             "quick": args.quick,
-            "workers": args.workers,
             "runs": args.runs,
             "files": len(repository.uris()),
             "sql": FULL_SQL,

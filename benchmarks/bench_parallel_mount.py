@@ -1,4 +1,4 @@
-"""Experiment A6 — parallel stage-2 mounting with :class:`MountPool`.
+"""Experiment A6 — parallel stage-2 mounting through a query service.
 
 Stage 2 mounts every file of interest; rule (1) makes those mounts
 independent, so fanning them out to a worker pool shrinks the mount phase
@@ -8,12 +8,14 @@ seek is the bulk of every mount) — the regime the paper's 5,000-file
 station archives live in.
 
 Method: one whole-repository aggregate (its files of interest are *all*
-files) runs cold at ``mount_workers=1`` and ``mount_workers=N``. Reported
+files) runs cold on a standalone executor, which mounts inline, and through
+a :class:`~repro.serve.QueryService` with ``mount_workers=N`` (no batch
+window: one caller). Reported
 times follow the repo-wide convention (wall CPU + simulated disk seconds,
 see DESIGN.md): the serial figure charges the mounts end-to-end, the
 parallel figure charges the busiest worker's chain (the critical path),
 both from the query trace's mount spans
-(:func:`~repro.core.scheduler.worker_busy_seconds`). Results
+(:func:`~repro.obs.worker_busy_seconds`). Results
 must be byte-identical across worker counts.
 
 Run as a script (CI smoke-checks ``--quick``)::
@@ -31,11 +33,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from bench_json import add_json_argument, maybe_emit_json
-from repro.core import MountSpan, TwoStageExecutor, worker_busy_seconds
+from repro.core import IngestionCache, TwoStageExecutor
 from repro.db import Database
 from repro.harness.setup import materialize_repository
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.mseed import FileRepository, RepositorySpec
+from repro.obs import MountSpan, worker_busy_seconds
+from repro.serve import QueryService
 
 # Seek-dominated scales: short windows of sparse samples keep files small,
 # so the per-file 8 ms simulated seek dominates extraction and the mount
@@ -89,18 +93,24 @@ def run_cold_mounts(
 ) -> MountRun:
     """Cold-run the whole-repository aggregate; keep the best-of-``runs``.
 
-    Every run gets a fresh metadata-only database and executor (empty
-    ingestion cache, cold buffers), so stage 2 mounts every file.
+    Every run gets a fresh metadata-only database and engine (empty
+    ingestion cache, cold buffers), so stage 2 mounts every file: an
+    executor at one worker, a query service's scheduler at more.
     """
     best: Optional[MountRun] = None
     for _ in range(runs):
         db = Database()
         lazy_ingest_metadata(db, repository)
-        executor = TwoStageExecutor(
-            db, RepositoryBinding(repository), mount_workers=workers
-        )
         db.make_cold()
-        outcome = executor.execute(FULL_SQL)
+        if workers == 1:
+            executor = TwoStageExecutor(db, RepositoryBinding(repository))
+            outcome = executor.execute(FULL_SQL)
+        else:
+            with QueryService(
+                repository, db=db, cache=IngestionCache(),
+                mount_workers=workers, batch_window_seconds=0.0,
+            ) as service:
+                outcome = service.execute(FULL_SQL)
         busy = worker_busy_seconds(outcome.trace)
         run = MountRun(
             workers=workers,

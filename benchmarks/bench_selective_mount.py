@@ -9,8 +9,8 @@ Steim-decodes only those frames. On a narrow time window — the paper's
 both bytes read and records decoded by well over 5x, with byte-identical
 answers.
 
-Method: the same narrow-window query runs cold in four configurations
-(selective on/off x mount_workers 1/4), each on a fresh metadata-only
+Method: the same narrow-window query runs cold in two configurations
+(selective on/off), each on a fresh metadata-only
 database with cold buffers and an empty ingestion cache. File-level time
 pruning cannot help here — every file's records span the whole day, so
 every file of interest overlaps the window — which isolates the
@@ -77,7 +77,6 @@ class SelectiveRun:
     """One cold execution's read/decode accounting."""
 
     selective: bool
-    workers: int
     rows: list[tuple]
     files_mounted: int
     bytes_read: int
@@ -87,24 +86,18 @@ class SelectiveRun:
     stage2_seconds: float
 
 
-def run_cold(
-    repository: FileRepository, selective: bool, workers: int
-) -> SelectiveRun:
+def run_cold(repository: FileRepository, selective: bool) -> SelectiveRun:
     """Cold-run the narrow query: fresh database, cache, and buffers."""
     db = Database()
     lazy_ingest_metadata(db, repository)
     executor = TwoStageExecutor(
-        db,
-        RepositoryBinding(repository),
-        mount_workers=workers,
-        selective_mounts=selective,
+        db, RepositoryBinding(repository), selective_mounts=selective
     )
     db.make_cold()
     outcome = executor.execute(NARROW_SQL)
     counters = outcome.trace.counters
     return SelectiveRun(
         selective=selective,
-        workers=workers,
         rows=outcome.rows,
         files_mounted=counters["files_mounted"],
         bytes_read=counters["bytes_read"],
@@ -116,22 +109,14 @@ def run_cold(
 
 
 def compare(repository: FileRepository) -> list[SelectiveRun]:
-    """All four configurations; verifies byte-identical answers."""
-    runs = [
-        run_cold(repository, selective, workers)
-        for selective in (False, True)
-        for workers in (1, 4)
-    ]
-    baseline = runs[0]
-    for run in runs[1:]:
-        if run.rows != baseline.rows:
-            raise AssertionError(
-                "selective mounting changed the answer: "
-                f"(selective={baseline.selective}, workers={baseline.workers})"
-                f" -> {baseline.rows!r}, (selective={run.selective}, "
-                f"workers={run.workers}) -> {run.rows!r}"
-            )
-    return runs
+    """Both configurations; verifies byte-identical answers."""
+    full, selective = (run_cold(repository, s) for s in (False, True))
+    if selective.rows != full.rows:
+        raise AssertionError(
+            "selective mounting changed the answer: "
+            f"{full.rows!r} -> {selective.rows!r}"
+        )
+    return [full, selective]
 
 
 def reductions(runs: Sequence[SelectiveRun]) -> tuple[float, float]:
@@ -149,12 +134,12 @@ def reductions(runs: Sequence[SelectiveRun]) -> tuple[float, float]:
 
 def render(runs: Sequence[SelectiveRun]) -> str:
     lines = [
-        f"{'selective':>10} {'workers':>8} {'files':>6} {'bytes read':>12} "
+        f"{'selective':>10} {'files':>6} {'bytes read':>12} "
         f"{'decoded':>8} {'skipped':>8} {'stage 2':>10}",
     ]
     for run in runs:
         lines.append(
-            f"{('on' if run.selective else 'off'):>10} {run.workers:>8} "
+            f"{('on' if run.selective else 'off'):>10} "
             f"{run.files_mounted:>6} {run.bytes_read:>12,} "
             f"{run.records_decoded:>8} {run.records_skipped:>8} "
             f"{run.stage2_seconds * 1000:>8.1f}ms"
@@ -162,8 +147,7 @@ def render(runs: Sequence[SelectiveRun]) -> str:
     bytes_x, decode_x = reductions(runs)
     lines.append(
         f"selective mounting reads {bytes_x:.1f}x fewer payload bytes and "
-        f"decodes {decode_x:.1f}x fewer records; answers byte-identical "
-        f"across all configurations"
+        f"decodes {decode_x:.1f}x fewer records; answers byte-identical"
     )
     return "\n".join(lines)
 

@@ -1,7 +1,7 @@
 """Lock-construction seam for the concurrency-tracing harness.
 
 Every lock, reentrant lock, and condition variable in the concurrent core
-(:mod:`repro.core.scheduler`, :mod:`repro.core.cache`, :mod:`repro.db.buffer`,
+(:mod:`repro.serve.scheduler`, :mod:`repro.core.cache`, :mod:`repro.db.buffer`,
 :mod:`repro.core.governor`, :mod:`repro.serve.service`) is created through this module instead of
 calling ``threading.Lock()`` directly. Normally the factories return the
 plain :mod:`threading` primitives — zero wrappers, zero overhead. With

@@ -15,6 +15,7 @@ The multi-query service is driven by ``benchmarks/bench_serve.py``.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import math
 import sys
 import tempfile
@@ -23,12 +24,13 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import MountSpan, QueryBudget, TwoStageExecutor, worker_busy_seconds
+from .core import IngestionCache, QueryBudget, TwoStageExecutor
 from .db import Database, DatabaseError
 from .db.plan.logical import Scan
 from .ingest import RepositoryBinding, eager_ingest, lazy_ingest_metadata
 from .ingest.schema import ACTUAL_TABLE, FILE_TABLE
 from .mseed import FileRepository, RepositorySpec, generate_repository
+from .obs import MountSpan, worker_busy_seconds
 
 
 def _at_least(low: int):
@@ -49,6 +51,16 @@ def _positive_number(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError("must be a positive, finite number")
     return value
+
+
+def _iso_day(text: str) -> str:
+    try:
+        dt.date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be an ISO date (YYYY-MM-DD)"
+        ) from None
+    return text
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -72,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--stations", type=_names, default="ISK,ANK,IZM")
     gen.add_argument("--channels", type=_names, default="BHE,BHN,BHZ")
     gen.add_argument("--days", type=_positive_int, default=2)
-    gen.add_argument("--start-day", default="2010-01-10")
+    gen.add_argument("--start-day", type=_iso_day, default="2010-01-10")
     gen.add_argument("--sample-rate", type=_positive_number, default=0.1)
     gen.add_argument("--samples-per-record", type=_positive_int, default=1800)
     gen.add_argument("--seed", type=int, default=2013)
@@ -116,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--mount-workers", type=_positive_int, default=1, metavar="N",
-        help="stage-2 mount parallelism: fan files of interest out to N "
-        "workers (1 = serial, the paper's behavior; repo mode only)",
+        help="stage-2 mount parallelism: N > 1 runs the query through a "
+        "query service whose scheduler fans files of interest out to N "
+        "workers (1 = inline, the paper's behavior; repo mode only)",
     )
     query.add_argument(
         "--on-mount-error", choices=("fail", "skip"), default="fail",
@@ -153,19 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="what exhausting a budget does: raise = abort with a typed "
         "error (default); partial = answer from the tuples produced so "
         "far and report the truncation",
-    )
-    query.add_argument(
-        "--cache-policy",
-        choices=("discard", "unbounded", "lru"),
-        default="discard",
-        help="ingestion-cache retention: discard = the paper's default "
-        "(nothing survives the query); unbounded = retain everything; lru = "
-        "byte-budgeted least-recently-used (repo mode only)",
-    )
-    query.add_argument(
-        "--cache-bytes", type=_positive_int, default=256_000_000,
-        metavar="B",
-        help="cache capacity for --cache-policy lru (default 256 MB)",
     )
     query.add_argument(
         "--metastore", action="store_true",
@@ -372,15 +372,6 @@ def _query_repository(args: argparse.Namespace, repo, remotes) -> int:
             f"reused, no header walk)",
             file=sys.stderr,
         )
-    cache = None
-    if args.cache_policy != "discard":
-        from .core.cache import CacheGranularity, CachePolicy, IngestionCache
-
-        policy = CachePolicy(args.cache_policy)
-        capacity = args.cache_bytes if policy is CachePolicy.LRU else None
-        cache = IngestionCache(
-            policy, CacheGranularity.TUPLE, capacity_bytes=capacity
-        )
     budget = None
     if (
         args.deadline_seconds is not None
@@ -396,8 +387,6 @@ def _query_repository(args: argparse.Namespace, repo, remotes) -> int:
     executor = TwoStageExecutor(
         db,
         RepositoryBinding(repo),
-        cache=cache,
-        mount_workers=args.mount_workers,
         on_mount_error=args.on_mount_error,
         selective_mounts=not args.no_selective_mounts,
         budget=budget,
@@ -405,7 +394,20 @@ def _query_repository(args: argparse.Namespace, repo, remotes) -> int:
     if args.explain:
         print(executor.explain(args.sql))
         return 0
-    outcome = executor.execute(args.sql)
+    if args.mount_workers == 1:
+        outcome = executor.execute(args.sql)
+    else:
+        # Parallel extraction is a query service's: one caller, no batch
+        # window to wait out, a cache as fresh as the executor's.
+        from .serve import QueryService, TenantPolicy
+
+        with QueryService(
+            repo, db=db, cache=IngestionCache(),
+            default_policy=TenantPolicy(on_mount_error=args.on_mount_error),
+            batch_window_seconds=0.0, mount_workers=args.mount_workers,
+            selective_mounts=not args.no_selective_mounts,
+        ) as service:
+            outcome = service.execute(args.sql, budget=budget)
     trace = outcome.trace
     if args.breakpoint:
         print("-- breakpoint --")

@@ -53,14 +53,6 @@ from .metastore import MetadataStore, MetastoreStats
 from .multistage import BatchSnapshot, MultiStageExecutor, MultiStageResult
 from .partial import PartialMerger, is_decomposable
 from .rules import RewriteReport, apply_ali_rewrite, rewrite_actual_scan
-from .scheduler import (
-    MountScheduler,
-    MountSpan,
-    SchedulerStats,
-    SharedPoolClient,
-    merge_requests,
-    worker_busy_seconds,
-)
 from .topn import (
     TopNBranchMonitor,
     TopNPushdownTarget,
@@ -112,12 +104,6 @@ __all__ = [
     "ExtractResult",
     "FAIL_FAST",
     "SKIP_AND_REPORT",
-    "MountScheduler",
-    "MountSpan",
-    "SchedulerStats",
-    "SharedPoolClient",
-    "merge_requests",
-    "worker_busy_seconds",
     "interval_from_predicate",
     "MultiStageExecutor",
     "MultiStageResult",

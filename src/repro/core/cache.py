@@ -24,19 +24,20 @@ widen-on-remount subsumption and invalidation proportional to *one file's*
 entries instead of the whole cache — the index is maintained by the same
 locked mutations that touch the entry table, so the two can never disagree.
 
-The cache is shared by every worker of a :class:`~repro.core.scheduler.MountScheduler`,
-so all public operations take an internal lock: lookups (which move LRU
-entries), stores (insertion + byte accounting + eviction) and invalidation
-are each atomic. File-level double mounting is prevented one layer up (the
-pool single-flights per URI); re-storing an existing key is an idempotent
-no-op either way.
+The cache is shared by every query of an executor and every worker of a
+query service's :class:`~repro.serve.scheduler.MountScheduler`, so all
+public operations take an internal lock: lookups (which move LRU entries),
+stores (insertion + byte accounting + eviction) and invalidation are each
+atomic. File-level double mounting is prevented one layer up (the
+service's scheduler single-flights per URI); re-storing an existing key is
+an idempotent no-op either way.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import _sync
@@ -89,12 +90,6 @@ class CacheStats:
         """Fraction of lookups served from the cache (0.0 with no lookups)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """All counters plus the derived hit rate, for reports and JSON."""
-        payload: dict[str, object] = asdict(self)
-        payload["hit_rate"] = self.hit_rate()
-        return payload
 
 
 @dataclass
@@ -243,8 +238,9 @@ class IngestionCache:
                 # First store wins; later stores of covered data are no-ops.
                 # This is the cache's whole concurrent-ownership story: N
                 # sessions may extract and store one file simultaneously
-                # (the scheduler single-flights *scheduled* mounts, but
-                # inline fallbacks and independent sessions can still race)
+                # (the service's scheduler single-flights *scheduled*
+                # mounts, but inline mounts and independent sessions can
+                # still race)
                 # and the loser's store costs one counter bump, never a
                 # torn entry or double-counted bytes. ``duplicate_stores``
                 # makes the dedup observable.
@@ -309,13 +305,6 @@ class IngestionCache:
             self._remove_entry_locked(key)
             self.stats.invalidations += 1
         return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self.stats.invalidations += len(self._entries)
-            self._entries.clear()
-            self._by_uri.clear()
-            self.stats.current_bytes = 0
 
     def __len__(self) -> int:
         with self._lock:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterator, Optional, Union
 
 from ..db.database import Database, QueryResult
@@ -67,7 +66,6 @@ from .mounting import (
 from .partial import PartialMerger, is_decomposable
 from .recordmap import RecordMapIndex
 from .rules import RewriteReport, apply_ali_rewrite
-from .scheduler import MountScheduler, SharedPoolClient
 from .statsindex import StatisticsIndex
 from .templates import Template, describe_difference
 from .topn import TopNBranchMonitor, branch_hulls, find_top_n_target
@@ -130,6 +128,11 @@ class TwoStageExecutor:
     :class:`~repro.core.mounting.MountContext` its :meth:`execute` runs
     under, so one executor may run several queries at once. What it counts
     across queries is the sum of their traces' counters (:meth:`totals`).
+
+    An execution mounts each branch inline, on the querying thread, in plan
+    order; it starts no thread. Parallel extraction is a
+    :class:`~repro.serve.QueryService` (``mount_workers=N``), which owns
+    the one scheduler. ``mount_workers`` accepts only 1.
     """
 
     def __init__(
@@ -148,8 +151,12 @@ class TwoStageExecutor:
     ) -> None:
         if strategy not in (BULK, PER_FILE):
             raise ValueError(f"unknown strategy {strategy!r}")
-        if mount_workers < 1:
-            raise ValueError("mount_workers must be >= 1")
+        if mount_workers != 1:
+            raise ValueError(
+                "a standalone executor mounts inline (mount_workers=1); "
+                f"got mount_workers={mount_workers!r}: parallel extraction "
+                "is QueryService(mount_workers=N)"
+            )
         self.db = db
         self.binding = binding
         # `cache or ...` would discard an *empty* cache (len() == 0 is falsy).
@@ -179,7 +186,6 @@ class TwoStageExecutor:
         self.destiny = destiny or ProceedAlways()
         self.strategy = strategy
         self.derived = derived
-        self.mount_workers = mount_workers
         # Session defaults every execute() opens its context from: `budget`
         # and the degradation policy apply unless that call brings its own.
         self.budget = budget
@@ -294,40 +300,28 @@ class TwoStageExecutor:
         on_mount_error: Optional[str] = None,
     ) -> MountContext:
         """One execution's context, from this executor's session defaults
-        (each overridable for this one execution): an armed governor, the
-        degradation policy, and the execution as a one-tenant
-        service — a mount scheduler of its own, extracting under this
-        context, with no batch window (nobody else can join its tasks) and
-        ``mount_workers`` threads (none when serial: every take then
-        extracts inline on the consuming thread, in plan order).
+        (each overridable for this one execution): an armed governor and the
+        degradation policy. It has no pool: every branch extracts inline on
+        the querying thread, in plan order, under this context's token and
+        retry budget.
 
         Shared by :meth:`execute` and the multi-stage executor; run the
-        execution inside :meth:`running`, which closes the scheduler.
+        execution inside :meth:`running`.
         """
         governor = QueryGovernor(
             budget if budget is not None else self.budget, token=cancellation
         )
-        context = MountContext(
+        return MountContext(
             governor=governor,
             on_error=on_mount_error or self.on_mount_error,
         )
-        context.scheduler = MountScheduler(
-            partial(self.mounts._extract, context=context),
-            workers=0 if self.mount_workers == 1 else self.mount_workers,
-        )
-        context.scheduler.start()
-        context.pool = context.scheduler.client(
-            token=governor.token, trace=context.trace
-        )
-        return context
 
     @contextmanager
     def running(self, context: MountContext) -> Iterator[None]:
         """One execution's span: :meth:`cancel` reaches ``context`` while
         it lasts; after it the trace's counters join :meth:`totals` (a
-        query that raised too), the governor's deadline timer is disarmed
-        and a scheduler the context owns is closed, so no worker outlives
-        it."""
+        query that raised too) and the governor's deadline timer is
+        disarmed."""
         assert context.governor is not None
         with self._lock:
             self._in_flight.append(context)
@@ -338,8 +332,6 @@ class TwoStageExecutor:
                 self._in_flight.remove(context)
                 self._totals += context.trace.counters
             context.governor.close()
-            if context.scheduler is not None:
-                context.scheduler.close()
 
     def totals(self) -> Counter:
         """Every finished execution's trace counters, summed: the
@@ -386,10 +378,9 @@ class TwoStageExecutor:
                 "a context brings its own budget and token: pass either "
                 "`context` or `budget` / `cancellation`, not both"
             )
-        elif context.governor is None or context.pool is None:
+        elif context.governor is None:
             raise ValueError(
-                "an execution's context needs a governor and a pool "
-                "(see open_context)"
+                "an execution's context needs a governor (see open_context)"
             )
         lock_before = _sync.lock_snapshot()
         with self.running(context):
@@ -407,7 +398,7 @@ class TwoStageExecutor:
         ``context``. ``on_branch`` runs stage 2 per file whatever the
         strategy, calling it around every branch (see ``_BranchHook``)."""
         governor, pool = context.governor, context.pool
-        assert governor is not None and pool is not None
+        assert governor is not None
         trace = context.trace
         io_before = self.db.buffers.stats.copy()
         if isinstance(query, str):
@@ -510,24 +501,23 @@ class TwoStageExecutor:
             breakpoint_info.answered_from_derived = True
             return answer(derived_result, approximate)
 
-        # Stage 2: mounts happen here, inside the plan. Both strategies
-        # dispatch their mount branches through the context's scheduler.
+        # Stage 2: mounts happen here, inside the plan — inline on this
+        # thread, or from a query service's pool, which registers the plan's
+        # mount branches with its scheduler first.
         per_file = on_branch is not None or self.strategy == PER_FILE
         termination = None
         if self.top_n_pushdown and not per_file:
-            termination = self._top_n_termination(rewritten, pool)
+            termination = self._top_n_termination(rewritten, context)
         stage2_span = trace.open("stage2")
         try:
-            if termination is not None:
-                monitor, prefetch_mounts = termination
-                ctx.branch_monitor = monitor
-            else:
-                monitor = None
-                prefetch_mounts = [
-                    node for node in rewritten.walk() if isinstance(node, Mount)
-                ]
-            pool.prefetch(
-                [
+            monitor, prefetch_mounts = termination or (None, None)
+            ctx.branch_monitor = monitor
+            if pool is not None:
+                if prefetch_mounts is None:
+                    prefetch_mounts = [
+                        n for n in rewritten.walk() if isinstance(n, Mount)
+                    ]
+                pool.prefetch([
                     (
                         node.table_name,
                         node.uri,
@@ -537,10 +527,9 @@ class TwoStageExecutor:
                         ),
                     )
                     for node in prefetch_mounts
-                ]
-            )
-            # The cache scans' files observed at once, while the workers'
-            # GETs run: one LIST per directory where a scan would HEAD.
+                ])
+            # The cache scans' files observed at once (while a pool's
+            # workers GET): one LIST per directory where a scan would HEAD.
             context.observed = self.mounts.binding.repository.signatures_of(
                 [n.uri for n in rewritten.walk() if isinstance(n, CacheScan)],
                 context,
@@ -553,12 +542,13 @@ class TwoStageExecutor:
                     # A skip the emitted rows do not justify (operators
                     # between the union and the TopN dropped part of the
                     # answer). Correctness wins: re-run exhaustively —
-                    # released branches extract inline on this thread.
+                    # skipped branches extract inline on this thread.
                     ctx.branch_monitor = None
                     stage2 = self.db.execute_plan(rewritten, ctx)
         finally:
             ctx.branch_monitor = None
-            pool.close()
+            if pool is not None:
+                pool.close()
             # One span over every plan stage 2 ran: a Top-N re-run's first
             # pass and strategy (b)'s partials count with the final plan.
             trace.close(stage2_span)
@@ -567,15 +557,17 @@ class TwoStageExecutor:
     # -- Top-N early termination -------------------------------------------------
 
     def _top_n_termination(
-        self, rewritten: LogicalPlan, pool: SharedPoolClient
+        self, rewritten: LogicalPlan, context: MountContext
     ) -> Optional[tuple[TopNBranchMonitor, list[Mount]]]:
         """Arm branch skipping for one stage-2 execution, when sound.
 
         Returns the monitor (installed as the context's ``branch_monitor``)
-        and the union's Mount branches in consumption-priority order — the
-        prefetch order, so workers extract the most promising hulls first
-        and the threshold tightens before the losers reach the front of the
-        queue. None when the rewritten plan is not the recognized shape.
+        and the union's Mount branches in consumption-priority order — a
+        pool's prefetch order, so workers extract the most promising hulls
+        first and the threshold tightens before the losers reach the front
+        of the queue. A skipped Mount branch is an extraction avoided when
+        it runs inline, and when the pool could still withdraw it. None
+        when the rewritten plan is not the recognized shape.
         """
         target = find_top_n_target(rewritten)
         if target is None:
@@ -585,10 +577,10 @@ class TwoStageExecutor:
 
         def on_skip(index: int) -> None:
             branch = branches[index]
-            counters = pool.trace.counters
+            counters, pool = context.trace.counters, context.pool
             counters["early_terminated_branches"] += 1
-            if isinstance(branch, Mount) and pool.release(
-                branch.table_name, branch.uri
+            if isinstance(branch, Mount) and (
+                pool is None or pool.release(branch.table_name, branch.uri)
             ):
                 counters["early_cancelled_mounts"] += 1
 
@@ -695,8 +687,8 @@ class TwoStageExecutor:
 
         Falls back to bulk execution when the plan shape does not decompose
         (no aggregate, non-decomposable aggregate, or several unions). A
-        branch ``on_branch`` stops before is never taken; closing the pool
-        withdraws its mount.
+        branch ``on_branch`` stops before is never taken (closing a pool
+        withdraws its mount).
         """
         aggregate = next(
             (n for n in rewritten.walk() if isinstance(n, Aggregate)), None

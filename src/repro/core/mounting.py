@@ -51,13 +51,14 @@ is asked before or after.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .. import _sync
-from ..obs import QueryTrace
+from ..obs import MountSpan, QueryTrace
 from ..db.buffer import BufferManager
 from ..db.errors import (
     FileIngestError,
@@ -94,7 +95,7 @@ from .governor import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..mseed.repository import Repository
-    from .scheduler import MountKey, MountScheduler, SharedPoolClient
+    from ..serve.scheduler import SharedPoolClient
 
 OnMountCallback = Callable[[str, ColumnBatch], None]
 
@@ -209,18 +210,17 @@ class MountContext:
     :class:`MountService` with every call, so the service itself remembers
     no "current query" and any number of queries may mount through it at
     once. A call without a context runs under a fresh default one: no
-    governor, fail-fast, extraction inline.
+    governor, fail-fast.
 
     ``governor`` enforces the budget and carries the cancellation token and
     the ``on_charge`` ledger hook; ``on_error`` is the degradation policy
-    (:data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); ``pool`` is stage 2's
-    dispatch handle, a
-    :class:`~repro.core.scheduler.SharedPoolClient` of a mount scheduler —
-    with one, :meth:`MountService.mount_file` consumes pre-extracted
-    batches from it instead of extracting inline. ``scheduler`` is the
-    one-tenant scheduler a standalone execution owns (closed when the
-    execution ends); None when the pool is a client of a shared one. The
-    context charges the governor once per distinct file consumed
+    (:data:`FAIL_FAST` / :data:`SKIP_AND_REPORT`); ``pool`` is a query
+    service's dispatch handle, a
+    :class:`~repro.serve.scheduler.SharedPoolClient` of its mount scheduler
+    — with one, :meth:`MountService.mount_file` consumes pre-extracted
+    batches from it. Without one (a standalone execution) every branch is
+    extracted inline, on the querying thread, under this context. The
+    context charges the governor for what each branch consumed
     (:meth:`charge`), wherever the file was extracted. The quarantine and its
     :class:`MountFailureReport` live here, so a file that failed once is
     skipped for the rest of *this* query and gets a fresh chance in the
@@ -235,7 +235,7 @@ class MountContext:
     cache scan compares against instead of observing the file itself.
 
     ``trace`` is the query's :class:`~repro.obs.QueryTrace`: the executor's
-    stages, the plans' operators and the pool's consumed mounts all record
+    stages, the plans' operators and the consumed mounts all record
     into it, and every mount-path event is counted once in its
     ``counters``, on the consuming thread. A query service names its
     tenant on it.
@@ -249,7 +249,6 @@ class MountContext:
         self.governor = governor
         self.on_error = check_on_error(on_error)
         self.pool: Optional["SharedPoolClient"] = None
-        self.scheduler: Optional["MountScheduler"] = None
         self.trace = QueryTrace()
         # Set at the breakpoint, read by the cache scans: the query's thread.
         self.observed: dict[str, FileSignature | IngestError] = {}
@@ -262,7 +261,7 @@ class MountContext:
         self.failure_report = MountFailureReport()  # guarded-by: _lock
         self._quarantined: set[str] = set()  # guarded-by: _lock
         self._retry_budgets: dict[str, RetryBudget] = {}  # guarded-by: _lock
-        self._charged: set["MountKey"] = set()  # guarded-by: _lock
+        self._charged: set[tuple[str, str]] = set()  # guarded-by: _lock
 
     @property
     def skips(self) -> bool:
@@ -296,17 +295,22 @@ class MountContext:
                 self._retry_budgets[endpoint] = RetryBudget(attempts)
             return self._retry_budgets[endpoint]
 
-    def charge(self, key: "MountKey", result: "ExtractResult") -> None:
-        """Count one consumed file's extraction into the trace and charge
-        the governor for it, once per distinct ``(table, uri)``: in plan
-        order, on the consuming thread, so a budget trips at the same
-        branch however many workers extracted ahead, and the bytes the
-        trace counts are the bytes the governor was charged. Raise-mode
-        exhaustion raises here."""
-        with self._lock:
-            if key in self._charged:
-                return
-            self._charged.add(key)
+    def charge(
+        self, result: "ExtractResult", key: Optional[tuple[str, str]] = None
+    ) -> None:
+        """Count one consumed extraction into the trace and charge the
+        governor for it: in plan order, on the consuming thread, so a budget
+        trips at the same branch however many workers extracted ahead, and
+        the bytes the trace counts are the bytes the governor was charged.
+        A pool's result is charged once per distinct ``key``
+        ``(table, uri)`` (a self-join takes one extraction twice); an
+        inline extraction every time it ran. Raise-mode exhaustion raises
+        here."""
+        if key is not None:
+            with self._lock:
+                if key in self._charged:
+                    return
+                self._charged.add(key)
         self.trace.counters += Counter(
             bytes_read=result.bytes_read,
             records_decoded=result.records_decoded,
@@ -359,10 +363,10 @@ class MountService:
     one — governor, token, error policy, stage-2 pool, quarantine,
     retry budgets — arrives with each call as a :class:`MountContext`. So it
     is *reentrant* twice over: any number of queries may mount through it at
-    once, and :meth:`_extract` may run concurrently on the workers of each
-    one's :class:`~repro.core.scheduler.MountScheduler` (the buffer manager and
-    the ingestion cache lock themselves; the service keeps no counters and
-    holds no lock). Within one query everything stateful (cache stores,
+    once, and :meth:`_extract` may run concurrently on the workers of a
+    query service's :class:`~repro.serve.scheduler.MountScheduler` (the
+    buffer manager and the ingestion cache lock themselves; the service
+    keeps no counters and holds no lock). Within one query everything stateful (cache stores,
     callbacks, counting, delivery) still happens on the calling thread, in
     plan order: what a worker's extraction read and decoded reaches the
     query's trace on the :class:`ExtractResult` it consumes.
@@ -538,8 +542,9 @@ class MountService:
         request: Optional[MountRequest],
         context: MountContext,
     ) -> "ExtractResult":
-        """One branch's extraction, via the context's pool when it has one,
-        charged to the context's governor.
+        """One branch's extraction, charged to the context's governor:
+        inline on this thread under ``context`` — one ``mount`` span on
+        worker 0 — or via the context's pool when it has one.
 
         The pool may have prefetched the file under a different (hull-merged)
         request; any coverage that satisfies this branch is accepted, and a
@@ -548,13 +553,21 @@ class MountService:
         re-extraction rather than returning incomplete rows.
         """
         if context.pool is None:
+            started = time.perf_counter()
             result = self._extract(uri, table_name, request, context=context)
-        else:
-            result = context.pool.take(uri, table_name, request)
-            needed = WHOLE_FILE if request is None else request.interval
-            if not covers(result.coverage, needed):
-                result = self._extract(uri, table_name, request, context=context)
-        context.charge((table_name, uri), result)
+            elapsed = time.perf_counter() - started
+            context.trace.record(MountSpan(
+                "mount", uri, start=started, seconds=elapsed,
+                rows=result.batch.num_rows, extract_seconds=elapsed,
+                io_seconds=result.io_seconds,
+            ))
+            context.charge(result)
+            return result
+        result = context.pool.take(uri, table_name, request)
+        needed = WHOLE_FILE if request is None else request.interval
+        if not covers(result.coverage, needed):
+            result = self._extract(uri, table_name, request, context=context)
+        context.charge(result, (table_name, uri))
         return result
 
     def cache_scan(
@@ -664,8 +677,8 @@ class MountService:
         observed: Optional[FileSignature] = None,
         context: Optional[MountContext] = None,
     ) -> "ExtractResult":
-        """Extract one file into a batch; thread-safe (scheduler workers
-        call this concurrently). Returns the batch plus the simulated disk
+        """Extract one file into a batch; thread-safe (a query service's
+        scheduler workers call this concurrently). Returns the batch plus the simulated disk
         seconds the buffer manager charged and the extraction's coverage /
         read accounting; charges no budget (the consumer's context does).
         Without a ``context`` the extraction is a scope of its own:

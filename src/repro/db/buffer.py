@@ -85,10 +85,6 @@ class BufferManager:
         with self._lock:
             self._resident.clear()
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.stats = IoStats()
-
     def is_resident(self, name: str) -> bool:
         with self._lock:
             return name in self._resident

@@ -211,10 +211,5 @@ class Table:
         self._check_layout(batch)
         self.batch = batch
 
-    def truncate(self) -> None:
-        self.batch = ColumnBatch.empty_like(
-            self.schema.column_names, [c.dtype for c in self.schema.columns]
-        )
-
     def nbytes(self) -> int:
         return self.batch.nbytes()

@@ -22,7 +22,9 @@ Engine = Union[Database, TwoStageExecutor]
 
 
 def _engine_db(engine: Engine) -> Database:
-    return engine.db if isinstance(engine, TwoStageExecutor) else engine
+    """The engine's database: itself, or the one an executor (or a query
+    service) runs against."""
+    return engine if isinstance(engine, Database) else engine.db
 
 
 def _execute_seconds(engine: Engine, sql: str) -> float:

@@ -337,9 +337,6 @@ class FormatRegistry:
             )
         return extractor
 
-    def known_suffixes(self) -> list[str]:
-        return sorted(self._by_suffix)
-
 
 def path_suffix(path: str) -> str:
     """``PurePath(path).suffix``, without building the ``PurePath``: the

@@ -10,6 +10,7 @@ reproducible across runs and machines.
 
 from __future__ import annotations
 
+import datetime as dt
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -65,6 +66,13 @@ class RepositorySpec:
         for name in ("stations", "channels"):
             if not getattr(self, name):
                 raise SpecError(f"{name} must name at least one")
+        try:
+            dt.date.fromisoformat(self.start_day)
+        except (TypeError, ValueError):
+            raise SpecError(
+                f"start_day must be an ISO date (YYYY-MM-DD), got "
+                f"{self.start_day!r}"
+            ) from None
 
     @property
     def file_count(self) -> int:
@@ -131,8 +139,6 @@ def _ar1(innovations: np.ndarray, coefficient: float) -> np.ndarray:
 
 def day_of_year(start_day: str, day_index: int) -> tuple[int, int]:
     """(year, ordinal day) of a repository day — used in file names."""
-    import datetime as dt
-
     first = dt.date.fromisoformat(start_day)
     date = first + dt.timedelta(days=day_index)
     return date.year, date.timetuple().tm_yday

@@ -5,8 +5,8 @@ Each execution owns exactly one :class:`QueryTrace` (its
 :meth:`~repro.db.database.Database.execute` makes a fresh one). The
 two-stage executor records ``compile`` / ``stage1`` / ``breakpoint`` /
 ``stage2``; every physical operator records an ``op`` span with its rows;
-the query's mount scheduler client records one ``mount`` span per file the
-query consumed (:class:`~repro.core.scheduler.MountSpan`). Counters carry
+the mount path records one ``mount`` span per file the query consumed
+(:class:`MountSpan`), wherever it was extracted. Counters carry
 what is counted rather than timed — each mount-path event once, under one
 name (``files_mounted``, ``cache_scans``, ``bytes_read``,
 ``stale_remounts``, …; the mount service counts them) — and
@@ -49,6 +49,25 @@ class Span:
     def describe(self) -> str:
         rows = "" if self.rows is None else f"{self.rows} rows, "
         return f"{self.detail or self.name}  [{rows}{self.seconds * 1000:.2f} ms]"
+
+
+@dataclass(slots=True)
+class MountSpan(Span):
+    """One consumed file: ``detail`` is its uri, ``seconds`` the consumer's
+    wait for it; its cost is the extraction wherever it ran."""
+
+    # The service worker that ran it (a consumer's steal is `workers`); 0
+    # for a standalone query, which mounts on its own thread.
+    worker: int = 0
+    extract_seconds: float = 0.0  # real wall time spent extracting/decoding
+    io_seconds: float = 0.0  # simulated disk seconds charged by the buffers
+
+    def describe(self) -> str:
+        return (
+            f"mount {self.detail} on worker {self.worker}  [{self.rows} rows, "
+            f"extract {self.extract_seconds * 1000:.2f} ms + "
+            f"io {self.io_seconds * 1000:.2f} ms]"
+        )
 
 
 @dataclass
@@ -105,3 +124,17 @@ class QueryTrace:
                 + ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
             )
         return "\n".join(lines)
+
+
+def worker_busy_seconds(trace: QueryTrace) -> dict[int, float]:
+    """worker index → that worker's busy time (extraction plus simulated
+    disk) over the files the traced query consumed. The sum is what the
+    mounts would cost end-to-end on one worker; the maximum is the critical
+    path — concurrent mounts overlap their simulated reads, so the phase's
+    modeled wall time is the longest per-worker chain."""
+    busy: dict[int, float] = {}
+    for span in trace.spans:
+        if isinstance(span, MountSpan):
+            cost = span.extract_seconds + span.io_seconds
+            busy[span.worker] = busy.get(span.worker, 0.0) + cost
+    return busy

@@ -1,7 +1,8 @@
 """`repro.serve` — the multi-query service layer.
 
 One shared Database + IngestionCache + MountScheduler serving many
-concurrent sessions: queries pause at the stage-1/stage-2 breakpoint,
+concurrent sessions — the engine's one parallel-extraction path (a
+standalone query mounts inline): queries pause at the stage-1/stage-2 breakpoint,
 register their files of interest with a cross-query scheduler
 (LifeRaft-style data-driven batching: popular files first, with
 starvation aging), and every completed extraction feeds every waiting

@@ -197,7 +197,6 @@ def run_standalone_baseline(
     db: Database,
     repository: FileRepository,
     workload: list[list[str]],
-    mount_workers: int = 1,
 ) -> LoadResult:
     """The same workload as N truly independent sessions.
 
@@ -216,7 +215,6 @@ def run_standalone_baseline(
             db,
             RepositoryBinding(repository),
             cache=IngestionCache(policy=CachePolicy.UNBOUNDED),
-            mount_workers=mount_workers,
         )
         for index, sql in enumerate(queries):
             started = time.perf_counter()

@@ -19,9 +19,9 @@ A query's life in the service:
    synchronously, on the submitting thread.
 2. **Stage 1** — the executor runs the query's metadata stage and
    reaches the stage-1/stage-2 breakpoint with its files of interest.
-3. **Scheduling** — instead of a one-tenant scheduler of its own, the
+3. **Scheduling** — instead of mounting inline on its own thread, the
    query's context carries a client of the service's shared
-   :class:`~repro.core.scheduler.MountScheduler`: the query's mount
+   :class:`~repro.serve.scheduler.MountScheduler`: the query's mount
    branches are registered with it (hull-merged with every other waiting
    query touching the same files) and the query parks until its files
    complete — each extraction feeding *every* waiter.
@@ -55,13 +55,13 @@ from ..core.mounting import (
     MountContext,
     check_on_error,
 )
-from ..core.scheduler import MountScheduler, SchedulerStats
 from ..db.database import Database
 from ..db.errors import QueryShedError
 from ..ingest.formats import MountRequest
 from ..ingest.lazy import lazy_ingest_metadata
 from ..ingest.schema import RepositoryBinding
 from ..mseed.repository import Repository
+from .scheduler import MountScheduler, SchedulerStats
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,12 @@ class QueryService:
 
     ``mount_workers`` sizes the shared scheduler's extraction pool —
     service-wide, not per query (a query's plan runs on the submitting
-    thread and consumes from the shared scheduler).
-    ``batch_window_seconds`` is the longest a fresh task waits for
+    thread and consumes from the shared scheduler). This is the engine's
+    one way to extract files in parallel: a standalone executor mounts
+    inline. ``batch_window_seconds`` is the longest a fresh task waits for
     co-arriving queries to join it (see
-    :class:`~repro.core.scheduler.MountScheduler`).
+    :class:`~repro.serve.scheduler.MountScheduler`); 0 serves one caller
+    with no wait, as ``repro query --mount-workers N`` does.
     """
 
     def __init__(

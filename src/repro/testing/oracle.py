@@ -49,7 +49,6 @@ from ..core import (
 )
 from ..core.governor import CancellationToken
 from ..core.metastore import MetadataStore
-from ..core.scheduler import WORKER_THREAD_PREFIX
 from ..db import ColumnDef, Database, DataType, TableSchema
 from ..db.errors import (
     CircuitOpenError, ExecutionError, FileIngestError, QueryInterruptedError,
@@ -66,6 +65,7 @@ from ..remote import (
 )
 from ..remote.transport import CIRCUIT_CLOSED
 from ..serve import QueryService, TenantPolicy
+from ..serve.scheduler import WORKER_THREAD_PREFIX
 from .faults import (
     MID_STREAM_DISCONNECT,
     RECOVERABLE_KINDS,
@@ -113,9 +113,10 @@ class ConfigPoint:
     not depend on. A first draft of an engine configuration; it does not
     replace the executor's arguments.
 
-    ``tenants == 0`` is a standalone executor. With 1–3 tenants every query
-    runs through one :class:`~repro.serve.QueryService`, once per tenant and
-    concurrently; ``mount_workers`` is then the scheduler's worker count, and
+    ``tenants == 0`` is a standalone executor, which mounts inline
+    (``mount_workers`` 1). With 1–3 tenants every query runs through one
+    :class:`~repro.serve.QueryService`, once per tenant and concurrently;
+    ``mount_workers`` is the service scheduler's worker count, and
     ``strategy`` / ``top_n`` keep the service executor's defaults.
     ``verify_plans`` forces plan verification on (off leaves the
     ``REPRO_VERIFY_PLANS`` default).
@@ -506,7 +507,7 @@ class Engine:
         else:
             self.executor = TwoStageExecutor(
                 self.db, RepositoryBinding(self.repository),
-                strategy=point.strategy, mount_workers=point.mount_workers,
+                strategy=point.strategy,
                 on_mount_error=point.on_mount_error,
                 top_n_pushdown=point.top_n, **settings,
             )
@@ -583,7 +584,8 @@ class Engine:
 
     def assert_nothing_left_behind(self) -> None:
         """Mount transparency: no D rows in the database, nothing cached
-        under DISCARD, no mount pool outliving its query, no orphaned task."""
+        under DISCARD, no mount thread started by a standalone query, no
+        orphaned task."""
         check(self.db.catalog.table(ACTUAL_TABLE).num_rows == 0, "D filled")
         check(
             self.point.cache != "discard" or len(self.cache) == 0,
@@ -598,7 +600,7 @@ class Engine:
             check(not any(
                 t.name.startswith(WORKER_THREAD_PREFIX)
                 for t in threading.enumerate()
-            ), "a mount scheduler outlived its query")
+            ), "a standalone query left a mount worker running")
         else:
             check(
                 self.service.scheduler.pending_tasks() == 0,

@@ -7,11 +7,12 @@ state build their own objects.
 from __future__ import annotations
 
 import shutil
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
 
-from repro.core import TwoStageExecutor
+from repro.core import FAIL_FAST, IngestionCache, TwoStageExecutor
 from repro.db import Database
 from repro.db.types import parse_timestamp
 from repro.ingest import (
@@ -21,6 +22,7 @@ from repro.ingest import (
     write_csv_timeseries,
 )
 from repro.mseed import FileRepository, RepositorySpec, generate_repository
+from repro.serve import QueryService, TenantPolicy
 from repro.testing.oracle import Reference
 
 
@@ -101,6 +103,33 @@ def fresh_ali_db(tiny_repo) -> Database:
 def executor(ali_db, tiny_repo) -> TwoStageExecutor:
     """A fresh two-stage executor per test (own cache and stats)."""
     return TwoStageExecutor(ali_db, RepositoryBinding(tiny_repo))
+
+
+@pytest.fixture()
+def engine():
+    """Builds the engine a ``workers`` axis names over a repository: at 1 a
+    standalone executor, which mounts inline; above it a started query
+    service with that many scheduler workers, no batch window and the
+    executor's default (DISCARD) cache — what ``repro query
+    --mount-workers N`` builds. Both answer ``execute(sql, budget=...,
+    cancellation=...)``. The services close at teardown."""
+    def build(repository, workers=1, on_mount_error=FAIL_FAST, **settings):
+        db = Database()
+        lazy_ingest_metadata(db, repository)
+        if workers == 1:
+            return TwoStageExecutor(
+                db, RepositoryBinding(repository),
+                on_mount_error=on_mount_error, **settings,
+            )
+        settings.setdefault("cache", IngestionCache())
+        return services.enter_context(QueryService(
+            repository, db=db, mount_workers=workers,
+            default_policy=TenantPolicy(on_mount_error=on_mount_error),
+            batch_window_seconds=0.0, **settings,
+        ))
+
+    with ExitStack() as services:
+        yield build
 
 
 # The paper's Query 1, instantiated inside the tiny repository's data range.

@@ -58,13 +58,6 @@ class TestBufferManager:
         buffers.touch("y", 10)
         assert buffers.stats.touched == {"x", "y"}
 
-    def test_reset_stats_keeps_residency(self):
-        buffers = BufferManager()
-        buffers.touch("x", 10)
-        buffers.reset_stats()
-        assert buffers.stats.objects_read == 0
-        assert buffers.is_resident("x")
-
     def test_stats_copy_is_independent(self):
         buffers = BufferManager()
         buffers.touch("x", 10)

@@ -77,21 +77,6 @@ class TestUnboundedFileGranular:
         assert cache.stats.invalidations == 1
         assert cache.stats.current_bytes == batch().nbytes()
 
-    def test_clear(self):
-        cache = IngestionCache(CachePolicy.UNBOUNDED)
-        cache.store("a", batch())
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_clear_counts_invalidations(self):
-        cache = IngestionCache(CachePolicy.UNBOUNDED)
-        cache.store("a", batch())
-        cache.store("b", batch())
-        cache.clear()
-        assert cache.stats.invalidations == 2
-        cache.clear()  # empty clear counts nothing
-        assert cache.stats.invalidations == 2
-
 
 class TestStaleness:
     """Entries record the file's (mtime_ns, size) signature at store time;
@@ -285,10 +270,6 @@ class TestExactByteAccounting:
         assert dropped == 1
         assert cache.stats.current_bytes == small.nbytes()
 
-        cache.clear()
-        assert cache.stats.current_bytes == 0
-        assert len(cache) == 0
-
     def test_rejected_store_leaves_accounting_untouched(self):
         one = batch(4).nbytes()
         cache = IngestionCache(CachePolicy.LRU, capacity_bytes=one)
@@ -340,8 +321,6 @@ class TestConcurrency:
         # Post-hammer invariants: byte accounting matches the survivors.
         assert cache.stats.current_bytes == len(cache) * one
         assert cache.stats.current_bytes <= int(one * 3.5)
-        cache.clear()
-        assert cache.stats.current_bytes == 0
 
 
 class TestCovers:
@@ -429,11 +408,3 @@ class TestCacheStatsHelpers:
         cache.lookup("absent")
         assert cache.stats.hit_rate() == pytest.approx(2 / 3)
 
-    def test_as_dict_includes_derived_rate(self):
-        cache = IngestionCache(CachePolicy.UNBOUNDED)
-        cache.store("f1", batch())
-        cache.lookup("f1")
-        snapshot = cache.stats.as_dict()
-        assert snapshot["hits"] == 1
-        assert snapshot["misses"] == 0
-        assert snapshot["hit_rate"] == 1.0

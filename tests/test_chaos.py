@@ -2,7 +2,8 @@
 
 Each cell is a point of the differential oracle's configuration lattice
 (:mod:`repro.testing.oracle`) judged by its one verdict — ``mount_workers``
-× ``on_mount_error`` × ``selective``. Recoverable faults (transient I/O
+(1: a standalone executor; 4: a one-tenant query service's scheduler) ×
+``on_mount_error`` × ``selective``. Recoverable faults (transient I/O
 errors, read latency, mid-extraction rewrites) must leave the answer equal
 to eager ingestion; an unrecoverable one must surface naming its file
 (fail-fast) or be disclosed while the rest stays exact (skip).
@@ -37,10 +38,11 @@ POLICIES = list(itertools.product((1, 4), ("fail", "skip")))
 VICTIM = FaultScript(victim=2)  # every read of the third file fails
 
 
-def _cell(reference, tmp_path, script, **point):
-    return verdicts(
-        run(reference, [CHAOS_SQL], tmp_path, ConfigPoint(**point), script)
+def _cell(reference, tmp_path, script, mount_workers=1, **point):
+    point = ConfigPoint(
+        mount_workers=mount_workers, tenants=int(mount_workers > 1), **point
     )
+    return verdicts(run(reference, [CHAOS_SQL], tmp_path, point, script))
 
 
 class TestChaosGrid:
@@ -103,7 +105,7 @@ class TestChaosGrid:
         def log(name):
             shutil.copytree(reference.root, tmp_path / name)
             engine = Engine(
-                ConfigPoint(mount_workers=4, on_mount_error="skip"),
+                ConfigPoint(on_mount_error="skip"),
                 tmp_path / name, tmp_path / f"{name}-scratch",
             )
             plan = FaultPlan.seeded(

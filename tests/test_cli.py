@@ -181,10 +181,6 @@ def _metastore_second_run(repo, tmp_path):
     )
 
 
-def _lru_cache(repo, tmp_path):
-    return ["--repo", str(repo), "--cache-policy", "lru"], repo, "rows; stage 1"
-
-
 def _two_mount_workers(repo, tmp_path):
     return ["--repo", str(repo), "--mount-workers", "2"], repo, (
         "(mounts: 2 file(s) on 2 workers"
@@ -216,7 +212,6 @@ def _eager_db_verified(repo, tmp_path):
     _remote_federated,
     _remote_metastore,
     _metastore_second_run,
-    _lru_cache,
     _two_mount_workers,
     _skip_a_corrupt_file,
     _eager_db_verified,
@@ -284,6 +279,8 @@ def test_deadline_that_is_not_a_positive_finite_number_is_a_usage_error(
     ("--sample-rate", "nan", "must be a positive, finite number"),
     ("--sample-rate", "-1", "must be a positive, finite number"),
     ("--sample-rate", "0", "must be a positive, finite number"),
+    ("--start-day", "notadate", "must be an ISO date"),
+    ("--start-day", "2010-02-30", "must be an ISO date"),
 ])
 def test_generate_refuses_a_bad_shape_as_a_usage_error(
     tmp_path, flag, value, refusal, capsys

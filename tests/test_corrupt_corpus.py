@@ -8,8 +8,9 @@ payload_len — and checks both degradation policies:
   :class:`~repro.db.errors.FileIngestError` subclass naming the offending
   URI;
 * ``skip`` (skip-and-report): the query completes with exactly the answer
-  the intact files give, byte-identical across ``mount_workers`` 1 and 4,
-  and the :class:`~repro.core.MountFailureReport` lists every damaged file.
+  the intact files give, byte-identical whether a standalone executor
+  mounts inline or a query service's 4 workers extract (``workers`` 1 and
+  4), and the :class:`~repro.core.MountFailureReport` lists every damaged file.
 """
 
 from __future__ import annotations
@@ -61,14 +62,11 @@ def repo(tmp_path):
     return FileRepository(tmp_path)
 
 
-def make_executor(repo, workers=1, on_error="fail"):
+def make_executor(repo, on_error="fail"):
     db = Database()
     lazy_ingest_metadata(db, repo)
     return TwoStageExecutor(
-        db,
-        RepositoryBinding(repo),
-        mount_workers=workers,
-        on_mount_error=on_error,
+        db, RepositoryBinding(repo), on_mount_error=on_error
     )
 
 
@@ -115,11 +113,11 @@ class TestTruncationFuzzing:
             path.write_bytes(pristine)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_truncation_skip_and_report(self, repo, workers):
+    def test_truncation_skip_and_report(self, repo, workers, engine):
         victim = repo.uris()[0]
         path = repo.path_of(victim)
         pristine = path.read_bytes()
-        executor = make_executor(repo, workers, "skip")
+        executor = engine(repo, workers, "skip")
         boundary = record_offsets(pristine)[2]
         path.write_bytes(pristine[: boundary + HEADER_SIZE + 3])
 
@@ -164,10 +162,10 @@ class TestBitFlips:
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("region", ["header", "payload"])
-    def test_bit_flip_skip_and_report(self, repo, workers, region):
+    def test_bit_flip_skip_and_report(self, repo, workers, region, engine):
         victim = repo.uris()[1]
         path = repo.path_of(victim)
-        executor = make_executor(repo, workers, "skip")
+        executor = engine(repo, workers, "skip")
         offset = (
             record_offsets(path.read_bytes())[1]
             if region == "header"
@@ -199,12 +197,12 @@ class TestStructuralDamage:
         assert excinfo.value.mount_uri == victim
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_mixed_corruption_skip_reports_every_victim(self, repo, workers):
+    def test_mixed_corruption_skip_reports_every_victim(self, repo, workers, engine):
         """k corrupt files of N: the answer is exact over the N-k intact
         files and the report lists all k, whatever the worker count."""
         uris = repo.uris()
         truncated, rateless, oversized = uris[0], uris[1], uris[2]
-        executor = make_executor(repo, workers, "skip")
+        executor = engine(repo, workers, "skip")
         path = repo.path_of(truncated)
         path.write_bytes(path.read_bytes()[:-16])
         self.oversize_payload_len(repo.path_of(oversized))
@@ -293,7 +291,7 @@ class TestSelectiveMountingUnderDamage:
         assert excinfo.value.mount_uri == victim
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_skip_mode_answers_from_intact_records(self, repo, workers):
+    def test_skip_mode_answers_from_intact_records(self, repo, workers, engine):
         """skip-and-report with selective mounting: a file damaged in its
         touched record is quarantined, the rest still answer."""
         victim = repo.uris()[0]
@@ -302,20 +300,21 @@ class TestSelectiveMountingUnderDamage:
         raw[HEADER_SIZE + 8] ^= 0xFF
         path.write_bytes(bytes(raw))
 
-        executor = make_executor(repo, workers, "skip")
+        executor = engine(repo, workers, "skip")
         result = executor.execute(NARROW_SQL)
         assert result.mount_failures.uris() == [victim]
         assert result.rows[0][0] > 0  # intact files still contributed
 
 
 class TestWorkerEquivalence:
-    def test_skip_results_identical_across_worker_counts(self, repo):
-        """The degraded answer must be byte-identical for serial and
-        parallel mounting — skipped branches do not perturb plan order."""
+    def test_skip_results_identical_across_worker_counts(self, repo, engine):
+        """The degraded answer must be byte-identical for inline and
+        service-parallel mounting — skipped branches do not perturb plan
+        order."""
         victim = repo.uris()[1]
         path = repo.path_of(victim)
-        serial_executor = make_executor(repo, 1, "skip")
-        parallel_executor = make_executor(repo, 4, "skip")
+        serial_executor = make_executor(repo, "skip")
+        parallel_executor = engine(repo, 4, "skip")
         raw = bytearray(path.read_bytes())
         raw[HEADER_SIZE + 36] ^= 0xFF
         path.write_bytes(bytes(raw))

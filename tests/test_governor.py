@@ -57,7 +57,6 @@ from repro.testing import (
     FaultSpec,
 )
 
-from test_mountpool import live_workers
 
 SPEC = RepositorySpec(
     stations=("ISK", "ANK"),
@@ -78,11 +77,11 @@ def repo(tmp_path_factory):
 
 
 def _executor(repo, workers=1, **kwargs):
+    """A standalone executor, which mounts inline: ``workers`` is 1 (more
+    workers are a query service's, built by the ``engine`` fixture)."""
     db = Database()
     lazy_ingest_metadata(db, repo)
-    return TwoStageExecutor(
-        db, RepositoryBinding(repo), mount_workers=workers, **kwargs
-    )
+    return TwoStageExecutor(db, RepositoryBinding(repo), **kwargs)
 
 
 def _slow_plan(repo, token, delay=0.5):
@@ -100,15 +99,6 @@ def _slow_plan(repo, token, delay=0.5):
         ],
         interrupt=token,
     )
-
-
-def _assert_workers_joined(timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if not live_workers():
-            return
-        time.sleep(0.01)
-    raise AssertionError(f"mount workers leaked: {live_workers()!r}")
 
 
 # -- budget validation -----------------------------------------------------------
@@ -181,8 +171,8 @@ class TestCancellationToken:
 
 class TestDeadline:
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_deadline_beats_slow_mounts_raise_mode(self, repo, workers):
-        executor = _executor(repo, workers=workers)
+    def test_deadline_beats_slow_mounts_raise_mode(self, repo, workers, engine):
+        executor = engine(repo, workers)
         token = CancellationToken()
         plan = _slow_plan(repo, token, delay=0.5)
         budget = QueryBudget(deadline_seconds=0.05)
@@ -192,10 +182,11 @@ class TestDeadline:
                 executor.execute(COUNT_SQL, budget=budget, cancellation=token)
         elapsed = time.perf_counter() - started
         assert elapsed < 0.2, f"deadline overran: {elapsed:.3f}s"
-        _assert_workers_joined()
 
-    def test_deadline_partial_mode_returns_truncation_report(self, repo):
-        executor = _executor(repo, workers=4)
+    def test_deadline_partial_mode_returns_truncation_report(
+        self, repo, engine
+    ):
+        executor = engine(repo, 4)
         token = CancellationToken()
         plan = _slow_plan(repo, token, delay=0.5)
         budget = QueryBudget(
@@ -212,10 +203,9 @@ class TestDeadline:
         assert "deadline" in outcome.truncation.reason
         assert outcome.truncation.mounts_truncated >= 1
         assert len(outcome.rows) == 1  # the aggregate still answers
-        _assert_workers_joined()
 
-    def test_engine_recovers_after_deadline(self, repo):
-        executor = _executor(repo, workers=4)
+    def test_engine_recovers_after_deadline(self, repo, engine):
+        executor = engine(repo, 4)
         token = CancellationToken()
         plan = _slow_plan(repo, token, delay=0.5)
         with plan.install():
@@ -257,7 +247,7 @@ class TestCancellation:
         assert elapsed < 1.0, f"cancel slept out the backoff: {elapsed:.3f}s"
 
     def test_cancel_from_another_thread_mid_mount(self, repo):
-        executor = _executor(repo, workers=4)
+        executor = _executor(repo)
         token = CancellationToken()
         plan = _slow_plan(repo, token, delay=0.5)
         cancelled = []
@@ -270,7 +260,6 @@ class TestCancellation:
                 executor.execute(COUNT_SQL, cancellation=token)
         assert time.perf_counter() - started < 1.0
         assert cancelled == [True]
-        _assert_workers_joined()
 
     def test_cancel_when_idle_returns_false(self, repo):
         assert _executor(repo).cancel() is False
@@ -291,14 +280,14 @@ class TestResourceBudgets:
         assert report.bytes_mounted > 1
         assert report.mounts_completed >= 1
 
-    def test_byte_budget_partial_returns_tuples_so_far(self, repo):
+    def test_byte_budget_partial_returns_tuples_so_far(self, repo, engine):
         """Charged as consumed, in plan order: workers extracting ahead
         change neither the tuples so far nor the disclosure."""
         baseline = _executor(repo).execute(COUNT_SQL).rows[0][0]
         budget = QueryBudget(max_mount_bytes=1, on_budget=ON_BUDGET_PARTIAL)
         answers = {}
         for workers in (1, 4):
-            executor = _executor(repo, workers=workers)
+            executor = engine(repo, workers)
             outcome = executor.execute(COUNT_SQL, budget=budget)
             assert outcome.truncation is not None
             assert "byte" in outcome.truncation.reason
@@ -634,10 +623,12 @@ class TestAFailingFileIsJudgedPerQuery:
             assert (failure.uri, failure.error) == (victim, "CorruptFileError")
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_a_failed_querys_restarts_reach_the_totals(self, repo, workers):
+    def test_a_failed_querys_restarts_reach_the_totals(
+        self, repo, workers, engine
+    ):
         """Transient local I/O on every read: the mount layer restarts the
         extraction twice, and the query that raised counts both."""
-        executor = _executor(repo, workers=workers)
+        executor = engine(repo, workers)
         victim = repo.uris()[0]
         plan = FaultPlan(
             [FaultSpec(uri_suffix=victim, kind=TRANSIENT_OSERROR, times=-1)]
@@ -645,4 +636,5 @@ class TestAFailingFileIsJudgedPerQuery:
         with plan.install(), pytest.raises(FileIngestError) as excinfo:
             executor.execute(COUNT_SQL)
         assert excinfo.value.mount_uri == victim
+        executor = getattr(executor, "_executor", executor)  # a service's
         assert executor.totals()["restarts"] == 2

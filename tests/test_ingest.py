@@ -38,10 +38,6 @@ from repro.mseed.volume import RECORD_COLUMNS
 
 
 class TestRegistry:
-    def test_default_registry_knows_both_formats(self):
-        registry = default_registry()
-        assert registry.known_suffixes() == [".tscsv", ".xseed"]
-
     def test_dispatch_by_suffix(self):
         registry = default_registry()
         assert isinstance(registry.for_path("a/b/file.xseed"), XSeedExtractor)

@@ -282,7 +282,7 @@ class TestTupleGranularMounting:
             IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
         )
         uri = tiny_repo.uris()[0]
-        probe = service.mount_file(uri, "D", "d", None)
+        probe = MountService(RepositoryBinding(tiny_repo)).mount_file(uri, "D", "d", None)
         times = probe.column("d.sample_time").values
         lo, hi = int(times[0]), int(times[99])
         predicate = BoolOp(
@@ -292,7 +292,6 @@ class TestTupleGranularMounting:
                 Comparison("<=", time_ref(), ts_literal(hi)),
             ],
         )
-        service.cache.clear()
         service.mount_file(uri, "D", "d", predicate)
         assert service.cache.contains(uri, (lo, hi))
         assert not service.cache.contains(uri, (lo, hi + 10**12))
@@ -306,7 +305,7 @@ class TestTupleGranularMounting:
             IngestionCache(CachePolicy.UNBOUNDED, CacheGranularity.TUPLE),
         )
         uri = tiny_repo.uris()[0]
-        probe = service.mount_file(uri, "D", "d", None)
+        probe = MountService(RepositoryBinding(tiny_repo)).mount_file(uri, "D", "d", None)
         times = probe.column("d.sample_time").values
         lo, hi = int(times[0]), int(times[99])
         value_pred = Comparison(
@@ -322,7 +321,6 @@ class TestTupleGranularMounting:
                 value_pred,
             ],
         )
-        service.cache.clear()
         delivered = service.mount_file(uri, "D", "d", predicate)
         assert delivered.num_rows == 0  # value predicate filtered delivery
         cached = service.cache.lookup(uri, (lo, hi))

@@ -1,12 +1,12 @@
-"""The mount scheduler as one query's dispatcher (core/scheduler.py).
+"""The query service's mount scheduler with one client (serve/scheduler.py).
 
-A standalone execution mounts through a one-tenant :class:`MountScheduler`
-(batch window 0, ``mount_workers`` threads, none when serial). These cells
-drive it against a synthetic extract function — ordering, single-flight,
-backpressure, work stealing, error propagation — without standing up a
-repository. End-to-end equivalence under ``mount_workers=4`` lives in
-test_equivalence_property.py; failure injection through a real executor in
-test_failure_injection.py.
+Each cell drives a :class:`MountScheduler` (batch window 0) through one
+query's client against a synthetic extract function — ordering,
+single-flight, backpressure, work stealing, error propagation — without
+standing up a repository; ``workers=1`` cells start no thread, so every
+take steals inline. End-to-end equivalence under a service's
+``mount_workers=4`` lives in test_equivalence_property.py; failure
+injection through a real service in test_failure_injection.py.
 """
 
 import threading
@@ -16,15 +16,10 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.mounting import ExtractResult
-from repro.core.scheduler import (
-    WORKER_THREAD_PREFIX,
-    MountScheduler,
-    MountSpan,
-    worker_busy_seconds,
-)
 from repro.db import Column, ColumnBatch, DataType
 from repro.db.errors import IngestError
-from repro.obs import QueryTrace
+from repro.obs import MountSpan, QueryTrace, worker_busy_seconds
+from repro.serve.scheduler import WORKER_THREAD_PREFIX, MountScheduler
 
 
 def tagged_result(uri, io_seconds=0.0):
@@ -77,8 +72,8 @@ def live_workers():
 
 @contextmanager
 def one_tenant(extract, workers):
-    """A client of the scheduler ``TwoStageExecutor.open_context`` builds
-    for ``mount_workers=workers``, closed on exit."""
+    """The one client of a scheduler with ``workers`` threads (none for 1),
+    closed on exit."""
     with MountScheduler(extract, 0 if workers == 1 else workers) as s:
         yield s.client()
 

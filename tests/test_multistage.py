@@ -15,20 +15,20 @@ from repro.core import (
     CancellationToken,
     DerivedMetadataStore,
     IngestionCache,
+    MountService,
     MultiStageExecutor,
     PartialMerger,
     QueryBudget,
     TwoStageExecutor,
     is_decomposable,
 )
-from repro.core.scheduler import SharedPoolClient
 from repro.db import Database
 from repro.db.errors import PlanError, QueryBudgetExceeded, QueryCancelledError
 from repro.db.plan.logical import Aggregate
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.mseed import FileRepository
 
-from test_governor import _assert_workers_joined, _slow_plan
+from test_governor import _slow_plan
 
 
 WHOLE_REPO_AVG = "SELECT AVG(sample_value) FROM D"
@@ -179,11 +179,10 @@ class TestOneBreakpoint:
     def test_prefetch_registers_exactly_the_uncached_files(
         self, ali_db, tiny_repo, monkeypatch
     ):
-        """Rule (1) serves the warmed window from the cache, so the workers
-        are handed only the files it mounts."""
-        executor = _executor(
-            ali_db, tiny_repo, cache=_tuple_cache(), mount_workers=2
-        )
+        """Rule (1) serves the warmed window from the cache, so only the
+        files it mounts are extracted (inline, each registered by the plan's
+        Mount branch as it runs)."""
+        executor = _executor(ali_db, tiny_repo, cache=_tuple_cache())
         executor.execute(WINDOW_AVG + " AND F.station = 'ISK'")
         cached = executor.cache.cached_uris()
         assert cached
@@ -194,13 +193,13 @@ class TestOneBreakpoint:
         assert uncached
 
         registered = []
-        prefetch = SharedPoolClient.prefetch
+        extract = MountService._extract
 
-        def recording(pool, tasks):
-            registered.extend(task[1] for task in tasks)
-            prefetch(pool, tasks)
+        def recording(mounts, uri, *args, **kwargs):
+            registered.append(uri)
+            return extract(mounts, uri, *args, **kwargs)
 
-        monkeypatch.setattr(SharedPoolClient, "prefetch", recording)
+        monkeypatch.setattr(MountService, "_extract", recording)
         before = executor.totals()["bytes_read"]
         outcome = MultiStageExecutor(executor, batch_files=1).execute(WINDOW_AVG)
         assert sorted(registered) == sorted(uncached)
@@ -234,13 +233,12 @@ class TestOneBreakpoint:
         assert outcome.total_files == outcome.files_processed == 1
         assert [s.files_processed for s in outcome.snapshots] == [1]
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("cache", ["discard", "lru-tuple"])
     def test_full_run_matches_two_stage_across_pools_and_caches(
-        self, ali_db, tiny_repo, ei_db, workers, cache
+        self, ali_db, tiny_repo, ei_db, cache
     ):
         executor = _executor(
-            ali_db, tiny_repo, mount_workers=workers,
+            ali_db, tiny_repo,
             cache=_tuple_cache() if cache == "lru-tuple" else None,
         )
         multi = MultiStageExecutor(executor, batch_files=2)
@@ -250,7 +248,6 @@ class TestOneBreakpoint:
             assert outcome.converged
             assert outcome.files_processed == outcome.total_files
             assert outcome.result.rows()[0][0] == pytest.approx(expected)
-        _assert_workers_joined()
 
 
 class TestGovernedRuns:
@@ -273,7 +270,7 @@ class TestGovernedRuns:
         assert outcome.result.rows() == prefix.result.rows()
 
     def test_raise_mode_budget_raises_within_a_second(self, ali_db, tiny_repo):
-        executor = _executor(ali_db, tiny_repo, mount_workers=4)
+        executor = _executor(ali_db, tiny_repo)
         token = CancellationToken()
         started = time.perf_counter()
         with _slow_plan(tiny_repo, token).install():
@@ -284,12 +281,11 @@ class TestGovernedRuns:
                     cancellation=token,
                 )
         assert time.perf_counter() - started < 1.0
-        _assert_workers_joined()
 
     def test_cancel_from_another_thread_raises_within_a_second(
         self, ali_db, tiny_repo
     ):
-        executor = _executor(ali_db, tiny_repo, mount_workers=4)
+        executor = _executor(ali_db, tiny_repo)
         token = CancellationToken()
         cancelled = []
         threading.Timer(0.05, lambda: cancelled.append(executor.cancel())).start()
@@ -301,7 +297,6 @@ class TestGovernedRuns:
                 )
         assert time.perf_counter() - started < 1.0
         assert cancelled == [True]
-        _assert_workers_joined()
 
     def test_skipped_corrupt_file_is_reported(self, tmp_path, tiny_repo):
         shutil.copytree(tiny_repo.root, tmp_path / "repo")

@@ -17,14 +17,13 @@ from repro.core import (
     PER_FILE,
     CachePolicy,
     IngestionCache,
-    MountSpan,
     MultiStageExecutor,
     TwoStageExecutor,
 )
 from repro.core.topn import TopNBranchMonitor
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
 from repro.mseed import FileRepository, generate_repository
-from repro.obs import QueryTrace
+from repro.obs import MountSpan, QueryTrace
 from repro.serve import QueryService
 
 ISK_AVG = (
@@ -90,7 +89,7 @@ class TestSpans:
             assert span.name == "mount"
             assert stage_of(trace, span) == "stage2"
             assert parent_of(trace, span).detail.startswith("PMount")
-            assert span.worker == 0  # serial: every take extracts inline
+            assert span.worker == 0  # standalone: every branch mounts inline
             assert span.io_seconds > 0
 
         assert trace.counters["files_mounted"] == len(mounts)
@@ -116,17 +115,23 @@ class TestSpans:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_traced_bytes_and_records_are_what_the_governor_charged(
-        self, fresh_ali_db, tiny_repo, workers
+        self, tiny_repo, workers, engine
     ):
-        executor = TwoStageExecutor(
-            fresh_ali_db, RepositoryBinding(tiny_repo), mount_workers=workers
-        )
-        context = executor.open_context()
-        counters = executor.execute(ISK_AVG, context=context).trace.counters
-        governor = context.governor
-        assert counters["bytes_read"] == governor.bytes_mounted > 0
-        assert counters["records_decoded"] == governor.records_decoded > 0
-        assert counters["files_mounted"] == governor.mounts_completed
+        """Standalone, the context's governor; served by 4 workers, the
+        tenant ledger its governor feeds."""
+        executor = engine(tiny_repo, workers)
+        if workers == 1:
+            context = executor.open_context()
+            counters = executor.execute(ISK_AVG, context=context).trace.counters
+            governor = context.governor
+            assert counters["files_mounted"] == governor.mounts_completed
+            charged = governor.bytes_mounted, governor.records_decoded
+        else:
+            counters = executor.execute(ISK_AVG).trace.counters
+            [tenant] = executor.stats().tenants
+            charged = tenant.bytes_charged, tenant.records_charged
+        assert (counters["bytes_read"], counters["records_decoded"]) == charged
+        assert min(charged) > 0
 
     def test_a_query_that_raises_still_adds_its_counters_to_the_totals(
         self, tmp_path, tiny_spec

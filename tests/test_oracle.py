@@ -280,10 +280,14 @@ def config_points(draw, focus="any"):
     metastores = METASTORES[2:] if remote or focus == "setup" else METASTORES
     # Nothing cached: every query of a tenants run extracts.
     caches = {"cache": CACHES[1:], "tenants": CACHES[:1]}.get(focus, CACHES)
+    strategy = {"top-n": BULK, "per-file": PER_FILE}.get(focus) or (
+        draw(st.sampled_from([BULK, PER_FILE])) if standalone else BULK
+    )
+    # The service's scheduler threads; a standalone point mounts inline.
+    workers = draw(st.integers(1, 4))
     return ConfigPoint(
-        strategy={"top-n": BULK, "per-file": PER_FILE}.get(focus)
-        or (draw(st.sampled_from([BULK, PER_FILE])) if standalone else BULK),
-        mount_workers=draw(st.integers(1, 4)),
+        strategy=strategy,
+        mount_workers=1 if standalone else workers,
         selective=remote or draw(st.booleans()),
         cache=draw(st.sampled_from(caches)),
         metastore=draw(st.sampled_from(metastores)),

@@ -5,7 +5,8 @@ behind the simulated endpoint, judged by its one verdict. Metadata comes
 from a warm metastore, so every mount stages cold and every byte it moves
 crosses the link under the fault plan: recoverable network faults
 (refusals, mid-stream disconnects, stalls, objects changed mid-GET) must
-leave the answer equal to eager ingestion for every ``mount_workers`` ×
+leave the answer equal to eager ingestion for every ``mount_workers`` (1: a
+standalone executor; 4: a one-tenant query service's scheduler) ×
 ``selective`` cell. A federation of a local member and a remote one keeps
 its local answer exact while the endpoint is down, names the endpoint
 under fail-fast, and recovers once the endpoint is back.
@@ -43,7 +44,10 @@ class TestRemoteChaosGrid:
     def test_recoverable_network_faults_byte_identical(
         self, reference, tmp_path, workers, selective
     ):
-        point = ConfigPoint(mount_workers=workers, selective=selective, **REMOTE)
+        point = ConfigPoint(
+            mount_workers=workers, tenants=int(workers > 1),
+            selective=selective, **REMOTE,
+        )
         script = FaultScript(seed=CHAOS_SEED, rate=1.0, network=True)
         reached = run(reference, [CHAOS_SQL], tmp_path, point, script)
         assert verdicts(reached) == ["rows"]
@@ -52,7 +56,7 @@ class TestRemoteChaosGrid:
         def log(name):
             shutil.copytree(reference.root, tmp_path / name)
             engine = Engine(
-                ConfigPoint(mount_workers=4, **REMOTE),
+                ConfigPoint(**REMOTE),
                 tmp_path / name, tmp_path / f"{name}-scratch",
             )
             plan = FaultPlan.seeded(

@@ -75,29 +75,24 @@ def dense_repo(tmp_path_factory) -> FileRepository:
     return FileRepository(root)
 
 
-def make_executor(repo, *, selective=True, workers=1, cache=None):
+def make_executor(repo, *, selective=True, cache=None):
     db = Database()
     lazy_ingest_metadata(db, repo)
     return TwoStageExecutor(
-        db,
-        RepositoryBinding(repo),
-        cache=cache,
-        mount_workers=workers,
-        selective_mounts=selective,
+        db, RepositoryBinding(repo), cache=cache, selective_mounts=selective
     )
 
 
 class TestEquivalence:
-    def test_identical_rows_across_all_configurations(self, dense_repo):
-        """selective on/off x workers 1/4 x cache retained/discarded."""
+    def test_identical_rows_across_all_configurations(self, dense_repo, engine):
+        """selective on/off x workers 1/4 (a standalone executor, a query
+        service's scheduler) x cache retained/discarded."""
         baseline = None
         for selective, workers, policy in itertools.product(
             (False, True), (1, 4), (CachePolicy.DISCARD, CachePolicy.UNBOUNDED)
         ):
-            executor = make_executor(
-                dense_repo,
-                selective=selective,
-                workers=workers,
+            executor = engine(
+                dense_repo, workers, selective_mounts=selective,
                 cache=IngestionCache(policy),
             )
             rows = executor.execute(NARROW_SQL).rows

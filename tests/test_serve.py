@@ -31,7 +31,7 @@ from repro.core import IngestionCache, TwoStageExecutor
 from repro.core.cache import CachePolicy
 from repro.core.governor import CancellationToken, QueryBudget
 from repro.core.mounting import ExtractResult
-from repro.core.scheduler import MountSpan, worker_busy_seconds
+from repro.obs import MountSpan, worker_busy_seconds
 from repro.db import Database
 from repro.db.errors import (
     DatabaseError,

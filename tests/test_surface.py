@@ -14,13 +14,14 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core import MountScheduler, TwoStageExecutor
+from repro.core import TwoStageExecutor
 from repro.core.mounting import MountService
 from repro.db.errors import IngestError
 from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding
 from repro.remote import RemoteRepository, ResilientTransport, TransportPolicy
 from repro.serve import QueryService, TenantPolicy
+from repro.serve.scheduler import MountScheduler
 
 
 def _parameters(function) -> list[str]:

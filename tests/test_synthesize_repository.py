@@ -103,6 +103,8 @@ class TestBuildRecords:
     ("days", -1),
     ("stations", ()),
     ("channels", ()),
+    ("start_day", "notadate"),
+    ("start_day", "2010-02-30"),
 ])
 def test_the_spec_refuses_a_shape_no_repository_has(field, value):
     with pytest.raises(ValueError, match=field):

@@ -125,14 +125,6 @@ class TestTable:
         table = Table(self.schema())
         assert table.num_rows == 0
 
-    def test_append_and_truncate(self):
-        table = Table(self.schema())
-        table.append(make_batch(2))
-        table.append(make_batch(3))
-        assert table.num_rows == 5
-        table.truncate()
-        assert table.num_rows == 0
-
     def test_append_layout_mismatch(self):
         table = Table(self.schema())
         wrong = ColumnBatch(["a"], [Column.from_pylist(DataType.INT64, [1])])

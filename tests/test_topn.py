@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    MountScheduler,
     TopNBranchMonitor,
     TwoStageExecutor,
     apply_ali_rewrite,
@@ -65,6 +64,7 @@ from repro.db.plan.rewrite import (
 from repro.db.plan.verify import verify_plan
 from repro.db.sql.parser import parse_sql
 from repro.ingest import RepositoryBinding, lazy_ingest_metadata
+from repro.serve.scheduler import MountScheduler
 
 from test_mountpool import RecordingExtract, keys, one_tenant
 
@@ -524,8 +524,8 @@ class TestTopNBranchMonitor:
 
 
 class TestMountPoolRelease:
-    """Release on the standalone query's mount pool: the one-tenant
-    scheduler ``TwoStageExecutor.open_context`` builds, with its workers."""
+    """Release on one query's client of a query service's scheduler (with
+    ``workers`` 1, one that starts no thread)."""
 
     def test_release_serial_pool_never_extracts(self):
         tasks = keys(3)
@@ -638,9 +638,9 @@ class TestEndToEndEquivalence:
         assert result.rows == baseline.rows
         assert baseline.trace.counters["early_terminated_branches"] == 0
 
-    def test_early_termination_under_pooled_workers(self, tiny_repo):
-        executor = make_executor(tiny_repo, mount_workers=4)
-        result = executor.execute(LATEST_SQL)
+    def test_early_termination_under_pooled_workers(self, tiny_repo, engine):
+        """A query service's 4 workers extract ahead; the plan still skips."""
+        result = engine(tiny_repo, 4).execute(LATEST_SQL)
         assert result.trace.counters["early_terminated_branches"] >= 1
         baseline = make_executor(tiny_repo, top_n_pushdown=False)
         assert result.rows == baseline.execute(LATEST_SQL).rows

@@ -71,10 +71,9 @@ def _cli(collector: Collector, root: Path) -> None:
              "--mount-workers", "2", "--on-mount-error", "skip",
              "--deadline-seconds", "60", "--max-mount-bytes", "1000000000",
              "--max-decoded-records", "1000000", "--on-budget", "partial",
-             "--cache-policy", "lru", "--cache-bytes", "1000000",
              "--metastore", "--verify-plans", "--limit", "2"],
             ["query", window, "--repo", pond, "--no-selective-mounts",
-             "--cache-policy", "unbounded", "--metastore"],
+             "--metastore"],
             ["query", sql, "--remote", f"seis-eu={remote}"],
             ["query", window, "--repo", pond, "--remote", f"seis-eu={remote}",
              "--breakpoint"],
