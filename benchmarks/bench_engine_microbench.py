@@ -22,6 +22,7 @@ from repro.mseed import (
     steim_decode,
     steim_encode,
 )
+from repro.mseed.iohooks import FileSource
 from repro.mseed.volume import read_records
 
 
@@ -64,7 +65,7 @@ def test_repository_metadata_pass(env, benchmark):
     parse per block of files. Divided by the file count and set against the
     one-file case above, it is what a numpy call per file used to cost."""
     repo = env.repository
-    files = [(repo.path_of(uri), uri) for uri in repo.uris()]
+    files = [FileSource(repo.path_of(uri), uri) for uri in repo.uris()]
     results = benchmark(read_files_metadata, files)
     assert len(results) == len(files)
 
@@ -79,7 +80,7 @@ def test_mount_one_file(env, benchmark):
     uri = env.repository.uris()[0]
     path = env.repository.path_of(uri)
     extractor = default_registry().for_path(path)
-    benchmark(extractor.mount, path, uri)
+    benchmark(extractor.mount, FileSource(path, uri))
 
 
 def test_hash_join_kernel(env, benchmark):

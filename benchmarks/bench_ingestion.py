@@ -12,6 +12,7 @@ from repro.db import Database
 from repro.harness import ingestion_report
 from repro.harness.reporting import render_ingestion
 from repro.ingest import eager_ingest
+from repro.mseed.iohooks import FileSource
 
 
 def test_ingestion_report(env, benchmark):
@@ -51,7 +52,8 @@ def test_metadata_scan_scales_with_records_not_samples(env, benchmark):
         total = 0
         for uri in env.repository.uris():
             path = env.repository.path_of(uri)
-            extracted = registry.for_path(path).extract_metadata(path, uri)
+            source = FileSource(path, uri)
+            extracted = registry.for_path(path).extract_metadata(source)
             total += len(extracted.records)
         return total
 

@@ -2,7 +2,7 @@
 
 1. **Ranged GETs**: on a narrow time window, the selective mount path
    moves at least ``MIN_RANGED_REDUCTION``x fewer remote bytes than
-   whole-object staging — byte maps turn into HTTP-style range requests,
+   whole-object GETs — byte maps turn into HTTP-style range requests,
    so a 30-minute look at a day-long file stops downloading the day.
 2. **Resilience overhead**: the always-on resilience stack (retry
    ladder, retry budget, circuit breaker) costs at most
@@ -94,18 +94,18 @@ def _harvest_metadata(objects_dir: Path, workdir: Path) -> Path:
     """
     path = workdir / "metastore.json"
     store = SimulatedObjectStore("seis-eu", objects_dir)
-    repo = RemoteRepository(store, workdir / "harvest_staging")
+    repo = RemoteRepository(store)
     db = Database()
     lazy_ingest_metadata(db, repo, metastore=MetadataStore(path))
     return path
 
 
-# -- claim 1: ranged GETs vs whole-object staging ------------------------------
+# -- claim 1: ranged GETs vs whole-object GETs ---------------------------------
 
 
 @dataclass
 class RemoteRun:
-    """One fresh-session query against a cold staging area."""
+    """One fresh-session query that holds nothing of the endpoint yet."""
 
     mode: str  # "whole" | "ranged"
     rows: list[tuple]
@@ -117,7 +117,6 @@ class RemoteRun:
 
 def _fresh_session(
     objects_dir: Path,
-    workdir: Path,
     metastore_path: Path,
     sql: str,
     mode: str,
@@ -128,8 +127,7 @@ def _fresh_session(
     store = SimulatedObjectStore(
         "seis-eu", objects_dir, profile=profile or NetworkProfile()
     )
-    staging = Path(tempfile.mkdtemp(prefix=f"{mode}-", dir=workdir))
-    repo = RemoteRepository(store, staging, policy=policy or TransportPolicy())
+    repo = RemoteRepository(store, policy=policy or TransportPolicy())
     metastore = MetadataStore(metastore_path)
     metastore.load()
     db = Database()
@@ -153,13 +151,13 @@ def _fresh_session(
 
 
 def run_ranged_vs_whole(
-    objects_dir: Path, workdir: Path, metastore_path: Path, sql: str
+    objects_dir: Path, metastore_path: Path, sql: str
 ) -> tuple[RemoteRun, RemoteRun]:
     whole = _fresh_session(
-        objects_dir, workdir, metastore_path, sql, "whole", selective=False
+        objects_dir, metastore_path, sql, "whole", selective=False
     )
     ranged = _fresh_session(
-        objects_dir, workdir, metastore_path, sql, "ranged", selective=True
+        objects_dir, metastore_path, sql, "ranged", selective=True
     )
     return whole, ranged
 
@@ -172,7 +170,7 @@ def ranged_reduction(whole: RemoteRun, ranged: RemoteRun) -> float:
 
 def check_ranged_vs_whole(whole: RemoteRun, ranged: RemoteRun) -> None:
     assert ranged.rows == whole.rows, (
-        f"ranged staging changed the answer: {whole.rows!r} -> {ranged.rows!r}"
+        f"ranged GETs changed the answer: {whole.rows!r} -> {ranged.rows!r}"
     )
     assert ranged.ranged_gets > 0, "the selective path never issued a range"
     ratio = ranged_reduction(whole, ranged)
@@ -200,7 +198,6 @@ RESILIENT_POLICY = TransportPolicy(max_attempts=3, retry_budget_attempts=64)
 
 def run_overhead(
     objects_dir: Path,
-    workdir: Path,
     metastore_path: Path,
     sql: str,
     repeats: int,
@@ -218,7 +215,6 @@ def run_overhead(
         for _ in range(repeats):
             run = _fresh_session(
                 objects_dir,
-                workdir,
                 metastore_path,
                 sql,
                 mode,
@@ -289,12 +285,8 @@ def _run_all(spec: RepositorySpec, repeats: int) -> dict:
     metastore_path = _harvest_metadata(objects_dir, workdir)
     sql = _narrow_sql(spec)
 
-    whole, ranged = run_ranged_vs_whole(
-        objects_dir, workdir, metastore_path, sql
-    )
-    bare, resilient = run_overhead(
-        objects_dir, workdir, metastore_path, sql, repeats
-    )
+    whole, ranged = run_ranged_vs_whole(objects_dir, metastore_path, sql)
+    bare, resilient = run_overhead(objects_dir, metastore_path, sql, repeats)
     print()
     print(render(whole, ranged, bare, resilient))
     check_ranged_vs_whole(whole, ranged)
@@ -317,7 +309,7 @@ def test_remote_bench_quick():
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Remote backend: ranged GETs vs whole staging, "
+        description="Remote backend: ranged GETs vs whole-object GETs, "
         "fault-free resilience overhead"
     )
     parser.add_argument(

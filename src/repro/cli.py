@@ -18,10 +18,8 @@ import argparse
 import datetime as dt
 import math
 import sys
-import tempfile
 import time
 from contextlib import ExitStack
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import IngestionCache, QueryBudget, TwoStageExecutor
@@ -266,8 +264,7 @@ def _build_query_repository(args: argparse.Namespace, stack: ExitStack):
     """The query's repository: local, remote, or a federation of both.
 
     Returns ``(repository, remote_members)`` — the members list is what the
-    per-endpoint transport statistics are reported from afterwards. Remote
-    members stage under a temporary directory that ``stack`` removes.
+    per-endpoint transport statistics are reported from afterwards.
     """
     members: list[object] = []
     if args.repo:
@@ -277,14 +274,8 @@ def _build_query_repository(args: argparse.Namespace, stack: ExitStack):
         from .remote import RemoteRepository, SimulatedObjectStore
 
         specs = [_parse_remote_spec(spec) for spec in args.remote]
-        staging_root = Path(stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-remote-staging-")
-        ))
         for endpoint, directory in specs:
-            remote = RemoteRepository(
-                SimulatedObjectStore(endpoint, directory),
-                staging_root / endpoint,
-            )
+            remote = RemoteRepository(SimulatedObjectStore(endpoint, directory))
             stack.callback(remote.close)
             members.append(remote)
             remotes.append(remote)
@@ -305,7 +296,7 @@ def _print_remote_stats(remotes) -> None:
             f"(endpoint {remote.endpoint}: {stats.remote_bytes} remote "
             f"byte(s) in {stats.ranged_gets} ranged / "
             f"{stats.whole_fetches} whole GET(s), "
-            f"{stats.staged_reuses} staging reuse(s); "
+            f"{stats.staged_reuses} reuse(s) of held bytes; "
             f"{transport.retries} retry(ies), "
             f"{transport.breaker_refusals} breaker refusal(s))",
             file=sys.stderr,

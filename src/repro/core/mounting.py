@@ -52,9 +52,9 @@ is asked before or after.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .. import _sync
@@ -78,6 +78,7 @@ from ..ingest.formats import (
     SelectiveFormatExtractor,
 )
 from ..ingest.schema import ACTUAL_TABLE, TIME_COLUMN, RepositoryBinding
+from ..mseed.iohooks import ByteSource
 from .cache import (
     CacheGranularity,
     FileSignature,
@@ -261,7 +262,8 @@ class MountContext:
         self.failure_report = MountFailureReport()  # guarded-by: _lock
         self._quarantined: set[str] = set()  # guarded-by: _lock
         self._retry_budgets: dict[str, RetryBudget] = {}  # guarded-by: _lock
-        self._charged: set[tuple[str, str]] = set()  # guarded-by: _lock
+        # The extraction each pool key was last charged for, while it lives.
+        self._charged = weakref.WeakValueDictionary()  # guarded-by: _lock
 
     @property
     def skips(self) -> bool:
@@ -302,15 +304,16 @@ class MountContext:
         governor for it: in plan order, on the consuming thread, so a budget
         trips at the same branch however many workers extracted ahead, and
         the bytes the trace counts are the bytes the governor was charged.
-        A pool's result is charged once per distinct ``key``
-        ``(table, uri)`` (a self-join takes one extraction twice); an
-        inline extraction every time it ran. Raise-mode exhaustion raises
-        here."""
+        Every extraction is charged once: a pool's result taken again for
+        the same ``key`` ``(table, uri)`` (a self-join takes one extraction
+        twice) is not charged again, and a re-extraction of a key (a Top-N
+        re-run, a too-narrow result extracted afresh) is a new extraction.
+        Raise-mode exhaustion raises here."""
         if key is not None:
             with self._lock:
-                if key in self._charged:
+                if self._charged.get(key) is result:
                     return
-                self._charged.add(key)
+                self._charged[key] = result
         self.trace.counters += Counter(
             bytes_read=result.bytes_read,
             records_decoded=result.records_decoded,
@@ -551,10 +554,16 @@ class MountService:
         result too narrow for it — only possible if prefetch and execution
         disagree, which the executor prevents — falls back to an inline
         re-extraction rather than returning incomplete rows.
+
+        An inline extraction of a file the breakpoint observed (a cache
+        scan's fallback) takes that observation as its own
+        (``context.observed``): the first attempt asks nothing more.
         """
+        observed = context.observed.get(uri)
+        observed = None if isinstance(observed, IngestError) else observed
         if context.pool is None:
             started = time.perf_counter()
-            result = self._extract(uri, table_name, request, context=context)
+            result = self._extract(uri, table_name, request, observed, context)
             elapsed = time.perf_counter() - started
             context.trace.record(MountSpan(
                 "mount", uri, start=started, seconds=elapsed,
@@ -566,7 +575,7 @@ class MountService:
         result = context.pool.take(uri, table_name, request)
         needed = WHOLE_FILE if request is None else request.interval
         if not covers(result.coverage, needed):
-            result = self._extract(uri, table_name, request, context=context)
+            result = self._extract(uri, table_name, request, observed, context)
         context.charge(result, (table_name, uri))
         return result
 
@@ -602,26 +611,6 @@ class MountService:
         return self._deliver(cached, alias, predicate)
 
     # -- internals ---------------------------------------------------------------
-
-    def _resolve(
-        self, uri: str, table_name: str, context: Optional[MountContext]
-    ) -> tuple[Path, FormatExtractor, "Repository"]:
-        """URI → (readable path, format extractor, owning repository).
-
-        Everything source-specific goes through the repository protocol
-        hooks (:class:`~repro.mseed.repository.FileRepository` docs): a
-        remote repository resolves ``path_of`` to a local staging file and
-        wraps the registry's extractor in its ranged-GET adapter, whose
-        requests run under ``context`` (token, retry budget).
-        """
-        binding = self.binding_for(table_name)
-        repository = binding.repository
-        path = repository.path_of(uri)
-        assert binding.registry is not None
-        extractor = repository.extractor_for(
-            path, uri, binding.registry, context
-        )
-        return path, extractor, repository
 
     def binding_for(self, table_name: str) -> RepositoryBinding:
         """The binding serving ``table_name``; only ``D`` has one."""
@@ -703,7 +692,14 @@ class MountService:
             context = MountContext()
         token = context.token
         token.raise_if_interrupted()
-        path, extractor, repository = self._resolve(uri, table_name, context)
+        # Everything source-specific goes through the repository protocol
+        # hooks: a remote repository answers its object and wraps the
+        # registry's extractor in its ranged-GET adapter, whose requests run
+        # under ``context`` (token, retry budget).
+        binding = self.binding_for(table_name)
+        repository = binding.repository
+        assert binding.registry is not None
+        source, extractor = repository.source_for(uri, binding.registry, context)
         restarts = 0
 
         def attempt(n: int) -> "ExtractResult":
@@ -711,7 +707,7 @@ class MountService:
             restarts = n  # attempt n follows n restarts
             before = observed if n == 0 else None
             return self._extract_once(
-                uri, path, extractor, request, repository, before, context, n
+                source, extractor, request, repository, before, context, n
             )
 
         try:
@@ -722,8 +718,7 @@ class MountService:
 
     def _extract_once(
         self,
-        uri: str,
-        path: Path,
+        source: ByteSource,
         extractor: FormatExtractor,
         request: Optional[MountRequest],
         repository: "Repository",
@@ -736,6 +731,7 @@ class MountService:
         # is conditional on the one before) takes what the caller has seen,
         # if anything, and names the version it read afterwards. Anything
         # else is bracketed here: a signature before the read, one after.
+        uri = source.uri
         observing = getattr(extractor, "observing", None)
         if observing is not None:
             extractor = observing(before)
@@ -744,7 +740,7 @@ class MountService:
                 before = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
                 raise FileIngestError(
-                    f"file disappeared before extraction: {path}",
+                    f"file disappeared before extraction: {uri}",
                     uri=uri,
                     cause=exc,
                 ) from exc
@@ -753,7 +749,7 @@ class MountService:
         )
         if selective:
             assert request is not None
-            mounted_sel = extractor.mount_selective(path, uri, request)
+            mounted_sel = extractor.mount_selective(source, request)
             nbytes = mounted_sel.bytes_read
             mounted = mounted_sel.mounted
             coverage = request.interval
@@ -771,10 +767,10 @@ class MountService:
                 assert before is not None
                 nbytes = before[1]
                 io_seconds = self._touch_whole(uri, nbytes)
-                mounted = extractor.mount(path, uri)
+                mounted = extractor.mount(source)
             else:
                 # Self-observed: the object's size arrives with its bytes.
-                mounted = extractor.mount(path, uri)
+                mounted = extractor.mount(source)
                 nbytes = extractor.observed[1]
                 io_seconds = self._touch_whole(uri, nbytes)
             coverage = WHOLE_FILE

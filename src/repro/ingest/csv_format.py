@@ -9,20 +9,21 @@ Layout of a ``.tscsv`` file::
     ...
 
 All metadata lives in the two comment lines, so
-:meth:`CsvExtractor.extract_metadata` reads a fixed small prefix of the file —
-the cheap-metadata property every format extractor must provide. The body is
-one record per file (record_id 0).
+:meth:`CsvExtractor.extract_metadata` reads a small prefix of the file, a
+chunk at a time until the comment lines end — the cheap-metadata property
+every format extractor must provide. The body is one record per file
+(record_id 0). Every read goes through the file's byte source.
 """
 
 from __future__ import annotations
 
 import io
-import os
 from pathlib import Path
 
 import numpy as np
 
 from ..db.errors import CorruptFileError, TruncatedFileError
+from ..mseed.iohooks import ByteSource
 from ..mseed.record import last_sample_offset, sample_time_offsets
 from .formats import (
     ExtractedMetadata,
@@ -36,6 +37,9 @@ from .formats import (
 from ._batches import explicit_mount
 
 SUFFIX = ".tscsv"
+
+# How much a header-only read asks for at a time.
+_CHUNK_BYTES = 8192
 
 
 def write_csv_timeseries(
@@ -64,16 +68,35 @@ def write_csv_timeseries(
             handle.write(f"{int(t)},{float(v)!r}\n")
 
 
-def _parse_header(path: str | Path) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    with open(path, "r") as handle:
-        for line in handle:
-            if not line.startswith("#"):
+def _head(source: ByteSource) -> str:
+    """The file's opening, read a chunk at a time until a line that is not
+    a comment begins (or the file ends): a header-only read."""
+    data = b""
+    with source.open() as handle:
+        while chunk := handle.read(_CHUNK_BYTES):
+            data += chunk
+            *lines, last = data.split(b"\n")
+            if not all(line.startswith(b"#") for line in lines) or (
+                last and not last.startswith(b"#")
+            ):
                 break
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    fields[key] = value
+    # A character the last chunk cut lies past the comment lines.
+    return data.decode(errors="replace")
+
+
+def _parse_header(text: str) -> tuple[dict[str, str], int]:
+    """The fields of the comment lines that open ``text``, and the
+    characters those lines take (what a header-only read costs)."""
+    fields: dict[str, str] = {}
+    length = 0
+    for line in io.StringIO(text):
+        if not line.startswith("#"):
+            break
+        length += len(line)
+        for token in line[1:].split():
+            if "=" in token:
+                key, _, value = token.partition("=")
+                fields[key] = value
     required = {"station", "channel", "sample_rate", "start_time", "nsamples"}
     missing = required - fields.keys()
     if missing:
@@ -81,7 +104,7 @@ def _parse_header(path: str | Path) -> dict[str, str]:
         raise CorruptFileError(
             f"missing header fields {sorted(missing)}", offset=0
         )
-    return fields
+    return fields, length
 
 
 class CsvExtractor:
@@ -90,17 +113,16 @@ class CsvExtractor:
     format_name = "csv-timeseries"
     suffix = SUFFIX
 
-    def extract_metadata(
-        self, path: str | Path, uri: str
-    ) -> ExtractedMetadata:
-        with extraction_guard(uri, path):
-            fields = _parse_header(path)
+    def extract_metadata(self, source: ByteSource) -> ExtractedMetadata:
+        with extraction_guard(source):
+            fields, _ = _parse_header(_head(source))
             start_time = int(fields["start_time"])
             nsamples = int(fields["nsamples"])
             sample_rate = float(fields["sample_rate"])
+            size_bytes = source.size
         end_time = start_time + last_sample_offset(nsamples, sample_rate)
         file_row = FileMetaRow(
-            uri=uri,
+            uri=source.uri,
             network=fields.get("network", ""),
             station=fields["station"],
             location=fields.get("location", ""),
@@ -109,7 +131,7 @@ class CsvExtractor:
             end_time=end_time,
             nrecords=1,
             nsamples=nsamples,
-            size_bytes=os.stat(path).st_size,
+            size_bytes=size_bytes,
         )
         records = RecordColumns(
             start_time=np.array([start_time], dtype=np.int64),
@@ -121,17 +143,17 @@ class CsvExtractor:
         )
         return ExtractedMetadata(file_row, records)
 
-    def mount(self, path: str | Path, uri: str) -> MountedFile:
-        with extraction_guard(uri, path):
-            fields = _parse_header(path)
+    def mount(self, source: ByteSource) -> MountedFile:
+        uri = source.uri
+        with extraction_guard(source):
+            with source.open() as handle:
+                text = handle.read().decode()
+            fields, _ = _parse_header(text)
             nsamples = int(fields["nsamples"])
-            body = io.StringIO()
-            with open(path, "r") as handle:
-                for line in handle:
-                    if line.startswith("#") or line.startswith("t_us"):
-                        continue
-                    body.write(line)
-            body.seek(0)
+            body = io.StringIO("".join(
+                line for line in io.StringIO(text)
+                if not line.startswith(("#", "t_us"))
+            ))
             if nsamples == 0:
                 return _no_samples(uri, records=1)
             data = np.loadtxt(body, delimiter=",", dtype=np.float64, ndmin=2)
@@ -156,7 +178,7 @@ class CsvExtractor:
         )
 
     def mount_selective(
-        self, path: Path, uri: str, request: MountRequest
+        self, source: ByteSource, request: MountRequest
     ) -> MountOutcome:
         """Single-record format: all-or-nothing at record granularity.
 
@@ -169,17 +191,18 @@ class CsvExtractor:
             start_time, end_time = spans[0].start_time, spans[0].end_time
             span_bytes = 0  # known from metadata; nothing read yet
         else:
-            with extraction_guard(uri, path):
-                fields = _parse_header(path)
+            with extraction_guard(source):
+                fields, span_bytes = _parse_header(_head(source))
                 start_time = int(fields["start_time"])
                 end_time = start_time + last_sample_offset(
                     int(fields["nsamples"]), float(fields["sample_rate"])
                 )
-            span_bytes = _prefix_length(path)
         if not request.wants(start_time, end_time):
-            return MountOutcome(_no_samples(uri, records=0), span_bytes, 0, 1)
-        mounted = self.mount(path, uri)
-        return MountOutcome(mounted, path.stat().st_size, 1, 0)
+            return MountOutcome(
+                _no_samples(source.uri, records=0), span_bytes, 0, 1
+            )
+        mounted = self.mount(source)
+        return MountOutcome(mounted, source.size, 1, 0)
 
 
 def _no_samples(uri: str, records: int) -> MountedFile:
@@ -188,13 +211,3 @@ def _no_samples(uri: str, records: int) -> MountedFile:
         uri, empty, empty.copy(), np.empty(0, dtype=np.float64), records
     )
 
-
-def _prefix_length(path: Path) -> int:
-    """Bytes of the comment-line prefix (what a header-only read costs)."""
-    total = 0
-    with open(path, "r") as handle:
-        for line in handle:
-            if not line.startswith("#"):
-                break
-            total += len(line)
-    return total

@@ -56,7 +56,7 @@ def eager_ingest(
     # The metadata half is ALi's pass; every file is then mounted through
     # the extractor that read its headers.
     sources, block = metadata_pass(repository, registry)
-    mounted = [extractor.mount(path, uri) for path, uri, extractor in sources]
+    mounted = [extractor.mount(source) for source, extractor in sources]
 
     file_batch, record_batch = metadata_batches(block)
     db.catalog.table(FILE_TABLE).append(file_batch)

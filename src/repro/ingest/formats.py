@@ -10,6 +10,12 @@ schema through two operations with very different costs:
 * :meth:`~FormatExtractor.mount` — full extract/transform; feeds the actual
   data table ``D`` one file at a time.
 
+Every operation reads its file through a
+:class:`~repro.mseed.iohooks.ByteSource` — the file's URI, its size and an
+``open()`` that the installed I/O hook wraps — never through a path: a local
+file and a remote object's bytes held in memory read alike, and a fault plan
+or a byte counter sees every read.
+
 Extractors may additionally implement **selective mounting**
 (``mount_selective``): given a :class:`MountRequest` — the fused predicate's
 closed time interval plus, when the metadata pass recorded one, the file's
@@ -46,11 +52,12 @@ import numpy as np
 from ..db.errors import CorruptFileError, FileIngestError, IngestError
 from ..db.interval import WHOLE_FILE, Interval, is_empty, overlaps
 from ..db.table import ColumnBatch
+from ..mseed.iohooks import ByteSource
 from ..mseed.volume import FILE_COLUMNS, RECORD_COLUMNS, MetadataBlock
 
 
 @contextmanager
-def extraction_guard(uri: str, path: Path | str) -> Iterator[None]:
+def extraction_guard(source: ByteSource) -> Iterator[None]:
     """Normalize one file's extraction failures into the ingest taxonomy.
 
     Wrap every :meth:`FormatExtractor.extract_metadata` /
@@ -61,6 +68,7 @@ def extraction_guard(uri: str, path: Path | str) -> Iterator[None]:
     :class:`~repro.db.errors.FileIngestError` so the mount service retries
     them before quarantining the file.
     """
+    uri = source.uri
     try:
         yield
     except FileIngestError as exc:
@@ -69,11 +77,11 @@ def extraction_guard(uri: str, path: Path | str) -> Iterator[None]:
         raise
     except FileNotFoundError as exc:
         raise FileIngestError(
-            f"file disappeared during extraction: {path}", uri=uri, cause=exc
+            f"file disappeared during extraction: {uri}", uri=uri, cause=exc
         ) from exc
     except OSError as exc:
         raise FileIngestError(
-            f"I/O error reading {path}: {exc}",
+            f"I/O error reading {uri}: {exc}",
             uri=uri,
             cause=exc,
             transient=True,
@@ -269,13 +277,11 @@ class FormatExtractor(Protocol):
     format_name: str
     suffix: str
 
-    def extract_metadata(
-        self, path: str | Path, uri: str
-    ) -> ExtractedMetadata:
+    def extract_metadata(self, source: ByteSource) -> ExtractedMetadata:
         """Header-only metadata extraction (must not decode actual data)."""
         ...
 
-    def mount(self, path: str | Path, uri: str) -> MountedFile:
+    def mount(self, source: ByteSource) -> MountedFile:
         """Full extraction of the file's actual data."""
         ...
 
@@ -285,7 +291,7 @@ class SelectiveFormatExtractor(FormatExtractor, Protocol):
     """A format extractor that can mount a subset of a file's records."""
 
     def mount_selective(
-        self, path: Path, uri: str, request: MountRequest
+        self, source: ByteSource, request: MountRequest
     ) -> MountOutcome:
         """Extract only the records overlapping ``request.interval``.
 
@@ -304,10 +310,10 @@ class BatchFormatExtractor(FormatExtractor, Protocol):
     """A format extractor that can extract many files' metadata at once."""
 
     def extract_metadata_many(
-        self, files: Sequence[tuple[str | Path, str]]
+        self, sources: Sequence[ByteSource]
     ) -> MetadataBlock:
-        """What :meth:`extract_metadata` reads of each ``(path, uri)``, as
-        one block of the files in order.
+        """What :meth:`extract_metadata` reads of each source, as one block
+        of the files in order.
 
         Must read each file exactly as the one-file call does and raise what
         a file-by-file loop would: the first defective file's error.

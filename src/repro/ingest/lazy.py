@@ -27,13 +27,13 @@ import time
 from dataclasses import dataclass
 from itertools import groupby, pairwise
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from ..core.metastore import MetadataStore
 from ..db.database import Database
+from ..mseed.iohooks import ByteSource
 from ..mseed.repository import Repository
 from ..mseed.volume import MetadataBlock
 from ._batches import metadata_batches
@@ -59,19 +59,19 @@ class LazyLoadReport:
     files_reused: int = 0  # files served from the metastore (no header walk)
 
 
-Source = tuple[str | Path, str, FormatExtractor]
+Source = tuple[ByteSource, FormatExtractor]
 
 
 def metadata_pass(
     repository: Repository,
     registry: FormatRegistry,
-    located: Iterable[tuple[str, str | Path]] | None = None,
+    located: Iterable[Source] | None = None,
 ) -> tuple[list[Source], MetadataBlock]:
-    """The header-only pass over ``located`` — ``(uri, path)`` pairs, by
-    default every file as one listing of the repository located it
-    (:meth:`~repro.mseed.repository.Repository.locate`): each file's
-    ``(path, uri, extractor)``, and what the extractors read of the files as
-    one block, both in the order given.
+    """The header-only pass over ``located`` — each file's ``(source,
+    extractor)``, by default every file as one listing of the repository
+    located it (:meth:`~repro.mseed.repository.Repository.locate`): those
+    pairs, and what the extractors read of the files as one block, both in
+    the order given.
 
     Files are located and dispatched first — that reads nothing — and
     maximal runs of consecutive files with the same extractor are then
@@ -81,23 +81,21 @@ def metadata_pass(
     does not resolve waits for the files before it.
     """
     if located is None:
-        located = repository.locate()
+        located = repository.locate(registry)
     sources: list[Source] = []
     unresolved: Exception | None = None
     try:
-        for uri, path in located:
-            extractor = repository.extractor_for(path, uri, registry)
-            sources.append((path, uri, extractor))
+        sources.extend(located)
     except Exception as exc:
         unresolved = exc
     blocks: list[MetadataBlock] = []
-    for extractor, run in groupby(sources, key=itemgetter(2)):
-        files = [(path, uri) for path, uri, _ in run]
+    for extractor, run in groupby(sources, key=itemgetter(1)):
+        files = [source for source, _ in run]
         if isinstance(extractor, BatchFormatExtractor):
             blocks.append(extractor.extract_metadata_many(files))
         else:
             blocks.append(views_block(
-                [extractor.extract_metadata(path, uri) for path, uri in files]
+                [extractor.extract_metadata(source) for source in files]
             ))
     if unresolved is not None:
         raise unresolved
@@ -122,7 +120,7 @@ def _incremental_pass(
     _, extracted = metadata_pass(
         repository,
         registry,
-        ((uri, repository.path_of(uri))
+        (repository.source_for(uri, registry)
          for uri, kept in zip(uris, reused.tolist()) if not kept),
     )
     # Each file's position in the block it comes from; a run of files at

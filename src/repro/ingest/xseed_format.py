@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 from ..db.column import RecordRuns
+from ..mseed.iohooks import ByteSource
 from ..mseed.volume import (
     MetadataBlock,
     SelectiveRead,
@@ -35,35 +35,30 @@ class XSeedExtractor:
     format_name = "xseed"
     suffix = ".xseed"
 
-    def extract_metadata(
-        self, path: str | Path, uri: str
-    ) -> ExtractedMetadata:
-        block = self.extract_metadata_many([(path, uri)])
-        return ExtractedMetadata.of(block, 0)
+    def extract_metadata(self, source: ByteSource) -> ExtractedMetadata:
+        return ExtractedMetadata.of(self.extract_metadata_many([source]), 0)
 
     def extract_metadata_many(
-        self, files: Sequence[tuple[str | Path, str]]
+        self, sources: Sequence[ByteSource]
     ) -> MetadataBlock:
-        return read_files_metadata(files, extraction_guard)
+        return read_files_metadata(sources, extraction_guard)
 
-    def mount(self, path: str | Path, uri: str) -> MountedFile:
-        with extraction_guard(uri, path):
-            return _mounted(uri, decode_volume(path, uri=uri))
+    def mount(self, source: ByteSource) -> MountedFile:
+        with extraction_guard(source):
+            return _mounted(source.uri, decode_volume(source))
 
     def mount_selective(
-        self, path: Path, uri: str, request: MountRequest
+        self, source: ByteSource, request: MountRequest
     ) -> MountOutcome:
         spans = request.records
         if spans is not None and not all(s.addressable for s in spans):
             # A byte map with holes (e.g. rows from an older metadata pass)
             # cannot be trusted for seeking; fall back to the header walk.
             spans = None
-        with extraction_guard(uri, path):
-            selected = read_selected_records(
-                path, request.interval, uri=uri, spans=spans
-            )
+        with extraction_guard(source):
+            selected = read_selected_records(source, request.interval, spans)
         return MountOutcome(
-            mounted=_mounted(uri, selected),
+            mounted=_mounted(source.uri, selected),
             bytes_read=selected.bytes_read,
             records_decoded=selected.records_decoded,
             records_skipped=selected.records_skipped,

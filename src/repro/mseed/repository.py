@@ -9,16 +9,17 @@ only, and the mount access path resolves one URI at a time.
 :class:`FileRepository` here, the remote backend
 (:mod:`repro.remote.repository`) and the federated dispatcher
 (:mod:`repro.remote.federation`). Ingestion and mounting resolve everything
-source-specific through its hooks: :meth:`~Repository.path_of` (URI →
-readable local path), :meth:`~Repository.locate` (every URI and its
-readable local path, from one listing), :meth:`~Repository.signature_of`
-(URI → staleness signature), :meth:`~Repository.signatures` (every URI and
-its signature, observed in bulk), :meth:`~Repository.signatures_of` (some
-URIs' signatures, observed ahead where that saves requests — what a query's
-cache scans compare against), :meth:`~Repository.extractor_for` (path →
-format extractor, possibly wrapped) and :meth:`~Repository.owns_uri`
-(federation dispatch). Those that can read, and :meth:`~Repository.uris`,
-also receive the calling query's ``scope`` (its
+source-specific through its hooks: :meth:`~Repository.source_for` (URI →
+the :class:`~repro.mseed.iohooks.ByteSource` its bytes are read through and
+the format extractor that reads them, possibly wrapped),
+:meth:`~Repository.locate` (every file's source and extractor, from one
+listing), :meth:`~Repository.signature_of` (URI → staleness signature),
+:meth:`~Repository.signatures` (every URI and its signature, observed in
+bulk), :meth:`~Repository.signatures_of` (some URIs' signatures, observed
+ahead where that saves requests — what a query's cache scans compare
+against) and :meth:`~Repository.owns_uri` (federation dispatch). Those that
+can read, and :meth:`~Repository.uris`, also receive the calling query's
+``scope`` (its
 :class:`~repro.core.mounting.MountContext`, or None outside a query): a
 backend whose reads can wait or retry runs them under that query's
 cancellation token and retry budget; a local directory has no use for it.
@@ -34,6 +35,7 @@ from stat import S_ISLNK
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol, Sequence
 
 from ..db.errors import FileIngestError, IngestError
+from .iohooks import ByteSource, FileSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycles)
     from ..ingest.formats import FormatExtractor, FormatRegistry
@@ -50,9 +52,13 @@ class Repository(Protocol):
 
     def uris(self, scope: Any = None) -> list[str]: ...
 
-    def locate(self, scope: Any = None) -> Iterator[tuple[str, str | Path]]: ...
+    def locate(
+        self, registry: "FormatRegistry", scope: Any = None
+    ) -> Iterator[tuple[ByteSource, "FormatExtractor"]]: ...
 
-    def path_of(self, uri: str) -> Path: ...
+    def source_for(
+        self, uri: str, registry: "FormatRegistry", scope: Any = None
+    ) -> tuple[ByteSource, "FormatExtractor"]: ...
 
     def signature_of(self, uri: str, scope: Any = None) -> tuple[int, int]: ...
 
@@ -61,14 +67,6 @@ class Repository(Protocol):
     def signatures_of(
         self, uris: Sequence[str], scope: Any = None
     ) -> dict[str, tuple[int, int] | IngestError]: ...
-
-    def extractor_for(
-        self,
-        path: Path,
-        uri: str,
-        registry: "FormatRegistry",
-        scope: Any = None,
-    ) -> "FormatExtractor": ...
 
     def owns_uri(self, uri: str) -> bool: ...
 
@@ -130,14 +128,17 @@ class FileRepository:
     def __iter__(self) -> Iterator[str]:
         return iter(self.uris())
 
-    def locate(self, scope: object = None) -> Iterator[tuple[str, str | Path]]:
-        """Every URI and the path its file is read at, in listing order: the
+    def locate(
+        self, registry: "FormatRegistry", scope: object = None
+    ) -> Iterator[tuple[FileSource, "FormatExtractor"]]:
+        """Every file's source and extractor, in listing order: the
         repository located in one go. The listing's own walk answers for a
         plain entry (where it found it); a symlinked one goes through
         :meth:`path_of` and its containment check when its turn comes, so a
         link that escapes the root raises after the URIs listed before it."""
         for uri, entry in self._listing():
-            yield uri, self.path_of(uri) if entry.is_symlink() else entry.path
+            path = self.path_of(uri) if entry.is_symlink() else entry.path
+            yield FileSource(path, uri), registry.for_path(path)
 
     def _resolve(self, uri: str) -> tuple[str, Optional[os.stat_result]]:
         """The real path of ``uri``, which must lie inside the root, and what
@@ -169,6 +170,7 @@ class FileRepository:
         return resolved, None
 
     def path_of(self, uri: str) -> Path:
+        """The file ``uri`` names, which must lie inside the root."""
         resolved, seen = self._resolve(uri)
         if seen is None and not os.path.exists(resolved):
             raise FileIngestError(
@@ -224,19 +226,15 @@ class FileRepository:
         as it would here, so each scan keeps its own."""
         return {}
 
-    def extractor_for(
-        self,
-        path: Path,
-        uri: str,
-        registry: "FormatRegistry",
-        scope: object = None,
-    ) -> "FormatExtractor":
-        """The format extractor to use for ``uri`` resolved at ``path``.
-
-        The remote backend wraps the registry's choice in a staging adapter;
-        locally the registry's per-suffix dispatch is the whole story.
-        """
-        return registry.for_path(path)
+    def source_for(
+        self, uri: str, registry: "FormatRegistry", scope: object = None
+    ) -> tuple[FileSource, "FormatExtractor"]:
+        """The file ``uri`` names as a byte source, and the extractor the
+        registry's per-suffix dispatch picks for it. The remote backend
+        answers an object and wraps the registry's choice in its
+        ranged-GET adapter."""
+        path = self.path_of(uri)
+        return FileSource(path, uri), registry.for_path(path)
 
     def owns_uri(self, uri: str) -> bool:
         """Does this repository serve ``uri``? (Federation dispatch.)"""

@@ -16,15 +16,19 @@ that reads them where they lie. No :class:`RecordHeader` is built on the
 way: the scalar parser runs only when a check fails, over the same bytes,
 to name the first defect exactly as a record-at-a-time loop would.
 
+Every reader a format extractor uses takes a
+:class:`~repro.mseed.iohooks.ByteSource` — a local file, or bytes held in
+memory — and reads it through its ``open()``, so the installed I/O hook sees
+every read. The tools' readers (:func:`scan_headers`, :func:`read_records`,
+:func:`read_file_metadata`) take a local path and read it the same way.
+
 Every parse failure raises a :class:`~repro.db.errors.FileIngestError`
-subclass carrying the offending URI (the path, unless the caller passes the
-repository URI) and the byte offset of the record that failed, so a corrupt
-file surfaces with enough context to quarantine it.
+subclass carrying the source's URI and the byte offset of the record that
+failed, so a corrupt file surfaces with enough context to quarantine it.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from bisect import bisect_right
 from contextlib import nullcontext
@@ -47,7 +51,7 @@ import numpy as np
 
 from ..db.errors import CorruptFileError, StaleFileError, TruncatedFileError
 from ..db.interval import Interval, overlaps
-from .iohooks import open_volume
+from .iohooks import ByteSource, FileSource, open_volume
 from .record import (
     ENCODING_STEIM1,
     HEADER_DTYPE,
@@ -151,11 +155,11 @@ def coalesce_spans(
     return merged
 
 
-def decode_volume(path: str | Path, uri: str | None = None) -> SelectiveRead:
+def decode_volume(source: ByteSource) -> SelectiveRead:
     """Every record of a volume, decoded file-at-a-time (a whole-file
     mount): one ``read()`` of the file, then :func:`_decoded`."""
-    uri = uri if uri is not None else str(path)
-    with open_volume(path, uri) as handle:
+    uri = source.uri
+    with source.open() as handle:
         buffer = handle.read()
     at, complete = _record_starts(buffer)
     starts = np.asarray(at, dtype=np.int64)
@@ -169,9 +173,8 @@ def decode_volume(path: str | Path, uri: str | None = None) -> SelectiveRead:
 
 
 def read_selected_records(
-    path: str | Path,
+    source: ByteSource,
     interval: Interval,
-    uri: str | None = None,
     spans: Optional[Sequence] = None,
 ) -> SelectiveRead:
     """Decode only the records whose header time span overlaps ``interval``.
@@ -189,23 +192,22 @@ def read_selected_records(
     reads the payloads of the overlapping records, so the payload read +
     Steim decode — the dominant cost — is still skipped.
     """
-    uri = uri if uri is not None else str(path)
-    path = Path(path)
     if spans is not None:
-        return _read_by_byte_map(path, interval, uri, spans)
-    return _read_by_header_walk(path, interval, uri)
+        return _read_by_byte_map(source, interval, spans)
+    return _read_by_header_walk(source, interval)
 
 
 def _read_by_byte_map(
-    path: Path, interval: Interval, uri: str, spans: Sequence
+    source: ByteSource, interval: Interval, spans: Sequence
 ) -> SelectiveRead:
-    size = path.stat().st_size
+    uri = source.uri
     chosen = [s for s in spans if overlaps(interval, s.start_time, s.end_time)]
     ranges = coalesce_spans(
         [(s.byte_offset, s.byte_offset + s.byte_length) for s in chosen], 0
     )
     parts = []
-    with open_volume(path, uri) as handle:
+    with source.open() as handle:
+        size = source.size
         for lo, hi in ranges:
             handle.seek(lo)
             # Never past the end of the file, whatever a stale map claims.
@@ -242,12 +244,11 @@ def _read_by_byte_map(
     )
 
 
-def _read_by_header_walk(
-    path: Path, interval: Interval, uri: str
-) -> SelectiveRead:
+def _read_by_header_walk(source: ByteSource, interval: Interval) -> SelectiveRead:
     """Walk the headers, then read the overlapping records' payloads."""
-    size = path.stat().st_size
-    with open_volume(path, uri) as handle:
+    uri = source.uri
+    with source.open() as handle:
+        size = source.size
         raws, complete = _walk_headers(handle, size)
         if not complete:
             _raise_walk_defect(raws, size, interval, uri)
@@ -484,11 +485,11 @@ def _walk_headers(handle: BinaryIO, size: int) -> tuple[list[bytes], bool]:
     return raws, True
 
 
-def _walk_file(path: str | Path, uri: str) -> tuple[list[bytes], int, bool]:
+def _walk_file(source: ByteSource) -> tuple[list[bytes], int, bool]:
     """:func:`_walk_headers` of one file: its raw headers, its size, and
     whether the walk reached the end."""
-    size = os.stat(path).st_size
-    with open_volume(path, uri) as handle:
+    with source.open() as handle:
+        size = source.size
         raws, complete = _walk_headers(handle, size)
     return raws, size, complete
 
@@ -527,9 +528,9 @@ def scan_headers(
 ) -> list[RecordHeader]:
     """Header-only scan, record by record: the cost is proportional to the
     number of records, not the number of samples."""
-    uri = uri if uri is not None else str(path)
-    raws, size, _ = _walk_file(path, uri)
-    return _unpack_headers(raws, uri, size)
+    source = FileSource(path, uri)
+    raws, size, _ = _walk_file(source)
+    return _unpack_headers(raws, source.uri, size)
 
 
 @dataclass(frozen=True)
@@ -647,25 +648,25 @@ class MetadataBlock:
 # fills it.
 _PARSE_BLOCK_HEADERS = 1 << 12
 
-# One walked file awaiting the parse: path, URI, raw headers, size, complete.
-_Walked = tuple[str | Path, str, list[bytes], int, bool]
-_Guard = Callable[[str, str | Path], ContextManager[None]]
+# One walked file awaiting the parse: source, raw headers, size, complete.
+_Walked = tuple[ByteSource, list[bytes], int, bool]
+_Guard = Callable[[ByteSource], ContextManager[None]]
 
 
-def _unguarded(uri: str, path: str | Path) -> ContextManager[None]:
+def _unguarded(source: ByteSource) -> ContextManager[None]:
     return nullcontext()
 
 
 def read_files_metadata(
-    files: Iterable[tuple[str | Path, str]], guard: _Guard = _unguarded
+    sources: Iterable[ByteSource], guard: _Guard = _unguarded
 ) -> MetadataBlock:
     """What ALi's metadata pass runs: the ``F`` and ``R`` columns of each
-    ``(path, uri)``, in order, as one block. Every file is walked as
+    source, in order, as one block. Every file is walked as
     :func:`scan_headers` walks it; the headers of a whole block of files are
     parsed at once, and the parsed blocks stacked. ``size_bytes`` is the
     size the truncation check used.
 
-    ``guard(uri, path)`` is entered around each file's walk and around its
+    ``guard(source)`` is entered around each file's walk and around its
     scalar re-parse: the caller's error taxonomy, applied per file. The
     first defective file in the order given decides the error raised — a
     walk that fails outright waits for the files walked before it to parse.
@@ -673,14 +674,14 @@ def read_files_metadata(
     blocks: list[MetadataBlock] = []
     walked: list[_Walked] = []
     pending = 0
-    for path, uri in files:
+    for source in sources:
         try:
-            with guard(uri, path):
-                raws, size, complete = _walk_file(path, uri)
+            with guard(source):
+                raws, size, complete = _walk_file(source)
         except Exception:
             _parse_walked(walked, guard)  # an earlier file's defect is first
             raise
-        walked.append((path, uri, raws, size, complete))
+        walked.append((source, raws, size, complete))
         pending += len(raws)
         if pending >= _PARSE_BLOCK_HEADERS:
             blocks.append(_parse_walked(walked, guard))
@@ -693,17 +694,16 @@ def read_file_metadata(
     path: str | Path, uri: str | None = None
 ) -> tuple[FileMetadata, dict[str, np.ndarray]]:
     """:func:`read_files_metadata` of one file, as its per-file view."""
-    uri = uri if uri is not None else str(path)
-    return read_files_metadata([(path, uri)])[0]
+    return read_files_metadata([FileSource(path, uri)])[0]
 
 
 def _raise_first_defect(walked: Sequence[_Walked], guard: _Guard) -> NoReturn:
     """The scalar parser over walked files, in order: the error oracle."""
-    for path, uri, raws, size, _ in walked:
-        with guard(uri, path):
+    for source, raws, size, _ in walked:
+        with guard(source):
             if not raws:
-                raise CorruptFileError("empty volume", uri=uri, offset=0)
-            _unpack_headers(raws, uri, size)
+                raise CorruptFileError("empty volume", uri=source.uri, offset=0)
+            _unpack_headers(raws, source.uri, size)
     raise AssertionError("vector and scalar header checks disagree")
 
 
@@ -719,7 +719,7 @@ def _parse_walked(walked: Sequence[_Walked], guard: _Guard) -> MetadataBlock:
     defect, before any cast an unsound value would reach."""
     if not walked:
         return MetadataBlock.stack([])
-    _, uris, headers, sizes, complete = zip(*walked)
+    sources, headers, sizes, complete = zip(*walked)
     if not (all(headers) and all(complete)):
         _raise_first_defect(walked, guard)
     parsed = np.frombuffer(
@@ -743,7 +743,9 @@ def _parse_walked(walked: Sequence[_Walked], guard: _Guard) -> MetadataBlock:
     )
     # Each file is named by its first header.
     first = parsed["identifiers"][starts]
-    files: dict[str, list[str] | np.ndarray] = {"uri": list(uris)}
+    files: dict[str, list[str] | np.ndarray] = {
+        "uri": [source.uri for source in sources]
+    }
     for name, (at, to) in zip(FILE_COLUMNS[1:5], IDENTIFIER_BOUNDS):
         text = first[:, at:to].tobytes().decode("ascii")
         files[name] = [

@@ -6,8 +6,8 @@ network model (latency, jitter, heavy tails, bandwidth, loss), a
 :class:`ResilientTransport` wraps every request in a per-endpoint circuit
 breaker, a per-query retry budget with jittered backoff, and a per-attempt
 deadline, and a :class:`RemoteRepository` maps the
-engine's selective-mount byte spans onto coalesced **ranged GETs** staged
-into sparse local files. :class:`FederatedRepository` lets one query span
+engine's selective-mount byte spans onto coalesced **ranged GETs** whose
+bodies it holds in memory. :class:`FederatedRepository` lets one query span
 local and remote sources with per-endpoint failure isolation.
 """
 

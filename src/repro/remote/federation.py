@@ -18,13 +18,13 @@ endpoint dropped out.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from ..db.errors import IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ingest.formats import FormatExtractor, FormatRegistry
+    from ..mseed.iohooks import ByteSource
     from ..mseed.repository import Repository
     from .transport import RequestScope
 
@@ -78,15 +78,14 @@ class FederatedRepository:
     def owns_uri(self, uri: str) -> bool:
         return any(member.owns_uri(uri) for member in self.members)
 
-    def path_of(self, uri: str) -> Path:
-        return self._member_for(uri).path_of(uri)
-
     def locate(
-        self, scope: Optional["RequestScope"] = None
-    ) -> Iterator[tuple[str, str | Path]]:
+        self,
+        registry: "FormatRegistry",
+        scope: Optional["RequestScope"] = None,
+    ) -> Iterator[tuple["ByteSource", "FormatExtractor"]]:
         """The members' listings one after another, in member order."""
         for member in self.members:
-            yield from member.locate(scope)
+            yield from member.locate(registry, scope)
 
     def signature_of(
         self, uri: str, scope: Optional["RequestScope"] = None
@@ -106,14 +105,13 @@ class FederatedRepository:
     def total_bytes(self) -> int:
         return sum(member.total_bytes() for member in self.members)
 
-    def extractor_for(
+    def source_for(
         self,
-        path: Path,
         uri: str,
         registry: "FormatRegistry",
         scope: Optional["RequestScope"] = None,
-    ) -> "FormatExtractor":
-        return self._member_for(uri).extractor_for(path, uri, registry, scope)
+    ) -> tuple["ByteSource", "FormatExtractor"]:
+        return self._member_for(uri).source_for(uri, registry, scope)
 
 
 __all__ = ["FederatedRepository"]

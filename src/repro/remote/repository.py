@@ -1,21 +1,29 @@
-"""The remote repository: ranged GETs staged into local files.
+"""The remote repository: ranged GETs whose bodies stay in memory.
 
 A :class:`RemoteRepository` makes an endpoint's object store look like a
 :class:`~repro.mseed.repository.FileRepository` to the rest of the engine.
 The translation happens through the repository protocol hooks:
 
-``path_of``
-    A remote URI resolves to a *staging* path under the repository's
-    staging directory. The file may not exist yet — the extractor wrapper
-    stages exactly the bytes a mount needs before the inner format
-    extractor reads them.
+``source_for`` / ``locate``
+    A remote URI answers a :class:`RemoteObject` — a byte source whose
+    ``open()`` GETs the whole object into a buffer nothing keeps, which is
+    what a metadata walk reads — and the registry's per-suffix extractor
+    wrapped in :class:`RemoteExtractor`, which maps a mount's byte map onto
+    **ranged GETs**: wanted record spans are coalesced (gaps smaller than
+    one request's worth of bandwidth are cheaper to read through than to
+    re-negotiate) and fetched into memory, and the inner extractor then
+    reads an immutable snapshot of what is held exactly as it would read a
+    local volume. Whole-file mounts (non-addressable byte maps, formats
+    without selective mounting) fetch the whole object once. What is held
+    is reused until the remote signature changes. The wrapper observes the
+    object for itself (``observing``): it reports the one version all the
+    bytes it read came from, so the mount layer brackets it with no HEADs.
 ``signature_of``
-    Answered by a HEAD: ``(mtime_ns, size)`` of the remote object, so the
-    mount layer's cache-scan staleness check observes the *remote* file,
-    not the staging copy. A cache scan asks it only for a file the
-    breakpoint did not observe (``signatures_of``). An extraction needs
-    none: every GET answers the object's signature with its bytes (see
-    *staging* below).
+    Answered by a HEAD: ``(mtime_ns, size)`` of the remote object, which
+    the mount layer's cache-scan staleness check compares against. A cache
+    scan asks it only for a file the breakpoint did not observe
+    (``signatures_of``). An extraction needs none: every GET answers the
+    object's signature with its bytes (see *the bytes held* below).
 ``signatures``
     Answered by one LIST (a request per page of 1 000 objects): every
     object's URI and the signature a HEAD of it would have answered. The
@@ -31,22 +39,11 @@ The translation happens through the repository protocol hooks:
     directory, or one past the page, keeps its HEAD at the scan; so does a
     group whose LIST body would stream longer, on a link with a bandwidth,
     than the round trips its HEADs cost.
-``extractor_for``
-    Wraps the registry's per-suffix choice in :class:`RemoteExtractor`,
-    which maps the selective-mount byte map onto **ranged GETs**: wanted
-    record spans are coalesced (gaps smaller than one request's worth of
-    bandwidth are cheaper to read through than to re-negotiate) and fetched
-    into a sparse staging file; the inner extractor then seeks the staging
-    file exactly as it would a local volume. Whole-file paths (metadata
-    extraction, non-addressable byte maps) stage the whole object once and
-    reuse it until the remote signature changes. The wrapper observes the
-    object for itself (``observing``): it reports the one version all the
-    bytes it read came from, so the mount layer brackets it with no HEADs.
 
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (per-endpoint circuit breaker, retry budget, deadlines), so every
 failure surfaces as a typed error naming the endpoint. ``uris``,
-``signatures``, ``signature_of``, ``signatures_of`` and ``extractor_for``
+``signatures``, ``signature_of``, ``signatures_of`` and ``source_for``
 take the calling query's ``scope`` (its
 :class:`~repro.core.mounting.MountContext`) and hand it down to every
 request they cause, so the query's token interrupts them and they spend
@@ -58,6 +55,10 @@ time — where skip-and-report can degrade gracefully — instead of killing
 metadata resolution outright. The remembered listing is names only: a
 signature is always an observation the call itself made, so
 ``signatures()`` raises where ``uris()`` falls back.
+
+Nothing is written to disk: the repository holds each fetched object's GET
+bodies, keyed by object and tagged with the version they are of, and a mount
+reads a snapshot of them taken under the repository's lock.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence
 
 from .. import _sync
 from ..db.errors import (
@@ -82,6 +82,7 @@ from ..ingest.formats import (
     MountRequest,
     SelectiveFormatExtractor,
 )
+from ..mseed.iohooks import BufferSource, ByteSource
 from ..mseed.volume import coalesce_spans
 from . import simstore
 from .simstore import SimulatedObjectStore
@@ -115,12 +116,47 @@ def _subtract_ranges(
 
 @dataclass
 class _StagedFile:
-    """What of one object the staging file currently holds, and for which
-    remote version."""
+    """What of one object is held in memory, and for which remote version:
+    its GET bodies as ``(offset, bytes)`` pieces, sorted, with any that
+    overlap or touch joined."""
 
     signature: tuple[int, int]
-    ranges: list[tuple[int, int]] = field(default_factory=list)
-    whole: bool = False
+    pieces: list[tuple[int, bytes]] = field(default_factory=list)
+
+    @property
+    def ranges(self) -> list[tuple[int, int]]:
+        return [(start, start + len(data)) for start, data in self.pieces]
+
+    @property
+    def whole(self) -> bool:
+        return self.ranges == [(0, self.signature[1])]
+
+    def snapshot(self, uri: str) -> BufferSource:
+        """What is held now, as a byte source no later fetch changes: an
+        object of the version's size, whose holes read as zeros."""
+        data = bytearray(self.signature[1])
+        for start, piece in self.pieces:
+            data[start : start + len(piece)] = piece
+        return BufferSource(uri, data)
+
+
+def _placed(
+    pieces: list[tuple[int, bytes]], start: int, data: bytes
+) -> list[tuple[int, bytes]]:
+    """``pieces`` with ``data`` laid at ``start``: any piece it overlaps or
+    touches is joined into it (both are bytes of one version)."""
+    end = start + len(data)
+    kept = []
+    for offset, held in pieces:
+        if offset + len(held) < start or offset > end:
+            kept.append((offset, held))
+            continue
+        if offset < start:
+            data, start = held[: start - offset] + data, offset
+        if offset + len(held) > end:
+            data, end = data + held[end - offset :], offset + len(held)
+    kept.append((start, data))
+    return sorted(kept)  # by offset: pieces never share one
 
 
 def _missing(
@@ -143,12 +179,13 @@ def _missing(
 
 
 class Staged(NamedTuple):
-    """What a staging call answers: the remote version every staged byte of
-    the object is of, and the remote bytes this call moved to get the
-    wanted ones there (0: staging already held them)."""
+    """What a fetch answers: the remote version every held byte of the
+    object is of, the remote bytes this call moved to get the wanted ones
+    (0: they were held already), and a snapshot of what is held."""
 
     signature: tuple[int, int]
     moved: int
+    source: BufferSource
 
 
 @dataclass
@@ -156,7 +193,7 @@ class RemoteRepositoryStats:
     remote_bytes: int = 0  # bytes actually moved off the endpoint
     ranged_gets: int = 0  # coalesced ranged GETs issued
     whole_fetches: int = 0  # whole-object GETs issued
-    staged_reuses: int = 0  # calls fully served from the staging file
+    staged_reuses: int = 0  # calls fully served from the bytes held
     invalidations: int = 0  # staged state dropped: remote signature changed
     listing_fallbacks: int = 0  # uris() served from the last-known listing
 
@@ -168,18 +205,14 @@ class RemoteRepository:
     def __init__(
         self,
         store: SimulatedObjectStore,
-        staging_dir: str | Path,
+        staging_dir: object = None,
         policy: TransportPolicy = TransportPolicy(),
         suffix: str | tuple[str, ...] = (".xseed", ".tscsv"),
     ) -> None:
+        # ``staging_dir`` is accepted and ignored: some callers still pass
+        # one, and nothing is written to disk.
         self.endpoint = store.endpoint
         self.transport = ResilientTransport(store, policy)
-        self.staging_root = Path(staging_dir)
-        self.staging_root.mkdir(parents=True, exist_ok=True)
-        # Containment is checked against this on every URI resolution; the
-        # root itself does not move, so its realpath walk happens once.
-        self._resolved_root = os.path.realpath(self.staging_root)
-        self._inside_root = os.path.join(self._resolved_root, "")
         self.suffixes = (suffix,) if isinstance(suffix, str) else tuple(suffix)
         # Gaps that stream faster than one request round-trips are cheaper to
         # read through than to split.
@@ -235,12 +268,10 @@ class RemoteRepository:
         return endpoint_of(uri) == self.endpoint
 
     def locate(
-        self, scope: Optional[RequestScope] = None
-    ) -> Iterator[tuple[str, Path]]:
-        """Every URI and its staging path, in listing order, each path made
-        when its turn comes."""
-        for uri in self.uris(scope):
-            yield uri, self.path_of(uri)
+        self, registry: FormatRegistry, scope: Optional[RequestScope] = None
+    ) -> Iterator[tuple["RemoteObject", "RemoteExtractor"]]:
+        """Every object's source and extractor, in listing order."""
+        return (self.source_for(uri, registry, scope) for uri in self.uris(scope))
 
     def _key(self, uri: str) -> str:
         try:
@@ -253,18 +284,6 @@ class RemoteRepository:
                 f"not {self.endpoint!r}"
             )
         return key
-
-    def path_of(self, uri: str) -> Path:
-        """The URI's staging path (created lazily; may not exist yet)."""
-        resolved = os.path.realpath(
-            os.path.join(self._resolved_root, self._key(uri))
-        )
-        if not (resolved + os.sep).startswith(self._inside_root):
-            raise IngestError(f"URI {uri!r} escapes the staging root")
-        parent = os.path.dirname(resolved)
-        if not os.path.isdir(parent):
-            os.makedirs(parent, exist_ok=True)
-        return Path(resolved)
 
     def signature_of(
         self, uri: str, scope: Optional[RequestScope] = None
@@ -335,25 +354,31 @@ class RemoteRepository:
     def total_bytes(self) -> int:
         return sum(size for _, size in self.signatures().values())
 
-    def extractor_for(
+    def source_for(
         self,
-        path: Path,
         uri: str,
         registry: FormatRegistry,
         scope: Optional[RequestScope] = None,
-    ) -> FormatExtractor:
-        return RemoteExtractor(self, registry.for_path(path), scope=scope)
+    ) -> tuple["RemoteObject", "RemoteExtractor"]:
+        """The object ``uri`` names, and the registry's extractor for it in
+        the ranged-GET adapter; every request either makes runs under
+        ``scope``."""
+        source = RemoteObject(self, uri, self._key(uri), scope)
+        extractor = RemoteExtractor(self, registry.for_path(uri), scope=scope)
+        return source, extractor
 
     def close(self) -> None:
         """Nothing to release: every request runs on its caller's thread."""
 
-    # -- staging -------------------------------------------------------------
+    # -- the bytes held ------------------------------------------------------
     #
-    # Every GET answers the object's signature with its bytes, so staging
-    # needs no HEAD to know which version it holds: the first response of a
-    # call says, and each later GET of the call is conditional (``if_match``)
-    # on it. Whatever happens to the object meanwhile, what is staged under
-    # one signature is bytes of that one version.
+    # Every GET answers the object's signature with its bytes, so the
+    # repository needs no HEAD to know which version it holds: the first
+    # response of a call says, and each later GET of the call is conditional
+    # (``if_match``) on it. Whatever happens to the object meanwhile, what is
+    # held under one signature is bytes of that one version. Fetches of one
+    # object are serialised by its lock, and each answers a snapshot taken
+    # under it, so a reader never sees another fetch's bytes.
 
     def _lock_for(self, key: str) -> threading.Lock:
         with self._lock:
@@ -370,7 +395,7 @@ class RemoteRepository:
     def _staged_of(
         self, key: str, observed: Optional[tuple[int, int]]
     ) -> Optional[_StagedFile]:
-        """What is staged for ``key`` — dropped, if ``observed`` (the
+        """What is held for ``key`` — dropped, if ``observed`` (the
         object's current signature, when something has observed it) says it
         is of another version."""
         with self._lock:
@@ -380,45 +405,14 @@ class RemoteRepository:
                 entry = None
             return entry
 
-    def _sized(self, uri: str, size: int) -> Path:
-        """The staging file, made to exist at exactly ``size`` bytes: byte-map
-        readers stat it to validate span bounds before seeking, whether or
-        not anything (or anything *new*) was fetched into it."""
-        path = self.path_of(uri)
-        if not path.exists() or path.stat().st_size != size:
-            with open(path, "wb") as handle:
-                handle.truncate(size)
-        return path
-
-    def check_staged(self, uri: str, signature: tuple[int, int]) -> None:
-        """Raise :class:`StaleFileError` unless what is staged for ``uri`` is
-        still of ``signature``.
-
-        For a reader to call *after* it has read the staging file: staging
-        is serialised per object but reading is not, so another extraction
-        may have staged a newer version underneath. An entry changes hands
-        before a byte of another version is written, so a reader that still
-        finds its own read nothing of any other.
-        """
-        key = self._key(uri)
-        with self._lock:
-            entry = self._staged.get(key)
-        current = None if entry is None else entry.signature
-        if current != signature:
-            raise StaleFileError(
-                "staged copy replaced while it was being read "
-                f"(version {signature} -> {current})",
-                uri=uri,
-            )
-
     def ensure_whole(
         self,
         uri: str,
         signature: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
     ) -> Staged:
-        """Stage the whole object; answers the version staged and the remote
-        bytes moved (0 on reuse).
+        """Fetch the whole object into memory; answers the version held, the
+        remote bytes moved (0 on reuse) and a snapshot.
 
         ``signature`` is the caller's own fresh observation of the object
         (see :meth:`fetch_spans`): a whole copy of that version is reused
@@ -436,23 +430,18 @@ class RemoteRepository:
             if entry is not None and entry.whole:
                 with self._lock:
                     self.stats.staged_reuses += 1
-                return Staged(entry.signature, 0)
+                return Staged(entry.signature, 0, entry.snapshot(uri))
             stat, data = self.transport.get(
                 key, 0, None, signature, uri=uri, scope=scope
             )
+            held = _StagedFile(stat.signature, [(0, data)])
             with self._lock:
                 if entry is not None and entry.signature != stat.signature:
                     self._drop_locked(key)
-                self._staged[key] = _StagedFile(
-                    signature=stat.signature,
-                    ranges=[(0, len(data))],
-                    whole=True,
-                )
+                self._staged[key] = held
                 self.stats.whole_fetches += 1
                 self.stats.remote_bytes += len(data)
-            with open(self._sized(uri, len(data)), "r+b") as handle:
-                handle.write(data)
-            return Staged(stat.signature, len(data))
+            return Staged(stat.signature, len(data), held.snapshot(uri))
 
     def fetch_spans(
         self,
@@ -461,26 +450,26 @@ class RemoteRepository:
         signature: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
     ) -> Staged:
-        """Stage the ``(byte_offset, byte_length)`` spans; answers the
-        version they are staged under and the remote bytes moved (0 when
-        staging already covers them).
+        """Fetch the ``(byte_offset, byte_length)`` spans into memory;
+        answers the version they are held under, the remote bytes moved (0
+        when they were all held already) and a snapshot of what is held.
 
         Missing ranges are coalesced under the bandwidth model and fetched
-        as ranged GETs into a size-exact sparse staging file, so the inner
-        extractor's seeks and its truncation checks see the real object
-        size while untouched regions cost nothing.
+        as ranged GETs. The snapshot reads as an object of the real size, so
+        the inner extractor's seeks and its truncation checks see that size,
+        while what was never fetched costs nothing.
 
         ``signature`` is the ``(mtime_ns, size)`` the caller has just
-        observed, when it has: staged ranges of any other version are
+        observed, when it has: held ranges of any other version are
         dropped and every GET is conditional on it. Without one the GETs
         observe for themselves — the first takes whatever version is there
-        (or, when ranges are already staged, is conditional on theirs: they
+        (or, when ranges are already held, is conditional on theirs: they
         are only *presumed* current, and are dropped and fetched again when
         the response says otherwise), and every later one is conditional on
         what the first answered. A conditional GET refused once a version
         has been observed is the object changing under this call: a
         transient :class:`StaleFileError`, with nothing of the dead version
-        left staged. A request with nothing to fetch has no response to
+        left held. A request with nothing to fetch has no response to
         observe by and costs exactly one HEAD instead. Every request issued
         here runs under ``scope``.
         """
@@ -505,7 +494,7 @@ class RemoteRepository:
         observed the object to be; None until something has."""
         entry = self._staged_of(key, observed)
         # What the next GET is conditional on: an observation, else the
-        # version of what is staged, else (None) nothing.
+        # version of what is held, else (None) nothing.
         version = observed if entry is None else entry.signature
         missing = _missing(wanted, version, entry)
         if not missing and observed is None:
@@ -516,13 +505,12 @@ class RemoteRepository:
             missing = _missing(wanted, version, entry)
         fetchable = coalesce_spans(missing, self.coalesce_gap_bytes)
         if not fetchable:
-            assert version is not None  # handed down, staged, or the HEAD's
+            assert version is not None  # handed down, held, or the HEAD's
             with self._lock:
                 self.stats.staged_reuses += 1
                 if entry is None:
-                    self._staged[key] = _StagedFile(signature=version)
-            self._sized(uri, version[1])
-            return Staged(version, 0)
+                    entry = self._staged[key] = _StagedFile(signature=version)
+            return Staged(version, 0, entry.snapshot(uri))
         moved = 0
         for start, end in fetchable:
             try:
@@ -541,31 +529,51 @@ class RemoteRepository:
                 entry = _StagedFile(signature=version)
                 with self._lock:
                     self._staged[key] = entry
-            with open(self._sized(uri, stat.size), "r+b") as handle:
-                handle.seek(start)
-                handle.write(data)
             moved += len(data)
             with self._lock:
-                entry.ranges = coalesce_spans(
-                    entry.ranges + [(start, start + len(data))], gap_bytes=0
-                )
-                entry.whole = entry.ranges == [(0, stat.size)]
+                entry.pieces = _placed(entry.pieces, start, data)
                 self.stats.ranged_gets += 1
                 self.stats.remote_bytes += len(data)
-        return Staged(version, moved)
+        return Staged(version, moved, entry.snapshot(uri))
+
+
+@dataclass
+class RemoteObject:
+    """One remote object as a byte source. Each ``open()`` is one GET of the
+    whole object, whatever version is there, into a buffer nothing keeps —
+    what a metadata walk reads — and ``size`` is the size that GET read."""
+
+    repository: RemoteRepository
+    uri: str
+    key: str
+    scope: Optional[RequestScope] = None
+    size: Optional[int] = None
+
+    def open(self) -> BinaryIO:
+        repository = self.repository
+        _, data = repository.transport.get(
+            self.key, 0, None, None, uri=self.uri, scope=self.scope
+        )
+        with repository._lock:
+            repository.stats.whole_fetches += 1
+            repository.stats.remote_bytes += len(data)
+        self.size = len(data)
+        return BufferSource(self.uri, data).open()
 
 
 class RemoteExtractor:
-    """Wraps a format extractor so its reads hit a staged remote object.
+    """Wraps a format extractor so its mounts read a remote object's bytes
+    from memory.
 
     ``bytes_read`` in the returned outcomes is redefined as *remote bytes
     moved by this call* — the number the bandwidth model, the governor's
     byte budget, and the ranged-GET benchmark all care about. A mount fully
-    served from the staging file reports 0, exactly like a page-cache hit.
+    served from the bytes held reports 0, exactly like a page-cache hit.
 
     A mount through it needs no signature taken before or after: the
     responses that carry the bytes say which version they are of
-    (:meth:`observing`, :attr:`observed`).
+    (:meth:`observing`, :attr:`observed`), and the inner extractor reads a
+    snapshot of exactly those bytes.
     """
 
     def __init__(
@@ -608,52 +616,32 @@ class RemoteExtractor:
     def suffix(self) -> str:
         return self.inner.suffix
 
-    def _read_was_of(self, uri: str, staged: Staged) -> None:
-        """The read of the staging file just made was of ``staged``'s
-        version, or (re-staged underneath by another extraction) is void."""
-        self.repository.check_staged(uri, staged.signature)
+    def extract_metadata(self, source: ByteSource):
+        """The inner format's header-only read of ``source`` (of a
+        :class:`RemoteObject`: one whole GET, nothing kept)."""
+        return self.inner.extract_metadata(source)
+
+    def mount(self, source: ByteSource):
+        staged = self.repository.ensure_whole(
+            source.uri, self.signature, self.scope
+        )
+        mounted = self.inner.mount(staged.source)
         self.observed = staged.signature
-
-    def extract_metadata(self, path: Path, uri: str):
-        self.repository.ensure_whole(uri, self.signature, self.scope)
-        return self.inner.extract_metadata(path, uri)
-
-    def mount(self, path: Path, uri: str):
-        staged = self.repository.ensure_whole(uri, self.signature, self.scope)
-        mounted = self.inner.mount(path, uri)
-        self._read_was_of(uri, staged)
         return mounted
 
     def mount_selective(
-        self, path: Path, uri: str, request: MountRequest
+        self, source: ByteSource, request: MountRequest
     ) -> MountOutcome:
-        inner = self.inner
-        spans = request.records
+        inner, spans = self.inner, request.records
         selective_inner = isinstance(inner, SelectiveFormatExtractor)
         if (
-            not selective_inner
-            or request.selects_all
-            or spans is None
-            or not all(span.addressable for span in spans)
+            selective_inner
+            and not request.selects_all
+            and spans is not None
+            and all(span.addressable for span in spans)
         ):
-            # No trustworthy byte map (or the request wants everything):
-            # stage the whole object — a header walk over a partially
-            # staged sparse file would parse zeros as corruption.
-            staged = self.repository.ensure_whole(
-                uri, self.signature, self.scope
-            )
-            if selective_inner:
-                outcome = inner.mount_selective(path, uri, request)
-            else:
-                outcome = MountOutcome(
-                    mounted=inner.mount(path, uri),
-                    bytes_read=0,
-                    records_decoded=0,
-                    records_skipped=0,
-                )
-        else:
             staged = self.repository.fetch_spans(
-                uri,
+                source.uri,
                 [
                     (span.byte_offset, span.byte_length)
                     for span in spans
@@ -662,14 +650,25 @@ class RemoteExtractor:
                 self.signature,
                 self.scope,
             )
-            outcome = inner.mount_selective(path, uri, request)
-        self._read_was_of(uri, staged)
+        else:
+            # No trustworthy byte map (or the request wants everything):
+            # fetch the whole object — a header walk over a partly fetched
+            # object would parse its holes' zeros as corruption.
+            staged = self.repository.ensure_whole(
+                source.uri, self.signature, self.scope
+            )
+        if selective_inner:
+            outcome = inner.mount_selective(staged.source, request)
+        else:
+            outcome = MountOutcome(inner.mount(staged.source), 0, 0, 0)
+        self.observed = staged.signature
         return replace(outcome, bytes_read=staged.moved)
 
 
 __all__ = [
     "DEFAULT_COALESCE_GAP_BYTES",
     "RemoteExtractor",
+    "RemoteObject",
     "RemoteRepository",
     "RemoteRepositoryStats",
     "Staged",

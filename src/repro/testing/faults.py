@@ -25,7 +25,9 @@ Kinds
 ``stale-flip``
     The read succeeds, then the file's mtime is bumped — a mid-extraction
     rewrite. The post-extraction signature check turns it into a transient
-    ``StaleFileError``, and the retry re-reads a now-stable file.
+    ``StaleFileError``, and the retry re-reads a now-stable file. Bytes
+    held in memory (a remote object's, once fetched) have no file to bump:
+    the read just succeeds.
 ``connection-refused`` / ``mid-stream-disconnect`` / ``stall``
     Network-shaped kinds for the remote backend: the first two raise
     ``ConnectionRefusedError`` / ``ConnectionResetError`` (OSError
@@ -203,7 +205,7 @@ class FaultPlan:
 
     # -- hook protocol -------------------------------------------------------
 
-    def wrap(self, path: Path, uri: str, handle: BinaryIO) -> BinaryIO:
+    def wrap(self, path: Optional[Path], uri: str, handle: BinaryIO) -> BinaryIO:
         return _FaultyHandle(self, path, uri, handle)
 
     @contextmanager
@@ -260,7 +262,7 @@ class _FaultyHandle:
     """A binary file handle that consults the plan before every read."""
 
     def __init__(
-        self, plan: FaultPlan, path: Path, uri: str, handle: BinaryIO
+        self, plan: FaultPlan, path: Optional[Path], uri: str, handle: BinaryIO
     ) -> None:
         self._plan = plan
         self._path = path
@@ -300,7 +302,8 @@ class _FaultyHandle:
         # stale-flip: serve the bytes, then mutate the file's signature so
         # the post-extraction re-stat sees a different (mtime, size).
         data = self._handle.read(n)
-        self._plan._flip_mtime(self._path)
+        if self._path is not None:
+            self._plan._flip_mtime(self._path)
         return data
 
     # Everything else passes straight through to the real handle.

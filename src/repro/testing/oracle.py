@@ -463,13 +463,13 @@ class Engine:
         self.point, self.root = point, Path(root)
         self.stores: list[SimulatedObjectStore] = []
         self.remotes: list[RemoteRepository] = []
-        self.repository = self._repository(scratch / "staging")
+        self.repository = self._repository()
         self.metastore, self.service = None, None
         if point.metastore != "none":
             sidecar = scratch / "metastore.json"
             if point.metastore != "cold":  # harvested by an earlier session
                 lazy_ingest_metadata(
-                    Database(), self._repository(scratch / "harvest", False),
+                    Database(), self._repository(),
                     metastore=MetadataStore(sidecar),
                 )
                 if point.metastore == "stale":
@@ -522,14 +522,11 @@ class Engine:
 
         self.executor._top_n_termination = armed
 
-    def _repository(self, staging: Path, keep: bool = True) -> Any:
+    def _repository(self) -> Any:
         def remote(root: Path) -> RemoteRepository:
-            store = SimulatedObjectStore(ENDPOINT, root)
-            repository = RemoteRepository(store, staging, policy=TRANSPORT)
-            if keep:
-                self.stores.append(store)
-                self.remotes.append(repository)
-            return repository
+            self.stores.append(SimulatedObjectStore(ENDPOINT, root))
+            self.remotes.append(RemoteRepository(self.stores[-1], policy=TRANSPORT))
+            return self.remotes[-1]
 
         if self.point.source == "local":
             return FileRepository(self.root, SUFFIXES)
@@ -627,7 +624,7 @@ def fault_plan(script: FaultScript, reference: Reference) -> _Plan:
     a record start of its file, so it fires on the first read that covers
     that record: a whole-file mount's, a selective mount's when the record
     is selected, and for a network fault the GET that moves the record when
-    staging is cold."""
+    nothing of the object is held yet."""
     # Half the network faults change the object mid-GET (a torn response,
     # then a 412 for whatever the retry presumed).
     kinds = (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mseed.iohooks import FileSource
 from repro.core import TwoStageExecutor
 from repro.db import Database
 from repro.db.errors import (
@@ -342,7 +343,8 @@ class TestFirstDefectThroughTheMountPath:
     def test_first_defect_decides_the_error(self, repo, selective, first):
         victim = repo.uris()[1]
         path = repo.path_of(victim)
-        spans = XSeedExtractor().extract_metadata(path, victim).records.spans()
+        extracted = XSeedExtractor().extract_metadata(FileSource(path, victim))
+        spans = extracted.records.spans()
         window = (spans[1].start_time, spans[5].end_time)
         sql = SQL + (
             f" WHERE D.sample_time >= '{format_timestamp(window[0])}'"

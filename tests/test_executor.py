@@ -225,7 +225,7 @@ class TestListingOffTheQueryPath:
 
     def test_remote_repository_sends_no_list(self, tiny_repo, tmp_path):
         store = SimulatedObjectStore("seis-eu", tiny_repo.root)
-        repo = RemoteRepository(store, tmp_path / "staging")
+        repo = RemoteRepository(store)
         db = Database()
         lazy_ingest_metadata(db, repo)
         executor = TwoStageExecutor(db, RepositoryBinding(repo))

@@ -10,6 +10,8 @@ same-seed runs).
 
 from __future__ import annotations
 
+import collections
+import io
 import threading
 import time
 
@@ -26,7 +28,7 @@ from repro.mseed import (
     read_file_metadata,
     read_records,
 )
-from repro.mseed.iohooks import get_volume_io_hook
+from repro.mseed.iohooks import get_volume_io_hook, set_volume_io_hook
 from repro.testing import (
     FAULT_KINDS,
     READ_LATENCY,
@@ -301,3 +303,49 @@ class TestEngineDeterminism:
             with pytest.raises(FileIngestError) as excinfo:
                 executor.execute(COUNT_SQL)
         assert excinfo.value.mount_uri == victim
+
+
+# -- a CSV file reads through the hook like a volume --------------------------------
+
+
+class _ByteCounter(collections.Counter):
+    """A volume I/O hook: the bytes read of each URI."""
+
+    def wrap(self, path, uri, handle):
+        with handle:
+            data = handle.read()
+        self[uri] += len(data)
+        return io.BytesIO(data)
+
+
+class TestCsvReadsThroughTheHook:
+    SQL = "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri"
+
+    @pytest.fixture()
+    def mixed(self, mixed_reference):
+        """The mixed repository, and the URI of its one CSV file."""
+        repo = FileRepository(mixed_reference.root, (".xseed", ".tscsv"))
+        [csv] = [uri for uri in repo.uris() if uri.endswith(".tscsv")]
+        return repo, csv
+
+    def test_a_transient_csv_fault_is_retried_to_the_same_answer(self, mixed):
+        repo, csv = mixed
+        clean = _executor(repo).execute(self.SQL).rows
+        executor = _executor(repo)
+        plan = FaultPlan([FaultSpec(uri_suffix=csv, kind=TRANSIENT_OSERROR)])
+        with plan.install():
+            outcome = executor.execute(self.SQL)
+        assert outcome.rows == clean
+        assert [(f.uri, f.kind) for f in plan.log] == [(csv, TRANSIENT_OSERROR)]
+        assert outcome.trace.counters["restarts"] == 1
+
+    def test_a_counting_hook_sees_the_csv_files_bytes(self, mixed):
+        repo, csv = mixed
+        executor = _executor(repo)
+        counter = _ByteCounter()
+        previous = set_volume_io_hook(counter)
+        try:
+            executor.execute(self.SQL)
+        finally:
+            set_volume_io_hook(previous)
+        assert counter[csv] == repo.path_of(csv).stat().st_size

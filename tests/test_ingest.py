@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.mseed.iohooks import FileSource
 from repro.core.metastore import MetadataStore
 from repro.db import Database
 from repro.db.errors import CorruptFileError, IngestError
@@ -69,8 +70,8 @@ class TestXSeedExtractor:
         extractor = XSeedExtractor()
         uri = tiny_repo.uris()[0]
         path = tiny_repo.path_of(uri)
-        extracted = extractor.extract_metadata(path, uri)
-        mounted = extractor.mount(path, uri)
+        extracted = extractor.extract_metadata(FileSource(path, uri))
+        mounted = extractor.mount(FileSource(path, uri))
         assert extracted.file_row.nsamples == mounted.num_rows
         assert extracted.file_row.uri == uri
         assert len(extracted.records) == extracted.file_row.nrecords
@@ -79,7 +80,7 @@ class TestXSeedExtractor:
         extractor = XSeedExtractor()
         uri = tiny_repo.uris()[0]
         path = tiny_repo.path_of(uri)
-        mounted = extractor.mount(path, uri)
+        mounted = extractor.mount(FileSource(path, uri))
         records = read_records(path)
         direct = np.concatenate([r.samples for r in records]).astype(np.float64)
         assert np.array_equal(mounted.sample_value, direct)
@@ -89,7 +90,7 @@ class TestXSeedExtractor:
     def test_sample_times_monotonic_within_record(self, tiny_repo):
         extractor = XSeedExtractor()
         uri = tiny_repo.uris()[0]
-        mounted = extractor.mount(tiny_repo.path_of(uri), uri)
+        mounted = extractor.mount(FileSource(tiny_repo.path_of(uri), uri))
         first = mounted.record_id == 0
         times = mounted.sample_time[first]
         assert np.all(np.diff(times) > 0)
@@ -106,7 +107,7 @@ class TestCsvExtractor:
 
     def test_metadata_only(self, tmp_path):
         path, values = self.write(tmp_path)
-        extracted = CsvExtractor().extract_metadata(path, "w.tscsv")
+        extracted = CsvExtractor().extract_metadata(FileSource(path, "w.tscsv"))
         assert extracted.file_row.station == "AMS"
         assert extracted.file_row.nsamples == len(values)
         assert len(extracted.records) == 1
@@ -114,7 +115,7 @@ class TestCsvExtractor:
 
     def test_mount_roundtrip(self, tmp_path):
         path, values = self.write(tmp_path)
-        mounted = CsvExtractor().mount(path, "w.tscsv")
+        mounted = CsvExtractor().mount(FileSource(path, "w.tscsv"))
         assert np.allclose(mounted.sample_value, values)
         assert mounted.sample_time[0] == 1_000_000
         assert np.all(np.diff(mounted.sample_time) == 2_000_000)
@@ -123,24 +124,24 @@ class TestCsvExtractor:
         path = tmp_path / "bad.tscsv"
         path.write_text("# station=A\nt_us,value\n1,2\n")
         with pytest.raises(IngestError):
-            CsvExtractor().extract_metadata(path, "bad.tscsv")
+            CsvExtractor().extract_metadata(FileSource(path, "bad.tscsv"))
 
     def test_sample_count_mismatch(self, tmp_path):
         path, _ = self.write(tmp_path, n=5)
         text = path.read_text().rstrip().rsplit("\n", 1)[0] + "\n"
         path.write_text(text)  # drop one body row
         with pytest.raises(IngestError):
-            CsvExtractor().mount(path, "w.tscsv")
+            CsvExtractor().mount(FileSource(path, "w.tscsv"))
 
     def test_body_longer_than_header_claims(self, tmp_path):
         path, _ = self.write(tmp_path, n=5)
         path.write_text(path.read_text() + "99000000,1.5\n")
         with pytest.raises(CorruptFileError, match="claims 5 samples"):
-            CsvExtractor().mount(path, "w.tscsv")
+            CsvExtractor().mount(FileSource(path, "w.tscsv"))
 
     def test_empty_file_mounts_one_empty_record(self, tmp_path):
         path, _ = self.write(tmp_path, n=0)
-        mounted = CsvExtractor().mount(path, "w.tscsv")
+        mounted = CsvExtractor().mount(FileSource(path, "w.tscsv"))
         assert len(mounted.sample_value) == 0 and mounted.records == 1
 
     def test_selective_mount_without_byte_map(self, tmp_path):
@@ -150,12 +151,12 @@ class TestCsvExtractor:
         prefix = len(path.read_text().split("t_us")[0])
         extractor = CsvExtractor()
         miss = extractor.mount_selective(
-            path, "w.tscsv", MountRequest(interval=(50_000_000, 60_000_000))
+            FileSource(path, "w.tscsv"), MountRequest(interval=(50_000_000, 60_000_000))
         )
         assert (miss.bytes_read, miss.records_decoded) == (prefix, 0)
         assert miss.records_skipped == 1 and len(miss.mounted.sample_value) == 0
         hit = extractor.mount_selective(
-            path, "w.tscsv", MountRequest(interval=(0, 3_000_000))
+            FileSource(path, "w.tscsv"), MountRequest(interval=(0, 3_000_000))
         )
         assert (hit.bytes_read, hit.records_decoded) == (path.stat().st_size, 1)
         assert np.allclose(hit.mounted.sample_value, values)
@@ -434,7 +435,7 @@ def _file_by_file_tables(repo):
             meta, records = read_file_metadata(path, uri)
             f_rows.append((uri, *dataclasses.astuple(meta)))
         else:
-            extracted = CsvExtractor().extract_metadata(path, uri)
+            extracted = CsvExtractor().extract_metadata(FileSource(path, uri))
             f_rows.append(dataclasses.astuple(extracted.file_row))
             records = vars(extracted.records)
         r_rows += [

@@ -249,6 +249,39 @@ def test_unused_import_fires_on_a_name_nothing_reads(tmp_path):
     assert _rules_fired(violations) == {"unused-import"}
 
 
+def test_read_through_volume_hook_fires_on_reads_past_the_hook(tmp_path):
+    """A builtin ``open()`` that may read, and a whole-file ``Path`` read;
+    writers pass."""
+    violations = _lint_source(
+        tmp_path,
+        """
+        def f(path, mode):
+            with open(path) as handle:
+                handle.read()
+            with open(path, "rb"), open(path, "r+b"), open(path, mode=mode):
+                pass
+            with open(path, "wb") as out, open(path, mode="a"):
+                out.write(path.read_bytes() + path.read_text().encode())
+        """,
+        relpath="repro/ingest/reader.py",
+    )
+    assert _rules_fired(violations) == {"read-through-volume-hook"}
+    assert [v.line for v in violations] == [3, 5, 5, 5, 8, 8]
+
+
+def test_read_through_volume_hook_spares_open_volume_and_other_packages(
+    tmp_path,
+):
+    source = """
+        def open_volume(path, uri=None):
+            return open(path, "rb")
+        """
+    for n, relpath in enumerate(["repro/mseed/iohooks.py", "repro/serve/x.py"]):
+        assert _lint_source(tmp_path / str(n), source, relpath=relpath) == []
+    violations = _lint_source(tmp_path, source, relpath="repro/mseed/other.py")
+    assert _rules_fired(violations) == {"read-through-volume-hook"}
+
+
 # -- framework behavior ---------------------------------------------------------
 
 

@@ -340,19 +340,19 @@ class FlakyExtractor:
         self.mount_calls = 0
         self._inner = XSeedExtractor()
 
-    def extract_metadata(self, path, uri):
-        return self._inner.extract_metadata(path, uri)
+    def extract_metadata(self, source):
+        return self._inner.extract_metadata(source)
 
-    def mount(self, path, uri):
+    def mount(self, source):
         self.mount_calls += 1
         if self.mount_calls <= self.fail_times:
             raise FileIngestError(
                 "injected flake",
-                uri=uri,
+                uri=source.uri,
                 transient=self.transient,
                 endpoint=self.endpoint,
             )
-        return self._inner.mount(path, uri)
+        return self._inner.mount(source)
 
 
 def _flaky_service(tiny_repo, extractor):
@@ -612,8 +612,8 @@ class TestStaleDetection:
             def __init__(self):
                 super().__init__(fail_times=0)
 
-            def mount(self, path, uri):
-                mounted = super().mount(path, uri)
+            def mount(self, source):
+                mounted = super().mount(source)
                 path.unlink()
                 return mounted
 
@@ -633,8 +633,9 @@ class TestStaleDetection:
             def __init__(self):
                 super().__init__(fail_times=0)
 
-            def mount(self, path, uri):
-                mounted = super().mount(path, uri)
+            def mount(self, source):
+                mounted = super().mount(source)
+                path = source.path
                 stat = path.stat()
                 os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
                 return mounted

@@ -262,3 +262,25 @@ class TestStageTwoAccounting:
         assert len(passes) == 2  # the monitored pass and the exhaustive one
         assert stage2.seconds >= sum(p.seconds for p in passes)
         assert rerun.result.io.bytes_read == exhaustive.result.io.bytes_read
+
+    def test_a_served_top_n_rerun_charges_both_extractions(
+        self, fresh_ali_db, tiny_repo, monkeypatch
+    ):
+        """Served by two workers over a discarding cache, the exhaustive
+        pass extracts again each file the monitored pass read: both
+        extractions reach the trace and the tenant ledger, as they do
+        inline."""
+        monkeypatch.setattr(TopNBranchMonitor, "safe", lambda self: False)
+        settings = dict(cache=IngestionCache(CachePolicy.DISCARD))
+        inline = TwoStageExecutor(
+            fresh_ali_db, RepositoryBinding(tiny_repo), **settings
+        ).execute(LATEST)
+        with QueryService(
+            tiny_repo, db=fresh_ali_db, mount_workers=2, **settings
+        ) as service:
+            served = service.execute(LATEST, tenant="t")
+            [tenant] = service.stats().tenants
+        assert served.rows == inline.rows
+        read = served.trace.counters["bytes_read"]
+        assert read == inline.trace.counters["bytes_read"] > 0
+        assert tenant.bytes_charged == read

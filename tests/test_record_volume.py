@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mseed.iohooks import FileSource
 from repro.db import Database
 from repro.db.errors import (
     CorruptFileError,
@@ -305,14 +306,14 @@ class TestFileAtATimeMount:
         """The three extraction paths, each selecting every record (the
         byte map is taken now, so later damage to the file is not in it)."""
         extractor = XSeedExtractor()
-        byte_map = extractor.extract_metadata(path, self.URI).records.spans()
+        byte_map = extractor.extract_metadata(FileSource(path, self.URI)).records.spans()
 
         def selective(records):
             request = MountRequest(interval=WHOLE_FILE, records=records)
-            return extractor.mount_selective(path, self.URI, request).mounted
+            return extractor.mount_selective(FileSource(path, self.URI), request).mounted
 
         return {
-            "mount": lambda: extractor.mount(path, self.URI),
+            "mount": lambda: extractor.mount(FileSource(path, self.URI)),
             "byte map": lambda: selective(byte_map),
             "header walk": lambda: selective(None),
         }
@@ -348,7 +349,7 @@ class TestFileAtATimeMount:
     ):
         path = self.volume(tmp_path, [(100, 20.0)] * 5)
         mounts = self.mounts(path)
-        records = XSeedExtractor().extract_metadata(path, self.URI).records
+        records = XSeedExtractor().extract_metadata(FileSource(path, self.URI)).records
         raw = bytearray(path.read_bytes())
         damage(raw, int(records.byte_offset[3]))
         path.write_bytes(bytes(raw))
@@ -390,10 +391,13 @@ class TestFileAtATimeMount:
         monkeypatch.setattr(RecordHeader, "unpack", refused)
         for name, mount in mounts.items():
             assert mount().sample_value.tolist() == expected[name], name
-        spans = XSeedExtractor().extract_metadata(path, self.URI).records.spans()
+        extracted = XSeedExtractor().extract_metadata(FileSource(path, self.URI))
+        spans = extracted.records.spans()
         window = (spans[5].start_time, spans[7].end_time)
         for byte_map in (spans, None):
-            read = read_selected_records(path, window, self.URI, byte_map)
+            read = read_selected_records(
+                FileSource(path, self.URI), window, byte_map
+            )
             assert read.record_id.tolist() == [5, 6, 7]
 
 
@@ -694,7 +698,7 @@ class TestOneParsePerPass:
 
     def passes(self, repo):
         """Every way into the pass-wide kernel, outermost first."""
-        files = [(repo.path_of(uri), uri) for uri in repo.uris()]
+        files = [FileSource(repo.path_of(uri), uri) for uri in repo.uris()]
         return {
             "lazy_ingest_metadata": lambda: lazy_ingest_metadata(Database(), repo),
             "eager_ingest": lambda: eager_ingest(Database(), repo),
@@ -711,13 +715,14 @@ class TestOneParsePerPass:
         """The oracle: one guarded scalar walk per file, in listing order."""
         for uri in repo.uris():
             path = repo.path_of(uri)
-            with extraction_guard(uri, path):
+            with extraction_guard(FileSource(path, uri)):
                 reference_scan(path, uri)
 
     @staticmethod
     def damage(repo, uri, defect, record):
         path = repo.path_of(uri)
-        offsets = XSeedExtractor().extract_metadata(path, uri).records.byte_offset
+        extracted = XSeedExtractor().extract_metadata(FileSource(path, uri))
+        offsets = extracted.records.byte_offset
         raw = bytearray(path.read_bytes())
         defect(raw, int(offsets[record]))
         path.write_bytes(bytes(raw))
@@ -810,12 +815,12 @@ class TestOneParsePerPass:
             volume_module, "_PARSE_BLOCK_HEADERS", 2 * self.RECORDS
         )
         repo = self.repository(tmp_path)
-        files = [(repo.path_of(uri), uri) for uri in repo.uris()]
+        files = [FileSource(repo.path_of(uri), uri) for uri in repo.uris()]
         parses = []
         parse_walked = volume_module._parse_walked
 
         def logging_parse(walked, guard):
-            parses.append([uri for _, uri, *_ in walked])
+            parses.append([source.uri for source, *_ in walked])
             return parse_walked(walked, guard)
 
         monkeypatch.setattr(volume_module, "_parse_walked", logging_parse)
@@ -824,8 +829,8 @@ class TestOneParsePerPass:
         assert parses == [
             ["f0.xseed", "f1.xseed"], ["f2.xseed", "f3.xseed"], ["f4.xseed"]
         ]
-        for (path, uri), (meta, columns) in zip(files, sound):
-            alone, alone_columns = read_file_metadata(path, uri)
+        for source, (meta, columns) in zip(files, sound):
+            alone, alone_columns = read_file_metadata(source.path, source.uri)
             assert meta == alone
             for name, column in alone_columns.items():
                 assert columns[name].tolist() == column.tolist(), (uri, name)
@@ -965,7 +970,7 @@ def damaged_volume(path, defects, records=6):
         XSeedRecord.create(i, "KO", "ISK", "", "BHE", i * 60_000_000, 20.0, hump)
         for i in range(records)
     ])
-    spans = XSeedExtractor().extract_metadata(path, "v").records.spans()
+    spans = XSeedExtractor().extract_metadata(FileSource(path, "v")).records.spans()
     raw = bytearray(path.read_bytes())
     for k, kind in sorted(defects.items(), reverse=True):
         if spans[k].byte_offset < len(raw):
@@ -1024,12 +1029,12 @@ class TestBufferMountErrors:
                 lambda: reference_mount(path, self.URI, interval, byte_map)
             )
             got = outcome(lambda: read_selected_records(
-                path, interval, self.URI, byte_map
+                FileSource(path, self.URI), interval, byte_map
             ))
             assert_same_outcome(got, expected, label)
         if window is None:
             expected = outcome(lambda: reference_mount(path, self.URI))
-            got = outcome(lambda: decode_volume(path, self.URI))
+            got = outcome(lambda: decode_volume(FileSource(path, self.URI)))
             assert_same_outcome(got, expected, "whole file")
 
     @pytest.mark.parametrize("kind", sorted(MOUNT_DEFECTS))
@@ -1041,5 +1046,5 @@ class TestBufferMountErrors:
         with pytest.raises(IngestError) as expected:
             reference_mount(path, self.URI, WHOLE_FILE, spans)
         with pytest.raises(IngestError) as excinfo:
-            read_selected_records(path, WHOLE_FILE, self.URI, spans)
+            read_selected_records(FileSource(path, self.URI), WHOLE_FILE, spans)
         assert_same_outcome(excinfo.value, expected.value, kind)

@@ -3,7 +3,7 @@
 Unit-level coverage of every layer the ``remote://`` scheme stacks up:
 URI helpers, the ranged-GET span planner, the deterministic network
 model, the simulated object store, the resilient transport (retries,
-budgets, breakers, deadlines), the staging repository, and the
+budgets, breakers, deadlines), the remote repository, and the
 federated dispatcher. End-to-end fault grids live in
 ``test_remote_chaos.py``.
 """
@@ -14,6 +14,7 @@ import contextlib
 import math
 import os
 import shutil
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -21,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import TwoStageExecutor
 from repro.core.cache import CachePolicy, IngestionCache
 from repro.core.governor import QueryBudget, QueryGovernor
@@ -50,6 +52,7 @@ from repro.mseed import (
     read_records,
     write_volume,
 )
+from repro.mseed.iohooks import FileSource
 from repro.mseed.volume import coalesce_spans
 from repro.remote import simstore as simstore_module
 from repro.remote.simstore import ObjectStat, PreconditionFailed
@@ -61,6 +64,7 @@ from repro.remote import (
     FederatedRepository,
     NetworkModel,
     NetworkProfile,
+    RemoteExtractor,
     RemoteRepository,
     ResilientTransport,
     SimulatedObjectStore,
@@ -70,6 +74,7 @@ from repro.remote import (
     parse_remote_uri,
     remote_uri,
 )
+from repro.remote.repository import RemoteObject
 
 SPEC = RepositorySpec(
     stations=("ISK",),
@@ -93,8 +98,10 @@ def _store(objects_dir, **profile_kwargs):
     )
 
 
-def _repository(tmp_path, store, **kwargs):
-    return RemoteRepository(store, tmp_path / "staging", **kwargs)
+def _read(staged):
+    """The bytes of a fetch's snapshot, read as a reader reads them."""
+    with staged.source.open() as handle:
+        return handle.read()
 
 
 class TestRemoteUris:
@@ -763,8 +770,8 @@ class TestResilientTransport:
 
 
 class TestRemoteRepository:
-    def test_uris_are_remote_and_owned(self, objects_dir, tmp_path):
-        repo = _repository(tmp_path, _store(objects_dir))
+    def test_uris_are_remote_and_owned(self, objects_dir):
+        repo = RemoteRepository(_store(objects_dir))
         uris = repo.uris()
         assert uris and all(u.startswith("remote://seis-eu/") for u in uris)
         assert all(repo.owns_uri(u) for u in uris)
@@ -775,42 +782,38 @@ class TestRemoteRepository:
         "2010/local.xseed", "remote://seis-us/2010/x.xseed",
     ])
     def test_foreign_uri_refused(self, objects_dir, tmp_path, uri):
-        repo = _repository(tmp_path, _store(objects_dir))
+        repo = RemoteRepository(_store(objects_dir))
         with pytest.raises(IngestError):
-            repo.path_of(uri)
+            repo.source_for(uri, default_registry())
 
-    def test_request_without_byte_map_stages_the_whole_object(
-        self, objects_dir, tmp_path
-    ):
-        """No record map to trust: the whole object is staged and the inner
-        extractor selects from the local copy."""
-        repo = _repository(tmp_path, _store(objects_dir))
+    def test_request_without_byte_map_stages_the_whole_object(self, objects_dir):
+        """No record map to trust: the whole object is fetched and the inner
+        extractor selects from the bytes held."""
+        repo = RemoteRepository(_store(objects_dir))
         uri = repo.uris()[0]
-        path = repo.path_of(uri)
-        extractor = repo.extractor_for(path, uri, default_registry())
+        path = objects_dir / parse_remote_uri(uri)[1]
+        source, extractor = repo.source_for(uri, default_registry())
         lo, hi = XSeedExtractor().extract_metadata(
-            objects_dir / uri.split("/", 3)[3], uri
+            FileSource(path, uri)
         ).records.start_time[:2]
         outcome = extractor.mount_selective(
-            path, uri, MountRequest(interval=(int(lo), int(hi) - 1))
+            source, MountRequest(interval=(int(lo), int(hi) - 1))
         )
         assert outcome.bytes_read == path.stat().st_size
         assert outcome.records_decoded == 1 and outcome.records_skipped > 0
 
-    def test_ensure_whole_stages_exact_bytes_then_reuses(
-        self, objects_dir, tmp_path
-    ):
-        repo = _repository(tmp_path, _store(objects_dir))
+    def test_ensure_whole_stages_exact_bytes_then_reuses(self, objects_dir):
+        repo = RemoteRepository(_store(objects_dir))
         uri = repo.uris()[0]
         key = parse_remote_uri(uri)[1]
         raw = (objects_dir / key).read_bytes()
         store = repo.transport.store
         staged = repo.ensure_whole(uri)
-        assert staged == (repo.signature_of(uri), len(raw))
-        assert repo.path_of(uri).read_bytes() == raw
+        assert staged[:2] == (repo.signature_of(uri), len(raw))
+        assert _read(staged) == raw
         heads = store.stats.heads
         # Reuse costs the one HEAD that says the copy is current…
-        assert repo.ensure_whole(uri) == (staged.signature, 0)
+        assert repo.ensure_whole(uri)[:2] == (staged.signature, 0)
         assert (store.stats.heads, store.stats.gets) == (heads + 1, 1)
         # …or nothing, under the caller's own observation.
         assert repo.ensure_whole(uri, staged.signature).moved == 0
@@ -819,32 +822,32 @@ class TestRemoteRepository:
         assert repo.stats.whole_fetches == 1
         assert repo.stats.remote_bytes == len(raw)
 
-    def test_fetch_spans_moves_only_missing_coalesced_bytes(
-        self, objects_dir, tmp_path
-    ):
-        repo = _repository(tmp_path, _store(objects_dir))
+    def test_fetch_spans_moves_only_missing_coalesced_bytes(self, objects_dir):
+        repo = RemoteRepository(_store(objects_dir))
         repo.coalesce_gap_bytes = 8
         uri = repo.uris()[0]
         key = parse_remote_uri(uri)[1]
         raw = (objects_dir / key).read_bytes()
         # Spans are (byte_offset, byte_length), like RecordSpan.
         fetched = repo.fetch_spans(uri, [(0, 64), (128, 128)])
-        assert fetched == (repo.signature_of(uri), 64 + 128)
+        assert fetched[:2] == (repo.signature_of(uri), 64 + 128)
         assert repo.stats.ranged_gets == 2  # 64-byte gap > coalesce gap
-        staged = repo.path_of(uri)
-        assert staged.stat().st_size == len(raw)  # size-exact sparse file
-        data = staged.read_bytes()
+        assert fetched.source.size == len(raw)  # reads as the whole object
+        data = _read(fetched)
         assert data[0:64] == raw[0:64]
         assert data[128:256] == raw[128:256]
+        assert data[64:128] == bytes(64)  # never fetched: a hole
         # Overlapping re-request only moves the genuinely missing bytes:
         # [64, 128) and [256, 300) of the wanted [32, 300).
-        assert repo.fetch_spans(uri, [(32, 268)]).moved == 64 + 44
-        assert repo.path_of(uri).read_bytes()[0:300] == raw[0:300]
+        again = repo.fetch_spans(uri, [(32, 268)])
+        assert again.moved == 64 + 44
+        assert _read(again)[0:300] == raw[0:300]
+        assert _read(fetched) == data  # a snapshot no later fetch changes
         assert repo.fetch_spans(uri, [(0, 300)]).moved == 0  # fully covered now
         assert repo.stats.staged_reuses == 1
 
-    def test_adjacent_spans_coalesce_into_one_get(self, objects_dir, tmp_path):
-        repo = _repository(tmp_path, _store(objects_dir))
+    def test_adjacent_spans_coalesce_into_one_get(self, objects_dir):
+        repo = RemoteRepository(_store(objects_dir))
         repo.coalesce_gap_bytes = 64
         uri = repo.uris()[0]
         assert repo.fetch_spans(uri, [(0, 32), (48, 48)]).moved == 96
@@ -856,25 +859,25 @@ class TestRemoteRepository:
         work = tmp_path / "mutable_objects"
         work.mkdir()
         (work / "a.xseed").write_bytes(b"A" * 256)
-        repo = _repository(
-            tmp_path, SimulatedObjectStore("seis-eu", work)
-        )
+        repo = RemoteRepository(SimulatedObjectStore("seis-eu", work))
         uri = repo.uris()[0]
         assert repo.ensure_whole(uri).moved == 256
         (work / "a.xseed").write_bytes(b"B" * 300)
-        # Stale staging dropped, and counted: one whole GET, nothing reused.
-        assert repo.ensure_whole(uri) == (repo.signature_of(uri), 300)
-        assert repo.path_of(uri).read_bytes() == b"B" * 300
+        # Stale bytes dropped, and counted: one whole GET, nothing reused.
+        staged = repo.ensure_whole(uri)
+        assert staged[:2] == (repo.signature_of(uri), 300)
+        assert _read(staged) == b"B" * 300
         stats = repo.stats
         assert (stats.invalidations, stats.whole_fetches) == (1, 2)
         assert (stats.staged_reuses, stats.remote_bytes) == (0, 556)
         assert repo.transport.store.stats.gets == 2
-        # Ranged staging tracks the rewrite too: staged ranges for the
+        # Held ranges track the rewrite too: ranges held for the
         # old version must not satisfy reads against the new one.
         (work / "a.xseed").write_bytes(b"C" * 300)
-        assert repo.fetch_spans(uri, [(0, 10)]).moved == 10
+        staged = repo.fetch_spans(uri, [(0, 10)])
+        assert staged.moved == 10
         assert repo.stats.invalidations == 2
-        assert repo.path_of(uri).read_bytes()[0:10] == b"C" * 10
+        assert _read(staged)[0:10] == b"C" * 10
 
     def test_whole_restaging_over_ranges_of_another_version_is_counted(
         self, tmp_path
@@ -882,51 +885,46 @@ class TestRemoteRepository:
         work = tmp_path / "mutable_objects"
         work.mkdir()
         (work / "a.xseed").write_bytes(b"A" * 256)
-        repo = _repository(tmp_path, SimulatedObjectStore("seis-eu", work))
+        repo = RemoteRepository(SimulatedObjectStore("seis-eu", work))
         uri = repo.uris()[0]
         repo.fetch_spans(uri, [(0, 10)])
         (work / "a.xseed").write_bytes(b"B" * 300)
         # Ranges are no whole copy: nothing to ask a HEAD about, the GET
         # says what it replaced.
         heads = repo.transport.store.stats.heads
-        assert repo.ensure_whole(uri).moved == 300
+        staged = repo.ensure_whole(uri)
+        assert staged.moved == 300
         assert repo.transport.store.stats.heads == heads
         assert repo.stats.invalidations == 1
-        assert repo.path_of(uri).read_bytes() == b"B" * 300
+        assert _read(staged) == b"B" * 300
 
-    def test_signature_of_reflects_the_remote_object(
-        self, objects_dir, tmp_path
-    ):
-        repo = _repository(tmp_path, _store(objects_dir))
+    def test_signature_of_reflects_the_remote_object(self, objects_dir):
+        repo = RemoteRepository(_store(objects_dir))
         uri = repo.uris()[0]
         key = parse_remote_uri(uri)[1]
         st = (objects_dir / key).stat()
         assert repo.signature_of(uri) == (st.st_mtime_ns, st.st_size)
         assert repo.signatures() == {uri: repo.signature_of(uri)}
 
-    def test_total_bytes_is_one_listing(self, objects_dir, tmp_path):
+    def test_total_bytes_is_one_listing(self, objects_dir):
         store = _store(objects_dir)
-        repo = _repository(tmp_path, store)
+        repo = RemoteRepository(store)
         assert repo.total_bytes() == sum(
             p.stat().st_size for p in objects_dir.rglob("*.xseed")
         )
         assert (store.stats.requests, store.stats.lists) == (1, 1)
 
-    def test_listing_fallback_when_the_endpoint_drops(
-        self, objects_dir, tmp_path
-    ):
+    def test_listing_fallback_when_the_endpoint_drops(self, objects_dir):
         store = _store(objects_dir)
-        repo = _repository(tmp_path, store)
+        repo = RemoteRepository(store)
         live = repo.uris()
         store.set_down()
         assert repo.uris() == live  # stale-but-available beats an error
         assert repo.stats.listing_fallbacks >= 1
 
-    def test_a_remembered_listing_never_supplies_a_signature(
-        self, objects_dir, tmp_path
-    ):
+    def test_a_remembered_listing_never_supplies_a_signature(self, objects_dir):
         store = _store(objects_dir)
-        repo = _repository(tmp_path, store)
+        repo = RemoteRepository(store)
         live = repo.uris()
         store.set_down()
         assert repo.uris() == live  # names may be remembered…
@@ -934,12 +932,10 @@ class TestRemoteRepository:
             repo.signatures()  # …a signature is observed, or there is none
         assert excinfo.value.endpoint == "seis-eu"
 
-    def test_cold_listing_with_endpoint_down_still_fails(
-        self, objects_dir, tmp_path
-    ):
+    def test_cold_listing_with_endpoint_down_still_fails(self, objects_dir):
         store = _store(objects_dir)
         store.set_down()
-        repo = _repository(tmp_path, store)
+        repo = RemoteRepository(store)
         with pytest.raises(FileIngestError):
             repo.uris()  # no last-known listing to fall back on
 
@@ -971,7 +967,7 @@ class TestFederatedRepository:
             "sample_time,sample_value\n2010-01-10T00:00:00.000,1.0\n"
         )
         local = FileRepository(local_root, suffix=(".tscsv",))
-        remote = _repository(tmp_path, _store(objects_dir))
+        remote = RemoteRepository(_store(objects_dir))
         return local, remote
 
     def test_uris_union_in_member_order(self, members):
@@ -985,13 +981,17 @@ class TestFederatedRepository:
         fed = FederatedRepository([local, remote])
         local_uri = local.uris()[0]
         remote_uri_ = remote.uris()[0]
-        assert fed.path_of(local_uri) == local.path_of(local_uri)
-        assert fed.path_of(remote_uri_) == remote.path_of(remote_uri_)
+        registry = default_registry()
+        local_source, _ = fed.source_for(local_uri, registry)
+        assert local_source.path == local.path_of(local_uri)
+        remote_source, extractor = fed.source_for(remote_uri_, registry)
+        assert isinstance(remote_source, RemoteObject)
+        assert isinstance(extractor, RemoteExtractor)
         assert fed.signature_of(remote_uri_) == remote.signature_of(
             remote_uri_
         )
         with pytest.raises(IngestError):
-            fed.path_of("remote://unknown-endpoint/x.xseed")
+            fed.source_for("remote://unknown-endpoint/x.xseed", registry)
 
     def test_signatures_concatenate_and_a_hookless_member_falls_back(
         self, members
@@ -1078,12 +1078,11 @@ class _MetadataSession:
 
 class _Endpoint:
     """``objects`` served as a fresh endpoint — request counters at zero —
-    through a repository with cold staging."""
+    through a repository that holds nothing yet."""
 
-    def __init__(self, objects, staging, policy=TransportPolicy()):
+    def __init__(self, objects, policy=TransportPolicy()):
         self.store = SimulatedObjectStore("seis-eu", objects)
-        self.staging = staging
-        self.repo = RemoteRepository(self.store, staging, policy=policy)
+        self.repo = RemoteRepository(self.store, policy=policy)
 
     def requests(self):
         stats = self.store.stats
@@ -1105,14 +1104,14 @@ class TestListingCarriesSignatures:
 
     def test_a_warm_pass_is_one_request(self, objects, tmp_path):
         sidecar = tmp_path / "sidecar.json"
-        harvest = _Endpoint(objects, tmp_path / "harvest")
+        harvest = _Endpoint(objects)
         cold = _MetadataSession(harvest.repo, sidecar)
         # Cold: the listing's signature stages each object, no HEAD.
         assert harvest.requests() == {"LIST": 1, "HEAD": 0, "GET": self.FILES}
         assert cold.metastore.stats.saved_files == self.FILES
         written = sidecar.stat()
 
-        endpoint = _Endpoint(objects, tmp_path / "staging")
+        endpoint = _Endpoint(objects)
         warm = _MetadataSession(endpoint.repo, sidecar)
         assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": 0}
         assert warm.report.files_reused == warm.report.files == self.FILES
@@ -1127,16 +1126,16 @@ class TestListingCarriesSignatures:
             written.st_mtime_ns,
         )
 
-    def test_a_reused_files_staging_directory_is_made_by_its_first_mount(
+    def test_a_reused_file_is_first_fetched_by_its_first_mount(
         self, objects, tmp_path
     ):
         sidecar = tmp_path / "sidecar.json"
-        harvest = _Endpoint(objects, tmp_path / "harvest")
+        harvest = _Endpoint(objects)
         cold = _MetadataSession(harvest.repo, sidecar)
-        endpoint = _Endpoint(objects, tmp_path / "staging")
+        endpoint = _Endpoint(objects)
         warm = _MetadataSession(endpoint.repo, sidecar)
-        # No path was resolved for a file nobody read.
-        assert list(endpoint.staging.iterdir()) == []
+        # Nothing was fetched of a file nobody read.
+        assert endpoint.requests()["GET"] == 0
         sql = (
             "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D "
             "ON F.uri = D.uri WHERE F.station = 'ISK'"
@@ -1148,19 +1147,19 @@ class TestListingCarriesSignatures:
             for session, ep in ((warm, endpoint), (cold, harvest))
         ]
         assert answers[0] == answers[1] and answers[0][0][0] > 0
-        staged = list(endpoint.staging.rglob("*.xseed"))
-        assert len(staged) == len(LISTED_SPEC.channels)  # ISK's files only
+        # ISK's files only, one whole GET each.
+        assert endpoint.requests()["GET"] == len(LISTED_SPEC.channels)
 
     def test_changed_added_and_deleted_objects(self, objects, tmp_path):
         sidecar = tmp_path / "sidecar.json"
-        _MetadataSession(_Endpoint(objects, tmp_path / "harvest").repo, sidecar)
+        _MetadataSession(_Endpoint(objects).repo, sidecar)
         per_file_sidecar = tmp_path / "sidecar-per-file.json"
         shutil.copyfile(sidecar, per_file_sidecar)
         changed, added, deleted = (
             remote_uri("seis-eu", key) for key in _change_add_delete(objects)
         )
 
-        endpoint = _Endpoint(objects, tmp_path / "staging")
+        endpoint = _Endpoint(objects)
         warm = _MetadataSession(endpoint.repo, sidecar)
         assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": 2}
         assert warm.report.files == self.FILES
@@ -1178,13 +1177,13 @@ class TestListingCarriesSignatures:
 
         # Same rows as a cold harvest of the tree as it is now…
         cold = _MetadataSession(
-            _Endpoint(objects, tmp_path / "cold").repo, tmp_path / "cold.json"
+            _Endpoint(objects).repo, tmp_path / "cold.json"
         )
         assert cold.report.files_reused == 0
         assert warm.metadata == cold.metadata
         # …and as the pass that asks file by file, which also leaves the
         # same sidecar behind, at a HEAD per object.
-        asked = _Endpoint(objects, tmp_path / "per-file")
+        asked = _Endpoint(objects)
         per_file = _MetadataSession(
             _FileByFile(asked.repo), per_file_sidecar
         )
@@ -1197,13 +1196,11 @@ class TestListingCarriesSignatures:
     def test_listing_gated_pass_matches_the_per_file_pass(
         self, objects, tmp_path, shape
     ):
-        def repository(staging):
+        def repository():
             local = FileRepository(objects)
             if shape == "local":
                 return local
-            return FederatedRepository(
-                [local, _Endpoint(tmp_path / "remote", tmp_path / staging).repo]
-            )
+            return FederatedRepository([local, _Endpoint(tmp_path / "remote").repo])
 
         generate_repository(
             tmp_path / "remote",
@@ -1216,7 +1213,7 @@ class TestListingCarriesSignatures:
             ),
         )
         sidecar = tmp_path / "sidecar.json"
-        _MetadataSession(repository("harvest"), sidecar)
+        _MetadataSession(repository(), sidecar)
         per_file_sidecar = tmp_path / "sidecar-per-file.json"
         shutil.copyfile(sidecar, per_file_sidecar)
         gone = [_change_add_delete(objects)[2]]
@@ -1225,13 +1222,13 @@ class TestListingCarriesSignatures:
                 remote_uri("seis-eu", _change_add_delete(tmp_path / "remote")[2])
             )
 
-        warm = _MetadataSession(repository("staging"), sidecar)
+        warm = _MetadataSession(repository(), sidecar)
         changes = 1 if shape == "local" else 2
         assert warm.report.files_reused == warm.report.files - 2 * changes
         assert not {row[0] for row in warm.metadata["F"]} & set(gone)
-        cold = _MetadataSession(repository("cold"), tmp_path / "cold.json")
+        cold = _MetadataSession(repository(), tmp_path / "cold.json")
         per_file = _MetadataSession(
-            _FileByFile(repository("per-file")), per_file_sidecar
+            _FileByFile(repository()), per_file_sidecar
         )
         assert warm.metadata == cold.metadata == per_file.metadata
         assert sidecar.read_bytes() == per_file_sidecar.read_bytes()
@@ -1241,7 +1238,7 @@ class TestListingCarriesSignatures:
         self, objects, tmp_path
     ):
         sidecar = tmp_path / "sidecar.json"
-        endpoint = _Endpoint(objects, tmp_path / "staging")
+        endpoint = _Endpoint(objects)
         victim = sorted(objects.rglob("*.xseed"))[0]
         key = victim.relative_to(objects).as_posix()
         get = endpoint.store.get
@@ -1258,7 +1255,7 @@ class TestListingCarriesSignatures:
         assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": self.FILES}
         # The rows are the newer bytes', signed with the listed signature…
         now = _MetadataSession(
-            _Endpoint(objects, tmp_path / "cold").repo, tmp_path / "cold.json"
+            _Endpoint(objects).repo, tmp_path / "cold.json"
         )
         assert first.metadata == now.metadata
         stored = MetadataStore(sidecar)
@@ -1268,13 +1265,13 @@ class TestListingCarriesSignatures:
         assert signatures[at, 1] == listed_size
         # …which the next session's listing contradicts: extracted again,
         # and only then reusable.
-        again = _Endpoint(objects, tmp_path / "staging-2")
+        again = _Endpoint(objects)
         second = _MetadataSession(again.repo, sidecar)
         assert again.requests() == {"LIST": 1, "HEAD": 0, "GET": 1}
         assert second.metastore.stats.stale == 1
         assert second.metadata == now.metadata
         assert sidecar.read_bytes() == (tmp_path / "cold.json").read_bytes()
-        third = _Endpoint(objects, tmp_path / "staging-3")
+        third = _Endpoint(objects)
         assert _MetadataSession(third.repo, sidecar).report.files_reused == self.FILES
         assert third.requests() == {"LIST": 1, "HEAD": 0, "GET": 0}
 
@@ -1282,7 +1279,7 @@ class TestListingCarriesSignatures:
         """The endpoint listing two objects a page, and the log of
         continuation keys its LIST requests carried."""
         monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 2)
-        endpoint = _Endpoint(objects, tmp_path / "staging", policy)
+        endpoint = _Endpoint(objects, policy)
         asked = []
         list_keys = endpoint.store.list_keys
 
@@ -1404,14 +1401,10 @@ class _ColdMount:
         generate_repository(self.objects, SPEC)
         self.db = db = Database()
         lazy_ingest_metadata(
-            db,
-            RemoteRepository(
-                SimulatedObjectStore("seis-eu", self.objects),
-                tmp_path / "harvest",
-            ),
+            db, RemoteRepository(SimulatedObjectStore("seis-eu", self.objects))
         )
         self.store = SimulatedObjectStore("seis-eu", self.objects)
-        self.repo = RemoteRepository(self.store, tmp_path / "staging")
+        self.repo = RemoteRepository(self.store)
         self.mounts = MountService(
             RepositoryBinding(self.repo),
             **service_kwargs,
@@ -1528,12 +1521,10 @@ class TestTheGetIsTheObservation:
         for request in (cold.request(), None):
             result = cold.mounts._extract(cold.uri, "D", request)
             assert result.signature == cold.repo.signature_of(cold.uri)
-        extractor = cold.repo.extractor_for(
-            cold.repo.path_of(cold.uri), cold.uri, default_registry()
-        )
+        source, extractor = cold.repo.source_for(cold.uri, default_registry())
         attempt = extractor.observing(None)
         assert attempt is not extractor and attempt.observed is None
-        attempt.mount(cold.repo.path_of(cold.uri), cold.uri)
+        attempt.mount(source)
         assert attempt.observed == cold.repo.signature_of(cold.uri)
 
     def test_later_gets_are_conditional_on_what_the_first_answered(
@@ -1658,7 +1649,7 @@ class TestTheGetIsTheObservation:
         assert cold.store.stats.precondition_failed == 1
         assert cold.repo.stats.invalidations == 1
         assert cold.repo.stats.staged_reuses == 0
-        assert result.restarts == 0  # staging's affair, not a failure
+        assert result.restarts == 0  # the fetch's affair, not a failure
 
     def test_rewrite_after_the_last_response_is_the_next_cache_scans_to_see(
         self, tmp_path, monkeypatch
@@ -1690,41 +1681,40 @@ class TestTheGetIsTheObservation:
         assert scan.trace.counters["stale_remounts"] == 1
         assert scan.trace.counters["cache_scans"] == 0
 
-    @pytest.mark.parametrize("restaged_again", [0, 2])
-    def test_a_copy_restaged_under_a_reader_voids_the_read(
-        self, tmp_path, monkeypatch, restaged_again
+    @pytest.mark.parametrize("refetched_again", [0, 2])
+    def test_a_copy_refetched_under_a_reader_keeps_its_read(
+        self, tmp_path, monkeypatch, refetched_again
     ):
-        """Restaged under the first attempt only, the restart reads the new
-        version; under every attempt, the staleness surfaces."""
+        """Replaced and fetched again between a mount's fetch and its read,
+        once or several times over, the object's new bytes never reach that
+        read: it decodes its own snapshot, wholly the version its GETs
+        answered."""
         from repro.ingest.xseed_format import XSeedExtractor
 
         cold = _ColdMount(tmp_path)
+        old = cold.repo.signature_of(cold.uri), cold.samples()
         wanted = [
             (span.byte_offset, span.byte_length)
             for span in cold.spans[cold.FIRST : cold.LAST + 1]
         ]
         mount_selective = XSeedExtractor.mount_selective
-        pending = [cold.rewrite] * (1 + restaged_again)
+        pending = [cold.rewrite] * (1 + refetched_again)
 
-        def another_extraction_first(self, path, uri, request):
-            if pending:  # staged, not yet read: the object is replaced, and
-                pending.pop()()  # someone else stages the new version
+        def another_extraction_first(self, source, request):
+            while pending:  # fetched, not yet read: the object is replaced,
+                pending.pop()()  # and someone else fetches the new version
                 cold.repo.fetch_spans(cold.uri, wanted)
-            return mount_selective(self, path, uri, request)
+            return mount_selective(self, source, request)
 
         monkeypatch.setattr(
             XSeedExtractor, "mount_selective", another_extraction_first
         )
-        if restaged_again:
-            with pytest.raises(StaleFileError, match="staged copy") as excinfo:
-                cold.mounts._extract(cold.uri, "D", cold.request())
-            assert excinfo.value.transient
-            assert excinfo.value.retries == 2
-        else:
-            result = cold.mounts._extract(cold.uri, "D", cold.request())
-            assert result.restarts == 1
-            assert result.signature == cold.repo.signature_of(cold.uri)
-            assert np.array_equal(_values(result), cold.samples())
+        result = cold.mounts._extract(cold.uri, "D", cold.request())
+        assert (result.restarts, result.signature) == (0, old[0])
+        assert np.array_equal(_values(result), old[1])
+        fresh = cold.mounts._extract(cold.uri, "D", cold.request())
+        assert fresh.signature == cold.repo.signature_of(cold.uri) != old[0]
+        assert np.array_equal(_values(fresh), cold.samples())
 
     def test_a_served_first_touch_is_its_get_and_a_cached_one_its_head(
         self, tmp_path
@@ -1861,7 +1851,6 @@ class TestOneLadderOneKey:
         store = SimulatedObjectStore("seis-eu", objects)
         repo = RemoteRepository(
             store,
-            tmp_path / "staging",
             policy=TransportPolicy(
                 backoff_seconds=0.0,
                 breaker_failures=failure_threshold,
@@ -2017,12 +2006,11 @@ class _CachedQuery:
     )
 
     def __init__(self, tmp_path, sql=ONE_STATION, warm=True):
-        self.tmp_path = tmp_path
         self.objects = tmp_path / "objects"
         generate_repository(self.objects, BREAKPOINT_SPEC)
         self.db = Database()
-        lazy_ingest_metadata(self.db, self._repository("harvest"))
-        self.repo = self._repository("staging")
+        lazy_ingest_metadata(self.db, self._repository())
+        self.repo = self._repository()
         self.store = self.repo.transport.store
         self.executor = TwoStageExecutor(
             self.db,
@@ -2035,11 +2023,8 @@ class _CachedQuery:
             self.uris = sorted(self.executor.cache.cached_uris())
         self.before = replace(self.store.stats)
 
-    def _repository(self, staging):
-        return RemoteRepository(
-            SimulatedObjectStore("seis-eu", self.objects),
-            self.tmp_path / staging,
-        )
+    def _repository(self):
+        return RemoteRepository(SimulatedObjectStore("seis-eu", self.objects))
 
     def path(self, uri):
         return self.objects / parse_remote_uri(uri)[1]
@@ -2055,8 +2040,8 @@ class _CachedQuery:
 
     def fresh(self):
         """The query's answer over the objects as they are now, from a
-        session that has nothing cached or staged."""
-        repo = self._repository(f"fresh-{time.monotonic_ns()}")
+        session that has nothing cached or held."""
+        repo = self._repository()
         return TwoStageExecutor(self.db, RepositoryBinding(repo)).execute(
             self.sql
         ).rows
@@ -2148,8 +2133,8 @@ class TestOneListPerBreakpoint:
             query.executor.execute(query.sql)
         assert excinfo.value.uri == gone
         assert not excinfo.value.transient
-        # The scans' HEADs, if any, and the fallback mount's: staging holds
-        # a whole copy and asks whether it is current.
+        # The scans' HEADs, if any, and the fallback mount's: the repository
+        # holds a whole copy and asks whether it is current.
         assert query.requests()[:2] == (1, 1 if observed_by == "LIST" else 3)
         assert query.executor.cache.cached_uris() == set(query.uris[:-1])
         assert query.executor.totals()["stale_remounts"] == 1
@@ -2230,8 +2215,9 @@ class TestOneListPerBreakpoint:
         ) == (2, 1)
         assert again.rows == query.fresh() != query.warm
         assert again.rows[0][0] == query.warm[0][0]
-        # The remount's HEAD is staging's, of its whole copy; then its GET.
-        assert query.requests() == (2, 1, 1)
+        # The remount's GET is conditional on what the LIST observed: no
+        # HEAD asks whether the whole copy held is current.
+        assert query.requests() == (2, 0, 1)
 
 
 def _record_tokens(store):
@@ -2255,7 +2241,7 @@ class _UnlinkedRemoteQuery:
 
     def __init__(self, tmp_path, objects_dir, policy=TransportPolicy()):
         self.store = _store(objects_dir)
-        self.repo = _repository(tmp_path, self.store, policy=policy)
+        self.repo = RemoteRepository(self.store, policy=policy)
         db = Database()
         lazy_ingest_metadata(db, self.repo)
         self.executor = TwoStageExecutor(db, RepositoryBinding(self.repo))
@@ -2276,8 +2262,8 @@ class _UnlinkedRemoteQuery:
 
 class TestScopeHandDown:
     """The query's token and retry budget travel with each request — down
-    ``uris`` / ``signature_of`` / ``extractor_for`` → ``RemoteExtractor`` →
-    staging → transport — instead of being left on the transport for
+    ``uris`` / ``signature_of`` / ``source_for`` → ``RemoteExtractor`` →
+    its fetch → transport — instead of being left on the transport for
     whoever asks next."""
 
     def test_a_stalled_list_is_stopped_by_its_querys_token(
@@ -2344,7 +2330,7 @@ class TestScopeHandDown:
     ):
         generate_repository(tmp_path / "objects", LISTED_SPEC)
         monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 1)
-        endpoint = _Endpoint(tmp_path / "objects", tmp_path / "staging")
+        endpoint = _Endpoint(tmp_path / "objects")
         seen = _record_tokens(endpoint.store)
         context = MountContext()
         assert len(endpoint.repo.signatures(context)) == LISTED_SPEC.file_count
@@ -2355,7 +2341,7 @@ class TestScopeHandDown:
     ):
         generate_repository(tmp_path / "objects", LISTED_SPEC)
         monkeypatch.setattr(simstore_module, "LIST_PAGE_ENTRIES", 1)
-        endpoint = _Endpoint(tmp_path / "objects", tmp_path / "staging")
+        endpoint = _Endpoint(tmp_path / "objects")
         store = endpoint.store
         list_keys = store.list_keys
 
@@ -2452,28 +2438,57 @@ class TestScopeHandDown:
         )
         scoped, unscoped = (token for _, token in seen)
         assert scoped is context.token and unscoped is not context.token
-        extractor = fed.extractor_for(
-            cold.repo.path_of(cold.uri), cold.uri, default_registry(), context
+        source, extractor = fed.source_for(
+            cold.uri, default_registry(), context
         )
-        assert extractor.scope is context
+        assert source.scope is extractor.scope is context
         assert extractor.observing((0, 0)).scope is context
 
 
-class TestStagingPaths:
-    def test_path_of_creates_the_parent_and_rejects_escapes(
-        self, objects_dir, tmp_path
+class TestNoQueryWritesAFile:
+    """A remote object's bytes stay in memory: no query writes a file, under
+    the staging directory a caller still passes or under the temporary
+    directory."""
+
+    WINDOW = (
+        "SELECT COUNT(*), SUM(D.sample_value) FROM F JOIN D ON F.uri = D.uri "
+        "WHERE D.sample_time > '2010-01-10T10:00:00.000' "
+        "AND D.sample_time < '2010-01-10T12:00:00.000'"
+    )
+
+    def test_remote_federated_served_and_cli_queries_write_nothing(
+        self, tmp_path, monkeypatch, capsys
     ):
-        link = tmp_path / "link"
-        link.symlink_to(tmp_path / "real", target_is_directory=True)
-        (tmp_path / "real").mkdir()
-        repo = RemoteRepository(_store(objects_dir), link / "staging")
-        path = repo.path_of(remote_uri("seis-eu", "2010/a/b.xseed"))
-        # A Path under the *resolved* root, parent ready for the first write.
-        assert path == (tmp_path / "real/staging/2010/a/b.xseed").resolve()
-        assert path.parent.is_dir() and not path.exists()
-        for key in ("../outside.xseed", "2010/../../outside.xseed"):
-            with pytest.raises(IngestError):
-                repo.path_of(f"remote://seis-eu/{key}")
-        os.symlink(tmp_path, path.parent / "out")
-        with pytest.raises(IngestError):
-            repo.path_of(remote_uri("seis-eu", "2010/a/out/x.xseed"))
+        objects = tmp_path / "objects"
+        generate_repository(objects, BREAKPOINT_SPEC)
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        staging = tmp_path / "staging"
+
+        def remote(root):
+            return RemoteRepository(SimulatedObjectStore("seis-eu", root), staging)
+
+        def answer(repository, workers=1):
+            db = Database()
+            lazy_ingest_metadata(db, repository)
+            if workers == 1:
+                binding = RepositoryBinding(repository)
+                return TwoStageExecutor(db, binding).execute(self.WINDOW).rows
+            with QueryService(repository, db=db, mount_workers=workers) as service:
+                return service.execute(self.WINDOW).rows
+
+        stations = sorted((objects / "2010").iterdir())
+        answers = [
+            answer(remote(objects)),
+            answer(FederatedRepository(
+                [FileRepository(stations[0]), remote(stations[1])]
+            )),
+            answer(remote(objects), workers=2),
+        ]
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[0][0][0] > 0
+        assert main(["query", "--remote", f"seis={objects}", self.WINDOW]) == 0
+        assert "(endpoint seis:" in capsys.readouterr().err
+        assert not staging.exists()
+        assert list(temp.iterdir()) == []

@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.mseed.iohooks import FileSource
 from repro.core import (
     CacheGranularity,
     CachePolicy,
@@ -146,14 +147,14 @@ class TestAccounting:
         uri = dense_repo.uris()[0]
         path = dense_repo.path_of(uri)
         extractor = XSeedExtractor()
-        meta = extractor.extract_metadata(path, uri)
+        meta = extractor.extract_metadata(FileSource(path, uri))
         spans = meta.records.spans()
         overlapping = [
             s for s in spans
             if s.start_time <= spans[2].end_time  # first three records
         ]
         interval = (spans[0].start_time, spans[2].end_time)
-        selected = read_selected_records(path, interval, uri=uri, spans=spans)
+        selected = read_selected_records(FileSource(path, uri), interval, spans)
         assert selected.bytes_read == sum(s.byte_length for s in overlapping)
         assert selected.records_decoded == len(overlapping)
         assert selected.records_skipped == len(spans) - len(overlapping)
@@ -163,11 +164,11 @@ class TestAccounting:
         uri = dense_repo.uris()[0]
         path = dense_repo.path_of(uri)
         extractor = XSeedExtractor()
-        meta = extractor.extract_metadata(path, uri)
+        meta = extractor.extract_metadata(FileSource(path, uri))
         spans = meta.records.spans()
         interval = (spans[0].start_time, spans[0].end_time)
-        walked = read_selected_records(path, interval, uri=uri)
-        mapped = read_selected_records(path, interval, uri=uri, spans=spans)
+        walked = read_selected_records(FileSource(path, uri), interval)
+        mapped = read_selected_records(FileSource(path, uri), interval, spans)
         assert walked.record_id.tolist() == mapped.record_id.tolist()
         assert walked.samples.tolist() == mapped.samples.tolist()
         # The walk pays 64 bytes per header on top of the selected payloads,
@@ -179,7 +180,7 @@ class TestAccounting:
 class TestStaleByteMap:
     def _spans(self, repo, uri):
         extractor = XSeedExtractor()
-        meta = extractor.extract_metadata(repo.path_of(uri), uri)
+        meta = extractor.extract_metadata(FileSource(repo.path_of(uri), uri))
         return meta.records.spans()
 
     def test_drifted_start_time_raises_stale(self, dense_repo):
@@ -195,10 +196,9 @@ class TestStaleByteMap:
         )
         with pytest.raises(StaleFileError):
             read_selected_records(
-                dense_repo.path_of(uri),
+                FileSource(dense_repo.path_of(uri), uri),
                 (spans[1].start_time, spans[1].end_time),
-                uri=uri,
-                spans=spans,
+                spans,
             )
 
     def test_span_beyond_file_size_raises_truncated(self, dense_repo):
@@ -215,7 +215,7 @@ class TestStaleByteMap:
         )
         with pytest.raises(TruncatedFileError):
             read_selected_records(
-                path, (last.start_time, last.end_time), uri=uri, spans=spans
+                FileSource(path, uri), (last.start_time, last.end_time), spans
             )
 
     def test_a_span_claiming_terabytes_is_not_read(self, dense_repo):
@@ -234,7 +234,7 @@ class TestStaleByteMap:
         )
         with pytest.raises(TruncatedFileError) as excinfo:
             read_selected_records(
-                path, (spans[0].start_time, bad.end_time), uri=uri, spans=spans
+                FileSource(path, uri), (spans[0].start_time, bad.end_time), spans
             )
         assert excinfo.value.offset == bad.byte_offset
 
@@ -348,7 +348,9 @@ class TestRecordMapIndex:
     def expected(self, repo):
         extractor = XSeedExtractor()
         return {
-            uri: extractor.extract_metadata(repo.path_of(uri), uri).records.spans()
+            uri: extractor.extract_metadata(
+                FileSource(repo.path_of(uri), uri)
+            ).records.spans()
             for uri in repo.uris()
         }
 

@@ -806,9 +806,7 @@ class TestCrossTenantIsolation:
         store = SimulatedObjectStore(
             "seis-eu", tiny_repo.root, NetworkProfile(latency_seconds=0.45)
         )
-        return _service(
-            RemoteRepository(store, tmp_path / "staging"), db=remote_db
-        )
+        return _service(RemoteRepository(store), db=remote_db)
 
     def _assert_only_b_failed(self, service, future_a, ei_db):
         assert future_a.result(timeout=30).rows == ei_db.execute(self.SQL).rows()
@@ -854,7 +852,6 @@ class TestCrossTenantIsolation:
         store = _ScriptedListStore("seis-eu", tiny_repo.root)
         repository = RemoteRepository(
             store,
-            tmp_path / "staging",
             policy=TransportPolicy(
                 max_attempts=3,
                 backoff_seconds=0.0,

@@ -23,6 +23,14 @@ to learn.
 * ``unused-import`` — every imported name is read somewhere in its file
   (an ``__all__`` entry or a quoted annotation counts). An import kept for
   its side effect or as a re-export carries ``# noqa`` on its line.
+* ``read-through-volume-hook`` — no builtin ``open()`` in a read mode and
+  no ``Path.read_bytes`` / ``read_text`` in ``repro/mseed``,
+  ``repro/ingest``, ``repro/remote`` or ``repro/core``: those packages read
+  repository bytes through a byte source, whose ``open()`` the volume I/O
+  hook wraps. A read past the hook is one no fault plan can fault and no
+  benchmark byte counter counts.
+  Writers are exempt, and so is :func:`repro.mseed.iohooks.open_volume`,
+  the one place the hooked read path opens a file.
 """
 
 from __future__ import annotations
@@ -59,6 +67,12 @@ GOVERNED_PACKAGES = ("repro/core", "repro/ingest", "repro/serve", "repro/remote"
 
 # Same-line escape hatch for waits that genuinely run outside any query.
 SLEEP_ALLOW_COMMENT = "lint: allow-uninterruptible-sleep"
+
+# Packages that read repository bytes only through the volume I/O hook.
+HOOKED_READ_PACKAGES = ("repro/mseed", "repro/ingest", "repro/remote", "repro/core")
+
+# Path methods that read a whole file past the hook.
+UNHOOKED_READ_METHODS = {"read_bytes", "read_text"}
 
 
 def _dotted_name(node: ast.AST) -> str:
@@ -286,6 +300,60 @@ def _quoted_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _opens_for_reading(call: ast.Call) -> bool:
+    """Whether a builtin ``open()`` call may read: its mode (second
+    positional argument or ``mode=``) is absent, is no string literal, or
+    holds ``r`` or ``+``."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None
+    )
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return "r" in mode.value or "+" in mode.value
+    return True
+
+
+class ReadThroughVolumeHookRule(Rule):
+    """Repository reads go through the volume I/O hook."""
+
+    name = "read-through-volume-hook"
+
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        posix = ctx.path.as_posix()
+        if not any(f"{pkg}/" in posix for pkg in HOOKED_READ_PACKAGES):
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and (
+                func.attr in UNHOOKED_READ_METHODS
+            ):
+                yield self.violation(
+                    ctx, node,
+                    f".{func.attr}() reads past the volume I/O hook; read "
+                    "through a byte source's open() (repro.mseed.iohooks)",
+                )
+            elif (
+                isinstance(func, ast.Name)
+                and func.id == "open"
+                and _opens_for_reading(node)
+                and not self._in_open_volume(ctx, node)
+            ):
+                yield self.violation(
+                    ctx, node,
+                    "builtin open() for reading bypasses the volume I/O "
+                    "hook; read through a byte source's open() "
+                    "(repro.mseed.iohooks)",
+                )
+
+    @staticmethod
+    def _in_open_volume(ctx: FileContext, node: ast.AST) -> bool:
+        return ctx.path.name == "iohooks.py" and any(
+            isinstance(parent, ast.FunctionDef) and parent.name == "open_volume"
+            for parent in ctx.parent_chain(node)
+        )
+
+
 DEFAULT_RULES: list[Rule] = [
     BareExceptRule(),
     ExtractionErrorWrapRule(),
@@ -293,4 +361,5 @@ DEFAULT_RULES: list[Rule] = [
     MissingAnnotationsRule(),
     UninterruptibleSleepRule(),
     UnusedImportRule(),
+    ReadThroughVolumeHookRule(),
 ]
