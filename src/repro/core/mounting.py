@@ -37,16 +37,18 @@ local I/O. A file's failure is the query's own: nothing scores it across
 queries, and the next query reads the file afresh. The one circuit is a
 remote endpoint's, kept by its transport.
 
-Staleness is detected twice: the ingestion cache compares the
-``(mtime_ns, size)`` signature recorded at store time on every cache-scan
-(a changed file is invalidated and re-mounted, a deleted one invalidated
-and its error surfaced), and :meth:`_extract` re-stats the file after
-extraction so a file rewritten *during* the read raises
-:class:`~repro.db.errors.StaleFileError` rather than yielding torn rows —
-unless the extractor observes the file for itself (a remote one: each GET
-answers the object's signature with its bytes and is conditional on the
-one before), in which case it reports the one version it read and nothing
-is asked before or after.
+Every extraction takes one path: the repository hands over the bytes of
+one version of the file (:meth:`~repro.mseed.repository.Repository.hold`)
+and the format registry's extractor for the URI reads them. Staleness is
+detected twice: the ingestion cache compares the ``(mtime_ns, size)``
+signature recorded at store time on every cache-scan (a changed file is
+invalidated and re-mounted, a deleted one invalidated and its error
+surfaced), and :meth:`_extract` re-stats a file read in place after the
+read, so a file rewritten *during* the read raises
+:class:`~repro.db.errors.StaleFileError` rather than yielding torn rows.
+Bytes a backend moved to hold them (a remote object's GET bodies) are the
+version their responses answered, each GET conditional on the one before,
+so nothing is asked after the read.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from ..ingest.formats import (
     SelectiveFormatExtractor,
 )
 from ..ingest.schema import ACTUAL_TABLE, TIME_COLUMN, RepositoryBinding
-from ..mseed.iohooks import ByteSource
 from .cache import (
     CacheGranularity,
     FileSignature,
@@ -233,7 +234,7 @@ class MountContext:
     query's requests to it spend from. ``observed`` is what the breakpoint
     observed of the plan's cache-scanned files
     (:meth:`~repro.mseed.repository.Repository.signatures_of`), which each
-    cache scan compares against instead of observing the file itself.
+    cache scan compares against instead of a ``stat`` or HEAD of its own.
 
     ``trace`` is the query's :class:`~repro.obs.QueryTrace`: the executor's
     stages, the plans' operators and the consumed mounts all record
@@ -344,8 +345,8 @@ class ExtractResult:
     selective: bool = False
     restarts: int = 0  # extractions :data:`RESTARTS` began again
     # The signature of the version extracted — the post-extraction stat's,
-    # or the one a self-observing (remote) extractor reports — for the cache
-    # store, instead of another stat/HEAD.
+    # or the one the held bytes' responses answered — for the cache store,
+    # instead of another stat/HEAD.
     signature: Optional[FileSignature] = None
 
 
@@ -692,14 +693,16 @@ class MountService:
             context = MountContext()
         token = context.token
         token.raise_if_interrupted()
-        # Everything source-specific goes through the repository protocol
-        # hooks: a remote repository answers its object and wraps the
-        # registry's extractor in its ranged-GET adapter, whose requests run
-        # under ``context`` (token, retry budget).
+        # Everything source-specific goes through the repository's ``hold``,
+        # whose requests run under ``context`` (token, retry budget); which
+        # extractor reads the bytes is the registry's choice alone.
         binding = self.binding_for(table_name)
-        repository = binding.repository
         assert binding.registry is not None
-        source, extractor = repository.source_for(uri, binding.registry, context)
+        extractor = binding.registry.for_path(uri)
+        if request is not None and not isinstance(
+            extractor, SelectiveFormatExtractor
+        ):
+            request = None
         restarts = 0
 
         def attempt(n: int) -> "ExtractResult":
@@ -707,7 +710,7 @@ class MountService:
             restarts = n  # attempt n follows n restarts
             before = observed if n == 0 else None
             return self._extract_once(
-                source, extractor, request, repository, before, context, n
+                uri, extractor, request, binding.repository, before, context, n
             )
 
         try:
@@ -718,7 +721,7 @@ class MountService:
 
     def _extract_once(
         self,
-        source: ByteSource,
+        uri: str,
         extractor: FormatExtractor,
         request: Optional[MountRequest],
         repository: "Repository",
@@ -726,31 +729,19 @@ class MountService:
         context: MountContext,
         restarts: int,
     ) -> "ExtractResult":
-        # An extractor that observes the file for itself (a remote one: the
-        # GETs that carry the bytes answer the object's signature, and each
-        # is conditional on the one before) takes what the caller has seen,
-        # if anything, and names the version it read afterwards. Anything
-        # else is bracketed here: a signature before the read, one after.
-        uri = source.uri
-        observing = getattr(extractor, "observing", None)
-        if observing is not None:
-            extractor = observing(before)
-        elif before is None:
-            try:
-                before = repository.signature_of(uri, context)
-            except FileNotFoundError as exc:
-                raise FileIngestError(
-                    f"file disappeared before extraction: {uri}",
-                    uri=uri,
-                    cause=exc,
-                ) from exc
-        selective = request is not None and isinstance(
-            extractor, SelectiveFormatExtractor
-        )
-        if selective:
-            assert request is not None
-            mounted_sel = extractor.mount_selective(source, request)
-            nbytes = mounted_sel.bytes_read
+        try:
+            held = repository.hold(uri, request, before, context)
+        except FileNotFoundError as exc:
+            raise FileIngestError(
+                f"file disappeared before extraction: {uri}",
+                uri=uri,
+                cause=exc,
+            ) from exc
+        if request is not None:
+            mounted_sel = extractor.mount_selective(held.source, request)
+            # What the backend moved to hold the bytes, when it moved them;
+            # else what the extractor read in place.
+            nbytes = mounted_sel.bytes_read if held.moved is None else held.moved
             mounted = mounted_sel.mounted
             coverage = request.interval
             records_decoded = mounted_sel.records_decoded
@@ -763,27 +754,19 @@ class MountService:
                     f"repo:{uri}", nbytes, full=records_skipped == 0
                 )
         else:
-            if observing is None:
-                assert before is not None
-                nbytes = before[1]
-                io_seconds = self._touch_whole(uri, nbytes)
-                mounted = extractor.mount(source)
-            else:
-                # Self-observed: the object's size arrives with its bytes.
-                mounted = extractor.mount(source)
-                nbytes = extractor.observed[1]
-                io_seconds = self._touch_whole(uri, nbytes)
+            nbytes = held.signature[1]
+            io_seconds = self._touch_whole(uri, nbytes)
+            mounted = extractor.mount(held.source)
             coverage = WHOLE_FILE
             records_decoded = mounted.records
             records_skipped = 0
-        if observing is not None:
-            # `before` = the first response's signature = each later GET's
-            # `if_match` = … = the last response's: the same sandwich, both
-            # ends inside the requests that read the bytes. A rewrite after
-            # the last response is the next cache scan's to see; these rows
-            # are wholly the version they are about to be cached under.
-            after = extractor.observed
-        else:
+        # Held bytes are the version their GETs answered: ``held.signature``
+        # is the first response's, each later GET's ``if_match`` and the
+        # last response's. A rewrite after that is the next cache scan's to
+        # see. A file read in place is observed again, both ends of the
+        # read bracketed.
+        after = held.signature
+        if held.moved is None:
             try:
                 after = repository.signature_of(uri, context)
             except FileNotFoundError as exc:
@@ -792,10 +775,10 @@ class MountService:
                     uri=uri,
                     cause=exc,
                 ) from exc
-            if after != before:
+            if after != held.signature:
                 raise StaleFileError(
                     "file changed on disk during extraction "
-                    f"(mtime/size {before} -> {after})",
+                    f"(mtime/size {held.signature} -> {after})",
                     uri=uri,
                 )
         return ExtractResult(
@@ -805,7 +788,7 @@ class MountService:
             bytes_read=nbytes,
             records_decoded=records_decoded,
             records_skipped=records_skipped,
-            selective=selective,
+            selective=request is not None,
             restarts=restarts,
             signature=after,
         )

@@ -35,7 +35,8 @@ not implement it are asked file by file, and a run's answers are stacked
 into one block (:func:`views_block`).
 
 The :class:`FormatRegistry` resolves a file's extractor by suffix, so one
-repository may mix formats.
+repository may mix formats. It alone makes that choice: a repository, local
+or remote, hands over a file's bytes and knows no format.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ second stage of execution, wherever and whenever we need them." This module
 is the *up-front* half: a header-only pass filling ``F`` and ``R``. The
 per-query half (mounting) lives in :mod:`repro.core.mounting`.
 
+The repository only locates the files — one listing, one byte source per
+file — and the format registry picks the extractor of each by its URI, so a
+run of remote objects takes the same batched header parse as a run of
+local files.
+
 With a :class:`~repro.core.metastore.MetadataStore` attached, the pass
 becomes incremental across sessions: the repository is observed once, in
 bulk (:meth:`~repro.mseed.repository.Repository.signatures` — one walk of
@@ -65,27 +70,29 @@ Source = tuple[ByteSource, FormatExtractor]
 def metadata_pass(
     repository: Repository,
     registry: FormatRegistry,
-    located: Iterable[Source] | None = None,
+    located: Iterable[ByteSource] | None = None,
 ) -> tuple[list[Source], MetadataBlock]:
-    """The header-only pass over ``located`` — each file's ``(source,
-    extractor)``, by default every file as one listing of the repository
-    located it (:meth:`~repro.mseed.repository.Repository.locate`): those
-    pairs, and what the extractors read of the files as one block, both in
-    the order given.
+    """The header-only pass over ``located`` — each file's byte source, by
+    default every file as one listing of the repository located it
+    (:meth:`~repro.mseed.repository.Repository.locate`): each source with
+    the extractor the registry picks for its URI, and what those extractors
+    read of the files as one block, both in the order given.
 
     Files are located and dispatched first — that reads nothing — and
     maximal runs of consecutive files with the same extractor are then
     extracted in one ``extract_metadata_many`` call when the extractor has
-    one, file by file (their views stacked into a block) when not. The
-    first defective file in the order given decides the error: a URI that
-    does not resolve waits for the files before it.
+    one, file by file (their views stacked into a block) when not, whichever
+    backend holds the files. The first defective file in the order given
+    decides the error: a URI that does not resolve waits for the files
+    before it.
     """
     if located is None:
-        located = repository.locate(registry)
+        located = repository.locate()
     sources: list[Source] = []
     unresolved: Exception | None = None
     try:
-        sources.extend(located)
+        for source in located:
+            sources.append((source, registry.for_path(source.uri)))
     except Exception as exc:
         unresolved = exc
     blocks: list[MetadataBlock] = []
@@ -120,7 +127,7 @@ def _incremental_pass(
     _, extracted = metadata_pass(
         repository,
         registry,
-        (repository.source_for(uri, registry)
+        (repository.source_for(uri)
          for uri, kept in zip(uris, reused.tolist()) if not kept),
     )
     # Each file's position in the block it comes from; a run of files at

@@ -10,20 +10,22 @@ only, and the mount access path resolves one URI at a time.
 (:mod:`repro.remote.repository`) and the federated dispatcher
 (:mod:`repro.remote.federation`). Ingestion and mounting resolve everything
 source-specific through its hooks: :meth:`~Repository.source_for` (URI →
-the :class:`~repro.mseed.iohooks.ByteSource` its bytes are read through and
-the format extractor that reads them, possibly wrapped),
-:meth:`~Repository.locate` (every file's source and extractor, from one
-listing), :meth:`~Repository.signature_of` (URI → staleness signature),
-:meth:`~Repository.signatures` (every URI and its signature, observed in
-bulk), :meth:`~Repository.signatures_of` (some URIs' signatures, observed
-ahead where that saves requests — what a query's cache scans compare
-against) and :meth:`~Repository.owns_uri` (federation dispatch). Those that
-can read, and :meth:`~Repository.uris`, also receive the calling query's
-``scope`` (its
+the :class:`~repro.mseed.iohooks.ByteSource` a header walk reads),
+:meth:`~Repository.locate` (every file's source, from one listing),
+:meth:`~Repository.hold` (the bytes of one version of a file, for one
+mount, and which version they are), :meth:`~Repository.signature_of` (URI →
+staleness signature), :meth:`~Repository.signatures` (every URI and its
+signature, observed in bulk), :meth:`~Repository.signatures_of` (some URIs'
+signatures, observed ahead where that saves requests — what a query's cache
+scans compare against) and :meth:`~Repository.owns_uri` (federation
+dispatch). Those that can read, and :meth:`~Repository.uris`, also receive
+the calling query's ``scope`` (its
 :class:`~repro.core.mounting.MountContext`, or None outside a query): a
 backend whose reads can wait or retry runs them under that query's
 cancellation token and retry budget; a local directory has no use for it.
-Everything above the hooks is source-agnostic.
+A repository hands over bytes and knows no format: which extractor reads a
+file is the format registry's choice alone. Everything above the hooks is
+source-agnostic.
 """
 
 from __future__ import annotations
@@ -32,17 +34,36 @@ import os
 from operator import itemgetter
 from pathlib import Path
 from stat import S_ISLNK
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 from ..db.errors import FileIngestError, IngestError
 from .iohooks import ByteSource, FileSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycles)
-    from ..ingest.formats import FormatExtractor, FormatRegistry
+    from ..ingest.formats import MountRequest
 
 
 # URI components that make a URI something other than a path below the root.
 _NOT_PLAIN = frozenset(("", ".", ".."))
+
+
+class Held(NamedTuple):
+    """The bytes one mount reads: a byte source, the ``(mtime_ns, size)``
+    signature of the version it reads as, and the bytes the backend moved
+    to hold them — None when it reads in place, so the reader's own count
+    stands and the file is observed again after the read."""
+
+    source: ByteSource
+    signature: tuple[int, int]
+    moved: Optional[int]
 
 
 class Repository(Protocol):
@@ -52,13 +73,17 @@ class Repository(Protocol):
 
     def uris(self, scope: Any = None) -> list[str]: ...
 
-    def locate(
-        self, registry: "FormatRegistry", scope: Any = None
-    ) -> Iterator[tuple[ByteSource, "FormatExtractor"]]: ...
+    def locate(self, scope: Any = None) -> Iterator[ByteSource]: ...
 
-    def source_for(
-        self, uri: str, registry: "FormatRegistry", scope: Any = None
-    ) -> tuple[ByteSource, "FormatExtractor"]: ...
+    def source_for(self, uri: str, scope: Any = None) -> ByteSource: ...
+
+    def hold(
+        self,
+        uri: str,
+        request: Optional["MountRequest"] = None,
+        observed: Optional[tuple[int, int]] = None,
+        scope: Any = None,
+    ) -> Held: ...
 
     def signature_of(self, uri: str, scope: Any = None) -> tuple[int, int]: ...
 
@@ -128,17 +153,15 @@ class FileRepository:
     def __iter__(self) -> Iterator[str]:
         return iter(self.uris())
 
-    def locate(
-        self, registry: "FormatRegistry", scope: object = None
-    ) -> Iterator[tuple[FileSource, "FormatExtractor"]]:
-        """Every file's source and extractor, in listing order: the
-        repository located in one go. The listing's own walk answers for a
-        plain entry (where it found it); a symlinked one goes through
-        :meth:`path_of` and its containment check when its turn comes, so a
-        link that escapes the root raises after the URIs listed before it."""
+    def locate(self, scope: object = None) -> Iterator[FileSource]:
+        """Every file's source, in listing order: the repository located in
+        one go. The listing's own walk answers for a plain entry (where it
+        found it); a symlinked one goes through :meth:`path_of` and its
+        containment check when its turn comes, so a link that escapes the
+        root raises after the URIs listed before it."""
         for uri, entry in self._listing():
             path = self.path_of(uri) if entry.is_symlink() else entry.path
-            yield FileSource(path, uri), registry.for_path(path)
+            yield FileSource(path, uri)
 
     def _resolve(self, uri: str) -> tuple[str, Optional[os.stat_result]]:
         """The real path of ``uri``, which must lie inside the root, and what
@@ -226,15 +249,22 @@ class FileRepository:
         as it would here, so each scan keeps its own."""
         return {}
 
-    def source_for(
-        self, uri: str, registry: "FormatRegistry", scope: object = None
-    ) -> tuple[FileSource, "FormatExtractor"]:
-        """The file ``uri`` names as a byte source, and the extractor the
-        registry's per-suffix dispatch picks for it. The remote backend
-        answers an object and wraps the registry's choice in its
-        ranged-GET adapter."""
-        path = self.path_of(uri)
-        return FileSource(path, uri), registry.for_path(path)
+    def source_for(self, uri: str, scope: object = None) -> FileSource:
+        """The file ``uri`` names, as a byte source."""
+        return FileSource(self.path_of(uri), uri)
+
+    def hold(
+        self,
+        uri: str,
+        request: Optional["MountRequest"] = None,
+        observed: Optional[tuple[int, int]] = None,
+        scope: object = None,
+    ) -> Held:
+        """The file itself, read in place, and its signature before the
+        read: ``observed`` when the caller has just taken one, else a
+        ``stat`` now. Which records ``request`` wants changes nothing
+        here: the extractor seeks to them itself."""
+        return Held(self.source_for(uri), observed or self.signature_of(uri), None)
 
     def owns_uri(self, uri: str) -> bool:
         """Does this repository serve ``uri``? (Federation dispatch.)"""

@@ -13,11 +13,7 @@ local and remote sources with per-endpoint failure isolation.
 
 from .federation import FederatedRepository
 from .netmodel import NetworkModel, NetworkProfile, interruptible_wait
-from .repository import (
-    RemoteExtractor,
-    RemoteRepository,
-    RemoteRepositoryStats,
-)
+from .repository import RemoteRepository, RemoteRepositoryStats
 from .simstore import ObjectStat, SimStoreStats, SimulatedObjectStore
 from .transport import ResilientTransport, TransportPolicy, TransportStats
 from .uris import (
@@ -34,7 +30,6 @@ __all__ = [
     "NetworkProfile",
     "ObjectStat",
     "REMOTE_SCHEME",
-    "RemoteExtractor",
     "RemoteRepository",
     "RemoteRepositoryStats",
     "ResilientTransport",

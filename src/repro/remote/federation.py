@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 from ..db.errors import IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..ingest.formats import FormatExtractor, FormatRegistry
+    from ..ingest.formats import MountRequest
     from ..mseed.iohooks import ByteSource
-    from ..mseed.repository import Repository
+    from ..mseed.repository import Held, Repository
     from .transport import RequestScope
 
 
@@ -79,13 +79,11 @@ class FederatedRepository:
         return any(member.owns_uri(uri) for member in self.members)
 
     def locate(
-        self,
-        registry: "FormatRegistry",
-        scope: Optional["RequestScope"] = None,
-    ) -> Iterator[tuple["ByteSource", "FormatExtractor"]]:
+        self, scope: Optional["RequestScope"] = None
+    ) -> Iterator["ByteSource"]:
         """The members' listings one after another, in member order."""
         for member in self.members:
-            yield from member.locate(registry, scope)
+            yield from member.locate(scope)
 
     def signature_of(
         self, uri: str, scope: Optional["RequestScope"] = None
@@ -106,12 +104,18 @@ class FederatedRepository:
         return sum(member.total_bytes() for member in self.members)
 
     def source_for(
+        self, uri: str, scope: Optional["RequestScope"] = None
+    ) -> "ByteSource":
+        return self._member_for(uri).source_for(uri, scope)
+
+    def hold(
         self,
         uri: str,
-        registry: "FormatRegistry",
+        request: Optional["MountRequest"] = None,
+        observed: Optional[tuple[int, int]] = None,
         scope: Optional["RequestScope"] = None,
-    ) -> tuple["ByteSource", "FormatExtractor"]:
-        return self._member_for(uri).source_for(uri, registry, scope)
+    ) -> "Held":
+        return self._member_for(uri).hold(uri, request, observed, scope)
 
 
 __all__ = ["FederatedRepository"]

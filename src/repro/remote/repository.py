@@ -5,19 +5,21 @@ A :class:`RemoteRepository` makes an endpoint's object store look like a
 The translation happens through the repository protocol hooks:
 
 ``source_for`` / ``locate``
-    A remote URI answers a :class:`RemoteObject` — a byte source whose
+    A remote URI answers a :class:`RemoteObject`: a byte source whose
     ``open()`` GETs the whole object into a buffer nothing keeps, which is
-    what a metadata walk reads — and the registry's per-suffix extractor
-    wrapped in :class:`RemoteExtractor`, which maps a mount's byte map onto
-    **ranged GETs**: wanted record spans are coalesced (gaps smaller than
-    one request's worth of bandwidth are cheaper to read through than to
-    re-negotiate) and fetched into memory, and the inner extractor then
-    reads an immutable snapshot of what is held exactly as it would read a
-    local volume. Whole-file mounts (non-addressable byte maps, formats
-    without selective mounting) fetch the whole object once. What is held
-    is reused until the remote signature changes. The wrapper observes the
-    object for itself (``observing``): it reports the one version all the
-    bytes it read came from, so the mount layer brackets it with no HEADs.
+    what a metadata walk reads.
+``hold``
+    A mount's bytes. A request's byte map becomes **ranged GETs**: wanted
+    record spans are coalesced (gaps smaller than one request's worth of
+    bandwidth are cheaper to read through than to re-negotiate) and fetched
+    into memory (:meth:`~RemoteRepository.fetch_spans`). A whole mount, or
+    a request without an addressable byte map, fetches the whole object
+    once (:meth:`~RemoteRepository.ensure_whole`). Either answers an
+    immutable snapshot of what is held, which the registry's extractor
+    reads exactly as it would read a local volume, the one version all of
+    it is of, and the remote bytes moved. What is held is reused until the
+    remote signature changes. So the mount layer brackets the read with no
+    HEADs.
 ``signature_of``
     Answered by a HEAD: ``(mtime_ns, size)`` of the remote object, which
     the mount layer's cache-scan staleness check compares against. A cache
@@ -43,8 +45,8 @@ The translation happens through the repository protocol hooks:
 All requests go through the :class:`~repro.remote.transport.ResilientTransport`
 (per-endpoint circuit breaker, retry budget, deadlines), so every
 failure surfaces as a typed error naming the endpoint. ``uris``,
-``signatures``, ``signature_of``, ``signatures_of`` and ``source_for``
-take the calling query's ``scope`` (its
+``signatures``, ``signature_of``, ``signatures_of``, ``source_for`` and
+``hold`` take the calling query's ``scope`` (its
 :class:`~repro.core.mounting.MountContext`) and hand it down to every
 request they cause, so the query's token interrupts them and they spend
 from the query's retry budget for this endpoint; the repository keeps no
@@ -65,8 +67,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Optional, Sequence
 
 from .. import _sync
 from ..db.errors import (
@@ -75,19 +77,16 @@ from ..db.errors import (
     RemoteObjectMissingError,
     StaleFileError,
 )
-from ..ingest.formats import (
-    FormatExtractor,
-    FormatRegistry,
-    MountOutcome,
-    MountRequest,
-    SelectiveFormatExtractor,
-)
-from ..mseed.iohooks import BufferSource, ByteSource
+from ..mseed.iohooks import BufferSource
+from ..mseed.repository import Held
 from ..mseed.volume import coalesce_spans
 from . import simstore
 from .simstore import SimulatedObjectStore
 from .transport import RequestScope, ResilientTransport, TransportPolicy
 from .uris import endpoint_of, parse_remote_uri, remote_uri
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..ingest.formats import MountRequest
 
 # Fallback coalescing gap when the profile gives no latency×bandwidth
 # product to derive one from.
@@ -178,16 +177,6 @@ def _missing(
     return _subtract_ranges(wanted, covered)
 
 
-class Staged(NamedTuple):
-    """What a fetch answers: the remote version every held byte of the
-    object is of, the remote bytes this call moved to get the wanted ones
-    (0: they were held already), and a snapshot of what is held."""
-
-    signature: tuple[int, int]
-    moved: int
-    source: BufferSource
-
-
 @dataclass
 class RemoteRepositoryStats:
     remote_bytes: int = 0  # bytes actually moved off the endpoint
@@ -268,10 +257,10 @@ class RemoteRepository:
         return endpoint_of(uri) == self.endpoint
 
     def locate(
-        self, registry: FormatRegistry, scope: Optional[RequestScope] = None
-    ) -> Iterator[tuple["RemoteObject", "RemoteExtractor"]]:
-        """Every object's source and extractor, in listing order."""
-        return (self.source_for(uri, registry, scope) for uri in self.uris(scope))
+        self, scope: Optional[RequestScope] = None
+    ) -> Iterator["RemoteObject"]:
+        """Every object's source, in listing order."""
+        return (self.source_for(uri, scope) for uri in self.uris(scope))
 
     def _key(self, uri: str) -> str:
         try:
@@ -355,17 +344,45 @@ class RemoteRepository:
         return sum(size for _, size in self.signatures().values())
 
     def source_for(
+        self, uri: str, scope: Optional[RequestScope] = None
+    ) -> "RemoteObject":
+        """The object ``uri`` names; every request it makes runs under
+        ``scope``."""
+        return RemoteObject(self, uri, self._key(uri), scope)
+
+    def hold(
         self,
         uri: str,
-        registry: FormatRegistry,
+        request: Optional["MountRequest"] = None,
+        observed: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
-    ) -> tuple["RemoteObject", "RemoteExtractor"]:
-        """The object ``uri`` names, and the registry's extractor for it in
-        the ranged-GET adapter; every request either makes runs under
-        ``scope``."""
-        source = RemoteObject(self, uri, self._key(uri), scope)
-        extractor = RemoteExtractor(self, registry.for_path(uri), scope=scope)
-        return source, extractor
+    ) -> Held:
+        """The bytes one mount reads, held in memory: the wanted records'
+        spans when ``request`` has an addressable byte map and does not
+        select everything, else the whole object — a header walk over a
+        partly fetched object would parse its holes' zeros as corruption.
+
+        ``observed`` is the caller's own fresh observation of the object:
+        with one, every GET is conditional on it; without, the first
+        response says which version this is and every later GET is
+        conditional on that. Either way the bytes are of one version, or
+        the call raises :class:`~repro.db.errors.StaleFileError`.
+        """
+        spans = None
+        if request is not None and not request.selects_all:
+            spans = request.records
+        if spans is not None and all(span.addressable for span in spans):
+            return self.fetch_spans(
+                uri,
+                [
+                    (span.byte_offset, span.byte_length)
+                    for span in spans
+                    if request.wants(span.start_time, span.end_time)
+                ],
+                observed,
+                scope,
+            )
+        return self.ensure_whole(uri, observed, scope)
 
     def close(self) -> None:
         """Nothing to release: every request runs on its caller's thread."""
@@ -410,9 +427,9 @@ class RemoteRepository:
         uri: str,
         signature: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
-    ) -> Staged:
-        """Fetch the whole object into memory; answers the version held, the
-        remote bytes moved (0 on reuse) and a snapshot.
+    ) -> Held:
+        """Fetch the whole object into memory; answers a snapshot, the
+        version held and the remote bytes moved (0 on reuse).
 
         ``signature`` is the caller's own fresh observation of the object
         (see :meth:`fetch_spans`): a whole copy of that version is reused
@@ -430,18 +447,18 @@ class RemoteRepository:
             if entry is not None and entry.whole:
                 with self._lock:
                     self.stats.staged_reuses += 1
-                return Staged(entry.signature, 0, entry.snapshot(uri))
+                return Held(entry.snapshot(uri), entry.signature, 0)
             stat, data = self.transport.get(
                 key, 0, None, signature, uri=uri, scope=scope
             )
-            held = _StagedFile(stat.signature, [(0, data)])
+            fetched = _StagedFile(stat.signature, [(0, data)])
             with self._lock:
                 if entry is not None and entry.signature != stat.signature:
                     self._drop_locked(key)
-                self._staged[key] = held
+                self._staged[key] = fetched
                 self.stats.whole_fetches += 1
                 self.stats.remote_bytes += len(data)
-            return Staged(stat.signature, len(data), held.snapshot(uri))
+            return Held(fetched.snapshot(uri), stat.signature, len(data))
 
     def fetch_spans(
         self,
@@ -449,14 +466,14 @@ class RemoteRepository:
         spans: Sequence[tuple[int, int]],
         signature: Optional[tuple[int, int]] = None,
         scope: Optional[RequestScope] = None,
-    ) -> Staged:
+    ) -> Held:
         """Fetch the ``(byte_offset, byte_length)`` spans into memory;
-        answers the version they are held under, the remote bytes moved (0
-        when they were all held already) and a snapshot of what is held.
+        answers a snapshot of what is held, the version it is held under
+        and the remote bytes moved (0 when they were all held already).
 
         Missing ranges are coalesced under the bandwidth model and fetched
         as ranged GETs. The snapshot reads as an object of the real size, so
-        the inner extractor's seeks and its truncation checks see that size,
+        the extractor's seeks and its truncation checks see that size,
         while what was never fetched costs nothing.
 
         ``signature`` is the ``(mtime_ns, size)`` the caller has just
@@ -488,7 +505,7 @@ class RemoteRepository:
         wanted: list[tuple[int, int]],
         observed: Optional[tuple[int, int]],
         scope: Optional[RequestScope],
-    ) -> Staged:
+    ) -> Held:
         """:meth:`fetch_spans` under the key's lock. ``observed`` is the
         version something — the caller, then a response here — has actually
         observed the object to be; None until something has."""
@@ -510,7 +527,7 @@ class RemoteRepository:
                 self.stats.staged_reuses += 1
                 if entry is None:
                     entry = self._staged[key] = _StagedFile(signature=version)
-            return Staged(version, 0, entry.snapshot(uri))
+            return Held(entry.snapshot(uri), version, 0)
         moved = 0
         for start, end in fetchable:
             try:
@@ -534,7 +551,7 @@ class RemoteRepository:
                 entry.pieces = _placed(entry.pieces, start, data)
                 self.stats.ranged_gets += 1
                 self.stats.remote_bytes += len(data)
-        return Staged(version, moved, entry.snapshot(uri))
+        return Held(entry.snapshot(uri), version, moved)
 
 
 @dataclass
@@ -561,115 +578,9 @@ class RemoteObject:
         return BufferSource(self.uri, data).open()
 
 
-class RemoteExtractor:
-    """Wraps a format extractor so its mounts read a remote object's bytes
-    from memory.
-
-    ``bytes_read`` in the returned outcomes is redefined as *remote bytes
-    moved by this call* — the number the bandwidth model, the governor's
-    byte budget, and the ranged-GET benchmark all care about. A mount fully
-    served from the bytes held reports 0, exactly like a page-cache hit.
-
-    A mount through it needs no signature taken before or after: the
-    responses that carry the bytes say which version they are of
-    (:meth:`observing`, :attr:`observed`), and the inner extractor reads a
-    snapshot of exactly those bytes.
-    """
-
-    def __init__(
-        self,
-        repository: RemoteRepository,
-        inner: FormatExtractor,
-        signature: Optional[tuple[int, int]] = None,
-        scope: Optional[RequestScope] = None,
-    ) -> None:
-        self.repository = repository
-        self.inner = inner
-        # The caller's own observation of the object, when it has one and
-        # this extractor serves one extraction attempt (see `observing`).
-        self.signature = signature
-        # The query whose mount this is; every request runs under it.
-        self.scope = scope
-        # The version the last mount through this extractor read: every
-        # byte of it, and nothing of any other.
-        self.observed: Optional[tuple[int, int]] = None
-
-    def observing(
-        self, signature: Optional[tuple[int, int]]
-    ) -> "RemoteExtractor":
-        """This extractor for one extraction attempt. ``signature`` is what
-        the caller has just observed the object to be (the shared cache
-        lookup's HEAD), or None: with one, every GET is conditional on it;
-        without, the first response says which version this is and every
-        later GET is conditional on that. Either way the mount reads one
-        version or raises :class:`~repro.db.errors.StaleFileError`, and
-        :attr:`observed` names it afterwards."""
-        return RemoteExtractor(
-            self.repository, self.inner, signature, self.scope
-        )
-
-    @property
-    def format_name(self) -> str:
-        return self.inner.format_name
-
-    @property
-    def suffix(self) -> str:
-        return self.inner.suffix
-
-    def extract_metadata(self, source: ByteSource):
-        """The inner format's header-only read of ``source`` (of a
-        :class:`RemoteObject`: one whole GET, nothing kept)."""
-        return self.inner.extract_metadata(source)
-
-    def mount(self, source: ByteSource):
-        staged = self.repository.ensure_whole(
-            source.uri, self.signature, self.scope
-        )
-        mounted = self.inner.mount(staged.source)
-        self.observed = staged.signature
-        return mounted
-
-    def mount_selective(
-        self, source: ByteSource, request: MountRequest
-    ) -> MountOutcome:
-        inner, spans = self.inner, request.records
-        selective_inner = isinstance(inner, SelectiveFormatExtractor)
-        if (
-            selective_inner
-            and not request.selects_all
-            and spans is not None
-            and all(span.addressable for span in spans)
-        ):
-            staged = self.repository.fetch_spans(
-                source.uri,
-                [
-                    (span.byte_offset, span.byte_length)
-                    for span in spans
-                    if request.wants(span.start_time, span.end_time)
-                ],
-                self.signature,
-                self.scope,
-            )
-        else:
-            # No trustworthy byte map (or the request wants everything):
-            # fetch the whole object — a header walk over a partly fetched
-            # object would parse its holes' zeros as corruption.
-            staged = self.repository.ensure_whole(
-                source.uri, self.signature, self.scope
-            )
-        if selective_inner:
-            outcome = inner.mount_selective(staged.source, request)
-        else:
-            outcome = MountOutcome(inner.mount(staged.source), 0, 0, 0)
-        self.observed = staged.signature
-        return replace(outcome, bytes_read=staged.moved)
-
-
 __all__ = [
     "DEFAULT_COALESCE_GAP_BYTES",
-    "RemoteExtractor",
     "RemoteObject",
     "RemoteRepository",
     "RemoteRepositoryStats",
-    "Staged",
 ]

@@ -281,6 +281,7 @@ class TestExactByteAccounting:
         assert cache.contains("a")  # nothing was evicted for the reject
 
 
+@pytest.mark.locktrace
 class TestConcurrency:
     """Regression: mount-pool workers store into one shared cache while the
     consumer looks up and invalidates. Before the cache grew its lock, the

@@ -384,6 +384,7 @@ class TestMultipleActualScans:
         assert executor.execute(sql).rows == ei_db.execute(sql).rows()
 
 
+@pytest.mark.locktrace
 class TestReentrancy:
     """One engine, six queries at once, each under a context of its own:
     three degrade around corrupted files, one is truncated by its byte

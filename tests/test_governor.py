@@ -432,6 +432,7 @@ class TestCircuitBreaker:
         assert "seis-eu" in str(refusal)
 
 
+@pytest.mark.locktrace
 class TestHalfOpenProbeHammer:
     """Under concurrency, a cooled-down circuit admits exactly one probe;
     every losing thread gets a typed refusal, not a request."""
@@ -526,6 +527,7 @@ class TestRetryBudget:
         assert budget.spent() == 64
 
 
+@pytest.mark.locktrace
 class TestRetryLadder:
     def test_validation(self):
         for bad in (

@@ -28,6 +28,8 @@ from repro.testing.locktrace import (
     tracing,
 )
 
+pytestmark = pytest.mark.locktrace
+
 
 # -- the seeded inversion: A->B on one thread, B->A on another ----------------
 

@@ -47,6 +47,8 @@ from repro.testing.oracle import (
 
 from conftest import CSV_RATE, CSV_SAMPLES, CSV_START, TINY_SPEC
 
+pytestmark = pytest.mark.locktrace
+
 STATIONS = ["ISK", "ANK", "NOSUCH"]
 CHANNELS = ["BHE", "BHZ"]
 # Time anchors inside (and slightly outside) the tiny repository's 2 days.

@@ -32,6 +32,7 @@ from repro.core.recordmap import RecordMapIndex
 from repro.db import Database
 from repro.db.errors import (
     CircuitOpenError,
+    CorruptFileError,
     FileIngestError,
     IngestError,
     QueryBudgetExceeded,
@@ -43,7 +44,7 @@ from repro.db.errors import (
 from repro.db.expr import BoolOp, ColumnRef, Comparison, Literal
 from repro.db.types import DataType
 from repro.ingest import RepositoryBinding, XSeedExtractor, lazy_ingest_metadata
-from repro.ingest.formats import MountRequest, default_registry
+from repro.ingest.formats import MountRequest
 from repro.mseed import (
     FileRepository,
     RepositorySpec,
@@ -52,7 +53,7 @@ from repro.mseed import (
     read_records,
     write_volume,
 )
-from repro.mseed.iohooks import FileSource
+from repro.mseed.iohooks import BufferSource, FileSource
 from repro.mseed.volume import coalesce_spans
 from repro.remote import simstore as simstore_module
 from repro.remote.simstore import ObjectStat, PreconditionFailed
@@ -64,7 +65,6 @@ from repro.remote import (
     FederatedRepository,
     NetworkModel,
     NetworkProfile,
-    RemoteExtractor,
     RemoteRepository,
     ResilientTransport,
     SimulatedObjectStore,
@@ -98,9 +98,9 @@ def _store(objects_dir, **profile_kwargs):
     )
 
 
-def _read(staged):
+def _read(held):
     """The bytes of a fetch's snapshot, read as a reader reads them."""
-    with staged.source.open() as handle:
+    with held.source.open() as handle:
         return handle.read()
 
 
@@ -498,6 +498,7 @@ class _GatedStore(_ScriptedStore):
         return super().get(key, start, length, if_match, deadline, token)
 
 
+@pytest.mark.locktrace
 class TestHalfOpenProbeInFlight:
     """Mount workers reach a recovering endpoint together: the request
     that is second waits for the probe's verdict."""
@@ -784,22 +785,23 @@ class TestRemoteRepository:
     def test_foreign_uri_refused(self, objects_dir, tmp_path, uri):
         repo = RemoteRepository(_store(objects_dir))
         with pytest.raises(IngestError):
-            repo.source_for(uri, default_registry())
+            repo.source_for(uri)
+        with pytest.raises(IngestError):
+            repo.hold(uri)
 
     def test_request_without_byte_map_stages_the_whole_object(self, objects_dir):
-        """No record map to trust: the whole object is fetched and the inner
+        """No record map to trust: the whole object is fetched and the
         extractor selects from the bytes held."""
         repo = RemoteRepository(_store(objects_dir))
         uri = repo.uris()[0]
         path = objects_dir / parse_remote_uri(uri)[1]
-        source, extractor = repo.source_for(uri, default_registry())
         lo, hi = XSeedExtractor().extract_metadata(
             FileSource(path, uri)
         ).records.start_time[:2]
-        outcome = extractor.mount_selective(
-            source, MountRequest(interval=(int(lo), int(hi) - 1))
-        )
-        assert outcome.bytes_read == path.stat().st_size
+        request = MountRequest(interval=(int(lo), int(hi) - 1))
+        held = repo.hold(uri, request)
+        outcome = XSeedExtractor().mount_selective(held.source, request)
+        assert held.moved == path.stat().st_size
         assert outcome.records_decoded == 1 and outcome.records_skipped > 0
 
     def test_ensure_whole_stages_exact_bytes_then_reuses(self, objects_dir):
@@ -809,11 +811,11 @@ class TestRemoteRepository:
         raw = (objects_dir / key).read_bytes()
         store = repo.transport.store
         staged = repo.ensure_whole(uri)
-        assert staged[:2] == (repo.signature_of(uri), len(raw))
+        assert staged[1:] == (repo.signature_of(uri), len(raw))
         assert _read(staged) == raw
         heads = store.stats.heads
         # Reuse costs the one HEAD that says the copy is current…
-        assert repo.ensure_whole(uri)[:2] == (staged.signature, 0)
+        assert repo.ensure_whole(uri)[1:] == (staged.signature, 0)
         assert (store.stats.heads, store.stats.gets) == (heads + 1, 1)
         # …or nothing, under the caller's own observation.
         assert repo.ensure_whole(uri, staged.signature).moved == 0
@@ -830,7 +832,7 @@ class TestRemoteRepository:
         raw = (objects_dir / key).read_bytes()
         # Spans are (byte_offset, byte_length), like RecordSpan.
         fetched = repo.fetch_spans(uri, [(0, 64), (128, 128)])
-        assert fetched[:2] == (repo.signature_of(uri), 64 + 128)
+        assert fetched[1:] == (repo.signature_of(uri), 64 + 128)
         assert repo.stats.ranged_gets == 2  # 64-byte gap > coalesce gap
         assert fetched.source.size == len(raw)  # reads as the whole object
         data = _read(fetched)
@@ -865,7 +867,7 @@ class TestRemoteRepository:
         (work / "a.xseed").write_bytes(b"B" * 300)
         # Stale bytes dropped, and counted: one whole GET, nothing reused.
         staged = repo.ensure_whole(uri)
-        assert staged[:2] == (repo.signature_of(uri), 300)
+        assert staged[1:] == (repo.signature_of(uri), 300)
         assert _read(staged) == b"B" * 300
         stats = repo.stats
         assert (stats.invalidations, stats.whole_fetches) == (1, 2)
@@ -981,17 +983,19 @@ class TestFederatedRepository:
         fed = FederatedRepository([local, remote])
         local_uri = local.uris()[0]
         remote_uri_ = remote.uris()[0]
-        registry = default_registry()
-        local_source, _ = fed.source_for(local_uri, registry)
-        assert local_source.path == local.path_of(local_uri)
-        remote_source, extractor = fed.source_for(remote_uri_, registry)
-        assert isinstance(remote_source, RemoteObject)
-        assert isinstance(extractor, RemoteExtractor)
+        assert fed.source_for(local_uri).path == local.path_of(local_uri)
+        assert isinstance(fed.source_for(remote_uri_), RemoteObject)
+        local_held = fed.hold(local_uri)
+        assert local_held.source.path == local.path_of(local_uri)
+        assert local_held[1:] == (local.signature_of(local_uri), None)
+        remote_held = fed.hold(remote_uri_)
+        assert isinstance(remote_held.source, BufferSource)
         assert fed.signature_of(remote_uri_) == remote.signature_of(
             remote_uri_
-        )
-        with pytest.raises(IngestError):
-            fed.source_for("remote://unknown-endpoint/x.xseed", registry)
+        ) == remote_held.signature
+        for hook in (fed.source_for, fed.hold):
+            with pytest.raises(IngestError):
+                hook("remote://unknown-endpoint/x.xseed")
 
     def test_signatures_concatenate_and_a_hookless_member_falls_back(
         self, members
@@ -1090,6 +1094,7 @@ class _Endpoint:
         return {"LIST": stats.lists, "HEAD": stats.heads, "GET": stats.gets}
 
 
+@pytest.mark.locktrace
 class TestListingCarriesSignatures:
     """With a metastore, the pass asks the repository for every signature
     at once — one LIST per 1 000 remote objects — and touches only the
@@ -1389,6 +1394,90 @@ def _rewrite(path):
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
 
 
+PASS_SPEC = RepositorySpec(
+    stations=("ISK", "ANK", "IZM"),
+    channels=("BHE", "BHN", "BHZ"),
+    days=4,
+    sample_rate=0.02,
+    samples_per_record=100,
+)
+
+
+class TestOneParsePerRemotePass:
+    """A cold metadata pass over remote objects is the local pass over
+    other bytes: the registry's extractor reads every object, so a run of
+    xSEED objects is one batched header parse, each object still one whole
+    GET walked and dropped before the next."""
+
+    FILES = PASS_SPEC.file_count
+
+    @pytest.fixture()
+    def objects(self, tmp_path):
+        generate_repository(tmp_path / "objects", PASS_SPEC)
+        return tmp_path / "objects"
+
+    @staticmethod
+    def local_pass(objects):
+        """F and R of the local pass, each URI named as the endpoint's."""
+        db = Database()
+        lazy_ingest_metadata(db, FileRepository(objects))
+        metadata = {}
+        for name in ("F", "R"):
+            batch = db.catalog.table(name).batch
+            at = batch.names.index("uri")
+            metadata[name] = [
+                (*row[:at], remote_uri("seis-eu", row[at]), *row[at + 1 :])
+                for row in batch.rows()
+            ]
+        return metadata
+
+    def test_a_cold_pass_is_one_parse_and_one_get_per_object(
+        self, objects, monkeypatch
+    ):
+        local = self.local_pass(objects)
+        parses = []
+        many = XSeedExtractor.extract_metadata_many
+
+        def counted(extractor, sources):
+            parses.append(len(sources))
+            return many(extractor, sources)
+
+        monkeypatch.setattr(XSeedExtractor, "extract_metadata_many", counted)
+        endpoint = _Endpoint(objects)
+        db = Database()
+        report = lazy_ingest_metadata(db, endpoint.repo)
+        assert self.FILES == 36 and report.files == self.FILES
+        assert parses == [self.FILES]
+        assert _metadata(db) == local
+        assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": self.FILES}
+        assert endpoint.store.stats.ranged_gets == 0
+        stats = endpoint.repo.stats
+        assert stats.whole_fetches == self.FILES
+        assert stats.remote_bytes == sum(
+            path.stat().st_size for path in objects.rglob("*.xseed")
+        )
+
+    def test_a_defect_the_parse_finds_raises_after_its_block(self, objects):
+        """A header only the vector parse refuses raises what the local pass
+        raises, for the same file — once every object of its parse block has
+        been walked, as the local pass walks every file of it."""
+        paths = sorted(objects.rglob("*.xseed"))
+        raw = bytearray(paths[1].read_bytes())
+        raw[28:36] = np.float64("nan").tobytes()[::-1]  # record 0's rate
+        paths[1].write_bytes(bytes(raw))
+        with pytest.raises(CorruptFileError) as expected:
+            lazy_ingest_metadata(Database(), FileRepository(objects))
+        endpoint = _Endpoint(objects)
+        with pytest.raises(CorruptFileError) as excinfo:
+            lazy_ingest_metadata(Database(), endpoint.repo)
+        error, local = excinfo.value, expected.value
+        assert error.uri == remote_uri("seis-eu", local.uri)
+        assert (str(error), error.offset) == (
+            str(local).replace(local.uri, error.uri), local.offset
+        )
+        assert endpoint.requests() == {"LIST": 1, "HEAD": 0, "GET": self.FILES}
+
+
 class _ColdMount:
     """A :class:`MountService` over a cold-staged remote copy of one
     rewritable object; ``R`` was harvested by an earlier session's
@@ -1484,6 +1573,7 @@ def _values(result):
     return result.batch.column("sample_value").values
 
 
+@pytest.mark.locktrace
 class TestTheGetIsTheObservation:
     """An extraction of a remote object is bracketed by no HEADs: each GET
     answers the signature of the version its bytes are of, and every GET
@@ -1521,11 +1611,10 @@ class TestTheGetIsTheObservation:
         for request in (cold.request(), None):
             result = cold.mounts._extract(cold.uri, "D", request)
             assert result.signature == cold.repo.signature_of(cold.uri)
-        source, extractor = cold.repo.source_for(cold.uri, default_registry())
-        attempt = extractor.observing(None)
-        assert attempt is not extractor and attempt.observed is None
-        attempt.mount(source)
-        assert attempt.observed == cold.repo.signature_of(cold.uri)
+        for request in (cold.request(), None):
+            cold.rewrite()
+            held = cold.repo.hold(cold.uri, request)
+            assert held.signature == cold.repo.signature_of(cold.uri)
 
     def test_later_gets_are_conditional_on_what_the_first_answered(
         self, tmp_path, monkeypatch
@@ -1836,6 +1925,7 @@ class TestObservationHandDown:
         assert cold.repo.stats.remote_bytes == 2 * cold.wanted_bytes()
 
 
+@pytest.mark.locktrace
 class TestOneLadderOneKey:
     """A failed request is retried by its transport alone, and scored under
     its endpoint alone: an outage costs each file one ladder of requests,
@@ -2047,6 +2137,7 @@ class _CachedQuery:
         ).rows
 
 
+@pytest.mark.locktrace
 class TestOneListPerBreakpoint:
     """A query's cache scans compare against what one LIST per directory
     observed at the breakpoint, instead of a HEAD each; a file whose
@@ -2260,10 +2351,11 @@ class _UnlinkedRemoteQuery:
         assert self.store.stats.lists == self.lists_before
 
 
+@pytest.mark.locktrace
 class TestScopeHandDown:
     """The query's token and retry budget travel with each request — down
-    ``uris`` / ``signature_of`` / ``source_for`` → ``RemoteExtractor`` →
-    its fetch → transport — instead of being left on the transport for
+    ``uris`` / ``signature_of`` / ``source_for`` / ``hold`` → its fetch →
+    transport — instead of being left on the transport for
     whoever asks next."""
 
     def test_a_stalled_list_is_stopped_by_its_querys_token(
@@ -2438,11 +2530,12 @@ class TestScopeHandDown:
         )
         scoped, unscoped = (token for _, token in seen)
         assert scoped is context.token and unscoped is not context.token
-        source, extractor = fed.source_for(
-            cold.uri, default_registry(), context
-        )
-        assert source.scope is extractor.scope is context
-        assert extractor.observing((0, 0)).scope is context
+        assert fed.source_for(cold.uri, context).scope is context
+        seen.clear()
+        for request in (cold.request(), None):
+            fed.hold(cold.uri, request, None, context)
+        assert [op for op, _ in seen] == ["get", "get"]
+        assert all(token is context.token for _, token in seen)
 
 
 class TestNoQueryWritesAFile:

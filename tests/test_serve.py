@@ -63,6 +63,8 @@ from repro.serve import (
 )
 from repro.testing.oracle import ConfigPoint, FaultScript, run, verdicts
 
+pytestmark = pytest.mark.locktrace
+
 SERVE_SEED = 20130610  # same fixed seed discipline as the chaos suite
 
 # tiny_spec scale; records span 20000s so the driver's mid-day windows fall

@@ -19,7 +19,13 @@ from repro.core.mounting import MountService
 from repro.db.errors import IngestError
 from repro.explore import ExplorationSession
 from repro.ingest import RepositoryBinding
-from repro.remote import RemoteRepository, ResilientTransport, TransportPolicy
+from repro.mseed import FileRepository
+from repro.remote import (
+    FederatedRepository,
+    RemoteRepository,
+    ResilientTransport,
+    TransportPolicy,
+)
 from repro.serve import QueryService, TenantPolicy
 from repro.serve.scheduler import MountScheduler
 
@@ -93,6 +99,19 @@ def test_remote_parameters():
         "policy",
         "clock",
     ]
+
+
+# A repository hands over bytes; the format registry is not its business.
+@pytest.mark.parametrize(
+    "backend", [FileRepository, RemoteRepository, FederatedRepository]
+)
+@pytest.mark.parametrize("hook, parameters", [
+    ("hold", ["uri", "request", "observed", "scope"]),
+    ("source_for", ["uri", "scope"]),
+    ("locate", ["scope"]),
+])
+def test_repository_hook_parameters(backend, hook, parameters):
+    assert _parameters(getattr(backend, hook)) == parameters
 
 
 def test_transport_policy_fields():

@@ -464,6 +464,7 @@ def test_the_reference_path_compiles_every_query(ei_db, query1):
 # -- two tenants compile one shape at once ------------------------------------------
 
 
+@pytest.mark.locktrace
 def test_two_tenants_compile_one_shape_at_once(tiny_repo, ei_db):
     """Both tenants of one service miss on the same shape together — both
     compile, neither under the cache's lock — and both answer right; the
